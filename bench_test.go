@@ -13,6 +13,7 @@ package sbqa
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -307,7 +308,7 @@ func benchmarkMediate(b *testing.B, a alloc.Allocator) {
 	b.ResetTimer()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		_, _ = a.Allocate(ctx, env, q, cands)
+		_, _ = a.Allocate(ctx, env, q, alloc.Snapshots(cands))
 	}
 }
 
@@ -509,9 +510,8 @@ func BenchmarkLiveEngineSingleShard(b *testing.B) {
 	benchmarkEngineParallel(b, 1)
 }
 
-// BenchmarkLiveEngineSubmitBatch measures the amortized batch entry point:
-// each provider is snapshotted at most once per batch per shard, however
-// many of the 64 queries it is a candidate for.
+// BenchmarkLiveEngineSubmitBatch measures the batch entry point: 64 queries
+// grouped by shard, each group mediated under one lock acquisition.
 func BenchmarkLiveEngineSubmitBatch(b *testing.B) {
 	const batchSize = 64
 	svc := benchEngine(b, runtime.GOMAXPROCS(0), 200, 16)
@@ -579,16 +579,38 @@ func BenchmarkLiveEngineTickets(b *testing.B) {
 }
 
 // BenchmarkMediateEndToEnd measures the complete mediation hot path the way
-// production traffic exercises it: Submit → candidate discovery → KnBest →
-// batched intention collection → SQLB scoring → dispatch, on a single shard
+// production traffic exercises it: Submit → class view → KnBest (k draws, k
+// snapshots) → batched intention collection → SQLB scoring → dispatch, on a
+// single shard
 // with 200 in-process providers. This is the benchmark the allocs/op gate in
 // CI watches (see .github/workflows/ci.yml): run with -benchmem; the gate
 // fails when allocs/op regresses against the committed BENCH_core.json
 // baseline.
-func BenchmarkMediateEndToEnd(b *testing.B) {
-	svc := benchEngine(b, 1, 200, 4)
+func BenchmarkMediateEndToEnd(b *testing.B) { benchmarkMediateEndToEnd(b, 200) }
+
+// BenchmarkMediateWide is BenchmarkMediateEndToEnd across widths of P_q: the
+// mediation draws its k = 20 positions before it snapshots anyone, so ns/op
+// must stay flat (within 1.5×) from 200 to 20,000 providers of one class, at
+// the same 4 allocs/op. Both are under the exact allocation gate in CI.
+func BenchmarkMediateWide(b *testing.B) {
+	for _, providers := range []int{200, 2000, 20000} {
+		b.Run(fmt.Sprint(providers), func(b *testing.B) { benchmarkMediateEndToEnd(b, providers) })
+	}
+}
+
+func benchmarkMediateEndToEnd(b *testing.B, providers int) {
+	svc := benchEngine(b, 1, providers, 4)
+	// A provider's satisfaction tracker is created on its first proposal;
+	// create them up front so a wide class measures the steady state rather
+	// than thousands of first touches.
+	for i := 0; i < providers; i++ {
+		svc.Registry().Provider(ProviderID(i))
+	}
 	q := Query{Consumer: 0, N: 2, Work: 10}
 	ctx := context.Background()
+	if _, err := svc.Submit(ctx, q, nil); err != nil { // builds the class view
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -192,7 +192,7 @@ func (g *gateway) handlePolicyPreview(w http.ResponseWriter, r *http.Request) {
 		q.Work = 1
 	}
 
-	a, err := allocator.Allocate(r.Context(), env, q, snaps)
+	a, err := allocator.Allocate(r.Context(), env, q, sbqa.Snapshots(snaps))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("preview mediation failed: %w", err))
 		return

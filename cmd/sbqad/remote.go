@@ -80,7 +80,10 @@ type workerWebhookResponse struct {
 // postWebhookJSON POSTs req to url and decodes the response into out. The context
 // carries the per-participant deadline the engine's fan-out applies.
 // traceparent, when non-empty, propagates the mediation's trace context so
-// participant-side handling can join the query's trace.
+// participant-side handling can join the query's trace. The reply is read
+// under the same 1 MiB bound as every inbound body: a participant that
+// answers with more is in error, and the fan-out imputes it like a silent
+// one instead of buffering whatever it sends.
 func postWebhookJSON(ctx context.Context, client *http.Client, url, traceparent string, req, out any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -102,7 +105,10 @@ func postWebhookJSON(ctx context.Context, client *http.Client, url, traceparent 
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("webhook %s: status %d", url, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxRequestBody)).Decode(out); err != nil {
+		return fmt.Errorf("webhook %s: reply: %w", url, err)
+	}
+	return nil
 }
 
 // remoteConsumer is a consumer whose intentions live behind a webhook. It

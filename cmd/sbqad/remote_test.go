@@ -172,6 +172,54 @@ func TestSlowWebhookImputedWithDeadline(t *testing.T) {
 	}
 }
 
+// TestOversizedWebhookReplyImputed: a worker whose webhook answers with a
+// well-formed reply larger than the 1 MiB body bound is treated like a silent
+// participant — its PI_q is imputed and the query still allocates — instead
+// of the daemon buffering and accepting whatever a participant sends.
+func TestOversizedWebhookReplyImputed(t *testing.T) {
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/huge" {
+			// Valid JSON whose leading padding field alone exceeds the bound:
+			// an unbounded decoder would skip it and accept the intention.
+			fmt.Fprintf(w, `{"pad":%q,"intention":1}`, strings.Repeat("x", maxRequestBody+1))
+			return
+		}
+		json.NewEncoder(w).Encode(workerWebhookResponse{Intention: 0.6})
+	}))
+	defer hook.Close()
+
+	_, srv := gatewayWithDeadline(t, 5*time.Second)
+	events, closeSSE := openSSE(t, srv.URL+"/v1/events")
+	defer closeSSE()
+	postJSON(t, srv.URL+"/v1/workers", workerRequest{
+		ID: 1, Capacity: 1000, QueueCap: 16, IntentionURL: hook.URL + "/huge",
+	}, nil)
+	postJSON(t, srv.URL+"/v1/workers", workerRequest{
+		ID: 2, Capacity: 1000, QueueCap: 16, IntentionURL: hook.URL + "/fine",
+	}, nil)
+	postJSON(t, srv.URL+"/v1/consumers", consumerRequest{ID: 0, Intention: 0.8}, nil)
+
+	var qr queryResponse
+	postJSON(t, srv.URL+"/v1/queries", queryRequest{Consumer: 0, N: 2, Work: 0.5, Wait: "allocation"}, &qr)
+	if qr.Error != "" {
+		t.Fatalf("submit error: %s", qr.Error)
+	}
+	if len(qr.Selected) != 2 {
+		t.Fatalf("selected %v, want both workers (oversized one imputed, not dropped)", qr.Selected)
+	}
+	ev := awaitEvent(t, events, "imputation", func(data string) bool {
+		return strings.Contains(data, fmt.Sprintf(`"query_id":%d`, qr.QueryID))
+	})
+	var im imputationEvent
+	if err := json.Unmarshal([]byte(ev.data), &im); err != nil {
+		t.Fatal(err)
+	}
+	if im.Provider != 1 || im.Timeout || im.Imputed == 1 || !strings.Contains(im.Error, "too large") {
+		t.Errorf("imputation event %+v, want provider 1 imputed on a too-large reply (not a timeout, not its claimed 1)", im)
+	}
+}
+
 // TestHealthzAndGracefulShutdown: the daemon answers /v1/healthz while
 // serving, and a context cancel (the SIGTERM path) shuts it down cleanly —
 // serve returns nil and the listener stops accepting.

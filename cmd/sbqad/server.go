@@ -857,14 +857,16 @@ func (g *gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
+	// Subscribe before the headers go out: a client that has seen the 200
+	// must not miss an event it causes next.
+	ch, unsubscribe := g.hub.subscribe()
+	defer unsubscribe()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	ch, unsubscribe := g.hub.subscribe()
-	defer unsubscribe()
 	for {
 		select {
 		case ev := <-ch:

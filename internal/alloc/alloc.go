@@ -11,6 +11,19 @@
 //
 // The SbQA allocator itself (KnBest × SQLB) lives in internal/core; it
 // implements the same Allocator interface.
+//
+// Allocators pull their candidates from a Source rather than receiving a
+// snapshot of every capable provider: Len is the size of the class's index
+// bucket, At(i) asks CanPerform of and snapshots the one provider at
+// position i (ascending ProviderID), and All materialises the filtered P_q.
+// Techniques that sample (SbQA, Random, Economic) go through Sampler, which
+// draws its positions first and touches only those — falling back to a
+// fresh draw over All when a drawn provider refuses, so the sample is a
+// uniform subset of P_q either way (see Sampler); RoundRobin indexes;
+// Capacity and ShareBased rank everyone and call All. The population an
+// allocator reports (Explain.Candidates, the observers' candidates count)
+// is therefore the bucket's size while the optimistic draw stands and
+// |P_q| once P_q was materialised — equal whenever nobody refuses.
 package alloc
 
 import (
@@ -24,36 +37,42 @@ import (
 
 // Allocator decides which providers perform a query.
 //
-// Contract: the returned Allocation must have Selected ⊆ Proposed ⊆
-// candidates, with len(Selected) = min(q.N, feasible). Proposed is the set
-// of providers the mediator contacts about q; it defines the providers whose
-// satisfaction windows record this mediation (Definition 2 is over
-// *proposed* queries). Allocators that collect intentions should record them
-// in the Allocation; the mediator backfills any it needs for analysis.
+// Contract: the returned Allocation must have Selected ⊆ Proposed ⊆ P_q,
+// with len(Selected) = min(q.N, feasible). Proposed is the set of providers
+// the mediator contacts about q; it defines the providers whose satisfaction
+// windows record this mediation (Definition 2 is over *proposed* queries).
+// Allocators that collect intentions should record them in the Allocation;
+// the mediator backfills any it needs for analysis.
+//
+// Allocators pull their candidates (see Source): a technique that samples
+// draws its positions first and snapshots only those (Sampler), one that
+// rotates indexes, and only a technique that ranks all of P_q pays for All.
+// A provider whose At reports !ok is outside P_q and must never be proposed.
 type Allocator interface {
 	// Name identifies the technique in experiment tables.
 	Name() string
 
-	// Allocate mediates one query over the candidate set P_q. candidates
-	// is never mutated. A (nil, nil) result means the query cannot be
-	// allocated (no candidates, or every candidate refused). A non-nil
-	// error means the mediation itself failed — the context was canceled
-	// or the environment's batched collection aborted — and the query was
-	// not mediated; allocators never return an error for individual silent
-	// participants (the Env imputes those).
-	Allocate(ctx context.Context, env Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error)
+	// Allocate mediates one query over the candidate source. A (nil, nil)
+	// result means the query cannot be allocated (no candidates, or every
+	// candidate refused). A non-nil error means the mediation itself
+	// failed — the context was canceled or the environment's batched
+	// collection aborted — and the query was not mediated; allocators never
+	// return an error for individual silent participants (the Env imputes
+	// those). candidates is valid only until Allocate returns.
+	Allocate(ctx context.Context, env Env, q model.Query, candidates Source) (*model.Allocation, error)
+}
+
+// wantN returns how many providers q asks for (at least one).
+func wantN(q model.Query) int {
+	if q.N < 1 {
+		return 1
+	}
+	return q.N
 }
 
 // resultN returns how many providers to select for q from nCands candidates.
 func resultN(q model.Query, nCands int) int {
-	n := q.N
-	if n < 1 {
-		n = 1
-	}
-	if n > nCands {
-		n = nCands
-	}
-	return n
+	return min(wantN(q), nCands)
 }
 
 // newAllocation builds an Allocation whose proposed set equals the selected
@@ -78,8 +97,8 @@ func newAllocation(q model.Query, selected []model.ProviderSnapshot) *model.Allo
 // Random allocates each query to q.N uniformly random candidates. It is the
 // weakest control: interest-blind and load-blind.
 type Random struct {
-	rng *stats.RNG
-	buf []int
+	rng     *stats.RNG
+	sampler Sampler
 }
 
 // NewRandom returns a random allocator with its own stream.
@@ -94,15 +113,10 @@ func NewRandom(rng *stats.RNG) *Random {
 func (r *Random) Name() string { return "Random" }
 
 // Allocate implements Allocator.
-func (r *Random) Allocate(_ context.Context, _ Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
-	if len(candidates) == 0 {
+func (r *Random) Allocate(_ context.Context, _ Env, q model.Query, candidates Source) (*model.Allocation, error) {
+	sel, _ := r.sampler.Sample(r.rng, candidates, wantN(q), nil)
+	if len(sel) == 0 {
 		return nil, nil
-	}
-	n := resultN(q, len(candidates))
-	r.buf = r.rng.SampleK(len(candidates), n, r.buf)
-	sel := make([]model.ProviderSnapshot, 0, n)
-	for _, idx := range r.buf {
-		sel = append(sel, candidates[idx])
 	}
 	return newAllocation(q, sel), nil
 }
@@ -112,7 +126,9 @@ func (r *Random) Allocate(_ context.Context, _ Env, q model.Query, candidates []
 // ---------------------------------------------------------------------------
 
 // RoundRobin allocates queries to candidates in rotating ID order: perfectly
-// even in count, blind to load, interests, and heterogeneity.
+// even in count, blind to load, interests, and heterogeneity. The rotation
+// is index arithmetic over the source's ascending-ID positions; only a turn
+// that lands on a refusing provider materialises P_q and rotates over that.
 type RoundRobin struct {
 	cursor int
 }
@@ -124,20 +140,22 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (r *RoundRobin) Name() string { return "RoundRobin" }
 
 // Allocate implements Allocator.
-func (r *RoundRobin) Allocate(_ context.Context, _ Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
-	if len(candidates) == 0 {
+func (r *RoundRobin) Allocate(ctx context.Context, env Env, q model.Query, candidates Source) (*model.Allocation, error) {
+	size := candidates.Len()
+	if size == 0 {
 		return nil, nil
 	}
-	// Stable order by ID so the rotation is well defined regardless of the
-	// candidate slice order.
-	ordered := append([]model.ProviderSnapshot(nil), candidates...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	n := resultN(q, len(ordered))
+	n := resultN(q, size)
 	sel := make([]model.ProviderSnapshot, 0, n)
 	for i := 0; i < n; i++ {
-		sel = append(sel, ordered[(r.cursor+i)%len(ordered)])
+		snap, ok := candidates.At((r.cursor + i) % size)
+		if !ok {
+			// Take the turn over the materialised P_q, where nobody refuses.
+			return r.Allocate(ctx, env, q, Snapshots(candidates.All(nil)))
+		}
+		sel = append(sel, snap)
 	}
-	r.cursor = (r.cursor + n) % len(ordered)
+	r.cursor = (r.cursor + n) % size
 	return newAllocation(q, sel), nil
 }
 
@@ -160,11 +178,11 @@ func NewCapacity() *Capacity { return &Capacity{} }
 func (*Capacity) Name() string { return "Capacity" }
 
 // Allocate implements Allocator.
-func (*Capacity) Allocate(_ context.Context, _ Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
-	if len(candidates) == 0 {
+func (*Capacity) Allocate(_ context.Context, _ Env, q model.Query, candidates Source) (*model.Allocation, error) {
+	ordered := candidates.All(nil)
+	if len(ordered) == 0 {
 		return nil, nil
 	}
-	ordered := append([]model.ProviderSnapshot(nil), candidates...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		a, b := ordered[i], ordered[j]
 		if a.Utilization != b.Utilization {
@@ -200,8 +218,8 @@ type Economic struct {
 	// values < 1 mean DefaultBidSample.
 	BidSample int
 
-	rng *stats.RNG
-	buf []int
+	rng     *stats.RNG
+	sampler Sampler
 }
 
 // NewEconomic returns an economic allocator with its own stream.
@@ -222,27 +240,17 @@ func (*Economic) Interactive() bool { return true }
 // Allocate implements Allocator. The bidding round is one batched Bids call
 // over the sampled candidates — the environment owns the fan-out and imputes
 // an expected-delay bid for any bidder that stays silent.
-func (e *Economic) Allocate(ctx context.Context, env Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
-	if len(candidates) == 0 {
-		return nil, nil
-	}
+func (e *Economic) Allocate(ctx context.Context, env Env, q model.Query, candidates Source) (*model.Allocation, error) {
 	sample := e.BidSample
 	if sample < 1 {
 		sample = DefaultBidSample
 	}
-	n := resultN(q, len(candidates))
-	if sample < n {
-		sample = n
+	sample = max(sample, wantN(q))
+	bidders, _ := e.sampler.Sample(e.rng, candidates, sample, nil)
+	if len(bidders) == 0 {
+		return nil, nil
 	}
-	if sample > len(candidates) {
-		sample = len(candidates)
-	}
-	e.buf = e.rng.SampleK(len(candidates), sample, e.buf)
-
-	bidders := make([]model.ProviderSnapshot, 0, sample)
-	for _, idx := range e.buf {
-		bidders = append(bidders, candidates[idx])
-	}
+	n := resultN(q, len(bidders))
 	bids, err := env.Bids(ctx, q, bidders)
 	if err != nil {
 		return nil, err
@@ -255,7 +263,7 @@ func (e *Economic) Allocate(ctx context.Context, env Env, q model.Query, candida
 		snap model.ProviderSnapshot
 		bid  float64
 	}
-	offers := make([]offer, 0, sample)
+	offers := make([]offer, 0, len(bidders))
 	for i, snap := range bidders {
 		offers = append(offers, offer{snap: snap, bid: bids[i]})
 	}

@@ -12,7 +12,7 @@ import (
 // protocol error — deterministic in-process environments never produce one.
 func allocate(t *testing.T, a Allocator, env Env, q model.Query, cands []model.ProviderSnapshot) *model.Allocation {
 	t.Helper()
-	out, err := a.Allocate(context.Background(), env, q, cands)
+	out, err := a.Allocate(context.Background(), env, q, Snapshots(cands))
 	if err != nil {
 		t.Fatalf("%s: Allocate error: %v", a.Name(), err)
 	}

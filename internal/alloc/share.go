@@ -41,7 +41,8 @@ func NewShareBased() *ShareBased { return &ShareBased{} }
 func (*ShareBased) Name() string { return "ShareBased" }
 
 // Allocate implements Allocator.
-func (*ShareBased) Allocate(_ context.Context, env Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
+func (*ShareBased) Allocate(_ context.Context, env Env, q model.Query, src Source) (*model.Allocation, error) {
+	candidates := src.All(nil)
 	if len(candidates) == 0 {
 		return nil, nil
 	}

@@ -68,7 +68,7 @@ func TestRetuneWhileMediatingRace(t *testing.T) {
 	// The mediating goroutine: Allocate stays single-threaded, as the
 	// engine's shard lock guarantees in production.
 	for i := 0; i < 5000; i++ {
-		a, err := s.Allocate(context.Background(), env, model.Query{ID: model.QueryID(i), Consumer: 0, N: 1, Work: 1}, snaps)
+		a, err := s.Allocate(context.Background(), env, model.Query{ID: model.QueryID(i), Consumer: 0, N: 1, Work: 1}, alloc.Snapshots(snaps))
 		if err != nil {
 			t.Fatalf("mediation %d: %v", i, err)
 		}

@@ -3,7 +3,8 @@
 // with candidate set P_q, the mediator:
 //
 //  1. runs the KnBest strategy — draws k providers of P_q at random, keeps
-//     the kn least utilized (set Kn);
+//     the kn least utilized (set Kn). The draw comes first: k positions out
+//     of the candidate source, and only those k providers are snapshotted;
 //  2. runs SQLB — collects, in one batched intention round over Kn, the
 //     consumer's intention CI_q[p] toward every p ∈ Kn and every p ∈ Kn's
 //     intention PI_q[p] to perform q (the environment owns transport,
@@ -228,17 +229,17 @@ func (s *SbQA) RestoreState(state []byte) error {
 }
 
 // Allocate implements alloc.Allocator: one full SbQA mediation.
-func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
-	if len(candidates) == 0 {
-		return nil, nil
-	}
-
+func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candidates alloc.Source) (*model.Allocation, error) {
 	// One coherent tunable snapshot per mediation: a concurrent retune
 	// (SetParams/SetScoring) applies from the next mediation on.
 	tn := s.tune.Load()
 
-	// Stage 1+2: KnBest keeps the kn least-utilized of k random candidates.
-	kn := s.selector.SelectWith(tn.params, candidates)
+	// Stage 1+2: KnBest keeps the kn least-utilized of k random candidates,
+	// snapshotting only the k it drew.
+	kn, population := s.selector.SelectFrom(tn.params, candidates)
+	if len(kn) == 0 {
+		return nil, nil
+	}
 
 	// Stage 3: SQLB — one batched intention round over Kn, then score and
 	// rank from the returned set. No participant is contacted mid-rank: the
@@ -317,7 +318,7 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 		ex := &model.Explain{
 			Allocator:  s.Name(),
 			SatC:       satC,
-			Candidates: len(candidates),
+			Candidates: population,
 			Entries:    make([]model.ExplainEntry, m),
 		}
 		for r, i := range s.scr.order {

@@ -14,7 +14,7 @@ import (
 // on protocol errors (StaticEnv never produces one).
 func allocate(t *testing.T, s *SbQA, env alloc.Env, q model.Query, cands []model.ProviderSnapshot) *model.Allocation {
 	t.Helper()
-	a, err := s.Allocate(context.Background(), env, q, cands)
+	a, err := s.Allocate(context.Background(), env, q, alloc.Snapshots(cands))
 	if err != nil {
 		t.Fatalf("Allocate error: %v", err)
 	}

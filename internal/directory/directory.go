@@ -17,9 +17,22 @@
 //   - a concurrency-safe registry that several mediator shards can share,
 //     which is what the sharded live engine is built on.
 //
-// Determinism: Candidates always returns providers in ascending ProviderID
-// order, whatever the registration order, so seeded allocators reproduce
-// bit-for-bit (the experiment tables depend on this).
+// Determinism: views and Candidates always list providers in ascending
+// ProviderID order, whatever the registration order, so seeded allocators
+// reproduce bit-for-bit (the experiment tables depend on this).
+//
+// The read path is lock-free. Discovery goes through View: an immutable
+// snapshot of one class's index bucket (universal providers ∪ the class's
+// specialists, as sorted {id, Provider} entries) published through an atomic
+// pointer. A write — Register/UnregisterProvider — only edits the sorted
+// entry lists under the mutex and marks the views it touched stale (the
+// class's own, or every view when a universal provider changed); it never
+// rebuilds one, so registration costs what it always did and bulk set-up
+// stays linear. The first reader after a write rebuilds the view it needs,
+// once, under the read lock, and republishes it; every reader until the next
+// write then pays two atomic loads and no map lookup. The mediator samples
+// positions out of a view and touches only the providers it drew, which is
+// what makes mediation O(k) rather than O(|P_q|).
 package directory
 
 import (
@@ -90,28 +103,67 @@ type Directory struct {
 	// without consulting the provider again.
 	classesOf map[model.ProviderID][]int
 
-	// universal and byClass are sorted ProviderID lists: the candidates for
-	// a query of class c are the ordered merge of universal and byClass[c].
-	universal []model.ProviderID
-	byClass   map[int][]model.ProviderID
+	// universal and byClass hold the sorted entry lists (guarded by mu):
+	// the index bucket of class c is the ordered merge of universal and
+	// byClass[c]. A class whose last specialist left has no list.
+	universal entryList
+	byClass   map[int]*entryList
 
-	// Intern tables: every registered participant is assigned a small dense
-	// index (an "interned ID") for the lifetime of its registration. The
-	// mediation hot path keys per-provider caches by these indices — a slice
-	// lookup instead of a map lookup per provider. Unregistration releases
-	// the index to a free list, so the table's high-water mark is bounded by
-	// the maximum number of *concurrently* registered participants, not by
-	// lifetime churn.
-	pIdx  map[model.ProviderID]int32
-	pFree []int32
-	pNext int32
-	cIdx  map[model.ConsumerID]int32
-	cFree []int32
-	cNext int32
+	// classes is the read path's immutable copy of byClass, nil after the
+	// set of classes changed; uniGen counts writes to universal and stamps
+	// every view, so one increment marks them all stale.
+	classes atomic.Pointer[map[int]*entryList]
+	uniGen  atomic.Uint64
 
 	// obs holds the registration observer (an event.Observer), swapped
 	// atomically so SetObserver is safe while the directory is shared.
 	obs atomic.Value
+}
+
+// entry is one indexed provider; the ID is held inline so ordering and
+// lookup never call into the provider.
+type entry struct {
+	id model.ProviderID
+	p  Provider
+}
+
+// entryList is one sorted list of the index and the published view of the
+// bucket it anchors — a class's list anchors universal ∪ class, the universal
+// list the bucket of every class without specialists (nil after a write to
+// the list).
+type entryList struct {
+	entries []entry // ascending id; guarded by Directory.mu
+	view    atomic.Pointer[View]
+}
+
+// View is an immutable snapshot of one class's index bucket: every universal
+// provider and every specialist of the class registered when it was built,
+// in ascending ProviderID order. Membership is by declared capability only —
+// CanPerform stays authoritative and is the caller's to apply per query.
+type View struct {
+	entries []entry
+	uniGen  uint64
+}
+
+// Len returns the number of providers in the bucket.
+func (v *View) Len() int { return len(v.entries) }
+
+// At returns the provider at position i (0 ≤ i < Len(), ascending ID).
+func (v *View) At(i int) Provider { return v.entries[i].p }
+
+// Find returns the bucket's provider with the given ID, or nil.
+func (v *View) Find(id model.ProviderID) Provider {
+	if i, ok := search(v.entries, id); ok {
+		return v.entries[i].p
+	}
+	return nil
+}
+
+// search returns the position of id in the ascending list es, or where it
+// would be inserted.
+func search(es []entry, id model.ProviderID) (int, bool) {
+	i := sort.Search(len(es), func(k int) bool { return es[k].id >= id })
+	return i, i < len(es) && es[i].id == id
 }
 
 // New returns an empty directory.
@@ -120,9 +172,7 @@ func New() *Directory {
 		providers: make(map[model.ProviderID]Provider),
 		consumers: make(map[model.ConsumerID]Consumer),
 		classesOf: make(map[model.ProviderID][]int),
-		byClass:   make(map[int][]model.ProviderID),
-		pIdx:      make(map[model.ProviderID]int32),
-		cIdx:      make(map[model.ConsumerID]int32),
+		byClass:   make(map[int]*entryList),
 	}
 }
 
@@ -161,17 +211,21 @@ func (d *Directory) RegisterProvider(p Provider) {
 	d.mu.Lock()
 	if _, exists := d.providers[id]; exists {
 		d.unindexLocked(id)
-	} else {
-		d.pIdx[id] = d.internLocked(&d.pFree, &d.pNext)
 	}
 	d.providers[id] = p
 	d.classesOf[id] = classes
 	if classes == nil {
-		d.universal = insertID(d.universal, id)
-	} else {
-		for _, c := range classes {
-			d.byClass[c] = insertID(d.byClass[c], id)
+		d.universal.insert(id, p)
+		d.uniGen.Add(1)
+	}
+	for _, c := range classes {
+		b := d.byClass[c]
+		if b == nil {
+			b = &entryList{}
+			d.byClass[c] = b
+			d.classes.Store(nil)
 		}
+		b.insert(id, p)
 	}
 	d.mu.Unlock()
 	if obs := d.observer(); obs != nil {
@@ -179,13 +233,14 @@ func (d *Directory) RegisterProvider(p Provider) {
 	}
 }
 
-// UnregisterProvider removes a provider from the catalog and the index.
-// Removal does not synchronize with in-flight discovery or mediation: a
-// concurrent Candidates call that already captured the provider may still
-// invoke CanPerform after this returns (just as a mediator holding the
-// candidate may still call Snapshot or Intention), so provider
-// implementations must keep those methods safe to call until in-flight
-// mediations quiesce — not merely until unregistration returns.
+// UnregisterProvider removes a provider from the catalog and the index. A
+// query that starts after it returns never sees the provider: every view
+// holding it is stale by then. Removal does not synchronize with in-flight
+// discovery or mediation: a mediation that already loaded a view holding the
+// provider may still invoke CanPerform, Snapshot or Intention after this
+// returns, so provider implementations must keep those methods safe to call
+// until in-flight mediations quiesce — not merely until unregistration
+// returns.
 func (d *Directory) UnregisterProvider(id model.ProviderID) {
 	d.mu.Lock()
 	_, exists := d.providers[id]
@@ -193,10 +248,6 @@ func (d *Directory) UnregisterProvider(id model.ProviderID) {
 		d.unindexLocked(id)
 		delete(d.providers, id)
 		delete(d.classesOf, id)
-		if di, ok := d.pIdx[id]; ok {
-			d.pFree = append(d.pFree, di)
-			delete(d.pIdx, id)
-		}
 	}
 	d.mu.Unlock()
 	if !exists {
@@ -210,13 +261,16 @@ func (d *Directory) UnregisterProvider(id model.ProviderID) {
 func (d *Directory) unindexLocked(id model.ProviderID) {
 	classes := d.classesOf[id]
 	if classes == nil {
-		d.universal = removeID(d.universal, id)
+		d.universal.remove(id)
+		d.uniGen.Add(1)
 		return
 	}
 	for _, c := range classes {
-		d.byClass[c] = removeID(d.byClass[c], id)
-		if len(d.byClass[c]) == 0 {
+		b := d.byClass[c]
+		b.remove(id)
+		if len(b.entries) == 0 {
 			delete(d.byClass, c)
+			d.classes.Store(nil)
 		}
 	}
 }
@@ -225,9 +279,6 @@ func (d *Directory) unindexLocked(id model.ProviderID) {
 func (d *Directory) RegisterConsumer(c Consumer) {
 	id := c.ConsumerID()
 	d.mu.Lock()
-	if _, exists := d.consumers[id]; !exists {
-		d.cIdx[id] = d.internLocked(&d.cFree, &d.cNext)
-	}
 	d.consumers[id] = c
 	d.mu.Unlock()
 	if obs := d.observer(); obs != nil {
@@ -240,12 +291,6 @@ func (d *Directory) UnregisterConsumer(id model.ConsumerID) {
 	d.mu.Lock()
 	_, exists := d.consumers[id]
 	delete(d.consumers, id)
-	if exists {
-		if di, ok := d.cIdx[id]; ok {
-			d.cFree = append(d.cFree, di)
-			delete(d.cIdx, id)
-		}
-	}
 	d.mu.Unlock()
 	if !exists {
 		return
@@ -301,162 +346,102 @@ func (d *Directory) NumConsumers() int {
 	return n
 }
 
+// View returns the current view of a query class's index bucket. The fast
+// path is lock-free: the class's published view, if no write has touched it
+// since it was built. Otherwise the caller rebuilds and republishes it.
+func (d *Directory) View(class int) *View {
+	if classes := d.classes.Load(); classes != nil {
+		b := (*classes)[class]
+		if b == nil {
+			b = &d.universal // no specialists: the bucket is the universal list
+		}
+		if v := b.view.Load(); v != nil && v.uniGen == d.uniGen.Load() {
+			return v
+		}
+	}
+	return d.rebuildView(class)
+}
+
+// rebuildView builds and publishes the view of class from the entry lists.
+// It runs under the read lock — writers hold the write lock while they edit
+// the lists and mark views stale, so a view published here can never be
+// older than the last write — and several readers may rebuild the same view
+// at once; they publish equal views, and the last one stays.
+func (d *Directory) rebuildView(class int) *View {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.classes.Load() == nil {
+		classes := make(map[int]*entryList, len(d.byClass))
+		for c, b := range d.byClass {
+			classes[c] = b
+		}
+		d.classes.Store(&classes)
+	}
+	uni := d.universal.entries
+	b := d.byClass[class]
+	var cls []entry
+	if b == nil {
+		b = &d.universal
+	} else {
+		cls = b.entries
+	}
+	v := &View{entries: make([]entry, 0, len(uni)+len(cls)), uniGen: d.uniGen.Load()}
+	// Ordered merge of the two disjoint sorted lists.
+	i, j := 0, 0
+	for i < len(uni) || j < len(cls) {
+		if j >= len(cls) || (i < len(uni) && uni[i].id < cls[j].id) {
+			v.entries = append(v.entries, uni[i])
+			i++
+		} else {
+			v.entries = append(v.entries, cls[j])
+			j++
+		}
+	}
+	b.view.Store(v)
+	return v
+}
+
 // Candidates appends to buf the providers able to perform q — the candidate
-// set P_q — in ascending ProviderID order, and returns the extended slice.
-// Discovery consults the capability index (universal providers plus the
-// bucket of q's class) and then applies CanPerform to each hit.
+// set P_q — in ascending ProviderID order, and returns the extended slice:
+// the class view filtered by CanPerform. It is the materialising form of
+// discovery, O(|P_q|) by construction; the mediator samples the view instead.
 //
 // The returned providers are the live registered instances; callers that
 // mediate concurrently must tolerate providers unregistering after the call
-// returns (see mediator.backfillIntentions). Symmetrically, because the
-// predicate runs outside the lock, CanPerform may be invoked on a provider
-// that a concurrent UnregisterProvider has already removed (see the
-// UnregisterProvider doc).
+// returns (see mediator.backfillIntentions). CanPerform is user code and runs
+// outside any lock: a slow predicate cannot stall registration, and one that
+// calls back into the directory cannot deadlock.
 func (d *Directory) Candidates(q model.Query, buf []Provider) []Provider {
-	base := len(buf)
-	d.mu.RLock()
-	uni, cls := d.universal, d.byClass[q.Class]
-	// Ordered merge of the two disjoint sorted ID lists.
-	i, j := 0, 0
-	for i < len(uni) || j < len(cls) {
-		var id model.ProviderID
-		switch {
-		case j >= len(cls) || (i < len(uni) && uni[i] < cls[j]):
-			id = uni[i]
-			i++
-		default:
-			id = cls[j]
-			j++
-		}
-		if p := d.providers[id]; p != nil {
-			buf = append(buf, p)
+	for _, e := range d.View(q.Class).entries {
+		if e.p.CanPerform(q) {
+			buf = append(buf, e.p)
 		}
 	}
-	d.mu.RUnlock()
-	// CanPerform is user code: run it after releasing the lock so a slow
-	// predicate cannot stall registration engine-wide, and one that calls
-	// back into the directory cannot deadlock. In-place compaction keeps
-	// the ascending-ID order.
-	kept := base
-	for _, p := range buf[base:] {
-		if p.CanPerform(q) {
-			buf[kept] = p
-			kept++
-		}
+	return buf
+}
+
+// insert files p under id, keeping the list sorted, and marks the list's
+// view stale. An id already present (a capability declared twice) stays.
+func (b *entryList) insert(id model.ProviderID, p Provider) {
+	i, present := search(b.entries, id)
+	if present {
+		return
 	}
-	return buf[:kept]
+	b.entries = append(b.entries, entry{})
+	copy(b.entries[i+1:], b.entries[i:])
+	b.entries[i] = entry{id: id, p: p}
+	b.view.Store(nil)
 }
 
-// internLocked hands out the next dense index, reusing released ones first.
-func (d *Directory) internLocked(free *[]int32, next *int32) int32 {
-	if n := len(*free); n > 0 {
-		di := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return di
+// remove drops id from the list if present and marks the view stale.
+func (b *entryList) remove(id model.ProviderID) {
+	es := b.entries
+	i, present := search(es, id)
+	if !present {
+		return
 	}
-	di := *next
-	*next++
-	return di
-}
-
-// ProviderIndex returns the interned dense index of a registered provider.
-// Indices are stable for the lifetime of the registration, contiguous from
-// zero, and recycled after unregistration — callers keying caches by index
-// must invalidate them when the provider departs (the mediator's snapshot
-// cache does this with per-batch generation stamps).
-func (d *Directory) ProviderIndex(id model.ProviderID) (int32, bool) {
-	d.mu.RLock()
-	di, ok := d.pIdx[id]
-	d.mu.RUnlock()
-	return di, ok
-}
-
-// ConsumerIndex returns the interned dense index of a registered consumer
-// (same lifecycle as ProviderIndex).
-func (d *Directory) ConsumerIndex(id model.ConsumerID) (int32, bool) {
-	d.mu.RLock()
-	di, ok := d.cIdx[id]
-	d.mu.RUnlock()
-	return di, ok
-}
-
-// ProviderInternBound returns an exclusive upper bound on every provider
-// index currently handed out — the intern table's high-water mark. Sizing a
-// slice-backed cache to this bound makes every interned index a valid slot.
-// The bound tracks the maximum number of concurrently registered providers,
-// not lifetime churn (released indices are reused).
-func (d *Directory) ProviderInternBound() int {
-	d.mu.RLock()
-	n := int(d.pNext)
-	d.mu.RUnlock()
-	return n
-}
-
-// ConsumerInternBound is ProviderInternBound for consumers.
-func (d *Directory) ConsumerInternBound() int {
-	d.mu.RLock()
-	n := int(d.cNext)
-	d.mu.RUnlock()
-	return n
-}
-
-// CandidatesIndexed is Candidates with the candidates' interned indices:
-// idx receives, position-aligned with the returned providers, each
-// candidate's dense index. Both slices are appended to and returned. The
-// mediator uses the indices to key its per-batch snapshot cache without a
-// map.
-func (d *Directory) CandidatesIndexed(q model.Query, buf []Provider, idx []int32) ([]Provider, []int32) {
-	base := len(buf)
-	d.mu.RLock()
-	uni, cls := d.universal, d.byClass[q.Class]
-	i, j := 0, 0
-	for i < len(uni) || j < len(cls) {
-		var id model.ProviderID
-		switch {
-		case j >= len(cls) || (i < len(uni) && uni[i] < cls[j]):
-			id = uni[i]
-			i++
-		default:
-			id = cls[j]
-			j++
-		}
-		if p := d.providers[id]; p != nil {
-			buf = append(buf, p)
-			idx = append(idx, d.pIdx[id])
-		}
-	}
-	d.mu.RUnlock()
-	// CanPerform runs outside the lock (see Candidates); compact both
-	// slices together to keep them aligned.
-	kept := base
-	for k, p := range buf[base:] {
-		if p.CanPerform(q) {
-			buf[kept] = p
-			idx[kept] = idx[base+k]
-			kept++
-		}
-	}
-	return buf[:kept], idx[:kept]
-}
-
-// insertID inserts id into the sorted slice ids, keeping it sorted; it is a
-// no-op if id is already present.
-func insertID(ids []model.ProviderID, id model.ProviderID) []model.ProviderID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeID removes id from the sorted slice ids if present.
-func removeID(ids []model.ProviderID, id model.ProviderID) []model.ProviderID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return ids
-	}
-	return append(ids[:i], ids[i+1:]...)
+	copy(es[i:], es[i+1:])
+	es[len(es)-1] = entry{} // drop the tail's provider reference
+	b.entries = es[:len(es)-1]
+	b.view.Store(nil)
 }

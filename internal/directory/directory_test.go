@@ -246,3 +246,98 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Errorf("NumProviders after churn = %d, want 8", d.NumProviders())
 	}
 }
+
+// TestViewsUnderConcurrentChurn runs under -race: while registrars add and
+// remove universal providers and specialists, every view a reader loads is
+// internally consistent — ascending by ID, Len and At in agreement, Find
+// resolving every member — never loses a permanent provider, and is stable
+// (the same pointer) between writes; and once UnregisterProvider returns, no
+// later view holds the departed provider.
+func TestViewsUnderConcurrentChurn(t *testing.T) {
+	d := New()
+	for i := 0; i < 8; i++ {
+		d.RegisterProvider(&stub{id: model.ProviderID(2 * i), classes: []int{i % 2}})
+	}
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		w := w
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			id := model.ProviderID(101 + 2*w)
+			var classes []int // writers 0 and 1 churn universal providers
+			if w >= 2 {
+				classes = []int{w % 2, 7 + w} // 7+w: a class that comes and goes
+			}
+			for i := 0; i < 400; i++ {
+				d.RegisterProvider(&stub{id: id, classes: classes})
+				if d.View(w%2).Find(id) == nil {
+					t.Errorf("provider %d missing from the view after registration returned", id)
+					return
+				}
+				d.UnregisterProvider(id)
+				for _, class := range []int{0, 1, 7 + w} {
+					if d.View(class).Find(id) != nil {
+						t.Errorf("provider %d in class %d's view after unregistration returned", id, class)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		class := r % 2
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := d.View(class)
+				permanent := 0
+				for i := 0; i < v.Len(); i++ {
+					id := v.At(i).ProviderID()
+					if i > 0 && v.At(i-1).ProviderID() >= id {
+						t.Errorf("view not ascending at %d: %d then %d", i, v.At(i-1).ProviderID(), id)
+						return
+					}
+					if v.Find(id) != v.At(i) {
+						t.Errorf("Find(%d) disagrees with At(%d)", id, i)
+						return
+					}
+					if id < 100 {
+						permanent++
+					}
+				}
+				if permanent != 4 {
+					t.Errorf("class %d view holds %d permanent providers, want 4", class, permanent)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	// Quiescent: the view is published once and handed out as is.
+	if a, b := d.View(0), d.View(0); a != b {
+		t.Error("View rebuilt with no write in between")
+	}
+	before := d.View(0)
+	d.RegisterProvider(&stub{id: 500, classes: []int{1}})
+	if d.View(0) != before {
+		t.Error("a write to class 1 invalidated class 0's view")
+	}
+	d.RegisterProvider(&stub{id: 501})
+	if after := d.View(0); after == before || after.Find(501) == nil {
+		t.Error("a universal registration did not reach class 0's view")
+	}
+	if v := d.View(12345); v.Len() != 1 || v.Find(501) == nil {
+		t.Errorf("class without specialists: view of %d providers, want the universal one", v.Len())
+	}
+}

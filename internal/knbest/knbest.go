@@ -13,12 +13,20 @@
 // k = kn = |P_q| makes it a pure interest matcher. The random first stage
 // bounds the number of intention requests per query, which is what makes the
 // process scale to large provider populations.
+//
+// The bound covers the whole mediation, not only the intention round: stage 1
+// draws *positions* out of the candidate source (SelectFrom) and only the k
+// drawn providers are asked CanPerform and snapshotted, so a mediation costs
+// O(k) however large P_q is. The draw is alloc.Sampler's: optimistic over the
+// class bucket, falling back to a fresh draw over the filtered P_q when a
+// drawn provider refuses — K is a uniform k-subset of P_q either way.
 package knbest
 
 import (
 	"fmt"
 	"sort"
 
+	"sbqa/internal/alloc"
 	"sbqa/internal/model"
 	"sbqa/internal/stats"
 )
@@ -58,9 +66,10 @@ type Selector struct {
 	rng    *stats.RNG
 
 	// scratch buffers reused across calls to avoid per-query allocation.
-	idxBuf []int
-	sample []model.ProviderSnapshot
-	sorter snapSorter
+	sampler alloc.Sampler
+	slice   alloc.Snapshots // Select's slice argument, as a source
+	sample  []model.ProviderSnapshot
+	sorter  snapSorter
 }
 
 // snapSorter is the selector's reusable sort.Interface over its sample
@@ -117,36 +126,38 @@ func (s *Selector) Select(candidates []model.ProviderSnapshot) []model.ProviderS
 	return s.SelectWith(s.params, candidates)
 }
 
-// SelectWith applies both stages to the candidate snapshots under the given
-// parameters and returns the retained providers (set Kn), ordered by
-// increasing utilization. The input slice is not modified. Taking the
-// parameters per call lets callers keep them in a lock-free snapshot that a
-// tuner swaps while mediations are in flight; the selector itself (its RNG
-// and scratch buffers) still belongs to a single goroutine.
+// SelectWith applies both stages to a materialised candidate set under the
+// given parameters and returns the retained providers (set Kn), ordered by
+// increasing utilization. The input slice is not modified. It is SelectFrom
+// over the slice: same draws, same order.
+func (s *Selector) SelectWith(params Params, candidates []model.ProviderSnapshot) []model.ProviderSnapshot {
+	s.slice = candidates
+	kn, _ := s.SelectFrom(params, &s.slice)
+	s.slice = nil
+	return kn
+}
+
+// SelectFrom applies both stages to a candidate source under the given
+// parameters: stage 1 draws K's positions and snapshots only those, stage 2
+// keeps the kn least utilized. It returns Kn ordered by increasing
+// utilization, and the size of the population K was drawn from (the source's
+// bucket, or the filtered P_q when a drawn provider refused; 0 with a nil Kn
+// when P_q is empty). Taking the parameters per call lets callers keep them
+// in a lock-free snapshot that a tuner swaps while mediations are in flight;
+// the selector itself (its RNG and scratch buffers) still belongs to a single
+// goroutine.
 //
 // The returned slice is selector-owned scratch: it is valid until the next
-// Select/SelectWith call, which overwrites it. Callers that need the set
-// beyond the current mediation must copy it.
-func (s *Selector) SelectWith(params Params, candidates []model.ProviderSnapshot) []model.ProviderSnapshot {
-	n := len(candidates)
-	if n == 0 {
-		return nil
-	}
-
-	// Stage 1: K random providers from P_q.
-	k := params.K
-	if k <= 0 || k > n {
-		k = n
-	}
-	s.idxBuf = s.rng.SampleK(n, k, s.idxBuf)
-	if cap(s.sample) < k {
-		s.sample = make([]model.ProviderSnapshot, 0, k)
-	}
-	sample := s.sample[:0]
-	for _, idx := range s.idxBuf {
-		sample = append(sample, candidates[idx])
-	}
+// Select/SelectWith/SelectFrom call, which overwrites it. Callers that need
+// the set beyond the current mediation must copy it.
+func (s *Selector) SelectFrom(params Params, src alloc.Source) ([]model.ProviderSnapshot, int) {
+	// Stage 1: K random providers from P_q (params.K <= 0 or beyond the
+	// population: all of it).
+	sample, population := s.sampler.Sample(s.rng, src, params.K, s.sample[:0])
 	s.sample = sample
+	if len(sample) == 0 {
+		return nil, 0
+	}
 
 	// Stage 2: the kn least-utilized providers of K. Ties break by queue
 	// length, then by ID for determinism; the stable sort over the reusable
@@ -158,5 +169,5 @@ func (s *Selector) SelectWith(params Params, candidates []model.ProviderSnapshot
 	if kn <= 0 || kn > len(sample) {
 		kn = len(sample)
 	}
-	return sample[:kn]
+	return sample[:kn], population
 }

@@ -568,9 +568,8 @@ func (e *Engine) guardSubmit(q model.Query) error {
 
 // SubmitBatch assigns IDs in input order, stamps the whole batch with one
 // arrival time, and enqueues each (shard, QoS class) group as a unit
-// (mediated under a single lock acquisition with amortized provider
-// snapshots; a group schedules under its class with its earliest member's
-// deadline). It returns the position-aligned tickets immediately; per-query
+// (mediated under a single lock acquisition; a group schedules under its
+// class with its earliest member's deadline). It returns the position-aligned tickets immediately; per-query
 // options apply to every ticket in the batch.
 func (e *Engine) SubmitBatch(ctx context.Context, queries []model.Query, opts ...QueryOption) []*Ticket {
 	var so submitOptions

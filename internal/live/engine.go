@@ -611,9 +611,8 @@ func (s *Service) dispatchSelected(ctx context.Context, q model.Query, a *model.
 // SubmitBatch mediates a batch of queries and dispatches the allocations,
 // returning position-aligned allocations and errors, blocking until every
 // hand-off completes. Queries are grouped by shard and each shard mediates
-// its group under a single lock acquisition via mediator.MediateBatch,
-// which snapshots each provider at most once per batch; distinct shards run
-// concurrently. Query IDs are assigned in input order and every query
+// its group under a single lock acquisition via mediator.MediateBatch;
+// distinct shards run concurrently. Query IDs are assigned in input order and every query
 // carries the same issue timestamp (the batch is one arrival event).
 //
 // results may be nil (fire-and-forget; see Submit). A nil error with a
@@ -663,7 +662,7 @@ func (s *Service) SubmitBatch(ctx context.Context, queries []model.Query, result
 }
 
 // processGroup mediates one shard's tickets as a batch (single lock
-// acquisition, amortized snapshots) and completes each ticket.
+// acquisition) and completes each ticket.
 func (s *Service) processGroup(ctx context.Context, sh *shard, tickets []*Ticket) {
 	qs := make([]model.Query, len(tickets))
 	for i, t := range tickets {
@@ -700,8 +699,10 @@ type ShardStats struct {
 	// delivered to their selected workers.
 	DispatchFailures uint64
 
-	// MeanCandidates is the mean candidate-set size |P_q| over this
-	// shard's successful mediations (0 when none).
+	// MeanCandidates is the mean size of the population allocators drew
+	// from over this shard's successful mediations (0 when none): the
+	// class's index bucket, or |P_q| where a technique materialised it —
+	// the same number whenever no provider refuses.
 	MeanCandidates float64
 
 	// Imputations counts intention-batch positions this shard filled from

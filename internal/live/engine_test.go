@@ -297,7 +297,7 @@ type unregisterOnAllocate struct {
 }
 
 func (u *unregisterOnAllocate) Name() string { return "unregister-on-allocate" }
-func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands []model.ProviderSnapshot) (*model.Allocation, error) {
+func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands alloc.Source) (*model.Allocation, error) {
 	a, err := u.inner.Allocate(ctx, e, q, cands)
 	if a != nil {
 		for _, id := range a.Selected {

@@ -15,14 +15,14 @@ import (
 // TestScratchArenasUnderChurnAndReconfigure hammers the zero-allocation
 // mediation hot path from every direction at once: concurrent Submit and
 // SubmitBatch traffic on several shards (each shard's scratch arena — the
-// snapshot buffers, the intention buffers, the interned-index snapshot cache
-// — is reused per mediation), while one goroutine hot-swaps the allocation
-// policy (rebuilding allocators and their scoring scratch at mediation
-// boundaries) and another churns provider registrations (recycling interned
-// indices under the running engine's snapshot caches). Run under -race this
-// is the leak/race canary for the arena design: a buffer crossing shard
-// boundaries, a stale interned slot surviving recycling, or an allocator
-// swap racing a mediation all surface here.
+// candidate source, the snapshot and intention buffers — is reused per
+// mediation), while one goroutine hot-swaps the allocation policy (rebuilding
+// allocators and their scoring scratch at mediation boundaries) and another
+// churns provider registrations (invalidating and rebuilding the class views
+// the shards sample from). Run under -race this is the leak/race canary for
+// the arena design: a buffer crossing shard boundaries, a stale view
+// surviving a departure, or an allocator swap racing a mediation all surface
+// here.
 func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 	spec := sbqaSpec(1)
 	svc, err := NewServiceWithConfig(Config{
@@ -116,7 +116,7 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 	}()
 
 	// Provider churner: registers and unregisters a rotating band, forcing
-	// intern-index recycling under the live snapshot caches.
+	// view rebuilds under the mediating shards.
 	churners.Add(1)
 	go func() {
 		defer churners.Done()

@@ -205,7 +205,7 @@ func (e env) collect(ctx context.Context, q model.Query, kn []model.ProviderSnap
 // needsFanout reports whether any participant of the batch is context-aware
 // (network-backed), requiring the concurrent fan-out path. The scan costs one
 // extra candidateOf lookup per provider on the synchronous path — a binary
-// search over the candidate buffer, no allocation.
+// search over the class view, no allocation.
 func (e env) needsFanout(kn []model.ProviderSnapshot, withPI bool) bool {
 	if _, ok := e.consumer.(ConsumerParticipant); ok {
 		return true

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sbqa/internal/alloc"
@@ -70,31 +69,16 @@ type Directory interface {
 	Provider(id model.ProviderID) Provider
 	// Consumer returns the registered consumer with the given ID, or nil.
 	Consumer(id model.ConsumerID) Consumer
-	// Candidates appends the providers able to perform q to buf in
-	// ascending ProviderID order (deterministic candidate sets are what
-	// make seeded runs reproducible).
-	Candidates(q model.Query, buf []Provider) []Provider
+	// View returns the index bucket of a query class — universal
+	// providers and the class's specialists in ascending ProviderID order
+	// (deterministic candidate sets are what make seeded runs
+	// reproducible) — as an immutable snapshot: the same pointer until a
+	// registration or departure touches the bucket.
+	View(class int) *directory.View
 	// NumProviders returns the number of registered providers.
 	NumProviders() int
 	// NumConsumers returns the number of registered consumers.
 	NumConsumers() int
-}
-
-// IndexedDirectory is the optional Directory extension for the
-// zero-allocation hot path: a directory that interns its providers (assigns
-// each registration a small dense index) lets the mediator key its per-batch
-// snapshot cache by index — a slice lookup per provider — instead of a
-// per-batch map. *directory.Directory implements it; the mediator
-// type-asserts at construction and falls back to the map cache for custom
-// directories.
-type IndexedDirectory interface {
-	Directory
-	// CandidatesIndexed is Candidates plus each candidate's interned index,
-	// position-aligned.
-	CandidatesIndexed(q model.Query, buf []Provider, idx []int32) ([]Provider, []int32)
-	// ProviderInternBound returns an exclusive upper bound on every interned
-	// provider index currently handed out.
-	ProviderInternBound() int
 }
 
 // ShareReporter is an optional Provider extension for BOINC-style resource
@@ -142,8 +126,11 @@ type Config struct {
 
 	// Observer, when set, receives the pipeline's lifecycle events:
 	// OnAllocation for every successful mediation (same payload as
-	// OnMediation) and OnRejection for every failed one, with the reason
-	// (ErrNoCandidates, ErrStaleSelection, or a validation error). Callbacks
+	// OnMediation: the allocation, and the size of the population the
+	// allocator drew from — the class's index bucket, or the filtered P_q
+	// when the allocator materialised it) and OnRejection for every failed
+	// one, with the reason (ErrNoCandidates, ErrStaleSelection, or a
+	// validation error). Callbacks
 	// run synchronously on the mediating goroutine — with several shards,
 	// concurrently — and must be fast, non-blocking, and safe for
 	// concurrent use.
@@ -186,42 +173,19 @@ type Mediator struct {
 	registry  *satisfaction.Registry
 	dir       Directory
 
-	// sharedDir records whether the directory was injected (and may thus
-	// see concurrent registration changes mid-mediation); with a private
-	// directory nothing can unregister between candidate discovery and
-	// backfill, so the stale-provider scan is skipped on prefilled
-	// allocations.
-	sharedDir bool
-
-	// idir is dir when it supports interned candidate indices (the
-	// slice-backed batch snapshot cache); nil otherwise.
-	idir IndexedDirectory
-
 	// Mediation scratch arena (DESIGN.md §9): per-shard buffers reused
 	// across mediations so the hot path allocates nothing. The arena is
 	// owned by the mediating goroutine — it never crosses shard boundaries —
 	// and every buffer's contents are dead once the mediation that filled it
 	// returns an allocation that owns its own copies.
 	envBox  env                      // reusable Env adapter (pointer-passed, no per-mediation boxing)
-	candBuf []Provider               // candidate discovery
-	candIdx []int32                  // candidates' interned indices (indexed batch mode)
-	snapBuf []model.ProviderSnapshot // candidate snapshots (see snapshots)
+	src     candidates               // the in-flight query's candidate source (pointer-passed likewise)
+	snapBuf []model.ProviderSnapshot // all of P_q, for the AnalyzeBest round only
 	ciBuf   []model.Intention        // batched CI collection
 	piBuf   []model.Intention        // batched PI collection
 	bidBuf  []float64                // batched bid collection
 	perfBuf []model.Intention        // performed-intentions vector for satisfaction recording
-	bfSnaps []model.ProviderSnapshot // backfill snapshots (snapBuf is still live then)
-
-	// Batch snapshot cache (indexed mode): slot di holds the snapshot of the
-	// provider interned at di, valid iff snapGen[di] == cacheGen. Bumping
-	// cacheGen invalidates the whole cache in O(1) at each batch boundary;
-	// generation stamps also make recycled intern slots (provider churn
-	// mid-run) safe — a new registrant reusing slot di sees a stale stamp,
-	// never a stale snapshot.
-	snapCache    []model.ProviderSnapshot
-	snapGen      []uint64
-	cacheGen     uint64
-	batchIndexed bool // inside MediateBatch over an IndexedDirectory
+	bfSnaps []model.ProviderSnapshot // backfill snapshots
 
 	// tracer is the per-query span sink for sampled queries (nil-safe).
 	tracer *trace.Recorder
@@ -248,9 +212,7 @@ func New(allocator alloc.Allocator, cfg Config) *Mediator {
 		allocator: allocator,
 		registry:  registry,
 		dir:       dir,
-		sharedDir: cfg.Directory != nil,
 	}
-	m.idir, _ = dir.(IndexedDirectory)
 	m.envBox.m = m
 	m.tracer = cfg.Tracer
 	return m
@@ -330,50 +292,72 @@ func (e env) DevotedAvailable(q model.Query, p model.ProviderSnapshot) float64 {
 	return p.Capacity * (1 - p.Utilization)
 }
 
-// candidateOf resolves a provider of the in-flight mediation from the
-// candidate buffer (sorted by ID), sparing the allocator's per-candidate
-// calls a locked directory lookup on the hot path; providers outside the
-// buffer fall back to the directory.
-func (m *Mediator) candidateOf(id model.ProviderID) Provider {
-	buf := m.candBuf
-	i := sort.Search(len(buf), func(k int) bool { return buf[k].ProviderID() >= id })
-	if i < len(buf) && buf[i].ProviderID() == id {
-		return buf[i]
-	}
-	return m.dir.Provider(id)
+// candidates is the mediator's alloc.Source: the in-flight query's class view,
+// from which allocators pull snapshots by position. Only the providers an
+// allocator reaches for are asked CanPerform and snapshotted.
+type candidates struct {
+	view *directory.View
+	q    model.Query
+	now  float64
+
+	// population is the size of the set the allocator drew from, reported
+	// to observers: the view's bucket, or |P_q| once All materialised it.
+	population int
+
+	// drawn keeps the snapshots At handed out, so the backfill's intention
+	// round over an interest-blind technique's proposal reuses them instead
+	// of snapshotting the same providers twice in one mediation.
+	drawn []model.ProviderSnapshot
 }
 
-// cachedSnapshot returns p's snapshot at now, served from the active batch
-// cache when possible: the interned-index slice cache in indexed batch mode
-// (resolving the index through the candidate buffer, which is sorted by ID),
-// the map cache otherwise, a fresh Snapshot call outside any batch.
-func (m *Mediator) cachedSnapshot(id model.ProviderID, p Provider, now float64, cache map[model.ProviderID]model.ProviderSnapshot) model.ProviderSnapshot {
-	if m.batchIndexed {
-		buf := m.candBuf
-		i := sort.Search(len(buf), func(k int) bool { return buf[k].ProviderID() >= id })
-		if i < len(buf) && buf[i].ProviderID() == id && i < len(m.candIdx) {
-			di := m.candIdx[i]
-			if int(di) < len(m.snapGen) && m.snapGen[di] == m.cacheGen {
-				return m.snapCache[di]
-			}
-			s := p.Snapshot(now)
-			if int(di) < len(m.snapGen) {
-				m.snapCache[di] = s
-				m.snapGen[di] = m.cacheGen
-			}
-			return s
-		}
-		return p.Snapshot(now)
+// Len implements alloc.Source.
+func (c *candidates) Len() int { return c.view.Len() }
+
+// At implements alloc.Source. CanPerform is authoritative per query and runs
+// first, so a refusing provider is never snapshotted.
+func (c *candidates) At(i int) (model.ProviderSnapshot, bool) {
+	p := c.view.At(i)
+	if !p.CanPerform(c.q) {
+		return model.ProviderSnapshot{}, false
 	}
-	if cache != nil {
-		if s, ok := cache[id]; ok {
-			return s
+	snap := p.Snapshot(c.now)
+	c.drawn = append(c.drawn, snap)
+	return snap, true
+}
+
+// snapshotOf returns the snapshot At already took of provider id in this
+// mediation, or takes one (a technique that went through All re-snapshots
+// only the few it proposed).
+func (c *candidates) snapshotOf(id model.ProviderID, p Provider) model.ProviderSnapshot {
+	for i := range c.drawn {
+		if c.drawn[i].ID == id {
+			return c.drawn[i]
 		}
-		s := p.Snapshot(now)
-		cache[id] = s
-		return s
 	}
-	return p.Snapshot(now)
+	return p.Snapshot(c.now)
+}
+
+// All implements alloc.Source.
+func (c *candidates) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
+	base := len(buf)
+	for i, n := 0, c.view.Len(); i < n; i++ {
+		if p := c.view.At(i); p.CanPerform(c.q) {
+			buf = append(buf, p.Snapshot(c.now))
+		}
+	}
+	c.population = len(buf) - base
+	return buf
+}
+
+// candidateOf resolves a provider of the in-flight mediation from its class
+// view (a binary search over inline IDs), sparing the allocator's
+// per-candidate calls a locked directory lookup on the hot path; providers
+// outside the view fall back to the directory.
+func (m *Mediator) candidateOf(id model.ProviderID) Provider {
+	if p := m.src.view.Find(id); p != nil {
+		return p
+	}
+	return m.dir.Provider(id)
 }
 
 // ConsumerSatisfaction implements alloc.Env from the satisfaction registry.
@@ -399,19 +383,13 @@ func (m *Mediator) Mediate(ctx context.Context, now float64, q model.Query) (*mo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return m.mediate(ctx, now, q, nil)
+	return m.mediate(ctx, now, q)
 }
 
 // MediateBatch mediates a batch of queries at time now, in order, and
-// returns position-aligned allocations and errors. Snapshot collection is
-// amortized across the batch: each provider is snapshotted at most once per
-// batch, so B queries sharing P candidates cost O(P) Snapshot calls instead
-// of O(B·P). Candidate *discovery* still runs per query — CanPerform stays
-// authoritative for every individual query, exactly as in sequential
-// Mediate. The snapshots are taken at batch time — provider state changes
-// caused by dispatching earlier queries of the same batch are not visible
-// to later ones, which matches what a serialized caller observes, since
-// dispatch happens after mediation anyway.
+// returns position-aligned allocations and errors — exactly what sequential
+// Mediate calls at the same time would. It exists so a caller that guards
+// the mediator with a lock takes it once per batch.
 //
 // ctx bounds the batch as a whole: queries mediated after it is done are
 // rejected with the context error (see Mediate).
@@ -421,76 +399,10 @@ func (m *Mediator) MediateBatch(ctx context.Context, now float64, qs []model.Que
 	}
 	allocs := make([]*model.Allocation, len(qs))
 	errs := make([]error, len(qs))
-	var cache map[model.ProviderID]model.ProviderSnapshot
-	if m.idir != nil {
-		// Interned-index cache: one generation bump invalidates the whole
-		// slice-backed cache — no per-batch map allocation.
-		m.cacheGen++
-		m.batchIndexed = true
-		defer func() { m.batchIndexed = false }()
-	} else {
-		cache = make(map[model.ProviderID]model.ProviderSnapshot)
-	}
 	for i, q := range qs {
-		allocs[i], errs[i] = m.mediate(ctx, now, q, cache)
+		allocs[i], errs[i] = m.mediate(ctx, now, q)
 	}
 	return allocs, errs
-}
-
-// snapshots builds the candidate snapshot set for q, reusing per-provider
-// snapshots from the batch cache when mediating a batch (the interned-index
-// slice cache over an IndexedDirectory, the map otherwise).
-//
-// The returned slice aliases m.snapBuf — per-shard scratch that the next
-// mediation on this shard overwrites. It is valid for the duration of one
-// mediation only: the allocator receives it as the candidates argument and
-// must copy anything it keeps (alloc.Allocator documents this); no caller
-// may retain it across Mediate calls. TestSnapshotBufferReuse exercises the
-// hazard.
-func (m *Mediator) snapshots(now float64, q model.Query, cache map[model.ProviderID]model.ProviderSnapshot) []model.ProviderSnapshot {
-	m.snapBuf = m.snapBuf[:0]
-	if m.batchIndexed {
-		m.candBuf, m.candIdx = m.idir.CandidatesIndexed(q, m.candBuf[:0], m.candIdx[:0])
-		if bound := m.idir.ProviderInternBound(); bound > len(m.snapCache) {
-			// Grow to the intern high-water mark; fresh slots carry
-			// generation 0, which never matches (cacheGen starts at 1).
-			next := make([]model.ProviderSnapshot, bound)
-			copy(next, m.snapCache)
-			m.snapCache = next
-			nextGen := make([]uint64, bound)
-			copy(nextGen, m.snapGen)
-			m.snapGen = nextGen
-		}
-		for i, p := range m.candBuf {
-			di := m.candIdx[i]
-			if int(di) < len(m.snapGen) && m.snapGen[di] == m.cacheGen {
-				m.snapBuf = append(m.snapBuf, m.snapCache[di])
-				continue
-			}
-			s := p.Snapshot(now)
-			if int(di) < len(m.snapGen) {
-				m.snapCache[di] = s
-				m.snapGen[di] = m.cacheGen
-			}
-			m.snapBuf = append(m.snapBuf, s)
-		}
-		return m.snapBuf
-	}
-	m.candBuf = m.dir.Candidates(q, m.candBuf[:0])
-	for _, p := range m.candBuf {
-		if cache != nil {
-			if s, ok := cache[p.ProviderID()]; ok {
-				m.snapBuf = append(m.snapBuf, s)
-				continue
-			}
-		}
-		s := p.Snapshot(now)
-		if cache != nil {
-			cache[p.ProviderID()] = s
-		}
-		m.snapBuf = append(m.snapBuf, s)
-	}
-	return m.snapBuf
 }
 
 // reject reports a failed mediation to the configured observer and returns
@@ -502,7 +414,20 @@ func (m *Mediator) reject(q model.Query, err error) error {
 	return err
 }
 
-func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cache map[model.ProviderID]model.ProviderSnapshot) (*model.Allocation, error) {
+// unserved records q as a failed mediation, so the consumer's dissatisfaction
+// accumulates, and rejects it. On the stale retry the first attempt proved
+// capacity existed — it churned away entirely before re-discovery (e.g. the
+// registrar's unregister→reregister gap) — which is the transient sentinel,
+// not the terminal one.
+func (m *Mediator) unserved(q model.Query, attempt int) error {
+	m.registry.RecordAllocation(&model.Allocation{Query: q}, nil)
+	if attempt > 0 {
+		return m.reject(q, ErrStaleSelection)
+	}
+	return m.reject(q, ErrNoCandidates)
+}
+
+func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*model.Allocation, error) {
 	if err := ctx.Err(); err != nil {
 		// Canceled before mediation: an infrastructure outcome, not a
 		// capacity verdict — nothing is recorded in any satisfaction
@@ -528,20 +453,12 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cach
 	// the abandoned attempt — the query's outcome is recorded exactly once.
 	const staleRetries = 1
 	for attempt := 0; ; attempt++ {
-		// Build the candidate set P_q (ascending ID order, from the
-		// directory's capability index).
-		snaps := m.snapshots(now, q, cache)
-		if len(snaps) == 0 {
-			// Record the failed mediation so the consumer's dissatisfaction
-			// accumulates, then report. On a retry the first attempt proved
-			// capacity existed — it churned away entirely before re-discovery
-			// (e.g. the registrar's unregister→reregister gap), which is the
-			// transient sentinel, not the terminal one.
-			m.registry.RecordAllocation(&model.Allocation{Query: q}, nil)
-			if attempt > 0 {
-				return nil, m.reject(q, ErrStaleSelection)
-			}
-			return nil, m.reject(q, ErrNoCandidates)
+		// Load the class's index bucket (ascending ID order). The allocator
+		// pulls P_q out of it: nothing is snapshotted up front.
+		view := m.dir.View(q.Class)
+		m.src = candidates{view: view, q: q, now: now, population: view.Len(), drawn: m.src.drawn[:0]}
+		if view.Len() == 0 {
+			return nil, m.unserved(q, attempt)
 		}
 
 		var scoreStart int64
@@ -549,7 +466,8 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cach
 			m.lastFanoutEnd = 0
 			scoreStart = trace.Now()
 		}
-		a, err := m.allocator.Allocate(ctx, e, q, snaps)
+		a, err := m.allocator.Allocate(ctx, e, q, &m.src)
+		population := m.src.population // as the allocator left it; AnalyzeBest's All moves it
 		if q.Trace.Sampled {
 			// The score span is the allocator's ranking work net of any
 			// intention fan-out it triggered (which records its own span
@@ -561,7 +479,7 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cach
 				Name:  trace.StageScore,
 				Start: scoreStart,
 				End:   trace.Now(),
-				Extra: int64(len(snaps)),
+				Extra: int64(population),
 			})
 		}
 		if err != nil {
@@ -571,11 +489,12 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cach
 			return nil, m.reject(q, err)
 		}
 		if a == nil || len(a.Selected) == 0 {
-			m.registry.RecordAllocation(&model.Allocation{Query: q}, nil)
-			return nil, m.reject(q, ErrNoCandidates)
+			// Nobody in the bucket can perform q, or the technique refused
+			// them all: the same verdict as an empty bucket.
+			return nil, m.unserved(q, attempt)
 		}
 
-		m.backfillIntentions(ctx, e, a, now, cache)
+		m.backfillIntentions(ctx, e, a)
 		if len(a.Selected) == 0 {
 			// Every selected provider unregistered between candidate
 			// discovery and backfill (only possible when the directory is
@@ -601,21 +520,22 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query, cach
 			// Interest-blind allocators build no explain record of their
 			// own; reconstruct one from the backfilled allocation so every
 			// sampled query can answer "why these providers".
-			a.Explain = m.genericExplain(a, len(snaps))
+			a.Explain = m.genericExplain(a, population)
 		}
 
 		var candidateCI []model.Intention
 		if m.cfg.AnalyzeBest {
-			if set, cerr := e.collect(ctx, q, snaps, false); cerr == nil {
+			m.snapBuf = m.src.All(m.snapBuf[:0])
+			if set, cerr := e.collect(ctx, q, m.snapBuf, false); cerr == nil {
 				candidateCI = set.CI
 			}
 		}
 		m.perfBuf = m.registry.RecordAllocationInto(a, candidateCI, m.perfBuf)
 		if m.cfg.OnMediation != nil {
-			m.cfg.OnMediation(a, len(snaps))
+			m.cfg.OnMediation(a, population)
 		}
 		if m.cfg.Observer != nil {
-			m.cfg.Observer.OnAllocation(a, len(snaps))
+			m.cfg.Observer.OnAllocation(a, population)
 		}
 		return a, nil
 	}
@@ -665,33 +585,34 @@ func (m *Mediator) genericExplain(a *model.Allocation, candidates int) *model.Ex
 // dropped from the allocation entirely rather than silently recorded with
 // zero intentions: recording would resurrect the departed provider's
 // satisfaction tracker and skew the consumer's obtained satisfaction with a
-// phantom result.
-func (m *Mediator) backfillIntentions(ctx context.Context, e *env, a *model.Allocation, now float64, cache map[model.ProviderID]model.ProviderSnapshot) {
+// phantom result. The directory hands out the same view until a write touches
+// the bucket, so an unchanged view pointer proves nobody departed and the
+// per-provider directory lookups are skipped.
+func (m *Mediator) backfillIntentions(ctx context.Context, e *env, a *model.Allocation) {
 	prefilled := len(a.ConsumerIntentions) == len(a.Proposed) &&
 		len(a.ProviderIntentions) == len(a.Proposed)
-	if prefilled && !m.sharedDir {
-		// Private directory: nothing can have unregistered mid-mediation,
-		// and the allocator already collected every intention — the
-		// single-threaded simulation hot path pays no per-provider lookups.
-		return
+	resolve := m.dir.Provider
+	if m.dir.View(a.Query.Class) == m.src.view {
+		if prefilled {
+			return
+		}
+		resolve = m.candidateOf
 	}
 	// Pass 1: drop departed providers, compacting the proposal-aligned
 	// vectors, and gather the surviving providers' snapshots when the
-	// intentions still need to be collected. The snapshots use their own
-	// scratch (not m.snapBuf, which still holds this mediation's candidate
-	// set for the AnalyzeBest round).
+	// intentions still need to be collected.
 	var snaps []model.ProviderSnapshot
 	if !prefilled {
 		snaps = m.bfSnaps[:0]
 	}
 	kept := 0
 	for i, id := range a.Proposed {
-		p := m.dir.Provider(id)
+		p := resolve(id)
 		if p == nil {
 			continue
 		}
 		if !prefilled {
-			snaps = append(snaps, m.cachedSnapshot(id, p, now, cache))
+			snaps = append(snaps, m.src.snapshotOf(id, p))
 		}
 		a.Proposed[kept] = a.Proposed[i]
 		if prefilled {

@@ -257,7 +257,7 @@ type unregisteringAllocator struct {
 }
 
 func (u *unregisteringAllocator) Name() string { return "unregistering" }
-func (u *unregisteringAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands []model.ProviderSnapshot) (*model.Allocation, error) {
+func (u *unregisteringAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands alloc.Source) (*model.Allocation, error) {
 	a, err := u.inner.Allocate(ctx, e, q, cands)
 	u.m.Directory().UnregisterProvider(u.victim)
 	u.m.Registry().ForgetProvider(u.victim)
@@ -335,7 +335,7 @@ type oneShotStaleAllocator struct {
 }
 
 func (u *oneShotStaleAllocator) Name() string { return "one-shot-stale" }
-func (u *oneShotStaleAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands []model.ProviderSnapshot) (*model.Allocation, error) {
+func (u *oneShotStaleAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands alloc.Source) (*model.Allocation, error) {
 	a, err := u.inner.Allocate(ctx, e, q, cands)
 	if !u.fired {
 		u.fired = true
@@ -380,7 +380,7 @@ type churningAllocator struct {
 }
 
 func (u *churningAllocator) Name() string { return "churning" }
-func (u *churningAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands []model.ProviderSnapshot) (*model.Allocation, error) {
+func (u *churningAllocator) Allocate(ctx context.Context, e alloc.Env, q model.Query, cands alloc.Source) (*model.Allocation, error) {
 	a, err := u.inner.Allocate(ctx, e, q, cands)
 	if a != nil {
 		for _, id := range a.Selected {
@@ -529,10 +529,9 @@ type vetoProvider struct {
 
 func (p *vetoProvider) CanPerform(q model.Query) bool { return !p.veto(q) }
 
-// TestMediateBatchRespectsPerQueryCanPerform: snapshot amortization must not
-// bypass CanPerform for later queries of a batch — a provider that vetoes
-// heavy queries must never be proposed one, even when a light same-class
-// query already populated the snapshot cache.
+// TestMediateBatchRespectsPerQueryCanPerform: CanPerform is asked per query
+// within a batch — a provider that vetoes heavy queries must never be
+// proposed one, even right after a light same-class query it accepted.
 func TestMediateBatchRespectsPerQueryCanPerform(t *testing.T) {
 	m := newTestMediator(alloc.NewCapacity())
 	m.RegisterConsumer(&fakeConsumer{id: 0})

@@ -96,6 +96,13 @@ type (
 	// Allocator decides which providers perform a query
 	// (Allocate(ctx, env, q, candidates)).
 	Allocator = alloc.Allocator
+	// CandidateSource is what Allocate pulls its candidates from: Len,
+	// positional At (snapshot on demand, !ok when the provider refuses the
+	// query) and All (the materialised P_q, ascending ID).
+	CandidateSource = alloc.Source
+	// Snapshots adapts an already materialised candidate set to
+	// CandidateSource (tests, previews).
+	Snapshots = alloc.Snapshots
 	// Env is the batched, context-first mediation environment allocators
 	// consult (the v2 intention protocol): one Intentions call per
 	// mediation collects CI_q and PI_q over the whole candidate batch.
