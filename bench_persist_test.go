@@ -5,11 +5,9 @@
 package sbqa
 
 import (
-	"context"
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sbqa/internal/model"
@@ -107,29 +105,16 @@ func BenchmarkLiveEngineParallelPersist(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	svc := eng.Service()
 	for i := 0; i < providers; i++ {
-		svc.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
+		eng.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
 	}
 	for c := 0; c < maxProcs*4; c++ {
 		c := c
-		svc.RegisterConsumer(LiveFuncConsumer{ID: ConsumerID(c), Fn: func(q Query, snap ProviderSnapshot) Intention {
+		eng.RegisterConsumer(LiveFuncConsumer{ID: ConsumerID(c), Fn: func(q Query, snap ProviderSnapshot) Intention {
 			return Intention(float64((int(snap.ID)+c)%7)/7 - 0.2)
 		}})
 	}
-	var nextConsumer atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := ConsumerID(nextConsumer.Add(1) - 1)
-		q := Query{Consumer: c, N: 2, Work: 10}
-		for pb.Next() {
-			if _, err := svc.Submit(context.Background(), q, nil); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
+	benchmarkEngineParallel(b, eng)
 	b.StopTimer()
 	if dropped := eng.Stats().Persistence.RecordsDropped; dropped > 0 {
 		b.ReportMetric(float64(dropped), "dropped/run")

@@ -446,103 +446,14 @@ func BenchmarkReplicationStudy(b *testing.B) {
 // Live engine benchmarks: sharded mediation throughput
 // ---------------------------------------------------------------------------
 
-// benchEngine builds a sharded engine over constant-snapshot providers (no
-// dispatch — pure mediation throughput) with one consumer per submitting
-// goroutine.
-func benchEngine(b *testing.B, shards, providers, consumers int) *LiveService {
+// benchEngine builds a sharded engine over constant-snapshot providers (not
+// dispatchable — pure submission and mediation throughput) with one consumer
+// per submitting goroutine; it closes with the benchmark.
+func benchEngine(b *testing.B, shards, providers, consumers int) *Engine {
 	b.Helper()
-	svc, err := NewLiveEngine(LiveConfig{
-		Window:      100,
-		Concurrency: shards,
-		NewAllocator: func(shard int) Allocator {
-			cfg := core.DefaultConfig()
-			cfg.Seed = uint64(shard) + 1
-			return core.MustNew(cfg)
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < providers; i++ {
-		svc.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
-	}
-	for c := 0; c < consumers; c++ {
-		c := c
-		svc.RegisterConsumer(LiveFuncConsumer{ID: ConsumerID(c), Fn: func(q Query, snap ProviderSnapshot) Intention {
-			return Intention(float64((int(snap.ID)+c)%7)/7 - 0.2)
-		}})
-	}
-	return svc
-}
-
-// benchmarkEngineParallel measures sharded mediation throughput under
-// b.RunParallel: every goroutine drives its own consumer, so shards mediate
-// concurrently. This is the scaling proof for the sharded engine — compare
-// BenchmarkLiveEngineParallel with BenchmarkLiveEngineSingleShard at
-// GOMAXPROCS > 1.
-func benchmarkEngineParallel(b *testing.B, shards int) {
-	const providers = 200
-	maxProcs := runtime.GOMAXPROCS(0)
-	svc := benchEngine(b, shards, providers, maxProcs*4)
-	var nextConsumer atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := ConsumerID(nextConsumer.Add(1) - 1)
-		q := Query{Consumer: c, N: 2, Work: 10}
-		for pb.Next() {
-			if _, err := svc.Submit(context.Background(), q, nil); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkLiveEngineParallel — one mediator shard per CPU.
-func BenchmarkLiveEngineParallel(b *testing.B) {
-	benchmarkEngineParallel(b, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkLiveEngineSingleShard — the serialized baseline under identical
-// parallel load: every submission funnels through one shard mutex.
-func BenchmarkLiveEngineSingleShard(b *testing.B) {
-	benchmarkEngineParallel(b, 1)
-}
-
-// BenchmarkLiveEngineSubmitBatch measures the batch entry point: 64 queries
-// grouped by shard, each group mediated under one lock acquisition.
-func BenchmarkLiveEngineSubmitBatch(b *testing.B) {
-	const batchSize = 64
-	svc := benchEngine(b, runtime.GOMAXPROCS(0), 200, 16)
-	queries := make([]Query, batchSize)
-	for i := range queries {
-		queries[i] = Query{Consumer: ConsumerID(i % 16), N: 2, Work: 10}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := svc.SubmitBatch(context.Background(), queries, nil)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(batchSize), "queries/op")
-}
-
-// BenchmarkLiveEngineTickets measures the asynchronous ticket path under
-// the same parallel load as BenchmarkLiveEngineParallel: every goroutine
-// submits through the Engine's shard queues and awaits the mediation
-// outcome on the ticket. The delta against the blocking bench is the cost
-// of queue hand-off plus ticket allocation.
-func BenchmarkLiveEngineTickets(b *testing.B) {
-	const providers = 200
-	maxProcs := runtime.GOMAXPROCS(0)
 	eng, err := NewEngine(
 		WithWindow(100),
-		WithConcurrency(maxProcs),
+		WithConcurrency(shards),
 		WithAllocatorFactory(func(shard int) Allocator {
 			cfg := core.DefaultConfig()
 			cfg.Seed = uint64(shard) + 1
@@ -552,17 +463,27 @@ func BenchmarkLiveEngineTickets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer eng.Close()
+	b.Cleanup(eng.Close)
 	for i := 0; i < providers; i++ {
 		eng.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
 	}
-	consumers := maxProcs * 4
 	for c := 0; c < consumers; c++ {
 		c := c
 		eng.RegisterConsumer(LiveFuncConsumer{ID: ConsumerID(c), Fn: func(q Query, snap ProviderSnapshot) Intention {
 			return Intention(float64((int(snap.ID)+c)%7)/7 - 0.2)
 		}})
 	}
+	return eng
+}
+
+// benchmarkEngineParallel measures the ticket path — the one sbqad runs —
+// under b.RunParallel: every goroutine drives its own consumer through the
+// shard queues and awaits the mediation outcome on the ticket, so shards
+// mediate concurrently. This is the scaling proof for the sharded engine —
+// compare BenchmarkLiveEngineParallel with BenchmarkLiveEngineSingleShard
+// at GOMAXPROCS > 1 — and the bench CI's ticket-path allocation ceiling
+// watches.
+func benchmarkEngineParallel(b *testing.B, eng *Engine) {
 	var nextConsumer atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -578,11 +499,46 @@ func BenchmarkLiveEngineTickets(b *testing.B) {
 	})
 }
 
-// BenchmarkMediateEndToEnd measures the complete mediation hot path the way
-// production traffic exercises it: Submit → class view → KnBest (k draws, k
-// snapshots) → batched intention collection → SQLB scoring → dispatch, on a
-// single shard
-// with 200 in-process providers. This is the benchmark the allocs/op gate in
+// BenchmarkLiveEngineParallel — one mediator shard per CPU.
+func BenchmarkLiveEngineParallel(b *testing.B) {
+	maxProcs := runtime.GOMAXPROCS(0)
+	benchmarkEngineParallel(b, benchEngine(b, maxProcs, 200, maxProcs*4))
+}
+
+// BenchmarkLiveEngineSingleShard — the serialized baseline under identical
+// parallel load: every submission funnels through one shard queue.
+func BenchmarkLiveEngineSingleShard(b *testing.B) {
+	benchmarkEngineParallel(b, benchEngine(b, 1, 200, runtime.GOMAXPROCS(0)*4))
+}
+
+// BenchmarkLiveEngineSubmitBatch measures the batch entry point: 64 queries
+// grouped by shard, each group queued as one item and mediated under one
+// lock acquisition, every ticket awaited.
+func BenchmarkLiveEngineSubmitBatch(b *testing.B) {
+	const batchSize = 64
+	eng := benchEngine(b, runtime.GOMAXPROCS(0), 200, 16)
+	queries := make([]Query, batchSize)
+	for i := range queries {
+		queries[i] = Query{Consumer: ConsumerID(i % 16), N: 2, Work: 10}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tk := range eng.SubmitBatch(context.Background(), queries, FireAndForget()) {
+			if _, err := tk.Allocation(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(batchSize), "queries/op")
+}
+
+// BenchmarkMediateEndToEnd measures the complete mediation step every ticket
+// runs under its shard lock, entered through Engine.Mediate: ID and clock
+// stamp → policy adoption → class view → KnBest (k draws, k snapshots) →
+// batched intention collection → SQLB scoring → satisfaction recording, on a
+// single shard with 200 in-process providers (queueing and hand-off are
+// BenchmarkLiveEngineParallel's). This is the benchmark the allocs/op gate in
 // CI watches (see .github/workflows/ci.yml): run with -benchmem; the gate
 // fails when allocs/op regresses against the committed BENCH_core.json
 // baseline.
@@ -599,22 +555,22 @@ func BenchmarkMediateWide(b *testing.B) {
 }
 
 func benchmarkMediateEndToEnd(b *testing.B, providers int) {
-	svc := benchEngine(b, 1, providers, 4)
+	eng := benchEngine(b, 1, providers, 4)
 	// A provider's satisfaction tracker is created on its first proposal;
 	// create them up front so a wide class measures the steady state rather
 	// than thousands of first touches.
 	for i := 0; i < providers; i++ {
-		svc.Registry().Provider(ProviderID(i))
+		eng.Registry().Provider(ProviderID(i))
 	}
 	q := Query{Consumer: 0, N: 2, Work: 10}
 	ctx := context.Background()
-	if _, err := svc.Submit(ctx, q, nil); err != nil { // builds the class view
+	if _, err := eng.Mediate(ctx, q); err != nil { // builds the class view
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Submit(ctx, q, nil); err != nil {
+		if _, err := eng.Mediate(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,10 +69,9 @@ func main() {
 		eng.RegisterProvider(&provider{id: sbqa.ProviderID(i), util: util})
 	}
 
-	svc := eng.Service()
 	submit := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := svc.Submit(context.Background(), sbqa.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+			if _, err := eng.Submit(context.Background(), sbqa.Query{Consumer: 0, N: 1, Work: 1}).Allocation(); err != nil {
 				fail(err)
 			}
 		}
@@ -96,7 +95,7 @@ func main() {
 	if err := eng.Reconfigure(context.Background(), sbqa.PolicySpec{Name: "lb", Kind: sbqa.PolicyCapacity}); err != nil {
 		fail(err)
 	}
-	a, err := svc.Submit(context.Background(), sbqa.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	a, err := eng.Submit(context.Background(), sbqa.Query{Consumer: 0, N: 1, Work: 1}).Allocation()
 	if err != nil {
 		fail(err)
 	}

@@ -8,9 +8,10 @@ import (
 
 // StaticEnv is a deterministic environment backed by explicit tables. It
 // serves unit tests, examples, and any embedding where intentions are known
-// up front rather than computed by live participant policies. It implements
-// both the v1 per-provider interface (EnvV1) and, through the Legacy
-// adapter, the batched v2 Env.
+// up front rather than computed by live participant policies. The batch
+// calls look the candidates up synchronously on the calling goroutine; the
+// context is consulted once per call, and per-participant deadlines and
+// imputation do not apply (a table cannot be silent).
 //
 // Missing entries fall back to zero intentions, bid = expected delay, and
 // neutral satisfaction (0.5).
@@ -58,55 +59,40 @@ func (e *StaticEnv) SetPI(p model.ProviderID, c model.ConsumerID, v model.Intent
 	m[c] = v
 }
 
-// Intentions implements the batched v2 Env by looping over the tables.
+// Intentions implements Env from the CI and PI tables.
 func (e *StaticEnv) Intentions(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) (IntentionSet, error) {
-	return Legacy(e).Intentions(ctx, q, kn)
+	if err := ctx.Err(); err != nil {
+		return IntentionSet{}, err
+	}
+	set := IntentionSet{
+		CI: make([]model.Intention, len(kn)),
+		PI: make([]model.Intention, len(kn)),
+	}
+	ci := e.CI[q.Consumer]
+	for i, snap := range kn {
+		set.CI[i] = ci[snap.ID]
+		set.PI[i] = e.PI[snap.ID][q.Consumer]
+	}
+	return set, nil
 }
 
-// Bids implements the batched v2 Env by looping over the tables.
+// Bids implements Env from the bid table.
 func (e *StaticEnv) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) ([]float64, error) {
-	return Legacy(e).Bids(ctx, q, kn)
-}
-
-// ProviderSatisfactions implements the batched v2 Env.
-func (e *StaticEnv) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
-	return Legacy(e).ProviderSatisfactions(kn)
-}
-
-// AppendProviderSatisfactions implements SatisfactionAppender.
-func (e *StaticEnv) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64 {
-	return Legacy(e).AppendProviderSatisfactions(kn, dst)
-}
-
-// ConsumerIntention implements EnvV1.
-func (e *StaticEnv) ConsumerIntention(q model.Query, p model.ProviderSnapshot) model.Intention {
-	if m, ok := e.CI[q.Consumer]; ok {
-		if v, ok := m[p.ID]; ok {
-			return v
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	bids := make([]float64, len(kn))
+	for i, snap := range kn {
+		if b, ok := e.BidTable[snap.ID]; ok {
+			bids[i] = b
+		} else {
+			bids[i] = snap.ExpectedDelay(q.Work)
 		}
 	}
-	return 0
+	return bids, nil
 }
 
-// ProviderIntention implements EnvV1.
-func (e *StaticEnv) ProviderIntention(q model.Query, p model.ProviderSnapshot) model.Intention {
-	if m, ok := e.PI[p.ID]; ok {
-		if v, ok := m[q.Consumer]; ok {
-			return v
-		}
-	}
-	return 0
-}
-
-// ProviderBid implements EnvV1.
-func (e *StaticEnv) ProviderBid(q model.Query, p model.ProviderSnapshot) float64 {
-	if b, ok := e.BidTable[p.ID]; ok {
-		return b
-	}
-	return p.ExpectedDelay(q.Work)
-}
-
-// ConsumerSatisfaction implements EnvV1 and the v2 Env.
+// ConsumerSatisfaction implements Env.
 func (e *StaticEnv) ConsumerSatisfaction(c model.ConsumerID) float64 {
 	if v, ok := e.SatC[c]; ok {
 		return v
@@ -114,13 +100,22 @@ func (e *StaticEnv) ConsumerSatisfaction(c model.ConsumerID) float64 {
 	return 0.5
 }
 
-// ProviderSatisfaction implements EnvV1.
-func (e *StaticEnv) ProviderSatisfaction(p model.ProviderID) float64 {
-	if v, ok := e.SatP[p]; ok {
-		return v
+// ProviderSatisfactions implements Env.
+func (e *StaticEnv) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
+	return e.AppendProviderSatisfactions(kn, make([]float64, 0, len(kn)))
+}
+
+// AppendProviderSatisfactions implements SatisfactionAppender.
+func (e *StaticEnv) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64 {
+	for _, snap := range kn {
+		if v, ok := e.SatP[snap.ID]; ok {
+			dst = append(dst, v)
+		} else {
+			dst = append(dst, 0.5)
+		}
 	}
-	return 0.5
+	return dst
 }
 
 var _ Env = (*StaticEnv)(nil)
-var _ EnvV1 = (*StaticEnv)(nil)
+var _ SatisfactionAppender = (*StaticEnv)(nil)

@@ -7,16 +7,14 @@ import (
 	"sbqa/internal/model"
 )
 
-// This file defines the v2 intention protocol: the batched, context-first
+// This file defines the intention protocol: the batched, context-first
 // environment interface allocators consult during mediation.
 //
-// The v1 Env was synchronous and per-provider: the SbQA allocator called
-// ConsumerIntention(q, p) and ProviderIntention(q, p) in a loop while
-// ranking. In a production deployment those calls are network round trips to
-// autonomous participants, so the per-provider shape made the hot path
-// impossible to parallelize, bound, or route off-process. The v2 Env
-// collects everything a mediation needs about the candidate batch Kn in one
-// call — the environment implementation decides how (in-process loops, a
+// In a production deployment intention calls are network round trips to
+// autonomous participants, and a per-provider call shape would make the hot
+// path impossible to parallelize, bound, or route off-process. Env collects
+// everything a mediation needs about the candidate batch Kn in one call —
+// the environment implementation decides how (in-process loops, a
 // concurrent fan-out with per-participant deadlines, an HTTP scatter-gather)
 // and reports, per position, whether the value was reported by the
 // participant or imputed from its satisfaction registry state.
@@ -91,8 +89,8 @@ func (s *IntentionSet) MarkProviderImputed(i int, err error) {
 // and are therefore synchronous.
 //
 // Implementations must be safe for the duration of one Allocate call; the
-// default in-process implementation lives in the mediator, and Legacy adapts
-// any v1 environment (see EnvV1).
+// default in-process implementation lives in the mediator, and StaticEnv
+// serves the protocol from explicit tables.
 type Env interface {
 	// Intentions collects CI_q and PI_q over the candidate batch kn. The
 	// returned set is position-aligned with kn (Len() == len(kn)). A
@@ -123,105 +121,6 @@ type Env interface {
 type SatisfactionAppender interface {
 	AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64
 }
-
-// EnvV1 is the original synchronous, per-provider, context-free environment
-// interface (the v1 alloc.Env). In-process embeddings that computed
-// intentions from local tables or policies keep implementing it and adapt
-// via Legacy; the mediator no longer consumes it directly.
-type EnvV1 interface {
-	// ConsumerIntention returns CI_q[p]: the intention of q's consumer to
-	// see q allocated to provider p.
-	ConsumerIntention(q model.Query, p model.ProviderSnapshot) model.Intention
-
-	// ProviderIntention returns PI_q[p]: provider p's intention to
-	// perform q.
-	ProviderIntention(q model.Query, p model.ProviderSnapshot) model.Intention
-
-	// ProviderBid returns the price provider p asks to perform q
-	// (economic baseline only).
-	ProviderBid(q model.Query, p model.ProviderSnapshot) float64
-
-	// ConsumerSatisfaction returns δs(c) for q's consumer.
-	ConsumerSatisfaction(c model.ConsumerID) float64
-
-	// ProviderSatisfaction returns δs(p).
-	ProviderSatisfaction(p model.ProviderID) float64
-}
-
-// LegacyEnv adapts a v1 environment to the batched v2 protocol: the batch
-// calls loop over the candidates synchronously on the calling goroutine, so
-// a v1 embedding migrates mechanically and stays deterministic. The context
-// is consulted once per batch call; per-participant deadlines and imputation
-// do not apply (a v1 environment cannot be silent).
-//
-// If the wrapped environment implements ShareEnv, the adapter forwards
-// DevotedAvailable so the share-based baseline keeps working.
-type LegacyEnv struct {
-	V1 EnvV1
-}
-
-// Legacy wraps a v1 environment into the v2 protocol.
-func Legacy(v1 EnvV1) LegacyEnv { return LegacyEnv{V1: v1} }
-
-// Intentions implements Env by looping over the batch synchronously.
-func (l LegacyEnv) Intentions(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) (IntentionSet, error) {
-	if err := ctx.Err(); err != nil {
-		return IntentionSet{}, err
-	}
-	set := IntentionSet{
-		CI: make([]model.Intention, len(kn)),
-		PI: make([]model.Intention, len(kn)),
-	}
-	for i, snap := range kn {
-		set.CI[i] = l.V1.ConsumerIntention(q, snap)
-		set.PI[i] = l.V1.ProviderIntention(q, snap)
-	}
-	return set, nil
-}
-
-// Bids implements Env by looping over the batch synchronously.
-func (l LegacyEnv) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bids := make([]float64, len(kn))
-	for i, snap := range kn {
-		bids[i] = l.V1.ProviderBid(q, snap)
-	}
-	return bids, nil
-}
-
-// ConsumerSatisfaction implements Env.
-func (l LegacyEnv) ConsumerSatisfaction(c model.ConsumerID) float64 {
-	return l.V1.ConsumerSatisfaction(c)
-}
-
-// ProviderSatisfactions implements Env.
-func (l LegacyEnv) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
-	return l.AppendProviderSatisfactions(kn, make([]float64, 0, len(kn)))
-}
-
-// AppendProviderSatisfactions implements SatisfactionAppender.
-func (l LegacyEnv) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64 {
-	for _, snap := range kn {
-		dst = append(dst, l.V1.ProviderSatisfaction(snap.ID))
-	}
-	return dst
-}
-
-// DevotedAvailable implements ShareEnv by forwarding to the wrapped
-// environment when it declares resource shares, falling back to plain
-// available capacity otherwise (the same fallback ShareBased applies).
-func (l LegacyEnv) DevotedAvailable(q model.Query, p model.ProviderSnapshot) float64 {
-	if se, ok := l.V1.(ShareEnv); ok {
-		return se.DevotedAvailable(q, p)
-	}
-	return p.Capacity * (1 - p.Utilization)
-}
-
-var _ Env = LegacyEnv{}
-var _ ShareEnv = LegacyEnv{}
-var _ SatisfactionAppender = LegacyEnv{}
 
 // CheckBatch validates that a batched response is position-aligned with its
 // candidate batch — the defensive check allocators apply before indexing.

@@ -198,12 +198,9 @@ func (s *SbQA) SetScoring(omega *float64, epsilon float64) {
 	}
 }
 
-// Scorer returns a copy of the current scoring rule for inspection.
-//
-// Deprecated: the historical retuning path mutated the returned scorer in
-// place, which raced with in-flight mediations. The returned value is now a
-// snapshot — mutating it has no effect on the allocator. Retune through
-// SetScoring (or swap policies via the engine's Reconfigure) instead.
+// Scorer returns a snapshot of the current scoring rule for inspection:
+// mutating it has no effect on the allocator. Retune through SetScoring (or
+// swap policies via the engine's Reconfigure).
 func (s *SbQA) Scorer() *score.Scorer {
 	sc := s.tune.Load().scorer
 	return &sc

@@ -1,9 +1,8 @@
 // Package event defines the engine's observability contract: a typed
-// Observer interface that replaces the single mediator.Config.OnMediation
-// hook with a first-class event stream covering the whole allocation
-// lifecycle — mediation outcomes (success and the two distinct failure
-// modes), dispatch failures, participant registration churn, and periodic
-// satisfaction snapshots.
+// Observer interface, a first-class event stream covering the whole
+// allocation lifecycle — mediation outcomes (success and the two distinct
+// failure modes), dispatch failures, participant registration churn, and
+// periodic satisfaction snapshots.
 //
 // The package sits below every runtime layer (it imports only
 // internal/model) so the mediator, the directory, and the live engine can

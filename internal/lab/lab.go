@@ -1,5 +1,5 @@
 // Package lab is the deterministic workload laboratory: it drives the REAL
-// mediation pipeline — live.Service over mediator, allocators, the
+// mediation pipeline — live.Engine over mediator, allocators, the
 // satisfaction registry, and policy hot-swap — under the internal/sim
 // virtual clock, at populations up to millions of simulated participants.
 //
@@ -66,7 +66,7 @@ type Scenario struct {
 	// Policy is the allocation policy under test (generation 0).
 	Policy policy.Spec `json:"policy"`
 
-	// Swaps hot-swap the policy mid-run through live.Service.Reconfigure
+	// Swaps hot-swap the policy mid-run through live.Engine.Reconfigure
 	// — the real generation-publication path, adopted at the next
 	// mediation boundary.
 	Swaps []PolicySwitch `json:"swaps,omitempty"`

@@ -3,7 +3,9 @@ package lab
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"sbqa/internal/policy"
 )
@@ -125,6 +127,35 @@ func TestReportDeterminism(t *testing.T) {
 	if h3, _ := r3.Hash(); h3 == h1 {
 		t.Fatal("different seed produced identical report")
 	}
+}
+
+// TestRunLeavesNoGoroutines: every world closes its engine — Engine.Close
+// waits for the shard loop, so the count is back before Run returns.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := settledGoroutines()
+	for i := 0; i < 8; i++ {
+		if _, err := Run(smallScenario("leak", uint64(i), sbqaPolicy(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := settledGoroutines(); after > before {
+		t.Fatalf("goroutines grew from %d to %d across lab runs", before, after)
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has stopped moving, so
+// goroutines still exiting from an earlier test are in neither reading.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 func TestPolicySwapRecorded(t *testing.T) {

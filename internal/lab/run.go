@@ -14,14 +14,16 @@ import (
 	"sbqa/internal/workload"
 )
 
-// world wires a normalized scenario to a real live.Service under the sim
-// virtual clock. Everything runs on the engine's single event loop.
+// world wires a normalized scenario to a real live.Engine under the sim
+// virtual clock. Everything runs on the sim engine's single event loop: the
+// world only ever calls Engine.Mediate, so the live engine's shard loop
+// stays idle until Run closes it.
 type world struct {
 	sc   Scenario
 	seed uint64
 
-	eng *sim.Engine
-	svc *live.Service
+	eng  *sim.Engine
+	live *live.Engine
 
 	// Split RNG streams, one per stochastic concern, so adding draws to
 	// one cannot shift another (the same discipline workload.Generate
@@ -74,29 +76,34 @@ func Run(sc Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.live.Close()
 	w.start()
 	w.eng.Run(sc.Duration)
 	return w.finish()
 }
 
-func build(sc Scenario) (*world, error) {
+func build(sc Scenario) (_ *world, err error) {
 	eng := sim.NewEngine()
-	spec := sc.Policy
-	svc, err := live.NewServiceWithConfig(live.Config{
-		Window:      sc.Window,
-		Concurrency: 1, // proven byte-identical to a serialized mediator
-		Policy:      &spec,
-		NowFn:       eng.Now,
-	})
+	lv, err := live.NewEngine(
+		live.WithWindow(sc.Window),
+		live.WithConcurrency(1), // proven byte-identical to a serialized mediator
+		live.WithPolicy(sc.Policy),
+		live.WithClock(eng.Now),
+	)
 	if err != nil {
 		return nil, fmt.Errorf("lab: building engine: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			lv.Close()
+		}
+	}()
 	root := stats.NewRNG(sc.Seed)
 	w := &world{
 		sc:       sc,
 		seed:     sc.Seed,
 		eng:      eng,
-		svc:      svc,
+		live:     lv,
 		arrRNG:   root.Split(),
 		costRNG:  root.Split(),
 		churnRNG: root.Split(),
@@ -135,7 +142,7 @@ func build(sc Scenario) (*world, error) {
 			c := &labConsumer{w: w, id: nextCID, class: ci, rep: make(map[model.ProviderID]float64)}
 			nextCID++
 			cs.consumers = append(cs.consumers, c)
-			svc.RegisterConsumer(c)
+			lv.RegisterConsumer(c)
 		}
 		for i := 0; i < spec.Providers; i++ {
 			p := &labProvider{
@@ -161,7 +168,7 @@ func build(sc Scenario) (*world, error) {
 			cs.providers = append(cs.providers, p)
 			w.providers = append(w.providers, p)
 			w.byID[p.id] = p
-			svc.RegisterProvider(p)
+			lv.RegisterProvider(p)
 		}
 		w.classes = append(w.classes, cs)
 	}
@@ -193,11 +200,11 @@ func (w *world) start() {
 	for _, sw := range w.sc.Swaps {
 		sw := sw
 		w.eng.ScheduleAt(sw.At, func() {
-			if err := w.svc.Reconfigure(context.Background(), sw.Spec); err == nil {
+			if err := w.live.Reconfigure(context.Background(), sw.Spec); err == nil {
 				w.report.Swaps = append(w.report.Swaps, AppliedSwap{
 					At:         w.eng.Now(),
 					Kind:       sw.Spec.Kind,
-					Generation: w.svc.PolicyGeneration(),
+					Generation: w.live.PolicyGeneration(),
 				})
 			}
 		})
@@ -260,7 +267,7 @@ func (w *world) issue(cs *classState) {
 // the selected providers' executions — the historical direct path, and the
 // station's service body.
 func (w *world) mediate(cs *classState, c *labConsumer, q model.Query) {
-	a, err := w.svc.Mediate(context.Background(), q)
+	a, err := w.live.Mediate(context.Background(), q)
 	if err != nil {
 		cs.rejected++
 		w.report.Rejected++
@@ -389,7 +396,7 @@ func (w *world) storm(st *StormSpec, leave bool) {
 
 func (w *world) depart(p *labProvider) {
 	p.online = false
-	w.svc.UnregisterWorker(p.id)
+	w.live.UnregisterWorker(p.id)
 }
 
 func (w *world) rejoin(p *labProvider) {
@@ -397,7 +404,7 @@ func (w *world) rejoin(p *labProvider) {
 		return
 	}
 	p.online = true
-	w.svc.RegisterProvider(p)
+	w.live.RegisterProvider(p)
 }
 
 // scheduleSample books the recurring trajectory sample.
@@ -421,8 +428,8 @@ func (w *world) sample() {
 	for _, cs := range w.classes {
 		var cds, cda float64
 		for _, c := range cs.consumers {
-			cds += w.svc.ConsumerSatisfaction(c.id)
-			cda += w.svc.Registry().ConsumerAdequation(c.id)
+			cds += w.live.ConsumerSatisfaction(c.id)
+			cda += w.live.Registry().ConsumerAdequation(c.id)
 		}
 		dsSum += cds
 		daSum += cda
@@ -438,7 +445,7 @@ func (w *world) sample() {
 	var sampled, queueMax, online int
 	for i := 0; i < len(w.providers); i += stride {
 		p := w.providers[i]
-		pds += w.svc.ProviderSatisfaction(p.id)
+		pds += w.live.ProviderSatisfaction(p.id)
 		queueSum += float64(p.pending)
 		if p.pending > queueMax {
 			queueMax = p.pending
@@ -515,8 +522,8 @@ func (w *world) finish() (*Report, error) {
 		}
 		var cds, cda float64
 		for _, c := range cs.consumers {
-			cds += w.svc.ConsumerSatisfaction(c.id)
-			cda += w.svc.Registry().ConsumerAdequation(c.id)
+			cds += w.live.ConsumerSatisfaction(c.id)
+			cda += w.live.Registry().ConsumerAdequation(c.id)
 		}
 		cr.ConsumerDS = cds / float64(len(cs.consumers))
 		cr.ConsumerDA = cda / float64(len(cs.consumers))
@@ -567,7 +574,7 @@ func (w *world) finish() (*Report, error) {
 	var pds float64
 	var sampled int
 	for i := 0; i < len(w.providers); i += stride {
-		pds += w.svc.ProviderSatisfaction(w.providers[i].id)
+		pds += w.live.ProviderSatisfaction(w.providers[i].id)
 		sampled++
 	}
 	r.ProviderSatisfaction = pds / float64(sampled)

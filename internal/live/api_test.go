@@ -326,9 +326,9 @@ func TestDispatchErrorPartitionsSelection(t *testing.T) {
 	}
 }
 
-// TestFireAndForgetWithResults reproduces the v1 contract on the ticket
-// path: workers deliver straight to the caller's channel and the ticket is
-// done at hand-off.
+// TestFireAndForgetWithResults: the shared-channel contract — workers
+// deliver straight to the caller's channel and the ticket is done at
+// hand-off.
 func TestFireAndForgetWithResults(t *testing.T) {
 	eng, _ := newTestEngine(t)
 	results := make(chan Result, 1)
@@ -475,9 +475,10 @@ func TestSubmitGuardVetsSubmissions(t *testing.T) {
 	}
 }
 
-// TestBlockingWrapperMatchesTicketPath: the blocking Service.Submit and the
-// awaited ticket produce identical allocations under identical inputs.
-func TestBlockingWrapperMatchesTicketPath(t *testing.T) {
+// TestFireAndForgetMatchesCollectingTicket: a hand-off-only ticket and a
+// result-collecting one produce identical allocations under identical
+// inputs — the per-query options never reach the mediation.
+func TestFireAndForgetMatchesCollectingTicket(t *testing.T) {
 	build := func() (*Engine, error) {
 		return NewEngine(
 			WithWindow(20),
@@ -493,23 +494,23 @@ func TestBlockingWrapperMatchesTicketPath(t *testing.T) {
 			e.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.3})
 		}
 	}
-	blocking, err := build()
+	handoff, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer blocking.Close()
-	reg(blocking)
-	async, err := build()
+	defer handoff.Close()
+	reg(handoff)
+	collecting, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer async.Close()
-	reg(async)
+	defer collecting.Close()
+	reg(collecting)
 
 	for i := 0; i < 25; i++ {
 		q := model.Query{Consumer: 0, N: 1, Work: 1}
-		wa, werr := blocking.Service().Submit(context.Background(), q, nil)
-		ga, gerr := async.Submit(context.Background(), q).Allocation()
+		wa, werr := submit(context.Background(), handoff, q, nil)
+		ga, gerr := collecting.Submit(context.Background(), q).Allocation()
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("query %d: err %v vs %v", i, werr, gerr)
 		}
@@ -517,7 +518,7 @@ func TestBlockingWrapperMatchesTicketPath(t *testing.T) {
 			continue
 		}
 		if want, got := wa.String(), ga.String(); want != got {
-			t.Fatalf("query %d diverged:\nblocking: %s\nticket:   %s", i, want, got)
+			t.Fatalf("query %d diverged:\nhand-off:   %s\ncollecting: %s", i, want, got)
 		}
 	}
 }

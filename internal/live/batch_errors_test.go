@@ -14,18 +14,15 @@ import (
 // unregistered consumer, and a class nobody serves — the error slice is
 // position-aligned and each entry carries its own failure mode.
 func TestSubmitBatchMixedErrorPaths(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{Window: 10, Allocator: alloc.NewCapacity()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	w.SetClasses(0) // class-restricted: class-5 queries find no candidates
-	svc.RegisterWorker(w)
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng.RegisterWorker(w)
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
 	results := make(chan Result, 4)
 	batch := []model.Query{
@@ -33,7 +30,7 @@ func TestSubmitBatchMixedErrorPaths(t *testing.T) {
 		{Consumer: 9, Class: 0, N: 1, Work: 0.1}, // unregistered consumer
 		{Consumer: 0, Class: 5, N: 1, Work: 0.1}, // no candidates
 	}
-	allocs, errs := svc.SubmitBatch(context.Background(), batch, results)
+	allocs, errs := submitBatch(context.Background(), eng, batch, results)
 
 	if errs[0] != nil || allocs[0] == nil || len(allocs[0].Selected) != 1 {
 		t.Fatalf("entry 0: alloc %v err %v, want clean success", allocs[0], errs[0])
@@ -53,27 +50,23 @@ func TestSubmitBatchMixedErrorPaths(t *testing.T) {
 	<-results // the successful entry still executes
 }
 
-// TestSubmitBatchCanceledContext: under the v2 context-first protocol a
-// done context rejects every entry with the bare context error before
-// mediation — no allocation is produced and nothing reads as a dispatch
-// failure. (The v1 engine mediated first and failed only at dispatch.)
+// TestSubmitBatchCanceledContext: a done context rejects every entry with
+// the bare context error before mediation — no allocation is produced and
+// nothing reads as a dispatch failure.
 func TestSubmitBatchCanceledContext(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{Window: 10, Allocator: alloc.NewCapacity()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	svc.RegisterWorker(w)
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng.RegisterWorker(w)
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qs := []model.Query{{Consumer: 0, N: 1, Work: 0.1}, {Consumer: 0, N: 1, Work: 0.1}}
-	allocs, errs := svc.SubmitBatch(ctx, qs, nil)
+	allocs, errs := submitBatch(ctx, eng, qs, nil)
 	for i := range qs {
 		if !errors.Is(errs[i], context.Canceled) {
 			t.Fatalf("entry %d err = %v, want context.Canceled", i, errs[i])
@@ -92,15 +85,12 @@ func TestSubmitBatchCanceledContext(t *testing.T) {
 // and an empty accepted set (nothing reached any worker: the retry is clean).
 func TestSubmitBatchStaleSelection(t *testing.T) {
 	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	svc, err := NewServiceWithConfig(Config{Window: 10, Allocator: u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.svc = svc
-	svc.RegisterProvider(&constProvider{id: 1, pi: 0.5})
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng := mustEngine(t, WithWindow(10), WithAllocator(u))
+	u.eng = eng
+	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
-	allocs, errs := svc.SubmitBatch(context.Background(), []model.Query{{Consumer: 0, N: 1, Work: 1}}, nil)
+	allocs, errs := submitBatch(context.Background(), eng, []model.Query{{Consumer: 0, N: 1, Work: 1}}, nil)
 	if !errors.Is(errs[0], ErrDispatch) || !errors.Is(errs[0], mediator.ErrStaleSelection) {
 		t.Fatalf("err = %v, want ErrDispatch wrapping ErrStaleSelection", errs[0])
 	}

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,121 +20,35 @@ import (
 	"sbqa/internal/trace"
 )
 
-// Config assembles a sharded mediation engine. The zero value is not usable
-// on its own: either Allocator (single shard) or NewAllocator must be set.
-//
-// Deprecated: Config remains the v1 construction surface and keeps working,
-// but new code should build an Engine through NewEngine and the functional
-// options (WithWindow, WithConcurrency, WithAllocatorFactory, WithClock,
-// WithObserver, ...), which cover the same knobs and the async extras.
-type Config struct {
-	// Window is the satisfaction memory length k.
-	Window int
-
-	// Concurrency is the number of mediator shards. Values below 1 mean 1.
-	// Queries route to shards by a hash of their ConsumerID, so a single
-	// consumer's stream is always serialized while distinct consumers
-	// mediate in parallel.
-	Concurrency int
-
-	// Allocator is the allocation technique for a single-shard engine.
-	// Ignored when NewAllocator is set.
-	Allocator alloc.Allocator
-
-	// NewAllocator builds one allocator per shard. Allocators carry
-	// internal state (sampling RNGs, round-robin cursors) and are not safe
-	// for concurrent use, so a multi-shard engine needs one instance per
-	// shard; seed them per shard index for reproducible-yet-decorrelated
-	// sampling streams. Required when Concurrency > 1 and Policy is nil.
-	NewAllocator func(shard int) alloc.Allocator
-
-	// Policy, when set, supplies the engine's allocation policy
-	// declaratively: per-shard allocators come from Policy.Build(shard)
-	// and the spec becomes the engine's generation-0 policy, replacing
-	// Allocator/NewAllocator (setting both is a configuration error on
-	// the NewEngine path). The running policy is later swapped with
-	// Engine.Reconfigure.
-	Policy *policy.Spec
-
-	// Tuner, when set (WithTuner), runs a policy.Tuner bound to the
-	// engine: a background MAPE-K loop that watches the satisfaction
-	// snapshot stream and issues bounded Reconfigure steps. Requires
-	// Policy and a positive SnapshotInterval — the snapshots are the
-	// tuner's sensor input.
-	Tuner *policy.TunerConfig
-
-	// AnalyzeBest mirrors mediator.Config.AnalyzeBest: evaluate the
-	// consumer's intention over the whole candidate set so allocation
-	// satisfaction is measured against the true optimum.
-	AnalyzeBest bool
-
-	// OnMediation mirrors mediator.Config.OnMediation. With several shards
-	// it is invoked concurrently and must be safe for concurrent use.
-	//
-	// Deprecated: the v1 observability hook; set Observer instead, which
-	// also sees rejections, dispatch failures, and registration churn.
-	// When both are set, both fire.
-	OnMediation func(a *model.Allocation, candidates int)
-
-	// Observer receives the engine's lifecycle events: allocations and
-	// rejections (from every mediator shard), dispatch failures,
-	// registration churn on the shared directory, and — when the engine is
-	// built with a snapshot interval — periodic satisfaction snapshots.
-	// Callbacks run synchronously on the emitting goroutine and must be
-	// fast, non-blocking, and safe for concurrent use.
-	Observer event.Observer
-
-	// QueueDepth bounds each shard's asynchronous submission queue (the
-	// Engine ticket path; the blocking Service calls bypass the queues).
-	// Values below 1 mean 1024.
-	QueueDepth int
-
-	// QoS, when set (WithQoS), installs the engine's overload-survival
-	// configuration: class-aware shard scheduling and typed load shedding
-	// (see the qos package). Takes precedence over the construction
-	// policy's qos block; nil with no policy block keeps the historical
-	// single-FIFO backpressure semantics. Engine-only, like QueueDepth.
-	QoS *qos.Spec
-
-	// SnapshotInterval, when positive and Observer is set, makes the
-	// Engine emit OnSatisfactionSnapshot every interval (wall-clock).
-	SnapshotInterval time.Duration
-
-	// ParticipantDeadline mirrors mediator.Config.ParticipantDeadline: the
-	// per-participant bound on each context-aware participant call during
-	// batched intention and bid collection. A participant that misses it is
-	// abandoned and its intention imputed from the satisfaction registry
-	// (counted in ShardStats.Imputations / IntentionTimeouts and emitted as
-	// OnIntentionImputed). Zero means no per-participant bound.
-	ParticipantDeadline time.Duration
-
-	// NowFn overrides the engine clock: it returns the current time in
-	// seconds on the mediation time axis. Nil uses wall-clock seconds
-	// since the service started. Deterministic tests inject a fake clock.
-	NowFn func() float64
-
-	// PersistDir, when non-empty, makes the engine's adaptation state
-	// durable under that directory (see WithPersistence); PersistOpts
-	// tune the store. Only the asynchronous Engine honors these — the
-	// blocking Service constructors ignore them (persistence needs the
-	// engine's lifecycle: restore on construction, flush on Close).
-	PersistDir  string
-	PersistOpts []persist.Option
-
-	// Trace, when set (WithTracing), builds the engine's flight recorder:
-	// sampled queries record one span per pipeline stage plus the
-	// allocation explain record, readable through Service.Tracer(). Nil
-	// disables tracing entirely — the hot path then pays one nil check
-	// per submission and nothing else.
-	Trace *trace.Config
+// config collects what the functional options of one NewEngine call set;
+// each field is documented on the With* option that writes it.
+type config struct {
+	window              int
+	concurrency         int
+	allocator           alloc.Allocator
+	newAllocator        func(shard int) alloc.Allocator
+	policy              *policy.Spec
+	tuner               *policy.TunerConfig
+	analyzeBest         bool
+	observer            event.Observer
+	queueDepth          int
+	qos                 *qos.Spec
+	snapshotInterval    time.Duration
+	participantDeadline time.Duration
+	nowFn               func() float64
+	persistDir          string
+	persistOpts         []persist.Option
+	trace               *trace.Config
 }
 
 // shard is one mediation lane: a single-threaded mediator behind its own
-// mutex, plus that lane's monotonic counters. The pointer indirection keeps
-// each shard's hot mutex on its own cache line region.
+// mutex, the class-aware queue its loop drains, and that lane's monotonic
+// counters. The pointer indirection keeps each shard's hot mutex on its own
+// cache line region.
 type shard struct {
-	mu  sync.Mutex
-	med *mediator.Mediator
+	mu    sync.Mutex
+	med   *mediator.Mediator
+	sched *qos.Scheduler[engineItem]
 
 	// Policy generations (see policy.go): nextGen is the latest published
 	// generation, loaded at every mediation boundary; curGen (guarded by
@@ -189,19 +104,19 @@ func (o shardObserver) OnIntentionImputed(im event.Imputation) {
 	}
 }
 
-// Service is a thread-safe mediation front end: a sharded engine over a
-// shared provider directory and a shared lock-striped satisfaction
-// registry. Its Submit/SubmitBatch calls are blocking thin wrappers over
-// the ticket pipeline; the Engine facade exposes the same pipeline
-// asynchronously. See the package documentation for the architecture.
-type Service struct {
+// Engine is the sharded mediation service: Submit returns a *Ticket
+// immediately and the query is mediated and dispatched by the consumer's
+// shard loop in the background, preserving per-consumer submission order
+// (one consumer's tickets mediate in the order they were submitted;
+// distinct consumers run in parallel). See the package documentation for
+// the architecture.
+type Engine struct {
 	dir    *directory.Directory
 	reg    *satisfaction.Registry
 	shards []*shard
-	obs    event.Observer // user observer; nil when none configured
+	obs    event.Observer // composed observer chain; nil when none configured
 	pol    policyState    // declarative policy control plane (policy.go)
 	nextID atomic.Int64
-	start  time.Time
 	nowFn  func() float64
 
 	// baseDeadline is the engine-configured participant deadline
@@ -209,257 +124,346 @@ type Service struct {
 	// run under it (see Reconfigure).
 	baseDeadline time.Duration
 
-	// tracer is the flight recorder (WithTracing); nil disables tracing.
-	tracer *trace.Recorder
+	// baseQoS is the construction-time QoS spec (normalized); a policy
+	// Reconfigure whose spec carries no qos block restores it, the same way
+	// a spec with no participant deadline restores the base deadline.
+	baseQoS qos.Spec
+
+	tracer *trace.Recorder    // nil unless built WithTracing
+	tuner  *policy.Tuner      // nil unless built WithTuner
+	pst    *enginePersistence // nil unless built WithPersistence
+
+	mu     sync.RWMutex // guards closed for Close idempotence
+	closed bool
+
+	// guard, when set (SetSubmitGuard), vets every submission before it
+	// reaches a shard queue — the cluster layer's ownership check.
+	guard atomic.Pointer[func(model.Query) error]
+
+	stopSnap chan struct{}
+	wg       sync.WaitGroup
 }
 
-// NewService returns a single-shard service running the given allocation
-// technique — the historical serialized front end, byte-identical in
-// behavior to the pre-sharding implementation.
-func NewService(allocator alloc.Allocator, window int) *Service {
-	s, err := NewServiceWithConfig(Config{Allocator: allocator, Window: window})
-	if err != nil {
-		// Unreachable: the single-shard path has no invalid configurations
-		// beyond a nil allocator, which fails at first Mediate exactly like
-		// the historical constructor did.
-		panic(err)
+// NewEngine builds an engine from functional options:
+//
+//	eng, err := live.NewEngine(
+//		live.WithWindow(100),
+//		live.WithConcurrency(runtime.GOMAXPROCS(0)),
+//		live.WithAllocatorFactory(func(shard int) alloc.Allocator { ... }),
+//	)
+//	defer eng.Close()
+//
+// Nonsensical option inputs — negative concurrency, queue depth, window,
+// snapshot interval, or participant deadline, several shards without a
+// per-shard allocator source — are rejected with a descriptive error rather
+// than silently clamped.
+func NewEngine(opts ...Option) (*Engine, error) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
 	}
-	return s
-}
-
-// NewServiceWithConfig builds a sharded engine from cfg.
-func NewServiceWithConfig(cfg Config) (*Service, error) {
-	n := cfg.Concurrency
-	if n < 1 {
-		n = 1
+	if err := validateOptions(cfg); err != nil {
+		return nil, err
 	}
 	// The base deadline is the engine-level configuration; a policy spec
 	// may override it per generation, and a later spec with no deadline
 	// restores this base (see policy.go).
-	baseDeadline := cfg.ParticipantDeadline
+	baseDeadline := cfg.participantDeadline
 	var spec policy.Spec
-	if cfg.Policy != nil {
-		spec = cfg.Policy.Normalized()
+	if cfg.policy != nil {
+		spec = cfg.policy.Normalized()
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
-		if spec.ParticipantDeadline > 0 && cfg.ParticipantDeadline == 0 {
-			cfg.ParticipantDeadline = spec.ParticipantDeadline.Std()
+		if spec.ParticipantDeadline > 0 && cfg.participantDeadline == 0 {
+			cfg.participantDeadline = spec.ParticipantDeadline.Std()
 		}
-	} else if n > 1 && cfg.NewAllocator == nil {
-		return nil, errors.New("live: Concurrency > 1 requires Config.NewAllocator or Config.Policy (allocators hold per-shard state and cannot be shared)")
 	}
-	s := &Service{
+	// The QoS spec: WithQoS wins, then the construction policy's qos block;
+	// neither means the single default class — plain FIFO backpressure.
+	var qspec qos.Spec
+	if cfg.qos != nil {
+		qspec = *cfg.qos
+	} else if cfg.policy != nil && cfg.policy.QoS != nil {
+		qspec = *cfg.policy.QoS
+	}
+	if err := qspec.Validate(); err != nil {
+		return nil, err
+	}
+
+	// The tuner is created before the shards so its snapshot intake can be
+	// composed into the observer they capture; it is bound to the engine
+	// (its Reconfigure surface) once the engine exists. The tuner goes
+	// *first* in the composition: it clones the snapshot maps synchronously
+	// in Observe, after which the user observer receives them still owning
+	// them outright (per the event.Observer contract) — even a user
+	// observer that hands its maps to another goroutine cannot race the
+	// tuner's copy.
+	var tuner *policy.Tuner
+	if cfg.tuner != nil {
+		tuner = policy.NewTuner(nil, *cfg.tuner)
+		cfg.observer = event.Multi(tuner.Observer(), cfg.observer)
+	}
+	// The durability recorder joins the observer chain before the shards
+	// capture it, so every shard's events reach the journal. The store is
+	// opened here; restore waits until the registry exists.
+	var pst *enginePersistence
+	if cfg.persistDir != "" {
+		var err error
+		pst, err = openPersistence(cfg.persistDir, cfg.persistOpts)
+		if err != nil {
+			return nil, err
+		}
+		pst.rec = pst.store.NewRecorder()
+		cfg.observer = event.Multi(pst.rec, cfg.observer)
+	}
+	// fail releases the store on the construction errors past this point.
+	fail := func(err error) (*Engine, error) {
+		if pst != nil {
+			pst.rec.Close()
+			pst.store.Close()
+		}
+		return nil, err
+	}
+
+	e := &Engine{
 		dir:          directory.New(),
-		reg:          satisfaction.NewRegistry(cfg.Window),
-		shards:       make([]*shard, n),
-		obs:          cfg.Observer,
-		start:        time.Now(),
+		reg:          satisfaction.NewRegistry(cfg.window),
+		shards:       make([]*shard, max(cfg.concurrency, 1)),
+		obs:          cfg.observer,
+		nowFn:        cfg.nowFn,
 		baseDeadline: baseDeadline,
+		baseQoS:      qspec.Normalized(),
+		tuner:        tuner,
+		pst:          pst,
+		stopSnap:     make(chan struct{}),
 	}
-	if cfg.NowFn != nil {
-		s.nowFn = cfg.NowFn
-	} else {
-		s.nowFn = func() float64 { return time.Since(s.start).Seconds() }
+	if e.nowFn == nil {
+		start := time.Now()
+		e.nowFn = func() float64 { return time.Since(start).Seconds() }
 	}
-	if cfg.Observer != nil {
-		s.dir.SetObserver(cfg.Observer)
+	if cfg.observer != nil {
+		e.dir.SetObserver(cfg.observer)
 	}
-	if cfg.Trace != nil {
-		s.tracer = trace.New(*cfg.Trace)
+	if cfg.trace != nil {
+		e.tracer = trace.New(*cfg.trace)
 	}
-	for i := range s.shards {
-		a := cfg.Allocator
-		if cfg.Policy != nil {
+	depth := cfg.queueDepth
+	if depth < 1 {
+		depth = 1024
+	}
+	for i := range e.shards {
+		a := cfg.allocator
+		if cfg.policy != nil {
 			var err error
 			if a, err = spec.Build(i); err != nil {
-				return nil, err
+				return fail(err)
 			}
-		} else if cfg.NewAllocator != nil {
-			a = cfg.NewAllocator(i)
+		} else if cfg.newAllocator != nil {
+			a = cfg.newAllocator(i)
 		}
-		sh := &shard{}
+		sh := &shard{sched: qos.NewScheduler[engineItem](qspec, depth, e.nowFn)}
 		sh.med = mediator.New(a, mediator.Config{
-			Window:              cfg.Window,
-			AnalyzeBest:         cfg.AnalyzeBest,
-			OnMediation:         cfg.OnMediation,
-			Observer:            shardObserver{sh: sh, user: cfg.Observer},
-			Registry:            s.reg,
-			Directory:           s.dir,
-			ParticipantDeadline: cfg.ParticipantDeadline,
-			Tracer:              s.tracer,
+			Window:              cfg.window,
+			AnalyzeBest:         cfg.analyzeBest,
+			Observer:            shardObserver{sh: sh, user: cfg.observer},
+			Registry:            e.reg,
+			Directory:           e.dir,
+			ParticipantDeadline: cfg.participantDeadline,
+			Tracer:              e.tracer,
 		})
-		s.shards[i] = sh
+		e.shards[i] = sh
 	}
-	if cfg.Policy != nil {
-		s.installPolicy(spec)
+	if cfg.policy != nil {
+		// The shards' allocators were built from the spec: it is generation
+		// 0, with nothing pending.
+		e.pol.spec.Store(&spec)
 	}
-	return s, nil
+	if pst != nil {
+		if err := pst.restore(e); err != nil {
+			return fail(err)
+		}
+		pst.rec.SetPolicySource(e.policySource)
+		// The recorder joined the observer chain before the shards were
+		// built; its writer starts only now that the store has restored
+		// and is open for appends.
+		pst.rec.Start()
+	}
+
+	for _, sh := range e.shards {
+		e.wg.Add(1)
+		go e.shardLoop(sh)
+	}
+	if cfg.snapshotInterval > 0 && cfg.observer != nil {
+		e.wg.Add(1)
+		go e.snapshotLoop(cfg.snapshotInterval, cfg.observer)
+	}
+	if pst != nil {
+		pcfg := persist.Config{}
+		for _, o := range cfg.persistOpts {
+			o(&pcfg)
+		}
+		interval := pcfg.CompactInterval
+		if interval <= 0 {
+			interval = persist.DefaultCompactInterval
+		}
+		threshold := pcfg.CompactAfterSegments
+		if threshold < 1 {
+			threshold = persist.DefaultCompactAfterSegments
+		}
+		e.wg.Add(1)
+		go e.persistLoop(interval, threshold)
+	}
+	if tuner != nil {
+		tuner.Bind(e)
+		tuner.BindBrownout(e)
+		tuner.Start()
+	}
+	return e, nil
+}
+
+// validateOptions rejects option inputs that can only be mistakes. Zero
+// values stay valid everywhere — they select the documented defaults.
+func validateOptions(cfg config) error {
+	if cfg.concurrency < 0 {
+		return fmt.Errorf("live: WithConcurrency(%d): shard count cannot be negative", cfg.concurrency)
+	}
+	if cfg.queueDepth < 0 {
+		return fmt.Errorf("live: WithQueueDepth(%d): queue depth cannot be negative", cfg.queueDepth)
+	}
+	if cfg.window < 0 {
+		return fmt.Errorf("live: WithWindow(%d): satisfaction window cannot be negative", cfg.window)
+	}
+	if cfg.snapshotInterval < 0 {
+		return fmt.Errorf("live: WithSnapshotInterval(%v): interval cannot be negative", cfg.snapshotInterval)
+	}
+	if cfg.participantDeadline < 0 {
+		return fmt.Errorf("live: WithParticipantDeadline(%v): deadline cannot be negative", cfg.participantDeadline)
+	}
+	if cfg.policy != nil && (cfg.allocator != nil || cfg.newAllocator != nil) {
+		return errors.New("live: WithPolicy is mutually exclusive with WithAllocator/WithAllocatorFactory — the policy builds the per-shard allocators")
+	}
+	if cfg.concurrency > 1 && cfg.policy == nil && cfg.newAllocator == nil {
+		return fmt.Errorf("live: WithConcurrency(%d) requires WithAllocatorFactory or WithPolicy (allocators hold per-shard state and cannot be shared)", cfg.concurrency)
+	}
+	if cfg.tuner != nil {
+		if cfg.policy == nil {
+			return errors.New("live: WithTuner requires WithPolicy — the tuner retunes the declarative policy")
+		}
+		if cfg.snapshotInterval <= 0 {
+			return errors.New("live: WithTuner requires WithSnapshotInterval — satisfaction snapshots are the tuner's sensor input")
+		}
+	}
+	return nil
 }
 
 // Shards returns the number of mediator shards.
-func (s *Service) Shards() int { return len(s.shards) }
+func (e *Engine) Shards() int { return len(e.shards) }
 
 // Directory exposes the shared participant catalog.
-func (s *Service) Directory() *directory.Directory { return s.dir }
+func (e *Engine) Directory() *directory.Directory { return e.dir }
+
+// Registry exposes the shared lock-striped satisfaction registry.
+func (e *Engine) Registry() *satisfaction.Registry { return e.reg }
 
 // Tracer exposes the flight recorder, or nil when the engine was built
 // without WithTracing. Callers read traces and stage histograms from it;
 // gateways also use it to start trace contexts before submission.
-func (s *Service) Tracer() *trace.Recorder { return s.tracer }
+func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
+
+// Tuner returns the engine's autonomic policy tuner, or nil when the
+// engine was built without WithTuner.
+func (e *Engine) Tuner() *policy.Tuner { return e.tuner }
+
+// PersistStore returns the engine's durability store — nil unless the
+// engine was built WithPersistence. The cluster replicator streams sealed
+// journal segments from it (SealedSegmentSeqs / OpenSealedSegment) and
+// drives its shipping cadence with RotateIfDirty; everything else should
+// keep treating persistence as an engine-internal concern.
+func (e *Engine) PersistStore() *persist.Store {
+	if e.pst == nil {
+		return nil
+	}
+	return e.pst.store
+}
 
 // traceFinish closes a sampled query's trace with the given outcome.
-// No-op for unsampled queries and untraced engines.
-func (s *Service) traceFinish(q model.Query, status string, err error, explain *model.Explain) {
-	if !q.Trace.Sampled || s.tracer == nil {
+// No-op for unsampled queries and untraced engines. Every completion path
+// calls it before releasing the ticket's waiters, so a caller holding the
+// outcome always finds the finished trace.
+func (e *Engine) traceFinish(q model.Query, status string, err error, explain *model.Explain) {
+	if !q.Trace.Sampled || e.tracer == nil {
 		return
 	}
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
 	}
-	s.tracer.Finish(q.Trace.ID, status, errStr, explain)
-}
-
-// Registry exposes the shared lock-striped satisfaction registry.
-func (s *Service) Registry() *satisfaction.Registry { return s.reg }
-
-// shardIndex routes a consumer to its mediation shard's index.
-func (s *Service) shardIndex(c model.ConsumerID) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	h := (uint64(int64(c)) * 0x9E3779B97F4A7C15) >> 32
-	return int(h % uint64(len(s.shards)))
+	e.tracer.Finish(q.Trace.ID, status, errStr, explain)
 }
 
 // shardFor routes a consumer to its mediation shard.
-func (s *Service) shardFor(c model.ConsumerID) *shard {
-	return s.shards[s.shardIndex(c)]
+func (e *Engine) shardFor(c model.ConsumerID) *shard {
+	if len(e.shards) == 1 {
+		return e.shards[0]
+	}
+	h := (uint64(int64(c)) * 0x9E3779B97F4A7C15) >> 32
+	return e.shards[h%uint64(len(e.shards))]
 }
 
 // RegisterWorker attaches a worker to the mediation pipeline. Registration
 // goes to the shared directory, so the worker is immediately a candidate on
 // every shard.
-func (s *Service) RegisterWorker(w *Worker) { s.dir.RegisterProvider(w) }
+func (e *Engine) RegisterWorker(w *Worker) { e.dir.RegisterProvider(w) }
 
 // RegisterProvider attaches an arbitrary provider implementation. Providers
-// that are not *Worker participate in mediation (and satisfaction) but are
+// that are not Executors participate in mediation (and satisfaction) but are
 // not dispatched to — embedders deliver the allocation out of band.
-func (s *Service) RegisterProvider(p mediator.Provider) { s.dir.RegisterProvider(p) }
+func (e *Engine) RegisterProvider(p mediator.Provider) { e.dir.RegisterProvider(p) }
 
 // UnregisterWorker detaches a worker (its satisfaction memory is dropped).
-func (s *Service) UnregisterWorker(id model.ProviderID) {
-	s.dir.UnregisterProvider(id)
-	s.reg.ForgetProvider(id)
+func (e *Engine) UnregisterWorker(id model.ProviderID) {
+	e.dir.UnregisterProvider(id)
+	e.reg.ForgetProvider(id)
 }
 
 // RegisterConsumer attaches a consumer.
-func (s *Service) RegisterConsumer(c mediator.Consumer) { s.dir.RegisterConsumer(c) }
+func (e *Engine) RegisterConsumer(c mediator.Consumer) { e.dir.RegisterConsumer(c) }
 
 // UnregisterConsumer detaches a consumer and drops its satisfaction memory.
-func (s *Service) UnregisterConsumer(id model.ConsumerID) {
-	s.dir.UnregisterConsumer(id)
-	s.reg.ForgetConsumer(id)
+func (e *Engine) UnregisterConsumer(id model.ConsumerID) {
+	e.dir.UnregisterConsumer(id)
+	e.reg.ForgetConsumer(id)
 }
 
 // ProviderSatisfaction reads δs(p) from the shared striped registry.
-func (s *Service) ProviderSatisfaction(id model.ProviderID) float64 {
-	return s.reg.ProviderSatisfaction(id)
+func (e *Engine) ProviderSatisfaction(id model.ProviderID) float64 {
+	return e.reg.ProviderSatisfaction(id)
 }
 
 // ConsumerSatisfaction reads δs(c) from the shared striped registry.
-func (s *Service) ConsumerSatisfaction(id model.ConsumerID) float64 {
-	return s.reg.ConsumerSatisfaction(id)
-}
-
-// Submit mediates the query on its consumer's shard and dispatches it to
-// the selected workers, blocking until the hand-off completes. It assigns
-// the query ID. The returned allocation lists the chosen workers; results
-// arrive asynchronously on the results channel.
-//
-// results may be nil: the query is still mediated and executed, but the
-// completed Results are discarded — fire-and-forget submission. Pass a
-// channel with enough capacity (or a dedicated drainer); a full results
-// channel blocks the executing worker, not the engine. New code that wants
-// per-query results should prefer the Engine's ticket path
-// (Engine.Submit → Ticket.Await), which collects exactly this query's
-// results without a shared channel.
-//
-// Submit runs the same pipeline as the asynchronous Engine's tickets but
-// ticket-free: the call is synchronous end to end, so no ticket struct or
-// completion channel is needed — with Concurrency = 1 its outcome is
-// byte-identical to driving a serialized mediator directly, and the hand-off
-// itself allocates nothing on full delivery.
-func (s *Service) Submit(ctx context.Context, q model.Query, results chan<- Result) (*model.Allocation, error) {
-	q.ID = model.QueryID(s.nextID.Add(1))
-	q.IssuedAt = s.nowFn()
-	if s.tracer != nil {
-		// Adopt an upstream trace context (gateway or forwarded) as-is;
-		// draw a fresh sampling decision only when no layer above has.
-		if !q.Trace.Decided {
-			q.Trace, _ = s.tracer.StartLocal()
-		}
-		if q.Trace.Sampled {
-			s.tracer.Annotate(q.Trace.ID, q.ID, q.Consumer)
-		}
-	}
-	sh := s.shardFor(q.Consumer)
-	sh.mu.Lock()
-	sh.applyPolicy() // adopt a reconfigured policy at the mediation boundary
-	a, err := sh.med.Mediate(ctx, q.IssuedAt, q)
-	sh.mu.Unlock()
-	if err != nil {
-		err = dispatchErr(q, err)
-		if errors.Is(err, ErrDispatch) {
-			sh.dispatchFailures.Add(1)
-			if s.obs != nil {
-				s.obs.OnDispatchFailure(q, nil, err)
-			}
-		}
-		s.traceFinish(q, "rejected", err, nil)
-		return nil, err
-	}
-	var dStart int64
-	if q.Trace.Sampled {
-		dStart = trace.Now()
-	}
-	derr := s.dispatchSelected(ctx, q, a, results)
-	if q.Trace.Sampled && s.tracer != nil {
-		s.tracer.RecordSpan(q.Trace.ID, trace.Span{
-			Name:  trace.StageDispatch,
-			Start: dStart,
-			End:   trace.Now(),
-			Extra: int64(len(a.Selected)),
-		})
-		s.traceFinish(q, "allocated", derr, a.Explain)
-	}
-	if derr != nil {
-		sh.dispatchFailures.Add(1)
-		if s.obs != nil {
-			s.obs.OnDispatchFailure(q, a, derr)
-		}
-	}
-	return a, derr
+func (e *Engine) ConsumerSatisfaction(id model.ConsumerID) float64 {
+	return e.reg.ConsumerSatisfaction(id)
 }
 
 // Mediate runs the full mediation pipeline for q on its consumer's shard —
 // ID assignment, policy-generation adoption at the boundary, candidate
 // discovery, intention collection, allocation, and satisfaction recording —
-// but does NOT dispatch to workers. It is the embedding hook for
-// deterministic harnesses (internal/lab) that drive the real engine under a
-// virtual clock (Config.NowFn) and simulate execution themselves: with
-// Concurrency = 1 a sequence of Mediate calls is byte-identical to driving
-// a serialized mediator directly, and Reconfigure is adopted exactly at the
-// next Mediate boundary.
+// synchronously on the calling goroutine, and does NOT dispatch to workers.
+// It is the embedding hook for deterministic harnesses (internal/lab) that
+// drive the real engine under a virtual clock (WithClock) and simulate
+// execution themselves: with one shard a sequence of Mediate calls is
+// byte-identical to driving a serialized mediator directly, and Reconfigure
+// is adopted exactly at the next Mediate boundary.
 //
-// Unlike Submit, mediation errors are returned raw (ErrNoCandidates,
-// ErrStaleSelection, ...), not wrapped in dispatch errors, and no dispatch
-// counters or events fire — the caller owns execution.
-func (s *Service) Mediate(ctx context.Context, q model.Query) (*model.Allocation, error) {
-	q.ID = model.QueryID(s.nextID.Add(1))
-	q.IssuedAt = s.nowFn()
-	sh := s.shardFor(q.Consumer)
+// Unlike a ticket's outcome, mediation errors are returned raw
+// (ErrNoCandidates, ErrStaleSelection, ...), not wrapped in dispatch
+// errors, and no dispatch counters or events fire — the caller owns
+// execution.
+func (e *Engine) Mediate(ctx context.Context, q model.Query) (*model.Allocation, error) {
+	q.ID = model.QueryID(e.nextID.Add(1))
+	q.IssuedAt = e.nowFn()
+	sh := e.shardFor(q.Consumer)
 	sh.mu.Lock()
 	sh.applyPolicy() // adopt a reconfigured policy at the mediation boundary
 	a, err := sh.med.Mediate(ctx, q.IssuedAt, q)
@@ -467,39 +471,46 @@ func (s *Service) Mediate(ctx context.Context, q model.Query) (*model.Allocation
 	return a, err
 }
 
-// process runs one ticket through its consumer's shard: mediation under the
-// shard lock, then dispatch and ticket completion outside it. The ticket's
-// submission context bounds the mediation itself — cancellation aborts an
-// in-flight intention fan-out to context-aware participants.
-func (s *Service) process(ctx context.Context, t *Ticket) {
-	sh := s.shardFor(t.query.Consumer)
+// process runs one queue item's tickets through their shard: under a single
+// lock acquisition it adopts any reconfigured policy (an item is one
+// mediation boundary, so a batch group runs under one policy) and mediates
+// each query exactly as Mediate does; dispatch and ticket completion happen
+// outside the lock. The submission context bounds the mediation itself —
+// cancellation aborts an in-flight intention fan-out to context-aware
+// participants.
+func (e *Engine) process(ctx context.Context, sh *shard, tickets []*Ticket) {
 	sh.mu.Lock()
-	sh.applyPolicy() // adopt a reconfigured policy at the mediation boundary
-	a, err := sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
-	var workers []Executor
-	if err == nil {
-		workers = s.selectedWorkers(a)
+	sh.applyPolicy()
+	for _, t := range tickets {
+		t.alloc, t.err = sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
+		if t.err == nil {
+			t.workers = e.selectedWorkers(t.alloc)
+		}
 	}
 	sh.mu.Unlock()
-	s.finishTicket(ctx, t, sh, a, err, workers)
+	for _, t := range tickets {
+		e.finishTicket(ctx, t, sh)
+	}
 }
 
 // finishTicket dispatches a mediated ticket and completes it: on mediation
 // failure the ticket fails immediately; otherwise the query is handed to
 // the selected workers and the ticket completes with the allocation, the
-// dispatch error (if any), and — on the collecting ticket path — a pending
-// result count covering exactly the workers that accepted.
-func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *model.Allocation, merr error, workers []Executor) {
-	if merr != nil {
+// dispatch error (if any), and — on the collecting path — a pending result
+// count covering exactly the workers that accepted.
+func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
+	a, workers := t.alloc, t.workers
+	t.workers = nil // a finished ticket must not keep executors alive
+	if merr := t.err; merr != nil {
 		merr = dispatchErr(t.query, merr)
 		if errors.Is(merr, ErrDispatch) {
 			sh.dispatchFailures.Add(1)
-			if s.obs != nil {
-				s.obs.OnDispatchFailure(t.query, nil, merr)
+			if e.obs != nil {
+				e.obs.OnDispatchFailure(t.query, nil, merr)
 			}
 		}
+		e.traceFinish(t.query, "rejected", merr, nil)
 		t.finish(nil, merr, nil, 0)
-		s.traceFinish(t.query, "rejected", merr, nil)
 		return
 	}
 	ch := t.userResults
@@ -515,9 +526,9 @@ func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *mod
 	if t.query.Trace.Sampled {
 		dStart = trace.Now()
 	}
-	err := s.dispatch(ctx, t.query, workers, ch, t.abandonCh)
-	if t.query.Trace.Sampled && s.tracer != nil {
-		s.tracer.RecordSpan(t.query.Trace.ID, trace.Span{
+	err := e.dispatch(ctx, t.query, workers, ch, t.abandonCh)
+	if t.query.Trace.Sampled && e.tracer != nil {
+		e.tracer.RecordSpan(t.query.Trace.ID, trace.Span{
 			Name:  trace.StageDispatch,
 			Start: dStart,
 			End:   trace.Now(),
@@ -527,8 +538,8 @@ func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *mod
 	expected := len(workers)
 	if err != nil {
 		sh.dispatchFailures.Add(1)
-		if s.obs != nil {
-			s.obs.OnDispatchFailure(t.query, a, err)
+		if e.obs != nil {
+			e.obs.OnDispatchFailure(t.query, a, err)
 		}
 		if de, ok := AsDispatchError(err); ok {
 			expected = len(de.Accepted)
@@ -537,29 +548,28 @@ func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *mod
 	if !t.collect {
 		expected = 0
 	}
+	e.traceFinish(t.query, "allocated", err, a.Explain)
 	t.finish(a, err, t.resCh, expected)
-	s.traceFinish(t.query, "allocated", err, a.Explain)
 }
 
 // selectedWorkers resolves the dispatchable executors of an allocation.
-func (s *Service) selectedWorkers(a *model.Allocation) []Executor {
+func (e *Engine) selectedWorkers(a *model.Allocation) []Executor {
 	workers := make([]Executor, 0, len(a.Selected))
 	for _, pid := range a.Selected {
-		if w, ok := s.dir.Provider(pid).(Executor); ok {
+		if w, ok := e.dir.Provider(pid).(Executor); ok {
 			workers = append(workers, w)
 		}
 	}
 	return workers
 }
 
-// dispatch hands the query to every selected worker. Unlike the historical
-// fail-fast hand-off it attempts all workers even after one refuses, so the
-// returned *DispatchError partitions the selection into the workers that
-// accepted (and will deliver Results) and the ones that did not — the
-// retryable remainder. abandon (nil on the non-collecting path) lets a
-// worker that shuts down mid-execution tell the ticket its result will
-// never come.
-func (s *Service) dispatch(ctx context.Context, q model.Query, workers []Executor, results chan<- Result, abandon chan<- model.ProviderID) error {
+// dispatch hands the query to every selected worker. It attempts all
+// workers even after one refuses, so the returned *DispatchError partitions
+// the selection into the workers that accepted (and will deliver Results)
+// and the ones that did not — the retryable remainder. abandon (nil on the
+// non-collecting path) lets a worker that shuts down mid-execution tell the
+// ticket its result will never come.
+func (e *Engine) dispatch(ctx context.Context, q model.Query, workers []Executor, results chan<- Result, abandon chan<- model.ProviderID) error {
 	var accepted, failed []model.ProviderID
 	for _, w := range workers {
 		if w.accept(ctx, q, results, abandon) {
@@ -574,119 +584,8 @@ func (s *Service) dispatch(ctx context.Context, q model.Query, workers []Executo
 	return &DispatchError{Query: q, Accepted: accepted, Failed: failed, Err: ctx.Err()}
 }
 
-// dispatchSelected is dispatch for the synchronous non-collecting path: it
-// resolves executors straight from the allocation's selection (no
-// intermediate worker slice) and tracks the accepted/failed partition in
-// stack buffers, copying into a DispatchError only when a worker actually
-// refuses — full delivery allocates nothing.
-func (s *Service) dispatchSelected(ctx context.Context, q model.Query, a *model.Allocation, results chan<- Result) error {
-	var acceptedArr, failedArr [16]model.ProviderID
-	accepted := acceptedArr[:0]
-	failed := failedArr[:0]
-	for _, pid := range a.Selected {
-		w, ok := s.dir.Provider(pid).(Executor)
-		if !ok {
-			// Not dispatchable (never registered as a worker, or departed
-			// since mediation): delivery is out of band, same as dispatch's
-			// selectedWorkers filtering.
-			continue
-		}
-		if w.accept(ctx, q, results, nil) {
-			accepted = append(accepted, pid)
-		} else {
-			failed = append(failed, pid)
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
-	return &DispatchError{
-		Query:    q,
-		Accepted: append([]model.ProviderID(nil), accepted...),
-		Failed:   append([]model.ProviderID(nil), failed...),
-		Err:      ctx.Err(),
-	}
-}
-
-// SubmitBatch mediates a batch of queries and dispatches the allocations,
-// returning position-aligned allocations and errors, blocking until every
-// hand-off completes. Queries are grouped by shard and each shard mediates
-// its group under a single lock acquisition via mediator.MediateBatch;
-// distinct shards run concurrently. Query IDs are assigned in input order and every query
-// carries the same issue timestamp (the batch is one arrival event).
-//
-// results may be nil (fire-and-forget; see Submit). A nil error with a
-// non-nil allocation means mediated and dispatched. A *DispatchError with a
-// non-nil allocation means mediated but part of the selection refused the
-// hand-off (the error lists accepted vs failed workers); a *DispatchError
-// with a nil allocation means the selection went stale before hand-off (it
-// wraps mediator.ErrStaleSelection and nothing reached any worker) — check
-// the allocation before inspecting it.
-//
-// Like Submit, SubmitBatch is a thin blocking wrapper over the ticket
-// pipeline (see Engine.SubmitBatch for the asynchronous form).
-func (s *Service) SubmitBatch(ctx context.Context, queries []model.Query, results chan<- Result) ([]*model.Allocation, []error) {
-	allocs := make([]*model.Allocation, len(queries))
-	errs := make([]error, len(queries))
-	if len(queries) == 0 {
-		return allocs, errs
-	}
-	now := s.nowFn()
-	groups := make(map[*shard][]int, len(s.shards))
-	tickets := make([]*Ticket, len(queries))
-	for i, q := range queries {
-		q.ID = model.QueryID(s.nextID.Add(1))
-		q.IssuedAt = now
-		tickets[i] = newTicket(q, results, false)
-		sh := s.shardFor(q.Consumer)
-		groups[sh] = append(groups[sh], i)
-	}
-	var wg sync.WaitGroup
-	for sh, idxs := range groups {
-		sh, idxs := sh, idxs
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			group := make([]*Ticket, len(idxs))
-			for j, i := range idxs {
-				group[j] = tickets[i]
-			}
-			s.processGroup(ctx, sh, group)
-			for _, i := range idxs {
-				allocs[i], errs[i] = tickets[i].Allocation()
-			}
-		}()
-	}
-	wg.Wait()
-	return allocs, errs
-}
-
-// processGroup mediates one shard's tickets as a batch (single lock
-// acquisition) and completes each ticket.
-func (s *Service) processGroup(ctx context.Context, sh *shard, tickets []*Ticket) {
-	qs := make([]model.Query, len(tickets))
-	for i, t := range tickets {
-		qs[i] = t.query
-	}
-	// The batch is one arrival event: every ticket carries the same stamp.
-	now := qs[0].IssuedAt
-	sh.mu.Lock()
-	sh.applyPolicy() // batches are one mediation boundary: one policy per batch
-	as, errs := sh.med.MediateBatch(ctx, now, qs)
-	workers := make([][]Executor, len(tickets))
-	for j := range as {
-		if errs[j] == nil {
-			workers[j] = s.selectedWorkers(as[j])
-		}
-	}
-	sh.mu.Unlock()
-	for j, t := range tickets {
-		s.finishTicket(ctx, t, sh, as[j], errs[j], workers[j])
-	}
-}
-
-// ShardStats is one mediation lane's lifetime counters, plus the depth of
-// its asynchronous submission queue at snapshot time.
+// ShardStats is one mediation lane's lifetime counters, plus the ledger of
+// its submission queue.
 type ShardStats struct {
 	// Mediations counts successful mediations on this shard.
 	Mediations uint64
@@ -726,16 +625,14 @@ type ShardStats struct {
 	PolicySwaps uint64
 
 	// QueueDepth is the number of submissions waiting in this shard's
-	// asynchronous queue. Always 0 through the blocking Service paths;
-	// the Engine fills it in.
+	// queue at snapshot time.
 	QueueDepth int
 
-	// QueueHighWater is the deepest this shard's asynchronous queue has
-	// ever been (summed across QoS classes); QueueEnqueued and
-	// QueueDequeued are its cumulative admission/drain counters, and
-	// QueueShed counts the queries refused with a typed *ShedError
-	// (deadline infeasible, class queue full, or brownout). All filled by
-	// the Engine; always zero through the blocking Service paths.
+	// QueueHighWater is the deepest this shard's queue has ever been
+	// (summed across QoS classes); QueueEnqueued and QueueDequeued are its
+	// cumulative admission/drain counters, and QueueShed counts the queries
+	// refused with a typed *ShedError (deadline infeasible, class queue
+	// full, or brownout).
 	QueueHighWater int
 	QueueEnqueued  uint64
 	QueueDequeued  uint64
@@ -768,8 +665,7 @@ type Stats struct {
 	PolicyGeneration uint64
 
 	// Persistence holds the durability counters when the engine was built
-	// with WithPersistence; nil otherwise. Filled by Engine.Stats (the
-	// blocking Service has no persistence).
+	// with WithPersistence; nil otherwise.
 	Persistence *persist.Stats
 }
 
@@ -813,21 +709,22 @@ func (st Stats) PolicySwaps() uint64 {
 	return n
 }
 
-// Stats snapshots the service counters. Counters are read with atomic
-// loads, not under a global lock, so the snapshot is internally consistent
-// per counter but not across them — fine for monitoring, not for invariant
-// checks against in-flight traffic.
-func (s *Service) Stats() Stats {
+// Stats snapshots the engine's counters, including each shard's scheduler
+// ledger. Counters are read with atomic loads, not under a global lock, so
+// the snapshot is internally consistent per counter but not across them —
+// fine for monitoring, not for invariant checks against in-flight traffic.
+func (e *Engine) Stats() Stats {
 	st := Stats{
-		Shards:            make([]ShardStats, len(s.shards)),
-		QueriesSubmitted:  s.nextID.Load(),
-		Providers:         s.dir.NumProviders(),
-		Consumers:         s.dir.NumConsumers(),
+		Shards:            make([]ShardStats, len(e.shards)),
+		QueriesSubmitted:  e.nextID.Load(),
+		Providers:         e.dir.NumProviders(),
+		Consumers:         e.dir.NumConsumers(),
 		WorkerQueueDepths: make(map[model.ProviderID]int),
-		PolicyGeneration:  s.pol.gen.Load(),
+		PolicyGeneration:  e.pol.gen.Load(),
 	}
-	for i, sh := range s.shards {
+	for i, sh := range e.shards {
 		m := sh.mediations.Load()
+		qs := sh.sched.Stats()
 		ss := ShardStats{
 			Mediations:        m,
 			Rejections:        sh.rejections.Load(),
@@ -836,32 +733,41 @@ func (s *Service) Stats() Stats {
 			IntentionTimeouts: sh.intentionTimeouts.Load(),
 			PolicyGeneration:  sh.appliedGen.Load(),
 			PolicySwaps:       sh.policySwaps.Load(),
+			QueueDepth:        qs.Depth,
+			QueueHighWater:    qs.HighWater,
+			QueueEnqueued:     qs.Enqueued,
+			QueueDequeued:     qs.Dequeued,
+			QueueShed:         qs.Shed,
 		}
 		if m > 0 {
 			ss.MeanCandidates = float64(sh.candidateSum.Load()) / float64(m)
 		}
 		st.Shards[i] = ss
 	}
-	for _, id := range s.dir.ProviderIDs() {
-		if w, ok := s.dir.Provider(id).(Executor); ok {
+	for _, id := range e.dir.ProviderIDs() {
+		if w, ok := e.dir.Provider(id).(Executor); ok {
 			st.WorkerQueueDepths[id] = w.QueueDepth()
 		}
+	}
+	if e.pst != nil {
+		pstStats := e.pst.rec.Stats()
+		st.Persistence = &pstStats
 	}
 	return st
 }
 
 // satisfactionSnapshot samples every tracked participant's δs.
-func (s *Service) satisfactionSnapshot() event.SatisfactionSnapshot {
+func (e *Engine) satisfactionSnapshot() event.SatisfactionSnapshot {
 	snap := event.SatisfactionSnapshot{
-		Time:      s.nowFn(),
+		Time:      e.nowFn(),
 		Consumers: make(map[model.ConsumerID]float64),
 		Providers: make(map[model.ProviderID]float64),
 	}
-	for _, id := range s.reg.ConsumerIDs() {
-		snap.Consumers[id] = s.reg.ConsumerSatisfaction(id)
+	for _, id := range e.reg.ConsumerIDs() {
+		snap.Consumers[id] = e.reg.ConsumerSatisfaction(id)
 	}
-	for _, id := range s.reg.ProviderIDs() {
-		snap.Providers[id] = s.reg.ProviderSatisfaction(id)
+	for _, id := range e.reg.ProviderIDs() {
+		snap.Providers[id] = e.reg.ProviderSatisfaction(id)
 	}
 	return snap
 }

@@ -34,6 +34,42 @@ func (p *constProvider) CanPerform(model.Query) bool           { return true }
 func (p *constProvider) Intention(model.Query) model.Intention { return p.pi }
 func (p *constProvider) Bid(q model.Query) float64             { return q.Work }
 
+// mustEngine builds an engine that closes with the test.
+func mustEngine(t testing.TB, opts ...Option) *Engine {
+	t.Helper()
+	eng, err := NewEngine(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// handOff is the shared-channel submission contract: the ticket is done at
+// worker hand-off and workers deliver straight to results (nil discards).
+func handOff(results chan<- Result) []QueryOption {
+	if results == nil {
+		return []QueryOption{FireAndForget()}
+	}
+	return []QueryOption{FireAndForget(), WithResults(results)}
+}
+
+// submit drives one query through the ticket pipeline and blocks for its
+// mediation and hand-off.
+func submit(ctx context.Context, eng *Engine, q model.Query, results chan<- Result) (*model.Allocation, error) {
+	return eng.Submit(ctx, q, handOff(results)...).Allocation()
+}
+
+// submitBatch is submit for a batch: position-aligned outcomes.
+func submitBatch(ctx context.Context, eng *Engine, qs []model.Query, results chan<- Result) ([]*model.Allocation, []error) {
+	allocs := make([]*model.Allocation, len(qs))
+	errs := make([]error, len(qs))
+	for i, tk := range eng.SubmitBatch(ctx, qs, handOff(results)...) {
+		allocs[i], errs[i] = tk.Allocation()
+	}
+	return allocs, errs
+}
+
 func sbqaAllocator(seed uint64) alloc.Allocator {
 	c := core.DefaultConfig()
 	c.KnBest = knbest.Params{K: 6, Kn: 3}
@@ -41,11 +77,11 @@ func sbqaAllocator(seed uint64) alloc.Allocator {
 	return core.MustNew(c)
 }
 
-// TestSingleShardByteIdenticalToSerializedMediator drives the sharded
-// engine with Concurrency=1 and a plain serialized mediator.Mediator with
-// identical inputs (same allocator seed, same query IDs, same fake clock)
-// and requires byte-identical allocations — the contract that sharding the
-// engine changed nothing about single-lane semantics.
+// TestSingleShardByteIdenticalToSerializedMediator drives tickets through a
+// one-shard engine and a plain serialized mediator.Mediator with identical
+// inputs (same allocator seed, same query IDs, same fake clock) and requires
+// byte-identical allocations — the contract that queueing and sharding
+// changed nothing about single-lane semantics.
 func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	const (
 		window    = 40
@@ -73,21 +109,18 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 
 	// Engine: one shard, fake clock.
 	var clock atomic.Int64 // hundredths of a second
-	svc, err := NewServiceWithConfig(Config{
-		Window:      window,
-		Concurrency: 1,
-		Allocator:   sbqaAllocator(42),
-		AnalyzeBest: true,
-		NowFn:       func() float64 { return float64(clock.Load()) / 100 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t,
+		WithWindow(window),
+		WithConcurrency(1),
+		WithAllocator(sbqaAllocator(42)),
+		WithAnalyzeBest(true),
+		WithClock(func() float64 { return float64(clock.Load()) / 100 }),
+	)
 	for c := 0; c < consumers; c++ {
-		svc.RegisterConsumer(newConsumer(model.ConsumerID(c)))
+		eng.RegisterConsumer(newConsumer(model.ConsumerID(c)))
 	}
 	for i := 0; i < providers; i++ {
-		svc.RegisterProvider(&constProvider{
+		eng.RegisterProvider(&constProvider{
 			id: model.ProviderID(i), pi: model.Intention(float64(i%7)/7 - 0.3), util: float64(i%4) / 4,
 		})
 	}
@@ -102,7 +135,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 		refQ.IssuedAt = now
 		wantA, wantErr := ref.Mediate(context.Background(), now, refQ)
 
-		gotA, gotErr := svc.Submit(context.Background(), q, nil)
+		gotA, gotErr := submit(context.Background(), eng, q, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("query %d: err %v vs %v", i, wantErr, gotErr)
 		}
@@ -117,12 +150,12 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	}
 	// Satisfaction state identical afterwards.
 	for c := 0; c < consumers; c++ {
-		if a, b := ref.Registry().ConsumerSatisfaction(model.ConsumerID(c)), svc.ConsumerSatisfaction(model.ConsumerID(c)); a != b {
+		if a, b := ref.Registry().ConsumerSatisfaction(model.ConsumerID(c)), eng.ConsumerSatisfaction(model.ConsumerID(c)); a != b {
 			t.Errorf("consumer %d δs: %v vs %v", c, a, b)
 		}
 	}
 	for p := 0; p < providers; p++ {
-		if a, b := ref.Registry().ProviderSatisfaction(model.ProviderID(p)), svc.ProviderSatisfaction(model.ProviderID(p)); a != b {
+		if a, b := ref.Registry().ProviderSatisfaction(model.ProviderID(p)), eng.ProviderSatisfaction(model.ProviderID(p)); a != b {
 			t.Errorf("provider %d δs: %v vs %v", p, a, b)
 		}
 	}
@@ -131,24 +164,19 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 // TestSubmitBatchMatchesSubmit: on a single shard with constant providers, a
 // batch must produce the same allocations as the equivalent Submit sequence.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	build := func() *Service {
-		svc, err := NewServiceWithConfig(Config{
-			Window: 30, Concurrency: 1, Allocator: sbqaAllocator(7),
-			NowFn: func() float64 { return 1 },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func() *Engine {
+		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), WithAllocator(sbqaAllocator(7)),
+			WithClock(func() float64 { return 1 }))
 		for c := 0; c < 2; c++ {
 			c := c
-			svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+			eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
 				return model.Intention(float64((int(snap.ID)+c)%3)/3 - 0.1)
 			}})
 		}
 		for i := 0; i < 8; i++ {
-			svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.4})
+			eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.4})
 		}
-		return svc
+		return eng
 	}
 	queries := make([]model.Query, 20)
 	for i := range queries {
@@ -158,7 +186,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	one := build()
 	var want []string
 	for _, q := range queries {
-		a, err := one.Submit(context.Background(), q, nil)
+		a, err := submit(context.Background(), one, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +194,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 
 	batched := build()
-	allocs, errs := batched.SubmitBatch(context.Background(), queries, nil)
+	allocs, errs := submitBatch(context.Background(), batched, queries, nil)
 	for i := range queries {
 		if errs[i] != nil {
 			t.Fatalf("batch query %d: %v", i, errs[i])
@@ -180,14 +208,11 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 // TestShardedSubmitBatchDispatches: a multi-shard batch reaches real
 // workers and every result comes back.
 func TestShardedSubmitBatchDispatches(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{
-		Window:       50,
-		Concurrency:  4,
-		NewAllocator: func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard + 1)) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t,
+		WithWindow(50),
+		WithConcurrency(4),
+		WithAllocatorFactory(func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard + 1)) }),
+	)
 	const workers = 6
 	for i := 0; i < workers; i++ {
 		w, err := NewWorker(model.ProviderID(i), 1000, 256, func(model.Query) model.Intention { return 0.5 })
@@ -195,18 +220,18 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		svc.RegisterWorker(w)
+		eng.RegisterWorker(w)
 	}
 	const consumers = 8
 	for c := 0; c < consumers; c++ {
-		svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.3 }})
+		eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.3 }})
 	}
 	queries := make([]model.Query, 64)
 	for i := range queries {
 		queries[i] = model.Query{Consumer: model.ConsumerID(i % consumers), N: 1, Work: 0.5}
 	}
 	results := make(chan Result, len(queries))
-	allocs, errs := svc.SubmitBatch(context.Background(), queries, results)
+	allocs, errs := submitBatch(context.Background(), eng, queries, results)
 	seen := map[model.QueryID]bool{}
 	for i := range queries {
 		if errs[i] != nil {
@@ -233,7 +258,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 // TestClassRestrictedWorkers: SetClasses feeds the directory's capability
 // index; queries of other classes never reach the specialist.
 func TestClassRestrictedWorkers(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 50)
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(50))
 	gen, err := NewWorker(0, 1000, 64, func(model.Query) model.Intention { return 0.2 })
 	if err != nil {
 		t.Fatal(err)
@@ -245,14 +270,14 @@ func TestClassRestrictedWorkers(t *testing.T) {
 	}
 	defer spec.Close()
 	spec.SetClasses(1)
-	svc.RegisterWorker(gen)
-	svc.RegisterWorker(spec)
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng.RegisterWorker(gen)
+	eng.RegisterWorker(spec)
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
 	results := make(chan Result, 8)
 	// Class-0 queries can only land on the generalist.
 	for i := 0; i < 4; i++ {
-		a, err := svc.Submit(context.Background(), model.Query{Consumer: 0, Class: 0, N: 1, Work: 1}, results)
+		a, err := submit(context.Background(), eng, model.Query{Consumer: 0, Class: 0, N: 1, Work: 1}, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +286,7 @@ func TestClassRestrictedWorkers(t *testing.T) {
 		}
 	}
 	// Class-1 queries see both candidates.
-	a, err := svc.Submit(context.Background(), model.Query{Consumer: 0, Class: 1, N: 2, Work: 1}, results)
+	a, err := submit(context.Background(), eng, model.Query{Consumer: 0, Class: 1, N: 2, Work: 1}, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,19 +295,17 @@ func TestClassRestrictedWorkers(t *testing.T) {
 	}
 }
 
-func TestNewServiceWithConfigValidation(t *testing.T) {
-	if _, err := NewServiceWithConfig(Config{Concurrency: 4, Allocator: alloc.NewCapacity()}); err == nil {
-		t.Error("multi-shard engine without NewAllocator accepted")
+func TestNewEngineShardValidation(t *testing.T) {
+	if eng, err := NewEngine(WithConcurrency(4), WithAllocator(alloc.NewCapacity())); err == nil {
+		eng.Close()
+		t.Error("multi-shard engine without an allocator factory accepted")
 	}
-	svc, err := NewServiceWithConfig(Config{Concurrency: 3, NewAllocator: func(int) alloc.Allocator { return alloc.NewCapacity() }})
-	if err != nil {
-		t.Fatal(err)
+	eng := mustEngine(t, WithConcurrency(3), WithAllocatorFactory(func(int) alloc.Allocator { return alloc.NewCapacity() }))
+	if eng.Shards() != 3 {
+		t.Errorf("Shards = %d", eng.Shards())
 	}
-	if svc.Shards() != 3 {
-		t.Errorf("Shards = %d", svc.Shards())
-	}
-	if NewService(alloc.NewCapacity(), 10).Shards() != 1 {
-		t.Error("NewService should build a single shard")
+	if mustEngine(t, WithAllocator(alloc.NewCapacity()), WithWindow(10)).Shards() != 1 {
+		t.Error("the default engine should build a single shard")
 	}
 }
 
@@ -292,7 +315,7 @@ func TestNewServiceWithConfigValidation(t *testing.T) {
 // failure.
 type unregisterOnAllocate struct {
 	inner alloc.Allocator
-	svc   *Service
+	eng   *Engine
 	next  int64
 }
 
@@ -301,11 +324,11 @@ func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q mode
 	a, err := u.inner.Allocate(ctx, e, q, cands)
 	if a != nil {
 		for _, id := range a.Selected {
-			u.svc.Directory().UnregisterProvider(id)
+			u.eng.Directory().UnregisterProvider(id)
 		}
 	}
 	u.next++
-	u.svc.RegisterProvider(&constProvider{id: model.ProviderID(u.next), pi: 0.5})
+	u.eng.RegisterProvider(&constProvider{id: model.ProviderID(u.next), pi: 0.5})
 	return a, err
 }
 
@@ -315,15 +338,12 @@ func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q mode
 // because capacity existed throughout.
 func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	svc, err := NewServiceWithConfig(Config{Window: 10, Allocator: u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.svc = svc
-	svc.RegisterProvider(&constProvider{id: 1, pi: 0.5})
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng := mustEngine(t, WithWindow(10), WithAllocator(u))
+	u.eng = eng
+	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
-	_, err = svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	_, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
 	if !errors.Is(err, ErrDispatch) {
 		t.Fatalf("err = %v, want ErrDispatch", err)
 	}
@@ -332,30 +352,28 @@ func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 	}
 
 	// The batch path maps the same way.
-	_, errs := svc.SubmitBatch(context.Background(), []model.Query{{Consumer: 0, N: 1, Work: 1}}, nil)
+	_, errs := submitBatch(context.Background(), eng, []model.Query{{Consumer: 0, N: 1, Work: 1}}, nil)
 	if !errors.Is(errs[0], ErrDispatch) || !errors.Is(errs[0], mediator.ErrStaleSelection) {
 		t.Errorf("batch err = %v, want ErrDispatch wrapping ErrStaleSelection", errs[0])
 	}
 }
 
-// TestSubmitCancelledContext: under the v2 context-first protocol a done
-// context aborts the mediation itself — the query is rejected with the bare
-// context error before any intention is collected or any worker contacted,
-// and no allocation is produced. (The v1 engine mediated first and failed
-// only at dispatch.)
+// TestSubmitCancelledContext: a done context aborts the mediation itself —
+// the query is rejected with the bare context error before any intention is
+// collected or any worker contacted, and no allocation is produced.
 func TestSubmitCancelledContext(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 10)
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(10))
 	w, err := NewWorker(1, 1000, 4, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	svc.RegisterWorker(w)
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng.RegisterWorker(w)
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, err := svc.Submit(ctx, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	a, err := submit(ctx, eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -366,7 +384,7 @@ func TestSubmitCancelledContext(t *testing.T) {
 		t.Errorf("allocation = %v, want nil (mediation never ran)", a)
 	}
 	// The rejection is visible in the shard counters.
-	if got := svc.Stats().Shards[0].Rejections; got != 1 {
+	if got := eng.Stats().Shards[0].Rejections; got != 1 {
 		t.Errorf("rejections = %d, want 1", got)
 	}
 }
@@ -375,20 +393,17 @@ func TestSubmitCancelledContext(t *testing.T) {
 // complete, and every consumer's satisfaction window fills — each consumer's
 // stream serializes on its home shard while shards run in parallel.
 func TestShardRouting(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{
-		Window:       20,
-		Concurrency:  4,
-		NewAllocator: func(shard int) alloc.Allocator { return alloc.NewCapacity() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t,
+		WithWindow(20),
+		WithConcurrency(4),
+		WithAllocatorFactory(func(shard int) alloc.Allocator { return alloc.NewCapacity() }),
+	)
 	for i := 0; i < 8; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
+		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
 	}
 	const consumers = 16
 	for c := 0; c < consumers; c++ {
-		svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+		eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < consumers; c++ {
@@ -397,7 +412,7 @@ func TestShardRouting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := svc.Submit(context.Background(), model.Query{Consumer: model.ConsumerID(c), N: 1, Work: 1}, nil); err != nil {
+				if _, err := submit(context.Background(), eng, model.Query{Consumer: model.ConsumerID(c), N: 1, Work: 1}, nil); err != nil {
 					t.Errorf("consumer %d: %v", c, err)
 					return
 				}
@@ -407,7 +422,7 @@ func TestShardRouting(t *testing.T) {
 	wg.Wait()
 	// Every consumer recorded all 50 outcomes in its window.
 	for c := 0; c < consumers; c++ {
-		if n := svc.Registry().Consumer(model.ConsumerID(c)).Interactions(); n != 20 {
+		if n := eng.Registry().Consumer(model.ConsumerID(c)).Interactions(); n != 20 {
 			t.Errorf("consumer %d interactions = %d, want full window 20", c, n)
 		}
 	}

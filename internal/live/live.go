@@ -5,27 +5,24 @@
 // would use in production — the deterministic twin for experiments lives in
 // internal/boinc.
 //
-// # Two fronts, one pipeline
+// # One engine, one pipeline
 //
-// The runtime has two public fronts over the same shards:
-//
-//   - Engine (NewEngine, functional options) — the asynchronous v2 API.
-//     Submit returns a *Ticket immediately; each shard drains a FIFO queue,
-//     so one consumer's tickets mediate in submission order while distinct
-//     consumers run in parallel. Tickets collect their own per-worker
-//     results; an event.Observer (WithObserver) streams allocations,
-//     rejections, dispatch failures, registration churn, and satisfaction
-//     snapshots; Engine.Stats snapshots per-shard counters.
-//   - Service — the blocking v1 API. Submit/SubmitBatch block through
-//     worker hand-off and deliver results on a caller-supplied channel.
-//     Both are thin wrappers over the ticket pipeline, so mixing fronts is
-//     safe and the single-shard determinism guarantee holds by
-//     construction.
+// Engine (NewEngine, functional options) is the only front. Submit stamps
+// the query and returns a *Ticket immediately; each shard drains a
+// class-aware queue, so one consumer's tickets mediate in submission order
+// while distinct consumers run in parallel. Tickets collect their own
+// per-worker results (or, with FireAndForget and WithResults, workers
+// deliver straight to a caller-supplied channel); an event.Observer
+// (WithObserver) streams allocations, rejections, dispatch failures,
+// registration churn, and satisfaction snapshots; Engine.Stats snapshots
+// per-shard counters. Engine.Mediate is the one synchronous way into a
+// shard: the same per-query mediation a ticket gets, without queueing or
+// dispatch, for harnesses that simulate execution themselves.
 //
 // # Engine architecture
 //
-// The engine runs N mediator shards (Config.Concurrency). Each shard owns
-// one single-threaded mediator.Mediator guarded by its own mutex; queries
+// The engine runs N mediator shards (WithConcurrency). Each shard owns one
+// single-threaded mediator.Mediator guarded by its own mutex; queries
 // route to shards by a hash of their ConsumerID, so one consumer's stream
 // is always serialized (its satisfaction window stays an ordered history)
 // while different consumers mediate in parallel. All shards share:
@@ -35,14 +32,13 @@
 //   - one lock-striped satisfaction.Registry — the adaptive ω of Equation 2
 //     reads cross-shard satisfaction without a global lock.
 //
-// With Concurrency = 1 the engine degenerates to the historical serialized
-// service: one shard, one mutex, output byte-identical to driving a plain
+// With one shard the engine's output is byte-identical to driving a plain
 // mediator.Mediator with the same inputs (the determinism tests assert
-// this).
+// this for tickets and for Mediate).
 //
 // Time is real (wall-clock) here; capacities are in work units per second of
 // real time, usually scaled down in tests. Deterministic tests inject a
-// fake clock via Config.NowFn.
+// fake clock via WithClock.
 package live
 
 import (

@@ -31,16 +31,16 @@ func TestNewWorkerValidation(t *testing.T) {
 }
 
 func TestSubmitAndComplete(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 50)
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(50))
 	for i := 0; i < 4; i++ {
-		svc.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.5))
+		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.5))
 	}
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention {
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention {
 		return 0.5
 	}})
 
 	results := make(chan Result, 16)
-	a, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 2, Work: 1}, results)
+	a, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 2, Work: 1}, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,30 +58,30 @@ func TestSubmitAndComplete(t *testing.T) {
 		}
 	}
 	// Satisfaction has been recorded for the consumer.
-	if s := svc.ConsumerSatisfaction(0); s <= 0 {
+	if s := eng.ConsumerSatisfaction(0); s <= 0 {
 		t.Errorf("consumer satisfaction %v", s)
 	}
 }
 
 func TestSubmitNoWorkers(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 50)
-	svc.RegisterConsumer(FuncConsumer{ID: 0})
-	if _, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil); err == nil {
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(50))
+	eng.RegisterConsumer(FuncConsumer{ID: 0})
+	if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err == nil {
 		t.Error("submit with no workers should fail")
 	}
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 100)
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(100))
 	const workers = 8
 	for i := 0; i < workers; i++ {
-		svc.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.4))
+		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.4))
 	}
 	const consumers = 4
 	const perConsumer = 25
 	results := make(chan Result, consumers*perConsumer)
 	for c := 0; c < consumers; c++ {
-		svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention {
+		eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(model.Query, model.ProviderSnapshot) model.Intention {
 			return 0.3
 		}})
 	}
@@ -92,7 +92,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perConsumer; i++ {
-				_, err := svc.Submit(context.Background(), model.Query{
+				_, err := submit(context.Background(), eng, model.Query{
 					Consumer: model.ConsumerID(c), N: 1, Work: 0.5,
 				}, results)
 				if err != nil {
@@ -112,7 +112,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	// Every worker's satisfaction is well defined afterwards.
 	for i := 0; i < workers; i++ {
-		s := svc.ProviderSatisfaction(model.ProviderID(i))
+		s := eng.ProviderSatisfaction(model.ProviderID(i))
 		if s < 0 || s > 1 {
 			t.Errorf("worker %d satisfaction %v", i, s)
 		}
@@ -120,12 +120,12 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 func TestWorkerCloseRejectsTasks(t *testing.T) {
-	svc := NewService(core.MustNew(core.DefaultConfig()), 50)
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(50))
 	w := fastWorker(t, 0, 1)
-	svc.RegisterWorker(w)
-	svc.RegisterConsumer(FuncConsumer{ID: 0})
+	eng.RegisterWorker(w)
+	eng.RegisterConsumer(FuncConsumer{ID: 0})
 	w.Close()
-	_, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	_, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
 	if err == nil {
 		t.Error("submit to closed worker should report dispatch failure")
 	}

@@ -11,7 +11,7 @@ import (
 	"sbqa/internal/sim"
 )
 
-// TestMediateHookByteIdenticalUnderVirtualClock drives Service.Mediate —
+// TestMediateHookByteIdenticalUnderVirtualClock drives Engine.Mediate —
 // the dispatch-free embedding hook the workload lab uses — under a sim
 // virtual clock and requires byte-identical allocations and satisfaction
 // state against a plain serialized mediator fed the same inputs. This is
@@ -46,17 +46,14 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 	register(ref)
 
 	eng := sim.NewEngine()
-	svc, err := NewServiceWithConfig(Config{
-		Window:      window,
-		Concurrency: 1,
-		Allocator:   sbqaAllocator(42),
-		AnalyzeBest: true,
-		NowFn:       eng.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	register(svc)
+	med := mustEngine(t,
+		WithWindow(window),
+		WithConcurrency(1),
+		WithAllocator(sbqaAllocator(42)),
+		WithAnalyzeBest(true),
+		WithClock(eng.Now),
+	)
+	register(med)
 
 	// Queries arrive as scheduled sim events at distinct virtual times.
 	for i := 0; i < queries; i++ {
@@ -69,7 +66,7 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 			refQ.IssuedAt = eng.Now()
 			wantA, wantErr := ref.Mediate(context.Background(), eng.Now(), refQ)
 
-			gotA, gotErr := svc.Mediate(context.Background(), q)
+			gotA, gotErr := med.Mediate(context.Background(), q)
 			if !errors.Is(gotErr, wantErr) {
 				t.Fatalf("query %d: err %v vs %v (Mediate must return raw mediator errors)", i, gotErr, wantErr)
 			}
@@ -87,12 +84,12 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 	eng.RunAll()
 
 	for c := 0; c < consumers; c++ {
-		if a, b := ref.Registry().ConsumerSatisfaction(model.ConsumerID(c)), svc.ConsumerSatisfaction(model.ConsumerID(c)); a != b {
+		if a, b := ref.Registry().ConsumerSatisfaction(model.ConsumerID(c)), med.ConsumerSatisfaction(model.ConsumerID(c)); a != b {
 			t.Errorf("consumer %d δs: %v vs %v", c, a, b)
 		}
 	}
 	for p := 0; p < providers; p++ {
-		if a, b := ref.Registry().ProviderSatisfaction(model.ProviderID(p)), svc.ProviderSatisfaction(model.ProviderID(p)); a != b {
+		if a, b := ref.Registry().ProviderSatisfaction(model.ProviderID(p)), med.ProviderSatisfaction(model.ProviderID(p)); a != b {
 			t.Errorf("provider %d δs: %v vs %v", p, a, b)
 		}
 	}
@@ -103,20 +100,17 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 // next Mediate — the hot-swap path works identically on the hook.
 func TestMediateHookAdoptsReconfigureAtBoundary(t *testing.T) {
 	spec := sbqaSpec(1)
-	svc, err := NewServiceWithConfig(Config{
-		Window: 20,
-		Policy: &spec,
-		NowFn:  func() float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	med := mustEngine(t,
+		WithWindow(20),
+		WithPolicy(spec),
+		WithClock(func() float64 { return 1 }),
+	)
+	med.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 	for i := 0; i < 8; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i) / 10})
+		med.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i) / 10})
 	}
 
-	a, err := svc.Mediate(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1})
+	a, err := med.Mediate(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +120,10 @@ func TestMediateHookAdoptsReconfigureAtBoundary(t *testing.T) {
 
 	next := spec
 	next.Kn = 5
-	if err := svc.Reconfigure(context.Background(), next); err != nil {
+	if err := med.Reconfigure(context.Background(), next); err != nil {
 		t.Fatal(err)
 	}
-	a, err = svc.Mediate(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1})
+	a, err = med.Mediate(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +132,7 @@ func TestMediateHookAdoptsReconfigureAtBoundary(t *testing.T) {
 	}
 
 	// No dispatch side effects: Mediate never touches dispatch counters.
-	for i, sh := range svc.Stats().Shards {
+	for i, sh := range med.Stats().Shards {
 		if sh.DispatchFailures != 0 {
 			t.Fatalf("shard %d dispatch failures = %d, want 0 on the mediate-only path", i, sh.DispatchFailures)
 		}

@@ -34,9 +34,9 @@ import (
 // runtime objects the embedder re-registers on boot; their satisfaction
 // memory is what survives.
 func WithPersistence(dir string, opts ...persist.Option) Option {
-	return func(c *Config) {
-		c.PersistDir = dir
-		c.PersistOpts = opts
+	return func(c *config) {
+		c.persistDir = dir
+		c.persistOpts = opts
 	}
 }
 
@@ -47,8 +47,8 @@ type enginePersistence struct {
 	stop  chan struct{}
 }
 
-// openPersistence opens the store and starts the recorder. Restore happens
-// later, once the service (and its registry) exists.
+// openPersistence opens the store. Restore happens later, once the engine
+// (and its registry) exists.
 func openPersistence(dir string, opts []persist.Option) (*enginePersistence, error) {
 	store, err := persist.Open(dir, opts...)
 	if err != nil {
@@ -57,22 +57,23 @@ func openPersistence(dir string, opts []persist.Option) (*enginePersistence, err
 	return &enginePersistence{store: store, stop: make(chan struct{})}, nil
 }
 
-// restore applies the state directory to a freshly built service: import
+// restore applies the state directory to a freshly built engine: import
 // the satisfaction snapshot and replay the journal tail into the registry,
 // recover the query ID counter, and re-install the persisted policy and
 // allocator sampling states. Runs before any traffic (NewEngine has not
-// returned), so shard state is written directly.
-func (p *enginePersistence) restore(s *Service, cfg *Config) error {
-	res, err := p.store.Restore(s.reg)
+// returned and no shard loop runs yet), so shard state is written directly.
+func (p *enginePersistence) restore(e *Engine) error {
+	res, err := p.store.Restore(e.reg)
 	if err != nil {
 		return err
 	}
-	if res.NextQueryID > s.nextID.Load() {
-		s.nextID.Store(res.NextQueryID)
+	if res.NextQueryID > e.nextID.Load() {
+		e.nextID.Store(res.NextQueryID)
 	}
 
+	_, hasPolicy := e.Policy()
 	switch {
-	case res.PolicyJSON != nil && cfg.Policy != nil:
+	case res.PolicyJSON != nil && hasPolicy:
 		// The persisted policy — possibly generations ahead of the boot
 		// spec — wins: a warm restart resumes where the engine stopped,
 		// not where the flags say it started. Wiping the state dir (or
@@ -85,16 +86,16 @@ func (p *enginePersistence) restore(s *Service, cfg *Config) error {
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("live: persisted policy: %w", err)
 		}
-		deadline := s.baseDeadline
+		deadline := e.baseDeadline
 		if spec.ParticipantDeadline > 0 {
 			deadline = spec.ParticipantDeadline.Std()
 		}
-		for i, sh := range s.shards {
+		for i, sh := range e.shards {
 			a, err := spec.Build(i)
 			if err != nil {
 				return fmt.Errorf("live: rebuilding persisted policy: %w", err)
 			}
-			restoreAllocState(a, res.AllocStates, i, len(s.shards))
+			restoreAllocState(a, res.AllocStates, i, len(e.shards))
 			sh.mu.Lock()
 			sh.med.SetAllocator(a)
 			sh.med.SetParticipantDeadline(deadline)
@@ -102,15 +103,14 @@ func (p *enginePersistence) restore(s *Service, cfg *Config) error {
 			sh.appliedGen.Store(res.PolicyGeneration)
 			sh.mu.Unlock()
 		}
-		specCopy := spec
-		s.pol.spec.Store(&specCopy)
-		s.pol.gen.Store(res.PolicyGeneration)
+		e.pol.spec.Store(&spec)
+		e.pol.gen.Store(res.PolicyGeneration)
 	default:
 		// No persisted policy (or an allocator-built engine): keep the
 		// construction-time allocators and resume their sampling streams.
-		for i, sh := range s.shards {
+		for i, sh := range e.shards {
 			sh.mu.Lock()
-			restoreAllocState(sh.med.Allocator(), res.AllocStates, i, len(s.shards))
+			restoreAllocState(sh.med.Allocator(), res.AllocStates, i, len(e.shards))
 			sh.mu.Unlock()
 		}
 	}
@@ -133,8 +133,8 @@ func restoreAllocState(a alloc.Allocator, states [][]byte, i, shards int) {
 
 // policySource resolves the active policy for journaled policy-change
 // records (the typed event carries only generation, name, and kind).
-func (s *Service) policySource() (uint64, []byte, bool) {
-	spec, ok := s.Policy()
+func (e *Engine) policySource() (uint64, []byte, bool) {
+	spec, ok := e.Policy()
 	if !ok {
 		return 0, nil, false
 	}
@@ -142,7 +142,7 @@ func (s *Service) policySource() (uint64, []byte, bool) {
 	if err != nil {
 		return 0, nil, false
 	}
-	return s.PolicyGeneration(), data, true
+	return e.PolicyGeneration(), data, true
 }
 
 // persistLoop compacts in the background: when enough sealed journal
@@ -171,25 +171,24 @@ func (e *Engine) persistLoop(interval time.Duration, threshold int) {
 // Encoding and writing happen after the locks are released; only the
 // in-memory capture pauses mediation.
 func (e *Engine) flushSnapshot(compaction bool) error {
-	svc := e.svc
-	for _, sh := range svc.shards {
+	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
 	e.pst.rec.Drain()
 	first, err := e.pst.store.RotateForSnapshot()
 	if err != nil {
-		for _, sh := range svc.shards {
+		for _, sh := range e.shards {
 			sh.mu.Unlock()
 		}
 		return err
 	}
 	snap := &persist.Snapshot{
 		FirstSegment: first,
-		NextQueryID:  svc.nextID.Load(),
-		Window:       svc.reg.Window(),
-		AllocStates:  make([][]byte, len(svc.shards)),
+		NextQueryID:  e.nextID.Load(),
+		Window:       e.reg.Window(),
+		AllocStates:  make([][]byte, len(e.shards)),
 	}
-	for i, sh := range svc.shards {
+	for i, sh := range e.shards {
 		// Adopt any published-but-unadopted policy generation first, so
 		// the exported allocator states belong to the policy the snapshot
 		// names (adoption would have happened at the next mediation
@@ -199,15 +198,15 @@ func (e *Engine) flushSnapshot(compaction bool) error {
 			snap.AllocStates[i] = st.ExportState()
 		}
 	}
-	if spec, ok := svc.Policy(); ok {
+	if spec, ok := e.Policy(); ok {
 		data, err := json.Marshal(spec)
 		if err == nil {
 			snap.PolicyJSON = data
-			snap.PolicyGeneration = svc.PolicyGeneration()
+			snap.PolicyGeneration = e.PolicyGeneration()
 		}
 	}
-	snap.Consumers, snap.Providers = persist.CaptureRegistry(svc.reg)
-	for _, sh := range svc.shards {
+	snap.Consumers, snap.Providers = persist.CaptureRegistry(e.reg)
+	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
 	return e.pst.store.WriteSnapshot(snap, compaction)
@@ -227,25 +226,7 @@ func (e *Engine) closePersistence() {
 // records are dropped exactly as a process kill would drop them, and no
 // final snapshot is written.
 func (e *Engine) closeAbrupt() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.mu.Unlock()
-	if e.tuner != nil {
-		e.tuner.Close()
-	}
-	close(e.stopSnap)
-	if e.pst != nil {
-		close(e.pst.stop)
-	}
-	for _, s := range e.scheds {
-		s.Close()
-	}
-	e.wg.Wait()
-	if e.pst != nil {
+	if e.stop() && e.pst != nil {
 		e.pst.rec.CloseAbrupt()
 		e.pst.store.Abort()
 	}

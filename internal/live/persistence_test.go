@@ -69,14 +69,14 @@ func persistQuery(i int) model.Query {
 	return model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1 + float64(i%3)}
 }
 
-// runQueries drives queries [from, to) through the blocking surface,
+// runQueries drives queries [from, to) through hand-off-only tickets,
 // returning each allocation rendered to a comparison string.
 func runQueries(t *testing.T, eng *Engine, clock *atomic.Int64, from, to int) []string {
 	t.Helper()
 	out := make([]string, 0, to-from)
 	for i := from; i < to; i++ {
 		clock.Store(int64(i))
-		a, err := eng.Service().Submit(context.Background(), persistQuery(i), nil)
+		a, err := submit(context.Background(), eng, persistQuery(i), nil)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -193,7 +193,7 @@ func TestCrashKillRecoversBoundedLoss(t *testing.T) {
 	registerPersistParticipants(eng1)
 	for i := 0; i < queries; i++ {
 		clock.Store(int64(i))
-		if _, err := eng1.Service().Submit(context.Background(), persistQuery(i), nil); err != nil {
+		if _, err := submit(context.Background(), eng1, persistQuery(i), nil); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestPersistenceCompactionUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				q := model.Query{Consumer: model.ConsumerID(g % 3), N: 1, Work: 1}
-				if _, err := eng.Service().Submit(context.Background(), q, nil); err != nil {
+				if _, err := submit(context.Background(), eng, q, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,8 +1,8 @@
 package live
 
-// This file is the engine half of the policy control plane: a Service (and
-// therefore an Engine) built from — or reconfigured to — a declarative
-// policy.Spec swaps its per-shard allocators at mediation boundaries.
+// This file is the engine half of the policy control plane: an Engine built
+// from — or reconfigured to — a declarative policy.Spec swaps its per-shard
+// allocators at mediation boundaries.
 //
 // Mechanics: Reconfigure validates the spec, builds one allocator per shard
 // (spec.Build(i), so per-shard sampling streams stay reproducible yet
@@ -39,7 +39,7 @@ type generation struct {
 	deadline time.Duration
 }
 
-// policyState is the Service's control-plane half, embedded in Service.
+// policyState is the Engine's control-plane half.
 type policyState struct {
 	mu   sync.Mutex // serializes Reconfigure (never held on the mediation path)
 	gen  atomic.Uint64
@@ -49,8 +49,8 @@ type policyState struct {
 // Policy returns the engine's current target policy spec and whether one is
 // installed. Engines built through WithAllocator/WithAllocatorFactory have
 // no declarative policy until their first Reconfigure.
-func (s *Service) Policy() (policy.Spec, bool) {
-	p := s.pol.spec.Load()
+func (e *Engine) Policy() (policy.Spec, bool) {
+	p := e.pol.spec.Load()
 	if p == nil {
 		return policy.Spec{}, false
 	}
@@ -58,25 +58,33 @@ func (s *Service) Policy() (policy.Spec, bool) {
 }
 
 // PolicyGeneration returns the number of the latest accepted policy
-// generation (0 until the first Reconfigure, unless the service was built
-// from a policy spec — that spec is generation 0).
-func (s *Service) PolicyGeneration() uint64 { return s.pol.gen.Load() }
+// generation (0 until the first Reconfigure; a construction-time policy
+// spec is generation 0 too).
+func (e *Engine) PolicyGeneration() uint64 { return e.pol.gen.Load() }
 
 // Reconfigure replaces the running allocation policy across every shard.
 // The spec is normalized and validated, one allocator per shard is built
 // up front, and the new generation is published atomically; each shard
-// adopts it at its next mediation boundary (between tickets — an in-flight
-// mediation always completes under the policy it started with). On any
-// validation or build error nothing changes and the error is returned.
+// adopts it at its next mediation boundary (between queue items — an
+// in-flight mediation always completes under the policy it started with,
+// and the hot path pays one atomic load). On any validation or build error
+// nothing changes and the error is returned.
 //
 // Satisfaction state is deliberately preserved: reconfiguring retunes the
 // allocation process, it does not reset anyone's memory — the paper's
 // Scenario 6 sweeps rely on exactly this.
 //
+// A spec with a qos block also reconfigures every shard scheduler live:
+// queued queries migrate to the new class table by class name (classes that
+// disappear fold into the new default) and per-class counters survive for
+// the classes that remain. A spec without one restores the construction-time
+// QoS configuration, like a spec without a participant deadline restores
+// the base deadline.
+//
 // Reconfigure is safe for concurrent use with submissions and with itself;
 // concurrent calls serialize, and each accepted call increments the policy
 // generation and emits one event.PolicyChange to the engine observer.
-func (s *Service) Reconfigure(ctx context.Context, spec policy.Spec) error {
+func (e *Engine) Reconfigure(ctx context.Context, spec policy.Spec) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("live: reconfigure aborted: %w", err)
 	}
@@ -84,8 +92,8 @@ func (s *Service) Reconfigure(ctx context.Context, spec policy.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	allocs := make([]alloc.Allocator, len(s.shards))
-	for i := range s.shards {
+	allocs := make([]alloc.Allocator, len(e.shards))
+	for i := range e.shards {
 		a, err := spec.Build(i)
 		if err != nil {
 			return err
@@ -93,30 +101,36 @@ func (s *Service) Reconfigure(ctx context.Context, spec policy.Spec) error {
 		allocs[i] = a
 	}
 
-	deadline := s.baseDeadline
+	deadline := e.baseDeadline
 	if spec.ParticipantDeadline > 0 {
 		deadline = spec.ParticipantDeadline.Std()
 	}
+	qspec := e.baseQoS
+	if spec.QoS != nil {
+		qspec = *spec.QoS
+	}
 
-	s.pol.mu.Lock()
-	gen := s.pol.gen.Add(1)
-	specCopy := spec
-	s.pol.spec.Store(&specCopy)
-	for i, sh := range s.shards {
+	e.pol.mu.Lock()
+	gen := e.pol.gen.Add(1)
+	e.pol.spec.Store(&spec)
+	for i, sh := range e.shards {
 		sh.nextGen.Store(&generation{num: gen, alloc: allocs[i], deadline: deadline})
+		// Under pol.mu like the generation, so concurrent Reconfigures leave
+		// every shard with the policy and the queue spec of the same call.
+		sh.sched.Configure(qspec)
 	}
 	// Emitted under pol.mu so concurrent Reconfigures produce PolicyChange
 	// events in generation order (pol.mu is never taken on the mediation
 	// path, so a slow observer delays only other reconfigurations).
-	if s.obs != nil {
-		s.obs.OnPolicyChange(event.PolicyChange{
+	if e.obs != nil {
+		e.obs.OnPolicyChange(event.PolicyChange{
 			Generation: gen,
 			Name:       spec.Name,
 			Kind:       string(spec.Kind),
-			Time:       s.nowFn(),
+			Time:       e.nowFn(),
 		})
 	}
-	s.pol.mu.Unlock()
+	e.pol.mu.Unlock()
 	return nil
 }
 
@@ -134,12 +148,4 @@ func (sh *shard) applyPolicy() {
 	sh.curGen = g.num
 	sh.appliedGen.Store(g.num)
 	sh.policySwaps.Add(1)
-}
-
-// installPolicy wires a construction-time policy: the shards' allocators
-// were already built from the spec, so the spec is recorded as generation 0
-// with nothing pending.
-func (s *Service) installPolicy(spec policy.Spec) {
-	specCopy := spec
-	s.pol.spec.Store(&specCopy)
 }

@@ -19,14 +19,11 @@ func sbqaSpec(seed uint64) policy.Spec {
 	return policy.Spec{Kind: policy.SbQA, K: 6, Kn: 3, Seed: seed}
 }
 
-func TestServiceFromPolicySpec(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{Window: 20, Policy: func() *policy.Spec { s := sbqaSpec(42); return &s }()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, ok := svc.Policy()
+func TestEngineFromPolicySpec(t *testing.T) {
+	eng := mustEngine(t, WithWindow(20), WithPolicy(sbqaSpec(42)))
+	spec, ok := eng.Policy()
 	if !ok {
-		t.Fatal("Policy() reported no policy on a policy-built service")
+		t.Fatal("Policy() reported no policy on a policy-built engine")
 	}
 	if spec.Kind != policy.SbQA || spec.K != 6 || spec.Kn != 3 {
 		t.Fatalf("Policy() = %+v", spec)
@@ -35,7 +32,7 @@ func TestServiceFromPolicySpec(t *testing.T) {
 	if spec.OmegaMode != policy.OmegaAdaptive || spec.Epsilon == 0 {
 		t.Fatalf("stored spec not normalized: %+v", spec)
 	}
-	if gen := svc.PolicyGeneration(); gen != 0 {
+	if gen := eng.PolicyGeneration(); gen != 0 {
 		t.Fatalf("generation = %d, want 0 at construction", gen)
 	}
 }
@@ -45,35 +42,29 @@ func TestServiceFromPolicySpec(t *testing.T) {
 // hand-constructed allocator (the spec replaces constructor plumbing, it
 // does not change semantics).
 func TestPolicyBuiltEngineMatchesAllocatorBuilt(t *testing.T) {
-	register := func(svc *Service) {
+	register := func(eng *Engine) {
 		for c := 0; c < 3; c++ {
 			id := model.ConsumerID(c)
-			svc.RegisterConsumer(FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+			eng.RegisterConsumer(FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
 				return model.Intention(float64((int(snap.ID)+int(id))%5)/5 - 0.2)
 			}})
 		}
 		for i := 0; i < 10; i++ {
-			svc.RegisterProvider(&constProvider{
+			eng.RegisterProvider(&constProvider{
 				id: model.ProviderID(i), pi: model.Intention(float64(i%7)/7 - 0.3), util: float64(i%4) / 4,
 			})
 		}
 	}
 	now := func() float64 { return 1 }
-	ref, err := NewServiceWithConfig(Config{Window: 30, Allocator: sbqaAllocator(42), NowFn: now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustEngine(t, WithWindow(30), WithAllocator(sbqaAllocator(42)), WithClock(now))
 	spec := sbqaSpec(42)
-	got, err := NewServiceWithConfig(Config{Window: 30, Policy: &spec, NowFn: now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustEngine(t, WithWindow(30), WithPolicy(spec), WithClock(now))
 	register(ref)
 	register(got)
 	for i := 0; i < 100; i++ {
 		q := model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1}
-		wantA, wantErr := ref.Submit(context.Background(), q, nil)
-		gotA, gotErr := got.Submit(context.Background(), q, nil)
+		wantA, wantErr := submit(context.Background(), ref, q, nil)
+		gotA, gotErr := submit(context.Background(), got, q, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("query %d: err %v vs %v", i, wantErr, gotErr)
 		}
@@ -90,26 +81,23 @@ func TestReconfigureSwapsAtMediationBoundary(t *testing.T) {
 	var changes []event.PolicyChange
 	var mu sync.Mutex
 	spec := sbqaSpec(1)
-	svc, err := NewServiceWithConfig(Config{
-		Window: 20,
-		Policy: &spec,
-		NowFn:  func() float64 { return 1 },
-		Observer: event.Funcs{PolicyChange: func(pc event.PolicyChange) {
+	eng := mustEngine(t,
+		WithWindow(20),
+		WithPolicy(spec),
+		WithClock(func() float64 { return 1 }),
+		WithObserver(event.Funcs{PolicyChange: func(pc event.PolicyChange) {
 			mu.Lock()
 			changes = append(changes, pc)
 			mu.Unlock()
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+		}}),
+	)
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 	for i := 0; i < 8; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i) / 10})
+		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i) / 10})
 	}
 
 	// SbQA proposes kn=3 providers per query.
-	a, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	a, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +107,22 @@ func TestReconfigureSwapsAtMediationBoundary(t *testing.T) {
 
 	// Swap to capacity: proposal set becomes exactly the selection.
 	capSpec := policy.Spec{Name: "lb", Kind: policy.Capacity}
-	if err := svc.Reconfigure(context.Background(), capSpec); err != nil {
+	if err := eng.Reconfigure(context.Background(), capSpec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := svc.Policy(); !ok || got.Kind != policy.Capacity {
+	if got, ok := eng.Policy(); !ok || got.Kind != policy.Capacity {
 		t.Fatalf("Policy() after reconfigure = %+v, %v", got, ok)
 	}
-	if gen := svc.PolicyGeneration(); gen != 1 {
+	if gen := eng.PolicyGeneration(); gen != 1 {
 		t.Fatalf("generation = %d, want 1", gen)
 	}
 	// The swap is lazy: stats show the shard still on generation 0 until
 	// the next mediation boundary.
-	if st := svc.Stats(); st.Shards[0].PolicyGeneration != 0 || st.Shards[0].PolicySwaps != 0 {
+	if st := eng.Stats(); st.Shards[0].PolicyGeneration != 0 || st.Shards[0].PolicySwaps != 0 {
 		t.Fatalf("shard adopted the generation without a mediation boundary: %+v", st.Shards[0])
 	}
 
-	a, err = svc.Submit(context.Background(), model.Query{Consumer: 0, N: 2, Work: 1}, nil)
+	a, err = submit(context.Background(), eng, model.Query{Consumer: 0, N: 2, Work: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +134,7 @@ func TestReconfigureSwapsAtMediationBoundary(t *testing.T) {
 		t.Fatalf("capacity selected %v, want [0 1]", a.Selected)
 	}
 
-	st := svc.Stats()
+	st := eng.Stats()
 	if st.PolicyGeneration != 1 {
 		t.Fatalf("Stats().PolicyGeneration = %d, want 1", st.PolicyGeneration)
 	}
@@ -169,24 +157,21 @@ func TestReconfigureSwapsAtMediationBoundary(t *testing.T) {
 
 func TestReconfigureRejectsInvalidSpecAndKeepsRunningPolicy(t *testing.T) {
 	spec := sbqaSpec(1)
-	svc, err := NewServiceWithConfig(Config{Window: 20, Policy: &spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = svc.Reconfigure(context.Background(), policy.Spec{Kind: "warp-drive"})
+	eng := mustEngine(t, WithWindow(20), WithPolicy(spec))
+	err := eng.Reconfigure(context.Background(), policy.Spec{Kind: "warp-drive"})
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("err = %v, want unknown-kind validation error", err)
 	}
-	if got, _ := svc.Policy(); got.Kind != policy.SbQA {
+	if got, _ := eng.Policy(); got.Kind != policy.SbQA {
 		t.Fatalf("running policy changed after a rejected reconfigure: %+v", got)
 	}
-	if svc.PolicyGeneration() != 0 {
+	if eng.PolicyGeneration() != 0 {
 		t.Fatalf("generation bumped by a rejected reconfigure")
 	}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := svc.Reconfigure(canceled, sbqaSpec(2)); err == nil {
+	if err := eng.Reconfigure(canceled, sbqaSpec(2)); err == nil {
 		t.Fatal("Reconfigure accepted a canceled context")
 	}
 }
@@ -195,27 +180,24 @@ func TestReconfigureRejectsInvalidSpecAndKeepsRunningPolicy(t *testing.T) {
 // reset the satisfaction registry (retuning is not amnesia).
 func TestReconfigurePreservesSatisfactionMemory(t *testing.T) {
 	spec := sbqaSpec(1)
-	svc, err := NewServiceWithConfig(Config{Window: 20, Policy: &spec, NowFn: func() float64 { return 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.9 }})
+	eng := mustEngine(t, WithWindow(20), WithPolicy(spec), WithClock(func() float64 { return 1 }))
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.9 }})
 	for i := 0; i < 4; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
+		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+		if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := svc.ConsumerSatisfaction(0)
+	before := eng.ConsumerSatisfaction(0)
 	if before == 0 {
 		t.Fatal("no satisfaction accumulated before reconfigure")
 	}
-	if err := svc.Reconfigure(context.Background(), policy.Spec{Kind: policy.Capacity}); err != nil {
+	if err := eng.Reconfigure(context.Background(), policy.Spec{Kind: policy.Capacity}); err != nil {
 		t.Fatal(err)
 	}
-	if after := svc.ConsumerSatisfaction(0); after != before {
+	if after := eng.ConsumerSatisfaction(0); after != before {
 		t.Fatalf("satisfaction changed across reconfigure with no mediation: %v -> %v", before, after)
 	}
 }
@@ -242,24 +224,21 @@ func (p *slowParticipant) IntentionContext(ctx context.Context, q model.Query) (
 // the previous policy's override.
 func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 	spec := sbqaSpec(1) // no deadline: runs under the engine's base (unbounded)
-	svc, err := NewServiceWithConfig(Config{Window: 20, Policy: &spec, NowFn: func() float64 { return 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	eng := mustEngine(t, WithWindow(20), WithPolicy(spec), WithClock(func() float64 { return 1 }))
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 	for i := 0; i < 3; i++ {
-		svc.RegisterProvider(&slowParticipant{
+		eng.RegisterProvider(&slowParticipant{
 			constProvider: constProvider{id: model.ProviderID(i), pi: 0.5},
 			delay:         20 * time.Millisecond,
 		})
 	}
 	submit := func() {
 		t.Helper()
-		if _, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+		if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	imputations := func() uint64 { return svc.Stats().Imputations() }
+	imputations := func() uint64 { return eng.Stats().Imputations() }
 
 	// Base: unbounded — the slow participants are waited for.
 	submit()
@@ -270,7 +249,7 @@ func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 	// Override: a 1ms policy deadline makes every slow participant miss.
 	tight := sbqaSpec(1)
 	tight.ParticipantDeadline = policy.Duration(time.Millisecond)
-	if err := svc.Reconfigure(context.Background(), tight); err != nil {
+	if err := eng.Reconfigure(context.Background(), tight); err != nil {
 		t.Fatal(err)
 	}
 	submit()
@@ -281,7 +260,7 @@ func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 
 	// Restore: a spec with no deadline goes back to the unbounded base,
 	// not the previous policy's 1ms override.
-	if err := svc.Reconfigure(context.Background(), sbqaSpec(2)); err != nil {
+	if err := eng.Reconfigure(context.Background(), sbqaSpec(2)); err != nil {
 		t.Fatal(err)
 	}
 	submit()
@@ -298,21 +277,19 @@ func TestSingleShardDeterminismAcrossGenerationSwap(t *testing.T) {
 	run := func() []string {
 		var clock atomic.Int64
 		spec := sbqaSpec(42)
-		svc, err := NewServiceWithConfig(Config{
-			Window: 30, Policy: &spec,
-			NowFn: func() float64 { return float64(clock.Load()) / 100 },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustEngine(t,
+			WithWindow(30),
+			WithPolicy(spec),
+			WithClock(func() float64 { return float64(clock.Load()) / 100 }),
+		)
 		for c := 0; c < 3; c++ {
 			id := model.ConsumerID(c)
-			svc.RegisterConsumer(FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+			eng.RegisterConsumer(FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
 				return model.Intention(float64((int(snap.ID)+int(id))%5)/5 - 0.2)
 			}})
 		}
 		for i := 0; i < 10; i++ {
-			svc.RegisterProvider(&constProvider{
+			eng.RegisterProvider(&constProvider{
 				id: model.ProviderID(i), pi: model.Intention(float64(i%7)/7 - 0.3), util: float64(i%4) / 4,
 			})
 		}
@@ -321,25 +298,25 @@ func TestSingleShardDeterminismAcrossGenerationSwap(t *testing.T) {
 			clock.Store(int64(i))
 			if i == 50 {
 				// Retune mid-run: wider funnel, fixed ω.
-				if err := svc.Reconfigure(context.Background(), policy.Spec{
+				if err := eng.Reconfigure(context.Background(), policy.Spec{
 					Kind: policy.SbQA, K: 9, Kn: 5, OmegaMode: policy.OmegaFixed, Omega: 0.25, Seed: 7,
 				}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if i == 100 {
-				if err := svc.Reconfigure(context.Background(), policy.Spec{Kind: policy.Capacity}); err != nil {
+				if err := eng.Reconfigure(context.Background(), policy.Spec{Kind: policy.Capacity}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			a, err := svc.Submit(context.Background(), model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1 + float64(i%3)}, nil)
+			a, err := submit(context.Background(), eng, model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1 + float64(i%3)}, nil)
 			if err != nil {
 				out = append(out, "err:"+err.Error())
 				continue
 			}
 			out = append(out, fmt.Sprintf("%+v", *a))
 		}
-		if st := svc.Stats(); st.Shards[0].PolicySwaps != 2 {
+		if st := eng.Stats(); st.Shards[0].PolicySwaps != 2 {
 			t.Fatalf("policy swaps = %d, want 2", st.Shards[0].PolicySwaps)
 		}
 		return out

@@ -16,17 +16,14 @@ import (
 // point is `go test -race ./internal/live` covering every cross-shard path:
 // shared directory, shared striped registry, per-shard mediators, dispatch.
 func TestShardedEngineRace(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{
-		Window:      50,
-		Concurrency: 4,
-		NewAllocator: func(shard int) alloc.Allocator {
+	eng := mustEngine(t,
+		WithWindow(50),
+		WithConcurrency(4),
+		WithAllocatorFactory(func(shard int) alloc.Allocator {
 			return sbqaAllocator(uint64(shard) + 1)
-		},
-		AnalyzeBest: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		}),
+		WithAnalyzeBest(true),
+	)
 
 	// A stable pool of workers that never leaves, so mediation always has
 	// candidates.
@@ -37,13 +34,13 @@ func TestShardedEngineRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		svc.RegisterWorker(w)
+		eng.RegisterWorker(w)
 	}
 
 	const submitters = 8
 	const perSubmitter = 60
 	for c := 0; c < submitters; c++ {
-		svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+		eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
 			return model.Intention(0.6 - snap.Utilization)
 		}})
 	}
@@ -74,7 +71,7 @@ func TestShardedEngineRace(t *testing.T) {
 				q := model.Query{Consumer: model.ConsumerID(c), N: 1, Work: 0.2, Class: i % 2}
 				if i%10 == 9 {
 					// Batch path: 2 queries at once.
-					as, errs := svc.SubmitBatch(context.Background(), []model.Query{q, q}, results)
+					as, errs := submitBatch(context.Background(), eng, []model.Query{q, q}, results)
 					for j, e := range errs {
 						if e == nil {
 							if stableOnly(as[j]) {
@@ -87,7 +84,7 @@ func TestShardedEngineRace(t *testing.T) {
 					}
 					continue
 				}
-				a, err := svc.Submit(context.Background(), q, results)
+				a, err := submit(context.Background(), eng, q, results)
 				if err == nil {
 					if stableOnly(a) {
 						completed[c]++
@@ -124,8 +121,8 @@ func TestShardedEngineRace(t *testing.T) {
 				if g%2 == 1 {
 					w.SetClasses(1)
 				}
-				svc.RegisterWorker(w)
-				svc.UnregisterWorker(id)
+				eng.RegisterWorker(w)
+				eng.UnregisterWorker(id)
 				w.Close()
 			}
 		}()
@@ -144,15 +141,15 @@ func TestShardedEngineRace(t *testing.T) {
 				default:
 				}
 				for i := 0; i < stableWorkers; i++ {
-					if s := svc.ProviderSatisfaction(model.ProviderID(i)); s < 0 || s > 1 {
+					if s := eng.ProviderSatisfaction(model.ProviderID(i)); s < 0 || s > 1 {
 						t.Errorf("worker %d satisfaction %v", i, s)
 						return
 					}
 				}
 				for c := 0; c < submitters; c++ {
-					_ = svc.ConsumerSatisfaction(model.ConsumerID(c))
+					_ = eng.ConsumerSatisfaction(model.ConsumerID(c))
 				}
-				_ = svc.Directory().NumProviders()
+				_ = eng.Directory().NumProviders()
 			}
 		}()
 	}
@@ -172,7 +169,7 @@ func TestShardedEngineRace(t *testing.T) {
 	}
 	// Satisfaction is well defined for every participant afterwards.
 	for c := 0; c < submitters; c++ {
-		if s := svc.ConsumerSatisfaction(model.ConsumerID(c)); s < 0 || s > 1 {
+		if s := eng.ConsumerSatisfaction(model.ConsumerID(c)); s < 0 || s > 1 {
 			t.Errorf("consumer %d satisfaction %v", c, s)
 		}
 	}
@@ -182,16 +179,13 @@ func TestShardedEngineRace(t *testing.T) {
 // submit; the engine must never panic or deadlock, and failed submissions
 // must name the unregistered consumer.
 func TestConcurrentConsumerChurn(t *testing.T) {
-	svc, err := NewServiceWithConfig(Config{
-		Window:       30,
-		Concurrency:  2,
-		NewAllocator: func(shard int) alloc.Allocator { return alloc.NewCapacity() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t,
+		WithWindow(30),
+		WithConcurrency(2),
+		WithAllocatorFactory(func(shard int) alloc.Allocator { return alloc.NewCapacity() }),
+	)
 	for i := 0; i < 4; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
+		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -201,15 +195,15 @@ func TestConcurrentConsumerChurn(t *testing.T) {
 			defer wg.Done()
 			id := model.ConsumerID(g)
 			for i := 0; i < 200; i++ {
-				svc.RegisterConsumer(FuncConsumer{ID: id, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.2 }})
+				eng.RegisterConsumer(FuncConsumer{ID: id, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.2 }})
 				// The submit may race with another goroutine's view of the
 				// directory, but must never fail for any reason other than
 				// "consumer unregistered" (we only unregister our own ID).
-				if _, err := svc.Submit(context.Background(), model.Query{Consumer: id, N: 1, Work: 1}, nil); err != nil {
+				if _, err := submit(context.Background(), eng, model.Query{Consumer: id, N: 1, Work: 1}, nil); err != nil {
 					t.Errorf("consumer %d: %v", g, err)
 					return
 				}
-				svc.UnregisterConsumer(id)
+				eng.UnregisterConsumer(id)
 			}
 		}()
 	}

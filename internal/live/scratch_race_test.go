@@ -25,17 +25,14 @@ import (
 // here.
 func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 	spec := sbqaSpec(1)
-	svc, err := NewServiceWithConfig(Config{
-		Window:      20,
-		Concurrency: 4,
-		Policy:      &spec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t,
+		WithWindow(20),
+		WithConcurrency(4),
+		WithPolicy(spec),
+	)
 	const consumers = 8
 	for c := 0; c < consumers; c++ {
-		svc.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+		eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
 			return model.Intention(float64(int(snap.ID)%5)/5 - 0.3)
 		}})
 	}
@@ -43,7 +40,7 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 	// churner recycles the volatile band above it.
 	const stable = 24
 	for i := 0; i < stable; i++ {
-		svc.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i%10) / 10})
+		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: float64(i%10) / 10})
 	}
 
 	ctx := context.Background()
@@ -62,9 +59,9 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 				var errs []error
 				if i%5 == 4 {
 					batch := []model.Query{q, {Consumer: model.ConsumerID(i % consumers), N: 1, Work: 3}}
-					as, errs = svc.SubmitBatch(ctx, batch, nil)
+					as, errs = submitBatch(ctx, eng, batch, nil)
 				} else {
-					a, err := svc.Submit(ctx, q, nil)
+					a, err := submit(ctx, eng, q, nil)
 					as, errs = []*model.Allocation{a}, []error{err}
 				}
 				for j, a := range as {
@@ -108,7 +105,7 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 			if i%2 == 0 {
 				next = sbqaSpec(uint64(i + 2))
 			}
-			if err := svc.Reconfigure(ctx, next); err != nil {
+			if err := eng.Reconfigure(ctx, next); err != nil {
 				t.Errorf("Reconfigure: %v", err)
 				return
 			}
@@ -127,8 +124,8 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 			default:
 			}
 			id := model.ProviderID(stable + i%16)
-			svc.RegisterWorker(mustWorker(t, id))
-			svc.UnregisterWorker(id)
+			eng.RegisterWorker(mustWorker(t, id))
+			eng.UnregisterWorker(id)
 		}
 	}()
 

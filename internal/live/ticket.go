@@ -35,14 +35,19 @@ import (
 type Ticket struct {
 	query model.Query
 
-	// userResults is the optional caller-supplied channel (WithResults /
-	// the blocking wrappers); collected results are forwarded to it.
+	// userResults is the optional caller-supplied channel (WithResults);
+	// collected results are forwarded to it.
 	userResults chan<- Result
 
-	// collect selects the ticket-owned result path. The blocking wrappers
-	// switch it off: they pass userResults straight to the workers and the
-	// ticket is done at hand-off, exactly like the v1 API.
+	// collect selects the ticket-owned result path. FireAndForget switches
+	// it off: userResults goes straight to the workers and the ticket is
+	// done at hand-off.
 	collect bool
+
+	// workers are the dispatchable executors of the selection, resolved
+	// under the shard lock right after mediation and consumed by the
+	// hand-off that follows it.
+	workers []Executor
 
 	// resCh receives the dispatched workers' results on the collecting
 	// path; created at dispatch time, sized to the selection. abandonCh
@@ -51,7 +56,9 @@ type Ticket struct {
 	resCh     chan Result
 	abandonCh chan model.ProviderID
 
-	allocated chan struct{} // closed once alloc/err are set
+	// alloc/err hold the mediation outcome from the shard lock's release
+	// on, and the submission's final outcome once allocated is closed.
+	allocated chan struct{}
 	alloc     *model.Allocation
 	err       error
 

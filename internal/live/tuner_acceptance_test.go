@@ -56,9 +56,8 @@ func TestTunerRecoversStarvedConsumer(t *testing.T) {
 	}
 
 	// Phase 1: establish starvation under the narrow policy.
-	svc := eng.Service()
 	for i := 0; i < 40; i++ {
-		if _, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+		if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +72,7 @@ func TestTunerRecoversStarvedConsumer(t *testing.T) {
 	recovered := false
 	for time.Now().Before(deadline) {
 		for i := 0; i < 10; i++ {
-			if _, err := svc.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+			if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 	"sbqa/internal/trace"
 )
 
-// This file implements the default adapter behind the v2 batched intention
+// This file implements the default adapter behind the batched intention
 // protocol (alloc.Env): the mediator's env fans one batch out over the
 // registered participants. In-process participants — anything implementing
 // only the synchronous directory contracts — are called inline, in candidate
@@ -101,7 +101,7 @@ func (m *Mediator) imputedConsumerIntention(c model.ConsumerID) model.Intention 
 	return model.Intention(2*m.registry.ConsumerAdequation(c) - 1).Clamp()
 }
 
-// Intentions implements the batched v2 protocol (alloc.Env) and reports
+// Intentions implements the batched protocol (alloc.Env) and reports
 // every imputation to the configured observer, in candidate order (the
 // consumer's event first), on the mediating goroutine.
 func (e env) Intentions(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) (alloc.IntentionSet, error) {
@@ -183,9 +183,8 @@ func (e env) collect(ctx context.Context, q model.Query, kn []model.ProviderSnap
 		set.PI = intentionScratch(&e.m.piBuf, len(kn))
 		for i, snap := range kn {
 			// A nil provider unregistered between discovery and collection
-			// (shared directory churn): zero intention, exactly as the v1
-			// pipeline scored departed providers; the backfill drops them
-			// from the allocation entirely.
+			// (shared directory churn): zero intention; the backfill drops
+			// them from the allocation entirely.
 			if prov := e.m.candidateOf(snap.ID); prov != nil {
 				set.PI[i] = prov.Intention(q)
 			}
@@ -239,9 +238,8 @@ func (e env) collectFanout(ctx context.Context, q model.Query, kn []model.Provid
 			prov := e.m.candidateOf(snap.ID)
 			if prov == nil {
 				// Unregistered between discovery and collection (shared
-				// directory churn): zero intention, exactly as the v1
-				// pipeline scored departed providers; the backfill drops
-				// them from the allocation entirely.
+				// directory churn): zero intention; the backfill drops them
+				// from the allocation entirely.
 				continue
 			}
 			if pp, ok := prov.(ProviderParticipant); ok {
@@ -360,7 +358,7 @@ func (m *Mediator) emitImputations(q model.Query, kn []model.ProviderSnapshot, s
 	}
 }
 
-// Bids implements the batched v2 protocol (alloc.Env): the economic
+// Bids implements the batched protocol (alloc.Env): the economic
 // baseline's bidding round under the same fan-out and deadline rules. A
 // silent or departed bidder's bid is imputed as its expected completion
 // delay (no observer event — bids are prices, not intentions).
@@ -405,7 +403,7 @@ func (e env) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapsho
 	return bids, nil
 }
 
-// ProviderSatisfactions implements the batched v2 protocol (alloc.Env) from
+// ProviderSatisfactions implements the batched protocol (alloc.Env) from
 // the shared satisfaction registry.
 func (e env) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
 	return e.AppendProviderSatisfactions(kn, make([]float64, 0, len(kn)))

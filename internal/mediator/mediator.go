@@ -112,26 +112,14 @@ type Config struct {
 	// keep it on.
 	AnalyzeBest bool
 
-	// OnMediation, when set, observes every successful mediation: the
-	// completed allocation (proposed set, selection, intentions, scores)
-	// and the size of the candidate set P_q it was drawn from. This is the
-	// observability channel the demo's GUIs display; embedders use it for
-	// audit logs. The allocation must not be mutated. When several mediator
-	// shards share one hook it must be safe for concurrent use.
-	//
-	// Deprecated: OnMediation is the v1 observability hook, kept for
-	// compatibility. New code should set Observer, which also sees
-	// rejections and registration churn; when both are set, both fire.
-	OnMediation func(a *model.Allocation, candidates int)
-
 	// Observer, when set, receives the pipeline's lifecycle events:
-	// OnAllocation for every successful mediation (same payload as
-	// OnMediation: the allocation, and the size of the population the
-	// allocator drew from — the class's index bucket, or the filtered P_q
-	// when the allocator materialised it) and OnRejection for every failed
-	// one, with the reason (ErrNoCandidates, ErrStaleSelection, or a
-	// validation error). Callbacks
-	// run synchronously on the mediating goroutine — with several shards,
+	// OnAllocation for every successful mediation (the completed
+	// allocation, which must not be mutated, and the size of the
+	// population the allocator drew from — the class's index bucket, or
+	// the filtered P_q when the allocator materialised it) and OnRejection
+	// for every failed one, with the reason (ErrNoCandidates,
+	// ErrStaleSelection, or a validation error). Callbacks run
+	// synchronously on the mediating goroutine — with several shards,
 	// concurrently — and must be fast, non-blocking, and safe for
 	// concurrent use.
 	Observer event.Observer
@@ -270,7 +258,7 @@ func (m *Mediator) Provider(id model.ProviderID) Provider { return m.dir.Provide
 // Consumer returns the registered consumer with the given ID, or nil.
 func (m *Mediator) Consumer(id model.ConsumerID) Consumer { return m.dir.Consumer(id) }
 
-// env adapts the participant registries to the batched v2 alloc.Env for one
+// env adapts the participant registries to the batched alloc.Env for one
 // mediation. The batch methods (Intentions, Bids, ProviderSatisfactions)
 // live in fanout.go: they are the default adapter of the intention protocol,
 // fanning context-aware participants out concurrently while calling
@@ -384,25 +372,6 @@ func (m *Mediator) Mediate(ctx context.Context, now float64, q model.Query) (*mo
 		ctx = context.Background()
 	}
 	return m.mediate(ctx, now, q)
-}
-
-// MediateBatch mediates a batch of queries at time now, in order, and
-// returns position-aligned allocations and errors — exactly what sequential
-// Mediate calls at the same time would. It exists so a caller that guards
-// the mediator with a lock takes it once per batch.
-//
-// ctx bounds the batch as a whole: queries mediated after it is done are
-// rejected with the context error (see Mediate).
-func (m *Mediator) MediateBatch(ctx context.Context, now float64, qs []model.Query) ([]*model.Allocation, []error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	allocs := make([]*model.Allocation, len(qs))
-	errs := make([]error, len(qs))
-	for i, q := range qs {
-		allocs[i], errs[i] = m.mediate(ctx, now, q)
-	}
-	return allocs, errs
 }
 
 // reject reports a failed mediation to the configured observer and returns
@@ -531,9 +500,6 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*mo
 			}
 		}
 		m.perfBuf = m.registry.RecordAllocationInto(a, candidateCI, m.perfBuf)
-		if m.cfg.OnMediation != nil {
-			m.cfg.OnMediation(a, population)
-		}
 		if m.cfg.Observer != nil {
 			m.cfg.Observer.OnAllocation(a, population)
 		}

@@ -418,56 +418,7 @@ func TestStaleSelectionError(t *testing.T) {
 	}
 }
 
-func TestMediateBatchMatchesSequential(t *testing.T) {
-	build := func() *Mediator {
-		sb := core.MustNew(core.Config{KnBest: knbest.Params{K: 3, Kn: 2}, Seed: 11})
-		m := New(sb, Config{Window: 20, AnalyzeBest: true})
-		m.RegisterConsumer(&fakeConsumer{id: 0, likes: map[model.ProviderID]model.Intention{1: 0.9, 2: 0.1, 3: 0.4, 4: -0.2}})
-		m.RegisterConsumer(&fakeConsumer{id: 1, likes: map[model.ProviderID]model.Intention{1: -0.5, 2: 0.8, 3: 0.2, 4: 0.6}})
-		for i := 1; i <= 4; i++ {
-			m.RegisterProvider(&fakeProvider{id: model.ProviderID(i), intention: model.Intention(float64(i)/4 - 0.5)})
-		}
-		return m
-	}
-	queries := make([]model.Query, 12)
-	for i := range queries {
-		queries[i] = q(int64(i+1), model.ConsumerID(i%2), 1)
-	}
-
-	seq := build()
-	wantAllocs := make([]*model.Allocation, len(queries))
-	for i, qq := range queries {
-		a, err := seq.Mediate(bg, 5, qq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantAllocs[i] = a
-	}
-
-	batch := build()
-	gotAllocs, errs := batch.MediateBatch(bg, 5, queries)
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatalf("batch query %d: %v", i, errs[i])
-		}
-		if got, want := gotAllocs[i].String(), wantAllocs[i].String(); got != want {
-			t.Errorf("query %d: batch %s != sequential %s", i, got, want)
-		}
-	}
-	// Satisfaction state identical afterwards.
-	for c := 0; c < 2; c++ {
-		if a, b := seq.Registry().ConsumerSatisfaction(model.ConsumerID(c)), batch.Registry().ConsumerSatisfaction(model.ConsumerID(c)); a != b {
-			t.Errorf("consumer %d δs: sequential %v != batch %v", c, a, b)
-		}
-	}
-	for p := 1; p <= 4; p++ {
-		if a, b := seq.Registry().ProviderSatisfaction(model.ProviderID(p)), batch.Registry().ProviderSatisfaction(model.ProviderID(p)); a != b {
-			t.Errorf("provider %d δs: sequential %v != batch %v", p, a, b)
-		}
-	}
-}
-
-func TestMediateBatchReportsPerQueryErrors(t *testing.T) {
+func TestMediateReportsPerQueryErrors(t *testing.T) {
 	m := newTestMediator(alloc.NewCapacity())
 	m.RegisterConsumer(&fakeConsumer{id: 0})
 	m.RegisterProvider(&fakeProvider{id: 1, classes: map[int]bool{0: true}})
@@ -477,15 +428,19 @@ func TestMediateBatchReportsPerQueryErrors(t *testing.T) {
 		{ID: 3, Consumer: 0}, // invalid (N=0)
 	}
 	qs[0].Class = 0
-	allocs, errs := m.MediateBatch(bg, 0, qs)
+	allocs := make([]*model.Allocation, len(qs))
+	errs := make([]error, len(qs))
+	for i, qq := range qs {
+		allocs[i], errs[i] = m.Mediate(bg, 0, qq)
+	}
 	if errs[0] != nil || allocs[0] == nil {
 		t.Errorf("query 0: %v", errs[0])
 	}
 	if errs[1] == nil {
-		t.Error("unregistered consumer accepted in batch")
+		t.Error("unregistered consumer accepted")
 	}
 	if errs[2] == nil {
-		t.Error("invalid query accepted in batch")
+		t.Error("invalid query accepted")
 	}
 }
 
@@ -529,10 +484,10 @@ type vetoProvider struct {
 
 func (p *vetoProvider) CanPerform(q model.Query) bool { return !p.veto(q) }
 
-// TestMediateBatchRespectsPerQueryCanPerform: CanPerform is asked per query
-// within a batch — a provider that vetoes heavy queries must never be
-// proposed one, even right after a light same-class query it accepted.
-func TestMediateBatchRespectsPerQueryCanPerform(t *testing.T) {
+// TestMediateRespectsPerQueryCanPerform: CanPerform is asked per query — a
+// provider that vetoes heavy queries must never be proposed one, even right
+// after a light same-class query it accepted at the same instant.
+func TestMediateRespectsPerQueryCanPerform(t *testing.T) {
 	m := newTestMediator(alloc.NewCapacity())
 	m.RegisterConsumer(&fakeConsumer{id: 0})
 	// Provider 1 vetoes Work > 5; provider 2 (heavily loaded, so capacity
@@ -547,19 +502,23 @@ func TestMediateBatchRespectsPerQueryCanPerform(t *testing.T) {
 	light.Work = 1
 	heavy := q(2, 0, 1)
 	heavy.Work = 10
-	allocs, errs := m.MediateBatch(bg, 0, []model.Query{light, heavy})
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatal(errs)
+	la, err := m.Mediate(bg, 0, light)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs[0].Selected[0] != 1 {
-		t.Errorf("light query selected %v, want idle provider 1", allocs[0].Selected)
+	ha, err := m.Mediate(bg, 0, heavy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range allocs[1].Proposed {
+	if la.Selected[0] != 1 {
+		t.Errorf("light query selected %v, want idle provider 1", la.Selected)
+	}
+	for _, id := range ha.Proposed {
 		if id == 1 {
-			t.Errorf("heavy query proposed to vetoing provider: %v", allocs[1].Proposed)
+			t.Errorf("heavy query proposed to vetoing provider: %v", ha.Proposed)
 		}
 	}
-	if allocs[1].Selected[0] != 2 {
-		t.Errorf("heavy query selected %v, want provider 2", allocs[1].Selected)
+	if ha.Selected[0] != 2 {
+		t.Errorf("heavy query selected %v, want provider 2", ha.Selected)
 	}
 }

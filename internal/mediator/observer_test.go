@@ -11,7 +11,7 @@ import (
 
 // TestMediatorObserverEvents: the typed Observer sees every mediation
 // outcome — successes with the candidate count, and each rejection with its
-// reason — while the legacy OnMediation hook keeps firing alongside it.
+// reason.
 func TestMediatorObserverEvents(t *testing.T) {
 	type rejection struct {
 		q      model.Query
@@ -20,10 +20,8 @@ func TestMediatorObserverEvents(t *testing.T) {
 	var allocs int
 	var candidates int
 	var rejects []rejection
-	var legacy int
 	m := New(alloc.NewCapacity(), Config{
-		Window:      10,
-		OnMediation: func(*model.Allocation, int) { legacy++ },
+		Window: 10,
 		Observer: event.Funcs{
 			Allocation: func(a *model.Allocation, c int) { allocs++; candidates = c },
 			Rejection:  func(q model.Query, reason error) { rejects = append(rejects, rejection{q, reason}) },
@@ -37,8 +35,8 @@ func TestMediatorObserverEvents(t *testing.T) {
 	if _, err := m.Mediate(bg, 0, model.Query{Consumer: 0, N: 1, Work: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if allocs != 1 || legacy != 1 {
-		t.Fatalf("allocs=%d legacy=%d, want 1/1 (both hooks fire)", allocs, legacy)
+	if allocs != 1 {
+		t.Fatalf("allocs=%d, want 1", allocs)
 	}
 	if candidates != 3 {
 		t.Errorf("candidates = %d, want 3", candidates)

@@ -4,18 +4,19 @@ import (
 	"testing"
 
 	"sbqa/internal/alloc"
+	"sbqa/internal/event"
 	"sbqa/internal/model"
 )
 
-func TestOnMediationHook(t *testing.T) {
+func TestAllocationObserverSeesCompletedAllocation(t *testing.T) {
 	var seen []*model.Allocation
 	var candCounts []int
 	m := New(alloc.NewCapacity(), Config{
 		Window: 10,
-		OnMediation: func(a *model.Allocation, candidates int) {
+		Observer: event.Funcs{Allocation: func(a *model.Allocation, candidates int) {
 			seen = append(seen, a)
 			candCounts = append(candCounts, candidates)
-		},
+		}},
 	})
 	m.RegisterConsumer(&fakeConsumer{id: 0})
 	m.RegisterProvider(&fakeProvider{id: 1})
@@ -43,11 +44,11 @@ func TestOnMediationHook(t *testing.T) {
 	}
 }
 
-func TestOnMediationNotFiredOnFailure(t *testing.T) {
+func TestAllocationObserverNotFiredOnFailure(t *testing.T) {
 	fired := false
 	m := New(alloc.NewCapacity(), Config{
-		Window:      10,
-		OnMediation: func(*model.Allocation, int) { fired = true },
+		Window:   10,
+		Observer: event.Funcs{Allocation: func(*model.Allocation, int) { fired = true }},
 	})
 	m.RegisterConsumer(&fakeConsumer{id: 0})
 	if _, err := m.Mediate(bg, 0, q(1, 0, 1)); err == nil {

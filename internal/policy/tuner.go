@@ -33,7 +33,7 @@ import (
 )
 
 // Reconfigurer is the control surface the Tuner drives — implemented by the
-// live engine (and its blocking Service).
+// live engine.
 type Reconfigurer interface {
 	// Policy returns the current target policy, if one is installed.
 	Policy() (Spec, bool)

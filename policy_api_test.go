@@ -49,9 +49,8 @@ func runSweepPoint(t *testing.T, spec PolicySpec, queries int) (satC, satP float
 	for i := 0; i < 8; i++ {
 		eng.RegisterProvider(&sweepProvider{id: ProviderID(i)})
 	}
-	svc := eng.Service()
 	for i := 0; i < queries; i++ {
-		if _, err := svc.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+		if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,10 +106,9 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		eng.RegisterProvider(&sweepProvider{id: ProviderID(i)})
 	}
-	svc := eng.Service()
 	submit := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := svc.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
+			if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,7 +127,7 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	}
 	// With the full candidate set scored at ω=0, the consumer's favorite
 	// provider wins every mediation.
-	a, err := svc.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, nil)
+	a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,6 @@ func TestPolicyDeterminismAcrossReconfigureViaFacade(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			eng.RegisterProvider(&sweepProvider{id: ProviderID(i)})
 		}
-		svc := eng.Service()
 		var out []string
 		for i := 0; i < 120; i++ {
 			if i == 60 {
@@ -170,7 +167,7 @@ func TestPolicyDeterminismAcrossReconfigureViaFacade(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a, err := svc.Submit(context.Background(), Query{Consumer: 0, N: 1 + i%2, Work: 1}, nil)
+			a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1 + i%2, Work: 1}, FireAndForget()).Allocation()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,10 +58,10 @@ import (
 	"sbqa/internal/policy"
 	"sbqa/internal/qos"
 	"sbqa/internal/satisfaction"
-	"sbqa/internal/trace"
 	"sbqa/internal/score"
 	"sbqa/internal/stats"
 	"sbqa/internal/topics"
+	"sbqa/internal/trace"
 	"sbqa/internal/workload"
 )
 
@@ -104,14 +104,9 @@ type (
 	// CandidateSource (tests, previews).
 	Snapshots = alloc.Snapshots
 	// Env is the batched, context-first mediation environment allocators
-	// consult (the v2 intention protocol): one Intentions call per
-	// mediation collects CI_q and PI_q over the whole candidate batch.
+	// consult: one Intentions call per mediation collects CI_q and PI_q
+	// over the whole candidate batch.
 	Env = alloc.Env
-	// EnvV1 is the original synchronous per-provider environment; adapt it
-	// with LegacyEnv to keep using it behind the v2 protocol.
-	EnvV1 = alloc.EnvV1
-	// LegacyEnv adapts an EnvV1 to the batched Env, looping synchronously.
-	LegacyEnv = alloc.LegacyEnv
 	// IntentionSet is one batched intention collection's outcome: aligned
 	// CI/PI vectors plus per-position imputation provenance.
 	IntentionSet = alloc.IntentionSet
@@ -129,9 +124,6 @@ type (
 // NewStaticEnv returns an empty table-backed environment ready to be
 // populated (SetCI/SetPI, satisfaction and bid tables).
 func NewStaticEnv() *StaticEnv { return alloc.NewStaticEnv() }
-
-// Legacy wraps a v1 environment into the batched v2 protocol.
-func Legacy(v1 EnvV1) LegacyEnv { return alloc.Legacy(v1) }
 
 // NewSbQA builds the satisfaction-based allocator. The zero config gives the
 // demo defaults: KnBest(k=20, kn=10), adaptive ω per Equation 2, ε = 1.
@@ -381,7 +373,7 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Live (goroutine-based) runtime — the asynchronous Engine API (v2)
+// Live (goroutine-based) runtime — the asynchronous Engine API
 // ---------------------------------------------------------------------------
 
 // Concurrent runtime types for real embeddings (wall-clock time, goroutine
@@ -412,10 +404,6 @@ type (
 	// remainder a retry should target.
 	DispatchError = live.DispatchError
 
-	// LiveService is the blocking (v1) mediation front end sharing the
-	// Engine's machinery: Submit/SubmitBatch block through hand-off and
-	// deliver results on a caller-supplied channel.
-	LiveService = live.Service
 	// LiveWorker executes queries on its own goroutine.
 	LiveWorker = live.Worker
 	// LiveExecutor is the engine's dispatch contract; *LiveWorker (and
@@ -425,17 +413,9 @@ type (
 	LiveResult = live.Result
 	// LiveFuncConsumer adapts an intention function to Consumer.
 	LiveFuncConsumer = live.FuncConsumer
-
-	// LiveConfig assembles a sharded engine (shard count, per-shard
-	// allocators, clock injection).
-	//
-	// Deprecated: the v1 struct-config surface, kept for one release.
-	// Build engines with NewEngine and functional options instead; see
-	// DESIGN.md §4 for the migration map.
-	LiveConfig = live.Config
 )
 
-// Observability: the typed event stream replacing the v1 OnMediation hook.
+// Observability: the engine's typed event stream.
 type (
 	// Observer receives engine lifecycle events (allocations, rejections,
 	// dispatch failures, registration churn, satisfaction snapshots).
@@ -637,25 +617,10 @@ func WithParticipantDeadline(d time.Duration) EngineOption {
 // addition to collecting them on the ticket.
 func WithResults(ch chan<- LiveResult) QueryOption { return live.WithResults(ch) }
 
-// FireAndForget disables a ticket's result collection (the v1 contract:
-// workers deliver straight to the WithResults channel, the ticket is done
-// at hand-off).
+// FireAndForget disables a ticket's result collection: workers deliver
+// straight to the WithResults channel (if any) and the ticket is done at
+// hand-off.
 func FireAndForget() QueryOption { return live.FireAndForget() }
-
-// NewLiveService returns a single-shard concurrent mediation service with
-// satisfaction window k — the serialized blocking front end; use NewEngine
-// for parallel mediation across shards and ticket-based submission.
-func NewLiveService(a Allocator, window int) *LiveService { return live.NewService(a, window) }
-
-// NewLiveEngine builds a sharded mediation engine behind the blocking v1
-// surface. With cfg.Concurrency > 1 queries from distinct consumers mediate
-// in parallel (one consumer's stream stays serialized on its home shard);
-// cfg.NewAllocator must then supply one allocator per shard.
-//
-// Deprecated: build the asynchronous Engine with NewEngine and functional
-// options; its Service method exposes this same blocking surface. Kept for
-// one release; see DESIGN.md §4.
-func NewLiveEngine(cfg LiveConfig) (*LiveService, error) { return live.NewServiceWithConfig(cfg) }
 
 // NewLiveWorker starts a worker goroutine with the given capacity (work
 // units per real second) and intention function.
@@ -696,8 +661,8 @@ type (
 	TunerConfig = policy.TunerConfig
 	// TunerStats snapshots the tuner's counters.
 	TunerStats = policy.TunerStats
-	// Reconfigurer is the control surface a Tuner drives; *Engine and
-	// *LiveService implement it.
+	// Reconfigurer is the control surface a Tuner drives; *Engine
+	// implements it.
 	Reconfigurer = policy.Reconfigurer
 )
 

@@ -46,18 +46,19 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	var _ Env // allocators consult the batched mediation environment
 	var _ SbQA
 
-	// Env v2 protocol surface: the legacy adapter turns any v1 environment
-	// into the batched protocol, preserving values exactly.
-	var v2 Env = Legacy(staticEnvStub{})
-	var _ LegacyEnv = Legacy(staticEnvStub{})
-	var _ EnvV1 = staticEnvStub{}
-	set, err := v2.Intentions(context.Background(), Query{Consumer: 0, N: 1, Work: 1},
+	// Env protocol surface: the table-backed StaticEnv serves the batched
+	// protocol, preserving values exactly.
+	tables := NewStaticEnv()
+	tables.SetCI(0, 7, 0.25)
+	tables.SetPI(7, 0, -0.5)
+	var env Env = tables
+	set, err := env.Intentions(context.Background(), Query{Consumer: 0, N: 1, Work: 1},
 		[]ProviderSnapshot{{ID: 7, Capacity: 1}})
 	if err != nil || set.Len() != 1 || set.CI[0] != 0.25 || set.PI[0] != -0.5 {
-		t.Errorf("LegacyEnv.Intentions = %+v, %v", set, err)
+		t.Errorf("StaticEnv.Intentions = %+v, %v", set, err)
 	}
 	if set.ImputedCount() != 0 || set.ProviderImputed(0) {
-		t.Errorf("legacy batch marked imputed: %+v", set)
+		t.Errorf("table batch marked imputed: %+v", set)
 	}
 	var _ IntentionSet = set
 	var (
@@ -157,11 +158,7 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	)
 	_ = NewAdWorld
 
-	// Live runtime v1 surface.
-	var _ *LiveService = NewLiveService(NewCapacityAllocator(), 10)
-	if _, err := NewLiveEngine(LiveConfig{Window: 10, Allocator: NewCapacityAllocator()}); err != nil {
-		t.Fatal(err)
-	}
+	// Live runtime participants.
 	var (
 		_ LiveResult
 		_ LiveFuncConsumer
@@ -307,17 +304,7 @@ func TestFacadePolicyFlow(t *testing.T) {
 	tu.Close()
 }
 
-// staticEnvStub is a minimal EnvV1 implementation for the legacy-adapter
-// smoke check.
-type staticEnvStub struct{}
-
-func (staticEnvStub) ConsumerIntention(Query, ProviderSnapshot) Intention { return 0.25 }
-func (staticEnvStub) ProviderIntention(Query, ProviderSnapshot) Intention { return -0.5 }
-func (staticEnvStub) ProviderBid(q Query, _ ProviderSnapshot) float64     { return q.Work }
-func (staticEnvStub) ConsumerSatisfaction(ConsumerID) float64             { return 0.5 }
-func (staticEnvStub) ProviderSatisfaction(ProviderID) float64             { return 0.5 }
-
-// TestFacadeEngineFlow drives the full v2 surface end to end through the
+// TestFacadeEngineFlow drives the engine surface end to end through the
 // facade: functional options, observer, ticket submission, typed dispatch
 // errors, stats.
 func TestFacadeEngineFlow(t *testing.T) {

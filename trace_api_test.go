@@ -1,46 +1,45 @@
 // Tests for the tracing facade: full-pipeline span capture at sample 1.0 on
-// both submission fronts, the explain record's completeness, and the
-// zero-alloc guarantee when sampling is off (the allocgate's companion: the
-// CI bench gate catches allocs/op drift, this test pins the cause to
-// tracing specifically by diffing a traced-at-zero engine against an
-// untraced one on the identical hot path).
+// the ticket path, the explain record's completeness, the guarantee that a
+// resolved ticket always finds its finished trace, and the zero-alloc
+// guarantee when sampling is off (the allocgate's companion: the CI bench
+// gate catches allocs/op drift, this test pins the cause to tracing
+// specifically by diffing a traced-at-zero engine against an untraced one on
+// the identical hot path).
 package sbqa
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"sbqa/internal/core"
 )
 
-// traceTestService builds a single-shard blocking service over constant
-// providers, optionally with a recorder at the given sampling rate.
-func traceTestService(t testing.TB, traced bool, sample float64) *LiveService {
+// traceTestEngine builds a single-shard engine over constant providers with
+// the given extra options (tracing, QoS, observers); it closes with the test.
+func traceTestEngine(t testing.TB, opts ...EngineOption) *Engine {
 	t.Helper()
-	cfg := LiveConfig{
-		Window:      50,
-		Concurrency: 1,
-		NewAllocator: func(shard int) Allocator {
+	eng, err := NewEngine(append([]EngineOption{
+		WithWindow(50),
+		WithConcurrency(1),
+		WithAllocatorFactory(func(shard int) Allocator {
 			c := core.DefaultConfig()
 			c.Seed = uint64(shard) + 1
 			return core.MustNew(c)
-		},
-	}
-	if traced {
-		cfg.Trace = &TraceConfig{Sample: sample, Buffer: 16}
-	}
-	svc, err := NewLiveEngine(cfg)
+		}),
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(eng.Close)
 	for i := 0; i < 40; i++ {
-		svc.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
+		eng.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
 	}
-	svc.RegisterConsumer(LiveFuncConsumer{ID: 0, Fn: func(q Query, snap ProviderSnapshot) Intention {
+	eng.RegisterConsumer(LiveFuncConsumer{ID: 0, Fn: func(q Query, snap ProviderSnapshot) Intention {
 		return Intention(float64(int(snap.ID)%7)/7 - 0.2)
 	}})
-	return svc
+	return eng
 }
 
 // spanIndex maps stage name → span views, asserting Start <= End on each.
@@ -56,115 +55,113 @@ func spanIndex(t *testing.T, v TraceView) map[string][]TraceSpanView {
 	return byName
 }
 
-// TestTracingBlockingSubmitTrace: at sample 1.0 every blocking Submit leaves
-// a finished trace carrying the mediation stages (fanout, impute, score,
-// dispatch — the blocking front has no queue) and a complete explain record:
-// one ranked entry per proposed provider with the score inputs.
-func TestTracingBlockingSubmitTrace(t *testing.T) {
-	svc := traceTestService(t, true, 1)
-	a, err := svc.Submit(context.Background(), Query{Consumer: 0, N: 2, Work: 10}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := svc.Tracer()
+// TestTracingTicketTrace: at sample 1.0 every ticket leaves a finished trace
+// — readable the moment Allocation returns, no polling — carrying exactly
+// one span per pipeline stage in pipeline order (queue → fanout → impute →
+// score → dispatch) and a complete explain record: one ranked entry per
+// proposed provider with the score inputs.
+func TestTracingTicketTrace(t *testing.T) {
+	eng := traceTestEngine(t, WithTracing(1, 16))
+	tr := eng.Tracer()
 	if tr == nil {
 		t.Fatal("traced engine has no recorder")
 	}
-	v, ok := tr.TraceByQuery(a.Query.ID)
-	if !ok {
-		t.Fatalf("no trace for query %d", a.Query.ID)
-	}
-	if v.Status != "allocated" {
-		t.Fatalf("status %q, want allocated", v.Status)
-	}
-	if v.TraceID == "" || len(v.TraceID) != 32 {
-		t.Errorf("trace_id %q, want 32 hex digits", v.TraceID)
-	}
-	byName := spanIndex(t, v)
-	for _, stage := range []string{StageFanout, StageImpute, StageScore, StageDispatch} {
-		if len(byName[stage]) != 1 {
-			t.Errorf("stage %s: %d spans, want 1 (have %v)", stage, len(byName[stage]), stageNames(v))
+	// Repeated so a completion path that releases the waiter before it
+	// finishes the trace loses the race at least once.
+	for n := 0; n < 200; n++ {
+		a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 2, Work: 10}).Allocation()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The pipeline is sequential on this front: fanout → impute → score →
-	// dispatch, each stage starting no earlier than the previous one.
-	order := []string{StageFanout, StageImpute, StageScore, StageDispatch}
-	for i := 1; i < len(order); i++ {
-		prev, cur := byName[order[i-1]], byName[order[i]]
-		if len(prev) == 1 && len(cur) == 1 && cur[0].StartNS < prev[0].StartNS {
-			t.Errorf("stage %s starts at %d before %s at %d", order[i], cur[0].StartNS, order[i-1], prev[0].StartNS)
+		v, ok := tr.TraceByQuery(a.Query.ID)
+		if !ok {
+			t.Fatalf("no trace for query %d", a.Query.ID)
 		}
-	}
-	if v.Explain == nil {
-		t.Fatal("finished allocated trace has no explain record")
-	}
-	if len(v.Explain.Entries) != len(a.Proposed) {
-		t.Fatalf("explain has %d entries for %d proposed providers", len(v.Explain.Entries), len(a.Proposed))
-	}
-	for i, e := range v.Explain.Entries {
-		if e.Rank != i+1 {
-			t.Errorf("entry %d: rank %d, want %d", i, e.Rank, i+1)
+		if v.Status != "allocated" {
+			t.Fatalf("query %d: status %q once Allocation returned, want allocated", a.Query.ID, v.Status)
 		}
-		if e.Omega < 0 || e.Omega > 1 {
-			t.Errorf("entry %d: omega %v outside [0,1]", i, e.Omega)
+		if v.TraceID == "" || len(v.TraceID) != 32 {
+			t.Errorf("trace_id %q, want 32 hex digits", v.TraceID)
+		}
+		byName := spanIndex(t, v)
+		order := []string{StageQueue, StageFanout, StageImpute, StageScore, StageDispatch}
+		for i, stage := range order {
+			if len(byName[stage]) != 1 {
+				t.Fatalf("stage %s: %d spans, want 1 (have %v)", stage, len(byName[stage]), stageNames(v))
+			}
+			// The pipeline is sequential: each stage starts no earlier than
+			// the previous one.
+			if i > 0 && byName[stage][0].StartNS < byName[order[i-1]][0].StartNS {
+				t.Errorf("stage %s starts at %d before %s at %d", stage, byName[stage][0].StartNS, order[i-1], byName[order[i-1]][0].StartNS)
+			}
+		}
+		if v.Explain == nil {
+			t.Fatal("finished allocated trace has no explain record")
+		}
+		if len(v.Explain.Entries) != len(a.Proposed) {
+			t.Fatalf("explain has %d entries for %d proposed providers", len(v.Explain.Entries), len(a.Proposed))
+		}
+		for i, e := range v.Explain.Entries {
+			if e.Rank != i+1 {
+				t.Errorf("entry %d: rank %d, want %d", i, e.Rank, i+1)
+			}
+			if e.Omega < 0 || e.Omega > 1 {
+				t.Errorf("entry %d: omega %v outside [0,1]", i, e.Omega)
+			}
 		}
 	}
 }
 
-// TestTracingAsyncEngineTrace: the ticketed front additionally records the
-// queue stage, so an async submit at sample 1.0 yields at least the five
-// pipeline stages with a monotonic clock across them.
-func TestTracingAsyncEngineTrace(t *testing.T) {
-	eng, err := NewEngine(
-		WithWindow(50),
-		WithConcurrency(1),
-		WithTracing(1, 16),
-		WithAllocatorFactory(func(shard int) Allocator {
-			c := core.DefaultConfig()
-			c.Seed = uint64(shard) + 1
-			return core.MustNew(c)
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < 40; i++ {
-		eng.RegisterProvider(providerStub{id: ProviderID(i), pi: Intention(float64(i%9)/9 - 0.3)})
-	}
-	eng.RegisterConsumer(LiveFuncConsumer{ID: 0, Fn: func(q Query, snap ProviderSnapshot) Intention {
-		return Intention(float64(int(snap.ID)%7)/7 - 0.2)
+// TestTraceFinishedBeforeTicketResolves: a ticket's waiter is released only
+// after its trace is finished, on the failure paths too. The shed-at-dequeue
+// path is the one where an observer callback sits inside the completion
+// sequence, so a slow OnShed makes the ordering observable: the waiter must
+// find the terminal status however long the observer takes.
+func TestTraceFinishedBeforeTicketResolves(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	eng := traceTestEngine(t, WithTracing(1, 16), WithObserver(ObserverFuncs{
+		Shed: func(ShedEvent) { time.Sleep(20 * time.Millisecond) },
+	}))
+	// Consumer 9 parks the shard loop inside its mediation, holding the next
+	// submission in the queue until its deadline has lapsed.
+	eng.RegisterConsumer(LiveFuncConsumer{ID: 9, Fn: func(Query, ProviderSnapshot) Intention {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		return 0.5
 	}})
-	a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 2, Work: 10}).Allocation()
+	ctx := context.Background()
+	inService := eng.Submit(ctx, Query{Consumer: 9, N: 1, Work: 1})
+	<-entered
+	doomed := eng.Submit(ctx, Query{Consumer: 0, N: 1, Work: 1}, WithDeadline(time.Microsecond))
+	time.Sleep(2 * time.Millisecond) // let the deadline lapse while queued
+	close(release)
+
+	if _, err := doomed.Allocation(); !errors.Is(err, ErrShed) {
+		t.Fatalf("expired-deadline error = %v, want ErrShed", err)
+	}
+	v, ok := eng.Tracer().TraceByQuery(doomed.Query().ID)
+	if !ok || v.Status != "shed" {
+		t.Fatalf("shed ticket resolved with trace ok=%v status=%q, want finished \"shed\"", ok, v.Status)
+	}
+	a, err := inService.Allocation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shard goroutine finishes the trace after releasing the ticket
-	// waiter, so poll briefly for the terminal status.
-	tr := eng.Tracer()
-	var v TraceView
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var ok bool
-		if v, ok = tr.TraceByQuery(a.Query.ID); ok && v.Status != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace for query %d never finished (ok=%v status=%q)", a.Query.ID, ok, v.Status)
-		}
-		time.Sleep(time.Millisecond)
+	if v, ok := eng.Tracer().TraceByQuery(a.Query.ID); !ok || v.Status != "allocated" || v.Explain == nil {
+		t.Fatalf("allocated ticket resolved with trace ok=%v status=%q explain=%v", ok, v.Status, v.Explain)
 	}
-	if v.Status != "allocated" {
-		t.Fatalf("status %q, want allocated", v.Status)
+
+	// A rejected mediation (unregistered consumer) finishes "rejected".
+	rejected := eng.Submit(ctx, Query{Consumer: 77, N: 1, Work: 1})
+	if _, err := rejected.Allocation(); err == nil {
+		t.Fatal("unregistered consumer accepted")
 	}
-	byName := spanIndex(t, v)
-	for _, stage := range []string{StageQueue, StageFanout, StageImpute, StageScore, StageDispatch} {
-		if len(byName[stage]) == 0 {
-			t.Errorf("stage %s missing (have %v)", stage, stageNames(v))
-		}
-	}
-	if v.Explain == nil || len(v.Explain.Entries) == 0 {
-		t.Fatal("async trace has no explain entries")
+	if v, ok := eng.Tracer().TraceByQuery(rejected.Query().ID); !ok || v.Status != "rejected" {
+		t.Fatalf("rejected ticket resolved with trace ok=%v status=%q", ok, v.Status)
 	}
 }
 
@@ -178,28 +175,28 @@ func stageNames(v TraceView) []string {
 
 // TestTracingDisabledZeroAllocSubmit is the allocgate's root cause test: an
 // engine built with tracing at sample 0 must allocate exactly as much per
-// blocking Submit as an engine built with no tracer at all. CI enforces the
-// absolute number through BenchmarkMediateEndToEnd; this pins any regression
-// to the tracing branches specifically.
+// awaited ticket as an engine built with no tracer at all. CI enforces the
+// absolute number through BenchmarkLiveEngineParallel; this pins any
+// regression to the tracing branches specifically.
 func TestTracingDisabledZeroAllocSubmit(t *testing.T) {
-	measure := func(svc *LiveService) float64 {
+	measure := func(eng *Engine) float64 {
 		q := Query{Consumer: 0, N: 2, Work: 10}
 		ctx := context.Background()
 		// Warm the per-shard pools (scratch buffers, flat scoring arrays)
 		// before measuring, as the bench gate's 2000-iteration runs do.
 		for i := 0; i < 100; i++ {
-			if _, err := svc.Submit(ctx, q, nil); err != nil {
+			if _, err := eng.Submit(ctx, q).Allocation(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(200, func() {
-			if _, err := svc.Submit(ctx, q, nil); err != nil {
+			if _, err := eng.Submit(ctx, q).Allocation(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	untraced := measure(traceTestService(t, false, 0))
-	tracedOff := measure(traceTestService(t, true, 0))
+	untraced := measure(traceTestEngine(t))
+	tracedOff := measure(traceTestEngine(t, WithTracing(0, 16)))
 	if tracedOff != untraced {
 		t.Fatalf("sampling-off Submit allocates %.1f/op, untraced %.1f/op — tracing must add zero", tracedOff, untraced)
 	}
