@@ -568,12 +568,12 @@ func TestClusterEndToEndFailover(t *testing.T) {
 	})
 
 	// The victim's consumer now routes to a survivor, with its memory
-	// restored from the replicated WAL.
+	// restored from the replicated WAL — awaited, because a node drops the
+	// victim from its live ring before it runs the failover replay.
 	newOwner := ownerIndex(t, nodes[1:], victimConsumer) + 1
-	got := nodes[newOwner].g.eng.Registry().ConsumerSatisfaction(sbqa.ConsumerID(victimConsumer))
-	if got != wantSat {
-		t.Fatalf("restored satisfaction = %v, want %v (victim's value)", got, wantSat)
-	}
+	waitCondition(t, 15*time.Second, fmt.Sprintf("restored satisfaction = %v (victim's value)", wantSat), func() bool {
+		return nodes[newOwner].g.eng.Registry().ConsumerSatisfaction(sbqa.ConsumerID(victimConsumer)) == wantSat
+	})
 
 	// And the survivor serves it: re-register (participants are runtime
 	// objects) through the OTHER survivor so the hop still forwards.

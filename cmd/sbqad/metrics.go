@@ -49,6 +49,12 @@ func (m *metricsWriter) header(name, help, typ string) {
 	fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
+// labelEscaper escapes a label value the way the text exposition format
+// defines: backslash, double quote and line feed, nothing else. (Go's %q
+// would also write \t, \x7f or \u00e9, which no Prometheus parser accepts,
+// and QoS class names reach the labels unvalidated from PUT /v1/policy.)
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // sample emits one sample line; labels come as alternating key, value.
 func (m *metricsWriter) sample(name string, value float64, labels ...string) {
 	m.b.WriteString(name)
@@ -58,7 +64,10 @@ func (m *metricsWriter) sample(name string, value float64, labels ...string) {
 			if i > 0 {
 				m.b.WriteByte(',')
 			}
-			fmt.Fprintf(&m.b, "%s=%q", labels[i], labels[i+1])
+			m.b.WriteString(labels[i])
+			m.b.WriteString(`="`)
+			_, _ = labelEscaper.WriteString(&m.b, labels[i+1])
+			m.b.WriteByte('"')
 		}
 		m.b.WriteByte('}')
 	}

@@ -56,6 +56,16 @@ type gateway struct {
 	// period behind connected subscribers.
 	shuttingDown chan struct{}
 
+	// results receives every query's per-worker results — each Submit names
+	// it through submitResults, the one WithResults option built with the
+	// gateway — and publishResults drains it to the event stream for the
+	// gateway's whole life, behind a buffer as deep as a subscriber's.
+	// resultsDone ends the drain; close closes it only after the workers, so
+	// a delivery never parks a worker on the way down.
+	results       chan sbqa.LiveResult
+	submitResults sbqa.QueryOption
+	resultsDone   chan struct{}
+
 	mu      sync.Mutex
 	workers map[sbqa.ProviderID]managedWorker
 
@@ -92,11 +102,15 @@ type managedWorker interface {
 // until init completes. serve uses this to bind the listener before the
 // (possibly long) state restore.
 func newGatewayShell() *gateway {
+	results := make(chan sbqa.LiveResult, subscriberBuffer)
 	return &gateway{
 		hub:           newHub(),
 		webhookClient: &http.Client{Timeout: webhookClientTimeout},
 		forwardClient: &http.Client{},
 		shuttingDown:  make(chan struct{}),
+		results:       results,
+		submitResults: sbqa.WithResults(results),
+		resultsDone:   make(chan struct{}),
 		workers:       make(map[sbqa.ProviderID]managedWorker),
 	}
 }
@@ -132,6 +146,7 @@ func (g *gateway) initWithCluster(cs *clusterSettings, opts ...sbqa.EngineOption
 			return err
 		}
 	}
+	go g.publishResults()
 	g.ready.Store(true)
 	return nil
 }
@@ -200,11 +215,15 @@ var errStarting = errors.New("starting: engine restoring persisted state")
 // beginShutdown ends the SSE streams (idempotent); call it before
 // http.Server.Shutdown so connected subscribers do not hold the server open
 // for the whole grace period.
-func (g *gateway) beginShutdown() {
+func (g *gateway) beginShutdown() { closeOnce(g.shuttingDown) }
+
+// closeOnce closes a signal channel unless it is closed already. Shutdown
+// runs on one goroutine, so the check does not race the close.
+func closeOnce(ch chan struct{}) {
 	select {
-	case <-g.shuttingDown:
+	case <-ch:
 	default:
-		close(g.shuttingDown)
+		close(ch)
 	}
 }
 
@@ -226,6 +245,7 @@ func (g *gateway) close() {
 	for _, w := range g.workers {
 		w.Close()
 	}
+	closeOnce(g.resultsDone)
 }
 
 // handler routes the gateway's endpoints.
@@ -464,6 +484,14 @@ type resultJSON struct {
 	LatencyMS float64 `json:"latency_ms"`
 }
 
+func newResultJSON(res sbqa.LiveResult) resultJSON {
+	return resultJSON{
+		QueryID:   int64(res.Query.ID),
+		Provider:  int(res.Provider),
+		LatencyMS: float64(res.Latency) / float64(time.Millisecond),
+	}
+}
+
 func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	eng, ok := g.requireEngine(w)
 	if !ok {
@@ -535,7 +563,8 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Start: admStart, End: sbqa.TraceNow(),
 		})
 	}
-	var qopts []sbqa.QueryOption
+	// Results reach the SSE stream whatever the caller waits for.
+	qopts := append(make([]sbqa.QueryOption, 0, 3), g.submitResults)
 	if req.QoS != "" {
 		qopts = append(qopts, sbqa.WithQoSClass(req.QoS))
 	}
@@ -549,8 +578,6 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// them up. The request context still bounds how long the caller waits
 	// below.
 	t := eng.Submit(context.WithoutCancel(r.Context()), q, qopts...)
-	// Results reach the SSE stream whatever the caller waits for.
-	go g.publishResults(t)
 
 	resp := queryResponse{QueryID: int64(t.Query().ID)}
 	var lifeErr error
@@ -580,11 +607,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			resp.Selected, resp.Proposed = a.Selected, a.Proposed
 		}
 		for _, res := range results {
-			resp.Results = append(resp.Results, resultJSON{
-				QueryID:   int64(res.Query.ID),
-				Provider:  int(res.Provider),
-				LatencyMS: float64(res.Latency) / float64(time.Millisecond),
-			})
+			resp.Results = append(resp.Results, newResultJSON(res))
 		}
 	default: // "allocation"
 		a, err := t.Allocation()
@@ -640,94 +663,29 @@ func writeShed(w http.ResponseWriter, se *sbqa.ShedError) {
 	})
 }
 
-// publishResults forwards a ticket's completion to the event stream as one
-// "result" event per worker delivery.
-func (g *gateway) publishResults(t *sbqa.Ticket) {
-	<-t.Done()
-	for _, res := range t.Results() {
-		g.hub.publish("result", resultJSON{
-			QueryID:   int64(res.Query.ID),
-			Provider:  int(res.Provider),
-			LatencyMS: float64(res.Latency) / float64(time.Millisecond),
-		})
+// publishResults forwards every worker delivery to the event stream as one
+// "result" event, until close has stopped the workers.
+func (g *gateway) publishResults() {
+	for {
+		select {
+		case res := <-g.results:
+			g.hub.publish("result", newResultJSON(res))
+		case <-g.resultsDone:
+			return
+		}
 	}
 }
 
-// statsResponse is Engine.Stats plus the current satisfaction of every
-// tracked participant.
+// statsResponse is Engine.Stats — which carries its own JSON shape, flattened
+// into this document — plus what only the gateway knows: the current
+// satisfaction of every tracked participant, the event stream's drop count,
+// admission rejections (429s) and the engine's brownout level (0 = none).
 type statsResponse struct {
-	Shards           []shardJSON     `json:"shards"`
-	QueriesSubmitted int64           `json:"queries_submitted"`
-	Providers        int             `json:"providers"`
-	Consumers        int             `json:"consumers"`
-	WorkerQueues     map[string]int  `json:"worker_queue_depths"`
-	Satisfaction     satisfactionMap `json:"satisfaction"`
-	PolicyGeneration uint64          `json:"policy_generation"`
-	EventsDropped    uint64          `json:"events_dropped"`
-	Persistence      *persistJSON    `json:"persistence,omitempty"`
-
-	// Overload-survival counters: gateway-level admission rejections
-	// (429s) and the engine's current brownout level (0 = none).
-	AdmissionRejected uint64 `json:"admission_rejected"`
-	Brownout          int    `json:"brownout"`
-}
-
-// persistJSON surfaces the durability counters (absent without -state-dir).
-type persistJSON struct {
-	RecordsAppended  uint64 `json:"records_appended"`
-	RecordsDropped   uint64 `json:"records_dropped"`
-	AppendErrors     uint64 `json:"append_errors"`
-	Syncs            uint64 `json:"syncs"`
-	SealedSegments   int    `json:"sealed_segments"`
-	SnapshotsWritten uint64 `json:"snapshots_written"`
-	Compactions      uint64 `json:"compactions"`
-	QueueDepth       int    `json:"queue_depth"`
-	Restore          struct {
-		SnapshotLoaded  bool `json:"snapshot_loaded"`
-		Consumers       int  `json:"consumers"`
-		Providers       int  `json:"providers"`
-		ReplayedRecords int  `json:"replayed_records"`
-		TornTail        bool `json:"torn_tail"`
-	} `json:"restore"`
-}
-
-// newPersistJSON converts the engine's persistence stats block.
-func newPersistJSON(ps *sbqa.PersistenceStats) *persistJSON {
-	if ps == nil {
-		return nil
-	}
-	p := &persistJSON{
-		RecordsAppended:  ps.RecordsAppended,
-		RecordsDropped:   ps.RecordsDropped,
-		AppendErrors:     ps.AppendErrors,
-		Syncs:            ps.Syncs,
-		SealedSegments:   ps.SealedSegments,
-		SnapshotsWritten: ps.SnapshotsWritten,
-		Compactions:      ps.Compactions,
-		QueueDepth:       ps.QueueDepth,
-	}
-	p.Restore.SnapshotLoaded = ps.Restore.SnapshotLoaded
-	p.Restore.Consumers = ps.Restore.Consumers
-	p.Restore.Providers = ps.Restore.Providers
-	p.Restore.ReplayedRecords = ps.Restore.ReplayedRecords
-	p.Restore.TornTail = ps.Restore.TornTail
-	return p
-}
-
-type shardJSON struct {
-	Mediations        uint64  `json:"mediations"`
-	Rejections        uint64  `json:"rejections"`
-	DispatchFailures  uint64  `json:"dispatch_failures"`
-	MeanCandidates    float64 `json:"mean_candidates"`
-	QueueDepth        int     `json:"queue_depth"`
-	QueueHighWater    int     `json:"queue_high_water"`
-	QueueEnqueued     uint64  `json:"queue_enqueued"`
-	QueueDequeued     uint64  `json:"queue_dequeued"`
-	QueueShed         uint64  `json:"queue_shed"`
-	Imputations       uint64  `json:"imputations"`
-	IntentionTimeouts uint64  `json:"intention_timeouts"`
-	PolicyGeneration  uint64  `json:"policy_generation"`
-	PolicySwaps       uint64  `json:"policy_swaps"`
+	sbqa.EngineStats
+	Satisfaction      satisfactionMap `json:"satisfaction"`
+	EventsDropped     uint64          `json:"events_dropped"`
+	AdmissionRejected uint64          `json:"admission_rejected"`
+	Brownout          int             `json:"brownout"`
 }
 
 type satisfactionMap struct {
@@ -740,43 +698,15 @@ func (g *gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
-	st := eng.Stats()
 	resp := statsResponse{
-		Shards:           make([]shardJSON, len(st.Shards)),
-		QueriesSubmitted: st.QueriesSubmitted,
-		Providers:        st.Providers,
-		Consumers:        st.Consumers,
-		WorkerQueues:     make(map[string]int, len(st.WorkerQueueDepths)),
+		EngineStats: eng.Stats(),
 		Satisfaction: satisfactionMap{
 			Consumers: make(map[string]float64),
 			Providers: make(map[string]float64),
 		},
-		PolicyGeneration: st.PolicyGeneration,
-		EventsDropped:    g.hub.droppedEvents(),
-		Persistence:      newPersistJSON(st.Persistence),
-
+		EventsDropped:     g.hub.droppedEvents(),
 		AdmissionRejected: g.admissionRejected.Load(),
 		Brownout:          eng.Brownout(),
-	}
-	for i, sh := range st.Shards {
-		resp.Shards[i] = shardJSON{
-			Mediations:        sh.Mediations,
-			Rejections:        sh.Rejections,
-			DispatchFailures:  sh.DispatchFailures,
-			MeanCandidates:    sh.MeanCandidates,
-			QueueDepth:        sh.QueueDepth,
-			QueueHighWater:    sh.QueueHighWater,
-			QueueEnqueued:     sh.QueueEnqueued,
-			QueueDequeued:     sh.QueueDequeued,
-			QueueShed:         sh.QueueShed,
-			Imputations:       sh.Imputations,
-			IntentionTimeouts: sh.IntentionTimeouts,
-			PolicyGeneration:  sh.PolicyGeneration,
-			PolicySwaps:       sh.PolicySwaps,
-		}
-	}
-	for id, depth := range st.WorkerQueueDepths {
-		resp.WorkerQueues[strconv.Itoa(int(id))] = depth
 	}
 	reg := eng.Registry()
 	for _, id := range reg.ConsumerIDs() {
@@ -817,7 +747,7 @@ func (g *gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	resp := map[string]any{"status": "ready"}
-	if ps := newPersistJSON(eng.Stats().Persistence); ps != nil {
+	if ps := eng.Stats().Persistence; ps != nil {
 		resp["restore"] = ps.Restore
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -23,7 +23,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"sbqa/internal/alloc"
 	"sbqa/internal/knbest"
@@ -63,15 +62,15 @@ func FixedOmega(v float64) *float64 { return &v }
 
 // SbQA is the satisfaction-based query allocator. It implements
 // alloc.Allocator. Allocate is not safe for concurrent use (the live engine
-// serializes mediations per shard), but the allocator's tunables — the
-// KnBest parameters and the scoring rule — live in an atomic snapshot that
-// Allocate loads once per mediation: SetParams and SetScoring may be called
-// from any goroutine while mediations are in flight (Scenario 6 retuning,
-// the policy tuner), and each mediation sees one coherent parameter set.
+// serializes mediations per shard). The tunables — the KnBest parameters and
+// the scoring rule — are fixed at construction: a running engine retunes by
+// building a new allocator from a new policy (Engine.Reconfigure), which
+// each shard adopts at a mediation boundary.
 type SbQA struct {
 	selector *knbest.Selector // RNG + scratch: owned by the mediating goroutine
-	tune     atomic.Pointer[tuning]
-	scr      sbqaScratch // flat scoring columns: owned by the mediating goroutine
+	params   knbest.Params
+	scorer   score.Scorer // by value — Rank does not mutate the scorer
+	scr      sbqaScratch  // flat scoring columns: owned by the mediating goroutine
 }
 
 // sbqaScratch holds the per-allocator flat scoring columns, reused across
@@ -104,13 +103,6 @@ func (s *sbqaScratch) grow(m int) {
 	s.order = s.order[:m]
 }
 
-// tuning is one immutable parameter snapshot: the KnBest stages plus the
-// scoring rule (by value — Rank does not mutate the scorer).
-type tuning struct {
-	params knbest.Params
-	scorer score.Scorer
-}
-
 // New builds an SbQA allocator from cfg.
 func New(cfg Config) (*SbQA, error) {
 	if cfg.KnBest == (knbest.Params{}) {
@@ -128,9 +120,11 @@ func New(cfg Config) (*SbQA, error) {
 	if cfg.Epsilon > 0 {
 		scorer.Epsilon = cfg.Epsilon
 	}
-	s := &SbQA{selector: knbest.NewSelector(cfg.KnBest, stats.NewRNG(cfg.Seed))}
-	s.tune.Store(&tuning{params: cfg.KnBest, scorer: *scorer})
-	return s, nil
+	return &SbQA{
+		selector: knbest.NewSelector(cfg.KnBest, stats.NewRNG(cfg.Seed)),
+		params:   cfg.KnBest,
+		scorer:   *scorer,
+	}, nil
 }
 
 // MustNew is New for static configurations known to be valid; it panics on
@@ -145,11 +139,10 @@ func MustNew(cfg Config) *SbQA {
 
 // Name implements alloc.Allocator.
 func (s *SbQA) Name() string {
-	sc := s.tune.Load().scorer
-	if sc.Adaptive() {
+	if s.scorer.Adaptive() {
 		return "SbQA"
 	}
-	return fmt.Sprintf("SbQA(ω=%g)", sc.FixedOmega)
+	return fmt.Sprintf("SbQA(ω=%g)", s.scorer.FixedOmega)
 }
 
 // Interactive reports that SbQA contacts providers during mediation (the
@@ -157,60 +150,21 @@ func (s *SbQA) Name() string {
 // trip per query.
 func (s *SbQA) Interactive() bool { return true }
 
-// Params returns the current KnBest parameters.
-func (s *SbQA) Params() knbest.Params { return s.tune.Load().params }
+// Params returns the KnBest parameters.
+func (s *SbQA) Params() knbest.Params { return s.params }
 
-// SetParams retunes the KnBest stage at run time (Scenario 6, the policy
-// tuner). Safe to call from any goroutine, including while a mediation is
-// in flight on another — the in-flight mediation finishes under the
-// parameters it loaded, the next one sees the new set.
-func (s *SbQA) SetParams(p knbest.Params) {
-	for {
-		old := s.tune.Load()
-		next := &tuning{params: p, scorer: old.scorer}
-		if s.tune.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// SetScoring retunes the scoring rule at run time: a nil omega selects the
-// satisfaction-adaptive Equation 2, a non-nil value pins ω (clamped into
-// [0, 1], matching NewFixedScorer); epsilon <= 0 keeps the current ε.
-// Concurrency-safe like SetParams.
-func (s *SbQA) SetScoring(omega *float64, epsilon float64) {
-	for {
-		old := s.tune.Load()
-		sc := old.scorer
-		if omega != nil {
-			sc = *score.NewFixedScorer(*omega)
-			sc.Epsilon = old.scorer.Epsilon
-		} else {
-			sc.FixedOmega = -1
-		}
-		if epsilon > 0 {
-			sc.Epsilon = epsilon
-		}
-		next := &tuning{params: old.params, scorer: sc}
-		if s.tune.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Scorer returns a snapshot of the current scoring rule for inspection:
-// mutating it has no effect on the allocator. Retune through SetScoring (or
-// swap policies via the engine's Reconfigure).
+// Scorer returns a copy of the scoring rule for inspection: mutating it has
+// no effect on the allocator.
 func (s *SbQA) Scorer() *score.Scorer {
-	sc := s.tune.Load().scorer
+	sc := s.scorer
 	return &sc
 }
 
 // ExportState implements alloc.Stateful: the KnBest sampling stream's
 // position. Like Allocate it must run on the goroutine that owns the
-// allocator (the engine exports under the shard lock); the tunables
-// (SetParams/SetScoring) are NOT part of the blob — they belong to the
-// policy spec, which the durability layer persists separately.
+// allocator (the engine exports under the shard lock); the tunables are NOT
+// part of the blob — they belong to the policy spec, which the durability
+// layer persists separately.
 func (s *SbQA) ExportState() []byte { return alloc.MarshalRNGState(s.selector.RNGState()) }
 
 // RestoreState implements alloc.Stateful, resuming the KnBest sampling
@@ -227,13 +181,9 @@ func (s *SbQA) RestoreState(state []byte) error {
 
 // Allocate implements alloc.Allocator: one full SbQA mediation.
 func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candidates alloc.Source) (*model.Allocation, error) {
-	// One coherent tunable snapshot per mediation: a concurrent retune
-	// (SetParams/SetScoring) applies from the next mediation on.
-	tn := s.tune.Load()
-
 	// Stage 1+2: KnBest keeps the kn least-utilized of k random candidates,
 	// snapshotting only the k it drew.
-	kn, population := s.selector.SelectFrom(tn.params, candidates)
+	kn, population := s.selector.SelectFrom(s.params, candidates)
 	if len(kn) == 0 {
 		return nil, nil
 	}
@@ -269,7 +219,7 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 	for i, snap := range kn {
 		s.scr.ids[i] = snap.ID
 	}
-	tn.scorer.ScoreInto(score.View{
+	s.scorer.ScoreInto(score.View{
 		IDs:  s.scr.ids,
 		PI:   set.PI,
 		CI:   set.CI,

@@ -177,15 +177,33 @@ func TestAllocateStage2PrefersIdleProviders(t *testing.T) {
 	}
 }
 
-func TestSetParams(t *testing.T) {
-	s := MustNew(DefaultConfig())
-	s.SetParams(knbest.Params{K: 3, Kn: 1})
-	if s.Params().Kn != 1 {
-		t.Errorf("SetParams not applied: %+v", s.Params())
+// TestKnBestParamsFixedAtConstruction: a different kn is a different
+// allocator — the one built with it proposes exactly kn providers.
+func TestKnBestParamsFixedAtConstruction(t *testing.T) {
+	s := MustNew(Config{KnBest: knbest.Params{K: 3, Kn: 1}, Seed: 1})
+	if s.Params() != (knbest.Params{K: 3, Kn: 1}) {
+		t.Errorf("Params() = %+v", s.Params())
 	}
 	a := allocate(t, s, alloc.NewStaticEnv(), query(1), snaps(0, 0, 0, 0, 0))
 	if len(a.Proposed) != 1 {
-		t.Errorf("retuned kn not used: %v", a.Proposed)
+		t.Errorf("kn = 1 proposed %v", a.Proposed)
+	}
+}
+
+// TestScorerFixedAtConstruction: ω and ε come from the config, and Scorer()
+// hands out a copy — mutating it must not reach the allocator.
+func TestScorerFixedAtConstruction(t *testing.T) {
+	fixed := MustNew(Config{KnBest: knbest.Params{K: 6, Kn: 3}, Omega: FixedOmega(0.75), Seed: 1})
+	if sc := fixed.Scorer(); sc.Adaptive() || sc.FixedOmega != 0.75 || sc.Epsilon != 1 {
+		t.Fatalf("Omega 0.75, default ε: %+v", sc)
+	}
+	adaptive := MustNew(Config{KnBest: knbest.Params{K: 6, Kn: 3}, Epsilon: 0.25, Seed: 1})
+	if sc := adaptive.Scorer(); !sc.Adaptive() || sc.Epsilon != 0.25 {
+		t.Fatalf("adaptive ω, ε 0.25: %+v", sc)
+	}
+	adaptive.Scorer().Epsilon = 99
+	if sc := adaptive.Scorer(); sc.Epsilon != 0.25 {
+		t.Fatalf("mutating the Scorer() copy leaked into the allocator: ε = %g", sc.Epsilon)
 	}
 }
 

@@ -115,24 +115,13 @@ func (s *Selector) RNGState() [4]uint64 { return s.rng.State() }
 // would have.
 func (s *Selector) RestoreRNGState(state [4]uint64) { s.rng.Restore(state) }
 
-// SetParams replaces the configuration (Scenario 6 sweeps kn at run time).
-// Like Select, it must run on the mediating goroutine; callers that retune
-// from other goroutines should hold their parameters in an atomic snapshot
-// and pass them per call through SelectWith (see core.SbQA.SetParams).
-func (s *Selector) SetParams(p Params) { s.params = p }
-
-// Select applies both stages under the selector's stored parameters.
+// Select applies both stages to a materialised candidate set under the
+// selector's parameters and returns the retained providers (set Kn), ordered
+// by increasing utilization. The input slice is not modified. It is
+// SelectFrom over the slice: same draws, same order.
 func (s *Selector) Select(candidates []model.ProviderSnapshot) []model.ProviderSnapshot {
-	return s.SelectWith(s.params, candidates)
-}
-
-// SelectWith applies both stages to a materialised candidate set under the
-// given parameters and returns the retained providers (set Kn), ordered by
-// increasing utilization. The input slice is not modified. It is SelectFrom
-// over the slice: same draws, same order.
-func (s *Selector) SelectWith(params Params, candidates []model.ProviderSnapshot) []model.ProviderSnapshot {
 	s.slice = candidates
-	kn, _ := s.SelectFrom(params, &s.slice)
+	kn, _ := s.SelectFrom(s.params, &s.slice)
 	s.slice = nil
 	return kn
 }
@@ -142,13 +131,11 @@ func (s *Selector) SelectWith(params Params, candidates []model.ProviderSnapshot
 // keeps the kn least utilized. It returns Kn ordered by increasing
 // utilization, and the size of the population K was drawn from (the source's
 // bucket, or the filtered P_q when a drawn provider refused; 0 with a nil Kn
-// when P_q is empty). Taking the parameters per call lets callers keep them
-// in a lock-free snapshot that a tuner swaps while mediations are in flight;
-// the selector itself (its RNG and scratch buffers) still belongs to a single
-// goroutine.
+// when P_q is empty). The selector (its RNG and scratch buffers) belongs to a
+// single goroutine.
 //
 // The returned slice is selector-owned scratch: it is valid until the next
-// Select/SelectWith/SelectFrom call, which overwrites it. Callers that need
+// Select/SelectFrom call, which overwrites it. Callers that need
 // the set beyond the current mediation must copy it.
 func (s *Selector) SelectFrom(params Params, src alloc.Source) ([]model.ProviderSnapshot, int) {
 	// Stage 1: K random providers from P_q (params.K <= 0 or beyond the

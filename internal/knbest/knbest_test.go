@@ -157,15 +157,14 @@ func TestStage1Uniformity(t *testing.T) {
 	}
 }
 
-func TestSetParams(t *testing.T) {
-	s := NewSelector(Params{K: 5, Kn: 5}, stats.NewRNG(8))
-	s.SetParams(Params{K: 2, Kn: 1})
-	if s.Params().K != 2 || s.Params().Kn != 1 {
-		t.Errorf("SetParams not applied: %+v", s.Params())
+func TestParamsFixedAtConstruction(t *testing.T) {
+	s := NewSelector(Params{K: 2, Kn: 1}, stats.NewRNG(8))
+	if s.Params() != (Params{K: 2, Kn: 1}) {
+		t.Errorf("Params() = %+v", s.Params())
 	}
 	got := s.Select(snapshots(0.1, 0.2, 0.3, 0.4))
 	if len(got) != 1 {
-		t.Errorf("updated params not used: %v", got)
+		t.Errorf("kn = 1 kept %v", got)
 	}
 }
 

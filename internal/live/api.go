@@ -149,17 +149,18 @@ type submitOptions struct {
 type QueryOption func(*submitOptions)
 
 // WithResults forwards the query's per-worker results to ch, in addition to
-// collecting them on the ticket. Forwarding happens on the ticket's
-// collector goroutine; a full channel stalls that ticket's collection, not
-// the engine.
+// collecting them on the ticket. Each worker sends its own result from its
+// own goroutine before the ticket counts it, so a full channel stalls the
+// delivering workers — never a mediation shard — and results are on ch by
+// the time Done closes. One channel may serve any number of submissions.
 func WithResults(ch chan<- Result) QueryOption {
 	return func(o *submitOptions) { o.results = ch }
 }
 
 // FireAndForget disables the ticket's result collection: the ticket is done
-// at worker hand-off and Results stays empty. Combined with WithResults the
-// workers deliver straight to the caller's channel; without it the results
-// are discarded on completion.
+// at worker hand-off and Results stays empty. Workers still forward to the
+// WithResults channel if there is one; without it the results are discarded
+// on completion.
 func FireAndForget() QueryOption {
 	return func(o *submitOptions) { o.fireAndForget = true }
 }
@@ -255,7 +256,7 @@ func (e *Engine) shedTickets(tickets []*Ticket, info qos.ShedInfo) {
 			Reason:        info.Reason,
 			QueueDepth:    info.QueueDepth,
 			EstimatedWait: info.EstimatedWait,
-		}, nil, 0)
+		})
 	}
 }
 
@@ -263,7 +264,7 @@ func (e *Engine) shedTickets(tickets []*Ticket, info qos.ShedInfo) {
 func (e *Engine) failTickets(tickets []*Ticket, err error) {
 	for _, t := range tickets {
 		e.traceFinish(t.query, "rejected", err, nil)
-		t.finish(nil, err, nil, 0)
+		t.finish(nil, err)
 	}
 }
 
@@ -315,7 +316,7 @@ func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket,
 	if g := e.guard.Load(); g != nil {
 		if err := (*g)(q); err != nil {
 			e.traceFinish(q, "rejected", err, nil)
-			t.finish(nil, err, nil, 0)
+			t.finish(nil, err)
 			return t, false
 		}
 	}

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -521,4 +522,121 @@ func TestFireAndForgetMatchesCollectingTicket(t *testing.T) {
 			t.Fatalf("query %d diverged:\nhand-off:   %s\ncollecting: %s", i, want, got)
 		}
 	}
+}
+
+// TestDepartedSelectionIsDispatchFailure: a selected worker that unregisters
+// between mediation and hand-off (here from the allocation observer, which
+// runs after the mediator's own staleness check) is named in
+// DispatchError.Failed instead of vanishing from the hand-off; the worker
+// that stayed still executes.
+func TestDepartedSelectionIsDispatchFailure(t *testing.T) {
+	var eng *Engine
+	eng = mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()),
+		WithObserver(event.Funcs{Allocation: func(*model.Allocation, int) { eng.UnregisterWorker(1) }}))
+	for id := 0; id < 2; id++ {
+		w, err := NewWorker(model.ProviderID(id), 1000, 16, func(model.Query) model.Intention { return 0.5 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		eng.RegisterWorker(w)
+	}
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+
+	tk := eng.Submit(context.Background(), model.Query{Consumer: 0, N: 2, Work: 0.1})
+	a, err := tk.Allocation()
+	if a == nil || len(a.Selected) != 2 {
+		t.Fatalf("allocation %v, want both workers selected", a)
+	}
+	de, ok := AsDispatchError(err)
+	if !ok {
+		t.Fatalf("err = %v, want a *DispatchError naming the departed worker", err)
+	}
+	if len(de.Accepted) != 1 || de.Accepted[0] != 0 || len(de.Failed) != 1 || de.Failed[0] != 1 {
+		t.Fatalf("Accepted = %v, Failed = %v, want [0] and [1]", de.Accepted, de.Failed)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if results, _ := tk.Await(ctx); len(results) != 1 || results[0].Provider != 0 {
+		t.Fatalf("results = %v, want one result from worker 0", results)
+	}
+}
+
+// TestTicketCountsDeliveryAheadOfFinish: the dispatcher's hold keeps done
+// open until finish, and a worker that delivered before finish ran is still
+// counted — with the result on the WithResults channel before Done closes.
+func TestTicketCountsDeliveryAheadOfFinish(t *testing.T) {
+	forwarded := make(chan Result, 1)
+	tk := newTicket(model.Query{ID: 7}, forwarded, true)
+	tk.expect(2)
+	tk.deliver(Result{Provider: 4})
+	tk.refused(1)
+	select {
+	case <-tk.Done():
+		t.Fatal("done closed before the allocation stage finished")
+	default:
+	}
+	if tk.Results() != nil {
+		t.Fatal("results visible before done")
+	}
+	tk.finish(&model.Allocation{}, nil)
+	<-tk.Done()
+	if r := tk.Results(); len(r) != 1 || r[0].Provider != 4 || len(forwarded) != 1 {
+		t.Fatalf("results %v, %d forwarded; want worker 4's result in both", r, len(forwarded))
+	}
+}
+
+// TestNothingSpawnedPerQuery: queries that are allocated and parked on slow
+// workers cost no goroutine each — workers deliver to the ticket, so there is
+// no collector to wait for them.
+func TestNothingSpawnedPerQuery(t *testing.T) {
+	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	// Four workers that need hours per query, with room to queue them all.
+	for id := 0; id < 4; id++ {
+		w, err := NewWorker(model.ProviderID(id), 0.001, 512, func(model.Query) model.Intention { return 0.5 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		eng.RegisterWorker(w)
+	}
+	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
+	park := func(n int) []*Ticket {
+		tickets := make([]*Ticket, n)
+		for i := range tickets {
+			tickets[i] = eng.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 10})
+			if _, err := tickets[i].Allocation(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tickets
+	}
+	inFlight := park(1)
+	one := settledGoroutines()
+	inFlight = append(inFlight, park(255)...)
+	if many := settledGoroutines(); many != one {
+		t.Fatalf("%d goroutines with 1 query in flight, %d with 256", one, many)
+	}
+	for _, tk := range inFlight {
+		select {
+		case <-tk.Done():
+			t.Fatal("a parked query completed; the test measured nothing")
+		default:
+		}
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has stopped moving, so
+// goroutines still exiting from an earlier test are in neither reading.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -495,9 +495,9 @@ func (e *Engine) process(ctx context.Context, sh *shard, tickets []*Ticket) {
 
 // finishTicket dispatches a mediated ticket and completes it: on mediation
 // failure the ticket fails immediately; otherwise the query is handed to
-// the selected workers and the ticket completes with the allocation, the
-// dispatch error (if any), and — on the collecting path — a pending result
-// count covering exactly the workers that accepted.
+// the selected workers and the ticket completes with the allocation and the
+// dispatch error (if any); the workers that accepted owe the ticket their
+// results from then on.
 func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
 	a, workers := t.alloc, t.workers
 	t.workers = nil // a finished ticket must not keep executors alive
@@ -510,23 +510,14 @@ func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
 			}
 		}
 		e.traceFinish(t.query, "rejected", merr, nil)
-		t.finish(nil, merr, nil, 0)
+		t.finish(nil, merr)
 		return
-	}
-	ch := t.userResults
-	if t.collect {
-		// Both channels are sized to the selection so neither a worker's
-		// result delivery nor a closing worker's abandonment signal can
-		// ever block.
-		t.resCh = make(chan Result, len(workers))
-		t.abandonCh = make(chan model.ProviderID, len(workers))
-		ch = t.resCh
 	}
 	var dStart int64
 	if t.query.Trace.Sampled {
 		dStart = trace.Now()
 	}
-	err := e.dispatch(ctx, t.query, workers, ch, t.abandonCh)
+	err := e.dispatch(ctx, t, workers)
 	if t.query.Trace.Sampled && e.tracer != nil {
 		e.tracer.RecordSpan(t.query.Trace.ID, trace.Span{
 			Name:  trace.StageDispatch,
@@ -535,44 +526,51 @@ func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
 			Extra: int64(len(workers)),
 		})
 	}
-	expected := len(workers)
 	if err != nil {
 		sh.dispatchFailures.Add(1)
 		if e.obs != nil {
 			e.obs.OnDispatchFailure(t.query, a, err)
 		}
-		if de, ok := AsDispatchError(err); ok {
-			expected = len(de.Accepted)
-		}
-	}
-	if !t.collect {
-		expected = 0
 	}
 	e.traceFinish(t.query, "allocated", err, a.Explain)
-	t.finish(a, err, t.resCh, expected)
+	t.finish(a, err)
 }
 
-// selectedWorkers resolves the dispatchable executors of an allocation.
+// departed stands in for a selected provider that unregistered between its
+// mediation and the hand-off: it refuses the query, so dispatch reports it
+// in DispatchError.Failed like any other worker that could not take it.
+type departed model.ProviderID
+
+func (d departed) ProviderID() model.ProviderID       { return model.ProviderID(d) }
+func (departed) QueueDepth() int                      { return 0 }
+func (departed) accept(context.Context, *Ticket) bool { return false }
+
+// selectedWorkers resolves the executors of an allocation. Registered
+// providers that are not Executors are left out — they are delivered to out
+// of band.
 func (e *Engine) selectedWorkers(a *model.Allocation) []Executor {
 	workers := make([]Executor, 0, len(a.Selected))
 	for _, pid := range a.Selected {
-		if w, ok := e.dir.Provider(pid).(Executor); ok {
-			workers = append(workers, w)
+		switch p := e.dir.Provider(pid).(type) {
+		case Executor:
+			workers = append(workers, p)
+		case nil:
+			workers = append(workers, departed(pid))
 		}
 	}
 	return workers
 }
 
-// dispatch hands the query to every selected worker. It attempts all
-// workers even after one refuses, so the returned *DispatchError partitions
-// the selection into the workers that accepted (and will deliver Results)
-// and the ones that did not — the retryable remainder. abandon (nil on the
-// non-collecting path) lets a worker that shuts down mid-execution tell the
-// ticket its result will never come.
-func (e *Engine) dispatch(ctx context.Context, q model.Query, workers []Executor, results chan<- Result, abandon chan<- model.ProviderID) error {
+// dispatch hands the ticket's query to every selected worker. It attempts
+// all workers even after one refuses, so the returned *DispatchError
+// partitions the selection into the workers that accepted (and owe the
+// ticket a Result, or an abandonment if they shut down first) and the ones
+// that did not — the retryable remainder.
+func (e *Engine) dispatch(ctx context.Context, t *Ticket, workers []Executor) error {
+	t.expect(len(workers))
 	var accepted, failed []model.ProviderID
 	for _, w := range workers {
-		if w.accept(ctx, q, results, abandon) {
+		if w.accept(ctx, t) {
 			accepted = append(accepted, w.ProviderID())
 		} else {
 			failed = append(failed, w.ProviderID())
@@ -581,92 +579,93 @@ func (e *Engine) dispatch(ctx context.Context, q model.Query, workers []Executor
 	if len(failed) == 0 {
 		return nil
 	}
-	return &DispatchError{Query: q, Accepted: accepted, Failed: failed, Err: ctx.Err()}
+	t.refused(len(failed))
+	return &DispatchError{Query: t.query, Accepted: accepted, Failed: failed, Err: ctx.Err()}
 }
 
 // ShardStats is one mediation lane's lifetime counters, plus the ledger of
 // its submission queue.
 type ShardStats struct {
 	// Mediations counts successful mediations on this shard.
-	Mediations uint64
+	Mediations uint64 `json:"mediations"`
 
 	// Rejections counts failed mediations (no candidates, stale selection,
 	// malformed or misaddressed queries).
-	Rejections uint64
+	Rejections uint64 `json:"rejections"`
 
 	// DispatchFailures counts allocations that could not be (fully)
 	// delivered to their selected workers.
-	DispatchFailures uint64
+	DispatchFailures uint64 `json:"dispatch_failures"`
 
 	// MeanCandidates is the mean size of the population allocators drew
 	// from over this shard's successful mediations (0 when none): the
 	// class's index bucket, or |P_q| where a technique materialised it —
 	// the same number whenever no provider refuses.
-	MeanCandidates float64
+	MeanCandidates float64 `json:"mean_candidates"`
 
 	// Imputations counts intention-batch positions this shard filled from
 	// satisfaction registry state because a context-aware participant
 	// stayed silent or failed during the fan-out.
-	Imputations uint64
+	Imputations uint64 `json:"imputations"`
 
 	// IntentionTimeouts counts the subset of Imputations caused by a
 	// participant missing its per-participant deadline
 	// (WithParticipantDeadline).
-	IntentionTimeouts uint64
+	IntentionTimeouts uint64 `json:"intention_timeouts"`
 
 	// PolicyGeneration is the policy generation this shard is currently
 	// running (0 = the construction-time policy); it trails
 	// Stats.PolicyGeneration until the shard hits its next mediation
 	// boundary.
-	PolicyGeneration uint64
+	PolicyGeneration uint64 `json:"policy_generation"`
 
 	// PolicySwaps counts the generations this shard has applied — each a
 	// Reconfigure adopted at a mediation boundary.
-	PolicySwaps uint64
+	PolicySwaps uint64 `json:"policy_swaps"`
 
 	// QueueDepth is the number of submissions waiting in this shard's
 	// queue at snapshot time.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 
 	// QueueHighWater is the deepest this shard's queue has ever been
 	// (summed across QoS classes); QueueEnqueued and QueueDequeued are its
 	// cumulative admission/drain counters, and QueueShed counts the queries
 	// refused with a typed *ShedError (deadline infeasible, class queue
 	// full, or brownout).
-	QueueHighWater int
-	QueueEnqueued  uint64
-	QueueDequeued  uint64
-	QueueShed      uint64
+	QueueHighWater int    `json:"queue_high_water"`
+	QueueEnqueued  uint64 `json:"queue_enqueued"`
+	QueueDequeued  uint64 `json:"queue_dequeued"`
+	QueueShed      uint64 `json:"queue_shed"`
 }
 
 // Stats is a point-in-time snapshot of the engine's counters: per-shard
 // mediation outcomes, participant counts, and per-worker queue depths.
 type Stats struct {
 	// Shards holds one entry per mediation lane, in shard order.
-	Shards []ShardStats
+	Shards []ShardStats `json:"shards"`
 
 	// QueriesSubmitted is the number of query IDs assigned so far
 	// (including queries whose mediation failed).
-	QueriesSubmitted int64
+	QueriesSubmitted int64 `json:"queries_submitted"`
 
 	// Providers and Consumers count the participants currently registered
 	// in the shared directory.
-	Providers int
-	Consumers int
+	Providers int `json:"providers"`
+	Consumers int `json:"consumers"`
 
 	// WorkerQueueDepths maps every registered *Worker to the number of
 	// tasks currently queued at it (including the one in service, if any).
 	// Providers that are not dispatchable workers are absent.
-	WorkerQueueDepths map[model.ProviderID]int
+	WorkerQueueDepths map[model.ProviderID]int `json:"worker_queue_depths"`
 
 	// PolicyGeneration is the latest accepted policy generation (the
 	// Reconfigure counter); individual shards adopt it at their next
 	// mediation boundary (see ShardStats.PolicyGeneration).
-	PolicyGeneration uint64
+	PolicyGeneration uint64 `json:"policy_generation"`
 
 	// Persistence holds the durability counters when the engine was built
 	// with WithPersistence; nil otherwise.
-	Persistence *persist.Stats
+	Persistence *persist.Stats `json:"persistence,omitempty"`
 }
 
 // Mediations returns the total successful mediations across all shards.

@@ -10,9 +10,9 @@
 // Engine (NewEngine, functional options) is the only front. Submit stamps
 // the query and returns a *Ticket immediately; each shard drains a
 // class-aware queue, so one consumer's tickets mediate in submission order
-// while distinct consumers run in parallel. Tickets collect their own
-// per-worker results (or, with FireAndForget and WithResults, workers
-// deliver straight to a caller-supplied channel); an event.Observer
+// while distinct consumers run in parallel. Workers deliver their results
+// to the query's ticket, which retains them (unless FireAndForget) and
+// forwards them to a caller-supplied channel (WithResults); an event.Observer
 // (WithObserver) streams allocations, rejections, dispatch failures,
 // registration churn, and satisfaction snapshots; Engine.Stats snapshots
 // per-shard counters. Engine.Mediate is the one synchronous way into a
@@ -62,14 +62,15 @@ type Result struct {
 // type embedding *Worker — which is how embedders decorate a local executor
 // with extra mediator-facing behaviour (the sbqad gateway's webhook-backed
 // workers embed a *Worker and add the context-aware intention method, so
-// they mediate remotely but execute locally). The accept hand-off is
-// engine-internal, so Executor can only be satisfied through the worker
-// machinery; providers registered without it still participate in mediation
-// but are delivered to out of band.
+// they mediate remotely but execute locally). The accept hand-off takes the
+// query's ticket — whoever accepts owes that ticket exactly one deliver or
+// abandon call — and is engine-internal, so Executor can only be satisfied
+// through the worker machinery; providers registered without it still
+// participate in mediation but are delivered to out of band.
 type Executor interface {
 	ProviderID() model.ProviderID
 	QueueDepth() int
-	accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool
+	accept(ctx context.Context, t *Ticket) bool
 }
 
 // Worker executes queries on its own goroutine at a fixed capacity.
@@ -99,15 +100,11 @@ type Worker struct {
 	closed sync.Once
 }
 
+// task is one accepted query: the ticket it is owed to and the hand-off
+// time its latency is measured from.
 type task struct {
-	q       model.Query
-	results chan<- Result
-	// abandon, when non-nil, receives the worker's ID if the worker shuts
-	// down before delivering this task's result — the engine's ticket
-	// collectors account for every accepted task, delivered or not. The
-	// channel is buffered by the dispatcher so the send never blocks.
-	abandon chan<- model.ProviderID
-	start   time.Time
+	ticket *Ticket
+	start  time.Time
 }
 
 // NewWorker starts a worker goroutine. capacity must be > 0; queueCap bounds
@@ -137,10 +134,10 @@ func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn 
 // work/capacity seconds of real time. It exits via the done channel — the
 // tasks channel is never closed, because concurrent dispatchers may be
 // mid-send when the worker shuts down (closing it would race). On exit it
-// abandons the in-service task and everything still queued, signalling each
-// task's abandon channel so ticket collectors never wait on work that will
-// not happen; Close sets the shutdown flag before done closes, so no new
-// task can slip in after the drain.
+// abandons the in-service task and everything still queued on their
+// tickets, so no ticket waits on work that will not happen; Close sets the
+// shutdown flag before done closes, so no new task can slip in after the
+// drain.
 func (w *Worker) run() {
 	for {
 		var t task
@@ -150,7 +147,8 @@ func (w *Worker) run() {
 			w.abandonPending(nil)
 			return
 		}
-		service := time.Duration(t.q.Work / w.capacity * float64(time.Second))
+		q := t.ticket.query
+		service := time.Duration(q.Work / w.capacity * float64(time.Second))
 		timer := time.NewTimer(service)
 		select {
 		case <-timer.C:
@@ -160,36 +158,29 @@ func (w *Worker) run() {
 			return
 		}
 		w.mu.Lock()
-		w.pendingWork -= t.q.Work
+		w.pendingWork -= q.Work
 		if w.pendingWork < 0 {
 			w.pendingWork = 0
 		}
 		w.queueLen--
 		w.mu.Unlock()
-		if t.results != nil {
-			t.results <- Result{Query: t.q, Provider: w.id, Latency: time.Since(t.start)}
-		}
+		t.ticket.deliver(Result{Query: q, Provider: w.id, Latency: time.Since(t.start)})
 	}
 }
 
-// abandonPending signals abandonment for the interrupted in-service task
-// (if any) and every task still queued at shutdown, and zeroes the backlog
+// abandonPending abandons the interrupted in-service task (if any) and
+// every task still queued at shutdown, and zeroes the backlog
 // accounting. It runs on the worker goroutine after done closed; accept
 // checks the shutdown flag under the same mutex Close sets it under, so no
 // new task can be enqueued once the drain loop observes an empty channel.
 func (w *Worker) abandonPending(inService *task) {
-	abandon := func(t task) {
-		if t.abandon != nil {
-			t.abandon <- w.id
-		}
-	}
 	if inService != nil {
-		abandon(*inService)
+		inService.ticket.abandon(w.id)
 	}
 	for {
 		select {
 		case t := <-w.tasks:
-			abandon(t)
+			t.ticket.abandon(w.id)
 		default:
 			w.mu.Lock()
 			w.pendingWork = 0
@@ -208,7 +199,7 @@ func (w *Worker) abandonPending(inService *task) {
 // under the worker mutex against the shutdown flag, so a task is either
 // refused or guaranteed to be delivered-or-abandoned by the run loop —
 // never silently lost.
-func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool {
+func (w *Worker) accept(ctx context.Context, t *Ticket) bool {
 	if ctx.Err() != nil {
 		return false
 	}
@@ -218,8 +209,8 @@ func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Resul
 		return false
 	}
 	select {
-	case w.tasks <- task{q: q, results: results, abandon: abandon, start: time.Now()}:
-		w.pendingWork += q.Work
+	case w.tasks <- task{ticket: t, start: time.Now()}:
+		w.pendingWork += t.query.Work
 		w.queueLen++
 		return true
 	default:
@@ -228,8 +219,8 @@ func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Resul
 }
 
 // Close stops the worker. Queued tasks are abandoned: their Results never
-// arrive, but tasks dispatched through the ticket path signal their tickets
-// so collectors complete instead of waiting forever.
+// arrive, and their tickets are told so, completing instead of waiting
+// forever.
 func (w *Worker) Close() {
 	w.closed.Do(func() {
 		w.mu.Lock()

@@ -145,7 +145,7 @@ func TestAcceptFullQueueNonBlocking(t *testing.T) {
 	accepted := 0
 	refused := false
 	for i := 0; i < 8 && !refused; i++ {
-		if w.accept(context.Background(), model.Query{ID: model.QueryID(i + 1), Consumer: 0, N: 1, Work: 10}, nil, nil) {
+		if w.accept(context.Background(), newTicket(model.Query{ID: model.QueryID(i + 1), Consumer: 0, N: 1, Work: 10}, nil, false)) {
 			accepted++
 		} else {
 			refused = true
@@ -165,7 +165,7 @@ func TestAcceptFullQueueNonBlocking(t *testing.T) {
 	// A cancelled context is refused outright.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if w.accept(ctx, model.Query{ID: 99, Consumer: 0, N: 1, Work: 1}, nil, nil) {
+	if w.accept(ctx, newTicket(model.Query{ID: 99, Consumer: 0, N: 1, Work: 1}, nil, false)) {
 		t.Error("accept succeeded with a cancelled context")
 	}
 }
@@ -195,7 +195,7 @@ func TestSnapshotUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	ok := w.accept(context.Background(), model.Query{ID: 1, Consumer: 0, N: 1, Work: 50}, nil, nil)
+	ok := w.accept(context.Background(), newTicket(model.Query{ID: 1, Consumer: 0, N: 1, Work: 50}, nil, false))
 	if !ok {
 		t.Fatal("accept failed")
 	}

@@ -217,11 +217,15 @@ func TestCloseWhileBlockedOnFullQueue(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Close drains the queue, so the parked mediation must resume for Close
-	// to return; release just before.
-	close(release)
-	eng.Close()
-
+	// Close drains the queue, so it returns only once the parked mediation
+	// resumes — but it closes the scheduler first, and that must fail the
+	// blocked Submit while the queue is still full. Releasing the mediation
+	// before that would let the shard free a slot and admit the query.
+	closed := make(chan struct{})
+	go func() {
+		eng.Close()
+		close(closed)
+	}()
 	var blocked *Ticket
 	select {
 	case blocked = <-submitted:
@@ -231,6 +235,8 @@ func TestCloseWhileBlockedOnFullQueue(t *testing.T) {
 	if _, err := blocked.Await(context.Background()); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("blocked ticket error = %v, want ErrEngineClosed", err)
 	}
+	close(release)
+	<-closed
 	if _, err := inService.Allocation(); err != nil {
 		t.Fatalf("in-service query failed across Close: %v", err)
 	}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"sync"
 
 	"sbqa/internal/model"
 )
@@ -19,42 +20,40 @@ import (
 //     Done's channel closes here; Await blocks for it; Results returns the
 //     collected per-worker results.
 //
-// On the collecting path (the Engine default) the ticket owns a private
-// result channel sized to the selection, so workers never block on result
-// delivery and the caller needs no shared results channel. Allocations to
-// registered providers that are not dispatchable *Worker instances produce
-// no Results (delivery is out of band), so a ticket completes when its
-// dispatched workers — not its full selection — have reported.
+// Workers deliver to the ticket itself: a dispatched task carries its
+// *Ticket, and the worker's goroutine calls deliver when the query has
+// executed (or abandon when the worker shuts down first). deliver forwards
+// the Result to the WithResults channel when there is one, then — on the
+// collecting path, the Engine default — retains it and counts the delivery;
+// the last one closes done. Nothing is spawned and no channel is built per
+// query for this. A full WithResults channel therefore blocks the delivering
+// worker, on the collecting path as under FireAndForget: size it to the
+// traffic or drain it. Allocations to registered providers that are not
+// dispatchable *Worker instances produce no Results (delivery is out of
+// band), so a ticket completes when its dispatched workers — not its full
+// selection — have reported.
 //
 // A ticket always completes: mediation failures complete it immediately,
 // partial dispatch failures complete it when the accepting workers finish
 // (the *DispatchError from Allocation or Await lists the remainder to
-// retry), and a worker closed mid-execution signals abandonment for its
-// queued tasks, which the collector accounts for (see Abandoned) instead
-// of waiting forever.
+// retry), and a worker closed mid-execution abandons its queued tasks on
+// their tickets (see Abandoned) instead of leaving them to wait forever.
 type Ticket struct {
 	query model.Query
 
 	// userResults is the optional caller-supplied channel (WithResults);
-	// collected results are forwarded to it.
+	// every delivered result is forwarded to it.
 	userResults chan<- Result
 
-	// collect selects the ticket-owned result path. FireAndForget switches
-	// it off: userResults goes straight to the workers and the ticket is
-	// done at hand-off.
+	// collect selects result retention and counting. FireAndForget switches
+	// it off: deliveries are forwarded (or dropped) and the ticket is done
+	// at hand-off.
 	collect bool
 
-	// workers are the dispatchable executors of the selection, resolved
-	// under the shard lock right after mediation and consumed by the
-	// hand-off that follows it.
+	// workers are the executors of the selection, resolved under the shard
+	// lock right after mediation and consumed by the hand-off that follows
+	// it.
 	workers []Executor
-
-	// resCh receives the dispatched workers' results on the collecting
-	// path; created at dispatch time, sized to the selection. abandonCh
-	// receives the IDs of accepted workers that shut down before
-	// delivering, so the collector accounts for every accepted task.
-	resCh     chan Result
-	abandonCh chan model.ProviderID
 
 	// alloc/err hold the mediation outcome from the shard lock's release
 	// on, and the submission's final outcome once allocated is closed.
@@ -62,50 +61,98 @@ type Ticket struct {
 	alloc     *model.Allocation
 	err       error
 
+	// mu guards pending, results and abandoned, which the accepting workers'
+	// goroutines and the dispatcher all write. pending counts the deliveries
+	// still owed plus one hold the dispatcher owns until finish, so done can
+	// never close before allocated and a worker that delivers before finish
+	// runs is still counted.
+	mu        sync.Mutex
+	pending   int
 	done      chan struct{} // closed once results are complete
 	results   []Result
 	abandoned []model.ProviderID
 }
 
 // newTicket returns a ticket for q. userResults may be nil; collect selects
-// the ticket-owned result path (see Ticket).
+// result retention (see Ticket).
 func newTicket(q model.Query, userResults chan<- Result, collect bool) *Ticket {
 	return &Ticket{
 		query:       q,
 		userResults: userResults,
 		collect:     collect,
 		allocated:   make(chan struct{}),
+		pending:     1,
 		done:        make(chan struct{}),
 	}
 }
 
+// expect adds the n hand-offs the dispatcher is about to attempt to the
+// countdown; each comes off it again through deliver, abandon or refused.
+func (t *Ticket) expect(n int) {
+	if !t.collect {
+		return
+	}
+	t.mu.Lock()
+	t.pending += n
+	t.results = make([]Result, 0, n)
+	t.mu.Unlock()
+}
+
+// refused takes the n attempted hand-offs that no worker accepted back off
+// the countdown.
+func (t *Ticket) refused(n int) {
+	if !t.collect {
+		return
+	}
+	t.mu.Lock()
+	t.settle(n)
+	t.mu.Unlock()
+}
+
+// settle takes n off the countdown and closes done at zero. Callers hold mu.
+func (t *Ticket) settle(n int) {
+	if t.pending -= n; t.pending == 0 {
+		close(t.done)
+	}
+}
+
+// deliver is the accepting worker's completion call: forward, then retain
+// and count.
+func (t *Ticket) deliver(r Result) {
+	if t.userResults != nil {
+		t.userResults <- r
+	}
+	if !t.collect {
+		return
+	}
+	t.mu.Lock()
+	t.results = append(t.results, r)
+	t.settle(1)
+	t.mu.Unlock()
+}
+
+// abandon is the completion call of an accepting worker that shut down
+// before executing the query.
+func (t *Ticket) abandon(id model.ProviderID) {
+	if !t.collect {
+		return
+	}
+	t.mu.Lock()
+	t.abandoned = append(t.abandoned, id)
+	t.settle(1)
+	t.mu.Unlock()
+}
+
 // finish completes the allocation stage: it publishes the allocation and
-// error, then either closes done immediately (nothing to collect) or spawns
-// the collector that accounts for every accepted worker — a delivered
-// Result or an abandonment signal from a worker that shut down first —
-// so the ticket always completes, even under worker churn.
-func (t *Ticket) finish(a *model.Allocation, err error, resCh chan Result, expected int) {
+// error, then gives up the dispatcher's hold, which closes done unless
+// accepting workers still owe results.
+func (t *Ticket) finish(a *model.Allocation, err error) {
 	t.alloc = a
 	t.err = err
 	close(t.allocated)
-	if expected == 0 || resCh == nil {
-		close(t.done)
-		return
-	}
-	go func() {
-		for i := 0; i < expected; i++ {
-			select {
-			case r := <-resCh:
-				t.results = append(t.results, r)
-				if t.userResults != nil {
-					t.userResults <- r
-				}
-			case id := <-t.abandonCh:
-				t.abandoned = append(t.abandoned, id)
-			}
-		}
-		close(t.done)
-	}()
+	t.mu.Lock()
+	t.settle(1)
+	t.mu.Unlock()
 }
 
 // Query returns the submitted query with its engine-assigned ID and issue
@@ -132,8 +179,8 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // collected per-worker results and the submission error: both may be
 // non-zero at once — a partial dispatch failure yields the accepting
 // workers' results and a *DispatchError naming the undelivered remainder.
-// When ctx expires first, Await returns (nil, ctx.Err()); the ticket keeps
-// collecting in the background and Await may be called again.
+// When ctx expires first, Await returns (nil, ctx.Err()); the workers keep
+// delivering to the ticket and Await may be called again.
 func (t *Ticket) Await(ctx context.Context) ([]Result, error) {
 	select {
 	case <-t.done:

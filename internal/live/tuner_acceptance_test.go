@@ -55,13 +55,17 @@ func TestTunerRecoversStarvedConsumer(t *testing.T) {
 		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5, util: util})
 	}
 
-	// Phase 1: establish starvation under the narrow policy.
+	// Phase 1: establish starvation under the narrow policy. The tuner is
+	// already running and on a slow run widens kn before the 40th query, so
+	// the reading is the trough, not the last value: the tuner acts only on
+	// a snapshot below 0.25, and δs moves only with these submissions.
+	starved := 1.0
 	for i := 0; i < 40; i++ {
 		if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
+		starved = min(starved, eng.ConsumerSatisfaction(0))
 	}
-	starved := eng.ConsumerSatisfaction(0)
 	if starved >= 0.25 {
 		t.Fatalf("setup failed: consumer not starved under the narrow policy (δs = %.3f)", starved)
 	}

@@ -146,57 +146,57 @@ var ErrCorrupt = errors.New("persist: corrupt data")
 type Stats struct {
 	// RecordsAppended counts journal records written (buffered, not
 	// necessarily synced) since the store opened.
-	RecordsAppended uint64
+	RecordsAppended uint64 `json:"records_appended"`
 
 	// RecordsDropped counts events the recorder dropped because its queue
 	// was full — persistence backpressure never blocks a mediation.
-	RecordsDropped uint64
+	RecordsDropped uint64 `json:"records_dropped"`
 
 	// AppendErrors counts records lost to journal write errors (disk
 	// full, I/O error).
-	AppendErrors uint64
+	AppendErrors uint64 `json:"append_errors"`
 
 	// Syncs counts journal fsyncs.
-	Syncs uint64
+	Syncs uint64 `json:"syncs"`
 
 	// SealedSegments is the number of closed journal segments currently
 	// on disk (compaction folds them into the next snapshot).
-	SealedSegments int
+	SealedSegments int `json:"sealed_segments"`
 
 	// ActiveSegment is the sequence number of the segment being appended
 	// to.
-	ActiveSegment uint64
+	ActiveSegment uint64 `json:"active_segment"`
 
 	// SnapshotsWritten counts snapshots written since the store opened
 	// (the final Close flush included).
-	SnapshotsWritten uint64
+	SnapshotsWritten uint64 `json:"snapshots_written"`
 
 	// Compactions counts background compactions (snapshots written to
 	// fold sealed segments, excluding the Close flush).
-	Compactions uint64
+	Compactions uint64 `json:"compactions"`
 
 	// QueueDepth is the recorder queue's current backlog.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 
 	// Restore describes what the boot-time restore recovered.
-	Restore RestoreStats
+	Restore RestoreStats `json:"restore"`
 }
 
 // RestoreStats describes one boot-time restore.
 type RestoreStats struct {
 	// SnapshotLoaded reports whether a snapshot was found and decoded.
-	SnapshotLoaded bool
+	SnapshotLoaded bool `json:"snapshot_loaded"`
 
 	// Consumers and Providers count the satisfaction trackers restored
 	// from the snapshot.
-	Consumers int
-	Providers int
+	Consumers int `json:"consumers"`
+	Providers int `json:"providers"`
 
 	// ReplayedRecords counts the journal records replayed over the
 	// snapshot.
-	ReplayedRecords int
+	ReplayedRecords int `json:"replayed_records"`
 
 	// TornTail reports that the final journal record was torn (a crash
 	// mid-write) and replay stopped cleanly before it.
-	TornTail bool
+	TornTail bool `json:"torn_tail"`
 }

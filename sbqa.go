@@ -614,12 +614,14 @@ func WithParticipantDeadline(d time.Duration) EngineOption {
 }
 
 // WithResults forwards one submission's per-worker results to ch in
-// addition to collecting them on the ticket.
+// addition to collecting them on the ticket. Each worker sends its own
+// result before the ticket counts it, so a full ch stalls the delivering
+// workers; one channel may serve every submission.
 func WithResults(ch chan<- LiveResult) QueryOption { return live.WithResults(ch) }
 
-// FireAndForget disables a ticket's result collection: workers deliver
-// straight to the WithResults channel (if any) and the ticket is done at
-// hand-off.
+// FireAndForget disables a ticket's result collection: workers still
+// forward to the WithResults channel (if any), nothing is retained, and the
+// ticket is done at hand-off.
 func FireAndForget() QueryOption { return live.FireAndForget() }
 
 // NewLiveWorker starts a worker goroutine with the given capacity (work
