@@ -10,7 +10,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -131,11 +130,11 @@ func writeRoutedError(w http.ResponseWriter, code string, owner sbqa.ClusterPeer
 // routeOrForward is the ownership gate on every consumer-keyed
 // endpoint. It returns true when this node owns the consumer and the
 // caller should proceed locally. Otherwise it has already answered:
-// the request was forwarded to the owner and its response relayed, or a
-// typed 503 was written (not_owner for a forwarded hop that still is
-// not ours — one hop only, never a loop — peer_down for an unreachable
-// owner).
-func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consumer int, path string, counter *atomic.Uint64, payload any) bool {
+// body — the request's bytes as the client sent them — was forwarded to
+// the owner and its response relayed, or a typed 503 was written
+// (not_owner for a forwarded hop that still is not ours — one hop only,
+// never a loop — peer_down for an unreachable owner).
+func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consumer int, path string, counter *atomic.Uint64, body []byte) bool {
 	if g.node == nil {
 		return true
 	}
@@ -156,21 +155,17 @@ func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consume
 		return false
 	}
 	counter.Add(1)
-	g.forward(w, r, owner, path, payload)
+	g.forward(w, r, owner, path, body)
 	return false
 }
 
-// forward re-issues the decoded request to the owner's internal forward
-// endpoint and relays the response verbatim. The outbound request runs
-// on the inbound request's context — the client's cancellation and
-// deadline propagate — capped by forwardTimeout so a silent owner
-// yields a typed 503 rather than a hang.
-func (g *gateway) forward(w http.ResponseWriter, r *http.Request, owner sbqa.ClusterPeer, path string, payload any) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
+// forward sends the request's own bytes to the owner's internal forward
+// endpoint — nothing is re-encoded, so the owner decodes exactly what the
+// client sent, unknown members included — and relays the response whole.
+// The outbound request runs on the inbound request's context — the
+// client's cancellation and deadline propagate — capped by forwardTimeout
+// so a silent owner yields a typed 503 rather than a hang.
+func (g *gateway) forward(w http.ResponseWriter, r *http.Request, owner sbqa.ClusterPeer, path string, body []byte) {
 	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+path, bytes.NewReader(body))
@@ -210,8 +205,17 @@ func (g *gateway) forward(w http.ResponseWriter, r *http.Request, owner sbqa.Clu
 		return
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	relay(w, resp)
+}
+
+// relay writes the owner's answer back whole: status, body, and the headers
+// a client acts on — Content-Type, and the Retry-After that is the back-off
+// hint of a 429 or a shed 503.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	for _, h := range [...]string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
@@ -304,8 +308,7 @@ func (g *gateway) proxySSE(w http.ResponseWriter, r *http.Request, owner sbqa.Cl
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
+		relay(w, resp)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -61,7 +61,7 @@ func startTestCluster(t testing.TB, n int, withState bool, opts ...sbqa.EngineOp
 			cs.stateDir = cn.dir
 			o = append(o, sbqa.WithPersistence(cn.dir, sbqa.PersistSyncEvery(1)))
 		}
-		if err := cn.g.initWithCluster(cs, o...); err != nil {
+		if err := cn.g.init(cs, o...); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(cn.g.close)
@@ -255,6 +255,100 @@ func TestClusterForwardedHopAnswersNotOwner(t *testing.T) {
 	}
 }
 
+// ownerAnswer is a forward client transport that keeps the last forwarded
+// body as the entry node sent it and the owner's answer as it came back.
+type ownerAnswer struct {
+	sent   []byte
+	status int
+	header http.Header
+	body   []byte
+}
+
+func (o *ownerAnswer) RoundTrip(req *http.Request) (*http.Response, error) {
+	sent, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	o.sent, _ = io.ReadAll(sent)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	o.status, o.header = resp.StatusCode, resp.Header.Clone()
+	if o.body, err = io.ReadAll(resp.Body); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(o.body))
+	return resp, nil
+}
+
+// TestClusterForwardRelaysRefusalsWhole: a 429 from the owner's token
+// buckets and a 503 from its scheduler reach the client of a non-owner
+// node as the owner wrote them — status, Content-Type, body bytes and the
+// Retry-After header, which the relay used to drop — and forwarding sends
+// the client's own bytes, members this node does not know included.
+func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
+	spec := sbqa.DefaultQoSSpec()
+	spec.ConsumerRate = 0.001 // one query per ~17 min: the second submit must reject
+	spec.ConsumerBurst = 1
+	nodes := startTestCluster(t, 3, false, append(deterministicOpts(), sbqa.WithQoS(spec))...)
+	registerWorkers(t, nodes[0].srv.URL)
+	limited := consumerOwnedBy(t, nodes, 0, 0)
+	shed := consumerOwnedBy(t, nodes, 0, limited+1)
+	for _, c := range []int{limited, shed} {
+		postJSON(t, nodes[0].srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
+	}
+	entry := nodes[1]
+	owner := &ownerAnswer{}
+	entry.g.forwardClient = &http.Client{Transport: owner}
+
+	post := func(body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(entry.srv.URL+"/v1/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, got
+	}
+	// The first query spends the consumer's only token and gives the
+	// owner's scheduler a service time to estimate waits from. The unknown
+	// member rides along to the owner, which ignores it.
+	first := fmt.Sprintf(`{"consumer":%d,"n":1,"work":0.1,"from_a_newer_client":true}`, limited)
+	if resp, body := post(first); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first forwarded submit: %d %s", resp.StatusCode, body)
+	}
+	if string(owner.sent) != first {
+		t.Errorf("forwarded %q, the client sent %q", owner.sent, first)
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"rate limited", fmt.Sprintf(`{"consumer":%d,"n":1,"work":0.1}`, limited), http.StatusTooManyRequests},
+		{"shed", fmt.Sprintf(`{"consumer":%d,"n":1,"work":0.1,"deadline_ms":0.00001}`, shed), http.StatusServiceUnavailable},
+	} {
+		resp, body := post(tc.body)
+		if resp.StatusCode != tc.status || owner.status != tc.status {
+			t.Fatalf("%s: client saw %d, owner answered %d, want %d (%s)", tc.name, resp.StatusCode, owner.status, tc.status, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" || ra != owner.header.Get("Retry-After") {
+			t.Errorf("%s: Retry-After %q at the client, %q from the owner", tc.name, ra, owner.header.Get("Retry-After"))
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != owner.header.Get("Content-Type") {
+			t.Errorf("%s: Content-Type %q at the client, %q from the owner", tc.name, ct, owner.header.Get("Content-Type"))
+		}
+		if !bytes.Equal(body, owner.body) {
+			t.Errorf("%s: body %q at the client, %q from the owner", tc.name, body, owner.body)
+		}
+	}
+}
+
 // TestClusterForwardAnswersPeerDown: when the owner is unreachable the
 // non-owner must answer a typed 503 peer_down promptly, not hang.
 func TestClusterForwardAnswersPeerDown(t *testing.T) {
@@ -274,7 +368,7 @@ func TestClusterForwardAnswersPeerDown(t *testing.T) {
 		heartbeatInterval: time.Hour,
 		heartbeatTimeout:  time.Second,
 	}
-	if err := g.initWithCluster(cs, deterministicOpts()...); err != nil {
+	if err := g.init(cs, deterministicOpts()...); err != nil {
 		t.Fatal(err)
 	}
 	defer g.close()
@@ -327,7 +421,7 @@ func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
 		heartbeatInterval: time.Hour,
 		heartbeatTimeout:  time.Second,
 	}
-	if err := g.initWithCluster(cs, deterministicOpts()...); err != nil {
+	if err := g.init(cs, deterministicOpts()...); err != nil {
 		t.Fatal(err)
 	}
 	defer g.close()

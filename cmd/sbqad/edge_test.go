@@ -1,0 +1,221 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"sbqa"
+)
+
+// The edge's contract on what it reads: one request body is one JSON
+// document, a policy document has one parser whoever sends it, and an
+// unknown wait is refused before the query costs anything.
+
+// handle runs one JSON request through the handler in process.
+func handle(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	// A guard, not a budget: wait:"results" on a query whose work a fuzzer
+	// chose may take as long as the fuzzer likes.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ctx)
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// oneDocument reports whether body is exactly one JSON value, white space
+// aside.
+func oneDocument(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var v json.RawMessage
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	_, err := dec.Token()
+	return err == io.EOF
+}
+
+// TestBodyIsOneDocument: every JSON endpoint accepts its valid document and
+// answers 400 once anything follows it — trailing junk or a second valid
+// document that a streaming decoder would have dropped unread.
+func TestBodyIsOneDocument(t *testing.T) {
+	gw, _ := newPolicyGateway(t, sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1})
+	h := gw.handler()
+	for _, ep := range []struct {
+		method, path, valid string
+		status              int
+	}{
+		{http.MethodPost, "/v1/workers", `{"id":1,"capacity":10,"intention":0.5}`, http.StatusCreated},
+		{http.MethodPost, "/v1/consumers", `{"id":1,"intention":0.5}`, http.StatusCreated},
+		{http.MethodPost, "/v1/queries", `{"consumer":1,"n":1,"work":0.1}`, http.StatusOK},
+		{http.MethodPut, "/v1/policy", `{"kind":"sbqa","k":4,"kn":2}`, http.StatusOK},
+		{http.MethodPost, "/v1/policy/preview", `{"policy":{"kind":"capacity"},"candidates":[{"id":1,"capacity":1}]}`, http.StatusOK},
+	} {
+		if rec := handle(h, ep.method, ep.path, []byte(ep.valid+"\n")); rec.Code != ep.status {
+			t.Errorf("%s %s valid document: status %d, want %d (%s)", ep.method, ep.path, rec.Code, ep.status, rec.Body)
+		}
+		for _, tail := range []string{"junk", " " + ep.valid, "}"} {
+			if rec := handle(h, ep.method, ep.path, []byte(ep.valid+tail)); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s document followed by %q: status %d, want 400", ep.method, ep.path, tail, rec.Code)
+			}
+		}
+	}
+	// A preview's policy member is a policy document like any other.
+	rec := handle(h, http.MethodPost, "/v1/policy/preview",
+		[]byte(`{"policy":{"kind":"sbqa","kn_":5},"candidates":[{"id":1,"capacity":1}]}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kn_") {
+		t.Errorf("preview with a misspelled tunable: status %d (%s), want 400 naming the field", rec.Code, rec.Body)
+	}
+}
+
+// TestPutPolicyRejectsUnknownField: the HTTP control plane refuses a
+// misspelled tunable exactly as the -policy file does, instead of accepting
+// the document with the default in its place.
+func TestPutPolicyRejectsUnknownField(t *testing.T) {
+	gw, _ := newPolicyGateway(t, sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1})
+	before := gw.eng.PolicyGeneration()
+	rec := handle(gw.handler(), http.MethodPut, "/v1/policy", []byte(`{"kind":"sbqa","kn_":5}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kn_") {
+		t.Fatalf("status %d (%s), want 400 naming the field", rec.Code, rec.Body)
+	}
+	if got := gw.eng.PolicyGeneration(); got != before {
+		t.Fatalf("generation moved %d -> %d on a refused document", before, got)
+	}
+}
+
+// TestUnknownWaitRefusedBeforeRouting: a mistyped wait is a 400 at the
+// node that received it — not forwarded, no query ID assigned, no admission
+// token spent — where it used to be answered like "allocation".
+func TestUnknownWaitRefusedBeforeRouting(t *testing.T) {
+	spec := sbqa.DefaultQoSSpec()
+	spec.ConsumerRate = 0.001
+	spec.ConsumerBurst = 1 // one token: a refused query must leave it
+	nodes := startTestCluster(t, 2, false, append(deterministicOpts(), sbqa.WithQoS(spec))...)
+	registerWorkers(t, nodes[0].srv.URL)
+	c := consumerOwnedBy(t, nodes, 0, 0)
+	postJSON(t, nodes[0].srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
+	entry := nodes[1]
+
+	for _, wait := range []string{"result", "Results", "all"} {
+		resp := postJSON(t, entry.srv.URL+"/v1/queries", queryRequest{Consumer: c, N: 1, Work: 0.1, Wait: wait}, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("wait %q: status %d, want 400", wait, resp.StatusCode)
+		}
+	}
+	if n := entry.g.cmx.fwdQueries.Load(); n != 0 {
+		t.Errorf("%d refused queries were forwarded", n)
+	}
+	if n := nodes[0].g.eng.Stats().QueriesSubmitted; n != 0 {
+		t.Errorf("%d query IDs assigned to refused queries", n)
+	}
+	// The token is still there, and the spelling the client meant works.
+	if qr := submitWait(t, entry.srv.URL, c, "results"); len(qr.Results) == 0 {
+		t.Errorf("wait \"results\" answered without results: %+v", qr)
+	}
+}
+
+// fuzzGateway is the gateway the fuzz targets drive: one consumer, and one
+// worker fast enough that no finite amount of work holds it for long.
+func fuzzGateway(f *testing.F) *gateway {
+	gw, err := newGateway(sbqa.WithWindow(20), sbqa.WithConcurrency(1),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(gw.close)
+	worker, err := sbqa.NewLiveWorker(1, math.MaxFloat64, 1024, func(sbqa.Query) sbqa.Intention { return 0.5 })
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(worker.Close)
+	gw.eng.RegisterWorker(worker)
+	if rec := handle(gw.handler(), http.MethodPost, "/v1/consumers", []byte(`{"id":1,"intention":0.5}`)); rec.Code != http.StatusCreated {
+		f.Fatalf("register consumer: %d", rec.Code)
+	}
+	return gw
+}
+
+// checkEdgeAnswer is the property both fuzz targets hold the handler to:
+// whatever the bytes, the answer is a client error or a success — a 5xx
+// only as the structured 503 of a shed query — and a success means the
+// body was one JSON document, nothing dropped unread after it.
+func checkEdgeAnswer(t *testing.T, body []byte, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	switch {
+	case rec.Code >= 500:
+		var rej rejectJSON
+		if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &rej) != nil || rej.Error != "shed" {
+			t.Fatalf("status %d (%s) for body %q", rec.Code, rec.Body, body)
+		}
+	case rec.Code < 300 && !oneDocument(body):
+		t.Fatalf("status %d for a body that is not one JSON document: %q", rec.Code, body)
+	}
+}
+
+// FuzzDecodeQuery throws arbitrary bytes at POST /v1/queries.
+func FuzzDecodeQuery(f *testing.F) {
+	f.Add([]byte(`{"consumer":1,"n":1,"work":1,"wait":"allocation"}`))
+	f.Add([]byte(`{"consumer":1,"qos":"batch","deadline_ms":1000,"wait":"none"}`))
+	f.Add([]byte(`{"consumer":1,"work":0.001,"wait":"results"}`))
+	f.Add([]byte(`{"consumer":1,"work":1}{"consumer":2} junk`)) // the stream decoder answered 200
+	f.Add([]byte(`{"consumer":1,"work":1,"wait":"Results"}`))   // answered like "allocation"
+	f.Add([]byte(`{"consumer":1,"work":1,"deadline_ms":1e-5}`)) // shed: the one 5xx a body can earn
+	f.Add([]byte(`{"consumer":-1,"class":-7,"n":-3,"work":-1e308}`))
+	f.Add([]byte(`[{"consumer":1}]`))
+	f.Add([]byte(`{"consumer":1e99}`))
+	f.Add([]byte("\xff\xfe{}"))
+	f.Add([]byte(``))
+	h := fuzzGateway(f).handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := handle(h, http.MethodPost, "/v1/queries", body)
+		checkEdgeAnswer(t, body, rec)
+		if rec.Code < 300 {
+			var req queryRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("status %d for a body the request type refuses (%v): %q", rec.Code, err, body)
+			}
+			switch req.Wait {
+			case "", "none", "allocation", "results":
+			default:
+				t.Fatalf("status %d for wait %q", rec.Code, req.Wait)
+			}
+		}
+	})
+}
+
+// FuzzPolicyPut throws arbitrary bytes at PUT /v1/policy: what is accepted
+// is exactly what the strict parser accepts, and only an accepted document
+// moves the generation.
+func FuzzPolicyPut(f *testing.F) {
+	f.Add([]byte(`{"kind":"sbqa","k":30,"kn":15}`))
+	f.Add([]byte(`{"kind":"sbqa","kn_":5}`)) // was accepted with the default kn
+	f.Add([]byte(`{"kind":"capacity"} {"kind":"random"}`))
+	f.Add([]byte(`{"kind":"sbqa","qos":{"classes":[{"name":"a","weight":1}],"default":"a"}}`))
+	f.Add([]byte(`{"kind":"economic","participant_deadline":"-1s"}`))
+	f.Add([]byte(`{"kind":"nope"}`))
+	f.Add([]byte(`null`))
+	gw := fuzzGateway(f)
+	h := gw.handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := gw.eng.PolicyGeneration()
+		rec := handle(h, http.MethodPut, "/v1/policy", body)
+		checkEdgeAnswer(t, body, rec)
+		after := gw.eng.PolicyGeneration()
+		if rec.Code == http.StatusOK {
+			if _, err := sbqa.ParsePolicy(body); err != nil || after != before+1 {
+				t.Fatalf("accepted %q: strict parse says %v, generation %d -> %d", body, err, before, after)
+			}
+		} else if after != before {
+			t.Fatalf("status %d moved the generation %d -> %d: %q", rec.Code, before, after, body)
+		}
+	})
+}

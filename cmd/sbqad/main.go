@@ -1,7 +1,9 @@
 // Command sbqad runs the SbQA mediation engine behind an HTTP/JSON gateway
 // — the network-facing embedding of the asynchronous Engine API.
 //
-// Endpoints (all JSON):
+// Endpoints (all JSON). A request body is read once, whole (1 MiB cap, 413
+// past it; 415 for a Content-Type other than JSON), and is one JSON
+// document: malformed JSON or anything but white space after it is a 400.
 //
 //	POST   /v1/consumers      register a consumer {id, intention, prefer_idle,
 //	                          intention_url}; with intention_url the daemon
@@ -11,15 +13,20 @@
 //	                          intention_url PI_q comes from the webhook
 //	DELETE /v1/workers/{id}   stop and unregister a worker
 //	POST   /v1/queries        submit {consumer, class, n, work, wait:none|allocation|results,
-//	                          qos, deadline_ms}; qos names a service class,
-//	                          deadline_ms sheds infeasible queries with 503;
-//	                          token-bucket over-limit answers 429 + Retry-After
+//	                          qos, deadline_ms}; wait defaults to allocation
+//	                          and any other value is a 400; qos names a
+//	                          service class, deadline_ms sheds infeasible
+//	                          queries with 503; token-bucket over-limit
+//	                          answers 429 + Retry-After
 //	GET    /v1/policy         the running allocation policy + per-shard
 //	                          generation adoption
 //	PUT    /v1/policy         hot-reconfigure the engine to a new policy spec;
-//	                          shards adopt it at their next mediation boundary
+//	                          shards adopt it at their next mediation
+//	                          boundary. Parsed like a -policy file: an
+//	                          unknown field is a 400, not a default
 //	POST   /v1/policy/preview dry-run a candidate policy against a submitted
-//	                          candidate set (no engine state touched)
+//	                          candidate set (no engine state touched); its
+//	                          policy member is parsed the same way
 //	GET    /v1/stats          engine counters (incl. imputations/timeouts,
 //	                          policy generations, events_dropped, persistence) +
 //	                          per-participant satisfaction
@@ -48,8 +55,10 @@
 //
 // With -node-id and -peers the daemon joins a static mediation cluster: a
 // consistent-hash ring over consumer IDs assigns each consumer an owning
-// node, requests landing on a non-owner are transparently forwarded
-// (internal endpoints POST /v1/internal/forward[/consumers]), and with
+// node, requests landing on a non-owner are transparently forwarded — the
+// client's own bytes to the owner, the owner's whole answer (status,
+// Content-Type, Retry-After, body) back — over the internal endpoints
+// POST /v1/internal/forward[/consumers], and with
 // -state-dir each node ships its sealed satisfaction WAL segments to its
 // ring followers (POST /v1/internal/segments) so a node failure loses at
 // most the unsynced journal tail. A request whose owner is down answers a
@@ -251,7 +260,11 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *addr, cs, opts...); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = serve(ctx, ln, cs, opts...)
+	}
+	if err != nil {
 		log.Fatalf("sbqad: %v", err)
 	}
 }
@@ -259,16 +272,6 @@ func main() {
 // shutdownGrace bounds how long a graceful shutdown waits for in-flight
 // HTTP requests before closing their connections.
 const shutdownGrace = 10 * time.Second
-
-// run serves the gateway on addr until ctx is done, then shuts down
-// gracefully (see serve). cs is nil outside cluster mode.
-func run(ctx context.Context, addr string, cs *clusterSettings, opts ...sbqa.EngineOption) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return serveWithCluster(ctx, ln, cs, opts...)
-}
 
 // serve runs the gateway on ln until ctx is done, then shuts down
 // gracefully: stop accepting requests, drain in-flight tickets via
@@ -281,16 +284,12 @@ func run(ctx context.Context, addr string, cs *clusterSettings, opts ...sbqa.Eng
 // answers immediately while a -state-dir restore replays its journal, and
 // /v1/readyz (plus every engine-backed endpoint) answers 503 until the
 // restore completes.
-func serve(ctx context.Context, ln net.Listener, opts ...sbqa.EngineOption) error {
-	return serveWithCluster(ctx, ln, nil, opts...)
-}
-
-// serveWithCluster is serve plus cluster membership: with a non-nil cs
-// the gateway builds and starts a cluster node (ring, heartbeats, WAL
-// replication, submit guard) between engine construction and the ready
-// flip. With cs == nil the daemon is byte-for-byte the single-node
-// gateway — no node is constructed, no guard installed.
-func serveWithCluster(ctx context.Context, ln net.Listener, cs *clusterSettings, opts ...sbqa.EngineOption) error {
+//
+// With a non-nil cs the gateway builds and starts a cluster node (ring,
+// heartbeats, WAL replication, submit guard) between engine construction
+// and the ready flip. With cs == nil the daemon is byte-for-byte the
+// single-node gateway — no node is constructed, no guard installed.
+func serve(ctx context.Context, ln net.Listener, cs *clusterSettings, opts ...sbqa.EngineOption) error {
 	gw := newGatewayShell()
 	defer gw.close()
 
@@ -298,7 +297,7 @@ func serveWithCluster(ctx context.Context, ln net.Listener, cs *clusterSettings,
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("sbqad: listening on %s\n", ln.Addr())
-	if err := gw.initWithCluster(cs, opts...); err != nil {
+	if err := gw.init(cs, opts...); err != nil {
 		srv.Close()
 		<-serveErr
 		return err

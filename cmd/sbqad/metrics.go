@@ -111,52 +111,14 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.header("sbqa_events_dropped_total", "SSE events dropped for slow subscribers.", "counter")
 	m.sample("sbqa_events_dropped_total", float64(g.hub.droppedEvents()))
 
-	m.header("sbqa_shard_mediations_total", "Successful mediations per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_mediations_total", float64(sh.Mediations), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_rejections_total", "Failed mediations per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_rejections_total", float64(sh.Rejections), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_dispatch_failures_total", "Allocations not fully delivered per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_dispatch_failures_total", float64(sh.DispatchFailures), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_imputations_total", "Intentions imputed for silent participants per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_imputations_total", float64(sh.Imputations), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_intention_timeouts_total", "Imputations caused by missed participant deadlines per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_intention_timeouts_total", float64(sh.IntentionTimeouts), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_policy_swaps_total", "Policy generations adopted per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_policy_swaps_total", float64(sh.PolicySwaps), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_queue_depth", "Asynchronous submission queue backlog per shard.", "gauge")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_queue_depth", float64(sh.QueueDepth), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_queue_high_water", "Deepest submission queue backlog observed per shard.", "gauge")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_queue_high_water", float64(sh.QueueHighWater), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_queue_enqueued_total", "Queries accepted into the submission queue per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_queue_enqueued_total", float64(sh.QueueEnqueued), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_queue_dequeued_total", "Queries handed to mediation from the submission queue per shard.", "counter")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_queue_dequeued_total", float64(sh.QueueDequeued), "shard", strconv.Itoa(i))
-	}
-	m.header("sbqa_shard_mean_candidates", "Mean candidate-set size per successful mediation.", "gauge")
-	for i, sh := range st.Shards {
-		m.sample("sbqa_shard_mean_candidates", sh.MeanCandidates, "shard", strconv.Itoa(i))
+	for _, f := range shardFamilies {
+		m.header(f.name, f.help, f.typ)
+		for i, sh := range st.Shards {
+			m.sample(f.name, f.value(sh), "shard", strconv.Itoa(i))
+		}
 	}
 
-	g.writeQoSMetrics(m, eng)
+	g.writeQoSMetrics(m, st)
 
 	m.header("sbqa_worker_queue_depth", "Tasks queued per registered worker.", "gauge")
 	workerIDs := make([]int, 0, len(st.WorkerQueueDepths))
@@ -203,6 +165,36 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(m.b.String()))
+}
+
+// shardFamilies are the metric families with one sample per shard, in
+// document order: each reads one ShardStats field.
+var shardFamilies = [...]struct {
+	name, help, typ string
+	value           func(sbqa.ShardStats) float64
+}{
+	{"sbqa_shard_mediations_total", "Successful mediations per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.Mediations) }},
+	{"sbqa_shard_rejections_total", "Failed mediations per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.Rejections) }},
+	{"sbqa_shard_dispatch_failures_total", "Allocations not fully delivered per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.DispatchFailures) }},
+	{"sbqa_shard_imputations_total", "Intentions imputed for silent participants per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.Imputations) }},
+	{"sbqa_shard_intention_timeouts_total", "Imputations caused by missed participant deadlines per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.IntentionTimeouts) }},
+	{"sbqa_shard_policy_swaps_total", "Policy generations adopted per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.PolicySwaps) }},
+	{"sbqa_shard_queue_depth", "Asynchronous submission queue backlog per shard.", "gauge",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.QueueDepth) }},
+	{"sbqa_shard_queue_high_water", "Deepest submission queue backlog observed per shard.", "gauge",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.QueueHighWater) }},
+	{"sbqa_queue_enqueued_total", "Queries accepted into the submission queue per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.QueueEnqueued) }},
+	{"sbqa_queue_dequeued_total", "Queries handed to mediation from the submission queue per shard.", "counter",
+		func(sh sbqa.ShardStats) float64 { return float64(sh.QueueDequeued) }},
+	{"sbqa_shard_mean_candidates", "Mean candidate-set size per successful mediation.", "gauge",
+		func(sh sbqa.ShardStats) float64 { return sh.MeanCandidates }},
 }
 
 // writeRuntimeMetrics appends the Go runtime health gauges — present even
@@ -252,12 +244,13 @@ func writeTraceMetrics(m *metricsWriter, tr *sbqa.TraceRecorder) {
 // writeQoSMetrics appends the overload-survival families: sheds by class
 // and reason (summed across shards — the class is the operational unit, the
 // shard an implementation detail), gateway admission rejections, and the
-// current brownout level.
-func (g *gateway) writeQoSMetrics(m *metricsWriter, eng *sbqa.Engine) {
+// current brownout level (every shard runs the same one). Both come from the
+// scheduler ledgers the scrape's Stats snapshot already took.
+func (g *gateway) writeQoSMetrics(m *metricsWriter, st sbqa.EngineStats) {
 	type key struct{ class, reason string }
 	shed := make(map[key]uint64)
-	for _, qs := range eng.QoSStats() {
-		for _, cs := range qs.Classes {
+	for _, sh := range st.Shards {
+		for _, cs := range sh.QoS.Classes {
 			for reason, n := range cs.Shed {
 				shed[key{cs.Name, reason}] += n
 			}
@@ -280,7 +273,7 @@ func (g *gateway) writeQoSMetrics(m *metricsWriter, eng *sbqa.Engine) {
 	m.header("sbqa_admission_rejected_total", "Submissions refused by the gateway token buckets (HTTP 429).", "counter")
 	m.sample("sbqa_admission_rejected_total", float64(g.admissionRejected.Load()))
 	m.header("sbqa_brownout_level", "Current brownout shed-widening level (0 = none).", "gauge")
-	m.sample("sbqa_brownout_level", float64(eng.Brownout()))
+	m.sample("sbqa_brownout_level", float64(st.Shards[0].QoS.Brownout))
 }
 
 // writeClusterMetrics appends the sbqa_cluster_* families: peer health as

@@ -61,7 +61,7 @@ func TestReadyzNotReadyWindow(t *testing.T) {
 		t.Errorf("metrics before init missing sbqa_ready 0:\n%s", body)
 	}
 
-	if err := gw.init(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.DefaultPolicy())); err != nil {
+	if err := gw.init(nil, sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.DefaultPolicy())); err != nil {
 		t.Fatal(err)
 	}
 

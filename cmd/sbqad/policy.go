@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -59,8 +60,15 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var spec sbqa.PolicySpec
-	if !decodeJSON(w, r, &spec) {
+	// The document goes to the parser the -policy file goes to: a misspelled
+	// tunable is a 400, not a silent default.
+	body, ok := decodeJSON(w, r, nil)
+	if !ok {
+		return
+	}
+	spec, err := sbqa.ParsePolicy(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Detached context: an accepted reconfiguration must not be rolled back
@@ -68,7 +76,7 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	// Reconfigure and the generation read atomic with respect to other
 	// PUTs, so each caller learns the generation *its* spec was assigned.
 	g.policyMu.Lock()
-	err := eng.Reconfigure(context.WithoutCancel(r.Context()), spec)
+	err = eng.Reconfigure(context.WithoutCancel(r.Context()), spec)
 	gen := eng.PolicyGeneration()
 	g.policyMu.Unlock()
 	if err != nil {
@@ -76,14 +84,9 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The engine reconfigured its schedulers from the spec's qos block (or
-	// restored its construction-time QoS when the spec carries none);
-	// mirror the resulting spec into the gateway's admission limiter so
-	// token buckets and class queues always enforce the same generation.
-	if qs := eng.QoSSpec(); hasAdmissionRates(qs) {
-		g.applyQoS(&qs)
-	} else {
-		g.applyQoS(nil)
-	}
+	// restored its construction-time QoS when the spec carries none); the
+	// token buckets follow, so both always enforce the same generation.
+	g.syncLimiter()
 	writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 }
 
@@ -91,9 +94,10 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 // is mediated by a freshly built allocator over a table-backed environment,
 // and the resulting ranking is returned. Nothing touches the running
 // engine, its satisfaction registry, or its directory — preview is a pure
-// function of the request.
+// function of the request. The policy member stays raw so that it goes
+// through sbqa.ParsePolicy like every other policy document.
 type previewRequest struct {
-	Policy sbqa.PolicySpec `json:"policy"`
+	Policy json.RawMessage `json:"policy"`
 	Query  struct {
 		Consumer int     `json:"consumer"`
 		Class    int     `json:"class"`
@@ -142,14 +146,19 @@ type previewResponse struct {
 
 func (g *gateway) handlePolicyPreview(w http.ResponseWriter, r *http.Request) {
 	var req previewRequest
-	if !decodeJSON(w, r, &req) {
+	if _, ok := decodeJSON(w, r, &req); !ok {
 		return
 	}
 	if len(req.Candidates) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("preview requires at least one candidate"))
 		return
 	}
-	allocator, err := req.Policy.Build(0)
+	spec, err := sbqa.ParsePolicy(req.Policy)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	allocator, err := spec.Build(0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -105,7 +105,7 @@ func postWebhookJSON(ctx context.Context, client *http.Client, url, traceparent 
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("webhook %s: status %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxRequestBody)).Decode(out); err != nil {
+	if _, err := unmarshalCapped(nil, resp.Body, out); err != nil {
 		return fmt.Errorf("webhook %s: reply: %w", url, err)
 	}
 	return nil

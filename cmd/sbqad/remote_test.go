@@ -232,7 +232,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ctx, ln,
+		done <- serve(ctx, ln, nil,
 			sbqa.WithWindow(10),
 			sbqa.WithAllocator(sbqa.NewSbQA(sbqa.SbQAConfig{})),
 		)

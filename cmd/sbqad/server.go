@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"mime"
 	"net/http"
@@ -99,8 +100,8 @@ type managedWorker interface {
 
 // newGatewayShell builds a gateway whose HTTP surface is immediately
 // servable but not yet ready: every engine-backed endpoint answers 503
-// until init completes. serve uses this to bind the listener before the
-// (possibly long) state restore.
+// until init completes. serve uses this to bind the
+// listener before the (possibly long) state restore.
 func newGatewayShell() *gateway {
 	results := make(chan sbqa.LiveResult, subscriberBuffer)
 	return &gateway{
@@ -115,30 +116,19 @@ func newGatewayShell() *gateway {
 	}
 }
 
-// init builds the engine — restoring persisted state when the options carry
-// WithPersistence — with the gateway's event hub installed as the engine
-// observer, then marks the gateway ready.
-func (g *gateway) init(opts ...sbqa.EngineOption) error {
-	return g.initWithCluster(nil, opts...)
-}
-
-// initWithCluster is init plus cluster membership: the node (ring,
-// heartbeats, replication, submit guard) is built and started before the
-// ready flip, so no unguarded submission can slip through the window
-// between engine construction and guard installation.
-func (g *gateway) initWithCluster(cs *clusterSettings, opts ...sbqa.EngineOption) error {
+// init builds the engine — restoring persisted state when the
+// options carry WithPersistence — with the gateway's event hub installed as
+// the engine observer, then marks the gateway ready. With cluster settings
+// the node (ring, heartbeats, replication, submit guard) is built and
+// started before the ready flip, so no unguarded submission can slip
+// through the window between engine construction and guard installation.
+func (g *gateway) init(cs *clusterSettings, opts ...sbqa.EngineOption) error {
 	eng, err := sbqa.NewEngine(append(opts, sbqa.WithObserver(g.hub.observer()))...)
 	if err != nil {
 		return err
 	}
 	g.eng = eng
-	// Derive the admission limiter from the QoS spec the engine actually
-	// runs (WithQoS or the boot policy's qos block) — one source of truth
-	// for token buckets and class queues. Specs without admission rates
-	// leave the hot path limiter-free.
-	if qs := eng.QoSSpec(); hasAdmissionRates(qs) {
-		g.applyQoS(&qs)
-	}
+	g.syncLimiter()
 	if cs != nil {
 		if err := g.initCluster(cs); err != nil {
 			eng.Close()
@@ -168,24 +158,27 @@ func hasAdmissionRates(qs sbqa.QoSSpec) bool {
 // do not need the not-ready window).
 func newGateway(opts ...sbqa.EngineOption) (*gateway, error) {
 	g := newGatewayShell()
-	if err := g.init(opts...); err != nil {
+	if err := g.init(nil, opts...); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// applyQoS swaps the gateway's admission limiter: a spec with admission
-// rates installs fresh token buckets (momentary amnesty — refused counts
-// accumulate on the gateway, not the limiter), nil uninstalls admission
-// entirely. The limiter runs on its own monotonic clock; it only ever
-// differences times, so the origin is irrelevant.
-func (g *gateway) applyQoS(spec *sbqa.QoSSpec) {
-	if spec == nil {
+// syncLimiter derives the admission limiter from the QoS spec the engine
+// runs now (WithQoS, the boot policy's qos block, or what the last PUT left)
+// — one source of truth for token buckets and class queues. A spec with
+// admission rates installs fresh token buckets (momentary amnesty — refused
+// counts accumulate on the gateway, not the limiter); one without leaves the
+// hot path limiter-free. The limiter runs on its own monotonic clock; it
+// only ever differences times, so the origin is irrelevant.
+func (g *gateway) syncLimiter() {
+	qs := g.eng.QoSSpec()
+	if !hasAdmissionRates(qs) {
 		g.limiter.Store(nil)
 		return
 	}
 	start := time.Now()
-	g.limiter.Store(sbqa.NewQoSLimiter(*spec, func() float64 {
+	g.limiter.Store(sbqa.NewQoSLimiter(qs, func() float64 {
 		return time.Since(start).Seconds()
 	}))
 }
@@ -291,36 +284,47 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// maxRequestBody bounds every JSON request body the gateway accepts; larger
-// bodies fail with 413 before the decoder buffers them.
+// maxRequestBody bounds every JSON document the gateway reads: request
+// bodies (413 past it) and webhook replies.
 const maxRequestBody = 1 << 20 // 1 MiB
 
-// decodeJSON hardens and decodes one JSON request body: an explicit
-// Content-Type other than application/json is rejected with 415 (a missing
-// Content-Type is tolerated for curl-friendliness), the body is capped at
-// maxRequestBody (413 past it), and malformed JSON fails with 400. Returns
-// false after writing the error response.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// unmarshalCapped reads body once, whole — past maxRequestBody the error is
+// a *http.MaxBytesError — and decodes it into v as one JSON document, so
+// anything after the first value is an error, not a remainder dropped
+// unread. A nil v leaves the bytes to the caller's own parser.
+func unmarshalCapped(w http.ResponseWriter, body io.ReadCloser, v any) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, body, maxRequestBody))
+	if err == nil && v != nil {
+		err = json.Unmarshal(data, v)
+	}
+	return data, err
+}
+
+// decodeJSON is the one place a request body is read and decoded: an
+// explicit Content-Type other than application/json is a 415 (a missing one
+// is tolerated for curl-friendliness), a body past the cap a 413, malformed
+// JSON or trailing data a 400. It returns the bytes read — what a cluster
+// forward sends the owner — and false after writing the error response.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil || (mt != "application/json" && mt != "text/json") {
 			writeError(w, http.StatusUnsupportedMediaType,
 				fmt.Errorf("unsupported content type %q; use application/json", ct))
-			return false
+			return nil, false
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, err := unmarshalCapped(w, r.Body, v)
+	if err != nil {
+		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
+			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
 		}
-		writeError(w, http.StatusBadRequest, err)
-		return false
+		writeError(w, status, err)
+		return nil, false
 	}
-	return true
+	return body, true
 }
 
 // consumerRequest registers a consumer. Without intention_url the consumer
@@ -343,10 +347,11 @@ func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req consumerRequest
-	if !decodeJSON(w, r, &req) {
+	body, ok := decodeJSON(w, r, &req)
+	if !ok {
 		return
 	}
-	if !g.routeOrForward(w, r, req.ID, sbqa.ClusterForwardConsumersPath, &g.cmx.fwdConsumers, req) {
+	if !g.routeOrForward(w, r, req.ID, sbqa.ClusterForwardConsumersPath, &g.cmx.fwdConsumers, body) {
 		return
 	}
 	if req.IntentionURL != "" {
@@ -394,7 +399,7 @@ func (g *gateway) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req workerRequest
-	if !decodeJSON(w, r, &req) {
+	if _, ok := decodeJSON(w, r, &req); !ok {
 		return
 	}
 	in := sbqa.Intention(req.Intention).Clamp()
@@ -455,7 +460,8 @@ func (g *gateway) handleUnregisterWorker(w http.ResponseWriter, r *http.Request)
 // queryRequest submits one query. wait selects how much of the lifecycle
 // the HTTP response covers: "none" returns the ticket's query ID
 // immediately, "allocation" (the default) waits for the mediation outcome,
-// "results" waits for every per-worker result. qos names the service class
+// "results" waits for every per-worker result; any other value is a 400
+// before the query is routed or admitted. qos names the service class
 // ("interactive", "batch", "background", or any class the running qos spec
 // declares; unknown names fold into the default class); deadline_ms bounds
 // the query's whole lifetime — a deadline the shard cannot meet sheds the
@@ -499,7 +505,15 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	admStart := sbqa.TraceNow()
 	var req queryRequest
-	if !decodeJSON(w, r, &req) {
+	body, ok := decodeJSON(w, r, &req)
+	if !ok {
+		return
+	}
+	switch req.Wait {
+	case "", "none", "allocation", "results":
+	default:
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown wait %q; use none, allocation or results", req.Wait))
 		return
 	}
 	// Tracing: adopt an inbound traceparent (a forwarded hop, or an
@@ -518,7 +532,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			r = r.WithContext(withTraceContext(r.Context(), tc))
 		}
 	}
-	if !g.routeOrForward(w, r, req.Consumer, sbqa.ClusterForwardPath, &g.cmx.fwdQueries, req) {
+	if !g.routeOrForward(w, r, req.Consumer, sbqa.ClusterForwardPath, &g.cmx.fwdQueries, body) {
 		return
 	}
 	if req.N < 1 {
@@ -609,7 +623,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		for _, res := range results {
 			resp.Results = append(resp.Results, newResultJSON(res))
 		}
-	default: // "allocation"
+	default: // "allocation", also the meaning of an absent wait
 		a, err := t.Allocation()
 		lifeErr = err
 		if err != nil {
@@ -698,15 +712,16 @@ func (g *gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
+	st := eng.Stats()
 	resp := statsResponse{
-		EngineStats: eng.Stats(),
+		EngineStats: st,
 		Satisfaction: satisfactionMap{
 			Consumers: make(map[string]float64),
 			Providers: make(map[string]float64),
 		},
 		EventsDropped:     g.hub.droppedEvents(),
 		AdmissionRejected: g.admissionRejected.Load(),
-		Brownout:          eng.Brownout(),
+		Brownout:          st.Shards[0].QoS.Brownout,
 	}
 	reg := eng.Registry()
 	for _, id := range reg.ConsumerIDs() {
@@ -727,13 +742,13 @@ func (g *gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": false})
 		return
 	}
-	st := eng.Stats()
+	dir := eng.Directory()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"ready":     true,
-		"shards":    len(st.Shards),
-		"providers": st.Providers,
-		"consumers": st.Consumers,
+		"shards":    eng.Shards(),
+		"providers": dir.NumProviders(),
+		"consumers": dir.NumConsumers(),
 	})
 }
 

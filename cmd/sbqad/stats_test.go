@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -170,6 +171,63 @@ shards[].rejections number
 worker_queue_depths map`
 	if got := strings.Join(got, "\n"); got != want {
 		t.Fatalf("/v1/stats key set changed\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// metricsSkeleton reduces an exposition document to what a dashboard
+// depends on besides the numbers: every HELP and TYPE line verbatim, in
+// order, and under each the distinct sample shapes — metric name and label
+// names — in order of first appearance.
+func metricsSkeleton(text string) string {
+	var out []string
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP") {
+			clear(seen)
+		} else if !strings.HasPrefix(line, "#") {
+			name, _, _ := strings.Cut(line, " ")
+			var labels []string
+			if i := strings.IndexByte(name, '{'); i >= 0 {
+				for _, kv := range strings.Split(name[i+1:], `",`) {
+					k, _, _ := strings.Cut(kv, "=")
+					labels = append(labels, k)
+				}
+				name = name[:i]
+			}
+			line = name + "{" + strings.Join(labels, ",") + "}"
+			if seen[line] {
+				continue
+			}
+			seen[line] = true
+		}
+		out = append(out, line)
+	}
+	return strings.Join(out, "\n") + "\n"
+}
+
+// TestMetricsFamiliesGolden pins /v1/metrics family for family — names,
+// help, types, label sets and order — on a node that serves every family:
+// clustered, journaled, traced, QoS on, one query allocated and one shed.
+// testdata/metrics_families.golden was written by this function from the
+// handler as it stood before the per-shard families became one loop over a
+// list and the shed ledger came out of the Stats snapshot.
+func TestMetricsFamiliesGolden(t *testing.T) {
+	nodes := startTestCluster(t, 2, true, append(deterministicOpts(),
+		sbqa.WithTracing(1, 16), sbqa.WithQoS(sbqa.DefaultQoSSpec()))...)
+	n0 := nodes[0]
+	registerWorkers(t, n0.srv.URL)
+	c := consumerOwnedBy(t, nodes, 0, 0)
+	postJSON(t, n0.srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
+	submitAlloc(t, n0.srv.URL, c)
+	n0.g.eng.SetBrownout(1)
+	postJSON(t, n0.srv.URL+"/v1/queries", queryRequest{Consumer: c, N: 1, Work: 1, QoS: "background"}, nil)
+
+	want, err := os.ReadFile("testdata/metrics_families.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricsSkeleton(getText(t, n0.srv.URL+"/v1/metrics")); got != string(want) {
+		t.Fatalf("/v1/metrics families changed\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

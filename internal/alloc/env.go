@@ -100,12 +100,7 @@ func (e *StaticEnv) ConsumerSatisfaction(c model.ConsumerID) float64 {
 	return 0.5
 }
 
-// ProviderSatisfactions implements Env.
-func (e *StaticEnv) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
-	return e.AppendProviderSatisfactions(kn, make([]float64, 0, len(kn)))
-}
-
-// AppendProviderSatisfactions implements SatisfactionAppender.
+// AppendProviderSatisfactions implements Env.
 func (e *StaticEnv) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64 {
 	for _, snap := range kn {
 		if v, ok := e.SatP[snap.ID]; ok {
@@ -118,4 +113,3 @@ func (e *StaticEnv) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst
 }
 
 var _ Env = (*StaticEnv)(nil)
-var _ SatisfactionAppender = (*StaticEnv)(nil)

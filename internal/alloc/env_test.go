@@ -19,9 +19,9 @@ func lookup(t *testing.T, e *StaticEnv, q model.Query, snap model.ProviderSnapsh
 	if err != nil || len(bids) != 1 {
 		t.Fatalf("Bids = %v, %v", bids, err)
 	}
-	sats := e.ProviderSatisfactions(kn)
+	sats := e.AppendProviderSatisfactions(kn, nil)
 	if len(sats) != 1 {
-		t.Fatalf("ProviderSatisfactions = %v", sats)
+		t.Fatalf("AppendProviderSatisfactions = %v", sats)
 	}
 	return set.CI[0], set.PI[0], bids[0], sats[0]
 }

@@ -107,18 +107,9 @@ type Env interface {
 	// ConsumerSatisfaction returns δs(c) for q's consumer.
 	ConsumerSatisfaction(c model.ConsumerID) float64
 
-	// ProviderSatisfactions returns δs(p) for each provider in the batch,
-	// position-aligned with kn.
-	ProviderSatisfactions(kn []model.ProviderSnapshot) []float64
-}
-
-// SatisfactionAppender is an optional Env extension for the zero-allocation
-// hot path: AppendProviderSatisfactions appends δs(p) for each provider in
-// the batch to dst (position-aligned with kn) and returns the extended
-// slice, letting the allocator reuse one scratch buffer across mediations
-// instead of receiving a fresh slice per ProviderSatisfactions call.
-// Allocators type-assert for it and fall back to ProviderSatisfactions.
-type SatisfactionAppender interface {
+	// AppendProviderSatisfactions appends δs(p) for each provider in the
+	// batch to dst, position-aligned with kn, and returns the extended
+	// slice — so an allocator reuses one scratch column across mediations.
 	AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64
 }
 

@@ -161,6 +161,13 @@ type Node struct {
 	replayMu   sync.Mutex
 	replayed   map[string]int // origin -> records replayed on failover
 	replayErrs map[string]string
+
+	// replicas caches what replicaStatuses last read from ReplicaDir, until
+	// AcceptSegment — that directory's only writer — marks it stale, so a
+	// Status between two shipments touches no file.
+	replicaMu    sync.Mutex
+	replicas     []ReplicaStatus
+	replicasRead bool
 }
 
 // New validates cfg and builds a node. The node is inert until Start.
@@ -337,7 +344,11 @@ func (n *Node) AcceptSegment(origin string, seq uint64, body io.Reader) error {
 	if origin == "" || origin == n.cfg.Self.ID || !n.full.Contains(origin) {
 		return fmt.Errorf("cluster: refusing segment from unknown origin %q", origin)
 	}
-	return acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), seq, body)
+	err := acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), seq, body)
+	n.replicaMu.Lock()
+	n.replicasRead = false
+	n.replicaMu.Unlock()
+	return err
 }
 
 // heartbeatLoop probes every peer each interval, first round instantly
@@ -404,7 +415,8 @@ type Status struct {
 }
 
 // Status snapshots the node for the control surface and the metrics
-// endpoint.
+// endpoint. It reads memory, except right after a change on disk: a newly
+// shipped replica is listed and a newly sealed local segment sized, once.
 func (n *Node) Status() Status {
 	st := Status{
 		Self:   n.cfg.Self,
@@ -435,28 +447,36 @@ func (n *Node) Status() Status {
 }
 
 func (n *Node) replicaStatuses() []ReplicaStatus {
-	var out []ReplicaStatus
-	for _, origin := range n.full.Nodes() {
-		if origin == n.cfg.Self.ID {
-			continue
-		}
-		dir := filepath.Join(n.cfg.ReplicaDir, origin)
-		seqs, err := persist.ScanSegmentDir(dir)
-		if err != nil || len(seqs) == 0 {
-			continue
-		}
-		rs := ReplicaStatus{Origin: origin, Segments: len(seqs)}
-		for _, seq := range seqs {
-			if fi, err := statFile(persist.SegmentFilePath(dir, seq)); err == nil {
-				rs.Bytes += fi
+	n.replicaMu.Lock()
+	if !n.replicasRead {
+		n.replicas = n.replicas[:0]
+		for _, origin := range n.full.Nodes() {
+			if origin == n.cfg.Self.ID {
+				continue
 			}
+			dir := filepath.Join(n.cfg.ReplicaDir, origin)
+			seqs, err := persist.ScanSegmentDir(dir)
+			if err != nil || len(seqs) == 0 {
+				continue
+			}
+			rs := ReplicaStatus{Origin: origin, Segments: len(seqs)}
+			for _, seq := range seqs {
+				if fi, err := statFile(persist.SegmentFilePath(dir, seq)); err == nil {
+					rs.Bytes += fi
+				}
+			}
+			n.replicas = append(n.replicas, rs)
 		}
-		n.replayMu.Lock()
-		rs.Replayed = n.replayed[origin]
-		rs.ReplayErr = n.replayErrs[origin]
-		n.replayMu.Unlock()
-		out = append(out, rs)
+		sort.Slice(n.replicas, func(i, j int) bool { return n.replicas[i].Origin < n.replicas[j].Origin })
+		n.replicasRead = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	out := append([]ReplicaStatus(nil), n.replicas...)
+	n.replicaMu.Unlock()
+	n.replayMu.Lock()
+	for i := range out {
+		out[i].Replayed = n.replayed[out[i].Origin]
+		out[i].ReplayErr = n.replayErrs[out[i].Origin]
+	}
+	n.replayMu.Unlock()
 	return out
 }

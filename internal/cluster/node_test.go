@@ -248,6 +248,11 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 	}
 	defer follower.Close()
 	fSrv := serveNode(t, follower)
+	// An empty reading, taken before anything ships: each shipment must
+	// make Status look again.
+	if rs := follower.Status().Replicas; len(rs) != 0 {
+		t.Fatalf("replicas before any shipment = %+v", rs)
+	}
 
 	oCfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: fSrv.URL})
 	oCfg.StateDir = ownerDir
@@ -304,9 +309,33 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 			t.Fatalf("consumer %d: replayed δs %v, owner had %v", c, got, want)
 		}
 	}
+	owner.Close() // no shipment from here on
 	st := follower.Status()
 	if st.Replicas[0].Origin != "a" || st.Replicas[0].ReplayErr != "" {
 		t.Fatalf("replica status = %+v", st.Replicas[0])
+	}
+
+	// Status agrees with the disk, and between shipments it answers from
+	// its cached reading: with the files moved away behind its back it
+	// still says the same, because it did not look.
+	replicaDir := filepath.Join(followerDir, "replica", "a")
+	held, _ := follower.HeldSegments("a")
+	var onDisk int64
+	for _, seq := range held {
+		size, err := statFile(persist.SegmentFilePath(replicaDir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += size
+	}
+	if rs := st.Replicas[0]; rs.Segments != len(held) || rs.Bytes != onDisk {
+		t.Fatalf("replicas = %+v, disk holds %d segments, %d bytes", rs, len(held), onDisk)
+	}
+	if err := os.Rename(replicaDir, replicaDir+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if rs := follower.Status().Replicas; len(rs) != 1 || rs[0] != st.Replicas[0] {
+		t.Fatalf("Status re-read the disk between shipments: %+v, was %+v", rs, st.Replicas[0])
 	}
 }
 

@@ -23,6 +23,7 @@ type replicator struct {
 	shipped map[string]map[uint64]bool // follower ID -> segment seqs confirmed held
 	seeded  map[string]bool            // follower ID -> inventory fetched
 	count   map[string]uint64          // follower ID -> segments shipped by this process
+	sizes   map[uint64]int64           // sealed segment seq -> bytes; a sealed segment is sized once
 }
 
 type replLag struct {
@@ -37,6 +38,7 @@ func newReplicator(n *Node) *replicator {
 		shipped: make(map[string]map[uint64]bool),
 		seeded:  make(map[string]bool),
 		count:   make(map[string]uint64),
+		sizes:   make(map[uint64]int64),
 	}
 }
 
@@ -141,20 +143,29 @@ func (r *replicator) shipTo(p Peer, sealed []uint64) {
 // lag reports, per follower, how far its replica trails the local
 // journal: sealed segments (and their bytes) not yet confirmed held,
 // plus the active segment's unsealed bytes — the tail a crash right
-// now would lose for that follower.
+// now would lose for that follower. A sealed segment never changes, so
+// its size is read from disk the first time it is seen and remembered
+// until compaction prunes it: a status or metrics read between rotations
+// touches no file.
 func (r *replicator) lag() map[string]replLag {
 	store := r.n.cfg.Store
 	sealed := store.SealedSegmentSeqs()
 	active := store.ActiveSegmentBytes()
-	sizes := make(map[uint64]int64, len(sealed))
-	for _, seq := range sealed {
-		if sz, err := statFile(persist.SegmentFilePath(r.n.cfg.StateDir, seq)); err == nil {
-			sizes[seq] = sz
-		}
-	}
 	out := make(map[string]replLag)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	sizes := make(map[uint64]int64, len(sealed))
+	for _, seq := range sealed {
+		sz, known := r.sizes[seq]
+		if !known {
+			var err error
+			if sz, err = statFile(persist.SegmentFilePath(r.n.cfg.StateDir, seq)); err != nil {
+				continue
+			}
+		}
+		sizes[seq] = sz
+	}
+	r.sizes = sizes
 	for _, id := range r.n.full.Followers(r.n.cfg.Self.ID) {
 		l := replLag{bytes: active, shipped: r.count[id]}
 		for _, seq := range sealed {

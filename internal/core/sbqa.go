@@ -202,12 +202,7 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 	satC := env.ConsumerSatisfaction(q.Consumer)
 	m := len(kn)
 	s.scr.grow(m)
-	var satP []float64
-	if ap, ok := env.(alloc.SatisfactionAppender); ok {
-		satP = ap.AppendProviderSatisfactions(kn, s.scr.satP[:0])
-	} else {
-		satP = env.ProviderSatisfactions(kn)
-	}
+	satP := env.AppendProviderSatisfactions(kn, s.scr.satP[:0])
 	if err := alloc.CheckBatch(len(satP), m, "satisfaction"); err != nil {
 		return nil, err
 	}

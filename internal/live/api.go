@@ -472,18 +472,6 @@ func (e *Engine) stop() bool {
 	return true
 }
 
-// QoSStats snapshots every shard scheduler's per-class ledger, in shard
-// order: per-class depth, high-water, enqueued/dequeued, and shed counts by
-// reason, plus the shard's service-time EWMA and brownout level. The
-// gateway's /metrics families are built from this.
-func (e *Engine) QoSStats() []qos.Stats {
-	out := make([]qos.Stats, len(e.shards))
-	for i, sh := range e.shards {
-		out[i] = sh.sched.Stats()
-	}
-	return out
-}
-
 // QoSSpec returns the QoS configuration the engine currently runs
 // (normalized; shard 0's — Reconfigure keeps all shards in step). An engine
 // without QoS configuration returns the zero spec (single default class).

@@ -636,6 +636,12 @@ type ShardStats struct {
 	QueueEnqueued  uint64 `json:"queue_enqueued"`
 	QueueDequeued  uint64 `json:"queue_dequeued"`
 	QueueShed      uint64 `json:"queue_shed"`
+
+	// QoS is the scheduler snapshot the Queue counters above were read from,
+	// whole: the per-class ledger with sheds by reason, the service-time
+	// EWMA and the brownout level. The gateway builds its per-class /metrics
+	// families from it; it is not part of the JSON document.
+	QoS qos.Stats `json:"-"`
 }
 
 // Stats is a point-in-time snapshot of the engine's counters: per-shard
@@ -737,6 +743,7 @@ func (e *Engine) Stats() Stats {
 			QueueEnqueued:     qs.Enqueued,
 			QueueDequeued:     qs.Dequeued,
 			QueueShed:         qs.Shed,
+			QoS:               qs,
 		}
 		if m > 0 {
 			ss.MeanCandidates = float64(sh.candidateSum.Load()) / float64(m)

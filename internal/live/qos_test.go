@@ -315,10 +315,10 @@ func TestQoSChurnUnderRace(t *testing.T) {
 	}
 	// Counters stayed coherent: everything enqueued was dequeued or shed.
 	var enq, deq, shed uint64
-	for _, st := range eng.QoSStats() {
-		enq += st.Enqueued
-		deq += st.Dequeued
-		shed += st.Shed
+	for _, sh := range eng.Stats().Shards {
+		enq += sh.QoS.Enqueued
+		deq += sh.QoS.Dequeued
+		shed += sh.QoS.Shed
 	}
 	if enq == 0 || deq+shed < enq {
 		t.Fatalf("scheduler ledger leaked: enqueued %d, dequeued %d, shed %d", enq, deq, shed)

@@ -403,15 +403,9 @@ func (e env) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapsho
 	return bids, nil
 }
 
-// ProviderSatisfactions implements the batched protocol (alloc.Env) from
-// the shared satisfaction registry.
-func (e env) ProviderSatisfactions(kn []model.ProviderSnapshot) []float64 {
-	return e.AppendProviderSatisfactions(kn, make([]float64, 0, len(kn)))
-}
-
-// AppendProviderSatisfactions implements alloc.SatisfactionAppender: the
-// allocation-free variant the SbQA hot path uses, appending into the
-// allocator's own scratch column.
+// AppendProviderSatisfactions implements the batched protocol (alloc.Env)
+// from the shared satisfaction registry, appending into the allocator's own
+// scratch column.
 func (e env) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []float64) []float64 {
 	for _, snap := range kn {
 		dst = append(dst, e.m.registry.ProviderSatisfaction(snap.ID))
@@ -421,4 +415,3 @@ func (e env) AppendProviderSatisfactions(kn []model.ProviderSnapshot, dst []floa
 
 var _ alloc.Env = env{}
 var _ alloc.ShareEnv = env{}
-var _ alloc.SatisfactionAppender = env{}

@@ -13,8 +13,8 @@
 // (Scenario 1 of the demo).
 //
 // Participant registration lives in the directory layer
-// (internal/directory); the mediator consumes it through the small Directory
-// interface so a fleet of mediator shards can share one catalog. A mediator
+// (internal/directory); a fleet of mediator shards shares one
+// *directory.Directory as its catalog. A mediator
 // constructed with the zero Config owns a private directory and a private
 // satisfaction registry and behaves exactly like the historical
 // single-registry pipeline.
@@ -52,34 +52,6 @@ type Provider = directory.Provider
 // implement it are indexed by query class and skipped entirely during
 // candidate discovery for other classes.
 type CapabilityReporter = directory.CapabilityReporter
-
-// Directory is the catalog interface the mediator consults for participant
-// lookup and candidate discovery. *directory.Directory implements it; tests
-// and embedders may substitute their own.
-type Directory interface {
-	// RegisterProvider adds (or replaces) a provider.
-	RegisterProvider(p Provider)
-	// UnregisterProvider removes a provider.
-	UnregisterProvider(id model.ProviderID)
-	// RegisterConsumer adds (or replaces) a consumer.
-	RegisterConsumer(c Consumer)
-	// UnregisterConsumer removes a consumer.
-	UnregisterConsumer(id model.ConsumerID)
-	// Provider returns the registered provider with the given ID, or nil.
-	Provider(id model.ProviderID) Provider
-	// Consumer returns the registered consumer with the given ID, or nil.
-	Consumer(id model.ConsumerID) Consumer
-	// View returns the index bucket of a query class — universal
-	// providers and the class's specialists in ascending ProviderID order
-	// (deterministic candidate sets are what make seeded runs
-	// reproducible) — as an immutable snapshot: the same pointer until a
-	// registration or departure touches the bucket.
-	View(class int) *directory.View
-	// NumProviders returns the number of registered providers.
-	NumProviders() int
-	// NumConsumers returns the number of registered consumers.
-	NumConsumers() int
-}
 
 // ShareReporter is an optional Provider extension for BOINC-style resource
 // shares (see alloc.ShareBased): it reports how much capacity the provider
@@ -133,7 +105,7 @@ type Config struct {
 	// Directory, when set, supplies participant storage and candidate
 	// discovery — shared across engine shards. Nil gets a private
 	// directory.
-	Directory Directory
+	Directory *directory.Directory
 
 	// ParticipantDeadline bounds each context-aware participant call
 	// (ConsumerParticipant, ProviderParticipant, BidderParticipant) during
@@ -159,7 +131,7 @@ type Mediator struct {
 	cfg       Config
 	allocator alloc.Allocator
 	registry  *satisfaction.Registry
-	dir       Directory
+	dir       *directory.Directory
 
 	// Mediation scratch arena (DESIGN.md §9): per-shard buffers reused
 	// across mediations so the hot path allocates nothing. The arena is
@@ -225,7 +197,7 @@ func (m *Mediator) SetParticipantDeadline(d time.Duration) { m.cfg.ParticipantDe
 func (m *Mediator) Registry() *satisfaction.Registry { return m.registry }
 
 // Directory exposes the participant catalog the mediator consults.
-func (m *Mediator) Directory() Directory { return m.dir }
+func (m *Mediator) Directory() *directory.Directory { return m.dir }
 
 // RegisterConsumer adds (or replaces) a consumer.
 func (m *Mediator) RegisterConsumer(c Consumer) { m.dir.RegisterConsumer(c) }
@@ -259,7 +231,7 @@ func (m *Mediator) Provider(id model.ProviderID) Provider { return m.dir.Provide
 func (m *Mediator) Consumer(id model.ConsumerID) Consumer { return m.dir.Consumer(id) }
 
 // env adapts the participant registries to the batched alloc.Env for one
-// mediation. The batch methods (Intentions, Bids, ProviderSatisfactions)
+// mediation. The batch methods (Intentions, Bids, AppendProviderSatisfactions)
 // live in fanout.go: they are the default adapter of the intention protocol,
 // fanning context-aware participants out concurrently while calling
 // in-process participants inline.

@@ -210,7 +210,7 @@ func TestPullPathNeverProposesRefuserOrDeparted(t *testing.T) {
 			query := q(int64(i+1), 0, 1+churn.Intn(2))
 			query.Class = churn.Intn(3)
 			accepting := 0
-			for _, p := range m.Directory().(*directory.Directory).Candidates(query, nil) {
+			for _, p := range m.Directory().Candidates(query, nil) {
 				if departed[p.ProviderID()] {
 					t.Fatalf("world %d: departed provider %d still discoverable", world, p.ProviderID())
 				}

@@ -18,7 +18,9 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -360,13 +362,19 @@ func init() {
 }
 
 // Parse decodes a JSON policy spec, rejecting unknown fields so a
-// misspelled tunable cannot silently fall back to its default.
+// misspelled tunable cannot silently fall back to its default, and anything
+// but white space after the document so a spec is never half of what was
+// sent. Every policy document from outside the process — the -policy file,
+// PUT /v1/policy, a preview's policy member — comes through here.
 func Parse(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("policy: parsing spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("policy: parsing spec: data after the policy document")
 	}
 	return s, nil
 }

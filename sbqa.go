@@ -236,8 +236,6 @@ type (
 	Consumer = mediator.Consumer
 	// Provider is the mediator-side view of a provider.
 	Provider = mediator.Provider
-	// MediatorDirectory is the catalog interface the mediator consults.
-	MediatorDirectory = mediator.Directory
 
 	// ConsumerParticipant is the optional context-aware extension of
 	// Consumer: the mediator gathers CI_q over the whole candidate batch

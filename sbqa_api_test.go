@@ -98,7 +98,6 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	var _ Provider = providerStub{}
 	dir := NewDirectory()
 	var _ *ProviderDirectory = dir
-	var _ MediatorDirectory = dir
 	var _ CapabilityReporter
 	med.RegisterConsumer(consumerStub{id: 0})
 	if _, err := med.Mediate(context.Background(), 0, Query{Consumer: 0, N: 1, Work: 1}); !errors.Is(err, ErrNoCandidates) {
