@@ -108,6 +108,7 @@ func (g *gateway) initCluster(cs *clusterSettings) error {
 		return err
 	}
 	g.node = node
+	g.forwardedFrom = []string{node.Self().ID}
 	g.eng.SetSubmitGuard(node.SubmitGuard())
 	node.Start()
 	return nil
@@ -164,17 +165,20 @@ func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consume
 // client sent, unknown members included — and relays the response whole.
 // The outbound request runs on the inbound request's context — the
 // client's cancellation and deadline propagate — capped by forwardTimeout
-// so a silent owner yields a typed 503 rather than a hang.
+// so a silent owner yields a typed 503 rather than a hang. body is the
+// caller's pooled buffer, and the transport may still be writing the request
+// after Do returns (an owner that answers before it has read it), so what
+// goes out is a copy.
 func (g *gateway) forward(w http.ResponseWriter, r *http.Request, owner sbqa.ClusterPeer, path string, body []byte) {
 	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+path, bytes.NewReader(bytes.Clone(body)))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(sbqa.ClusterForwardedFromHeader, g.node.Self().ID)
+	req.Header["Content-Type"] = jsonContentType
+	req.Header[sbqa.ClusterForwardedFromHeader] = g.forwardedFrom
 	// A sampled submission propagates its trace context to the owner as a
 	// W3C traceparent, so both nodes' segments share one trace ID.
 	tc, traced := traceContextFrom(r.Context())
@@ -300,7 +304,7 @@ func (g *gateway) proxySSE(w http.ResponseWriter, r *http.Request, owner sbqa.Cl
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	req.Header.Set(sbqa.ClusterForwardedFromHeader, g.node.Self().ID)
+	req.Header[sbqa.ClusterForwardedFromHeader] = g.forwardedFrom
 	resp, err := g.forwardClient.Do(req)
 	if err != nil {
 		writeRoutedError(w, "peer_down", owner, fmt.Errorf("subscribing at node %s: %w", owner.ID, err))

@@ -1,0 +1,264 @@
+package main
+
+// The edge's working memory and its codec. A submit should allocate for the
+// query — the ticket, the Allocation — and not for the plumbing around it,
+// so a request borrows its buffers from one pool, the flat document every
+// client sends is recognised without reflection, and the one shape every
+// submit answers with is appended by hand. The standard library stays the
+// reference for both directions: decodeQuery declines whatever it is not
+// sure of and json.Unmarshal decides, and writeQueryResponse is held
+// byte-for-byte to json.Encoder by test.
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+
+	"sbqa"
+)
+
+// scratch is what one request borrows from the edge: the body it read, the
+// response it encodes, and the decoded submit — kept here so that handing
+// its address to decodeJSON boxes a pointer into the pool's memory, not a
+// fresh copy. All of it is dead once the handler returns: nothing decoded
+// from body may alias it (decodeQuery interns or copies its strings,
+// json.Unmarshal copies), and what may outlive the handler copies first
+// (see forward).
+type scratch struct {
+	body  bytes.Buffer
+	limit io.LimitedReader // over the request body; here, not allocated per read
+	out   []byte
+	req   queryRequest
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledBuffer is the largest buffer a scratch takes back to the pool: a
+// rare megabyte body must not pin a megabyte per P for the daemon's life.
+const maxPooledBuffer = 64 << 10
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(sc *scratch) {
+	if sc.body.Cap() > maxPooledBuffer {
+		sc.body = bytes.Buffer{}
+	}
+	if cap(sc.out) > maxPooledBuffer {
+		sc.out = nil
+	}
+	scratchPool.Put(sc)
+}
+
+// errBodyTooLarge is what decode returns past maxRequestBody — the error
+// http.MaxBytesReader would have produced, without the reader.
+var errBodyTooLarge error = &http.MaxBytesError{Limit: maxRequestBody}
+
+// decode reads r into sc.body, whole — taking at most one byte past
+// maxRequestBody off the wire before giving up — and decodes it into v as
+// one JSON document, so anything after the first value is an error, not a
+// remainder dropped unread. A submit goes through the recogniser first;
+// whatever that declines, and every other type, is json.Unmarshal's. A nil v
+// leaves the bytes to the caller's own parser.
+func (sc *scratch) decode(r io.Reader, v any) error {
+	sc.limit = io.LimitedReader{R: r, N: maxRequestBody + 1}
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(&sc.limit)
+	sc.limit.R = nil
+	if err != nil {
+		return err
+	}
+	if sc.body.Len() > maxRequestBody {
+		return errBodyTooLarge
+	}
+	switch q := v.(type) {
+	case nil:
+		return nil
+	case *queryRequest:
+		*q = queryRequest{}
+		if decodeQuery(sc.body.Bytes(), q) {
+			return nil
+		}
+	}
+	return json.Unmarshal(sc.body.Bytes(), v)
+}
+
+// queryFields are queryRequest's JSON names, in field order: decodeQuery
+// switches on the index.
+var queryFields = [...]string{"consumer", "class", "n", "work", "wait", "qos", "deadline_ms"}
+
+// decodeQuery recognises the document every client sends — one flat object
+// of queryRequest's members under their exact lower-case names, integers
+// written as integers, strings free of escapes and of anything outside
+// ASCII, any other member a scalar — and fills q exactly as json.Unmarshal
+// would. It reports false, leaving q untouched, for everything else: a key
+// in another case (which encoding/json would still bind to the field), a
+// duplicate, null, nesting, a float where an integer goes, a number strconv
+// refuses. False is never an answer, only "ask json.Unmarshal", so the
+// recogniser may be as narrow as it likes but must never accept what the
+// standard library rejects nor fill a field differently: syntax is left to
+// json.Valid (a scanner, no reflection, nothing allocated), conversion to
+// the strconv calls encoding/json makes, and FuzzDecodeQueryMatchesStdlib
+// holds the rest to that.
+func decodeQuery(b []byte, q *queryRequest) bool {
+	if !json.Valid(b) {
+		return false
+	}
+	// From here b is one JSON value, so a token ends where a delimiter
+	// begins and no index below can run off the end.
+	var req queryRequest
+	var seen uint
+	i := skipSpace(b, 0)
+	if b[i] != '{' {
+		return false
+	}
+	for i = skipSpace(b, i+1); b[i] != '}'; i = skipSpace(b, i) {
+		key, j := plainString(b, i)
+		if j < 0 {
+			return false
+		}
+		i = skipSpace(b, skipSpace(b, j)+1) // over the colon
+		field := -1
+		for f, name := range queryFields {
+			if string(key) == name {
+				field = f
+				break
+			}
+		}
+		if field >= 0 {
+			if seen&(1<<field) != 0 {
+				return false
+			}
+			seen |= 1 << field
+		} else if slices.ContainsFunc(queryFields[:], func(name string) bool { return strings.EqualFold(string(key), name) }) {
+			return false // not a name of ours, but encoding/json would bind it
+		}
+		var tok []byte
+		switch b[i] {
+		case '{', '[':
+			return false
+		case '"':
+			if tok, j = plainString(b, i); j < 0 {
+				return false
+			}
+		default:
+			for j = i; strings.IndexByte(",} \t\n\r", b[j]) < 0; j++ {
+			}
+			tok = b[i:j]
+		}
+		if field >= 0 && (b[i] == '"') != (field == 4 || field == 5) {
+			return false // a string where a number goes, or the reverse
+		}
+		var err error
+		switch field { // -1, not a member of the request, is skipped
+		case 0:
+			req.Consumer, err = strconv.Atoi(string(tok))
+		case 1:
+			req.Class, err = strconv.Atoi(string(tok))
+		case 2:
+			req.N, err = strconv.Atoi(string(tok))
+		case 3:
+			req.Work, err = strconv.ParseFloat(string(tok), 64)
+		case 4:
+			req.Wait = intern(tok, "none", "allocation", "results")
+		case 5:
+			req.QoS = intern(tok, "interactive", "batch", "background")
+		case 6:
+			req.DeadlineMS, err = strconv.ParseFloat(string(tok), 64)
+		}
+		if err != nil {
+			return false
+		}
+		if i = skipSpace(b, j); b[i] == ',' {
+			i++
+		}
+	}
+	*q = req
+	return true
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON white space.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// plainString returns the contents of the string literal that opens at b[i]
+// and the index after its closing quote, or -1 when it holds anything
+// json.Unmarshal would not copy through as is: an escape or a byte outside
+// ASCII.
+func plainString(b []byte, i int) ([]byte, int) {
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return b[i+1 : j], j + 1
+		case c == '\\' || c >= 0x80:
+			return nil, -1
+		}
+	}
+	return nil, -1
+}
+
+// intern returns val as a string without allocating when it is one of the
+// values expected there, and as a copy otherwise — never as a view of the
+// pooled body.
+func intern(val []byte, known ...string) string {
+	for _, k := range known {
+		if string(val) == k {
+			return k
+		}
+	}
+	return string(val)
+}
+
+// jsonContentType is the Content-Type value of every JSON response and of
+// every forwarded request, shared: a header map takes the slice as is.
+var jsonContentType = []string{"application/json"}
+
+// writeQueryResponse answers a submit: the fixed queryResponse shape
+// appended into the scratch, byte for byte what json.Encoder writes for it
+// (omitempty members, HTML-safe string escaping, the trailing newline), with
+// the two members that are not plain integers left to json.Marshal — a
+// string always marshals, and a latency is a Duration over a constant, so
+// neither can fail.
+func writeQueryResponse(w http.ResponseWriter, status int, sc *scratch, resp *queryResponse) {
+	out := append(sc.out[:0], `{"query_id":`...)
+	out = strconv.AppendInt(out, resp.QueryID, 10)
+	out = appendProviders(out, `,"selected":[`, resp.Selected)
+	out = appendProviders(out, `,"proposed":[`, resp.Proposed)
+	if len(resp.Results) > 0 {
+		results, _ := json.Marshal(resp.Results)
+		out = append(append(out, `,"results":`...), results...)
+	}
+	if resp.Error != "" {
+		msg, _ := json.Marshal(resp.Error)
+		out = append(append(out, `,"error":`...), msg...)
+	}
+	out = append(out, "}\n"...)
+	sc.out = out
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(out) // a client that has gone is nobody's error
+}
+
+// appendProviders appends one omitempty member holding a list of IDs.
+func appendProviders(out []byte, open string, ids []sbqa.ProviderID) []byte {
+	if len(ids) == 0 {
+		return out
+	}
+	out = append(out, open...)
+	for i, id := range ids {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendInt(out, int64(id), 10)
+	}
+	return append(out, ']')
+}

@@ -174,6 +174,9 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`{"consumer":1e99}`))
 	f.Add([]byte("\xff\xfe{}"))
 	f.Add([]byte(``))
+	// Nanoseconds that leave int64: used to convert to "no deadline" on amd64.
+	f.Add([]byte(`{"consumer":1,"work":1,"deadline_ms":1e300}`))
+	f.Add([]byte(`{"consumer":1,"work":1,"deadline_ms":9.3e12}`))
 	h := fuzzGateway(f).handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := handle(h, http.MethodPost, "/v1/queries", body)

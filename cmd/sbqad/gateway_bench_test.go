@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"sbqa"
@@ -88,5 +92,91 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 		if rec.status != http.StatusOK {
 			b.Fatalf("submit: %d %s", rec.status, rec.body.String())
 		}
+	}
+}
+
+// BenchmarkWireSubmit puts a handler behind a real net/http server on
+// loopback and drives it with a client that allocates nothing — one
+// kept-alive connection, the request written as prepared bytes, the response
+// read into a fixed buffer — so allocs/op is the server side's alone:
+// net/http's connection handling plus the handler. "bare" drains the wire
+// harness's own submit and answers with fixed bytes: the floor under any
+// handler of this design. "sbqad" is the gateway; the difference is what a
+// query costs on top of HTTP/1.1 itself (EXPERIMENTS.md, "Where a wire
+// query's allocations and CPU go").
+func BenchmarkWireSubmit(b *testing.B) {
+	const payload = `{"consumer":1,"class":0,"n":1,"work":1,"wait":"allocation"}`
+	b.Run("bare", func(b *testing.B) {
+		reply := []byte(`{"query_id":1,"selected":[1]}` + "\n")
+		benchWire(b, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.Header()["Content-Type"] = jsonContentType
+			_, _ = w.Write(reply)
+		}), payload)
+	})
+	b.Run("sbqad", func(b *testing.B) {
+		gw, err := newGateway(
+			sbqa.WithWindow(50),
+			sbqa.WithConcurrency(1),
+			sbqa.WithAllocatorFactory(func(int) sbqa.Allocator {
+				return sbqa.NewSbQA(sbqa.SbQAConfig{KnBest: sbqa.KnBestParams{K: 4, Kn: 2}, Seed: 1})
+			}),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer gw.close()
+		h := gw.handler()
+		for id := 1; id <= 3; id++ {
+			handle(h, http.MethodPost, "/v1/workers", fmt.Appendf(nil, `{"id":%d,"capacity":1000000,"intention":0.5}`, id))
+		}
+		handle(h, http.MethodPost, "/v1/consumers", []byte(`{"id":1,"intention":0.8}`))
+		benchWire(b, h, payload)
+	})
+}
+
+// benchWire times POST /v1/queries round trips of payload against h over one
+// loopback connection, requiring a 200 each time.
+func benchWire(b *testing.B, h http.Handler, payload string) {
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	req := []byte("POST /v1/queries HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: " +
+		strconv.Itoa(len(payload)) + "\r\n\r\n" + payload)
+	buf := make([]byte, 4096)
+	roundTrip := func() {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		// A response is complete when the bytes after the blank line number
+		// what Content-Length said.
+		for n := 0; ; {
+			m, err := conn.Read(buf[n:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += m
+			head, body, ok := bytes.Cut(buf[:n], []byte("\r\n\r\n"))
+			if !ok {
+				continue
+			}
+			_, cl, _ := bytes.Cut(head, []byte("Content-Length: "))
+			cl, _, _ = bytes.Cut(cl, []byte("\r\n"))
+			if want, err := strconv.Atoi(string(cl)); err != nil || !bytes.HasPrefix(head, []byte("HTTP/1.1 200 ")) {
+				b.Fatalf("response %q", buf[:n])
+			} else if len(body) >= want {
+				return
+			}
+		}
+	}
+	roundTrip() // connection set-up, scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }

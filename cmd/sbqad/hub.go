@@ -26,9 +26,16 @@ type sseEvent struct {
 // enforces this. Drops are not silent: every per-subscriber drop increments
 // the dropped counter, surfaced as events_dropped in GET /v1/stats, so an
 // operator can tell a quiet stream from a lossy one.
+//
+// Most of the time nobody is subscribed. nsubs mirrors len(subs) so that the
+// publishing side can see that without the lock: the observer callbacks
+// return before building an event for nobody, and a submit hands its results
+// to the drain only while someone listens. subscribe raises the count before
+// it returns, so a client that has its stream misses nothing it causes next.
 type hub struct {
 	mu      sync.Mutex
 	subs    map[chan sseEvent]struct{}
+	nsubs   atomic.Int32
 	dropped atomic.Uint64
 }
 
@@ -44,15 +51,23 @@ func (h *hub) subscribe() (<-chan sseEvent, func()) {
 	ch := make(chan sseEvent, subscriberBuffer)
 	h.mu.Lock()
 	h.subs[ch] = struct{}{}
+	h.nsubs.Store(int32(len(h.subs)))
 	h.mu.Unlock()
 	return ch, func() {
 		h.mu.Lock()
 		delete(h.subs, ch)
+		h.nsubs.Store(int32(len(h.subs)))
 		h.mu.Unlock()
 	}
 }
 
+// subscribed reports whether anyone would receive an event published now.
+func (h *hub) subscribed() bool { return h.nsubs.Load() > 0 }
+
 func (h *hub) publish(kind string, data any) {
+	if !h.subscribed() {
+		return
+	}
 	h.mu.Lock()
 	for ch := range h.subs {
 		select {
@@ -138,10 +153,15 @@ type peerChangeEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// observer adapts the hub to the engine's Observer interface.
+// observer adapts the hub to the engine's Observer interface. The callbacks
+// that run per query, and the snapshot with its two maps, look for a
+// subscriber before they build anything; the rare ones leave that to publish.
 func (h *hub) observer() sbqa.Observer {
 	return sbqa.ObserverFuncs{
 		Allocation: func(a *sbqa.Allocation, candidates int) {
+			if !h.subscribed() {
+				return
+			}
 			h.publish("allocation", allocationEvent{
 				QueryID:    int64(a.Query.ID),
 				Consumer:   int(a.Query.Consumer),
@@ -150,6 +170,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		Rejection: func(q sbqa.Query, reason error) {
+			if !h.subscribed() {
+				return
+			}
 			h.publish("rejection", rejectionEvent{
 				QueryID:  int64(q.ID),
 				Consumer: int(q.Consumer),
@@ -157,6 +180,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		DispatchFailure: func(q sbqa.Query, _ *sbqa.Allocation, err error) {
+			if !h.subscribed() {
+				return
+			}
 			h.publish("dispatch_failure", dispatchFailureEvent{
 				QueryID: int64(q.ID),
 				Error:   err.Error(),
@@ -175,6 +201,9 @@ func (h *hub) observer() sbqa.Observer {
 			h.publish("departed", participantEvent{Kind: "consumer", ID: int(id)})
 		},
 		IntentionImputed: func(im sbqa.Imputation) {
+			if !h.subscribed() {
+				return
+			}
 			errMsg := ""
 			if im.Err != nil {
 				errMsg = im.Err.Error()
@@ -189,6 +218,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		Shed: func(s sbqa.ShedEvent) {
+			if !h.subscribed() {
+				return
+			}
 			h.publish("shed", shedEvent{
 				QueryID:         int64(s.Query.ID),
 				Consumer:        int(s.Query.Consumer),
@@ -216,6 +248,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		SatisfactionSnapshot: func(snap sbqa.SatisfactionSnapshot) {
+			if !h.subscribed() {
+				return
+			}
 			ev := satisfactionEvent{
 				Time:      snap.Time,
 				Consumers: make(map[string]float64, len(snap.Consumers)),

@@ -62,11 +62,12 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	// The document goes to the parser the -policy file goes to: a misspelled
 	// tunable is a 400, not a silent default.
-	body, ok := decodeJSON(w, r, nil)
-	if !ok {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !decodeJSON(w, r, sc, nil) {
 		return
 	}
-	spec, err := sbqa.ParsePolicy(body)
+	spec, err := sbqa.ParsePolicy(sc.body.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -146,7 +147,9 @@ type previewResponse struct {
 
 func (g *gateway) handlePolicyPreview(w http.ResponseWriter, r *http.Request) {
 	var req previewRequest
-	if _, ok := decodeJSON(w, r, &req); !ok {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !decodeJSON(w, r, sc, &req) {
 		return
 	}
 	if len(req.Candidates) == 0 {

@@ -105,7 +105,9 @@ func postWebhookJSON(ctx context.Context, client *http.Client, url, traceparent 
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("webhook %s: status %d", url, resp.StatusCode)
 	}
-	if _, err := unmarshalCapped(nil, resp.Body, out); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.decode(resp.Body, out); err != nil {
 		return fmt.Errorf("webhook %s: reply: %w", url, err)
 	}
 	return nil

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"mime"
 	"net/http"
@@ -40,16 +39,19 @@ type gateway struct {
 	// gateway's forwarding traffic; forwardClient carries forwarded
 	// requests (no client-level timeout — each forward is bounded by the
 	// inbound request's context capped at forwardTimeout).
+	// forwardedFrom is this node's ID as the value of the forwarded-from
+	// header, built once: the ID never changes after initCluster.
 	node          *sbqa.ClusterNode
 	cmx           clusterMetrics
 	forwardClient *http.Client
+	forwardedFrom []string
 
 	// webhookClient performs the remote participants' intention calls. The
 	// engine's per-participant deadline bounds each call through its
 	// context; the client's own timeout is the hard upper bound that keeps
 	// a hung webhook from wedging a shard when the daemon runs with
-	// -participant-deadline 0 (gateway submissions use WithoutCancel, so
-	// no request context would ever cancel the call).
+	// -participant-deadline 0 (gateway submissions run on a context no
+	// request owns, so nothing would ever cancel the call).
 	webhookClient *http.Client
 
 	// shuttingDown closes when graceful shutdown begins, ending the SSE
@@ -57,10 +59,11 @@ type gateway struct {
 	// period behind connected subscribers.
 	shuttingDown chan struct{}
 
-	// results receives every query's per-worker results — each Submit names
-	// it through submitResults, the one WithResults option built with the
-	// gateway — and publishResults drains it to the event stream for the
-	// gateway's whole life, behind a buffer as deep as a subscriber's.
+	// results receives the per-worker results of every query submitted while
+	// the event stream has a subscriber — such a Submit names it through
+	// submitResults, the one WithResults option built with the gateway — and
+	// publishResults drains it to the stream for the gateway's whole life,
+	// behind a buffer as deep as a subscriber's.
 	// resultsDone ends the drain; close closes it only after the workers, so
 	// a delivery never parks a worker on the way down.
 	results       chan sbqa.LiveResult
@@ -275,7 +278,7 @@ func (g *gateway) handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -288,43 +291,35 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // bodies (413 past it) and webhook replies.
 const maxRequestBody = 1 << 20 // 1 MiB
 
-// unmarshalCapped reads body once, whole — past maxRequestBody the error is
-// a *http.MaxBytesError — and decodes it into v as one JSON document, so
-// anything after the first value is an error, not a remainder dropped
-// unread. A nil v leaves the bytes to the caller's own parser.
-func unmarshalCapped(w http.ResponseWriter, body io.ReadCloser, v any) ([]byte, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, body, maxRequestBody))
-	if err == nil && v != nil {
-		err = json.Unmarshal(data, v)
-	}
-	return data, err
-}
-
 // decodeJSON is the one place a request body is read and decoded: an
 // explicit Content-Type other than application/json is a 415 (a missing one
-// is tolerated for curl-friendliness), a body past the cap a 413, malformed
-// JSON or trailing data a 400. It returns the bytes read — what a cluster
-// forward sends the owner — and false after writing the error response.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
+// is tolerated for curl-friendliness), a body past the cap a 413 on a
+// connection that serves nothing after it, malformed JSON or trailing data a
+// 400. The bytes read stay in sc.body — what a cluster forward sends the
+// owner — and false means the error response is written.
+func decodeJSON(w http.ResponseWriter, r *http.Request, sc *scratch, v any) bool {
+	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil || (mt != "application/json" && mt != "text/json") {
 			writeError(w, http.StatusUnsupportedMediaType,
 				fmt.Errorf("unsupported content type %q; use application/json", ct))
-			return nil, false
+			return false
 		}
 	}
-	body, err := unmarshalCapped(w, r.Body, v)
-	if err != nil {
+	if err := sc.decode(r.Body, v); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+			// The rest of the body is still on the wire and will not be
+			// read: as http.MaxBytesReader did, end the connection with
+			// this response.
+			w.Header().Set("Connection", "close")
 		}
 		writeError(w, status, err)
-		return nil, false
+		return false
 	}
-	return body, true
+	return true
 }
 
 // consumerRequest registers a consumer. Without intention_url the consumer
@@ -347,11 +342,12 @@ func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req consumerRequest
-	body, ok := decodeJSON(w, r, &req)
-	if !ok {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !decodeJSON(w, r, sc, &req) {
 		return
 	}
-	if !g.routeOrForward(w, r, req.ID, sbqa.ClusterForwardConsumersPath, &g.cmx.fwdConsumers, body) {
+	if !g.routeOrForward(w, r, req.ID, sbqa.ClusterForwardConsumersPath, &g.cmx.fwdConsumers, sc.body.Bytes()) {
 		return
 	}
 	if req.IntentionURL != "" {
@@ -399,7 +395,9 @@ func (g *gateway) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req workerRequest
-	if _, ok := decodeJSON(w, r, &req); !ok {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !decodeJSON(w, r, sc, &req) {
 		return
 	}
 	in := sbqa.Intention(req.Intention).Clamp()
@@ -504,9 +502,10 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	admStart := sbqa.TraceNow()
-	var req queryRequest
-	body, ok := decodeJSON(w, r, &req)
-	if !ok {
+	sc := getScratch()
+	defer putScratch(sc)
+	req := &sc.req
+	if !decodeJSON(w, r, sc, req) {
 		return
 	}
 	switch req.Wait {
@@ -532,7 +531,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			r = r.WithContext(withTraceContext(r.Context(), tc))
 		}
 	}
-	if !g.routeOrForward(w, r, req.Consumer, sbqa.ClusterForwardPath, &g.cmx.fwdQueries, body) {
+	if !g.routeOrForward(w, r, req.Consumer, sbqa.ClusterForwardPath, &g.cmx.fwdQueries, sc.body.Bytes()) {
 		return
 	}
 	if req.N < 1 {
@@ -577,21 +576,25 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Start: admStart, End: sbqa.TraceNow(),
 		})
 	}
-	// Results reach the SSE stream whatever the caller waits for.
-	qopts := append(make([]sbqa.QueryOption, 0, 3), g.submitResults)
+	// Results reach the SSE stream whatever the caller waits for — while the
+	// stream has a subscriber. With none, nothing is handed to the drain.
+	qopts := make([]sbqa.QueryOption, 0, 3)
+	if g.hub.subscribed() {
+		qopts = append(qopts, g.submitResults)
+	}
 	if req.QoS != "" {
 		qopts = append(qopts, sbqa.WithQoSClass(req.QoS))
 	}
 	if req.DeadlineMS > 0 {
-		qopts = append(qopts, sbqa.WithDeadline(time.Duration(req.DeadlineMS*float64(time.Millisecond))))
+		qopts = append(qopts, sbqa.WithDeadline(deadlineFromMS(req.DeadlineMS)))
 	}
-	// Submit with a detached context: once the gateway accepts a query its
-	// lifecycle must not be tied to the HTTP request — net/http cancels
+	// Submit on a context no request owns: once the gateway accepts a query
+	// its lifecycle must not be tied to the HTTP request — net/http cancels
 	// r.Context() the moment the handler returns, which would make
 	// wait:"none" submissions fail dispatch before the shard ever picked
 	// them up. The request context still bounds how long the caller waits
 	// below.
-	t := eng.Submit(context.WithoutCancel(r.Context()), q, qopts...)
+	t := eng.Submit(context.Background(), q, qopts...)
 
 	resp := queryResponse{QueryID: int64(t.Query().ID)}
 	var lifeErr error
@@ -609,7 +612,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		default:
 		}
-		writeJSON(w, http.StatusAccepted, resp)
+		writeQueryResponse(w, http.StatusAccepted, sc, &resp)
 		return
 	case "results":
 		results, err := t.Await(r.Context())
@@ -641,7 +644,19 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		status = http.StatusConflict
 	}
-	writeJSON(w, status, resp)
+	writeQueryResponse(w, status, sc, &resp)
+}
+
+// deadlineFromMS converts a deadline_ms to a Duration, saturating where the
+// product leaves int64: an out-of-range float-to-int conversion is
+// implementation-defined in Go (negative on amd64, which WithDeadline reads
+// as "no deadline"), and an absurd deadline is still a deadline.
+func deadlineFromMS(ms float64) time.Duration {
+	ns := ms * float64(time.Millisecond)
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
 }
 
 // rejectJSON is the structured body of a 429 (admission) or 503 (shed)
@@ -803,7 +818,8 @@ func (g *gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Subscribe before the headers go out: a client that has seen the 200
-	// must not miss an event it causes next.
+	// must not miss an event it causes next — its queries' results included,
+	// which a submit hands to the stream only while someone is subscribed.
 	ch, unsubscribe := g.hub.subscribe()
 	defer unsubscribe()
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -568,11 +569,9 @@ func (e *Engine) selectedWorkers(a *model.Allocation) []Executor {
 // that did not — the retryable remainder.
 func (e *Engine) dispatch(ctx context.Context, t *Ticket, workers []Executor) error {
 	t.expect(len(workers))
-	var accepted, failed []model.ProviderID
+	var failed []model.ProviderID
 	for _, w := range workers {
-		if w.accept(ctx, t) {
-			accepted = append(accepted, w.ProviderID())
-		} else {
+		if !w.accept(ctx, t) {
 			failed = append(failed, w.ProviderID())
 		}
 	}
@@ -580,6 +579,14 @@ func (e *Engine) dispatch(ctx context.Context, t *Ticket, workers []Executor) er
 		return nil
 	}
 	t.refused(len(failed))
+	// Only a refusal needs the other side of the partition listed: the
+	// selection in order, less the refusers.
+	var accepted []model.ProviderID
+	for _, w := range workers {
+		if id := w.ProviderID(); !slices.Contains(failed, id) {
+			accepted = append(accepted, id)
+		}
+	}
 	return &DispatchError{Query: t.query, Accepted: accepted, Failed: failed, Err: ctx.Err()}
 }
 

@@ -137,8 +137,10 @@ func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn 
 // abandons the in-service task and everything still queued on their
 // tickets, so no ticket waits on work that will not happen; Close sets the
 // shutdown flag before done closes, so no new task can slip in after the
-// drain.
+// drain. One timer serves every task; it is only ever Reset after its tick
+// was received, so no stale tick can be read.
 func (w *Worker) run() {
+	var timer *time.Timer
 	for {
 		var t task
 		select {
@@ -149,7 +151,11 @@ func (w *Worker) run() {
 		}
 		q := t.ticket.query
 		service := time.Duration(q.Work / w.capacity * float64(time.Second))
-		timer := time.NewTimer(service)
+		if timer == nil {
+			timer = time.NewTimer(service)
+		} else {
+			timer.Reset(service)
+		}
 		select {
 		case <-timer.C:
 		case <-w.done:
