@@ -7,7 +7,7 @@
 // b.ReportMetric (satisfaction, response time, departures), so
 // `go test -bench=Scenario -benchmem` prints the paper's rows alongside the
 // timing. Full-scale tables live in EXPERIMENTS.md and are regenerated with
-// `go run ./cmd/sbqa -scenario all`.
+// `go run ./cmd/sbqalab paper -scenario all`.
 package sbqa
 
 import (
@@ -220,7 +220,7 @@ func (fanoutConsumer) Intention(_ model.Query, snap model.ProviderSnapshot) mode
 // newFanoutMediator builds a mediator with n registered providers.
 func newFanoutMediator(b *testing.B, n int, participants bool) *mediator.Mediator {
 	b.Helper()
-	med := mediator.New(core.MustNew(core.DefaultConfig()), mediator.Config{Window: 100})
+	med := mediator.New(core.MustNew(core.Config{Seed: 1}), mediator.Config{Window: 100})
 	med.RegisterConsumer(fanoutConsumer{})
 	for i := 0; i < n; i++ {
 		if participants {
@@ -276,7 +276,7 @@ func BenchmarkSatisfactionUpdate(b *testing.B) {
 
 // BenchmarkMediateSbQA measures one full SbQA mediation over 200 candidates.
 func BenchmarkMediateSbQA(b *testing.B) {
-	benchmarkMediate(b, core.MustNew(core.DefaultConfig()))
+	benchmarkMediate(b, core.MustNew(core.Config{Seed: 1}))
 }
 
 // BenchmarkMediateCapacity measures one capacity-based mediation over 200
@@ -318,7 +318,7 @@ func BenchmarkWorldThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := boinc.DefaultConfig(100, 7)
 		cfg.Duration = 200
-		w, err := boinc.NewWorld(core.MustNew(core.DefaultConfig()), cfg)
+		w, err := boinc.NewWorld(core.MustNew(core.Config{Seed: 1}), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func runAblation(b *testing.B, mk func(seed uint64) alloc.Allocator, mutate func
 // Equation 2) …
 func BenchmarkAblationAdaptiveOmega(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.Seed = seed
 		return core.MustNew(c)
 	}, nil)
@@ -366,7 +366,7 @@ func BenchmarkAblationAdaptiveOmega(b *testing.B) {
 // BenchmarkAblationFixedOmega: … versus a fixed 0.5 balance.
 func BenchmarkAblationFixedOmega(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.Omega = core.FixedOmega(0.5)
 		c.Seed = seed
 		return core.MustNew(c)
@@ -377,7 +377,7 @@ func BenchmarkAblationFixedOmega(b *testing.B) {
 // (kn = k): pure interest matching.
 func BenchmarkAblationNoStage2(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.KnBest = knbest.Params{K: 20, Kn: 20}
 		c.Seed = seed
 		return core.MustNew(c)
@@ -387,7 +387,7 @@ func BenchmarkAblationNoStage2(b *testing.B) {
 // BenchmarkAblationSmallWindow: satisfaction memory k = 20 instead of 100.
 func BenchmarkAblationSmallWindow(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.Seed = seed
 		return core.MustNew(c)
 	}, func(cfg *boinc.Config) { cfg.Window = 20 })
@@ -396,7 +396,7 @@ func BenchmarkAblationSmallWindow(b *testing.B) {
 // BenchmarkAblationReplication1: no result replication (q.n = 1).
 func BenchmarkAblationReplication1(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.Seed = seed
 		return core.MustNew(c)
 	}, func(cfg *boinc.Config) {
@@ -409,7 +409,7 @@ func BenchmarkAblationReplication1(b *testing.B) {
 // BenchmarkAblationEpsilonSmall: ε = 0.01 sharpens the negative branch.
 func BenchmarkAblationEpsilonSmall(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.DefaultConfig()
+		c := core.Config{Seed: 1}
 		c.Epsilon = 0.01
 		c.Seed = seed
 		return core.MustNew(c)
@@ -455,7 +455,7 @@ func benchEngine(b *testing.B, shards, providers, consumers int) *Engine {
 		WithWindow(100),
 		WithConcurrency(shards),
 		WithAllocatorFactory(func(shard int) Allocator {
-			cfg := core.DefaultConfig()
+			cfg := core.Config{Seed: 1}
 			cfg.Seed = uint64(shard) + 1
 			return core.MustNew(cfg)
 		}),
@@ -599,7 +599,7 @@ func BenchmarkSubmitUnderOverload(b *testing.B) {
 			DefaultClass: QoSInteractive,
 		}),
 		WithAllocatorFactory(func(shard int) Allocator {
-			cfg := core.DefaultConfig()
+			cfg := core.Config{Seed: 1}
 			cfg.Seed = uint64(shard) + 1
 			return core.MustNew(cfg)
 		}),

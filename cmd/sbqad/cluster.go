@@ -246,7 +246,12 @@ func (g *gateway) handleSegmentsGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("cluster mode disabled"))
 		return
 	}
-	seqs, err := g.node.HeldSegments(r.URL.Query().Get("origin"))
+	origin := r.URL.Query().Get("origin")
+	if err := g.node.CheckOrigin(origin); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	seqs, err := g.node.HeldSegments(origin)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -76,6 +76,21 @@ func (m *metricsWriter) sample(name string, value float64, labels ...string) {
 	fmt.Fprintf(&m.b, " %g\n", value)
 }
 
+// scalar is one unlabelled metric family — a row of the table a scrape
+// renders: every family with exactly one sample is declared as one.
+type scalar struct {
+	name, help, typ string
+	value           float64
+}
+
+// scalars emits each row's HELP/TYPE preamble and its sample, in order.
+func (m *metricsWriter) scalars(rows ...scalar) {
+	for _, r := range rows {
+		m.header(r.name, r.help, r.typ)
+		m.sample(r.name, r.value)
+	}
+}
+
 func b2f(v bool) float64 {
 	if v {
 		return 1
@@ -86,8 +101,7 @@ func b2f(v bool) float64 {
 func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := &metricsWriter{}
 	eng := g.engine()
-	m.header("sbqa_ready", "1 once the engine is built and any persisted state is restored.", "gauge")
-	m.sample("sbqa_ready", b2f(eng != nil))
+	m.scalars(scalar{"sbqa_ready", "1 once the engine is built and any persisted state is restored.", "gauge", b2f(eng != nil)})
 	m.header("sbqa_build_info", "Build identity as labels; the value is always 1.", "gauge")
 	m.sample("sbqa_build_info", 1, "version", buildVersion, "go_version", runtime.Version())
 	writeRuntimeMetrics(m)
@@ -100,16 +114,13 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	st := eng.Stats()
 
-	m.header("sbqa_queries_submitted_total", "Query IDs assigned (including failed mediations).", "counter")
-	m.sample("sbqa_queries_submitted_total", float64(st.QueriesSubmitted))
-	m.header("sbqa_providers", "Providers currently registered in the directory.", "gauge")
-	m.sample("sbqa_providers", float64(st.Providers))
-	m.header("sbqa_consumers", "Consumers currently registered in the directory.", "gauge")
-	m.sample("sbqa_consumers", float64(st.Consumers))
-	m.header("sbqa_policy_generation", "Latest accepted policy generation.", "gauge")
-	m.sample("sbqa_policy_generation", float64(st.PolicyGeneration))
-	m.header("sbqa_events_dropped_total", "SSE events dropped for slow subscribers.", "counter")
-	m.sample("sbqa_events_dropped_total", float64(g.hub.droppedEvents()))
+	m.scalars(
+		scalar{"sbqa_queries_submitted_total", "Query IDs assigned (including failed mediations).", "counter", float64(st.QueriesSubmitted)},
+		scalar{"sbqa_providers", "Providers currently registered in the directory.", "gauge", float64(st.Providers)},
+		scalar{"sbqa_consumers", "Consumers currently registered in the directory.", "gauge", float64(st.Consumers)},
+		scalar{"sbqa_policy_generation", "Latest accepted policy generation.", "gauge", float64(st.PolicyGeneration)},
+		scalar{"sbqa_events_dropped_total", "SSE events dropped for slow subscribers.", "counter", float64(g.hub.droppedEvents())},
+	)
 
 	for _, f := range shardFamilies {
 		m.header(f.name, f.help, f.typ)
@@ -131,28 +142,19 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	if ps := st.Persistence; ps != nil {
-		m.header("sbqa_persist_records_appended_total", "Journal records appended.", "counter")
-		m.sample("sbqa_persist_records_appended_total", float64(ps.RecordsAppended))
-		m.header("sbqa_persist_records_dropped_total", "Events dropped by the full recorder queue.", "counter")
-		m.sample("sbqa_persist_records_dropped_total", float64(ps.RecordsDropped))
-		m.header("sbqa_persist_append_errors_total", "Journal records lost to write errors.", "counter")
-		m.sample("sbqa_persist_append_errors_total", float64(ps.AppendErrors))
-		m.header("sbqa_persist_syncs_total", "Journal fsyncs.", "counter")
-		m.sample("sbqa_persist_syncs_total", float64(ps.Syncs))
-		m.header("sbqa_persist_snapshots_written_total", "Snapshots written (compactions and the Close flush).", "counter")
-		m.sample("sbqa_persist_snapshots_written_total", float64(ps.SnapshotsWritten))
-		m.header("sbqa_persist_compactions_total", "Background compactions.", "counter")
-		m.sample("sbqa_persist_compactions_total", float64(ps.Compactions))
-		m.header("sbqa_persist_sealed_segments", "Sealed journal segments awaiting compaction.", "gauge")
-		m.sample("sbqa_persist_sealed_segments", float64(ps.SealedSegments))
-		m.header("sbqa_persist_queue_depth", "Recorder queue backlog.", "gauge")
-		m.sample("sbqa_persist_queue_depth", float64(ps.QueueDepth))
-		m.header("sbqa_persist_restore_replayed_records", "Journal records replayed by the boot restore.", "gauge")
-		m.sample("sbqa_persist_restore_replayed_records", float64(ps.Restore.ReplayedRecords))
-		m.header("sbqa_persist_restore_snapshot_loaded", "1 when the boot restore loaded a snapshot.", "gauge")
-		m.sample("sbqa_persist_restore_snapshot_loaded", b2f(ps.Restore.SnapshotLoaded))
-		m.header("sbqa_persist_restore_torn_tail", "1 when the boot restore found a torn final journal record.", "gauge")
-		m.sample("sbqa_persist_restore_torn_tail", b2f(ps.Restore.TornTail))
+		m.scalars(
+			scalar{"sbqa_persist_records_appended_total", "Journal records appended.", "counter", float64(ps.RecordsAppended)},
+			scalar{"sbqa_persist_records_dropped_total", "Events dropped by the full recorder queue.", "counter", float64(ps.RecordsDropped)},
+			scalar{"sbqa_persist_append_errors_total", "Journal records lost to write errors.", "counter", float64(ps.AppendErrors)},
+			scalar{"sbqa_persist_syncs_total", "Journal fsyncs.", "counter", float64(ps.Syncs)},
+			scalar{"sbqa_persist_snapshots_written_total", "Snapshots written (compactions and the Close flush).", "counter", float64(ps.SnapshotsWritten)},
+			scalar{"sbqa_persist_compactions_total", "Background compactions.", "counter", float64(ps.Compactions)},
+			scalar{"sbqa_persist_sealed_segments", "Sealed journal segments awaiting compaction.", "gauge", float64(ps.SealedSegments)},
+			scalar{"sbqa_persist_queue_depth", "Recorder queue backlog.", "gauge", float64(ps.QueueDepth)},
+			scalar{"sbqa_persist_restore_replayed_records", "Journal records replayed by the boot restore.", "gauge", float64(ps.Restore.ReplayedRecords)},
+			scalar{"sbqa_persist_restore_snapshot_loaded", "1 when the boot restore loaded a snapshot.", "gauge", b2f(ps.Restore.SnapshotLoaded)},
+			scalar{"sbqa_persist_restore_torn_tail", "1 when the boot restore found a torn final journal record.", "gauge", b2f(ps.Restore.TornTail)},
+		)
 	}
 
 	if tr := eng.Tracer(); tr != nil {
@@ -203,12 +205,11 @@ var shardFamilies = [...]struct {
 func writeRuntimeMetrics(m *metricsWriter) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	m.header("sbqa_go_goroutines", "Goroutines currently running.", "gauge")
-	m.sample("sbqa_go_goroutines", float64(runtime.NumGoroutine()))
-	m.header("sbqa_go_heap_inuse_bytes", "Heap bytes in in-use spans.", "gauge")
-	m.sample("sbqa_go_heap_inuse_bytes", float64(ms.HeapInuse))
-	m.header("sbqa_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter")
-	m.sample("sbqa_go_gc_pause_seconds_total", float64(ms.PauseTotalNs)/1e9)
+	m.scalars(
+		scalar{"sbqa_go_goroutines", "Goroutines currently running.", "gauge", float64(runtime.NumGoroutine())},
+		scalar{"sbqa_go_heap_inuse_bytes", "Heap bytes in in-use spans.", "gauge", float64(ms.HeapInuse)},
+		scalar{"sbqa_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter", float64(ms.PauseTotalNs) / 1e9},
+	)
 }
 
 // writeTraceMetrics appends the tracing families: per-stage latency
@@ -229,16 +230,13 @@ func writeTraceMetrics(m *metricsWriter, tr *sbqa.TraceRecorder) {
 	}
 
 	st := tr.StatsSnapshot()
-	m.header("sbqa_traces_started_total", "Traces started (sampled locally or adopted from a forward).", "counter")
-	m.sample("sbqa_traces_started_total", float64(st.Started))
-	m.header("sbqa_traces_finished_total", "Traces finished and published to the flight recorder.", "counter")
-	m.sample("sbqa_traces_finished_total", float64(st.Finished))
-	m.header("sbqa_traces_active", "Traces currently in flight.", "gauge")
-	m.sample("sbqa_traces_active", float64(st.Active))
-	m.header("sbqa_trace_spans_dropped_total", "Spans dropped past a trace's span cap.", "counter")
-	m.sample("sbqa_trace_spans_dropped_total", float64(st.SpansDropped))
-	m.header("sbqa_traces_evicted_total", "Finished traces evicted from the full flight-recorder ring.", "counter")
-	m.sample("sbqa_traces_evicted_total", float64(st.Evicted))
+	m.scalars(
+		scalar{"sbqa_traces_started_total", "Traces started (sampled locally or adopted from a forward).", "counter", float64(st.Started)},
+		scalar{"sbqa_traces_finished_total", "Traces finished and published to the flight recorder.", "counter", float64(st.Finished)},
+		scalar{"sbqa_traces_active", "Traces currently in flight.", "gauge", float64(st.Active)},
+		scalar{"sbqa_trace_spans_dropped_total", "Spans dropped past a trace's span cap.", "counter", float64(st.SpansDropped)},
+		scalar{"sbqa_traces_evicted_total", "Finished traces evicted from the full flight-recorder ring.", "counter", float64(st.Evicted)},
+	)
 }
 
 // writeQoSMetrics appends the overload-survival families: sheds by class
@@ -270,10 +268,10 @@ func (g *gateway) writeQoSMetrics(m *metricsWriter, st sbqa.EngineStats) {
 	for _, k := range keys {
 		m.sample("sbqa_shed_total", float64(shed[k]), "class", k.class, "reason", k.reason)
 	}
-	m.header("sbqa_admission_rejected_total", "Submissions refused by the gateway token buckets (HTTP 429).", "counter")
-	m.sample("sbqa_admission_rejected_total", float64(g.admissionRejected.Load()))
-	m.header("sbqa_brownout_level", "Current brownout shed-widening level (0 = none).", "gauge")
-	m.sample("sbqa_brownout_level", float64(st.Shards[0].QoS.Brownout))
+	m.scalars(
+		scalar{"sbqa_admission_rejected_total", "Submissions refused by the gateway token buckets (HTTP 429).", "counter", float64(g.admissionRejected.Load())},
+		scalar{"sbqa_brownout_level", "Current brownout shed-widening level (0 = none).", "gauge", float64(st.Shards[0].QoS.Brownout)},
+	)
 }
 
 // writeClusterMetrics appends the sbqa_cluster_* families: peer health as
@@ -282,10 +280,10 @@ func (g *gateway) writeQoSMetrics(m *metricsWriter, st sbqa.EngineStats) {
 func (g *gateway) writeClusterMetrics(m *metricsWriter) {
 	st := g.node.Status()
 
-	m.header("sbqa_cluster_nodes", "Nodes in the configured (full) ring.", "gauge")
-	m.sample("sbqa_cluster_nodes", float64(len(st.Nodes)))
-	m.header("sbqa_cluster_live_nodes", "Nodes in the live routing ring (Down peers excluded).", "gauge")
-	m.sample("sbqa_cluster_live_nodes", float64(len(st.Live)))
+	m.scalars(
+		scalar{"sbqa_cluster_nodes", "Nodes in the configured (full) ring.", "gauge", float64(len(st.Nodes))},
+		scalar{"sbqa_cluster_live_nodes", "Nodes in the live routing ring (Down peers excluded).", "gauge", float64(len(st.Live))},
+	)
 
 	m.header("sbqa_cluster_peer_health", "Peer health as seen by this node: 1 for the current state, 0 otherwise.", "gauge")
 	for _, p := range st.Peers {
@@ -297,16 +295,13 @@ func (g *gateway) writeClusterMetrics(m *metricsWriter) {
 	m.header("sbqa_cluster_forwarded_total", "Requests forwarded to their owning node.", "counter")
 	m.sample("sbqa_cluster_forwarded_total", float64(g.cmx.fwdQueries.Load()), "kind", "query")
 	m.sample("sbqa_cluster_forwarded_total", float64(g.cmx.fwdConsumers.Load()), "kind", "consumer")
-	m.header("sbqa_cluster_forward_errors_total", "Forwards that failed in transport.", "counter")
-	m.sample("sbqa_cluster_forward_errors_total", float64(g.cmx.fwdErrors.Load()))
-	m.header("sbqa_cluster_forward_seconds_sum", "Total round-trip time of completed forwards.", "counter")
-	m.sample("sbqa_cluster_forward_seconds_sum", float64(g.cmx.fwdLatencyMicro.Load())/1e6)
-	m.header("sbqa_cluster_forward_seconds_count", "Completed forwards with a latency observation.", "counter")
-	m.sample("sbqa_cluster_forward_seconds_count", float64(g.cmx.fwdCompleted.Load()))
-	m.header("sbqa_cluster_not_owner_total", "Forwarded hops refused because this node does not own the consumer.", "counter")
-	m.sample("sbqa_cluster_not_owner_total", float64(g.cmx.notOwner.Load()))
-	m.header("sbqa_cluster_peer_down_total", "Requests refused because the owning peer is down.", "counter")
-	m.sample("sbqa_cluster_peer_down_total", float64(g.cmx.peerDown.Load()))
+	m.scalars(
+		scalar{"sbqa_cluster_forward_errors_total", "Forwards that failed in transport.", "counter", float64(g.cmx.fwdErrors.Load())},
+		scalar{"sbqa_cluster_forward_seconds_sum", "Total round-trip time of completed forwards.", "counter", float64(g.cmx.fwdLatencyMicro.Load()) / 1e6},
+		scalar{"sbqa_cluster_forward_seconds_count", "Completed forwards with a latency observation.", "counter", float64(g.cmx.fwdCompleted.Load())},
+		scalar{"sbqa_cluster_not_owner_total", "Forwarded hops refused because this node does not own the consumer.", "counter", float64(g.cmx.notOwner.Load())},
+		scalar{"sbqa_cluster_peer_down_total", "Requests refused because the owning peer is down.", "counter", float64(g.cmx.peerDown.Load())},
+	)
 
 	m.header("sbqa_cluster_replication_lag_segments", "Sealed WAL segments not yet shipped to a follower.", "gauge")
 	m.header("sbqa_cluster_replication_lag_bytes", "Bytes of WAL (sealed backlog plus active tail) a follower is behind.", "gauge")

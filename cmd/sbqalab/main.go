@@ -1,16 +1,22 @@
-// Command sbqalab drives the workload laboratory: it lists the registered
-// hypothesis catalog, runs individual hypotheses against the real mediation
-// engine under the virtual clock, and regenerates hypotheses/FINDINGS.md.
+// Command sbqalab is the front door to the simulators. It drives the
+// workload laboratory — lists the registered hypothesis catalog, runs
+// individual hypotheses against the real mediation engine under the virtual
+// clock, regenerates hypotheses/FINDINGS.md — and it reproduces the paper:
+// `paper` prints the demo's scenario tables (EXPERIMENTS.md), `play` is the
+// demo's Scenario 7 at the terminal.
 //
 // Usage:
 //
+//	sbqalab paper -scenario all            # every scenario at paper scale
+//	sbqalab paper -scenario 3 -csv out/    # one scenario, time series as CSV
+//	sbqalab play                           # play a volunteer or a project
 //	sbqalab list                           # show the catalog
 //	sbqalab run -id H3-kn-heavy-tail       # run one hypothesis at full scale
 //	sbqalab run -short                     # run everything at CI scale
 //	sbqalab run -id H1-flash-crowd -out d/ # also write each report as JSON
 //	sbqalab report -o hypotheses/FINDINGS.md
 //
-// Same seeds ⇒ byte-identical reports and findings document.
+// Same seeds ⇒ byte-identical tables, reports and findings document.
 package main
 
 import (
@@ -39,6 +45,10 @@ func main() {
 		err = runRun(os.Args[2:])
 	case "report":
 		err = runReport(os.Args[2:])
+	case "paper":
+		err = runPaper(os.Args[2:], os.Stdout)
+	case "play":
+		err = runPlay(os.Stdin, os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -62,6 +72,12 @@ func usage() {
   sbqalab report [flags]           regenerate the findings document
       -short      CI scale instead of full scale
       -o FILE     output path (default: stdout)
+  sbqalab paper [flags]            print the paper's scenario tables
+      -scenario S 1..7, m, v, r, a, a comma list, or all (default: all)
+      -volunteers N  -duration SEC  -seed N  -load RHO
+      -csv DIR    also write every run's time series as CSV
+      -quiet      no progress lines on stderr
+  sbqalab play                     Scenario 7 at the terminal: play a participant
 `)
 }
 

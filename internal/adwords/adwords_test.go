@@ -31,7 +31,7 @@ func buildWorld(t *testing.T) (*World, *Advertiser) {
 }
 
 func TestNewWorldValidation(t *testing.T) {
-	if _, err := NewWorld(core.MustNew(core.DefaultConfig()), Config{TopicDim: 0}); err == nil {
+	if _, err := NewWorld(core.MustNew(core.Config{Seed: 1}), Config{TopicDim: 0}); err == nil {
 		t.Error("zero topics accepted")
 	}
 }

@@ -28,7 +28,6 @@ package alloc
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"sbqa/internal/model"
@@ -286,25 +285,4 @@ func (e *Economic) Allocate(ctx context.Context, env Env, q model.Query, candida
 		}
 	}
 	return a, nil
-}
-
-// ---------------------------------------------------------------------------
-// Registry of named constructors (CLI / experiments convenience)
-// ---------------------------------------------------------------------------
-
-// NewByName builds one of the baseline allocators from its table name.
-// SbQA itself is constructed in internal/core (it needs scorer/selector
-// configuration). Unknown names return an error.
-func NewByName(name string, rng *stats.RNG) (Allocator, error) {
-	switch name {
-	case "Random":
-		return NewRandom(rng), nil
-	case "RoundRobin":
-		return NewRoundRobin(), nil
-	case "Capacity":
-		return NewCapacity(), nil
-	case "Economic":
-		return NewEconomic(rng), nil
-	}
-	return nil, fmt.Errorf("alloc: unknown allocator %q", name)
 }

@@ -219,19 +219,6 @@ func TestEconomicDefaultBidIsExpectedDelay(t *testing.T) {
 	}
 }
 
-func TestNewByName(t *testing.T) {
-	rng := stats.NewRNG(1)
-	for _, name := range []string{"Random", "RoundRobin", "Capacity", "Economic"} {
-		a, err := NewByName(name, rng)
-		if err != nil || a == nil || a.Name() != name {
-			t.Errorf("NewByName(%q) = %v, %v", name, a, err)
-		}
-	}
-	if _, err := NewByName("Nope", rng); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestNilRNGConstructors(t *testing.T) {
 	if NewRandom(nil) == nil || NewEconomic(nil) == nil {
 		t.Error("nil-rng constructors failed")

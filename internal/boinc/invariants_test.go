@@ -34,7 +34,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 		case 3:
 			return alloc.NewShareBased()
 		default:
-			c := core.DefaultConfig()
+			c := core.Config{Seed: 1}
 			c.KnBest = knbest.Params{K: 5 + rng.Intn(20), Kn: 1 + rng.Intn(5)}
 			c.Seed = seed
 			return core.MustNew(c)

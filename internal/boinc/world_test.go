@@ -87,7 +87,7 @@ func TestAllAllocatorsRun(t *testing.T) {
 			alloc.NewEconomic(stats.NewRNG(3)),
 			alloc.NewRandom(stats.NewRNG(4)),
 			alloc.NewRoundRobin(),
-			core.MustNew(core.DefaultConfig()),
+			core.MustNew(core.Config{Seed: 1}),
 		}
 	}
 	for _, a := range allocators() {
@@ -110,7 +110,7 @@ func TestAllAllocatorsRun(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	mk := func() (int64, float64, float64) {
-		w, err := NewWorld(core.MustNew(core.DefaultConfig()), smallConfig(Captive, 77))
+		w, err := NewWorld(core.MustNew(core.Config{Seed: 1}), smallConfig(Captive, 77))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSbQARetainsMoreVolunteersThanCapacity(t *testing.T) {
 		rc := wc.Run()
 		capLeft += rc.ProvidersLeft
 
-		ws, err := NewWorld(core.MustNew(core.DefaultConfig()), smallConfig(Autonomous, seed))
+		ws, err := NewWorld(core.MustNew(core.Config{Seed: 1}), smallConfig(Autonomous, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestScenario5PolicySwap(t *testing.T) {
 	cfg.ProviderPolicy = func(workload.Volunteer) intention.ProviderPolicy {
 		return intention.LoadOnlyProvider{}
 	}
-	w, err := NewWorld(core.MustNew(core.DefaultConfig()), cfg)
+	w, err := NewWorld(core.MustNew(core.Config{Seed: 1}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,10 +323,24 @@ func (n *Node) failover(origin string) {
 	n.cfg.Logf("cluster: peer %s down: replayed %d records into local satisfaction memory", origin, replayed)
 }
 
+// CheckOrigin refuses an origin that is not another member of the full
+// ring. A segment request's origin arrives from the network and becomes a
+// directory name under ReplicaDir, so nothing else may reach the
+// filesystem.
+func (n *Node) CheckOrigin(origin string) error {
+	if origin == "" || origin == n.cfg.Self.ID || !n.full.Contains(origin) {
+		return fmt.Errorf("cluster: refusing segment from unknown origin %q", origin)
+	}
+	return nil
+}
+
 // HeldSegments lists the replicated segment seqs stored for origin —
 // the receiving half of the shipping handshake (a restarting owner
 // seeds its shipped-set from this).
 func (n *Node) HeldSegments(origin string) ([]uint64, error) {
+	if err := n.CheckOrigin(origin); err != nil {
+		return nil, err
+	}
 	if n.cfg.ReplicaDir == "" {
 		return nil, nil
 	}
@@ -341,8 +355,8 @@ func (n *Node) AcceptSegment(origin string, seq uint64, body io.Reader) error {
 	if n.cfg.ReplicaDir == "" {
 		return errors.New("cluster: no replica dir configured")
 	}
-	if origin == "" || origin == n.cfg.Self.ID || !n.full.Contains(origin) {
-		return fmt.Errorf("cluster: refusing segment from unknown origin %q", origin)
+	if err := n.CheckOrigin(origin); err != nil {
+		return err
 	}
 	err := acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), seq, body)
 	n.replicaMu.Lock()

@@ -52,11 +52,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the demo defaults: KnBest(20, 10), adaptive ω, ε = 1.
-func DefaultConfig() Config {
-	return Config{KnBest: knbest.DefaultParams(), Epsilon: score.DefaultEpsilon, Seed: 1}
-}
-
 // FixedOmega returns a pointer to v for Config.Omega.
 func FixedOmega(v float64) *float64 { return &v }
 

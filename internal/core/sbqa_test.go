@@ -74,7 +74,7 @@ func TestMustNewPanics(t *testing.T) {
 }
 
 func TestAllocateEmptyCandidates(t *testing.T) {
-	s := MustNew(DefaultConfig())
+	s := MustNew(Config{Seed: 1})
 	if got := allocate(t, s, alloc.NewStaticEnv(), query(1), nil); got != nil {
 		t.Errorf("Allocate with no candidates = %v", got)
 	}

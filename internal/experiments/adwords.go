@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"sbqa/internal/adwords"
-	"sbqa/internal/alloc"
-	"sbqa/internal/core"
 	"sbqa/internal/metrics"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 	"sbqa/internal/topics"
 )
 
@@ -36,21 +35,12 @@ func AdWordsStudy(opt Options) (*ScenarioResult, error) {
 		insectTopic = 2
 		campaignEnd = 0.5 // fraction of the horizon
 	)
-	type techCase struct {
-		name string
-		mk   func(seed uint64) alloc.Allocator
-	}
-	cases := []techCase{
-		{"Capacity(pacing)", func(uint64) alloc.Allocator { return alloc.NewCapacity() }},
-		{"SbQA(adaptive ω)", func(seed uint64) alloc.Allocator { return SbQATechnique().New(seed) }},
+	cases := []policy.Spec{
+		{Name: "Capacity(pacing)", Kind: policy.Capacity},
+		{Name: "SbQA(adaptive ω)", Kind: policy.SbQA},
 		// Ad platforms weight advertiser goals heavily; the paper notes ω
 		// "can be set in accordance to the kind of application".
-		{"SbQA(ω=0.75)", func(seed uint64) alloc.Allocator {
-			c := core.DefaultConfig()
-			c.Omega = core.FixedOmega(0.75)
-			c.Seed = seed
-			return core.MustNew(c)
-		}},
+		{Name: "SbQA(ω=0.75)", Kind: policy.SbQA, OmegaMode: policy.OmegaFixed, Omega: 0.75},
 	}
 
 	table := &metrics.Table{
@@ -74,7 +64,11 @@ func AdWordsStudy(opt Options) (*ScenarioResult, error) {
 			Window:    100,
 			Seed:      opt.Seed + uint64(i)*7919,
 		}
-		w, err := adwords.NewWorld(tc.mk(cfg.Seed), cfg)
+		a, err := build(tc, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: adwords: %w", err)
+		}
+		w, err := adwords.NewWorld(a, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: adwords: %w", err)
 		}
@@ -118,7 +112,7 @@ func AdWordsStudy(opt Options) (*ScenarioResult, error) {
 			return float64(n) / float64(of) * 100
 		}
 		table.Rows = append(table.Rows, []string{
-			tc.name,
+			tc.Name,
 			fmt.Sprintf("%.0f%%", share(pharmaDuring, insectDuring)),
 			fmt.Sprintf("%.0f%%", share(pharmaAfter, insectAfter)),
 			fmt.Sprintf("%.3f", w.Mediator().Registry().ProviderSatisfaction(pharma.ProviderID())),

@@ -4,7 +4,7 @@
 // observable output as a text table (plus CSV-able time series), using the
 // BOINC-like world in internal/boinc.
 //
-// Scenario map (see DESIGN.md §4):
+// Scenario map (see DESIGN.md §5):
 //
 //	S1 — satisfaction model compares Capacity vs Economic, captive
 //	S2 — the same baselines under autonomy; departure prediction
@@ -21,8 +21,8 @@ import (
 
 	"sbqa/internal/alloc"
 	"sbqa/internal/boinc"
-	"sbqa/internal/core"
 	"sbqa/internal/metrics"
+	"sbqa/internal/policy"
 	"sbqa/internal/stats"
 )
 
@@ -82,51 +82,27 @@ func (o Options) baseConfig(mode boinc.Mode) boinc.Config {
 	return cfg
 }
 
-// Technique names an allocation technique and knows how to build a fresh
-// instance (allocators carry private RNG state, so every run needs its own).
-type Technique struct {
-	Name string
-	New  func(seed uint64) alloc.Allocator
-}
+// The techniques the paper compares are points of the declarative policy
+// space the engine, the control plane and the lab share: a policy.Spec whose
+// Name is the row label the tables print. runOne sets Seed per run.
+var (
+	sbqaSpec     = policy.Spec{Name: "SbQA", Kind: policy.SbQA}
+	capacitySpec = policy.Spec{Name: "Capacity", Kind: policy.Capacity}
+	economicSpec = policy.Spec{Name: "Economic", Kind: policy.Economic}
+)
 
-// SbQATechnique returns the satisfaction-based allocator with demo defaults.
-func SbQATechnique() Technique {
-	return Technique{Name: "SbQA", New: func(seed uint64) alloc.Allocator {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		return core.MustNew(cfg)
-	}}
-}
+// baselines returns the two techniques the demo compares in Scenarios 1-2.
+func baselines() []policy.Spec { return []policy.Spec{capacitySpec, economicSpec} }
 
-// CapacityTechnique returns the BOINC-like capacity-based baseline.
-func CapacityTechnique() Technique {
-	return Technique{Name: "Capacity", New: func(uint64) alloc.Allocator {
-		return alloc.NewCapacity()
-	}}
-}
+// allTechniques returns the full head-to-head cast of Scenarios 3-4.
+func allTechniques() []policy.Spec { return []policy.Spec{capacitySpec, economicSpec, sbqaSpec} }
 
-// EconomicTechnique returns the Mariposa-like bidding baseline.
-func EconomicTechnique() Technique {
-	return Technique{Name: "Economic", New: func(seed uint64) alloc.Allocator {
-		return alloc.NewEconomic(stats.NewRNG(seed))
-	}}
-}
-
-// RandomTechnique returns the random control.
-func RandomTechnique() Technique {
-	return Technique{Name: "Random", New: func(seed uint64) alloc.Allocator {
-		return alloc.NewRandom(stats.NewRNG(seed))
-	}}
-}
-
-// Baselines returns the two techniques the demo compares in Scenarios 1-2.
-func Baselines() []Technique {
-	return []Technique{CapacityTechnique(), EconomicTechnique()}
-}
-
-// AllTechniques returns the full head-to-head cast of Scenarios 3-4.
-func AllTechniques() []Technique {
-	return []Technique{CapacityTechnique(), EconomicTechnique(), SbQATechnique()}
+// build constructs the spec's allocator the way the engine does for its
+// shard 0, seeded with seed (allocators carry private RNG state, so every
+// run needs its own).
+func build(spec policy.Spec, seed uint64) (alloc.Allocator, error) {
+	spec.Seed = seed
+	return spec.Build(0)
 }
 
 // ScenarioResult is one scenario's regenerated output.
@@ -177,10 +153,15 @@ func (s *ScenarioResult) Render(w io.Writer) error {
 	return nil
 }
 
-// runOne builds a world for the technique, applies the optional customizer,
-// runs it, and returns the result together with the world for post-analysis.
-func runOne(t Technique, cfg boinc.Config, seed uint64, customize func(*boinc.World)) (metrics.Result, *boinc.World, error) {
-	w, err := boinc.NewWorld(t.New(seed), cfg)
+// runOne builds a world for the spec's technique, applies the optional
+// customizer, runs it, and returns the result together with the world for
+// post-analysis.
+func runOne(spec policy.Spec, cfg boinc.Config, seed uint64, customize func(*boinc.World)) (metrics.Result, *boinc.World, error) {
+	a, err := build(spec, seed)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	w, err := boinc.NewWorld(a, cfg)
 	if err != nil {
 		return metrics.Result{}, nil, err
 	}
@@ -188,12 +169,12 @@ func runOne(t Technique, cfg boinc.Config, seed uint64, customize func(*boinc.Wo
 		customize(w)
 	}
 	r := w.Run()
-	r.Technique = t.Name
+	r.Technique = spec.Name
 	return r, w, nil
 }
 
 // compare runs every technique on identically seeded worlds.
-func compare(techniques []Technique, cfg boinc.Config, customize func(*boinc.World)) ([]metrics.Result, map[string]*boinc.World, error) {
+func compare(techniques []policy.Spec, cfg boinc.Config, customize func(*boinc.World)) ([]metrics.Result, map[string]*boinc.World, error) {
 	results := make([]metrics.Result, 0, len(techniques))
 	worlds := make(map[string]*boinc.World, len(techniques))
 	for i, t := range techniques {
@@ -220,7 +201,7 @@ func collectorsOf(worlds map[string]*boinc.World) map[string]*metrics.Collector 
 // technique: satisfaction, adequation, and allocation satisfaction on both
 // sides — the Scenario 1 demonstration that the model can analyze any
 // technique.
-func satisfactionAnalysisTable(title string, worlds map[string]*boinc.World, order []Technique) *metrics.Table {
+func satisfactionAnalysisTable(title string, worlds map[string]*boinc.World, order []policy.Spec) *metrics.Table {
 	t := &metrics.Table{
 		Title: title,
 		Columns: []string{

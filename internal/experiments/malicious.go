@@ -7,6 +7,7 @@ import (
 	"sbqa/internal/intention"
 	"sbqa/internal/metrics"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 	"sbqa/internal/workload"
 )
 
@@ -37,15 +38,15 @@ func MaliciousStudy(opt Options) (*ScenarioResult, error) {
 
 	type variant struct {
 		name string
-		tech Technique
+		tech policy.Spec
 		pol  func(workload.Project) intention.ConsumerPolicy
 	}
 	variants := []variant{
-		{"Capacity", CapacityTechnique(), nil},
-		{"SbQA/pref-only", SbQATechnique(), func(workload.Project) intention.ConsumerPolicy {
+		{"Capacity", capacitySpec, nil},
+		{"SbQA/pref-only", sbqaSpec, func(workload.Project) intention.ConsumerPolicy {
 			return intention.PreferenceConsumer{}
 		}},
-		{"SbQA/reputation", SbQATechnique(), func(workload.Project) intention.ConsumerPolicy {
+		{"SbQA/reputation", sbqaSpec, func(workload.Project) intention.ConsumerPolicy {
 			return intention.ReputationBlendConsumer{Gamma: 0.4}
 		}},
 	}

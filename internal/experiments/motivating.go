@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/boinc"
 	"sbqa/internal/intention"
 	"sbqa/internal/metrics"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 	"sbqa/internal/stats"
 	"sbqa/internal/workload"
 )
@@ -53,14 +53,9 @@ func MotivatingExample(opt Options) (*ScenarioResult, error) {
 		return cfg
 	}
 
-	type techCase struct {
-		name    string
-		mk      func(seed uint64) alloc.Allocator
-		enforce bool
-	}
-	cases := []techCase{
-		{"ShareBased(80/20)", func(uint64) alloc.Allocator { return alloc.NewShareBased() }, true},
-		{"SbQA", func(seed uint64) alloc.Allocator { return SbQATechnique().New(seed) }, false},
+	cases := []policy.Spec{
+		{Name: "ShareBased(80/20)", Kind: policy.ShareBased}, // BOINC enforces the shares
+		sbqaSpec,
 	}
 
 	table := &metrics.Table{
@@ -78,7 +73,7 @@ func MotivatingExample(opt Options) (*ScenarioResult, error) {
 
 	for i, tc := range cases {
 		cfg := mkConfig()
-		cfg.EnforceShares = tc.enforce
+		cfg.EnforceShares = tc.Kind == policy.ShareBased
 		half := cfg.Duration / 2
 
 		phase1 := stats.NewSummary()
@@ -94,29 +89,27 @@ func MotivatingExample(opt Options) (*ScenarioResult, error) {
 			}
 		}
 
-		w, err := boinc.NewWorld(tc.mk(cfg.Seed+uint64(i)*7919), cfg)
+		r, w, err := runOne(tc, cfg, cfg.Seed+uint64(i)*7919, func(w *boinc.World) {
+			// Give every volunteer the paper's 80/20 devotion (the
+			// derived shares become exactly 0.8 / 0.2).
+			for _, v := range w.Volunteers() {
+				w.SetVolunteerPrefs(v.ProviderID(), []float64{0.75, 0.15})
+			}
+			// The phase switch.
+			cbRate := w.Projects()[cb].ArrivalRate()
+			w.Engine().Schedule(half, func() {
+				w.SetArrivalRate(ca, 0)
+				w.SetArrivalRate(cb, cbRate*3)
+			})
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: motivating: %w", err)
 		}
-		// Give every volunteer the paper's 80/20 devotion (the derived
-		// shares become exactly 0.8 / 0.2).
-		for _, v := range w.Volunteers() {
-			w.SetVolunteerPrefs(v.ProviderID(), []float64{0.75, 0.15})
-		}
-		// The phase switch.
-		cbRate := w.Projects()[cb].ArrivalRate()
-		w.Engine().Schedule(half, func() {
-			w.SetArrivalRate(ca, 0)
-			w.SetArrivalRate(cb, cbRate*3)
-		})
-
-		r := w.Run()
-		r.Technique = tc.name
 		res.Results = append(res.Results, r)
-		res.Collectors[tc.name] = w.Collector()
+		res.Collectors[tc.Name] = w.Collector()
 
 		table.Rows = append(table.Rows, []string{
-			tc.name,
+			tc.Name,
 			fmt.Sprintf("%.2f", phase1.Mean()),
 			fmt.Sprintf("%.2f", phase2.Mean()),
 			fmt.Sprintf("%.2f", w.Collector().Utilization.TailMean(0.4)),

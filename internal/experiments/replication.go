@@ -76,7 +76,7 @@ func ReplicationStudy(opt Options) (*ScenarioResult, error) {
 			replicas += int64(q.N)
 		}
 
-		r, w, err := runOne(SbQATechnique(), cfg, cfg.Seed+uint64(i)*7919, nil)
+		r, w, err := runOne(sbqaSpec, cfg, cfg.Seed+uint64(i)*7919, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: replication: %w", err)
 		}

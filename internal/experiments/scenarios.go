@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/boinc"
-	"sbqa/internal/core"
 	"sbqa/internal/intention"
-	"sbqa/internal/knbest"
 	"sbqa/internal/metrics"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 	"sbqa/internal/stats"
 	"sbqa/internal/workload"
 )
@@ -25,7 +23,7 @@ func Scenario1(opt Options) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 1: baselines under the satisfaction model (captive)")
 	cfg := opt.baseConfig(boinc.Captive)
-	techs := Baselines()
+	techs := baselines()
 	results, worlds, err := compare(techs, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -56,7 +54,7 @@ func Scenario1(opt Options) (*ScenarioResult, error) {
 func Scenario2(opt Options) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 2: baselines under autonomy; departure prediction")
-	techs := Baselines()
+	techs := baselines()
 
 	// Captive twin runs for the prediction.
 	captive := opt.baseConfig(boinc.Captive)
@@ -152,7 +150,7 @@ func Scenario3(opt Options) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 3: SbQA vs baselines (captive)")
 	cfg := opt.baseConfig(boinc.Captive)
-	techs := AllTechniques()
+	techs := allTechniques()
 	results, worlds, err := compare(techs, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -193,7 +191,7 @@ func Scenario4(opt Options) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 4: SbQA vs baselines (autonomous)")
 	cfg := opt.baseConfig(boinc.Autonomous)
-	techs := AllTechniques()
+	techs := allTechniques()
 	results, worlds, err := compare(techs, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -221,7 +219,7 @@ func Scenario4(opt Options) (*ScenarioResult, error) {
 func Scenario5(opt Options) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 5: performance-only intentions")
-	techs := []Technique{CapacityTechnique(), SbQATechnique()}
+	techs := []policy.Spec{capacitySpec, sbqaSpec}
 
 	// Run SbQA under default (interest-driven) intentions…
 	defCfg := opt.baseConfig(boinc.Captive)
@@ -307,16 +305,7 @@ func Scenario6(opt Options) (*ScenarioResult, error) {
 		Columns: []string{"kn", "RTmean", "sat(C)", "sat(P)", "left(P)", "contacts"},
 	}
 	for _, kn := range []int{1, 2, 5, 10, 20} {
-		kn := kn
-		tech := Technique{
-			Name: fmt.Sprintf("SbQA(kn=%d)", kn),
-			New: func(seed uint64) alloc.Allocator {
-				c := core.DefaultConfig()
-				c.KnBest = knbest.Params{K: 20, Kn: kn}
-				c.Seed = seed
-				return core.MustNew(c)
-			},
-		}
+		tech := policy.Spec{Name: fmt.Sprintf("SbQA(kn=%d)", kn), Kind: policy.SbQA, K: 20, Kn: kn}
 		r, w, err := runOne(tech, cfg, cfg.Seed+uint64(kn)*104729, nil)
 		if err != nil {
 			return nil, err
@@ -339,29 +328,15 @@ func Scenario6(opt Options) (*ScenarioResult, error) {
 		Title:   "Scenario 6b — varying ω (k=20, kn=10, autonomous)",
 		Columns: []string{"ω", "RTmean", "sat(C)", "sat(P)", "left(P)"},
 	}
-	type omegaCase struct {
-		label string
-		omega *float64
-	}
-	cases := []omegaCase{
-		{"0.00", core.FixedOmega(0)},
-		{"0.25", core.FixedOmega(0.25)},
-		{"0.50", core.FixedOmega(0.5)},
-		{"0.75", core.FixedOmega(0.75)},
-		{"1.00", core.FixedOmega(1)},
-		{"adaptive", nil},
-	}
-	for i, oc := range cases {
-		oc := oc
-		tech := Technique{
-			Name: fmt.Sprintf("SbQA(ω=%s)", oc.label),
-			New: func(seed uint64) alloc.Allocator {
-				c := core.DefaultConfig()
-				c.Omega = oc.omega
-				c.Seed = seed
-				return core.MustNew(c)
-			},
+	const adaptive = -1 // stands for Equation 2's rule in the sweep
+	for i, omega := range []float64{0, 0.25, 0.5, 0.75, 1, adaptive} {
+		label := "adaptive"
+		tech := policy.Spec{Kind: policy.SbQA}
+		if omega >= 0 {
+			label = fmt.Sprintf("%.2f", omega)
+			tech.OmegaMode, tech.Omega = policy.OmegaFixed, omega
 		}
+		tech.Name = fmt.Sprintf("SbQA(ω=%s)", label)
 		r, w, err := runOne(tech, cfg, cfg.Seed+uint64(i+1)*224737, nil)
 		if err != nil {
 			return nil, err
@@ -369,7 +344,7 @@ func Scenario6(opt Options) (*ScenarioResult, error) {
 		res.Results = append(res.Results, r)
 		res.Collectors[tech.Name] = w.Collector()
 		omegaTable.Rows = append(omegaTable.Rows, []string{
-			oc.label,
+			label,
 			fmt.Sprintf("%.2f", r.MeanResponseTime),
 			fmt.Sprintf("%.3f", r.ConsumerSat),
 			fmt.Sprintf("%.3f", r.ProviderSat),
@@ -384,6 +359,35 @@ func Scenario6(opt Options) (*ScenarioResult, error) {
 	return res, nil
 }
 
+// Probe is Scenario 7's planted pair of participants: a probe volunteer
+// (provider 0) with its own project preferences and a probe project
+// (Einstein@home, the unpopular one) with its own host preferences, each
+// with a satisfaction objective. DefaultProbe returns the paper's values;
+// `sbqalab play` fills one in from the terminal.
+type Probe struct {
+	// VolunteerPrefs is the probe volunteer's preference per project.
+	VolunteerPrefs []float64
+	// FastHostPref and SlowHostPref are the probe project's preferences
+	// for the fastest quartile of volunteers and for the rest.
+	FastHostPref, SlowHostPref float64
+	// The volunteer wants δs ≥ ProviderObjective and to stay online; the
+	// project wants δs ≥ ConsumerObjective.
+	ProviderObjective, ConsumerObjective float64
+}
+
+// DefaultProbe returns the demo's probe: a fan of the unpopular project who
+// wants δs ≥ 0.55, and a project that strongly prefers the fastest quartile
+// of volunteers, is lukewarm about the rest, and wants δs ≥ 0.60.
+func DefaultProbe() Probe {
+	return Probe{
+		VolunteerPrefs:    []float64{-0.8, -0.8, 0.9},
+		FastHostPref:      0.9,
+		SlowHostPref:      0.1,
+		ProviderObjective: 0.55,
+		ConsumerObjective: 0.60,
+	}
+}
+
 // Scenario7 — Playing a BOINC-participant role.
 //
 // A probe volunteer (a fan of the unpopular project) and a probe project
@@ -392,28 +396,23 @@ func Scenario6(opt Options) (*ScenarioResult, error) {
 // SbQA lets the participant reach its objectives under every technique
 // comparison.
 func Scenario7(opt Options) (*ScenarioResult, error) {
+	return Scenario7Probe(opt, DefaultProbe())
+}
+
+// Scenario7Probe is Scenario 7 with the caller's probe planted.
+func Scenario7Probe(opt Options, probe Probe) (*ScenarioResult, error) {
 	opt = opt.withDefaults()
 	opt.logf("scenario 7: probe participants")
 	cfg := opt.baseConfig(boinc.Autonomous)
-	techs := AllTechniques()
+	techs := allTechniques()
 
-	const (
-		providerObjective = 0.55 // probe volunteer wants δs ≥ this and to stay online
-		consumerObjective = 0.60 // probe project wants δs ≥ this
-	)
 	probeVolunteer := model.ProviderID(0)
 	probeProject := model.ConsumerID(2) // Einstein@home, the unpopular one
 
 	customize := func(w *boinc.World) {
-		// The probe volunteer only wants to serve the unpopular project.
-		prefs := make([]float64, len(w.Projects()))
-		for i := range prefs {
-			prefs[i] = -0.8
-		}
-		prefs[probeProject] = 0.9
-		w.SetVolunteerPrefs(probeVolunteer, prefs)
-		// The probe project strongly prefers the fastest quartile of
-		// volunteers and is lukewarm about the rest.
+		w.SetVolunteerPrefs(probeVolunteer, probe.VolunteerPrefs)
+		// The probe project's preferences split the volunteers at the
+		// fastest quartile of capacity.
 		vols := w.Volunteers()
 		caps := make([]float64, len(vols))
 		for i, v := range vols {
@@ -423,9 +422,9 @@ func Scenario7(opt Options) (*ScenarioResult, error) {
 		hostPrefs := make([]float64, len(vols))
 		for i, v := range vols {
 			if v.Capacity() >= cut {
-				hostPrefs[i] = 0.9
+				hostPrefs[i] = probe.FastHostPref
 			} else {
-				hostPrefs[i] = 0.1
+				hostPrefs[i] = probe.SlowHostPref
 			}
 		}
 		w.SetProjectPrefs(probeProject, hostPrefs)
@@ -461,8 +460,8 @@ func Scenario7(opt Options) (*ScenarioResult, error) {
 			pSat = 0
 		}
 		cSat := proj.Satisfaction()
-		pOK := vol.Online() && pSat >= providerObjective
-		cOK := proj.Online() && cSat >= consumerObjective
+		pOK := vol.Online() && pSat >= probe.ProviderObjective
+		cOK := proj.Online() && cSat >= probe.ConsumerObjective
 		meets[tech.Name] = pOK && cOK
 		table.Rows = append(table.Rows, []string{
 			tech.Name,
@@ -495,14 +494,28 @@ func quantile(values []float64, q float64) float64 {
 	return s.Percentile(q * 100)
 }
 
-// RunAll executes every scenario in order.
-func RunAll(opt Options) ([]*ScenarioResult, error) {
-	runners := []func(Options) (*ScenarioResult, error){
-		Scenario1, Scenario2, Scenario3, Scenario4, Scenario5, Scenario6, Scenario7,
+// Scenario is one entry of the registry `sbqalab paper` runs: the key its
+// -scenario flag names and the function that regenerates the output.
+type Scenario struct {
+	Key string
+	Run func(Options) (*ScenarioResult, error)
+}
+
+// Scenarios lists the paper's seven demo scenarios, then the extension
+// studies, in the order `-scenario all` prints them.
+func Scenarios() []Scenario {
+	return []Scenario{
+		{"1", Scenario1}, {"2", Scenario2}, {"3", Scenario3}, {"4", Scenario4},
+		{"5", Scenario5}, {"6", Scenario6}, {"7", Scenario7},
+		{"m", MotivatingExample}, {"v", MaliciousStudy}, {"r", ReplicationStudy}, {"a", AdWordsStudy},
 	}
-	out := make([]*ScenarioResult, 0, len(runners))
-	for _, run := range runners {
-		r, err := run(opt)
+}
+
+// RunAll executes the seven demo scenarios in order.
+func RunAll(opt Options) ([]*ScenarioResult, error) {
+	out := make([]*ScenarioResult, 0, 7)
+	for _, s := range Scenarios()[:7] {
+		r, err := s.Run(opt)
 		if err != nil {
 			return out, err
 		}

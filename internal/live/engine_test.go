@@ -71,7 +71,7 @@ func submitBatch(ctx context.Context, eng *Engine, qs []model.Query, results cha
 }
 
 func sbqaAllocator(seed uint64) alloc.Allocator {
-	c := core.DefaultConfig()
+	c := core.Config{Seed: 1}
 	c.KnBest = knbest.Params{K: 6, Kn: 3}
 	c.Seed = seed
 	return core.MustNew(c)
@@ -258,7 +258,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 // TestClassRestrictedWorkers: SetClasses feeds the directory's capability
 // index; queries of other classes never reach the specialist.
 func TestClassRestrictedWorkers(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(50))
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
 	gen, err := NewWorker(0, 1000, 64, func(model.Query) model.Intention { return 0.2 })
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +362,7 @@ func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 // the query is rejected with the bare context error before any intention is
 // collected or any worker contacted, and no allocation is produced.
 func TestSubmitCancelledContext(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.DefaultConfig())), WithWindow(10))
+	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(10))
 	w, err := NewWorker(1, 1000, 4, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)

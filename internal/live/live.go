@@ -92,8 +92,7 @@ type Worker struct {
 	mu          sync.Mutex
 	pendingWork float64
 	queueLen    int
-	sat         float64 // last satisfaction pushed by the service; info only
-	shutdown    bool    // set under mu before done closes; gates accept
+	shutdown    bool // set under mu before done closes; gates accept
 
 	tasks  chan task
 	done   chan struct{}

@@ -48,11 +48,6 @@ type Consumer = directory.Consumer
 // contract; see Consumer).
 type Provider = directory.Provider
 
-// CapabilityReporter is re-exported from the directory layer: providers that
-// implement it are indexed by query class and skipped entirely during
-// candidate discovery for other classes.
-type CapabilityReporter = directory.CapabilityReporter
-
 // ShareReporter is an optional Provider extension for BOINC-style resource
 // shares (see alloc.ShareBased): it reports how much capacity the provider
 // still has available for a query's consumer under its declared shares.

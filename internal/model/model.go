@@ -173,13 +173,6 @@ func (s ProviderSnapshot) ExpectedDelay(work float64) float64 {
 	return (s.PendingWork + work) / s.Capacity
 }
 
-// Bid is a provider's sealed bid in the economic (Mariposa-style) baseline:
-// the price it asks to perform a query.
-type Bid struct {
-	Provider ProviderID
-	Price    float64
-}
-
 // Allocation is the outcome of mediating one query.
 type Allocation struct {
 	Query Query

@@ -50,28 +50,6 @@ func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
 func (e Exponential) String() string { return fmt.Sprintf("exp(rate=%g)", e.Rate) }
 
-// Normal is the normal distribution with mean Mu and standard deviation
-// Sigma, truncated below at Min (work demands must stay positive).
-type Normal struct {
-	Mu, Sigma float64
-	Min       float64
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(r *RNG) float64 {
-	v := n.Mu + n.Sigma*r.NormFloat64()
-	if v < n.Min {
-		return n.Min
-	}
-	return v
-}
-
-// Mean implements Dist. The truncation bias is ignored; callers use Min as a
-// safety floor far below Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-func (n Normal) String() string { return fmt.Sprintf("normal(mu=%g,sigma=%g)", n.Mu, n.Sigma) }
-
 // Pareto is the Pareto distribution with scale Xm > 0 and shape Alpha > 0;
 // heavy-tailed service demands use Alpha in (1, 2].
 type Pareto struct{ Xm, Alpha float64 }
@@ -91,59 +69,3 @@ func (p Pareto) Mean() float64 {
 }
 
 func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }
-
-// Zipf draws integers in [0, N) with probability proportional to
-// 1/(rank+1)^S. It models skewed popularity (e.g. which consumer issues the
-// next query). S = 0 is uniform.
-type Zipf struct {
-	N int
-	S float64
-
-	cdf []float64 // lazily built cumulative weights
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with skew s >= 0.
-func NewZipf(n int, s float64) *Zipf {
-	z := &Zipf{N: n, S: s}
-	z.cdf = make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		z.cdf[i] = sum
-	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
-	}
-	return z
-}
-
-// SampleInt draws one rank in [0, N).
-func (z *Zipf) SampleInt(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Sample implements Dist by returning the sampled rank as a float64.
-func (z *Zipf) Sample(r *RNG) float64 { return float64(z.SampleInt(r)) }
-
-// Mean implements Dist.
-func (z *Zipf) Mean() float64 {
-	m := 0.0
-	prev := 0.0
-	for i, c := range z.cdf {
-		m += float64(i) * (c - prev)
-		prev = c
-	}
-	return m
-}
-
-func (z *Zipf) String() string { return fmt.Sprintf("zipf(n=%d,s=%g)", z.N, z.S) }

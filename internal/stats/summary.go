@@ -186,23 +186,6 @@ func Gini(values []float64) float64 {
 	return (2*weighted - (nf+1)*cum) / (nf * cum)
 }
 
-// JainIndex returns Jain's fairness index of the values: 1 = perfectly
-// equal, 1/n = maximally unfair. Empty input yields 1.
-func JainIndex(values []float64) float64 {
-	if len(values) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, v := range values {
-		sum += v
-		sumSq += v * v
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(values)) * sumSq)
-}
-
 // MeanOf returns the arithmetic mean of the values (0 for empty input).
 func MeanOf(values []float64) float64 {
 	if len(values) == 0 {
@@ -223,20 +206,6 @@ func MinOf(values []float64) float64 {
 	m := values[0]
 	for _, v := range values[1:] {
 		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxOf returns the largest value (0 for empty input).
-func MaxOf(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v > m {
 			m = v
 		}
 	}

@@ -128,49 +128,3 @@ func WriteCSVMulti(w io.Writer, series ...*TimeSeries) error {
 	}
 	return nil
 }
-
-// Histogram counts observations in equal-width bins over [Lo, Hi); values
-// outside the range are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	N      int64
-}
-
-// NewHistogram builds a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.N++
-}
-
-// Fraction returns the share of observations falling in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 || i < 0 || i >= len(h.Bins) {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.N)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + width*(float64(i)+0.5)
-}

@@ -113,36 +113,3 @@ func TestWriteCSVMulti(t *testing.T) {
 		t.Errorf("no series should be a no-op, got %v", err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bins[i] != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bins[i])
-		}
-		if math.Abs(h.Fraction(i)-0.1) > 1e-12 {
-			t.Errorf("Fraction(%d) = %v", i, h.Fraction(i))
-		}
-	}
-	// Clamping.
-	h.Add(-5)
-	h.Add(100)
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Errorf("clamped counts wrong: %v", h.Bins)
-	}
-	if got, want := h.BinCenter(0), 0.5; got != want {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-	if h.Fraction(-1) != 0 || h.Fraction(10) != 0 {
-		t.Error("out-of-range Fraction should be 0")
-	}
-	// Degenerate constructor arguments are repaired.
-	d := NewHistogram(5, 5, 0)
-	d.Add(5)
-	if d.N != 1 || len(d.Bins) != 1 {
-		t.Error("degenerate histogram not repaired")
-	}
-}

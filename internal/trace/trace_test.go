@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -318,6 +319,36 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 			t.Errorf("Parse(%q) accepted malformed header", s)
 		}
 	}
+}
+
+// FuzzParseTraceparent: arbitrary header bytes never panic Parse, and
+// whatever it accepts Format renders to a string it accepts again with the
+// same trace ID, parent span and sampled bit.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01") // the W3C examples
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")                      // the forbidden version
+	f.Add("00-00000000000000000000000000000000-0000000000000000-00")                      // all-zero IDs
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01")                      // upper-case hex
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff")                      // every flag set
+	f.Add("00-+bf92f3577b34da6a3ce929d0e0e4736-0x_067aa0ba902b7-01")                      // what strconv might wave through
+	f.Add(strings.Repeat("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01,", 73)) // 4 KiB
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, ok := Parse(header)
+		if !ok {
+			if tc != (model.TraceContext{}) {
+				t.Fatalf("Parse(%q) refused but returned %+v", header, tc)
+			}
+			return
+		}
+		if tc.ID.IsZero() {
+			t.Fatalf("Parse(%q) accepted the all-zero trace ID", header)
+		}
+		again, ok := Parse(Format(tc))
+		if !ok || again != tc {
+			t.Fatalf("Parse(%q) = %+v, but Format renders %q which parses to %+v, %v", header, tc, Format(tc), again, ok)
+		}
+	})
 }
 
 func TestDuplicateRegisterKeepsFirst(t *testing.T) {

@@ -20,7 +20,9 @@
 // NewEngine): Submit returns a *Ticket immediately, and tickets carry the
 // allocation and the per-worker results. For simulations, build a World
 // (see NewWorld), or run the paper's scenarios directly (Scenario1 …
-// Scenario7, RunAllScenarios). cmd/sbqad serves the engine over HTTP.
+// Scenario7, RunAllScenarios). Two binaries sit on this package: cmd/sbqad
+// serves the engine over HTTP, and cmd/sbqalab is the front door to the
+// simulators (paper, play, and the workload lab's list/run/report).
 //
 // # Model vocabulary
 //

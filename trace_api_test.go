@@ -24,7 +24,7 @@ func traceTestEngine(t testing.TB, opts ...EngineOption) *Engine {
 		WithWindow(50),
 		WithConcurrency(1),
 		WithAllocatorFactory(func(shard int) Allocator {
-			c := core.DefaultConfig()
+			c := core.Config{Seed: 1}
 			c.Seed = uint64(shard) + 1
 			return core.MustNew(c)
 		}),
