@@ -8,30 +8,32 @@ package sbqa
 
 import (
 	"testing"
+
+	"sbqa/internal/lab"
 )
 
-func benchLabScenario() LabScenario {
-	return LabScenario{
+func benchLabScenario() lab.Scenario {
+	return lab.Scenario{
 		Name:     "bench-lab-throughput",
 		Seed:     17,
 		Duration: 30,
 		Window:   8,
 		Policy:   PolicySpec{Kind: PolicySbQA, K: 8, Kn: 3, Seed: 17},
-		Workload: LabWorkload{
+		Workload: lab.Workload{
 			QueryTimeout: 20,
-			Classes: []LabClassSpec{
+			Classes: []lab.ClassSpec{
 				{
 					Name: "steady", Consumers: 6, Providers: 40,
-					Arrival: LabArrivalSpec{Kind: "poisson", Rate: 10},
-					Cost:    LabCostSpec{Kind: "exp", Mean: 2},
+					Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 10},
+					Cost:    lab.CostSpec{Kind: "exp", Mean: 2},
 				},
 				{
 					Name: "bursty", Consumers: 4, Providers: 30,
-					Arrival: LabArrivalSpec{Kind: "mmpp2", Rate: 2, DwellA: 10, RateB: 15, DwellB: 4},
-					Cost:    LabCostSpec{Kind: "pareto", Xm: 0.5, Alpha: 2.2},
+					Arrival: lab.ArrivalSpec{Kind: "mmpp2", Rate: 2, DwellA: 10, RateB: 15, DwellB: 4},
+					Cost:    lab.CostSpec{Kind: "pareto", Xm: 0.5, Alpha: 2.2},
 				},
 			},
-			Adversaries: LabAdversarySpec{FreeRiders: 0.1},
+			Adversaries: lab.AdversarySpec{FreeRiders: 0.1},
 		},
 	}
 }
@@ -41,7 +43,7 @@ func BenchmarkLabMediationThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := RunLabScenario(benchLabScenario())
+		r, err := lab.Run(benchLabScenario())
 		if err != nil {
 			b.Fatal(err)
 		}

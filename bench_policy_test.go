@@ -11,6 +11,8 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"sbqa/internal/policy"
 )
 
 func BenchmarkPolicyBuild(b *testing.B) {
@@ -44,7 +46,7 @@ func BenchmarkReconfigureUnderLoad(b *testing.B) {
 
 	specs := []PolicySpec{
 		{Kind: PolicySbQA, K: 6, Kn: 3, Seed: 1},
-		{Kind: PolicySbQA, K: 8, Kn: 4, OmegaMode: PolicyOmegaFixed, Omega: 0.5, Seed: 2},
+		{Kind: PolicySbQA, K: 8, Kn: 4, OmegaMode: policy.OmegaFixed, Omega: 0.5, Seed: 2},
 	}
 	swaps := 0
 	reconfigure := func() {
@@ -79,7 +81,7 @@ func BenchmarkReconfigureUnderLoad(b *testing.B) {
 					return
 				default:
 				}
-				for _, tk := range eng.SubmitBatch(context.Background(), qs, FireAndForget()) {
+				for _, tk := range eng.SubmitBatch(context.Background(), qs) {
 					tk.Allocation()
 				}
 			}

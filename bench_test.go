@@ -21,10 +21,13 @@ import (
 	"sbqa/internal/alloc"
 	"sbqa/internal/boinc"
 	"sbqa/internal/core"
+	"sbqa/internal/directory"
 	"sbqa/internal/experiments"
 	"sbqa/internal/knbest"
+	"sbqa/internal/live"
 	"sbqa/internal/mediator"
 	"sbqa/internal/model"
+	"sbqa/internal/qos"
 	"sbqa/internal/satisfaction"
 	"sbqa/internal/score"
 	"sbqa/internal/stats"
@@ -524,7 +527,7 @@ func BenchmarkLiveEngineSubmitBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tk := range eng.SubmitBatch(context.Background(), queries, FireAndForget()) {
+		for _, tk := range eng.SubmitBatch(context.Background(), queries) {
 			if _, err := tk.Allocation(); err != nil {
 				b.Fatal(err)
 			}
@@ -590,19 +593,14 @@ func BenchmarkSubmitUnderOverload(b *testing.B) {
 	eng, err := NewEngine(
 		WithWindow(100),
 		WithConcurrency(1),
-		WithQoS(QoSSpec{
-			Classes: []QoSClassSpec{
-				{Name: QoSInteractive, Weight: 8, Priority: true},
-				{Name: QoSBatch, Weight: 2, MaxQueueDepth: 3},
-				{Name: QoSBackground, Weight: 1, MaxQueueDepth: 2},
+		WithPolicy(PolicySpec{Kind: PolicySbQA, Seed: 1, QoS: &QoSSpec{
+			Classes: []qos.ClassSpec{
+				{Name: qos.Interactive, Weight: 8, Priority: true},
+				{Name: qos.Batch, Weight: 2, MaxQueueDepth: 3},
+				{Name: qos.Background, Weight: 1, MaxQueueDepth: 2},
 			},
-			DefaultClass: QoSInteractive,
-		}),
-		WithAllocatorFactory(func(shard int) Allocator {
-			cfg := core.Config{Seed: 1}
-			cfg.Seed = uint64(shard) + 1
-			return core.MustNew(cfg)
-		}),
+			DefaultClass: qos.Interactive,
+		}}),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -623,7 +621,7 @@ func BenchmarkSubmitUnderOverload(b *testing.B) {
 	// tickets across the three classes before awaiting any of them, so the
 	// bounded queues overflow within the burst and the scheduler sheds.
 	const burstSize = 12
-	classes := []string{QoSInteractive, QoSBatch, QoSBackground}
+	classes := []string{qos.Interactive, qos.Batch, qos.Background}
 	var allocated, shed atomic.Int64
 	var nextConsumer atomic.Int64
 	b.ReportAllocs()
@@ -641,7 +639,7 @@ func BenchmarkSubmitUnderOverload(b *testing.B) {
 			}
 			for _, tk := range tickets {
 				if _, err := tk.Allocation(); err != nil {
-					if !errors.Is(err, ErrShed) {
+					if !errors.Is(err, live.ErrShed) {
 						b.Error(err)
 						return
 					}
@@ -664,7 +662,7 @@ func BenchmarkSubmitUnderOverload(b *testing.B) {
 // 10%-specialist population: class-restricted discovery touches only the
 // class bucket plus the universal pool.
 func BenchmarkDirectoryCandidates(b *testing.B) {
-	dir := NewDirectory()
+	dir := directory.New()
 	const providers = 1000
 	for i := 0; i < providers; i++ {
 		w, err := NewLiveWorker(ProviderID(i), 100, 1, func(Query) Intention { return 0 })

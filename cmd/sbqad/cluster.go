@@ -264,8 +264,9 @@ func (g *gateway) handleSegmentsGet(w http.ResponseWriter, r *http.Request) {
 
 // handleSegmentsPost accepts one shipped WAL segment (raw journal bytes
 // as the body) for ?origin=<node>&seq=<n>. Validation and atomic
-// placement happen in the cluster node; a bad transfer is a 400 and
-// leaves nothing behind.
+// placement happen in the cluster node; a bad transfer is a 400 that names
+// origin and seq, a failure of this node's own disk a 500, and neither
+// leaves anything behind.
 func (g *gateway) handleSegmentsPost(w http.ResponseWriter, r *http.Request) {
 	if g.node == nil {
 		writeError(w, http.StatusNotFound, errors.New("cluster mode disabled"))
@@ -278,8 +279,17 @@ func (g *gateway) handleSegmentsPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSegmentBody)
-	if err := g.node.AcceptSegment(origin, seq, r.Body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	refused, err := g.node.AcceptSegment(origin, seq, r.Body)
+	if err != nil {
+		// The node's own disk, not the upload: the cause names local paths,
+		// so it goes to the log and the sender gets the bare fact (and
+		// retries at its next replication round).
+		log.Printf("sbqad: storing segment %d from %q: %v", seq, origin, err)
+		writeError(w, http.StatusInternalServerError, errors.New("storing the segment failed on this node"))
+		return
+	}
+	if refused != nil {
+		writeError(w, http.StatusBadRequest, refused)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"seq": seq})

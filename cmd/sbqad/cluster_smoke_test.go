@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/cluster"
 )
 
 func freePorts(t *testing.T, n int) []int {
@@ -159,7 +160,7 @@ func TestClusterSmokeThreeNode(t *testing.T) {
 		t.Fatalf("owner has no satisfaction for consumer %d", c)
 	}
 	waitHTTP("replication drained", 20*time.Second, func() bool {
-		var st sbqa.ClusterStatus
+		var st cluster.Status
 		if err := smokeGetJSON(urls[0]+"/v1/cluster", &st); err != nil {
 			return false
 		}
@@ -184,7 +185,7 @@ func TestClusterSmokeThreeNode(t *testing.T) {
 
 	waitHTTP("survivors mark n0 down", 20*time.Second, func() bool {
 		for _, url := range urls[1:] {
-			var st sbqa.ClusterStatus
+			var st cluster.Status
 			if err := smokeGetJSON(url+"/v1/cluster", &st); err != nil {
 				return false
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/cluster"
 )
 
 // testClusterNode is one in-process cluster member: a gateway plus its
@@ -81,6 +82,16 @@ func deterministicOpts() []sbqa.EngineOption {
 				Seed:   7,
 			})
 		}),
+	}
+}
+
+// deterministicQoSOpts is deterministicOpts with spec as the qos block of
+// the same allocator's policy — the way a QoS spec reaches sbqad's engine.
+func deterministicQoSOpts(spec sbqa.QoSSpec) []sbqa.EngineOption {
+	return []sbqa.EngineOption{
+		sbqa.WithWindow(50),
+		sbqa.WithConcurrency(1),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 1, Seed: 7, QoS: &spec}),
 	}
 }
 
@@ -292,7 +303,7 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	spec := sbqa.DefaultQoSSpec()
 	spec.ConsumerRate = 0.001 // one query per ~17 min: the second submit must reject
 	spec.ConsumerBurst = 1
-	nodes := startTestCluster(t, 3, false, append(deterministicOpts(), sbqa.WithQoS(spec))...)
+	nodes := startTestCluster(t, 3, false, deterministicQoSOpts(spec)...)
 	registerWorkers(t, nodes[0].srv.URL)
 	limited := consumerOwnedBy(t, nodes, 0, 0)
 	shed := consumerOwnedBy(t, nodes, 0, limited+1)
@@ -402,7 +413,7 @@ func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
 	// A stub owner that accepts the forward and then sits on it until
 	// the request context dies.
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == sbqa.ClusterHealthzPath {
+		if r.URL.Path == cluster.HealthzPath {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
@@ -467,7 +478,7 @@ func TestClusterStatusAndMetrics(t *testing.T) {
 	postJSON(t, entry.srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
 	submitAlloc(t, entry.srv.URL, c)
 
-	var st sbqa.ClusterStatus
+	var st cluster.Status
 	resp, err := http.Get(entry.srv.URL + "/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +496,7 @@ func TestClusterStatusAndMetrics(t *testing.T) {
 			return false
 		}
 		defer r.Body.Close()
-		var s sbqa.ClusterStatus
+		var s cluster.Status
 		if json.NewDecoder(r.Body).Decode(&s) != nil {
 			return false
 		}

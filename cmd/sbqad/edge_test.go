@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +101,7 @@ func TestUnknownWaitRefusedBeforeRouting(t *testing.T) {
 	spec := sbqa.DefaultQoSSpec()
 	spec.ConsumerRate = 0.001
 	spec.ConsumerBurst = 1 // one token: a refused query must leave it
-	nodes := startTestCluster(t, 2, false, append(deterministicOpts(), sbqa.WithQoS(spec))...)
+	nodes := startTestCluster(t, 2, false, deterministicQoSOpts(spec)...)
 	registerWorkers(t, nodes[0].srv.URL)
 	c := consumerOwnedBy(t, nodes, 0, 0)
 	postJSON(t, nodes[0].srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
@@ -219,6 +221,97 @@ func FuzzPolicyPut(f *testing.F) {
 			}
 		} else if after != before {
 			t.Fatalf("status %d moved the generation %d -> %d: %q", rec.Code, before, after, body)
+		}
+	})
+}
+
+// TestRegisterWorkerRefusesHugeQueue: queue_cap went unchecked into
+// make(chan task, queueCap), so one registration asking for two trillion
+// slots ended the daemon with "fatal error: runtime: out of memory" — not a
+// panic, nothing recovers it. It is a 400 now and the gateway keeps serving;
+// the largest cap still allowed registers.
+func TestRegisterWorkerRefusesHugeQueue(t *testing.T) {
+	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicyCapacity}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.close()
+	h := gw.handler()
+	for _, body := range []string{
+		`{"id":1,"capacity":1,"queue_cap":2000000000000}`,
+		fmt.Sprintf(`{"id":1,"capacity":1,"queue_cap":%d}`, maxWorkerQueueCap+1),
+	} {
+		if rec := handle(h, http.MethodPost, "/v1/workers", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", body, rec.Code, rec.Body)
+		}
+	}
+	if rec := handle(h, http.MethodGet, "/v1/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("healthz after the refusals: %d", rec.Code)
+	}
+	body := fmt.Sprintf(`{"id":1,"capacity":1,"queue_cap":%d}`, maxWorkerQueueCap)
+	if rec := handle(h, http.MethodPost, "/v1/workers", []byte(body)); rec.Code != http.StatusCreated {
+		t.Fatalf("%s: status %d (%s), want 201", body, rec.Code, rec.Body)
+	}
+}
+
+// FuzzRegisterWorker throws arbitrary bytes at POST /v1/workers: never a
+// panic or a 5xx, and a worker starts for exactly the bodies that are one
+// JSON document of the request type with a positive capacity and a queue
+// the gateway allows. Each started worker is unregistered again, so its
+// goroutine does not outlive the input.
+func FuzzRegisterWorker(f *testing.F) {
+	f.Add([]byte(`{"id":7,"capacity":100,"queue_cap":64,"intention":0.5,"classes":[1,2]}`))
+	f.Add([]byte(`{"id":1,"capacity":1,"queue_cap":2000000000000}`)) // ended the process
+	f.Add([]byte(`{"id":1,"capacity":1,"queue_cap":-5}`))
+	f.Add([]byte(`{"id":1,"capacity":0}`))
+	f.Add([]byte(`{"id":1,"capacity":-1e308}`))
+	f.Add([]byte(`{"id":-9223372036854775808,"capacity":1e308,"intention":1e308,"classes":[-1,9223372036854775807]}`))
+	f.Add([]byte(`{"id":1,"capacity":1,"intention_url":"http://[::1"}`))
+	f.Add([]byte(`{"id":1,"capacity":1}{"id":2,"capacity":1}`))
+	f.Add([]byte(`{"id":1.5,"capacity":1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte("\xff\xfe{}"))
+	h := fuzzGateway(f).handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := handle(h, http.MethodPost, "/v1/workers", body)
+		checkEdgeAnswer(t, body, rec)
+		var req workerRequest
+		want := json.Unmarshal(body, &req) == nil && req.Capacity > 0 && req.QueueCap <= maxWorkerQueueCap
+		if got := rec.Code == http.StatusCreated; got != want {
+			t.Fatalf("status %d (%s) for %q: registration expected %v", rec.Code, rec.Body, body, want)
+		}
+		if want {
+			if rec := handle(h, http.MethodDelete, "/v1/workers/"+strconv.Itoa(req.ID), nil); rec.Code != http.StatusOK {
+				t.Fatalf("unregistering worker %d: status %d (%s)", req.ID, rec.Code, rec.Body)
+			}
+		}
+	})
+}
+
+// FuzzRegisterConsumer throws arbitrary bytes at POST /v1/consumers: never
+// a panic or a 5xx, and a consumer is registered for exactly the bodies
+// that are one JSON document of the request type.
+func FuzzRegisterConsumer(f *testing.F) {
+	f.Add([]byte(`{"id":3,"intention":0.8,"prefer_idle":true}`))
+	f.Add([]byte(`{"id":3,"intention_url":"http://127.0.0.1:1/intentions"}`))
+	f.Add([]byte(`{"id":-9223372036854775808,"intention":-1e308}`))
+	f.Add([]byte(`{"id":1}{"id":2}`))
+	f.Add([]byte(`{"id":"1"}`))
+	f.Add([]byte(`{"id":1e99}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	gw := fuzzGateway(f)
+	h := gw.handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := handle(h, http.MethodPost, "/v1/consumers", body)
+		checkEdgeAnswer(t, body, rec)
+		var req consumerRequest
+		want := json.Unmarshal(body, &req) == nil
+		if got := rec.Code == http.StatusCreated; got != want {
+			t.Fatalf("status %d (%s) for %q: registration expected %v", rec.Code, rec.Body, body, want)
+		}
+		if want && gw.eng.Directory().Consumer(sbqa.ConsumerID(req.ID)) == nil {
+			t.Fatalf("201 for %q, but consumer %d is not in the directory", body, req.ID)
 		}
 	})
 }

@@ -10,7 +10,8 @@
 //	                          gathers CI_q from the webhook per mediation
 //	POST   /v1/workers        start+register a worker {id, capacity, queue_cap,
 //	                          intention, classes, intention_url}; with
-//	                          intention_url PI_q comes from the webhook
+//	                          intention_url PI_q comes from the webhook;
+//	                          a queue_cap above 65536 is a 400
 //	DELETE /v1/workers/{id}   stop and unregister a worker
 //	POST   /v1/queries        submit {consumer, class, n, work, wait:none|allocation|results,
 //	                          qos, deadline_ms}; wait defaults to allocation

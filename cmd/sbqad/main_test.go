@@ -232,7 +232,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 // TestGatewayValidation: malformed bodies and unknown workers produce clean
 // HTTP errors, not engine panics.
 func TestGatewayValidation(t *testing.T) {
-	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithAllocator(sbqa.NewCapacityAllocator()))
+	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicyCapacity}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestReadyzNotReadyWindow(t *testing.T) {
 		t.Errorf("metrics before init missing sbqa_ready 0:\n%s", body)
 	}
 
-	if err := gw.init(nil, sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.DefaultPolicy())); err != nil {
+	if err := gw.init(nil, sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	gw, err := newGateway(
 		sbqa.WithWindow(10),
 		sbqa.WithConcurrency(2),
-		sbqa.WithPolicy(sbqa.DefaultPolicy()),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}),
 		sbqa.WithPersistence(dir, sbqa.PersistSyncEvery(1)),
 	)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestDaemonRestartWalkthrough(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	boot := []sbqa.EngineOption{
 		sbqa.WithWindow(20),
-		sbqa.WithPolicy(sbqa.DefaultPolicy()),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}),
 		sbqa.WithPersistence(dir, sbqa.PersistSyncEvery(1)),
 	}
 

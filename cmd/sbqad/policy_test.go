@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/policy"
 )
 
 // newPolicyGateway builds a gateway running a declarative policy, as the
@@ -152,7 +153,7 @@ func TestPolicyPreviewDryRun(t *testing.T) {
 
 	f := func(v float64) *float64 { return &v }
 	req := map[string]any{
-		"policy": sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 3, Kn: 3, OmegaMode: sbqa.PolicyOmegaFixed, Seed: 1},
+		"policy": sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 3, Kn: 3, OmegaMode: policy.OmegaFixed, Seed: 1},
 		"query":  map[string]any{"consumer": 0, "n": 1, "work": 2},
 		"candidates": []previewCandidate{
 			{ID: 1, Utilization: 0.5, Capacity: 1, CI: f(0.9), PI: f(0.1)},

@@ -18,13 +18,7 @@ func qosGateway(t *testing.T, spec sbqa.QoSSpec) (*gateway, *httptest.Server) {
 	gw, err := newGateway(
 		sbqa.WithWindow(20),
 		sbqa.WithConcurrency(1),
-		sbqa.WithQoS(spec),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 2},
-				Seed:   uint64(shard) + 1,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1, QoS: &spec}),
 	)
 	if err != nil {
 		t.Fatal(err)

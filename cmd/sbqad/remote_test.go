@@ -22,7 +22,7 @@ func gatewayWithDeadline(t *testing.T, deadline time.Duration) (*gateway, *httpt
 	t.Helper()
 	gw, err := newGateway(
 		sbqa.WithWindow(50),
-		sbqa.WithAllocator(sbqa.NewSbQA(sbqa.SbQAConfig{KnBest: sbqa.KnBestParams{K: 4, Kn: 2}})),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2}),
 		sbqa.WithParticipantDeadline(deadline),
 	)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 	go func() {
 		done <- serve(ctx, ln, nil,
 			sbqa.WithWindow(10),
-			sbqa.WithAllocator(sbqa.NewSbQA(sbqa.SbQAConfig{})),
+			sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}),
 		)
 	}()
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/cluster"
 )
 
 // segmentsFixture is one cluster gateway "n0" whose only peer "n1" is a
@@ -42,7 +43,8 @@ func newSegmentsFixture(t testing.TB) *segmentsFixture {
 	// A throwaway engine's journal is the valid segment: closing it seals
 	// and syncs wal-<seq>.wal.
 	donorDir := t.TempDir()
-	donor, err := newGateway(sbqa.WithPersistence(donorDir, sbqa.PersistSyncEvery(1)))
+	capacity := sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicyCapacity})
+	donor, err := newGateway(capacity, sbqa.WithPersistence(donorDir, sbqa.PersistSyncEvery(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func newSegmentsFixture(t testing.TB) *segmentsFixture {
 	}
 
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != sbqa.ClusterHealthzPath {
+		if r.URL.Path != cluster.HealthzPath {
 			http.NotFound(w, r)
 		}
 	}))
@@ -77,7 +79,7 @@ func newSegmentsFixture(t testing.TB) *segmentsFixture {
 		heartbeatTimeout:  time.Second,
 		replicateInterval: time.Hour,
 		stateDir:          stateDir,
-	}, sbqa.WithConcurrency(1), sbqa.WithPersistence(stateDir, sbqa.PersistSyncEvery(1)))
+	}, capacity, sbqa.WithConcurrency(1), sbqa.WithPersistence(stateDir, sbqa.PersistSyncEvery(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +90,9 @@ func newSegmentsFixture(t testing.TB) *segmentsFixture {
 
 // call sends one segments request and holds the answer to what must be true
 // of every origin, seq and body: no panic (the recorder would not return),
-// no 5xx, 400 unless the origin is the ring member n1 — and then no
-// filesystem path in the body but the origin itself, quoted back — and on
+// no 5xx, 400 unless the origin is the ring member n1, no filesystem path in
+// any body but the origin itself, quoted back — a ring member's rejected
+// upload used to be answered with the node's incoming-*.tmp path — and on
 // disk nothing under ReplicaDir but the segments accepted for n1: a refused
 // upload leaves nothing behind.
 func (fx *segmentsFixture) call(t *testing.T, method, origin, seq string, body []byte) *httptest.ResponseRecorder {
@@ -100,13 +103,11 @@ func (fx *segmentsFixture) call(t *testing.T, method, origin, seq string, body [
 	if rec.Code >= 500 {
 		t.Fatalf("%s: status %d (%s)", what, rec.Code, rec.Body)
 	}
-	if origin != "n1" {
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d (%s), want 400 for an origin that is no other ring member", what, rec.Code, rec.Body)
-		}
-		if strings.Contains(rec.Body.String(), fx.root) && !strings.Contains(origin, fx.root) {
-			t.Fatalf("%s: a filesystem path in the body: %s", what, rec.Body)
-		}
+	if origin != "n1" && rec.Code != http.StatusBadRequest {
+		t.Fatalf("%s: status %d (%s), want 400 for an origin that is no other ring member", what, rec.Code, rec.Body)
+	}
+	if strings.Contains(rec.Body.String(), fx.root) && !strings.Contains(origin, fx.root) {
+		t.Fatalf("%s: a filesystem path in the body: %s", what, rec.Body)
 	}
 	if method == http.MethodPost && rec.Code == http.StatusOK {
 		n, _ := strconv.ParseUint(seq, 10, 64)
@@ -173,14 +174,33 @@ func TestSegmentsEndpointChecksOrigin(t *testing.T) {
 	if got := fx.held(t); len(got) != 0 {
 		t.Fatalf("n1 holds %v before anything was shipped", got)
 	}
-	if rec := fx.call(t, http.MethodPost, "n1", seq, fx.segment[:len(fx.segment)-1]); rec.Code != http.StatusBadRequest {
-		t.Errorf("torn segment: status %d, want 400", rec.Code)
+	rec := fx.call(t, http.MethodPost, "n1", seq, fx.segment[:len(fx.segment)-1])
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `segment `+seq+` from \"n1\"`) {
+		t.Errorf("torn segment: status %d (%s), want a 400 naming origin and seq", rec.Code, rec.Body)
 	}
 	if rec := fx.call(t, http.MethodPost, "n1", seq, fx.segment); rec.Code != http.StatusOK {
 		t.Fatalf("valid segment from a ring member: status %d (%s)", rec.Code, rec.Body)
 	}
 	if got := fx.held(t); len(got) != 1 || got[0] != fx.seq {
 		t.Errorf("n1 holds %v, want [%d]", got, fx.seq)
+	}
+}
+
+// TestSegmentUploadDiskFailureIs500: a good segment this node cannot store
+// (a file sits where n1's replica directory would go) is the node's failure,
+// not the sender's — it was answered 400 with the path in the body.
+func TestSegmentUploadDiskFailureIs500(t *testing.T) {
+	fx := newSegmentsFixture(t)
+	if err := os.MkdirAll(fx.replica, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fx.replica, "n1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	target := sbqa.ClusterSegmentsPath + "?origin=n1&seq=" + strconv.FormatUint(fx.seq, 10)
+	rec := handle(fx.h, http.MethodPost, target, fx.segment)
+	if rec.Code != http.StatusInternalServerError || strings.Contains(rec.Body.String(), fx.root) {
+		t.Fatalf("status %d (%s), want a 500 that names no path", rec.Code, rec.Body)
 	}
 }
 

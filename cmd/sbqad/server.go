@@ -168,7 +168,7 @@ func newGateway(opts ...sbqa.EngineOption) (*gateway, error) {
 }
 
 // syncLimiter derives the admission limiter from the QoS spec the engine
-// runs now (WithQoS, the boot policy's qos block, or what the last PUT left)
+// runs now (the boot policy's qos block, or what the last PUT left)
 // — one source of truth for token buckets and class queues. A spec with
 // admission rates installs fresh token buckets (momentary amnesty — refused
 // counts accumulate on the gateway, not the limiter); one without leaves the
@@ -389,6 +389,12 @@ type workerRequest struct {
 	IntentionURL string  `json:"intention_url"`
 }
 
+// maxWorkerQueueCap is the largest task backlog a registration may ask for:
+// queue_cap sizes a channel allocated up front (32 bytes a slot, so 2 MiB
+// here), and an unchecked value is an allocation of the client's choosing —
+// two trillion slots ended the process with an unrecoverable out-of-memory.
+const maxWorkerQueueCap = 1 << 16
+
 func (g *gateway) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	eng, ok := g.requireEngine(w)
 	if !ok {
@@ -398,6 +404,10 @@ func (g *gateway) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if !decodeJSON(w, r, sc, &req) {
+		return
+	}
+	if req.QueueCap > maxWorkerQueueCap {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("queue_cap %d exceeds the limit of %d", req.QueueCap, maxWorkerQueueCap))
 		return
 	}
 	in := sbqa.Intention(req.Intention).Clamp()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/qos"
 )
 
 // hostileClass is a QoS class name carrying every character the exposition
@@ -95,7 +96,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 func TestStatsKeySetGolden(t *testing.T) {
 	gw, err := newGateway(
 		sbqa.WithWindow(10),
-		sbqa.WithPolicy(sbqa.DefaultPolicy()),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}),
 		sbqa.WithPersistence(t.TempDir()),
 	)
 	if err != nil {
@@ -212,8 +213,8 @@ func metricsSkeleton(text string) string {
 // handler as it stood before the per-shard families became one loop over a
 // list and the shed ledger came out of the Stats snapshot.
 func TestMetricsFamiliesGolden(t *testing.T) {
-	nodes := startTestCluster(t, 2, true, append(deterministicOpts(),
-		sbqa.WithTracing(1, 16), sbqa.WithQoS(sbqa.DefaultQoSSpec()))...)
+	nodes := startTestCluster(t, 2, true, append(deterministicQoSOpts(sbqa.DefaultQoSSpec()),
+		sbqa.WithTracing(1, 16))...)
 	n0 := nodes[0]
 	registerWorkers(t, n0.srv.URL)
 	c := consumerOwnedBy(t, nodes, 0, 0)
@@ -237,7 +238,7 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 // scrape parses although a class name is hostile.
 func TestStatsAndMetricsAgree(t *testing.T) {
 	qspec := sbqa.QoSSpec{
-		Classes:       []sbqa.QoSClassSpec{{Name: "interactive", Weight: 8}, {Name: hostileClass, Weight: 1}},
+		Classes:       []qos.ClassSpec{{Name: "interactive", Weight: 8}, {Name: hostileClass, Weight: 1}},
 		ConsumerRate:  0.001, // no refill within the test: the burst is all a consumer gets
 		ConsumerBurst: 4,
 	}
@@ -349,7 +350,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 // one results channel the gateway drains. The handler is called directly, so
 // no HTTP connection goroutines blur the count.
 func TestGatewaySpawnsNothingPerQuery(t *testing.T) {
-	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.DefaultPolicy()))
+	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}))
 	if err != nil {
 		t.Fatal(err)
 	}

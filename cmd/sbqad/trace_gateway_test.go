@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/trace"
 )
 
 // traceViewJSON mirrors the wire form of sbqa.TraceView for assertions.
@@ -120,8 +121,8 @@ func TestGatewayTraceSmoke(t *testing.T) {
 		stages[s.Name] = true
 	}
 	for _, want := range []string{
-		sbqa.StageAdmission, sbqa.StageQueue, sbqa.StageFanout,
-		sbqa.StageImpute, sbqa.StageScore, sbqa.StageDispatch,
+		sbqa.StageAdmission, trace.StageQueue, trace.StageFanout,
+		trace.StageImpute, trace.StageScore, trace.StageDispatch,
 	} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (spans: %+v)", want, v.Spans)
@@ -278,7 +279,7 @@ func TestClusterForwardPropagatesTrace(t *testing.T) {
 	for _, s := range owner.Spans {
 		ownerStages[s.Name] = true
 	}
-	for _, want := range []string{sbqa.StageQueue, sbqa.StageFanout, sbqa.StageScore, sbqa.StageDispatch} {
+	for _, want := range []string{trace.StageQueue, trace.StageFanout, trace.StageScore, trace.StageDispatch} {
 		if !ownerStages[want] {
 			t.Errorf("owner trace missing stage %q (spans: %+v)", want, owner.Spans)
 		}

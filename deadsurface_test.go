@@ -20,17 +20,18 @@ import (
 )
 
 // assertedOnly lists what is alive only through an interface-satisfaction
-// assert (`var _ X = …`): blank declarations reach nothing below, so an
-// interface or type whose sole non-test mention is such an assert must be
-// named here, with the reason the assert is worth keeping. Nothing else
+// assert (`var _ X = …`) outside a `main` package: a library's blank
+// declarations reach nothing below, so an interface or type whose sole
+// non-test mention is such an assert must be named here, with the reason the assert is worth keeping. Nothing else
 // belongs in this list — unreached code is deleted, not excused.
 var assertedOnly = map[string]string{}
 
 // TestNoDeadSurface is the ratchet behind the dead-surface deletions: every
 // package-level func, type, var and const of the root module must be
 // reachable from a root — any declaration of a `main` package (binaries and
-// examples), anything the bench/ module names, any exported name of this
-// facade. Reachability is type-checked (go/types over the non-test files
+// examples) or anything the bench/ module names. The facade is no root: an
+// alias in sbqa.go is alive only while one of those imports it.
+// Reachability is type-checked (go/types over the non-test files
 // `go list` reports); a method lives with its receiver type; test files
 // reach nothing, so what only a test uses is dead.
 func TestNoDeadSurface(t *testing.T) {
@@ -129,9 +130,6 @@ func TestNoDeadSurface(t *testing.T) {
 		return out
 	}
 	for _, p := range module {
-		isRoot := func(o types.Object) bool {
-			return p.Name == "main" || (p.ImportPath == "sbqa" && o.Exported())
-		}
 		for _, f := range files[p.ImportPath] {
 			for _, decl := range f.Decls {
 				type declared struct {
@@ -160,12 +158,20 @@ func TestNoDeadSurface(t *testing.T) {
 					}
 					for _, id := range spec.names {
 						o := owner(info.Defs[id])
-						if o == nil {
-							continue // a blank declaration reaches nothing
-						}
-						uses[o] = append(uses[o], to...)
-						if isRoot(o) {
-							roots = append(roots, o)
+						switch {
+						case o == nil && p.Name == "main":
+							// A binary's own `var _ X = …` is one of its
+							// declarations: sbqad pins its webhook
+							// participants to the optional interfaces the
+							// mediator discovers by type assertion.
+							roots = append(roots, to...)
+						case o == nil:
+							// a library's blank declaration reaches nothing
+						default:
+							uses[o] = append(uses[o], to...)
+							if p.Name == "main" {
+								roots = append(roots, o)
+							}
 						}
 					}
 				}
@@ -246,7 +252,7 @@ func TestNoDeadSurface(t *testing.T) {
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d package-level declarations no binary, bench/ probe or facade name reaches — delete them with the tests that exercised only them:\n  %s",
+		t.Errorf("%d package-level declarations no binary or bench/ probe reaches — delete them with the tests that exercised only them:\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
 }

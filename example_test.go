@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sbqa"
+	"sbqa/internal/score"
 )
 
 // exampleConsumer wants provider 1 and dislikes provider 0.
@@ -46,12 +47,13 @@ func Example() {
 	// Output: allocated to provider 1
 }
 
-// ExampleOmega shows the adaptive balance of Equation 2: the less satisfied
-// side gets the louder voice.
+// ExampleOmega shows the adaptive balance of Equation 2 (internal/score,
+// which the allocator applies per candidate): the less satisfied side gets
+// the louder voice.
 func ExampleOmega() {
-	fmt.Printf("%.2f\n", sbqa.Omega(0.5, 0.5)) // balanced
-	fmt.Printf("%.2f\n", sbqa.Omega(0.9, 0.1)) // starved provider: its intention dominates
-	fmt.Printf("%.2f\n", sbqa.Omega(0.1, 0.9)) // starved consumer: its intention dominates
+	fmt.Printf("%.2f\n", score.Omega(0.5, 0.5)) // balanced
+	fmt.Printf("%.2f\n", score.Omega(0.9, 0.1)) // starved provider: its intention dominates
+	fmt.Printf("%.2f\n", score.Omega(0.1, 0.9)) // starved consumer: its intention dominates
 	// Output:
 	// 0.50
 	// 0.90
@@ -61,7 +63,7 @@ func ExampleOmega() {
 // ExampleScorer shows Definition 3: mutual interest scores positively,
 // any objection routes to the negative branch.
 func ExampleScorer() {
-	s := sbqa.NewScorer()
+	s := score.NewScorer()
 	fmt.Printf("%.2f\n", s.Score(1, 1, 0.5))
 	fmt.Printf("%.2f\n", s.Score(0.25, 1, 0.5))
 	fmt.Printf("%.2f\n", s.Score(-1, -1, 0.5))
@@ -69,20 +71,6 @@ func ExampleScorer() {
 	// 1.00
 	// 0.50
 	// -3.00
-}
-
-// ExampleNewProviderTracker shows Definition 2, including its zero clause:
-// a provider that performed none of the proposed queries is maximally
-// dissatisfied.
-func ExampleNewProviderTracker() {
-	tr := sbqa.NewProviderTracker(10)
-	tr.Record(0.8, false) // proposed a liked query, did not get it
-	fmt.Printf("%.2f\n", tr.Satisfaction())
-	tr.Record(0.8, true) // performs one it likes: unit (0.8+1)/2
-	fmt.Printf("%.2f\n", tr.Satisfaction())
-	// Output:
-	// 0.00
-	// 0.90
 }
 
 // ExampleNewWorld runs a miniature BOINC world under SbQA and prints

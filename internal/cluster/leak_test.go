@@ -1,0 +1,86 @@
+package cluster
+
+import (
+	"net/http"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"sbqa/internal/model"
+)
+
+// goroutineStacks returns the stack of every live goroutine, by goroutine ID
+// (IDs are never reused, so an ID absent from an earlier dump is a goroutine
+// started since).
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<20)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf)) // the dump was cut short
+	}
+	stacks := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		stacks[id] = g
+	}
+	return stacks
+}
+
+// TestNodeCloseLeavesNoGoroutines: a node that has been heartbeating one
+// live and one dead peer and shipping its journal to the live one has
+// nothing running once Close returns — the loops, their per-round probe
+// goroutines and the failover replay all finish under it.
+func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
+	follower, err := New(func() Config {
+		cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.invalid"})
+		cfg.StateDir = t.TempDir()
+		return cfg
+	}())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	srv := serveNode(t, follower) // its goroutines are not the node's
+
+	store, _ := newStoreWithRecords(t, t.TempDir(), []model.ConsumerID{1, 2, 3})
+	defer store.Close()
+	before := goroutineStacks()
+	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: srv.URL}, Peer{ID: "dead", Addr: "http://127.0.0.1:1"})
+	cfg.StateDir = t.TempDir()
+	cfg.Store = store
+	// No idle connection (and its read loop) outlives a request: what is
+	// left after Close is then the node's own or nothing.
+	cfg.Client = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	node, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start()
+	waitFor(t, "segment shipped and the dead peer noticed", func() bool {
+		seqs, _ := follower.HeldSegments("a")
+		return len(seqs) >= 1 && node.mem.health("dead") == HealthDown
+	})
+	node.Close()
+
+	var leaked []string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		leaked = leaked[:0]
+		for id, stack := range goroutineStacks() {
+			// The test server's per-connection goroutines finish on their
+			// own schedule and belong to the server.
+			if _, ok := before[id]; !ok && !strings.Contains(stack, "net/http.(*conn).serve") && !strings.Contains(stack, "net/http.(*Server).Serve") {
+				leaked = append(leaked, stack)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(leaked) > 0 {
+		t.Fatalf("%d goroutines outlived Node.Close:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
+	}
+}

@@ -350,19 +350,22 @@ func (n *Node) HeldSegments(origin string) ([]uint64, error) {
 // AcceptSegment stores one shipped WAL segment for origin. The body is
 // validated (framing + checksums + header seq) before an atomic rename
 // into place; a segment already held is accepted silently so shipping
-// is idempotent.
-func (n *Node) AcceptSegment(origin string, seq uint64, body io.Reader) error {
+// is idempotent. refused reports an upload that is itself at fault —
+// unknown origin, broken framing, a header seq other than the transfer's —
+// and is safe to send back: it names origin and seq, never a path on this
+// node. err reports this node failing to store a good segment.
+func (n *Node) AcceptSegment(origin string, seq uint64, body io.Reader) (refused, err error) {
 	if n.cfg.ReplicaDir == "" {
-		return errors.New("cluster: no replica dir configured")
+		return errors.New("cluster: no replica dir configured"), nil
 	}
 	if err := n.CheckOrigin(origin); err != nil {
-		return err
+		return err, nil
 	}
-	err := acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), seq, body)
+	refused, err = acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), origin, seq, body)
 	n.replicaMu.Lock()
 	n.replicasRead = false
 	n.replicaMu.Unlock()
-	return err
+	return refused, err
 }
 
 // heartbeatLoop probes every peer each interval, first round instantly

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,8 +43,11 @@ func serveNode(t *testing.T, n *Node) *httptest.Server {
 				http.Error(w, "bad seq", http.StatusBadRequest)
 				return
 			}
-			if err := n.AcceptSegment(origin, seq, r.Body); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+			if refused, err := n.AcceptSegment(origin, seq, r.Body); err != nil {
+				http.Error(w, "storing the segment failed", http.StatusInternalServerError)
+				return
+			} else if refused != nil {
+				http.Error(w, refused.Error(), http.StatusBadRequest)
 				return
 			}
 			w.WriteHeader(http.StatusOK)
@@ -377,8 +381,8 @@ func TestFailoverReplayFiltersToOwnedRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AcceptSegment("dead", seq, bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
+	if refused, err := n.AcceptSegment("dead", seq, bytes.NewReader(data)); refused != nil || err != nil {
+		t.Fatal(refused, err)
 	}
 
 	n.Start()
@@ -442,29 +446,49 @@ func TestAcceptSegmentValidation(t *testing.T) {
 	}
 	defer n.Close()
 
-	if err := n.AcceptSegment("stranger", seq, bytes.NewReader(data)); err == nil {
-		t.Error("accepted a segment from an origin not on the ring")
-	}
-	if err := n.AcceptSegment("b", seq, bytes.NewReader(data)); err == nil {
-		t.Error("accepted a segment from self as origin")
-	}
-	if err := n.AcceptSegment("a", seq+9, bytes.NewReader(data)); err == nil {
-		t.Error("accepted a segment whose header seq disagrees with the transfer")
-	}
-	if err := n.AcceptSegment("a", seq, bytes.NewReader(data[:len(data)-2])); err == nil {
-		t.Error("accepted a torn segment")
+	// A refusal is the upload's fault and goes back to the sender: it may
+	// name origin and seq, never where this node keeps its replicas.
+	for _, tc := range []struct {
+		what, origin string
+		seq          uint64
+		body         []byte
+	}{
+		{"a segment from an origin not on the ring", "stranger", seq, data},
+		{"a segment from self as origin", "b", seq, data},
+		{"a segment whose header seq disagrees with the transfer", "a", seq + 9, data},
+		{"a torn segment", "a", seq, data[:len(data)-2]},
+		{"a segment with the wrong magic", "a", seq, append([]byte("NOTAWAL!"), data[8:]...)},
+	} {
+		refused, err := n.AcceptSegment(tc.origin, tc.seq, bytes.NewReader(tc.body))
+		if refused == nil || err != nil {
+			t.Errorf("%s: refused = %v, err = %v, want a refusal", tc.what, refused, err)
+		} else if strings.Contains(refused.Error(), cfg.StateDir) {
+			t.Errorf("%s: the refusal names a local path: %v", tc.what, refused)
+		}
 	}
 	if held, _ := n.HeldSegments("a"); len(held) != 0 {
 		t.Fatalf("rejected transfers left replicas behind: %v", held)
 	}
-	if err := n.AcceptSegment("a", seq, bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
+	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err != nil {
+		t.Fatal(refused, err)
 	}
-	if err := n.AcceptSegment("a", seq, bytes.NewReader(data)); err != nil {
-		t.Fatalf("re-ship of held segment = %v, want idempotent success", err)
+	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err != nil {
+		t.Fatalf("re-ship of held segment = %v, %v, want idempotent success", refused, err)
 	}
 	held, _ := n.HeldSegments("a")
 	if len(held) != 1 || held[0] != seq {
 		t.Fatalf("held = %v, want [%d]", held, seq)
+	}
+
+	// This node's own disk failing is not a refusal: a good segment whose
+	// replica directory cannot be made (a file sits where it would go).
+	if err := os.RemoveAll(filepath.Join(n.cfg.ReplicaDir, "a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(n.cfg.ReplicaDir, "a"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err == nil {
+		t.Fatalf("unwritable replica dir: refused = %v, err = %v, want a local error", refused, err)
 	}
 }

@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/url"
 	"os"
@@ -98,44 +100,52 @@ func (t *transport) shipSegment(ctx context.Context, addr string, seq uint64, bo
 	return nil
 }
 
-// acceptSegmentFile lands one shipped segment in dir: stream to a
+// acceptSegmentFile lands one segment shipped by origin in dir: stream to a
 // temporary file, validate framing/checksums/header-seq, then rename
 // into the canonical segment name. The rename makes acceptance atomic
 // — a reader never sees a half-written replica — and re-shipping an
-// already-held segment is a silent success.
-func acceptSegmentFile(dir string, seq uint64, body io.Reader) error {
+// already-held segment is a silent success. refused says the upload is at
+// fault, in words that can go back to the sender (origin and seq, never a
+// local path); err that this node failed to store it.
+func acceptSegmentFile(dir, origin string, seq uint64, body io.Reader) (refused, err error) {
 	dst := persist.SegmentFilePath(dir, seq)
 	if _, err := os.Stat(dst); err == nil {
 		io.Copy(io.Discard, body)
-		return nil
+		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
 	tmp, err := os.CreateTemp(dir, "incoming-*.tmp")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := io.Copy(tmp, body); err != nil {
 		tmp.Close()
-		return fmt.Errorf("cluster: receiving segment %d: %w", seq, err)
+		var local *fs.PathError // tmp.Write failed; a body never fails with one
+		if errors.As(err, &local) {
+			return nil, err
+		}
+		return fmt.Errorf("cluster: receiving segment %d from %q: %v", seq, origin, err), nil
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
+		return nil, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	gotSeq, _, err := persist.ValidateSegmentFile(tmp.Name())
-	if err != nil {
-		return fmt.Errorf("cluster: shipped segment %d failed validation: %w", seq, err)
+	switch {
+	case errors.Is(err, persist.ErrCorrupt):
+		return fmt.Errorf("cluster: segment %d from %q failed validation: %w", seq, origin, err), nil
+	case err != nil:
+		return nil, err
+	case gotSeq != seq:
+		return fmt.Errorf("cluster: segment from %q says seq %d in its header, the transfer says %d", origin, gotSeq, seq), nil
 	}
-	if gotSeq != seq {
-		return fmt.Errorf("cluster: shipped segment header says seq %d, transfer says %d", gotSeq, seq)
-	}
-	return os.Rename(tmp.Name(), dst)
+	return nil, os.Rename(tmp.Name(), dst)
 }
 
 // statFile returns a file's size, for lag and replica accounting.

@@ -510,16 +510,3 @@ func Scenarios() []Scenario {
 		{"m", MotivatingExample}, {"v", MaliciousStudy}, {"r", ReplicationStudy}, {"a", AdWordsStudy},
 	}
 }
-
-// RunAll executes the seven demo scenarios in order.
-func RunAll(opt Options) ([]*ScenarioResult, error) {
-	out := make([]*ScenarioResult, 0, 7)
-	for _, s := range Scenarios()[:7] {
-		r, err := s.Run(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

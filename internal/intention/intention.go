@@ -105,22 +105,6 @@ func (LoadOnlyProvider) Intention(in ProviderInputs) model.Intention {
 
 func (LoadOnlyProvider) String() string { return "provider:load-only" }
 
-// BlendProvider trades preference for utilization with a fixed weight β:
-//
-//	PI = β·pref + (1−β)·(1 − 2·U)
-//
-// β = 1 is PreferenceProvider, β = 0 is LoadOnlyProvider.
-type BlendProvider struct{ Beta float64 }
-
-// Intention implements ProviderPolicy.
-func (b BlendProvider) Intention(in ProviderInputs) model.Intention {
-	beta := clamp01(b.Beta)
-	v := beta*clampPref(in.Preference) + (1-beta)*(1-2*clamp01(in.Utilization))
-	return model.Intention(v).Clamp()
-}
-
-func (b BlendProvider) String() string { return fmt.Sprintf("provider:blend(β=%g)", b.Beta) }
-
 // AdaptiveProvider is the SQLB-style self-adjusting profile: the weight
 // given to preferences grows as the provider becomes dissatisfied
 // (β = 1 − δs(p)). A satisfied provider behaves altruistically and helps
@@ -194,20 +178,6 @@ func (ResponseTimeConsumer) Intention(in ConsumerInputs) model.Intention {
 }
 
 func (ResponseTimeConsumer) String() string { return "consumer:response-time" }
-
-// AdaptiveConsumer blends preference with reputation using a
-// satisfaction-driven weight: a dissatisfied consumer (low δs(c)) leans on
-// hard evidence (reputation); a satisfied one expresses its preferences.
-type AdaptiveConsumer struct{}
-
-// Intention implements ConsumerPolicy.
-func (AdaptiveConsumer) Intention(in ConsumerInputs) model.Intention {
-	gamma := clamp01(in.Satisfaction)
-	v := gamma*clampPref(in.Preference) + (1-gamma)*(2*clamp01(in.Reputation)-1)
-	return model.Intention(v).Clamp()
-}
-
-func (AdaptiveConsumer) String() string { return "consumer:adaptive" }
 
 func clamp01(v float64) float64 {
 	if v < 0 || v != v { // NaN guards

@@ -40,20 +40,6 @@ func TestLoadOnlyProvider(t *testing.T) {
 	}
 }
 
-func TestBlendProviderEndpoints(t *testing.T) {
-	in := ProviderInputs{Preference: 0.8, Utilization: 0.9}
-	if got, want := (BlendProvider{Beta: 1}).Intention(in), (PreferenceProvider{}).Intention(in); got != want {
-		t.Errorf("β=1 should equal preference policy: %v vs %v", got, want)
-	}
-	if got, want := (BlendProvider{Beta: 0}).Intention(in), (LoadOnlyProvider{}).Intention(in); got != want {
-		t.Errorf("β=0 should equal load-only policy: %v vs %v", got, want)
-	}
-	// Midpoint blends linearly: 0.5*0.8 + 0.5*(1-1.8) = 0.
-	if got := (BlendProvider{Beta: 0.5}).Intention(in); math.Abs(float64(got)) > 1e-12 {
-		t.Errorf("β=.5 blend = %v, want 0", got)
-	}
-}
-
 func TestAdaptiveProviderShiftsWithSatisfaction(t *testing.T) {
 	p := AdaptiveProvider{}
 	// A dissatisfied idle provider that hates this query must say so.
@@ -131,26 +117,13 @@ func TestResponseTimeConsumerMonotone(t *testing.T) {
 	}
 }
 
-func TestAdaptiveConsumer(t *testing.T) {
-	c := AdaptiveConsumer{}
-	// Fully satisfied → pure preference.
-	if got := c.Intention(ConsumerInputs{Preference: 0.9, Reputation: 0, Satisfaction: 1}); got != 0.9 {
-		t.Errorf("satisfied consumer = %v", got)
-	}
-	// Fully dissatisfied → pure reputation (rep 1 → +1).
-	if got := c.Intention(ConsumerInputs{Preference: -0.9, Reputation: 1, Satisfaction: 0}); got != 1 {
-		t.Errorf("dissatisfied consumer = %v", got)
-	}
-}
-
 func TestAllPoliciesStayInRange(t *testing.T) {
 	provPolicies := []ProviderPolicy{
-		PreferenceProvider{}, LoadOnlyProvider{},
-		BlendProvider{Beta: 0.3}, AdaptiveProvider{},
+		PreferenceProvider{}, LoadOnlyProvider{}, AdaptiveProvider{},
 	}
 	consPolicies := []ConsumerPolicy{
 		PreferenceConsumer{}, ReputationBlendConsumer{Gamma: 0.6},
-		ResponseTimeConsumer{}, AdaptiveConsumer{},
+		ResponseTimeConsumer{},
 	}
 	f := func(a, b, c, d, e float64) bool {
 		pin := ProviderInputs{Preference: a, Utilization: b, Satisfaction: c, QueueLen: int(math.Abs(d))}
@@ -175,9 +148,9 @@ func TestAllPoliciesStayInRange(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	for _, s := range []string{
 		PreferenceProvider{}.String(), LoadOnlyProvider{}.String(),
-		BlendProvider{Beta: 0.5}.String(), AdaptiveProvider{}.String(),
+		AdaptiveProvider{}.String(),
 		PreferenceConsumer{}.String(), ReputationBlendConsumer{Gamma: 0.5}.String(),
-		ResponseTimeConsumer{}.String(), AdaptiveConsumer{}.String(),
+		ResponseTimeConsumer{}.String(),
 	} {
 		if s == "" {
 			t.Error("policy with empty String()")

@@ -30,15 +30,10 @@ func WithWindow(k int) Option { return func(c *config) { c.window = k } }
 // consumers mediate in parallel.
 func WithConcurrency(n int) Option { return func(c *config) { c.concurrency = n } }
 
-// WithAllocator sets the allocation technique of a single-shard engine.
-// Ignored when an allocator factory is set.
-func WithAllocator(a alloc.Allocator) Option { return func(c *config) { c.allocator = a } }
-
 // WithAllocatorFactory supplies one allocator per shard. Allocators carry
 // internal state (sampling RNGs, cursors) and are not safe for concurrent
 // use; seed them per shard index for reproducible-yet-decorrelated
-// sampling streams. Required when the concurrency is above 1 and no policy
-// is set.
+// sampling streams. Required when no policy is set.
 func WithAllocatorFactory(f func(shard int) alloc.Allocator) Option {
 	return func(c *config) { c.newAllocator = f }
 }
@@ -50,7 +45,7 @@ func WithAllocatorFactory(f func(shard int) alloc.Allocator) Option {
 // swappable at run time through Engine.Reconfigure. A spec with a positive
 // ParticipantDeadline also sets the engine's participant deadline unless
 // WithParticipantDeadline overrides it. Mutually exclusive with
-// WithAllocator and WithAllocatorFactory.
+// WithAllocatorFactory.
 func WithPolicy(spec policy.Spec) Option {
 	return func(c *config) { c.policy = &spec }
 }
@@ -66,11 +61,6 @@ func WithPolicy(spec policy.Spec) Option {
 func WithTuner(cfg policy.TunerConfig) Option {
 	return func(c *config) { c.tuner = &cfg }
 }
-
-// WithAnalyzeBest evaluates the consumer's intention over the whole
-// candidate set for every query, so allocation satisfaction is measured
-// against the true optimum (costs O(|P_q|) intention calls per query).
-func WithAnalyzeBest(on bool) Option { return func(c *config) { c.analyzeBest = on } }
 
 // WithClock overrides the engine clock: now returns the current time in
 // seconds on the mediation time axis. Deterministic tests inject a fake
@@ -90,19 +80,8 @@ func WithObserver(o event.Observer) Option { return func(c *config) { c.observer
 // the blocking bound: submissions beyond it block in Engine.Submit until
 // the shard drains or the submission context is done — backpressure.
 // Classes that do declare a MaxQueueDepth shed instead of blocking (see
-// WithQoS). Values below 1 mean 1024.
+// qos.Spec). Values below 1 mean 1024.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
-
-// WithQoS installs the engine's overload-survival configuration: the shard
-// queues become class-aware schedulers (weighted fair across the spec's
-// classes with a strict-priority option, earliest-deadline-first within a
-// class) and overloaded submissions shed with a typed *ShedError and an
-// event.Shed instead of blocking — deadline-infeasible queries immediately,
-// classes past their MaxQueueDepth immediately, classes browned out by the
-// tuner immediately. Without this option (and without a policy qos block)
-// the engine runs one FIFO class with blocking backpressure. The spec is
-// hot-swappable through Engine.Reconfigure via the policy's qos block.
-func WithQoS(spec qos.Spec) Option { return func(c *config) { c.qos = &spec } }
 
 // WithSnapshotInterval makes the engine emit OnSatisfactionSnapshot to the
 // configured observer every interval of wall-clock time. Zero (the
@@ -139,10 +118,9 @@ func WithParticipantDeadline(d time.Duration) Option {
 
 // submitOptions collects per-query options.
 type submitOptions struct {
-	results       chan<- Result
-	fireAndForget bool
-	qosClass      string
-	deadline      time.Duration
+	results  chan<- Result
+	qosClass string
+	deadline time.Duration
 }
 
 // QueryOption configures one submission (see Engine.Submit).
@@ -155,14 +133,6 @@ type QueryOption func(*submitOptions)
 // the time Done closes. One channel may serve any number of submissions.
 func WithResults(ch chan<- Result) QueryOption {
 	return func(o *submitOptions) { o.results = ch }
-}
-
-// FireAndForget disables the ticket's result collection: the ticket is done
-// at worker hand-off and Results stays empty. Workers still forward to the
-// WithResults channel if there is one; without it the results are discarded
-// on completion.
-func FireAndForget() QueryOption {
-	return func(o *submitOptions) { o.fireAndForget = true }
 }
 
 // WithQoSClass queues the query under the named QoS class ("interactive",
@@ -312,7 +282,7 @@ func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket,
 			tr.Annotate(q.Trace.ID, q.ID, q.Consumer)
 		}
 	}
-	t = newTicket(q, so.results, !so.fireAndForget)
+	t = newTicket(q, so.results)
 	if g := e.guard.Load(); g != nil {
 		if err := (*g)(q); err != nil {
 			e.traceFinish(q, "rejected", err, nil)
@@ -334,7 +304,7 @@ func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket,
 // When the query's class queue is full, Submit blocks until space frees or
 // ctx is done for classes without an explicit depth bound (backpressure),
 // and fails the ticket with a *ShedError for classes that declare one (load
-// shedding — see WithQoS, WithQoSClass, WithDeadline). After Close, tickets
+// shedding — see qos.Spec, WithQoSClass, WithDeadline). After Close, tickets
 // fail with ErrEngineClosed.
 func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption) *Ticket {
 	var so submitOptions

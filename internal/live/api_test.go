@@ -16,10 +16,13 @@ import (
 // newTestEngine builds a 2-shard async engine with real workers.
 func newTestEngine(t *testing.T, opts ...Option) (*Engine, []*Worker) {
 	t.Helper()
-	base := []Option{
-		WithWindow(30),
-		WithConcurrency(2),
-		WithAllocatorFactory(func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard) + 1) }),
+	base := []Option{WithWindow(30), WithConcurrency(2)}
+	var asked config
+	for _, o := range opts {
+		o(&asked)
+	}
+	if asked.policy == nil {
+		base = append(base, WithAllocatorFactory(func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard) + 1) }))
 	}
 	eng, err := NewEngine(append(base, opts...)...)
 	if err != nil {
@@ -268,7 +271,7 @@ func TestObserverLifecycleEvents(t *testing.T) {
 // workers that accepted vs failed, the accepted worker's result still
 // arrives, and the typed error unwraps to ErrDispatch.
 func TestDispatchErrorPartitionsSelection(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +295,8 @@ func TestDispatchErrorPartitionsSelection(t *testing.T) {
 	if !errors.Is(err, ErrDispatch) {
 		t.Fatalf("err = %v, want ErrDispatch", err)
 	}
-	de, ok := AsDispatchError(err)
+	var de *DispatchError
+	ok := errors.As(err, &de)
 	if !ok {
 		t.Fatalf("err %T is not *DispatchError", err)
 	}
@@ -327,37 +331,12 @@ func TestDispatchErrorPartitionsSelection(t *testing.T) {
 	}
 }
 
-// TestFireAndForgetWithResults: the shared-channel contract — workers
-// deliver straight to the caller's channel and the ticket is done at
-// hand-off.
-func TestFireAndForgetWithResults(t *testing.T) {
-	eng, _ := newTestEngine(t)
-	results := make(chan Result, 1)
-	tk := eng.Submit(context.Background(), model.Query{Consumer: 0, N: 1, Work: 0.1},
-		WithResults(results), FireAndForget())
-	if _, err := tk.Allocation(); err != nil {
-		t.Fatal(err)
-	}
-	<-tk.Done() // done at hand-off, before the result necessarily arrived
-	select {
-	case r := <-results:
-		if r.Query.ID != tk.Query().ID {
-			t.Errorf("result for %d, want %d", r.Query.ID, tk.Query().ID)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no result on the caller channel")
-	}
-	if len(tk.Results()) != 0 {
-		t.Error("fire-and-forget ticket must not collect")
-	}
-}
-
 // TestTicketCompletesWhenWorkerClosesMidExecution: a worker closed while
 // holding accepted tasks signals abandonment, so the tickets complete (no
 // leaked collectors, no forever-blocked Await) and name the worker in
 // Abandoned.
 func TestTicketCompletesWhenWorkerClosesMidExecution(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +378,7 @@ func TestTicketCompletesWhenWorkerClosesMidExecution(t *testing.T) {
 
 // TestAwaitContextExpiry: Await honors its context and can be re-called.
 func TestAwaitContextExpiry(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,54 +455,6 @@ func TestSubmitGuardVetsSubmissions(t *testing.T) {
 	}
 }
 
-// TestFireAndForgetMatchesCollectingTicket: a hand-off-only ticket and a
-// result-collecting one produce identical allocations under identical
-// inputs — the per-query options never reach the mediation.
-func TestFireAndForgetMatchesCollectingTicket(t *testing.T) {
-	build := func() (*Engine, error) {
-		return NewEngine(
-			WithWindow(20),
-			WithAllocator(sbqaAllocator(99)),
-			WithClock(func() float64 { return 2 }),
-		)
-	}
-	reg := func(e *Engine) {
-		e.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(q model.Query, s model.ProviderSnapshot) model.Intention {
-			return model.Intention(float64(int(s.ID)%3)/3 - 0.1)
-		}})
-		for i := 0; i < 6; i++ {
-			e.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.3})
-		}
-	}
-	handoff, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handoff.Close()
-	reg(handoff)
-	collecting, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer collecting.Close()
-	reg(collecting)
-
-	for i := 0; i < 25; i++ {
-		q := model.Query{Consumer: 0, N: 1, Work: 1}
-		wa, werr := submit(context.Background(), handoff, q, nil)
-		ga, gerr := collecting.Submit(context.Background(), q).Allocation()
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("query %d: err %v vs %v", i, werr, gerr)
-		}
-		if werr != nil {
-			continue
-		}
-		if want, got := wa.String(), ga.String(); want != got {
-			t.Fatalf("query %d diverged:\nhand-off:   %s\ncollecting: %s", i, want, got)
-		}
-	}
-}
-
 // TestDepartedSelectionIsDispatchFailure: a selected worker that unregisters
 // between mediation and hand-off (here from the allocation observer, which
 // runs after the mediator's own staleness check) is named in
@@ -531,7 +462,7 @@ func TestFireAndForgetMatchesCollectingTicket(t *testing.T) {
 // that stayed still executes.
 func TestDepartedSelectionIsDispatchFailure(t *testing.T) {
 	var eng *Engine
-	eng = mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()),
+	eng = mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()),
 		WithObserver(event.Funcs{Allocation: func(*model.Allocation, int) { eng.UnregisterWorker(1) }}))
 	for id := 0; id < 2; id++ {
 		w, err := NewWorker(model.ProviderID(id), 1000, 16, func(model.Query) model.Intention { return 0.5 })
@@ -548,7 +479,8 @@ func TestDepartedSelectionIsDispatchFailure(t *testing.T) {
 	if a == nil || len(a.Selected) != 2 {
 		t.Fatalf("allocation %v, want both workers selected", a)
 	}
-	de, ok := AsDispatchError(err)
+	var de *DispatchError
+	ok := errors.As(err, &de)
 	if !ok {
 		t.Fatalf("err = %v, want a *DispatchError naming the departed worker", err)
 	}
@@ -567,7 +499,7 @@ func TestDepartedSelectionIsDispatchFailure(t *testing.T) {
 // counted — with the result on the WithResults channel before Done closes.
 func TestTicketCountsDeliveryAheadOfFinish(t *testing.T) {
 	forwarded := make(chan Result, 1)
-	tk := newTicket(model.Query{ID: 7}, forwarded, true)
+	tk := newTicket(model.Query{ID: 7}, forwarded)
 	tk.expect(2)
 	tk.deliver(Result{Provider: 4})
 	tk.refused(1)
@@ -590,7 +522,7 @@ func TestTicketCountsDeliveryAheadOfFinish(t *testing.T) {
 // workers cost no goroutine each — workers deliver to the ticket, so there is
 // no collector to wait for them.
 func TestNothingSpawnedPerQuery(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
 	// Four workers that need hours per query, with room to queue them all.
 	for id := 0; id < 4; id++ {
 		w, err := NewWorker(model.ProviderID(id), 0.001, 512, func(model.Query) model.Intention { return 0.5 })

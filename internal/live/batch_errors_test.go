@@ -14,7 +14,7 @@ import (
 // unregistered consumer, and a class nobody serves — the error slice is
 // position-aligned and each entry carries its own failure mode.
 func TestSubmitBatchMixedErrorPaths(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestSubmitBatchMixedErrorPaths(t *testing.T) {
 // the bare context error before mediation — no allocation is produced and
 // nothing reads as a dispatch failure.
 func TestSubmitBatchCanceledContext(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), WithAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestSubmitBatchCanceledContext(t *testing.T) {
 // and an empty accepted set (nothing reached any worker: the retry is clean).
 func TestSubmitBatchStaleSelection(t *testing.T) {
 	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	eng := mustEngine(t, WithWindow(10), WithAllocator(u))
+	eng := mustEngine(t, WithWindow(10), withAllocator(u))
 	u.eng = eng
 	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
@@ -94,7 +94,8 @@ func TestSubmitBatchStaleSelection(t *testing.T) {
 	if !errors.Is(errs[0], ErrDispatch) || !errors.Is(errs[0], mediator.ErrStaleSelection) {
 		t.Fatalf("err = %v, want ErrDispatch wrapping ErrStaleSelection", errs[0])
 	}
-	de, ok := AsDispatchError(errs[0])
+	var de *DispatchError
+	ok := errors.As(errs[0], &de)
 	if !ok {
 		t.Fatalf("err %T is not *DispatchError", errs[0])
 	}

@@ -26,14 +26,11 @@ import (
 type config struct {
 	window              int
 	concurrency         int
-	allocator           alloc.Allocator
 	newAllocator        func(shard int) alloc.Allocator
 	policy              *policy.Spec
 	tuner               *policy.TunerConfig
-	analyzeBest         bool
 	observer            event.Observer
 	queueDepth          int
-	qos                 *qos.Spec
 	snapshotInterval    time.Duration
 	participantDeadline time.Duration
 	nowFn               func() float64
@@ -155,8 +152,8 @@ type Engine struct {
 //	defer eng.Close()
 //
 // Nonsensical option inputs — negative concurrency, queue depth, window,
-// snapshot interval, or participant deadline, several shards without a
-// per-shard allocator source — are rejected with a descriptive error rather
+// snapshot interval, or participant deadline, no allocator source — are
+// rejected with a descriptive error rather
 // than silently clamped.
 func NewEngine(opts ...Option) (*Engine, error) {
 	var cfg config
@@ -180,12 +177,10 @@ func NewEngine(opts ...Option) (*Engine, error) {
 			cfg.participantDeadline = spec.ParticipantDeadline.Std()
 		}
 	}
-	// The QoS spec: WithQoS wins, then the construction policy's qos block;
-	// neither means the single default class — plain FIFO backpressure.
+	// The QoS spec is the construction policy's qos block; without one the
+	// engine runs the single default class — plain FIFO backpressure.
 	var qspec qos.Spec
-	if cfg.qos != nil {
-		qspec = *cfg.qos
-	} else if cfg.policy != nil && cfg.policy.QoS != nil {
+	if cfg.policy != nil && cfg.policy.QoS != nil {
 		qspec = *cfg.policy.QoS
 	}
 	if err := qspec.Validate(); err != nil {
@@ -254,19 +249,18 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		depth = 1024
 	}
 	for i := range e.shards {
-		a := cfg.allocator
+		var a alloc.Allocator
 		if cfg.policy != nil {
 			var err error
 			if a, err = spec.Build(i); err != nil {
 				return fail(err)
 			}
-		} else if cfg.newAllocator != nil {
+		} else {
 			a = cfg.newAllocator(i)
 		}
 		sh := &shard{sched: qos.NewScheduler[engineItem](qspec, depth, e.nowFn)}
 		sh.med = mediator.New(a, mediator.Config{
 			Window:              cfg.window,
-			AnalyzeBest:         cfg.analyzeBest,
 			Observer:            shardObserver{sh: sh, user: cfg.observer},
 			Registry:            e.reg,
 			Directory:           e.dir,
@@ -341,11 +335,11 @@ func validateOptions(cfg config) error {
 	if cfg.participantDeadline < 0 {
 		return fmt.Errorf("live: WithParticipantDeadline(%v): deadline cannot be negative", cfg.participantDeadline)
 	}
-	if cfg.policy != nil && (cfg.allocator != nil || cfg.newAllocator != nil) {
-		return errors.New("live: WithPolicy is mutually exclusive with WithAllocator/WithAllocatorFactory — the policy builds the per-shard allocators")
+	if cfg.policy != nil && cfg.newAllocator != nil {
+		return errors.New("live: WithPolicy is mutually exclusive with WithAllocatorFactory — the policy builds the per-shard allocators")
 	}
-	if cfg.concurrency > 1 && cfg.policy == nil && cfg.newAllocator == nil {
-		return fmt.Errorf("live: WithConcurrency(%d) requires WithAllocatorFactory or WithPolicy (allocators hold per-shard state and cannot be shared)", cfg.concurrency)
+	if cfg.policy == nil && cfg.newAllocator == nil {
+		return errors.New("live: NewEngine requires WithPolicy or WithAllocatorFactory (one allocator per shard: allocators hold sampling state and cannot be shared)")
 	}
 	if cfg.tuner != nil {
 		if cfg.policy == nil {

@@ -45,26 +45,22 @@ func mustEngine(t testing.TB, opts ...Option) *Engine {
 	return eng
 }
 
-// handOff is the shared-channel submission contract: the ticket is done at
-// worker hand-off and workers deliver straight to results (nil discards).
-func handOff(results chan<- Result) []QueryOption {
-	if results == nil {
-		return []QueryOption{FireAndForget()}
-	}
-	return []QueryOption{FireAndForget(), WithResults(results)}
+// withAllocator gives a single-shard test engine the one allocator it runs.
+func withAllocator(a alloc.Allocator) Option {
+	return WithAllocatorFactory(func(int) alloc.Allocator { return a })
 }
 
 // submit drives one query through the ticket pipeline and blocks for its
-// mediation and hand-off.
+// mediation and hand-off; workers also deliver to results when it is not nil.
 func submit(ctx context.Context, eng *Engine, q model.Query, results chan<- Result) (*model.Allocation, error) {
-	return eng.Submit(ctx, q, handOff(results)...).Allocation()
+	return eng.Submit(ctx, q, WithResults(results)).Allocation()
 }
 
 // submitBatch is submit for a batch: position-aligned outcomes.
 func submitBatch(ctx context.Context, eng *Engine, qs []model.Query, results chan<- Result) ([]*model.Allocation, []error) {
 	allocs := make([]*model.Allocation, len(qs))
 	errs := make([]error, len(qs))
-	for i, tk := range eng.SubmitBatch(ctx, qs, handOff(results)...) {
+	for i, tk := range eng.SubmitBatch(ctx, qs, WithResults(results)) {
 		allocs[i], errs[i] = tk.Allocation()
 	}
 	return allocs, errs
@@ -97,7 +93,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	}
 
 	// Reference: the serialized pipeline, driven directly.
-	ref := mediator.New(sbqaAllocator(42), mediator.Config{Window: window, AnalyzeBest: true})
+	ref := mediator.New(sbqaAllocator(42), mediator.Config{Window: window})
 	for c := 0; c < consumers; c++ {
 		ref.RegisterConsumer(newConsumer(model.ConsumerID(c)))
 	}
@@ -112,8 +108,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(window),
 		WithConcurrency(1),
-		WithAllocator(sbqaAllocator(42)),
-		WithAnalyzeBest(true),
+		withAllocator(sbqaAllocator(42)),
 		WithClock(func() float64 { return float64(clock.Load()) / 100 }),
 	)
 	for c := 0; c < consumers; c++ {
@@ -165,7 +160,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 // batch must produce the same allocations as the equivalent Submit sequence.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	build := func() *Engine {
-		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), WithAllocator(sbqaAllocator(7)),
+		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), withAllocator(sbqaAllocator(7)),
 			WithClock(func() float64 { return 1 }))
 		for c := 0; c < 2; c++ {
 			c := c
@@ -258,7 +253,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 // TestClassRestrictedWorkers: SetClasses feeds the directory's capability
 // index; queries of other classes never reach the specialist.
 func TestClassRestrictedWorkers(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
 	gen, err := NewWorker(0, 1000, 64, func(model.Query) model.Intention { return 0.2 })
 	if err != nil {
 		t.Fatal(err)
@@ -296,15 +291,15 @@ func TestClassRestrictedWorkers(t *testing.T) {
 }
 
 func TestNewEngineShardValidation(t *testing.T) {
-	if eng, err := NewEngine(WithConcurrency(4), WithAllocator(alloc.NewCapacity())); err == nil {
+	if eng, err := NewEngine(WithConcurrency(4)); err == nil {
 		eng.Close()
-		t.Error("multi-shard engine without an allocator factory accepted")
+		t.Error("engine without a policy or an allocator factory accepted")
 	}
 	eng := mustEngine(t, WithConcurrency(3), WithAllocatorFactory(func(int) alloc.Allocator { return alloc.NewCapacity() }))
 	if eng.Shards() != 3 {
 		t.Errorf("Shards = %d", eng.Shards())
 	}
-	if mustEngine(t, WithAllocator(alloc.NewCapacity()), WithWindow(10)).Shards() != 1 {
+	if mustEngine(t, withAllocator(alloc.NewCapacity()), WithWindow(10)).Shards() != 1 {
 		t.Error("the default engine should build a single shard")
 	}
 }
@@ -338,7 +333,7 @@ func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q mode
 // because capacity existed throughout.
 func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	eng := mustEngine(t, WithWindow(10), WithAllocator(u))
+	eng := mustEngine(t, WithWindow(10), withAllocator(u))
 	u.eng = eng
 	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
@@ -362,7 +357,7 @@ func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 // the query is rejected with the bare context error before any intention is
 // collected or any worker contacted, and no allocation is produced.
 func TestSubmitCancelledContext(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(10))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(10))
 	w, err := NewWorker(1, 1000, 4, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)

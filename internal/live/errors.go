@@ -86,13 +86,6 @@ func (e *DispatchError) Unwrap() []error {
 	return []error{ErrDispatch}
 }
 
-// AsDispatchError unwraps err to its *DispatchError, if it carries one.
-func AsDispatchError(err error) (*DispatchError, bool) {
-	var de *DispatchError
-	ok := errors.As(err, &de)
-	return de, ok
-}
-
 // ErrShed reports that the engine refused a query at its shard queue
 // instead of mediating it: the class-aware scheduler decided the deadline
 // could not be met, the class's queue bound was reached, or the brownout

@@ -11,7 +11,7 @@
 // the query and returns a *Ticket immediately; each shard drains a
 // class-aware queue, so one consumer's tickets mediate in submission order
 // while distinct consumers run in parallel. Workers deliver their results
-// to the query's ticket, which retains them (unless FireAndForget) and
+// to the query's ticket, which retains them and
 // forwards them to a caller-supplied channel (WithResults); an event.Observer
 // (WithObserver) streams allocations, rejections, dispatch failures,
 // registration churn, and satisfaction snapshots; Engine.Stats snapshots

@@ -31,7 +31,7 @@ func TestNewWorkerValidation(t *testing.T) {
 }
 
 func TestSubmitAndComplete(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
 	for i := 0; i < 4; i++ {
 		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.5))
 	}
@@ -64,7 +64,7 @@ func TestSubmitAndComplete(t *testing.T) {
 }
 
 func TestSubmitNoWorkers(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
 	eng.RegisterConsumer(FuncConsumer{ID: 0})
 	if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err == nil {
 		t.Error("submit with no workers should fail")
@@ -72,7 +72,7 @@ func TestSubmitNoWorkers(t *testing.T) {
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(100))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(100))
 	const workers = 8
 	for i := 0; i < workers; i++ {
 		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.4))
@@ -120,7 +120,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 func TestWorkerCloseRejectsTasks(t *testing.T) {
-	eng := mustEngine(t, WithAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
 	w := fastWorker(t, 0, 1)
 	eng.RegisterWorker(w)
 	eng.RegisterConsumer(FuncConsumer{ID: 0})
@@ -145,7 +145,7 @@ func TestAcceptFullQueueNonBlocking(t *testing.T) {
 	accepted := 0
 	refused := false
 	for i := 0; i < 8 && !refused; i++ {
-		if w.accept(context.Background(), newTicket(model.Query{ID: model.QueryID(i + 1), Consumer: 0, N: 1, Work: 10}, nil, false)) {
+		if w.accept(context.Background(), newTicket(model.Query{ID: model.QueryID(i + 1), Consumer: 0, N: 1, Work: 10}, nil)) {
 			accepted++
 		} else {
 			refused = true
@@ -165,7 +165,7 @@ func TestAcceptFullQueueNonBlocking(t *testing.T) {
 	// A cancelled context is refused outright.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if w.accept(ctx, newTicket(model.Query{ID: 99, Consumer: 0, N: 1, Work: 1}, nil, false)) {
+	if w.accept(ctx, newTicket(model.Query{ID: 99, Consumer: 0, N: 1, Work: 1}, nil)) {
 		t.Error("accept succeeded with a cancelled context")
 	}
 }
@@ -195,7 +195,7 @@ func TestSnapshotUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	ok := w.accept(context.Background(), newTicket(model.Query{ID: 1, Consumer: 0, N: 1, Work: 50}, nil, false))
+	ok := w.accept(context.Background(), newTicket(model.Query{ID: 1, Consumer: 0, N: 1, Work: 50}, nil))
 	if !ok {
 		t.Fatal("accept failed")
 	}

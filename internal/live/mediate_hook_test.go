@@ -42,15 +42,14 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 		}
 	}
 
-	ref := mediator.New(sbqaAllocator(42), mediator.Config{Window: window, AnalyzeBest: true})
+	ref := mediator.New(sbqaAllocator(42), mediator.Config{Window: window})
 	register(ref)
 
 	eng := sim.NewEngine()
 	med := mustEngine(t,
 		WithWindow(window),
 		WithConcurrency(1),
-		WithAllocator(sbqaAllocator(42)),
-		WithAnalyzeBest(true),
+		withAllocator(sbqaAllocator(42)),
 		WithClock(eng.Now),
 	)
 	register(med)

@@ -17,7 +17,7 @@ import (
 // TestNewEngineRejectsInvalidOptions: nonsense option inputs fail NewEngine
 // with a descriptive error instead of being silently clamped.
 func TestNewEngineRejectsInvalidOptions(t *testing.T) {
-	base := WithAllocator(core.MustNew(core.Config{Seed: 1}))
+	base := withAllocator(core.MustNew(core.Config{Seed: 1}))
 	cases := []struct {
 		name string
 		opt  Option
@@ -80,7 +80,7 @@ func (p *stallProvider) IntentionContext(ctx context.Context, _ model.Query) (mo
 // while the intention fan-out is in flight fails the ticket with the context
 // error — the engine does not sit behind a stalled participant.
 func TestTicketContextCancelsFanout(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), WithAllocator(core.MustNew(core.Config{Seed: 1})))
+	eng, err := NewEngine(WithWindow(10), withAllocator(core.MustNew(core.Config{Seed: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEngineImputationStats(t *testing.T) {
 	obs := event.Funcs{IntentionImputed: func(event.Imputation) { events.Add(1) }}
 	eng, err := NewEngine(
 		WithWindow(10),
-		WithAllocator(alloc.NewCapacity()),
+		withAllocator(alloc.NewCapacity()),
 		WithParticipantDeadline(25*time.Millisecond),
 		WithObserver(obs),
 	)

@@ -29,7 +29,6 @@ func buildPersistEngine(t *testing.T, dir string, clock *atomic.Int64, extra ...
 		WithWindow(40),
 		WithConcurrency(1),
 		WithPolicy(persistTestSpec()),
-		WithAnalyzeBest(true),
 		WithClock(func() float64 { return float64(clock.Load()) / 100 }),
 	}
 	if dir != "" {
@@ -327,11 +326,11 @@ func TestPersistenceCompactionUnderTraffic(t *testing.T) {
 		WithWindow(20),
 		WithConcurrency(4),
 		WithPolicy(policy.Spec{Name: "compact", Kind: policy.SbQA, K: 6, Kn: 3, Seed: 1}),
-		WithPersistence(dir,
-			persist.SegmentBytes(2048),
-			persist.CompactAfterSegments(2),
-			persist.CompactInterval(5*time.Millisecond),
-		),
+		WithPersistence(dir, func(c *persist.Config) {
+			c.SegmentBytes = 2048
+			c.CompactAfterSegments = 2
+			c.CompactInterval = 5 * time.Millisecond
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ type policyState struct {
 }
 
 // Policy returns the engine's current target policy spec and whether one is
-// installed. Engines built through WithAllocator/WithAllocatorFactory have
+// installed. Engines built through WithAllocatorFactory have
 // no declarative policy until their first Reconfigure.
 func (e *Engine) Policy() (policy.Spec, bool) {
 	p := e.pol.spec.Load()

@@ -56,7 +56,7 @@ func TestPolicyBuiltEngineMatchesAllocatorBuilt(t *testing.T) {
 		}
 	}
 	now := func() float64 { return 1 }
-	ref := mustEngine(t, WithWindow(30), WithAllocator(sbqaAllocator(42)), WithClock(now))
+	ref := mustEngine(t, WithWindow(30), withAllocator(sbqaAllocator(42)), WithClock(now))
 	spec := sbqaSpec(42)
 	got := mustEngine(t, WithWindow(30), WithPolicy(spec), WithClock(now))
 	register(ref)
@@ -392,7 +392,7 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 					{Consumer: model.ConsumerID(c), N: 1, Work: 1},
 					{Consumer: model.ConsumerID(c), N: 2, Work: 2},
 				}
-				for _, tk := range eng.SubmitBatch(context.Background(), qs, FireAndForget()) {
+				for _, tk := range eng.SubmitBatch(context.Background(), qs) {
 					if _, err := tk.Allocation(); err != nil {
 						t.Errorf("allocation: %v", err)
 					}
@@ -418,8 +418,8 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 
 func TestEngineOptionValidationPolicy(t *testing.T) {
 	spec := sbqaSpec(1)
-	if _, err := NewEngine(WithPolicy(spec), WithAllocator(sbqaAllocator(1))); err == nil {
-		t.Fatal("accepted WithPolicy combined with WithAllocator")
+	if _, err := NewEngine(WithPolicy(spec), withAllocator(sbqaAllocator(1))); err == nil {
+		t.Fatal("accepted WithPolicy combined with WithAllocatorFactory")
 	}
 	if _, err := NewEngine(WithTuner(policy.TunerConfig{})); err == nil {
 		t.Fatal("accepted WithTuner without WithPolicy")

@@ -14,6 +14,12 @@ import (
 	"sbqa/internal/qos"
 )
 
+// withQoS runs spec the way sbqad does: as the qos block of the engine's
+// policy (sbqaAllocator's KnBest parameters, shard seeds 1, 2, …).
+func withQoS(spec qos.Spec) Option {
+	return WithPolicy(policy.Spec{Kind: policy.SbQA, K: 6, Kn: 3, Seed: 1, QoS: &spec})
+}
+
 // blockingConsumer registers a consumer whose intention callback parks the
 // shard loop inside mediation until release is closed — the deterministic
 // way to hold a query "in service" while the tests stack more behind it.
@@ -50,7 +56,7 @@ func TestSubmitBrownoutShedsTypedAndEmitsEvent(t *testing.T) {
 		sheds = append(sheds, s)
 		mu.Unlock()
 	}}
-	eng, _ := newTestEngine(t, WithQoS(spec), WithObserver(obs))
+	eng, _ := newTestEngine(t, withQoS(spec), WithObserver(obs))
 	eng.SetBrownout(1)
 
 	ctx := context.Background()
@@ -94,7 +100,7 @@ func TestSubmitQueueFullShedsBoundedClass(t *testing.T) {
 		},
 		DefaultClass: qos.Interactive,
 	}
-	eng, _ := newTestEngine(t, WithQoS(spec), WithConcurrency(1))
+	eng, _ := newTestEngine(t, withQoS(spec), WithConcurrency(1))
 	blocker, entered, release := blockingConsumer(9)
 	eng.RegisterConsumer(blocker)
 	var once sync.Once
@@ -263,7 +269,7 @@ func TestQoSChurnUnderRace(t *testing.T) {
 		},
 		DefaultClass: qos.Interactive,
 	}
-	eng, _ := newTestEngine(t, WithQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
+	eng, _ := newTestEngine(t, withQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
 
 	const (
 		submitters = 4

@@ -22,7 +22,6 @@ func TestShardedEngineRace(t *testing.T) {
 		WithAllocatorFactory(func(shard int) alloc.Allocator {
 			return sbqaAllocator(uint64(shard) + 1)
 		}),
-		WithAnalyzeBest(true),
 	)
 
 	// A stable pool of workers that never leaves, so mediation always has

@@ -23,12 +23,10 @@ import (
 // Workers deliver to the ticket itself: a dispatched task carries its
 // *Ticket, and the worker's goroutine calls deliver when the query has
 // executed (or abandon when the worker shuts down first). deliver forwards
-// the Result to the WithResults channel when there is one, then — on the
-// collecting path, the Engine default — retains it and counts the delivery;
-// the last one closes done. Nothing is spawned and no channel is built per
-// query for this. A full WithResults channel therefore blocks the delivering
-// worker, on the collecting path as under FireAndForget: size it to the
-// traffic or drain it. Allocations to registered providers that are not
+// the Result to the WithResults channel when there is one, then retains it
+// and counts the delivery; the last one closes done. Nothing is spawned and
+// no channel is built per query for this. A full WithResults channel
+// therefore blocks the delivering worker: size it to the traffic or drain it. Allocations to registered providers that are not
 // dispatchable *Worker instances produce no Results (delivery is out of
 // band), so a ticket completes when its dispatched workers — not its full
 // selection — have reported.
@@ -44,11 +42,6 @@ type Ticket struct {
 	// userResults is the optional caller-supplied channel (WithResults);
 	// every delivered result is forwarded to it.
 	userResults chan<- Result
-
-	// collect selects result retention and counting. FireAndForget switches
-	// it off: deliveries are forwarded (or dropped) and the ticket is done
-	// at hand-off.
-	collect bool
 
 	// workers are the executors of the selection, resolved under the shard
 	// lock right after mediation and consumed by the hand-off that follows
@@ -73,13 +66,11 @@ type Ticket struct {
 	abandoned []model.ProviderID
 }
 
-// newTicket returns a ticket for q. userResults may be nil; collect selects
-// result retention (see Ticket).
-func newTicket(q model.Query, userResults chan<- Result, collect bool) *Ticket {
+// newTicket returns a ticket for q. userResults may be nil.
+func newTicket(q model.Query, userResults chan<- Result) *Ticket {
 	return &Ticket{
 		query:       q,
 		userResults: userResults,
-		collect:     collect,
 		allocated:   make(chan struct{}),
 		pending:     1,
 		done:        make(chan struct{}),
@@ -89,9 +80,6 @@ func newTicket(q model.Query, userResults chan<- Result, collect bool) *Ticket {
 // expect adds the n hand-offs the dispatcher is about to attempt to the
 // countdown; each comes off it again through deliver, abandon or refused.
 func (t *Ticket) expect(n int) {
-	if !t.collect {
-		return
-	}
 	t.mu.Lock()
 	t.pending += n
 	t.results = make([]Result, 0, n)
@@ -101,9 +89,6 @@ func (t *Ticket) expect(n int) {
 // refused takes the n attempted hand-offs that no worker accepted back off
 // the countdown.
 func (t *Ticket) refused(n int) {
-	if !t.collect {
-		return
-	}
 	t.mu.Lock()
 	t.settle(n)
 	t.mu.Unlock()
@@ -122,9 +107,6 @@ func (t *Ticket) deliver(r Result) {
 	if t.userResults != nil {
 		t.userResults <- r
 	}
-	if !t.collect {
-		return
-	}
 	t.mu.Lock()
 	t.results = append(t.results, r)
 	t.settle(1)
@@ -134,9 +116,6 @@ func (t *Ticket) deliver(r Result) {
 // abandon is the completion call of an accepting worker that shut down
 // before executing the query.
 func (t *Ticket) abandon(id model.ProviderID) {
-	if !t.collect {
-		return
-	}
 	t.mu.Lock()
 	t.abandoned = append(t.abandoned, id)
 	t.settle(1)
@@ -171,8 +150,8 @@ func (t *Ticket) Allocation() (*model.Allocation, error) {
 }
 
 // Done returns a channel that is closed once the ticket is complete: every
-// worker that accepted the query has delivered its Result (immediately, on
-// the non-collecting path or when submission failed).
+// worker that accepted the query has delivered its Result (immediately when
+// submission failed).
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // Await blocks until the ticket is complete or ctx is done. It returns the
@@ -204,8 +183,7 @@ func (t *Ticket) Results() []Result {
 }
 
 // Abandoned returns the accepted workers that shut down before delivering
-// their result (nil while the ticket is in flight, and on the
-// fire-and-forget path, where abandonment is not tracked). An abandoned
+// their result (nil while the ticket is in flight). An abandoned
 // slot is the same retry situation as a DispatchError.Failed entry: the
 // query never executed there.
 func (t *Ticket) Abandoned() []model.ProviderID {

@@ -317,68 +317,78 @@ func (w *segmentWriter) abort() { w.f.Close() }
 // clean stop when it occurs at the tail of the final segment.
 var errTorn = fmt.Errorf("%w: torn record", ErrCorrupt)
 
-// readSegment streams the records of one segment file to fn. It returns the
-// segment's sequence number. A torn record stops reading and returns an
-// error wrapping errTorn; fn errors abort and propagate.
+// readSegment streams the records of the segment file at path to fn and
+// returns the segment's sequence number. Framing errors name the file.
 func readSegment(path string, fn func(*Record) error) (seq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	if seq, err = readSegmentFrom(f, fn); errors.Is(err, ErrCorrupt) {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return seq, err
+}
+
+// readSegmentFrom streams the records of one segment to fn. A torn record
+// stops reading and returns errTorn, a complete-but-wrong header an error
+// wrapping ErrCorrupt — neither names where the bytes came from, which is
+// the caller's to say; fn errors abort and propagate.
+func readSegmentFrom(r io.Reader, fn func(*Record) error) (seq uint64, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		// Incomplete header: a crash tore the segment before its (synced)
 		// header landed — tolerable at the journal tail, like any torn
 		// record. A complete-but-wrong header below is real corruption.
-		return 0, fmt.Errorf("%s: %w", path, errTorn)
+		return 0, errTorn
 	}
 	if magic != journalMagic {
-		return 0, fmt.Errorf("%s: %w: bad segment magic %q", path, ErrCorrupt, magic[:])
+		return 0, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, magic[:])
 	}
 	h := &cr{r: br}
 	if v := h.u16(); h.err == nil && v != journalVersion {
-		return 0, fmt.Errorf("%s: %w: unsupported segment version %d", path, ErrCorrupt, v)
+		return 0, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
 	}
 	seq = h.u64()
 	if h.err != nil {
-		return 0, fmt.Errorf("%s: %w", path, errTorn)
+		return 0, errTorn
 	}
 	var frame [5]byte
 	for {
 		if _, err := io.ReadFull(br, frame[:1]); err == io.EOF {
 			return seq, nil // clean end of segment
 		} else if err != nil {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		if _, err := io.ReadFull(br, frame[1:]); err != nil {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		payloadLen := uint32(frame[1]) | uint32(frame[2])<<8 | uint32(frame[3])<<16 | uint32(frame[4])<<24
 		if payloadLen > maxRecordPayload {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		payload := make([]byte, payloadLen)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		var crcBuf [4]byte
 		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		stored := uint32(crcBuf[0]) | uint32(crcBuf[1])<<8 | uint32(crcBuf[2])<<16 | uint32(crcBuf[3])<<24
 		crc := crc32.Update(0, crcTable, frame[:])
 		crc = crc32.Update(crc, crcTable, payload)
 		if stored != crc {
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		rec, err := decodeRecordPayload(RecordType(frame[0]), payload)
 		if err != nil {
 			// Framing and checksum held but the payload is malformed:
 			// treat like a torn record — the boundary is still intact, so
 			// a tail-position tolerance applies the same way.
-			return seq, fmt.Errorf("%s: %w", path, errTorn)
+			return seq, errTorn
 		}
 		if err := fn(rec); err != nil {
 			return seq, err

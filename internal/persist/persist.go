@@ -69,7 +69,9 @@ const (
 )
 
 // Config tunes the durability subsystem. The zero value selects the
-// documented defaults; build configs through Options.
+// documented defaults. SyncEvery is the one field deployments set (it has
+// an Option); the rest are fixed at their defaults outside tests, which
+// shrink them with a literal func(*Config).
 type Config struct {
 	// SyncEvery is the fsync cadence: the journal fsyncs after every
 	// SyncEvery appended records (1 = every record — maximum durability,
@@ -122,19 +124,6 @@ type Option func(*Config)
 // SyncEvery sets the fsync cadence: one fsync per n appended journal
 // records; 1 syncs every record.
 func SyncEvery(n int) Option { return func(c *Config) { c.SyncEvery = n } }
-
-// SegmentBytes sets the journal segment rotation threshold.
-func SegmentBytes(n int64) Option { return func(c *Config) { c.SegmentBytes = n } }
-
-// QueueDepth bounds the recorder's asynchronous queue.
-func QueueDepth(n int) Option { return func(c *Config) { c.QueueDepth = n } }
-
-// CompactAfterSegments sets how many sealed segments accumulate before
-// compaction folds them into a fresh snapshot.
-func CompactAfterSegments(n int) Option { return func(c *Config) { c.CompactAfterSegments = n } }
-
-// CompactInterval sets the cadence of the compaction check.
-func CompactInterval(d time.Duration) Option { return func(c *Config) { c.CompactInterval = d } }
 
 // ErrCorrupt reports a snapshot or journal whose framing or checksum does
 // not hold. Decoders return errors wrapping it (use errors.Is); they never

@@ -208,7 +208,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 
 func TestSegmentRotationAndSnapshotPruning(t *testing.T) {
 	dir := t.TempDir()
-	_, _, st := replayAll(t, dir, SegmentBytes(256), SyncEvery(1))
+	_, _, st := replayAll(t, dir, func(c *Config) { c.SegmentBytes = 256 }, SyncEvery(1))
 	for i := 0; i < 50; i++ {
 		if err := st.Append(outcome(int64(i+1), model.ConsumerID(i%3), 1, 2)); err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 
 func TestRecorderDropsWhenFullAndCountsIt(t *testing.T) {
 	dir := t.TempDir()
-	_, _, st := replayAll(t, dir, QueueDepth(1))
+	_, _, st := replayAll(t, dir, func(c *Config) { c.QueueDepth = 1 })
 	rec := st.NewRecorder()
 	rec.Start()
 	// Saturate the queue faster than the writer can drain by enqueueing

@@ -50,9 +50,17 @@ func ScanSegmentDir(dir string) ([]uint64, error) {
 // and checksums, and returns its header sequence number and record count.
 // Unlike restore, it tolerates nothing: a shipped segment was sealed and
 // synced by the owner before shipping, so any torn record means the
-// transfer (or the sender) is broken and the replica must be rejected.
+// transfer (or the sender) is broken and the replica must be rejected. That
+// rejection wraps ErrCorrupt and does not name path — the receiver answers
+// the sender with it, and path is the receiver's own temp file; failing to
+// open path is an *fs.PathError like any other.
 func ValidateSegmentFile(path string) (seq uint64, records int, err error) {
-	seq, err = readSegment(path, func(*Record) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	seq, err = readSegmentFrom(f, func(*Record) error {
 		records++
 		return nil
 	})

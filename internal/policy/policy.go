@@ -98,7 +98,8 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Spec declares one allocation policy. The zero value is invalid (Kind is
-// required); DefaultSpec returns the demo defaults. Fields that do not apply
+// required); Normalized resolves a kind's zero tunables to the demo
+// defaults. Fields that do not apply
 // to the spec's kind must stay zero — Validate rejects, say, KnBest
 // parameters on a round-robin policy, so a config typo cannot silently
 // no-op.
@@ -150,12 +151,6 @@ type Spec struct {
 	// Reconfigure, the same way a zero ParticipantDeadline restores the
 	// engine's base deadline.
 	QoS *qos.Spec `json:"qos,omitempty"`
-}
-
-// DefaultSpec returns the demo default policy: SbQA with KnBest(20, 10),
-// adaptive ω, ε = 1, seed 1.
-func DefaultSpec() Spec {
-	return Spec{Name: "default", Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: score.DefaultEpsilon, Seed: 1}
 }
 
 // Normalized returns the spec with zero-valued tunables resolved to their

@@ -169,12 +169,15 @@ func TestDurationAcceptsNanoseconds(t *testing.T) {
 }
 
 func TestDefaultSpecValid(t *testing.T) {
-	spec := DefaultSpec()
+	spec := Spec{Kind: SbQA}.Normalized()
 	if err := spec.Validate(); err != nil {
-		t.Fatalf("DefaultSpec invalid: %v", err)
+		t.Fatalf("default sbqa spec invalid: %v", err)
+	}
+	if spec.K != 20 || spec.Kn != 10 || spec.OmegaMode != OmegaAdaptive || spec.Epsilon != score.DefaultEpsilon {
+		t.Fatalf("default sbqa spec = %+v, want KnBest(20,10), adaptive ω, ε = 1", spec)
 	}
 	if !spec.Tunable() {
-		t.Fatal("DefaultSpec should be tunable (sbqa)")
+		t.Fatal("the default spec should be tunable (sbqa)")
 	}
 	if (Spec{Kind: Capacity}).Tunable() {
 		t.Fatal("capacity must not be tunable")

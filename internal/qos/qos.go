@@ -39,13 +39,11 @@ const (
 )
 
 // Shed reasons, as they appear in *live.ShedError.Reason, event.Shed.Reason
-// and the sbqa_shed_total{reason} metric. RateLimit is the gateway
-// admission analog (sbqa_admission_rejected_total).
+// and the sbqa_shed_total{reason} metric.
 const (
 	ReasonDeadline  = "deadline"
 	ReasonQueueFull = "queue_full"
 	ReasonBrownout  = "brownout"
-	ReasonRateLimit = "rate_limit"
 )
 
 // reasonIndex maps a shed reason to its counter slot.

@@ -10,6 +10,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"sbqa/internal/live"
+	"sbqa/internal/policy"
 )
 
 // sweepProvider is a public-API provider with conflicting interests: the
@@ -40,7 +43,7 @@ func sweepConsumerFn(_ Query, snap ProviderSnapshot) Intention {
 // consumer and provider satisfactions afterwards.
 func runSweepPoint(t *testing.T, spec PolicySpec, queries int) (satC, satP float64) {
 	t.Helper()
-	eng, err := NewEngine(WithWindow(50), WithPolicy(spec), WithClock(func() float64 { return 1 }))
+	eng, err := NewEngine(WithWindow(50), WithPolicy(spec), live.WithClock(func() float64 { return 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func runSweepPoint(t *testing.T, spec PolicySpec, queries int) (satC, satP float
 		eng.RegisterProvider(&sweepProvider{id: ProviderID(i)})
 	}
 	for i := 0; i < queries; i++ {
-		if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation(); err != nil {
+		if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}).Allocation(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +71,7 @@ func runSweepPoint(t *testing.T, spec PolicySpec, queries int) (satC, satP float
 // the adaptive rule lands the system in between.
 func TestScenario6OmegaSweepThroughPolicyAPI(t *testing.T) {
 	fixed := func(omega float64) PolicySpec {
-		return PolicySpec{Kind: PolicySbQA, K: 8, Kn: 8, OmegaMode: PolicyOmegaFixed, Omega: omega, Seed: 5}
+		return PolicySpec{Kind: PolicySbQA, K: 8, Kn: 8, OmegaMode: policy.OmegaFixed, Omega: omega, Seed: 5}
 	}
 	const queries = 120
 	satC0, satP0 := runSweepPoint(t, fixed(0), queries)
@@ -96,7 +99,7 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	eng, err := NewEngine(
 		WithWindow(40),
 		WithPolicy(PolicySpec{Name: "narrow", Kind: PolicySbQA, K: 1, Kn: 1, Seed: 11}),
-		WithClock(func() float64 { return 1 }),
+		live.WithClock(func() float64 { return 1 }),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +111,7 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	}
 	submit := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation(); err != nil {
+			if _, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}).Allocation(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,7 +119,7 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	submit(80)
 	narrow := eng.ConsumerSatisfaction(0)
 
-	wide := PolicySpec{Name: "matcher", Kind: PolicySbQA, K: 8, Kn: 8, OmegaMode: PolicyOmegaFixed, Seed: 11}
+	wide := PolicySpec{Name: "matcher", Kind: PolicySbQA, K: 8, Kn: 8, OmegaMode: policy.OmegaFixed, Seed: 11}
 	if err := eng.Reconfigure(context.Background(), wide); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestScenario6MidRunReconfigure(t *testing.T) {
 	}
 	// With the full candidate set scored at ω=0, the consumer's favorite
 	// provider wins every mediation.
-	a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}, FireAndForget()).Allocation()
+	a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1, Work: 1}).Allocation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestPolicyDeterminismAcrossReconfigureViaFacade(t *testing.T) {
 		eng, err := NewEngine(
 			WithWindow(30),
 			WithPolicy(PolicySpec{Kind: PolicySbQA, K: 4, Kn: 2, Seed: 42}),
-			WithClock(func() float64 { return 1 }),
+			live.WithClock(func() float64 { return 1 }),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -162,12 +165,12 @@ func TestPolicyDeterminismAcrossReconfigureViaFacade(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			if i == 60 {
 				if err := eng.Reconfigure(context.Background(), PolicySpec{
-					Kind: PolicySbQA, K: 8, Kn: 4, OmegaMode: PolicyOmegaFixed, Omega: 0.5, Seed: 9,
+					Kind: PolicySbQA, K: 8, Kn: 4, OmegaMode: policy.OmegaFixed, Omega: 0.5, Seed: 9,
 				}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1 + i%2, Work: 1}, FireAndForget()).Allocation()
+			a, err := eng.Submit(context.Background(), Query{Consumer: 0, N: 1 + i%2, Work: 1}).Allocation()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sbqa/internal/alloc"
+	"sbqa/internal/boinc"
+	"sbqa/internal/core"
+	"sbqa/internal/experiments"
+	"sbqa/internal/lab"
+	"sbqa/internal/satisfaction"
+	"sbqa/internal/score"
+	"sbqa/internal/stats"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -51,16 +60,16 @@ func (p providerStub) Intention(Query) Intention { return p.pi }
 func (p providerStub) Bid(q Query) float64       { return q.Work }
 
 func TestPublicOmega(t *testing.T) {
-	if got := Omega(0.5, 0.5); got != 0.5 {
+	if got := score.Omega(0.5, 0.5); got != 0.5 {
 		t.Errorf("Omega = %v", got)
 	}
-	if got := Omega(1, 0); got != 1 {
+	if got := score.Omega(1, 0); got != 1 {
 		t.Errorf("Omega = %v", got)
 	}
 }
 
 func TestPublicScorer(t *testing.T) {
-	s := NewScorer()
+	s := score.NewScorer()
 	if got := s.Score(1, 1, 0.5); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Score = %v", got)
 	}
@@ -70,17 +79,17 @@ func TestPublicScorer(t *testing.T) {
 }
 
 func TestPublicTrackers(t *testing.T) {
-	ct := NewConsumerTracker(10)
+	ct := satisfaction.NewConsumer(10)
 	ct.Record(1, 1, 1)
 	if ct.Satisfaction() != 1 {
 		t.Error("consumer tracker broken")
 	}
-	pt := NewProviderTracker(10)
+	pt := satisfaction.NewProvider(10)
 	pt.Record(1, true)
 	if pt.Satisfaction() != 1 {
 		t.Error("provider tracker broken")
 	}
-	reg := NewSatisfactionRegistry(10)
+	reg := satisfaction.NewRegistry(10)
 	if reg.ConsumerSatisfaction(3) != 0.5 {
 		t.Error("registry broken")
 	}
@@ -90,8 +99,8 @@ func TestPublicAllocatorConstructors(t *testing.T) {
 	names := map[string]Allocator{
 		"Capacity":   NewCapacityAllocator(),
 		"Economic":   NewEconomicAllocator(1),
-		"Random":     NewRandomAllocator(2),
-		"RoundRobin": NewRoundRobinAllocator(),
+		"Random":     alloc.NewRandom(stats.NewRNG(2)),
+		"RoundRobin": alloc.NewRoundRobin(),
 	}
 	for want, a := range names {
 		if a.Name() != want {
@@ -101,11 +110,11 @@ func TestPublicAllocatorConstructors(t *testing.T) {
 	if NewSbQA(SbQAConfig{}).Name() != "SbQA" {
 		t.Error("SbQA name wrong")
 	}
-	fixed := NewSbQA(SbQAConfig{Omega: FixedOmega(0.5)})
+	fixed := NewSbQA(SbQAConfig{Omega: core.FixedOmega(0.5)})
 	if !strings.Contains(fixed.Name(), "0.5") {
 		t.Errorf("fixed-omega name = %q", fixed.Name())
 	}
-	if _, err := NewSbQAChecked(SbQAConfig{KnBest: KnBestParams{K: 1, Kn: 5}}); err == nil {
+	if _, err := core.New(SbQAConfig{KnBest: KnBestParams{K: 1, Kn: 5}}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -113,7 +122,7 @@ func TestPublicAllocatorConstructors(t *testing.T) {
 func TestPublicWorldRun(t *testing.T) {
 	cfg := DefaultWorldConfig(30, 3)
 	cfg.Duration = 200
-	cfg.Mode = Captive
+	cfg.Mode = boinc.Captive
 	w, err := NewWorld(NewSbQA(SbQAConfig{}), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +137,12 @@ func TestPublicWorldRun(t *testing.T) {
 }
 
 func TestPublicScenarioAndRender(t *testing.T) {
-	res, err := Scenario1(ExperimentOptions{Volunteers: 25, Duration: 150, Seed: 5})
+	res, err := experiments.Scenario1(experiments.Options{Volunteers: 25, Duration: 150, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := RenderScenarios(&sb, []*ScenarioResult{res}); err != nil {
+	if err := res.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Scenario 1") {
@@ -151,24 +160,24 @@ func TestPublicErrNoCandidates(t *testing.T) {
 
 func TestPublicLabScenario(t *testing.T) {
 	// The lab through the facade: a tiny world, run twice, byte-identical.
-	sc := LabScenario{
+	sc := lab.Scenario{
 		Name:     "facade-smoke",
 		Seed:     9,
 		Duration: 40,
 		Policy:   PolicySpec{Kind: PolicySbQA, K: 6, Kn: 2, Seed: 9},
-		Workload: LabWorkload{
-			Classes: []LabClassSpec{{
+		Workload: lab.Workload{
+			Classes: []lab.ClassSpec{{
 				Name: "only", Consumers: 3, Providers: 12,
-				Arrival: LabArrivalSpec{Kind: "poisson", Rate: 3},
-				Cost:    LabCostSpec{Kind: "exp", Mean: 1.5},
+				Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 3},
+				Cost:    lab.CostSpec{Kind: "exp", Mean: 1.5},
 			}},
 		},
 	}
-	r1, err := RunLabScenario(sc)
+	r1, err := lab.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunLabScenario(sc)
+	r2, err := lab.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestPublicLabScenario(t *testing.T) {
 	if h1 == "" || h1 != h2 {
 		t.Fatalf("lab determinism broken through facade: %q vs %q", h1, h2)
 	}
-	if LabFull.String() != "full" || LabShort.String() != "short" {
-		t.Fatalf("scale strings: %q/%q", LabFull, LabShort)
+	if lab.Full.String() != "full" || lab.Short.String() != "short" {
+		t.Fatalf("scale strings: %q/%q", lab.Full, lab.Short)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"sbqa/internal/core"
+	"sbqa/internal/live"
+	"sbqa/internal/trace"
 )
 
 // traceTestEngine builds a single-shard engine over constant providers with
@@ -43,9 +45,9 @@ func traceTestEngine(t testing.TB, opts ...EngineOption) *Engine {
 }
 
 // spanIndex maps stage name → span views, asserting Start <= End on each.
-func spanIndex(t *testing.T, v TraceView) map[string][]TraceSpanView {
+func spanIndex(t *testing.T, v TraceView) map[string][]trace.SpanView {
 	t.Helper()
-	byName := make(map[string][]TraceSpanView)
+	byName := make(map[string][]trace.SpanView)
 	for _, s := range v.Spans {
 		if s.StartNS > s.EndNS {
 			t.Errorf("span %s: start %d after end %d", s.Name, s.StartNS, s.EndNS)
@@ -84,7 +86,7 @@ func TestTracingTicketTrace(t *testing.T) {
 			t.Errorf("trace_id %q, want 32 hex digits", v.TraceID)
 		}
 		byName := spanIndex(t, v)
-		order := []string{StageQueue, StageFanout, StageImpute, StageScore, StageDispatch}
+		order := []string{trace.StageQueue, trace.StageFanout, trace.StageImpute, trace.StageScore, trace.StageDispatch}
 		for i, stage := range order {
 			if len(byName[stage]) != 1 {
 				t.Fatalf("stage %s: %d spans, want 1 (have %v)", stage, len(byName[stage]), stageNames(v))
@@ -140,7 +142,7 @@ func TestTraceFinishedBeforeTicketResolves(t *testing.T) {
 	time.Sleep(2 * time.Millisecond) // let the deadline lapse while queued
 	close(release)
 
-	if _, err := doomed.Allocation(); !errors.Is(err, ErrShed) {
+	if _, err := doomed.Allocation(); !errors.Is(err, live.ErrShed) {
 		t.Fatalf("expired-deadline error = %v, want ErrShed", err)
 	}
 	v, ok := eng.Tracer().TraceByQuery(doomed.Query().ID)
