@@ -457,11 +457,7 @@ func benchEngine(b *testing.B, shards, providers, consumers int) *Engine {
 	eng, err := NewEngine(
 		WithWindow(100),
 		WithConcurrency(shards),
-		WithAllocatorFactory(func(shard int) Allocator {
-			cfg := core.Config{Seed: 1}
-			cfg.Seed = uint64(shard) + 1
-			return core.MustNew(cfg)
-		}),
+		WithPolicy(PolicySpec{Kind: PolicySbQA, Seed: 1}), // shard i: KnBest(20,10), seed 1+i
 	)
 	if err != nil {
 		b.Fatal(err)

@@ -17,12 +17,7 @@ func BenchmarkForwardedSubmit(b *testing.B) {
 	nodes := startTestCluster(b, 2, false,
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(1),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 2},
-				Seed:   1,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 	)
 	for _, cn := range nodes {
 		registerWorkers(b, cn.srv.URL)

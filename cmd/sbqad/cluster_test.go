@@ -76,12 +76,7 @@ func deterministicOpts() []sbqa.EngineOption {
 	return []sbqa.EngineOption{
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(1),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 1},
-				Seed:   7,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 1, Seed: 7}),
 	}
 }
 

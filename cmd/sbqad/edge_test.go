@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,6 +252,60 @@ func TestRegisterWorkerRefusesHugeQueue(t *testing.T) {
 	body := fmt.Sprintf(`{"id":1,"capacity":1,"queue_cap":%d}`, maxWorkerQueueCap)
 	if rec := handle(h, http.MethodPost, "/v1/workers", []byte(body)); rec.Code != http.StatusCreated {
 		t.Fatalf("%s: status %d (%s), want 201", body, rec.Code, rec.Body)
+	}
+}
+
+// TestHostileClassCostsNothing: a client's "class" is an int it chooses. A
+// class nobody serves — here the largest a 32-bit client can send, against a
+// directory of one class-1 specialist — is a typed rejection (409, no
+// candidates), and ten thousand of them leave the directory and the heap
+// where they were: no per-class state is created for a class a request names.
+func TestHostileClassCostsNothing(t *testing.T) {
+	gw, err := newGateway(sbqa.WithWindow(10), sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicyCapacity}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.close()
+	h := gw.handler()
+	for path, body := range map[string]string{
+		"/v1/workers":   `{"id":1,"capacity":100,"intention":0.5,"classes":[1]}`,
+		"/v1/consumers": `{"id":0,"intention":0.5}`,
+	} {
+		if rec := handle(h, http.MethodPost, path, []byte(body)); rec.Code != http.StatusCreated {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	hostile := []byte(`{"consumer":0,"class":2147483647,"n":1,"work":1}`)
+	submit := func() {
+		rec := handle(h, http.MethodPost, "/v1/queries", hostile)
+		var resp queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusConflict || !strings.Contains(resp.Error, "no online provider can perform") {
+			t.Fatalf("hostile class: %d %s, want 409 \"no online provider can perform query\"", rec.Code, rec.Body)
+		}
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	for i := 0; i < 100; i++ {
+		submit() // warm pools, scratch buffers and the published class map
+	}
+	before := heapInuse()
+	for i := 0; i < 10000; i++ {
+		submit()
+	}
+	// Slack for span rounding and the runtime's own churn: 1 MiB is 100 bytes
+	// a request, below what any per-class entry would cost.
+	if after := heapInuse(); after > before+1<<20 {
+		t.Errorf("heap in use grew %d bytes over 10,000 hostile-class submits", after-before)
+	}
+	if metrics := handle(h, http.MethodGet, "/v1/metrics", nil).Body.String(); !strings.Contains(metrics, "sbqa_providers 1\n") {
+		t.Errorf("sbqa_providers moved; metrics:\n%s", metrics)
 	}
 }
 

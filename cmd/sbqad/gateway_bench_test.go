@@ -47,9 +47,7 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 	gw, err := newGateway(
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(1),
-		sbqa.WithAllocatorFactory(func(int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{KnBest: sbqa.KnBestParams{K: 4, Kn: 2}, Seed: 1})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -118,9 +116,7 @@ func BenchmarkWireSubmit(b *testing.B) {
 		gw, err := newGateway(
 			sbqa.WithWindow(50),
 			sbqa.WithConcurrency(1),
-			sbqa.WithAllocatorFactory(func(int) sbqa.Allocator {
-				return sbqa.NewSbQA(sbqa.SbQAConfig{KnBest: sbqa.KnBestParams{K: 4, Kn: 2}, Seed: 1})
-			}),
+			sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 		)
 		if err != nil {
 			b.Fatal(err)

@@ -67,13 +67,23 @@
 // node that still disagrees about ownership answers {"code":"not_owner"}
 // rather than risking a forwarding loop.
 //
-// Remote participants answer intention webhooks under the per-participant
-// deadline (-participant-deadline); a webhook that misses it is imputed from
-// the participant's satisfaction registry state and the mediation proceeds.
+// Remote participants answer intention webhooks under the policy's
+// participant deadline; a webhook that misses it is imputed from the
+// participant's satisfaction registry state and the mediation proceeds.
+//
+// The daemon runs one boot policy spec, built once: -k/-kn/-seed, or the
+// -policy file in their place; its participant deadline is an explicit
+// -participant-deadline, else the file's, else the flag's default; its qos
+// block is the file's, else the -qos* flags'. The engine has no other
+// input, and a later PUT /v1/policy that leaves the deadline or the qos
+// block out runs the boot spec's.
 //
 // With -state-dir the daemon's adaptation state is durable: on boot it
-// restores the satisfaction memory, policy generation, and allocator
-// sampling streams persisted there (replaying the journal tail after a
+// restores the satisfaction memory, the policy persisted there (its
+// generation, participant deadline, QoS ladder and token buckets — it wins
+// over the boot spec, which stays the fallback base; the line logged before
+// "ready" says which policy is in force and where it came from), and the
+// allocator sampling streams (replaying the journal tail after a
 // crash), and on SIGINT/SIGTERM the graceful shutdown drains in-flight
 // tickets via Engine.Close and flushes a final snapshot, so the next boot
 // resumes warm. Workers and consumers are runtime objects — re-register
@@ -108,6 +118,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/policy"
 )
 
 func main() {
@@ -216,34 +227,26 @@ func main() {
 		log.Fatalf("sbqad: -policy: %v", err)
 	}
 
-	// A deadline in the policy spec wins over the flag's default; an
-	// explicit -participant-deadline wins over the spec (same precedence a
-	// later PUT /v1/policy applies). The spec's deadline is stripped when
-	// the flag is explicit so that `-participant-deadline 0` (unbounded)
-	// also overrides — the engine treats a zero spec deadline as "inherit".
-	// This must happen before WithPolicy captures the spec.
+	// An explicit -participant-deadline (0 = unbounded included) > the
+	// -policy file's > the flag's default; the winner goes into the boot spec.
 	deadlineFlagSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "participant-deadline" {
 			deadlineFlagSet = true
 		}
 	})
-	if deadlineFlagSet {
-		spec.ParticipantDeadline = 0
+	if deadlineFlagSet || spec.ParticipantDeadline == 0 {
+		spec.ParticipantDeadline = policy.Duration(*deadline)
 	}
 	opts := []sbqa.EngineOption{
 		sbqa.WithWindow(*window),
 		sbqa.WithConcurrency(*shards),
-		sbqa.WithPolicy(spec),
 		sbqa.WithQueueDepth(*queue),
 		sbqa.WithSnapshotInterval(*snapshot),
 		// The recorder always exists so forwarded sampled traces record on
 		// this node even with -trace-sample 0; unsampled queries pay one
 		// branch per pipeline stage and zero allocations.
 		sbqa.WithTracing(*traceSample, *traceBuffer),
-	}
-	if deadlineFlagSet || spec.ParticipantDeadline == 0 {
-		opts = append(opts, sbqa.WithParticipantDeadline(*deadline))
 	}
 	if *autotune {
 		opts = append(opts, sbqa.WithTuner(sbqa.TunerConfig{Logf: log.Printf}))
@@ -263,11 +266,25 @@ func main() {
 	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err == nil {
-		err = serve(ctx, ln, cs, opts...)
+		err = serve(ctx, ln, cs, spec, opts...)
 	}
 	if err != nil {
 		log.Fatalf("sbqad: %v", err)
 	}
+}
+
+// policyInForce is the line logged at the ready flip: which policy the engine
+// runs and which door it came through. A -state-dir that held a policy wins
+// over boot (a loaded snapshot always holds one; a generation past 0 can only
+// have been replayed), and the boot spec stays the base for whatever a
+// restored or later policy leaves empty.
+func policyInForce(eng *sbqa.Engine, boot sbqa.PolicySpec) string {
+	run, gen := eng.Policy(), eng.PolicyGeneration()
+	origin := "the boot spec"
+	if ps := eng.Stats().Persistence; gen > 0 || ps != nil && ps.Restore.SnapshotLoaded {
+		origin = fmt.Sprintf("restored from -state-dir (boot spec %q is the base for what it leaves empty)", boot.Name)
+	}
+	return fmt.Sprintf("sbqad: policy %q (%s) generation %d: %s", run.Name, run.Kind, gen, origin)
 }
 
 // shutdownGrace bounds how long a graceful shutdown waits for in-flight
@@ -290,7 +307,7 @@ const shutdownGrace = 10 * time.Second
 // heartbeats, WAL replication, submit guard) between engine construction
 // and the ready flip. With cs == nil the daemon is byte-for-byte the
 // single-node gateway — no node is constructed, no guard installed.
-func serve(ctx context.Context, ln net.Listener, cs *clusterSettings, opts ...sbqa.EngineOption) error {
+func serve(ctx context.Context, ln net.Listener, cs *clusterSettings, boot sbqa.PolicySpec, opts ...sbqa.EngineOption) error {
 	gw := newGatewayShell()
 	defer gw.close()
 
@@ -298,11 +315,12 @@ func serve(ctx context.Context, ln net.Listener, cs *clusterSettings, opts ...sb
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("sbqad: listening on %s\n", ln.Addr())
-	if err := gw.init(cs, opts...); err != nil {
+	if err := gw.init(cs, append(opts, sbqa.WithPolicy(boot))...); err != nil {
 		srv.Close()
 		<-serveErr
 		return err
 	}
+	fmt.Println(policyInForce(gw.eng, boot))
 	fmt.Println("sbqad: ready")
 
 	select {

@@ -103,12 +103,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	gw, err := newGateway(
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(2),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 2},
-				Seed:   uint64(shard) + 1,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)

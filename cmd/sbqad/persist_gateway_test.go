@@ -222,8 +222,63 @@ func TestDaemonRestartWalkthrough(t *testing.T) {
 	}
 	var policy policyResponse
 	getJSON(t, srv2.URL+"/v1/policy", &policy)
-	if policy.Policy == nil || policy.Policy.Name != "tuned" {
+	if policy.Policy.Name != "tuned" {
 		t.Errorf("restored policy %+v, want the reconfigured \"tuned\" spec", policy.Policy)
+	}
+}
+
+// TestWarmRestartKeepsRateLimit is the gateway twin of the engine's
+// TestWarmRestartKeepsQoS: a consumer_rate PUT before a graceful stop still
+// answers 429 + Retry-After after a restart on the same -state-dir. The token
+// buckets derive from the QoS spec the schedulers run, which restore used to
+// leave at the boot spec's — the limits silently disappeared on restart.
+func TestWarmRestartKeepsRateLimit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	bootSpec := sbqa.PolicySpec{Name: "boot", Kind: sbqa.PolicySbQA} // no qos block: unlimited
+	boot := []sbqa.EngineOption{
+		sbqa.WithWindow(20),
+		sbqa.WithPolicy(bootSpec),
+		sbqa.WithPersistence(dir, sbqa.PersistSyncEvery(1)),
+	}
+	gw1, err := newGateway(boot...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := policyInForce(gw1.eng, bootSpec); !strings.Contains(line, `policy "boot" (sbqa) generation 0: the boot spec`) {
+		t.Errorf("first boot logged %q", line)
+	}
+	srv1 := httptest.NewServer(gw1.handler())
+	limited := sbqa.DefaultQoSSpec()
+	limited.ConsumerRate = 0.001 // one query per ~17 min: a second submit must reject
+	limited.ConsumerBurst = 1
+	putPolicy(t, srv1.URL, sbqa.PolicySpec{Name: "limited", Kind: sbqa.PolicySbQA, QoS: &limited})
+	srv1.Close()
+	gw1.close()
+
+	gw2, err := newGateway(boot...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw2.close()
+	if line := policyInForce(gw2.eng, bootSpec); !strings.Contains(line, `policy "limited" (sbqa) generation 1: restored from -state-dir (boot spec "boot"`) {
+		t.Errorf("restart logged %q", line)
+	}
+	srv2 := httptest.NewServer(gw2.handler())
+	defer srv2.Close()
+	postJSON(t, srv2.URL+"/v1/workers", workerRequest{ID: 0, Capacity: 1000, QueueCap: 64, Intention: 0.5}, nil)
+	postJSON(t, srv2.URL+"/v1/consumers", consumerRequest{ID: 0, Intention: 0.8}, nil)
+
+	submit := queryRequest{Consumer: 0, N: 1, Work: 0.5, Wait: "allocation"}
+	if resp := postJSON(t, srv2.URL+"/v1/queries", submit, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first submit after restart: %d, want 200 (the burst)", resp.StatusCode)
+	}
+	var rej rejectJSON
+	resp := postJSON(t, srv2.URL+"/v1/queries", submit, &rej)
+	if resp.StatusCode != http.StatusTooManyRequests || rej.Error != "rate_limited" || rej.Scope != "consumer" {
+		t.Fatalf("over-limit submit after restart: %d %+v, want 429 rate_limited/consumer", resp.StatusCode, rej)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
+		t.Fatalf("Retry-After = %q, want a positive number of seconds", ra)
 	}
 }
 

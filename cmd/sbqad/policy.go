@@ -20,9 +20,8 @@ import (
 
 // policyResponse is the GET /v1/policy payload.
 type policyResponse struct {
-	// Policy is the engine's target spec; null when the engine was built
-	// from raw allocators and never reconfigured.
-	Policy *sbqa.PolicySpec `json:"policy"`
+	// Policy is the engine's target spec.
+	Policy sbqa.PolicySpec `json:"policy"`
 	// Generation is the latest accepted policy generation.
 	Generation uint64 `json:"generation"`
 	// Shards reports, per shard, the generation actually running and how
@@ -40,10 +39,7 @@ func (g *gateway) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
-	resp := policyResponse{Generation: eng.PolicyGeneration()}
-	if spec, ok := eng.Policy(); ok {
-		resp.Policy = &spec
-	}
+	resp := policyResponse{Policy: eng.Policy(), Generation: eng.PolicyGeneration()}
 	st := eng.Stats()
 	resp.Shards = make([]policyShardJSON, len(st.Shards))
 	for i, sh := range st.Shards {
@@ -85,7 +81,7 @@ func (g *gateway) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The engine reconfigured its schedulers from the spec's qos block (or
-	// restored its construction-time QoS when the spec carries none); the
+	// the boot spec's when the spec carries none); the
 	// token buckets follow, so both always enforce the same generation.
 	g.syncLimiter()
 	writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})

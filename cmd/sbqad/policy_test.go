@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -73,11 +74,16 @@ func TestPolicyEndpointsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// Every engine runs a policy: the member is an object, never null.
+	if !bytes.Contains(body, []byte(`"policy":{"name":"boot","kind":"sbqa"`)) {
+		t.Fatalf("GET /v1/policy = %s, want a policy object", body)
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if got.Policy == nil || got.Policy.Kind != sbqa.PolicySbQA || got.Policy.K != 4 {
+	if got.Policy.Kind != sbqa.PolicySbQA || got.Policy.K != 4 {
 		t.Fatalf("GET /v1/policy = %+v", got)
 	}
 	if got.Generation != 0 {
@@ -138,7 +144,7 @@ func TestPolicyEndpointsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.Policy == nil || got.Policy.Name != "wider" || got.Generation != 1 {
+	if got.Policy.Name != "wider" || got.Generation != 1 {
 		t.Fatalf("GET after PUT = %+v", got)
 	}
 	if len(got.Shards) != 1 || got.Shards[0].PolicySwaps != 1 {

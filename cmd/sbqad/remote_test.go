@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/policy"
 )
 
 // gatewayWithDeadline builds a single-shard gateway with a per-participant
@@ -22,8 +23,7 @@ func gatewayWithDeadline(t *testing.T, deadline time.Duration) (*gateway, *httpt
 	t.Helper()
 	gw, err := newGateway(
 		sbqa.WithWindow(50),
-		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2}),
-		sbqa.WithParticipantDeadline(deadline),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, ParticipantDeadline: policy.Duration(deadline)}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +232,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ctx, ln, nil,
-			sbqa.WithWindow(10),
-			sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA}),
-		)
+		done <- serve(ctx, ln, nil, sbqa.PolicySpec{Kind: sbqa.PolicySbQA}, sbqa.WithWindow(10))
 	}()
 
 	// Healthz answers while serving (retry briefly while the server spins

@@ -81,12 +81,7 @@ func traceGateway(t *testing.T, opts ...sbqa.EngineOption) *httptest.Server {
 	gw, err := newGateway(append([]sbqa.EngineOption{
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(1),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 2},
-				Seed:   uint64(shard) + 1,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)

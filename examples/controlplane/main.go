@@ -78,7 +78,7 @@ func main() {
 	}
 
 	submit(40)
-	fmt.Printf("under %v\n", mustPolicy(eng))
+	fmt.Printf("under %v\n", eng.Policy())
 	fmt.Printf("  starved:   δs(c) = %.3f\n", eng.ConsumerSatisfaction(0))
 
 	// Keep traffic flowing while the MAPE-K loop widens the policy.
@@ -87,7 +87,7 @@ func main() {
 		submit(10)
 		time.Sleep(5 * time.Millisecond)
 	}
-	fmt.Printf("autotuned to %v\n", mustPolicy(eng))
+	fmt.Printf("autotuned to %v\n", eng.Policy())
 	fmt.Printf("  recovered: δs(c) = %.3f after %d tuner action(s)\n",
 		eng.ConsumerSatisfaction(0), eng.Tuner().Stats().Actions)
 
@@ -99,15 +99,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("reconfigured to %v\n", mustPolicy(eng))
+	fmt.Printf("reconfigured to %v\n", eng.Policy())
 	fmt.Printf("  capacity policy allocates to the least utilized: provider %d\n", a.Selected[0])
 	fmt.Printf("  generations applied per shard: %d\n", eng.Stats().PolicySwaps())
-}
-
-func mustPolicy(eng *sbqa.Engine) sbqa.PolicySpec {
-	spec, ok := eng.Policy()
-	if !ok {
-		fail(fmt.Errorf("engine has no policy"))
-	}
-	return spec
 }

@@ -22,8 +22,9 @@ import (
 )
 
 func main() {
-	// One mediator shard per CPU; each shard gets its own seeded allocator
-	// (allocators hold sampling state and cannot be shared). KnBest sized
+	// One mediator shard per CPU; the policy builds each shard its own
+	// allocator, seeded Seed+shard (allocators hold sampling state and
+	// cannot be shared). KnBest sized
 	// for six workers: sample 4 at random, keep the 2 least loaded. The
 	// random first stage is what rotates work across equally idle, equally
 	// scored workers — without it, deterministic tie-breaks would starve
@@ -32,12 +33,7 @@ func main() {
 	eng, err := sbqa.NewEngine(
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(runtime.GOMAXPROCS(0)),
-		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-			return sbqa.NewSbQA(sbqa.SbQAConfig{
-				KnBest: sbqa.KnBestParams{K: 4, Kn: 2},
-				Seed:   uint64(shard) + 1,
-			})
-		}),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 		sbqa.WithObserver(sbqa.ObserverFuncs{
 			Allocation: func(*sbqa.Allocation, int) { observed.Add(1) },
 		}),

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -339,5 +340,39 @@ func TestViewsUnderConcurrentChurn(t *testing.T) {
 	}
 	if v := d.View(12345); v.Len() != 1 || v.Find(501) == nil {
 		t.Errorf("class without specialists: view of %d providers, want the universal one", v.Len())
+	}
+}
+
+// TestHostileClassesAllocateNothing pins the claim the lazily published class
+// map was built on: once the map and the universal view are published, a View
+// of a class nobody registered — negative, math.MaxInt, a fresh one every
+// call, as a hostile client's "class" field would have it — is the lock-free
+// fast path: no allocation, and no entry added to the published map.
+func TestHostileClassesAllocateNothing(t *testing.T) {
+	d := New()
+	for id := 0; id < 8; id++ {
+		d.RegisterProvider(&stub{id: model.ProviderID(id)})
+	}
+	d.RegisterProvider(&stub{id: 8, classes: []int{1}})
+	d.View(0) // no specialists: publishes the class map and the universal view
+	d.View(1)
+	published := len(*d.classes.Load())
+
+	fresh := 1 << 20
+	hostile := map[string]func() int{
+		"negative":            func() int { return -7 },
+		"MaxInt":              func() int { return math.MaxInt },
+		"fresh every request": func() int { fresh++; return fresh },
+	}
+	for name, class := range hostile {
+		if v := d.View(class()); v.Len() != 8 {
+			t.Errorf("%s: view of an unregistered class has %d providers, want the 8 universal ones", name, v.Len())
+		}
+		if n := testing.AllocsPerRun(1000, func() { d.View(class()) }); n != 0 {
+			t.Errorf("%s: View allocates %v times per call, want 0", name, n)
+		}
+	}
+	if got := len(*d.classes.Load()); got != published {
+		t.Errorf("published class map grew from %d to %d entries under unregistered classes", published, got)
 	}
 }

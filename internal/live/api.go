@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/event"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
@@ -24,35 +23,27 @@ type Option func(*config)
 func WithWindow(k int) Option { return func(c *config) { c.window = k } }
 
 // WithConcurrency sets the number of mediator shards. Values below 1 mean
-// one shard. With more than one shard an allocator factory is required
-// (WithAllocatorFactory); queries route to shards by a hash of their
-// ConsumerID, so one consumer's stream stays serialized while distinct
-// consumers mediate in parallel.
+// one shard. Queries route to shards by a hash of their ConsumerID, so one
+// consumer's stream stays serialized while distinct consumers mediate in
+// parallel; each shard runs its own allocator, built from the policy.
 func WithConcurrency(n int) Option { return func(c *config) { c.concurrency = n } }
 
-// WithAllocatorFactory supplies one allocator per shard. Allocators carry
-// internal state (sampling RNGs, cursors) and are not safe for concurrent
-// use; seed them per shard index for reproducible-yet-decorrelated
-// sampling streams. Required when no policy is set.
-func WithAllocatorFactory(f func(shard int) alloc.Allocator) Option {
-	return func(c *config) { c.newAllocator = f }
-}
-
-// WithPolicy supplies the engine's allocation policy declaratively: the
-// validated spec builds one allocator per shard (spec.Build(shard), so
-// per-shard sampling streams are reproducible yet decorrelated) and becomes
-// the engine's generation-0 policy, visible through Engine.Policy and
-// swappable at run time through Engine.Reconfigure. A spec with a positive
-// ParticipantDeadline also sets the engine's participant deadline unless
-// WithParticipantDeadline overrides it. Mutually exclusive with
-// WithAllocatorFactory.
+// WithPolicy supplies the engine's allocation policy — required, and the one
+// source of allocators: the validated spec builds one per shard
+// (spec.Build(shard), so per-shard sampling streams are reproducible yet
+// decorrelated; allocators hold sampling state and cannot be shared) and
+// becomes the engine's generation-0 policy, visible through Engine.Policy and
+// swappable at run time through Engine.Reconfigure. Its ParticipantDeadline
+// and QoS block are what the engine boots with, and what a later spec that
+// leaves them empty falls back to. A technique the registry does not ship
+// reaches an engine through policy.Register.
 func WithPolicy(spec policy.Spec) Option {
 	return func(c *config) { c.policy = &spec }
 }
 
 // WithTuner runs an autonomic policy tuner bound to the engine: a
 // background MAPE-K loop that watches the satisfaction snapshot stream
-// (WithSnapshotInterval is therefore required, as is WithPolicy) and issues
+// (WithSnapshotInterval is therefore required) and issues
 // bounded Reconfigure steps — widening kn under consumer starvation,
 // nudging a fixed ω toward the adaptive rule under consumer/provider
 // imbalance — with hysteresis, a minimum interval between actions, and hard
@@ -102,18 +93,6 @@ func WithSnapshotInterval(d time.Duration) Option {
 // zero allocations — the mediation hot path is unchanged.
 func WithTracing(sample float64, buffer int) Option {
 	return func(c *config) { c.trace = &trace.Config{Sample: sample, Buffer: buffer} }
-}
-
-// WithParticipantDeadline bounds each context-aware participant call during
-// batched intention and bid collection: a participant that misses the
-// deadline is abandoned and its intention imputed from its satisfaction
-// registry state (counted in ShardStats.Imputations/IntentionTimeouts and
-// emitted as an OnIntentionImputed event), so one slow remote participant
-// can never stall a mediation. Zero (the default) means no per-participant
-// bound — only the submission context limits the fan-out. In-process
-// participants are unaffected.
-func WithParticipantDeadline(d time.Duration) Option {
-	return func(c *config) { c.participantDeadline = d }
 }
 
 // submitOptions collects per-query options.

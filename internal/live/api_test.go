@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/event"
 	"sbqa/internal/model"
 )
@@ -22,7 +21,7 @@ func newTestEngine(t *testing.T, opts ...Option) (*Engine, []*Worker) {
 		o(&asked)
 	}
 	if asked.policy == nil {
-		base = append(base, WithAllocatorFactory(func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard) + 1) }))
+		base = append(base, WithPolicy(sbqaSpec(1)))
 	}
 	eng, err := NewEngine(append(base, opts...)...)
 	if err != nil {
@@ -271,7 +270,7 @@ func TestObserverLifecycleEvents(t *testing.T) {
 // workers that accepted vs failed, the accepted worker's result still
 // arrives, and the typed error unwraps to ErrDispatch.
 func TestDispatchErrorPartitionsSelection(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), capacityPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func TestDispatchErrorPartitionsSelection(t *testing.T) {
 // leaked collectors, no forever-blocked Await) and name the worker in
 // Abandoned.
 func TestTicketCompletesWhenWorkerClosesMidExecution(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), capacityPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestTicketCompletesWhenWorkerClosesMidExecution(t *testing.T) {
 
 // TestAwaitContextExpiry: Await honors its context and can be re-called.
 func TestAwaitContextExpiry(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng, err := NewEngine(WithWindow(10), capacityPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +461,7 @@ func TestSubmitGuardVetsSubmissions(t *testing.T) {
 // that stayed still executes.
 func TestDepartedSelectionIsDispatchFailure(t *testing.T) {
 	var eng *Engine
-	eng = mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()),
+	eng = mustEngine(t, WithWindow(10), capacityPolicy,
 		WithObserver(event.Funcs{Allocation: func(*model.Allocation, int) { eng.UnregisterWorker(1) }}))
 	for id := 0; id < 2; id++ {
 		w, err := NewWorker(model.ProviderID(id), 1000, 16, func(model.Query) model.Intention { return 0.5 })
@@ -522,7 +521,7 @@ func TestTicketCountsDeliveryAheadOfFinish(t *testing.T) {
 // workers cost no goroutine each — workers deliver to the ticket, so there is
 // no collector to wait for them.
 func TestNothingSpawnedPerQuery(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), capacityPolicy)
 	// Four workers that need hours per query, with room to queue them all.
 	for id := 0; id < 4; id++ {
 		w, err := NewWorker(model.ProviderID(id), 0.001, 512, func(model.Query) model.Intention { return 0.5 })

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/mediator"
 	"sbqa/internal/model"
 )
@@ -14,7 +13,7 @@ import (
 // unregistered consumer, and a class nobody serves — the error slice is
 // position-aligned and each entry carries its own failure mode.
 func TestSubmitBatchMixedErrorPaths(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), capacityPolicy)
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,7 @@ func TestSubmitBatchMixedErrorPaths(t *testing.T) {
 // the bare context error before mediation — no allocation is produced and
 // nothing reads as a dispatch failure.
 func TestSubmitBatchCanceledContext(t *testing.T) {
-	eng := mustEngine(t, WithWindow(10), withAllocator(alloc.NewCapacity()))
+	eng := mustEngine(t, WithWindow(10), capacityPolicy)
 	w, err := NewWorker(0, 1000, 16, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +83,7 @@ func TestSubmitBatchCanceledContext(t *testing.T) {
 // *DispatchError wrapping mediator.ErrStaleSelection with a nil allocation
 // and an empty accepted set (nothing reached any worker: the retry is clean).
 func TestSubmitBatchStaleSelection(t *testing.T) {
-	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	eng := mustEngine(t, WithWindow(10), withAllocator(u))
-	u.eng = eng
+	eng := staleEngine(t)
 	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 

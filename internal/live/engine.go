@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/directory"
 	"sbqa/internal/event"
 	"sbqa/internal/mediator"
@@ -24,19 +23,17 @@ import (
 // config collects what the functional options of one NewEngine call set;
 // each field is documented on the With* option that writes it.
 type config struct {
-	window              int
-	concurrency         int
-	newAllocator        func(shard int) alloc.Allocator
-	policy              *policy.Spec
-	tuner               *policy.TunerConfig
-	observer            event.Observer
-	queueDepth          int
-	snapshotInterval    time.Duration
-	participantDeadline time.Duration
-	nowFn               func() float64
-	persistDir          string
-	persistOpts         []persist.Option
-	trace               *trace.Config
+	window           int
+	concurrency      int
+	policy           *policy.Spec
+	tuner            *policy.TunerConfig
+	observer         event.Observer
+	queueDepth       int
+	snapshotInterval time.Duration
+	nowFn            func() float64
+	persistDir       string
+	persistOpts      []persist.Option
+	trace            *trace.Config
 }
 
 // shard is one mediation lane: a single-threaded mediator behind its own
@@ -117,15 +114,10 @@ type Engine struct {
 	nextID atomic.Int64
 	nowFn  func() float64
 
-	// baseDeadline is the engine-configured participant deadline
-	// (WithParticipantDeadline); policies without a deadline of their own
-	// run under it (see Reconfigure).
-	baseDeadline time.Duration
-
-	// baseQoS is the construction-time QoS spec (normalized); a policy
-	// Reconfigure whose spec carries no qos block restores it, the same way
-	// a spec with no participant deadline restores the base deadline.
-	baseQoS qos.Spec
+	// boot is the WithPolicy spec, normalized: the base a later spec falls
+	// back to for what it leaves empty (see adopt). Written once, before any
+	// traffic.
+	boot policy.Spec
 
 	tracer *trace.Recorder    // nil unless built WithTracing
 	tuner  *policy.Tuner      // nil unless built WithTuner
@@ -147,14 +139,13 @@ type Engine struct {
 //	eng, err := live.NewEngine(
 //		live.WithWindow(100),
 //		live.WithConcurrency(runtime.GOMAXPROCS(0)),
-//		live.WithAllocatorFactory(func(shard int) alloc.Allocator { ... }),
+//		live.WithPolicy(policy.Spec{Kind: policy.SbQA, K: 20, Kn: 10}),
 //	)
 //	defer eng.Close()
 //
-// Nonsensical option inputs — negative concurrency, queue depth, window,
-// snapshot interval, or participant deadline, no allocator source — are
-// rejected with a descriptive error rather
-// than silently clamped.
+// Nonsensical option inputs — negative concurrency, queue depth, window or
+// snapshot interval, no policy or an invalid one — are rejected with a
+// descriptive error rather than silently clamped.
 func NewEngine(opts ...Option) (*Engine, error) {
 	var cfg config
 	for _, o := range opts {
@@ -163,30 +154,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if err := validateOptions(cfg); err != nil {
 		return nil, err
 	}
-	// The base deadline is the engine-level configuration; a policy spec
-	// may override it per generation, and a later spec with no deadline
-	// restores this base (see policy.go).
-	baseDeadline := cfg.participantDeadline
-	var spec policy.Spec
-	if cfg.policy != nil {
-		spec = cfg.policy.Normalized()
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		if spec.ParticipantDeadline > 0 && cfg.participantDeadline == 0 {
-			cfg.participantDeadline = spec.ParticipantDeadline.Std()
-		}
-	}
-	// The QoS spec is the construction policy's qos block; without one the
-	// engine runs the single default class — plain FIFO backpressure.
-	var qspec qos.Spec
-	if cfg.policy != nil && cfg.policy.QoS != nil {
-		qspec = *cfg.policy.QoS
-	}
-	if err := qspec.Validate(); err != nil {
-		return nil, err
-	}
-
 	// The tuner is created before the shards so its snapshot intake can be
 	// composed into the observer they capture; it is bound to the engine
 	// (its Reconfigure surface) once the engine exists. The tuner goes
@@ -223,16 +190,14 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 
 	e := &Engine{
-		dir:          directory.New(),
-		reg:          satisfaction.NewRegistry(cfg.window),
-		shards:       make([]*shard, max(cfg.concurrency, 1)),
-		obs:          cfg.observer,
-		nowFn:        cfg.nowFn,
-		baseDeadline: baseDeadline,
-		baseQoS:      qspec.Normalized(),
-		tuner:        tuner,
-		pst:          pst,
-		stopSnap:     make(chan struct{}),
+		dir:      directory.New(),
+		reg:      satisfaction.NewRegistry(cfg.window),
+		shards:   make([]*shard, max(cfg.concurrency, 1)),
+		obs:      cfg.observer,
+		nowFn:    cfg.nowFn,
+		tuner:    tuner,
+		pst:      pst,
+		stopSnap: make(chan struct{}),
 	}
 	if e.nowFn == nil {
 		start := time.Now()
@@ -249,31 +214,24 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		depth = 1024
 	}
 	for i := range e.shards {
-		var a alloc.Allocator
-		if cfg.policy != nil {
-			var err error
-			if a, err = spec.Build(i); err != nil {
-				return fail(err)
-			}
-		} else {
-			a = cfg.newAllocator(i)
-		}
-		sh := &shard{sched: qos.NewScheduler[engineItem](qspec, depth, e.nowFn)}
-		sh.med = mediator.New(a, mediator.Config{
-			Window:              cfg.window,
-			Observer:            shardObserver{sh: sh, user: cfg.observer},
-			Registry:            e.reg,
-			Directory:           e.dir,
-			ParticipantDeadline: cfg.participantDeadline,
-			Tracer:              e.tracer,
+		// Allocator, deadline and class table arrive with the policy (adopt).
+		sh := &shard{sched: qos.NewScheduler[engineItem](qos.Spec{}, depth, e.nowFn)}
+		sh.med = mediator.New(nil, mediator.Config{
+			Window:    cfg.window,
+			Observer:  shardObserver{sh: sh, user: cfg.observer},
+			Registry:  e.reg,
+			Directory: e.dir,
+			Tracer:    e.tracer,
 		})
 		e.shards[i] = sh
 	}
-	if cfg.policy != nil {
-		// The shards' allocators were built from the spec: it is generation
-		// 0, with nothing pending.
-		e.pol.spec.Store(&spec)
+	// The boot spec is generation 0 and, from here on, the base of every
+	// later one; adopt reads a zero e.boot while it is the boot spec itself
+	// being adopted, which falls back to nothing.
+	if err := e.adopt(*cfg.policy, 0, nil); err != nil {
+		return fail(err)
 	}
+	e.boot = e.Policy()
 	if pst != nil {
 		if err := pst.restore(e); err != nil {
 			return fail(err)
@@ -286,6 +244,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 
 	for _, sh := range e.shards {
+		// No shard loop runs yet: the generation in force — boot or restored
+		// — is installed directly and is not counted as a swap.
+		sh.install(sh.nextGen.Load())
 		e.wg.Add(1)
 		go e.shardLoop(sh)
 	}
@@ -332,22 +293,11 @@ func validateOptions(cfg config) error {
 	if cfg.snapshotInterval < 0 {
 		return fmt.Errorf("live: WithSnapshotInterval(%v): interval cannot be negative", cfg.snapshotInterval)
 	}
-	if cfg.participantDeadline < 0 {
-		return fmt.Errorf("live: WithParticipantDeadline(%v): deadline cannot be negative", cfg.participantDeadline)
+	if cfg.policy == nil {
+		return errors.New("live: NewEngine requires WithPolicy — the policy builds the per-shard allocators")
 	}
-	if cfg.policy != nil && cfg.newAllocator != nil {
-		return errors.New("live: WithPolicy is mutually exclusive with WithAllocatorFactory — the policy builds the per-shard allocators")
-	}
-	if cfg.policy == nil && cfg.newAllocator == nil {
-		return errors.New("live: NewEngine requires WithPolicy or WithAllocatorFactory (one allocator per shard: allocators hold sampling state and cannot be shared)")
-	}
-	if cfg.tuner != nil {
-		if cfg.policy == nil {
-			return errors.New("live: WithTuner requires WithPolicy — the tuner retunes the declarative policy")
-		}
-		if cfg.snapshotInterval <= 0 {
-			return errors.New("live: WithTuner requires WithSnapshotInterval — satisfaction snapshots are the tuner's sensor input")
-		}
+	if cfg.tuner != nil && cfg.snapshotInterval <= 0 {
+		return errors.New("live: WithTuner requires WithSnapshotInterval — satisfaction snapshots are the tuner's sensor input")
 	}
 	return nil
 }
@@ -610,8 +560,7 @@ type ShardStats struct {
 	Imputations uint64 `json:"imputations"`
 
 	// IntentionTimeouts counts the subset of Imputations caused by a
-	// participant missing its per-participant deadline
-	// (WithParticipantDeadline).
+	// participant missing the policy's participant deadline.
 	IntentionTimeouts uint64 `json:"intention_timeouts"`
 
 	// PolicyGeneration is the policy generation this shard is currently

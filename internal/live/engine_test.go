@@ -14,6 +14,7 @@ import (
 	"sbqa/internal/knbest"
 	"sbqa/internal/mediator"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 )
 
 // constProvider is a provider with a state-independent snapshot, so
@@ -45,10 +46,9 @@ func mustEngine(t testing.TB, opts ...Option) *Engine {
 	return eng
 }
 
-// withAllocator gives a single-shard test engine the one allocator it runs.
-func withAllocator(a alloc.Allocator) Option {
-	return WithAllocatorFactory(func(int) alloc.Allocator { return a })
-}
+// capacityPolicy runs the capacity baseline: the engine under test when the
+// allocation technique is beside the point.
+var capacityPolicy = WithPolicy(policy.Spec{Kind: policy.Capacity})
 
 // submit drives one query through the ticket pipeline and blocks for its
 // mediation and hand-off; workers also deliver to results when it is not nil.
@@ -108,7 +108,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(window),
 		WithConcurrency(1),
-		withAllocator(sbqaAllocator(42)),
+		WithPolicy(sbqaSpec(42)),
 		WithClock(func() float64 { return float64(clock.Load()) / 100 }),
 	)
 	for c := 0; c < consumers; c++ {
@@ -160,7 +160,7 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 // batch must produce the same allocations as the equivalent Submit sequence.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	build := func() *Engine {
-		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), withAllocator(sbqaAllocator(7)),
+		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), WithPolicy(sbqaSpec(7)),
 			WithClock(func() float64 { return 1 }))
 		for c := 0; c < 2; c++ {
 			c := c
@@ -206,7 +206,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(50),
 		WithConcurrency(4),
-		WithAllocatorFactory(func(shard int) alloc.Allocator { return sbqaAllocator(uint64(shard + 1)) }),
+		WithPolicy(sbqaSpec(1)),
 	)
 	const workers = 6
 	for i := 0; i < workers; i++ {
@@ -253,7 +253,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 // TestClassRestrictedWorkers: SetClasses feeds the directory's capability
 // index; queries of other classes never reach the specialist.
 func TestClassRestrictedWorkers(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(50))
 	gen, err := NewWorker(0, 1000, 64, func(model.Query) model.Intention { return 0.2 })
 	if err != nil {
 		t.Fatal(err)
@@ -295,11 +295,11 @@ func TestNewEngineShardValidation(t *testing.T) {
 		eng.Close()
 		t.Error("engine without a policy or an allocator factory accepted")
 	}
-	eng := mustEngine(t, WithConcurrency(3), WithAllocatorFactory(func(int) alloc.Allocator { return alloc.NewCapacity() }))
+	eng := mustEngine(t, WithConcurrency(3), capacityPolicy)
 	if eng.Shards() != 3 {
 		t.Errorf("Shards = %d", eng.Shards())
 	}
-	if mustEngine(t, withAllocator(alloc.NewCapacity()), WithWindow(10)).Shards() != 1 {
+	if mustEngine(t, capacityPolicy, WithWindow(10)).Shards() != 1 {
 		t.Error("the default engine should build a single shard")
 	}
 }
@@ -312,6 +312,25 @@ type unregisterOnAllocate struct {
 	inner alloc.Allocator
 	eng   *Engine
 	next  int64
+}
+
+// A custom allocator reaches an engine the way an embedder's does: as a
+// registered policy kind.
+const staleKind policy.Kind = "unregister-on-allocate"
+
+func init() {
+	policy.Register(staleKind, nil,
+		func(policy.Spec) error { return nil },
+		func(policy.Spec, int) (alloc.Allocator, error) {
+			return &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}, nil
+		})
+}
+
+// staleEngine is a single-shard engine whose every selection goes stale.
+func staleEngine(t *testing.T) *Engine {
+	eng := mustEngine(t, WithWindow(10), WithPolicy(policy.Spec{Kind: staleKind}))
+	eng.shards[0].med.Allocator().(*unregisterOnAllocate).eng = eng
+	return eng
 }
 
 func (u *unregisterOnAllocate) Name() string { return "unregister-on-allocate" }
@@ -332,9 +351,7 @@ func (u *unregisterOnAllocate) Allocate(ctx context.Context, e alloc.Env, q mode
 // failure (wrapping mediator.ErrStaleSelection) — never ErrNoCandidates,
 // because capacity existed throughout.
 func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
-	u := &unregisterOnAllocate{inner: alloc.NewCapacity(), next: 100}
-	eng := mustEngine(t, WithWindow(10), withAllocator(u))
-	u.eng = eng
+	eng := staleEngine(t)
 	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
@@ -357,7 +374,7 @@ func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 // the query is rejected with the bare context error before any intention is
 // collected or any worker contacted, and no allocation is produced.
 func TestSubmitCancelledContext(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(10))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(10))
 	w, err := NewWorker(1, 1000, 4, func(model.Query) model.Intention { return 0.5 })
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +408,7 @@ func TestShardRouting(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(20),
 		WithConcurrency(4),
-		WithAllocatorFactory(func(shard int) alloc.Allocator { return alloc.NewCapacity() }),
+		capacityPolicy,
 	)
 	for i := 0; i < 8; i++ {
 		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/core"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 )
 
 // fastWorker returns a worker with high capacity so tests finish quickly.
@@ -31,7 +31,7 @@ func TestNewWorkerValidation(t *testing.T) {
 }
 
 func TestSubmitAndComplete(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(50))
 	for i := 0; i < 4; i++ {
 		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.5))
 	}
@@ -64,7 +64,7 @@ func TestSubmitAndComplete(t *testing.T) {
 }
 
 func TestSubmitNoWorkers(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(50))
 	eng.RegisterConsumer(FuncConsumer{ID: 0})
 	if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err == nil {
 		t.Error("submit with no workers should fail")
@@ -72,7 +72,7 @@ func TestSubmitNoWorkers(t *testing.T) {
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(100))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(100))
 	const workers = 8
 	for i := 0; i < workers; i++ {
 		eng.RegisterWorker(fastWorker(t, model.ProviderID(i), 0.4))
@@ -120,7 +120,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 func TestWorkerCloseRejectsTasks(t *testing.T) {
-	eng := mustEngine(t, withAllocator(core.MustNew(core.Config{Seed: 1})), WithWindow(50))
+	eng := mustEngine(t, WithPolicy(policy.Spec{Kind: policy.SbQA}), WithWindow(50))
 	w := fastWorker(t, 0, 1)
 	eng.RegisterWorker(w)
 	eng.RegisterConsumer(FuncConsumer{ID: 0})

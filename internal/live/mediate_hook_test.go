@@ -49,7 +49,7 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 	med := mustEngine(t,
 		WithWindow(window),
 		WithConcurrency(1),
-		withAllocator(sbqaAllocator(42)),
+		WithPolicy(sbqaSpec(42)),
 		WithClock(eng.Now),
 	)
 	register(med)

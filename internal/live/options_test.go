@@ -8,16 +8,16 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/alloc"
-	"sbqa/internal/core"
 	"sbqa/internal/event"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 )
 
 // TestNewEngineRejectsInvalidOptions: nonsense option inputs fail NewEngine
 // with a descriptive error instead of being silently clamped.
 func TestNewEngineRejectsInvalidOptions(t *testing.T) {
-	base := withAllocator(core.MustNew(core.Config{Seed: 1}))
+	base := WithPolicy(policy.Spec{Kind: policy.SbQA})
+	negDeadline := policy.Spec{Kind: policy.SbQA, ParticipantDeadline: policy.Duration(-time.Millisecond)}
 	cases := []struct {
 		name string
 		opt  Option
@@ -27,7 +27,7 @@ func TestNewEngineRejectsInvalidOptions(t *testing.T) {
 		{"negative queue depth", WithQueueDepth(-1), "WithQueueDepth(-1)"},
 		{"negative window", WithWindow(-5), "WithWindow(-5)"},
 		{"negative snapshot interval", WithSnapshotInterval(-time.Second), "WithSnapshotInterval"},
-		{"negative participant deadline", WithParticipantDeadline(-time.Millisecond), "WithParticipantDeadline"},
+		{"negative participant deadline", WithPolicy(negDeadline), "participant_deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,7 +43,7 @@ func TestNewEngineRejectsInvalidOptions(t *testing.T) {
 	}
 	// Zero values remain valid defaults.
 	eng, err := NewEngine(base, WithConcurrency(0), WithQueueDepth(0), WithWindow(0),
-		WithSnapshotInterval(0), WithParticipantDeadline(0))
+		WithSnapshotInterval(0))
 	if err != nil {
 		t.Fatalf("zero-valued options rejected: %v", err)
 	}
@@ -80,7 +80,7 @@ func (p *stallProvider) IntentionContext(ctx context.Context, _ model.Query) (mo
 // while the intention fan-out is in flight fails the ticket with the context
 // error — the engine does not sit behind a stalled participant.
 func TestTicketContextCancelsFanout(t *testing.T) {
-	eng, err := NewEngine(WithWindow(10), withAllocator(core.MustNew(core.Config{Seed: 1})))
+	eng, err := NewEngine(WithWindow(10), WithPolicy(policy.Spec{Kind: policy.SbQA}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,7 @@ func TestEngineImputationStats(t *testing.T) {
 	obs := event.Funcs{IntentionImputed: func(event.Imputation) { events.Add(1) }}
 	eng, err := NewEngine(
 		WithWindow(10),
-		withAllocator(alloc.NewCapacity()),
-		WithParticipantDeadline(25*time.Millisecond),
+		WithPolicy(policy.Spec{Kind: policy.Capacity, ParticipantDeadline: policy.Duration(25 * time.Millisecond)}),
 		WithObserver(obs),
 	)
 	if err != nil {

@@ -59,9 +59,13 @@ func openPersistence(dir string, opts []persist.Option) (*enginePersistence, err
 
 // restore applies the state directory to a freshly built engine: import
 // the satisfaction snapshot and replay the journal tail into the registry,
-// recover the query ID counter, and re-install the persisted policy and
-// allocator sampling states. Runs before any traffic (NewEngine has not
-// returned and no shard loop runs yet), so shard state is written directly.
+// recover the query ID counter, and adopt the persisted policy — possibly
+// generations ahead of the boot spec — with the allocator sampling states
+// saved under it. The persisted policy wins: a warm restart resumes where
+// the engine stopped, not where the flags say it started (what that policy
+// leaves empty still takes this boot's value). Wiping the state dir, or
+// running without one, restores flag precedence. A state dir with no policy
+// in it leaves the boot spec in force.
 func (p *enginePersistence) restore(e *Engine) error {
 	res, err := p.store.Restore(e.reg)
 	if err != nil {
@@ -70,49 +74,15 @@ func (p *enginePersistence) restore(e *Engine) error {
 	if res.NextQueryID > e.nextID.Load() {
 		e.nextID.Store(res.NextQueryID)
 	}
-
-	_, hasPolicy := e.Policy()
-	switch {
-	case res.PolicyJSON != nil && hasPolicy:
-		// The persisted policy — possibly generations ahead of the boot
-		// spec — wins: a warm restart resumes where the engine stopped,
-		// not where the flags say it started. Wiping the state dir (or
-		// running without one) restores flag precedence.
-		spec, err := policy.Parse(res.PolicyJSON)
-		if err != nil {
-			return fmt.Errorf("live: persisted policy: %w", err)
-		}
-		spec = spec.Normalized()
-		if err := spec.Validate(); err != nil {
-			return fmt.Errorf("live: persisted policy: %w", err)
-		}
-		deadline := e.baseDeadline
-		if spec.ParticipantDeadline > 0 {
-			deadline = spec.ParticipantDeadline.Std()
-		}
-		for i, sh := range e.shards {
-			a, err := spec.Build(i)
-			if err != nil {
-				return fmt.Errorf("live: rebuilding persisted policy: %w", err)
-			}
-			restoreAllocState(a, res.AllocStates, i, len(e.shards))
-			sh.mu.Lock()
-			sh.med.SetAllocator(a)
-			sh.med.SetParticipantDeadline(deadline)
-			sh.curGen = res.PolicyGeneration
-			sh.appliedGen.Store(res.PolicyGeneration)
-			sh.mu.Unlock()
-		}
-		e.pol.spec.Store(&spec)
-		e.pol.gen.Store(res.PolicyGeneration)
-	default:
-		// No persisted policy (or an allocator-built engine): keep the
-		// construction-time allocators and resume their sampling streams.
-		for i, sh := range e.shards {
-			sh.mu.Lock()
-			restoreAllocState(sh.med.Allocator(), res.AllocStates, i, len(e.shards))
-			sh.mu.Unlock()
-		}
+	if res.PolicyJSON == nil {
+		return nil
+	}
+	spec, err := policy.Parse(res.PolicyJSON)
+	if err == nil {
+		err = e.adopt(spec, res.PolicyGeneration, res.AllocStates)
+	}
+	if err != nil {
+		return fmt.Errorf("live: persisted policy: %w", err)
 	}
 	return nil
 }
@@ -134,11 +104,7 @@ func restoreAllocState(a alloc.Allocator, states [][]byte, i, shards int) {
 // policySource resolves the active policy for journaled policy-change
 // records (the typed event carries only generation, name, and kind).
 func (e *Engine) policySource() (uint64, []byte, bool) {
-	spec, ok := e.Policy()
-	if !ok {
-		return 0, nil, false
-	}
-	data, err := json.Marshal(spec)
+	data, err := json.Marshal(e.Policy())
 	if err != nil {
 		return 0, nil, false
 	}
@@ -198,12 +164,9 @@ func (e *Engine) flushSnapshot(compaction bool) error {
 			snap.AllocStates[i] = st.ExportState()
 		}
 	}
-	if spec, ok := e.Policy(); ok {
-		data, err := json.Marshal(spec)
-		if err == nil {
-			snap.PolicyJSON = data
-			snap.PolicyGeneration = e.PolicyGeneration()
-		}
+	if data, err := json.Marshal(e.Policy()); err == nil {
+		snap.PolicyJSON = data
+		snap.PolicyGeneration = e.PolicyGeneration()
 	}
 	snap.Consumers, snap.Providers = persist.CaptureRegistry(e.reg)
 	for _, sh := range e.shards {

@@ -266,10 +266,7 @@ func TestRestoredPolicyWinsOverBootSpec(t *testing.T) {
 
 	eng2 := buildPersistEngine(t, dir, &clock) // boot spec: persistTestSpec
 	defer eng2.Close()
-	spec, ok := eng2.Policy()
-	if !ok {
-		t.Fatal("restored engine has no policy")
-	}
+	spec := eng2.Policy()
 	if spec.Name != "upgraded" || spec.Kind != policy.Random {
 		t.Fatalf("restored policy %v, want the reconfigured one", spec)
 	}

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"sbqa/internal/core"
 	"sbqa/internal/event"
+	"sbqa/internal/knbest"
+	"sbqa/internal/mediator"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 )
@@ -21,10 +24,7 @@ func sbqaSpec(seed uint64) policy.Spec {
 
 func TestEngineFromPolicySpec(t *testing.T) {
 	eng := mustEngine(t, WithWindow(20), WithPolicy(sbqaSpec(42)))
-	spec, ok := eng.Policy()
-	if !ok {
-		t.Fatal("Policy() reported no policy on a policy-built engine")
-	}
+	spec := eng.Policy()
 	if spec.Kind != policy.SbQA || spec.K != 6 || spec.Kn != 3 {
 		t.Fatalf("Policy() = %+v", spec)
 	}
@@ -38,42 +38,55 @@ func TestEngineFromPolicySpec(t *testing.T) {
 }
 
 // TestPolicyBuiltEngineMatchesAllocatorBuilt: an engine built from a policy
-// spec must allocate byte-identically to one built from the equivalent
-// hand-constructed allocator (the spec replaces constructor plumbing, it
-// does not change semantics).
+// spec must allocate byte-identically to the equivalent hand-constructed
+// core allocator driven by a bare serialized mediator.Mediator — a reference
+// outside the policy plane (the spec replaces constructor plumbing, it does
+// not change semantics).
 func TestPolicyBuiltEngineMatchesAllocatorBuilt(t *testing.T) {
-	register := func(eng *Engine) {
-		for c := 0; c < 3; c++ {
-			id := model.ConsumerID(c)
-			eng.RegisterConsumer(FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
-				return model.Intention(float64((int(snap.ID)+int(id))%5)/5 - 0.2)
-			}})
-		}
-		for i := 0; i < 10; i++ {
-			eng.RegisterProvider(&constProvider{
-				id: model.ProviderID(i), pi: model.Intention(float64(i%7)/7 - 0.3), util: float64(i%4) / 4,
-			})
-		}
+	omega := 0.3
+	cases := []struct {
+		name string
+		spec policy.Spec
+		cfg  core.Config
+	}{
+		{"adaptive", sbqaSpec(42), core.Config{KnBest: knbest.Params{K: 6, Kn: 3}, Seed: 42}},
+		{"fixed omega", policy.Spec{Kind: policy.SbQA, K: 5, Kn: 2, OmegaMode: policy.OmegaFixed, Omega: omega, Epsilon: 0.5, Seed: 7},
+			core.Config{KnBest: knbest.Params{K: 5, Kn: 2}, Omega: &omega, Epsilon: 0.5, Seed: 7}},
 	}
-	now := func() float64 { return 1 }
-	ref := mustEngine(t, WithWindow(30), withAllocator(sbqaAllocator(42)), WithClock(now))
-	spec := sbqaSpec(42)
-	got := mustEngine(t, WithWindow(30), WithPolicy(spec), WithClock(now))
-	register(ref)
-	register(got)
-	for i := 0; i < 100; i++ {
-		q := model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1}
-		wantA, wantErr := submit(context.Background(), ref, q, nil)
-		gotA, gotErr := submit(context.Background(), got, q, nil)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("query %d: err %v vs %v", i, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if want, g := fmt.Sprintf("%+v", *wantA), fmt.Sprintf("%+v", *gotA); want != g {
-			t.Fatalf("query %d diverged:\nallocator-built: %s\npolicy-built:    %s", i, want, g)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := mediator.New(core.MustNew(tc.cfg), mediator.Config{Window: 30})
+			got := mustEngine(t, WithWindow(30), WithPolicy(tc.spec), WithClock(func() float64 { return 1 }))
+			for c := 0; c < 3; c++ {
+				id := model.ConsumerID(c)
+				consumer := FuncConsumer{ID: id, Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
+					return model.Intention(float64((int(snap.ID)+int(id))%5)/5 - 0.2)
+				}}
+				ref.RegisterConsumer(consumer)
+				got.RegisterConsumer(consumer)
+			}
+			for i := 0; i < 10; i++ {
+				p := &constProvider{id: model.ProviderID(i), pi: model.Intention(float64(i%7)/7 - 0.3), util: float64(i%4) / 4}
+				ref.RegisterProvider(p)
+				got.RegisterProvider(p)
+			}
+			for i := 0; i < 100; i++ {
+				q := model.Query{Consumer: model.ConsumerID(i % 3), N: 1 + i%2, Work: 1}
+				refQ := q
+				refQ.ID, refQ.IssuedAt = model.QueryID(i+1), 1 // what the engine stamps
+				wantA, wantErr := ref.Mediate(context.Background(), 1, refQ)
+				gotA, gotErr := submit(context.Background(), got, q, nil)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("query %d: err %v vs %v", i, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if want, g := fmt.Sprintf("%+v", *wantA), fmt.Sprintf("%+v", *gotA); want != g {
+					t.Fatalf("query %d diverged:\nallocator-built: %s\npolicy-built:    %s", i, want, g)
+				}
+			}
+		})
 	}
 }
 
@@ -110,8 +123,8 @@ func TestReconfigureSwapsAtMediationBoundary(t *testing.T) {
 	if err := eng.Reconfigure(context.Background(), capSpec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := eng.Policy(); !ok || got.Kind != policy.Capacity {
-		t.Fatalf("Policy() after reconfigure = %+v, %v", got, ok)
+	if got := eng.Policy(); got.Kind != policy.Capacity {
+		t.Fatalf("Policy() after reconfigure = %+v", got)
 	}
 	if gen := eng.PolicyGeneration(); gen != 1 {
 		t.Fatalf("generation = %d, want 1", gen)
@@ -162,7 +175,7 @@ func TestReconfigureRejectsInvalidSpecAndKeepsRunningPolicy(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("err = %v, want unknown-kind validation error", err)
 	}
-	if got, _ := eng.Policy(); got.Kind != policy.SbQA {
+	if got := eng.Policy(); got.Kind != policy.SbQA {
 		t.Fatalf("running policy changed after a rejected reconfigure: %+v", got)
 	}
 	if eng.PolicyGeneration() != 0 {
@@ -418,11 +431,8 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 
 func TestEngineOptionValidationPolicy(t *testing.T) {
 	spec := sbqaSpec(1)
-	if _, err := NewEngine(WithPolicy(spec), withAllocator(sbqaAllocator(1))); err == nil {
-		t.Fatal("accepted WithPolicy combined with WithAllocatorFactory")
-	}
-	if _, err := NewEngine(WithTuner(policy.TunerConfig{})); err == nil {
-		t.Fatal("accepted WithTuner without WithPolicy")
+	if _, err := NewEngine(WithWindow(10)); err == nil {
+		t.Fatal("accepted an engine with no policy")
 	}
 	if _, err := NewEngine(WithPolicy(spec), WithTuner(policy.TunerConfig{})); err == nil {
 		t.Fatal("accepted WithTuner without WithSnapshotInterval")
@@ -431,7 +441,7 @@ func TestEngineOptionValidationPolicy(t *testing.T) {
 		t.Fatal("accepted an invalid policy spec")
 	}
 	// Multi-shard engines build per-shard allocators straight from the
-	// policy — no factory needed.
+	// policy.
 	eng, err := NewEngine(WithPolicy(spec), WithConcurrency(4))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/model"
 )
 
@@ -19,9 +18,7 @@ func TestShardedEngineRace(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(50),
 		WithConcurrency(4),
-		WithAllocatorFactory(func(shard int) alloc.Allocator {
-			return sbqaAllocator(uint64(shard) + 1)
-		}),
+		WithPolicy(sbqaSpec(1)),
 	)
 
 	// A stable pool of workers that never leaves, so mediation always has
@@ -181,7 +178,7 @@ func TestConcurrentConsumerChurn(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(30),
 		WithConcurrency(2),
-		WithAllocatorFactory(func(shard int) alloc.Allocator { return alloc.NewCapacity() }),
+		capacityPolicy,
 	)
 	for i := 0; i < 4; i++ {
 		eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.5})

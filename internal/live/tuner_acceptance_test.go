@@ -93,10 +93,7 @@ func TestTunerRecoversStarvedConsumer(t *testing.T) {
 
 	// The recovery must have come from the tuner, not luck: the policy
 	// was rewritten with a wider funnel and at least one action fired.
-	final, ok := eng.Policy()
-	if !ok {
-		t.Fatal("no policy installed")
-	}
+	final := eng.Policy()
 	if final.Kn <= spec.Kn {
 		t.Fatalf("tuner never widened kn: %+v", final)
 	}

@@ -116,11 +116,10 @@ func (t *Tuner) narrowKn(target Reconfigurer) {
 	if target == nil {
 		return
 	}
-	spec, ok := target.Policy()
-	if !ok || !spec.Tunable() {
+	spec := target.Policy().Normalized()
+	if !spec.Tunable() {
 		return
 	}
-	spec = spec.Normalized()
 	if spec.Kn <= 0 {
 		return // kn disabled: every sampled provider is kept, nothing to narrow
 	}

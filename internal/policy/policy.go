@@ -138,18 +138,24 @@ type Spec struct {
 	// Zero means alloc.DefaultBidSample.
 	BidSample int `json:"bid_sample,omitempty"`
 
-	// ParticipantDeadline bounds each context-aware participant call
-	// during batched intention collection. Zero inherits the engine's
-	// configured deadline unchanged.
+	// ParticipantDeadline bounds each context-aware participant call during
+	// batched intention and bid collection: a participant that misses it is
+	// abandoned and its intention imputed from its satisfaction registry
+	// state (counted as an imputation and an intention timeout, and emitted
+	// as an OnIntentionImputed event), so one slow remote participant can
+	// never stall a mediation. In-process participants are unaffected. Zero
+	// on the spec an engine boots with means no per-participant bound — only
+	// the submission context limits the fan-out; zero on a later spec takes
+	// the boot spec's value.
 	ParticipantDeadline Duration `json:"participant_deadline,omitempty"`
 
 	// QoS carries the overload-survival configuration: service classes
 	// with weights and queue bounds for the shard schedulers, plus the
 	// gateway's token-bucket rates (see qos.Spec). Orthogonal to the
 	// allocator kind, so it is valid on every policy, baselines included.
-	// Nil restores the engine's construction-time QoS configuration on
-	// Reconfigure, the same way a zero ParticipantDeadline restores the
-	// engine's base deadline.
+	// Nil on the boot spec means the single default class (plain FIFO
+	// backpressure); nil on a later spec takes the boot spec's block, the
+	// same way a zero ParticipantDeadline does.
 	QoS *qos.Spec `json:"qos,omitempty"`
 }
 

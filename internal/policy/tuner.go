@@ -35,8 +35,8 @@ import (
 // Reconfigurer is the control surface the Tuner drives — implemented by the
 // live engine.
 type Reconfigurer interface {
-	// Policy returns the current target policy, if one is installed.
-	Policy() (Spec, bool)
+	// Policy returns the current target policy.
+	Policy() Spec
 	// Reconfigure swaps the running policy at mediation boundaries.
 	Reconfigure(ctx context.Context, spec Spec) error
 }
@@ -325,11 +325,10 @@ func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
 		t.imbalStreak = 0
 	}
 
-	spec, ok := target.Policy()
-	if !ok || !spec.Tunable() {
+	spec := target.Policy().Normalized()
+	if !spec.Tunable() {
 		return
 	}
-	spec = spec.Normalized()
 
 	now := t.cfg.now()
 	if !t.lastAction.IsZero() && now.Sub(t.lastAction) < t.cfg.MinInterval {

@@ -14,20 +14,19 @@ import (
 type fakeEngine struct {
 	mu    sync.Mutex
 	spec  Spec
-	has   bool
 	calls []Spec
 }
 
-func (f *fakeEngine) Policy() (Spec, bool) {
+func (f *fakeEngine) Policy() Spec {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.spec, f.has
+	return f.spec
 }
 
 func (f *fakeEngine) Reconfigure(_ context.Context, spec Spec) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.spec, f.has = spec, true
+	f.spec = spec
 	f.calls = append(f.calls, spec)
 	return nil
 }
@@ -67,7 +66,7 @@ func newTestTuner(target Reconfigurer, cfg TunerConfig, now *time.Time) *Tuner {
 }
 
 func TestTunerWidensKnUnderStarvation(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 2, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 2, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 2, MinInterval: time.Second, MaxKn: 8, MaxK: 20}, &now)
 
@@ -115,7 +114,7 @@ func TestTunerWidensKnUnderStarvation(t *testing.T) {
 }
 
 func TestTunerNudgesFixedOmegaTowardAdaptive(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaFixed, Omega: 1, Epsilon: 1, Seed: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaFixed, Omega: 1, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second, OmegaStep: 0.25}, &now)
 
@@ -145,7 +144,7 @@ func TestTunerIgnoresBalancedSystemAndNonTunablePolicies(t *testing.T) {
 	now := time.Unix(0, 0)
 	balanced := snap([]float64{0.7, 0.8}, []float64{0.75})
 
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1}}
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1}, &now)
 	for i := 0; i < 5; i++ {
 		tu.analyze(balanced)
@@ -154,7 +153,7 @@ func TestTunerIgnoresBalancedSystemAndNonTunablePolicies(t *testing.T) {
 		t.Fatalf("acted on a balanced system: %d calls", eng.callCount())
 	}
 
-	cap := &fakeEngine{spec: Spec{Kind: Capacity}, has: true}
+	cap := &fakeEngine{spec: Spec{Kind: Capacity}}
 	tuCap := newTestTuner(cap, TunerConfig{Hysteresis: 1}, &now)
 	starving := snap([]float64{0.05}, []float64{0.9})
 	for i := 0; i < 5; i++ {
@@ -178,7 +177,7 @@ func TestTunerIgnoresBalancedSystemAndNonTunablePolicies(t *testing.T) {
 // sampled provider" — already the widest setting; the tuner must not
 // "widen" it to kn=1 (a drastic narrowing).
 func TestTunerLeavesDisabledUtilizationFilterAlone(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 40, Kn: 0, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 40, Kn: 0, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1}, &now)
 	starving := snap([]float64{0.05}, []float64{0.9})
@@ -194,7 +193,7 @@ func TestTunerLeavesDisabledUtilizationFilterAlone(t *testing.T) {
 // — the widest possible stage 1. Widening kn must not install a finite K,
 // which would *narrow* the sample.
 func TestTunerPreservesSampleAllStageOne(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 0, Kn: 5, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 0, Kn: 5, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MaxKn: 64, MaxK: 128}, &now)
 	tu.analyze(snap([]float64{0.05}, []float64{0.9}))
@@ -213,7 +212,7 @@ func TestTunerPreservesSampleAllStageOne(t *testing.T) {
 // TestTunerNeverExceedsMaxK: when MaxK < 2·kn the hard cap must win — kn
 // shrinks to fit rather than k growing past its bound.
 func TestTunerNeverExceedsMaxK(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 10, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 10, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
 	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second, MaxK: 12, MaxKn: 64}, &now)
 	starving := snap([]float64{0.05}, []float64{0.9})
@@ -279,7 +278,7 @@ func TestTunerObserveNeverBlocksAndCountsDrops(t *testing.T) {
 }
 
 func TestTunerStartCloseLifecycle(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 4, Kn: 1, OmegaMode: OmegaAdaptive, Epsilon: 1}, has: true}
+	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 4, Kn: 1, OmegaMode: OmegaAdaptive, Epsilon: 1}}
 	tu := NewTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Millisecond})
 	tu.Start()
 	tu.Start() // idempotent

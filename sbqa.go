@@ -261,17 +261,15 @@ type (
 //	eng, err := sbqa.NewEngine(
 //		sbqa.WithWindow(100),
 //		sbqa.WithConcurrency(runtime.GOMAXPROCS(0)),
-//		sbqa.WithAllocatorFactory(func(shard int) sbqa.Allocator {
-//			return sbqa.NewSbQA(sbqa.SbQAConfig{Seed: uint64(shard) + 1})
-//		}),
+//		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 20, Kn: 10, Seed: 1}),
 //	)
 //	defer eng.Close()
 //	t := eng.Submit(ctx, sbqa.Query{Consumer: 0, N: 1, Work: 2})
 //	alloc, err := t.Allocation()     // mediation outcome
 //	results, err := t.Await(ctx)     // per-worker results
 //
-// The allocation technique comes from WithPolicy (declarative, hot-swappable)
-// or WithAllocatorFactory (one allocator per shard, because allocators hold
+// The allocation technique comes from WithPolicy: declarative, hot-swappable,
+// one allocator per shard (shard i seeded Seed+i, because allocators hold
 // per-shard sampling state).
 func NewEngine(opts ...EngineOption) (*Engine, error) { return live.NewEngine(opts...) }
 
@@ -283,11 +281,6 @@ func WithWindow(k int) EngineOption { return live.WithWindow(k) }
 // distinct consumers mediate in parallel.
 func WithConcurrency(n int) EngineOption { return live.WithConcurrency(n) }
 
-// WithAllocatorFactory supplies one (seeded) allocator per shard.
-func WithAllocatorFactory(f func(shard int) Allocator) EngineOption {
-	return live.WithAllocatorFactory(f)
-}
-
 // WithObserver installs the engine's typed event stream; see Observer.
 func WithObserver(o Observer) EngineOption { return live.WithObserver(o) }
 
@@ -298,13 +291,6 @@ func WithQueueDepth(n int) EngineOption { return live.WithQueueDepth(n) }
 // WithSnapshotInterval emits OnSatisfactionSnapshot to the observer every
 // interval of wall-clock time.
 func WithSnapshotInterval(d time.Duration) EngineOption { return live.WithSnapshotInterval(d) }
-
-// WithParticipantDeadline bounds each context-aware participant call during
-// batched intention collection; a participant that misses it is imputed
-// from registry state instead of stalling the mediation.
-func WithParticipantDeadline(d time.Duration) EngineOption {
-	return live.WithParticipantDeadline(d)
-}
 
 // WithResults forwards one submission's per-worker results to ch in
 // addition to collecting them on the ticket. Each worker sends its own
@@ -399,13 +385,14 @@ const (
 // ParsePolicy decodes a JSON policy spec, rejecting unknown fields.
 func ParsePolicy(data []byte) (PolicySpec, error) { return policy.Parse(data) }
 
-// WithPolicy supplies the engine's allocation policy declaratively; the
-// spec builds one allocator per shard and is hot-swappable afterwards via
-// Engine.Reconfigure. Mutually exclusive with WithAllocatorFactory.
+// WithPolicy supplies the engine's allocation policy — required: the spec
+// builds one allocator per shard, carries the participant deadline and the
+// qos block the engine boots with, and is hot-swappable afterwards via
+// Engine.Reconfigure.
 func WithPolicy(spec PolicySpec) EngineOption { return live.WithPolicy(spec) }
 
 // WithTuner runs an autonomic policy tuner bound to the engine (requires
-// WithPolicy and WithSnapshotInterval): satisfaction snapshots feed a
+// WithSnapshotInterval): satisfaction snapshots feed a
 // MAPE-K loop that widens kn under consumer starvation and nudges a fixed ω
 // toward the adaptive rule under consumer/provider imbalance, under
 // hysteresis, a minimum interval between actions, and hard bounds.

@@ -93,7 +93,6 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 		_ *LiveWorker
 		_ LiveExecutor = (*LiveWorker)(nil)
 	)
-	_ = WithParticipantDeadline(time.Millisecond)
 	_ = WithQoSClass("batch")
 	_ = WithDeadline(time.Second)
 
@@ -215,8 +214,8 @@ func TestFacadePolicyFlow(t *testing.T) {
 	}
 	defer eng.Close()
 	var _ policy.Reconfigurer = eng
-	if _, ok := eng.Policy(); !ok {
-		t.Fatal("policy-built engine reports no policy")
+	if spec := eng.Policy(); spec.Kind != PolicySbQA || spec.K != 4 {
+		t.Fatalf("Policy() = %+v at construction", spec)
 	}
 	if err := eng.Reconfigure(context.Background(), PolicySpec{Kind: PolicyCapacity}); err != nil {
 		t.Fatal(err)
@@ -224,7 +223,7 @@ func TestFacadePolicyFlow(t *testing.T) {
 	if changes != 1 {
 		t.Fatalf("PolicyChange events = %d, want 1", changes)
 	}
-	if spec, _ := eng.Policy(); spec.Kind != PolicyCapacity {
+	if spec := eng.Policy(); spec.Kind != PolicyCapacity {
 		t.Fatalf("Policy() = %+v after reconfigure", spec)
 	}
 	if eng.PolicyGeneration() != 1 {
@@ -251,9 +250,7 @@ func TestFacadeEngineFlow(t *testing.T) {
 	eng, err := NewEngine(
 		WithWindow(20),
 		WithConcurrency(1),
-		WithAllocatorFactory(func(int) Allocator {
-			return NewSbQA(SbQAConfig{KnBest: KnBestParams{K: 4, Kn: 2}, Seed: 3})
-		}),
+		WithPolicy(PolicySpec{Kind: PolicySbQA, K: 4, Kn: 2, Seed: 3}),
 		live.WithClock(func() float64 { return 1 }),
 		WithObserver(event.Multi(obs, event.Nop{})),
 		WithQueueDepth(64),

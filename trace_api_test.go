@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/core"
 	"sbqa/internal/live"
 	"sbqa/internal/trace"
 )
@@ -25,11 +24,7 @@ func traceTestEngine(t testing.TB, opts ...EngineOption) *Engine {
 	eng, err := NewEngine(append([]EngineOption{
 		WithWindow(50),
 		WithConcurrency(1),
-		WithAllocatorFactory(func(shard int) Allocator {
-			c := core.Config{Seed: 1}
-			c.Seed = uint64(shard) + 1
-			return core.MustNew(c)
-		}),
+		WithPolicy(PolicySpec{Kind: PolicySbQA, Seed: 1}),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
