@@ -8,12 +8,12 @@ package main
 // replication endpoints the internal/cluster node drives.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -31,6 +31,9 @@ type clusterSettings struct {
 	heartbeatTimeout  time.Duration
 	replicateInterval time.Duration
 	stateDir          string
+	// dial opens the connections peer links run on; nil, as main leaves it,
+	// dials the peer's address.
+	dial func(context.Context, sbqa.ClusterPeer) (net.Conn, error)
 }
 
 // parsePeers decodes the -peers flag: comma-separated id=baseURL pairs,
@@ -57,31 +60,29 @@ func parsePeers(s string) ([]sbqa.ClusterPeer, error) {
 	return peers, nil
 }
 
-// forwardTimeout is the ceiling on one forwarded request when the
-// client supplied no deadline of its own: a dead owner must become a
-// typed 503, never a hung handler. The client's own deadline (via its
-// request context) propagates through and can only shorten this.
-const forwardTimeout = 30 * time.Second
-
 // clusterMetrics counts the gateway's forwarding activity for
 // /v1/metrics. Latency is accumulated in microseconds so the Prometheus
 // _sum/_count pair can be derived without floats in the hot path.
 type clusterMetrics struct {
 	fwdQueries      atomic.Uint64 // queries forwarded (attempts)
 	fwdConsumers    atomic.Uint64 // consumer registrations forwarded
-	fwdErrors       atomic.Uint64 // forwards failed in transport
-	fwdLatencyMicro atomic.Uint64 // total forward round-trip time
-	fwdCompleted    atomic.Uint64 // latency observations
+	fwdErrors       atomic.Uint64 // forwards that got no answer
+	fwdLatencyMicro atomic.Uint64 // total round-trip time of answered forwards
+	fwdCompleted    atomic.Uint64 // answered forwards: the latency observations
 	notOwner        atomic.Uint64 // forwarded hops refused: ring disagreement
 	peerDown        atomic.Uint64 // requests refused: owner down
 }
 
-func (c *clusterMetrics) observe(d time.Duration, ok bool) {
+// observe records one forward: its round trip when the owner answered, an
+// error when nothing came back. A dead owner's timeouts are counted, not
+// averaged into the hop time of the forwards that work.
+func (c *clusterMetrics) observe(d time.Duration, answered bool) {
+	if !answered {
+		c.fwdErrors.Add(1)
+		return
+	}
 	c.fwdCompleted.Add(1)
 	c.fwdLatencyMicro.Add(uint64(d / time.Microsecond))
-	if !ok {
-		c.fwdErrors.Add(1)
-	}
 }
 
 // initCluster builds and starts the cluster node against the freshly
@@ -98,6 +99,8 @@ func (g *gateway) initCluster(cs *clusterSettings) error {
 		Registry:          g.eng.Registry(),
 		Observer:          g.hub.observer(),
 		Logf:              log.Printf,
+		Dial:              cs.dial,
+		Serve:             g.serveFrame,
 	}
 	if ps := g.eng.PersistStore(); ps != nil {
 		cfg.Store = ps
@@ -114,10 +117,11 @@ func (g *gateway) initCluster(cs *clusterSettings) error {
 	return nil
 }
 
-// writeRoutedError answers a typed routing failure: the standard error
-// JSON plus a machine-readable code ("not_owner" | "peer_down") and,
-// when known, the owner so clients can re-aim instead of blind-retrying.
-func writeRoutedError(w http.ResponseWriter, code string, owner sbqa.ClusterPeer, err error) {
+// routedError is the body of a typed routing failure: the standard error
+// JSON plus a machine-readable code ("not_owner" | "peer_down") and, when
+// known, the owner so clients can re-aim instead of blind-retrying. It goes
+// out under a 503.
+func routedError(code string, owner sbqa.ClusterPeer, err error) map[string]string {
 	body := map[string]string{"error": err.Error(), "code": code}
 	if owner.ID != "" {
 		body["owner"] = owner.ID
@@ -125,17 +129,17 @@ func writeRoutedError(w http.ResponseWriter, code string, owner sbqa.ClusterPeer
 			body["owner_addr"] = owner.Addr
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, body)
+	return body
 }
 
-// routeOrForward is the ownership gate on every consumer-keyed
-// endpoint. It returns true when this node owns the consumer and the
-// caller should proceed locally. Otherwise it has already answered:
-// body — the request's bytes as the client sent them — was forwarded to
-// the owner and its response relayed, or a typed 503 was written
-// (not_owner for a forwarded hop that still is not ours — one hop only,
-// never a loop — peer_down for an unreachable owner).
-func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consumer int, path string, counter *atomic.Uint64, body []byte) bool {
+// routeOrForward is the ownership gate of the two cores. It returns true
+// when this node owns the consumer and the caller should proceed locally.
+// Otherwise the answer is in sc already: body — the request's bytes as the
+// client sent them — went to the owner over its peer link and what the owner
+// answered came back, or a typed 503 (not_owner for a forwarded frame that
+// still is not ours — one hop only, never a loop — peer_down for an
+// unreachable owner).
+func (g *gateway) routeOrForward(sc *scratch, h hop, consumer int, kind sbqa.ClusterFrameKind, tc sbqa.TraceContext, body []byte) bool {
 	if g.node == nil {
 		return true
 	}
@@ -143,78 +147,100 @@ func (g *gateway) routeOrForward(w http.ResponseWriter, r *http.Request, consume
 	if self {
 		return true
 	}
-	if r.Header.Get(sbqa.ClusterForwardedFromHeader) != "" {
+	if h.from != "" {
 		g.cmx.notOwner.Add(1)
-		writeRoutedError(w, "not_owner", owner,
-			fmt.Errorf("consumer %d is owned by node %s; sender's ring disagrees with this node's", consumer, owner.ID))
+		sc.answer(http.StatusServiceUnavailable, routedError("not_owner", owner,
+			fmt.Errorf("consumer %d is owned by node %s; sender's ring disagrees with this node's", consumer, owner.ID)))
 		return false
 	}
 	if err != nil {
 		g.cmx.peerDown.Add(1)
-		writeRoutedError(w, "peer_down", owner,
-			fmt.Errorf("consumer %d is owned by node %s, which is down", consumer, owner.ID))
+		sc.answer(http.StatusServiceUnavailable, routedError("peer_down", owner,
+			fmt.Errorf("consumer %d is owned by node %s, which is down", consumer, owner.ID)))
 		return false
 	}
-	counter.Add(1)
-	g.forward(w, r, owner, path, body)
+	if kind == sbqa.ClusterFrameQuery {
+		g.cmx.fwdQueries.Add(1)
+	} else {
+		g.cmx.fwdConsumers.Add(1)
+	}
+	g.forward(sc, h, owner, kind, tc, body)
 	return false
 }
 
-// forward sends the request's own bytes to the owner's internal forward
-// endpoint — nothing is re-encoded, so the owner decodes exactly what the
-// client sent, unknown members included — and relays the response whole.
-// The outbound request runs on the inbound request's context — the
-// client's cancellation and deadline propagate — capped by forwardTimeout
-// so a silent owner yields a typed 503 rather than a hang. body is the
-// caller's pooled buffer, and the transport may still be writing the request
-// after Do returns (an owner that answers before it has read it), so what
-// goes out is a copy.
-func (g *gateway) forward(w http.ResponseWriter, r *http.Request, owner sbqa.ClusterPeer, path string, body []byte) {
-	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+path, bytes.NewReader(bytes.Clone(body)))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	req.Header["Content-Type"] = jsonContentType
-	req.Header[sbqa.ClusterForwardedFromHeader] = g.forwardedFrom
-	// A sampled submission propagates its trace context to the owner as a
-	// W3C traceparent, so both nodes' segments share one trace ID.
-	tc, traced := traceContextFrom(r.Context())
-	if traced {
-		req.Header.Set(sbqa.TraceparentHeader, sbqa.FormatTraceparent(tc))
+// forward calls the owner over the peer link with the request's own bytes —
+// nothing is re-encoded, so the owner decodes exactly what the client sent,
+// unknown members included — and leaves its answer in sc whole: status,
+// Retry-After, body. The call ends with the inbound request's context — the
+// client's cancellation and deadline propagate, and what is left of the
+// deadline rides the frame — or after the link's ForwardTimeout, so a silent
+// owner yields a typed 503 rather than a hang. A sampled submission takes its
+// trace context along, so both nodes' segments share one trace ID.
+func (g *gateway) forward(sc *scratch, h hop, owner sbqa.ClusterPeer, kind sbqa.ClusterFrameKind, tc sbqa.TraceContext, body []byte) {
+	if !tc.Sampled {
+		tc = sbqa.TraceContext{}
 	}
 	fwStart := sbqa.TraceNow()
 	start := time.Now()
-	resp, err := g.forwardClient.Do(req)
+	call, err := g.node.Forward(h.ctx, owner, kind, tc, body)
 	g.cmx.observe(time.Since(start), err == nil)
-	if traced {
-		if tr := g.engine().Tracer(); tr != nil {
-			tr.RecordSpan(tc.ID, sbqa.TraceSpan{
-				Name: sbqa.StageForward, Class: owner.ID,
-				Start: fwStart, End: sbqa.TraceNow(),
-			})
-			errStr := ""
-			if err != nil {
-				errStr = err.Error()
-			}
-			// This node's segment ends here; the owner records the rest of
-			// the pipeline under the same trace ID.
-			tr.Finish(tc.ID, "forwarded", errStr, nil)
+	if tc.Sampled {
+		tr := g.eng.Tracer()
+		tr.RecordSpan(tc.ID, sbqa.TraceSpan{
+			Name: sbqa.StageForward, Class: owner.ID,
+			Start: fwStart, End: sbqa.TraceNow(),
+		})
+		errStr := ""
+		if err != nil {
+			errStr = err.Error()
 		}
+		// This node's segment ends here; the owner records the rest of
+		// the pipeline under the same trace ID.
+		tr.Finish(tc.ID, "forwarded", errStr, nil)
 	}
 	if err != nil {
-		writeRoutedError(w, "peer_down", owner, fmt.Errorf("forwarding to node %s: %w", owner.ID, err))
+		sc.answer(http.StatusServiceUnavailable, routedError("peer_down", owner,
+			fmt.Errorf("forwarding to node %s: %w", owner.ID, err)))
 		return
 	}
-	defer resp.Body.Close()
-	relay(w, resp)
+	sc.status, sc.retryAfter, sc.out = call.Status, call.RetryAfter, append(sc.out[:0], call.Body...)
+	call.Release()
 }
 
-// relay writes the owner's answer back whole: status, body, and the headers
-// a client acts on — Content-Type, and the Retry-After that is the back-off
-// hint of a 429 or a shed 503.
+// handleLink serves the Upgrade request a peer opens its link with, and then
+// the link, for as long as it lasts.
+func (g *gateway) handleLink(w http.ResponseWriter, r *http.Request) {
+	if _, ok := g.requireEngine(w); !ok {
+		return // still restoring: the peer's dial fails and it answers peer_down
+	}
+	if g.node == nil {
+		writeError(w, http.StatusNotFound, errors.New("cluster mode disabled"))
+		return
+	}
+	g.node.AcceptLink(w, r)
+}
+
+// serveFrame answers one request frame of a peer link by running the same
+// core the HTTP endpoint runs, on the frame's bytes: no http.Request, no
+// ResponseWriter, no mux.
+func (g *gateway) serveFrame(ctx context.Context, from string, req, reply *sbqa.ClusterFrame) {
+	sc := getScratch()
+	defer putScratch(sc)
+	h := hop{ctx: ctx, from: from, trace: req.Trace, budget: req.Budget}
+	switch eng := g.engine(); {
+	case eng == nil:
+		sc.answerError(http.StatusServiceUnavailable, errStarting)
+	case req.Kind == sbqa.ClusterFrameQuery:
+		g.submit(eng, sc, req.Body, h)
+	default:
+		g.registerConsumer(eng, sc, req.Body, h)
+	}
+	reply.Status, reply.RetryAfter, reply.Body = sc.status, sc.retryAfter, append(reply.Body, sc.out...)
+}
+
+// relay writes an owner's refusal of a proxied subscription back whole:
+// status, body, and the headers a client acts on — Content-Type, and the
+// Retry-After that is a back-off hint.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	for _, h := range [...]string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -320,9 +346,9 @@ func (g *gateway) proxySSE(w http.ResponseWriter, r *http.Request, owner sbqa.Cl
 		return
 	}
 	req.Header[sbqa.ClusterForwardedFromHeader] = g.forwardedFrom
-	resp, err := g.forwardClient.Do(req)
+	resp, err := g.sseClient.Do(req)
 	if err != nil {
-		writeRoutedError(w, "peer_down", owner, fmt.Errorf("subscribing at node %s: %w", owner.ID, err))
+		writeJSON(w, http.StatusServiceUnavailable, routedError("peer_down", owner, fmt.Errorf("subscribing at node %s: %w", owner.ID, err)))
 		return
 	}
 	defer resp.Body.Close()

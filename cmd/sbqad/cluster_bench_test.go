@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 
 	"sbqa"
@@ -8,11 +9,13 @@ import (
 
 // BenchmarkForwardedSubmit measures one query's full forwarded hop over
 // loopback: POST /v1/queries at the non-owner gateway, consistent-hash
-// route, proxied HTTP call to the owner, mediation there, and the
-// relayed allocation response. The delta against a direct submission is
-// the cluster's routing tax. ns/op is dominated by two real HTTP
-// round-trips, so the committed baseline gates it only through the
-// normalized relative gate, not the exact allocs/op gate.
+// route, a frame on the peer link to the owner, mediation there, and the
+// reply frame relayed as the HTTP response. The client is benchWire's — one
+// kept-alive connection, prepared request bytes, a fixed read buffer — and
+// allocates nothing, so allocs/op is the two servers' alone: the entry
+// node's net/http, the link, and the owner's core. The delta against
+// BenchmarkWireSubmit/sbqad is the cluster's routing tax, and CI holds it to
+// a ceiling.
 func BenchmarkForwardedSubmit(b *testing.B) {
 	nodes := startTestCluster(b, 2, false,
 		sbqa.WithWindow(50),
@@ -25,15 +28,10 @@ func BenchmarkForwardedSubmit(b *testing.B) {
 	c := consumerOwnedBy(b, nodes, 0, 0)
 	entry := nodes[1]
 	postJSON(b, entry.srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
-	submitAlloc(b, entry.srv.URL, c) // warm connections and the owner's shard
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		submitAlloc(b, entry.srv.URL, c)
-	}
-	b.StopTimer()
-	if fq := entry.g.cmx.fwdQueries.Load(); fq != uint64(b.N)+1 {
+	before := entry.g.cmx.fwdQueries.Load()
+	benchWireTo(b, entry.srv, fmt.Sprintf(`{"consumer":%d,"class":0,"n":1,"work":0.0001,"wait":"allocation"}`, c))
+	if fq := entry.g.cmx.fwdQueries.Load() - before; fq != uint64(b.N)+1 { // and benchWire's warm-up
 		b.Fatalf("forwarded %d queries, want %d", fq, b.N+1)
 	}
 }

@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +38,13 @@ type testClusterNode struct {
 // its own temp dir with per-outcome fsync, so every mediation outcome is
 // in the journal before the response returns.
 func startTestCluster(t testing.TB, n int, withState bool, opts ...sbqa.EngineOption) []*testClusterNode {
+	t.Helper()
+	return startTestClusterDial(t, n, withState, nil, opts...)
+}
+
+// startTestClusterDial is startTestCluster with every node's peer links
+// opened through dial (nil: the real one).
+func startTestClusterDial(t testing.TB, n int, withState bool, dial func(context.Context, sbqa.ClusterPeer) (net.Conn, error), opts ...sbqa.EngineOption) []*testClusterNode {
 	t.Helper()
 	nodes := make([]*testClusterNode, n)
 	for i := range nodes {
@@ -55,6 +68,7 @@ func startTestCluster(t testing.TB, n int, withState bool, opts ...sbqa.EngineOp
 			heartbeatInterval: 20 * time.Millisecond,
 			heartbeatTimeout:  250 * time.Millisecond,
 			replicateInterval: 20 * time.Millisecond,
+			dial:              dial,
 		}
 		o := append([]sbqa.EngineOption{}, opts...)
 		if withState {
@@ -225,80 +239,116 @@ func TestClusterForwardedSubmitMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestClusterForwardedHopAnswersNotOwner: a request carrying the
-// forwarded-hop header that lands on a non-owner must answer a typed 503
-// not_owner instead of forwarding again (loop prevention).
+// TestClusterForwardedHopAnswersNotOwner: a frame that arrives over a peer
+// link for a consumer the receiver does not own answers a typed 503
+// not_owner instead of being forwarded again (loop prevention).
 func TestClusterForwardedHopAnswersNotOwner(t *testing.T) {
 	nodes := startTestCluster(t, 2, false, deterministicOpts()...)
 	c := consumerOwnedBy(t, nodes, 0, 0)
 	entry := nodes[1]
 
+	// A node that calls itself n0 and believes n1 owns the consumer: its
+	// ring disagrees with n1's.
+	n1 := sbqa.ClusterPeer{ID: entry.id, Addr: entry.srv.URL}
+	sender, err := cluster.New(cluster.Config{Self: cluster.Peer{ID: "n0"}, Peers: []cluster.Peer{n1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
 	body, _ := json.Marshal(queryRequest{Consumer: c, N: 1, Wait: "allocation"})
-	req, err := http.NewRequest(http.MethodPost, entry.srv.URL+"/v1/queries", bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	call, err := sender.Forward(ctx, n1, cluster.FrameQuery, sbqa.TraceContext{}, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(sbqa.ClusterForwardedFromHeader, "n0")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
+	defer call.Release()
+	if call.Status != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", call.Status)
 	}
 	var out struct {
 		Error string `json:"error"`
 		Code  string `json:"code"`
 		Owner string `json:"owner"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(call.Body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Code != "not_owner" || out.Owner != "n0" || out.Error == "" {
 		t.Fatalf("typed error = %+v, want code not_owner owner n0", out)
 	}
+	if no, fq := entry.g.cmx.notOwner.Load(), entry.g.cmx.fwdQueries.Load(); no != 1 || fq != 0 {
+		t.Fatalf("not_owner counter %d, forwarded counter %d: want the frame refused once and never forwarded", no, fq)
+	}
 }
 
-// ownerAnswer is a forward client transport that keeps the last forwarded
-// body as the entry node sent it and the owner's answer as it came back.
-type ownerAnswer struct {
-	sent   []byte
-	status int
-	header http.Header
-	body   []byte
+// linkTap is a peer link's connection at the entry node that keeps what
+// crossed it: the frames as this node sent them, the owner's as they came.
+type linkTap struct {
+	net.Conn
+	mu             sync.Mutex
+	sent, received bytes.Buffer
 }
 
-func (o *ownerAnswer) RoundTrip(req *http.Request) (*http.Response, error) {
-	sent, err := req.GetBody()
-	if err != nil {
-		return nil, err
+func (c *linkTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.sent.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *linkTap) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.received.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// last returns the newest frame in each direction, decoded from what follows
+// the Upgrade exchange's blank line.
+func (c *linkTap) last(t *testing.T) (request, reply cluster.Frame) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	newest := func(stream []byte) (last cluster.Frame) {
+		_, frames, ok := bytes.Cut(stream, []byte("\r\n\r\n"))
+		if !ok {
+			t.Fatalf("no handshake in %q", stream)
+		}
+		for br := bufio.NewReader(bytes.NewReader(frames)); ; {
+			var f cluster.Frame
+			if err := f.Decode(br); err != nil {
+				if err != io.EOF {
+					t.Fatalf("tapped stream: %v", err)
+				}
+				return last
+			}
+			last = f
+		}
 	}
-	o.sent, _ = io.ReadAll(sent)
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	o.status, o.header = resp.StatusCode, resp.Header.Clone()
-	if o.body, err = io.ReadAll(resp.Body); err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(o.body))
-	return resp, nil
+	return newest(c.sent.Bytes()), newest(c.received.Bytes())
 }
 
 // TestClusterForwardRelaysRefusalsWhole: a 429 from the owner's token
 // buckets and a 503 from its scheduler reach the client of a non-owner
-// node as the owner wrote them — status, Content-Type, body bytes and the
-// Retry-After header, which the relay used to drop — and forwarding sends
-// the client's own bytes, members this node does not know included.
+// node as the owner's reply frame carried them — status, body bytes and the
+// Retry-After hint, under the JSON Content-Type — and forwarding sends the
+// client's own bytes, members this node does not know included.
 func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	spec := sbqa.DefaultQoSSpec()
 	spec.ConsumerRate = 0.001 // one query per ~17 min: the second submit must reject
 	spec.ConsumerBurst = 1
-	nodes := startTestCluster(t, 3, false, deterministicQoSOpts(spec)...)
+	var tap *linkTap // the entry node's link to the owner
+	dial := func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
+		if err != nil || p.ID != "n0" {
+			return conn, err
+		}
+		tap = &linkTap{Conn: conn}
+		return tap, nil
+	}
+	nodes := startTestClusterDial(t, 3, false, dial, deterministicQoSOpts(spec)...)
 	registerWorkers(t, nodes[0].srv.URL)
 	limited := consumerOwnedBy(t, nodes, 0, 0)
 	shed := consumerOwnedBy(t, nodes, 0, limited+1)
@@ -306,8 +356,6 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 		postJSON(t, nodes[0].srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
 	}
 	entry := nodes[1]
-	owner := &ownerAnswer{}
-	entry.g.forwardClient = &http.Client{Transport: owner}
 
 	post := func(body string) (*http.Response, []byte) {
 		t.Helper()
@@ -329,8 +377,8 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	if resp, body := post(first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first forwarded submit: %d %s", resp.StatusCode, body)
 	}
-	if string(owner.sent) != first {
-		t.Errorf("forwarded %q, the client sent %q", owner.sent, first)
+	if sent, _ := tap.last(t); string(sent.Body) != first || sent.Kind != cluster.FrameQuery {
+		t.Errorf("forwarded %q as kind %d, the client sent %q", sent.Body, sent.Kind, first)
 	}
 	for _, tc := range []struct {
 		name, body string
@@ -340,17 +388,18 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 		{"shed", fmt.Sprintf(`{"consumer":%d,"n":1,"work":0.1,"deadline_ms":0.00001}`, shed), http.StatusServiceUnavailable},
 	} {
 		resp, body := post(tc.body)
-		if resp.StatusCode != tc.status || owner.status != tc.status {
-			t.Fatalf("%s: client saw %d, owner answered %d, want %d (%s)", tc.name, resp.StatusCode, owner.status, tc.status, body)
+		_, owner := tap.last(t)
+		if resp.StatusCode != tc.status || owner.Status != tc.status {
+			t.Fatalf("%s: client saw %d, owner answered %d, want %d (%s)", tc.name, resp.StatusCode, owner.Status, tc.status, body)
 		}
-		if ra := resp.Header.Get("Retry-After"); ra == "" || ra != owner.header.Get("Retry-After") {
-			t.Errorf("%s: Retry-After %q at the client, %q from the owner", tc.name, ra, owner.header.Get("Retry-After"))
+		if ra := resp.Header.Get("Retry-After"); owner.RetryAfter < 1 || ra != strconv.Itoa(owner.RetryAfter) {
+			t.Errorf("%s: Retry-After %q at the client, %d from the owner", tc.name, ra, owner.RetryAfter)
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != owner.header.Get("Content-Type") {
-			t.Errorf("%s: Content-Type %q at the client, %q from the owner", tc.name, ct, owner.header.Get("Content-Type"))
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q at the client", tc.name, ct)
 		}
-		if !bytes.Equal(body, owner.body) {
-			t.Errorf("%s: body %q at the client, %q from the owner", tc.name, body, owner.body)
+		if !bytes.Equal(body, owner.Body) {
+			t.Errorf("%s: body %q at the client, %q from the owner", tc.name, body, owner.Body)
 		}
 	}
 }
@@ -399,46 +448,63 @@ func TestClusterForwardAnswersPeerDown(t *testing.T) {
 	}
 }
 
-// TestClusterForwardPropagatesClientDeadline: a forwarded request must
-// carry the client's deadline to the outbound call — a hung owner ends
-// the forward when the client's context expires, long before
-// forwardTimeout.
+// TestClusterForwardPropagatesClientDeadline: a forwarded request carries
+// the client's deadline both ways. At the entry node a silent owner ends the
+// forward when the client's context expires, long before the link's own
+// ceiling, and the frame it sent says how little time was left; at the owner
+// a wait:"results" ends no later than the budget its frame carried, however
+// slow the worker.
 func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
-	release := make(chan struct{})
-	// A stub owner that accepts the forward and then sits on it until
-	// the request context dies.
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == cluster.HealthzPath {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-		case <-release:
-		}
+	// The owner's health endpoint, so that it stays on the ring.
+	health := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
 	}))
-	defer stub.Close()
-	defer close(release) // LIFO: unblock the handler before stub.Close waits on it
+	defer health.Close()
+	// Its link: a stub that takes the upgrade, reads every frame and answers
+	// none.
+	budgets := make(chan time.Duration, 1)
+	dial := func(context.Context, sbqa.ClusterPeer) (net.Conn, error) {
+		ours, theirs := net.Pipe()
+		go func() {
+			defer theirs.Close()
+			br := bufio.NewReader(theirs)
+			if _, err := http.ReadRequest(br); err != nil {
+				return
+			}
+			io.WriteString(theirs, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: sbqa-link/1\r\n\r\n")
+			for {
+				var f cluster.Frame
+				if f.Decode(br) != nil {
+					return
+				}
+				budgets <- f.Budget
+			}
+		}()
+		return ours, nil
+	}
 
 	g := newGatewayShell()
 	cs := &clusterSettings{
 		nodeID:            "a",
-		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: stub.URL}},
+		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: health.URL}},
 		heartbeatInterval: time.Hour,
 		heartbeatTimeout:  time.Second,
+		dial:              dial,
 	}
 	if err := g.init(cs, deterministicOpts()...); err != nil {
 		t.Fatal(err)
 	}
 	defer g.close()
 
-	c := 0
-	for ; ; c++ {
-		if _, self, _ := g.node.Route(sbqa.ConsumerID(c)); !self {
-			break
+	remote, local := -1, -1
+	for c := 0; remote < 0 || local < 0; c++ {
+		if _, self, _ := g.node.Route(sbqa.ConsumerID(c)); self {
+			local = c
+		} else {
+			remote = c
 		}
 	}
-	body, _ := json.Marshal(queryRequest{Consumer: c, N: 1, Wait: "allocation"})
+	body, _ := json.Marshal(queryRequest{Consumer: remote, N: 1, Wait: "allocation"})
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)).WithContext(ctx)
@@ -458,6 +524,31 @@ func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
 	}
 	if rec.Code != http.StatusServiceUnavailable || out.Code != "peer_down" {
 		t.Fatalf("status %d code %q, want 503 peer_down", rec.Code, out.Code)
+	}
+	if b := <-budgets; b <= 0 || b > 150*time.Millisecond {
+		t.Fatalf("the frame carried a budget of %v, want what was left of the client's 150ms", b)
+	}
+
+	// The owner's half: a frame with 100ms left, waiting for the results of
+	// a query whose worker needs minutes.
+	handle(g.handler(), http.MethodPost, "/v1/workers", []byte(`{"id":1,"capacity":0.001,"intention":0.5}`))
+	handle(g.handler(), http.MethodPost, "/v1/consumers", fmt.Appendf(nil, `{"id":%d,"intention":0.8}`, local))
+	frame := sbqa.ClusterFrame{
+		Kind: sbqa.ClusterFrameQuery, Budget: 100 * time.Millisecond,
+		Body: fmt.Appendf(nil, `{"consumer":%d,"n":1,"work":1,"wait":"results"}`, local),
+	}
+	var reply sbqa.ClusterFrame
+	start = time.Now()
+	g.serveFrame(context.Background(), "b", &frame, &reply)
+	if elapsed := time.Since(start); elapsed < 100*time.Millisecond || elapsed > 5*time.Second {
+		t.Fatalf("the owner waited %v for results under a 100ms budget", elapsed)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(reply.Body, &qr); err != nil {
+		t.Fatalf("reply %q: %v", reply.Body, err)
+	}
+	if reply.Status != http.StatusOK || len(qr.Selected) != 1 || !strings.Contains(qr.Error, "deadline exceeded") || len(qr.Results) != 0 {
+		t.Fatalf("reply %d %+v, want the allocation, no results and the deadline's error", reply.Status, qr)
 	}
 }
 
@@ -650,8 +741,10 @@ func TestClusterEndToEndFailover(t *testing.T) {
 		t.Fatal("victim has no followers holding replicas")
 	}
 
-	// Kill the victim (its HTTP server vanishes mid-cluster, like a
-	// crashed process) and wait for a survivor to mark it down.
+	// Kill the victim (its HTTP server and the links its peers hold to it
+	// vanish mid-cluster, like a crashed process) and wait for a survivor to
+	// mark it down.
+	nodes[victim].g.beginShutdown()
 	nodes[victim].srv.Close()
 	waitCondition(t, 15*time.Second, "survivors mark victim down", func() bool {
 		for i, cn := range nodes {
@@ -710,4 +803,77 @@ func TestClusterEventsRoutedSubscription(t *testing.T) {
 	awaitEvent(t, events, "allocation", func(data string) bool {
 		return strings.Contains(data, fmt.Sprintf(`"consumer":%d`, c))
 	})
+}
+
+// TestClusterLinkParkedWaitAndShutdown: a wait:"results" parked on a slow
+// worker at the owner does not hold up an allocation submitted after it
+// through the same entry node — both ride one link, replies return out of
+// order — and closing the gateways with that call still in flight answers it
+// (peer_down: its link went away) and leaves no goroutine behind: a hijacked
+// link is invisible to the HTTP server, so the gateway must end it itself.
+func TestClusterLinkParkedWaitAndShutdown(t *testing.T) {
+	before := settledGoroutines(func() bool { return true })
+	var dials atomic.Int32
+	dial := func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
+	}
+	nodes := startTestClusterDial(t, 2, false, dial, deterministicOpts()...)
+	owner, entry := nodes[0], nodes[1]
+	// One worker that needs a quarter of an hour per unit of work.
+	postJSON(t, owner.srv.URL+"/v1/workers", workerRequest{ID: 1, Capacity: 0.001, Intention: 0.5}, nil)
+	c := consumerOwnedBy(t, nodes, 0, 0)
+	postJSON(t, entry.srv.URL+"/v1/consumers", consumerRequest{ID: c, Intention: 0.8}, nil)
+
+	type answer struct {
+		status int
+		body   string
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(entry.srv.URL+"/v1/queries", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"consumer":%d,"n":1,"work":1,"wait":"results"}`, c)))
+		if err != nil {
+			parked <- answer{body: err.Error()}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		parked <- answer{resp.StatusCode, string(body)}
+	}()
+	waitCondition(t, 10*time.Second, "the results wait to reach the owner's worker", func() bool {
+		return owner.g.eng.Stats().QueriesSubmitted == 1
+	})
+	start := time.Now()
+	for i := 0; i < 5; i++ {
+		if qr := submitAlloc(t, entry.srv.URL, c); len(qr.Selected) != 1 {
+			t.Fatalf("allocation %d behind the parked wait: %+v", i, qr)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("five allocations took %v behind a parked wait", d)
+	}
+	select {
+	case a := <-parked:
+		t.Fatalf("the parked wait returned: %+v", a)
+	default:
+	}
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("%d links dialled, want the one both kinds of wait shared", d)
+	}
+
+	entry.g.close()
+	if a := <-parked; a.status != http.StatusServiceUnavailable || !strings.Contains(a.body, `"peer_down"`) {
+		t.Fatalf("the call in flight when its gateway closed: %+v, want 503 peer_down", a)
+	}
+	owner.g.close()
+	for _, cn := range nodes {
+		cn.srv.Close()
+	}
+	http.DefaultClient.CloseIdleConnections()
+	after := settledGoroutines(func() bool { return runtime.NumGoroutine() <= before })
+	if after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines before the cluster, %d after it closed:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
 }

@@ -17,7 +17,6 @@ package main
 // recorder these endpoints answer 404.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -30,20 +29,6 @@ import (
 // -debug-pprof flag). Off by default: profiling endpoints expose heap and
 // goroutine internals and do not belong on an open listener.
 var enablePprof bool
-
-// traceCtxKey carries a sampled trace context through the request context,
-// so a cluster forward can propagate it as a traceparent header and record
-// the hop as a span.
-type traceCtxKey struct{}
-
-func withTraceContext(ctx context.Context, tc sbqa.TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-func traceContextFrom(ctx context.Context) (sbqa.TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(sbqa.TraceContext)
-	return tc, ok
-}
 
 // requireTracer resolves the engine's trace recorder, answering 404 when
 // the daemon runs without tracing (and 503 while the engine restores).

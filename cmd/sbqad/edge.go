@@ -6,7 +6,7 @@ package main
 // client sends is recognised without reflection, and the one shape every
 // submit answers with is appended by hand. The standard library stays the
 // reference for both directions: decodeQuery declines whatever it is not
-// sure of and json.Unmarshal decides, and writeQueryResponse is held
+// sure of and json.Unmarshal decides, and answerQuery is held
 // byte-for-byte to json.Encoder by test.
 
 import (
@@ -18,22 +18,32 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"sbqa"
 )
 
 // scratch is what one request borrows from the edge: the body it read, the
-// response it encodes, and the decoded submit — kept here so that handing
-// its address to decodeJSON boxes a pointer into the pool's memory, not a
-// fresh copy. All of it is dead once the handler returns: nothing decoded
-// from body may alias it (decodeQuery interns or copies its strings,
-// json.Unmarshal copies), and what may outlive the handler copies first
-// (see forward).
+// answer its core leaves — status, back-off hint, response bytes — for the
+// HTTP shell or the peer link to send, and the decoded submit, kept here so
+// that handing its address to unmarshal boxes a pointer into the pool's
+// memory, not a fresh copy. All of it is dead once the handler returns:
+// nothing decoded from body may alias it (decodeQuery interns or copies its
+// strings, json.Unmarshal copies), and what outlives the handler copies
+// first (a forward's frame is copied into the link's buffer before Forward
+// returns).
 type scratch struct {
 	body  bytes.Buffer
 	limit io.LimitedReader // over the request body; here, not allocated per read
-	out   []byte
 	req   queryRequest
+
+	status     int
+	retryAfter int // Retry-After in whole seconds; 0 for none
+	out        []byte
+
+	// timer bounds a forwarded wait:"results" by its frame's budget; made at
+	// first use and stopped between uses.
+	timer *time.Timer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -58,33 +68,43 @@ func putScratch(sc *scratch) {
 // http.MaxBytesReader would have produced, without the reader.
 var errBodyTooLarge error = &http.MaxBytesError{Limit: maxRequestBody}
 
-// decode reads r into sc.body, whole — taking at most one byte past
-// maxRequestBody off the wire before giving up — and decodes it into v as
-// one JSON document, so anything after the first value is an error, not a
-// remainder dropped unread. A submit goes through the recogniser first;
-// whatever that declines, and every other type, is json.Unmarshal's. A nil v
-// leaves the bytes to the caller's own parser.
-func (sc *scratch) decode(r io.Reader, v any) error {
+// read takes r into sc.body, whole — at most one byte past maxRequestBody
+// comes off the wire before it gives up.
+func (sc *scratch) read(r io.Reader) error {
 	sc.limit = io.LimitedReader{R: r, N: maxRequestBody + 1}
 	sc.body.Reset()
 	_, err := sc.body.ReadFrom(&sc.limit)
 	sc.limit.R = nil
-	if err != nil {
-		return err
+	if err == nil && sc.body.Len() > maxRequestBody {
+		err = errBodyTooLarge
 	}
-	if sc.body.Len() > maxRequestBody {
-		return errBodyTooLarge
-	}
+	return err
+}
+
+// unmarshal decodes body into v as one JSON document, so anything after the
+// first value is an error, not a remainder dropped unread. A submit goes
+// through the recogniser first; whatever that declines, and every other
+// type, is json.Unmarshal's. A nil v leaves the bytes to the caller's own
+// parser.
+func unmarshal(body []byte, v any) error {
 	switch q := v.(type) {
 	case nil:
 		return nil
 	case *queryRequest:
 		*q = queryRequest{}
-		if decodeQuery(sc.body.Bytes(), q) {
+		if decodeQuery(body, q) {
 			return nil
 		}
 	}
-	return json.Unmarshal(sc.body.Bytes(), v)
+	return json.Unmarshal(body, v)
+}
+
+// decode is read, then unmarshal of what was read.
+func (sc *scratch) decode(r io.Reader, v any) error {
+	if err := sc.read(r); err != nil {
+		return err
+	}
+	return unmarshal(sc.body.Bytes(), v)
 }
 
 // queryFields are queryRequest's JSON names, in field order: decodeQuery
@@ -218,17 +238,38 @@ func intern(val []byte, known ...string) string {
 	return string(val)
 }
 
-// jsonContentType is the Content-Type value of every JSON response and of
-// every forwarded request, shared: a header map takes the slice as is.
+// jsonContentType is the Content-Type value of every JSON response, shared:
+// a header map takes the slice as is.
 var jsonContentType = []string{"application/json"}
 
-// writeQueryResponse answers a submit: the fixed queryResponse shape
+// answer leaves v, encoded as json.Encoder writes it, as the response.
+func (sc *scratch) answer(status int, v any) {
+	buf := bytes.NewBuffer(sc.out[:0])
+	_ = json.NewEncoder(buf).Encode(v) // the maps and structs of this package always encode
+	sc.status, sc.retryAfter, sc.out = status, 0, buf.Bytes()
+}
+
+func (sc *scratch) answerError(status int, err error) {
+	sc.answer(status, map[string]string{"error": err.Error()})
+}
+
+// send writes the answer a core left in sc.
+func (sc *scratch) send(w http.ResponseWriter) {
+	w.Header()["Content-Type"] = jsonContentType
+	if sc.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(sc.retryAfter))
+	}
+	w.WriteHeader(sc.status)
+	_, _ = w.Write(sc.out) // a client that has gone is nobody's error
+}
+
+// answerQuery answers a submit: the fixed queryResponse shape
 // appended into the scratch, byte for byte what json.Encoder writes for it
 // (omitempty members, HTML-safe string escaping, the trailing newline), with
 // the two members that are not plain integers left to json.Marshal — a
 // string always marshals, and a latency is a Duration over a constant, so
 // neither can fail.
-func writeQueryResponse(w http.ResponseWriter, status int, sc *scratch, resp *queryResponse) {
+func (sc *scratch) answerQuery(status int, resp *queryResponse) {
 	out := append(sc.out[:0], `{"query_id":`...)
 	out = strconv.AppendInt(out, resp.QueryID, 10)
 	out = appendProviders(out, `,"selected":[`, resp.Selected)
@@ -241,11 +282,7 @@ func writeQueryResponse(w http.ResponseWriter, status int, sc *scratch, resp *qu
 		msg, _ := json.Marshal(resp.Error)
 		out = append(append(out, `,"error":`...), msg...)
 	}
-	out = append(out, "}\n"...)
-	sc.out = out
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	_, _ = w.Write(out) // a client that has gone is nobody's error
+	sc.status, sc.retryAfter, sc.out = status, 0, append(out, "}\n"...)
 }
 
 // appendProviders appends one omitempty member holding a list of IDs.

@@ -161,7 +161,8 @@ func TestQueryResponseEncodingMatchesStdlib(t *testing.T) {
 		status := []int{http.StatusOK, http.StatusAccepted, http.StatusConflict}[r.IntN(3)]
 
 		rec := httptest.NewRecorder()
-		writeQueryResponse(rec, status, sc, &resp)
+		sc.answerQuery(status, &resp)
+		sc.send(rec)
 		want.Reset()
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {
 			t.Fatal(err)

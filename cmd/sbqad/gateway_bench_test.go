@@ -136,6 +136,11 @@ func BenchmarkWireSubmit(b *testing.B) {
 func benchWire(b *testing.B, h http.Handler, payload string) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
+	benchWireTo(b, srv, payload)
+}
+
+// benchWireTo is benchWire against a server that is already up.
+func benchWireTo(b *testing.B, srv *httptest.Server, payload string) {
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
 		b.Fatal(err)

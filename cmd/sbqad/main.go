@@ -58,14 +58,15 @@
 // consistent-hash ring over consumer IDs assigns each consumer an owning
 // node, requests landing on a non-owner are transparently forwarded — the
 // client's own bytes to the owner, the owner's whole answer (status,
-// Content-Type, Retry-After, body) back — over the internal endpoints
-// POST /v1/internal/forward[/consumers], and with
+// Retry-After, body) back — as frames on one persistent connection per peer
+// pair, which the non-owner opens by an HTTP Upgrade at
+// GET /v1/internal/forward on the owner's ordinary listener, and with
 // -state-dir each node ships its sealed satisfaction WAL segments to its
 // ring followers (POST /v1/internal/segments) so a node failure loses at
-// most the unsynced journal tail. A request whose owner is down answers a
-// typed 503 {"code":"peer_down"}; a forwarded request that lands on a
-// node that still disagrees about ownership answers {"code":"not_owner"}
-// rather than risking a forwarding loop.
+// most the unsynced journal tail. A request whose owner is down or whose
+// link to it breaks answers a typed 503 {"code":"peer_down"}; a forwarded
+// request that lands on a node that still disagrees about ownership answers
+// {"code":"not_owner"} rather than risking a forwarding loop.
 //
 // Remote participants answer intention webhooks under the policy's
 // participant deadline; a webhook that misses it is imputed from the

@@ -35,15 +35,16 @@ type gateway struct {
 	hub   *hub
 
 	// node is non-nil in cluster mode (-node-id): it owns the consistent-
-	// hash ring, peer health, and WAL replication. cmx counts the
-	// gateway's forwarding traffic; forwardClient carries forwarded
-	// requests (no client-level timeout — each forward is bounded by the
-	// inbound request's context capped at forwardTimeout).
-	// forwardedFrom is this node's ID as the value of the forwarded-from
-	// header, built once: the ID never changes after initCluster.
+	// hash ring, peer health, WAL replication and the peer links that
+	// carry forwarded submits and registrations. cmx counts the gateway's
+	// forwarding traffic; sseClient proxies a routed event subscription
+	// (no client-level timeout — the stream lives as long as its
+	// subscriber). forwardedFrom is this node's ID as the value of the
+	// forwarded-from header on that proxied request, built once: the ID
+	// never changes after initCluster.
 	node          *sbqa.ClusterNode
 	cmx           clusterMetrics
-	forwardClient *http.Client
+	sseClient     *http.Client
 	forwardedFrom []string
 
 	// webhookClient performs the remote participants' intention calls. The
@@ -110,7 +111,7 @@ func newGatewayShell() *gateway {
 	return &gateway{
 		hub:           newHub(),
 		webhookClient: &http.Client{Timeout: webhookClientTimeout},
-		forwardClient: &http.Client{},
+		sseClient:     &http.Client{},
 		shuttingDown:  make(chan struct{}),
 		results:       results,
 		submitResults: sbqa.WithResults(results),
@@ -208,10 +209,16 @@ func (g *gateway) requireEngine(w http.ResponseWriter) (*sbqa.Engine, bool) {
 // errStarting is the not-ready answer while the engine restores.
 var errStarting = errors.New("starting: engine restoring persisted state")
 
-// beginShutdown ends the SSE streams (idempotent); call it before
-// http.Server.Shutdown so connected subscribers do not hold the server open
-// for the whole grace period.
-func (g *gateway) beginShutdown() { closeOnce(g.shuttingDown) }
+// beginShutdown ends the SSE streams and stops the peer links peers opened
+// here from taking new frames (idempotent); call it before
+// http.Server.Shutdown, which waits a whole grace period behind a connected
+// subscriber and never sees a hijacked link at all.
+func (g *gateway) beginShutdown() {
+	closeOnce(g.shuttingDown)
+	if g.node != nil {
+		g.node.DrainLinks()
+	}
+}
 
 // closeOnce closes a signal channel unless it is closed already. Shutdown
 // runs on one goroutine, so the check does not race the close.
@@ -230,7 +237,8 @@ func (g *gateway) close() {
 	g.beginShutdown()
 	if g.node != nil {
 		// Stop heartbeats and WAL shipping before the engine seals its
-		// journal on the way down.
+		// journal on the way down — and end the peer links while the
+		// engine can still answer the frames being served.
 		g.node.Close()
 	}
 	if g.eng != nil {
@@ -265,8 +273,7 @@ func (g *gateway) handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
 	mux.HandleFunc("GET "+sbqa.ClusterSegmentsPath, g.handleSegmentsGet)
 	mux.HandleFunc("POST "+sbqa.ClusterSegmentsPath, g.handleSegmentsPost)
-	mux.HandleFunc("POST "+sbqa.ClusterForwardPath, g.handleSubmit)
-	mux.HandleFunc("POST "+sbqa.ClusterForwardConsumersPath, g.handleRegisterConsumer)
+	mux.HandleFunc("GET "+sbqa.ClusterForwardPath, g.handleLink)
 	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -288,16 +295,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // maxRequestBody bounds every JSON document the gateway reads: request
-// bodies (413 past it) and webhook replies.
-const maxRequestBody = 1 << 20 // 1 MiB
+// bodies (413 past it) and webhook replies. 1 MiB — and what one frame of a
+// peer link holds, so whatever a client may send can be forwarded.
+const maxRequestBody = sbqa.ClusterMaxFrameBody
 
-// decodeJSON is the one place a request body is read and decoded: an
-// explicit Content-Type other than application/json is a 415 (a missing one
-// is tolerated for curl-friendliness), a body past the cap a 413 on a
-// connection that serves nothing after it, malformed JSON or trailing data a
-// 400. The bytes read stay in sc.body — what a cluster forward sends the
-// owner — and false means the error response is written.
-func decodeJSON(w http.ResponseWriter, r *http.Request, sc *scratch, v any) bool {
+// readBody is the one place a request body is read — the HTTP half of every
+// JSON endpoint: an explicit Content-Type other than application/json is a
+// 415 (a missing one is tolerated for curl-friendliness), a body past the
+// cap a 413 on a connection that serves nothing after it. The bytes read
+// stay in sc.body, and false means the error response is written.
+func readBody(w http.ResponseWriter, r *http.Request, sc *scratch) bool {
 	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil || (mt != "application/json" && mt != "text/json") {
@@ -306,7 +313,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, sc *scratch, v any) bool
 			return false
 		}
 	}
-	if err := sc.decode(r.Body, v); err != nil {
+	if err := sc.read(r.Body); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -320,6 +327,58 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, sc *scratch, v any) bool
 		return false
 	}
 	return true
+}
+
+// decodeJSON reads the body and decodes it into v as one JSON document:
+// malformed JSON or trailing data is a 400. False means the error response
+// is written.
+func decodeJSON(w http.ResponseWriter, r *http.Request, sc *scratch, v any) bool {
+	if !readBody(w, r, sc) {
+		return false
+	}
+	if err := unmarshal(sc.body.Bytes(), v); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// hop is what reaches a core beside the body bytes: where the request came
+// from and how long its sender will wait. The zero hop but for ctx is a
+// client's own request.
+type hop struct {
+	// ctx ends the wait for a query's results: the HTTP request's context,
+	// or the peer link's.
+	ctx context.Context
+	// from is the node that forwarded the request over its link; what
+	// arrives forwarded is never forwarded again.
+	from string
+	// trace is the trace context that came with the request — a client's
+	// traceparent header, a frame's trace — zero for none.
+	trace sbqa.TraceContext
+	// budget is what was left of the forwarding node's deadline when it
+	// sent the frame; 0 on a client's own request, whose ctx says it all.
+	budget time.Duration
+}
+
+// serveCore is the HTTP shell of the two endpoints a peer link also feeds:
+// read the body, run the core on its bytes, send what it left in the scratch.
+func (g *gateway) serveCore(w http.ResponseWriter, r *http.Request, core func(*gateway, *sbqa.Engine, *scratch, []byte, hop)) {
+	eng, ok := g.requireEngine(w)
+	if !ok {
+		return
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	if !readBody(w, r, sc) {
+		return
+	}
+	h := hop{ctx: r.Context()}
+	if eng.Tracer() != nil {
+		h.trace, _ = sbqa.ParseTraceparent(r.Header.Get(sbqa.TraceparentHeader))
+	}
+	core(g, eng, sc, sc.body.Bytes(), h)
+	sc.send(w)
 }
 
 // consumerRequest registers a consumer. Without intention_url the consumer
@@ -337,17 +396,17 @@ type consumerRequest struct {
 }
 
 func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request) {
-	eng, ok := g.requireEngine(w)
-	if !ok {
-		return
-	}
+	g.serveCore(w, r, (*gateway).registerConsumer)
+}
+
+// registerConsumer is the core of POST /v1/consumers: body in, answer in sc.
+func (g *gateway) registerConsumer(eng *sbqa.Engine, sc *scratch, body []byte, h hop) {
 	var req consumerRequest
-	sc := getScratch()
-	defer putScratch(sc)
-	if !decodeJSON(w, r, sc, &req) {
+	if err := unmarshal(body, &req); err != nil {
+		sc.answerError(http.StatusBadRequest, err)
 		return
 	}
-	if !g.routeOrForward(w, r, req.ID, sbqa.ClusterForwardConsumersPath, &g.cmx.fwdConsumers, sc.body.Bytes()) {
+	if !g.routeOrForward(sc, h, req.ID, sbqa.ClusterFrameConsumer, sbqa.TraceContext{}, body) {
 		return
 	}
 	if req.IntentionURL != "" {
@@ -357,7 +416,7 @@ func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request)
 			fallback: sbqa.Intention(req.Intention).Clamp(),
 			client:   g.webhookClient,
 		})
-		writeJSON(w, http.StatusCreated, map[string]int{"id": req.ID})
+		sc.answer(http.StatusCreated, map[string]int{"id": req.ID})
 		return
 	}
 	base := req.Intention
@@ -372,7 +431,7 @@ func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request)
 			return sbqa.Intention(v).Clamp()
 		},
 	})
-	writeJSON(w, http.StatusCreated, map[string]int{"id": req.ID})
+	sc.answer(http.StatusCreated, map[string]int{"id": req.ID})
 }
 
 // workerRequest starts a goroutine worker with a constant intention,
@@ -507,41 +566,40 @@ func newResultJSON(res sbqa.LiveResult) resultJSON {
 }
 
 func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	eng, ok := g.requireEngine(w)
-	if !ok {
-		return
-	}
+	g.serveCore(w, r, (*gateway).submit)
+}
+
+// submit is the core of POST /v1/queries: the request's bytes in — from the
+// HTTP shell or a peer link's frame — and status, back-off hint and response
+// bytes left in sc for whichever it was to send.
+func (g *gateway) submit(eng *sbqa.Engine, sc *scratch, body []byte, h hop) {
 	admStart := sbqa.TraceNow()
-	sc := getScratch()
-	defer putScratch(sc)
 	req := &sc.req
-	if !decodeJSON(w, r, sc, req) {
+	if err := unmarshal(body, req); err != nil {
+		sc.answerError(http.StatusBadRequest, err)
 		return
 	}
 	switch req.Wait {
 	case "", "none", "allocation", "results":
 	default:
-		writeError(w, http.StatusBadRequest,
+		sc.answerError(http.StatusBadRequest,
 			fmt.Errorf("unknown wait %q; use none, allocation or results", req.Wait))
 		return
 	}
-	// Tracing: adopt an inbound traceparent (a forwarded hop, or an
-	// upstream client carrying its own trace) or draw this node's sampling
-	// decision. A sampled context rides the request context so a cluster
-	// forward can propagate it and record the hop as a span.
+	// Tracing: adopt the trace context that came with the request (a
+	// forwarded hop, or an upstream client carrying its own trace) or draw
+	// this node's sampling decision. A sampled context goes along on a
+	// cluster forward, which records the hop as a span.
 	tr := eng.Tracer()
 	var tc sbqa.TraceContext
 	if tr != nil {
-		if inbound, ok := sbqa.ParseTraceparent(r.Header.Get(sbqa.TraceparentHeader)); ok {
-			tc = tr.StartRemote(inbound)
+		if !h.trace.ID.IsZero() {
+			tc = tr.StartRemote(h.trace)
 		} else {
 			tc, _ = tr.StartLocal()
 		}
-		if tc.Sampled {
-			r = r.WithContext(withTraceContext(r.Context(), tc))
-		}
 	}
-	if !g.routeOrForward(w, r, req.Consumer, sbqa.ClusterForwardPath, &g.cmx.fwdQueries, sc.body.Bytes()) {
+	if !g.routeOrForward(sc, h, req.Consumer, sbqa.ClusterFrameQuery, tc, body) {
 		return
 	}
 	if req.N < 1 {
@@ -561,7 +619,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				})
 				tr.Finish(tc.ID, "rejected", "rate_limited", nil)
 			}
-			writeRetryable(w, http.StatusTooManyRequests, rejectJSON{
+			sc.answerRetryable(http.StatusTooManyRequests, rejectJSON{
 				Error:        "rate_limited",
 				Scope:        d.Scope,
 				Class:        d.Class,
@@ -599,11 +657,10 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		qopts = append(qopts, sbqa.WithDeadline(deadlineFromMS(req.DeadlineMS)))
 	}
 	// Submit on a context no request owns: once the gateway accepts a query
-	// its lifecycle must not be tied to the HTTP request — net/http cancels
-	// r.Context() the moment the handler returns, which would make
-	// wait:"none" submissions fail dispatch before the shard ever picked
-	// them up. The request context still bounds how long the caller waits
-	// below.
+	// its lifecycle must not be tied to the request that brought it —
+	// net/http cancels r.Context() the moment the handler returns, which
+	// would make wait:"none" submissions fail dispatch before the shard ever
+	// picked them up. The hop still bounds how long the caller waits below.
 	t := eng.Submit(context.Background(), q, qopts...)
 
 	resp := queryResponse{QueryID: int64(t.Query().ID)}
@@ -616,16 +673,16 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case <-t.Done():
 			if _, err := t.Allocation(); err != nil {
 				if se, ok := sbqa.AsShedError(err); ok {
-					writeShed(w, se)
+					sc.answerShed(se)
 					return
 				}
 			}
 		default:
 		}
-		writeQueryResponse(w, http.StatusAccepted, sc, &resp)
+		sc.answerQuery(http.StatusAccepted, &resp)
 		return
 	case "results":
-		results, err := t.Await(r.Context())
+		results, err := sc.await(t, h)
 		lifeErr = err
 		if err != nil {
 			resp.Error = err.Error()
@@ -649,12 +706,35 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if resp.Error != "" && resp.Selected == nil {
 		if se, ok := sbqa.AsShedError(lifeErr); ok {
-			writeShed(w, se)
+			sc.answerShed(se)
 			return
 		}
 		status = http.StatusConflict
 	}
-	writeQueryResponse(w, status, sc, &resp)
+	sc.answerQuery(status, &resp)
+}
+
+// await is Ticket.Await under the hop's bounds: the caller's context and,
+// for a forwarded frame, the budget its sender had left — on the scratch's
+// own timer, so that a frame costs no context of its own.
+func (sc *scratch) await(t *sbqa.Ticket, h hop) ([]sbqa.LiveResult, error) {
+	if h.budget <= 0 {
+		return t.Await(h.ctx)
+	}
+	if sc.timer == nil {
+		sc.timer = time.NewTimer(h.budget)
+	} else {
+		sc.timer.Reset(h.budget)
+	}
+	defer sc.timer.Stop()
+	select {
+	case <-t.Done():
+		return t.Await(h.ctx) // done: returns at once
+	case <-h.ctx.Done():
+		return nil, h.ctx.Err()
+	case <-sc.timer.C:
+		return nil, context.DeadlineExceeded
+	}
 }
 
 // deadlineFromMS converts a deadline_ms to a Duration, saturating where the
@@ -680,20 +760,19 @@ type rejectJSON struct {
 	RetryAfterMS float64 `json:"retry_after_ms,omitempty"`
 }
 
-// writeRetryable answers one refusal with a Retry-After header (whole
-// seconds, rounded up, only when the hint is finite) and the structured
-// body.
-func writeRetryable(w http.ResponseWriter, status int, body rejectJSON) {
+// answerRetryable answers one refusal with a Retry-After (whole seconds,
+// rounded up, only when the hint is finite) and the structured body.
+func (sc *scratch) answerRetryable(status int, body rejectJSON) {
+	sc.answer(status, body)
 	if sec := body.RetryAfterMS / 1000; sec > 0 && !math.IsInf(sec, 1) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(sec))))
+		sc.retryAfter = int(min(math.Ceil(sec), math.MaxInt32))
 	}
-	writeJSON(w, status, body)
 }
 
-// writeShed maps a load-shed ticket to 503: the refusal is the engine
+// answerShed maps a load-shed ticket to 503: the refusal is the engine
 // protecting itself under overload, not a client error.
-func writeShed(w http.ResponseWriter, se *sbqa.ShedError) {
-	writeRetryable(w, http.StatusServiceUnavailable, rejectJSON{
+func (sc *scratch) answerShed(se *sbqa.ShedError) {
+	sc.answerRetryable(http.StatusServiceUnavailable, rejectJSON{
 		Error:        "shed",
 		Class:        se.Class,
 		Reason:       se.Reason,
@@ -808,14 +887,14 @@ func (g *gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !self {
 			if r.Header.Get(sbqa.ClusterForwardedFromHeader) != "" {
 				g.cmx.notOwner.Add(1)
-				writeRoutedError(w, "not_owner", owner,
-					fmt.Errorf("consumer %d is owned by node %s", id, owner.ID))
+				writeJSON(w, http.StatusServiceUnavailable, routedError("not_owner", owner,
+					fmt.Errorf("consumer %d is owned by node %s", id, owner.ID)))
 				return
 			}
 			if rerr != nil {
 				g.cmx.peerDown.Add(1)
-				writeRoutedError(w, "peer_down", owner,
-					fmt.Errorf("consumer %d is owned by node %s, which is down", id, owner.ID))
+				writeJSON(w, http.StatusServiceUnavailable, routedError("peer_down", owner,
+					fmt.Errorf("consumer %d is owned by node %s, which is down", id, owner.ID)))
 				return
 			}
 			g.proxySSE(w, r, owner, c)

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,13 +33,22 @@ func goroutineStacks() map[string]string {
 }
 
 // TestNodeCloseLeavesNoGoroutines: a node that has been heartbeating one
-// live and one dead peer and shipping its journal to the live one has
-// nothing running once Close returns — the loops, their per-round probe
-// goroutines and the failover replay all finish under it.
+// live and one dead peer, shipping its journal to the live one and forwarding
+// to it over a link — with calls still in flight — has nothing running once
+// Close returns: the loops, their per-round probe goroutines, the failover
+// replay and the link's reader all finish under it, and the pending calls
+// fail. Nor does the node at the link's other end keep anything: the frames it
+// was serving end with the link, and its own Close finds them gone.
 func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
+	var parked sync.WaitGroup
 	follower, err := New(func() Config {
 		cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.invalid"})
 		cfg.StateDir = t.TempDir()
+		cfg.Serve = func(ctx context.Context, _ string, _, reply *Frame) {
+			parked.Done()
+			<-ctx.Done() // a wait:"results" on a worker that never delivers
+			reply.Status = http.StatusConflict
+		}
 		return cfg
 	}())
 	if err != nil {
@@ -60,11 +71,34 @@ func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
+	const inFlight = 4
+	parked.Add(inFlight)
+	calls := make(chan error, inFlight)
+	for i := 0; i < inFlight; i++ {
+		go func() {
+			call, err := node.Forward(context.Background(), Peer{ID: "b", Addr: srv.URL}, FrameQuery, model.TraceContext{}, []byte("{}"))
+			if err == nil {
+				call.Release()
+			}
+			calls <- err
+		}()
+	}
+	parked.Wait()
 	waitFor(t, "segment shipped and the dead peer noticed", func() bool {
 		seqs, _ := follower.HeldSegments("a")
 		return len(seqs) >= 1 && node.mem.health("dead") == HealthDown
 	})
 	node.Close()
+	for i := 0; i < inFlight; i++ {
+		if err := <-calls; err == nil {
+			t.Error("a call in flight when the node closed got an answer")
+		}
+	}
+	if call, err := node.Forward(context.Background(), Peer{ID: "b", Addr: srv.URL}, FrameQuery, model.TraceContext{}, nil); err == nil {
+		call.Release()
+		t.Error("a closed node forwarded")
+	}
+	follower.Close() // the frames it served for the closed node are gone already, or this hangs
 
 	var leaked []string
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -40,14 +42,16 @@ const (
 	// held for ?origin=<node>, POST ?origin=<node>&seq=<n> stores one
 	// segment (raw journal bytes as the body).
 	SegmentsPath = "/v1/internal/segments"
-	// ForwardPath accepts query submissions forwarded from a non-owner
-	// gateway; ForwardConsumersPath the same for consumer registration.
-	ForwardPath          = "/v1/internal/forward"
-	ForwardConsumersPath = "/v1/internal/forward/consumers"
-	// ForwardedFromHeader carries the sender's node ID on a forwarded
-	// request. Its presence means "do not forward again": a receiver
-	// that still disagrees about ownership answers ErrNotOwner rather
-	// than risking a routing loop between nodes with divergent rings.
+	// ForwardPath is where a peer opens its link (link.go): a GET that
+	// upgrades the connection, after which every query submission and
+	// consumer registration forwarded from that non-owner gateway is a
+	// frame on it.
+	ForwardPath = "/v1/internal/forward"
+	// ForwardedFromHeader carries the sender's node ID on a link's
+	// upgrade request and on a proxied SSE subscription. What arrives
+	// under it is never forwarded again: a receiver that still disagrees
+	// about ownership answers ErrNotOwner rather than risking a routing
+	// loop between nodes with divergent rings.
 	ForwardedFromHeader = "X-Sbqa-Forwarded-From"
 )
 
@@ -105,6 +109,13 @@ type Config struct {
 	// Client issues heartbeats and segment transfers; nil for a
 	// dedicated default client.
 	Client *http.Client
+	// Dial opens the connection a link to a peer runs on — the peer
+	// transport's one seam (tests hand out net.Pipe ends); nil dials the
+	// host of the peer's base URL.
+	Dial func(ctx context.Context, p Peer) (net.Conn, error)
+	// Serve answers the request frames of the links peers open to this
+	// node; nil refuses links.
+	Serve LinkHandler
 	// Logf for operational messages; nil for silence.
 	Logf func(format string, args ...any)
 }
@@ -138,6 +149,9 @@ func (c *Config) withDefaults() Config {
 	if out.Client == nil {
 		out.Client = &http.Client{}
 	}
+	if out.Dial == nil {
+		out.Dial = dialPeer
+	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
@@ -152,6 +166,9 @@ type Node struct {
 	mem  *membership
 	tr   *transport
 	repl *replicator
+	// links carries forwarded client traffic: one outbound link per peer,
+	// and the links peers opened to this node.
+	links links
 
 	startOnce sync.Once
 	stop      chan struct{}
@@ -196,6 +213,8 @@ func New(cfg Config) (*Node, error) {
 		replayErrs: make(map[string]string),
 	}
 	n.tr = &transport{client: c.Client, self: c.Self.ID}
+	n.links = links{out: make(map[string]*link), in: make(map[*inLink]struct{})}
+	n.links.ctx, n.links.cancel = context.WithCancel(context.Background())
 	n.mem = newMembership(c.Self.ID, c.Peers, c.VNodes, c.SuspectAfter, c.DownAfter, n.onPeerTransition)
 	if c.Store != nil && c.StateDir != "" {
 		n.repl = newReplicator(n)
@@ -217,11 +236,13 @@ func (n *Node) Start() {
 	})
 }
 
-// Close stops the loops and waits for them. Idempotent.
+// Close stops the loops, ends every link — pending forwards fail, frames
+// being served answer first — and waits for all of it. Idempotent.
 func (n *Node) Close() {
 	if n.closed.CompareAndSwap(false, true) {
 		close(n.stop)
 	}
+	n.closeLinks()
 	n.wg.Wait()
 }
 
@@ -278,6 +299,7 @@ func (n *Node) onPeerTransition(p Peer, from, to Health, lastErr string) {
 		Err:  lastErr,
 	})
 	if to == HealthDown {
+		n.failLink(p.ID, ErrPeerDown)
 		n.failover(p.ID)
 	}
 }
@@ -328,10 +350,16 @@ func (n *Node) failover(origin string) {
 // directory name under ReplicaDir, so nothing else may reach the
 // filesystem.
 func (n *Node) CheckOrigin(origin string) error {
-	if origin == "" || origin == n.cfg.Self.ID || !n.full.Contains(origin) {
+	if !n.otherMember(origin) {
 		return fmt.Errorf("cluster: refusing segment from unknown origin %q", origin)
 	}
 	return nil
+}
+
+// otherMember reports whether id names a member of the full ring other than
+// this node — the only senders a segment or a link is accepted from.
+func (n *Node) otherMember(id string) bool {
+	return id != "" && id != n.cfg.Self.ID && n.full.Contains(id)
 }
 
 // HeldSegments lists the replicated segment seqs stored for origin —

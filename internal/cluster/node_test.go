@@ -20,10 +20,12 @@ import (
 )
 
 // serveNode exposes a node's intra-cluster surface the way the daemon
-// does: healthz plus the segments inventory/acceptance endpoints.
+// does: healthz, the segments inventory/acceptance endpoints and the link
+// upgrade.
 func serveNode(t *testing.T, n *Node) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+ForwardPath, n.AcceptLink)
 	mux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})

@@ -18,8 +18,7 @@ import (
 
 // transport is the intra-cluster HTTP client: heartbeat probes and WAL
 // segment transfers. Forwarded client traffic does not pass through
-// here — the gateway proxies it directly so the client's own deadline
-// and body stream through untouched.
+// here — it rides the peer links (link.go).
 type transport struct {
 	client *http.Client
 	self   string

@@ -445,23 +445,35 @@ type (
 	ClusterNode = cluster.Node
 	// ClusterRing is the immutable consistent-hash ring itself.
 	ClusterRing = cluster.Ring
+	// ClusterFrame is one frame of a peer link: a forwarded request (the
+	// client's own bytes plus trace context and remaining budget) or the
+	// owner's reply to one (status, Retry-After, response bytes).
+	ClusterFrame = cluster.Frame
+	// ClusterFrameKind tells a link's request frames apart.
+	ClusterFrameKind = cluster.FrameKind
 )
 
-// Intra-cluster HTTP contract: the paths a clustered daemon mounts, and the
-// loop-prevention header on forwarded requests.
+// Intra-cluster contract: the paths a clustered daemon mounts, the
+// loop-prevention header, and what a peer link's request frame can be.
 const (
 	// ClusterSegmentsPath serves WAL replication (GET inventory, POST one
 	// raw segment).
 	ClusterSegmentsPath = cluster.SegmentsPath
-	// ClusterForwardPath accepts query submissions forwarded from a
-	// non-owner gateway; ClusterForwardConsumersPath the same for
-	// consumer registration.
-	ClusterForwardPath          = cluster.ForwardPath
-	ClusterForwardConsumersPath = cluster.ForwardConsumersPath
-	// ClusterForwardedFromHeader carries the sender's node ID on a
-	// forwarded request: one hop only, a receiver that still disagrees
-	// about ownership answers a typed error instead of re-forwarding.
+	// ClusterForwardPath is where a non-owner gateway opens its peer link
+	// (an HTTP Upgrade); forwarded query submissions and consumer
+	// registrations then travel as frames on it.
+	ClusterForwardPath = cluster.ForwardPath
+	// ClusterForwardedFromHeader carries the sender's node ID on a link's
+	// upgrade request and a proxied SSE subscription: one hop only, a
+	// receiver that still disagrees about ownership answers a typed error
+	// instead of re-forwarding.
 	ClusterForwardedFromHeader = cluster.ForwardedFromHeader
+	// ClusterFrameQuery and ClusterFrameConsumer are the two request kinds:
+	// the body of a POST /v1/queries and of a POST /v1/consumers.
+	ClusterFrameQuery    = cluster.FrameQuery
+	ClusterFrameConsumer = cluster.FrameConsumer
+	// ClusterMaxFrameBody bounds a frame's body, and so a request body.
+	ClusterMaxFrameBody = cluster.MaxFrameBody
 )
 
 // NewClusterNode validates cfg and builds an inert cluster node; call its

@@ -125,11 +125,16 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ *ClusterNode = node
-	for _, s := range []string{ClusterSegmentsPath, ClusterForwardPath, ClusterForwardConsumersPath, ClusterForwardedFromHeader} {
+	for _, s := range []string{ClusterSegmentsPath, ClusterForwardPath, ClusterForwardedFromHeader} {
 		if s == "" {
 			t.Error("empty cluster contract constant")
 		}
 	}
+	var _ = ClusterFrame{Kind: ClusterFrameQuery}
+	if ClusterFrameQuery == ClusterFrameConsumer || ClusterMaxFrameBody < 1 {
+		t.Error("peer-link frame kinds collide or the frame holds nothing")
+	}
+	var _ ClusterFrameKind = ClusterFrameConsumer
 
 	// Tracing.
 	tc, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
