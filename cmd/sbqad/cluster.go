@@ -4,8 +4,9 @@ package main
 // static mediation cluster. A consistent-hash ring over consumer IDs
 // decides which node owns each consumer; this file is the gateway half
 // of that contract — transparent forwarding of misrouted traffic to the
-// owner, the /v1/cluster control surface, and the intra-cluster
-// replication endpoints the internal/cluster node drives.
+// owner, the route a peer opens its link on (which then also carries the
+// heartbeats and WAL shipping the internal/cluster node drives), and the
+// /v1/cluster control surface.
 
 import (
 	"context"
@@ -15,7 +16,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -259,66 +259,6 @@ func (g *gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, g.node.Status())
-}
-
-// maxSegmentBody bounds one shipped WAL segment; segments rotate at a
-// few MiB, so far below this.
-const maxSegmentBody = 256 << 20
-
-// handleSegmentsGet lists the segment seqs held for ?origin=<node> —
-// the shipping handshake's inventory side.
-func (g *gateway) handleSegmentsGet(w http.ResponseWriter, r *http.Request) {
-	if g.node == nil {
-		writeError(w, http.StatusNotFound, errors.New("cluster mode disabled"))
-		return
-	}
-	origin := r.URL.Query().Get("origin")
-	if err := g.node.CheckOrigin(origin); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	seqs, err := g.node.HeldSegments(origin)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if seqs == nil {
-		seqs = []uint64{}
-	}
-	writeJSON(w, http.StatusOK, map[string][]uint64{"seqs": seqs})
-}
-
-// handleSegmentsPost accepts one shipped WAL segment (raw journal bytes
-// as the body) for ?origin=<node>&seq=<n>. Validation and atomic
-// placement happen in the cluster node; a bad transfer is a 400 that names
-// origin and seq, a failure of this node's own disk a 500, and neither
-// leaves anything behind.
-func (g *gateway) handleSegmentsPost(w http.ResponseWriter, r *http.Request) {
-	if g.node == nil {
-		writeError(w, http.StatusNotFound, errors.New("cluster mode disabled"))
-		return
-	}
-	origin := r.URL.Query().Get("origin")
-	seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad seq: %w", err))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSegmentBody)
-	refused, err := g.node.AcceptSegment(origin, seq, r.Body)
-	if err != nil {
-		// The node's own disk, not the upload: the cause names local paths,
-		// so it goes to the log and the sender gets the bare fact (and
-		// retries at its next replication round).
-		log.Printf("sbqad: storing segment %d from %q: %v", seq, origin, err)
-		writeError(w, http.StatusInternalServerError, errors.New("storing the segment failed on this node"))
-		return
-	}
-	if refused != nil {
-		writeError(w, http.StatusBadRequest, refused)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"seq": seq})
 }
 
 // proxySSE streams the owner's /v1/events to this gateway's subscriber

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -42,9 +44,12 @@ func startTestCluster(t testing.TB, n int, withState bool, opts ...sbqa.EngineOp
 	return startTestClusterDial(t, n, withState, nil, opts...)
 }
 
-// startTestClusterDial is startTestCluster with every node's peer links
-// opened through dial (nil: the real one).
-func startTestClusterDial(t testing.TB, n int, withState bool, dial func(context.Context, sbqa.ClusterPeer) (net.Conn, error), opts ...sbqa.EngineOption) []*testClusterNode {
+// peerDial opens the connection a peer link runs on.
+type peerDial = func(context.Context, sbqa.ClusterPeer) (net.Conn, error)
+
+// startTestClusterDial is startTestCluster with each node's peer links
+// opened through dialFrom(its ID) (nil: the real dial).
+func startTestClusterDial(t testing.TB, n int, withState bool, dialFrom func(self string) peerDial, opts ...sbqa.EngineOption) []*testClusterNode {
 	t.Helper()
 	nodes := make([]*testClusterNode, n)
 	for i := range nodes {
@@ -68,7 +73,9 @@ func startTestClusterDial(t testing.TB, n int, withState bool, dial func(context
 			heartbeatInterval: 20 * time.Millisecond,
 			heartbeatTimeout:  250 * time.Millisecond,
 			replicateInterval: 20 * time.Millisecond,
-			dial:              dial,
+		}
+		if dialFrom != nil {
+			cs.dial = dialFrom(cn.id)
 		}
 		o := append([]sbqa.EngineOption{}, opts...)
 		if withState {
@@ -305,29 +312,40 @@ func (c *linkTap) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// last returns the newest frame in each direction, decoded from what follows
-// the Upgrade exchange's blank line.
+// last returns the newest forwarded request in the tapped stream and the
+// owner's reply to it, decoded from what follows the Upgrade exchange's
+// blank line; the heartbeats riding the same link are skipped.
 func (c *linkTap) last(t *testing.T) (request, reply cluster.Frame) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	newest := func(stream []byte) (last cluster.Frame) {
-		_, frames, ok := bytes.Cut(stream, []byte("\r\n\r\n"))
+	frames := func(stream []byte) (out []cluster.Frame) {
+		_, rest, ok := bytes.Cut(stream, []byte("\r\n\r\n"))
 		if !ok {
 			t.Fatalf("no handshake in %q", stream)
 		}
-		for br := bufio.NewReader(bytes.NewReader(frames)); ; {
+		for br := bufio.NewReader(bytes.NewReader(rest)); ; {
 			var f cluster.Frame
 			if err := f.Decode(br); err != nil {
 				if err != io.EOF {
 					t.Fatalf("tapped stream: %v", err)
 				}
-				return last
+				return out
 			}
-			last = f
+			out = append(out, f)
 		}
 	}
-	return newest(c.sent.Bytes()), newest(c.received.Bytes())
+	for _, f := range frames(c.sent.Bytes()) {
+		if f.Kind != cluster.FramePing {
+			request = f
+		}
+	}
+	for _, f := range frames(c.received.Bytes()) {
+		if f.ID == request.ID {
+			reply = f
+		}
+	}
+	return request, reply
 }
 
 // TestClusterForwardRelaysRefusalsWhole: a 429 from the owner's token
@@ -339,16 +357,19 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	spec := sbqa.DefaultQoSSpec()
 	spec.ConsumerRate = 0.001 // one query per ~17 min: the second submit must reject
 	spec.ConsumerBurst = 1
-	var tap *linkTap // the entry node's link to the owner
-	dial := func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
-		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
-		if err != nil || p.ID != "n0" {
-			return conn, err
+	var tap atomic.Pointer[linkTap] // the entry node's link to the owner
+	dialFrom := func(self string) peerDial {
+		return func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
+			conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
+			if err != nil || self != "n1" || p.ID != "n0" {
+				return conn, err
+			}
+			lt := &linkTap{Conn: conn}
+			tap.Store(lt)
+			return lt, nil
 		}
-		tap = &linkTap{Conn: conn}
-		return tap, nil
 	}
-	nodes := startTestClusterDial(t, 3, false, dial, deterministicQoSOpts(spec)...)
+	nodes := startTestClusterDial(t, 3, false, dialFrom, deterministicQoSOpts(spec)...)
 	registerWorkers(t, nodes[0].srv.URL)
 	limited := consumerOwnedBy(t, nodes, 0, 0)
 	shed := consumerOwnedBy(t, nodes, 0, limited+1)
@@ -377,7 +398,7 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	if resp, body := post(first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first forwarded submit: %d %s", resp.StatusCode, body)
 	}
-	if sent, _ := tap.last(t); string(sent.Body) != first || sent.Kind != cluster.FrameQuery {
+	if sent, _ := tap.Load().last(t); string(sent.Body) != first || sent.Kind != cluster.FrameQuery {
 		t.Errorf("forwarded %q as kind %d, the client sent %q", sent.Body, sent.Kind, first)
 	}
 	for _, tc := range []struct {
@@ -388,7 +409,7 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 		{"shed", fmt.Sprintf(`{"consumer":%d,"n":1,"work":0.1,"deadline_ms":0.00001}`, shed), http.StatusServiceUnavailable},
 	} {
 		resp, body := post(tc.body)
-		_, owner := tap.last(t)
+		_, owner := tap.Load().last(t)
 		if resp.StatusCode != tc.status || owner.Status != tc.status {
 			t.Fatalf("%s: client saw %d, owner answered %d, want %d (%s)", tc.name, resp.StatusCode, owner.Status, tc.status, body)
 		}
@@ -404,30 +425,89 @@ func TestClusterForwardRelaysRefusalsWhole(t *testing.T) {
 	}
 }
 
+// stubPeer is a peer that is nothing but the far end of a link, handed out
+// by its dial: it takes the upgrade, answers every ping with a pong — all a
+// heartbeat needs to keep it Alive — and passes every other request frame to
+// onFrame, unanswered.
+type stubPeer struct {
+	onFrame func(*cluster.Frame)
+
+	mu      sync.Mutex
+	crashed bool
+	conns   []net.Conn
+}
+
+func (s *stubPeer) dial(context.Context, sbqa.ClusterPeer) (net.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.crashed {
+		return nil, errors.New("stub peer: connection refused")
+	}
+	ours, theirs := net.Pipe()
+	s.conns = append(s.conns, theirs)
+	go s.serve(theirs)
+	return ours, nil
+}
+
+func (s *stubPeer) serve(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	if _, err := http.ReadRequest(br); err != nil {
+		return
+	}
+	io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: sbqa-link/2\r\n\r\n")
+	for {
+		var f cluster.Frame
+		if f.Decode(br) != nil {
+			return
+		}
+		if f.Kind != cluster.FramePing {
+			if s.onFrame != nil {
+				s.onFrame(&f)
+			}
+			continue
+		}
+		pong := binary.BigEndian.AppendUint32(nil, 1+8+2+4) // kind, id, status, retry-after
+		pong = append(pong, byte(cluster.FrameReply))
+		pong = binary.BigEndian.AppendUint64(pong, f.ID)
+		pong = binary.BigEndian.AppendUint16(pong, http.StatusOK)
+		conn.Write(binary.BigEndian.AppendUint32(pong, 0))
+	}
+}
+
+// crash drops the stub's links and refuses every dial after.
+func (s *stubPeer) crash() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.crashed = true
+	for _, c := range s.conns {
+		c.Close()
+	}
+}
+
 // TestClusterForwardAnswersPeerDown: when the owner is unreachable the
 // non-owner must answer a typed 503 peer_down promptly, not hang.
 func TestClusterForwardAnswersPeerDown(t *testing.T) {
-	// A fake peer that is healthy at boot, then vanishes. The huge
+	// A stub peer that is healthy at boot, then vanishes. The huge
 	// heartbeat interval freezes membership after the first probe round,
-	// so the peer stays Alive on the ring while its socket is dead —
+	// so the peer stays Alive on the ring while its link is dead —
 	// exactly the window between a crash and its detection.
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
+	stub := &stubPeer{}
 	g := newGatewayShell()
 	srv := httptest.NewServer(g.handler())
 	defer srv.Close()
 	cs := &clusterSettings{
 		nodeID:            "a",
-		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: fake.URL}},
+		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: "http://b.test"}},
 		heartbeatInterval: time.Hour,
 		heartbeatTimeout:  time.Second,
+		dial:              stub.dial,
 	}
 	if err := g.init(cs, deterministicOpts()...); err != nil {
 		t.Fatal(err)
 	}
 	defer g.close()
-	fake.Close() // crash the owner
+	stub.crash() // crash the owner
 
 	c := 0
 	for ; ; c++ {
@@ -455,41 +535,18 @@ func TestClusterForwardAnswersPeerDown(t *testing.T) {
 // a wait:"results" ends no later than the budget its frame carried, however
 // slow the worker.
 func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
-	// The owner's health endpoint, so that it stays on the ring.
-	health := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer health.Close()
-	// Its link: a stub that takes the upgrade, reads every frame and answers
-	// none.
+	// The owner: a stub that answers pings, so that it stays on the ring,
+	// and reads every forwarded frame and answers none.
 	budgets := make(chan time.Duration, 1)
-	dial := func(context.Context, sbqa.ClusterPeer) (net.Conn, error) {
-		ours, theirs := net.Pipe()
-		go func() {
-			defer theirs.Close()
-			br := bufio.NewReader(theirs)
-			if _, err := http.ReadRequest(br); err != nil {
-				return
-			}
-			io.WriteString(theirs, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: sbqa-link/1\r\n\r\n")
-			for {
-				var f cluster.Frame
-				if f.Decode(br) != nil {
-					return
-				}
-				budgets <- f.Budget
-			}
-		}()
-		return ours, nil
-	}
+	stub := &stubPeer{onFrame: func(f *cluster.Frame) { budgets <- f.Budget }}
 
 	g := newGatewayShell()
 	cs := &clusterSettings{
 		nodeID:            "a",
-		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: health.URL}},
+		peers:             []sbqa.ClusterPeer{{ID: "b", Addr: "http://b.test"}},
 		heartbeatInterval: time.Hour,
 		heartbeatTimeout:  time.Second,
-		dial:              dial,
+		dial:              stub.dial,
 	}
 	if err := g.init(cs, deterministicOpts()...); err != nil {
 		t.Fatal(err)
@@ -813,12 +870,16 @@ func TestClusterEventsRoutedSubscription(t *testing.T) {
 // link is invisible to the HTTP server, so the gateway must end it itself.
 func TestClusterLinkParkedWaitAndShutdown(t *testing.T) {
 	before := settledGoroutines(func() bool { return true })
-	var dials atomic.Int32
-	dial := func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
-		dials.Add(1)
-		return (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
+	var dials atomic.Int32 // the entry's; the owner's link to it carries only the owner's heartbeats
+	dialFrom := func(self string) peerDial {
+		return func(ctx context.Context, p sbqa.ClusterPeer) (net.Conn, error) {
+			if self == "n1" {
+				dials.Add(1)
+			}
+			return (&net.Dialer{}).DialContext(ctx, "tcp", strings.TrimPrefix(p.Addr, "http://"))
+		}
 	}
-	nodes := startTestClusterDial(t, 2, false, dial, deterministicOpts()...)
+	nodes := startTestClusterDial(t, 2, false, dialFrom, deterministicOpts()...)
 	owner, entry := nodes[0], nodes[1]
 	// One worker that needs a quarter of an hour per unit of work.
 	postJSON(t, owner.srv.URL+"/v1/workers", workerRequest{ID: 1, Capacity: 0.001, Intention: 0.5}, nil)

@@ -59,11 +59,11 @@
 // node, requests landing on a non-owner are transparently forwarded — the
 // client's own bytes to the owner, the owner's whole answer (status,
 // Retry-After, body) back — as frames on one persistent connection per peer
-// pair, which the non-owner opens by an HTTP Upgrade at
-// GET /v1/internal/forward on the owner's ordinary listener, and with
-// -state-dir each node ships its sealed satisfaction WAL segments to its
-// ring followers (POST /v1/internal/segments) so a node failure loses at
-// most the unsynced journal tail. A request whose owner is down or whose
+// pair, which a node opens by an HTTP Upgrade at GET /v1/internal/forward on
+// the peer's ordinary listener. The same link carries the heartbeats and,
+// with -state-dir, the sealed satisfaction WAL segments each node ships to
+// its ring followers, so a node failure loses at most the unsynced journal
+// tail. A request whose owner is down or whose
 // link to it breaks answers a typed 503 {"code":"peer_down"}; a forwarded
 // request that lands on a node that still disagrees about ownership answers
 // {"code":"not_owner"} rather than risking a forwarding loop.

@@ -271,8 +271,6 @@ func (g *gateway) handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/readyz", g.handleReadyz)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
-	mux.HandleFunc("GET "+sbqa.ClusterSegmentsPath, g.handleSegmentsGet)
-	mux.HandleFunc("POST "+sbqa.ClusterSegmentsPath, g.handleSegmentsPost)
 	mux.HandleFunc("GET "+sbqa.ClusterForwardPath, g.handleLink)
 	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)

@@ -34,38 +34,32 @@ func goroutineStacks() map[string]string {
 
 // TestNodeCloseLeavesNoGoroutines: a node that has been heartbeating one
 // live and one dead peer, shipping its journal to the live one and forwarding
-// to it over a link — with calls still in flight — has nothing running once
-// Close returns: the loops, their per-round probe goroutines, the failover
-// replay and the link's reader all finish under it, and the pending calls
-// fail. Nor does the node at the link's other end keep anything: the frames it
-// was serving end with the link, and its own Close finds them gone.
+// to it — all over the one link to it, with calls still in flight — has
+// nothing running once Close returns: the loops, their per-round probe
+// goroutines, the failover replay and the link's reader all finish under it,
+// and the pending calls fail. Nor does the node at the link's other end keep
+// anything: the frames it was serving end with the link, and its own Close
+// finds them gone.
 func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 	var parked sync.WaitGroup
-	follower, err := New(func() Config {
-		cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.invalid"})
-		cfg.StateDir = t.TempDir()
-		cfg.Serve = func(ctx context.Context, _ string, _, reply *Frame) {
-			parked.Done()
-			<-ctx.Done() // a wait:"results" on a worker that never delivers
-			reply.Status = http.StatusConflict
-		}
-		return cfg
-	}())
-	if err != nil {
-		t.Fatal(err)
+	fCfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
+	fCfg.StateDir = t.TempDir()
+	fCfg.Serve = func(ctx context.Context, _ string, _, reply *Frame) {
+		parked.Done()
+		<-ctx.Done() // a wait:"results" on a worker that never delivers
+		reply.Status = http.StatusConflict
 	}
-	defer follower.Close()
-	srv := serveNode(t, follower) // its goroutines are not the node's
+	follower := newNode(t, fCfg)
+	mn := newMemNet()
+	mn.serveNode(t, follower) // its server's goroutines are not the node's
 
 	store, _ := newStoreWithRecords(t, t.TempDir(), []model.ConsumerID{1, 2, 3})
 	defer store.Close()
 	before := goroutineStacks()
-	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: srv.URL}, Peer{ID: "dead", Addr: "http://127.0.0.1:1"})
+	cfg := fastConfig(Peer{ID: "a"}, peerB, Peer{ID: "dead", Addr: "http://dead.test"})
 	cfg.StateDir = t.TempDir()
 	cfg.Store = store
-	// No idle connection (and its read loop) outlives a request: what is
-	// left after Close is then the node's own or nothing.
-	cfg.Client = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	cfg.Dial = mn.dial
 	node, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +70,7 @@ func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 	calls := make(chan error, inFlight)
 	for i := 0; i < inFlight; i++ {
 		go func() {
-			call, err := node.Forward(context.Background(), Peer{ID: "b", Addr: srv.URL}, FrameQuery, model.TraceContext{}, []byte("{}"))
+			call, err := node.Forward(context.Background(), peerB, FrameQuery, model.TraceContext{}, []byte("{}"))
 			if err == nil {
 				call.Release()
 			}
@@ -85,8 +79,8 @@ func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 	}
 	parked.Wait()
 	waitFor(t, "segment shipped and the dead peer noticed", func() bool {
-		seqs, _ := follower.HeldSegments("a")
-		return len(seqs) >= 1 && node.mem.health("dead") == HealthDown
+		seqs, _ := follower.heldSegments("a")
+		return len(seqs) >= 1 && health(node, "dead") == HealthDown
 	})
 	node.Close()
 	for i := 0; i < inFlight; i++ {
@@ -94,7 +88,7 @@ func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 			t.Error("a call in flight when the node closed got an answer")
 		}
 	}
-	if call, err := node.Forward(context.Background(), Peer{ID: "b", Addr: srv.URL}, FrameQuery, model.TraceContext{}, nil); err == nil {
+	if call, err := node.Forward(context.Background(), peerB, FrameQuery, model.TraceContext{}, nil); err == nil {
 		call.Release()
 		t.Error("a closed node forwarded")
 	}

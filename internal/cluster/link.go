@@ -1,24 +1,29 @@
 package cluster
 
-// The peer link: one persistent connection per (entry node → owner) pair
-// that carries every forwarded submit and consumer registration as a
-// length-prefixed frame, pipelined by request ID so replies return in any
-// order. It is opened lazily by an HTTP Upgrade on the owner's ordinary
-// listener (ForwardPath), so a cluster needs no second port, and it replaces
-// a whole HTTP exchange per hop — client transport, request and header
-// objects, the owner's net/http and mux — with two pooled slots and two
-// buffered writes.
+// The peer link: one persistent connection per (node → peer) pair that
+// carries all traffic between the two — every forwarded submit and consumer
+// registration, the heartbeats and WAL segment shipping — as length-prefixed
+// frames, pipelined by request ID so replies return in any order. It is
+// opened lazily by an HTTP Upgrade on the peer's ordinary listener
+// (ForwardPath), so a cluster needs no second port, and it replaces a whole
+// HTTP exchange per hop — client transport, request and header objects, the
+// owner's net/http and mux — with two pooled slots and two buffered writes.
 //
 // A frame is a 4-byte big-endian payload length and the payload:
 //
-//	request  kind(1: query 1, consumer 2) id(8) budget-ns(8)
-//	         trace-hi(8) trace-lo(8) span(8) flags(1: bit 0 sampled) body
+//	request  kind(1: query 1, consumer 2, ping 4, held 5, segment 6) id(8)
+//	         budget-ns(8) trace-hi(8) trace-lo(8) span(8)
+//	         flags(1: bit 0 sampled) body
 //	reply    kind(1: 3) id(8) status(2) retry-after-s(4) body
 //
 // The sender's node ID is not in the frame: the Upgrade request names it
 // once, the receiver checks it against the ring before it hijacks, and every
-// frame on the link is that node's. Bodies are the client's own bytes one
-// way and the owner's response bytes the other; nothing is re-encoded.
+// frame on the link is that node's. A query's or consumer's body is the
+// client's own bytes one way and the owner's response bytes the other;
+// nothing is re-encoded. A ping's body is empty and its pong a 200; a held
+// reply lists the sender's segments the receiver holds, 8 bytes a seq; a
+// segment chunk's body is seq(8) offset(8) last(1) and at most a pooled
+// frame's worth of the file.
 
 import (
 	"bufio"
@@ -50,13 +55,18 @@ const (
 	// own cap on a request body, so whatever a client may send fits.
 	MaxFrameBody = 1 << 20
 
-	linkProtocol     = "sbqa-link/1"
+	linkProtocol     = "sbqa-link/2"
 	requestHeaderLen = 1 + 8 + 8 + 8 + 8 + 8 + 1
 	replyHeaderLen   = 1 + 8 + 2 + 4
 	maxFrame         = requestHeaderLen + MaxFrameBody
 	// maxPooledFrame is the largest buffer a pooled slot keeps: a rare
 	// megabyte body must not pin a megabyte per slot.
 	maxPooledFrame = 64 << 10
+	// chunkHeaderLen leads a segment chunk's body; segmentChunk is the most
+	// file data a chunk carries, so that its frame fits a pooled buffer and
+	// a forward waits behind at most that much on the write lock.
+	chunkHeaderLen = 8 + 8 + 1
+	segmentChunk   = maxPooledFrame - requestHeaderLen - chunkHeaderLen
 	// maxLinkInFlight bounds the frames one inbound link serves at once, each
 	// on its own goroutine; past it the read loop waits and TCP pushes back.
 	// An entry node forwards one frame per client request in flight, so this
@@ -73,7 +83,10 @@ type FrameKind uint8
 const (
 	FrameQuery    FrameKind = 1 // request: the body of a POST /v1/queries
 	FrameConsumer FrameKind = 2 // request: the body of a POST /v1/consumers
-	FrameReply    FrameKind = 3 // the owner's answer to the request of the same ID
+	FrameReply    FrameKind = 3 // the answer to the request of the same ID
+	FramePing     FrameKind = 4 // request: a heartbeat, answered 200
+	FrameHeld     FrameKind = 5 // request: the seqs of the sender's segments held here
+	FrameSegment  FrameKind = 6 // request: one chunk of a sealed segment of the sender's
 )
 
 // errFrame is any frame a peer should not have sent: the link ends on it.
@@ -130,7 +143,7 @@ func (f *Frame) Decode(br *bufio.Reader) error {
 	}
 	f.Kind, f.ID = FrameKind(p[0]), binary.BigEndian.Uint64(p[1:])
 	switch f.Kind {
-	case FrameQuery, FrameConsumer:
+	case FrameQuery, FrameConsumer, FramePing, FrameHeld, FrameSegment:
 		if n < requestHeaderLen {
 			return fmt.Errorf("%w: request of %d bytes", errFrame, n)
 		}
@@ -357,8 +370,9 @@ func (l *link) readLoop() error {
 	}
 }
 
-// LinkHandler answers one request frame, on that frame's own goroutine: it
-// sets reply's Status and RetryAfter and appends the response to reply.Body.
+// LinkHandler answers one forwarded query or consumer frame — the node
+// answers the other kinds itself — on that frame's own goroutine: it sets
+// reply's Status and RetryAfter and appends the response to reply.Body.
 // from is the node at the other end; ctx ends when the link does. req.Body is
 // the link's buffer and dead once the handler returns.
 type LinkHandler func(ctx context.Context, from string, req, reply *Frame)
@@ -407,9 +421,9 @@ func dialPeer(ctx context.Context, p Peer) (net.Conn, error) {
 	return (&net.Dialer{}).DialContext(ctx, "tcp", host)
 }
 
-// Forward sends one client request to peer over the link to it — starting
-// one if none is up — and returns the owner's answer, which the caller
-// Releases once written out. body is copied into the link's buffer before
+// Forward sends one request frame to peer over the link to it — starting
+// one if none is up — and returns the peer's answer, which the caller
+// Releases once done with it. body is copied into the link's buffer before
 // Forward returns. An error means no answer came: the link could not be
 // opened, broke, or stayed silent until ctx or ForwardTimeout ran out.
 func (n *Node) Forward(ctx context.Context, peer Peer, kind FrameKind, tc model.TraceContext, body []byte) (*Call, error) {
@@ -515,13 +529,11 @@ func (n *Node) openLink(ctx context.Context, p Peer) (net.Conn, *bufio.Reader, e
 // AcceptLink serves the Upgrade request of a peer's link on ForwardPath and
 // then the link itself, returning when it ends. Anything but this protocol
 // from another member of the ring is a 400 before the connection is taken
-// over.
+// over: the sender's ID names its replica directory, so nothing else may
+// reach the file system.
 func (n *Node) AcceptLink(w http.ResponseWriter, r *http.Request) {
 	from := r.Header.Get(ForwardedFromHeader)
 	switch {
-	case n.cfg.Serve == nil:
-		http.Error(w, "cluster: this node serves no links", http.StatusNotFound)
-		return
 	case !strings.EqualFold(r.Header.Get("Upgrade"), linkProtocol):
 		http.Error(w, "cluster: expected an Upgrade to "+linkProtocol, http.StatusBadRequest)
 		return
@@ -595,7 +607,16 @@ func (n *Node) serveFrame(l *inLink, x *exchange) {
 		x.req.Budget = ForwardTimeout // nothing a peer sends makes this end wait longer
 	}
 	x.reply = Frame{Kind: FrameReply, ID: x.req.ID, Body: x.reply.Body[:0]}
-	n.cfg.Serve(l.ctx, l.from, &x.req, &x.reply)
+	switch x.req.Kind {
+	case FramePing:
+		x.reply.Status = http.StatusOK
+	case FrameHeld:
+		n.serveHeld(l.from, &x.reply)
+	case FrameSegment:
+		n.serveSegment(l.from, x.req.Body, &x.reply)
+	default:
+		n.cfg.Serve(l.ctx, l.from, &x.req, &x.reply)
+	}
 	if len(x.reply.Body) > MaxFrameBody {
 		x.reply.Status, x.reply.RetryAfter = http.StatusInternalServerError, 0
 		x.reply.Body = append(x.reply.Body[:0], "{\"error\":\"response exceeds the link's frame limit\"}\n"...)

@@ -7,10 +7,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,26 +90,12 @@ func linkPair(t *testing.T, serve LinkHandler) (entry, owner *Node, pn *pipeNet)
 	pn = newPipeNet()
 	ownerCfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
 	ownerCfg.Serve = serve
-	owner, err := New(ownerCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+ForwardPath, owner.AcceptLink)
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(pn)
-	entryCfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
+	owner = newNode(t, ownerCfg)
+	serveOn(t, pn, owner.AcceptLink)
+	entryCfg := fastConfig(Peer{ID: "a"}, peerB)
 	entryCfg.Dial = pn.dial
 	entryCfg.HeartbeatTimeout = 2 * time.Second // the dial's bound; -race on a busy box is slow
-	if entry, err = New(entryCfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		entry.Close()
-		owner.Close()
-		srv.Close()
-	})
-	return entry, owner, pn
+	return newNode(t, entryCfg), owner, pn
 }
 
 var peerB = Peer{ID: "b", Addr: "http://b.test"}
@@ -428,56 +415,65 @@ func TestLinkDrainAnswersFramesBeingServed(t *testing.T) {
 	})
 }
 
-// TestAcceptLinkRefusals: only this protocol from another member of the ring
-// is upgraded; anything else is a 400 on an ordinary HTTP response.
+// TestAcceptLinkRefusals: only this protocol version from another member of
+// the ring is upgraded; anything else is a 400 on an ordinary HTTP response,
+// before the connection is taken over. The sender's ID names the directory
+// its segments land in, so the hostile ones — the names that once escaped the
+// replica directory through a query string — must leave nothing on disk; a
+// node from before heartbeats and segments rode the link fails the
+// handshake, told which protocol to speak, not a frame later.
 func TestAcceptLinkRefusals(t *testing.T) {
-	cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
+	root := t.TempDir()
+	cfg := fastConfig(Peer{ID: "n0"}, Peer{ID: "n1", Addr: "http://n1.test"})
+	cfg.StateDir = filepath.Join(root, "state")
 	cfg.Serve = func(context.Context, string, *Frame, *Frame) { t.Error("a refused link served a frame") }
-	owner, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	srv := httptest.NewServer(http.HandlerFunc(owner.AcceptLink))
-	defer srv.Close()
+	owner := newNode(t, cfg)
 	for _, tc := range []struct{ name, from, upgrade string }{
 		{"a stranger", "mallory", linkProtocol},
 		{"no sender", "", linkProtocol},
-		{"this node itself", "b", linkProtocol},
-		{"another protocol", "a", "websocket"},
-		{"no upgrade", "a", ""},
+		{"this node itself", "n0", linkProtocol},
+		{"the parent directory", "..", linkProtocol},
+		{"the state dir's parent", "../..", linkProtocol},
+		{"an absolute path", root, linkProtocol},
+		{"a member's parent", "n1/..", linkProtocol},
+		{"a member and a NUL", "n1\x00", linkProtocol},
+		{"the first link protocol", "n1", "sbqa-link/1"},
+		{"another protocol", "n1", "websocket"},
+		{"no upgrade", "n1", ""},
 	} {
-		req, _ := http.NewRequest(http.MethodGet, srv.URL+ForwardPath, nil)
+		// A recorder cannot be hijacked: a 400 here was written before any
+		// attempt to.
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, ForwardPath, nil)
 		if tc.upgrade != "" {
 			req.Header.Set("Connection", "Upgrade")
 			req.Header.Set("Upgrade", tc.upgrade)
 		}
-		if tc.from != "" {
-			req.Header.Set(ForwardedFromHeader, tc.from)
+		req.Header[ForwardedFromHeader] = []string{tc.from}
+		owner.AcceptLink(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()))
 		}
-		resp, err := http.DefaultClient.Do(req)
+		if tc.from == "n1" && !strings.Contains(rec.Body.String(), linkProtocol) {
+			t.Errorf("%s: %q does not name the protocol to speak", tc.name, rec.Body)
+		}
+	}
+	if entries, err := os.ReadDir(cfg.StateDir); !os.IsNotExist(err) {
+		t.Errorf("refused links left %v (%v) in the state dir", entries, err)
+	}
+
+	// A node built without a handler still takes links — they carry its
+	// heartbeats and segments — and answers a forwarded request 404.
+	entry, _, _ := linkPair(t, nil)
+	for kind, want := range map[FrameKind]int{FrameQuery: http.StatusNotFound, FramePing: http.StatusOK} {
+		call, err := entry.Forward(context.Background(), peerB, kind, model.TraceContext{}, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, strings.TrimSpace(string(msg)))
+		if call.Status != want {
+			t.Errorf("kind %d to a node with no handler: %d, want %d", kind, call.Status, want)
 		}
-	}
-	// And a node built without a handler serves no link at all.
-	bare, err := New(fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, ForwardPath, nil)
-	req.Header.Set("Upgrade", linkProtocol)
-	req.Header.Set(ForwardedFromHeader, "a")
-	bare.AcceptLink(rec, req)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("a node with no handler answered %d, want 404", rec.Code)
+		call.Release()
 	}
 }
 
@@ -528,14 +524,18 @@ func TestFrameLengthRefusedBeforeAllocation(t *testing.T) {
 // FuzzLinkFrame: arbitrary bytes at either end of a link never panic. The
 // serving end serves exactly the request frames that precede the first thing
 // it should not have been sent — an over-long length, a truncated or
-// unknown-kind frame, a reply — and stops there; the calling end drops a
-// reply nobody waits for, hands a pending call its own, and ends on anything
-// that is not a reply.
+// unknown-kind frame, a reply — and stops there, handing its handler only
+// the forwarded queries and registrations among them; the calling end drops
+// a reply nobody waits for, hands a pending call its own, and ends on
+// anything that is not a reply.
 func FuzzLinkFrame(f *testing.F) {
 	tc := model.TraceContext{ID: model.TraceID{Hi: 1, Lo: 2}, Span: 3, Sampled: true}
 	query := wireBytes(Frame{Kind: FrameQuery, ID: 1, Budget: time.Second, Trace: tc, Body: []byte(`{"consumer":1,"n":1,"work":1}`)})
 	consumer := wireBytes(Frame{Kind: FrameConsumer, ID: 2, Budget: ForwardTimeout, Body: []byte(`{"id":1,"intention":0.8}`)})
 	reply := wireBytes(Frame{Kind: FrameReply, ID: 1, Status: 429, RetryAfter: 3, Body: []byte("{\"error\":\"rate_limited\"}\n")})
+	ping := wireBytes(Frame{Kind: FramePing, ID: 4, Budget: time.Second})
+	held := wireBytes(Frame{Kind: FrameHeld, ID: 5, Budget: time.Second})
+	segment := wireBytes(Frame{Kind: FrameSegment, ID: 6, Budget: time.Second, Body: chunkBody(1, 0, true, []byte("SBQAWAL1"))})
 	f.Add(query)
 	f.Add(append(append([]byte{}, query...), consumer...))
 	f.Add(reply)
@@ -546,6 +546,9 @@ func FuzzLinkFrame(f *testing.F) {
 	f.Add(append(binary.BigEndian.AppendUint32(nil, 20), make([]byte, 20)...)) // kind 0
 	f.Add(wireBytes(Frame{Kind: FrameQuery, ID: 3, Budget: -1}))
 	f.Add([]byte("GET /v1/internal/forward HTTP/1.1\r\n\r\n"))
+	f.Add(append(append(append(append([]byte{}, ping...), held...), segment...), query...))
+	f.Add(append(append([]byte{}, segment...), reply...))
+	f.Add(wireBytes(Frame{Kind: FrameSegment, ID: 7, Budget: time.Second, Body: []byte{1, 2, 3}})) // shorter than a chunk header
 
 	node, err := New(Config{Self: Peer{ID: "b"}, Peers: []Peer{{ID: "a", Addr: "http://a.test"}}})
 	if err != nil {
@@ -563,9 +566,9 @@ func FuzzLinkFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// What a correct reader makes of the stream: the requests before the
-		// first reply are the serving end's, the first reply to call 1 before
-		// any request is the calling end's.
+		// What a correct reader makes of the stream: the queries and
+		// registrations before the first reply are the serving end's handler's,
+		// the first reply to call 1 before any request is the calling end's.
 		var requests int32
 		var sawReply, sawRequest bool
 		var answer *Frame
@@ -579,7 +582,7 @@ func FuzzLinkFrame(f *testing.F) {
 				if fr.ID == 1 && !sawRequest && answer == nil {
 					answer = &Frame{Status: fr.Status, RetryAfter: fr.RetryAfter, Body: bytes.Clone(fr.Body)}
 				}
-			} else if sawRequest = true; !sawReply {
+			} else if sawRequest = true; !sawReply && (fr.Kind == FrameQuery || fr.Kind == FrameConsumer) {
 				requests++
 			}
 		}

@@ -143,16 +143,6 @@ func (m *membership) peerInfo(id string) (Peer, Health, bool) {
 	return ps.peer, ps.health, true
 }
 
-// health returns just the peer's health state (HealthDown for unknown
-// IDs, which routes conservatively).
-func (m *membership) health(id string) Health {
-	_, h, ok := m.peerInfo(id)
-	if !ok {
-		return HealthDown
-	}
-	return h
-}
-
 // status snapshots one peer for the control surface.
 func (m *membership) status(id string) PeerStatus {
 	m.mu.Lock()

@@ -32,20 +32,13 @@ var (
 	ErrPeerDown = errors.New("cluster: owning peer is down")
 )
 
-// HTTP paths of the intra-cluster surface. Exported so the daemon
-// mounts its handlers and this package's clients build requests from
-// one definition.
+// The intra-cluster surface on the daemon's listener. Exported so the daemon
+// mounts its handler and this package's links dial it from one definition.
 const (
-	// HealthzPath is probed by peers' heartbeats.
-	HealthzPath = "/v1/healthz"
-	// SegmentsPath serves WAL replication: GET lists the segment seqs
-	// held for ?origin=<node>, POST ?origin=<node>&seq=<n> stores one
-	// segment (raw journal bytes as the body).
-	SegmentsPath = "/v1/internal/segments"
 	// ForwardPath is where a peer opens its link (link.go): a GET that
-	// upgrades the connection, after which every query submission and
-	// consumer registration forwarded from that non-owner gateway is a
-	// frame on it.
+	// upgrades the connection, after which everything that peer sends this
+	// node — forwarded query submissions and consumer registrations,
+	// heartbeats, WAL segments — is a frame on it.
 	ForwardPath = "/v1/internal/forward"
 	// ForwardedFromHeader carries the sender's node ID on a link's
 	// upgrade request and on a proxied SSE subscription. What arrives
@@ -106,15 +99,12 @@ type Config struct {
 
 	// Observer receives PeerChange events; nil for none.
 	Observer event.Observer
-	// Client issues heartbeats and segment transfers; nil for a
-	// dedicated default client.
-	Client *http.Client
 	// Dial opens the connection a link to a peer runs on — the peer
-	// transport's one seam (tests hand out net.Pipe ends); nil dials the
-	// host of the peer's base URL.
+	// transport's one seam, every byte between two nodes crosses it (tests
+	// hand out net.Pipe ends); nil dials the host of the peer's base URL.
 	Dial func(ctx context.Context, p Peer) (net.Conn, error)
-	// Serve answers the request frames of the links peers open to this
-	// node; nil refuses links.
+	// Serve answers the forwarded queries and consumer registrations of
+	// the links peers open to this node; nil answers them 404.
 	Serve LinkHandler
 	// Logf for operational messages; nil for silence.
 	Logf func(format string, args ...any)
@@ -146,11 +136,11 @@ func (c *Config) withDefaults() Config {
 	if out.Observer == nil {
 		out.Observer = event.Nop{}
 	}
-	if out.Client == nil {
-		out.Client = &http.Client{}
-	}
 	if out.Dial == nil {
 		out.Dial = dialPeer
+	}
+	if out.Serve == nil {
+		out.Serve = func(_ context.Context, _ string, _, reply *Frame) { reply.Status = http.StatusNotFound }
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -164,10 +154,9 @@ type Node struct {
 	cfg  Config
 	full *Ring
 	mem  *membership
-	tr   *transport
 	repl *replicator
-	// links carries forwarded client traffic: one outbound link per peer,
-	// and the links peers opened to this node.
+	// links carries all traffic between this node and its peers: one
+	// outbound link per peer, and the links peers opened to this node.
 	links links
 
 	startOnce sync.Once
@@ -179,9 +168,10 @@ type Node struct {
 	replayed   map[string]int // origin -> records replayed on failover
 	replayErrs map[string]string
 
-	// replicas caches what replicaStatuses last read from ReplicaDir, until
-	// AcceptSegment — that directory's only writer — marks it stale, so a
-	// Status between two shipments touches no file.
+	// replicaMu serialises ReplicaDir's one writer, serveSegment, and
+	// guards replicas: what replicaStatuses last read from that directory,
+	// cached until a segment lands there, so a Status between two
+	// shipments touches no file.
 	replicaMu    sync.Mutex
 	replicas     []ReplicaStatus
 	replicasRead bool
@@ -212,7 +202,6 @@ func New(cfg Config) (*Node, error) {
 		replayed:   make(map[string]int),
 		replayErrs: make(map[string]string),
 	}
-	n.tr = &transport{client: c.Client, self: c.Self.ID}
 	n.links = links{out: make(map[string]*link), in: make(map[*inLink]struct{})}
 	n.links.ctx, n.links.cancel = context.WithCancel(context.Background())
 	n.mem = newMembership(c.Self.ID, c.Peers, c.VNodes, c.SuspectAfter, c.DownAfter, n.onPeerTransition)
@@ -345,55 +334,10 @@ func (n *Node) failover(origin string) {
 	n.cfg.Logf("cluster: peer %s down: replayed %d records into local satisfaction memory", origin, replayed)
 }
 
-// CheckOrigin refuses an origin that is not another member of the full
-// ring. A segment request's origin arrives from the network and becomes a
-// directory name under ReplicaDir, so nothing else may reach the
-// filesystem.
-func (n *Node) CheckOrigin(origin string) error {
-	if !n.otherMember(origin) {
-		return fmt.Errorf("cluster: refusing segment from unknown origin %q", origin)
-	}
-	return nil
-}
-
 // otherMember reports whether id names a member of the full ring other than
-// this node — the only senders a segment or a link is accepted from.
+// this node — the only senders a link is accepted from.
 func (n *Node) otherMember(id string) bool {
 	return id != "" && id != n.cfg.Self.ID && n.full.Contains(id)
-}
-
-// HeldSegments lists the replicated segment seqs stored for origin —
-// the receiving half of the shipping handshake (a restarting owner
-// seeds its shipped-set from this).
-func (n *Node) HeldSegments(origin string) ([]uint64, error) {
-	if err := n.CheckOrigin(origin); err != nil {
-		return nil, err
-	}
-	if n.cfg.ReplicaDir == "" {
-		return nil, nil
-	}
-	return persist.ScanSegmentDir(filepath.Join(n.cfg.ReplicaDir, origin))
-}
-
-// AcceptSegment stores one shipped WAL segment for origin. The body is
-// validated (framing + checksums + header seq) before an atomic rename
-// into place; a segment already held is accepted silently so shipping
-// is idempotent. refused reports an upload that is itself at fault —
-// unknown origin, broken framing, a header seq other than the transfer's —
-// and is safe to send back: it names origin and seq, never a path on this
-// node. err reports this node failing to store a good segment.
-func (n *Node) AcceptSegment(origin string, seq uint64, body io.Reader) (refused, err error) {
-	if n.cfg.ReplicaDir == "" {
-		return errors.New("cluster: no replica dir configured"), nil
-	}
-	if err := n.CheckOrigin(origin); err != nil {
-		return err, nil
-	}
-	refused, err = acceptSegmentFile(filepath.Join(n.cfg.ReplicaDir, origin), origin, seq, body)
-	n.replicaMu.Lock()
-	n.replicasRead = false
-	n.replicaMu.Unlock()
-	return refused, err
 }
 
 // heartbeatLoop probes every peer each interval, first round instantly
@@ -412,14 +356,29 @@ func (n *Node) heartbeatLoop() {
 	}
 }
 
+// probeAll pings every peer over the link to it. Anything but a 200 pong
+// within HeartbeatTimeout fails the probe: a silent peer, a failed dial,
+// and a refused upgrade — which is how a peer still restoring its journal
+// answers, so it gets no traffic yet.
 func (n *Node) probeAll() {
 	var wg sync.WaitGroup
 	for _, p := range n.cfg.Peers {
 		wg.Add(1)
 		go func(p Peer) {
 			defer wg.Done()
-			rtt, err := n.tr.probe(n.cfg.HeartbeatTimeout, p.Addr)
-			n.mem.observe(p.ID, rtt, err)
+			ctx, cancel := context.WithTimeout(n.links.ctx, n.cfg.HeartbeatTimeout)
+			defer cancel()
+			start := time.Now()
+			call, err := n.Forward(ctx, p, FramePing, model.TraceContext{}, nil)
+			if err == nil {
+				if call.Status != http.StatusOK {
+					err = fmt.Errorf("ping: status %d", call.Status)
+				}
+				call.Release()
+			}
+			if !n.closed.Load() { // a ping this node's own Close cut short says nothing of p
+				n.mem.observe(p.ID, time.Since(start), err)
+			}
 		}(p)
 	}
 	wg.Wait()

@@ -2,14 +2,14 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"fmt"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,47 +19,68 @@ import (
 	"sbqa/internal/satisfaction"
 )
 
-// serveNode exposes a node's intra-cluster surface the way the daemon
-// does: healthz, the segments inventory/acceptance endpoints and the link
-// upgrade.
-func serveNode(t *testing.T, n *Node) *httptest.Server {
-	t.Helper()
+// serveOn serves h as the upgrade route on pn — the only route a node
+// mounts for its peers — until the test ends.
+func serveOn(t testing.TB, pn *pipeNet, h http.HandlerFunc) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+ForwardPath, n.AcceptLink)
-	mux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc(SegmentsPath, func(w http.ResponseWriter, r *http.Request) {
-		origin := r.URL.Query().Get("origin")
-		switch r.Method {
-		case http.MethodGet:
-			seqs, err := n.HeldSegments(origin)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			json.NewEncoder(w).Encode(map[string]any{"seqs": seqs})
-		case http.MethodPost:
-			seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
-			if err != nil {
-				http.Error(w, "bad seq", http.StatusBadRequest)
-				return
-			}
-			if refused, err := n.AcceptSegment(origin, seq, r.Body); err != nil {
-				http.Error(w, "storing the segment failed", http.StatusInternalServerError)
-				return
-			} else if refused != nil {
-				http.Error(w, refused.Error(), http.StatusBadRequest)
-				return
-			}
-			w.WriteHeader(http.StatusOK)
-		default:
-			http.Error(w, "method", http.StatusMethodNotAllowed)
-		}
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
+	mux.HandleFunc("GET "+ForwardPath, h)
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(pn)
+	t.Cleanup(func() { srv.Close() })
+}
+
+// memNet is a cluster's network in memory: each member listens on a
+// pipeNet of its own, and a dial reaches the listener of the peer it names
+// or is refused, as a dial to a host that is down is.
+type memNet struct {
+	mu        sync.Mutex
+	listeners map[string]*pipeNet
+}
+
+func newMemNet() *memNet { return &memNet{listeners: map[string]*pipeNet{}} }
+
+// listen makes h node id's upgrade route.
+func (m *memNet) listen(t testing.TB, id string, h http.HandlerFunc) {
+	pn := newPipeNet()
+	serveOn(t, pn, h)
+	m.mu.Lock()
+	m.listeners[id] = pn
+	m.mu.Unlock()
+}
+
+// serveNode puts n on the network under its own ID.
+func (m *memNet) serveNode(t testing.TB, n *Node) { m.listen(t, n.cfg.Self.ID, n.AcceptLink) }
+
+// drop cuts every connection to node id, as a restart does.
+func (m *memNet) drop(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if pn := m.listeners[id]; pn != nil {
+		pn.kill()
+	}
+}
+
+// down takes node id off the network, as a crash does: its connections drop
+// and dials to it are refused.
+func (m *memNet) down(id string) {
+	m.mu.Lock()
+	pn := m.listeners[id]
+	delete(m.listeners, id)
+	m.mu.Unlock()
+	if pn != nil {
+		pn.Close()
+		pn.kill()
+	}
+}
+
+func (m *memNet) dial(ctx context.Context, p Peer) (net.Conn, error) {
+	m.mu.Lock()
+	pn := m.listeners[p.ID]
+	m.mu.Unlock()
+	if pn == nil {
+		return nil, fmt.Errorf("memnet: dial %s: connection refused", p.ID)
+	}
+	return pn.dial(ctx, p)
 }
 
 // fastConfig: probe and replicate aggressively so tests converge in
@@ -76,7 +97,24 @@ func fastConfig(self Peer, peers ...Peer) Config {
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// newNode builds a node from cfg that is closed when the test ends.
+func newNode(t testing.TB, cfg Config) *Node {
+	t.Helper()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+// health is peer id's health as n sees it.
+func health(n *Node, id string) Health {
+	_, h, _ := n.mem.peerInfo(id)
+	return h
+}
+
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
@@ -88,13 +126,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestMembershipStateMachine drives a peer alive -> suspect -> down by
-// killing its server, checks the live ring and routing shrink, then
+// taking it off the network, checks the live ring and routing shrink, then
 // verifies the typed PeerChange trail.
 func TestMembershipStateMachine(t *testing.T) {
-	peerMux := http.NewServeMux()
-	peerMux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
-	peerSrv := httptest.NewServer(peerMux)
-	defer peerSrv.Close()
+	mn := newMemNet()
+	mn.serveNode(t, newNode(t, fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})))
 
 	var mu sync.Mutex
 	var changes []event.PeerChange
@@ -104,13 +140,10 @@ func TestMembershipStateMachine(t *testing.T) {
 		mu.Unlock()
 	}}
 
-	cfg := fastConfig(Peer{ID: "a", Addr: "http://self.invalid"}, Peer{ID: "b", Addr: peerSrv.URL})
+	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
 	cfg.Observer = obs
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	cfg.Dial = mn.dial
+	n := newNode(t, cfg)
 	n.Start()
 
 	if got := n.LiveRing().Nodes(); len(got) != 2 {
@@ -134,8 +167,8 @@ func TestMembershipStateMachine(t *testing.T) {
 		t.Fatalf("guard on remote consumer = %v, want ErrNotOwner", err)
 	}
 
-	peerSrv.Close()
-	waitFor(t, "peer b down", func() bool { return n.mem.health("b") == HealthDown })
+	mn.down("b")
+	waitFor(t, "peer b down", func() bool { return health(n, "b") == HealthDown })
 
 	// Down: b leaves the routing ring, its consumers re-resolve to a.
 	if got := n.LiveRing().Nodes(); len(got) != 1 || got[0] != "a" {
@@ -170,32 +203,28 @@ func TestMembershipStateMachine(t *testing.T) {
 	}
 }
 
-// TestMembershipRecovery: a down peer that answers again returns to
-// alive and re-enters the routing ring.
+// TestMembershipRecovery: a peer that answers the upgrade 503 — as a daemon
+// still restoring its journal does — is not Alive; once it takes the link
+// it returns to alive and re-enters the routing ring.
 func TestMembershipRecovery(t *testing.T) {
-	var up sync.Map
-	up.Store("ok", false)
-	mux := http.NewServeMux()
-	mux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) {
-		if ok, _ := up.Load("ok"); !ok.(bool) {
-			http.Error(w, "booting", http.StatusServiceUnavailable)
+	peer := newNode(t, fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"}))
+	var ready atomic.Bool
+	mn := newMemNet()
+	mn.listen(t, "b", func(w http.ResponseWriter, r *http.Request) {
+		if !ready.Load() {
+			http.Error(w, "starting: engine restoring persisted state", http.StatusServiceUnavailable)
 			return
 		}
-		w.WriteHeader(200)
+		peer.AcceptLink(w, r)
 	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
 
-	n, err := New(fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: srv.URL}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
+	cfg.Dial = mn.dial
+	n := newNode(t, cfg)
 	n.Start()
-	// Non-200 healthz is a failure: not-ready peers get no traffic.
-	waitFor(t, "peer down while booting", func() bool { return n.mem.health("b") == HealthDown })
-	up.Store("ok", true)
-	waitFor(t, "peer recovery", func() bool { return n.mem.health("b") == HealthAlive })
+	waitFor(t, "peer down while booting", func() bool { return health(n, "b") == HealthDown })
+	ready.Store(true)
+	waitFor(t, "peer recovery", func() bool { return health(n, "b") == HealthAlive })
 	if got := n.LiveRing().Nodes(); len(got) != 2 {
 		t.Fatalf("live ring after recovery = %v", got)
 	}
@@ -203,7 +232,7 @@ func TestMembershipRecovery(t *testing.T) {
 
 // newStoreWithRecords opens a journal in dir and appends one outcome
 // per consumer in consumers, leaving the records in the active segment.
-func newStoreWithRecords(t *testing.T, dir string, consumers []model.ConsumerID) (*persist.Store, *satisfaction.Registry) {
+func newStoreWithRecords(t testing.TB, dir string, consumers []model.ConsumerID) (*persist.Store, *satisfaction.Registry) {
 	t.Helper()
 	st, err := persist.Open(dir)
 	if err != nil {
@@ -214,15 +243,7 @@ func newStoreWithRecords(t *testing.T, dir string, consumers []model.ConsumerID)
 		t.Fatal(err)
 	}
 	for i, c := range consumers {
-		rec := &persist.Record{Type: persist.RecordOutcome, Outcome: persist.OutcomeRecord{
-			QueryID:  int64(i + 1),
-			Consumer: c,
-			N:        1,
-			Proposed: []model.ProviderID{1},
-			CI:       []model.Intention{0.5},
-			PI:       []model.Intention{0.5},
-			Selected: []bool{true},
-		}}
+		rec := outcome(int64(i+1), c)
 		rec.Apply(reg)
 		if err := st.Append(rec); err != nil {
 			t.Fatal(err)
@@ -231,51 +252,59 @@ func newStoreWithRecords(t *testing.T, dir string, consumers []model.ConsumerID)
 	return st, reg
 }
 
+// outcome is query qid's one-provider outcome record for consumer c.
+func outcome(qid int64, c model.ConsumerID) *persist.Record {
+	return &persist.Record{Type: persist.RecordOutcome, Outcome: persist.OutcomeRecord{
+		QueryID:  qid,
+		Consumer: c,
+		N:        1,
+		Proposed: []model.ProviderID{1},
+		CI:       []model.Intention{0.5},
+		PI:       []model.Intention{0.5},
+		Selected: []bool{true},
+	}}
+}
+
 // TestReplicationShipsAndFailoverRestoresMemory is the package-level
-// end-to-end: owner a ships its journal to follower b; when a dies, b
-// replays exactly the consumers the shrunken ring hands it, and the
+// end-to-end: owner a ships its journal to follower b over the link; when a
+// dies, b replays exactly the consumers the shrunken ring hands it, and the
 // replica files are byte-identical to the owner's sealed segments.
 func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 	ownerDir, followerDir := t.TempDir(), t.TempDir()
-	consumers := make([]model.ConsumerID, 40)
+	consumers := make([]model.ConsumerID, 2000) // a segment of several chunks
 	for i := range consumers {
 		consumers[i] = model.ConsumerID(i)
 	}
 	store, ownerReg := newStoreWithRecords(t, ownerDir, consumers)
 	defer store.Close()
 
+	mn := newMemNet()
 	followerReg := satisfaction.NewRegistry(satisfaction.DefaultWindow)
-	fCfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.invalid"})
+	fCfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
 	fCfg.StateDir = followerDir
 	fCfg.Registry = followerReg
-	follower, err := New(fCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	fSrv := serveNode(t, follower)
+	fCfg.Dial = mn.dial
+	follower := newNode(t, fCfg)
+	mn.serveNode(t, follower)
 	// An empty reading, taken before anything ships: each shipment must
 	// make Status look again.
 	if rs := follower.Status().Replicas; len(rs) != 0 {
 		t.Fatalf("replicas before any shipment = %+v", rs)
 	}
 
-	oCfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: fSrv.URL})
+	oCfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
 	oCfg.StateDir = ownerDir
 	oCfg.Store = store
-	owner, err := New(oCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
+	oCfg.Dial = mn.dial
+	owner := newNode(t, oCfg)
 	owner.Start()
 
 	// The replicator rotates the dirty active segment and ships it.
 	waitFor(t, "segment shipped", func() bool {
-		seqs, _ := follower.HeldSegments("a")
+		seqs, _ := follower.heldSegments("a")
 		return len(seqs) >= 1
 	})
-	seqs, _ := follower.HeldSegments("a")
+	seqs, _ := follower.heldSegments("a")
 	for _, seq := range seqs {
 		want, err := os.ReadFile(persist.SegmentFilePath(ownerDir, seq))
 		if err != nil {
@@ -288,6 +317,9 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("replica of segment %d differs from owner's sealed file", seq)
 		}
+		if len(want) <= segmentChunk {
+			t.Fatalf("segment %d is %d bytes: one chunk, the multi-chunk path untested", seq, len(want))
+		}
 	}
 
 	// Lag drains to zero once everything sealed is shipped.
@@ -299,10 +331,10 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 		t.Fatalf("owner peer status = %+v, want follower with shipped > 0", st.Peers[0])
 	}
 
-	// Now the follower notices a is dead (its probe address never
-	// resolved) and replays the shipped WAL.
+	// Now the follower notices a is dead (a is on no network) and replays
+	// the shipped WAL.
 	follower.Start()
-	waitFor(t, "owner down at follower", func() bool { return follower.mem.health("a") == HealthDown })
+	waitFor(t, "owner down at follower", func() bool { return health(follower, "a") == HealthDown })
 	waitFor(t, "failover replay", func() bool {
 		st := follower.Status()
 		return len(st.Replicas) == 1 && st.Replicas[0].Replayed > 0
@@ -325,7 +357,7 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 	// its cached reading: with the files moved away behind its back it
 	// still says the same, because it did not look.
 	replicaDir := filepath.Join(followerDir, "replica", "a")
-	held, _ := follower.HeldSegments("a")
+	held, _ := follower.heldSegments("a")
 	var onDisk int64
 	for _, seq := range held {
 		size, err := statFile(persist.SegmentFilePath(replicaDir, seq))
@@ -349,46 +381,31 @@ func TestReplicationShipsAndFailoverRestoresMemory(t *testing.T) {
 // follower replays only consumers the live ring assigns to it — the
 // rest belong to the survivor and must not pollute local memory.
 func TestFailoverReplayFiltersToOwnedRange(t *testing.T) {
-	deadDir := t.TempDir()
 	consumers := make([]model.ConsumerID, 60)
 	for i := range consumers {
 		consumers[i] = model.ConsumerID(i)
 	}
-	store, _ := newStoreWithRecords(t, deadDir, consumers)
-	if _, err := store.RotateIfDirty(); err != nil {
-		t.Fatal(err)
-	}
-	seq := store.SealedSegmentSeqs()[0]
-	store.Close()
+	seq, data := sealedSegment(t, consumers)
 
-	aliveMux := http.NewServeMux()
-	aliveMux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
-	aliveSrv := httptest.NewServer(aliveMux)
-	defer aliveSrv.Close()
+	mn := newMemNet()
+	mn.serveNode(t, newNode(t, fastConfig(Peer{ID: "c"}, Peer{ID: "b", Addr: "http://b.test"}, Peer{ID: "dead", Addr: "http://dead.test"})))
 
 	reg := satisfaction.NewRegistry(satisfaction.DefaultWindow)
 	cfg := fastConfig(Peer{ID: "b"},
-		Peer{ID: "dead", Addr: "http://dead.invalid"},
-		Peer{ID: "c", Addr: aliveSrv.URL})
+		Peer{ID: "dead", Addr: "http://dead.test"},
+		Peer{ID: "c", Addr: "http://c.test"})
 	cfg.StateDir = t.TempDir()
 	cfg.Registry = reg
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	cfg.Dial = mn.dial
+	n := newNode(t, cfg)
 
 	// Pre-seed the replica dir as if "dead" had shipped its journal.
-	data, err := os.ReadFile(persist.SegmentFilePath(deadDir, seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refused, err := n.AcceptSegment("dead", seq, bytes.NewReader(data)); refused != nil || err != nil {
-		t.Fatal(refused, err)
+	if status, msg := landWhole(n, "dead", seq, data, segmentChunk); status != http.StatusOK {
+		t.Fatal(status, msg)
 	}
 
 	n.Start()
-	waitFor(t, "dead peer down", func() bool { return n.mem.health("dead") == HealthDown })
+	waitFor(t, "dead peer down", func() bool { return health(n, "dead") == HealthDown })
 	waitFor(t, "replay recorded", func() bool {
 		st := n.Status()
 		return len(st.Replicas) == 1 && st.Replicas[0].Replayed > 0
@@ -422,75 +439,5 @@ func TestFailoverReplayFiltersToOwnedRange(t *testing.T) {
 	}
 	if got := n.Status().Replicas[0].Replayed; got != kept {
 		t.Errorf("replayed count = %d, want %d", got, kept)
-	}
-}
-
-// TestAcceptSegmentValidation: torn bodies, wrong seqs, and unknown
-// origins are refused; re-shipping a held segment is a quiet success.
-func TestAcceptSegmentValidation(t *testing.T) {
-	srcDir := t.TempDir()
-	store, _ := newStoreWithRecords(t, srcDir, []model.ConsumerID{1, 2, 3})
-	if _, err := store.RotateIfDirty(); err != nil {
-		t.Fatal(err)
-	}
-	seq := store.SealedSegmentSeqs()[0]
-	store.Close()
-	data, err := os.ReadFile(persist.SegmentFilePath(srcDir, seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.invalid"})
-	cfg.StateDir = t.TempDir()
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	// A refusal is the upload's fault and goes back to the sender: it may
-	// name origin and seq, never where this node keeps its replicas.
-	for _, tc := range []struct {
-		what, origin string
-		seq          uint64
-		body         []byte
-	}{
-		{"a segment from an origin not on the ring", "stranger", seq, data},
-		{"a segment from self as origin", "b", seq, data},
-		{"a segment whose header seq disagrees with the transfer", "a", seq + 9, data},
-		{"a torn segment", "a", seq, data[:len(data)-2]},
-		{"a segment with the wrong magic", "a", seq, append([]byte("NOTAWAL!"), data[8:]...)},
-	} {
-		refused, err := n.AcceptSegment(tc.origin, tc.seq, bytes.NewReader(tc.body))
-		if refused == nil || err != nil {
-			t.Errorf("%s: refused = %v, err = %v, want a refusal", tc.what, refused, err)
-		} else if strings.Contains(refused.Error(), cfg.StateDir) {
-			t.Errorf("%s: the refusal names a local path: %v", tc.what, refused)
-		}
-	}
-	if held, _ := n.HeldSegments("a"); len(held) != 0 {
-		t.Fatalf("rejected transfers left replicas behind: %v", held)
-	}
-	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err != nil {
-		t.Fatal(refused, err)
-	}
-	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err != nil {
-		t.Fatalf("re-ship of held segment = %v, %v, want idempotent success", refused, err)
-	}
-	held, _ := n.HeldSegments("a")
-	if len(held) != 1 || held[0] != seq {
-		t.Fatalf("held = %v, want [%d]", held, seq)
-	}
-
-	// This node's own disk failing is not a refusal: a good segment whose
-	// replica directory cannot be made (a file sits where it would go).
-	if err := os.RemoveAll(filepath.Join(n.cfg.ReplicaDir, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(n.cfg.ReplicaDir, "a"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if refused, err := n.AcceptSegment("a", seq, bytes.NewReader(data)); refused != nil || err == nil {
-		t.Fatalf("unwritable replica dir: refused = %v, err = %v, want a local error", refused, err)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,24 +16,24 @@ import (
 // rebuilds, and failover replays. Run under -race this proves the live
 // ring swap and the membership bookkeeping are coherent.
 func TestRaceMembershipChurnUnderRoutingLoad(t *testing.T) {
-	var flaky atomic.Bool
-	flaky.Store(true)
-	mux := http.NewServeMux()
-	mux.HandleFunc(HealthzPath, func(w http.ResponseWriter, r *http.Request) {
-		if !flaky.Load() {
+	peer := newNode(t, fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"}))
+	var up atomic.Bool
+	up.Store(true)
+	mn := newMemNet()
+	mn.listen(t, "b", func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
 			http.Error(w, "flap", http.StatusServiceUnavailable)
 			return
 		}
-		w.WriteHeader(200)
+		peer.AcceptLink(w, r)
 	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
 
-	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: srv.URL})
+	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
 	cfg.HeartbeatInterval = 2 * time.Millisecond
 	cfg.SuspectAfter = 1
 	cfg.DownAfter = 2
 	cfg.StateDir = t.TempDir()
+	cfg.Dial = mn.dial
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,14 +43,17 @@ func TestRaceMembershipChurnUnderRoutingLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // flapper
+	go func() { // flapper: down is a refused upgrade and no link
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
-				flaky.Store(i%2 == 0)
+				up.Store(i%2 == 0)
+				if i%2 != 0 {
+					mn.drop("b")
+				}
 			}
 		}
 	}()

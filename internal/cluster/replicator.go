@@ -2,9 +2,16 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
+	"sbqa/internal/model"
 	"sbqa/internal/persist"
 )
 
@@ -12,18 +19,22 @@ import (
 // ring followers. Each tick it rotates the active segment if it holds
 // records (bounding loss to ReplicateInterval of traffic plus whatever
 // the last rotation missed), then sends every sealed segment a live
-// follower does not yet hold. Shipping is idempotent and resumable:
-// the shipped-set is seeded from the follower's own inventory on first
-// contact, so an owner restart or follower restart never re-ships more
-// than it must and never skips a hole.
+// follower does not yet hold, as FrameSegment chunks on the link to it.
+// Shipping is idempotent and resumable: the shipped-set is seeded from the
+// follower's own inventory (FrameHeld) whenever the link to it is new, so
+// an owner restart never re-ships more than it must, and a follower that
+// restarted with less than it had — a wiped or torn replica directory — is
+// sent what it lost.
 type replicator struct {
 	n *Node
 
 	mu      sync.Mutex
 	shipped map[string]map[uint64]bool // follower ID -> segment seqs confirmed held
-	seeded  map[string]bool            // follower ID -> inventory fetched
+	seeded  map[string]*link           // follower ID -> the link its shipped-set was seeded over
 	count   map[string]uint64          // follower ID -> segments shipped by this process
 	sizes   map[uint64]int64           // sealed segment seq -> bytes; a sealed segment is sized once
+
+	buf []byte // one chunk's body; the loop's alone
 }
 
 type replLag struct {
@@ -36,7 +47,7 @@ func newReplicator(n *Node) *replicator {
 	return &replicator{
 		n:       n,
 		shipped: make(map[string]map[uint64]bool),
-		seeded:  make(map[string]bool),
+		seeded:  make(map[string]*link),
 		count:   make(map[string]uint64),
 		sizes:   make(map[uint64]int64),
 	}
@@ -57,7 +68,7 @@ func (r *replicator) loop() {
 }
 
 // followers returns this node's shipping targets that are not Down.
-// Down followers keep their shipped-set; they catch up on recovery.
+// Down followers keep their shipped-set until the next link to them.
 func (r *replicator) followers() []Peer {
 	var out []Peer
 	for _, id := range r.n.full.Followers(r.n.cfg.Self.ID) {
@@ -86,32 +97,24 @@ func (r *replicator) tick() {
 // shipTo sends p every sealed segment it is missing, oldest first so a
 // partial round leaves a prefix, never a hole.
 func (r *replicator) shipTo(p Peer, sealed []uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*r.n.cfg.ReplicateInterval+5*time.Second)
+	ctx, cancel := context.WithTimeout(r.n.links.ctx, 2*r.n.cfg.ReplicateInterval+5*time.Second)
 	defer cancel()
+	l, err := r.n.linkTo(p)
+	if err != nil {
+		return // closing
+	}
 	r.mu.Lock()
-	if !r.seeded[p.ID] {
+	if r.seeded[p.ID] != l {
 		r.mu.Unlock()
-		held, err := r.n.tr.heldSegments(ctx, p.Addr)
+		held, err := r.held(ctx, p)
 		if err != nil {
 			r.n.cfg.Logf("cluster: seeding shipped set from %s: %v", p.ID, err)
 			return
 		}
 		r.mu.Lock()
-		set := r.shipped[p.ID]
-		if set == nil {
-			set = make(map[uint64]bool)
-			r.shipped[p.ID] = set
-		}
-		for _, seq := range held {
-			set[seq] = true
-		}
-		r.seeded[p.ID] = true
+		r.shipped[p.ID], r.seeded[p.ID] = held, l
 	}
 	set := r.shipped[p.ID]
-	if set == nil {
-		set = make(map[uint64]bool)
-		r.shipped[p.ID] = set
-	}
 	var todo []uint64
 	for _, seq := range sealed {
 		if !set[seq] {
@@ -121,15 +124,7 @@ func (r *replicator) shipTo(p Peer, sealed []uint64) {
 	r.mu.Unlock()
 
 	for _, seq := range todo {
-		rc, size, err := r.n.cfg.Store.OpenSealedSegment(seq)
-		if err != nil {
-			// Sealed set moved under us (compaction); next tick re-lists.
-			r.n.cfg.Logf("cluster: opening sealed segment %d: %v", seq, err)
-			return
-		}
-		err = r.n.tr.shipSegment(ctx, p.Addr, seq, rc, size)
-		rc.Close()
-		if err != nil {
+		if err := r.ship(ctx, p, seq); err != nil {
 			r.n.cfg.Logf("cluster: shipping segment %d to %s: %v", seq, p.ID, err)
 			return
 		}
@@ -137,6 +132,67 @@ func (r *replicator) shipTo(p Peer, sealed []uint64) {
 		set[seq] = true
 		r.count[p.ID]++
 		r.mu.Unlock()
+	}
+}
+
+// held asks p which of this node's segments it holds.
+func (r *replicator) held(ctx context.Context, p Peer) (map[uint64]bool, error) {
+	call, err := r.n.Forward(ctx, p, FrameHeld, model.TraceContext{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer call.Release()
+	if call.Status != http.StatusOK || len(call.Body)%8 != 0 {
+		return nil, fmt.Errorf("held segments: status %d: %s", call.Status, call.Body)
+	}
+	set := make(map[uint64]bool, len(call.Body)/8)
+	for b := call.Body; len(b) > 0; b = b[8:] {
+		set[binary.BigEndian.Uint64(b)] = true
+	}
+	return set, nil
+}
+
+// ship sends sealed segment seq to p one chunk per call, so a forward on the
+// same link waits behind one chunk at most. A 200 to the last chunk means
+// the follower validated the whole segment and made it durable.
+func (r *replicator) ship(ctx context.Context, p Peer, seq uint64) error {
+	rc, size, err := r.n.cfg.Store.OpenSealedSegment(seq)
+	if err != nil {
+		return err // the sealed set moved under us (compaction); next tick re-lists
+	}
+	defer rc.Close()
+	if r.buf == nil {
+		r.buf = make([]byte, chunkHeaderLen+segmentChunk)
+	}
+	for off := int64(0); ; {
+		n := min(int64(segmentChunk), size-off)
+		body := r.buf[:chunkHeaderLen+n]
+		putChunkHeader(body, seq, uint64(off), off+n == size)
+		if _, err := io.ReadFull(rc, body[chunkHeaderLen:]); err != nil {
+			return err
+		}
+		call, err := r.n.Forward(ctx, p, FrameSegment, model.TraceContext{}, body)
+		if err != nil {
+			return err
+		}
+		if call.Status != http.StatusOK {
+			err = fmt.Errorf("chunk at offset %d: status %d: %s", off, call.Status, call.Body)
+		}
+		call.Release()
+		if off += n; err != nil || off == size {
+			return err
+		}
+	}
+}
+
+// putChunkHeader writes a segment chunk's seq, offset and last flag into
+// the front of body.
+func putChunkHeader(body []byte, seq, offset uint64, last bool) {
+	binary.BigEndian.PutUint64(body, seq)
+	binary.BigEndian.PutUint64(body[8:], offset)
+	body[16] = 0
+	if last {
+		body[16] = 1
 	}
 }
 
@@ -177,4 +233,71 @@ func (r *replicator) lag() map[string]replLag {
 		out[id] = l
 	}
 	return out
+}
+
+// The receiving half. The origin of every segment request is the sender of
+// the link it came on, which AcceptLink held to the ring before the link
+// existed: no name from the network becomes a path here unchecked.
+
+// serveHeld answers a FrameHeld: the seqs of origin's segments held here.
+func (n *Node) serveHeld(origin string, reply *Frame) {
+	seqs, err := n.heldSegments(origin)
+	if err != nil {
+		n.cfg.Logf("cluster: listing the segments held for %s: %v", origin, err)
+		reply.Status = http.StatusInternalServerError
+		return
+	}
+	reply.Status = http.StatusOK
+	for _, seq := range seqs {
+		reply.Body = binary.BigEndian.AppendUint64(reply.Body, seq)
+	}
+}
+
+// heldSegments lists the replicated segment seqs stored for origin.
+func (n *Node) heldSegments(origin string) ([]uint64, error) {
+	if n.cfg.ReplicaDir == "" {
+		return nil, nil
+	}
+	return persist.ScanSegmentDir(filepath.Join(n.cfg.ReplicaDir, origin))
+}
+
+// serveSegment answers a FrameSegment: it lands the chunk in body (as
+// putChunkHeader lays it out) in origin's replica directory — see
+// persist.LandSegmentChunk for the transfer rules — and answers 200; 400,
+// naming origin and seq, for a chunk at fault; 500 when this node's own disk
+// fails it, the cause, which names local paths, going to the log.
+func (n *Node) serveSegment(origin string, body []byte, reply *Frame) {
+	reply.Status = http.StatusBadRequest
+	switch {
+	case n.cfg.ReplicaDir == "":
+		reply.Body = append(reply.Body, "cluster: this node keeps no replicas"...)
+		return
+	case len(body) < chunkHeaderLen:
+		reply.Body = fmt.Appendf(reply.Body, "cluster: a %d-byte segment chunk from %q", len(body), origin)
+		return
+	}
+	seq, last := binary.BigEndian.Uint64(body), body[16] != 0
+	n.replicaMu.Lock()
+	refused, err := persist.LandSegmentChunk(filepath.Join(n.cfg.ReplicaDir, origin), seq, binary.BigEndian.Uint64(body[8:]), body[chunkHeaderLen:], last)
+	n.replicasRead = n.replicasRead && !last
+	n.replicaMu.Unlock()
+	switch {
+	case err != nil:
+		n.cfg.Logf("cluster: storing segment %d from %s: %v", seq, origin, err)
+		reply.Status = http.StatusInternalServerError
+		reply.Body = append(reply.Body, "storing the segment failed on this node"...)
+	case refused != nil:
+		reply.Body = fmt.Appendf(reply.Body, "cluster: segment %d from %q: %v", seq, origin, refused)
+	default:
+		reply.Status = http.StatusOK
+	}
+}
+
+// statFile returns a file's size, for lag and replica accounting.
+func statFile(path string) (int64, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
 }

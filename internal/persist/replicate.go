@@ -9,12 +9,19 @@ package persist
 // asserts this bit-level) and the same decoder serves both restore paths.
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"sbqa/internal/satisfaction"
 )
+
+// maxReplicaSegment bounds what one shipped segment may grow to; segments
+// rotate at a few MiB, so far below this.
+const maxReplicaSegment = 256 << 20
 
 // SegmentFilePath returns the canonical file name of journal segment seq
 // under dir — the name the Store itself uses, so shipped replicas mirror
@@ -46,7 +53,99 @@ func ScanSegmentDir(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// ValidateSegmentFile reads the whole segment at path, verifying framing
+// LandSegmentChunk stores one chunk of journal segment seq, shipped by the
+// node whose replica directory dir is. A transfer is a run of chunks in
+// order: the one at offset 0 starts incoming-<seq>.tmp afresh, each next one
+// must begin where the file ends, and the last publishes the file the way
+// the Store publishes its own — fsync, validate (framing, checksums, header
+// seq), rename to the segment's canonical name, fsync dir — after creating
+// dir and its missing parents durably. A segment already held is accepted
+// silently, so shipping is idempotent.
+//
+// refused reports a chunk that is itself at fault, in words that name no
+// path: the receiver answers the sender with it. err reports this node
+// failing to store a good chunk. A refused, failed or last chunk ends the
+// transfer: after it no incoming file is left in dir.
+func LandSegmentChunk(dir string, seq, offset uint64, data []byte, last bool) (refused, err error) {
+	defer func() {
+		if refused == nil && err == nil && !last {
+			return // a transfer in progress
+		}
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "incoming-") {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
+	}()
+	if _, err := os.Stat(segmentPath(dir, seq)); err == nil {
+		return nil, nil
+	}
+	if err := mkdirDurable(dir); err != nil {
+		return nil, err
+	}
+	tmp := filepath.Join(dir, fmt.Sprintf("incoming-%016x.tmp", seq))
+	flag := os.O_WRONLY | os.O_CREATE | os.O_APPEND
+	if offset == 0 {
+		flag |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(tmp, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+	case uint64(fi.Size()) != offset:
+		refused = fmt.Errorf("a chunk at offset %d, where %d bytes have arrived", offset, fi.Size())
+	case offset+uint64(len(data)) > maxReplicaSegment:
+		refused = fmt.Errorf("%d bytes, past the %d a segment may hold", offset+uint64(len(data)), maxReplicaSegment)
+	default:
+		if _, err = f.Write(data); err == nil && last {
+			err = f.Sync()
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if refused != nil || err != nil || !last {
+		return refused, err
+	}
+	got, _, err := validateSegmentFile(tmp)
+	switch {
+	case errors.Is(err, ErrCorrupt):
+		return fmt.Errorf("failed validation: %w", err), nil
+	case err != nil:
+		return nil, err
+	case got != seq:
+		return fmt.Errorf("says seq %d in its header", got), nil
+	}
+	if err := os.Rename(tmp, segmentPath(dir, seq)); err != nil {
+		return nil, err
+	}
+	syncDir(dir)
+	return nil, nil
+}
+
+// mkdirDurable creates dir and whatever parents it lacks, fsyncing the
+// parent of each directory it makes, so a segment landed in dir is still
+// reachable after a crash.
+func mkdirDurable(dir string) error {
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		return err
+	}
+	parent := filepath.Dir(dir)
+	if err := mkdirDurable(parent); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !os.IsExist(err) {
+		return err
+	}
+	syncDir(parent)
+	return nil
+}
+
+// validateSegmentFile reads the whole segment at path, verifying framing
 // and checksums, and returns its header sequence number and record count.
 // Unlike restore, it tolerates nothing: a shipped segment was sealed and
 // synced by the owner before shipping, so any torn record means the
@@ -54,7 +153,7 @@ func ScanSegmentDir(dir string) ([]uint64, error) {
 // rejection wraps ErrCorrupt and does not name path — the receiver answers
 // the sender with it, and path is the receiver's own temp file; failing to
 // open path is an *fs.PathError like any other.
-func ValidateSegmentFile(path string) (seq uint64, records int, err error) {
+func validateSegmentFile(path string) (seq uint64, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err

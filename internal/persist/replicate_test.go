@@ -113,7 +113,7 @@ func TestValidateSegmentFile(t *testing.T) {
 	st.Close()
 
 	path := SegmentFilePath(dir, seq)
-	gotSeq, records, err := ValidateSegmentFile(path)
+	gotSeq, records, err := validateSegmentFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestValidateSegmentFile(t *testing.T) {
 	if err := os.WriteFile(torn, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ValidateSegmentFile(torn); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := validateSegmentFile(torn); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn segment validated: %v", err)
 	}
 }

@@ -453,15 +453,12 @@ type (
 	ClusterFrameKind = cluster.FrameKind
 )
 
-// Intra-cluster contract: the paths a clustered daemon mounts, the
+// Intra-cluster contract: the path a clustered daemon mounts, the
 // loop-prevention header, and what a peer link's request frame can be.
 const (
-	// ClusterSegmentsPath serves WAL replication (GET inventory, POST one
-	// raw segment).
-	ClusterSegmentsPath = cluster.SegmentsPath
-	// ClusterForwardPath is where a non-owner gateway opens its peer link
-	// (an HTTP Upgrade); forwarded query submissions and consumer
-	// registrations then travel as frames on it.
+	// ClusterForwardPath is where a peer opens its link (an HTTP Upgrade);
+	// forwarded query submissions and consumer registrations, heartbeats
+	// and WAL segments then travel as frames on it.
 	ClusterForwardPath = cluster.ForwardPath
 	// ClusterForwardedFromHeader carries the sender's node ID on a link's
 	// upgrade request and a proxied SSE subscription: one hop only, a

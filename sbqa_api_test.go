@@ -125,7 +125,7 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ *ClusterNode = node
-	for _, s := range []string{ClusterSegmentsPath, ClusterForwardPath, ClusterForwardedFromHeader} {
+	for _, s := range []string{ClusterForwardPath, ClusterForwardedFromHeader} {
 		if s == "" {
 			t.Error("empty cluster contract constant")
 		}
