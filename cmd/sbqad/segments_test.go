@@ -1,12 +1,12 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
+	"encoding/binary"
 	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,26 +19,21 @@ import (
 	"sbqa/internal/cluster"
 )
 
-// segmentsFixture is one cluster gateway "n0" whose only peer "n1" is a
-// stub that answers heartbeats, on a state dir laid out so that every
-// escape from ReplicaDir has something to find: the node's own journal one
-// level up (root/state), and a segment-shaped decoy two levels up
-// (root/wal-…, what origin=../.. would list).
-type segmentsFixture struct {
-	h        http.Handler
-	root     string // the temp dir everything lives under
-	replica  string // root/state/replica
-	segment  []byte // a valid journal segment…
-	seq      uint64 // …and the sequence number in its header
-	decoy    string // the segment's file name; a copy sits at root/decoy
-	accepted map[uint64]bool
-}
-
-func newSegmentsFixture(t testing.TB) *segmentsFixture {
-	t.Helper()
-	fx := &segmentsFixture{root: t.TempDir(), accepted: map[uint64]bool{}}
-	stateDir := filepath.Join(fx.root, "state")
-	fx.replica = filepath.Join(stateDir, "replica")
+// TestSegmentsEndpointChecksOrigin: segments used to arrive on their own
+// route, whose origin parameter was joined into a path unchecked — ".."
+// listed the node's own journal, "../.." whatever lay above the state dir, a
+// non-directory answered 500 with the joined path. They now ride the link a
+// peer opens on the daemon's forward route, and the sender's ID that names
+// their directory is held to ring membership at the upgrade: a hostile one is
+// a 400 before the connection is taken over and leaves nothing on disk, while
+// a real peer's segments are refused or stored as before.
+func TestSegmentsEndpointChecksOrigin(t *testing.T) {
+	// Everything lives under root, laid out so that every escape from the
+	// replica dir has something to find: the node's own journal one level up
+	// (root/state), and a segment-shaped decoy two levels up (root/wal-…).
+	root := t.TempDir()
+	stateDir := filepath.Join(root, "state")
+	replica := filepath.Join(stateDir, "replica")
 
 	// A throwaway engine's journal is the valid segment: closing it seals
 	// and syncs wal-<seq>.wal.
@@ -53,186 +48,140 @@ func newSegmentsFixture(t testing.TB) *segmentsFixture {
 	if len(wals) == 0 {
 		t.Fatal("donor engine left no journal segment")
 	}
-	if fx.segment, err = os.ReadFile(wals[0]); err != nil {
+	segment, err := os.ReadFile(wals[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	fx.decoy = filepath.Base(wals[0])
-	hexSeq := strings.TrimSuffix(strings.TrimPrefix(fx.decoy, "wal-"), ".wal")
-	if fx.seq, err = strconv.ParseUint(hexSeq, 16, 64); err != nil {
+	decoy := filepath.Base(wals[0])
+	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(decoy, "wal-"), ".wal"), 16, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(fx.root, fx.decoy), fx.segment, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, decoy), segment, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != cluster.HealthzPath {
-			http.NotFound(w, r)
-		}
-	}))
-	t.Cleanup(peer.Close)
+	// The daemon n0; its only peer n1 is a stub as far as n0's own links go.
 	g := newGatewayShell()
+	srv := httptest.NewServer(g.handler())
+	t.Cleanup(srv.Close)
 	err = g.init(&clusterSettings{
 		nodeID:            "n0",
-		peers:             []sbqa.ClusterPeer{{ID: "n1", Addr: peer.URL}},
+		peers:             []sbqa.ClusterPeer{{ID: "n1", Addr: "http://n1.test"}},
 		heartbeatInterval: time.Hour, // one probe at start, then quiet
 		heartbeatTimeout:  time.Second,
 		replicateInterval: time.Hour,
 		stateDir:          stateDir,
+		dial:              (&stubPeer{}).dial,
 	}, capacity, sbqa.WithConcurrency(1), sbqa.WithPersistence(stateDir, sbqa.PersistSyncEvery(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.close)
-	fx.h = g.handler()
-	return fx
-}
 
-// call sends one segments request and holds the answer to what must be true
-// of every origin, seq and body: no panic (the recorder would not return),
-// no 5xx, 400 unless the origin is the ring member n1, no filesystem path in
-// any body but the origin itself, quoted back — a ring member's rejected
-// upload used to be answered with the node's incoming-*.tmp path — and on
-// disk nothing under ReplicaDir but the segments accepted for n1: a refused
-// upload leaves nothing behind.
-func (fx *segmentsFixture) call(t *testing.T, method, origin, seq string, body []byte) *httptest.ResponseRecorder {
-	t.Helper()
-	target := sbqa.ClusterSegmentsPath + "?origin=" + url.QueryEscape(origin) + "&seq=" + url.QueryEscape(seq)
-	rec := handle(fx.h, method, target, body)
-	what := fmt.Sprintf("%s origin=%q seq=%q", method, origin, seq)
-	if rec.Code >= 500 {
-		t.Fatalf("%s: status %d (%s)", what, rec.Code, rec.Body)
-	}
-	if origin != "n1" && rec.Code != http.StatusBadRequest {
-		t.Fatalf("%s: status %d (%s), want 400 for an origin that is no other ring member", what, rec.Code, rec.Body)
-	}
-	if strings.Contains(rec.Body.String(), fx.root) && !strings.Contains(origin, fx.root) {
-		t.Fatalf("%s: a filesystem path in the body: %s", what, rec.Body)
-	}
-	if method == http.MethodPost && rec.Code == http.StatusOK {
-		n, _ := strconv.ParseUint(seq, 10, 64)
-		fx.accepted[n] = true
-	}
-	var want []string
-	for n := range fx.accepted {
-		want = append(want, filepath.Join("n1", fmt.Sprintf("wal-%016x.wal", n)))
-	}
-	var got []string
-	err := filepath.WalkDir(fx.replica, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			rel, _ := filepath.Rel(fx.replica, path)
-			got = append(got, rel)
+	// stored holds the files under the replica dir to what was accepted.
+	accepted := map[uint64]bool{}
+	stored := func(what string) {
+		t.Helper()
+		var want, got []string
+		for n := range accepted {
+			want = append(want, filepath.Join("n1", fmt.Sprintf("wal-%016x.wal", n)))
 		}
-		return err
-	})
-	if err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
+		err := filepath.WalkDir(replica, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(replica, path)
+				got = append(got, rel)
+			}
+			return err
+		})
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: files under the replica dir = %v, want %v", what, got, want)
+		}
 	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s: files under the replica dir = %v, want %v", what, got, want)
-	}
-	return rec
-}
 
-// held reads n1's inventory through the endpoint.
-func (fx *segmentsFixture) held(t *testing.T) []uint64 {
-	t.Helper()
-	rec := fx.call(t, http.MethodGet, "n1", "", nil)
-	var out struct {
-		Seqs []uint64 `json:"seqs"`
-	}
-	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
-		t.Fatalf("inventory of n1: status %d (%s)", rec.Code, rec.Body)
-	}
-	return out.Seqs
-}
-
-// TestSegmentsEndpointChecksOrigin: GET /v1/internal/segments joined its
-// origin parameter into a path unchecked — ".." listed the node's own
-// journal, "../.." whatever lay above the state dir, a non-directory
-// answered 500 with the joined path. Both verbs now hold origin to ring
-// membership; a real peer is served as before.
-func TestSegmentsEndpointChecksOrigin(t *testing.T) {
-	fx := newSegmentsFixture(t)
-	seq := strconv.FormatUint(fx.seq, 10)
 	hostile := []string{
-		"..", "../..", fx.root, filepath.Join(fx.root, "state"), "", "n0", "stranger",
+		"..", "../..", root, stateDir, "", "n0", "stranger",
 		"n1/..", "n1/../..", "./n1", "n1/", "n1\x00", "../replica/n1",
-		"../../" + fx.decoy, // a non-directory used to answer 500 with the joined path
+		"../../" + decoy, // a non-directory used to answer 500 with the joined path
 	}
 	for _, origin := range hostile {
-		for _, method := range []string{http.MethodGet, http.MethodPost} {
-			rec := fx.call(t, method, origin, seq, fx.segment)
-			if !strings.Contains(rec.Body.String(), "unknown origin") {
-				t.Errorf("%s origin=%q: body %s, want the unknown-origin refusal", method, origin, rec.Body)
-			}
+		// A recorder cannot be hijacked: a 400 here was written before any
+		// attempt to.
+		req := httptest.NewRequest(http.MethodGet, sbqa.ClusterForwardPath, nil)
+		req.Header.Set("Connection", "Upgrade")
+		req.Header.Set("Upgrade", "sbqa-link/2")
+		req.Header[sbqa.ClusterForwardedFromHeader] = []string{origin}
+		rec := httptest.NewRecorder()
+		g.handler().ServeHTTP(rec, req)
+		what := fmt.Sprintf("a link from %q", origin)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown node") {
+			t.Errorf("%s: status %d (%s), want the unknown-node 400", what, rec.Code, strings.TrimSpace(rec.Body.String()))
 		}
+		if strings.Contains(rec.Body.String(), root) && !strings.Contains(origin, root) {
+			t.Errorf("%s: a filesystem path in the body: %s", what, rec.Body)
+		}
+		stored(what)
 	}
 
-	if got := fx.held(t); len(got) != 0 {
+	// The real n1, over a real link to the daemon.
+	n1, err := sbqa.NewClusterNode(sbqa.ClusterConfig{
+		Self:             sbqa.ClusterPeer{ID: "n1"},
+		Peers:            []sbqa.ClusterPeer{{ID: "n0", Addr: srv.URL}},
+		HeartbeatTimeout: 2 * time.Second, // the dial's bound
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n1.Close)
+	call := func(kind cluster.FrameKind, body []byte) (int, string) {
+		t.Helper()
+		c, err := n1.Forward(context.Background(), sbqa.ClusterPeer{ID: "n0", Addr: srv.URL}, kind, sbqa.TraceContext{}, body)
+		if err != nil {
+			t.Fatalf("n1's link to the daemon: %v", err)
+		}
+		defer c.Release()
+		if c.Status >= 500 || strings.Contains(string(c.Body), root) {
+			t.Fatalf("kind %d: status %d (%s), want no 5xx and no path", kind, c.Status, c.Body)
+		}
+		return c.Status, string(c.Body)
+	}
+	held := func() (seqs []uint64) {
+		t.Helper()
+		status, body := call(cluster.FrameHeld, nil)
+		if status != http.StatusOK || len(body)%8 != 0 {
+			t.Fatalf("inventory of n1: status %d (%q)", status, body)
+		}
+		for b := []byte(body); len(b) >= 8; b = b[8:] {
+			seqs = append(seqs, binary.BigEndian.Uint64(b))
+		}
+		return seqs
+	}
+	// chunk is the whole of data as one segment chunk: seq, offset 0, last.
+	chunk := func(data []byte) []byte {
+		body := binary.BigEndian.AppendUint64(nil, seq)
+		body = binary.BigEndian.AppendUint64(body, 0)
+		return append(append(body, 1), data...)
+	}
+
+	if got := held(); len(got) != 0 {
 		t.Fatalf("n1 holds %v before anything was shipped", got)
 	}
-	rec := fx.call(t, http.MethodPost, "n1", seq, fx.segment[:len(fx.segment)-1])
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `segment `+seq+` from \"n1\"`) {
-		t.Errorf("torn segment: status %d (%s), want a 400 naming origin and seq", rec.Code, rec.Body)
+	status, body := call(cluster.FrameSegment, chunk(segment[:len(segment)-1]))
+	if status != http.StatusBadRequest || !strings.Contains(body, fmt.Sprintf(`segment %d from "n1"`, seq)) {
+		t.Errorf("torn segment: status %d (%s), want a 400 naming origin and seq", status, body)
 	}
-	if rec := fx.call(t, http.MethodPost, "n1", seq, fx.segment); rec.Code != http.StatusOK {
-		t.Fatalf("valid segment from a ring member: status %d (%s)", rec.Code, rec.Body)
+	stored("after a torn segment")
+	if status, body := call(cluster.FrameSegment, chunk(segment)); status != http.StatusOK {
+		t.Fatalf("valid segment from a ring member: status %d (%s)", status, body)
 	}
-	if got := fx.held(t); len(got) != 1 || got[0] != fx.seq {
-		t.Errorf("n1 holds %v, want [%d]", got, fx.seq)
+	accepted[seq] = true
+	stored("after a valid segment")
+	if got := held(); len(got) != 1 || got[0] != seq {
+		t.Errorf("n1 holds %v, want [%d]", got, seq)
 	}
-}
-
-// TestSegmentUploadDiskFailureIs500: a good segment this node cannot store
-// (a file sits where n1's replica directory would go) is the node's failure,
-// not the sender's — it was answered 400 with the path in the body.
-func TestSegmentUploadDiskFailureIs500(t *testing.T) {
-	fx := newSegmentsFixture(t)
-	if err := os.MkdirAll(fx.replica, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(fx.replica, "n1"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	target := sbqa.ClusterSegmentsPath + "?origin=n1&seq=" + strconv.FormatUint(fx.seq, 10)
-	rec := handle(fx.h, http.MethodPost, target, fx.segment)
-	if rec.Code != http.StatusInternalServerError || strings.Contains(rec.Body.String(), fx.root) {
-		t.Fatalf("status %d (%s), want a 500 that names no path", rec.Code, rec.Body)
-	}
-}
-
-// FuzzSegmentsEndpoint throws arbitrary origins, seqs and bodies at both
-// verbs of /v1/internal/segments (see segmentsFixture.call for the
-// property), and checks the inventory n1 is served against what was
-// accepted.
-func FuzzSegmentsEndpoint(f *testing.F) {
-	fx := newSegmentsFixture(f)
-	seq := strconv.FormatUint(fx.seq, 10)
-	for _, origin := range []string{"n1", "..", "../..", fx.root, "", "n0", "n1/../..", "n1\x00"} {
-		f.Add(origin, seq, fx.segment, true)
-		f.Add(origin, seq, fx.segment, false)
-	}
-	f.Add("n1", "-1", fx.segment, true)
-	f.Add("n1", "18446744073709551616", []byte{}, true)
-	f.Add("n1", seq, fx.segment[:len(fx.segment)/2], true)
-	f.Add("n1", seq+"0", fx.segment, true) // header seq disagrees with the transfer
-	f.Fuzz(func(t *testing.T, origin, seq string, body []byte, post bool) {
-		method := http.MethodGet
-		if post {
-			method = http.MethodPost
-		}
-		fx.call(t, method, origin, seq, body)
-		got := fx.held(t)
-		if len(got) != len(fx.accepted) {
-			t.Fatalf("n1 is served %v, accepted %v", got, fx.accepted)
-		}
-		for _, n := range got {
-			if !fx.accepted[n] {
-				t.Fatalf("n1 is served %v, accepted %v", got, fx.accepted)
-			}
-		}
-	})
 }
