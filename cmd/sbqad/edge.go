@@ -4,15 +4,16 @@ package main
 // query — the ticket, the Allocation — and not for the plumbing around it,
 // so a request borrows its buffers from one pool, the flat document every
 // client sends is recognised without reflection, and the one shape every
-// submit answers with is appended by hand. The standard library stays the
-// reference for both directions: decodeQuery declines whatever it is not
-// sure of and json.Unmarshal decides, and answerQuery is held
-// byte-for-byte to json.Encoder by test.
+// submit answers with, like the stats document, is appended by hand. The
+// standard library stays the reference for both directions: decodeQuery
+// declines whatever it is not sure of and json.Unmarshal decides, and
+// answerQuery and answerStats are held byte-for-byte to json.Encoder by test.
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"sbqa"
+	"sbqa/internal/satisfaction"
 )
 
 // scratch is what one request borrows from the edge: the body it read, the
@@ -44,6 +46,15 @@ type scratch struct {
 	// timer bounds a forwarded wait:"results" by its frame's budget; made at
 	// first use and stopped between uses.
 	timer *time.Timer
+
+	// A stats scrape's working set: the registry's readings, and the members
+	// of the ID-keyed object being written, formatted into arena (see
+	// idMember). Their size is the fleet's, never a client's, and a fraction
+	// of the registry they mirror, so they go back to the pool whatever it is.
+	consumers []satisfaction.Reading[sbqa.ConsumerID]
+	providers []satisfaction.Reading[sbqa.ProviderID]
+	members   []idMember
+	arena     []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -298,4 +309,118 @@ func appendProviders(out []byte, open string, ids []sbqa.ProviderID) []byte {
 		out = strconv.AppendInt(out, int64(id), 10)
 	}
 	return append(out, ']')
+}
+
+// answerStats answers GET /v1/stats from the engine's counters, the registry
+// readings in sc.consumers and sc.providers, and the gateway's own two
+// counters: byte for byte what json.Encoder writes for the statsResponse
+// holding them, with the brownout level taken from shard 0. Every member is
+// a number appended in field order but the rare persistence block, left to
+// json.Marshal (numbers and bools: it cannot fail). The values are finite, as
+// the engine keeps them; encoding/json would refuse to write a NaN at all.
+func (sc *scratch) answerStats(st *sbqa.EngineStats, eventsDropped, admissionRejected uint64) {
+	out := append(sc.out[:0], `{"shards":[`...)
+	for i := range st.Shards {
+		sh := &st.Shards[i]
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendUint(append(out, `{"mediations":`...), sh.Mediations, 10)
+		out = strconv.AppendUint(append(out, `,"rejections":`...), sh.Rejections, 10)
+		out = strconv.AppendUint(append(out, `,"dispatch_failures":`...), sh.DispatchFailures, 10)
+		out = appendJSONFloat(append(out, `,"mean_candidates":`...), sh.MeanCandidates)
+		out = strconv.AppendUint(append(out, `,"imputations":`...), sh.Imputations, 10)
+		out = strconv.AppendUint(append(out, `,"intention_timeouts":`...), sh.IntentionTimeouts, 10)
+		out = strconv.AppendUint(append(out, `,"policy_generation":`...), sh.PolicyGeneration, 10)
+		out = strconv.AppendUint(append(out, `,"policy_swaps":`...), sh.PolicySwaps, 10)
+		out = strconv.AppendInt(append(out, `,"queue_depth":`...), int64(sh.QueueDepth), 10)
+		out = strconv.AppendInt(append(out, `,"queue_high_water":`...), int64(sh.QueueHighWater), 10)
+		out = strconv.AppendUint(append(out, `,"queue_enqueued":`...), sh.QueueEnqueued, 10)
+		out = strconv.AppendUint(append(out, `,"queue_dequeued":`...), sh.QueueDequeued, 10)
+		out = strconv.AppendUint(append(out, `,"queue_shed":`...), sh.QueueShed, 10)
+		out = append(out, '}')
+	}
+	out = strconv.AppendInt(append(out, `],"queries_submitted":`...), st.QueriesSubmitted, 10)
+	out = strconv.AppendInt(append(out, `,"providers":`...), int64(st.Providers), 10)
+	out = strconv.AppendInt(append(out, `,"consumers":`...), int64(st.Consumers), 10)
+	for id, depth := range st.WorkerQueueDepths {
+		sc.member(int64(id))
+		sc.arena = strconv.AppendInt(sc.arena, int64(depth), 10)
+	}
+	out = sc.appendMembers(append(out, `,"worker_queue_depths":`...))
+	out = strconv.AppendUint(append(out, `,"policy_generation":`...), st.PolicyGeneration, 10)
+	if st.Persistence != nil {
+		ps, _ := json.Marshal(st.Persistence)
+		out = append(append(out, `,"persistence":`...), ps...)
+	}
+	for _, rd := range sc.consumers {
+		sc.member(int64(rd.ID))
+		sc.arena = appendJSONFloat(sc.arena, rd.Sat)
+	}
+	out = sc.appendMembers(append(out, `,"satisfaction":{"consumers":`...))
+	for _, rd := range sc.providers {
+		sc.member(int64(rd.ID))
+		sc.arena = appendJSONFloat(sc.arena, rd.Sat)
+	}
+	out = sc.appendMembers(append(out, `,"providers":`...))
+	out = strconv.AppendUint(append(out, `},"events_dropped":`...), eventsDropped, 10)
+	out = strconv.AppendUint(append(out, `,"admission_rejected":`...), admissionRejected, 10)
+	out = strconv.AppendInt(append(out, `,"brownout":`...), int64(st.Shards[0].QoS.Brownout), 10)
+	sc.status, sc.retryAfter, sc.out = http.StatusOK, 0, append(out, "}\n"...)
+}
+
+// idMember is one member of an object keyed by participant ID, formatted
+// into the scratch's arena: the key's digits from at, the value from sep to
+// where the next member begins.
+type idMember struct{ at, sep, end int }
+
+// member starts a member keyed id in the arena; the caller appends its value
+// there before starting the next.
+func (sc *scratch) member(id int64) {
+	at := len(sc.arena)
+	sc.arena = strconv.AppendInt(sc.arena, id, 10)
+	sc.members = append(sc.members, idMember{at: at, sep: len(sc.arena)})
+}
+
+// appendMembers appends the members started since the last call as one
+// object and empties the arena for the next. The keys are sorted the way
+// encoding/json sorts a map's: as the decimal strings they are, byte by byte
+// — "-3" < "10" < "9" — not as numbers.
+func (sc *scratch) appendMembers(out []byte) []byte {
+	arena, ms := sc.arena, sc.members
+	for i := range ms {
+		ms[i].end = len(arena)
+		if i+1 < len(ms) {
+			ms[i].end = ms[i+1].at
+		}
+	}
+	slices.SortFunc(ms, func(a, b idMember) int { return bytes.Compare(arena[a.at:a.sep], arena[b.at:b.sep]) })
+	// Quotes, colon and comma are four bytes a member: one growth at most.
+	out = append(slices.Grow(out, len(arena)+4*len(ms)+1), '{')
+	for i, m := range ms {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(append(out, '"'), arena[m.at:m.sep]...), `":`...)
+		out = append(out, arena[m.sep:m.end]...)
+	}
+	sc.arena, sc.members = arena[:0], ms[:0]
+	return append(out, '}')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in 'f' form unless |f| is below 1e-6 or at
+// or above 1e21, then in 'e' form with a one-digit negative exponent written
+// without its leading zero (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

@@ -10,11 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"sbqa"
+	"sbqa/internal/persist"
+	"sbqa/internal/satisfaction"
 )
 
 // The codec's contract: the recogniser is json.Unmarshal or nothing, the
@@ -172,6 +175,155 @@ func TestQueryResponseEncodingMatchesStdlib(t *testing.T) {
 		}
 		if ct := rec.Header()["Content-Type"]; rec.Code != status || len(ct) != 1 || ct[0] != "application/json" {
 			t.Fatalf("status %d, Content-Type %q; want %d, application/json", rec.Code, ct, status)
+		}
+	}
+}
+
+// statsResponse is the GET /v1/stats document as encoding/json sees it: the
+// reference answerStats is held to, and what tests decode a scrape into.
+type statsResponse struct {
+	sbqa.EngineStats
+	Satisfaction      satisfactionMap `json:"satisfaction"`
+	EventsDropped     uint64          `json:"events_dropped"`
+	AdmissionRejected uint64          `json:"admission_rejected"`
+	Brownout          int             `json:"brownout"`
+}
+
+type satisfactionMap struct {
+	Consumers map[string]float64 `json:"consumers"`
+	Providers map[string]float64 `json:"providers"`
+}
+
+// TestStatsEncodingMatchesStdlib: the stats appender and json.Encoder over
+// statsResponse agree on every byte, on documents where the orders of IDs as
+// numbers and as strings differ, with the floats whose formatting has a rule
+// of its own, and with and without the persistence block.
+func TestStatsEncodingMatchesStdlib(t *testing.T) {
+	r := rand.New(rand.NewPCG(27, 27))
+	// id draws 1 to 19 digits, a quarter of them negative: the gateway takes
+	// any int as a participant ID.
+	id := func() int {
+		digits := 1 + r.IntN(19)
+		lo := int64(math.Pow10(digits - 1))
+		if digits == 1 {
+			lo = 0
+		}
+		hi := int64(math.MaxInt64)
+		if digits < 19 {
+			hi = int64(math.Pow10(digits))
+		}
+		v := lo + r.Int64N(hi-lo)
+		if r.IntN(4) == 0 {
+			v = -v
+		}
+		return int(v)
+	}
+	sats := []float64{0, 1, 0.5, 1e-7, 5e-324, 1e-6, 0.1 + 0.2}
+	sat := func() float64 {
+		if i := r.IntN(len(sats) + 2); i < len(sats) {
+			return sats[i]
+		}
+		return r.Float64() // 17 significant digits, mostly
+	}
+	means := []float64{0, 1, 2.5, 1e21, 3.7e22, 9.99e20, 123456789.125}
+	u64 := func() uint64 { return r.Uint64() >> r.IntN(64) }
+	small := func() int { return r.IntN(1<<r.IntN(20)) - 1<<r.IntN(3) }
+	sc := new(scratch)
+	var want bytes.Buffer
+	for i := 0; i < 10_000; i++ {
+		st := sbqa.EngineStats{
+			Shards:            make([]sbqa.ShardStats, 1+r.IntN(4)),
+			QueriesSubmitted:  int64(u64()),
+			Providers:         small(),
+			Consumers:         small(),
+			WorkerQueueDepths: make(map[sbqa.ProviderID]int),
+			PolicyGeneration:  u64(),
+		}
+		for j := range st.Shards {
+			mean := means[r.IntN(len(means))]
+			if r.IntN(2) == 0 {
+				mean = r.Float64() * math.Pow10(r.IntN(25))
+			}
+			st.Shards[j] = sbqa.ShardStats{
+				Mediations: u64(), Rejections: u64(), DispatchFailures: u64(), MeanCandidates: mean,
+				Imputations: u64(), IntentionTimeouts: u64(), PolicyGeneration: u64(), PolicySwaps: u64(),
+				QueueDepth: small(), QueueHighWater: small(), QueueEnqueued: u64(), QueueDequeued: u64(), QueueShed: u64(),
+			}
+			st.Shards[j].QoS.Brownout = r.IntN(4)
+		}
+		for n := r.IntN(4) * r.IntN(12); n > 0; n-- {
+			st.WorkerQueueDepths[sbqa.ProviderID(id())] = small()
+		}
+		if r.IntN(3) == 0 {
+			st.Persistence = &persist.Stats{
+				RecordsAppended: u64(), Syncs: u64(), SealedSegments: small(), QueueDepth: small(),
+			}
+			st.Persistence.Restore.SnapshotLoaded = r.IntN(2) == 0
+			st.Persistence.Restore.TornTail = r.IntN(2) == 0
+		}
+		resp := statsResponse{
+			EngineStats:       st,
+			Satisfaction:      satisfactionMap{Consumers: map[string]float64{}, Providers: map[string]float64{}},
+			EventsDropped:     u64(),
+			AdmissionRejected: u64(),
+			Brownout:          st.Shards[0].QoS.Brownout,
+		}
+		sc.consumers, sc.providers = sc.consumers[:0], sc.providers[:0]
+		for n := r.IntN(3) * r.IntN(12); n > 0; n-- {
+			c, s := id(), sat()
+			if _, dup := resp.Satisfaction.Consumers[strconv.Itoa(c)]; !dup {
+				resp.Satisfaction.Consumers[strconv.Itoa(c)] = s
+				sc.consumers = append(sc.consumers, satisfaction.Reading[sbqa.ConsumerID]{ID: sbqa.ConsumerID(c), Sat: s})
+			}
+		}
+		for n := r.IntN(3) * r.IntN(12); n > 0; n-- {
+			p, s := id(), sat()
+			if _, dup := resp.Satisfaction.Providers[strconv.Itoa(p)]; !dup {
+				resp.Satisfaction.Providers[strconv.Itoa(p)] = s
+				sc.providers = append(sc.providers, satisfaction.Reading[sbqa.ProviderID]{ID: sbqa.ProviderID(p), Sat: s})
+			}
+		}
+
+		rec := httptest.NewRecorder()
+		sc.answerStats(&st, resp.EventsDropped, resp.AdmissionRejected)
+		sc.send(rec)
+		want.Reset()
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("document %d:\n got %s\nwant %s", i, rec.Body.Bytes(), want.Bytes())
+		}
+		if ct := rec.Header()["Content-Type"]; rec.Code != http.StatusOK || len(ct) != 1 || ct[0] != "application/json" {
+			t.Fatalf("status %d, Content-Type %q; want 200, application/json", rec.Code, ct)
+		}
+	}
+}
+
+// TestStatsScrapeAllocs: a scrape allocates for the engine's snapshot, not
+// per participant — the same bounded count with 24 workers as with 2,000.
+func TestStatsScrapeAllocs(t *testing.T) {
+	for _, workers := range []int{24, 2000} {
+		h := statsFixture(t, workers)
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		rec := &recorder{header: make(http.Header)}
+		scrape := func() {
+			rec.reset()
+			h.ServeHTTP(rec, req)
+		}
+		scrape()
+		var doc statsResponse
+		if err := json.Unmarshal(rec.body.Bytes(), &doc); err != nil || rec.status != http.StatusOK {
+			t.Fatalf("%d workers: status %d, %v", workers, rec.status, err)
+		}
+		if len(doc.WorkerQueueDepths) != workers || len(doc.Satisfaction.Consumers) == 0 || len(doc.Satisfaction.Providers) == 0 {
+			t.Fatalf("%d workers: the scrape holds %d queue depths, %d consumers and %d providers",
+				workers, len(doc.WorkerQueueDepths), len(doc.Satisfaction.Consumers), len(doc.Satisfaction.Providers))
+		}
+		n := testing.AllocsPerRun(50, scrape)
+		t.Logf("%d workers: %v allocations per scrape", workers, n)
+		if n > 64 {
+			t.Errorf("%d workers: %v allocations per scrape, want at most 64", workers, n)
 		}
 	}
 }

@@ -93,6 +93,55 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 	}
 }
 
+// statsFixture is a two-shard gateway with the given number of workers and
+// 64 consumers, after a round of mediations has given the registry trackers
+// on both sides: what a scrape of a busy daemon reads.
+func statsFixture(tb testing.TB, workers int) http.Handler {
+	tb.Helper()
+	gw, err := newGateway(
+		sbqa.WithWindow(50),
+		sbqa.WithConcurrency(2),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, Seed: 1}),
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(gw.close)
+	h := gw.handler()
+	must := func(status int, path string, doc []byte) {
+		if rec := handle(h, http.MethodPost, path, doc); rec.Code != status {
+			tb.Fatalf("POST %s %s: %d %s", path, doc, rec.Code, rec.Body)
+		}
+	}
+	for id := 0; id < workers; id++ {
+		must(http.StatusCreated, "/v1/workers", fmt.Appendf(nil, `{"id":%d,"capacity":1000000,"queue_cap":16,"intention":0.5}`, id))
+	}
+	for id := 0; id < 64; id++ {
+		must(http.StatusCreated, "/v1/consumers", fmt.Appendf(nil, `{"id":%d,"intention":0.8}`, id))
+	}
+	for i := 0; i < 256; i++ {
+		must(http.StatusOK, "/v1/queries", fmt.Appendf(nil, `{"consumer":%d,"n":1,"work":1}`, i%64))
+	}
+	return h
+}
+
+// BenchmarkGatewayStats measures one GET /v1/stats through the real handler
+// with no socket, on a fleet the size of churn_mixed's (400 workers, 64
+// consumers): the engine's snapshot, the registry walk and the encoding.
+func BenchmarkGatewayStats(b *testing.B) {
+	h := statsFixture(b, 400)
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	rec := &recorder{header: make(http.Header)}
+	b.ReportAllocs()
+	for b.Loop() {
+		rec.reset()
+		h.ServeHTTP(rec, req)
+		if rec.status != http.StatusOK {
+			b.Fatalf("scrape: %d %s", rec.status, rec.body.String())
+		}
+	}
+}
+
 // BenchmarkWireSubmit puts a handler behind a real net/http server on
 // loopback and drives it with a client that allocates nothing — one
 // kept-alive connection, the request written as prepared bytes, the response

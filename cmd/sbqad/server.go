@@ -792,47 +792,23 @@ func (g *gateway) publishResults() {
 	}
 }
 
-// statsResponse is Engine.Stats — which carries its own JSON shape, flattened
-// into this document — plus what only the gateway knows: the current
-// satisfaction of every tracked participant, the event stream's drop count,
-// admission rejections (429s) and the engine's brownout level (0 = none).
-type statsResponse struct {
-	sbqa.EngineStats
-	Satisfaction      satisfactionMap `json:"satisfaction"`
-	EventsDropped     uint64          `json:"events_dropped"`
-	AdmissionRejected uint64          `json:"admission_rejected"`
-	Brownout          int             `json:"brownout"`
-}
-
-type satisfactionMap struct {
-	Consumers map[string]float64 `json:"consumers"`
-	Providers map[string]float64 `json:"providers"`
-}
-
+// handleStats serves Engine.Stats plus what only the gateway knows: the
+// current satisfaction of every tracked participant, the event stream's drop
+// count, admission rejections (429s) and the engine's brownout level (0 =
+// none). The document is answerStats's.
 func (g *gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	eng, ok := g.requireEngine(w)
 	if !ok {
 		return
 	}
+	sc := getScratch()
+	defer putScratch(sc)
 	st := eng.Stats()
-	resp := statsResponse{
-		EngineStats: st,
-		Satisfaction: satisfactionMap{
-			Consumers: make(map[string]float64),
-			Providers: make(map[string]float64),
-		},
-		EventsDropped:     g.hub.droppedEvents(),
-		AdmissionRejected: g.admissionRejected.Load(),
-		Brownout:          st.Shards[0].QoS.Brownout,
-	}
 	reg := eng.Registry()
-	for _, id := range reg.ConsumerIDs() {
-		resp.Satisfaction.Consumers[strconv.Itoa(int(id))] = reg.ConsumerSatisfaction(id)
-	}
-	for _, id := range reg.ProviderIDs() {
-		resp.Satisfaction.Providers[strconv.Itoa(int(id))] = reg.ProviderSatisfaction(id)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.consumers = reg.AppendConsumerReadings(sc.consumers[:0])
+	sc.providers = reg.AppendProviderReadings(sc.providers[:0])
+	sc.answerStats(&st, g.hub.droppedEvents(), g.admissionRejected.Load())
+	sc.send(w)
 }
 
 // handleHealthz reports liveness: the process is up and serving HTTP. It

@@ -669,12 +669,13 @@ func (st Stats) PolicySwaps() uint64 {
 // the snapshot is internally consistent per counter but not across them —
 // fine for monitoring, not for invariant checks against in-flight traffic.
 func (e *Engine) Stats() Stats {
+	ids := e.dir.ProviderIDs()
 	st := Stats{
 		Shards:            make([]ShardStats, len(e.shards)),
 		QueriesSubmitted:  e.nextID.Load(),
 		Providers:         e.dir.NumProviders(),
 		Consumers:         e.dir.NumConsumers(),
-		WorkerQueueDepths: make(map[model.ProviderID]int),
+		WorkerQueueDepths: make(map[model.ProviderID]int, len(ids)),
 		PolicyGeneration:  e.pol.gen.Load(),
 	}
 	for i, sh := range e.shards {
@@ -700,7 +701,7 @@ func (e *Engine) Stats() Stats {
 		}
 		st.Shards[i] = ss
 	}
-	for _, id := range e.dir.ProviderIDs() {
+	for _, id := range ids {
 		if w, ok := e.dir.Provider(id).(Executor); ok {
 			st.WorkerQueueDepths[id] = w.QueueDepth()
 		}
@@ -712,18 +713,21 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// satisfactionSnapshot samples every tracked participant's δs.
+// satisfactionSnapshot samples every tracked participant's δs in one walk of
+// the registry.
 func (e *Engine) satisfactionSnapshot() event.SatisfactionSnapshot {
+	cs := e.reg.AppendConsumerReadings(nil)
+	ps := e.reg.AppendProviderReadings(nil)
 	snap := event.SatisfactionSnapshot{
 		Time:      e.nowFn(),
-		Consumers: make(map[model.ConsumerID]float64),
-		Providers: make(map[model.ProviderID]float64),
+		Consumers: make(map[model.ConsumerID]float64, len(cs)),
+		Providers: make(map[model.ProviderID]float64, len(ps)),
 	}
-	for _, id := range e.reg.ConsumerIDs() {
-		snap.Consumers[id] = e.reg.ConsumerSatisfaction(id)
+	for _, rd := range cs {
+		snap.Consumers[rd.ID] = rd.Sat
 	}
-	for _, id := range e.reg.ProviderIDs() {
-		snap.Providers[id] = e.reg.ProviderSatisfaction(id)
+	for _, rd := range ps {
+		snap.Providers[rd.ID] = rd.Sat
 	}
 	return snap
 }

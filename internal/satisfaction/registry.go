@@ -236,32 +236,41 @@ func (r *Registry) ProviderIDs() []model.ProviderID {
 	return out
 }
 
-// ConsumerSatisfactions returns the δs of every tracked consumer.
-func (r *Registry) ConsumerSatisfactions() []float64 {
-	var out []float64
-	for i := range r.consumers {
-		sh := &r.consumers[i]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			out = append(out, t.Satisfaction())
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+// Reading is one tracked participant's δs, as a walk of the registry reads
+// it.
+type Reading[ID model.ConsumerID | model.ProviderID] struct {
+	ID  ID
+	Sat float64
 }
 
-// ProviderSatisfactions returns the δs of every tracked provider.
-func (r *Registry) ProviderSatisfactions() []float64 {
-	var out []float64
-	for i := range r.providers {
-		sh := &r.providers[i]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			out = append(out, t.Satisfaction())
-		}
-		sh.mu.RUnlock()
+// AppendConsumerReadings appends (c, δs(c)) for every tracked consumer to
+// dst, in no particular order, and returns the extended slice. Each stripe's
+// read lock is taken once, so a caller that keeps dst between walks reads the
+// whole registry without allocating.
+func (r *Registry) AppendConsumerReadings(dst []Reading[model.ConsumerID]) []Reading[model.ConsumerID] {
+	for i := range r.consumers {
+		dst = appendReadings(dst, &r.consumers[i].mu, r.consumers[i].m)
 	}
-	return out
+	return dst
+}
+
+// AppendProviderReadings appends (p, δs(p)) for every tracked provider to
+// dst; see AppendConsumerReadings.
+func (r *Registry) AppendProviderReadings(dst []Reading[model.ProviderID]) []Reading[model.ProviderID] {
+	for i := range r.providers {
+		dst = appendReadings(dst, &r.providers[i].mu, r.providers[i].m)
+	}
+	return dst
+}
+
+// appendReadings appends the readings of one stripe under its read lock.
+func appendReadings[ID model.ConsumerID | model.ProviderID, T interface{ Satisfaction() float64 }](dst []Reading[ID], mu *sync.RWMutex, m map[ID]T) []Reading[ID] {
+	mu.RLock()
+	for id, t := range m {
+		dst = append(dst, Reading[ID]{ID: id, Sat: t.Satisfaction()})
+	}
+	mu.RUnlock()
+	return dst
 }
 
 // recordProvider feeds one proposal outcome into provider p's tracker under

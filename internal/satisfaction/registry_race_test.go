@@ -39,13 +39,16 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent readers.
+	// Concurrent readers: per-ID reads, and whole-registry walks into buffers
+	// each reader keeps, as a stats scrape does.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			var cs []Reading[model.ConsumerID]
+			var ps []Reading[model.ProviderID]
 			for {
 				select {
 				case <-stop:
@@ -59,12 +62,27 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 						return
 					}
 				}
-				_ = r.ConsumerSatisfactions()
-				_ = r.ProviderIDs()
+				cs = r.AppendConsumerReadings(cs[:0])
+				ps = r.AppendProviderReadings(ps[:0])
+				for _, rd := range cs {
+					if rd.Sat < 0 || rd.Sat > 1 {
+						t.Errorf("walk: consumer %d satisfaction %v out of range", rd.ID, rd.Sat)
+						return
+					}
+				}
+				for _, rd := range ps {
+					if rd.Sat < 0 || rd.Sat > 1 {
+						t.Errorf("walk: provider %d satisfaction %v out of range", rd.ID, rd.Sat)
+						return
+					}
+				}
 			}
 		}()
 	}
-	// Concurrent churn on IDs outside the recorded range.
+	// Concurrent churn on IDs outside the recorded range, through the
+	// registry's own locks: the walks above visit these trackers while they
+	// are recorded into and forgotten (a tracker written through Provider
+	// would be unsynchronized by contract).
 	var churn sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		g := g
@@ -74,7 +92,13 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 			id := model.ProviderID(1000 + g)
 			cid := model.ConsumerID(1000 + g)
 			for i := 0; i < 500; i++ {
-				r.Provider(id).Record(1, true)
+				r.RecordAllocation(&model.Allocation{
+					Query:              model.Query{Consumer: cid, N: 1, Work: 1},
+					Selected:           []model.ProviderID{id},
+					Proposed:           []model.ProviderID{id},
+					ConsumerIntentions: []model.Intention{1},
+					ProviderIntentions: []model.Intention{1},
+				}, nil)
 				r.ForgetProvider(id)
 				r.Consumer(cid)
 				r.ForgetConsumer(cid)

@@ -1,7 +1,9 @@
 package satisfaction
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"sbqa/internal/model"
@@ -87,13 +89,19 @@ func TestRegistryRecordAllocation(t *testing.T) {
 		t.Errorf("provider 11 δs = %v, want 0", got)
 	}
 
-	sats := r.ConsumerSatisfactions()
-	if len(sats) != 1 || math.Abs(sats[0]-1) > 1e-12 {
-		t.Errorf("ConsumerSatisfactions = %v", sats)
+	// The walk reads what the per-ID reads read, every participant once.
+	sats := r.AppendConsumerReadings(nil)
+	if len(sats) != 1 || sats[0].ID != 0 || sats[0].Sat != r.ConsumerSatisfaction(0) {
+		t.Errorf("AppendConsumerReadings = %v", sats)
 	}
-	psats := r.ProviderSatisfactions()
-	if len(psats) != 2 {
-		t.Errorf("ProviderSatisfactions = %v", psats)
+	psats := r.AppendProviderReadings(make([]Reading[model.ProviderID], 1, 3))
+	if len(psats) != 3 || psats[0] != (Reading[model.ProviderID]{}) {
+		t.Fatalf("AppendProviderReadings = %v, want the one reading dst held and two appended", psats)
+	}
+	got := psats[1:]
+	slices.SortFunc(got, func(a, b Reading[model.ProviderID]) int { return cmp.Compare(a.ID, b.ID) })
+	if got[0].ID != 10 || got[1].ID != 11 || got[0].Sat != r.ProviderSatisfaction(10) || got[1].Sat != r.ProviderSatisfaction(11) {
+		t.Errorf("AppendProviderReadings = %v, want providers 10 and 11 with their δs", psats)
 	}
 }
 
