@@ -46,15 +46,6 @@ type scratch struct {
 	// timer bounds a forwarded wait:"results" by its frame's budget; made at
 	// first use and stopped between uses.
 	timer *time.Timer
-
-	// A stats scrape's working set: the registry's readings, and the members
-	// of the ID-keyed object being written, formatted into arena (see
-	// idMember). Their size is the fleet's, never a client's, and a fraction
-	// of the registry they mirror, so they go back to the pool whatever it is.
-	consumers []satisfaction.Reading[sbqa.ConsumerID]
-	providers []satisfaction.Reading[sbqa.ProviderID]
-	members   []idMember
-	arena     []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -311,14 +302,26 @@ func appendProviders(out []byte, open string, ids []sbqa.ProviderID) []byte {
 	return append(out, ']')
 }
 
+// statsScratch is a scrape's working set (see idMember), sized by the fleet,
+// never by a client. Its own pool keeps it whatever its size, for as many
+// scrapes as run at once; a request's scratch stays the size of a submit.
+type statsScratch struct {
+	consumers []satisfaction.Reading[sbqa.ConsumerID]
+	providers []satisfaction.Reading[sbqa.ProviderID]
+	members   []idMember
+	arena     []byte
+}
+
+var statsPool = sync.Pool{New: func() any { return new(statsScratch) }}
+
 // answerStats answers GET /v1/stats from the engine's counters, the registry
-// readings in sc.consumers and sc.providers, and the gateway's own two
+// readings in ss.consumers and ss.providers, and the gateway's own two
 // counters: byte for byte what json.Encoder writes for the statsResponse
 // holding them, with the brownout level taken from shard 0. Every member is
 // a number appended in field order but the rare persistence block, left to
 // json.Marshal (numbers and bools: it cannot fail). The values are finite, as
 // the engine keeps them; encoding/json would refuse to write a NaN at all.
-func (sc *scratch) answerStats(st *sbqa.EngineStats, eventsDropped, admissionRejected uint64) {
+func (sc *scratch) answerStats(ss *statsScratch, st *sbqa.EngineStats, eventsDropped, admissionRejected uint64) {
 	out := append(sc.out[:0], `{"shards":[`...)
 	for i := range st.Shards {
 		sh := &st.Shards[i]
@@ -344,25 +347,25 @@ func (sc *scratch) answerStats(st *sbqa.EngineStats, eventsDropped, admissionRej
 	out = strconv.AppendInt(append(out, `,"providers":`...), int64(st.Providers), 10)
 	out = strconv.AppendInt(append(out, `,"consumers":`...), int64(st.Consumers), 10)
 	for id, depth := range st.WorkerQueueDepths {
-		sc.member(int64(id))
-		sc.arena = strconv.AppendInt(sc.arena, int64(depth), 10)
+		ss.member(int64(id))
+		ss.arena = strconv.AppendInt(ss.arena, int64(depth), 10)
 	}
-	out = sc.appendMembers(append(out, `,"worker_queue_depths":`...))
+	out = ss.appendMembers(append(out, `,"worker_queue_depths":`...))
 	out = strconv.AppendUint(append(out, `,"policy_generation":`...), st.PolicyGeneration, 10)
 	if st.Persistence != nil {
 		ps, _ := json.Marshal(st.Persistence)
 		out = append(append(out, `,"persistence":`...), ps...)
 	}
-	for _, rd := range sc.consumers {
-		sc.member(int64(rd.ID))
-		sc.arena = appendJSONFloat(sc.arena, rd.Sat)
+	for _, rd := range ss.consumers {
+		ss.member(int64(rd.ID))
+		ss.arena = appendJSONFloat(ss.arena, rd.Sat)
 	}
-	out = sc.appendMembers(append(out, `,"satisfaction":{"consumers":`...))
-	for _, rd := range sc.providers {
-		sc.member(int64(rd.ID))
-		sc.arena = appendJSONFloat(sc.arena, rd.Sat)
+	out = ss.appendMembers(append(out, `,"satisfaction":{"consumers":`...))
+	for _, rd := range ss.providers {
+		ss.member(int64(rd.ID))
+		ss.arena = appendJSONFloat(ss.arena, rd.Sat)
 	}
-	out = sc.appendMembers(append(out, `,"providers":`...))
+	out = ss.appendMembers(append(out, `,"providers":`...))
 	out = strconv.AppendUint(append(out, `},"events_dropped":`...), eventsDropped, 10)
 	out = strconv.AppendUint(append(out, `,"admission_rejected":`...), admissionRejected, 10)
 	out = strconv.AppendInt(append(out, `,"brownout":`...), int64(st.Shards[0].QoS.Brownout), 10)
@@ -370,29 +373,26 @@ func (sc *scratch) answerStats(st *sbqa.EngineStats, eventsDropped, admissionRej
 }
 
 // idMember is one member of an object keyed by participant ID, formatted
-// into the scratch's arena: the key's digits from at, the value from sep to
-// where the next member begins.
+// into a statsScratch's arena: the key's digits from at, the value from sep
+// to where the next member begins.
 type idMember struct{ at, sep, end int }
 
 // member starts a member keyed id in the arena; the caller appends its value
 // there before starting the next.
-func (sc *scratch) member(id int64) {
-	at := len(sc.arena)
-	sc.arena = strconv.AppendInt(sc.arena, id, 10)
-	sc.members = append(sc.members, idMember{at: at, sep: len(sc.arena)})
+func (ss *statsScratch) member(id int64) {
+	at := len(ss.arena)
+	ss.arena = strconv.AppendInt(ss.arena, id, 10)
+	ss.members = append(ss.members, idMember{at: at, sep: len(ss.arena)})
 }
 
 // appendMembers appends the members started since the last call as one
 // object and empties the arena for the next. The keys are sorted the way
 // encoding/json sorts a map's: as the decimal strings they are, byte by byte
 // — "-3" < "10" < "9" — not as numbers.
-func (sc *scratch) appendMembers(out []byte) []byte {
-	arena, ms := sc.arena, sc.members
-	for i := range ms {
-		ms[i].end = len(arena)
-		if i+1 < len(ms) {
-			ms[i].end = ms[i+1].at
-		}
+func (ss *statsScratch) appendMembers(out []byte) []byte {
+	arena, ms := ss.arena, ss.members
+	for i, end := len(ms)-1, len(arena); i >= 0; i-- {
+		ms[i].end, end = end, ms[i].at
 	}
 	slices.SortFunc(ms, func(a, b idMember) int { return bytes.Compare(arena[a.at:a.sep], arena[b.at:b.sep]) })
 	// Quotes, colon and comma are four bytes a member: one growth at most.
@@ -404,7 +404,7 @@ func (sc *scratch) appendMembers(out []byte) []byte {
 		out = append(append(append(out, '"'), arena[m.at:m.sep]...), `":`...)
 		out = append(out, arena[m.sep:m.end]...)
 	}
-	sc.arena, sc.members = arena[:0], ms[:0]
+	ss.arena, ss.members = arena[:0], ms[:0]
 	return append(out, '}')
 }
 

@@ -228,7 +228,7 @@ func TestStatsEncodingMatchesStdlib(t *testing.T) {
 	means := []float64{0, 1, 2.5, 1e21, 3.7e22, 9.99e20, 123456789.125}
 	u64 := func() uint64 { return r.Uint64() >> r.IntN(64) }
 	small := func() int { return r.IntN(1<<r.IntN(20)) - 1<<r.IntN(3) }
-	sc := new(scratch)
+	sc, ss := new(scratch), new(statsScratch)
 	var want bytes.Buffer
 	for i := 0; i < 10_000; i++ {
 		st := sbqa.EngineStats{
@@ -268,24 +268,24 @@ func TestStatsEncodingMatchesStdlib(t *testing.T) {
 			AdmissionRejected: u64(),
 			Brownout:          st.Shards[0].QoS.Brownout,
 		}
-		sc.consumers, sc.providers = sc.consumers[:0], sc.providers[:0]
+		ss.consumers, ss.providers = ss.consumers[:0], ss.providers[:0]
 		for n := r.IntN(3) * r.IntN(12); n > 0; n-- {
 			c, s := id(), sat()
 			if _, dup := resp.Satisfaction.Consumers[strconv.Itoa(c)]; !dup {
 				resp.Satisfaction.Consumers[strconv.Itoa(c)] = s
-				sc.consumers = append(sc.consumers, satisfaction.Reading[sbqa.ConsumerID]{ID: sbqa.ConsumerID(c), Sat: s})
+				ss.consumers = append(ss.consumers, satisfaction.Reading[sbqa.ConsumerID]{ID: sbqa.ConsumerID(c), Sat: s})
 			}
 		}
 		for n := r.IntN(3) * r.IntN(12); n > 0; n-- {
 			p, s := id(), sat()
 			if _, dup := resp.Satisfaction.Providers[strconv.Itoa(p)]; !dup {
 				resp.Satisfaction.Providers[strconv.Itoa(p)] = s
-				sc.providers = append(sc.providers, satisfaction.Reading[sbqa.ProviderID]{ID: sbqa.ProviderID(p), Sat: s})
+				ss.providers = append(ss.providers, satisfaction.Reading[sbqa.ProviderID]{ID: sbqa.ProviderID(p), Sat: s})
 			}
 		}
 
 		rec := httptest.NewRecorder()
-		sc.answerStats(&st, resp.EventsDropped, resp.AdmissionRejected)
+		sc.answerStats(ss, &st, resp.EventsDropped, resp.AdmissionRejected)
 		sc.send(rec)
 		want.Reset()
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {

@@ -803,11 +803,13 @@ func (g *gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
+	ss := statsPool.Get().(*statsScratch)
+	defer statsPool.Put(ss)
 	st := eng.Stats()
 	reg := eng.Registry()
-	sc.consumers = reg.AppendConsumerReadings(sc.consumers[:0])
-	sc.providers = reg.AppendProviderReadings(sc.providers[:0])
-	sc.answerStats(&st, g.hub.droppedEvents(), g.admissionRejected.Load())
+	ss.consumers = reg.AppendConsumerReadings(ss.consumers[:0])
+	ss.providers = reg.AppendProviderReadings(ss.providers[:0])
+	sc.answerStats(ss, &st, g.hub.droppedEvents(), g.admissionRejected.Load())
 	sc.send(w)
 }
 

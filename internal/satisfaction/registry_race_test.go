@@ -39,8 +39,8 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent readers: per-ID reads, and whole-registry walks into buffers
-	// each reader keeps, as a stats scrape does.
+	// Concurrent readers: per-ID reads, the ID lists, and whole-registry walks
+	// into buffers each reader keeps, as a stats scrape does.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -62,6 +62,8 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 						return
 					}
 				}
+				_ = r.ConsumerIDs()
+				_ = r.ProviderIDs()
 				cs = r.AppendConsumerReadings(cs[:0])
 				ps = r.AppendProviderReadings(ps[:0])
 				for _, rd := range cs {
@@ -79,10 +81,11 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent churn on IDs outside the recorded range, through the
-	// registry's own locks: the walks above visit these trackers while they
-	// are recorded into and forgotten (a tracker written through Provider
-	// would be unsynchronized by contract).
+	// Concurrent churn on IDs outside the recorded range: trackers created
+	// through Provider and Consumer, recorded into through the registry's own
+	// locks and forgotten, while the walks above visit them. (A tracker
+	// written through Provider would be unsynchronized by contract, so the
+	// churn records through RecordAllocation.)
 	var churn sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		g := g
@@ -92,6 +95,7 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 			id := model.ProviderID(1000 + g)
 			cid := model.ConsumerID(1000 + g)
 			for i := 0; i < 500; i++ {
+				r.Provider(id)
 				r.RecordAllocation(&model.Allocation{
 					Query:              model.Query{Consumer: cid, N: 1, Work: 1},
 					Selected:           []model.ProviderID{id},
