@@ -1,11 +1,14 @@
 // Benchmarks of the durability subsystem (internal/persist): journal append
-// throughput, snapshot encoding over a million-participant registry, and
-// the live engine's mediation path with persistence enabled (the recorder
-// overhead the <10% acceptance gate bounds).
+// throughput, a follower landing a shipped segment, snapshot encoding over a
+// million-participant registry, and the live engine's mediation path with
+// persistence enabled (the recorder overhead the <10% acceptance gate
+// bounds).
 package sbqa
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -48,6 +51,51 @@ func BenchmarkJournalAppend(b *testing.B) {
 		if err := st.Append(rec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLandSegment measures a follower landing one shipped, sealed
+// 1,000-record segment in a single chunk: write, fsync, validate every
+// record, publish. Each op lands into a replica dir that does not exist yet
+// (the last one is removed outside the timer), as a follower's first
+// segment from an origin does.
+func BenchmarkLandSegment(b *testing.B) {
+	src := b.TempDir()
+	st, err := persist.Open(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Restore(satisfaction.NewRegistry(satisfaction.DefaultWindow)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := st.Append(benchOutcomeRecord(int64(i + 1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.RotateIfDirty(); err != nil {
+		b.Fatal(err)
+	}
+	seq := st.SealedSegmentSeqs()[0]
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(persist.SegmentFilePath(src, seq))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "replica", "n0")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if refused, err := persist.LandSegmentChunk(dir, seq, 0, data, true); refused != nil || err != nil {
+			b.Fatalf("landing refused %v, failed %v", refused, err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

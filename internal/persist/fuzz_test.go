@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -53,7 +54,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 // FuzzJournalReplay: a journal segment built from arbitrary bytes must
 // replay or error/tear cleanly — never panic, and applying whatever records
-// it yields must not corrupt a registry.
+// it yields must not corrupt a registry. Every record it yields re-encodes
+// to exactly the payload bytes it was decoded from.
 func FuzzJournalReplay(f *testing.F) {
 	// Seed with a valid segment's bytes.
 	dir := f.TempDir()
@@ -87,6 +89,13 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	mixedDir := f.TempDir()
+	writeJournal(f, mixedDir, mixedRecords(12))
+	mixed, err := os.ReadFile(segmentPath(mixedDir, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mixed)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte{})
 	f.Add([]byte("SBQAWAL1"))
@@ -100,7 +109,20 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Skip()
 		}
 		reg := satisfaction.NewRegistry(satisfaction.DefaultWindow)
+		payloads := framedPayloads(data)
+		var enc bytes.Buffer
+		i := 0
 		_, err := readSegment(path, func(rec *Record) error {
+			// The decoder reuses one Record: what it hands over must be
+			// exactly the record framed here, with no tail of the last one.
+			enc.Reset()
+			if err := rec.encodePayload(&cw{w: &enc}); err != nil {
+				t.Fatalf("record %d does not re-encode: %v", i, err)
+			}
+			if i >= len(payloads) || !bytes.Equal(enc.Bytes(), payloads[i]) {
+				t.Fatalf("record %d re-encodes to %x, not the payload it was decoded from", i, enc.Bytes())
+			}
+			i++
 			rec.Apply(reg)
 			return nil
 		})
@@ -109,4 +131,19 @@ func FuzzJournalReplay(f *testing.F) {
 		_ = reg.ConsumerSatisfaction(model.ConsumerID(0))
 		_, _ = CaptureRegistry(reg)
 	})
+}
+
+// framedPayloads splits a segment's bytes into its records' payloads by the
+// framing alone, stopping at the first incomplete record.
+func framedPayloads(data []byte) [][]byte {
+	var out [][]byte
+	for rest := data[min(len(data), int(segmentHeaderBytes)):]; len(rest) >= 5; {
+		n := uint64(binary.LittleEndian.Uint32(rest[1:5]))
+		if uint64(len(rest)) < 5+n+4 {
+			break
+		}
+		out = append(out, rest[5:5+n])
+		rest = rest[5+n+4:]
+	}
+	return out
 }

@@ -3,11 +3,13 @@ package persist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"sbqa/internal/model"
 	"sbqa/internal/satisfaction"
@@ -125,9 +127,8 @@ type Record struct {
 }
 
 // encodePayload serializes the record's payload (everything after the type
-// tag) into buf and returns it.
-func (r *Record) encodePayload(buf *bytes.Buffer) error {
-	c := &cw{w: buf}
+// tag) through c.
+func (r *Record) encodePayload(c *cw) error {
 	switch r.Type {
 	case RecordOutcome:
 		o := &r.Outcome
@@ -163,46 +164,12 @@ func (r *Record) encodePayload(buf *bytes.Buffer) error {
 	return c.err
 }
 
-// decodeRecordPayload parses one record payload of the given type.
-func decodeRecordPayload(t RecordType, payload []byte) (*Record, error) {
-	c := &cr{r: bytes.NewReader(payload)}
-	rec := &Record{Type: t}
-	switch t {
-	case RecordOutcome:
-		o := &rec.Outcome
-		o.QueryID = c.i64()
-		o.Consumer = model.ConsumerID(c.i64())
-		o.N = int(c.u32())
-		n, capHint := c.count()
-		o.Proposed = make([]model.ProviderID, 0, capHint)
-		o.CI = make([]model.Intention, 0, capHint)
-		o.PI = make([]model.Intention, 0, capHint)
-		o.Selected = make([]bool, 0, capHint)
-		for i := 0; i < n && c.err == nil; i++ {
-			o.Proposed = append(o.Proposed, model.ProviderID(c.i64()))
-			o.CI = append(o.CI, model.Intention(c.f64()))
-			o.PI = append(o.PI, model.Intention(c.f64()))
-			o.Selected = append(o.Selected, c.bool())
-		}
-		if o.HasCandidates = c.bool(); o.HasCandidates {
-			nc, candHint := c.count()
-			o.Candidates = make([]model.Intention, 0, candHint)
-			for i := 0; i < nc && c.err == nil; i++ {
-				o.Candidates = append(o.Candidates, model.Intention(c.f64()))
-			}
-		}
-	case RecordForgetConsumer, RecordForgetProvider:
-		rec.Forget = c.i64()
-	case RecordPolicyChange:
-		rec.PolicyGeneration = c.u64()
-		rec.PolicyJSON = c.blob()
-	default:
-		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, t)
-	}
-	if c.err != nil {
-		return nil, fmt.Errorf("%w: record payload: %v", ErrCorrupt, c.err)
-	}
-	return rec, nil
+// reset makes r an empty record of type t whose outcome slices keep their
+// backing arrays, to be appended into.
+func (r *Record) reset(t RecordType) {
+	o := &r.Outcome
+	*r = Record{Type: t, Outcome: OutcomeRecord{Proposed: o.Proposed[:0], CI: o.CI[:0],
+		PI: o.PI[:0], Selected: o.Selected[:0], Candidates: o.Candidates[:0]}}
 }
 
 // Apply replays one record into reg.
@@ -224,9 +191,10 @@ type segmentWriter struct {
 	bw    *bufio.Writer
 	seq   uint64
 	bytes int64
-	// encBuf and frame are reused across appends.
+	// encBuf and enc, its writer, are reused across appends, so an append
+	// allocates nothing.
 	encBuf bytes.Buffer
-	frame  [5]byte
+	enc    cw
 }
 
 // createSegment opens a fresh segment file and writes its header. The
@@ -239,6 +207,7 @@ func createSegment(path string, seq uint64) (*segmentWriter, error) {
 		return nil, err
 	}
 	w := &segmentWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), seq: seq}
+	w.enc.w = &w.encBuf
 	c := &cw{w: w.bw}
 	c.write(journalMagic[:])
 	c.u16(journalVersion)
@@ -258,35 +227,25 @@ func createSegment(path string, seq uint64) (*segmentWriter, error) {
 	return w, nil
 }
 
-// append frames and buffers one record.
+// append frames and buffers one record: type, length, payload and checksum
+// are assembled in encBuf and handed to the bufio.Writer in one write.
 func (w *segmentWriter) append(rec *Record) error {
 	w.encBuf.Reset()
-	if err := rec.encodePayload(&w.encBuf); err != nil {
+	w.enc.u8(byte(rec.Type))
+	w.enc.u32(0) // the payload length, filled in once it is known
+	if err := rec.encodePayload(&w.enc); err != nil {
 		return err
 	}
-	payload := w.encBuf.Bytes()
-	if len(payload) > maxRecordPayload {
-		return fmt.Errorf("persist: record payload %d bytes exceeds limit", len(payload))
+	framed := w.encBuf.Bytes()
+	if len(framed)-5 > maxRecordPayload {
+		return fmt.Errorf("persist: record payload %d bytes exceeds limit", len(framed)-5)
 	}
-	w.frame[0] = byte(rec.Type)
-	w.frame[1] = byte(len(payload))
-	w.frame[2] = byte(len(payload) >> 8)
-	w.frame[3] = byte(len(payload) >> 16)
-	w.frame[4] = byte(len(payload) >> 24)
-	crc := crc32.Update(0, crcTable, w.frame[:])
-	crc = crc32.Update(crc, crcTable, payload)
-	if _, err := w.bw.Write(w.frame[:]); err != nil {
+	binary.LittleEndian.PutUint32(framed[1:], uint32(len(framed)-5))
+	w.enc.u32(crc32.Checksum(framed, crcTable))
+	if _, err := w.bw.Write(w.encBuf.Bytes()); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	c := &cw{w: w.bw}
-	c.u32(crc)
-	if c.err != nil {
-		return c.err
-	}
-	w.bytes += int64(len(w.frame) + len(payload) + 4)
+	w.bytes += int64(w.encBuf.Len())
 	return nil
 }
 
@@ -335,67 +294,118 @@ func readSegment(path string, fn func(*Record) error) (seq uint64, err error) {
 // stops reading and returns errTorn, a complete-but-wrong header an error
 // wrapping ErrCorrupt — neither names where the bytes came from, which is
 // the caller's to say; fn errors abort and propagate.
+//
+// The record handed to fn is valid only for the duration of the call: one
+// segmentDecoder serves the whole segment and decodes every record into the
+// same Record. Blob fields (PolicyJSON) are freshly allocated per record and
+// may be kept.
 func readSegmentFrom(r io.Reader, fn func(*Record) error) (seq uint64, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	d := &segmentDecoder{c: cr{r: br}}
+	if _, err := io.ReadFull(br, d.magic[:]); err != nil {
 		// Incomplete header: a crash tore the segment before its (synced)
 		// header landed — tolerable at the journal tail, like any torn
 		// record. A complete-but-wrong header below is real corruption.
 		return 0, errTorn
 	}
-	if magic != journalMagic {
-		return 0, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, magic[:])
+	if d.magic != journalMagic {
+		return 0, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, d.magic[:])
 	}
-	h := &cr{r: br}
-	if v := h.u16(); h.err == nil && v != journalVersion {
+	if v := d.c.u16(); d.c.err == nil && v != journalVersion {
 		return 0, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
 	}
-	seq = h.u64()
-	if h.err != nil {
+	if seq = d.c.u64(); d.c.err != nil {
 		return 0, errTorn
 	}
-	var frame [5]byte
 	for {
-		if _, err := io.ReadFull(br, frame[:1]); err == io.EOF {
-			return seq, nil // clean end of segment
+		// io.EOF: not one byte of another record, a clean end of segment.
+		// Anything short of a whole frame, payload and checksum is torn.
+		if _, err := io.ReadFull(br, d.frame[:]); err == io.EOF {
+			return seq, nil
 		} else if err != nil {
 			return seq, errTorn
 		}
-		if _, err := io.ReadFull(br, frame[1:]); err != nil {
+		n := binary.LittleEndian.Uint32(d.frame[1:])
+		if n > maxRecordPayload {
 			return seq, errTorn
 		}
-		payloadLen := uint32(frame[1]) | uint32(frame[2])<<8 | uint32(frame[3])<<16 | uint32(frame[4])<<24
-		if payloadLen > maxRecordPayload {
+		if uint32(cap(d.payload)) < n+4 {
+			d.payload = make([]byte, n+4)
+		}
+		d.payload = d.payload[:n+4]
+		if _, err := io.ReadFull(br, d.payload); err != nil {
 			return seq, errTorn
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		stored := binary.LittleEndian.Uint32(d.payload[n:])
+		d.payload = d.payload[:n]
+		if crc32.Update(crc32.Checksum(d.frame[:], crcTable), crcTable, d.payload) != stored {
 			return seq, errTorn
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return seq, errTorn
-		}
-		stored := uint32(crcBuf[0]) | uint32(crcBuf[1])<<8 | uint32(crcBuf[2])<<16 | uint32(crcBuf[3])<<24
-		crc := crc32.Update(0, crcTable, frame[:])
-		crc = crc32.Update(crc, crcTable, payload)
-		if stored != crc {
-			return seq, errTorn
-		}
-		rec, err := decodeRecordPayload(RecordType(frame[0]), payload)
-		if err != nil {
+		if d.decode(RecordType(d.frame[0])) != nil {
 			// Framing and checksum held but the payload is malformed:
 			// treat like a torn record — the boundary is still intact, so
 			// a tail-position tolerance applies the same way.
 			return seq, errTorn
 		}
-		if err := fn(rec); err != nil {
+		if err := fn(&d.rec); err != nil {
 			return seq, err
 		}
 	}
 }
 
-// isTorn reports whether err marks a torn record (tolerable at the journal
-// tail).
-func isTorn(err error) bool { return errors.Is(err, errTorn) }
+// segmentDecoder is the reading state of one segment, allocated once per
+// segment: framing scratch, a payload buffer grown to the largest record so
+// far, a reader over it, and the one Record every payload decodes into.
+type segmentDecoder struct {
+	magic   [8]byte
+	frame   [5]byte
+	payload []byte // the record's payload, then room for its checksum
+	pr      bytes.Reader
+	c       cr
+	rec     Record
+}
+
+// decode parses d.payload as a record of type t into d.rec, appending into
+// the previous record's outcome slices (reset clears every field first).
+// The payload must parse completely, with no bytes left over.
+func (d *segmentDecoder) decode(t RecordType) error {
+	d.pr.Reset(d.payload)
+	c, o := &d.c, &d.rec.Outcome
+	*c = cr{r: &d.pr}
+	d.rec.reset(t)
+	switch t {
+	case RecordOutcome:
+		o.QueryID = c.i64()
+		o.Consumer = model.ConsumerID(c.i64())
+		o.N = int(c.u32())
+		n, capHint := c.count()
+		o.Proposed = slices.Grow(o.Proposed, capHint)
+		o.CI = slices.Grow(o.CI, capHint)
+		o.PI = slices.Grow(o.PI, capHint)
+		o.Selected = slices.Grow(o.Selected, capHint)
+		for i := 0; i < n && c.err == nil; i++ {
+			o.Proposed = append(o.Proposed, model.ProviderID(c.i64()))
+			o.CI = append(o.CI, model.Intention(c.f64()))
+			o.PI = append(o.PI, model.Intention(c.f64()))
+			o.Selected = append(o.Selected, c.bool())
+		}
+		if o.HasCandidates = c.bool(); o.HasCandidates {
+			nc, candHint := c.count()
+			o.Candidates = slices.Grow(o.Candidates, candHint)
+			for i := 0; i < nc && c.err == nil; i++ {
+				o.Candidates = append(o.Candidates, model.Intention(c.f64()))
+			}
+		}
+	case RecordForgetConsumer, RecordForgetProvider:
+		d.rec.Forget = c.i64()
+	case RecordPolicyChange:
+		d.rec.PolicyGeneration = c.u64()
+		d.rec.PolicyJSON = c.blob()
+	default:
+		c.fail(fmt.Errorf("%w: unknown record type %d", ErrCorrupt, t))
+	}
+	if c.err == nil && d.pr.Len() > 0 {
+		c.fail(fmt.Errorf("%w: %d bytes past the record", ErrCorrupt, d.pr.Len()))
+	}
+	return c.err
+}

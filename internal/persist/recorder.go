@@ -61,18 +61,7 @@ var recordPool = sync.Pool{New: func() any { return new(Record) }}
 // capacities intact.
 func getRecord(t RecordType) *Record {
 	rec := recordPool.Get().(*Record)
-	rec.Type = t
-	rec.Forget = 0
-	rec.PolicyGeneration = 0
-	rec.PolicyJSON = nil
-	o := &rec.Outcome
-	o.QueryID, o.Consumer, o.N = 0, 0, 0
-	o.Proposed = o.Proposed[:0]
-	o.CI = o.CI[:0]
-	o.PI = o.PI[:0]
-	o.Selected = o.Selected[:0]
-	o.HasCandidates = false
-	o.Candidates = o.Candidates[:0]
+	rec.reset(t)
 	return rec
 }
 

@@ -163,10 +163,7 @@ func validateSegmentFile(path string) (seq uint64, records int, err error) {
 		records++
 		return nil
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return seq, records, nil
+	return seq, records, err
 }
 
 // ReplayDir replays every journal segment under dir, ascending by sequence
@@ -191,7 +188,7 @@ func ReplayDir(dir string, keep func(*Record) bool, reg *satisfaction.Registry) 
 			return nil
 		})
 		if err != nil {
-			if isTorn(err) && i == len(seqs)-1 {
+			if errors.Is(err, errTorn) && i == len(seqs)-1 {
 				return replayed, nil
 			}
 			return replayed, fmt.Errorf("persist: replica replay: %w", err)

@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -196,5 +199,55 @@ func TestReplayDirFiltersByConsumer(t *testing.T) {
 	// kept consumer exactly.
 	if a, b := got.ConsumerSatisfaction(1), liveReg.ConsumerSatisfaction(1); a != b {
 		t.Fatalf("replayed δs(1) = %v, live %v", a, b)
+	}
+}
+
+// TestLandRefusesMalformedPayload: a shipped segment whose framing and
+// checksums hold but one of whose payloads does not parse — a bool byte
+// that is neither 0 nor 1, bytes past the end of the record, an unknown
+// record type — is refused, and nothing of it is left in the replica dir.
+func TestLandRefusesMalformedPayload(t *testing.T) {
+	var good bytes.Buffer
+	if err := outcomeRec(1, 7, 3).encodePayload(&cw{w: &good}); err != nil {
+		t.Fatal(err)
+	}
+	badBool := append([]byte(nil), good.Bytes()...)
+	badBool[48] = 2 // Selected[0], after query, consumer, n, count, provider, ci, pi
+	// segment frames a good outcome and then (typ, payload) under a valid
+	// header, with correct checksums.
+	segment := func(typ RecordType, payload []byte) []byte {
+		seg := append([]byte(nil), journalMagic[:]...)
+		seg = binary.LittleEndian.AppendUint16(seg, journalVersion)
+		seg = binary.LittleEndian.AppendUint64(seg, 4)
+		for i, p := range [][]byte{good.Bytes(), payload} {
+			rec := binary.LittleEndian.AppendUint32([]byte{byte(RecordOutcome)}, uint32(len(p)))
+			if i == 1 {
+				rec[0] = byte(typ)
+			}
+			rec = append(rec, p...)
+			seg = binary.LittleEndian.AppendUint32(append(seg, rec...), crc32.Checksum(rec, crcTable))
+		}
+		return seg
+	}
+	if refused, err := LandSegmentChunk(filepath.Join(t.TempDir(), "n1"), 4, 0, segment(RecordOutcome, good.Bytes()), true); refused != nil || err != nil {
+		t.Fatalf("a well-formed segment: landing = (refused %v, err %v)", refused, err)
+	}
+	for _, tc := range []struct {
+		what    string
+		typ     RecordType
+		payload []byte
+	}{
+		{"a bool byte of 2", RecordOutcome, badBool},
+		{"a byte past the record", RecordOutcome, append(append([]byte(nil), good.Bytes()...), 0)},
+		{"an unknown record type", RecordType(9), good.Bytes()},
+	} {
+		dir := filepath.Join(t.TempDir(), "n1")
+		refused, err := LandSegmentChunk(dir, 4, 0, segment(tc.typ, tc.payload), true)
+		if refused == nil || err != nil {
+			t.Errorf("%s: landing = (refused %v, err %v), want refused", tc.what, refused, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%s: the replica dir holds %d files after a refusal", tc.what, len(entries))
+		}
 	}
 }

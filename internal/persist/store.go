@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -227,7 +228,7 @@ func (s *Store) Restore(reg *satisfaction.Registry) (*RestoreResult, error) {
 			return nil
 		})
 		if err != nil {
-			if isTorn(err) && i == len(segs)-1 {
+			if errors.Is(err, errTorn) && i == len(segs)-1 {
 				res.Stats.TornTail = true
 				break
 			}
