@@ -44,22 +44,47 @@ func (reusableBody) Close() error { return nil }
 // in the loop allocs/op is a property of the compiled handler, so CI holds
 // it to a ceiling.
 func BenchmarkGatewaySubmit(b *testing.B) {
+	submit := gatewaySubmitter(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+}
+
+// TestGatewaySubmitAllocs: one wait:"allocation" submit through the real
+// handler allocates the ticket and the Allocation's four objects, and the
+// edge around them nothing.
+func TestGatewaySubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	if n := testing.AllocsPerRun(200, gatewaySubmitter(t)); n != 5 {
+		t.Fatalf("%v allocations per submit, want 5", n)
+	}
+}
+
+// gatewaySubmitter returns one POST /v1/queries of the wire harness's own
+// submit document through the handler of a warm three-worker gateway, with
+// a rewound body and a recorder reused across calls; it fails tb on any
+// answer but a 200.
+func gatewaySubmitter(tb testing.TB) func() {
 	gw, err := newGateway(
 		sbqa.WithWindow(50),
 		sbqa.WithConcurrency(1),
 		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicySbQA, K: 4, Kn: 2, Seed: 1}),
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer gw.close()
+	tb.Cleanup(gw.close)
 	h := gw.handler()
 
 	payload := []byte(`{"consumer":1,"class":0,"n":1,"work":1,"wait":"allocation"}`)
 	body := reusableBody{bytes.NewReader(nil)}
 	req, err := http.NewRequest(http.MethodPost, "/v1/queries", nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	rec := &recorder{header: make(http.Header)}
@@ -74,23 +99,21 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 	for id := 1; id <= 3; id++ {
 		do("/v1/workers", fmt.Appendf(nil, `{"id":%d,"capacity":1000000,"intention":0.5}`, id))
 		if rec.status != http.StatusCreated {
-			b.Fatalf("register worker %d: %d %s", id, rec.status, rec.body.String())
+			tb.Fatalf("register worker %d: %d %s", id, rec.status, rec.body.String())
 		}
 	}
 	do("/v1/consumers", []byte(`{"id":1,"intention":0.8}`))
 	if rec.status != http.StatusCreated {
-		b.Fatalf("register consumer: %d %s", rec.status, rec.body.String())
+		tb.Fatalf("register consumer: %d %s", rec.status, rec.body.String())
 	}
-	do("/v1/queries", payload) // warm the shard's scratch buffers
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	submit := func() {
 		do("/v1/queries", payload)
 		if rec.status != http.StatusOK {
-			b.Fatalf("submit: %d %s", rec.status, rec.body.String())
+			tb.Fatalf("submit: %d %s", rec.status, rec.body.String())
 		}
 	}
+	submit() // warm the shard's scratch buffers
+	return submit
 }
 
 // statsFixture is a two-shard gateway with the given number of workers and

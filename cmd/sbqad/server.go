@@ -373,7 +373,9 @@ func (g *gateway) serveCore(w http.ResponseWriter, r *http.Request, core func(*g
 	}
 	h := hop{ctx: r.Context()}
 	if eng.Tracer() != nil {
-		h.trace, _ = sbqa.ParseTraceparent(r.Header.Get(sbqa.TraceparentHeader))
+		if v := r.Header[sbqa.TraceparentKey]; len(v) > 0 {
+			h.trace, _ = sbqa.ParseTraceparent(v[0])
+		}
 	}
 	core(g, eng, sc, sc.body.Bytes(), h)
 	sc.send(w)
@@ -667,15 +669,11 @@ func (g *gateway) submit(eng *sbqa.Engine, sc *scratch, body []byte, h hop) {
 	case "none":
 		// Sheds happen at enqueue, so a shed ticket is already finished
 		// when Submit returns — answer the truth, not a hollow 202.
-		select {
-		case <-t.Done():
-			if _, err := t.Allocation(); err != nil {
-				if se, ok := sbqa.AsShedError(err); ok {
-					sc.answerShed(se)
-					return
-				}
+		if err := t.Err(); err != nil {
+			if se, ok := sbqa.AsShedError(err); ok {
+				sc.answerShed(se)
+				return
 			}
-		default:
 		}
 		sc.answerQuery(http.StatusAccepted, &resp)
 		return

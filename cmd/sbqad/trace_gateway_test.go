@@ -8,9 +8,11 @@ package main
 // the /v1/debug/traces body, which must name all six pipeline stages.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,6 +228,45 @@ func TestGatewayTraceAdoptsInboundTraceparent(t *testing.T) {
 	}
 	if v.Status != "allocated" {
 		t.Errorf("trace status %q, want allocated", v.Status)
+	}
+}
+
+// TestGatewayTraceAdoptsLowerCaseTraceparent: a client that writes the
+// header as W3C spells it, in lower case, is adopted too — net/http
+// canonicalises incoming keys, and the gateway looks the canonical one up.
+func TestGatewayTraceAdoptsLowerCaseTraceparent(t *testing.T) {
+	if got := http.CanonicalHeaderKey(sbqa.TraceparentHeader); got != sbqa.TraceparentKey {
+		t.Fatalf("canonical %q is %q, TraceparentKey says %q", sbqa.TraceparentHeader, got, sbqa.TraceparentKey)
+	}
+	srv := traceGateway(t, sbqa.WithTracing(0, 64)) // sample 0: only the inbound header traces
+
+	const wantID = "0af7651916cd43dd8448eb211c80319c"
+	const body = `{"consumer":0,"n":1,"work":0.1,"wait":"allocation"}`
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Written by hand: http.Header.Set would canonicalise the key on the
+	// client side already.
+	if _, err := fmt.Fprintf(conn, "POST /v1/queries HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"+
+		"traceparent: 00-%s-b7ad6b7169203331-01\r\nContent-Length: %d\r\n\r\n%s", wantID, len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr queryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || qr.QueryID == 0 {
+		t.Fatalf("submit status %d resp %+v", resp.StatusCode, qr)
+	}
+	if v := awaitTrace(t, srv.URL, wantID); int64(v.QueryID) != qr.QueryID {
+		t.Errorf("trace %s annotated query %d, submitted %d", wantID, v.QueryID, qr.QueryID)
 	}
 }
 

@@ -102,8 +102,35 @@ type submitOptions struct {
 	deadline time.Duration
 }
 
-// QueryOption configures one submission (see Engine.Submit).
-type QueryOption func(*submitOptions)
+// QueryOption configures one submission (see Engine.Submit). It is a value
+// naming the one field it sets, so folding a submission's options together
+// allocates nothing; of two options of one kind, the later wins.
+type QueryOption struct {
+	sets uint8 // setsResults, setsQoSClass or setsDeadline
+	val  submitOptions
+}
+
+const (
+	setsResults = iota + 1
+	setsQoSClass
+	setsDeadline
+)
+
+// mergeOptions folds opts into one submitOptions, the last of each kind winning.
+func mergeOptions(opts []QueryOption) submitOptions {
+	var so submitOptions
+	for _, o := range opts {
+		switch o.sets {
+		case setsResults:
+			so.results = o.val.results
+		case setsQoSClass:
+			so.qosClass = o.val.qosClass
+		case setsDeadline:
+			so.deadline = o.val.deadline
+		}
+	}
+	return so
+}
 
 // WithResults forwards the query's per-worker results to ch, in addition to
 // collecting them on the ticket. Each worker sends its own result from its
@@ -111,7 +138,7 @@ type QueryOption func(*submitOptions)
 // delivering workers — never a mediation shard — and results are on ch by
 // the time Done closes. One channel may serve any number of submissions.
 func WithResults(ch chan<- Result) QueryOption {
-	return func(o *submitOptions) { o.results = ch }
+	return QueryOption{sets: setsResults, val: submitOptions{results: ch}}
 }
 
 // WithQoSClass queues the query under the named QoS class ("interactive",
@@ -120,7 +147,7 @@ func WithResults(ch chan<- Result) QueryOption {
 // single default class applies and the option is inert. Overrides a class
 // already set on the query.
 func WithQoSClass(class string) QueryOption {
-	return func(o *submitOptions) { o.qosClass = class }
+	return QueryOption{sets: setsQoSClass, val: submitOptions{qosClass: class}}
 }
 
 // WithDeadline gives the query a start-of-mediation deadline d from
@@ -130,7 +157,7 @@ func WithQoSClass(class string) QueryOption {
 // at admission, or at dequeue if the deadline expired while queued.
 // Non-positive d leaves any deadline already on the query in force.
 func WithDeadline(d time.Duration) QueryOption {
-	return func(o *submitOptions) { o.deadline = d }
+	return QueryOption{sets: setsDeadline, val: submitOptions{deadline: d}}
 }
 
 // engineItem is one unit of shard-loop work: the tickets of one Submit, or
@@ -286,13 +313,10 @@ func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket,
 // shedding — see qos.Spec, WithQoSClass, WithDeadline). After Close, tickets
 // fail with ErrEngineClosed.
 func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption) *Ticket {
-	var so submitOptions
-	for _, o := range opts {
-		o(&so)
-	}
-	t, ok := e.admit(q, e.nowFn(), so)
+	t, ok := e.admit(q, e.nowFn(), mergeOptions(opts))
 	if ok {
-		e.enqueue(ctx, e.shardFor(q.Consumer), t.query.QoS, t.query.Deadline, []*Ticket{t})
+		t.self[0] = t
+		e.enqueue(ctx, e.shardFor(q.Consumer), t.query.QoS, t.query.Deadline, t.self[:])
 	}
 	return t
 }
@@ -320,10 +344,7 @@ func (e *Engine) SetSubmitGuard(fn func(model.Query) error) {
 // ticket in the batch, and the submission guard rejects per query — the
 // rest of the batch proceeds.
 func (e *Engine) SubmitBatch(ctx context.Context, queries []model.Query, opts ...QueryOption) []*Ticket {
-	var so submitOptions
-	for _, o := range opts {
-		o(&so)
-	}
+	so := mergeOptions(opts)
 	tickets := make([]*Ticket, len(queries))
 	if len(queries) == 0 {
 		return tickets

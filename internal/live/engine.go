@@ -429,7 +429,7 @@ func (e *Engine) process(ctx context.Context, sh *shard, tickets []*Ticket) {
 	for _, t := range tickets {
 		t.alloc, t.err = sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
 		if t.err == nil {
-			t.workers = e.selectedWorkers(t.alloc)
+			t.workers = e.selectedWorkers(t.workerSlots[:0], t.alloc)
 		}
 	}
 	sh.mu.Unlock()
@@ -445,7 +445,6 @@ func (e *Engine) process(ctx context.Context, sh *shard, tickets []*Ticket) {
 // results from then on.
 func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
 	a, workers := t.alloc, t.workers
-	t.workers = nil // a finished ticket must not keep executors alive
 	if merr := t.err; merr != nil {
 		merr = dispatchErr(t.query, merr)
 		if errors.Is(merr, ErrDispatch) {
@@ -490,20 +489,19 @@ func (d departed) ProviderID() model.ProviderID       { return model.ProviderID(
 func (departed) QueueDepth() int                      { return 0 }
 func (departed) accept(context.Context, *Ticket) bool { return false }
 
-// selectedWorkers resolves the executors of an allocation. Registered
+// selectedWorkers appends the executors of an allocation to dst. Registered
 // providers that are not Executors are left out — they are delivered to out
 // of band.
-func (e *Engine) selectedWorkers(a *model.Allocation) []Executor {
-	workers := make([]Executor, 0, len(a.Selected))
+func (e *Engine) selectedWorkers(dst []Executor, a *model.Allocation) []Executor {
 	for _, pid := range a.Selected {
 		switch p := e.dir.Provider(pid).(type) {
 		case Executor:
-			workers = append(workers, p)
+			dst = append(dst, p)
 		case nil:
-			workers = append(workers, departed(pid))
+			dst = append(dst, departed(pid))
 		}
 	}
-	return workers
+	return dst
 }
 
 // dispatch hands the ticket's query to every selected worker. It attempts

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"sbqa/internal/model"
 )
@@ -24,8 +25,8 @@ import (
 // *Ticket, and the worker's goroutine calls deliver when the query has
 // executed (or abandon when the worker shuts down first). deliver forwards
 // the Result to the WithResults channel when there is one, then retains it
-// and counts the delivery; the last one closes done. Nothing is spawned and
-// no channel is built per query for this. A full WithResults channel
+// and counts the delivery; the last one completes the ticket. Nothing is
+// spawned per query for this. A full WithResults channel
 // therefore blocks the delivering worker: size it to the traffic or drain it. Allocations to registered providers that are not
 // dispatchable *Worker instances produce no Results (delivery is out of
 // band), so a ticket completes when its dispatched workers — not its full
@@ -42,39 +43,43 @@ type Ticket struct {
 	// userResults is the optional caller-supplied channel (WithResults);
 	// every delivered result is forwarded to it.
 	userResults chan<- Result
+	self        [1]*Ticket // the one-ticket queue item Submit enqueues
 
 	// workers are the executors of the selection, resolved under the shard
-	// lock right after mediation and consumed by the hand-off that follows
-	// it.
-	workers []Executor
+	// lock right after mediation (into workerSlots while they fit) and
+	// consumed by the hand-off that follows it; finish drops them.
+	workers     []Executor
+	workerSlots [2]Executor
 
 	// alloc/err hold the mediation outcome from the shard lock's release
-	// on, and the submission's final outcome once allocated is closed.
-	allocated chan struct{}
+	// on, and the final outcome once finish has opened latch (and allocated).
+	latch     sync.WaitGroup
+	allocated atomic.Bool
 	alloc     *model.Allocation
 	err       error
 
-	// mu guards pending, results and abandoned, which the accepting workers'
-	// goroutines and the dispatcher all write. pending counts the deliveries
-	// still owed plus one hold the dispatcher owns until finish, so done can
-	// never close before allocated and a worker that delivers before finish
-	// runs is still counted.
-	mu        sync.Mutex
-	pending   int
-	done      chan struct{} // closed once results are complete
-	results   []Result
-	abandoned []model.ProviderID
+	// mu guards pending, done, results and abandoned. pending counts the
+	// deliveries still owed plus the dispatcher's hold until finish, so the
+	// ticket completes only once allocated, counting early deliveries too;
+	// done is made only when asked for while pending, and closed at zero.
+	mu         sync.Mutex
+	pending    int
+	done       chan struct{}
+	results    []Result
+	resultSlot [1]Result
+	abandoned  []model.ProviderID
 }
+
+// closedDone is what Done returns once a ticket is complete.
+var closedDone = make(chan struct{})
+
+func init() { close(closedDone) }
 
 // newTicket returns a ticket for q. userResults may be nil.
 func newTicket(q model.Query, userResults chan<- Result) *Ticket {
-	return &Ticket{
-		query:       q,
-		userResults: userResults,
-		allocated:   make(chan struct{}),
-		pending:     1,
-		done:        make(chan struct{}),
-	}
+	t := &Ticket{query: q, userResults: userResults, pending: 1}
+	t.latch.Add(1)
+	return t
 }
 
 // expect adds the n hand-offs the dispatcher is about to attempt to the
@@ -82,7 +87,10 @@ func newTicket(q model.Query, userResults chan<- Result) *Ticket {
 func (t *Ticket) expect(n int) {
 	t.mu.Lock()
 	t.pending += n
-	t.results = make([]Result, 0, n)
+	t.results = t.resultSlot[:0]
+	if n > 1 {
+		t.results = make([]Result, 0, n)
+	}
 	t.mu.Unlock()
 }
 
@@ -94,9 +102,9 @@ func (t *Ticket) refused(n int) {
 	t.mu.Unlock()
 }
 
-// settle takes n off the countdown and closes done at zero. Callers hold mu.
+// settle takes n off the countdown; at zero it closes done, if made. Callers hold mu.
 func (t *Ticket) settle(n int) {
-	if t.pending -= n; t.pending == 0 {
+	if t.pending -= n; t.pending == 0 && t.done != nil {
 		close(t.done)
 	}
 }
@@ -122,13 +130,16 @@ func (t *Ticket) abandon(id model.ProviderID) {
 	t.mu.Unlock()
 }
 
-// finish completes the allocation stage: it publishes the allocation and
-// error, then gives up the dispatcher's hold, which closes done unless
-// accepting workers still owe results.
+// finish completes the allocation stage: it drops the executors, which a
+// finished ticket must not keep alive, publishes the outcome, opens the
+// latch and gives up the dispatcher's hold.
 func (t *Ticket) finish(a *model.Allocation, err error) {
+	t.workers = nil
+	clear(t.workerSlots[:])
 	t.alloc = a
 	t.err = err
-	close(t.allocated)
+	t.allocated.Store(true)
+	t.latch.Done()
 	t.mu.Lock()
 	t.settle(1)
 	t.mu.Unlock()
@@ -145,14 +156,24 @@ func (t *Ticket) Query() model.Query { return t.query }
 // succeeded; or a mediation error (mediator.ErrNoCandidates, a validation
 // error) with a nil allocation.
 func (t *Ticket) Allocation() (*model.Allocation, error) {
-	<-t.allocated
+	t.latch.Wait()
 	return t.alloc, t.err
 }
 
 // Done returns a channel that is closed once the ticket is complete: every
 // worker that accepted the query has delivered its Result (immediately when
 // submission failed).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+func (t *Ticket) Done() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending == 0 {
+		return closedDone
+	}
+	if t.done == nil {
+		t.done = make(chan struct{})
+	}
+	return t.done
+}
 
 // Await blocks until the ticket is complete or ctx is done. It returns the
 // collected per-worker results and the submission error: both may be
@@ -162,7 +183,7 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // delivering to the ticket and Await may be called again.
 func (t *Ticket) Await(ctx context.Context) ([]Result, error) {
 	select {
-	case <-t.done:
+	case <-t.Done():
 		return t.results, t.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -174,12 +195,12 @@ func (t *Ticket) Await(ctx context.Context) ([]Result, error) {
 // entries than the accepted selection when workers shut down mid-execution;
 // Abandoned names those workers.
 func (t *Ticket) Results() []Result {
-	select {
-	case <-t.done:
-		return t.results
-	default:
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending != 0 {
 		return nil
 	}
+	return t.results
 }
 
 // Abandoned returns the accepted workers that shut down before delivering
@@ -187,21 +208,19 @@ func (t *Ticket) Results() []Result {
 // slot is the same retry situation as a DispatchError.Failed entry: the
 // query never executed there.
 func (t *Ticket) Abandoned() []model.ProviderID {
-	select {
-	case <-t.done:
-		return t.abandoned
-	default:
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending != 0 {
 		return nil
 	}
+	return t.abandoned
 }
 
 // Err returns the submission error, or nil while mediation and hand-off are
 // still in flight (use Allocation to synchronize).
 func (t *Ticket) Err() error {
-	select {
-	case <-t.allocated:
-		return t.err
-	default:
+	if !t.allocated.Load() {
 		return nil
 	}
+	return t.err
 }

@@ -513,6 +513,10 @@ const (
 // forwards and participant webhooks.
 const TraceparentHeader = trace.Header
 
+// TraceparentKey is TraceparentHeader as net/http stores an incoming key:
+// indexing a request's header with it skips Header.Get's canonicalising.
+const TraceparentKey = "Traceparent"
+
 // WithTracing enables the engine's mediation tracer: sampled queries record
 // one span per pipeline stage plus an allocation explain record into a
 // bounded in-memory ring readable through Engine.Tracer (and the daemon's
