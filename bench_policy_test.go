@@ -3,7 +3,7 @@ package sbqa
 // Control-plane benchmarks, part of the committed BENCH_core.json baseline:
 // PolicyBuild measures the declarative construction path (spec → validated
 // per-shard allocator), ReconfigureUnderLoad measures a hot policy swap
-// while concurrent SubmitBatch traffic keeps every shard busy — the cost an
+// while concurrent Submit traffic keeps every shard busy — the cost an
 // operator (or the autotuner) pays per reconfiguration, and indirectly the
 // proof that the epoch swap stays off the mediation hot path.
 
@@ -71,7 +71,7 @@ func BenchmarkReconfigureUnderLoad(b *testing.B) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			qs := []Query{
+			qs := [...]Query{
 				{Consumer: ConsumerID(c), N: 1, Work: 1},
 				{Consumer: ConsumerID(c), N: 1, Work: 2},
 			}
@@ -81,7 +81,11 @@ func BenchmarkReconfigureUnderLoad(b *testing.B) {
 					return
 				default:
 				}
-				for _, tk := range eng.SubmitBatch(context.Background(), qs) {
+				var tickets [len(qs)]*Ticket
+				for i, q := range qs {
+					tickets[i] = eng.Submit(context.Background(), q)
+				}
+				for _, tk := range tickets {
 					tk.Allocation()
 				}
 			}

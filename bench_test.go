@@ -157,21 +157,30 @@ func BenchmarkScoreDefinition3(b *testing.B) {
 	}
 }
 
-// BenchmarkRank measures ranking a kn=10 candidate set.
+// BenchmarkRank measures scoring and ranking a kn=10 candidate set the way
+// core.SbQA does: ScoreInto over flat columns, then FlatRanker.
 func BenchmarkRank(b *testing.B) {
+	const kn = 10
 	s := score.NewScorer()
-	cands := make([]score.Candidate, 10)
-	for i := range cands {
-		cands[i] = score.Candidate{
-			Provider: model.ProviderID(i),
-			PI:       model.Intention(float64(i%7)/7 - 0.3),
-			CI:       model.Intention(float64(i%5) / 5),
-			SatC:     0.6, SatP: float64(i) / 10,
-		}
+	v := score.View{
+		IDs:  make([]model.ProviderID, kn),
+		PI:   make([]model.Intention, kn),
+		CI:   make([]model.Intention, kn),
+		SatC: 0.6,
+		SatP: make([]float64, kn),
 	}
+	for i := range kn {
+		v.IDs[i] = model.ProviderID(i)
+		v.PI[i] = model.Intention(float64(i%7)/7 - 0.3)
+		v.CI[i] = model.Intention(float64(i%5) / 5)
+		v.SatP[i] = float64(i) / 10
+	}
+	omega, scores, order := make([]float64, kn), make([]float64, kn), make([]int, kn)
+	var r score.FlatRanker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = s.Rank(cands)
+		s.ScoreInto(v, omega, scores)
+		r.Rank(scores, v.IDs, order)
 	}
 }
 
@@ -508,28 +517,6 @@ func BenchmarkLiveEngineParallel(b *testing.B) {
 // parallel load: every submission funnels through one shard queue.
 func BenchmarkLiveEngineSingleShard(b *testing.B) {
 	benchmarkEngineParallel(b, benchEngine(b, 1, 200, runtime.GOMAXPROCS(0)*4))
-}
-
-// BenchmarkLiveEngineSubmitBatch measures the batch entry point: 64 queries
-// grouped by shard, each group queued as one item and mediated under one
-// lock acquisition, every ticket awaited.
-func BenchmarkLiveEngineSubmitBatch(b *testing.B) {
-	const batchSize = 64
-	eng := benchEngine(b, runtime.GOMAXPROCS(0), 200, 16)
-	queries := make([]Query, batchSize)
-	for i := range queries {
-		queries[i] = Query{Consumer: ConsumerID(i % 16), N: 2, Work: 10}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tk := range eng.SubmitBatch(context.Background(), queries) {
-			if _, err := tk.Allocation(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(batchSize), "queries/op")
 }
 
 // BenchmarkMediateEndToEnd measures the complete mediation step every ticket

@@ -72,12 +72,12 @@
 // participant deadline; a webhook that misses it is imputed from the
 // participant's satisfaction registry state and the mediation proceeds.
 //
-// The daemon runs one boot policy spec, built once: -k/-kn/-seed, or the
-// -policy file in their place; its participant deadline is an explicit
-// -participant-deadline, else the file's, else the flag's default; its qos
-// block is the file's, else the -qos* flags'. The engine has no other
-// input, and a later PUT /v1/policy that leaves the deadline or the qos
-// block out runs the boot spec's.
+// The daemon runs one boot policy spec, built once (bootSpec): the -policy
+// file, else SbQA with k = 20, kn = 10 and seed 1; its participant deadline
+// is an explicit -participant-deadline, else the file's, else the flag's
+// default; its qos block is the file's, else the default ladder when -qos
+// is set. The engine has no other input, and a later PUT /v1/policy that
+// leaves the deadline or the qos block out runs the boot spec's.
 //
 // With -state-dir the daemon's adaptation state is durable: on boot it
 // restores the satisfaction memory, the policy persisted there (its
@@ -127,15 +127,12 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		shards   = flag.Int("shards", 1, "mediator shards (distinct consumers mediate in parallel)")
 		window   = flag.Int("window", 100, "satisfaction memory length k")
-		k        = flag.Int("k", 20, "KnBest stage-1 sample size")
-		kn       = flag.Int("kn", 10, "KnBest stage-2 keep size")
-		seed     = flag.Uint64("seed", 1, "base allocator seed (shard i uses seed+i)")
 		queue    = flag.Int("queue-depth", 1024, "per-shard async submission queue bound")
 		snapshot = flag.Duration("snapshot", 10*time.Second, "satisfaction snapshot interval on the event stream (0 disables)")
 		deadline = flag.Duration("participant-deadline", 250*time.Millisecond,
 			"per-participant bound on remote intention webhooks (0 = unbounded); late participants are imputed")
 		policyPath = flag.String("policy", "",
-			"path to a JSON allocation-policy spec; overrides -k/-kn/-seed (see PUT /v1/policy for the schema)")
+			"path to a JSON allocation-policy spec, in place of SbQA with k=20, kn=10, seed=1 (see PUT /v1/policy for the schema)")
 		autotune = flag.Bool("autotune", false,
 			"run the autonomic policy tuner (widens kn under consumer starvation, rebalances fixed ω); requires -snapshot > 0")
 		stateDir = flag.String("state-dir", "",
@@ -154,12 +151,6 @@ func main() {
 			"WAL segment shipping cadence to ring followers (needs -state-dir)")
 		qosEnabled = flag.Bool("qos", false,
 			"enable the default QoS classes (interactive/batch/background) with weighted-fair scheduling and deadline-aware load shedding; a policy qos block overrides")
-		qosConsumerRate = flag.Float64("qos-consumer-rate", 0,
-			"per-consumer token-bucket admission rate at the gateway in queries/sec (0 = unlimited; implies -qos); over-limit submissions answer 429 + Retry-After")
-		qosConsumerBurst = flag.Float64("qos-consumer-burst", 0,
-			"per-consumer admission burst (0 = rate-derived default)")
-		qosMaxDepth = flag.Int("qos-max-depth", 0,
-			"per-class queue bound with -qos: past it submissions shed with a 503 instead of blocking (0 = blocking backpressure at -queue-depth)")
 		traceSample = flag.Float64("trace-sample", 0,
 			"fraction of queries to trace end-to-end (deterministic 1-in-N; 0 disables local sampling, forwarded sampled traces still record); traces land in the flight recorder at GET /v1/debug/traces")
 		traceBuffer = flag.Int("trace-buffer", 256,
@@ -188,56 +179,15 @@ func main() {
 		}
 	}
 
-	// The daemon always runs a declarative policy: the tuning flags build
-	// the default SbQA spec, -policy replaces it wholesale. Either way the
-	// running policy is inspectable at GET /v1/policy and hot-swappable at
-	// PUT /v1/policy.
-	spec := sbqa.PolicySpec{
-		Name: "boot",
-		Kind: sbqa.PolicySbQA,
-		K:    *k,
-		Kn:   *kn,
-		Seed: *seed,
-	}
-	if *policyPath != "" {
-		data, err := os.ReadFile(*policyPath)
-		if err != nil {
-			log.Fatalf("sbqad: -policy: %v", err)
-		}
-		if spec, err = sbqa.ParsePolicy(data); err != nil {
-			log.Fatalf("sbqad: -policy: %v", err)
-		}
-	}
-	// The -qos flags build the default class ladder when the policy carries
-	// no qos block of its own (a -policy file's block wins; so does any
-	// later PUT /v1/policy with one).
-	if spec.QoS == nil && (*qosEnabled || *qosConsumerRate > 0) {
-		qs := sbqa.DefaultQoSSpec()
-		qs.ConsumerRate = *qosConsumerRate
-		qs.ConsumerBurst = *qosConsumerBurst
-		if *qosMaxDepth > 0 {
-			for i := range qs.Classes {
-				qs.Classes[i].MaxQueueDepth = *qosMaxDepth
-			}
-		}
-		spec.QoS = &qs
-	}
-
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		log.Fatalf("sbqad: -policy: %v", err)
-	}
-
-	// An explicit -participant-deadline (0 = unbounded included) > the
-	// -policy file's > the flag's default; the winner goes into the boot spec.
-	deadlineFlagSet := false
+	deadlineSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "participant-deadline" {
-			deadlineFlagSet = true
+			deadlineSet = true
 		}
 	})
-	if deadlineFlagSet || spec.ParticipantDeadline == 0 {
-		spec.ParticipantDeadline = policy.Duration(*deadline)
+	spec, err := bootSpec(*policyPath, *qosEnabled, *deadline, deadlineSet)
+	if err != nil {
+		log.Fatalf("sbqad: -policy: %v", err)
 	}
 	opts := []sbqa.EngineOption{
 		sbqa.WithWindow(*window),
@@ -272,6 +222,38 @@ func main() {
 	if err != nil {
 		log.Fatalf("sbqad: %v", err)
 	}
+}
+
+// bootSpec builds the daemon's boot policy spec. The daemon always runs a
+// declarative policy — inspectable at GET /v1/policy, hot-swappable at PUT
+// /v1/policy — and this is its generation 0: the policy file at path, else
+// SbQA with k = 20, kn = 10 and seed 1. With qos, the default class ladder
+// fills a spec that carries no qos block of its own. The participant
+// deadline is an explicit -participant-deadline (deadlineSet; 0 = unbounded
+// included), else the file's, else deadline, the flag's default.
+func bootSpec(path string, qos bool, deadline time.Duration, deadlineSet bool) (sbqa.PolicySpec, error) {
+	spec := sbqa.PolicySpec{Name: "boot", Kind: sbqa.PolicySbQA, K: 20, Kn: 10, Seed: 1}
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return spec, err
+		}
+		if spec, err = sbqa.ParsePolicy(data); err != nil {
+			return spec, err
+		}
+	}
+	if spec.QoS == nil && qos {
+		qs := sbqa.DefaultQoSSpec()
+		spec.QoS = &qs
+	}
+	spec = spec.Normalized()
+	if err := spec.Validate(); err != nil {
+		return spec, err
+	}
+	if deadlineSet || spec.ParticipantDeadline == 0 {
+		spec.ParticipantDeadline = policy.Duration(deadline)
+	}
+	return spec, nil
 }
 
 // policyInForce is the line logged at the ready flip: which policy the engine

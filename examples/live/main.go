@@ -91,18 +91,12 @@ func main() {
 		go func() {
 			defer wg.Done()
 			ctx := context.Background()
-			// Submit singles and batches: every eighth round hands the
-			// engine a batch of 4, which one shard mediates under a single
-			// lock acquisition with shared candidate snapshots. Nothing here
-			// waits for execution until the tickets are all in flight.
-			var tickets []*sbqa.Ticket
+			// Nothing here waits for execution until the tickets are all in
+			// flight.
+			tickets := make([]*sbqa.Ticket, perConsumer)
 			q := sbqa.Query{Consumer: sbqa.ConsumerID(c), Class: c, N: 1, Work: 2}
-			for len(tickets) < perConsumer {
-				if len(tickets)%8 == 4 && perConsumer-len(tickets) >= 4 {
-					tickets = append(tickets, eng.SubmitBatch(ctx, []sbqa.Query{q, q, q, q})...)
-					continue
-				}
-				tickets = append(tickets, eng.Submit(ctx, q))
+			for i := range tickets {
+				tickets[i] = eng.Submit(ctx, q)
 			}
 			// Collect each ticket's own results — no shared channel, no
 			// fan-in bookkeeping.

@@ -284,9 +284,6 @@ func (v *Volunteer) enqueue(q model.Query) {
 	})
 }
 
-// Malicious reports whether the volunteer returns invalid results.
-func (v *Volunteer) Malicious() bool { return v.malicious }
-
 // complete finishes a task and ships the result back to the mediator side.
 func (v *Volunteer) complete(q model.Query) {
 	v.pendingWork -= q.Work

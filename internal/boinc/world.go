@@ -669,20 +669,6 @@ func (w *World) SetProjectPrefs(id model.ConsumerID, prefs []float64) {
 	p.prefs = clampPrefs(prefs)
 }
 
-// SetVolunteerPolicy overrides one volunteer's intention policy.
-func (w *World) SetVolunteerPolicy(id model.ProviderID, policy intention.ProviderPolicy) {
-	if v := w.volunteerByID(id); v != nil && policy != nil {
-		v.policy = policy
-	}
-}
-
-// SetProjectPolicy overrides one project's intention policy.
-func (w *World) SetProjectPolicy(id model.ConsumerID, policy intention.ConsumerPolicy) {
-	if p := w.projectByID(id); p != nil && policy != nil {
-		p.policy = policy
-	}
-}
-
 func clampPrefs(prefs []float64) []float64 {
 	out := make([]float64, len(prefs))
 	for i, v := range prefs {

@@ -238,9 +238,6 @@ func (n *Node) Close() {
 // Self returns this node's identity.
 func (n *Node) Self() Peer { return n.cfg.Self }
 
-// FullRing returns the configured (health-blind) ring.
-func (n *Node) FullRing() *Ring { return n.full }
-
 // LiveRing returns the current routing ring (Down peers excluded).
 func (n *Node) LiveRing() *Ring { return n.mem.liveRing() }
 

@@ -203,9 +203,8 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 	}
 
 	// Score over flat parallel columns borrowed from the environment's batch
-	// buffers — no per-provider structs — then rank a position permutation.
-	// Same math, same stable comparator (score desc, ID asc) as the
-	// historical struct-based Rank, so the order is byte-identical.
+	// buffers — no per-provider structs — then rank a position permutation
+	// (score descending, ties by provider ID ascending).
 	for i, snap := range kn {
 		s.scr.ids[i] = snap.ID
 	}

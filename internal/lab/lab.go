@@ -387,12 +387,3 @@ func (sc Scenario) normalized() (Scenario, error) {
 	}
 	return sc, nil
 }
-
-// Participants returns the scenario's total population size.
-func (sc Scenario) Participants() int {
-	n := 0
-	for _, cl := range sc.Workload.Classes {
-		n += cl.Consumers + cl.Providers
-	}
-	return n
-}

@@ -160,13 +160,11 @@ func WithDeadline(d time.Duration) QueryOption {
 	return QueryOption{sets: setsDeadline, val: submitOptions{deadline: d}}
 }
 
-// engineItem is one unit of shard-loop work: the tickets of one Submit, or
-// of one SubmitBatch (shard, QoS class) group, mediated under one lock
-// acquisition. The scheduling attributes (class, deadline) are passed
-// alongside at enqueue time; a group's deadline is its earliest member's.
+// engineItem is one unit of shard-loop work: one submitted ticket and the
+// context it was submitted under.
 type engineItem struct {
-	ctx     context.Context
-	tickets []*Ticket
+	ctx context.Context
+	t   *Ticket
 }
 
 // shardLoop drains one shard's scheduler until Close: pop per the class
@@ -181,52 +179,35 @@ func (e *Engine) shardLoop(sh *shard) {
 			return
 		}
 		if res.Shed {
-			e.shedTickets(item.tickets, res.Info)
+			e.shedTicket(item.t, res.Info)
 			continue
 		}
-		if tr := e.tracer; tr != nil {
+		if tr := e.tracer; tr != nil && item.t.query.Trace.Sampled {
 			// The scheduler's own wait measurement becomes the queue span:
 			// end = dequeue, start = end minus the measured wait. Recorded
 			// before the mediation so it always precedes the trace's Finish.
 			end := trace.Now()
-			qStart := end - int64(res.Wait*1e9)
-			for _, t := range item.tickets {
-				if t.query.Trace.Sampled {
-					tr.RecordSpan(t.query.Trace.ID, trace.Span{
-						Name:  trace.StageQueue,
-						Class: res.Class,
-						Start: qStart,
-						End:   end,
-					})
-				}
-			}
+			tr.RecordSpan(item.t.query.Trace.ID, trace.Span{
+				Name:  trace.StageQueue,
+				Class: res.Class,
+				Start: end - int64(res.Wait*1e9),
+				End:   end,
+			})
 		}
 		start := e.nowFn()
-		e.process(item.ctx, sh, item.tickets)
+		e.process(item.ctx, sh, item.t)
 		if dt := e.nowFn() - start; dt > 0 {
-			// A batch group is one queue item but several mediations: feed
-			// the per-query share so the admission estimate stays per-query.
-			sh.sched.ObserveService(dt / float64(len(item.tickets)))
+			sh.sched.ObserveService(dt)
 		}
 	}
 }
 
-// shedTickets fails every ticket of a shed item with the typed *ShedError
-// and emits one event.Shed per query — a shed is never silent. Runs outside
-// the scheduler lock (the scheduler only decides and counts).
-func (e *Engine) shedTickets(tickets []*Ticket, info qos.ShedInfo) {
-	for _, t := range tickets {
-		if e.obs != nil {
-			e.obs.OnShed(event.Shed{
-				Query:         t.query,
-				Class:         info.Class,
-				Reason:        info.Reason,
-				QueueDepth:    info.QueueDepth,
-				EstimatedWait: info.EstimatedWait,
-			})
-		}
-		e.traceFinish(t.query, "shed", nil, nil)
-		t.finish(nil, &ShedError{
+// shedTicket fails a shed ticket with the typed *ShedError and emits its
+// event.Shed — a shed is never silent. Runs outside the scheduler lock (the
+// scheduler only decides and counts).
+func (e *Engine) shedTicket(t *Ticket, info qos.ShedInfo) {
+	if e.obs != nil {
+		e.obs.OnShed(event.Shed{
 			Query:         t.query,
 			Class:         info.Class,
 			Reason:        info.Reason,
@@ -234,14 +215,20 @@ func (e *Engine) shedTickets(tickets []*Ticket, info qos.ShedInfo) {
 			EstimatedWait: info.EstimatedWait,
 		})
 	}
+	e.failTicket(t, "shed", &ShedError{
+		Query:         t.query,
+		Class:         info.Class,
+		Reason:        info.Reason,
+		QueueDepth:    info.QueueDepth,
+		EstimatedWait: info.EstimatedWait,
+	})
 }
 
-// failTickets completes tickets that never reached a shard's mediator.
-func (e *Engine) failTickets(tickets []*Ticket, err error) {
-	for _, t := range tickets {
-		e.traceFinish(t.query, "rejected", err, nil)
-		t.finish(nil, err)
-	}
+// failTicket completes a ticket without an allocation, closing its trace
+// with status.
+func (e *Engine) failTicket(t *Ticket, status string, err error) {
+	e.traceFinish(t.query, status, err, nil)
+	t.finish(nil, err)
 }
 
 // snapshotLoop emits periodic satisfaction snapshots until Close. The same
@@ -265,40 +252,6 @@ func (e *Engine) snapshotLoop(every time.Duration, obs event.Observer) {
 	}
 }
 
-// admit stamps one submission — engine ID, issue time, QoS class, deadline,
-// trace start — and returns its ticket. ok is false when the submission
-// guard refused the query: the ticket has already failed with the guard's
-// error and must not be enqueued.
-func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket, ok bool) {
-	q.ID = model.QueryID(e.nextID.Add(1))
-	q.IssuedAt = now
-	if so.qosClass != "" {
-		q.QoS = so.qosClass
-	}
-	if so.deadline > 0 {
-		q.Deadline = now + so.deadline.Seconds()
-	}
-	if tr := e.tracer; tr != nil {
-		// Adopt an upstream trace context (gateway or forwarded) as-is;
-		// draw a fresh sampling decision only when no layer above has.
-		if !q.Trace.Decided {
-			q.Trace, _ = tr.StartLocal()
-		}
-		if q.Trace.Sampled {
-			tr.Annotate(q.Trace.ID, q.ID, q.Consumer)
-		}
-	}
-	t = newTicket(q, so.results)
-	if g := e.guard.Load(); g != nil {
-		if err := (*g)(q); err != nil {
-			e.traceFinish(q, "rejected", err, nil)
-			t.finish(nil, err)
-			return t, false
-		}
-	}
-	return t, true
-}
-
 // Submit assigns the query its engine ID and enqueues it on its consumer's
 // shard, returning a *Ticket immediately — mediation, dispatch, and worker
 // execution all happen asynchronously. Track the outcome on the ticket:
@@ -313,16 +266,38 @@ func (e *Engine) admit(q model.Query, now float64, so submitOptions) (t *Ticket,
 // shedding — see qos.Spec, WithQoSClass, WithDeadline). After Close, tickets
 // fail with ErrEngineClosed.
 func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption) *Ticket {
-	t, ok := e.admit(q, e.nowFn(), mergeOptions(opts))
-	if ok {
-		t.self[0] = t
-		e.enqueue(ctx, e.shardFor(q.Consumer), t.query.QoS, t.query.Deadline, t.self[:])
+	so := mergeOptions(opts)
+	q.ID = model.QueryID(e.nextID.Add(1))
+	q.IssuedAt = e.nowFn()
+	if so.qosClass != "" {
+		q.QoS = so.qosClass
 	}
+	if so.deadline > 0 {
+		q.Deadline = q.IssuedAt + so.deadline.Seconds()
+	}
+	if tr := e.tracer; tr != nil {
+		// Adopt an upstream trace context (gateway or forwarded) as-is;
+		// draw a fresh sampling decision only when no layer above has.
+		if !q.Trace.Decided {
+			q.Trace, _ = tr.StartLocal()
+		}
+		if q.Trace.Sampled {
+			tr.Annotate(q.Trace.ID, q.ID, q.Consumer)
+		}
+	}
+	t := newTicket(q, so.results)
+	if g := e.guard.Load(); g != nil {
+		if err := (*g)(q); err != nil {
+			e.failTicket(t, "rejected", err)
+			return t
+		}
+	}
+	e.enqueue(ctx, t)
 	return t
 }
 
 // SetSubmitGuard installs (or, with nil, removes) a submission guard: a
-// function consulted for every Submit/SubmitBatch query before it reaches a
+// function consulted for every submitted query before it reaches a
 // shard queue. A non-nil error fails the ticket immediately with that error
 // and the query is never mediated. The cluster layer uses this as its
 // ownership check — a query for a consumer this node does not own fails
@@ -336,69 +311,24 @@ func (e *Engine) SetSubmitGuard(fn func(model.Query) error) {
 	e.guard.Store(&fn)
 }
 
-// SubmitBatch assigns IDs in input order, stamps the whole batch with one
-// arrival time, and enqueues each (shard, QoS class) group as a unit
-// (mediated under a single lock acquisition; a group schedules under its
-// class with its earliest member's deadline). It returns the
-// position-aligned tickets immediately; per-query options apply to every
-// ticket in the batch, and the submission guard rejects per query — the
-// rest of the batch proceeds.
-func (e *Engine) SubmitBatch(ctx context.Context, queries []model.Query, opts ...QueryOption) []*Ticket {
-	so := mergeOptions(opts)
-	tickets := make([]*Ticket, len(queries))
-	if len(queries) == 0 {
-		return tickets
-	}
-	now := e.nowFn()
-	type groupKey struct {
-		sh    *shard
-		class string
-	}
-	type group struct {
-		tickets  []*Ticket
-		deadline float64
-	}
-	groups := make(map[groupKey]*group, len(e.shards))
-	for i, q := range queries {
-		t, ok := e.admit(q, now, so)
-		tickets[i] = t
-		if !ok {
-			continue
-		}
-		key := groupKey{sh: e.shardFor(q.Consumer), class: t.query.QoS}
-		g := groups[key]
-		if g == nil {
-			g = &group{}
-			groups[key] = g
-		}
-		g.tickets = append(g.tickets, t)
-		if d := t.query.Deadline; d > 0 && (g.deadline == 0 || d < g.deadline) {
-			g.deadline = d
-		}
-	}
-	for key, g := range groups {
-		e.enqueue(ctx, key.sh, key.class, g.deadline, g.tickets)
-	}
-	return tickets
-}
-
-// enqueue hands tickets to a shard's scheduler as one item, failing them
-// when the engine is closed, ctx is done while blocked on backpressure, or
-// the scheduler sheds the item. The scheduler handles the close race
-// internally (a Push concurrent with Close fails with ErrSchedulerClosed
-// instead of panicking like a send on a closed channel would), so no lock
-// spans the call.
-func (e *Engine) enqueue(ctx context.Context, sh *shard, class string, deadline float64, tickets []*Ticket) {
-	ci, _ := sh.sched.ClassIndex(class) // unknown classes fold into the default
-	info, err := sh.sched.Push(ctx, ci, deadline, engineItem{ctx: ctx, tickets: tickets})
+// enqueue hands a ticket to its consumer's shard scheduler under the
+// query's class and deadline, failing it when the engine is closed, ctx is
+// done while blocked on backpressure, or the scheduler sheds it. The
+// scheduler handles the close race internally (a Push concurrent with Close
+// fails with ErrSchedulerClosed instead of panicking like a send on a closed
+// channel would), so no lock spans the call.
+func (e *Engine) enqueue(ctx context.Context, t *Ticket) {
+	sh := e.shardFor(t.query.Consumer)
+	ci, _ := sh.sched.ClassIndex(t.query.QoS) // unknown classes fold into the default
+	info, err := sh.sched.Push(ctx, ci, t.query.Deadline, engineItem{ctx: ctx, t: t})
 	switch {
 	case err != nil:
 		if errors.Is(err, qos.ErrSchedulerClosed) {
 			err = ErrEngineClosed
 		}
-		e.failTickets(tickets, err)
+		e.failTicket(t, "rejected", err)
 	case info != nil:
-		e.shedTickets(tickets, *info)
+		e.shedTicket(t, *info)
 	}
 }
 

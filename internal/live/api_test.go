@@ -120,28 +120,6 @@ func TestTicketPreservesSubmissionOrderPerConsumer(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitBatch: the async batch returns position-aligned tickets
-// sharing one arrival stamp, and every ticket completes.
-func TestEngineSubmitBatch(t *testing.T) {
-	eng, _ := newTestEngine(t)
-	queries := make([]model.Query, 12)
-	for i := range queries {
-		queries[i] = model.Query{Consumer: model.ConsumerID(i % 4), N: 1, Work: 0.2}
-	}
-	tickets := eng.SubmitBatch(context.Background(), queries)
-	stamp := tickets[0].Query().IssuedAt
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tk := range tickets {
-		if tk.Query().IssuedAt != stamp {
-			t.Errorf("ticket %d stamp %v, want %v (one arrival event)", i, tk.Query().IssuedAt, stamp)
-		}
-		if rs, err := tk.Await(ctx); err != nil || len(rs) != 1 {
-			t.Fatalf("ticket %d: results %d err %v", i, len(rs), err)
-		}
-	}
-}
-
 // TestEngineCloseFailsNewSubmissions: queued work completes, later
 // submissions fail with ErrEngineClosed.
 func TestEngineCloseFailsNewSubmissions(t *testing.T) {
@@ -407,8 +385,9 @@ func TestAwaitContextExpiry(t *testing.T) {
 }
 
 // TestSubmitGuardVetsSubmissions: an installed guard fails tickets with its
-// own error before any shard sees the query, per-query in batches, and a nil
-// guard restores normal behavior. This is the cluster layer's ownership hook.
+// own error before any shard sees the query, one query at a time among
+// tickets in flight together, and a nil guard restores normal behavior.
+// This is the cluster layer's ownership hook.
 func TestSubmitGuardVetsSubmissions(t *testing.T) {
 	eng, _ := newTestEngine(t)
 	ctx := context.Background()
@@ -427,20 +406,20 @@ func TestSubmitGuardVetsSubmissions(t *testing.T) {
 		t.Fatalf("unguarded consumer rejected: %v", err)
 	}
 
-	// Batch: only the guarded consumer's tickets fail; the rest mediate.
-	tickets := eng.SubmitBatch(ctx, []model.Query{
-		{Consumer: 0, N: 1, Work: 0.1},
-		{Consumer: 1, N: 1, Work: 0.1},
-		{Consumer: 2, N: 1, Work: 0.1},
-	})
+	// Tickets in flight together: only the guarded consumer's fails; the
+	// rest mediate.
+	var tickets [3]*Ticket
+	for c := range tickets {
+		tickets[c] = eng.Submit(ctx, model.Query{Consumer: model.ConsumerID(c), N: 1, Work: 0.1})
+	}
 	if _, err := tickets[0].Allocation(); err != nil {
-		t.Errorf("batch[0] err = %v, want nil", err)
+		t.Errorf("consumer 0 err = %v, want nil", err)
 	}
 	if _, err := tickets[1].Allocation(); !errors.Is(err, errNotOwner) {
-		t.Errorf("batch[1] err = %v, want the guard's error", err)
+		t.Errorf("consumer 1 err = %v, want the guard's error", err)
 	}
 	if _, err := tickets[2].Allocation(); err != nil {
-		t.Errorf("batch[2] err = %v, want nil", err)
+		t.Errorf("consumer 2 err = %v, want nil", err)
 	}
 
 	// The guard rejected before mediation: no shard counted the query.

@@ -416,52 +416,39 @@ func (e *Engine) Mediate(ctx context.Context, q model.Query) (*model.Allocation,
 	return a, err
 }
 
-// process runs one queue item's tickets through their shard: under a single
-// lock acquisition it adopts any reconfigured policy (an item is one
-// mediation boundary, so a batch group runs under one policy) and mediates
-// each query exactly as Mediate does; dispatch and ticket completion happen
-// outside the lock. The submission context bounds the mediation itself —
-// cancellation aborts an in-flight intention fan-out to context-aware
-// participants.
-func (e *Engine) process(ctx context.Context, sh *shard, tickets []*Ticket) {
+// process runs one ticket through its shard: under the shard lock it adopts
+// any reconfigured policy (the mediation boundary), mediates the query
+// exactly as Mediate does and resolves the selection's executors; outside
+// the lock it hands the query to those workers and completes the ticket
+// with the allocation and the dispatch error (if any) — the workers that
+// accepted owe the ticket their results from then on. The submission
+// context bounds the mediation itself — cancellation aborts an in-flight
+// intention fan-out to context-aware participants.
+func (e *Engine) process(ctx context.Context, sh *shard, t *Ticket) {
 	sh.mu.Lock()
 	sh.applyPolicy()
-	for _, t := range tickets {
-		t.alloc, t.err = sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
-		if t.err == nil {
-			t.workers = e.selectedWorkers(t.workerSlots[:0], t.alloc)
-		}
+	a, err := sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
+	var workers []Executor
+	if err == nil {
+		workers = e.selectedWorkers(t.workerSlots[:0], a)
 	}
 	sh.mu.Unlock()
-	for _, t := range tickets {
-		e.finishTicket(ctx, t, sh)
-	}
-}
-
-// finishTicket dispatches a mediated ticket and completes it: on mediation
-// failure the ticket fails immediately; otherwise the query is handed to
-// the selected workers and the ticket completes with the allocation and the
-// dispatch error (if any); the workers that accepted owe the ticket their
-// results from then on.
-func (e *Engine) finishTicket(ctx context.Context, t *Ticket, sh *shard) {
-	a, workers := t.alloc, t.workers
-	if merr := t.err; merr != nil {
-		merr = dispatchErr(t.query, merr)
-		if errors.Is(merr, ErrDispatch) {
+	if err != nil {
+		err = dispatchErr(t.query, err)
+		if errors.Is(err, ErrDispatch) {
 			sh.dispatchFailures.Add(1)
 			if e.obs != nil {
-				e.obs.OnDispatchFailure(t.query, nil, merr)
+				e.obs.OnDispatchFailure(t.query, nil, err)
 			}
 		}
-		e.traceFinish(t.query, "rejected", merr, nil)
-		t.finish(nil, merr)
+		e.failTicket(t, "rejected", err)
 		return
 	}
 	var dStart int64
 	if t.query.Trace.Sampled {
 		dStart = trace.Now()
 	}
-	err := e.dispatch(ctx, t, workers)
+	err = e.dispatch(ctx, t, workers)
 	if t.query.Trace.Sampled && e.tracer != nil {
 		e.tracer.RecordSpan(t.query.Trace.ID, trace.Span{
 			Name:  trace.StageDispatch,

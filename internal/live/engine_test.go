@@ -56,11 +56,16 @@ func submit(ctx context.Context, eng *Engine, q model.Query, results chan<- Resu
 	return eng.Submit(ctx, q, WithResults(results)).Allocation()
 }
 
-// submitBatch is submit for a batch: position-aligned outcomes.
-func submitBatch(ctx context.Context, eng *Engine, qs []model.Query, results chan<- Result) ([]*model.Allocation, []error) {
+// submitAll submits every query before it waits for any, so the tickets
+// are in flight together, and returns their position-aligned outcomes.
+func submitAll(ctx context.Context, eng *Engine, qs []model.Query, results chan<- Result) ([]*model.Allocation, []error) {
+	tickets := make([]*Ticket, len(qs))
+	for i, q := range qs {
+		tickets[i] = eng.Submit(ctx, q, WithResults(results))
+	}
 	allocs := make([]*model.Allocation, len(qs))
 	errs := make([]error, len(qs))
-	for i, tk := range eng.SubmitBatch(ctx, qs, WithResults(results)) {
+	for i, tk := range tickets {
 		allocs[i], errs[i] = tk.Allocation()
 	}
 	return allocs, errs
@@ -156,53 +161,9 @@ func TestSingleShardByteIdenticalToSerializedMediator(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit: on a single shard with constant providers, a
-// batch must produce the same allocations as the equivalent Submit sequence.
-func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	build := func() *Engine {
-		eng := mustEngine(t, WithWindow(30), WithConcurrency(1), WithPolicy(sbqaSpec(7)),
-			WithClock(func() float64 { return 1 }))
-		for c := 0; c < 2; c++ {
-			c := c
-			eng.RegisterConsumer(FuncConsumer{ID: model.ConsumerID(c), Fn: func(q model.Query, snap model.ProviderSnapshot) model.Intention {
-				return model.Intention(float64((int(snap.ID)+c)%3)/3 - 0.1)
-			}})
-		}
-		for i := 0; i < 8; i++ {
-			eng.RegisterProvider(&constProvider{id: model.ProviderID(i), pi: 0.4})
-		}
-		return eng
-	}
-	queries := make([]model.Query, 20)
-	for i := range queries {
-		queries[i] = model.Query{Consumer: model.ConsumerID(i % 2), N: 1, Work: 2}
-	}
-
-	one := build()
-	var want []string
-	for _, q := range queries {
-		a, err := submit(context.Background(), one, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, fmt.Sprintf("%+v", *a))
-	}
-
-	batched := build()
-	allocs, errs := submitBatch(context.Background(), batched, queries, nil)
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatalf("batch query %d: %v", i, errs[i])
-		}
-		if got := fmt.Sprintf("%+v", *allocs[i]); got != want[i] {
-			t.Errorf("query %d:\nsubmit: %s\nbatch:  %s", i, want[i], got)
-		}
-	}
-}
-
-// TestShardedSubmitBatchDispatches: a multi-shard batch reaches real
-// workers and every result comes back.
-func TestShardedSubmitBatchDispatches(t *testing.T) {
+// TestShardedSubmitDispatches: tickets in flight together on several shards
+// reach real workers and every result comes back.
+func TestShardedSubmitDispatches(t *testing.T) {
 	eng := mustEngine(t,
 		WithWindow(50),
 		WithConcurrency(4),
@@ -226,7 +187,7 @@ func TestShardedSubmitBatchDispatches(t *testing.T) {
 		queries[i] = model.Query{Consumer: model.ConsumerID(i % consumers), N: 1, Work: 0.5}
 	}
 	results := make(chan Result, len(queries))
-	allocs, errs := submitBatch(context.Background(), eng, queries, results)
+	allocs, errs := submitAll(context.Background(), eng, queries, results)
 	seen := map[model.QueryID]bool{}
 	for i := range queries {
 		if errs[i] != nil {
@@ -355,18 +316,24 @@ func TestSubmitStaleSelectionIsDispatchError(t *testing.T) {
 	eng.RegisterProvider(&constProvider{id: 1, pi: 0.5})
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 
-	_, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
+	a, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil)
 	if !errors.Is(err, ErrDispatch) {
 		t.Fatalf("err = %v, want ErrDispatch", err)
 	}
 	if !errors.Is(err, mediator.ErrStaleSelection) {
 		t.Errorf("err = %v, should wrap mediator.ErrStaleSelection", err)
 	}
-
-	// The batch path maps the same way.
-	_, errs := submitBatch(context.Background(), eng, []model.Query{{Consumer: 0, N: 1, Work: 1}}, nil)
-	if !errors.Is(errs[0], ErrDispatch) || !errors.Is(errs[0], mediator.ErrStaleSelection) {
-		t.Errorf("batch err = %v, want ErrDispatch wrapping ErrStaleSelection", errs[0])
+	// Nothing reached any worker, so the retry is clean: no allocation and
+	// empty partitions.
+	if a != nil {
+		t.Errorf("alloc = %v, want nil on stale selection", a)
+	}
+	var de *DispatchError
+	if !errors.As(err, &de) {
+		t.Fatalf("err %T is not *DispatchError", err)
+	}
+	if len(de.Accepted) != 0 || len(de.Failed) != 0 {
+		t.Errorf("stale selection must have empty partitions, got accepted=%v failed=%v", de.Accepted, de.Failed)
 	}
 }
 

@@ -198,8 +198,8 @@ func (w *Worker) abandonPending(inService *task) {
 
 // accept enqueues a task without blocking: false if the worker is shutting
 // down, the queue is full, or the context is already done. Dispatch must
-// never park a mediation shard or stall a batch behind one saturated
-// worker, so a full queue refuses the hand-off immediately (the engine
+// never park a mediation shard behind one saturated worker, so a full
+// queue refuses the hand-off immediately (the engine
 // reports ErrDispatch) rather than waiting for space. The enqueue happens
 // under the worker mutex against the shutdown flag, so a task is either
 // refused or guaranteed to be delivered-or-abandoned by the run loop —

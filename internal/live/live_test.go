@@ -133,7 +133,7 @@ func TestWorkerCloseRejectsTasks(t *testing.T) {
 
 // TestAcceptFullQueueNonBlocking: a saturated worker refuses the hand-off
 // immediately, as accept documents — it must never park a dispatcher (and,
-// through it, a whole batch) until queue space frees.
+// through it, its shard) until queue space frees.
 func TestAcceptFullQueueNonBlocking(t *testing.T) {
 	// Capacity 0.001 makes the first task service for hours, so the backlog
 	// never drains during the test.

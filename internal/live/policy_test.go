@@ -343,7 +343,7 @@ func TestSingleShardDeterminismAcrossGenerationSwap(t *testing.T) {
 }
 
 // TestReconfigureUnderConcurrentLoad drives a multi-shard engine with
-// concurrent SubmitBatch traffic while another goroutine flips the policy
+// concurrent Submit traffic while another goroutine flips the policy
 // back and forth — the acceptance criterion's -race workout.
 func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 	spec := sbqaSpec(1)
@@ -405,8 +405,9 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 					{Consumer: model.ConsumerID(c), N: 1, Work: 1},
 					{Consumer: model.ConsumerID(c), N: 2, Work: 2},
 				}
-				for _, tk := range eng.SubmitBatch(context.Background(), qs) {
-					if _, err := tk.Allocation(); err != nil {
+				_, errs := submitAll(context.Background(), eng, qs, nil)
+				for _, err := range errs {
+					if err != nil {
 						t.Errorf("allocation: %v", err)
 					}
 				}

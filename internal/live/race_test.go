@@ -41,7 +41,7 @@ func TestShardedEngineRace(t *testing.T) {
 		}})
 	}
 
-	// Batch iterations submit two queries, so allow for the overshoot.
+	// Paired iterations submit two queries, so allow for the overshoot.
 	results := make(chan Result, 2*submitters*perSubmitter)
 	var wg sync.WaitGroup
 
@@ -66,15 +66,15 @@ func TestShardedEngineRace(t *testing.T) {
 			for i := 0; i < perSubmitter; i++ {
 				q := model.Query{Consumer: model.ConsumerID(c), N: 1, Work: 0.2, Class: i % 2}
 				if i%10 == 9 {
-					// Batch path: 2 queries at once.
-					as, errs := submitBatch(context.Background(), eng, []model.Query{q, q}, results)
+					// Two tickets in flight at once.
+					as, errs := submitAll(context.Background(), eng, []model.Query{q, q}, results)
 					for j, e := range errs {
 						if e == nil {
 							if stableOnly(as[j]) {
 								completed[c]++
 							}
 						} else if !errors.Is(e, ErrDispatch) {
-							t.Errorf("submitter %d batch: %v", c, e)
+							t.Errorf("submitter %d pair: %v", c, e)
 							return
 						}
 					}

@@ -13,10 +13,10 @@ import (
 )
 
 // TestScratchArenasUnderChurnAndReconfigure hammers the zero-allocation
-// mediation hot path from every direction at once: concurrent Submit and
-// SubmitBatch traffic on several shards (each shard's scratch arena — the
-// candidate source, the snapshot and intention buffers — is reused per
-// mediation), while one goroutine hot-swaps the allocation policy (rebuilding
+// mediation hot path from every direction at once: concurrent Submit
+// traffic, one ticket at a time and in pairs, on several shards (each
+// shard's scratch arena — the candidate source, the snapshot and intention
+// buffers — is reused per mediation), while one goroutine hot-swaps the allocation policy (rebuilding
 // allocators and their scoring scratch at mediation boundaries) and another
 // churns provider registrations (invalidating and rebuilding the class views
 // the shards sample from). Run under -race this is the leak/race canary for
@@ -48,7 +48,8 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 	var malformed atomic.Int32
 	stop := make(chan struct{})
 
-	// Submitters: blocking single submits and batches, all shards.
+	// Submitters: blocking single submits and pairs in flight together, all
+	// shards.
 	for w := 0; w < 4; w++ {
 		submitters.Add(1)
 		go func(w int) {
@@ -58,8 +59,8 @@ func TestScratchArenasUnderChurnAndReconfigure(t *testing.T) {
 				var as []*model.Allocation
 				var errs []error
 				if i%5 == 4 {
-					batch := []model.Query{q, {Consumer: model.ConsumerID(i % consumers), N: 1, Work: 3}}
-					as, errs = submitBatch(ctx, eng, batch, nil)
+					pair := []model.Query{q, {Consumer: model.ConsumerID(i % consumers), N: 1, Work: 3}}
+					as, errs = submitAll(ctx, eng, pair, nil)
 				} else {
 					a, err := submit(ctx, eng, q, nil)
 					as, errs = []*model.Allocation{a}, []error{err}

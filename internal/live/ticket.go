@@ -43,16 +43,14 @@ type Ticket struct {
 	// userResults is the optional caller-supplied channel (WithResults);
 	// every delivered result is forwarded to it.
 	userResults chan<- Result
-	self        [1]*Ticket // the one-ticket queue item Submit enqueues
 
-	// workers are the executors of the selection, resolved under the shard
-	// lock right after mediation (into workerSlots while they fit) and
-	// consumed by the hand-off that follows it; finish drops them.
-	workers     []Executor
+	// workerSlots hold the executors of the selection while they fit,
+	// resolved under the shard lock right after mediation and consumed by
+	// the hand-off that follows it; finish clears them.
 	workerSlots [2]Executor
 
-	// alloc/err hold the mediation outcome from the shard lock's release
-	// on, and the final outcome once finish has opened latch (and allocated).
+	// alloc/err hold the outcome once finish has opened latch (and
+	// allocated).
 	latch     sync.WaitGroup
 	allocated atomic.Bool
 	alloc     *model.Allocation
@@ -134,7 +132,6 @@ func (t *Ticket) abandon(id model.ProviderID) {
 // finished ticket must not keep alive, publishes the outcome, opens the
 // latch and gives up the dispatcher's hold.
 func (t *Ticket) finish(a *model.Allocation, err error) {
-	t.workers = nil
 	clear(t.workerSlots[:])
 	t.alloc = a
 	t.err = err

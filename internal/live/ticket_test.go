@@ -136,8 +136,8 @@ func TestTicketContract(t *testing.T) {
 		if _, err := tk.Allocation(); err != nil {
 			t.Fatal(err)
 		}
-		if tk.workers != nil || tk.workerSlots != [len(tk.workerSlots)]Executor{} {
-			t.Fatalf("finished ticket keeps workers %v, slots %v", tk.workers, tk.workerSlots)
+		if tk.workerSlots != [len(tk.workerSlots)]Executor{} {
+			t.Fatalf("finished ticket keeps executors %v", tk.workerSlots)
 		}
 	})
 }

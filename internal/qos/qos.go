@@ -176,15 +176,6 @@ func (s Spec) Normalized() Spec {
 	return out
 }
 
-// ClassNames returns the declared class names in spec order.
-func (s Spec) ClassNames() []string {
-	out := make([]string, len(s.Classes))
-	for i, c := range s.Classes {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // shedOrder returns class indices from most-sheddable to least: ascending
 // weight, non-priority before priority, later declaration first among
 // ties. Brownout level L sheds the first L entries of this order.

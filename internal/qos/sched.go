@@ -463,14 +463,6 @@ func (s *Scheduler[T]) ObserveService(dt float64) {
 	s.mu.Unlock()
 }
 
-// EstimatedWait returns the current admission wait estimate (EWMA × queue
-// depth), the deadline-shed yardstick.
-func (s *Scheduler[T]) EstimatedWait() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ewma * float64(s.depth+1)
-}
-
 // Close wakes the consumer and all blocked pushers. Pop drains what is
 // queued and then reports ok=false; Push fails with ErrSchedulerClosed.
 // Idempotent.

@@ -98,46 +98,10 @@ func (s *Scorer) Score(pi, ci model.Intention, omega float64) float64 {
 	return -(math.Pow(1-p+eps, omega) * math.Pow(1-c+eps, 1-omega))
 }
 
-// Candidate is one provider entering the ranking step, carrying both
-// intentions and both sides' long-run satisfaction.
-type Candidate struct {
-	Provider model.ProviderID
-	PI       model.Intention // provider's intention to perform q
-	CI       model.Intention // consumer's intention to allocate q to it
-	SatC     float64         // δs(c) — same for every candidate of a query
-	SatP     float64         // δs(p)
-}
-
-// Ranked is a scored candidate, produced by Rank.
-type Ranked struct {
-	Candidate
-	Omega float64
-	Score float64
-}
-
-// Rank scores every candidate and returns them sorted best-first (the
-// paper's ranking vector →R: →R[0] is the best-scored provider). Ties break
-// by provider ID for determinism.
-func (s *Scorer) Rank(cands []Candidate) []Ranked {
-	out := make([]Ranked, len(cands))
-	for i, c := range cands {
-		w := s.Omega(c.SatC, c.SatP)
-		out[i] = Ranked{Candidate: c, Omega: w, Score: s.Score(c.PI, c.CI, w)}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Provider < out[j].Provider
-	})
-	return out
-}
-
 // View is the flattened, zero-copy form of one mediation's scoring input:
 // position-aligned parallel columns over the Kn set, borrowed straight from
-// the environment's batch buffers (no per-provider Candidate structs). All
-// slices must have equal length; SatC is the consumer's δs, shared by every
-// position.
+// the environment's batch buffers (no per-provider structs). All slices must
+// have equal length; SatC is the consumer's δs, shared by every position.
 type View struct {
 	IDs  []model.ProviderID
 	PI   []model.Intention
@@ -151,8 +115,7 @@ func (v View) Len() int { return len(v.IDs) }
 
 // ScoreInto computes ω and scr_q(p) for every position of the view into the
 // caller-provided columns (len(omega) == len(scores) == v.Len()), without
-// allocating. The math is identical to Rank's: Omega per pair, then
-// Definition 3.
+// allocating: Omega per pair, then Definition 3.
 func (s *Scorer) ScoreInto(v View, omega, scores []float64) {
 	for i := range v.IDs {
 		w := s.Omega(v.SatC, v.SatP[i])
@@ -162,11 +125,10 @@ func (s *Scorer) ScoreInto(v View, omega, scores []float64) {
 }
 
 // FlatRanker ranks flat score columns without allocating: Rank fills order
-// with the permutation that sorts positions best-first under the same
-// comparator as Scorer.Rank (score descending, provider ID ascending,
-// stable), so the resulting order is byte-identical to ranking per-provider
-// structs. Keep one FlatRanker per allocator and reuse it; it is not safe
-// for concurrent use.
+// with the permutation that sorts positions best-first — the paper's
+// ranking vector →R, score descending with ties broken by provider ID
+// ascending for determinism. Keep one FlatRanker per allocator and reuse
+// it; it is not safe for concurrent use.
 type FlatRanker struct {
 	scores []float64
 	ids    []model.ProviderID

@@ -157,59 +157,74 @@ func TestAdaptiveOmegaCompensatesDissatisfied(t *testing.T) {
 	}
 }
 
-func TestRankOrdering(t *testing.T) {
-	s := NewFixedScorer(0.5)
-	cands := []Candidate{
-		{Provider: 1, PI: 0.1, CI: 0.1},
-		{Provider: 2, PI: 0.9, CI: 0.9},
-		{Provider: 3, PI: -1, CI: 1},
-		{Provider: 4, PI: 0.5, CI: 0.5},
+// rank scores v and ranks it the way core.SbQA does — ScoreInto, then
+// FlatRanker — and returns the ranked provider IDs with their ω and scores.
+func rank(s *Scorer, v View) (ids []model.ProviderID, omega, scores []float64) {
+	n := v.Len()
+	omegaCol, scoreCol, order := make([]float64, n), make([]float64, n), make([]int, n)
+	s.ScoreInto(v, omegaCol, scoreCol)
+	var r FlatRanker
+	r.Rank(scoreCol, v.IDs, order)
+	for _, pos := range order {
+		ids = append(ids, v.IDs[pos])
+		omega = append(omega, omegaCol[pos])
+		scores = append(scores, scoreCol[pos])
 	}
-	ranked := s.Rank(cands)
+	return ids, omega, scores
+}
+
+func TestRankOrdering(t *testing.T) {
+	ids, _, scores := rank(NewFixedScorer(0.5), View{
+		IDs:  []model.ProviderID{1, 2, 3, 4},
+		PI:   []model.Intention{0.1, 0.9, -1, 0.5},
+		CI:   []model.Intention{0.1, 0.9, 1, 0.5},
+		SatP: make([]float64, 4),
+	})
 	wantOrder := []model.ProviderID{2, 4, 1, 3}
 	for i, w := range wantOrder {
-		if ranked[i].Provider != w {
-			t.Fatalf("rank[%d] = provider %d, want %d (full: %+v)", i, ranked[i].Provider, w, ranked)
+		if ids[i] != w {
+			t.Fatalf("rank[%d] = provider %d, want %d (full: %v)", i, ids[i], w, ids)
 		}
 	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Score > ranked[i-1].Score {
+	for i := 1; i < len(scores); i++ {
+		if scores[i] > scores[i-1] {
 			t.Fatalf("ranking not descending at %d", i)
 		}
 	}
 }
 
 func TestRankTieBreaksByID(t *testing.T) {
-	s := NewFixedScorer(0.5)
-	cands := []Candidate{
-		{Provider: 9, PI: 0.5, CI: 0.5},
-		{Provider: 2, PI: 0.5, CI: 0.5},
-	}
-	ranked := s.Rank(cands)
-	if ranked[0].Provider != 2 || ranked[1].Provider != 9 {
-		t.Errorf("tie should break by ID: %+v", ranked)
+	ids, _, _ := rank(NewFixedScorer(0.5), View{
+		IDs:  []model.ProviderID{9, 2},
+		PI:   []model.Intention{0.5, 0.5},
+		CI:   []model.Intention{0.5, 0.5},
+		SatP: make([]float64, 2),
+	})
+	if ids[0] != 2 || ids[1] != 9 {
+		t.Errorf("tie should break by ID: %v", ids)
 	}
 }
 
 func TestRankUsesPerPairOmega(t *testing.T) {
-	s := NewScorer()
 	// Both providers equally liked by the consumer; provider 1 is starved
 	// (δs = 0) and wants the query, provider 2 is satisfied (δs = 1).
-	cands := []Candidate{
-		{Provider: 1, PI: 0.8, CI: 0.5, SatC: 0.5, SatP: 0.0},
-		{Provider: 2, PI: 0.8, CI: 0.5, SatC: 0.5, SatP: 1.0},
+	ids, omega, _ := rank(NewScorer(), View{
+		IDs:  []model.ProviderID{1, 2},
+		PI:   []model.Intention{0.8, 0.8},
+		CI:   []model.Intention{0.5, 0.5},
+		SatC: 0.5,
+		SatP: []float64{0, 1},
+	})
+	if ids[0] != 1 {
+		t.Errorf("starved provider should rank first, got %v", ids)
 	}
-	ranked := s.Rank(cands)
-	if ranked[0].Provider != 1 {
-		t.Errorf("starved provider should rank first, got %+v", ranked)
-	}
-	if !(ranked[0].Omega > ranked[1].Omega) {
-		t.Errorf("starved provider should get larger ω: %v vs %v", ranked[0].Omega, ranked[1].Omega)
+	if !(omega[0] > omega[1]) {
+		t.Errorf("starved provider should get larger ω: %v vs %v", omega[0], omega[1])
 	}
 }
 
 func TestRankEmpty(t *testing.T) {
-	if got := NewScorer().Rank(nil); len(got) != 0 {
-		t.Errorf("Rank(nil) = %v", got)
+	if ids, _, _ := rank(NewScorer(), View{}); len(ids) != 0 {
+		t.Errorf("ranking an empty view = %v", ids)
 	}
 }
