@@ -339,8 +339,9 @@ const oracleClasses = 3
 // sides' tie-breaks are exercised. The grid is also what makes a tie mean the
 // same on both sides: sums of the (x+1)/2 of such values are exact in
 // floating point whatever their order — and so are sums of Equation 1's
-// δs(c,q) while q.n is a power of two — so a window summed in ring order
-// and one summed oldest-first agree to the last bit. With free-form values
+// δs(c,q) while q.n is a power of two — so a window summed the tracker's
+// way (a head in slot order plus a tail frozen at the last wrap) and one
+// summed oldest-first agree to the last bit. With free-form values
 // they differ in the last place, ω with them, and two providers whose scores
 // are mathematically equal then rank by ID on one side and by rounding on
 // the other.

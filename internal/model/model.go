@@ -37,8 +37,12 @@ const NoConsumer ConsumerID = -1
 // -1 means "absolutely against", 0 indifferent, +1 "absolutely in favour".
 type Intention float64
 
-// Clamp returns the intention clamped to the legal interval [-1, 1].
+// Clamp returns the intention clamped to the legal interval [-1, 1]; NaN
+// carries no preference and maps to 0 (indifferent).
 func (i Intention) Clamp() Intention {
+	if i != i {
+		return 0
+	}
 	if i < -1 {
 		return -1
 	}

@@ -18,6 +18,7 @@ func TestIntentionClamp(t *testing.T) {
 		{"upper-edge", 1, 1},
 		{"above", 7, 1},
 		{"zero", 0, 0},
+		{"nan", Intention(math.NaN()), 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -30,14 +31,14 @@ func TestIntentionClamp(t *testing.T) {
 
 func TestIntentionClampProperty(t *testing.T) {
 	f := func(x float64) bool {
-		if math.IsNaN(x) {
-			return true
-		}
 		c := Intention(x).Clamp()
 		return c.Valid()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	if !Intention(math.NaN()).Clamp().Valid() {
+		t.Error("Clamp(NaN) is not a valid intention")
 	}
 }
 

@@ -3,12 +3,15 @@ package satisfaction
 // This file is the durability surface of the satisfaction model: trackers
 // export the exact contents of their sliding windows — not just the derived
 // δs — and rebuild from that state bit-identically. Exactness matters
-// because every derived value (Satisfaction, Adequation,
-// AllocationSatisfaction) is a float64 sum over the ring buffer in slot
-// order: restoring the same records in a different order could change the
-// rounding of the sum, and the adaptive ω of Equation 2 would drift after a
-// restart. The export therefore captures the ring layout itself (slot order
-// plus the write cursor), and the per-stripe registry iteration lets the
+// because every derived value is a float64 sum whose rounding depends on the
+// ring layout: Adequation and AllocationSatisfaction sum the ring in slot
+// order, and Satisfaction adds a head (slots 0..next-1, in slot order) to a
+// tail frozen right to left at the last wrap (slots next..n-1). Restoring the
+// same records in a different order, or at a different cursor, could change
+// the rounding, and the adaptive ω of Equation 2 would drift after a restart.
+// The export therefore captures the ring layout itself (slot order plus the
+// write cursor), from which a restore recomputes head and tail exactly as
+// the live tracker holds them; the per-stripe registry iteration lets the
 // persistence layer walk a million-participant registry without ever holding
 // more than one stripe lock.
 
@@ -76,10 +79,12 @@ func NewConsumerFromState(st ConsumerState) (*ConsumerTracker, error) {
 	if err := validateWindow(st.K, st.Next, len(st.Records)); err != nil {
 		return nil, err
 	}
-	t := &ConsumerTracker{k: st.K, buf: make([]consumerRecord, st.K), next: st.Next, n: len(st.Records)}
+	t := NewConsumer(st.K)
+	t.next, t.n = st.Next, len(st.Records)
 	for i, r := range st.Records {
 		t.buf[i] = consumerRecord{obtained: r.Obtained, best: r.Best, adequation: r.Adequation}
 	}
+	t.freezeTail()
 	return t, nil
 }
 
@@ -101,7 +106,7 @@ type ProviderState struct {
 func (t *ProviderTracker) ExportState() ProviderState {
 	st := ProviderState{K: t.k, Next: t.next, Records: make([]ProviderRecordState, t.n)}
 	for i := 0; i < t.n; i++ {
-		st.Records[i] = ProviderRecordState{Intention: t.buf[i].intention, Performed: t.buf[i].performed}
+		st.Records[i] = ProviderRecordState{Intention: t.in[i], Performed: t.done[i]}
 	}
 	return st
 }
@@ -111,10 +116,15 @@ func NewProviderFromState(st ProviderState) (*ProviderTracker, error) {
 	if err := validateWindow(st.K, st.Next, len(st.Records)); err != nil {
 		return nil, err
 	}
-	t := &ProviderTracker{k: st.K, buf: make([]providerRecord, st.K), next: st.Next, n: len(st.Records)}
+	t := NewProvider(st.K)
+	t.next, t.n = st.Next, len(st.Records)
 	for i, r := range st.Records {
-		t.buf[i] = providerRecord{intention: r.Intention, performed: r.Performed}
+		t.in[i], t.done[i] = r.Intention, r.Performed
+		if r.Performed {
+			t.performed++
+		}
 	}
+	t.freezeTail()
 	return t, nil
 }
 

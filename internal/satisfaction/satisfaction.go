@@ -119,9 +119,18 @@ type consumerRecord struct {
 // ConsumerTracker maintains a consumer's interaction memory IQ_c^k and
 // derives its long-run satisfaction (Definition 1), adequation and
 // allocation satisfaction. The zero value is not usable; call NewConsumer.
+//
+// δs(c) is read in O(1) from two partial sums of the obtained values: head
+// sums slots 0..next-1 in slot order as they are written, and tail[i] sums
+// slots i..n-1 right to left, frozen once per lap when the cursor wraps.
+// Slots next..n-1 are untouched since that freeze, so head + tail[next]
+// covers the window exactly; both are functions of the slots and the cursor
+// alone, so a tracker rebuilt from its export reads the same bits.
 type ConsumerTracker struct {
 	k    int
 	buf  []consumerRecord
+	tail []float64
+	head float64
 	next int
 	n    int // number of valid records (≤ k)
 }
@@ -132,7 +141,7 @@ func NewConsumer(k int) *ConsumerTracker {
 	if k < 1 {
 		k = DefaultWindow
 	}
-	return &ConsumerTracker{k: k, buf: make([]consumerRecord, k)}
+	return &ConsumerTracker{k: k, buf: make([]consumerRecord, k), tail: make([]float64, k)}
 }
 
 // Window returns k, the memory length.
@@ -151,9 +160,28 @@ func (t *ConsumerTracker) Record(obtained, best, adequation float64) {
 		adequation: clamp01(adequation),
 	}
 	t.buf[t.next] = rec
-	t.next = (t.next + 1) % t.k
+	t.head += rec.obtained
+	t.next++
 	if t.n < t.k {
 		t.n++
+	}
+	if t.next == t.k {
+		t.next = 0
+		t.freezeTail()
+	}
+}
+
+// freezeTail recomputes tail over the whole window and head over slots
+// 0..next-1; Record calls it at each wrap (next = 0), a restore once.
+func (t *ConsumerTracker) freezeTail() {
+	var s float64
+	for i := t.n - 1; i >= 0; i-- {
+		s += t.buf[i].obtained
+		t.tail[i] = s
+	}
+	t.head = 0
+	for i := 0; i < t.next; i++ {
+		t.head += t.buf[i].obtained
 	}
 }
 
@@ -182,11 +210,7 @@ func (t *ConsumerTracker) Satisfaction() float64 {
 	if t.n == 0 {
 		return Neutral
 	}
-	var sum float64
-	for i := 0; i < t.n; i++ {
-		sum += t.buf[i].obtained
-	}
-	return sum / float64(t.n)
+	return (t.head + t.tail[t.next]) / float64(t.n)
 }
 
 // Adequation returns δa(c): the mean adequation of the candidate sets the
@@ -227,22 +251,26 @@ func (t *ConsumerTracker) AllocationSatisfaction() float64 {
 	return r
 }
 
-// providerRecord is one remembered proposal.
-type providerRecord struct {
-	intention float64 // unit-mapped expressed intention (PPI+1)/2
-	performed bool
-}
-
 // ProviderTracker maintains a provider's memory of the k last queries the
 // mediator *proposed* to it (vector PPI_p in the paper) and which of those
 // it actually performed (set SQ_p^k), and derives Definition 2 satisfaction
 // plus adequation and allocation satisfaction. The zero value is not usable;
 // call NewProvider.
+//
+// The window is kept as parallel columns (unit intention, performed flag,
+// frozen tail) rather than one record slice, so a slot costs 17 bytes where
+// an inline tail would pad it to 24. δs(p) is read in O(1) like δs(c): head
+// and tail sum only the performed slots' intentions, and performed counts
+// them exactly.
 type ProviderTracker struct {
-	k    int
-	buf  []providerRecord
-	next int
-	n    int
+	k         int
+	in        []float64 // unit-mapped expressed intention (PPI+1)/2
+	done      []bool    // whether the mediator allocated the query
+	tail      []float64
+	head      float64
+	performed int
+	next      int
+	n         int
 }
 
 // NewProvider returns a tracker remembering the k last proposed queries.
@@ -251,7 +279,7 @@ func NewProvider(k int) *ProviderTracker {
 	if k < 1 {
 		k = DefaultWindow
 	}
-	return &ProviderTracker{k: k, buf: make([]providerRecord, k)}
+	return &ProviderTracker{k: k, in: make([]float64, k), done: make([]bool, k), tail: make([]float64, k)}
 }
 
 // Window returns k, the memory length.
@@ -263,10 +291,40 @@ func (t *ProviderTracker) Interactions() int { return t.n }
 // Record remembers one proposal: the intention the provider expressed for
 // the query and whether the mediator allocated the query to it.
 func (t *ProviderTracker) Record(pi model.Intention, performed bool) {
-	t.buf[t.next] = providerRecord{intention: pi.Clamp().Unit(), performed: performed}
-	t.next = (t.next + 1) % t.k
+	u := pi.Clamp().Unit()
+	if t.done[t.next] {
+		t.performed--
+	}
+	t.in[t.next], t.done[t.next] = u, performed
+	if performed {
+		t.head += u
+		t.performed++
+	}
+	t.next++
 	if t.n < t.k {
 		t.n++
+	}
+	if t.next == t.k {
+		t.next = 0
+		t.freezeTail()
+	}
+}
+
+// freezeTail recomputes tail over the whole window and head over slots
+// 0..next-1; Record calls it at each wrap (next = 0), a restore once.
+func (t *ProviderTracker) freezeTail() {
+	var s float64
+	for i := t.n - 1; i >= 0; i-- {
+		if t.done[i] {
+			s += t.in[i]
+		}
+		t.tail[i] = s
+	}
+	t.head = 0
+	for i := 0; i < t.next; i++ {
+		if t.done[i] {
+			t.head += t.in[i]
+		}
 	}
 }
 
@@ -277,18 +335,10 @@ func (t *ProviderTracker) Satisfaction() float64 {
 	if t.n == 0 {
 		return Neutral
 	}
-	var sum float64
-	count := 0
-	for i := 0; i < t.n; i++ {
-		if t.buf[i].performed {
-			sum += t.buf[i].intention
-			count++
-		}
-	}
-	if count == 0 {
+	if t.performed == 0 {
 		return 0
 	}
-	return sum / float64(count)
+	return (t.head + t.tail[t.next]) / float64(t.performed)
 }
 
 // Adequation returns δa(p): the mean unit intention over *all* remembered
@@ -301,7 +351,7 @@ func (t *ProviderTracker) Adequation() float64 {
 	}
 	var sum float64
 	for i := 0; i < t.n; i++ {
-		sum += t.buf[i].intention
+		sum += t.in[i]
 	}
 	return sum / float64(t.n)
 }
@@ -331,13 +381,7 @@ func (t *ProviderTracker) PerformedShare() float64 {
 	if t.n == 0 {
 		return 0
 	}
-	count := 0
-	for i := 0; i < t.n; i++ {
-		if t.buf[i].performed {
-			count++
-		}
-	}
-	return float64(count) / float64(t.n)
+	return float64(t.performed) / float64(t.n)
 }
 
 func clamp01(v float64) float64 {
