@@ -41,14 +41,15 @@ func WithPolicy(spec policy.Spec) Option {
 	return func(c *config) { c.policy = &spec }
 }
 
-// WithTuner runs an autonomic policy tuner bound to the engine: a
-// background MAPE-K loop that watches the satisfaction snapshot stream
-// (WithSnapshotInterval is therefore required) and issues
+// WithTuner runs an autonomic policy tuner bound to the engine: a MAPE-K
+// controller the snapshot ticker steps once per tick (WithSnapshotInterval
+// is therefore required), before the observer sees the snapshot. It issues
 // bounded Reconfigure steps — widening kn under consumer starvation,
 // nudging a fixed ω toward the adaptive rule under consumer/provider
-// imbalance — with hysteresis, a minimum interval between actions, and hard
-// parameter bounds (see policy.TunerConfig). The tuner stops with
-// Engine.Close; inspect it through Engine.Tuner.
+// imbalance, narrowing kn and widening shedding under queue pressure —
+// with hysteresis, a minimum interval between actions, and hard parameter
+// bounds (see policy.TunerConfig). Its last step finishes before
+// Engine.Close drains the shards; inspect it through Engine.Tuner.
 func WithTuner(cfg policy.TunerConfig) Option {
 	return func(c *config) { c.tuner = &cfg }
 }
@@ -231,20 +232,23 @@ func (e *Engine) failTicket(t *Ticket, status string, err error) {
 	t.finish(nil, err)
 }
 
-// snapshotLoop emits periodic satisfaction snapshots until Close. The same
-// tick feeds the tuner's brownout controller its queue-pressure sample —
-// the scheduler counters are the controller's Monitor phase, sampled at the
-// cadence the satisfaction loop already established.
-func (e *Engine) snapshotLoop(every time.Duration, obs event.Observer) {
-	defer e.wg.Done()
+// snapshotLoop emits periodic satisfaction snapshots until Close. On each
+// tick the tuner, when there is one, steps first — over the snapshot and the
+// shard schedulers' queue pressure — and the observer then receives the
+// snapshot, owning its maps outright.
+func (e *Engine) snapshotLoop(every time.Duration) {
+	defer e.snapWG.Done()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-ticker.C:
-			obs.OnSatisfactionSnapshot(e.satisfactionSnapshot())
+		case now := <-ticker.C:
+			snap := e.satisfactionSnapshot()
 			if e.tuner != nil {
-				e.tuner.ObservePressure(e.QoSPressure())
+				e.tuner.Step(now, snap, e.QoSPressure())
+			}
+			if e.obs != nil {
+				e.obs.OnSatisfactionSnapshot(snap)
 			}
 		case <-e.stopSnap:
 			return
@@ -358,10 +362,8 @@ func (e *Engine) stop() bool {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	if e.tuner != nil {
-		e.tuner.Close() // stop retuning before the shard loops drain
-	}
 	close(e.stopSnap)
+	e.snapWG.Wait() // stop retuning before the shard loops drain
 	if e.pst != nil {
 		close(e.pst.stop)
 	}

@@ -131,6 +131,7 @@ type Engine struct {
 	guard atomic.Pointer[func(model.Query) error]
 
 	stopSnap chan struct{}
+	snapWG   sync.WaitGroup // the snapshot loop, which steps the tuner
 	wg       sync.WaitGroup
 }
 
@@ -153,19 +154,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 	if err := validateOptions(cfg); err != nil {
 		return nil, err
-	}
-	// The tuner is created before the shards so its snapshot intake can be
-	// composed into the observer they capture; it is bound to the engine
-	// (its Reconfigure surface) once the engine exists. The tuner goes
-	// *first* in the composition: it clones the snapshot maps synchronously
-	// in Observe, after which the user observer receives them still owning
-	// them outright (per the event.Observer contract) — even a user
-	// observer that hands its maps to another goroutine cannot race the
-	// tuner's copy.
-	var tuner *policy.Tuner
-	if cfg.tuner != nil {
-		tuner = policy.NewTuner(nil, *cfg.tuner)
-		cfg.observer = event.Multi(tuner.Observer(), cfg.observer)
 	}
 	// The durability recorder joins the observer chain before the shards
 	// capture it, so every shard's events reach the journal. The store is
@@ -195,9 +183,11 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		shards:   make([]*shard, max(cfg.concurrency, 1)),
 		obs:      cfg.observer,
 		nowFn:    cfg.nowFn,
-		tuner:    tuner,
 		pst:      pst,
 		stopSnap: make(chan struct{}),
+	}
+	if cfg.tuner != nil {
+		e.tuner = policy.NewTuner(e, *cfg.tuner)
 	}
 	if e.nowFn == nil {
 		start := time.Now()
@@ -250,9 +240,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.wg.Add(1)
 		go e.shardLoop(sh)
 	}
-	if cfg.snapshotInterval > 0 && cfg.observer != nil {
-		e.wg.Add(1)
-		go e.snapshotLoop(cfg.snapshotInterval, cfg.observer)
+	if cfg.snapshotInterval > 0 && (cfg.observer != nil || e.tuner != nil) {
+		e.snapWG.Add(1)
+		go e.snapshotLoop(cfg.snapshotInterval)
 	}
 	if pst != nil {
 		pcfg := persist.Config{}
@@ -269,11 +259,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		e.wg.Add(1)
 		go e.persistLoop(interval, threshold)
-	}
-	if tuner != nil {
-		tuner.Bind(e)
-		tuner.BindBrownout(e)
-		tuner.Start()
 	}
 	return e, nil
 }

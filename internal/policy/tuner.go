@@ -1,13 +1,15 @@
 package policy
 
 // The Tuner closes the paper's self-adaptation loop at the system level: a
-// background MAPE-K controller (Monitor–Analyze–Plan–Execute over shared
-// Knowledge) that watches the engine's satisfaction snapshot stream and
+// MAPE-K controller (Monitor–Analyze–Plan–Execute over shared Knowledge)
+// that the engine steps once per satisfaction snapshot tick and that
 // retunes the running policy through bounded Reconfigure steps. The paper
 // adapts ω per mediation (Equation 2); the Tuner adapts the *process
 // parameters themselves* — kn under starvation, fixed-ω toward adaptive
 // under consumer/provider imbalance — which Scenario 6 otherwise requires a
-// human to sweep by hand.
+// human to sweep by hand. It is a plain function of (time, snapshot,
+// pressure): it owns no goroutine, so a caller on simulated time drives it
+// exactly as the engine's ticker does.
 //
 // Safety properties, in order of importance:
 //
@@ -15,16 +17,15 @@ package policy
 //     hard caps (MaxK, MaxKn) are never exceeded.
 //   - Damped: a condition must persist for Hysteresis consecutive snapshots
 //     before the tuner acts, and at least MinInterval must elapse between
-//     actions — transient noise cannot thrash the policy.
+//     two policy Reconfigures, whichever half issues them — transient noise
+//     cannot thrash the policy.
 //   - Conservative: only tunable policies (kind "sbqa") are touched; the
 //     tuner never changes the allocator kind, the seed, or ε.
 
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,20 +33,47 @@ import (
 	"sbqa/internal/qos"
 )
 
-// Reconfigurer is the control surface the Tuner drives — implemented by the
-// live engine.
-type Reconfigurer interface {
+// Target is the control surface the Tuner drives — implemented by the live
+// engine: the running policy and the shed-widening brownout level.
+type Target interface {
 	// Policy returns the current target policy.
 	Policy() Spec
 	// Reconfigure swaps the running policy at mediation boundaries.
 	Reconfigure(ctx context.Context, spec Spec) error
+	// SetBrownout sets the shed-widening level on every shard (clamped so
+	// the top class always admits).
+	SetBrownout(level int)
+	// Brownout returns the effective level after clamping.
+	Brownout() int
 }
 
+// The controller's fixed thresholds and step sizes.
+const (
+	// starvationThreshold marks a consumer as starved when its
+	// satisfaction δs falls below it.
+	starvationThreshold = 0.25
+	// imbalanceThreshold triggers the ω nudge when the absolute gap
+	// between mean consumer and mean provider satisfaction exceeds it.
+	imbalanceThreshold = 0.2
+	// omegaStep is how far one action moves a fixed ω toward 0.5 before
+	// the mode flips to adaptive.
+	omegaStep = 0.25
+	// brownoutShedRate is the shed fraction (shed / submissions per
+	// pressure interval) above which a pressure sample counts as overload.
+	brownoutShedRate = 0.05
+	// brownoutWaitP99 is the queue-wait p99 (seconds) above which a
+	// pressure sample counts as overload.
+	brownoutWaitP99 = 1.0
+	// minKn is the floor the brownout controller's kn-narrowing step never
+	// goes below.
+	minKn = 2
+)
+
 // TunerConfig tunes the tuner. The zero value selects the documented
-// defaults.
+// defaults; the thresholds and step sizes are fixed.
 type TunerConfig struct {
-	// MinInterval is the minimum wall-clock time between two Reconfigure
-	// steps. Default 5s.
+	// MinInterval is the minimum time between two policy Reconfigure
+	// steps, and between two brownout level steps. Default 5s.
 	MinInterval time.Duration
 
 	// Hysteresis is how many consecutive snapshots must show a condition
@@ -53,43 +81,14 @@ type TunerConfig struct {
 	// negative values mean 1 (act on the first observation).
 	Hysteresis int
 
-	// StarvationThreshold marks a consumer as starved when its
-	// satisfaction δs falls below it. Default 0.25.
-	StarvationThreshold float64
-
-	// ImbalanceThreshold triggers the ω nudge when the absolute gap
-	// between mean consumer and mean provider satisfaction exceeds it.
-	// Default 0.2.
-	ImbalanceThreshold float64
-
 	// MaxK and MaxKn bound how far the tuner may widen the KnBest stages.
 	// Defaults 128 and 64.
 	MaxK  int
 	MaxKn int
 
-	// OmegaStep is how far one action moves a fixed ω toward 0.5 before
-	// the mode flips to adaptive. Default 0.25.
-	OmegaStep float64
-
-	// BrownoutShedRate is the shed fraction (shed / submissions per
-	// pressure interval) above which the brownout controller counts a
-	// sample as overload pressure. Default 0.05.
-	BrownoutShedRate float64
-
-	// BrownoutWaitP99 is the queue-wait p99 (seconds) above which a
-	// pressure sample counts as overload. Default 1s.
-	BrownoutWaitP99 float64
-
-	// MinKn is the floor the brownout controller's kn-narrowing step never
-	// goes below. Default 2.
-	MinKn int
-
 	// Logf, when set, receives one line per analysis decision and action
 	// (for operator logs; never required).
 	Logf func(format string, args ...any)
-
-	// now is injectable for tests; nil means time.Now.
-	now func() time.Time
 }
 
 func (c TunerConfig) withDefaults() TunerConfig {
@@ -103,47 +102,19 @@ func (c TunerConfig) withDefaults() TunerConfig {
 			c.Hysteresis = 1
 		}
 	}
-	if c.StarvationThreshold <= 0 {
-		c.StarvationThreshold = 0.25
-	}
-	if c.ImbalanceThreshold <= 0 {
-		c.ImbalanceThreshold = 0.2
-	}
 	if c.MaxK <= 0 {
 		c.MaxK = 128
 	}
 	if c.MaxKn <= 0 {
 		c.MaxKn = 64
 	}
-	if c.OmegaStep <= 0 {
-		c.OmegaStep = 0.25
-	}
-	if c.BrownoutShedRate <= 0 {
-		c.BrownoutShedRate = 0.05
-	}
-	if c.BrownoutWaitP99 <= 0 {
-		c.BrownoutWaitP99 = 1.0
-	}
-	if c.MinKn <= 0 {
-		c.MinKn = 2
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
 	return c
 }
-
-// SetClock injects the tuner's wall clock (tests drive MinInterval without
-// sleeping). Must be called before NewTuner consumes the config.
-func (c *TunerConfig) SetClock(now func() time.Time) { c.now = now }
 
 // TunerStats is a snapshot of the tuner's counters.
 type TunerStats struct {
 	// Snapshots is how many satisfaction snapshots the tuner analyzed.
 	Snapshots uint64
-	// Dropped is how many snapshots were discarded because the analysis
-	// loop was behind (the observer callback never blocks).
-	Dropped uint64
 	// Actions is how many Reconfigure steps the tuner issued.
 	Actions uint64
 	// BrownoutSteps is how many brownout level changes (up or down) the
@@ -151,34 +122,22 @@ type TunerStats struct {
 	BrownoutSteps uint64
 }
 
-// Tuner is the autonomic policy controller. Create with NewTuner, feed it
-// through Observer() (or Observe directly), Start it, and Close it when the
-// engine shuts down.
+// Tuner is the autonomic policy controller. Create it with NewTuner and
+// call Step once per sample.
 type Tuner struct {
-	cfg TunerConfig
-
-	mu          sync.Mutex
-	target      Reconfigurer
-	brownTarget BrownoutTarget // nil unless BindBrownout
-
-	snaps    chan event.SatisfactionSnapshot
-	pressure chan qos.Pressure
-	stop     chan struct{}
-	done     chan struct{}
-	once     sync.Once
-	stopOnce sync.Once
+	cfg    TunerConfig
+	target Target
 
 	snapshots  atomic.Uint64
-	dropped    atomic.Uint64
 	actions    atomic.Uint64
 	brownSteps atomic.Uint64
 
-	// Controller state, touched only by the run goroutine.
+	// Controller state, touched only by Step.
 	starveStreak int
 	imbalStreak  int
-	lastAction   time.Time
+	lastAction   time.Time // the last policy Reconfigure, from either half
 
-	// Brownout controller state (brownout.go), run goroutine only.
+	// Brownout controller state (brownout.go).
 	pressureSeeded  bool
 	lastEnqueued    uint64
 	lastShed        uint64
@@ -187,95 +146,27 @@ type Tuner struct {
 	lastBrownAction time.Time
 }
 
-// NewTuner returns a tuner driving target (which may be nil and bound later
-// with Bind — the live engine constructs the tuner before itself exists).
-// The tuner is idle until Start.
-func NewTuner(target Reconfigurer, cfg TunerConfig) *Tuner {
-	return &Tuner{
-		cfg:      cfg.withDefaults(),
-		target:   target,
-		snaps:    make(chan event.SatisfactionSnapshot, 16),
-		pressure: make(chan qos.Pressure, 16),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+// NewTuner returns a tuner driving target.
+func NewTuner(target Target, cfg TunerConfig) *Tuner {
+	return &Tuner{cfg: cfg.withDefaults(), target: target}
 }
 
-// Bind points the tuner at its engine. Snapshots observed while unbound are
-// analyzed but produce no action.
-func (t *Tuner) Bind(target Reconfigurer) {
-	t.mu.Lock()
-	t.target = target
-	t.mu.Unlock()
-}
-
-// Observer adapts the tuner to the engine's event stream: install it (via
-// event.Multi) as the engine observer and the snapshot ticker becomes the
-// tuner's Monitor phase.
-func (t *Tuner) Observer() event.Observer {
-	return event.Funcs{SatisfactionSnapshot: t.Observe}
-}
-
-// Observe feeds one satisfaction snapshot into the analysis loop. It never
-// blocks: when the loop is behind, the snapshot is dropped and counted —
-// satisfaction moves slowly, a fresher sample is strictly better than a
-// queued stale one. The maps are copied before enqueueing: the engine
-// hands the same snapshot to every composed observer, and the contract
-// says the maps belong to each receiver — the analysis goroutine must not
-// read maps another observer may mutate.
-func (t *Tuner) Observe(snap event.SatisfactionSnapshot) {
-	select {
-	case t.snaps <- copySnapshot(snap):
-	default:
-		t.dropped.Add(1)
-	}
-}
-
-// copySnapshot deep-copies the snapshot's maps (see Observe).
-func copySnapshot(snap event.SatisfactionSnapshot) event.SatisfactionSnapshot {
-	return event.SatisfactionSnapshot{
-		Time:      snap.Time,
-		Consumers: maps.Clone(snap.Consumers),
-		Providers: maps.Clone(snap.Providers),
-	}
-}
-
-// Start launches the analysis loop. Idempotent.
-func (t *Tuner) Start() {
-	t.once.Do(func() { go t.run() })
-}
-
-// Close stops the analysis loop and waits for it to exit. Safe to call
-// before Start (the loop then never runs), more than once, and from
-// several goroutines concurrently.
-func (t *Tuner) Close() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	t.once.Do(func() { close(t.done) }) // never started: mark done directly
-	<-t.done
+// Step runs one control round at now: the satisfaction loop over snap, then
+// the brownout loop over the cumulative pressure reading p. It reads snap's
+// maps and keeps none of them. Steps must not overlap; Stats may be called
+// at any time.
+func (t *Tuner) Step(now time.Time, snap event.SatisfactionSnapshot, p qos.Pressure) {
+	t.snapshots.Add(1)
+	t.analyze(now, snap)
+	t.analyzePressure(now, p)
 }
 
 // Stats snapshots the tuner's counters.
 func (t *Tuner) Stats() TunerStats {
 	return TunerStats{
 		Snapshots:     t.snapshots.Load(),
-		Dropped:       t.dropped.Load(),
 		Actions:       t.actions.Load(),
 		BrownoutSteps: t.brownSteps.Load(),
-	}
-}
-
-func (t *Tuner) run() {
-	defer close(t.done)
-	for {
-		select {
-		case snap := <-t.snaps:
-			t.snapshots.Add(1)
-			t.analyze(snap)
-		case p := <-t.pressure:
-			t.analyzePressure(p)
-		case <-t.stop:
-			return
-		}
 	}
 }
 
@@ -286,12 +177,28 @@ func (t *Tuner) logf(format string, args ...any) {
 	}
 }
 
+// damped reports whether a policy Reconfigure at now would follow the last
+// one by less than MinInterval.
+func (t *Tuner) damped(now time.Time) bool {
+	return !t.lastAction.IsZero() && now.Sub(t.lastAction) < t.cfg.MinInterval
+}
+
+// reconfigure executes one planned policy step and stamps the damping
+// clock both halves share; false means the target rejected it.
+func (t *Tuner) reconfigure(now time.Time, next Spec, reason string) bool {
+	if err := t.target.Reconfigure(context.Background(), next); err != nil {
+		t.logf("tuner: reconfigure rejected: %v", err)
+		return false
+	}
+	t.actions.Add(1)
+	t.lastAction = now
+	t.logf("tuner: %s -> %s", reason, next)
+	return true
+}
+
 // analyze is the Analyze+Plan+Execute phases over one Monitor sample.
-func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
-	t.mu.Lock()
-	target := t.target
-	t.mu.Unlock()
-	if target == nil || len(snap.Consumers) == 0 {
+func (t *Tuner) analyze(now time.Time, snap event.SatisfactionSnapshot) {
+	if len(snap.Consumers) == 0 {
 		return
 	}
 
@@ -312,8 +219,8 @@ func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
 		meanP /= float64(len(snap.Providers))
 	}
 
-	starved := minC < t.cfg.StarvationThreshold
-	imbalanced := len(snap.Providers) > 0 && math.Abs(meanC-meanP) > t.cfg.ImbalanceThreshold
+	starved := minC < starvationThreshold
+	imbalanced := len(snap.Providers) > 0 && math.Abs(meanC-meanP) > imbalanceThreshold
 	if starved {
 		t.starveStreak++
 	} else {
@@ -325,13 +232,8 @@ func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
 		t.imbalStreak = 0
 	}
 
-	spec := target.Policy().Normalized()
-	if !spec.Tunable() {
-		return
-	}
-
-	now := t.cfg.now()
-	if !t.lastAction.IsZero() && now.Sub(t.lastAction) < t.cfg.MinInterval {
+	spec := t.target.Policy().Normalized()
+	if !spec.Tunable() || t.damped(now) {
 		return
 	}
 
@@ -344,7 +246,7 @@ func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
 	case t.starveStreak >= t.cfg.Hysteresis:
 		next, reason = t.planWiden(spec, minC)
 	case t.imbalStreak >= t.cfg.Hysteresis:
-		next, reason = t.planRebalance(spec, meanC, meanP)
+		next, reason = planRebalance(spec, meanC, meanP)
 	default:
 		return
 	}
@@ -353,14 +255,9 @@ func (t *Tuner) analyze(snap event.SatisfactionSnapshot) {
 	}
 
 	// Execute.
-	if err := target.Reconfigure(context.Background(), next); err != nil {
-		t.logf("tuner: reconfigure rejected: %v", err)
-		return
+	if t.reconfigure(now, next, reason) {
+		t.starveStreak, t.imbalStreak = 0, 0
 	}
-	t.actions.Add(1)
-	t.lastAction = now
-	t.starveStreak, t.imbalStreak = 0, 0
-	t.logf("tuner: %s -> %s", reason, next)
 }
 
 // planWiden widens the KnBest stages one bounded step: doubling kn (and
@@ -414,16 +311,16 @@ func (t *Tuner) planWiden(spec Spec, minC float64) (Spec, string) {
 // flips the mode to the satisfaction-adaptive Equation 2 — the rule that
 // compensates whichever side is behind automatically. Adaptive policies
 // need no nudge.
-func (t *Tuner) planRebalance(spec Spec, meanC, meanP float64) (Spec, string) {
+func planRebalance(spec Spec, meanC, meanP float64) (Spec, string) {
 	if spec.OmegaMode != OmegaFixed {
 		return spec, ""
 	}
-	if math.Abs(spec.Omega-0.5) > t.cfg.OmegaStep {
+	if math.Abs(spec.Omega-0.5) > omegaStep {
 		old := spec.Omega
 		if spec.Omega > 0.5 {
-			spec.Omega -= t.cfg.OmegaStep
+			spec.Omega -= omegaStep
 		} else {
-			spec.Omega += t.cfg.OmegaStep
+			spec.Omega += omegaStep
 		}
 		return spec, fmt.Sprintf("imbalance (δs(c) %.3f vs δs(p) %.3f): ω %.2f→%.2f",
 			meanC, meanP, old, spec.Omega)

@@ -10,11 +10,13 @@ import (
 	"sbqa/internal/model"
 )
 
-// fakeEngine records the Reconfigure calls a Tuner issues.
+// fakeEngine records the Reconfigure calls a Tuner issues and holds its
+// brownout level.
 type fakeEngine struct {
 	mu    sync.Mutex
 	spec  Spec
 	calls []Spec
+	level int
 }
 
 func (f *fakeEngine) Policy() Spec {
@@ -29,6 +31,18 @@ func (f *fakeEngine) Reconfigure(_ context.Context, spec Spec) error {
 	f.spec = spec
 	f.calls = append(f.calls, spec)
 	return nil
+}
+
+func (f *fakeEngine) SetBrownout(level int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.level = max(level, 0)
+}
+
+func (f *fakeEngine) Brownout() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.level
 }
 
 func (f *fakeEngine) callCount() int {
@@ -58,24 +72,17 @@ func snap(consumers, providers []float64) event.SatisfactionSnapshot {
 	return s
 }
 
-// newTestTuner returns a tuner whose analysis runs synchronously via
-// analyze (no goroutine), with a controllable clock.
-func newTestTuner(target Reconfigurer, cfg TunerConfig, now *time.Time) *Tuner {
-	cfg.SetClock(func() time.Time { return *now })
-	return NewTuner(target, cfg)
-}
-
 func TestTunerWidensKnUnderStarvation(t *testing.T) {
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 2, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 2, MinInterval: time.Second, MaxKn: 8, MaxK: 20}, &now)
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 2, MinInterval: time.Second, MaxKn: 8, MaxK: 20})
 
 	starving := snap([]float64{0.8, 0.1}, []float64{0.6})
-	tu.analyze(starving)
+	tu.analyze(now, starving)
 	if eng.callCount() != 0 {
 		t.Fatal("acted before hysteresis was met")
 	}
-	tu.analyze(starving)
+	tu.analyze(now, starving)
 	if eng.callCount() != 1 {
 		t.Fatalf("calls = %d, want 1 after hysteresis", eng.callCount())
 	}
@@ -88,14 +95,14 @@ func TestTunerWidensKnUnderStarvation(t *testing.T) {
 	}
 
 	// Still starved, but MinInterval gates the next step.
-	tu.analyze(starving)
-	tu.analyze(starving)
+	tu.analyze(now, starving)
+	tu.analyze(now, starving)
 	if eng.callCount() != 1 {
 		t.Fatalf("calls = %d, want 1 (min-interval not elapsed)", eng.callCount())
 	}
 	now = now.Add(2 * time.Second)
-	tu.analyze(starving)
-	tu.analyze(starving)
+	tu.analyze(now, starving)
+	tu.analyze(now, starving)
 	if eng.callCount() != 2 {
 		t.Fatalf("calls = %d, want 2 after min-interval", eng.callCount())
 	}
@@ -105,9 +112,9 @@ func TestTunerWidensKnUnderStarvation(t *testing.T) {
 
 	// Hard bound: kn is at MaxKn — no further action however starved.
 	now = now.Add(2 * time.Second)
-	tu.analyze(starving)
-	tu.analyze(starving)
-	tu.analyze(starving)
+	tu.analyze(now, starving)
+	tu.analyze(now, starving)
+	tu.analyze(now, starving)
 	if eng.callCount() != 2 {
 		t.Fatalf("calls = %d, want 2 (MaxKn reached)", eng.callCount())
 	}
@@ -116,11 +123,11 @@ func TestTunerWidensKnUnderStarvation(t *testing.T) {
 func TestTunerNudgesFixedOmegaTowardAdaptive(t *testing.T) {
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaFixed, Omega: 1, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second, OmegaStep: 0.25}, &now)
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second})
 
 	// Providers far happier than consumers: imbalance, nobody starved.
 	imbalanced := snap([]float64{0.5, 0.55}, []float64{0.95, 0.9})
-	tu.analyze(imbalanced)
+	tu.analyze(now, imbalanced)
 	if eng.callCount() != 1 {
 		t.Fatalf("calls = %d, want 1", eng.callCount())
 	}
@@ -128,13 +135,13 @@ func TestTunerNudgesFixedOmegaTowardAdaptive(t *testing.T) {
 		t.Fatalf("got ω %q/%g, want fixed 0.75", got.OmegaMode, got.Omega)
 	}
 	now = now.Add(2 * time.Second)
-	tu.analyze(imbalanced)
+	tu.analyze(now, imbalanced)
 	if got := eng.lastCall(); got.OmegaMode != OmegaAdaptive || got.Omega != 0 {
 		t.Fatalf("got ω %q/%g, want adaptive", got.OmegaMode, got.Omega)
 	}
 	// Adaptive policies need no nudge: no further actions.
 	now = now.Add(2 * time.Second)
-	tu.analyze(imbalanced)
+	tu.analyze(now, imbalanced)
 	if eng.callCount() != 2 {
 		t.Fatalf("calls = %d, want 2 (already adaptive)", eng.callCount())
 	}
@@ -145,28 +152,28 @@ func TestTunerIgnoresBalancedSystemAndNonTunablePolicies(t *testing.T) {
 	balanced := snap([]float64{0.7, 0.8}, []float64{0.75})
 
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 20, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1}}
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1}, &now)
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 1})
 	for i := 0; i < 5; i++ {
-		tu.analyze(balanced)
+		tu.analyze(now, balanced)
 	}
 	if eng.callCount() != 0 {
 		t.Fatalf("acted on a balanced system: %d calls", eng.callCount())
 	}
 
 	cap := &fakeEngine{spec: Spec{Kind: Capacity}}
-	tuCap := newTestTuner(cap, TunerConfig{Hysteresis: 1}, &now)
+	tuCap := NewTuner(cap, TunerConfig{Hysteresis: 1})
 	starving := snap([]float64{0.05}, []float64{0.9})
 	for i := 0; i < 5; i++ {
-		tuCap.analyze(starving)
+		tuCap.analyze(now, starving)
 	}
 	if cap.callCount() != 0 {
 		t.Fatalf("tuned a non-tunable policy: %d calls", cap.callCount())
 	}
 
 	none := &fakeEngine{}
-	tuNone := newTestTuner(none, TunerConfig{Hysteresis: 1}, &now)
+	tuNone := NewTuner(none, TunerConfig{Hysteresis: 1})
 	for i := 0; i < 5; i++ {
-		tuNone.analyze(starving)
+		tuNone.analyze(now, starving)
 	}
 	if none.callCount() != 0 {
 		t.Fatalf("tuned an engine with no policy: %d calls", none.callCount())
@@ -179,10 +186,10 @@ func TestTunerIgnoresBalancedSystemAndNonTunablePolicies(t *testing.T) {
 func TestTunerLeavesDisabledUtilizationFilterAlone(t *testing.T) {
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 40, Kn: 0, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1}, &now)
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 1})
 	starving := snap([]float64{0.05}, []float64{0.9})
 	for i := 0; i < 5; i++ {
-		tu.analyze(starving)
+		tu.analyze(now, starving)
 	}
 	if eng.callCount() != 0 {
 		t.Fatalf("tuner acted on a disabled utilization filter: %+v", eng.lastCall())
@@ -195,8 +202,8 @@ func TestTunerLeavesDisabledUtilizationFilterAlone(t *testing.T) {
 func TestTunerPreservesSampleAllStageOne(t *testing.T) {
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 0, Kn: 5, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MaxKn: 64, MaxK: 128}, &now)
-	tu.analyze(snap([]float64{0.05}, []float64{0.9}))
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 1, MaxKn: 64, MaxK: 128})
+	tu.analyze(now, snap([]float64{0.05}, []float64{0.9}))
 	if eng.callCount() != 1 {
 		t.Fatalf("calls = %d, want 1", eng.callCount())
 	}
@@ -214,10 +221,10 @@ func TestTunerPreservesSampleAllStageOne(t *testing.T) {
 func TestTunerNeverExceedsMaxK(t *testing.T) {
 	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 10, Kn: 10, OmegaMode: OmegaAdaptive, Epsilon: 1, Seed: 1}}
 	now := time.Unix(0, 0)
-	tu := newTestTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second, MaxK: 12, MaxKn: 64}, &now)
+	tu := NewTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Second, MaxK: 12, MaxKn: 64})
 	starving := snap([]float64{0.05}, []float64{0.9})
 	for i := 0; i < 6; i++ {
-		tu.analyze(starving)
+		tu.analyze(now, starving)
 		now = now.Add(2 * time.Second)
 	}
 	for i, call := range eng.calls {
@@ -231,67 +238,4 @@ func TestTunerNeverExceedsMaxK(t *testing.T) {
 	if got := eng.lastCall(); got.Kn != 12 || got.K != 12 {
 		t.Fatalf("final spec k=%d kn=%d, want both clamped to 12", got.K, got.Kn)
 	}
-}
-
-// TestTunerObserveCopiesSnapshotMaps: the engine hands the same snapshot to
-// every composed observer; the tuner must copy the maps before its
-// asynchronous analysis reads them.
-func TestTunerObserveCopiesSnapshotMaps(t *testing.T) {
-	tu := NewTuner(nil, TunerConfig{})
-	defer tu.Close()
-	original := snap([]float64{0.9}, []float64{0.8})
-	tu.Observe(original)
-	// Another observer (per the ownership contract) mutates its copy —
-	// which is the same map the tuner was handed.
-	original.Consumers[0] = 0
-	original.Providers[0] = 0
-	queued := <-tu.snaps
-	if queued.Consumers[0] != 0.9 || queued.Providers[0] != 0.8 {
-		t.Fatalf("queued snapshot shares maps with the emitter: %+v", queued)
-	}
-}
-
-func TestTunerConcurrentClose(t *testing.T) {
-	tu := NewTuner(nil, TunerConfig{})
-	tu.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tu.Close() // must not panic on a doubly-closed channel
-		}()
-	}
-	wg.Wait()
-}
-
-func TestTunerObserveNeverBlocksAndCountsDrops(t *testing.T) {
-	tu := NewTuner(nil, TunerConfig{})
-	// Not started: the intake buffer (16) fills, the rest drop.
-	for i := 0; i < 40; i++ {
-		tu.Observe(snap([]float64{0.5}, nil))
-	}
-	if st := tu.Stats(); st.Dropped != 24 {
-		t.Fatalf("dropped = %d, want 24", st.Dropped)
-	}
-	tu.Close()
-}
-
-func TestTunerStartCloseLifecycle(t *testing.T) {
-	eng := &fakeEngine{spec: Spec{Kind: SbQA, K: 4, Kn: 1, OmegaMode: OmegaAdaptive, Epsilon: 1}}
-	tu := NewTuner(eng, TunerConfig{Hysteresis: 1, MinInterval: time.Millisecond})
-	tu.Start()
-	tu.Start() // idempotent
-	for i := 0; i < 10; i++ {
-		tu.Observe(snap([]float64{0.01}, []float64{0.9}))
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for eng.callCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if eng.callCount() == 0 {
-		t.Fatal("running tuner never acted on a starving snapshot stream")
-	}
-	tu.Close()
-	tu.Close() // idempotent
 }

@@ -368,8 +368,8 @@ type (
 	// participant deadline, qos block). Build it by hand or parse it with
 	// ParsePolicy; validate with its Validate method.
 	PolicySpec = policy.Spec
-	// TunerConfig bounds the autonomic tuner (thresholds, hysteresis, min
-	// interval, hard parameter caps).
+	// TunerConfig bounds the autonomic tuner (hysteresis, min interval,
+	// hard parameter caps); its thresholds are fixed, not settable.
 	TunerConfig = policy.TunerConfig
 )
 
@@ -392,9 +392,9 @@ func ParsePolicy(data []byte) (PolicySpec, error) { return policy.Parse(data) }
 func WithPolicy(spec PolicySpec) EngineOption { return live.WithPolicy(spec) }
 
 // WithTuner runs an autonomic policy tuner bound to the engine (requires
-// WithSnapshotInterval): satisfaction snapshots feed a
-// MAPE-K loop that widens kn under consumer starvation and nudges a fixed ω
-// toward the adaptive rule under consumer/provider imbalance, under
+// WithSnapshotInterval): each snapshot tick steps a MAPE-K controller that
+// widens kn under consumer starvation, nudges a fixed ω toward the adaptive
+// rule under imbalance and browns out under queue pressure, with
 // hysteresis, a minimum interval between actions, and hard bounds.
 func WithTuner(cfg TunerConfig) EngineOption { return live.WithTuner(cfg) }
 

@@ -202,7 +202,7 @@ func TestFacadePersistenceFlow(t *testing.T) {
 
 // TestFacadePolicyFlow drives the control plane through the facade: a
 // policy-built engine, a hot Reconfigure observed as a typed event, and a
-// standalone tuner bound through policy.Reconfigurer.
+// standalone tuner stepped over the engine as its policy.Target.
 func TestFacadePolicyFlow(t *testing.T) {
 	var changes int
 	eng, err := NewEngine(
@@ -218,7 +218,7 @@ func TestFacadePolicyFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	var _ policy.Reconfigurer = eng
+	var _ policy.Target = eng
 	if spec := eng.Policy(); spec.Kind != PolicySbQA || spec.K != 4 {
 		t.Fatalf("Policy() = %+v at construction", spec)
 	}
@@ -236,11 +236,10 @@ func TestFacadePolicyFlow(t *testing.T) {
 	}
 
 	tu := policy.NewTuner(eng, TunerConfig{})
-	tu.Observe(SatisfactionSnapshot{Time: 1})
-	if st := tu.Stats(); st.Snapshots != 0 && st.Dropped == 0 {
-		t.Fatalf("unexpected tuner stats before start: %+v", st)
+	tu.Step(time.Now(), SatisfactionSnapshot{Time: 1}, eng.QoSPressure())
+	if st := tu.Stats(); st.Snapshots != 1 || st.Actions != 0 {
+		t.Fatalf("tuner stats after one empty step: %+v", st)
 	}
-	tu.Close()
 }
 
 // TestFacadeEngineFlow drives the engine surface end to end through the
