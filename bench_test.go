@@ -484,13 +484,14 @@ func benchEngine(b *testing.B, shards, providers, consumers int) *Engine {
 	return eng
 }
 
-// benchmarkEngineParallel measures the ticket path — the one sbqad runs —
-// under b.RunParallel: every goroutine drives its own consumer through the
-// shard queues and awaits the mediation outcome on the ticket, so shards
-// mediate concurrently. This is the scaling proof for the sharded engine —
-// compare BenchmarkLiveEngineParallel with BenchmarkLiveEngineSingleShard
-// at GOMAXPROCS > 1 — and the bench CI's ticket-path allocation ceiling
-// watches.
+// benchmarkEngineParallel measures the ticket path sbqad runs for a
+// wait:"allocation" query — SubmitWait, then Allocation — under
+// b.RunParallel: every goroutine drives its own consumer, mediating on its
+// own goroutine when the consumer's shard is idle and queueing behind it
+// otherwise. Compare BenchmarkLiveEngineParallel with
+// BenchmarkLiveEngineSingleShard at -cpu 1,2 for what sharding buys
+// (EXPERIMENTS.md records both); the bench CI's ticket-path allocation
+// ceiling watches this one.
 func benchmarkEngineParallel(b *testing.B, eng *Engine) {
 	var nextConsumer atomic.Int64
 	b.ReportAllocs()
@@ -499,7 +500,7 @@ func benchmarkEngineParallel(b *testing.B, eng *Engine) {
 		c := ConsumerID(nextConsumer.Add(1) - 1)
 		q := Query{Consumer: c, N: 2, Work: 10}
 		for pb.Next() {
-			if _, err := eng.Submit(context.Background(), q).Allocation(); err != nil {
+			if _, err := eng.SubmitWait(context.Background(), q).Allocation(); err != nil {
 				b.Error(err)
 				return
 			}

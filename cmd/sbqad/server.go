@@ -661,7 +661,15 @@ func (g *gateway) submit(eng *sbqa.Engine, sc *scratch, body []byte, h hop) {
 	// net/http cancels r.Context() the moment the handler returns, which
 	// would make wait:"none" submissions fail dispatch before the shard ever
 	// picked them up. The hop still bounds how long the caller waits below.
-	t := eng.Submit(context.Background(), q, qopts...)
+	// A caller that waits for the allocation, unbounded, takes SubmitWait:
+	// on an idle shard this goroutine mediates the query itself.
+	var t *sbqa.Ticket
+	switch req.Wait {
+	case "none", "results":
+		t = eng.Submit(context.Background(), q, qopts...)
+	default:
+		t = eng.SubmitWait(context.Background(), q, qopts...)
+	}
 
 	resp := queryResponse{QueryID: int64(t.Query().ID)}
 	var lifeErr error

@@ -303,7 +303,7 @@ func (w *world) drain() {
 		w.stationBusy = true
 		w.eng.Schedule(w.serviceTime, func() {
 			w.mediate(it.cs, it.c, it.q)
-			w.sched.ObserveService(w.serviceTime)
+			w.sched.Done(w.serviceTime)
 			w.stationBusy = false
 			w.drain()
 		})

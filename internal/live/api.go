@@ -168,39 +168,46 @@ type engineItem struct {
 	t   *Ticket
 }
 
-// shardLoop drains one shard's scheduler until Close: pop per the class
-// discipline, fail pop-time sheds (deadline expired while queued), mediate
-// the rest, and feed the observed service time back into the scheduler's
-// EWMA — the yardstick of the next admission's deadline-feasibility check.
+// shardLoop drains one shard's scheduler until Close, serving each item it
+// pops. Admit hands an idle shard's item to its submitter instead (see
+// SubmitWait); Next waits while that one is in service.
 func (e *Engine) shardLoop(sh *shard) {
 	defer e.wg.Done()
 	for {
-		item, res, ok := sh.sched.Pop()
+		item, res, ok := sh.sched.Next()
 		if !ok {
 			return
 		}
-		if res.Shed {
-			e.shedTicket(item.t, res.Info)
-			continue
-		}
-		if tr := e.tracer; tr != nil && item.t.query.Trace.Sampled {
-			// The scheduler's own wait measurement becomes the queue span:
-			// end = dequeue, start = end minus the measured wait. Recorded
-			// before the mediation so it always precedes the trace's Finish.
-			end := trace.Now()
-			tr.RecordSpan(item.t.query.Trace.ID, trace.Span{
-				Name:  trace.StageQueue,
-				Class: res.Class,
-				Start: end - int64(res.Wait*1e9),
-				End:   end,
-			})
-		}
-		start := e.nowFn()
-		e.process(item.ctx, sh, item.t)
-		if dt := e.nowFn() - start; dt > 0 {
-			sh.sched.ObserveService(dt)
-		}
+		e.serve(sh, item, res)
 	}
+}
+
+// serve is the one per-item body, on the shard loop or on the submitter that
+// Admit let run: fail a pop-time shed (deadline expired while queued), else
+// record the queue span, mediate, and report the service time to the
+// scheduler — its EWMA is the yardstick of the next admission's
+// deadline-feasibility check, and Done lets the shard serve the next item.
+func (e *Engine) serve(sh *shard, item engineItem, res qos.PopResult) {
+	if res.Shed {
+		e.shedTicket(item.t, res.Info)
+		return
+	}
+	if tr := e.tracer; tr != nil && item.t.query.Trace.Sampled {
+		// The scheduler's own wait measurement becomes the queue span:
+		// end = dequeue, start = end minus the measured wait (zero-length
+		// for an item its submitter runs). Recorded before the mediation so
+		// it always precedes the trace's Finish.
+		end := trace.Now()
+		tr.RecordSpan(item.t.query.Trace.ID, trace.Span{
+			Name:  trace.StageQueue,
+			Class: res.Class,
+			Start: end - int64(res.Wait*1e9),
+			End:   end,
+		})
+	}
+	start := e.nowFn()
+	e.process(item.ctx, sh, item.t)
+	sh.sched.Done(e.nowFn() - start)
 }
 
 // shedTicket fails a shed ticket with the typed *ShedError and emits its
@@ -270,6 +277,29 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 // shedding — see qos.Spec, WithQoSClass, WithDeadline). After Close, tickets
 // fail with ErrEngineClosed.
 func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption) *Ticket {
+	return e.submit(ctx, q, opts, false)
+}
+
+// SubmitWait is Submit for a caller that waits for the allocation next. When
+// the consumer's shard has nothing queued and nothing in service, the
+// calling goroutine mediates and dispatches the query itself, exactly as the
+// shard loop would, and SubmitWait returns with the ticket allocated — no
+// hand-off to the shard loop and back. Otherwise the query queues as with
+// Submit and SubmitWait returns at once; Allocation then waits as usual.
+// Either way one consumer's queries mediate in submission order, and no
+// queued query of any class is overtaken. Admission, sheds, backpressure
+// and ctx behave as for Submit.
+//
+// Like Submit(...).Allocation(), SubmitWait must not be called from an
+// observer callback: the callback may run inside the mediation the new
+// query would wait behind.
+func (e *Engine) SubmitWait(ctx context.Context, q model.Query, opts ...QueryOption) *Ticket {
+	return e.submit(ctx, q, opts, true)
+}
+
+// submit is Submit and SubmitWait; serve lets the submitter run the query on
+// an idle shard.
+func (e *Engine) submit(ctx context.Context, q model.Query, opts []QueryOption, serve bool) *Ticket {
 	so := mergeOptions(opts)
 	q.ID = model.QueryID(e.nextID.Add(1))
 	q.IssuedAt = e.nowFn()
@@ -296,7 +326,7 @@ func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption)
 			return t
 		}
 	}
-	e.enqueue(ctx, t)
+	e.enqueue(ctx, t, serve)
 	return t
 }
 
@@ -317,14 +347,16 @@ func (e *Engine) SetSubmitGuard(fn func(model.Query) error) {
 
 // enqueue hands a ticket to its consumer's shard scheduler under the
 // query's class and deadline, failing it when the engine is closed, ctx is
-// done while blocked on backpressure, or the scheduler sheds it. The
-// scheduler handles the close race internally (a Push concurrent with Close
-// fails with ErrSchedulerClosed instead of panicking like a send on a closed
-// channel would), so no lock spans the call.
-func (e *Engine) enqueue(ctx context.Context, t *Ticket) {
+// done while blocked on backpressure, or the scheduler sheds it; with serve,
+// it runs the ticket here when the scheduler says the shard is idle. The
+// scheduler handles the close race internally (an Admit concurrent with
+// Close fails with ErrSchedulerClosed instead of panicking like a send on a
+// closed channel would), so no lock spans the call.
+func (e *Engine) enqueue(ctx context.Context, t *Ticket, serve bool) {
 	sh := e.shardFor(t.query.Consumer)
 	ci, _ := sh.sched.ClassIndex(t.query.QoS) // unknown classes fold into the default
-	info, err := sh.sched.Push(ctx, ci, t.query.Deadline, engineItem{ctx: ctx, t: t})
+	item := engineItem{ctx: ctx, t: t}
+	res, run, info, err := sh.sched.Admit(ctx, ci, t.query.Deadline, item, serve)
 	switch {
 	case err != nil:
 		if errors.Is(err, qos.ErrSchedulerClosed) {
@@ -333,11 +365,14 @@ func (e *Engine) enqueue(ctx context.Context, t *Ticket) {
 		e.failTicket(t, "rejected", err)
 	case info != nil:
 		e.shedTicket(t, *info)
+	case run:
+		e.serve(sh, item, res)
 	}
 }
 
 // Close stops the engine's background work: shard loops finish the
-// submissions already queued (their tickets complete normally), the
+// submissions already queued, Close waits for the mediations SubmitWait
+// callers are running (their tickets complete normally), the
 // snapshot ticker stops, and subsequent submissions fail with
 // ErrEngineClosed. Close does not stop workers — they keep executing
 // accepted queries. Close is idempotent.

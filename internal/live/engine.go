@@ -103,8 +103,10 @@ func (o shardObserver) OnIntentionImputed(im event.Imputation) {
 // immediately and the query is mediated and dispatched by the consumer's
 // shard loop in the background, preserving per-consumer submission order
 // (one consumer's tickets mediate in the order they were submitted;
-// distinct consumers run in parallel). See the package documentation for
-// the architecture.
+// distinct consumers run in parallel). SubmitWait is the entry for a caller
+// about to wait for the allocation: on an idle shard the caller's goroutine
+// runs the shard loop's body itself, in the same order. See the package
+// documentation for the architecture.
 type Engine struct {
 	dir    *directory.Directory
 	reg    *satisfaction.Registry

@@ -10,7 +10,11 @@
 // Engine (NewEngine, functional options) is the only front. Submit stamps
 // the query and returns a *Ticket immediately; each shard drains a
 // class-aware queue, so one consumer's tickets mediate in submission order
-// while distinct consumers run in parallel. Workers deliver their results
+// while distinct consumers run in parallel. SubmitWait, for a caller that
+// waits for the allocation next, mediates on the caller's goroutine when
+// the shard has nothing queued and nothing in service, and queues like
+// Submit otherwise; order is the same either way. Neither may be waited on
+// from an observer callback. Workers deliver their results
 // to the query's ticket, which retains them and
 // forwards them to a caller-supplied channel (WithResults); an event.Observer
 // (WithObserver) streams allocations, rejections, dispatch failures,

@@ -8,10 +8,10 @@ import (
 	"sbqa/internal/model"
 )
 
-// Ticket is the handle for one asynchronously submitted query. Submission
-// (Engine.Submit) returns the ticket immediately — the engine-assigned
-// QueryID is readable at once via Query — and the ticket then moves through
-// two stages:
+// Ticket is the handle for one submitted query. Engine.Submit returns the
+// ticket immediately — the engine-assigned QueryID is readable at once via
+// Query — and the ticket then moves through two stages (Engine.SubmitWait
+// may return it already allocated):
 //
 //  1. allocated: mediation and worker hand-off have completed.
 //     Allocation blocks until here and returns the allocation and the

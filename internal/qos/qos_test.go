@@ -175,7 +175,7 @@ func TestSchedulerDeadlineShedAtAdmission(t *testing.T) {
 		t.Fatalf("shed with no service-time estimate: %+v", shed)
 	}
 	s.Pop()
-	s.ObserveService(1.0) // 1s per mediation
+	s.Done(1.0) // 1s per mediation
 	// Queue two items; the third's deadline (0.5s away) cannot be met
 	// behind ~3 × 1s of work.
 	s.Push(ctx, 0, 0, 2)
@@ -316,7 +316,8 @@ func TestSchedulerConfigureMigratesItemsAndCounters(t *testing.T) {
 	if st.Depth != 2 {
 		t.Fatalf("depth after reconfigure = %d", st.Depth)
 	}
-	if st.Classes[0].Enqueued != 1 {
+	// Class a kept its own count and took in the orphan's.
+	if st.Classes[0].Enqueued != 2 {
 		t.Fatalf("class a counters lost: %+v", st.Classes[0])
 	}
 	// Both items (the orphan folded into the default class) still pop.
@@ -342,7 +343,7 @@ func TestSchedulerStatsAndPressure(t *testing.T) {
 	s.Push(ctx, 0, 0, 2) // queue_full shed
 	now = 0.5
 	s.Pop()
-	s.ObserveService(0.25)
+	s.Done(0.25)
 	st := s.Stats()
 	if st.Enqueued != 1 || st.Dequeued != 1 || st.Shed != 1 || st.HighWater != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -385,5 +386,163 @@ func TestSchedulerTryPopNeverBlocks(t *testing.T) {
 	}
 	if st := s.Stats(); st.Shed != 1 || st.Dequeued != 1 {
 		t.Fatalf("stats after TryPops: shed=%d dequeued=%d, want 1/1", st.Shed, st.Dequeued)
+	}
+}
+
+// TestSchedulerConfigureCountsMigratedItems: the class that takes in a
+// dropped class's queued items counts them as enqueued, so it never
+// dequeues more than it took in.
+func TestSchedulerConfigureCountsMigratedItems(t *testing.T) {
+	now := 0.0
+	s := NewScheduler[int](Spec{Classes: []ClassSpec{{Name: "a"}, {Name: "b"}}}, 100, fixedClock(&now))
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		s.Push(ctx, 1, 0, i)
+	}
+	s.Configure(Spec{Classes: []ClassSpec{{Name: "a"}}})
+	for i := 0; i < 3; i++ {
+		if _, _, ok := s.Pop(); !ok {
+			t.Fatal("pop failed")
+		}
+	}
+	st := s.Stats()
+	if a := st.Classes[0]; a.Enqueued != 3 || a.Dequeued != 3 {
+		t.Fatalf("class a: enqueued %d dequeued %d, want 3/3", a.Enqueued, a.Dequeued)
+	}
+	if st.Enqueued != 3 || st.Dequeued != 3 {
+		t.Fatalf("totals: enqueued %d dequeued %d, want 3/3", st.Enqueued, st.Dequeued)
+	}
+}
+
+// returnsWithin reports whether ch delivers within d.
+func returnsWithin[V any](ch <-chan V, d time.Duration) (V, bool) {
+	select {
+	case v := <-ch:
+		return v, true
+	case <-time.After(d):
+		var zero V
+		return zero, false
+	}
+}
+
+// popped is one pop's outcome, sent from the goroutine that waited for it.
+type popped struct {
+	v  int
+	ok bool
+}
+
+// TestSchedulerAdmitRunNow: Admit with serve hands an idle scheduler's item
+// to its caller — counted enqueued and dequeued with a zero wait, or shed
+// when its deadline has already passed — and puts it in service. While an
+// item is in service every admission queues, no pop hands out anything, and
+// Close's drain waits for Done. Through run-now, queued, shed and popped
+// items, every class's ledger conserves: each admission that returned no
+// error is dequeued, queued or shed.
+func TestSchedulerAdmitRunNow(t *testing.T) {
+	now := 5.0
+	s := NewScheduler[int](Spec{Classes: []ClassSpec{{Name: "a", Weight: 2}, {Name: "b", MaxQueueDepth: 1}}}, 100, fixedClock(&now))
+	ctx := context.Background()
+	offered := make([]uint64, 2)
+	admit := func(class int, deadline float64, v int, serve bool) (PopResult, bool, *ShedInfo) {
+		t.Helper()
+		res, run, info, err := s.Admit(ctx, class, deadline, v, serve)
+		if err != nil {
+			t.Fatalf("admit %d: %v", v, err)
+		}
+		offered[class]++
+		return res, run, info
+	}
+	popAsync := func(pop func() (int, PopResult, bool)) <-chan popped {
+		ch := make(chan popped, 1)
+		go func() {
+			v, _, ok := pop()
+			ch <- popped{v, ok}
+		}()
+		return ch
+	}
+
+	// No service time observed yet, so admission cannot foresee the lapsed
+	// deadline: the run-now item is shed as a pop would shed it, and
+	// nothing is in service.
+	if res, run, info := admit(0, 4, 1, true); !run || info != nil || !res.Shed || res.Info.Reason != ReasonDeadline {
+		t.Fatalf("expired run-now: run=%v info=%v res=%+v, want a deadline shed", run, info, res)
+	}
+	if res, run, info := admit(0, 0, 2, true); !run || info != nil || res.Shed || res.Class != "a" || res.Wait != 0 {
+		t.Fatalf("idle run-now: run=%v info=%v res=%+v, want run in class a, zero wait", run, info, res)
+	}
+	// Item 2 is in service: admissions queue even when they ask to run.
+	if _, run, info := admit(1, 0, 3, true); run || info != nil {
+		t.Fatalf("admit while in service: run=%v info=%v, want queued", run, info)
+	}
+	if _, _, info := admit(1, 0, 4, false); info == nil || info.Reason != ReasonQueueFull {
+		t.Fatalf("admit to a full class: %v, want a queue_full shed", info)
+	}
+	admit(0, 0, 5, false)
+	if _, _, ok := s.TryPop(); ok {
+		t.Fatal("TryPop handed out an item while another was in service")
+	}
+	next := popAsync(s.Next)
+	if p, ok := returnsWithin(next, 20*time.Millisecond); ok {
+		t.Fatalf("Next returned %+v while an item was in service", p)
+	}
+	now = 6
+	s.Done(0.5)
+	if p, ok := returnsWithin(next, 5*time.Second); !ok || !p.ok || p.v != 5 {
+		t.Fatalf("Next after Done = %+v (returned %v), want item 5 (class a, weight 2)", p, ok)
+	}
+	// Next put item 5 in service: Pop waits for it too.
+	pop := popAsync(s.Pop)
+	if p, ok := returnsWithin(pop, 20*time.Millisecond); ok {
+		t.Fatalf("Pop returned %+v while an item was in service", p)
+	}
+	s.Done(0.5)
+	if p, ok := returnsWithin(pop, 5*time.Second); !ok || !p.ok || p.v != 3 {
+		t.Fatalf("Pop after Done = %+v (returned %v), want item 3", p, ok)
+	}
+
+	// Pop puts nothing in service. An item still queued is not overtaken:
+	// with one waiting, even an idle scheduler queues the next admission.
+	admit(0, 0, 6, false)
+	if _, run, _ := admit(0, 0, 7, true); run {
+		t.Fatal("Admit ran an item ahead of a queued one")
+	}
+	for _, want := range []int{6, 7} {
+		if v, _, ok := s.TryPop(); !ok || v != want {
+			t.Fatalf("TryPop = %d (ok %v), want %d", v, ok, want)
+		}
+	}
+
+	// A run-now item in service holds Close's drain until Done.
+	if _, run, _ := admit(0, 0, 8, true); !run {
+		t.Fatal("idle scheduler did not hand the item to its caller")
+	}
+	s.Close()
+	drained := popAsync(s.Next)
+	if p, ok := returnsWithin(drained, 20*time.Millisecond); ok {
+		t.Fatalf("Next returned %+v after Close while an item was in service", p)
+	}
+	s.Done(0)
+	if p, ok := returnsWithin(drained, 5*time.Second); !ok || p.ok {
+		t.Fatalf("Next after Close and Done = %+v (returned %v), want closed", p, ok)
+	}
+
+	st := s.Stats()
+	for i, c := range st.Classes {
+		var shed uint64
+		for _, n := range c.Shed {
+			shed += n
+		}
+		if got := c.Dequeued + uint64(c.Depth) + shed; got != offered[i] {
+			t.Errorf("class %s: dequeued %d + depth %d + shed %d = %d, want the %d admitted", c.Name, c.Dequeued, c.Depth, shed, got, offered[i])
+		}
+	}
+	if a, b := st.Classes[0], st.Classes[1]; a.Enqueued != 6 || a.Dequeued != 5 || b.Enqueued != 1 || b.Dequeued != 1 {
+		t.Errorf("ledger a %+v, b %+v: want a 6 enqueued / 5 dequeued, b 1 / 1", a, b)
+	}
+	if st.EWMAService != 0.5 {
+		t.Errorf("ewma = %v, want 0.5 (Done(0) observes nothing)", st.EWMAService)
+	}
+	if p := s.Pressure(); p.WaitP99 != 1 {
+		t.Errorf("wait p99 = %v, want 1 (items 3 and 5 waited 1; the rest 0)", p.WaitP99)
 	}
 }

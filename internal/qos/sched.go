@@ -118,8 +118,12 @@ const defaultEWMAAlpha = 0.2
 //
 // Push blocks only for classes without an explicit depth bound (the
 // historical backpressure contract); every other refusal returns a typed
-// ShedInfo immediately. Safe for concurrent use; Pop is designed for one
-// dedicated consumer goroutine (the shard loop).
+// ShedInfo immediately. Safe for concurrent use; Pop and Next are designed
+// for one dedicated consumer goroutine (the shard loop uses Next).
+//
+// At most one item is in service at a time: the one Next handed out, or the
+// one Admit let its submitter run, until Done. No pop hands out another
+// before then.
 type Scheduler[T any] struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
@@ -135,6 +139,7 @@ type Scheduler[T any] struct {
 	now    func() float64
 	seq    uint64
 	depth  int
+	busy   bool // an item is in service (Next or Admit handed it out; Done clears)
 	closed bool
 
 	ewma float64 // observed mediation service seconds
@@ -194,20 +199,25 @@ func (s *Scheduler[T]) installLocked(spec Spec) {
 	}
 	// Migrate queued items, preserving (key, seq) order per class; carry
 	// the old counters over by name so reconfiguration never zeroes the
-	// ledger of a surviving class.
+	// ledger of a surviving class. The class that takes in a dropped class's
+	// items counts them as enqueued, so that per class enqueued = dequeued +
+	// depth + shed at dequeue still holds after they pop.
 	for _, oc := range old {
 		ni, ok := s.byName[oc.spec.Name]
 		if !ok {
 			ni = s.defaultIdx
-		} else {
-			nc := s.classes[ni]
-			nc.highWater = oc.highWater
-			nc.enqueued = oc.enqueued
+		}
+		nc := s.classes[ni]
+		if ok {
+			nc.highWater = max(nc.highWater, oc.highWater)
+			nc.enqueued += oc.enqueued
 			nc.dequeued = oc.dequeued
 			nc.shed = oc.shed
+		} else {
+			nc.enqueued += uint64(len(oc.items))
 		}
 		for _, it := range oc.items {
-			s.classes[ni].push(it)
+			nc.push(it)
 		}
 	}
 }
@@ -280,11 +290,24 @@ func (s *Scheduler[T]) brownedLocked(class int) bool {
 // the caller owns failing it. The error is non-nil only for a done ctx
 // while blocked on backpressure, or a closed scheduler.
 func (s *Scheduler[T]) Push(ctx context.Context, class int, deadline float64, payload T) (*ShedInfo, error) {
+	_, _, info, err := s.Admit(ctx, class, deadline, payload, false)
+	return info, err
+}
+
+// Admit is Push for a caller that can serve the item on its own goroutine.
+// With serve set, an item that passes every admission check while nothing
+// is queued and nothing is in service is not queued: it is counted enqueued
+// and dequeued with a zero wait, and run reports that the caller holds it.
+// res is then what Next would have returned for it: Shed when its deadline
+// has already passed (nothing is in service), else the item is in service
+// and the caller serves it and reports Done. Such an item overtakes nothing,
+// so class and deadline order hold. Every other outcome is Push's.
+func (s *Scheduler[T]) Admit(ctx context.Context, class int, deadline float64, payload T, serve bool) (res PopResult, run bool, info *ShedInfo, err error) {
 	s.mu.Lock()
 	for {
 		if s.closed {
 			s.mu.Unlock()
-			return nil, ErrSchedulerClosed
+			return res, false, nil, ErrSchedulerClosed
 		}
 		if class < 0 || class >= len(s.classes) {
 			class = s.defaultIdx
@@ -294,7 +317,7 @@ func (s *Scheduler[T]) Push(ctx context.Context, class int, deadline float64, pa
 			cq.shed[reasonBrownoutIdx]++
 			info := &ShedInfo{Class: cq.spec.Name, Reason: ReasonBrownout, QueueDepth: s.depth}
 			s.mu.Unlock()
-			return info, nil
+			return res, false, info, nil
 		}
 		if deadline > 0 && s.ewma > 0 {
 			est := s.ewma * float64(s.depth+1)
@@ -302,7 +325,7 @@ func (s *Scheduler[T]) Push(ctx context.Context, class int, deadline float64, pa
 				cq.shed[reasonDeadlineIdx]++
 				info := &ShedInfo{Class: cq.spec.Name, Reason: ReasonDeadline, QueueDepth: s.depth, EstimatedWait: est}
 				s.mu.Unlock()
-				return info, nil
+				return res, false, info, nil
 			}
 		}
 		if cq.spec.MaxQueueDepth > 0 {
@@ -310,7 +333,7 @@ func (s *Scheduler[T]) Push(ctx context.Context, class int, deadline float64, pa
 				cq.shed[reasonQueueFullIdx]++
 				info := &ShedInfo{Class: cq.spec.Name, Reason: ReasonQueueFull, QueueDepth: s.depth}
 				s.mu.Unlock()
-				return info, nil
+				return res, false, info, nil
 			}
 		} else if len(cq.items) >= s.defaultDepth {
 			// Historical backpressure: block until the shard drains, the
@@ -324,28 +347,37 @@ func (s *Scheduler[T]) Push(ctx context.Context, class int, deadline float64, pa
 				s.mu.Lock()
 				s.waiters--
 				s.mu.Unlock()
-				return nil, ctx.Err()
+				return res, false, nil, ctx.Err()
 			case <-s.closedCh:
 				s.mu.Lock()
 				s.waiters--
 				s.mu.Unlock()
-				return nil, ErrSchedulerClosed
+				return res, false, nil, ErrSchedulerClosed
 			}
 			s.mu.Lock()
 			s.waiters--
 			continue
 		}
+		now := s.now()
+		cq.enqueued++
+		if serve && s.depth == 0 && !s.busy {
+			res = s.dequeueLocked(cq, deadline, now, now)
+			s.busy = !res.Shed
+			s.mu.Unlock()
+			return res, true, nil, nil
+		}
 		key := deadline
 		if key <= 0 {
 			key = math.Inf(1)
 		}
-		cq.push(schedItem[T]{payload: payload, key: key, deadline: deadline, at: s.now(), seq: s.seq})
+		cq.push(schedItem[T]{payload: payload, key: key, deadline: deadline, at: now, seq: s.seq})
 		s.seq++
-		cq.enqueued++
 		s.depth++
-		s.notEmpty.Signal()
+		if !s.busy { // else Done wakes the consumer
+			s.notEmpty.Signal()
+		}
 		s.mu.Unlock()
-		return nil, nil
+		return res, false, nil, nil
 	}
 }
 
@@ -372,71 +404,80 @@ func (s *Scheduler[T]) pickLocked() int {
 }
 
 // Pop dequeues the next item per the scheduling discipline. ok=false means
-// the scheduler is closed AND drained. A result with Shed=true delivers a
-// payload whose deadline expired while queued: the caller must fail it
-// (typed error + event), never process it.
-func (s *Scheduler[T]) Pop() (payload T, res PopResult, ok bool) {
+// the scheduler is closed AND drained, with nothing in service. A result
+// with Shed=true delivers a payload whose deadline expired while queued: the
+// caller must fail it (typed error + event), never process it.
+func (s *Scheduler[T]) Pop() (payload T, res PopResult, ok bool) { return s.pop(false) }
+
+// Next is Pop for the consumer that serves what it pops: a non-shed item is
+// in service until Done, and neither Pop nor Next hands out another before
+// then. The shard loop drains with it, so Close waits for every mediation,
+// the ones Admit let submitters run included.
+func (s *Scheduler[T]) Next() (payload T, res PopResult, ok bool) { return s.pop(true) }
+
+func (s *Scheduler[T]) pop(serve bool) (payload T, res PopResult, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.depth == 0 {
-			if s.closed {
-				var zero T
-				return zero, PopResult{}, false
-			}
-			s.notEmpty.Wait()
-			continue
+	for s.busy || s.depth == 0 {
+		if s.closed && !s.busy && s.depth == 0 {
+			return payload, res, false
 		}
-		payload, res = s.popLocked()
-		return payload, res, true
+		s.notEmpty.Wait()
 	}
+	payload, res = s.popLocked()
+	s.busy = serve && !res.Shed
+	return payload, res, true
 }
 
-// TryPop is Pop's non-blocking form: ok=false means the scheduler is empty
-// right now (or closed and drained) — it never parks. Single-threaded
-// drivers such as the lab's virtual-clock mediation station use it from an
-// event loop that must not block.
+// TryPop is Pop's non-blocking form: ok=false means nothing can be handed
+// out right now (empty, or an item in service) — it never parks.
+// Single-threaded callers such as the lab's virtual-clock mediation station
+// use it from an event loop that must not block.
 func (s *Scheduler[T]) TryPop() (payload T, res PopResult, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.depth == 0 {
-		var zero T
-		return zero, PopResult{}, false
+	if s.busy || s.depth == 0 {
+		return payload, res, false
 	}
 	payload, res = s.popLocked()
 	return payload, res, true
 }
 
-// popLocked dequeues one item (depth > 0 required): the shared body of Pop
-// and TryPop.
+// popLocked dequeues one item (depth > 0 required): the shared body of Pop,
+// Next and TryPop.
 func (s *Scheduler[T]) popLocked() (T, PopResult) {
-	ci := s.pickLocked()
-	cq := s.classes[ci]
+	cq := s.classes[s.pickLocked()]
 	it := cq.pop()
 	s.depth--
 	s.signalSpaceLocked()
-	now := s.now()
-	if it.deadline > 0 && now > it.deadline {
+	return it.payload, s.dequeueLocked(cq, it.deadline, it.at, s.now())
+}
+
+// dequeueLocked accounts for one item of class cq, enqueued at at, leaving
+// the scheduler at now: shed when its deadline has passed, else dequeued
+// with its wait in the p99 ring.
+func (s *Scheduler[T]) dequeueLocked(cq *classQueue[T], deadline, at, now float64) PopResult {
+	if deadline > 0 && now > deadline {
 		cq.shed[reasonDeadlineIdx]++
-		return it.payload, PopResult{
+		return PopResult{
 			Shed:  true,
 			Class: cq.spec.Name,
 			Info: ShedInfo{
 				Class:         cq.spec.Name,
 				Reason:        ReasonDeadline,
 				QueueDepth:    s.depth,
-				EstimatedWait: now - it.at,
+				EstimatedWait: now - at,
 			},
 		}
 	}
 	cq.dequeued++
-	wait := now - it.at
+	wait := now - at
 	s.waits[s.waitIdx] = wait
 	s.waitIdx = (s.waitIdx + 1) % waitRingSize
 	if s.waitN < waitRingSize {
 		s.waitN++
 	}
-	return it.payload, PopResult{Class: cq.spec.Name, Wait: wait}
+	return PopResult{Class: cq.spec.Name, Wait: wait}
 }
 
 // signalSpaceLocked releases blocked pushers after a dequeue (or close);
@@ -449,23 +490,30 @@ func (s *Scheduler[T]) signalSpaceLocked() {
 	}
 }
 
-// ObserveService folds one mediation service time into the shard's EWMA.
-func (s *Scheduler[T]) ObserveService(dt float64) {
-	if dt < 0 {
-		return
-	}
+// Done ends the service of an item after dt seconds of it: the item Next or
+// Admit put in service, or one a single-threaded caller took with TryPop.
+// The service-time EWMA takes dt when positive (a clock that did not move
+// tells it nothing), and the consumer wakes if items arrived meanwhile or
+// the scheduler closed.
+func (s *Scheduler[T]) Done(dt float64) {
 	s.mu.Lock()
-	if s.ewma == 0 {
+	s.busy = false
+	switch {
+	case dt <= 0:
+	case s.ewma == 0:
 		s.ewma = dt
-	} else {
+	default:
 		s.ewma += defaultEWMAAlpha * (dt - s.ewma)
+	}
+	if s.depth > 0 || s.closed {
+		s.notEmpty.Signal()
 	}
 	s.mu.Unlock()
 }
 
 // Close wakes the consumer and all blocked pushers. Pop drains what is
-// queued and then reports ok=false; Push fails with ErrSchedulerClosed.
-// Idempotent.
+// queued and, once nothing is in service, reports ok=false; Push fails with
+// ErrSchedulerClosed. Idempotent.
 func (s *Scheduler[T]) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -19,8 +19,10 @@
 //	alloc, err := med.Mediate(ctx, now, sbqa.Query{Consumer: 0, N: 1, Work: 10})
 //
 // For a production embedding, run the asynchronous Engine instead (see
-// NewEngine): Submit returns a *Ticket immediately, and tickets carry the
-// allocation and the per-worker results. For a simulation, build a World
+// NewEngine): Submit returns a *Ticket immediately, SubmitWait mediates on
+// the caller's goroutine when the shard is idle (for a caller that waits
+// for the allocation next), and tickets carry the allocation and the
+// per-worker results. For a simulation, build a World
 // (see NewWorld). Two binaries sit beside this package: cmd/sbqad serves
 // the engine over HTTP, and cmd/sbqalab is the front door to the
 // simulators — `sbqalab paper` regenerates the paper's scenario tables,
@@ -203,8 +205,11 @@ func DefaultWorldConfig(volunteers int, seed uint64) WorldConfig {
 type (
 	// Engine is the asynchronous mediation front end: Submit returns a
 	// *Ticket immediately, queries mediate on their consumer's shard loop
-	// in submission order, and results are collected per ticket. Build it
-	// with NewEngine and functional options.
+	// in submission order, and results are collected per ticket.
+	// SubmitWait, for a caller that waits for the allocation next, mediates
+	// on the caller's goroutine when the shard is idle, in the same order;
+	// like Submit(...).Allocation(), it must not be called from an Observer
+	// callback. Build it with NewEngine and functional options.
 	Engine = live.Engine
 	// Ticket is the handle for one asynchronously submitted query:
 	// Allocation blocks for the mediation outcome, Await/Done for the
@@ -267,6 +272,7 @@ type (
 //	t := eng.Submit(ctx, sbqa.Query{Consumer: 0, N: 1, Work: 2})
 //	alloc, err := t.Allocation()     // mediation outcome
 //	results, err := t.Await(ctx)     // per-worker results
+//	alloc, err = eng.SubmitWait(ctx, q).Allocation() // idle shard: mediated on this goroutine
 //
 // The allocation technique comes from WithPolicy: declarative, hot-swappable,
 // one allocator per shard (shard i seeded Seed+i, because allocators hold
