@@ -38,13 +38,22 @@ func goroutineStacks() map[string]string {
 // nothing running once Close returns: the loops, their per-round probe
 // goroutines, the failover replay and the link's reader all finish under it,
 // and the pending calls fail. Nor does the node at the link's other end keep
-// anything: the frames it was serving end with the link, and its own Close
-// finds them gone.
+// anything: the frames it was serving end with the link, and so do the
+// servers an earlier burst of concurrent frames left waiting for the link's
+// read side; its own Close finds them gone.
 func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
+	const burst = 16
 	var parked sync.WaitGroup
+	together := allAtOnce(burst)
 	fCfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
 	fCfg.StateDir = t.TempDir()
-	fCfg.Serve = func(ctx context.Context, _ string, _, reply *Frame) {
+	fCfg.Serve = func(ctx context.Context, _ string, req, reply *Frame) {
+		if string(req.Body) == "burst" {
+			together()
+			reply.Status = http.StatusOK
+			reply.Body = append(reply.Body, req.Body...)
+			return
+		}
 		parked.Done()
 		<-ctx.Done() // a wait:"results" on a worker that never delivers
 		reply.Status = http.StatusConflict
@@ -65,6 +74,7 @@ func TestNodeCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
+	awaitBurst(t, forwardBurst(node, burst, "burst"), burst)
 	const inFlight = 4
 	parked.Add(inFlight)
 	calls := make(chan error, inFlight)

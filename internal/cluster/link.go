@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,9 +69,10 @@ const (
 	chunkHeaderLen = 8 + 8 + 1
 	segmentChunk   = maxPooledFrame - requestHeaderLen - chunkHeaderLen
 	// maxLinkInFlight bounds the frames one inbound link serves at once, each
-	// on its own goroutine; past it the read loop waits and TCP pushes back.
-	// An entry node forwards one frame per client request in flight, so this
-	// is far above anything but a flood.
+	// on the goroutine that read it; past it the holder of the link's read
+	// side waits, nothing reads and TCP pushes back. An entry node forwards
+	// one frame per client request in flight, so this is far above anything
+	// but a flood.
 	maxLinkInFlight = 1024
 	// linkDrainGrace is how long Close lets replies already being written to
 	// a peer finish before the connection goes.
@@ -371,23 +373,31 @@ func (l *link) readLoop() error {
 }
 
 // LinkHandler answers one forwarded query or consumer frame — the node
-// answers the other kinds itself — on that frame's own goroutine: it sets
+// answers the other kinds itself — on the goroutine that read the frame,
+// which has passed the link's read side on, so it may block: it sets
 // reply's Status and RetryAfter and appends the response to reply.Body.
 // from is the node at the other end; ctx ends when the link does. req.Body is
-// the link's buffer and dead once the handler returns.
+// the serving goroutine's buffer and dead once the handler returns.
 type LinkHandler func(ctx context.Context, from string, req, reply *Frame)
 
-// inLink is the serving end of one accepted link.
+// inLink is the serving end of one accepted link. Its read side — the right
+// to read the next frame off br — is held by one of its serving goroutines
+// at a time and handed to another over readSide; see serveReads.
 type inLink struct {
 	wire
 	from   string
 	ctx    context.Context
 	cancel context.CancelFunc
-	frames sync.WaitGroup // frames being served
-	sem    chan struct{}  // maxLinkInFlight slots
+	sem    chan struct{} // maxLinkInFlight slots
+
+	servers  sync.WaitGroup // the link's serving goroutines
+	readSide chan struct{}  // unbuffered: the holder's hand-off; closed by the last holder
+	idle     atomic.Int32   // servers waiting on readSide
+	maxIdle  int32          // GOMAXPROCS when serving began: no more servers wait
 }
 
-// exchange is the pooled storage of one served frame.
+// exchange is the storage of one serving goroutine's frames, pooled across
+// the goroutines that come and go.
 type exchange struct{ req, reply Frame }
 
 var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
@@ -546,7 +556,7 @@ func (n *Node) AcceptLink(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: connection cannot be upgraded", http.StatusInternalServerError)
 		return
 	}
-	l := &inLink{from: from, sem: make(chan struct{}, maxLinkInFlight)}
+	l := &inLink{from: from}
 	l.conn, l.br, l.bw = conn, rw.Reader, rw.Writer
 	l.ctx, l.cancel = context.WithCancel(n.links.ctx)
 	if !n.trackInbound(l) {
@@ -580,26 +590,64 @@ func (n *Node) trackInbound(l *inLink) bool {
 	return true
 }
 
-// serveLink reads request frames until the connection ends, the peer sends
-// anything else, or the node stops reading; each frame is served on its own
-// goroutine, so one parked on a slow worker delays nothing behind it. Frames
-// already being served answer before serveLink returns — unless the peer is
-// gone, when there is nobody to answer and their waits are cut short.
+// serveLink serves the link until the connection ends, the peer sends
+// anything but a request, or the node stops reading, and returns once every
+// goroutine serving it has: frames already being served answer first —
+// unless the peer is gone, when there is nobody to answer and their waits
+// are cut short. The caller's goroutine holds the read side first.
 func (n *Node) serveLink(l *inLink) {
+	l.sem = make(chan struct{}, maxLinkInFlight)
+	l.readSide = make(chan struct{})
+	l.maxIdle = int32(runtime.GOMAXPROCS(0))
+	l.servers.Add(1)
+	n.serveReads(l)
+	l.servers.Wait()
+}
+
+// serveReads is one serving goroutine of a link; it holds the read side on
+// entry. It reads a request frame, passes the read side on — to a goroutine
+// of the link that waits for it or else to a new one — and serves the frame
+// itself, so a frame is served where it was read and one parked on a slow
+// worker delays nothing behind it. Having answered, it waits for the read
+// side again, unless l.maxIdle others already wait: then, or once the link
+// has ended, it returns. With maxLinkInFlight frames being served the holder
+// waits for a slot and nothing reads, so TCP pushes back.
+func (n *Node) serveReads(l *inLink) {
+	defer l.servers.Done()
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
 	for {
-		x := exchangePool.Get().(*exchange)
 		if err := x.req.Decode(l.br); err != nil || x.req.Kind == FrameReply {
-			exchangePool.Put(x)
 			if !errors.Is(err, os.ErrDeadlineExceeded) { // not DrainLinks: the link is broken
 				l.cancel()
 			}
-			break
+			close(l.readSide) // only the holder sends on it, and it is done
+			return
 		}
 		l.sem <- struct{}{}
-		l.frames.Add(1)
-		go n.serveFrame(l, x)
+		select {
+		case l.readSide <- struct{}{}:
+		default:
+			l.servers.Add(1)
+			go n.serveReads(l)
+		}
+		n.serveFrame(l, x)
+		if !l.awaitReadSide() {
+			return
+		}
 	}
-	l.frames.Wait()
+}
+
+// awaitReadSide waits for the read side once a server has answered its
+// frame: false at once when maxIdle servers already wait, or once the last
+// holder has closed readSide.
+func (l *inLink) awaitReadSide() bool {
+	defer l.idle.Add(-1)
+	if l.idle.Add(1) > l.maxIdle {
+		return false
+	}
+	_, ok := <-l.readSide
+	return ok
 }
 
 func (n *Node) serveFrame(l *inLink, x *exchange) {
@@ -622,13 +670,11 @@ func (n *Node) serveFrame(l *inLink, x *exchange) {
 		x.reply.Body = append(x.reply.Body[:0], "{\"error\":\"response exceeds the link's frame limit\"}\n"...)
 	}
 	if err := l.write(&x.reply); err != nil {
-		l.conn.Close() // which ends the read loop too
+		l.conn.Close() // which ends the read side too
 	}
 	x.req.release()
 	x.reply.release()
-	exchangePool.Put(x)
 	<-l.sem
-	l.frames.Done()
 }
 
 // DrainLinks stops every accepted link from reading further frames; those

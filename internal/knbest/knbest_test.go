@@ -2,6 +2,9 @@ package knbest
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"sbqa/internal/model"
@@ -258,6 +261,40 @@ func TestSelectFromNeverKeepsRefuser(t *testing.T) {
 			if snap.ID%2 != 0 {
 				t.Fatalf("refuser %d kept in Kn %v", snap.ID, kn)
 			}
+		}
+	}
+}
+
+// TestKeepLeastMatchesStableSort: stage 2's bounded insertion keeps exactly
+// the first kn of a stable sort, in its order, on samples full of ties in
+// utilization and queue length — and of repeated IDs, whose order only
+// stability decides (Capacity tells them apart) — on both sides of
+// maxInsertKept, and leaves the sample a permutation of itself.
+func TestKeepLeastMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.IntN(2*maxInsertKept)
+		s := make([]model.ProviderSnapshot, n)
+		for i := range s {
+			s[i] = model.ProviderSnapshot{
+				ID:          model.ProviderID(rng.IntN(2 * n)),
+				Utilization: float64(rng.IntN(4)) / 4,
+				QueueLen:    rng.IntN(3),
+				Capacity:    float64(i),
+			}
+		}
+		want := slices.Clone(s)
+		sort.SliceStable(want, func(i, j int) bool { return snapLess(&want[i], &want[j]) })
+		kn := 1 + rng.IntN(n)
+		got := slices.Clone(s)
+		kept := keepLeast(got, kn)
+		if !slices.Equal(kept, want[:kn]) {
+			t.Fatalf("n=%d kn=%d: kept\n%v\nwant\n%v", n, kn, kept, want[:kn])
+		}
+		byCapacity := func(a, b model.ProviderSnapshot) int { return int(a.Capacity - b.Capacity) }
+		slices.SortFunc(got, byCapacity)
+		if !slices.Equal(got, s) {
+			t.Fatalf("n=%d kn=%d: the sample is no longer a permutation of itself", n, kn)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 package score
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sbqa/internal/model"
 )
@@ -127,38 +128,24 @@ func (s *Scorer) ScoreInto(v View, omega, scores []float64) {
 // FlatRanker ranks flat score columns without allocating: Rank fills order
 // with the permutation that sorts positions best-first — the paper's
 // ranking vector →R, score descending with ties broken by provider ID
-// ascending for determinism. Keep one FlatRanker per allocator and reuse
-// it; it is not safe for concurrent use.
-type FlatRanker struct {
-	scores []float64
-	ids    []model.ProviderID
-	order  []int
-}
+// ascending for determinism. It holds no state; the zero value is ready.
+type FlatRanker struct{}
 
 // Rank fills order (len(order) == len(scores) == len(ids)) with the
 // best-first position permutation.
-func (r *FlatRanker) Rank(scores []float64, ids []model.ProviderID, order []int) {
+func (*FlatRanker) Rank(scores []float64, ids []model.ProviderID, order []int) {
 	for i := range order {
 		order[i] = i
 	}
-	r.scores, r.ids, r.order = scores, ids, order
-	sort.Stable(r)
-	r.scores, r.ids, r.order = nil, nil, nil
-}
-
-// Len implements sort.Interface.
-func (r *FlatRanker) Len() int { return len(r.order) }
-
-// Swap implements sort.Interface.
-func (r *FlatRanker) Swap(i, j int) { r.order[i], r.order[j] = r.order[j], r.order[i] }
-
-// Less implements sort.Interface: score descending, provider ID ascending.
-func (r *FlatRanker) Less(i, j int) bool {
-	a, b := r.order[i], r.order[j]
-	if r.scores[a] != r.scores[b] {
-		return r.scores[a] > r.scores[b]
-	}
-	return r.ids[a] < r.ids[b]
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case scores[a] > scores[b]:
+			return -1
+		case scores[a] < scores[b]:
+			return 1
+		}
+		return cmp.Compare(ids[a], ids[b])
+	})
 }
 
 // String describes the scorer configuration for experiment logs.

@@ -2,6 +2,8 @@ package score
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -226,5 +228,38 @@ func TestRankUsesPerPairOmega(t *testing.T) {
 func TestRankEmpty(t *testing.T) {
 	if ids, _, _ := rank(NewScorer(), View{}); len(ids) != 0 {
 		t.Errorf("ranking an empty view = %v", ids)
+	}
+}
+
+// TestRankMatchesStableSort: Rank orders positions as sort.SliceStable by
+// score descending, ID ascending does, on columns full of tied scores.
+func TestRankMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	var r FlatRanker
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.IntN(128)
+		scores, ids := make([]float64, n), make([]model.ProviderID, n)
+		for i, p := range rng.Perm(n) {
+			scores[i] = float64(rng.IntN(5)-2) / 2
+			ids[i] = model.ProviderID(p)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if scores[a] != scores[b] {
+				return scores[a] > scores[b]
+			}
+			return ids[a] < ids[b]
+		})
+		got := make([]int, n)
+		r.Rank(scores, ids, got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: ranked %v, want %v", n, got, want)
+			}
+		}
 	}
 }
