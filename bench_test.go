@@ -334,8 +334,8 @@ func BenchmarkWorldThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := w.Run()
-		b.ReportMetric(float64(r.Issued), "queries/run")
+		w.Run()
+		b.ReportMetric(float64(w.Collector().Issued), "queries/run")
 	}
 }
 
@@ -551,15 +551,16 @@ func benchmarkMediateEndToEnd(b *testing.B, providers int) {
 	// interaction and reads δs over an empty window until it has one; fill
 	// every window up front so a wide class measures the steady state rather
 	// than thousands of first touches and cold reads.
+	window := eng.Registry().Window()
 	for i := 0; i < providers; i++ {
 		t := eng.Registry().Provider(ProviderID(i))
-		for j := 0; j < t.Window(); j++ {
+		for j := 0; j < window; j++ {
 			t.Record(Intention(float64((i+j)%9)/9-0.3), j%3 == 0)
 		}
 	}
 	for c := 0; c < consumers; c++ {
 		t := eng.Registry().Consumer(ConsumerID(c))
-		for j := 0; j < t.Window(); j++ {
+		for j := 0; j < window; j++ {
 			t.Record(float64(j%5)/4, 1, 0.5)
 		}
 	}

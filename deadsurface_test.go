@@ -26,14 +26,51 @@ import (
 // belongs in this list — unreached code is deleted, not excused.
 var assertedOnly = map[string]string{}
 
+// testSeams lists the methods no binary or bench/ probe reaches that a test
+// needs as a hook into the live code, each with the test that needs it.
+// Nothing else belongs in this list either.
+var testSeams = map[string]string{
+	"sbqa/internal/persist.Recorder.CloseAbrupt": "internal/live's TestCrashKillRecoversBoundedLoss and TestDepartureForgottenAcrossRestart stop the journal without its final sync, as a process kill would",
+}
+
+// calledByStd lists the method names the standard library calls through an
+// interface that module code never calls through itself, each with the std
+// reader that calls it: a live type's method of one of these names is alive.
+var calledByStd = map[string]string{
+	"String":        "fmt formats a Stringer",
+	"Error":         "fmt formats an error",
+	"MarshalJSON":   "encoding/json encodes a Marshaler",
+	"UnmarshalJSON": "encoding/json decodes into an Unmarshaler",
+	"Len":           "sort and container/heap order a sort.Interface",
+	"Less":          "sort and container/heap order a sort.Interface",
+	"Swap":          "sort and container/heap order a sort.Interface",
+	"Push":          "container/heap grows a heap.Interface",
+	"Pop":           "container/heap shrinks a heap.Interface",
+	"ServeHTTP":     "net/http serves a Handler",
+	"Read":          "io and bufio read an io.Reader",
+	"Write":         "io, bufio and fmt write an io.Writer",
+	"Close":         "net/http and io close what they were handed",
+	"Unwrap":        "errors.Is and errors.As walk a wrapped chain",
+	"Is":            "errors.Is matches a target",
+	"As":            "errors.As converts to a target",
+}
+
 // TestNoDeadSurface is the ratchet behind the dead-surface deletions: every
-// package-level func, type, var and const of the root module must be
-// reachable from a root — any declaration of a `main` package (binaries and
-// examples) or anything the bench/ module names. The facade is no root: an
-// alias in sbqa.go is alive only while one of those imports it.
-// Reachability is type-checked (go/types over the non-test files
-// `go list` reports); a method lives with its receiver type; test files
-// reach nothing, so what only a test uses is dead.
+// package-level func, type, var and const and every method of the root
+// module must be reachable from a root — any package-level declaration of a
+// `main` package (binaries and examples) or anything the bench/ module
+// names. The facade is no root: an alias in sbqa.go is alive only while one
+// of those imports it. Reachability is type-checked (go/types over the
+// non-test files `go list` reports), and test files reach nothing, so what
+// only a test uses is dead.
+//
+// A method of a live type is alive when a live declaration names it (a call,
+// a method value or a method expression), when it implements a method of an
+// interface (the module's or std's) that a live declaration calls through,
+// when std calls it (calledByStd), or when bench/ selects its name on any
+// value — bench/ is another module, so that last rule goes by name alone.
+// A type assertion or type-switch case in live code to a module interface
+// that no live type implements is a branch that cannot run, and fails too.
 func TestNoDeadSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module (~3 s)")
@@ -90,24 +127,25 @@ func TestNoDeadSurface(t *testing.T) {
 		}
 		checked[p.ImportPath] = pkg
 	}
+	inModule := func(obj types.Object) bool {
+		return obj != nil && obj.Pkg() != nil && checked[obj.Pkg().Path()] == obj.Pkg()
+	}
 
-	// owner maps an object to the package-level declaration it lives with:
-	// itself, or for a method its receiver's type name; nil when the object
-	// is not package-level in this module (locals, fields, std, builtins).
-	owner := func(obj types.Object) types.Object {
-		if obj == nil || obj.Pkg() == nil || checked[obj.Pkg().Path()] != obj.Pkg() {
+	// node maps an object to the declaration it is reached as: a
+	// package-level object of this module or one of its concrete methods
+	// (a generic type's through its origin); nil for locals, fields, std,
+	// builtins and interface methods, which a call reaches through the
+	// implementations below.
+	node := func(obj types.Object) types.Object {
+		if !inModule(obj) {
 			return nil
 		}
 		if fn, ok := obj.(*types.Func); ok {
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				rt := recv.Type()
-				if ptr, ok := rt.(*types.Pointer); ok {
-					rt = ptr.Elem()
+			if recv := fn.Signature().Recv(); recv != nil {
+				if types.IsInterface(recv.Type()) {
+					return nil
 				}
-				if named, ok := rt.(*types.Named); ok {
-					return named.Obj()
-				}
-				return nil // interface method: reached with the interface
+				return fn.Origin()
 			}
 		}
 		if obj.Parent() != obj.Pkg().Scope() {
@@ -115,19 +153,33 @@ func TestNoDeadSurface(t *testing.T) {
 		}
 		return obj
 	}
+	// abstract is the interface method obj is, or nil.
+	abstract := func(obj types.Object) *types.Func {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				return fn
+			}
+		}
+		return nil
+	}
 
-	uses := map[types.Object][]types.Object{} // declaration → what its source mentions
+	uses := map[types.Object][]types.Object{} // declaration → the nodes its source mentions
+	calls := map[types.Object][]*types.Func{} // declaration → the interface methods it calls through
+	decls := map[types.Object][]ast.Node{}    // declaration → its source
+	var methods []*types.Func                 // every concrete method of the module
 	var roots []types.Object
-	mentions := func(node ast.Node) (out []types.Object) {
-		ast.Inspect(node, func(n ast.Node) bool {
+	mentions := func(decl ast.Node) (to []types.Object, through []*types.Func) {
+		ast.Inspect(decl, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if to := owner(info.Uses[id]); to != nil {
-					out = append(out, to)
+				if o := node(info.Uses[id]); o != nil {
+					to = append(to, o)
+				} else if fn := abstract(info.Uses[id]); fn != nil {
+					through = append(through, fn)
 				}
 			}
 			return true
 		})
-		return out
+		return to, through
 	}
 	for _, p := range module {
 		for _, f := range files[p.ImportPath] {
@@ -151,28 +203,29 @@ func TestNoDeadSurface(t *testing.T) {
 					}
 				}
 				for _, spec := range specs {
-					to := mentions(spec.node)
-					if fd, ok := spec.node.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "init" {
-						roots = append(roots, to...) // init always runs
-						continue
-					}
+					to, through := mentions(spec.node)
+					fd, ok := spec.node.(*ast.FuncDecl)
+					isInit := ok && fd.Recv == nil && fd.Name.Name == "init"
 					for _, id := range spec.names {
-						o := owner(info.Defs[id])
+						o := node(info.Defs[id])
 						switch {
-						case o == nil && p.Name == "main":
-							// A binary's own `var _ X = …` is one of its
-							// declarations: sbqad pins its webhook
+						case isInit || o == nil && p.Name == "main":
+							// init always runs, and a binary's own `var _ X = …`
+							// is one of its declarations: sbqad pins its webhook
 							// participants to the optional interfaces the
 							// mediator discovers by type assertion.
-							roots = append(roots, to...)
+							o = info.Defs[id]
+							roots = append(roots, o)
 						case o == nil:
-							// a library's blank declaration reaches nothing
-						default:
-							uses[o] = append(uses[o], to...)
-							if p.Name == "main" {
-								roots = append(roots, o)
-							}
+							continue // a library's blank declaration reaches nothing
+						case isMethod(o):
+							methods = append(methods, o.(*types.Func))
+						case p.Name == "main":
+							roots = append(roots, o)
 						}
+						uses[o] = append(uses[o], to...)
+						calls[o] = append(calls[o], through...)
+						decls[o] = append(decls[o], spec.node)
 					}
 				}
 			}
@@ -181,7 +234,9 @@ func TestNoDeadSurface(t *testing.T) {
 
 	// The bench/ module reaches the root module only through qualified
 	// names, so its roots are read off the syntax: pkg.Name for every
-	// import of an sbqa package.
+	// import of an sbqa package, and every other selected name as a method
+	// it may call.
+	benchSelects := map[string]bool{}
 	err = filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -207,6 +262,8 @@ func TestNoDeadSurface(t *testing.T) {
 					if o := local[x.Name].Scope().Lookup(sel.Sel.Name); o != nil {
 						roots = append(roots, o)
 					}
+				} else {
+					benchSelects[sel.Sel.Name] = true
 				}
 			}
 			return true
@@ -217,44 +274,162 @@ func TestNoDeadSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Reach from the roots, then add the methods of live types that an
+	// interface call, std or bench/ reaches; repeat until nothing changes.
 	live := map[types.Object]bool{}
+	through := map[string][]*types.Func{} // interface methods live code calls through, by name
+	called := map[*types.Func]bool{}
+	var liveTypes []*types.Named
 	for len(roots) > 0 {
-		o := roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
-		if live[o] {
-			continue
+		for len(roots) > 0 {
+			o := roots[len(roots)-1]
+			roots = roots[:len(roots)-1]
+			if live[o] {
+				continue
+			}
+			live[o] = true
+			roots = append(roots, uses[o]...)
+			for _, fn := range calls[o] {
+				if !called[fn] {
+					called[fn] = true
+					through[fn.Name()] = append(through[fn.Name()], fn)
+				}
+			}
+			if tn, ok := o.(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
+					liveTypes = append(liveTypes, named)
+				}
+			}
 		}
-		live[o] = true
-		roots = append(roots, uses[o]...)
+		for _, named := range liveTypes {
+			mset := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < mset.Len(); i++ {
+				m := node(mset.At(i).Obj())
+				if m == nil || live[m] {
+					continue
+				}
+				name := m.Name()
+				reached := calledByStd[name] != "" || benchSelects[name]
+				for _, fn := range through[name] {
+					reached = reached || implements(named, fn.Signature().Recv().Type())
+				}
+				if reached {
+					roots = append(roots, m)
+				}
+			}
+		}
 	}
 
 	var dead []string
 	excused := map[string]bool{}
+	report := func(id string, o types.Object, excuses map[string]string) {
+		if _, ok := excuses[id]; ok {
+			excused[id] = true
+			return
+		}
+		dead = append(dead, id+"  ("+fset.Position(o.Pos()).String()+")")
+	}
 	for _, p := range module {
 		scope := checked[p.ImportPath].Scope()
 		for _, name := range scope.Names() {
-			o := scope.Lookup(name)
-			if live[o] {
-				continue
+			if o := scope.Lookup(name); !live[o] {
+				report(p.ImportPath+"."+name, o, assertedOnly)
 			}
-			id := p.ImportPath + "." + name
-			if _, ok := assertedOnly[id]; ok {
-				excused[id] = true
-				continue
-			}
-			dead = append(dead, id+"  ("+fset.Position(o.Pos()).String()+")")
 		}
 	}
-	for id := range assertedOnly {
-		if !excused[id] {
-			dead = append(dead, id+"  (in assertedOnly, but reached or gone: drop the entry)")
+	for _, m := range methods {
+		if !live[m] {
+			recv := types.Unalias(m.Signature().Recv().Type())
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			report(m.Pkg().Path()+"."+recv.(*types.Named).Obj().Name()+"."+m.Name(), m, testSeams)
+		}
+	}
+	for _, excuses := range []map[string]string{assertedOnly, testSeams} {
+		for id := range excuses {
+			if !excused[id] {
+				dead = append(dead, id+"  (excused, but reached or gone: drop the entry)")
+			}
 		}
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d package-level declarations no binary or bench/ probe reaches — delete them with the tests that exercised only them:\n  %s",
+		t.Errorf("%d declarations no binary or bench/ probe reaches — delete them with the tests that exercised only them:\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
+
+	// An optional interface is one live code asserts a value to; when no
+	// live type of the module implements it, the branch that asserts it
+	// never runs.
+	var branches []string
+	for o, nodes := range decls {
+		if !live[o] {
+			continue
+		}
+		for _, n := range nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				var asserted []ast.Expr
+				switch n := n.(type) {
+				case *ast.TypeAssertExpr:
+					asserted = []ast.Expr{n.Type}
+				case *ast.CaseClause:
+					asserted = n.List // a type switch's cases are type-asserted; an expression switch's resolve to no type name below
+				}
+				for _, e := range asserted {
+					var id *ast.Ident
+					switch e := e.(type) {
+					case *ast.Ident:
+						id = e
+					case *ast.SelectorExpr:
+						id = e.Sel
+					}
+					tn, ok := info.Uses[id].(*types.TypeName)
+					if id == nil || !ok || !inModule(tn) || !types.IsInterface(tn.Type()) {
+						continue
+					}
+					implemented := false
+					for _, named := range liveTypes {
+						implemented = implemented || implements(named, tn.Type())
+					}
+					if !implemented {
+						branches = append(branches, tn.Pkg().Path()+"."+tn.Name()+"  ("+fset.Position(e.Pos()).String()+")")
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(branches)
+	if len(branches) > 0 {
+		t.Errorf("%d type assertions to an interface no live type implements — the branch never runs:\n  %s",
+			len(branches), strings.Join(branches, "\n  "))
+	}
+}
+
+func isMethod(o types.Object) bool {
+	fn, ok := o.(*types.Func)
+	return ok && fn.Signature().Recv() != nil
+}
+
+// implements reports whether named, or a pointer to it, implements iface.
+// Where either is generic it goes by method names alone.
+func implements(named *types.Named, iface types.Type) bool {
+	in, ok := iface.Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	ptr := types.NewPointer(named)
+	if generic, ok := iface.(*types.Named); named.TypeParams().Len() == 0 && (!ok || generic.TypeParams().Len() == 0) {
+		return types.Implements(ptr, in)
+	}
+	mset := types.NewMethodSet(ptr)
+	for i := 0; i < in.NumMethods(); i++ {
+		if mset.Lookup(in.Method(i).Pkg(), in.Method(i).Name()) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -40,10 +40,8 @@ type Advertiser struct {
 	// winRate is an exponentially decaying estimate of the recent win
 	// rate (impressions/second), evaluated lazily at read time so pacing
 	// relaxes even while the advertiser is not winning.
-	winRate  float64
-	rateAt   float64
-	wins     int
-	winsTopc map[int]int // wins per dominant query topic
+	winRate float64
+	rateAt  float64
 }
 
 // pacingTau is the time constant (seconds) of the win-rate estimate.
@@ -63,12 +61,6 @@ func (a *Advertiser) ProviderID() model.ProviderID { return a.id }
 
 // Name returns the advertiser's label.
 func (a *Advertiser) Name() string { return a.name }
-
-// Wins returns the advertiser's total impressions won.
-func (a *Advertiser) Wins() int { return a.wins }
-
-// WinsForTopic returns impressions won on queries whose dominant topic is t.
-func (a *Advertiser) WinsForTopic(t int) int { return a.winsTopc[t] }
 
 // Interests exposes the advertiser's dynamic profile (to schedule
 // campaigns).
@@ -109,13 +101,11 @@ func (a *Advertiser) Bid(model.Query) float64 {
 	return 1 + a.rate(a.world.engine.Now())
 }
 
-// recordWin updates pacing and win counters.
-func (a *Advertiser) recordWin(q model.Query) {
+// recordWin updates pacing.
+func (a *Advertiser) recordWin() {
 	now := a.world.engine.Now()
 	a.rate(now) // decay to now
 	a.winRate += 1 / pacingTau
-	a.wins++
-	a.winsTopc[a.world.dominantTopic(q)]++
 }
 
 // searchSide is the consumer: it acts for the users, preferring advertisers
@@ -197,11 +187,6 @@ func NewWorld(allocator alloc.Allocator, cfg Config) (*World, error) {
 	return w, nil
 }
 
-// SetQueryMix reweights the topic mixture of the query stream.
-func (w *World) SetQueryMix(mix []float64) {
-	copy(w.queryMix, mix)
-}
-
 // AddAdvertiser registers an advertiser with a base interest profile and a
 // target impression rate.
 func (w *World) AddAdvertiser(name string, base topics.Vector, targetRate float64) *Advertiser {
@@ -211,7 +196,6 @@ func (w *World) AddAdvertiser(name string, base topics.Vector, targetRate float6
 		name:       name,
 		interests:  topics.NewInterests(base),
 		targetRate: targetRate,
-		winsTopc:   make(map[int]int),
 	}
 	w.advertisers = append(w.advertisers, a)
 	w.med.RegisterProvider(a)
@@ -220,9 +204,6 @@ func (w *World) AddAdvertiser(name string, base topics.Vector, targetRate float6
 
 // Advertisers returns the registered advertisers.
 func (w *World) Advertisers() []*Advertiser { return w.advertisers }
-
-// Engine exposes the simulation engine (to schedule campaign switches).
-func (w *World) Engine() *sim.Engine { return w.engine }
 
 // Mediator exposes the pipeline (satisfaction readings).
 func (w *World) Mediator() *mediator.Mediator { return w.med }
@@ -303,7 +284,7 @@ func (w *World) Run(onWin OnWin) int {
 			if a, err := w.med.Mediate(context.Background(), w.engine.Now(), q); err == nil && len(a.Selected) > 0 {
 				winner := w.advertiserByID(a.Selected[0])
 				if winner != nil {
-					winner.recordWin(q)
+					winner.recordWin()
 					placements++
 					if onWin != nil {
 						onWin(q, winner)

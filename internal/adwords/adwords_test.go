@@ -38,7 +38,14 @@ func TestNewWorldValidation(t *testing.T) {
 
 func TestPlacementsFollowRelevance(t *testing.T) {
 	w, pharma := buildWorld(t)
-	placements := w.Run(nil)
+	type win struct {
+		a     *Advertiser
+		topic int
+	}
+	wins := map[win]int{}
+	placements := w.Run(func(q model.Query, winner *Advertiser) {
+		wins[win{winner, w.dominantTopic(q)}]++
+	})
 	if placements == 0 {
 		t.Fatal("no placements")
 	}
@@ -46,14 +53,14 @@ func TestPlacementsFollowRelevance(t *testing.T) {
 	// (topic 1) on the sports shop, electronics (topic 3) on electro.
 	sports := w.Advertisers()[1]
 	electro := w.Advertisers()[2]
-	if pharma.WinsForTopic(0) < sports.WinsForTopic(0) || pharma.WinsForTopic(0) < electro.WinsForTopic(0) {
+	if wins[win{pharma, 0}] < wins[win{sports, 0}] || wins[win{pharma, 0}] < wins[win{electro, 0}] {
 		t.Errorf("pharma should dominate health queries: pharma=%d sports=%d electro=%d",
-			pharma.WinsForTopic(0), sports.WinsForTopic(0), electro.WinsForTopic(0))
+			wins[win{pharma, 0}], wins[win{sports, 0}], wins[win{electro, 0}])
 	}
-	if sports.WinsForTopic(1) < pharma.WinsForTopic(1) {
+	if wins[win{sports, 1}] < wins[win{pharma, 1}] {
 		t.Errorf("sports shop should dominate sports queries")
 	}
-	if electro.WinsForTopic(3) < pharma.WinsForTopic(3) {
+	if wins[win{electro, 3}] < wins[win{pharma, 3}] {
 		t.Errorf("electronics store should dominate electronics queries")
 	}
 }
@@ -102,7 +109,7 @@ func TestCampaignShiftsAllocations(t *testing.T) {
 
 func TestQueryMixReweighting(t *testing.T) {
 	w, _ := buildWorld(t)
-	w.SetQueryMix([]float64{0, 0, 1, 0}) // only insect queries
+	copy(w.queryMix, []float64{0, 0, 1, 0}) // only insect queries
 	counts := map[int]int{}
 	w.Run(func(q model.Query, _ *Advertiser) {
 		counts[w.dominantTopic(q)]++
@@ -133,12 +140,13 @@ func TestPacingSmoothsDelivery(t *testing.T) {
 	// pacing utilization stays below the cap and remains informative.
 	a := w.AddAdvertiser("a", topics.Vector{1}, 4)
 	b := w.AddAdvertiser("b", topics.Vector{1}, 4)
-	total := w.Run(nil)
+	wins := map[*Advertiser]int{}
+	total := w.Run(func(_ model.Query, winner *Advertiser) { wins[winner]++ })
 	if total == 0 {
 		t.Fatal("no placements")
 	}
-	ratio := float64(a.Wins()) / float64(a.Wins()+b.Wins())
+	ratio := float64(wins[a]) / float64(wins[a]+wins[b])
 	if ratio < 0.35 || ratio > 0.65 {
-		t.Errorf("pacing failed to balance identical advertisers: %d vs %d", a.Wins(), b.Wins())
+		t.Errorf("pacing failed to balance identical advertisers: %d vs %d", wins[a], wins[b])
 	}
 }

@@ -82,9 +82,9 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 
 			inFlight := int64(len(w.pending))
 			acc := r.Completed + r.Unallocated + r.ValidationFailures + inFlight
-			if acc != r.Issued {
+			if acc != w.col.Issued {
 				t.Errorf("accounting: issued=%d completed=%d unalloc=%d failed=%d inflight=%d",
-					r.Issued, r.Completed, r.Unallocated, r.ValidationFailures, inFlight)
+					w.col.Issued, r.Completed, r.Unallocated, r.ValidationFailures, inFlight)
 			}
 			for _, v := range w.Volunteers() {
 				if s := v.Satisfaction(); s < 0 || s > 1 {
@@ -98,7 +98,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				if s := p.Satisfaction(); s < 0 || s > 1 {
 					t.Errorf("project %s δs=%v", p.Name(), s)
 				}
-				if f := p.FailureRate(); f < 0 || f > 1 {
+				if f := p.failureRate; f < 0 || f > 1 {
 					t.Errorf("project %s failure rate %v", p.Name(), f)
 				}
 			}
@@ -106,7 +106,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				t.Errorf("negative response time %v", r.MeanResponseTime)
 			}
 			// Online bookkeeping: departures minus rejoins = offline count.
-			offline := len(w.Volunteers()) - w.OnlineVolunteers()
+			offline := len(w.Volunteers()) - onlineVolunteers(w)
 			if cfg.RejoinAfter == 0 && offline != r.ProvidersLeft {
 				t.Errorf("offline=%d but departures=%d", offline, r.ProvidersLeft)
 			}
@@ -114,8 +114,8 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				t.Errorf("more offline (%d) than ever departed (%d)", offline, r.ProvidersLeft)
 			}
 			// The mediator's registry only tracks online providers.
-			if got := w.Mediator().Providers(); got != w.OnlineVolunteers() {
-				t.Errorf("mediator tracks %d providers, online %d", got, w.OnlineVolunteers())
+			if got := w.Mediator().Providers(); got != onlineVolunteers(w) {
+				t.Errorf("mediator tracks %d providers, online %d", got, onlineVolunteers(w))
 			}
 		})
 	}
@@ -141,14 +141,14 @@ func TestWorldAccountingWithMalicious(t *testing.T) {
 	p := w.Projects()[0]
 	sawLow := false
 	for _, v := range w.Volunteers() {
-		if p.FailureRate() > 0.9 {
+		if p.failureRate > 0.9 {
 			sawLow = true
 			break
 		}
 		_ = v
 	}
-	if !sawLow && p.FailureRate() < 0.9 {
-		t.Errorf("project failure rate %v, want near 1", p.FailureRate())
+	if !sawLow && p.failureRate < 0.9 {
+		t.Errorf("project failure rate %v, want near 1", p.failureRate)
 	}
 }
 

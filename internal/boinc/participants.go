@@ -5,7 +5,6 @@ import (
 	"sbqa/internal/model"
 	"sbqa/internal/reputation"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // Project is a running consumer: a research project issuing computational
@@ -15,7 +14,6 @@ type Project struct {
 
 	id          model.ConsumerID
 	name        string
-	popularity  workload.Popularity
 	arrivalRate float64
 	replication int
 	quorum      int
@@ -49,9 +47,6 @@ func (p *Project) observeValidation(ok bool) {
 	p.failureRate = (1-failureEWMA)*p.failureRate + failureEWMA*outcome
 }
 
-// FailureRate returns the project's recent validation-failure rate.
-func (p *Project) FailureRate() float64 { return p.failureRate }
-
 // ConsumerID implements mediator.Consumer.
 func (p *Project) ConsumerID() model.ConsumerID { return p.id }
 
@@ -82,7 +77,6 @@ func (p *Project) Intention(q model.Query, snap model.ProviderSnapshot) model.In
 		Reputation:    p.book.Reputation(snap.ID),
 		ExpectedDelay: snap.ExpectedDelay(q.Work),
 		DelayTarget:   p.delayTarget,
-		Satisfaction:  p.Satisfaction(),
 	})
 }
 
@@ -108,9 +102,6 @@ type Volunteer struct {
 	queueLen    int
 	pendingWork float64
 	busyUntil   float64
-
-	// Cumulative busy time, for utilization accounting.
-	busyTime float64
 
 	// Resource shares (BOINC semantics): shares[c] is the fraction of this
 	// volunteer's capacity devoted to project c, derived from its
@@ -144,14 +135,6 @@ func sharesFromPrefs(prefs []float64) []float64 {
 		shares[i] /= sum
 	}
 	return shares
-}
-
-// Share returns the fraction of capacity devoted to project c.
-func (v *Volunteer) Share(c model.ConsumerID) float64 {
-	if int(c) < 0 || int(c) >= len(v.shares) {
-		return 0
-	}
-	return v.shares[c]
 }
 
 // DevotedAvailable implements mediator.ShareReporter: the work budget the
@@ -198,12 +181,11 @@ func (v *Volunteer) Utilization(now float64) float64 {
 // Snapshot implements mediator.Provider.
 func (v *Volunteer) Snapshot(now float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{
-		ID:           v.id,
-		Utilization:  v.Utilization(now),
-		QueueLen:     v.queueLen,
-		Capacity:     v.capacity,
-		PendingWork:  v.pendingWork,
-		Satisfaction: v.Satisfaction(),
+		ID:          v.id,
+		Utilization: v.Utilization(now),
+		QueueLen:    v.queueLen,
+		Capacity:    v.capacity,
+		PendingWork: v.pendingWork,
 	}
 }
 
@@ -228,7 +210,6 @@ func (v *Volunteer) Intention(q model.Query) model.Intention {
 		Preference:   pref,
 		Utilization:  v.Utilization(v.world.engine.Now()),
 		Satisfaction: v.Satisfaction(),
-		QueueLen:     v.queueLen,
 	})
 }
 
@@ -259,7 +240,6 @@ func (v *Volunteer) enqueue(q model.Query) {
 		}
 		service := q.Work / rate
 		v.busyUntilC[c] += service
-		v.busyTime += service
 		completion = v.busyUntilC[c]
 		if completion > v.busyUntil {
 			v.busyUntil = completion
@@ -271,7 +251,6 @@ func (v *Volunteer) enqueue(q model.Query) {
 		}
 		service := q.Work / v.capacity
 		v.busyUntil += service
-		v.busyTime += service
 		completion = v.busyUntil
 		if c >= 0 && c < len(v.pendingC) {
 			v.pendingC[c] += q.Work

@@ -43,18 +43,15 @@ func TestVolunteerShareAccessors(t *testing.T) {
 	}
 	v := w.Volunteers()[0]
 	var sum float64
-	for c := 0; c < 3; c++ {
-		sum += v.Share(model.ConsumerID(c))
+	for _, share := range v.shares {
+		sum += share
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("volunteer shares sum to %v", sum)
-	}
-	if v.Share(-1) != 0 || v.Share(99) != 0 {
-		t.Error("out-of-range Share should be 0")
+	if len(v.shares) != 3 || math.Abs(sum-1) > 1e-9 {
+		t.Errorf("volunteer shares %v sum to %v", v.shares, sum)
 	}
 	// SetVolunteerPrefs recomputes shares.
 	w.SetVolunteerPrefs(v.ProviderID(), []float64{0.75, 0.15, -1})
-	if got := v.Share(0); math.Abs(got-(0.8/1.05)) > 1e-9 {
+	if got := v.shares[0]; math.Abs(got-(0.8/1.05)) > 1e-9 {
 		t.Errorf("recomputed share = %v", got)
 	}
 }

@@ -277,7 +277,6 @@ func NewWorld(allocator alloc.Allocator, cfg Config) (*World, error) {
 			world:       w,
 			id:          model.ConsumerID(pp.Index),
 			name:        pp.Name,
-			popularity:  pp.Popularity,
 			arrivalRate: pp.ArrivalRate,
 			replication: pp.Replication,
 			delayTarget: pp.DelayTarget,
@@ -681,26 +680,4 @@ func clampPrefs(prefs []float64) []float64 {
 		out[i] = v
 	}
 	return out
-}
-
-// OnlineVolunteers counts volunteers still online.
-func (w *World) OnlineVolunteers() int {
-	n := 0
-	for _, v := range w.volunteers {
-		if v.online {
-			n++
-		}
-	}
-	return n
-}
-
-// OnlineProjects counts projects still online.
-func (w *World) OnlineProjects() int {
-	n := 0
-	for _, p := range w.projects {
-		if p.online {
-			n++
-		}
-	}
-	return n
 }

@@ -11,6 +11,28 @@ import (
 	"sbqa/internal/workload"
 )
 
+// onlineVolunteers counts w's volunteers still online.
+func onlineVolunteers(w *World) int {
+	n := 0
+	for _, v := range w.volunteers {
+		if v.online {
+			n++
+		}
+	}
+	return n
+}
+
+// onlineProjects counts w's projects still online.
+func onlineProjects(w *World) int {
+	n := 0
+	for _, p := range w.projects {
+		if p.online {
+			n++
+		}
+	}
+	return n
+}
+
 // smallConfig returns a quick-running world configuration.
 func smallConfig(mode Mode, seed uint64) Config {
 	cfg := DefaultConfig(40, seed)
@@ -35,7 +57,7 @@ func TestWorldConstruction(t *testing.T) {
 	if w.Mediator().Providers() != 40 || w.Mediator().Consumers() != 3 {
 		t.Error("registration incomplete")
 	}
-	if w.OnlineVolunteers() != 40 || w.OnlineProjects() != 3 {
+	if onlineVolunteers(w) != 40 || onlineProjects(w) != 3 {
 		t.Error("everyone should start online")
 	}
 	if w.Config().UtilizationHorizon <= 0 {
@@ -57,14 +79,14 @@ func TestCaptiveRunBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.Run()
-	if r.Issued < 100 {
-		t.Fatalf("only %d queries issued in 300s; arrivals broken", r.Issued)
+	if w.col.Issued < 100 {
+		t.Fatalf("only %d queries issued in 300s; arrivals broken", w.col.Issued)
 	}
 	if r.Completed == 0 {
 		t.Fatal("no queries completed")
 	}
-	if float64(r.Completed) < float64(r.Issued)*0.8 {
-		t.Errorf("completed %d of %d; system drowning at ρ=0.7", r.Completed, r.Issued)
+	if float64(r.Completed) < float64(w.col.Issued)*0.8 {
+		t.Errorf("completed %d of %d; system drowning at ρ=0.7", r.Completed, w.col.Issued)
 	}
 	if r.MeanResponseTime <= 0 {
 		t.Errorf("response time %v", r.MeanResponseTime)
@@ -135,8 +157,8 @@ func TestAutonomousDeparturesUnderCapacity(t *testing.T) {
 	if r.ProvidersLeft == 0 {
 		t.Error("no volunteer left under interest-blind allocation; departure rule broken")
 	}
-	if w.OnlineVolunteers() != 40-r.ProvidersLeft {
-		t.Errorf("online count %d inconsistent with %d departures", w.OnlineVolunteers(), r.ProvidersLeft)
+	if onlineVolunteers(w) != 40-r.ProvidersLeft {
+		t.Errorf("online count %d inconsistent with %d departures", onlineVolunteers(w), r.ProvidersLeft)
 	}
 	// Departure records must carry the sub-threshold satisfaction.
 	for _, d := range w.Collector().Departures {
@@ -185,8 +207,8 @@ func TestRejoinExtension(t *testing.T) {
 	}
 	// With rejoin active the online population at the end should exceed
 	// what pure departures would leave.
-	if w.OnlineVolunteers() <= 40-r.ProvidersLeft {
-		t.Errorf("rejoin did not restore anyone: online=%d, departures=%d", w.OnlineVolunteers(), r.ProvidersLeft)
+	if onlineVolunteers(w) <= 40-r.ProvidersLeft {
+		t.Errorf("rejoin did not restore anyone: online=%d, departures=%d", onlineVolunteers(w), r.ProvidersLeft)
 	}
 }
 
@@ -220,8 +242,8 @@ func TestEligibleFnRestrictsCandidates(t *testing.T) {
 	}
 	w.Run()
 	for _, v := range w.Volunteers() {
-		if v.ProviderID()%2 == 1 && v.busyTime > 0 {
-			t.Errorf("ineligible volunteer %d performed work", v.ProviderID())
+		if v.ProviderID()%2 == 1 && w.Mediator().Registry().Provider(v.ProviderID()).Interactions() > 0 {
+			t.Errorf("ineligible volunteer %d was proposed queries", v.ProviderID())
 		}
 	}
 }
@@ -261,8 +283,8 @@ func TestUnallocatedQueriesCounted(t *testing.T) {
 	if r.Completed != 0 {
 		t.Errorf("completed %d with no eligible providers", r.Completed)
 	}
-	if r.Unallocated != r.Issued || r.Issued == 0 {
-		t.Errorf("unallocated=%d issued=%d", r.Unallocated, r.Issued)
+	if r.Unallocated != w.col.Issued || w.col.Issued == 0 {
+		t.Errorf("unallocated=%d issued=%d", r.Unallocated, w.col.Issued)
 	}
 	// Consumers must be maximally dissatisfied.
 	for _, p := range w.Projects() {

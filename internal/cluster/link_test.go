@@ -289,7 +289,7 @@ func TestPeerDownFailsPendingCalls(t *testing.T) {
 		done <- err
 	}()
 	<-parked
-	for i := 0; i < entry.cfg.DownAfter; i++ {
+	for i := 0; i < downAfter; i++ {
 		entry.mem.observe("b", 0, errors.New("probe: no route to host"))
 	}
 	select {

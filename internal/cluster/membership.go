@@ -8,8 +8,8 @@ import (
 
 // Health is a peer's position in the failure-detection state machine:
 //
-//	Alive ──(SuspectAfter consecutive probe failures)──> Suspect
-//	Suspect ──(DownAfter consecutive probe failures)──> Down
+//	Alive ──(suspectAfter consecutive probe failures)──> Suspect
+//	Suspect ──(downAfter consecutive probe failures)──> Down
 //	any ──(one successful probe)──> Alive
 //
 // Only Down changes routing: Suspect peers still receive forwards (a
@@ -49,9 +49,6 @@ type peerState struct {
 // every forwarded request read it lock-free.
 type membership struct {
 	self         string
-	vnodes       int
-	suspectAfter int
-	downAfter    int
 	onTransition func(p Peer, from, to Health, lastErr string)
 
 	live atomic.Pointer[Ring]
@@ -60,12 +57,9 @@ type membership struct {
 	peers map[string]*peerState
 }
 
-func newMembership(self string, peers []Peer, vnodes, suspectAfter, downAfter int, onTransition func(Peer, Health, Health, string)) *membership {
+func newMembership(self string, peers []Peer, onTransition func(Peer, Health, Health, string)) *membership {
 	m := &membership{
 		self:         self,
-		vnodes:       vnodes,
-		suspectAfter: suspectAfter,
-		downAfter:    downAfter,
 		onTransition: onTransition,
 		peers:        make(map[string]*peerState, len(peers)),
 	}
@@ -91,7 +85,7 @@ func (m *membership) buildLiveLocked() *Ring {
 			nodes = append(nodes, id)
 		}
 	}
-	return NewRing(nodes, m.vnodes)
+	return NewRing(nodes, DefaultVNodes)
 }
 
 // observe folds one probe result into the state machine, rebuilding
@@ -115,9 +109,9 @@ func (m *membership) observe(id string, rtt time.Duration, err error) {
 		ps.failures++
 		ps.lastErr = err.Error()
 		switch {
-		case ps.failures >= m.downAfter:
+		case ps.failures >= downAfter:
 			ps.health = HealthDown
-		case ps.failures >= m.suspectAfter:
+		case ps.failures >= suspectAfter:
 			ps.health = HealthSuspect
 		}
 	}

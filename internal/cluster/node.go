@@ -69,18 +69,10 @@ type Config struct {
 	Self  Peer
 	Peers []Peer // remote members; Self must not appear here
 
-	// VNodes per node on the ring (DefaultVNodes when 0).
-	VNodes int
-
 	// HeartbeatInterval between probe rounds (default 1s) and
 	// HeartbeatTimeout per probe (default half the interval).
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// SuspectAfter consecutive probe failures mark a peer Suspect
-	// (default 2); DownAfter mark it Down and shrink the routing ring
-	// (default 4).
-	SuspectAfter int
-	DownAfter    int
 
 	// ReplicateInterval between WAL shipping rounds (default 500ms).
 	ReplicateInterval time.Duration
@@ -112,20 +104,11 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.VNodes <= 0 {
-		out.VNodes = DefaultVNodes
-	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = time.Second
 	}
 	if out.HeartbeatTimeout <= 0 {
 		out.HeartbeatTimeout = out.HeartbeatInterval / 2
-	}
-	if out.SuspectAfter <= 0 {
-		out.SuspectAfter = 2
-	}
-	if out.DownAfter <= out.SuspectAfter {
-		out.DownAfter = out.SuspectAfter + 2
 	}
 	if out.ReplicateInterval <= 0 {
 		out.ReplicateInterval = 500 * time.Millisecond
@@ -197,14 +180,14 @@ func New(cfg Config) (*Node, error) {
 	c := cfg.withDefaults()
 	n := &Node{
 		cfg:        c,
-		full:       NewRing(ids, c.VNodes),
+		full:       NewRing(ids, DefaultVNodes),
 		stop:       make(chan struct{}),
 		replayed:   make(map[string]int),
 		replayErrs: make(map[string]string),
 	}
 	n.links = links{out: make(map[string]*link), in: make(map[*inLink]struct{})}
 	n.links.ctx, n.links.cancel = context.WithCancel(context.Background())
-	n.mem = newMembership(c.Self.ID, c.Peers, c.VNodes, c.SuspectAfter, c.DownAfter, n.onPeerTransition)
+	n.mem = newMembership(c.Self.ID, c.Peers, n.onPeerTransition)
 	if c.Store != nil && c.StateDir != "" {
 		n.repl = newReplicator(n)
 	}
@@ -237,9 +220,6 @@ func (n *Node) Close() {
 
 // Self returns this node's identity.
 func (n *Node) Self() Peer { return n.cfg.Self }
-
-// LiveRing returns the current routing ring (Down peers excluded).
-func (n *Node) LiveRing() *Ring { return n.mem.liveRing() }
 
 // Route resolves the owner of consumer c on the live ring. self is
 // true when this node must serve the request locally. A non-nil error
@@ -421,7 +401,7 @@ type Status struct {
 func (n *Node) Status() Status {
 	st := Status{
 		Self:   n.cfg.Self,
-		VNodes: n.cfg.VNodes,
+		VNodes: DefaultVNodes,
 		Nodes:  n.full.Nodes(),
 		Live:   n.mem.liveRing().Nodes(),
 	}

@@ -91,8 +91,6 @@ func fastConfig(self Peer, peers ...Peer) Config {
 		Peers:             peers,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  50 * time.Millisecond,
-		SuspectAfter:      2,
-		DownAfter:         4,
 		ReplicateInterval: 10 * time.Millisecond,
 	}
 }
@@ -146,13 +144,13 @@ func TestMembershipStateMachine(t *testing.T) {
 	n := newNode(t, cfg)
 	n.Start()
 
-	if got := n.LiveRing().Nodes(); len(got) != 2 {
+	if got := n.mem.liveRing().Nodes(); len(got) != 2 {
 		t.Fatalf("live ring at boot = %v, want both nodes", got)
 	}
 	// Some consumer b owns while alive.
 	var remote model.ConsumerID = -1
 	for c := model.ConsumerID(0); c < 100; c++ {
-		if n.LiveRing().Owner(c) == "b" {
+		if n.mem.liveRing().Owner(c) == "b" {
 			remote = c
 			break
 		}
@@ -171,7 +169,7 @@ func TestMembershipStateMachine(t *testing.T) {
 	waitFor(t, "peer b down", func() bool { return health(n, "b") == HealthDown })
 
 	// Down: b leaves the routing ring, its consumers re-resolve to a.
-	if got := n.LiveRing().Nodes(); len(got) != 1 || got[0] != "a" {
+	if got := n.mem.liveRing().Nodes(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("live ring after down = %v, want [a]", got)
 	}
 	if _, self, err := n.Route(remote); !self || err != nil {
@@ -225,7 +223,7 @@ func TestMembershipRecovery(t *testing.T) {
 	waitFor(t, "peer down while booting", func() bool { return health(n, "b") == HealthDown })
 	ready.Store(true)
 	waitFor(t, "peer recovery", func() bool { return health(n, "b") == HealthAlive })
-	if got := n.LiveRing().Nodes(); len(got) != 2 {
+	if got := n.mem.liveRing().Nodes(); len(got) != 2 {
 		t.Fatalf("live ring after recovery = %v", got)
 	}
 }
@@ -411,7 +409,7 @@ func TestFailoverReplayFiltersToOwnedRange(t *testing.T) {
 		return len(st.Replicas) == 1 && st.Replicas[0].Replayed > 0
 	})
 
-	live := n.LiveRing()
+	live := n.mem.liveRing()
 	if nodes := live.Nodes(); len(nodes) != 2 {
 		t.Fatalf("live ring = %v, want b and c", nodes)
 	}

@@ -30,8 +30,6 @@ func TestRaceMembershipChurnUnderRoutingLoad(t *testing.T) {
 
 	cfg := fastConfig(Peer{ID: "a"}, Peer{ID: "b", Addr: "http://b.test"})
 	cfg.HeartbeatInterval = 2 * time.Millisecond
-	cfg.SuspectAfter = 1
-	cfg.DownAfter = 2
 	cfg.StateDir = t.TempDir()
 	cfg.Dial = mn.dial
 	n, err := New(cfg)
@@ -43,13 +41,13 @@ func TestRaceMembershipChurnUnderRoutingLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // flapper: down is a refused upgrade and no link
+	go func() { // flapper: down is a refused upgrade and no link, long enough for downAfter probes to fail
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
-			case <-time.After(5 * time.Millisecond):
+			case <-time.After(20 * time.Millisecond):
 				up.Store(i%2 == 0)
 				if i%2 != 0 {
 					mn.drop("b")
@@ -75,7 +73,7 @@ func TestRaceMembershipChurnUnderRoutingLoad(t *testing.T) {
 					return
 				}
 				_ = guard(model.Query{Consumer: c})
-				if ring := n.LiveRing(); ring.Len() < 1 || !ring.Contains("a") {
+				if ring := n.mem.liveRing(); ring.Len() < 1 || !ring.Contains("a") {
 					t.Errorf("live ring lost self: %v", ring.Nodes())
 					return
 				}

@@ -25,6 +25,13 @@ import (
 // stays tiny (a 16-node cluster is 1024 points, ~24 KiB).
 const DefaultVNodes = 64
 
+// A peer is Suspect after suspectAfter consecutive probe failures and Down,
+// out of the routing ring, after downAfter.
+const (
+	suspectAfter = 2
+	downAfter    = 4
+)
+
 // The ring hashes with FNV-1a/64 implemented by hand rather than via
 // hash/fnv or maphash: ownership must be identical across Go versions,
 // architectures, and processes — a follower replaying a dead peer's WAL

@@ -145,16 +145,6 @@ func (s *SbQA) Name() string {
 // trip per query.
 func (s *SbQA) Interactive() bool { return true }
 
-// Params returns the KnBest parameters.
-func (s *SbQA) Params() knbest.Params { return s.params }
-
-// Scorer returns a copy of the scoring rule for inspection: mutating it has
-// no effect on the allocator.
-func (s *SbQA) Scorer() *score.Scorer {
-	sc := s.scorer
-	return &sc
-}
-
 // ExportState implements alloc.Stateful: the KnBest sampling stream's
 // position. Like Allocate it must run on the goroutine that owns the
 // allocator (the engine exports under the shard lock); the tunables are NOT

@@ -39,24 +39,24 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
-	if s.Params() != knbest.DefaultParams() {
-		t.Errorf("zero config params = %+v", s.Params())
+	if s.params != knbest.DefaultParams() {
+		t.Errorf("zero config params = %+v", s.params)
 	}
-	if !s.Scorer().Adaptive() {
+	if !s.scorer.Adaptive() {
 		t.Error("zero config should be adaptive (Omega 0 is ambiguous only if set explicitly negative)")
 	}
 }
 
 func TestNewOmegaModes(t *testing.T) {
 	fixed := MustNew(Config{Omega: FixedOmega(0.25)})
-	if fixed.Scorer().Adaptive() {
+	if fixed.scorer.Adaptive() {
 		t.Error("fixed omega should be fixed")
 	}
 	if !strings.Contains(fixed.Name(), "0.25") {
 		t.Errorf("Name = %q", fixed.Name())
 	}
 	adaptive := MustNew(Config{})
-	if !adaptive.Scorer().Adaptive() {
+	if !adaptive.scorer.Adaptive() {
 		t.Error("nil Omega should be adaptive")
 	}
 	if adaptive.Name() != "SbQA" {
@@ -181,8 +181,8 @@ func TestAllocateStage2PrefersIdleProviders(t *testing.T) {
 // allocator — the one built with it proposes exactly kn providers.
 func TestKnBestParamsFixedAtConstruction(t *testing.T) {
 	s := MustNew(Config{KnBest: knbest.Params{K: 3, Kn: 1}, Seed: 1})
-	if s.Params() != (knbest.Params{K: 3, Kn: 1}) {
-		t.Errorf("Params() = %+v", s.Params())
+	if s.params != (knbest.Params{K: 3, Kn: 1}) {
+		t.Errorf("params = %+v", s.params)
 	}
 	a := allocate(t, s, alloc.NewStaticEnv(), query(1), snaps(0, 0, 0, 0, 0))
 	if len(a.Proposed) != 1 {
@@ -190,20 +190,15 @@ func TestKnBestParamsFixedAtConstruction(t *testing.T) {
 	}
 }
 
-// TestScorerFixedAtConstruction: ω and ε come from the config, and Scorer()
-// hands out a copy — mutating it must not reach the allocator.
+// TestScorerFixedAtConstruction: ω and ε come from the config.
 func TestScorerFixedAtConstruction(t *testing.T) {
 	fixed := MustNew(Config{KnBest: knbest.Params{K: 6, Kn: 3}, Omega: FixedOmega(0.75), Seed: 1})
-	if sc := fixed.Scorer(); sc.Adaptive() || sc.FixedOmega != 0.75 || sc.Epsilon != 1 {
+	if sc := fixed.scorer; sc.Adaptive() || sc.FixedOmega != 0.75 || sc.Epsilon != 1 {
 		t.Fatalf("Omega 0.75, default ε: %+v", sc)
 	}
 	adaptive := MustNew(Config{KnBest: knbest.Params{K: 6, Kn: 3}, Epsilon: 0.25, Seed: 1})
-	if sc := adaptive.Scorer(); !sc.Adaptive() || sc.Epsilon != 0.25 {
+	if sc := adaptive.scorer; !sc.Adaptive() || sc.Epsilon != 0.25 {
 		t.Fatalf("adaptive ω, ε 0.25: %+v", sc)
-	}
-	adaptive.Scorer().Epsilon = 99
-	if sc := adaptive.Scorer(); sc.Epsilon != 0.25 {
-		t.Fatalf("mutating the Scorer() copy leaked into the allocator: ε = %g", sc.Epsilon)
 	}
 }
 

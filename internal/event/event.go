@@ -75,9 +75,6 @@ type Imputation struct {
 // missing its per-participant deadline (as opposed to an explicit error).
 func (im Imputation) Timeout() bool { return errors.Is(im.Err, context.DeadlineExceeded) }
 
-// ConsumerSilent reports whether the silent party was the consumer.
-func (im Imputation) ConsumerSilent() bool { return im.Provider == model.NoProvider }
-
 // PolicyChange reports that the engine accepted a new allocation policy:
 // Reconfigure validated the spec, built one allocator per shard, and
 // published the generation — each shard adopts it at its next mediation

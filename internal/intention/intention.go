@@ -36,9 +36,6 @@ type ProviderInputs struct {
 
 	// Satisfaction is the provider's long-run δs(p) in [0, 1].
 	Satisfaction float64
-
-	// QueueLen is the provider's current queue length.
-	QueueLen int
 }
 
 // ProviderPolicy computes a provider's intention PI_q[p].
@@ -66,9 +63,6 @@ type ConsumerInputs struct {
 	// DelayTarget is the response time the consumer considers "good"; it
 	// normalizes ExpectedDelay for response-time-seeking policies.
 	DelayTarget float64
-
-	// Satisfaction is the consumer's long-run δs(c) in [0, 1].
-	Satisfaction float64
 }
 
 // ConsumerPolicy computes a consumer's intention CI_q[p].

@@ -125,16 +125,16 @@ func TestAllPoliciesStayInRange(t *testing.T) {
 		PreferenceConsumer{}, ReputationBlendConsumer{Gamma: 0.6},
 		ResponseTimeConsumer{},
 	}
-	f := func(a, b, c, d, e float64) bool {
-		pin := ProviderInputs{Preference: a, Utilization: b, Satisfaction: c, QueueLen: int(math.Abs(d))}
-		cin := ConsumerInputs{Preference: a, Reputation: b, ExpectedDelay: math.Abs(c), DelayTarget: math.Abs(d), Satisfaction: e}
+	f := func(a, b, c, d float64) bool {
+		pin := ProviderInputs{Preference: a, Utilization: b, Satisfaction: c}
+		cin := ConsumerInputs{Preference: a, Reputation: b, ExpectedDelay: math.Abs(c), DelayTarget: math.Abs(d)}
 		for _, p := range provPolicies {
-			if !p.Intention(pin).Valid() {
+			if got := p.Intention(pin); !(got >= -1 && got <= 1) {
 				return false
 			}
 		}
 		for _, p := range consPolicies {
-			if !p.Intention(cin).Valid() {
+			if got := p.Intention(cin); !(got >= -1 && got <= 1) {
 				return false
 			}
 		}

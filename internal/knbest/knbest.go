@@ -135,9 +135,6 @@ func NewSelector(params Params, rng *stats.RNG) *Selector {
 	return &Selector{params: params, rng: rng}
 }
 
-// Params returns the selector's configuration.
-func (s *Selector) Params() Params { return s.params }
-
 // RNGState exposes the sampling stream's internal state for persistence;
 // pair with RestoreRNGState. Same threading contract as Select: the selector
 // (and thus its RNG) belongs to the mediating goroutine.

@@ -162,8 +162,8 @@ func TestStage1Uniformity(t *testing.T) {
 
 func TestParamsFixedAtConstruction(t *testing.T) {
 	s := NewSelector(Params{K: 2, Kn: 1}, stats.NewRNG(8))
-	if s.Params() != (Params{K: 2, Kn: 1}) {
-		t.Errorf("Params() = %+v", s.Params())
+	if s.params != (Params{K: 2, Kn: 1}) {
+		t.Errorf("params = %+v", s.params)
 	}
 	got := s.Select(snapshots(0.1, 0.2, 0.3, 0.4))
 	if len(got) != 1 {
@@ -224,7 +224,7 @@ func TestSelectFromPullsOnlyK(t *testing.T) {
 	src := &refusing{bucket: cands}
 	for i := 0; i < 50; i++ {
 		src.pulls = 0
-		got, population := pull.SelectFrom(pull.Params(), src)
+		got, population := pull.SelectFrom(pull.params, src)
 		want := slice.Select(cands)
 		if src.pulls != 9 || population != len(cands) {
 			t.Fatalf("stage 1 looked at %d positions of a population of %d, want 9 of %d", src.pulls, population, len(cands))
@@ -250,7 +250,7 @@ func TestSelectFromNeverKeepsRefuser(t *testing.T) {
 	s := NewSelector(Params{K: 4, Kn: 3}, stats.NewRNG(9))
 	src := &refusing{bucket: snapshots(make([]float64, 12)...)}
 	for i := 0; i < 2000; i++ {
-		kn, population := s.SelectFrom(s.Params(), src)
+		kn, population := s.SelectFrom(s.params, src)
 		if len(kn) != 3 {
 			t.Fatalf("kept %d providers, want 3", len(kn))
 		}

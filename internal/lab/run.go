@@ -139,7 +139,7 @@ func build(sc Scenario) (_ *world, err error) {
 		cs := &classState{idx: ci, spec: spec, arrival: arr, cost: cost}
 
 		for i := 0; i < spec.Consumers; i++ {
-			c := &labConsumer{w: w, id: nextCID, class: ci, rep: make(map[model.ProviderID]float64)}
+			c := &labConsumer{w: w, id: nextCID, rep: make(map[model.ProviderID]float64)}
 			nextCID++
 			cs.consumers = append(cs.consumers, c)
 			lv.RegisterConsumer(c)

@@ -151,10 +151,9 @@ func (p *labProvider) Bid(q model.Query) float64 {
 // feedback loop that lets satisfaction-based allocation learn which
 // providers actually deliver.
 type labConsumer struct {
-	w     *world
-	id    model.ConsumerID
-	class int
-	rep   map[model.ProviderID]float64 // EWMA quality in [0, 1]
+	w   *world
+	id  model.ConsumerID
+	rep map[model.ProviderID]float64 // EWMA quality in [0, 1]
 }
 
 func (c *labConsumer) ConsumerID() model.ConsumerID { return c.id }

@@ -121,7 +121,7 @@ func TestOneSpecOneDeadline(t *testing.T) {
 			if _, err := submit(context.Background(), eng, model.Query{Consumer: 0, N: 1, Work: 1}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.Stats().IntentionTimeouts(); got != tc.timeouts {
+			if got := intentionTimeouts(eng.Stats()); got != tc.timeouts {
 				t.Fatalf("intention timeouts = %d, want %d", got, tc.timeouts)
 			}
 		})

@@ -362,12 +362,6 @@ func (e *Engine) UnregisterWorker(id model.ProviderID) {
 // RegisterConsumer attaches a consumer.
 func (e *Engine) RegisterConsumer(c mediator.Consumer) { e.dir.RegisterConsumer(c) }
 
-// UnregisterConsumer detaches a consumer and drops its satisfaction memory.
-func (e *Engine) UnregisterConsumer(id model.ConsumerID) {
-	e.dir.UnregisterConsumer(id)
-	e.reg.ForgetConsumer(id)
-}
-
 // ProviderSatisfaction reads δs(p) from the shared striped registry.
 func (e *Engine) ProviderSatisfaction(id model.ProviderID) float64 {
 	return e.reg.ProviderSatisfaction(id)
@@ -601,26 +595,6 @@ func (st Stats) Mediations() uint64 {
 	var n uint64
 	for _, sh := range st.Shards {
 		n += sh.Mediations
-	}
-	return n
-}
-
-// Imputations returns the total imputed intention-batch positions across
-// all shards.
-func (st Stats) Imputations() uint64 {
-	var n uint64
-	for _, sh := range st.Shards {
-		n += sh.Imputations
-	}
-	return n
-}
-
-// IntentionTimeouts returns the total deadline-missed participant calls
-// across all shards.
-func (st Stats) IntentionTimeouts() uint64 {
-	var n uint64
-	for _, sh := range st.Shards {
-		n += sh.IntentionTimeouts
 	}
 	return n
 }

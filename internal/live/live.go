@@ -87,8 +87,6 @@ type Worker struct {
 
 	// IntentionFn maps a query to this worker's intention; required.
 	intentionFn func(q model.Query) model.Intention
-	// priceFn maps a query to a bid; nil = expected-delay pricing.
-	priceFn func(q model.Query, pendingWork float64) float64
 	// classes restricts the query classes this worker performs; nil means
 	// any class. Set before registration via SetClasses.
 	classes []int
@@ -184,12 +182,12 @@ func (w *Worker) run() {
 // new task can be enqueued once the drain loop observes an empty channel.
 func (w *Worker) abandonPending(inService *task) {
 	if inService != nil {
-		inService.ticket.abandon(w.id)
+		inService.ticket.abandon()
 	}
 	for {
 		select {
 		case t := <-w.tasks:
-			t.ticket.abandon(w.id)
+			t.ticket.abandon()
 		default:
 			w.mu.Lock()
 			w.pendingWork = 0
@@ -311,16 +309,7 @@ func (w *Worker) Bid(q model.Query) float64 {
 	w.mu.Lock()
 	pending := w.pendingWork
 	w.mu.Unlock()
-	if w.priceFn != nil {
-		return w.priceFn(q, pending)
-	}
 	return (pending + q.Work) / w.capacity
-}
-
-// SetPriceFn installs a custom bidding rule (must be called before the
-// worker is registered).
-func (w *Worker) SetPriceFn(fn func(q model.Query, pendingWork float64) float64) {
-	w.priceFn = fn
 }
 
 // FuncConsumer adapts an intention function to mediator.Consumer.

@@ -182,10 +182,6 @@ func TestWorkerBid(t *testing.T) {
 	if got := w.Bid(q); got != 0.1 {
 		t.Errorf("default bid = %v, want 0.1", got)
 	}
-	w.SetPriceFn(func(model.Query, float64) float64 { return 42 })
-	if got := w.Bid(q); got != 42 {
-		t.Errorf("custom bid = %v", got)
-	}
 }
 
 func TestSnapshotUnderLoad(t *testing.T) {

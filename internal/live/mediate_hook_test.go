@@ -80,7 +80,8 @@ func TestMediateHookByteIdenticalUnderVirtualClock(t *testing.T) {
 			}
 		})
 	}
-	eng.RunAll()
+	for eng.Step() {
+	}
 
 	for c := 0; c < consumers; c++ {
 		if a, b := ref.Registry().ConsumerSatisfaction(model.ConsumerID(c)), med.ConsumerSatisfaction(model.ConsumerID(c)); a != b {

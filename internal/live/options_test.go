@@ -140,11 +140,11 @@ func TestEngineImputationStats(t *testing.T) {
 		t.Fatalf("Allocation = %v, %v", a, aerr)
 	}
 	st := eng.Stats()
-	if st.Imputations() != 1 {
-		t.Errorf("Imputations = %d, want 1", st.Imputations())
+	if got := imputations(st); got != 1 {
+		t.Errorf("imputations = %d, want 1", got)
 	}
-	if st.IntentionTimeouts() != 1 {
-		t.Errorf("IntentionTimeouts = %d, want 1", st.IntentionTimeouts())
+	if got := intentionTimeouts(st); got != 1 {
+		t.Errorf("intention timeouts = %d, want 1", got)
 	}
 	if events.Load() != 1 {
 		t.Errorf("observer events = %d, want 1", events.Load())

@@ -183,14 +183,3 @@ func (e *Engine) closePersistence() {
 	_ = e.flushSnapshot(false)
 	_ = e.pst.store.Close()
 }
-
-// closeAbrupt is the crash-emulation twin of Close, used by the recovery
-// tests: shard loops stop, but nothing is flushed — buffered journal
-// records are dropped exactly as a process kill would drop them, and no
-// final snapshot is written.
-func (e *Engine) closeAbrupt() {
-	if e.stop() && e.pst != nil {
-		e.pst.rec.CloseAbrupt()
-		e.pst.store.Abort()
-	}
-}

@@ -15,6 +15,17 @@ import (
 	"sbqa/internal/satisfaction"
 )
 
+// closeAbrupt is the crash-emulation twin of Close, used by the recovery
+// tests: shard loops stop, but nothing is flushed — buffered journal
+// records are dropped exactly as a process kill would drop them, and no
+// final snapshot is written.
+func (e *Engine) closeAbrupt() {
+	if e.stop() && e.pst != nil {
+		e.pst.rec.CloseAbrupt()
+		e.pst.store.Abort()
+	}
+}
+
 // persistTestSpec is the deterministic single-shard policy the restart
 // tests run: small KnBest stages so sampling matters, fixed seed.
 func persistTestSpec() policy.Spec {

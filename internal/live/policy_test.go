@@ -251,11 +251,11 @@ func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	imputations := func() uint64 { return eng.Stats().Imputations() }
+	imputed := func() uint64 { return imputations(eng.Stats()) }
 
 	// Base: unbounded — the slow participants are waited for.
 	submit()
-	if got := imputations(); got != 0 {
+	if got := imputed(); got != 0 {
 		t.Fatalf("unbounded base imputed %d intentions", got)
 	}
 
@@ -266,7 +266,7 @@ func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit()
-	afterTight := imputations()
+	afterTight := imputed()
 	if afterTight == 0 {
 		t.Fatal("1ms policy deadline never imputed a 20ms participant")
 	}
@@ -277,7 +277,7 @@ func TestReconfigureDeadlineOverrideAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit()
-	if got := imputations(); got != afterTight {
+	if got := imputed(); got != afterTight {
 		t.Fatalf("no-deadline policy kept the previous override: imputations %d -> %d", afterTight, got)
 	}
 }
@@ -380,6 +380,7 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 	}
 	var reconfigurer sync.WaitGroup
 	reconfigurer.Add(1)
+	published := make(chan struct{}) // closed once the first Reconfigure has returned
 	go func() {
 		defer reconfigurer.Done()
 		for i := 0; ; i++ {
@@ -388,13 +389,20 @@ func TestReconfigureUnderConcurrentLoad(t *testing.T) {
 				return
 			default:
 			}
-			if err := eng.Reconfigure(context.Background(), specs[i%len(specs)]); err != nil {
+			err := eng.Reconfigure(context.Background(), specs[i%len(specs)])
+			if i == 0 {
+				close(published)
+			}
+			if err != nil {
 				t.Errorf("reconfigure: %v", err)
 				return
 			}
 		}
 	}()
 
+	// Every mediation follows a published generation: on a loaded machine
+	// the submitters could otherwise finish before the first swap returns.
+	<-published
 	var submitters sync.WaitGroup
 	for c := 0; c < consumers; c++ {
 		submitters.Add(1)

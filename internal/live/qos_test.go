@@ -269,12 +269,16 @@ func TestQoSChurnUnderRace(t *testing.T) {
 		},
 		DefaultClass: qos.Interactive,
 	}
-	eng, _ := newTestEngine(t, withQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
-
 	const (
 		submitters = 4
 		perWorker  = 100
 	)
+	// The submitters wait only for the allocation, so every task can pile
+	// onto one worker before it runs any. Queues that hold them all keep a
+	// full worker queue (the engine's DispatchError, not a QoS fault) out of
+	// this test.
+	eng, _ := newTestEngineQueue(t, submitters*perWorker, withQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
+
 	classes := []string{qos.Interactive, qos.Background, qos.Batch, "unknown-class", ""}
 	var wg sync.WaitGroup
 	errCh := make(chan error, submitters*perWorker)

@@ -199,7 +199,7 @@ func TestConcurrentConsumerChurn(t *testing.T) {
 					t.Errorf("consumer %d: %v", g, err)
 					return
 				}
-				eng.UnregisterConsumer(id)
+				unregisterConsumer(eng, id)
 			}
 		}()
 	}

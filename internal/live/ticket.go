@@ -18,7 +18,7 @@ import (
 //     submission error (nil, a mediation error such as
 //     mediator.ErrNoCandidates, or a *DispatchError).
 //  2. done: every worker that accepted the query has delivered its Result.
-//     Done's channel closes here; Await blocks for it; Results returns the
+//     Done's channel closes here; Await blocks for it and returns the
 //     collected per-worker results.
 //
 // Workers deliver to the ticket itself: a dispatched task carries its
@@ -36,7 +36,7 @@ import (
 // partial dispatch failures complete it when the accepting workers finish
 // (the *DispatchError from Allocation or Await lists the remainder to
 // retry), and a worker closed mid-execution abandons its queued tasks on
-// their tickets (see Abandoned) instead of leaving them to wait forever.
+// their tickets instead of leaving them to wait forever.
 type Ticket struct {
 	query model.Query
 
@@ -56,7 +56,7 @@ type Ticket struct {
 	alloc     *model.Allocation
 	err       error
 
-	// mu guards pending, done, results and abandoned. pending counts the
+	// mu guards pending, done and results. pending counts the
 	// deliveries still owed plus the dispatcher's hold until finish, so the
 	// ticket completes only once allocated, counting early deliveries too;
 	// done is made only when asked for while pending, and closed at zero.
@@ -65,7 +65,6 @@ type Ticket struct {
 	done       chan struct{}
 	results    []Result
 	resultSlot [1]Result
-	abandoned  []model.ProviderID
 }
 
 // closedDone is what Done returns once a ticket is complete.
@@ -121,9 +120,8 @@ func (t *Ticket) deliver(r Result) {
 
 // abandon is the completion call of an accepting worker that shut down
 // before executing the query.
-func (t *Ticket) abandon(id model.ProviderID) {
+func (t *Ticket) abandon() {
 	t.mu.Lock()
-	t.abandoned = append(t.abandoned, id)
 	t.settle(1)
 	t.mu.Unlock()
 }
@@ -185,32 +183,6 @@ func (t *Ticket) Await(ctx context.Context) ([]Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Results returns the collected per-worker results, or nil while the ticket
-// is still in flight (use Await or Done to synchronize). It may hold fewer
-// entries than the accepted selection when workers shut down mid-execution;
-// Abandoned names those workers.
-func (t *Ticket) Results() []Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pending != 0 {
-		return nil
-	}
-	return t.results
-}
-
-// Abandoned returns the accepted workers that shut down before delivering
-// their result (nil while the ticket is in flight). An abandoned
-// slot is the same retry situation as a DispatchError.Failed entry: the
-// query never executed there.
-func (t *Ticket) Abandoned() []model.ProviderID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pending != 0 {
-		return nil
-	}
-	return t.abandoned
 }
 
 // Err returns the submission error, or nil while mediation and hand-off are

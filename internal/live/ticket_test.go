@@ -91,18 +91,12 @@ func TestTicketContract(t *testing.T) {
 		tk := newTicket(model.Query{ID: 1}, nil)
 		tk.expect(3)
 		tk.deliver(Result{Provider: 1})
-		tk.abandon(2)
+		tk.abandon()
 		tk.refused(1)
-		if tk.Results() != nil || tk.Abandoned() != nil || tk.Err() != nil {
-			t.Fatalf("in flight: Results %v, Abandoned %v, Err %v; want all nil", tk.Results(), tk.Abandoned(), tk.Err())
+		if tk.Err() != nil {
+			t.Fatalf("in flight: Err %v; want nil", tk.Err())
 		}
 		tk.finish(&model.Allocation{}, errPartial)
-		if r := tk.Results(); len(r) != 1 || r[0].Provider != 1 {
-			t.Errorf("Results = %v, want worker 1's", r)
-		}
-		if ab := tk.Abandoned(); len(ab) != 1 || ab[0] != 2 {
-			t.Errorf("Abandoned = %v, want [2]", ab)
-		}
 		if err := tk.Err(); err != errPartial {
 			t.Errorf("Err = %v, want %v", err, errPartial)
 		}

@@ -49,14 +49,6 @@ type ProviderParticipant interface {
 	IntentionContext(ctx context.Context, q model.Query) (model.Intention, error)
 }
 
-// BidderParticipant is the optional context-aware extension of Provider for
-// the economic baseline's bidding round: bids are gathered through
-// BidContext under the same fan-out, deadline, and abandonment rules. A
-// silent bidder's bid is imputed as its expected completion delay.
-type BidderParticipant interface {
-	BidContext(ctx context.Context, q model.Query) (float64, error)
-}
-
 // callWithDeadline invokes one participant call on its own goroutine,
 // bounded by the per-participant deadline d (0 = no bound beyond ctx). The
 // select guarantees the mediation never waits past the deadline even when
@@ -359,9 +351,9 @@ func (m *Mediator) emitImputations(q model.Query, kn []model.ProviderSnapshot, s
 }
 
 // Bids implements the batched protocol (alloc.Env): the economic
-// baseline's bidding round under the same fan-out and deadline rules. A
-// silent or departed bidder's bid is imputed as its expected completion
-// delay (no observer event — bids are prices, not intentions).
+// baseline's bidding round. A departed bidder's bid is imputed as its
+// expected completion delay (no observer event — bids are prices, not
+// intentions).
 func (e env) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapshot) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -372,33 +364,12 @@ func (e env) Bids(ctx context.Context, q model.Query, kn []model.ProviderSnapsho
 		e.m.bidBuf = make([]float64, len(kn))
 	}
 	bids := e.m.bidBuf[:len(kn)]
-	deadline := e.m.cfg.ParticipantDeadline
-	var wg sync.WaitGroup
 	for i, snap := range kn {
-		prov := e.m.candidateOf(snap.ID)
-		if prov == nil {
+		if prov := e.m.candidateOf(snap.ID); prov != nil {
+			bids[i] = prov.Bid(q)
+		} else {
 			bids[i] = snap.ExpectedDelay(q.Work)
-			continue
 		}
-		if bp, ok := prov.(BidderParticipant); ok {
-			wg.Add(1)
-			go func(i int, snap model.ProviderSnapshot, bp BidderParticipant) {
-				defer wg.Done()
-				v, err := callWithDeadline(ctx, deadline, func(ctx context.Context) (float64, error) {
-					return bp.BidContext(ctx, q)
-				})
-				if err != nil {
-					v = snap.ExpectedDelay(q.Work)
-				}
-				bids[i] = v
-			}(i, snap, bp)
-			continue
-		}
-		bids[i] = prov.Bid(q)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return bids, nil
 }

@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/alloc"
 	"sbqa/internal/core"
 	"sbqa/internal/event"
 	"sbqa/internal/knbest"
 	"sbqa/internal/model"
-	"sbqa/internal/stats"
 )
 
 // participantProvider is a fakeProvider that also answers the context-aware
@@ -110,13 +108,13 @@ func TestFanoutCollectsParticipantIntentions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, wantCI := range map[model.ProviderID]model.Intention{1: 0.9, 2: -0.2, 3: 0.4} {
-		ci, _, ok := a.IntentionFor(id)
+		ci, _, ok := intentionFor(a, id)
 		if !ok || ci != wantCI {
 			t.Errorf("CI for provider %d = %v/%v, want %v", id, ci, ok, wantCI)
 		}
 	}
 	for id, wantPI := range map[model.ProviderID]model.Intention{1: 0.7, 2: 0.1, 3: -0.5} {
-		_, pi, ok := a.IntentionFor(id)
+		_, pi, ok := intentionFor(a, id)
 		if !ok || pi != wantPI {
 			t.Errorf("PI for provider %d = %v/%v, want %v", id, pi, ok, wantPI)
 		}
@@ -162,19 +160,19 @@ func TestSlowProviderImputedWithinDeadline(t *testing.T) {
 	if elapsed > deadline+400*time.Millisecond {
 		t.Fatalf("mediation took %v, want ≈ the %v participant deadline", elapsed, deadline)
 	}
-	_, pi, ok := a.IntentionFor(1)
+	_, pi, ok := intentionFor(a, 1)
 	if !ok || math.Abs(float64(pi)-0.8) > 1e-9 {
 		t.Errorf("imputed PI for silent provider = %v/%v, want 0.8 (from δa)", pi, ok)
 	}
-	if _, pi2, ok := a.IntentionFor(2); !ok || pi2 != 0.3 {
+	if _, pi2, ok := intentionFor(a, 2); !ok || pi2 != 0.3 {
 		t.Errorf("responsive provider PI = %v/%v, want 0.3", pi2, ok)
 	}
 	if len(obs.events) != 1 {
 		t.Fatalf("imputation events = %d, want 1 (%v)", len(obs.events), obs.events)
 	}
 	im := obs.events[0]
-	if im.Provider != 1 || im.ConsumerSilent() {
-		t.Errorf("event names provider %d (consumerSilent=%v), want provider 1", im.Provider, im.ConsumerSilent())
+	if im.Provider != 1 {
+		t.Errorf("event names provider %d, want provider 1", im.Provider)
 	}
 	if !im.Timeout() || !errors.Is(im.Err, context.DeadlineExceeded) {
 		t.Errorf("event err = %v, want deadline exceeded", im.Err)
@@ -201,14 +199,14 @@ func TestSilentConsumerImputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cold consumer: δa = Neutral (0.5) → imputed CI = 0.
-	if ci, _, ok := a.IntentionFor(1); !ok || ci != 0 {
+	if ci, _, ok := intentionFor(a, 1); !ok || ci != 0 {
 		t.Errorf("imputed CI = %v/%v, want neutral 0", ci, ok)
 	}
 	if len(obs.events) != 1 {
 		t.Fatalf("imputation events = %d, want 1", len(obs.events))
 	}
 	im := obs.events[0]
-	if !im.ConsumerSilent() || im.Consumer != 0 {
+	if im.Provider != model.NoProvider || im.Consumer != 0 {
 		t.Errorf("event = %+v, want consumer-silent for consumer 0", im)
 	}
 	if !errors.Is(im.Err, boom) {
@@ -232,7 +230,7 @@ func TestConsumerBatchLengthMismatchImputed(t *testing.T) {
 	if _, err := m.Mediate(bg, 0, q(1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.events) != 1 || !obs.events[0].ConsumerSilent() {
+	if len(obs.events) != 1 || obs.events[0].Provider != model.NoProvider {
 		t.Fatalf("imputation events = %v, want one consumer-silent event", obs.events)
 	}
 }
@@ -290,76 +288,4 @@ func TestCancelAbortsInFlightFanout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v to take effect", elapsed)
 	}
-}
-
-// ctxBidder is a fakeProvider with a context-aware bid; release, when
-// non-nil, blocks the call until closed or ctx done. pending feeds its
-// snapshot's PendingWork so the imputed expected-delay fallback is large.
-type ctxBidder struct {
-	fakeProvider
-	ctxBid  float64
-	pending float64
-	release chan struct{}
-}
-
-func (p *ctxBidder) Snapshot(float64) model.ProviderSnapshot {
-	return model.ProviderSnapshot{ID: p.id, Utilization: p.util, Capacity: 1, PendingWork: p.pending}
-}
-
-func (p *ctxBidder) BidContext(ctx context.Context, _ model.Query) (float64, error) {
-	if p.release != nil {
-		select {
-		case <-p.release:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	return p.ctxBid, nil
-}
-
-// newEconomicForTest returns an economic allocator whose bid sample covers
-// every candidate, so auctions are deterministic.
-func newEconomicForTest() *alloc.Economic {
-	e := alloc.NewEconomic(stats.NewRNG(1))
-	e.BidSample = 16
-	return e
-}
-
-// TestEconomicBidderParticipant: the economic baseline's bidding round rides
-// the same fan-out — a context-aware bidder's price is used, and a silent
-// one is imputed as its expected delay.
-func TestEconomicBidderParticipant(t *testing.T) {
-	t.Run("responsive", func(t *testing.T) {
-		m := New(newEconomicForTest(), Config{Window: 10})
-		m.RegisterConsumer(&fakeConsumer{id: 0})
-		m.RegisterProvider(&ctxBidder{fakeProvider: fakeProvider{id: 1, bid: 99}, ctxBid: 1})
-		m.RegisterProvider(&fakeProvider{id: 2, bid: 50})
-		a, err := m.Mediate(bg, 0, q(1, 0, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Selected[0] != 1 {
-			t.Errorf("Selected = %v, want context bidder 1 (bid 1 beats 50)", a.Selected)
-		}
-	})
-	t.Run("silent", func(t *testing.T) {
-		const deadline = 30 * time.Millisecond
-		m := New(newEconomicForTest(), Config{Window: 10, ParticipantDeadline: deadline})
-		m.RegisterConsumer(&fakeConsumer{id: 0})
-		release := make(chan struct{})
-		defer close(release)
-		// Silent bidder with huge pending work → huge imputed expected
-		// delay → loses the auction.
-		silent := &ctxBidder{fakeProvider: fakeProvider{id: 1}, release: release}
-		silent.pending = 1000
-		m.RegisterProvider(silent)
-		m.RegisterProvider(&fakeProvider{id: 2, bid: 50})
-		a, err := m.Mediate(bg, 0, q(1, 0, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Selected[0] != 2 {
-			t.Errorf("Selected = %v, want responsive bidder 2", a.Selected)
-		}
-	})
 }

@@ -103,8 +103,8 @@ type Config struct {
 	Directory *directory.Directory
 
 	// ParticipantDeadline bounds each context-aware participant call
-	// (ConsumerParticipant, ProviderParticipant, BidderParticipant) during
-	// batched intention and bid collection. A participant that misses its
+	// (ConsumerParticipant, ProviderParticipant) during batched intention
+	// collection. A participant that misses its
 	// deadline is abandoned and its intention imputed from the
 	// satisfaction registry (see fanout.go); the mediation never stalls on
 	// a silent participant. Zero means no per-participant bound — only the

@@ -150,9 +150,9 @@ func TestMediateWithSbQAAllocator(t *testing.T) {
 		t.Errorf("Selected = %v, want provider 1 (mutual interest)", a.Selected)
 	}
 	// SbQA collected intentions itself — backfill must not overwrite them.
-	ci, pi, ok := a.IntentionFor(1)
+	ci, pi, ok := intentionFor(a, 1)
 	if !ok || ci != 0.9 || pi != 0.9 {
-		t.Errorf("IntentionFor(1) = %v/%v/%v", ci, pi, ok)
+		t.Errorf("intentions for 1 = %v/%v/%v", ci, pi, ok)
 	}
 	// All three providers were proposed (kn disabled ⇒ Kn = P_q) and so
 	// all three recorded the interaction.
@@ -521,4 +521,15 @@ func TestMediateRespectsPerQueryCanPerform(t *testing.T) {
 	if ha.Selected[0] != 2 {
 		t.Errorf("heavy query selected %v, want provider 2", ha.Selected)
 	}
+}
+
+// intentionFor returns the consumer and provider intentions a records for
+// provider p, and whether p was part of the proposal.
+func intentionFor(a *model.Allocation, p model.ProviderID) (ci, pi model.Intention, ok bool) {
+	for i, pp := range a.Proposed {
+		if pp == p {
+			return a.ConsumerIntentions[i], a.ProviderIntentions[i], true
+		}
+	}
+	return 0, 0, false
 }

@@ -58,27 +58,3 @@ func TestAllocationObserverNotFiredOnFailure(t *testing.T) {
 		t.Error("hook fired for a failed mediation")
 	}
 }
-
-func TestPerParticipantWindows(t *testing.T) {
-	m := New(alloc.NewCapacity(), Config{Window: 100})
-	reg := m.Registry()
-	// Provider 1 remembers only 2 proposals; provider 2 uses the default.
-	reg.SetProviderWindow(1, 2)
-	tr := reg.Provider(1)
-	if tr.Window() != 2 {
-		t.Fatalf("window = %d", tr.Window())
-	}
-	tr.Record(1, true)
-	tr.Record(-1, true)
-	tr.Record(-1, true) // evicts the liked one
-	if got := tr.Satisfaction(); got != 0 {
-		t.Errorf("short-memory provider δs = %v, want 0", got)
-	}
-	if reg.Provider(2).Window() != 100 {
-		t.Error("default window not applied to provider 2")
-	}
-	reg.SetConsumerWindow(3, 5)
-	if reg.Consumer(3).Window() != 5 {
-		t.Error("consumer window override failed")
-	}
-}

@@ -142,15 +142,12 @@ func (c *Collector) Throughput(duration float64) float64 {
 // Result condenses one run into the row the experiment tables print.
 type Result struct {
 	Technique string
-	Duration  float64
 
 	MeanResponseTime float64
-	P95ResponseTime  float64
 	P99ResponseTime  float64
 	Throughput       float64
 	Unallocated      int64
 	Completed        int64
-	Issued           int64
 
 	// ValidationFailures counts queries that failed redundancy checking.
 	ValidationFailures int64
@@ -158,8 +155,6 @@ type Result struct {
 	// Steady-state satisfaction (tail mean of the series).
 	ConsumerSat     float64
 	ProviderSat     float64
-	ConsumerSatMin  float64
-	ProviderSatMin  float64
 	ProviderSatGini float64
 
 	UtilizationMean float64
@@ -181,19 +176,14 @@ func (c *Collector) Summarize(technique string, duration, tail float64) Result {
 	}
 	return Result{
 		Technique:          technique,
-		Duration:           duration,
 		MeanResponseTime:   c.ResponseTime.Mean(),
-		P95ResponseTime:    c.ResponseTime.Percentile(95),
 		P99ResponseTime:    c.ResponseTime.Percentile(99),
 		Throughput:         c.Throughput(duration),
 		Unallocated:        c.Unallocated,
 		Completed:          c.Completed,
-		Issued:             c.Issued,
 		ValidationFailures: c.ValidationFailures,
 		ConsumerSat:        c.ConsumerSat.TailMean(tail),
 		ProviderSat:        c.ProviderSat.TailMean(tail),
-		ConsumerSatMin:     c.ConsumerSatMin.TailMean(tail),
-		ProviderSatMin:     c.ProviderSatMin.TailMean(tail),
 		ProviderSatGini:    c.ProviderSatGini.TailMean(tail),
 		UtilizationMean:    c.Utilization.TailMean(tail),
 		UtilizationStd:     c.UtilizationStd.TailMean(tail),

@@ -69,8 +69,8 @@ func TestAddSampleAndSummarize(t *testing.T) {
 	if math.Abs(r.ProviderSat-0.6) > 1e-12 {
 		t.Errorf("ProviderSat = %v", r.ProviderSat)
 	}
-	if math.Abs(r.ConsumerSatMin-0.5) > 1e-12 || math.Abs(r.ProviderSatMin-0.4) > 1e-12 {
-		t.Errorf("mins = %v/%v", r.ConsumerSatMin, r.ProviderSatMin)
+	if cmin, pmin := c.ConsumerSatMin.TailMean(0.25), c.ProviderSatMin.TailMean(0.25); math.Abs(cmin-0.5) > 1e-12 || math.Abs(pmin-0.4) > 1e-12 {
+		t.Errorf("mins = %v/%v", cmin, pmin)
 	}
 	if r.OnlineAtEnd != 3 {
 		t.Errorf("OnlineAtEnd = %v", r.OnlineAtEnd)

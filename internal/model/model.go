@@ -52,9 +52,6 @@ func (i Intention) Clamp() Intention {
 	return i
 }
 
-// Valid reports whether the intention lies in [-1, 1].
-func (i Intention) Valid() bool { return i >= -1 && i <= 1 }
-
 // Unit maps the intention from [-1, 1] onto [0, 1]; this is the (x+1)/2
 // transform used throughout the satisfaction definitions of the paper.
 func (i Intention) Unit() float64 { return (float64(i) + 1) / 2 }
@@ -162,10 +159,6 @@ type ProviderSnapshot struct {
 	// PendingWork is the total work units enqueued, used to estimate the
 	// completion delay a new query would observe.
 	PendingWork float64
-
-	// Satisfaction is the provider's current long-run satisfaction
-	// δs(p) ∈ [0, 1] (Definition 2 of the paper).
-	Satisfaction float64
 }
 
 // ExpectedDelay estimates the response time a new query with the given work
@@ -245,23 +238,6 @@ type ExplainEntry struct {
 	// because the participant stayed silent.
 	CIImputed bool
 	PIImputed bool
-}
-
-// IntentionFor returns the consumer and provider intentions recorded for
-// provider p in this allocation, and whether p was part of the proposal.
-func (a *Allocation) IntentionFor(p ProviderID) (ci, pi Intention, ok bool) {
-	for i, pp := range a.Proposed {
-		if pp == p {
-			if i < len(a.ConsumerIntentions) {
-				ci = a.ConsumerIntentions[i]
-			}
-			if i < len(a.ProviderIntentions) {
-				pi = a.ProviderIntentions[i]
-			}
-			return ci, pi, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Selected reports whether provider p is among the selected providers.

@@ -32,12 +32,12 @@ func TestIntentionClamp(t *testing.T) {
 func TestIntentionClampProperty(t *testing.T) {
 	f := func(x float64) bool {
 		c := Intention(x).Clamp()
-		return c.Valid()
+		return c >= -1 && c <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if !Intention(math.NaN()).Clamp().Valid() {
+	if c := Intention(math.NaN()).Clamp(); math.IsNaN(float64(c)) || c < -1 || c > 1 {
 		t.Error("Clamp(NaN) is not a valid intention")
 	}
 }
@@ -114,20 +114,13 @@ func TestProviderSnapshotExpectedDelay(t *testing.T) {
 	}
 }
 
-func TestAllocationIntentionFor(t *testing.T) {
+func TestAllocationSelectedContains(t *testing.T) {
 	a := &Allocation{
 		Query:              Query{ID: 9, Consumer: 1, N: 1, Work: 1},
 		Selected:           []ProviderID{2},
 		Proposed:           []ProviderID{2, 5, 7},
 		ConsumerIntentions: []Intention{0.5, -0.25, 1},
 		ProviderIntentions: []Intention{0.75, 0, -1},
-	}
-	ci, pi, ok := a.IntentionFor(5)
-	if !ok || ci != -0.25 || pi != 0 {
-		t.Errorf("IntentionFor(5) = %v,%v,%v; want -0.25,0,true", ci, pi, ok)
-	}
-	if _, _, ok := a.IntentionFor(99); ok {
-		t.Error("IntentionFor(99) found, want missing")
 	}
 	if !a.SelectedContains(2) {
 		t.Error("SelectedContains(2) = false, want true")

@@ -189,7 +189,6 @@ func (r *Record) Apply(reg *satisfaction.Registry) {
 type segmentWriter struct {
 	f     *os.File
 	bw    *bufio.Writer
-	seq   uint64
 	bytes int64
 	// encBuf and enc, its writer, are reused across appends, so an append
 	// allocates nothing.
@@ -206,7 +205,7 @@ func createSegment(path string, seq uint64) (*segmentWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &segmentWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), seq: seq}
+	w := &segmentWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16)}
 	w.enc.w = &w.encBuf
 	c := &cw{w: w.bw}
 	c.write(journalMagic[:])

@@ -66,11 +66,6 @@ type RestoreResult struct {
 	// replay cannot advance them, which is why crash recovery is bounded
 	// rather than byte-identical.
 	AllocStates [][]byte
-
-	// Window is the persisted engine's satisfaction window at snapshot
-	// time (0 without a snapshot). Informational: restored trackers carry
-	// their own windows; see Snapshot.Window.
-	Window int
 }
 
 const (
@@ -196,7 +191,6 @@ func (s *Store) Restore(reg *satisfaction.Registry) (*RestoreResult, error) {
 		res.PolicyGeneration = snap.PolicyGeneration
 		res.PolicyJSON = snap.PolicyJSON
 		res.AllocStates = snap.AllocStates
-		res.Window = snap.Window
 		firstSeg = snap.FirstSegment
 	}
 

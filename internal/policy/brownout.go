@@ -58,14 +58,12 @@ func (t *Tuner) analyzePressure(now time.Time, p qos.Pressure) {
 		// work one bounded step.
 		t.target.SetBrownout(level + 1)
 		t.narrowKn(now)
-		t.brownSteps.Add(1)
 		t.lastBrownAction = now
 		t.hotStreak = 0
 		t.logf("tuner: pressure (shed %.1f%%, wait p99 %.3fs): brownout %d→%d",
 			shedRate*100, p.WaitP99, level, t.target.Brownout())
 	case t.calmStreak >= t.cfg.Hysteresis && level > 0:
 		t.target.SetBrownout(level - 1)
-		t.brownSteps.Add(1)
 		t.lastBrownAction = now
 		t.calmStreak = 0
 		t.logf("tuner: pressure cleared: brownout %d→%d", level, level-1)

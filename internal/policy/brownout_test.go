@@ -99,8 +99,8 @@ func TestTunerBrownout(t *testing.T) {
 			if got := eng.kns(); !slices.Equal(got, tc.wantKns) {
 				t.Errorf("reconfigured kn = %v, want %v", got, tc.wantKns)
 			}
-			if st := tu.Stats(); st.BrownoutSteps != uint64(abs(tc.wantLevel-tc.level)) {
-				t.Errorf("brownout steps = %d, want %d", st.BrownoutSteps, abs(tc.wantLevel-tc.level))
+			if eng.steps != abs(tc.wantLevel-tc.level) {
+				t.Errorf("brownout steps = %d, want %d", eng.steps, abs(tc.wantLevel-tc.level))
 			}
 		})
 	}
@@ -146,8 +146,8 @@ func TestTunerReseedsOnFallingPressure(t *testing.T) {
 			if got := eng.Brownout(); got != tc.wantLevel {
 				t.Fatalf("brownout level = %d after a falling reading, want %d", got, tc.wantLevel)
 			}
-			if st := tu.Stats(); st.BrownoutSteps != 0 || st.Actions != 0 {
-				t.Fatalf("acted on a falling reading: %+v", st)
+			if st := tu.Stats(); eng.steps != 0 || st.Actions != 0 {
+				t.Fatalf("acted on a falling reading: %d brownout steps, %+v", eng.steps, st)
 			}
 			// The re-seeded baseline differences the next interval
 			// correctly: 100 enqueued, 100 shed is 50 % and hot.

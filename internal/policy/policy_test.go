@@ -1,13 +1,17 @@
 package policy
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"sbqa/internal/alloc"
 	"sbqa/internal/core"
 	"sbqa/internal/knbest"
+	"sbqa/internal/model"
 	"sbqa/internal/score"
 )
 
@@ -49,17 +53,33 @@ func TestBuildSbQAMatchesCoreConstructor(t *testing.T) {
 	if !ok {
 		t.Fatalf("Build(sbqa) = %T, want *core.SbQA", a)
 	}
-	if got := s.Params(); got != (knbest.Params{K: 8, Kn: 4}) {
-		t.Fatalf("params = %+v", got)
-	}
-	sc := s.Scorer()
-	if sc.Adaptive() || sc.FixedOmega != 0.25 || sc.Epsilon != 0.5 {
-		t.Fatalf("scorer = %+v, want fixed ω=0.25 ε=0.5", sc)
-	}
 	// Shard decorrelation: seed base + shard index.
 	ref := core.MustNew(core.Config{KnBest: knbest.Params{K: 8, Kn: 4}, Omega: core.FixedOmega(0.25), Epsilon: 0.5, Seed: 45})
 	if ref.Name() != s.Name() {
 		t.Fatalf("name %q vs %q", s.Name(), ref.Name())
+	}
+	// Same candidates and intentions, some negative so that ε enters the
+	// scores: the two must propose kn = 4 alike and score them alike.
+	env := alloc.NewStaticEnv()
+	cands := make([]model.ProviderSnapshot, 20)
+	for i := range cands {
+		cands[i] = model.ProviderSnapshot{ID: model.ProviderID(i), Utilization: float64(i%7) / 7, Capacity: 1}
+		env.SetCI(0, cands[i].ID, model.Intention(float64(i%5)/2-1))
+		env.SetPI(cands[i].ID, 0, model.Intention(float64(i%3)-1))
+	}
+	q := model.Query{ID: 1, Consumer: 0, N: 2, Work: 1}
+	for i := 0; i < 5; i++ {
+		got, err := s.Allocate(context.Background(), env, q, alloc.Snapshots(cands))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Allocate(context.Background(), env, q, alloc.Snapshots(cands))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Proposed) != 4 || !reflect.DeepEqual(got.Proposed, want.Proposed) || !reflect.DeepEqual(got.Scores, want.Scores) {
+			t.Fatalf("built proposed %v scored %v, constructor proposed %v scored %v", got.Proposed, got.Scores, want.Proposed, want.Scores)
+		}
 	}
 }
 

@@ -113,13 +113,8 @@ func (c TunerConfig) withDefaults() TunerConfig {
 
 // TunerStats is a snapshot of the tuner's counters.
 type TunerStats struct {
-	// Snapshots is how many satisfaction snapshots the tuner analyzed.
-	Snapshots uint64
 	// Actions is how many Reconfigure steps the tuner issued.
 	Actions uint64
-	// BrownoutSteps is how many brownout level changes (up or down) the
-	// pressure controller issued.
-	BrownoutSteps uint64
 }
 
 // Tuner is the autonomic policy controller. Create it with NewTuner and
@@ -128,9 +123,7 @@ type Tuner struct {
 	cfg    TunerConfig
 	target Target
 
-	snapshots  atomic.Uint64
-	actions    atomic.Uint64
-	brownSteps atomic.Uint64
+	actions atomic.Uint64
 
 	// Controller state, touched only by Step.
 	starveStreak int
@@ -156,18 +149,13 @@ func NewTuner(target Target, cfg TunerConfig) *Tuner {
 // maps and keeps none of them. Steps must not overlap; Stats may be called
 // at any time.
 func (t *Tuner) Step(now time.Time, snap event.SatisfactionSnapshot, p qos.Pressure) {
-	t.snapshots.Add(1)
 	t.analyze(now, snap)
 	t.analyzePressure(now, p)
 }
 
 // Stats snapshots the tuner's counters.
 func (t *Tuner) Stats() TunerStats {
-	return TunerStats{
-		Snapshots:     t.snapshots.Load(),
-		Actions:       t.actions.Load(),
-		BrownoutSteps: t.brownSteps.Load(),
-	}
+	return TunerStats{Actions: t.actions.Load()}
 }
 
 // logf emits one operator-log line when configured.

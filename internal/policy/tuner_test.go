@@ -17,6 +17,7 @@ type fakeEngine struct {
 	spec  Spec
 	calls []Spec
 	level int
+	steps int // SetBrownout calls
 }
 
 func (f *fakeEngine) Policy() Spec {
@@ -37,6 +38,7 @@ func (f *fakeEngine) SetBrownout(level int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.level = max(level, 0)
+	f.steps++
 }
 
 func (f *fakeEngine) Brownout() int {

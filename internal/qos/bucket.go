@@ -57,7 +57,6 @@ type Limiter struct {
 	now       func() float64
 	consumers map[int64]*bucket
 	classes   map[string]*bucket
-	rejected  uint64
 }
 
 // NewLimiter builds a limiter from a normalized spec. now supplies the
@@ -115,7 +114,6 @@ func (l *Limiter) Allow(consumer int64, class string) Decision {
 			l.consumers[consumer] = b
 		}
 		if ok, wait := b.take(now, l.spec.ConsumerRate, l.spec.ConsumerBurst); !ok {
-			l.rejected++
 			return Decision{Scope: "consumer", Class: class, RetryAfter: wait}
 		}
 	}
@@ -129,22 +127,11 @@ func (l *Limiter) Allow(consumer int64, class string) Decision {
 			l.classes[class] = b
 		}
 		if ok, wait := b.take(now, c.Rate, c.Burst); !ok {
-			l.rejected++
 			return Decision{Scope: "class", Class: class, RetryAfter: wait}
 		}
 		break
 	}
 	return Decision{OK: true, Class: class}
-}
-
-// Rejected returns the cumulative count of refused submissions.
-func (l *Limiter) Rejected() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rejected
 }
 
 // Spec returns the limiter's normalized spec.

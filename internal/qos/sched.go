@@ -526,27 +526,22 @@ func (s *Scheduler[T]) Close() {
 	s.mu.Unlock()
 }
 
-// ClassStats is one class's ledger.
+// ClassStats is one class's shed ledger.
 type ClassStats struct {
-	Name      string
-	Depth     int
-	HighWater int
-	Enqueued  uint64
-	Dequeued  uint64
+	Name string
 	// Shed counts by reason ("deadline", "queue_full", "brownout").
 	Shed map[string]uint64
 }
 
 // Stats is a scheduler snapshot.
 type Stats struct {
-	Classes     []ClassStats
-	Depth       int
-	HighWater   int // sum of per-class high-water marks
-	Enqueued    uint64
-	Dequeued    uint64
-	Shed        uint64
-	EWMAService float64
-	Brownout    int
+	Classes   []ClassStats
+	Depth     int
+	HighWater int // sum of per-class high-water marks
+	Enqueued  uint64
+	Dequeued  uint64
+	Shed      uint64
+	Brownout  int
 }
 
 // Stats snapshots every counter.
@@ -554,20 +549,12 @@ func (s *Scheduler[T]) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Classes:     make([]ClassStats, len(s.classes)),
-		Depth:       s.depth,
-		EWMAService: s.ewma,
-		Brownout:    s.brownout,
+		Classes:  make([]ClassStats, len(s.classes)),
+		Depth:    s.depth,
+		Brownout: s.brownout,
 	}
 	for i, cq := range s.classes {
-		cs := ClassStats{
-			Name:      cq.spec.Name,
-			Depth:     len(cq.items),
-			HighWater: cq.highWater,
-			Enqueued:  cq.enqueued,
-			Dequeued:  cq.dequeued,
-			Shed:      make(map[string]uint64, numReasons),
-		}
+		cs := ClassStats{Name: cq.spec.Name, Shed: make(map[string]uint64, numReasons)}
 		var shed uint64
 		for r := 0; r < numReasons; r++ {
 			if cq.shed[r] > 0 {

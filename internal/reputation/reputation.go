@@ -59,12 +59,6 @@ func (b *Book) Reputation(p model.ProviderID) float64 {
 	return Initial
 }
 
-// Known returns the number of providers with recorded observations.
-func (b *Book) Known() int { return len(b.scores) }
-
-// Forget drops provider p's history (e.g. after it leaves the system).
-func (b *Book) Forget(p model.ProviderID) { delete(b.scores, p) }
-
 // QualityFromLatency converts an observed response time into a quality
 // signal: 1 at zero latency, 0.5 at the target, approaching 0 as latency
 // grows. target must be > 0; non-positive targets score 1 for any latency.

@@ -22,8 +22,8 @@ func TestInitialReputation(t *testing.T) {
 	if got := b.Reputation(42); got != Initial {
 		t.Errorf("unknown provider = %v, want %v", got, Initial)
 	}
-	if b.Known() != 0 {
-		t.Errorf("Known = %d", b.Known())
+	if len(b.scores) != 0 {
+		t.Errorf("known = %d", len(b.scores))
 	}
 }
 
@@ -37,8 +37,8 @@ func TestObserveEWMA(t *testing.T) {
 	if got := b.Reputation(1); math.Abs(got-0.375) > 1e-12 {
 		t.Errorf("after one bad obs = %v, want 0.375", got)
 	}
-	if b.Known() != 1 {
-		t.Errorf("Known = %d", b.Known())
+	if len(b.scores) != 1 {
+		t.Errorf("known = %d", len(b.scores))
 	}
 }
 
@@ -82,16 +82,6 @@ func TestConvergesToSteadyQuality(t *testing.T) {
 	if got := b.Reputation(3); math.Abs(got-0.9) > 1e-6 {
 		t.Errorf("steady-state reputation = %v, want ~0.9", got)
 	}
-}
-
-func TestForget(t *testing.T) {
-	b := NewBook(0.5)
-	b.Observe(1, 1)
-	b.Forget(1)
-	if got := b.Reputation(1); got != Initial {
-		t.Errorf("after Forget = %v, want %v", got, Initial)
-	}
-	b.Forget(99) // absent key must not panic
 }
 
 func TestQualityFromLatency(t *testing.T) {

@@ -44,8 +44,8 @@ func TestTrackerExportRoundTripBitIdentical(t *testing.T) {
 		if a, b := pt.Adequation(), pt2.Adequation(); a != b {
 			t.Errorf("records=%d: provider δa %v != %v", records, a, b)
 		}
-		if a, b := pt.PerformedShare(), pt2.PerformedShare(); a != b {
-			t.Errorf("records=%d: provider performed share %v != %v", records, a, b)
+		if a, b := pt.performed, pt2.performed; a != b {
+			t.Errorf("records=%d: provider performed %d != %d", records, a, b)
 		}
 
 		// The restored ring must also EVOLVE identically: record one more

@@ -78,30 +78,6 @@ func (r *Registry) pshard(p model.ProviderID) *providerShard {
 	return &r.providers[shardOf(int64(p))]
 }
 
-// SetConsumerWindow installs a tracker with a participant-specific memory
-// length for consumer c, replacing any existing tracker (the paper allows
-// each participant its own k, "depending on its memory capacity"; the demo
-// assumes a common value for simplicity). Existing history is discarded.
-func (r *Registry) SetConsumerWindow(c model.ConsumerID, k int) *ConsumerTracker {
-	t := NewConsumer(k)
-	sh := r.cshard(c)
-	sh.mu.Lock()
-	sh.m[c] = t
-	sh.mu.Unlock()
-	return t
-}
-
-// SetProviderWindow installs a tracker with a participant-specific memory
-// length for provider p, replacing any existing tracker.
-func (r *Registry) SetProviderWindow(p model.ProviderID, k int) *ProviderTracker {
-	t := NewProvider(k)
-	sh := r.pshard(p)
-	sh.mu.Lock()
-	sh.m[p] = t
-	sh.mu.Unlock()
-	return t
-}
-
 // Consumer returns (creating if needed) the tracker for consumer c. The
 // returned tracker is unsynchronized; see the Registry doc.
 func (r *Registry) Consumer(c model.ConsumerID) *ConsumerTracker {
@@ -179,17 +155,6 @@ func (r *Registry) ProviderAdequation(p model.ProviderID) float64 {
 		return t.Adequation()
 	}
 	return Neutral
-}
-
-// Forget removes the trackers of a departed participant. Departure resets
-// memory: a participant that later rejoins starts from a clean window.
-func (r *Registry) Forget(c model.ConsumerID, p model.ProviderID) {
-	if c != model.NoConsumer {
-		r.ForgetConsumer(c)
-	}
-	if p != model.NoProvider {
-		r.ForgetProvider(p)
-	}
 }
 
 // ForgetConsumer removes consumer c's tracker.

@@ -44,15 +44,14 @@ func TestRegistryForget(t *testing.T) {
 	r := NewRegistry(5)
 	r.Consumer(1).Record(1, 1, 1)
 	r.Provider(2).Record(1, true)
-	r.Forget(1, 2)
+	r.ForgetConsumer(1)
+	r.ForgetProvider(2)
 	if got := r.ConsumerSatisfaction(1); got != Neutral {
 		t.Errorf("forgotten consumer = %v", got)
 	}
 	if got := r.ProviderSatisfaction(2); got != Neutral {
 		t.Errorf("forgotten provider = %v", got)
 	}
-	// Sentinel values forget nothing and must not panic.
-	r.Forget(model.NoConsumer, model.NoProvider)
 	r.Consumer(7).Record(0.2, 1, 1)
 	r.ForgetConsumer(7)
 	if got := r.ConsumerSatisfaction(7); got != Neutral {

@@ -144,9 +144,6 @@ func NewConsumer(k int) *ConsumerTracker {
 	return &ConsumerTracker{k: k, buf: make([]consumerRecord, k), tail: make([]float64, k)}
 }
 
-// Window returns k, the memory length.
-func (t *ConsumerTracker) Window() int { return t.k }
-
 // Interactions returns how many queries are currently remembered (≤ k).
 func (t *ConsumerTracker) Interactions() int { return t.n }
 
@@ -282,9 +279,6 @@ func NewProvider(k int) *ProviderTracker {
 	return &ProviderTracker{k: k, in: make([]float64, k), done: make([]bool, k), tail: make([]float64, k)}
 }
 
-// Window returns k, the memory length.
-func (t *ProviderTracker) Window() int { return t.k }
-
 // Interactions returns how many proposals are currently remembered (≤ k).
 func (t *ProviderTracker) Interactions() int { return t.n }
 
@@ -373,15 +367,6 @@ func (t *ProviderTracker) AllocationSatisfaction() float64 {
 		return 1
 	}
 	return r
-}
-
-// PerformedShare returns the fraction of remembered proposals the provider
-// performed — a load-oriented companion metric.
-func (t *ProviderTracker) PerformedShare() float64 {
-	if t.n == 0 {
-		return 0
-	}
-	return float64(t.performed) / float64(t.n)
 }
 
 func clamp01(v float64) float64 {

@@ -114,8 +114,8 @@ func TestConsumerTrackerDefinition1(t *testing.T) {
 	if got := tr.Satisfaction(); !almostEqual(got, want) {
 		t.Errorf("after eviction = %v, want %v", got, want)
 	}
-	if tr.Interactions() != 3 || tr.Window() != 3 {
-		t.Errorf("Interactions/Window = %d/%d", tr.Interactions(), tr.Window())
+	if tr.Interactions() != 3 || tr.k != 3 {
+		t.Errorf("Interactions/Window = %d/%d", tr.Interactions(), tr.k)
 	}
 }
 
@@ -187,8 +187,8 @@ func TestProviderTrackerDefinition2(t *testing.T) {
 	if got := tr.Satisfaction(); !almostEqual(got, 0.5) {
 		t.Errorf("mixed performed = %v", got)
 	}
-	if got := tr.PerformedShare(); !almostEqual(got, 2.0/3) {
-		t.Errorf("PerformedShare = %v", got)
+	if tr.performed != 2 || tr.n != 3 {
+		t.Errorf("performed %d of %d proposals, want 2 of 3", tr.performed, tr.n)
 	}
 }
 
@@ -250,10 +250,10 @@ func TestProviderSatisfactionBoundsProperty(t *testing.T) {
 }
 
 func TestTrackerWindowDefaults(t *testing.T) {
-	if NewConsumer(0).Window() != DefaultWindow {
+	if NewConsumer(0).k != DefaultWindow {
 		t.Error("consumer default window not applied")
 	}
-	if NewProvider(-3).Window() != DefaultWindow {
+	if NewProvider(-3).k != DefaultWindow {
 		t.Error("provider default window not applied")
 	}
 }

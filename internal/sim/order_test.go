@@ -6,38 +6,24 @@ import (
 )
 
 // These tests pin the determinism contract documented in the package
-// comment: (time, schedule-sequence) total order, stable FIFO among
-// simultaneous events, and Cancel as a lazy mark that cannot perturb the
-// survivors' relative order.
+// comment: (time, schedule-sequence) total order and stable FIFO among
+// simultaneous events.
 
 // TestSimultaneousFIFOSurvivesCancelInterleavings books many events at one
-// instant with cancels interleaved between (and after) the schedules, and
-// checks the survivors fire in exact schedule order.
+// instant with schedules at other instants interleaved between them, and
+// checks the simultaneous ones fire in exact schedule order.
 func TestSimultaneousFIFOSurvivesCancelInterleavings(t *testing.T) {
 	e := NewEngine()
 	const n = 64
-	events := make([]*Event, n)
 	var fired []int
 	for i := 0; i < n; i++ {
 		i := i
-		events[i] = e.Schedule(5, func() { fired = append(fired, i) })
-		// Interleave: cancel the previous even-indexed event right after
-		// booking the next one.
-		if i > 0 && (i-1)%2 == 0 {
-			events[i-1].Cancel()
-		}
+		e.Schedule(5, func() { fired = append(fired, i) })
+		e.Schedule(float64(i%3)*5, func() {}) // at 0, 5 or 10
 	}
-	// And a couple of late cancels after everything is queued.
-	events[n-1].Cancel()
-	events[1].Cancel()
-
-	e.RunAll()
-
+	runAll(e)
 	var want []int
 	for i := 0; i < n; i++ {
-		if i%2 == 0 || i == 1 || i == n-1 { // canceled
-			continue
-		}
 		want = append(want, i)
 	}
 	if !reflect.DeepEqual(fired, want) {
@@ -45,36 +31,18 @@ func TestSimultaneousFIFOSurvivesCancelInterleavings(t *testing.T) {
 	}
 }
 
-// TestCancelSameInstantBeforeFire cancels a same-time event from inside an
-// earlier simultaneous event: the cancel must win, because the earlier
-// sequence fires first and the victim is still queued.
-func TestCancelSameInstantBeforeFire(t *testing.T) {
-	e := NewEngine()
-	var fired []string
-	var victim *Event
-	e.Schedule(1, func() {
-		fired = append(fired, "killer")
-		victim.Cancel()
-	})
-	victim = e.Schedule(1, func() { fired = append(fired, "victim") })
-	e.Schedule(1, func() { fired = append(fired, "bystander") })
-	e.RunAll()
-	if want := []string{"killer", "bystander"}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-}
-
-// TestRescheduleGetsFreshSequence verifies that cancelling and re-booking
-// at the same instant moves the event to the back of that instant's FIFO.
+// TestRescheduleGetsFreshSequence verifies that an event re-booked for its
+// own instant, from inside itself, goes to the back of that instant's FIFO.
 func TestRescheduleGetsFreshSequence(t *testing.T) {
 	e := NewEngine()
 	var fired []string
-	a := e.Schedule(2, func() { fired = append(fired, "a-original") })
+	e.Schedule(2, func() {
+		fired = append(fired, "a")
+		e.ScheduleAt(2, func() { fired = append(fired, "a-rebooked") })
+	})
 	e.Schedule(2, func() { fired = append(fired, "b") })
-	a.Cancel()
-	e.Schedule(2, func() { fired = append(fired, "a-rebooked") })
-	e.RunAll()
-	if want := []string{"b", "a-rebooked"}; !reflect.DeepEqual(fired, want) {
+	runAll(e)
+	if want := []string{"a", "b", "a-rebooked"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
@@ -91,7 +59,7 @@ func TestScheduleAtClampFIFO(t *testing.T) {
 		e.ScheduleAt(1, func() { fired = append(fired, "clamped") })
 	})
 	e.Schedule(3, func() { fired = append(fired, "second") })
-	e.RunAll()
+	runAll(e)
 	if want := []string{"first", "second", "clamped"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired %v, want %v", fired, want)
 	}
@@ -99,10 +67,10 @@ func TestScheduleAtClampFIFO(t *testing.T) {
 
 // refEvent backs the brute-force reference model used by the fuzzer.
 type refEvent struct {
-	at       float64
-	seq      int
-	id       int
-	canceled bool
+	at    float64
+	seq   int
+	id    int
+	fired bool
 }
 
 // refModel is an O(n²) but obviously-correct executive: fire the lowest
@@ -113,20 +81,18 @@ type refModel struct {
 	events []*refEvent
 }
 
-func (m *refModel) schedule(delay float64, id int) *refEvent {
+func (m *refModel) schedule(delay float64, id int) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &refEvent{at: m.now + delay, seq: m.seq, id: id}
+	m.events = append(m.events, &refEvent{at: m.now + delay, seq: m.seq, id: id})
 	m.seq++
-	m.events = append(m.events, ev)
-	return ev
 }
 
 func (m *refModel) step() (int, bool) {
 	var best *refEvent
 	for _, ev := range m.events {
-		if ev.canceled {
+		if ev.fired {
 			continue
 		}
 		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
@@ -136,13 +102,13 @@ func (m *refModel) step() (int, bool) {
 	if best == nil {
 		return 0, false
 	}
-	best.canceled = true // consumed
+	best.fired = true
 	m.now = best.at
 	return best.id, true
 }
 
 // FuzzEventOrder drives the heap-backed engine and the reference model
-// through the same randomized Schedule/Cancel/Step interleaving (with
+// through the same randomized Schedule/Step interleaving (with
 // coarsely quantized times to force heavy ties) and requires identical
 // fire sequences — fuzzing the heap's (time, seq) invariant.
 func FuzzEventOrder(f *testing.F) {
@@ -155,8 +121,6 @@ func FuzzEventOrder(f *testing.F) {
 		}
 		eng := NewEngine()
 		ref := &refModel{}
-		var engEvents []*Event
-		var refEvents []*refEvent
 		var engFired, refFired []int
 		nextID := 0
 		for _, op := range ops {
@@ -166,16 +130,8 @@ func FuzzEventOrder(f *testing.F) {
 				delay := float64(op%8) * 0.5
 				id := nextID
 				nextID++
-				engEvents = append(engEvents, eng.Schedule(delay, func() { engFired = append(engFired, id) }))
-				refEvents = append(refEvents, ref.schedule(delay, id))
-			case op < 250:
-				// Cancel a pseudo-random live event (same pick on both sides).
-				if len(engEvents) == 0 {
-					continue
-				}
-				i := int(op) % len(engEvents)
-				engEvents[i].Cancel()
-				refEvents[i].canceled = true
+				eng.Schedule(delay, func() { engFired = append(engFired, id) })
+				ref.schedule(delay, id)
 			default:
 				// Step both.
 				engRan := eng.Step()

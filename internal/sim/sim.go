@@ -12,50 +12,31 @@
 //
 // Events are totally ordered by (time, schedule sequence): among events
 // booked for the same simulated instant, the one scheduled first fires
-// first (stable FIFO), regardless of heap re-balancing or any Cancel calls
-// interleaved with the schedules. The sequence number is assigned when
-// Schedule/ScheduleAt is called, never reused, and never reassigned:
-// cancelling an event is a lazy mark (the entry stays queued until popped
-// and is then skipped), so it cannot perturb the relative order of the
-// survivors, and re-scheduling a replacement draws a fresh, later sequence
-// — it fires after every same-time event that was already booked. Pending
-// counts lazily-cancelled entries until the clock passes them. This
-// contract is what lets the workload lab promise byte-identical reports
-// for one seed; order_test.go pins it and FuzzEventOrder hunts for
-// interleavings that break it.
+// first (stable FIFO), regardless of heap re-balancing. The sequence number
+// is assigned when Schedule/ScheduleAt is called and never reused, so an
+// event booked from inside another fires after every same-time event that
+// was already booked. This contract is what lets the workload lab promise
+// byte-identical reports for one seed; order_test.go pins it and
+// FuzzEventOrder hunts for programs that break it.
 package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"sbqa/internal/stats"
 )
 
-// Event is a scheduled callback. The callback runs with the engine clock set
+// event is a scheduled callback. The callback runs with the engine clock set
 // to the event's time.
-type Event struct {
+type event struct {
 	at  float64
 	seq uint64 // tie-break: schedule order
 	fn  func()
-
-	index    int // heap index; -1 once popped or cancelled
-	canceled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Time returns the simulation time the event is scheduled for.
-func (e *Event) Time() float64 { return e.at }
-
 // eventHeap orders events by (time, seq).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -64,22 +45,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -87,11 +59,9 @@ func (h *eventHeap) Pop() any {
 // Engine is the simulation executive. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     float64
-	seq     uint64
-	queue   eventHeap
-	stopped bool
-	fired   uint64
+	now   float64
+	seq   uint64
+	queue eventHeap
 }
 
 // NewEngine returns an engine with the clock at 0.
@@ -100,87 +70,47 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Fired returns how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns how many events are scheduled (including cancelled ones
-// not yet discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule runs fn after delay simulated seconds. Negative delays are
 // treated as zero (fire "now", after already-queued events at the current
-// time). It returns the event handle for cancellation.
-func (e *Engine) Schedule(delay float64, fn func()) *Event {
+// time).
+func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	return e.ScheduleAt(e.now+delay, fn)
+	e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute time t; times before the current clock are
-// clamped to it. It returns the event handle for cancellation.
-func (e *Engine) ScheduleAt(t float64, fn func()) *Event {
+// clamped to it.
+func (e *Engine) ScheduleAt(t float64, fn func()) {
 	if t < e.now || math.IsNaN(t) {
 		t = e.now
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
 }
-
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	ev.fn()
+	return true
 }
 
-// Run executes events in time order until the queue is empty, Stop is
-// called, or the clock would pass until (events at exactly until still
-// fire). It returns the number of events executed. After Run returns because
-// of the horizon, the clock is advanced to until so that measurements read a
-// consistent end time.
-func (e *Engine) Run(until float64) uint64 {
-	e.stopped = false
-	start := e.fired
-	for !e.stopped && len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.at > until {
-			break
-		}
+// Run executes events in time order until the queue is empty or the clock
+// would pass until (events at exactly until still fire). The clock is then
+// advanced to until so that measurements read a consistent end time.
+func (e *Engine) Run(until float64) {
+	for len(e.queue) > 0 && e.queue[0].at <= until {
 		e.Step()
 	}
-	if !e.stopped && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
-	return e.fired - start
-}
-
-// RunAll executes events until the queue empties or Stop is called; it
-// guards against runaway self-scheduling with a generous event budget and
-// panics if it is exceeded (a simulation bug, not a user error).
-func (e *Engine) RunAll() uint64 {
-	const budget = 1 << 32
-	e.stopped = false
-	start := e.fired
-	for !e.stopped && e.Step() {
-		if e.fired-start > budget {
-			panic(fmt.Sprintf("sim: RunAll exceeded %d events; self-scheduling loop?", uint64(budget)))
-		}
-	}
-	return e.fired - start
 }
 
 // Network models mediator ↔ participant message latencies. A zero-valued
@@ -213,8 +143,8 @@ func (n *Network) Delay() float64 {
 }
 
 // Send schedules fn after one sampled network delay.
-func (n *Network) Send(e *Engine, fn func()) *Event {
-	return e.Schedule(n.Delay(), fn)
+func (n *Network) Send(e *Engine, fn func()) {
+	e.Schedule(n.Delay(), fn)
 }
 
 // RoundTrip returns one sampled round-trip delay (two one-way samples).

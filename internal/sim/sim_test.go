@@ -6,13 +6,22 @@ import (
 	"sbqa/internal/stats"
 )
 
+// runAll steps e until its queue is empty and returns how many events ran.
+func runAll(e *Engine) int {
+	n := 0
+	for e.Step() {
+		n++
+	}
+	return n
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	if n := e.RunAll(); n != 3 {
+	if n := runAll(e); n != 3 {
 		t.Fatalf("fired %d events, want 3", n)
 	}
 	for i, want := range []int{1, 2, 3} {
@@ -23,9 +32,6 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock = %v, want 3", e.Now())
 	}
-	if e.Fired() != 3 {
-		t.Errorf("Fired = %d", e.Fired())
-	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
@@ -35,7 +41,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	e.RunAll()
+	runAll(e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("simultaneous events not FIFO: %v", order)
@@ -50,7 +56,7 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 		times = append(times, e.Now())
 		e.Schedule(2, func() { times = append(times, e.Now()) })
 	})
-	e.RunAll()
+	runAll(e)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Errorf("times = %v", times)
 	}
@@ -69,7 +75,7 @@ func TestNegativeAndPastSchedules(t *testing.T) {
 			}
 		})
 	})
-	e.RunAll()
+	runAll(e)
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2", fired)
 	}
@@ -82,20 +88,20 @@ func TestRunHorizon(t *testing.T) {
 		at := at
 		e.Schedule(at, func() { fired = append(fired, at) })
 	}
-	n := e.Run(3)
-	if n != 3 {
-		t.Fatalf("Run(3) fired %d, want 3 (events at exactly the horizon fire)", n)
+	e.Run(3)
+	if len(fired) != 3 {
+		t.Fatalf("Run(3) fired %v, want 3 events (events at exactly the horizon fire)", fired)
 	}
 	if e.Now() != 3 {
 		t.Errorf("clock = %v, want 3", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Errorf("pending = %d, want 2", len(e.queue))
 	}
 	// Resume to the end.
-	n = e.Run(100)
-	if n != 2 || e.Now() != 100 {
-		t.Errorf("resume fired %d, clock %v", n, e.Now())
+	e.Run(100)
+	if len(fired) != 5 || e.Now() != 100 {
+		t.Errorf("resume fired %v, clock %v", fired, e.Now())
 	}
 }
 
@@ -104,41 +110,6 @@ func TestRunAdvancesClockToHorizon(t *testing.T) {
 	e.Run(42)
 	if e.Now() != 42 {
 		t.Errorf("clock = %v, want 42 (idle run advances clock)", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Errorf("Stop did not halt the run: fired = %d", fired)
-	}
-	// The remaining event is still schedulable.
-	e.RunAll()
-	if fired != 2 {
-		t.Errorf("resume after Stop: fired = %d", fired)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	ev := e.Schedule(1, func() { fired++ })
-	other := e.Schedule(2, func() { fired++ })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Error("Canceled() = false")
-	}
-	e.RunAll()
-	if fired != 1 {
-		t.Errorf("cancelled event fired: %d", fired)
-	}
-	other.Cancel() // cancel after firing: no-op, no panic
-	if ev.Time() != 1 {
-		t.Errorf("Time = %v", ev.Time())
 	}
 }
 
@@ -162,7 +133,7 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 		}
 		e.Schedule(0, tick)
-		e.RunAll()
+		runAll(e)
 		return log
 	}
 	a, b := run(99), run(99)
@@ -189,7 +160,7 @@ func TestNetworkDelaysMessages(t *testing.T) {
 	n := NewNetwork(stats.Constant{V: 0.25}, stats.NewRNG(1))
 	var arrived float64
 	n.Send(e, func() { arrived = e.Now() })
-	e.RunAll()
+	runAll(e)
 	if arrived != 0.25 {
 		t.Errorf("message arrived at %v, want 0.25", arrived)
 	}
@@ -211,8 +182,8 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(float64(i%10), func() {})
 		if i%1024 == 1023 {
-			e.RunAll()
+			runAll(e)
 		}
 	}
-	e.RunAll()
+	runAll(e)
 }

@@ -138,19 +138,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal deviate using the polar
-// (Marsaglia) method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential deviate with rate 1 (mean 1).
 func (r *RNG) ExpFloat64() float64 {
 	for {
@@ -159,16 +146,6 @@ func (r *RNG) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
 }
 
 // ShuffleInts shuffles the slice in place (Fisher–Yates).

@@ -103,20 +103,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(6)
-	var w Welford
-	for i := 0; i < 100000; i++ {
-		w.Add(r.NormFloat64())
-	}
-	if math.Abs(w.Mean()) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", w.Mean())
-	}
-	if math.Abs(w.StdDev()-1) > 0.02 {
-		t.Errorf("normal stddev = %v, want ~1", w.StdDev())
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := NewRNG(8)
 	var w Welford
@@ -125,23 +111,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if math.Abs(w.Mean()-1) > 0.02 {
 		t.Errorf("exp(1) mean = %v, want ~1", w.Mean())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(9)
-	for n := 0; n < 20; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

@@ -6,14 +6,13 @@ import (
 	"sort"
 )
 
-// Summary accumulates scalar observations and reports count, mean, variance,
-// min/max, and exact percentiles. It keeps all samples (experiments here are
+// Summary accumulates scalar observations and reports count, mean, min/max,
+// and exact percentiles. It keeps all samples (experiments here are
 // bounded to a few hundred thousand observations), which keeps percentiles
 // exact and the implementation dependency-free.
 type Summary struct {
 	samples []float64
 	sum     float64
-	sumSq   float64
 	min     float64
 	max     float64
 	sorted  bool
@@ -28,7 +27,6 @@ func NewSummary() *Summary {
 func (s *Summary) Add(v float64) {
 	s.samples = append(s.samples, v)
 	s.sum += v
-	s.sumSq += v * v
 	if v < s.min {
 		s.min = v
 	}
@@ -48,23 +46,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.sum / float64(len(s.samples))
 }
-
-// Var returns the population variance, or 0 for fewer than 2 observations.
-func (s *Summary) Var() float64 {
-	n := float64(len(s.samples))
-	if n < 2 {
-		return 0
-	}
-	m := s.sum / n
-	v := s.sumSq/n - m*m
-	if v < 0 { // numerical noise
-		return 0
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation, or 0 if empty.
 func (s *Summary) Min() float64 {
@@ -109,47 +90,27 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Summary) Median() float64 { return s.Percentile(50) }
-
 // String renders a one-line digest for logs.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
 		s.Count(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Percentile(99), s.Max())
 }
 
-// Welford is a constant-memory mean/variance accumulator for hot paths that
-// cannot afford Summary's sample retention.
+// Welford is a constant-memory running mean for hot paths that cannot
+// afford Summary's sample retention.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(v float64) {
 	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.mean += (v - w.mean) / float64(w.n)
 }
-
-// Count returns the number of observations.
-func (w *Welford) Count() int64 { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
 
 // Gini returns the Gini coefficient of the values: 0 = perfectly equal,
 // values near 1 = one participant holds everything. Values must be

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Point is one sample of a time series: a value observed at a simulation
@@ -38,28 +37,6 @@ func (ts *TimeSeries) Last() Point {
 	return ts.Points[len(ts.Points)-1]
 }
 
-// At returns the value in effect at time t (the last sample with T <= t);
-// ok is false if t precedes the first sample.
-func (ts *TimeSeries) At(t float64) (v float64, ok bool) {
-	i := sort.Search(len(ts.Points), func(i int) bool { return ts.Points[i].T > t })
-	if i == 0 {
-		return 0, false
-	}
-	return ts.Points[i-1].V, true
-}
-
-// MeanValue returns the unweighted mean of the sampled values.
-func (ts *TimeSeries) MeanValue() float64 {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range ts.Points {
-		sum += p.V
-	}
-	return sum / float64(len(ts.Points))
-}
-
 // TailMean returns the mean of the last fraction frac (0,1] of samples —
 // the steady-state estimate the experiment tables report.
 func (ts *TimeSeries) TailMean(frac float64) float64 {
@@ -79,19 +56,6 @@ func (ts *TimeSeries) TailMean(frac float64) float64 {
 		sum += p.V
 	}
 	return sum / float64(n-start)
-}
-
-// WriteCSV writes "t,<name>" rows to w (with a header row).
-func (ts *TimeSeries) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "t,%s\n", ts.Name); err != nil {
-		return err
-	}
-	for _, p := range ts.Points {
-		if _, err := fmt.Fprintf(w, "%.6f,%.6f\n", p.T, p.V); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteCSVMulti writes multiple series sharing a time axis as a single CSV

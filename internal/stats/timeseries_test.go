@@ -23,27 +23,6 @@ func TestTimeSeriesBasics(t *testing.T) {
 	if p := ts.Last(); p.T != 2 || p.V != 0.7 {
 		t.Errorf("Last = %+v", p)
 	}
-	if got := ts.MeanValue(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("MeanValue = %v", got)
-	}
-}
-
-func TestTimeSeriesAt(t *testing.T) {
-	ts := NewTimeSeries("x")
-	ts.Add(1, 10)
-	ts.Add(3, 30)
-	if _, ok := ts.At(0.5); ok {
-		t.Error("At before first sample should be !ok")
-	}
-	if v, ok := ts.At(1); !ok || v != 10 {
-		t.Errorf("At(1) = %v,%v", v, ok)
-	}
-	if v, ok := ts.At(2.9); !ok || v != 10 {
-		t.Errorf("At(2.9) = %v,%v", v, ok)
-	}
-	if v, ok := ts.At(100); !ok || v != 30 {
-		t.Errorf("At(100) = %v,%v", v, ok)
-	}
 }
 
 func TestTailMean(t *testing.T) {
@@ -75,7 +54,7 @@ func TestWriteCSV(t *testing.T) {
 	ts.Add(0, 1)
 	ts.Add(1, 2)
 	var sb strings.Builder
-	if err := ts.WriteCSV(&sb); err != nil {
+	if err := WriteCSVMulti(&sb, ts); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

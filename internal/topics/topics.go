@@ -29,28 +29,6 @@ type Vector []float64
 // Dim returns the number of topics.
 func (v Vector) Dim() int { return len(v) }
 
-// Norm returns the Euclidean norm.
-func (v Vector) Norm() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the dot product with w; missing dimensions are zero.
-func (v Vector) Dot(w Vector) float64 {
-	n := len(v)
-	if len(w) < n {
-		n = len(w)
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
 // Cosine returns the cosine similarity in [-1, 1]; zero vectors are
 // orthogonal to everything (similarity 0). The computation pre-scales both
 // vectors by their largest magnitude — cosine is scale-invariant — so
@@ -120,15 +98,6 @@ func (v Vector) Add(w Vector) Vector {
 	return out
 }
 
-// Scale returns v scaled by f.
-func (v Vector) Scale(f float64) Vector {
-	out := make(Vector, len(v))
-	for i, x := range v {
-		out[i] = x * f
-	}
-	return out
-}
-
 // Preference maps the similarity between an interest vector and a query's
 // topic vector onto a preference in [-1, 1]. It is simply the cosine: a
 // provider aligned with the query wants it (+1), an orthogonal one is
@@ -160,9 +129,6 @@ func NewInterests(base Vector) *Interests { return &Interests{Base: base} }
 
 // AddCampaign schedules a promotion.
 func (in *Interests) AddCampaign(c Campaign) { in.campaigns = append(in.campaigns, c) }
-
-// Campaigns returns how many campaigns are scheduled (active or expired).
-func (in *Interests) Campaigns() int { return len(in.campaigns) }
 
 // At returns the effective interest vector at time now: base plus all
 // active campaign boosts.

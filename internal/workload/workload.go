@@ -151,7 +151,6 @@ func DefaultConfig(volunteers int, seed uint64) Config {
 type Project struct {
 	Index         int
 	Name          string
-	Popularity    Popularity
 	ArrivalRate   float64 // queries / second
 	Replication   int
 	DelayTarget   float64
@@ -173,8 +172,6 @@ type Population struct {
 	Projects   []Project
 	Volunteers []Volunteer
 	WorkDist   stats.Dist
-	TotalRate  float64 // Σ project arrival rates
-	TotalCap   float64 // Σ volunteer capacities
 }
 
 // Generate materializes the population described by cfg. It is
@@ -202,6 +199,7 @@ func Generate(cfg Config) (*Population, error) {
 	priceRNG := rng.Split()
 
 	pop := &Population{WorkDist: cfg.WorkDist}
+	totalCap := 0.0 // Σ volunteer capacities
 
 	// Volunteers: capacity, price factor.
 	minCap, maxCap := 0.0, 0.0
@@ -218,7 +216,7 @@ func Generate(cfg Config) (*Population, error) {
 			ProjectPref: make([]float64, len(cfg.Projects)),
 		}
 		pop.Volunteers = append(pop.Volunteers, v)
-		pop.TotalCap += c
+		totalCap += c
 		if i == 0 || c < minCap {
 			minCap = c
 		}
@@ -263,7 +261,7 @@ func Generate(cfg Config) (*Population, error) {
 	}
 
 	// Arrival rates: normalize shares, then size total arrivals so that
-	// the offered work rate (including replication) hits ρ·TotalCap.
+	// the offered work rate (including replication) hits ρ·Σ capacity.
 	var shareSum, weightedDemand float64
 	for _, spec := range cfg.Projects {
 		share := spec.ArrivalShare
@@ -289,8 +287,7 @@ func Generate(cfg Config) (*Population, error) {
 		}
 		weightedDemand += shares[i] * meanWork * float64(repl)
 	}
-	totalRate := cfg.LoadFactor * pop.TotalCap / weightedDemand
-	pop.TotalRate = totalRate
+	totalRate := cfg.LoadFactor * totalCap / weightedDemand
 
 	// Projects: rates and preferences toward volunteers. A project's
 	// static preference follows the volunteer's relative capacity (fast
@@ -313,7 +310,6 @@ func Generate(cfg Config) (*Population, error) {
 		p := Project{
 			Index:         i,
 			Name:          spec.Name,
-			Popularity:    spec.Popularity,
 			ArrivalRate:   totalRate * shares[i],
 			Replication:   repl,
 			DelayTarget:   spec.DelayTarget,
@@ -335,20 +331,6 @@ func Generate(cfg Config) (*Population, error) {
 		pop.Projects = append(pop.Projects, p)
 	}
 	return pop, nil
-}
-
-// LoadFactor reports the offered load of the generated population:
-// Σ rate·E[work]·replication / Σ capacity.
-func (p *Population) LoadFactor() float64 {
-	if p.TotalCap == 0 {
-		return 0
-	}
-	meanWork := p.WorkDist.Mean()
-	var demand float64
-	for _, proj := range p.Projects {
-		demand += proj.ArrivalRate * meanWork * float64(proj.Replication)
-	}
-	return demand / p.TotalCap
 }
 
 func clampPref(v float64) float64 {
