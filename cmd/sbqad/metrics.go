@@ -303,15 +303,20 @@ func (g *gateway) writeClusterMetrics(m *metricsWriter) {
 		scalar{"sbqa_cluster_peer_down_total", "Requests refused because the owning peer is down.", "counter", float64(g.cmx.peerDown.Load())},
 	)
 
-	m.header("sbqa_cluster_replication_lag_segments", "Sealed WAL segments not yet shipped to a follower.", "gauge")
-	m.header("sbqa_cluster_replication_lag_bytes", "Bytes of WAL (sealed backlog plus active tail) a follower is behind.", "gauge")
-	m.header("sbqa_cluster_shipped_segments_total", "WAL segments shipped to a follower.", "counter")
-	for _, p := range st.Peers {
-		if !p.Follower {
-			continue
+	// One family per follower counter, each header followed by its samples:
+	// the text format wants a family's lines as one group.
+	perFollower := func(name, help, typ string, value func(i int) float64) {
+		m.header(name, help, typ)
+		for i, p := range st.Peers {
+			if p.Follower {
+				m.sample(name, value(i), "peer", p.ID)
+			}
 		}
-		m.sample("sbqa_cluster_replication_lag_segments", float64(p.LagSegments), "peer", p.ID)
-		m.sample("sbqa_cluster_replication_lag_bytes", float64(p.LagBytes), "peer", p.ID)
-		m.sample("sbqa_cluster_shipped_segments_total", float64(p.Shipped), "peer", p.ID)
 	}
+	perFollower("sbqa_cluster_replication_lag_segments", "Sealed WAL segments not yet shipped to a follower.", "gauge",
+		func(i int) float64 { return float64(st.Peers[i].LagSegments) })
+	perFollower("sbqa_cluster_replication_lag_bytes", "Bytes of WAL (sealed backlog plus active tail) a follower is behind.", "gauge",
+		func(i int) float64 { return float64(st.Peers[i].LagBytes) })
+	perFollower("sbqa_cluster_shipped_segments_total", "WAL segments shipped to a follower.", "counter",
+		func(i int) float64 { return float64(st.Peers[i].Shipped) })
 }

@@ -227,8 +227,29 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricsSkeleton(getText(t, n0.srv.URL+"/v1/metrics")); got != string(want) {
+	text := getText(t, n0.srv.URL+"/v1/metrics")
+	if got := metricsSkeleton(text); got != string(want) {
 		t.Fatalf("/v1/metrics families changed\n got:\n%s\nwant:\n%s", got, want)
+	}
+
+	// The text format wants each family's lines as one group, headers
+	// first: every sample belongs to the family of the last TYPE line above
+	// it (a histogram's samples to its _bucket, _sum and _count series).
+	var family, typ string
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, typ, _ = strings.Cut(rest, " ")
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		series, _ := strings.CutPrefix(name, family)
+		if series == "" || typ == "histogram" && (series == "_bucket" || series == "_sum" || series == "_count") {
+			continue
+		}
+		t.Errorf("sample %q sits under the TYPE line of %s", line, family)
 	}
 }
 

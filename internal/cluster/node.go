@@ -117,7 +117,7 @@ func (c *Config) withDefaults() Config {
 		out.ReplicaDir = filepath.Join(out.StateDir, "replica")
 	}
 	if out.Observer == nil {
-		out.Observer = event.Nop{}
+		out.Observer = event.Discard
 	}
 	if out.Dial == nil {
 		out.Dial = dialPeer

@@ -115,9 +115,8 @@ type Directory struct {
 	classes atomic.Pointer[map[int]*entryList]
 	uniGen  atomic.Uint64
 
-	// obs holds the registration observer (an event.Observer), swapped
-	// atomically so SetObserver is safe while the directory is shared.
-	obs atomic.Value
+	// obs is the registration observer; never nil.
+	obs event.Observer
 }
 
 // entry is one indexed provider; the ID is held inline so ordering and
@@ -173,6 +172,7 @@ func New() *Directory {
 		consumers: make(map[model.ConsumerID]Consumer),
 		classesOf: make(map[model.ProviderID][]int),
 		byClass:   make(map[int]*entryList),
+		obs:       event.Discard,
 	}
 }
 
@@ -182,20 +182,12 @@ func New() *Directory {
 // Events fire after the directory lock is released, on the registering
 // goroutine; under concurrent churn the emission order may therefore differ
 // from the serialization order the catalog itself observed. A nil observer
-// disables emission. Safe to call while the directory is shared.
+// disables emission. Call it before the directory is shared.
 func (d *Directory) SetObserver(o event.Observer) {
 	if o == nil {
-		o = event.Nop{}
+		o = event.Discard
 	}
-	d.obs.Store(&o)
-}
-
-// observer returns the installed observer, or nil.
-func (d *Directory) observer() event.Observer {
-	if v := d.obs.Load(); v != nil {
-		return *v.(*event.Observer)
-	}
-	return nil
+	d.obs = o
 }
 
 // RegisterProvider adds (or replaces) a provider and files it in the
@@ -228,9 +220,7 @@ func (d *Directory) RegisterProvider(p Provider) {
 		b.insert(id, p)
 	}
 	d.mu.Unlock()
-	if obs := d.observer(); obs != nil {
-		obs.OnProviderRegistered(id)
-	}
+	d.obs.OnProviderRegistered(id)
 }
 
 // UnregisterProvider removes a provider from the catalog and the index. A
@@ -253,9 +243,7 @@ func (d *Directory) UnregisterProvider(id model.ProviderID) {
 	if !exists {
 		return
 	}
-	if obs := d.observer(); obs != nil {
-		obs.OnProviderDeparted(id)
-	}
+	d.obs.OnProviderDeparted(id)
 }
 
 func (d *Directory) unindexLocked(id model.ProviderID) {
@@ -281,9 +269,7 @@ func (d *Directory) RegisterConsumer(c Consumer) {
 	d.mu.Lock()
 	d.consumers[id] = c
 	d.mu.Unlock()
-	if obs := d.observer(); obs != nil {
-		obs.OnConsumerRegistered(id)
-	}
+	d.obs.OnConsumerRegistered(id)
 }
 
 // UnregisterConsumer removes a consumer.
@@ -295,9 +281,7 @@ func (d *Directory) UnregisterConsumer(id model.ConsumerID) {
 	if !exists {
 		return
 	}
-	if obs := d.observer(); obs != nil {
-		obs.OnConsumerDeparted(id)
-	}
+	d.obs.OnConsumerDeparted(id)
 }
 
 // Provider returns the registered provider with the given ID, or nil.

@@ -19,9 +19,14 @@
 // several engine shards an observer is invoked concurrently and must be
 // safe for concurrent use.
 //
-// Implementations should embed Nop so that adding a method to Observer is
-// not a breaking change; Funcs adapts free functions for callers that only
-// care about a subset of events.
+// Funcs is the one adapter: it turns free functions into an Observer, and
+// its zero value ignores every event. An implementation embeds Funcs (or
+// another Observer) and overrides the events it cares about, so adding a
+// method to Observer is not a breaking change. Two observers compose the
+// same way: a type embeds one and, in the methods it overrides, does its
+// own work and then calls the embedded one — persist.Recorder journals an
+// event and passes it on to the observer it embeds. No emitter checks its
+// observer for nil: a slot nobody fills gets Discard where it is built.
 //
 // # Memory discipline
 //
@@ -162,7 +167,7 @@ type SatisfactionSnapshot struct {
 }
 
 // Observer receives the engine's lifecycle events. All methods may be
-// invoked concurrently; implementations must not block. Embed Nop to stay
+// invoked concurrently; implementations must not block. Embed Funcs to stay
 // forward-compatible with new events.
 type Observer interface {
 	// OnAllocation observes every successful mediation: the completed
@@ -227,46 +232,6 @@ type Observer interface {
 	OnPeerChange(pc PeerChange)
 }
 
-// Nop is an Observer that ignores every event. Embed it to implement only
-// the events you care about.
-type Nop struct{}
-
-// OnAllocation implements Observer.
-func (Nop) OnAllocation(*model.Allocation, int) {}
-
-// OnRejection implements Observer.
-func (Nop) OnRejection(model.Query, error) {}
-
-// OnDispatchFailure implements Observer.
-func (Nop) OnDispatchFailure(model.Query, *model.Allocation, error) {}
-
-// OnProviderRegistered implements Observer.
-func (Nop) OnProviderRegistered(model.ProviderID) {}
-
-// OnProviderDeparted implements Observer.
-func (Nop) OnProviderDeparted(model.ProviderID) {}
-
-// OnConsumerRegistered implements Observer.
-func (Nop) OnConsumerRegistered(model.ConsumerID) {}
-
-// OnConsumerDeparted implements Observer.
-func (Nop) OnConsumerDeparted(model.ConsumerID) {}
-
-// OnIntentionImputed implements Observer.
-func (Nop) OnIntentionImputed(Imputation) {}
-
-// OnShed implements Observer.
-func (Nop) OnShed(Shed) {}
-
-// OnSatisfactionSnapshot implements Observer.
-func (Nop) OnSatisfactionSnapshot(SatisfactionSnapshot) {}
-
-// OnPolicyChange implements Observer.
-func (Nop) OnPolicyChange(PolicyChange) {}
-
-// OnPeerChange implements Observer.
-func (Nop) OnPeerChange(PeerChange) {}
-
 // Funcs adapts free functions to Observer; nil fields ignore their event.
 // The zero Funcs is a valid no-op observer.
 type Funcs struct {
@@ -284,7 +249,9 @@ type Funcs struct {
 	PeerChange           func(pc PeerChange)
 }
 
-var _ Observer = Funcs{}
+// Discard is the zero Funcs as an Observer, boxed once: the default of
+// every observer slot nobody fills, so a default costs no allocation.
+var Discard Observer = Funcs{}
 
 // OnAllocation implements Observer.
 func (f Funcs) OnAllocation(a *model.Allocation, candidates int) {
@@ -367,103 +334,5 @@ func (f Funcs) OnPolicyChange(pc PolicyChange) {
 func (f Funcs) OnPeerChange(pc PeerChange) {
 	if f.PeerChange != nil {
 		f.PeerChange(pc)
-	}
-}
-
-// Multi fans every event out to each observer in order. Nil entries are
-// skipped.
-func Multi(obs ...Observer) Observer {
-	kept := make(multi, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	return kept
-}
-
-type multi []Observer
-
-// OnAllocation implements Observer.
-func (m multi) OnAllocation(a *model.Allocation, candidates int) {
-	for _, o := range m {
-		o.OnAllocation(a, candidates)
-	}
-}
-
-// OnRejection implements Observer.
-func (m multi) OnRejection(q model.Query, reason error) {
-	for _, o := range m {
-		o.OnRejection(q, reason)
-	}
-}
-
-// OnDispatchFailure implements Observer.
-func (m multi) OnDispatchFailure(q model.Query, a *model.Allocation, err error) {
-	for _, o := range m {
-		o.OnDispatchFailure(q, a, err)
-	}
-}
-
-// OnProviderRegistered implements Observer.
-func (m multi) OnProviderRegistered(id model.ProviderID) {
-	for _, o := range m {
-		o.OnProviderRegistered(id)
-	}
-}
-
-// OnProviderDeparted implements Observer.
-func (m multi) OnProviderDeparted(id model.ProviderID) {
-	for _, o := range m {
-		o.OnProviderDeparted(id)
-	}
-}
-
-// OnConsumerRegistered implements Observer.
-func (m multi) OnConsumerRegistered(id model.ConsumerID) {
-	for _, o := range m {
-		o.OnConsumerRegistered(id)
-	}
-}
-
-// OnConsumerDeparted implements Observer.
-func (m multi) OnConsumerDeparted(id model.ConsumerID) {
-	for _, o := range m {
-		o.OnConsumerDeparted(id)
-	}
-}
-
-// OnIntentionImputed implements Observer.
-func (m multi) OnIntentionImputed(im Imputation) {
-	for _, o := range m {
-		o.OnIntentionImputed(im)
-	}
-}
-
-// OnShed implements Observer.
-func (m multi) OnShed(s Shed) {
-	for _, o := range m {
-		o.OnShed(s)
-	}
-}
-
-// OnSatisfactionSnapshot implements Observer.
-func (m multi) OnSatisfactionSnapshot(snap SatisfactionSnapshot) {
-	for _, o := range m {
-		o.OnSatisfactionSnapshot(snap)
-	}
-}
-
-// OnPolicyChange implements Observer.
-func (m multi) OnPolicyChange(pc PolicyChange) {
-	for _, o := range m {
-		o.OnPolicyChange(pc)
-	}
-}
-
-// OnPeerChange implements Observer.
-func (m multi) OnPeerChange(pc PeerChange) {
-	for _, o := range m {
-		o.OnPeerChange(pc)
 	}
 }

@@ -7,23 +7,6 @@ import (
 	"sbqa/internal/model"
 )
 
-// recorder counts events per kind.
-type recorder struct {
-	Nop
-	allocs, rejects, dispatch, preg, pdep, creg, cdep, snaps, policies, peers int
-}
-
-func (r *recorder) OnAllocation(*model.Allocation, int)                     { r.allocs++ }
-func (r *recorder) OnRejection(model.Query, error)                          { r.rejects++ }
-func (r *recorder) OnDispatchFailure(model.Query, *model.Allocation, error) { r.dispatch++ }
-func (r *recorder) OnProviderRegistered(model.ProviderID)                   { r.preg++ }
-func (r *recorder) OnProviderDeparted(model.ProviderID)                     { r.pdep++ }
-func (r *recorder) OnConsumerRegistered(model.ConsumerID)                   { r.creg++ }
-func (r *recorder) OnConsumerDeparted(model.ConsumerID)                     { r.cdep++ }
-func (r *recorder) OnSatisfactionSnapshot(SatisfactionSnapshot)             { r.snaps++ }
-func (r *recorder) OnPolicyChange(PolicyChange)                             { r.policies++ }
-func (r *recorder) OnPeerChange(PeerChange)                                 { r.peers++ }
-
 func emitAll(o Observer) {
 	o.OnAllocation(&model.Allocation{}, 3)
 	o.OnRejection(model.Query{}, errors.New("x"))
@@ -37,28 +20,11 @@ func emitAll(o Observer) {
 	o.OnPeerChange(PeerChange{Node: "b", From: "alive", To: "suspect"})
 }
 
-func TestNopIsObserver(t *testing.T) {
-	var o Observer = Nop{}
-	emitAll(o) // must not panic
-}
-
 func TestFuncsNilFieldsIgnored(t *testing.T) {
 	emitAll(Funcs{}) // zero value: every event ignored
 	var got int
 	emitAll(Funcs{Allocation: func(*model.Allocation, int) { got++ }})
 	if got != 1 {
 		t.Errorf("Allocation fired %d times, want 1", got)
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	a, b := &recorder{}, &recorder{}
-	m := Multi(a, nil, b)
-	emitAll(m)
-	for _, r := range []*recorder{a, b} {
-		if r.allocs != 1 || r.rejects != 1 || r.dispatch != 1 ||
-			r.preg != 1 || r.pdep != 1 || r.creg != 1 || r.cdep != 1 || r.snaps != 1 || r.policies != 1 || r.peers != 1 {
-			t.Errorf("recorder missed events: %+v", r)
-		}
 	}
 }

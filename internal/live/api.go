@@ -63,8 +63,10 @@ func WithClock(now func() float64) Option { return func(c *config) { c.nowFn = n
 // dispatch failures, registration churn, and (with WithSnapshotInterval)
 // periodic satisfaction snapshots. Callbacks run synchronously on the
 // emitting goroutine — with several shards, concurrently — and must be
-// fast, non-blocking, and safe for concurrent use. Use event.Multi to
-// install several observers.
+// fast, non-blocking, and safe for concurrent use. To install several
+// observers, compose them into one: a type that embeds one observer and, in
+// the methods it overrides, calls the other. Embed event.Funcs
+// (sbqa.ObserverFuncs) to implement only the events you care about.
 func WithObserver(o event.Observer) Option { return func(c *config) { c.observer = o } }
 
 // WithQueueDepth bounds each shard's asynchronous submission queue (the
@@ -214,15 +216,13 @@ func (e *Engine) serve(sh *shard, item engineItem, res qos.PopResult) {
 // event.Shed — a shed is never silent. Runs outside the scheduler lock (the
 // scheduler only decides and counts).
 func (e *Engine) shedTicket(t *Ticket, info qos.ShedInfo) {
-	if e.obs != nil {
-		e.obs.OnShed(event.Shed{
-			Query:         t.query,
-			Class:         info.Class,
-			Reason:        info.Reason,
-			QueueDepth:    info.QueueDepth,
-			EstimatedWait: info.EstimatedWait,
-		})
-	}
+	e.obs.OnShed(event.Shed{
+		Query:         t.query,
+		Class:         info.Class,
+		Reason:        info.Reason,
+		QueueDepth:    info.QueueDepth,
+		EstimatedWait: info.EstimatedWait,
+	})
 	e.failTicket(t, "shed", &ShedError{
 		Query:         t.query,
 		Class:         info.Class,
@@ -254,9 +254,7 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 			if e.tuner != nil {
 				e.tuner.Step(now, snap, e.QoSPressure())
 			}
-			if e.obs != nil {
-				e.obs.OnSatisfactionSnapshot(snap)
-			}
+			e.obs.OnSatisfactionSnapshot(snap)
 		case <-e.stopSnap:
 			return
 		}

@@ -63,30 +63,23 @@ type shard struct {
 	policySwaps       atomic.Uint64
 }
 
-// shardObserver sits between each shard's mediator and the user observer:
-// it maintains the shard's counters on every mediation outcome and forwards
-// to the user observer when one is configured. The mediator only emits
-// allocation and rejection events, so the other Observer methods come from
-// the embedded Nop.
+// shardObserver is the head of the chain each shard's mediator emits into:
+// it maintains the shard's counters on every mediation outcome and passes
+// the event on to the engine's observer chain, which it embeds.
 type shardObserver struct {
-	event.Nop
-	sh   *shard
-	user event.Observer
+	event.Observer
+	sh *shard
 }
 
 func (o shardObserver) OnAllocation(a *model.Allocation, candidates int) {
 	o.sh.mediations.Add(1)
 	o.sh.candidateSum.Add(uint64(candidates))
-	if o.user != nil {
-		o.user.OnAllocation(a, candidates)
-	}
+	o.Observer.OnAllocation(a, candidates)
 }
 
 func (o shardObserver) OnRejection(q model.Query, reason error) {
 	o.sh.rejections.Add(1)
-	if o.user != nil {
-		o.user.OnRejection(q, reason)
-	}
+	o.Observer.OnRejection(q, reason)
 }
 
 func (o shardObserver) OnIntentionImputed(im event.Imputation) {
@@ -94,9 +87,7 @@ func (o shardObserver) OnIntentionImputed(im event.Imputation) {
 	if im.Timeout() {
 		o.sh.intentionTimeouts.Add(1)
 	}
-	if o.user != nil {
-		o.user.OnIntentionImputed(im)
-	}
+	o.Observer.OnIntentionImputed(im)
 }
 
 // Engine is the sharded mediation service: Submit returns a *Ticket
@@ -111,7 +102,7 @@ type Engine struct {
 	dir    *directory.Directory
 	reg    *satisfaction.Registry
 	shards []*shard
-	obs    event.Observer // composed observer chain; nil when none configured
+	obs    event.Observer // the journal recorder, if any, then the user observer
 	pol    policyState    // declarative policy control plane (policy.go)
 	nextID atomic.Int64
 	nowFn  func() float64
@@ -157,9 +148,15 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if err := validateOptions(cfg); err != nil {
 		return nil, err
 	}
-	// The durability recorder joins the observer chain before the shards
-	// capture it, so every shard's events reach the journal. The store is
-	// opened here; restore waits until the registry exists.
+	// The observer chain: the user observer (event.Discard without
+	// WithObserver), fronted by the durability recorder, which journals
+	// what it must and passes every event on. The recorder joins before the
+	// shards capture the chain, so every shard's events reach the journal.
+	// The store is opened here; restore waits until the registry exists.
+	obs := event.Discard
+	if cfg.observer != nil {
+		obs = cfg.observer
+	}
 	var pst *enginePersistence
 	if cfg.persistDir != "" {
 		var err error
@@ -167,8 +164,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		pst.rec = pst.store.NewRecorder()
-		cfg.observer = event.Multi(pst.rec, cfg.observer)
+		pst.rec = pst.store.NewRecorder(obs)
+		obs = pst.rec
 	}
 	// fail releases the store on the construction errors past this point.
 	fail := func(err error) (*Engine, error) {
@@ -183,7 +180,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		dir:      directory.New(),
 		reg:      satisfaction.NewRegistry(cfg.window),
 		shards:   make([]*shard, max(cfg.concurrency, 1)),
-		obs:      cfg.observer,
+		obs:      obs,
 		nowFn:    cfg.nowFn,
 		pst:      pst,
 		stopSnap: make(chan struct{}),
@@ -195,9 +192,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		start := time.Now()
 		e.nowFn = func() float64 { return time.Since(start).Seconds() }
 	}
-	if cfg.observer != nil {
-		e.dir.SetObserver(cfg.observer)
-	}
+	e.dir.SetObserver(obs)
 	if cfg.trace != nil {
 		e.tracer = trace.New(*cfg.trace)
 	}
@@ -210,7 +205,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		sh := &shard{sched: qos.NewScheduler[engineItem](qos.Spec{}, depth, e.nowFn)}
 		sh.med = mediator.New(nil, mediator.Config{
 			Window:    cfg.window,
-			Observer:  shardObserver{sh: sh, user: cfg.observer},
+			Observer:  shardObserver{Observer: obs, sh: sh},
 			Registry:  e.reg,
 			Directory: e.dir,
 			Tracer:    e.tracer,
@@ -418,9 +413,7 @@ func (e *Engine) process(ctx context.Context, sh *shard, t *Ticket) {
 		err = dispatchErr(t.query, err)
 		if errors.Is(err, ErrDispatch) {
 			sh.dispatchFailures.Add(1)
-			if e.obs != nil {
-				e.obs.OnDispatchFailure(t.query, nil, err)
-			}
+			e.obs.OnDispatchFailure(t.query, nil, err)
 		}
 		e.failTicket(t, "rejected", err)
 		return
@@ -440,9 +433,7 @@ func (e *Engine) process(ctx context.Context, sh *shard, t *Ticket) {
 	}
 	if err != nil {
 		sh.dispatchFailures.Add(1)
-		if e.obs != nil {
-			e.obs.OnDispatchFailure(t.query, a, err)
-		}
+		e.obs.OnDispatchFailure(t.query, a, err)
 	}
 	e.traceFinish(t.query, "allocated", err, a.Explain)
 	t.finish(a, err)

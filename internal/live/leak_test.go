@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sbqa/internal/event"
 	"sbqa/internal/model"
 	"sbqa/internal/persist"
 	"sbqa/internal/policy"
@@ -113,6 +114,43 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				w.Close()
 			}
 			assertNoNewGoroutines(t, before)
+		})
+	}
+}
+
+// TestSnapshotLoopOnlyForAReader: the snapshot ticker runs only when an
+// observer or a tuner reads its snapshots — not for a bare engine, and not
+// for a durable one, whose journal recorder ignores snapshots.
+func TestSnapshotLoopOnlyForAReader(t *testing.T) {
+	spec := policy.Spec{Kind: policy.SbQA, K: 6, Kn: 3, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) []Option
+		loop bool
+	}{
+		{"bare", func(*testing.T) []Option { return nil }, false},
+		{"persistence", func(t *testing.T) []Option { return []Option{WithPersistence(t.TempDir())} }, false},
+		{"observer", func(*testing.T) []Option { return []Option{WithObserver(event.Funcs{})} }, true},
+		{"tuner", func(*testing.T) []Option { return []Option{WithTuner(policy.TunerConfig{})} }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := goroutineStacks()
+			mustEngine(t, append([]Option{WithPolicy(spec), WithSnapshotInterval(time.Hour)}, tc.opts(t)...)...)
+			// A goroutine that has not run yet shows only as its go
+			// statement's wrapper; wait until every new one has started.
+			loop, unstarted := false, true
+			for deadline := time.Now().Add(2 * time.Second); unstarted && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				loop, unstarted = false, false
+				for id, stack := range goroutineStacks() {
+					if _, ok := before[id]; !ok {
+						loop = loop || strings.Contains(stack, ".snapshotLoop(")
+						unstarted = unstarted || strings.Contains(stack, ".gowrap")
+					}
+				}
+			}
+			if loop != tc.loop {
+				t.Errorf("snapshot loop running: %v, want %v", loop, tc.loop)
+			}
 		})
 	}
 }

@@ -126,14 +126,12 @@ func (e *Engine) Reconfigure(ctx context.Context, spec policy.Spec) error {
 	if err := e.adopt(spec, gen, nil); err != nil {
 		return err
 	}
-	if e.obs != nil {
-		e.obs.OnPolicyChange(event.PolicyChange{
-			Generation: gen,
-			Name:       spec.Name,
-			Kind:       string(spec.Kind),
-			Time:       e.nowFn(),
-		})
-	}
+	e.obs.OnPolicyChange(event.PolicyChange{
+		Generation: gen,
+		Name:       spec.Name,
+		Kind:       string(spec.Kind),
+		Time:       e.nowFn(),
+	})
 	return nil
 }
 

@@ -325,9 +325,6 @@ func (e env) collectFanout(ctx context.Context, q model.Query, kn []model.Provid
 // observer.
 func (m *Mediator) emitImputations(q model.Query, kn []model.ProviderSnapshot, set *alloc.IntentionSet) {
 	obs := m.cfg.Observer
-	if obs == nil {
-		return
-	}
 	if set.CIImputed && set.Len() > 0 {
 		obs.OnIntentionImputed(event.Imputation{
 			Query:    q,

@@ -80,7 +80,7 @@ func (c *batchConsumer) Intentions(ctx context.Context, q model.Query, kn []mode
 
 // collectImputations is an observer recording every imputation event.
 type collectImputations struct {
-	event.Nop
+	event.Funcs
 	events []event.Imputation
 }
 

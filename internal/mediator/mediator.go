@@ -162,6 +162,9 @@ func New(allocator alloc.Allocator, cfg Config) *Mediator {
 	if dir == nil {
 		dir = directory.New()
 	}
+	if cfg.Observer == nil {
+		cfg.Observer = event.Discard
+	}
 	m := &Mediator{
 		cfg:       cfg,
 		allocator: allocator,
@@ -344,9 +347,7 @@ func (m *Mediator) Mediate(ctx context.Context, now float64, q model.Query) (*mo
 // reject reports a failed mediation to the configured observer and returns
 // the error unchanged, so error paths stay one-liners.
 func (m *Mediator) reject(q model.Query, err error) error {
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.OnRejection(q, err)
-	}
+	m.cfg.Observer.OnRejection(q, err)
 	return err
 }
 
@@ -467,9 +468,7 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*mo
 			}
 		}
 		m.perfBuf = m.registry.RecordAllocationInto(a, candidateCI, m.perfBuf)
-		if m.cfg.Observer != nil {
-			m.cfg.Observer.OnAllocation(a, population)
-		}
+		m.cfg.Observer.OnAllocation(a, population)
 		return a, nil
 	}
 }

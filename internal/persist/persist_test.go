@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sbqa/internal/event"
 	"sbqa/internal/model"
 	"sbqa/internal/satisfaction"
 )
@@ -340,7 +341,7 @@ func TestCorruptSnapshotFallsBackOrFailsLoudly(t *testing.T) {
 func TestRecorderDropsWhenFullAndCountsIt(t *testing.T) {
 	dir := t.TempDir()
 	_, _, st := replayAll(t, dir, func(c *Config) { c.QueueDepth = 1 })
-	rec := st.NewRecorder()
+	rec := st.NewRecorder(event.Funcs{})
 	rec.Start()
 	// Saturate the queue faster than the writer can drain by enqueueing
 	// many events; some must be dropped (depth 1), none may block.

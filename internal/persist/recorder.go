@@ -22,8 +22,10 @@ import (
 // registry records — no-candidates and stale-selection failures accrue
 // consumer dissatisfaction and must survive a restart too), participant
 // departures (satisfaction memory forgotten), and accepted policy changes.
+// Every event, journaled or not, is then passed on to the embedded
+// Observer — the next link of the engine's observer chain.
 type Recorder struct {
-	event.Nop
+	event.Observer
 
 	store *Store
 	ch    chan recorderItem
@@ -74,13 +76,16 @@ func putRecord(rec *Record) {
 
 // NewRecorder builds the store's recorder WITHOUT starting its writer: the
 // recorder can join an observer chain before Restore has run, buffering
-// whatever it observes. Call Start once Restore completes (the store only
-// accepts appends from then on); close with Close before closing the store.
-func (s *Store) NewRecorder() *Recorder {
+// whatever it observes. It passes every event on to next, which must not be
+// nil (event.Discard ignores them). Call Start once Restore completes
+// (the store only accepts appends from then on); close with Close before
+// closing the store.
+func (s *Store) NewRecorder(next event.Observer) *Recorder {
 	return &Recorder{
-		store: s,
-		ch:    make(chan recorderItem, s.cfg.QueueDepth),
-		done:  make(chan struct{}),
+		Observer: next,
+		store:    s,
+		ch:       make(chan recorderItem, s.cfg.QueueDepth),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -250,7 +255,7 @@ func (r *Recorder) Stats() Stats {
 // OnAllocation implements event.Observer: journal one successful mediation.
 // The allocation's slices are copied — the observer contract forbids
 // retaining them past the call.
-func (r *Recorder) OnAllocation(a *model.Allocation, _ int) {
+func (r *Recorder) OnAllocation(a *model.Allocation, candidates int) {
 	rec := getRecord(RecordOutcome)
 	o := &rec.Outcome
 	o.QueryID = int64(a.Query.ID)
@@ -270,6 +275,7 @@ func (r *Recorder) OnAllocation(a *model.Allocation, _ int) {
 		o.Selected = append(o.Selected, a.SelectedContains(p))
 	}
 	r.offer(rec)
+	r.Observer.OnAllocation(a, candidates)
 }
 
 // OnRejection implements event.Observer: the registry records capacity
@@ -277,14 +283,14 @@ func (r *Recorder) OnAllocation(a *model.Allocation, _ int) {
 // for the consumer, so those — and only those — are journaled. Validation
 // and context-cancellation rejections record nothing live and are skipped.
 func (r *Recorder) OnRejection(q model.Query, reason error) {
-	if !errors.Is(reason, mediator.ErrNoCandidates) && !errors.Is(reason, mediator.ErrStaleSelection) {
-		return
+	if errors.Is(reason, mediator.ErrNoCandidates) || errors.Is(reason, mediator.ErrStaleSelection) {
+		rec := getRecord(RecordOutcome)
+		rec.Outcome.QueryID = int64(q.ID)
+		rec.Outcome.Consumer = q.Consumer
+		rec.Outcome.N = q.N
+		r.offer(rec)
 	}
-	rec := getRecord(RecordOutcome)
-	rec.Outcome.QueryID = int64(q.ID)
-	rec.Outcome.Consumer = q.Consumer
-	rec.Outcome.N = q.N
-	r.offer(rec)
+	r.Observer.OnRejection(q, reason)
 }
 
 // OnConsumerDeparted implements event.Observer.
@@ -292,6 +298,7 @@ func (r *Recorder) OnConsumerDeparted(id model.ConsumerID) {
 	rec := getRecord(RecordForgetConsumer)
 	rec.Forget = int64(id)
 	r.offer(rec)
+	r.Observer.OnConsumerDeparted(id)
 }
 
 // OnProviderDeparted implements event.Observer.
@@ -299,25 +306,21 @@ func (r *Recorder) OnProviderDeparted(id model.ProviderID) {
 	rec := getRecord(RecordForgetProvider)
 	rec.Forget = int64(id)
 	r.offer(rec)
+	r.Observer.OnProviderDeparted(id)
 }
 
 // OnPolicyChange implements event.Observer: the accepted generation is
 // journaled with the full spec JSON resolved through the policy source.
 func (r *Recorder) OnPolicyChange(pc event.PolicyChange) {
-	if r.policyFn == nil {
-		return
+	if r.policyFn != nil {
+		if gen, specJSON, ok := r.policyFn(); ok {
+			rec := getRecord(RecordPolicyChange)
+			rec.PolicyGeneration = max(gen, pc.Generation)
+			rec.PolicyJSON = specJSON
+			r.offer(rec)
+		}
 	}
-	gen, specJSON, ok := r.policyFn()
-	if !ok {
-		return
-	}
-	if gen < pc.Generation {
-		gen = pc.Generation
-	}
-	rec := getRecord(RecordPolicyChange)
-	rec.PolicyGeneration = gen
-	rec.PolicyJSON = specJSON
-	r.offer(rec)
+	r.Observer.OnPolicyChange(pc)
 }
 
 var _ event.Observer = (*Recorder)(nil)

@@ -243,7 +243,8 @@ type (
 	// dispatch failures, registration churn, satisfaction snapshots).
 	Observer = event.Observer
 	// ObserverFuncs adapts free functions to Observer; nil fields ignore
-	// their event.
+	// their event. Embed it to implement only some events, or embed one
+	// Observer in a type that calls another to compose two.
 	ObserverFuncs = event.Funcs
 	// SatisfactionSnapshot is a periodic sample of every participant's δs.
 	SatisfactionSnapshot = event.SatisfactionSnapshot

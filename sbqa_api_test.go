@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sbqa/internal/event"
 	"sbqa/internal/live"
 	"sbqa/internal/mediator"
 	"sbqa/internal/policy"
@@ -256,7 +255,7 @@ func TestFacadeEngineFlow(t *testing.T) {
 		WithConcurrency(1),
 		WithPolicy(PolicySpec{Kind: PolicySbQA, K: 4, Kn: 2, Seed: 3}),
 		live.WithClock(func() float64 { return 1 }),
-		WithObserver(event.Multi(obs, event.Nop{})),
+		WithObserver(obs),
 		WithQueueDepth(64),
 		WithSnapshotInterval(time.Hour), // wired, but never fires in-test
 	)
