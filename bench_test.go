@@ -396,15 +396,6 @@ func BenchmarkAblationNoStage2(b *testing.B) {
 	}, nil)
 }
 
-// BenchmarkAblationSmallWindow: satisfaction memory k = 20 instead of 100.
-func BenchmarkAblationSmallWindow(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.Seed = seed
-		return core.MustNew(c)
-	}, func(cfg *boinc.Config) { cfg.Window = 20 })
-}
-
 // BenchmarkAblationReplication1: no result replication (q.n = 1).
 func BenchmarkAblationReplication1(b *testing.B) {
 	runAblation(b, func(seed uint64) alloc.Allocator {

@@ -3,6 +3,7 @@ package sbqa
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -16,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,6 +57,18 @@ var calledByStd = map[string]string{
 	"As":            "errors.As converts to a target",
 }
 
+// unwrittenFields lists the exported fields live code reads and no live
+// code writes, each with the reason it stays a field. Nothing else belongs
+// in this list either: an unwritten field becomes a constant, or goes with
+// the branch it guards.
+var unwrittenFields = map[string]string{
+	"sbqa/internal/lab.AdversarySpec.Colluders": "deleting it drops the colluder share key from every lab report, which changes every hash in hypotheses/FINDINGS.md; it goes when the seed block re-records FINDINGS.md (ROADMAP item 2(a))",
+	"sbqa/internal/lab.ChurnSpec.LeaveRate":     "background churn is the only reader of rejoin_after, so deleting it drops that key from every lab report and changes every hash in hypotheses/FINDINGS.md; it goes with ROADMAP item 2(a)",
+	"sbqa/internal/lab.ArrivalSpec.RateB":       "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
+	"sbqa/internal/lab.ArrivalSpec.DwellA":      "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
+	"sbqa/internal/lab.ArrivalSpec.DwellB":      "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
+}
+
 // TestNoDeadSurface is the ratchet behind the dead-surface deletions: every
 // package-level func, type, var and const and every method of the root
 // module must be reachable from a root — any package-level declaration of a
@@ -71,65 +85,20 @@ var calledByStd = map[string]string{
 // value — bench/ is another module, so that last rule goes by name alone.
 // A type assertion or type-switch case in live code to a module interface
 // that no live type implements is a branch that cannot run, and fails too.
+//
+// So does an exported field of a module struct that live code reads and
+// never writes (fieldsReadNotWritten): it holds its zero value in every
+// binary, so whatever it guards runs only under a test that sets it. A
+// write is a composite-literal element, an assignment, inc/dec or &x.F
+// along a selector chain, or a decode into a type that holds the field;
+// unwrittenFields excuses a field, with its reason.
 func TestNoDeadSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module (~3 s)")
 	}
-	out, err := exec.Command("go", "list", "-deps", "-export", "-json", "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	type listed struct {
-		ImportPath, Name, Dir, Export string
-		GoFiles                       []string
-		Standard                      bool
-	}
-	var module []listed // dependency order: go list -deps prints a package after its imports
-	exports := map[string]string{}
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listed
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("go list output: %v", err)
-		}
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		} else {
-			module = append(module, p)
-		}
-	}
-
-	fset := token.NewFileSet()
-	checked := map[string]*types.Package{}
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
-	files := map[string][]*ast.File{}
-	for _, p := range module {
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[p.ImportPath] = append(files[p.ImportPath], f)
-		}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files[p.ImportPath], info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
-	}
-	inModule := func(obj types.Object) bool {
-		return obj != nil && obj.Pkg() != nil && checked[obj.Pkg().Path()] == obj.Pkg()
-	}
+	m := loadModule(t)
+	fset, module, files, checked, info := m.fset, m.module, m.files, m.checked, m.info
+	inModule := m.declares
 
 	// node maps an object to the declaration it is reached as: a
 	// package-level object of this module or one of its concrete methods
@@ -237,7 +206,7 @@ func TestNoDeadSurface(t *testing.T) {
 	// import of an sbqa package, and every other selected name as a method
 	// it may call.
 	benchSelects := map[string]bool{}
-	err = filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
@@ -359,46 +328,70 @@ func TestNoDeadSurface(t *testing.T) {
 			len(dead), strings.Join(dead, "\n  "))
 	}
 
+	// An exported field that live code reads and no live code writes holds
+	// its zero value in every binary: the branch it guards runs only under a
+	// test that sets it.
+	var liveDecls []ast.Node
+	for o, nodes := range decls {
+		if live[o] {
+			liveDecls = append(liveDecls, nodes...)
+		}
+	}
+	var unwritten []string
+	excused = map[string]bool{}
+	for _, f := range fieldsReadNotWritten(m, liveDecls) {
+		if _, ok := unwrittenFields[f.id]; ok {
+			excused[f.id] = true
+			continue
+		}
+		unwritten = append(unwritten, f.id+"  (read at "+fset.Position(f.read).String()+")")
+	}
+	for id := range unwrittenFields {
+		if !excused[id] {
+			unwritten = append(unwritten, id+"  (excused, but written or gone: drop the entry)")
+		}
+	}
+	sort.Strings(unwritten)
+	if len(unwritten) > 0 {
+		t.Errorf("%d exported fields live code reads and never writes — make them constants or delete them with the branches they guard:\n  %s",
+			len(unwritten), strings.Join(unwritten, "\n  "))
+	}
+
 	// An optional interface is one live code asserts a value to; when no
 	// live type of the module implements it, the branch that asserts it
 	// never runs.
 	var branches []string
-	for o, nodes := range decls {
-		if !live[o] {
-			continue
-		}
-		for _, n := range nodes {
-			ast.Inspect(n, func(n ast.Node) bool {
-				var asserted []ast.Expr
-				switch n := n.(type) {
-				case *ast.TypeAssertExpr:
-					asserted = []ast.Expr{n.Type}
-				case *ast.CaseClause:
-					asserted = n.List // a type switch's cases are type-asserted; an expression switch's resolve to no type name below
+	for _, n := range liveDecls {
+		ast.Inspect(n, func(n ast.Node) bool {
+			var asserted []ast.Expr
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				asserted = []ast.Expr{n.Type}
+			case *ast.CaseClause:
+				asserted = n.List // a type switch's cases are type-asserted; an expression switch's resolve to no type name below
+			}
+			for _, e := range asserted {
+				var id *ast.Ident
+				switch e := e.(type) {
+				case *ast.Ident:
+					id = e
+				case *ast.SelectorExpr:
+					id = e.Sel
 				}
-				for _, e := range asserted {
-					var id *ast.Ident
-					switch e := e.(type) {
-					case *ast.Ident:
-						id = e
-					case *ast.SelectorExpr:
-						id = e.Sel
-					}
-					tn, ok := info.Uses[id].(*types.TypeName)
-					if id == nil || !ok || !inModule(tn) || !types.IsInterface(tn.Type()) {
-						continue
-					}
-					implemented := false
-					for _, named := range liveTypes {
-						implemented = implemented || implements(named, tn.Type())
-					}
-					if !implemented {
-						branches = append(branches, tn.Pkg().Path()+"."+tn.Name()+"  ("+fset.Position(e.Pos()).String()+")")
-					}
+				tn, ok := info.Uses[id].(*types.TypeName)
+				if id == nil || !ok || !inModule(tn) || !types.IsInterface(tn.Type()) {
+					continue
 				}
-				return true
-			})
-		}
+				implemented := false
+				for _, named := range liveTypes {
+					implemented = implemented || implements(named, tn.Type())
+				}
+				if !implemented {
+					branches = append(branches, tn.Pkg().Path()+"."+tn.Name()+"  ("+fset.Position(e.Pos()).String()+")")
+				}
+			}
+			return true
+		})
 	}
 	sort.Strings(branches)
 	if len(branches) > 0 {
@@ -432,6 +425,319 @@ func implements(named *types.Named, iface types.Type) bool {
 	return true
 }
 
+// moduleSource is the root module's non-test source, type-checked once for every
+// test that reads it.
+type moduleSource struct {
+	fset    *token.FileSet
+	module  []listed // dependency order: go list -deps prints a package after its imports
+	files   map[string][]*ast.File
+	checked map[string]*types.Package
+	info    *types.Info
+}
+
+// declares reports whether obj belongs to a package of the module.
+func (m *moduleSource) declares(obj types.Object) bool {
+	return obj != nil && obj.Pkg() != nil && m.checked[obj.Pkg().Path()] == obj.Pkg()
+}
+
+type listed struct {
+	ImportPath, Name, Dir, Export string
+	GoFiles                       []string
+	Standard                      bool
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *moduleSource
+	loadFailed error
+)
+
+// loadModule type-checks the non-test files `go list` reports for every
+// package of the root module, against std's export data, once per test
+// binary.
+func loadModule(t *testing.T) *moduleSource {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadFailed = load() })
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
+
+func load() (*moduleSource, error) {
+	out, err := exec.Command("go", "list", "-deps", "-export", "-json", "./...").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	m := &moduleSource{
+		fset:    token.NewFileSet(),
+		files:   map[string][]*ast.File{},
+		checked: map[string]*types.Package{},
+		info: &types.Info{
+			Uses:  map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("go list output: %v", err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		} else {
+			m.module = append(m.module, p)
+		}
+	}
+	std := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := m.checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	for _, p := range m.module {
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			m.files[p.ImportPath] = append(m.files[p.ImportPath], f)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, m.files[p.ImportPath], m.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+		m.checked[p.ImportPath] = pkg
+	}
+	return m, nil
+}
+
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// decoders maps each std decoder to the argument it decodes into.
+var decoders = map[string]int{
+	"encoding/json.Unmarshal":         1,
+	"(*encoding/json.Decoder).Decode": 0,
+}
+
+type unwrittenField struct {
+	id   string
+	read token.Pos
+}
+
+// fieldsReadNotWritten returns the exported fields of the module's structs
+// that decls read and never write. A write is a composite-literal element,
+// the left side of an assignment or inc/dec (every field along the selector
+// chain), an address taken (&a.B), or membership of a type a decoder call
+// decodes into — through pointers, slices, maps and nested structs. A
+// decoder is one of std's above or a module func that hands its own `any`
+// parameter on to a decoder. Fields are compared by their origin, so a
+// generic struct's instances share their fields.
+func fieldsReadNotWritten(m *moduleSource, decls []ast.Node) []unwrittenField {
+	info := m.info
+	field := func(o types.Object) *types.Var {
+		if v, ok := o.(*types.Var); ok && v.IsField() && m.declares(v) {
+			return v.Origin()
+		}
+		return nil
+	}
+	callee := func(call *ast.CallExpr) *types.Func {
+		var id *ast.Ident
+		switch f := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			id = f
+		case *ast.SelectorExpr:
+			id = f.Sel
+		}
+		fn, _ := info.Uses[id].(*types.Func)
+		if fn == nil {
+			return nil
+		}
+		return fn.Origin()
+	}
+	module := map[*types.Func]int{}
+	decodes := func(fn *types.Func) (int, bool) {
+		if fn == nil {
+			return 0, false
+		}
+		if i, ok := decoders[fn.FullName()]; ok {
+			return i, true
+		}
+		i, ok := module[fn]
+		return i, ok
+	}
+
+	// A module func is a decoder when it passes one of its `any` parameters
+	// to a decoder; repeat until no func joins.
+	var funcs []*ast.FuncDecl
+	for _, fs := range m.files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					funcs = append(funcs, fd)
+				}
+			}
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, fd := range funcs {
+			fn := info.Defs[fd.Name].(*types.Func)
+			if _, ok := module[fn]; ok {
+				continue
+			}
+			params := fn.Signature().Params()
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				i, ok := decodes(callee(call))
+				if !ok || i >= len(call.Args) {
+					return true
+				}
+				id, _ := ast.Unparen(call.Args[i]).(*ast.Ident)
+				for j := 0; id != nil && j < params.Len(); j++ {
+					if p := params.At(j); info.Uses[id] == p && types.IsInterface(p.Type()) {
+						module[fn], grew = j, true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	read := map[*types.Var]token.Pos{}
+	written := map[*types.Var]bool{}
+	decoded := map[types.Type]bool{}
+	var decode func(t types.Type)
+	decode = func(t types.Type) {
+		if decoded[t] {
+			return
+		}
+		decoded[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			decode(u.Elem())
+		case *types.Slice:
+			decode(u.Elem())
+		case *types.Array:
+			decode(u.Elem())
+		case *types.Map:
+			decode(u.Key())
+			decode(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				written[u.Field(i).Origin()] = true
+				decode(u.Field(i).Type())
+			}
+		}
+	}
+	chain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v := field(info.Uses[x.Sel]); v != nil {
+					written[v] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, d := range decls {
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if v := field(info.Uses[n]); v != nil && v.Exported() {
+					if _, ok := read[v]; !ok {
+						read[v] = n.Pos()
+					}
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if v := field(info.Uses[kv.Key.(*ast.Ident)]); v != nil {
+								written[v] = true
+							}
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					chain(e)
+				}
+			case *ast.IncDecStmt:
+				chain(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					chain(n.X)
+				}
+			case *ast.CallExpr:
+				if i, ok := decodes(callee(n)); ok && i < len(n.Args) {
+					if t := info.Types[n.Args[i]].Type; t != nil && !types.IsInterface(t) {
+						decode(t)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// A field is named by the struct that declares it: a package-level
+	// type, then the path of fields down any anonymous struct inside it.
+	names := map[*types.Var]string{}
+	var name func(prefix string, t types.Type)
+	name = func(prefix string, t types.Type) {
+		st, ok := t.(*types.Struct)
+		if !ok {
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			names[f] = prefix + "." + f.Name()
+			name(prefix+"."+f.Name(), f.Type())
+		}
+	}
+	for path, pkg := range m.checked {
+		for _, n := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {
+				name(path+"."+n, tn.Type().Underlying())
+			}
+		}
+	}
+	var out []unwrittenField
+	for v, pos := range read {
+		if !written[v] {
+			id, ok := names[v]
+			if !ok {
+				id = v.Pkg().Path() + ".(struct)." + v.Name()
+			}
+			out = append(out, unwrittenField{id, pos})
+		}
+	}
+	return out
+}

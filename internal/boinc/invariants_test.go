@@ -48,7 +48,6 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 			cfg := DefaultConfig(10+rng.Intn(50), seed)
 			cfg.Duration = 150 + float64(rng.Intn(150))
 			cfg.SampleEvery = 10
-			cfg.Window = 10 + rng.Intn(60)
 			cfg.Workload.LoadFactor = 0.3 + rng.Float64()*0.6
 			cfg.Workload.MaliciousFraction = rng.Float64() * 0.3
 			if rng.Bool(0.5) {
@@ -66,9 +65,6 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				cfg.ConsumerPolicy = func(workload.Project) intention.ConsumerPolicy {
 					return intention.ResponseTimeConsumer{}
 				}
-			}
-			if rng.Bool(0.3) {
-				cfg.RejoinAfter = 30
 			}
 			for i := range cfg.Workload.Projects {
 				cfg.Workload.Projects[i].Replication = 1 + rng.Intn(3)
@@ -105,13 +101,9 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 			if r.MeanResponseTime < 0 {
 				t.Errorf("negative response time %v", r.MeanResponseTime)
 			}
-			// Online bookkeeping: departures minus rejoins = offline count.
-			offline := len(w.Volunteers()) - onlineVolunteers(w)
-			if cfg.RejoinAfter == 0 && offline != r.ProvidersLeft {
+			// Online bookkeeping: departures = offline count.
+			if offline := len(w.Volunteers()) - onlineVolunteers(w); offline != r.ProvidersLeft {
 				t.Errorf("offline=%d but departures=%d", offline, r.ProvidersLeft)
-			}
-			if offline > r.ProvidersLeft {
-				t.Errorf("more offline (%d) than ever departed (%d)", offline, r.ProvidersLeft)
 			}
 			// The mediator's registry only tracks online providers.
 			if got := w.Mediator().Providers(); got != onlineVolunteers(w) {
@@ -153,35 +145,32 @@ func TestWorldAccountingWithMalicious(t *testing.T) {
 }
 
 // TestQuorumSemantics checks that a query completes at the quorum-th valid
-// result, not at the replication count.
+// result — the majority of its replicas, 2 of 3 — not at the replication
+// count, and that an invalid result does not count toward it.
 func TestQuorumSemantics(t *testing.T) {
 	cfg := smallConfig(Captive, 22)
 	cfg.Workload.Projects = []workload.ProjectSpec{
-		{Name: "p", Popularity: workload.Popular, ArrivalShare: 1, Replication: 3, Quorum: 1, DelayTarget: 30},
+		{Name: "p", Popularity: workload.Popular, ArrivalShare: 1, Replication: 3, DelayTarget: 30},
 	}
-	var rts []float64
-	cfg.OnComplete = func(_ model.Query, rt float64) { rts = append(rts, rt) }
+	completed := 0
+	cfg.OnComplete = func(model.Query, float64) { completed++ }
 	w, err := NewWorld(alloc.NewCapacity(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := w.Run()
-	if r.Completed == 0 {
-		t.Fatal("nothing completed")
+	q := model.Query{ID: 1, Consumer: w.Projects()[0].id, N: 3, Work: 1}
+	w.mediate(q)
+	st := w.pending[q.ID]
+	if st == nil || st.expected != 3 || st.quorum != 2 {
+		t.Fatalf("dispatched %+v, want 3 replicas and a quorum of 2", st)
 	}
-	// With quorum 1 of 3 replicas, response time is the FASTEST replica;
-	// rerun with quorum 3 and compare.
-	cfg3 := smallConfig(Captive, 22)
-	cfg3.Workload.Projects = []workload.ProjectSpec{
-		{Name: "p", Popularity: workload.Popular, ArrivalShare: 1, Replication: 3, Quorum: 3, DelayTarget: 30},
+	for i, valid := range []bool{true, false, true} {
+		if completed != 0 {
+			t.Fatalf("completed after %d of 3 results", i)
+		}
+		w.resultArrived(q, model.ProviderID(i), valid)
 	}
-	w3, err := NewWorld(alloc.NewCapacity(), cfg3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3 := w3.Run()
-	if r3.MeanResponseTime <= r.MeanResponseTime {
-		t.Errorf("quorum-3 RT %.2f should exceed quorum-1 RT %.2f",
-			r3.MeanResponseTime, r.MeanResponseTime)
+	if completed != 1 || w.pending[q.ID] != nil {
+		t.Errorf("after 2 valid results of 3: %d completions, still pending %v", completed, w.pending[q.ID] != nil)
 	}
 }

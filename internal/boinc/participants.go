@@ -145,7 +145,7 @@ func (v *Volunteer) DevotedAvailable(q model.Query) float64 {
 	if c < 0 || c >= len(v.shares) {
 		return 0
 	}
-	budget := v.shares[c] * v.capacity * v.world.cfg.UtilizationHorizon
+	budget := v.shares[c] * v.capacity * v.world.horizon
 	return budget - v.pendingC[c]
 }
 
@@ -171,7 +171,7 @@ func (v *Volunteer) Utilization(now float64) float64 {
 	if backlog <= 0 {
 		return 0
 	}
-	u := backlog / v.world.cfg.UtilizationHorizon
+	u := backlog / v.world.horizon
 	if u > 1 {
 		return 1
 	}
@@ -191,13 +191,8 @@ func (v *Volunteer) Snapshot(now float64) model.ProviderSnapshot {
 
 // CanPerform implements mediator.Provider. In the BOINC world every
 // volunteer has every project's application installed, so eligibility is
-// universal; the world's EligibleFn hook can restrict it.
-func (v *Volunteer) CanPerform(q model.Query) bool {
-	if v.world.cfg.EligibleFn != nil {
-		return v.world.cfg.EligibleFn(v.id, q)
-	}
-	return true
-}
+// universal.
+func (v *Volunteer) CanPerform(model.Query) bool { return true }
 
 // Intention implements mediator.Provider: the volunteer's intention to
 // perform q, per its policy.

@@ -65,7 +65,7 @@ func TestDevotedAvailableBudget(t *testing.T) {
 	w.SetVolunteerPrefs(v.ProviderID(), []float64{0.75, 0.15, -1})
 	q := model.Query{ID: 1, Consumer: 0, N: 1, Work: 5}
 	budget := v.DevotedAvailable(q)
-	want := (0.8 / 1.05) * v.Capacity() * w.Config().UtilizationHorizon
+	want := (0.8 / 1.05) * v.Capacity() * w.horizon
 	if math.Abs(budget-want) > 1e-9 {
 		t.Errorf("budget = %v, want %v", budget, want)
 	}
@@ -94,8 +94,6 @@ func TestEnforcedSharesSlowServiceDown(t *testing.T) {
 		w.SetVolunteerPrefs(v.ProviderID(), []float64{0.75, 0.15, -1})
 		q := model.Query{ID: 1, Consumer: 2, N: 1, Work: 10} // project with token 0.05/1.05 share
 		var done float64
-		cfg2 := w.Config()
-		_ = cfg2
 		v.enqueue(q)
 		// Drain the engine; completion is the only event besides network.
 		w.Engine().Schedule(0, func() {})

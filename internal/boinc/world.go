@@ -56,45 +56,9 @@ type Config struct {
 	// Duration is the simulated run length in seconds.
 	Duration float64
 
-	// SampleEvery is the gauge sampling period in seconds.
+	// SampleEvery is the gauge sampling period in seconds; 0 means
+	// Duration/100.
 	SampleEvery float64
-
-	// Window is the satisfaction memory length k.
-	Window int
-
-	// ProviderLeaveThreshold and ConsumerLeaveThreshold are the demo's
-	// departure thresholds (0.35 and 0.5). Only used in Autonomous mode.
-	ProviderLeaveThreshold float64
-	ConsumerLeaveThreshold float64
-
-	// MinInteractions is how many remembered interactions a participant
-	// needs before it judges the system (prevents cold-start flight:
-	// Definition 2 reports 0 for a provider that has not yet won a single
-	// proposal, which says nothing until the window holds real evidence).
-	// Defaults to half the window.
-	MinInteractions int
-
-	// Warmup is the simulated time before departure decisions activate,
-	// letting the adaptive ω reach steady state. Defaults to 20% of
-	// Duration.
-	Warmup float64
-
-	// DepartureGrace is how long a participant's satisfaction must stay
-	// below its threshold before it actually leaves. Definition 2 reports
-	// 0 the instant a provider's last win slides out of its window, so
-	// instantaneous judgment would evict providers on transient flickers;
-	// participants leave on chronic dissatisfaction. Defaults to 10% of
-	// Duration.
-	DepartureGrace float64
-
-	// RejoinAfter, when > 0, brings departed participants back after that
-	// many seconds with a fresh memory (an extension; the demo's
-	// participants leave for good).
-	RejoinAfter float64
-
-	// UtilizationHorizon is the backlog drain time (seconds) mapped to
-	// utilization 1.0. Defaults to 4× the mean service time.
-	UtilizationHorizon float64
 
 	// NetworkLatency is the one-way message delay distribution; nil means
 	// U[0.01, 0.05) seconds.
@@ -111,10 +75,6 @@ type Config struct {
 	// swaps in load-only; the SQLB adaptive preference/load trade is
 	// available as intention.AdaptiveProvider.
 	ProviderPolicy func(v workload.Volunteer) intention.ProviderPolicy
-
-	// EligibleFn optionally restricts which volunteers can perform a
-	// query; nil means everyone can (all BOINC apps installed).
-	EligibleFn func(p model.ProviderID, q model.Query) bool
 
 	// AnalyzeBest turns on optimum-relative allocation-satisfaction
 	// analysis (O(|P_q|) intention calls per query).
@@ -152,22 +112,47 @@ type Config struct {
 // with the given number of volunteers, captive mode, 2000 simulated seconds.
 func DefaultConfig(volunteers int, seed uint64) Config {
 	return Config{
-		Workload:               workload.DefaultConfig(volunteers, seed),
-		Mode:                   Captive,
-		Duration:               2000,
-		SampleEvery:            20,
-		Window:                 satisfactionWindow,
-		ProviderLeaveThreshold: 0.35,
-		ConsumerLeaveThreshold: 0.5,
-		Seed:                   seed,
+		Workload:    workload.DefaultConfig(volunteers, seed),
+		Mode:        Captive,
+		Duration:    2000,
+		SampleEvery: 20,
+		Seed:        seed,
 	}
 }
 
-const satisfactionWindow = 100
+// The demo's departure rule, applied in Autonomous mode only: a volunteer
+// leaves below δs(p) = 0.35, a project below δs(c) = 0.5.
+const (
+	ProviderLeaveThreshold = 0.35
+	ConsumerLeaveThreshold = 0.5
+)
+
+const (
+	// satisfactionWindow is the satisfaction memory length k.
+	satisfactionWindow = 100
+	// minInteractions is how many remembered interactions a participant
+	// needs before it judges the system (prevents cold-start flight:
+	// Definition 2 reports 0 for a provider that has not yet won a single
+	// proposal, which says nothing until the window holds real evidence).
+	minInteractions = satisfactionWindow / 2
+)
 
 // World is one runnable simulation instance.
 type World struct {
 	cfg Config
+
+	// warmup is the simulated time before departure decisions activate,
+	// letting the adaptive ω reach steady state: 20% of Duration.
+	warmup float64
+	// grace is how long a participant's satisfaction must stay below its
+	// threshold before it actually leaves: 10% of Duration. Definition 2
+	// reports 0 the instant a provider's last win slides out of its
+	// window, so instantaneous judgment would evict providers on transient
+	// flickers; participants leave on chronic dissatisfaction.
+	grace float64
+	// horizon is the backlog drain time (seconds) mapped to utilization
+	// 1.0: 4× the mean service time.
+	horizon float64
 
 	engine *sim.Engine
 	net    *sim.Network
@@ -206,28 +191,6 @@ func NewWorld(allocator alloc.Allocator, cfg Config) (*World, error) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = cfg.Duration / 100
 	}
-	if cfg.Window < 1 {
-		cfg.Window = satisfactionWindow
-	}
-	if cfg.MinInteractions < 1 {
-		cfg.MinInteractions = cfg.Window / 2
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.2 * cfg.Duration
-	}
-	if cfg.DepartureGrace <= 0 {
-		cfg.DepartureGrace = 0.1 * cfg.Duration
-	}
-	if cfg.ProviderLeaveThreshold <= 0 {
-		cfg.ProviderLeaveThreshold = 0.35
-	}
-	if cfg.ConsumerLeaveThreshold <= 0 {
-		cfg.ConsumerLeaveThreshold = 0.5
-	}
-	if cfg.UtilizationHorizon <= 0 {
-		meanService := pop.WorkDist.Mean() // per unit capacity ~1
-		cfg.UtilizationHorizon = 4 * meanService
-	}
 	if cfg.NetworkLatency == nil {
 		cfg.NetworkLatency = stats.Uniform{Lo: 0.01, Hi: 0.05}
 	}
@@ -247,12 +210,15 @@ func NewWorld(allocator alloc.Allocator, cfg Config) (*World, error) {
 	root := stats.NewRNG(cfg.Seed ^ 0x5b0a_c0de_0001)
 	w := &World{
 		cfg:     cfg,
+		warmup:  0.2 * cfg.Duration,
+		grace:   0.1 * cfg.Duration,
+		horizon: 4 * pop.WorkDist.Mean(), // per unit capacity ~1
 		engine:  sim.NewEngine(),
 		col:     metrics.NewCollector(),
 		pending: make(map[model.QueryID]*queryState),
 	}
 	w.net = sim.NewNetwork(cfg.NetworkLatency, root.Split())
-	w.med = mediator.New(allocator, mediator.Config{Window: cfg.Window, AnalyzeBest: cfg.AnalyzeBest})
+	w.med = mediator.New(allocator, mediator.Config{Window: satisfactionWindow, AnalyzeBest: cfg.AnalyzeBest})
 
 	for _, vp := range pop.Volunteers {
 		v := &Volunteer{
@@ -309,9 +275,6 @@ func (w *World) Projects() []*Project { return w.projects }
 
 // Volunteers returns the world's volunteers.
 func (w *World) Volunteers() []*Volunteer { return w.volunteers }
-
-// Config returns the effective configuration after defaulting.
-func (w *World) Config() Config { return w.cfg }
 
 // Run executes the simulation for the configured duration and returns the
 // summarized result under the allocator's name.
@@ -466,7 +429,7 @@ func (w *World) resultArrived(q model.Query, from model.ProviderID, valid bool) 
 // afterMediation applies the autonomy rules to everyone whose satisfaction
 // window just changed.
 func (w *World) afterMediation(q model.Query, a *model.Allocation) {
-	if w.cfg.Mode != Autonomous || w.engine.Now() < w.cfg.Warmup {
+	if w.cfg.Mode != Autonomous || w.engine.Now() < w.warmup {
 		return
 	}
 	if p := w.projectByID(q.Consumer); p != nil && p.online {
@@ -488,7 +451,7 @@ func (w *World) afterMediation(q model.Query, a *model.Allocation) {
 func (w *World) checkProviderDeparture(v *Volunteer) {
 	tr := w.med.Registry().Provider(v.id)
 	sat := tr.Satisfaction()
-	if tr.Interactions() < w.cfg.MinInteractions || sat >= w.cfg.ProviderLeaveThreshold {
+	if tr.Interactions() < minInteractions || sat >= ProviderLeaveThreshold {
 		v.belowSince = -1
 		return
 	}
@@ -497,7 +460,7 @@ func (w *World) checkProviderDeparture(v *Volunteer) {
 		v.belowSince = now
 		return
 	}
-	if now-v.belowSince >= w.cfg.DepartureGrace {
+	if now-v.belowSince >= w.grace {
 		w.departProvider(v, sat)
 	}
 }
@@ -507,7 +470,7 @@ func (w *World) checkProviderDeparture(v *Volunteer) {
 func (w *World) checkConsumerDeparture(p *Project) {
 	tr := w.med.Registry().Consumer(p.id)
 	sat := tr.Satisfaction()
-	if tr.Interactions() < w.cfg.MinInteractions || sat >= w.cfg.ConsumerLeaveThreshold {
+	if tr.Interactions() < minInteractions || sat >= ConsumerLeaveThreshold {
 		p.belowSince = -1
 		return
 	}
@@ -516,7 +479,7 @@ func (w *World) checkConsumerDeparture(p *Project) {
 		p.belowSince = now
 		return
 	}
-	if now-p.belowSince >= w.cfg.DepartureGrace {
+	if now-p.belowSince >= w.grace {
 		w.departConsumer(p, sat)
 	}
 }
@@ -530,18 +493,6 @@ func (w *World) departProvider(v *Volunteer, sat float64) {
 	w.col.RecordDeparture(metrics.Departure{
 		Time: v.leftAt, Provider: v.id, Consumer: model.NoConsumer, Satisfaction: sat,
 	})
-	if w.cfg.RejoinAfter > 0 {
-		w.engine.Schedule(w.cfg.RejoinAfter, func() { w.rejoinProvider(v) })
-	}
-}
-
-// rejoinProvider brings a departed volunteer back with fresh memory.
-func (w *World) rejoinProvider(v *Volunteer) {
-	if v.online {
-		return
-	}
-	v.online = true
-	w.med.RegisterProvider(v)
 }
 
 // departConsumer stops a project from issuing queries.
@@ -552,19 +503,6 @@ func (w *World) departConsumer(p *Project, sat float64) {
 	w.col.RecordDeparture(metrics.Departure{
 		Time: p.leftAt, Consumer: p.id, Provider: model.NoProvider, Satisfaction: sat,
 	})
-	if w.cfg.RejoinAfter > 0 {
-		w.engine.Schedule(w.cfg.RejoinAfter, func() { w.rejoinConsumer(p) })
-	}
-}
-
-// rejoinConsumer brings a departed project back and restarts its arrivals.
-func (w *World) rejoinConsumer(p *Project) {
-	if p.online {
-		return
-	}
-	p.online = true
-	w.med.RegisterConsumer(p)
-	w.scheduleArrival(p)
 }
 
 // scheduleSample books the recurring gauge sampling.
@@ -584,7 +522,7 @@ func (w *World) scheduleSample() {
 // would otherwise never be re-examined).
 func (w *World) sample() {
 	now := w.engine.Now()
-	autonomy := w.cfg.Mode == Autonomous && now >= w.cfg.Warmup
+	autonomy := w.cfg.Mode == Autonomous && now >= w.warmup
 	s := metrics.Sample{T: now}
 	for _, p := range w.projects {
 		if !p.online {

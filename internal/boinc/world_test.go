@@ -39,7 +39,15 @@ func smallConfig(mode Mode, seed uint64) Config {
 	cfg.Mode = mode
 	cfg.Duration = 300
 	cfg.SampleEvery = 10
-	cfg.Window = 40
+	return cfg
+}
+
+// autonomousConfig runs the demo's 2000 simulated seconds: a participant
+// judges the system only once half its 100-interaction window is full, and
+// departures start after the first 20% of the run.
+func autonomousConfig(seed uint64) Config {
+	cfg := smallConfig(Autonomous, seed)
+	cfg.Duration = 2000
 	return cfg
 }
 
@@ -60,7 +68,7 @@ func TestWorldConstruction(t *testing.T) {
 	if onlineVolunteers(w) != 40 || onlineProjects(w) != 3 {
 		t.Error("everyone should start online")
 	}
-	if w.Config().UtilizationHorizon <= 0 {
+	if w.horizon <= 0 {
 		t.Error("utilization horizon not defaulted")
 	}
 }
@@ -149,7 +157,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestAutonomousDeparturesUnderCapacity(t *testing.T) {
 	// Under capacity-based allocation, volunteers with negative preferences
 	// keep receiving disliked queries; in autonomous mode some must leave.
-	w, err := NewWorld(alloc.NewCapacity(), smallConfig(Autonomous, 6))
+	w, err := NewWorld(alloc.NewCapacity(), autonomousConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +182,14 @@ func TestSbQARetainsMoreVolunteersThanCapacity(t *testing.T) {
 	seeds := []uint64{11, 12, 13}
 	var capLeft, sbqaLeft int
 	for _, seed := range seeds {
-		wc, err := NewWorld(alloc.NewCapacity(), smallConfig(Autonomous, seed))
+		wc, err := NewWorld(alloc.NewCapacity(), autonomousConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rc := wc.Run()
 		capLeft += rc.ProvidersLeft
 
-		ws, err := NewWorld(core.MustNew(core.Config{Seed: 1}), smallConfig(Autonomous, seed))
+		ws, err := NewWorld(core.MustNew(core.Config{Seed: 1}), autonomousConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,25 +198,6 @@ func TestSbQARetainsMoreVolunteersThanCapacity(t *testing.T) {
 	}
 	if sbqaLeft >= capLeft {
 		t.Errorf("SbQA lost %d volunteers vs capacity's %d; satisfaction adaptation not working", sbqaLeft, capLeft)
-	}
-}
-
-func TestRejoinExtension(t *testing.T) {
-	cfg := smallConfig(Autonomous, 6)
-	cfg.RejoinAfter = 50
-	cfg.Duration = 400
-	w, err := NewWorld(alloc.NewCapacity(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := w.Run()
-	if r.ProvidersLeft == 0 {
-		t.Skip("no departures this seed; nothing to rejoin")
-	}
-	// With rejoin active the online population at the end should exceed
-	// what pure departures would leave.
-	if onlineVolunteers(w) <= 40-r.ProvidersLeft {
-		t.Errorf("rejoin did not restore anyone: online=%d, departures=%d", onlineVolunteers(w), r.ProvidersLeft)
 	}
 }
 
@@ -229,22 +218,6 @@ func TestScenario5PolicySwap(t *testing.T) {
 	r := w.Run()
 	if r.Completed == 0 || r.MeanResponseTime <= 0 {
 		t.Fatalf("policy-swapped world broken: %+v", r)
-	}
-}
-
-func TestEligibleFnRestrictsCandidates(t *testing.T) {
-	cfg := smallConfig(Captive, 10)
-	// Only even-indexed volunteers may serve anything.
-	cfg.EligibleFn = func(p model.ProviderID, _ model.Query) bool { return p%2 == 0 }
-	w, err := NewWorld(alloc.NewCapacity(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Run()
-	for _, v := range w.Volunteers() {
-		if v.ProviderID()%2 == 1 && w.Mediator().Registry().Provider(v.ProviderID()).Interactions() > 0 {
-			t.Errorf("ineligible volunteer %d was proposed queries", v.ProviderID())
-		}
 	}
 }
 
@@ -273,11 +246,15 @@ func TestUtilizationBounds(t *testing.T) {
 }
 
 func TestUnallocatedQueriesCounted(t *testing.T) {
-	cfg := smallConfig(Captive, 15)
-	cfg.EligibleFn = func(model.ProviderID, model.Query) bool { return false }
-	w, err := NewWorld(alloc.NewCapacity(), cfg)
+	w, err := NewWorld(alloc.NewCapacity(), smallConfig(Captive, 15))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// With every volunteer gone from the mediator, no query has an
+	// eligible provider.
+	for _, v := range w.Volunteers() {
+		v.online = false
+		w.Mediator().UnregisterProvider(v.ProviderID())
 	}
 	r := w.Run()
 	if r.Completed != 0 {

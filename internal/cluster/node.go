@@ -78,13 +78,11 @@ type Config struct {
 	ReplicateInterval time.Duration
 	// Store is the local journal to ship; StateDir its directory (used
 	// to stat sealed segments for lag accounting). Both empty disables
-	// outbound replication.
+	// outbound replication. Segments shipped here land under
+	// StateDir/replica, one subdirectory per origin node; without a
+	// StateDir none are accepted.
 	Store    SegmentSource
 	StateDir string
-	// ReplicaDir holds shipped segments, one subdirectory per origin
-	// node (default StateDir/replica; required if segments are to be
-	// accepted at all).
-	ReplicaDir string
 	// Registry receives the failover replay when an origin dies; nil
 	// disables replay (segments are still stored).
 	Registry *satisfaction.Registry
@@ -112,9 +110,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ReplicateInterval <= 0 {
 		out.ReplicateInterval = 500 * time.Millisecond
-	}
-	if out.ReplicaDir == "" && out.StateDir != "" {
-		out.ReplicaDir = filepath.Join(out.StateDir, "replica")
 	}
 	if out.Observer == nil {
 		out.Observer = event.Discard
@@ -151,7 +146,10 @@ type Node struct {
 	replayed   map[string]int // origin -> records replayed on failover
 	replayErrs map[string]string
 
-	// replicaMu serialises ReplicaDir's one writer, serveSegment, and
+	// replicaDir holds shipped segments, one subdirectory per origin
+	// node: StateDir/replica, or "" without a StateDir.
+	replicaDir string
+	// replicaMu serialises replicaDir's one writer, serveSegment, and
 	// guards replicas: what replicaStatuses last read from that directory,
 	// cached until a segment lands there, so a Status between two
 	// shipments touches no file.
@@ -184,6 +182,9 @@ func New(cfg Config) (*Node, error) {
 		stop:       make(chan struct{}),
 		replayed:   make(map[string]int),
 		replayErrs: make(map[string]string),
+	}
+	if c.StateDir != "" {
+		n.replicaDir = filepath.Join(c.StateDir, "replica")
 	}
 	n.links = links{out: make(map[string]*link), in: make(map[*inLink]struct{})}
 	n.links.ctx, n.links.cancel = context.WithCancel(context.Background())
@@ -277,7 +278,7 @@ func (n *Node) onPeerTransition(p Peer, from, to Health, lastErr string) {
 // double-count outcomes), so a second Down transition serves whatever
 // memory the first replay restored.
 func (n *Node) failover(origin string) {
-	if n.cfg.Registry == nil || n.cfg.ReplicaDir == "" {
+	if n.cfg.Registry == nil || n.replicaDir == "" {
 		return
 	}
 	n.replayMu.Lock()
@@ -300,7 +301,7 @@ func (n *Node) failover(origin string) {
 			return false
 		}
 	}
-	dir := filepath.Join(n.cfg.ReplicaDir, origin)
+	dir := filepath.Join(n.replicaDir, origin)
 	replayed, err := persist.ReplayDir(dir, keep, n.cfg.Registry)
 	n.replayed[origin] = replayed
 	if err != nil {
@@ -421,7 +422,7 @@ func (n *Node) Status() Status {
 		}
 		st.Peers = append(st.Peers, ps)
 	}
-	if n.cfg.ReplicaDir != "" {
+	if n.replicaDir != "" {
 		st.Replicas = n.replicaStatuses()
 	}
 	return st
@@ -435,7 +436,7 @@ func (n *Node) replicaStatuses() []ReplicaStatus {
 			if origin == n.cfg.Self.ID {
 				continue
 			}
-			dir := filepath.Join(n.cfg.ReplicaDir, origin)
+			dir := filepath.Join(n.replicaDir, origin)
 			seqs, err := persist.ScanSegmentDir(dir)
 			if err != nil || len(seqs) == 0 {
 				continue

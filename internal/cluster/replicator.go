@@ -255,10 +255,10 @@ func (n *Node) serveHeld(origin string, reply *Frame) {
 
 // heldSegments lists the replicated segment seqs stored for origin.
 func (n *Node) heldSegments(origin string) ([]uint64, error) {
-	if n.cfg.ReplicaDir == "" {
+	if n.replicaDir == "" {
 		return nil, nil
 	}
-	return persist.ScanSegmentDir(filepath.Join(n.cfg.ReplicaDir, origin))
+	return persist.ScanSegmentDir(filepath.Join(n.replicaDir, origin))
 }
 
 // serveSegment answers a FrameSegment: it lands the chunk in body (as
@@ -269,7 +269,7 @@ func (n *Node) heldSegments(origin string) ([]uint64, error) {
 func (n *Node) serveSegment(origin string, body []byte, reply *Frame) {
 	reply.Status = http.StatusBadRequest
 	switch {
-	case n.cfg.ReplicaDir == "":
+	case n.replicaDir == "":
 		reply.Body = append(reply.Body, "cluster: this node keeps no replicas"...)
 		return
 	case len(body) < chunkHeaderLen:
@@ -278,7 +278,7 @@ func (n *Node) serveSegment(origin string, body []byte, reply *Frame) {
 	}
 	seq, last := binary.BigEndian.Uint64(body), body[16] != 0
 	n.replicaMu.Lock()
-	refused, err := persist.LandSegmentChunk(filepath.Join(n.cfg.ReplicaDir, origin), seq, binary.BigEndian.Uint64(body[8:]), body[chunkHeaderLen:], last)
+	refused, err := persist.LandSegmentChunk(filepath.Join(n.replicaDir, origin), seq, binary.BigEndian.Uint64(body[8:]), body[chunkHeaderLen:], last)
 	n.replicasRead = n.replicasRead && !last
 	n.replicaMu.Unlock()
 	switch {

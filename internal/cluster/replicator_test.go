@@ -93,7 +93,7 @@ func TestAcceptSegmentValidation(t *testing.T) {
 	cfg := fastConfig(Peer{ID: "b"}, Peer{ID: "a", Addr: "http://a.test"})
 	cfg.StateDir = t.TempDir()
 	n := newNode(t, cfg)
-	dir := filepath.Join(n.cfg.ReplicaDir, "a")
+	dir := filepath.Join(n.replicaDir, "a")
 
 	for _, tc := range []struct {
 		what   string
@@ -145,10 +145,10 @@ func TestSegmentUploadDiskFailureIs500(t *testing.T) {
 	root := t.TempDir()
 	mn := newMemNet()
 	receiver := newReceiver(t, mn, root)
-	if err := os.MkdirAll(receiver.cfg.ReplicaDir, 0o755); err != nil {
+	if err := os.MkdirAll(receiver.replicaDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(receiver.cfg.ReplicaDir, "n1"), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(receiver.replicaDir, "n1"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	call, err := newSender(t, mn).Forward(context.Background(), n0, FrameSegment, model.TraceContext{}, chunkBody(seq, 0, true, data))
@@ -256,7 +256,7 @@ func FuzzSegmentFrames(f *testing.F) {
 	mn := newMemNet()
 	receiver := newReceiver(f, mn, filepath.Join(root, "state"))
 	sender := newSender(f, mn)
-	replicaDir := receiver.cfg.ReplicaDir
+	replicaDir := receiver.replicaDir
 	call := func(t *testing.T, kind FrameKind, body []byte) (int, []byte) {
 		t.Helper()
 		c, err := sender.Forward(context.Background(), n0, kind, model.TraceContext{}, body)

@@ -36,9 +36,6 @@ type Options struct {
 	// Duration is the simulated run length (seconds).
 	Duration float64
 
-	// SampleEvery is the gauge sampling period; 0 = Duration/100.
-	SampleEvery float64
-
 	// Seed drives every random draw; runs are bit-reproducible under it.
 	Seed uint64
 
@@ -76,7 +73,7 @@ func (o Options) baseConfig(mode boinc.Mode) boinc.Config {
 	cfg := boinc.DefaultConfig(o.Volunteers, o.Seed)
 	cfg.Mode = mode
 	cfg.Duration = o.Duration
-	cfg.SampleEvery = o.SampleEvery
+	cfg.SampleEvery = 0 // Duration/100
 	cfg.Workload.LoadFactor = o.Load
 	cfg.AnalyzeBest = true
 	return cfg

@@ -39,7 +39,7 @@ func MotivatingExample(opt Options) (*ScenarioResult, error) {
 		cfg := boinc.DefaultConfig(opt.Volunteers, opt.Seed)
 		cfg.Mode = boinc.Captive // isolate the capacity effect from departures
 		cfg.Duration = opt.Duration
-		cfg.SampleEvery = opt.SampleEvery
+		cfg.SampleEvery = 0 // Duration/100
 		cfg.Workload.LoadFactor = 0.6
 		cfg.Workload.Projects = []workload.ProjectSpec{
 			{Name: "ca", Popularity: workload.Popular, ArrivalShare: 0.8, Replication: 1, DelayTarget: 30},

@@ -114,7 +114,7 @@ func Scenario2(opt Options) (*ScenarioResult, error) {
 		aw := worlds[tech.Name]
 		predicted := map[model.ProviderID]bool{}
 		for _, v := range cw.Volunteers() {
-			if cw.Mediator().Registry().ProviderSatisfaction(v.ProviderID()) < aw.Config().ProviderLeaveThreshold {
+			if cw.Mediator().Registry().ProviderSatisfaction(v.ProviderID()) < boinc.ProviderLeaveThreshold {
 				predicted[v.ProviderID()] = true
 			}
 		}

@@ -1,12 +1,12 @@
 // Package lab is the deterministic workload laboratory: it drives the REAL
-// mediation pipeline — live.Engine over mediator, allocators, the
-// satisfaction registry, and policy hot-swap — under the internal/sim
-// virtual clock, at populations up to millions of simulated participants.
+// mediation pipeline — live.Engine over mediator, allocators and the
+// satisfaction registry — under the internal/sim virtual clock, at
+// populations up to millions of simulated participants.
 //
 // The lab has three layers:
 //
 //  1. a composable workload generator (this file): seeded arrival processes
-//     (Poisson, bursty MMPP, diurnal) from internal/workload, heavy-tailed
+//     (Poisson, bursty MMPP) from internal/workload, heavy-tailed
 //     query cost, flash crowds, provider churn storms, and adversarial
 //     populations (free-riders, over-claimers, colluders) promoted from the
 //     seed code in internal/experiments and internal/boinc;
@@ -63,13 +63,8 @@ type Scenario struct {
 	// dominate memory).
 	Window int `json:"window,omitempty"`
 
-	// Policy is the allocation policy under test (generation 0).
+	// Policy is the allocation policy under test.
 	Policy policy.Spec `json:"policy"`
-
-	// Swaps hot-swap the policy mid-run through live.Engine.Reconfigure
-	// — the real generation-publication path, adopted at the next
-	// mediation boundary.
-	Swaps []PolicySwitch `json:"swaps,omitempty"`
 
 	// QoS, when set, interposes the real class-aware admission scheduler
 	// (internal/qos) between arrivals and mediation: queries queue at a
@@ -86,12 +81,6 @@ type Scenario struct {
 
 	// Workload describes the traffic and the population.
 	Workload Workload `json:"workload"`
-}
-
-// PolicySwitch schedules a hot policy swap at a simulated time.
-type PolicySwitch struct {
-	At   float64     `json:"at"`
-	Spec policy.Spec `json:"spec"`
 }
 
 // Workload declares the traffic mix and population for a scenario.
@@ -214,15 +203,13 @@ type FlashSpec struct {
 
 // ArrivalSpec declares an arrival process as data; Build turns it into a
 // workload.Arrivals. Kinds: "poisson" (Rate), "mmpp2" (Rate/DwellA +
-// RateB/DwellB), "diurnal" (Rate as mean, Period, Amplitude).
+// RateB/DwellB).
 type ArrivalSpec struct {
-	Kind      string  `json:"kind"`
-	Rate      float64 `json:"rate"`
-	RateB     float64 `json:"rate_b,omitempty"`
-	DwellA    float64 `json:"dwell_a,omitempty"`
-	DwellB    float64 `json:"dwell_b,omitempty"`
-	Period    float64 `json:"period,omitempty"`
-	Amplitude float64 `json:"amplitude,omitempty"`
+	Kind   string  `json:"kind"`
+	Rate   float64 `json:"rate"`
+	RateB  float64 `json:"rate_b,omitempty"`
+	DwellA float64 `json:"dwell_a,omitempty"`
+	DwellB float64 `json:"dwell_b,omitempty"`
 }
 
 // Build materializes the declared process. Each call returns a fresh
@@ -236,11 +223,6 @@ func (a ArrivalSpec) Build() (workload.Arrivals, error) {
 		return workload.Poisson{Rate: a.Rate}, nil
 	case "mmpp2":
 		return workload.NewMMPP2(a.Rate, a.DwellA, a.RateB, a.DwellB)
-	case "diurnal":
-		if a.Rate <= 0 || a.Period <= 0 {
-			return nil, fmt.Errorf("lab: diurnal arrival needs rate and period > 0, got %g/%g", a.Rate, a.Period)
-		}
-		return workload.Diurnal{Mean: a.Rate, Period: a.Period, Amplitude: a.Amplitude}, nil
 	default:
 		return nil, fmt.Errorf("lab: unknown arrival kind %q", a.Kind)
 	}
@@ -378,12 +360,6 @@ func (sc Scenario) normalized() (Scenario, error) {
 	sc.Policy = sc.Policy.Normalized()
 	if err := sc.Policy.Validate(); err != nil {
 		return sc, fmt.Errorf("lab: scenario %q policy: %w", sc.Name, err)
-	}
-	for i, sw := range sc.Swaps {
-		sc.Swaps[i].Spec = sw.Spec.Normalized()
-		if err := sc.Swaps[i].Spec.Validate(); err != nil {
-			return sc, fmt.Errorf("lab: scenario %q swap %d: %w", sc.Name, i, err)
-		}
 	}
 	return sc, nil
 }

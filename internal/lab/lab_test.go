@@ -89,7 +89,6 @@ func TestReportDeterminism(t *testing.T) {
 	sc := smallScenario("determinism", 7, sbqaPolicy(7))
 	sc.Workload.Churn = ChurnSpec{LeaveRate: 0.2, RejoinAfter: 10}
 	sc.Workload.Flash = []FlashSpec{{Class: "steady", At: 40, Duration: 10, Factor: 6}}
-	sc.Swaps = []PolicySwitch{{At: 60, Spec: policy.Spec{Kind: policy.Capacity}}}
 
 	r1, err := Run(sc)
 	if err != nil {
@@ -156,21 +155,6 @@ func settledGoroutines() int {
 		n = m
 	}
 	return n
-}
-
-func TestPolicySwapRecorded(t *testing.T) {
-	sc := smallScenario("swap", 3, sbqaPolicy(3))
-	sc.Swaps = []PolicySwitch{{At: 50, Spec: policy.Spec{Kind: policy.Random, Seed: 3}}}
-	r, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Swaps) != 1 || r.Swaps[0].Kind != policy.Random || r.Swaps[0].Generation == 0 {
-		t.Fatalf("swaps = %+v, want one applied random swap with generation > 0", r.Swaps)
-	}
-	if r.Swaps[0].At != 50 {
-		t.Fatalf("swap applied at %v, want 50", r.Swaps[0].At)
-	}
 }
 
 func TestChurnStormVisibleInTrajectory(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-
-	"sbqa/internal/policy"
 )
 
 // Report is the typed outcome of one scenario run. It is pure data with a
@@ -80,9 +78,6 @@ type Report struct {
 	// most 32 classes (beyond that they would dominate the report; the
 	// aggregate trajectory is always present).
 	Classes []ClassReport `json:"classes"`
-
-	// Swaps records every policy hot-swap applied, in order.
-	Swaps []AppliedSwap `json:"swaps,omitempty"`
 }
 
 // BehaviorShares are allocation fractions by provider behavior.
@@ -151,13 +146,6 @@ type ClassPoint struct {
 	T  float64 `json:"t"`
 	DS float64 `json:"ds"`
 	DA float64 `json:"da"`
-}
-
-// AppliedSwap records one policy hot-swap the run applied.
-type AppliedSwap struct {
-	At         float64     `json:"at"`
-	Kind       policy.Kind `json:"kind"`
-	Generation uint64      `json:"generation"`
 }
 
 // Encode returns the report's canonical byte serialization (indented JSON;

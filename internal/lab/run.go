@@ -184,7 +184,7 @@ func build(sc Scenario) (_ *world, err error) {
 }
 
 // start books the initial event population: arrivals per class, churn,
-// storms, policy swaps, and trajectory sampling.
+// storms, and trajectory sampling.
 func (w *world) start() {
 	for _, cs := range w.classes {
 		w.scheduleArrival(cs)
@@ -196,18 +196,6 @@ func (w *world) start() {
 	if st := ch.Storm; st != nil {
 		w.eng.ScheduleAt(st.At, func() { w.storm(st, true) })
 		w.eng.ScheduleAt(st.At+st.Duration, func() { w.storm(st, false) })
-	}
-	for _, sw := range w.sc.Swaps {
-		sw := sw
-		w.eng.ScheduleAt(sw.At, func() {
-			if err := w.live.Reconfigure(context.Background(), sw.Spec); err == nil {
-				w.report.Swaps = append(w.report.Swaps, AppliedSwap{
-					At:         w.eng.Now(),
-					Kind:       sw.Spec.Kind,
-					Generation: w.live.PolicyGeneration(),
-				})
-			}
-		})
 	}
 	w.scheduleSample()
 }

@@ -84,14 +84,14 @@ func FuzzJournalReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(segmentPath(dir, segs[0]))
+	valid, err := os.ReadFile(SegmentFilePath(dir, segs[0]))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	mixedDir := f.TempDir()
 	writeJournal(f, mixedDir, mixedRecords(12))
-	mixed, err := os.ReadFile(segmentPath(mixedDir, 1))
+	mixed, err := os.ReadFile(SegmentFilePath(mixedDir, 1))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestValidateSegmentAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		dir := t.TempDir()
 		writeJournal(t, dir, mixedRecords(n))
-		path := segmentPath(dir, 1)
+		path := SegmentFilePath(dir, 1)
 		if _, got, err := validateSegmentFile(path); err != nil || got != n {
 			t.Fatalf("validate %d records = (%d, %v)", n, got, err)
 		}

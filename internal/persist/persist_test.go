@@ -174,7 +174,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := segmentPath(dir, segs[len(segs)-1])
+	last := SegmentFilePath(dir, segs[len(segs)-1])
 	info, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 
 	// The same corruption in a NON-final segment is an error, not a
 	// tolerated tear.
-	if err := os.WriteFile(segmentPath(dir, segs[len(segs)-1]+5), []byte("SBQAWAL1 garbage beyond"), 0o644); err != nil {
+	if err := os.WriteFile(SegmentFilePath(dir, segs[len(segs)-1]+5), []byte("SBQAWAL1 garbage beyond"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st3, err := Open(dir)
@@ -420,7 +420,7 @@ func TestCrashBeforeFirstSyncStillRestores(t *testing.T) {
 	// An entirely truncated (empty) final segment — crash before even the
 	// header landed — is tolerated as a torn tail too.
 	st2.Close()
-	if err := os.WriteFile(segmentPath(dir, 99), nil, 0o644); err != nil {
+	if err := os.WriteFile(SegmentFilePath(dir, 99), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, res3, st3 := replayAll(t, dir)

@@ -23,13 +23,6 @@ import (
 // rotate at a few MiB, so far below this.
 const maxReplicaSegment = 256 << 20
 
-// SegmentFilePath returns the canonical file name of journal segment seq
-// under dir — the name the Store itself uses, so shipped replicas mirror
-// the owner's directory layout.
-func SegmentFilePath(dir string, seq uint64) string {
-	return segmentPath(dir, seq)
-}
-
 // ScanSegmentDir lists the journal segment sequence numbers present in dir,
 // sorted ascending. A missing directory is an empty result, not an error.
 func ScanSegmentDir(dir string) ([]uint64, error) {
@@ -78,7 +71,7 @@ func LandSegmentChunk(dir string, seq, offset uint64, data []byte, last bool) (r
 			}
 		}
 	}()
-	if _, err := os.Stat(segmentPath(dir, seq)); err == nil {
+	if _, err := os.Stat(SegmentFilePath(dir, seq)); err == nil {
 		return nil, nil
 	}
 	if err := mkdirDurable(dir); err != nil {
@@ -120,7 +113,7 @@ func LandSegmentChunk(dir string, seq, offset uint64, data []byte, last bool) (r
 	case got != seq:
 		return fmt.Errorf("says seq %d in its header", got), nil
 	}
-	if err := os.Rename(tmp, segmentPath(dir, seq)); err != nil {
+	if err := os.Rename(tmp, SegmentFilePath(dir, seq)); err != nil {
 		return nil, err
 	}
 	syncDir(dir)
@@ -180,7 +173,7 @@ func ReplayDir(dir string, keep func(*Record) bool, reg *satisfaction.Registry) 
 		return 0, fmt.Errorf("persist: scanning replica dir: %w", err)
 	}
 	for i, seq := range seqs {
-		_, err := readSegment(segmentPath(dir, seq), func(rec *Record) error {
+		_, err := readSegment(SegmentFilePath(dir, seq), func(rec *Record) error {
 			if keep == nil || keep(rec) {
 				rec.Apply(reg)
 				replayed++

@@ -75,7 +75,10 @@ const (
 	snapshotSuffix = ".snap"
 )
 
-func segmentPath(dir string, seq uint64) string {
+// SegmentFilePath returns the canonical file name of journal segment seq
+// under dir — the name the Store itself uses, so shipped replicas mirror
+// the owner's directory layout.
+func SegmentFilePath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", segmentPrefix, seq, segmentSuffix))
 }
 
@@ -205,7 +208,7 @@ func (s *Store) Restore(reg *satisfaction.Registry) (*RestoreResult, error) {
 		if seq < firstSeg {
 			continue
 		}
-		_, err := readSegment(segmentPath(s.dir, seq), func(rec *Record) error {
+		_, err := readSegment(SegmentFilePath(s.dir, seq), func(rec *Record) error {
 			rec.Apply(reg)
 			res.Stats.ReplayedRecords++
 			switch rec.Type {
@@ -232,7 +235,7 @@ func (s *Store) Restore(reg *satisfaction.Registry) (*RestoreResult, error) {
 
 	// Appends go to a fresh segment — a torn tail is never appended to.
 	s.activeSeq = maxSeq + 1
-	w, err := createSegment(segmentPath(s.dir, s.activeSeq), s.activeSeq)
+	w, err := createSegment(SegmentFilePath(s.dir, s.activeSeq), s.activeSeq)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening journal segment: %w", err)
 	}
@@ -320,7 +323,7 @@ func (s *Store) rotateLocked() error {
 	s.sinceSync = 0
 	s.sealed = append(s.sealed, s.activeSeq)
 	s.activeSeq++
-	w, err := createSegment(segmentPath(s.dir, s.activeSeq), s.activeSeq)
+	w, err := createSegment(SegmentFilePath(s.dir, s.activeSeq), s.activeSeq)
 	if err != nil {
 		s.w = nil
 		return err
@@ -365,7 +368,7 @@ func (s *Store) OpenSealedSegment(seq uint64) (io.ReadCloser, int64, error) {
 	if !sealed {
 		return nil, 0, fmt.Errorf("persist: segment %d is not sealed", seq)
 	}
-	f, err := os.Open(segmentPath(s.dir, seq))
+	f, err := os.Open(SegmentFilePath(s.dir, seq))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -468,7 +471,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot, compaction bool) error {
 	kept := s.sealed[:0]
 	for _, seq := range s.sealed {
 		if seq < snap.FirstSegment {
-			os.Remove(segmentPath(s.dir, seq))
+			os.Remove(SegmentFilePath(s.dir, seq))
 			continue
 		}
 		kept = append(kept, seq)

@@ -81,10 +81,11 @@ type Config struct {
 	// Buffer is the flight-recorder ring capacity in finished traces
 	// (default 256).
 	Buffer int
-	// SpanCap bounds the spans one trace retains; excess spans are
-	// counted in TraceView.SpansDropped (default 64).
-	SpanCap int
 }
+
+// spanCap bounds the spans one trace retains; excess spans are counted in
+// TraceView.SpansDropped.
+const spanCap = 64
 
 // record is one pooled in-flight or finished trace.
 type record struct {
@@ -118,8 +119,7 @@ func (rec *record) reset() {
 // Recorder owns the sampling decision, the active-trace map, the ring,
 // and the stage histograms. A nil *Recorder is valid and records nothing.
 type Recorder struct {
-	every   uint64 // 0 = never, 1 = always, n = every nth
-	spanCap int
+	every uint64 // 0 = never, 1 = always, n = every nth
 
 	seed      uint64
 	idCounter atomic.Uint64
@@ -148,18 +148,14 @@ func New(cfg Config) *Recorder {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
 	}
-	if cfg.SpanCap <= 0 {
-		cfg.SpanCap = 64
-	}
 	r := &Recorder{
-		every:   sampleEvery(cfg.Sample),
-		spanCap: cfg.SpanCap,
-		seed:    uint64(time.Now().UnixNano()),
-		active:  make(map[model.TraceID]*record),
-		ring:    make([]*record, cfg.Buffer),
+		every:  sampleEvery(cfg.Sample),
+		seed:   uint64(time.Now().UnixNano()),
+		active: make(map[model.TraceID]*record),
+		ring:   make([]*record, cfg.Buffer),
 	}
 	r.pool.New = func() any {
-		return &record{spans: make([]Span, 0, r.spanCap)}
+		return &record{spans: make([]Span, 0, spanCap)}
 	}
 	return r
 }
@@ -285,7 +281,7 @@ func (r *Recorder) RecordSpan(id model.TraceID, s Span) {
 		return
 	}
 	rec.mu.Lock()
-	if len(rec.spans) < r.spanCap {
+	if len(rec.spans) < spanCap {
 		rec.spans = append(rec.spans, s)
 	} else {
 		rec.dropped++

@@ -136,21 +136,22 @@ func TestSpansAndExplainRoundTrip(t *testing.T) {
 }
 
 func TestSpanCapDropsNotGrows(t *testing.T) {
-	r := New(Config{Sample: 1, Buffer: 4, SpanCap: 3})
+	r := New(Config{Sample: 1, Buffer: 4})
 	tc, _ := r.StartLocal()
-	for i := 0; i < 10; i++ {
+	const over = 7
+	for i := 0; i < spanCap+over; i++ {
 		r.RecordSpan(tc.ID, Span{Name: StageParticipant, Start: int64(i), End: int64(i + 1)})
 	}
 	r.Finish(tc.ID, "allocated", "", nil)
 	v, _ := r.TraceByID(tc.ID.String())
-	if len(v.Spans) != 3 {
+	if len(v.Spans) != spanCap {
 		t.Fatalf("span cap not enforced: %d spans", len(v.Spans))
 	}
-	if v.SpansDropped != 7 {
-		t.Fatalf("dropped = %d, want 7", v.SpansDropped)
+	if v.SpansDropped != over {
+		t.Fatalf("dropped = %d, want %d", v.SpansDropped, over)
 	}
-	if st := r.StatsSnapshot(); st.SpansDropped != 7 {
-		t.Fatalf("recorder dropped counter = %d, want 7", st.SpansDropped)
+	if st := r.StatsSnapshot(); st.SpansDropped != over {
+		t.Fatalf("recorder dropped counter = %d, want %d", st.SpansDropped, over)
 	}
 }
 
@@ -367,7 +368,7 @@ func TestDuplicateRegisterKeepsFirst(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	r := New(Config{Sample: 1, Buffer: 16, SpanCap: 8})
+	r := New(Config{Sample: 1, Buffer: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

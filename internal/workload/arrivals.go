@@ -13,7 +13,7 @@ import (
 // always yields the same gap and leaves rng in the same state — so that
 // simulations embedding a process replay byte-identically under one seed.
 //
-// Stateless processes (Poisson, Diurnal, Modulated) use value receivers and
+// Stateless processes (Poisson, Modulated) use value receivers and
 // can be shared; MMPP2 carries phase state and must be one-per-stream.
 type Arrivals interface {
 	// Next returns the gap (simulated seconds, >= 0) from now until the
@@ -123,52 +123,6 @@ func (m *MMPP2) Next(now float64, rng *stats.RNG) float64 {
 // String implements Arrivals.
 func (m *MMPP2) String() string {
 	return fmt.Sprintf("mmpp2(A=%g/%gs, B=%g/%gs)", m.rateA, m.dwellA, m.rateB, m.dwellB)
-}
-
-// Diurnal is a nonhomogeneous Poisson process with sinusoidal intensity
-//
-//	rate(t) = Mean · (1 + Amplitude·sin(2πt/Period))
-//
-// modeling day/night load cycles. Amplitude must be in [0, 1); Period is
-// the cycle length in simulated seconds. Sampling uses Lewis–Shedler
-// thinning against the peak rate, which is exact and deterministic.
-type Diurnal struct {
-	Mean      float64 // time-averaged arrivals per second
-	Period    float64 // seconds per full cycle
-	Amplitude float64 // relative swing, in [0, 1)
-}
-
-// Rate returns the instantaneous intensity at simulated time t.
-func (d Diurnal) Rate(t float64) float64 {
-	return d.Mean * (1 + d.Amplitude*math.Sin(2*math.Pi*t/d.Period))
-}
-
-// Next implements Arrivals via thinning: candidate gaps are drawn at the
-// peak rate and accepted with probability rate(t)/peak.
-func (d Diurnal) Next(now float64, rng *stats.RNG) float64 {
-	if d.Mean <= 0 || d.Period <= 0 {
-		return math.Inf(1)
-	}
-	amp := d.Amplitude
-	if amp < 0 {
-		amp = 0
-	}
-	if amp >= 1 {
-		amp = 0.999
-	}
-	peak := d.Mean * (1 + amp)
-	t := now
-	for {
-		t += rng.ExpFloat64() / peak
-		if rng.Float64()*peak <= d.Rate(t) {
-			return t - now
-		}
-	}
-}
-
-// String implements Arrivals.
-func (d Diurnal) String() string {
-	return fmt.Sprintf("diurnal(mean=%g, period=%gs, amp=%g)", d.Mean, d.Period, d.Amplitude)
 }
 
 // Modulated scales a base process's gaps by a time-varying factor:

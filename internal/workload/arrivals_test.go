@@ -69,7 +69,6 @@ func TestArrivalsGolden(t *testing.T) {
 			}
 			return m
 		}, "4ec7426203df180c"},
-		{"diurnal", func() Arrivals { return Diurnal{Mean: 2, Period: 100, Amplitude: 0.8} }, "fd588990b6477bf3"},
 		{"flash", func() Arrivals {
 			return Modulated{Base: Poisson{Rate: 2}, Factor: FlashFactor(10, 5, 10)}
 		}, "f75a8dc66adc9700"},
@@ -189,37 +188,6 @@ func TestMMPP2Statistics(t *testing.T) {
 	}
 }
 
-func TestDiurnalStatistics(t *testing.T) {
-	d := Diurnal{Mean: 5, Period: 1000, Amplitude: 0.8}
-	gaps := sampleGaps(func() Arrivals { return d }, 17, 300_000)
-	var total float64
-	for _, g := range gaps {
-		total += g
-	}
-	// Run an integer number of periods' worth of arrivals: mean rate ≈ Mean.
-	within(t, "diurnal mean rate", float64(len(gaps))/total, d.Mean, 0.05)
-
-	// Peak-quarter vs trough-quarter arrival counts: expected ratio is the
-	// integral of (1 + A sin) over [P/8, 3P/8] vs [5P/8, 7P/8], which for
-	// A=0.8 is (1+0.72)/(1-0.72) ≈ 6.1. Allow a loose band.
-	var peak, trough float64
-	now := 0.0
-	for _, g := range gaps {
-		now += g
-		phase := math.Mod(now, d.Period) / d.Period
-		switch {
-		case phase >= 0.125 && phase < 0.375:
-			peak++
-		case phase >= 0.625 && phase < 0.875:
-			trough++
-		}
-	}
-	ratio := peak / trough
-	if ratio < 4 || ratio > 9 {
-		t.Fatalf("diurnal peak/trough arrival ratio = %.2f, want in [4, 9]", ratio)
-	}
-}
-
 func TestFlashFactorStatistics(t *testing.T) {
 	const base, factor, at, dur = 2.0, 10.0, 100.0, 50.0
 	proc := Modulated{Base: Poisson{Rate: base}, Factor: FlashFactor(at, dur, factor)}
@@ -278,7 +246,6 @@ func TestArrivalsStrings(t *testing.T) {
 	for _, proc := range []Arrivals{
 		Poisson{Rate: 2},
 		m,
-		Diurnal{Mean: 2, Period: 100, Amplitude: 0.8},
 		Modulated{Base: Poisson{Rate: 2}, Factor: FlashFactor(1, 1, 2)},
 	} {
 		if s := proc.String(); s == "" || strings.ContainsAny(s, "\n\t") {
@@ -291,9 +258,6 @@ func TestArrivalsEdgeCases(t *testing.T) {
 	rng := stats.NewRNG(1)
 	if g := (Poisson{Rate: 0}).Next(0, rng); !math.IsInf(g, 1) {
 		t.Fatalf("zero-rate poisson gap = %v, want +Inf", g)
-	}
-	if g := (Diurnal{Mean: 0, Period: 10}).Next(0, rng); !math.IsInf(g, 1) {
-		t.Fatalf("zero-mean diurnal gap = %v, want +Inf", g)
 	}
 	if g := (Modulated{Base: Poisson{Rate: 1}, Factor: func(float64) float64 { return 0 }}).Next(0, rng); !math.IsInf(g, 1) {
 		t.Fatalf("zero-factor modulated gap = %v, want +Inf", g)

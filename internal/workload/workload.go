@@ -90,12 +90,6 @@ type ProjectSpec struct {
 	// DelayTarget is the response time (seconds) the project considers
 	// good; it feeds response-time-seeking intention policies.
 	DelayTarget float64
-
-	// Quorum is how many *valid* (matching) results the project needs to
-	// validate a query, per BOINC's redundancy checking. 0 means the
-	// majority of Replication. Results from malicious volunteers are
-	// invalid and do not count toward the quorum.
-	Quorum int
 }
 
 // Config declares a whole population.
@@ -154,7 +148,7 @@ type Project struct {
 	ArrivalRate   float64 // queries / second
 	Replication   int
 	DelayTarget   float64
-	Quorum        int       // valid results needed to validate a query
+	Quorum        int       // valid results that validate a query (BOINC redundancy checking): a majority of Replication
 	VolunteerPref []float64 // project's preference for each volunteer, [-1,1]
 }
 
@@ -300,20 +294,13 @@ func Generate(cfg Config) (*Population, error) {
 		if repl < 1 {
 			repl = 1
 		}
-		quorum := spec.Quorum
-		if quorum < 1 {
-			quorum = repl/2 + 1 // majority of the replicas
-		}
-		if quorum > repl {
-			quorum = repl
-		}
 		p := Project{
 			Index:         i,
 			Name:          spec.Name,
 			ArrivalRate:   totalRate * shares[i],
 			Replication:   repl,
 			DelayTarget:   spec.DelayTarget,
-			Quorum:        quorum,
+			Quorum:        repl/2 + 1,
 			VolunteerPref: make([]float64, cfg.Volunteers),
 		}
 		if p.DelayTarget <= 0 {
