@@ -157,8 +157,9 @@ func BenchmarkScoreDefinition3(b *testing.B) {
 	}
 }
 
-// BenchmarkRank measures scoring and ranking a kn=10 candidate set the way
-// core.SbQA does: ScoreInto over flat columns, then FlatRanker.
+// BenchmarkRank measures ranking a kn=10 candidate set: "literal" scores it
+// with ScoreInto over flat columns, then sorts with FlatRanker; "key" is the
+// way core.SbQA ranks, score.Ranker's log-domain keys.
 func BenchmarkRank(b *testing.B) {
 	const kn = 10
 	s := score.NewScorer()
@@ -176,12 +177,21 @@ func BenchmarkRank(b *testing.B) {
 		v.SatP[i] = float64(i) / 10
 	}
 	omega, scores, order := make([]float64, kn), make([]float64, kn), make([]int, kn)
-	var r score.FlatRanker
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.ScoreInto(v, omega, scores)
-		r.Rank(scores, v.IDs, order)
-	}
+	b.Run("literal", func(b *testing.B) {
+		var r score.FlatRanker
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.ScoreInto(v, omega, scores)
+			r.Rank(scores, v.IDs, order)
+		}
+	})
+	b.Run("key", func(b *testing.B) {
+		var r score.Ranker
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Rank(s, v, omega, order)
+		}
+	})
 }
 
 // BenchmarkKnBestSelect measures the two-stage selection over 1000
@@ -210,7 +220,6 @@ func (p *fanoutProvider) ProviderID() model.ProviderID { return p.id }
 func (p *fanoutProvider) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: p.id, Utilization: float64(p.id%10) / 10, Capacity: 1}
 }
-func (p *fanoutProvider) CanPerform(model.Query) bool           { return true }
 func (p *fanoutProvider) Intention(model.Query) model.Intention { return 0.4 }
 func (p *fanoutProvider) Bid(q model.Query) float64             { return q.Work }
 

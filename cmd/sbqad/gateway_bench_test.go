@@ -53,14 +53,14 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 }
 
 // TestGatewaySubmitAllocs: one wait:"allocation" submit through the real
-// handler allocates the ticket and the Allocation's four objects, and the
+// handler allocates the ticket and the Allocation's three objects, and the
 // edge around them nothing.
 func TestGatewaySubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
 	}
-	if n := testing.AllocsPerRun(200, gatewaySubmitter(t)); n != 5 {
-		t.Fatalf("%v allocations per submit, want 5", n)
+	if n := testing.AllocsPerRun(200, gatewaySubmitter(t)); n != 4 {
+		t.Fatalf("%v allocations per submit, want 4", n)
 	}
 }
 

@@ -196,6 +196,8 @@ func (g *gateway) handlePolicyPreview(w http.ResponseWriter, r *http.Request) {
 		n = 1
 	}
 	q := sbqa.Query{Consumer: consumer, Class: req.Query.Class, N: n, Work: req.Query.Work}
+	// Sampled, so that SbQA fills in the literal scores the preview returns.
+	q.Trace.Sampled = true
 	if q.Work <= 0 {
 		q.Work = 1
 	}

@@ -26,7 +26,6 @@ func (p exampleProvider) ProviderID() sbqa.ProviderID { return p.id }
 func (p exampleProvider) Snapshot(float64) sbqa.ProviderSnapshot {
 	return sbqa.ProviderSnapshot{ID: p.id, Capacity: 1}
 }
-func (p exampleProvider) CanPerform(sbqa.Query) bool          { return true }
 func (p exampleProvider) Intention(sbqa.Query) sbqa.Intention { return 0.5 }
 func (p exampleProvider) Bid(q sbqa.Query) float64            { return q.Work }
 

@@ -29,7 +29,6 @@ func (p *provider) ProviderID() sbqa.ProviderID { return p.id }
 func (p *provider) Snapshot(float64) sbqa.ProviderSnapshot {
 	return sbqa.ProviderSnapshot{ID: p.id, Utilization: p.util, Capacity: 1}
 }
-func (p *provider) CanPerform(sbqa.Query) bool          { return true }
 func (p *provider) Intention(sbqa.Query) sbqa.Intention { return 0.5 }
 func (p *provider) Bid(q sbqa.Query) float64            { return q.Work }
 

@@ -44,7 +44,6 @@ func (s *seller) Snapshot(now float64) sbqa.ProviderSnapshot {
 	}
 }
 
-func (s *seller) CanPerform(sbqa.Query) bool          { return true }
 func (s *seller) Intention(sbqa.Query) sbqa.Intention { return s.preference }
 func (s *seller) Bid(q sbqa.Query) float64            { return s.pendingWork + q.Work }
 

@@ -82,10 +82,6 @@ func (a *Advertiser) Snapshot(now float64) model.ProviderSnapshot {
 	}
 }
 
-// CanPerform implements mediator.Provider: every advertiser may bid on any
-// query; relevance is the score's business.
-func (a *Advertiser) CanPerform(model.Query) bool { return true }
-
 // Intention implements mediator.Provider: the advertiser's current topical
 // interest in the query.
 func (a *Advertiser) Intention(q model.Query) model.Intention {

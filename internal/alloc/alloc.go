@@ -13,17 +13,13 @@
 // implements the same Allocator interface.
 //
 // Allocators pull their candidates from a Source rather than receiving a
-// snapshot of every capable provider: Len is the size of the class's index
-// bucket, At(i) asks CanPerform of and snapshots the one provider at
-// position i (ascending ProviderID), and All materialises the filtered P_q.
-// Techniques that sample (SbQA, Random, Economic) go through Sampler, which
-// draws its positions first and touches only those — falling back to a
-// fresh draw over All when a drawn provider refuses, so the sample is a
-// uniform subset of P_q either way (see Sampler); RoundRobin indexes;
-// Capacity and ShareBased rank everyone and call All. The population an
-// allocator reports (Explain.Candidates, the observers' candidates count)
-// is therefore the bucket's size while the optimistic draw stands and
-// |P_q| once P_q was materialised — equal whenever nobody refuses.
+// snapshot of every capable provider: Len is |P_q| (the class's index
+// bucket), At(i) snapshots the one provider at position i (ascending
+// ProviderID), and All materialises P_q. Techniques that sample (SbQA,
+// Random, Economic) go through Sampler, which draws its positions first and
+// touches only those; RoundRobin indexes; Capacity and ShareBased rank
+// everyone and call All. The population an allocator reports
+// (Explain.Candidates, the observers' candidates count) is |P_q|.
 package alloc
 
 import (
@@ -46,18 +42,18 @@ import (
 // Allocators pull their candidates (see Source): a technique that samples
 // draws its positions first and snapshots only those (Sampler), one that
 // rotates indexes, and only a technique that ranks all of P_q pays for All.
-// A provider whose At reports !ok is outside P_q and must never be proposed.
 type Allocator interface {
 	// Name identifies the technique in experiment tables.
 	Name() string
 
 	// Allocate mediates one query over the candidate source. A (nil, nil)
-	// result means the query cannot be allocated (no candidates, or every
-	// candidate refused). A non-nil error means the mediation itself
-	// failed — the context was canceled or the environment's batched
-	// collection aborted — and the query was not mediated; allocators never
-	// return an error for individual silent participants (the Env imputes
-	// those). candidates is valid only until Allocate returns.
+	// result means the query cannot be allocated (no candidates, or the
+	// technique turned every candidate down). A non-nil error means the
+	// mediation itself failed — the context was canceled or the
+	// environment's batched collection aborted — and the query was not
+	// mediated; allocators never return an error for individual silent
+	// participants (the Env imputes those). candidates is valid only until
+	// Allocate returns.
 	Allocate(ctx context.Context, env Env, q model.Query, candidates Source) (*model.Allocation, error)
 }
 
@@ -126,8 +122,7 @@ func (r *Random) Allocate(_ context.Context, _ Env, q model.Query, candidates So
 
 // RoundRobin allocates queries to candidates in rotating ID order: perfectly
 // even in count, blind to load, interests, and heterogeneity. The rotation
-// is index arithmetic over the source's ascending-ID positions; only a turn
-// that lands on a refusing provider materialises P_q and rotates over that.
+// is index arithmetic over the source's ascending-ID positions.
 type RoundRobin struct {
 	cursor int
 }
@@ -139,7 +134,7 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (r *RoundRobin) Name() string { return "RoundRobin" }
 
 // Allocate implements Allocator.
-func (r *RoundRobin) Allocate(ctx context.Context, env Env, q model.Query, candidates Source) (*model.Allocation, error) {
+func (r *RoundRobin) Allocate(_ context.Context, _ Env, q model.Query, candidates Source) (*model.Allocation, error) {
 	size := candidates.Len()
 	if size == 0 {
 		return nil, nil
@@ -147,12 +142,7 @@ func (r *RoundRobin) Allocate(ctx context.Context, env Env, q model.Query, candi
 	n := resultN(q, size)
 	sel := make([]model.ProviderSnapshot, 0, n)
 	for i := 0; i < n; i++ {
-		snap, ok := candidates.At((r.cursor + i) % size)
-		if !ok {
-			// Take the turn over the materialised P_q, where nobody refuses.
-			return r.Allocate(ctx, env, q, Snapshots(candidates.All(nil)))
-		}
-		sel = append(sel, snap)
+		sel = append(sel, candidates.At((r.cursor+i)%size))
 	}
 	r.cursor = (r.cursor + n) % size
 	return newAllocation(q, sel), nil

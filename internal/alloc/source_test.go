@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"context"
-	"math"
 	"sort"
 	"testing"
 
@@ -10,35 +8,25 @@ import (
 	"sbqa/internal/stats"
 )
 
-// vetoSource is a bucket some of whose providers refuse the query, counting
-// how it is pulled.
-type vetoSource struct {
+// countingSource is a materialised P_q that counts how it is pulled.
+type countingSource struct {
 	bucket   []model.ProviderSnapshot
-	refuse   map[model.ProviderID]bool
 	atCalls  int
 	allCalls int
 }
 
-func (s *vetoSource) Len() int { return len(s.bucket) }
-func (s *vetoSource) At(i int) (model.ProviderSnapshot, bool) {
+func (s *countingSource) Len() int { return len(s.bucket) }
+func (s *countingSource) At(i int) model.ProviderSnapshot {
 	s.atCalls++
-	if s.refuse[s.bucket[i].ID] {
-		return model.ProviderSnapshot{}, false
-	}
-	return s.bucket[i], true
+	return s.bucket[i]
 }
-func (s *vetoSource) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
+func (s *countingSource) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
 	s.allCalls++
-	for _, snap := range s.bucket {
-		if !s.refuse[snap.ID] {
-			buf = append(buf, snap)
-		}
-	}
-	return buf
+	return append(buf, s.bucket...)
 }
 
-// TestSamplerDrawsLikeAPrefilteredSampleK: with nobody refusing, the pulled
-// sample is exactly the historical "filter P_q, SampleK over it, gather" —
+// TestSamplerDrawsLikeAPrefilteredSampleK: the pulled sample is exactly the
+// historical "filter P_q, SampleK over it, gather" —
 // same members, same order, same stream position — and only the k drawn
 // positions are touched.
 func TestSamplerDrawsLikeAPrefilteredSampleK(t *testing.T) {
@@ -49,7 +37,7 @@ func TestSamplerDrawsLikeAPrefilteredSampleK(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + sizes.Intn(60)
 		k := sizes.Intn(n+10) - 2 // includes k < 1 and k > n
-		src := &vetoSource{bucket: snaps(make([]float64, n)...)}
+		src := &countingSource{bucket: snaps(make([]float64, n)...)}
 
 		got, population := sampler.Sample(pulled, src, k, nil)
 
@@ -72,64 +60,6 @@ func TestSamplerDrawsLikeAPrefilteredSampleK(t *testing.T) {
 		if src.atCalls != want || src.allCalls != 0 {
 			t.Fatalf("n=%d k=%d: %d At + %d All calls, want %d + 0", n, k, src.atCalls, src.allCalls, want)
 		}
-	}
-}
-
-// TestSamplerFallbackIsUniformOverAccepting: when providers of the bucket
-// refuse, no refuser is ever sampled, the sample has min(k, |P_q|) distinct
-// members, and every accepting provider is drawn equally often — the
-// optimistic draw and the fallback mix into a uniform k-subset of P_q.
-func TestSamplerFallbackIsUniformOverAccepting(t *testing.T) {
-	const n, k, trials = 12, 3, 60000
-	src := &vetoSource{
-		bucket: snaps(make([]float64, n)...),
-		refuse: map[model.ProviderID]bool{1: true, 4: true, 5: true, 10: true},
-	}
-	accepting := n - len(src.refuse)
-	rng := stats.NewRNG(3)
-	var sampler Sampler
-	var buf []model.ProviderSnapshot
-	counts := map[model.ProviderID]int{}
-	optimistic := 0
-	for i := 0; i < trials; i++ {
-		var population int
-		buf, population = sampler.Sample(rng, src, k, buf[:0])
-		if len(buf) != k {
-			t.Fatalf("sampled %d, want %d", len(buf), k)
-		}
-		switch population {
-		case n:
-			optimistic++
-		case accepting:
-		default:
-			t.Fatalf("population %d, want the bucket (%d) or P_q (%d)", population, n, accepting)
-		}
-		seen := map[model.ProviderID]bool{}
-		for _, s := range buf {
-			if src.refuse[s.ID] || seen[s.ID] {
-				t.Fatalf("sample %v holds a refuser or a duplicate", buf)
-			}
-			seen[s.ID] = true
-			counts[s.ID]++
-		}
-	}
-	if optimistic == 0 || optimistic == trials {
-		t.Fatalf("optimistic draws stood %d of %d times; the test must exercise both arms", optimistic, trials)
-	}
-	want := float64(trials) * k / float64(accepting)
-	for id, c := range counts {
-		if math.Abs(float64(c)-want) > 0.03*want {
-			t.Errorf("provider %d drawn %d times, want %.0f ± 3%%", id, c, want)
-		}
-	}
-	if len(counts) != accepting {
-		t.Errorf("%d distinct providers drawn, want all %d accepting", len(counts), accepting)
-	}
-
-	// Everyone refuses: an empty P_q, reported as such.
-	none := &vetoSource{bucket: snaps(0, 0), refuse: map[model.ProviderID]bool{0: true, 1: true}}
-	if got, population := sampler.Sample(rng, none, 1, nil); len(got) != 0 || population != 0 {
-		t.Errorf("all-refusing bucket sampled %v of population %d", got, population)
 	}
 }
 
@@ -166,23 +96,5 @@ func TestRoundRobinMatchesSortedCopyRotation(t *testing.T) {
 				t.Fatalf("trial %d: selected %v, want %v", trial, got, want)
 			}
 		}
-	}
-}
-
-// TestRoundRobinSkipsRefusers: a turn that lands on a refusing provider
-// rotates over the accepting providers instead; a refuser is never selected.
-func TestRoundRobinSkipsRefusers(t *testing.T) {
-	src := &vetoSource{bucket: snaps(0, 0, 0, 0), refuse: map[model.ProviderID]bool{1: true}}
-	a := NewRoundRobin()
-	served := map[model.ProviderID]int{}
-	for i := 0; i < 30; i++ {
-		out, err := a.Allocate(context.Background(), nil, q(1), src)
-		if err != nil || out == nil {
-			t.Fatalf("turn %d: %v, %v", i, out, err)
-		}
-		served[out.Selected[0]]++
-	}
-	if served[1] != 0 || len(served) != 3 {
-		t.Errorf("served %v, want the three accepting providers only", served)
 	}
 }

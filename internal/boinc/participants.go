@@ -189,11 +189,6 @@ func (v *Volunteer) Snapshot(now float64) model.ProviderSnapshot {
 	}
 }
 
-// CanPerform implements mediator.Provider. In the BOINC world every
-// volunteer has every project's application installed, so eligibility is
-// universal.
-func (v *Volunteer) CanPerform(model.Query) bool { return true }
-
 // Intention implements mediator.Provider: the volunteer's intention to
 // perform q, per its policy.
 func (v *Volunteer) Intention(q model.Query) model.Intention {

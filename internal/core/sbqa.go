@@ -76,9 +76,8 @@ type sbqaScratch struct {
 	ids    []model.ProviderID
 	satP   []float64
 	omega  []float64
-	scores []float64
 	order  []int
-	ranker score.FlatRanker
+	ranker score.Ranker
 }
 
 // grow resizes every column to m, reallocating only when capacity is
@@ -88,13 +87,11 @@ func (s *sbqaScratch) grow(m int) {
 		s.ids = make([]model.ProviderID, m)
 		s.satP = make([]float64, m)
 		s.omega = make([]float64, m)
-		s.scores = make([]float64, m)
 		s.order = make([]int, m)
 	}
 	s.ids = s.ids[:m]
 	s.satP = s.satP[:m]
 	s.omega = s.omega[:m]
-	s.scores = s.scores[:m]
 	s.order = s.order[:m]
 }
 
@@ -192,20 +189,16 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 		return nil, err
 	}
 
-	// Score over flat parallel columns borrowed from the environment's batch
-	// buffers — no per-provider structs — then rank a position permutation
-	// (score descending, ties by provider ID ascending).
+	// Rank a position permutation over flat parallel columns borrowed from
+	// the environment's batch buffers — no per-provider structs — in the
+	// order of the Definition 3 scores (descending, ties by provider ID
+	// ascending), through their logarithms: the literal scores are computed
+	// only for a sampled query, whose Explain and Scores show them.
 	for i, snap := range kn {
 		s.scr.ids[i] = snap.ID
 	}
-	s.scorer.ScoreInto(score.View{
-		IDs:  s.scr.ids,
-		PI:   set.PI,
-		CI:   set.CI,
-		SatC: satC,
-		SatP: satP,
-	}, s.scr.omega, s.scr.scores)
-	s.scr.ranker.Rank(s.scr.scores, s.scr.ids, s.scr.order)
+	view := score.View{IDs: s.scr.ids, PI: set.PI, CI: set.CI, SatC: satC, SatP: satP}
+	s.scr.ranker.Rank(&s.scorer, view, s.scr.omega, s.scr.order)
 
 	n := q.N
 	if n < 1 {
@@ -216,7 +209,7 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 	}
 
 	// The allocation owns its vectors (the scratch is reused next
-	// mediation); three backing arrays cover all five, with capped subslices
+	// mediation); two backing arrays cover all four, with capped subslices
 	// so later compaction of one cannot clobber its neighbor.
 	ids := make([]model.ProviderID, m+n)
 	ints := make([]model.Intention, 2*m)
@@ -226,28 +219,29 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 		Selected:           ids[m : m+n : m+n],
 		ConsumerIntentions: ints[:m:m],
 		ProviderIntentions: ints[m : 2*m : 2*m],
-		Scores:             make([]float64, m),
 	}
 	for r, i := range s.scr.order {
 		a.Proposed[r] = s.scr.ids[i]
 		a.ConsumerIntentions[r] = set.CI[i]
 		a.ProviderIntentions[r] = set.PI[i]
-		a.Scores[r] = s.scr.scores[i]
 		if r < n {
 			a.Selected[r] = s.scr.ids[i]
 		}
 	}
 	if q.Trace.Sampled {
 		// Sampled query: capture the full ranked score breakdown — every
-		// Definition-3 input per candidate — while the scratch columns are
-		// still position-aligned. Costs heap only on sampled mediations.
+		// Definition-3 input per candidate and the literal score — while the
+		// scratch columns are still position-aligned. Costs heap only on
+		// sampled mediations.
 		ex := &model.Explain{
 			Allocator:  s.Name(),
 			SatC:       satC,
 			Candidates: population,
 			Entries:    make([]model.ExplainEntry, m),
 		}
+		a.Scores = make([]float64, m)
 		for r, i := range s.scr.order {
+			a.Scores[r] = s.scorer.Score(set.PI[i], set.CI[i], s.scr.omega[i])
 			ex.Entries[r] = model.ExplainEntry{
 				Rank:      r + 1,
 				Provider:  s.scr.ids[i],
@@ -255,7 +249,7 @@ func (s *SbQA) Allocate(ctx context.Context, env alloc.Env, q model.Query, candi
 				PI:        set.PI[i],
 				SatP:      satP[i],
 				Omega:     s.scr.omega[i],
-				Score:     s.scr.scores[i],
+				Score:     a.Scores[r],
 				CIImputed: set.CIImputed,
 				PIImputed: set.ProviderImputed(i),
 			}

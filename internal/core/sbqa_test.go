@@ -100,15 +100,26 @@ func TestAllocateContract(t *testing.T) {
 		if len(a.Selected) != wantSel {
 			t.Fatalf("selected %d, want %d", len(a.Selected), wantSel)
 		}
-		if len(a.ConsumerIntentions) != 3 || len(a.ProviderIntentions) != 3 || len(a.Scores) != 3 {
-			t.Fatal("intentions/scores not recorded for the whole proposed set")
+		if len(a.ConsumerIntentions) != 3 || len(a.ProviderIntentions) != 3 {
+			t.Fatal("intentions not recorded for the whole proposed set")
 		}
-		// Scores are ranked best-first, and Selected is the prefix.
-		for i := 1; i < len(a.Scores); i++ {
-			if a.Scores[i] > a.Scores[i-1] {
-				t.Fatalf("scores not descending: %v", a.Scores)
+		// Literal scores are computed only where they are read: for a
+		// sampled query, ranked best-first.
+		if a.Scores != nil {
+			t.Fatalf("unsampled query carries scores %v", a.Scores)
+		}
+		sampled := query(n)
+		sampled.Trace.Sampled = true
+		sa := allocate(t, s, env, sampled, cands)
+		if len(sa.Scores) != 3 {
+			t.Fatalf("sampled query: %d scores for 3 proposed", len(sa.Scores))
+		}
+		for i := 1; i < len(sa.Scores); i++ {
+			if sa.Scores[i] > sa.Scores[i-1] {
+				t.Fatalf("scores not descending: %v", sa.Scores)
 			}
 		}
+		// Selected is the best-ranked prefix.
 		for i, p := range a.Selected {
 			if p != a.Proposed[i] {
 				t.Fatalf("selected %v is not the best-ranked prefix of %v", a.Selected, a.Proposed)

@@ -5,15 +5,15 @@
 // registered provider.
 //
 // The mediator historically owned these registries and rebuilt P_q per query
-// by iterating all providers and asking each CanPerform. That is fine for a
-// few hundred simulated volunteers, but it makes every mediation O(|P|) and
-// it welds registration to a single mediator instance. Extracting the
-// catalog gives two things at once:
+// by iterating all providers and asking each whether it could perform q.
+// That is fine for a few hundred simulated volunteers, but it makes every
+// mediation O(|P|) and it welds registration to a single mediator instance.
+// Extracting the catalog gives two things at once:
 //
-//   - an index keyed on the query class (the static part of what CanPerform
-//     checks), so discovery is a lookup over the class bucket plus the
-//     universal providers, filtered by the authoritative CanPerform
-//     predicate — O(|P_q|), not O(|P|);
+//   - an index keyed on the query class: a provider declares the classes it
+//     performs (CapabilityReporter) or is universal, so P_q is exactly the
+//     class bucket — the class's specialists plus the universal providers —
+//     and discovery is a lookup, not a scan;
 //   - a concurrency-safe registry that several mediator shards can share,
 //     which is what the sharded live engine is built on.
 //
@@ -65,10 +65,6 @@ type Provider interface {
 	// given simulation time.
 	Snapshot(now float64) model.ProviderSnapshot
 
-	// CanPerform reports whether the provider is able to perform q
-	// (defines membership of the candidate set P_q).
-	CanPerform(q model.Query) bool
-
 	// Intention returns PI_q[p]: the provider's intention to perform q.
 	Intention(q model.Query) model.Intention
 
@@ -83,10 +79,11 @@ type Provider interface {
 // that do not implement it (or return an empty list) are treated as
 // universal — able to perform queries of any class.
 //
-// Capabilities narrows candidate discovery; CanPerform stays authoritative
-// and is still applied to every indexed candidate, so a provider may refuse
-// individual queries within its declared classes (load shedding, per-query
-// predicates) without breaking the index.
+// The declaration is the whole of P_q membership: a provider in a query's
+// class bucket is a candidate for it, and nothing asks it again per query.
+// A provider that must turn down individual queries expresses that through
+// its intention (PI_q), which Definition 3 weighs, not by leaving P_q; one
+// whose classes change re-registers.
 type CapabilityReporter interface {
 	Capabilities() []int
 }
@@ -137,8 +134,7 @@ type entryList struct {
 
 // View is an immutable snapshot of one class's index bucket: every universal
 // provider and every specialist of the class registered when it was built,
-// in ascending ProviderID order. Membership is by declared capability only —
-// CanPerform stays authoritative and is the caller's to apply per query.
+// in ascending ProviderID order — P_q for every query of the class.
 type View struct {
 	entries []entry
 	uniGen  uint64
@@ -227,10 +223,9 @@ func (d *Directory) RegisterProvider(p Provider) {
 // query that starts after it returns never sees the provider: every view
 // holding it is stale by then. Removal does not synchronize with in-flight
 // discovery or mediation: a mediation that already loaded a view holding the
-// provider may still invoke CanPerform, Snapshot or Intention after this
-// returns, so provider implementations must keep those methods safe to call
-// until in-flight mediations quiesce — not merely until unregistration
-// returns.
+// provider may still invoke Snapshot or Intention after this returns, so
+// provider implementations must keep those methods safe to call until
+// in-flight mediations quiesce — not merely until unregistration returns.
 func (d *Directory) UnregisterProvider(id model.ProviderID) {
 	d.mu.Lock()
 	_, exists := d.providers[id]
@@ -386,20 +381,16 @@ func (d *Directory) rebuildView(class int) *View {
 }
 
 // Candidates appends to buf the providers able to perform q — the candidate
-// set P_q — in ascending ProviderID order, and returns the extended slice:
-// the class view filtered by CanPerform. It is the materialising form of
-// discovery, O(|P_q|) by construction; the mediator samples the view instead.
+// set P_q, its class view — in ascending ProviderID order, and returns the
+// extended slice. It is the materialising form of discovery, O(|P_q|) by
+// construction; the mediator samples the view instead.
 //
 // The returned providers are the live registered instances; callers that
 // mediate concurrently must tolerate providers unregistering after the call
-// returns (see mediator.backfillIntentions). CanPerform is user code and runs
-// outside any lock: a slow predicate cannot stall registration, and one that
-// calls back into the directory cannot deadlock.
+// returns (see mediator.backfillIntentions).
 func (d *Directory) Candidates(q model.Query, buf []Provider) []Provider {
 	for _, e := range d.View(q.Class).entries {
-		if e.p.CanPerform(q) {
-			buf = append(buf, e.p)
-		}
+		buf = append(buf, e.p)
 	}
 	return buf
 }

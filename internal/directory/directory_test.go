@@ -4,29 +4,21 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"sbqa/internal/model"
 )
 
-// stub is a minimal provider; classes nil means universal via the
-// CanPerform predicate alone, declared non-nil also reports Capabilities.
+// stub is a minimal provider; classes nil means universal, non-nil is
+// reported through Capabilities.
 type stub struct {
 	id       model.ProviderID
 	classes  []int // declared capabilities; nil = universal
-	vetoFn   func(q model.Query) bool
 	consumer model.ConsumerID
 }
 
 func (s *stub) ProviderID() model.ProviderID { return s.id }
 func (s *stub) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: s.id, Capacity: 1}
-}
-func (s *stub) CanPerform(q model.Query) bool {
-	if s.vetoFn != nil {
-		return s.vetoFn(q)
-	}
-	return true
 }
 func (s *stub) Intention(model.Query) model.Intention { return 0 }
 func (s *stub) Bid(model.Query) float64               { return 1 }
@@ -105,21 +97,6 @@ func TestCandidatesOrderIndependentOfRegistration(t *testing.T) {
 	}
 }
 
-func TestCanPerformStaysAuthoritative(t *testing.T) {
-	d := New()
-	// Declared class-1 capable, but vetoes odd query IDs.
-	d.RegisterProvider(&stub{
-		id: 1, classes: []int{1},
-		vetoFn: func(q model.Query) bool { return q.ID%2 == 0 },
-	})
-	if got := d.Candidates(model.Query{ID: 2, Class: 1}, nil); len(got) != 1 {
-		t.Errorf("even query candidates = %d, want 1", len(got))
-	}
-	if got := d.Candidates(model.Query{ID: 3, Class: 1}, nil); len(got) != 0 {
-		t.Errorf("vetoed query candidates = %d, want 0", len(got))
-	}
-}
-
 func TestReplaceReindexes(t *testing.T) {
 	d := New()
 	d.RegisterProvider(&stub{id: 1, classes: []int{1}})
@@ -165,36 +142,6 @@ func TestConsumers(t *testing.T) {
 	d.UnregisterConsumer(4)
 	if d.NumConsumers() != 0 || d.Consumer(4) != nil {
 		t.Error("consumer not unregistered")
-	}
-}
-
-// TestCanPerformMayReenterDirectory: the CanPerform predicate is user code
-// and runs outside the directory's critical section, so a predicate that
-// reads — or even writes — the directory must not deadlock Candidates (it
-// would with the predicate applied under the RLock: a write from the
-// goroutine holding the read lock can never acquire the write lock).
-func TestCanPerformMayReenterDirectory(t *testing.T) {
-	d := New()
-	d.RegisterProvider(&stub{id: 1})
-	d.RegisterProvider(&stub{id: 2, vetoFn: func(q model.Query) bool {
-		if d.NumProviders() < 1 { // read re-entry
-			t.Error("directory empty inside CanPerform")
-		}
-		d.RegisterConsumer(consumerStub{id: 42}) // write re-entry
-		return false
-	}})
-	done := make(chan []Provider, 1)
-	go func() { done <- d.Candidates(model.Query{}, nil) }()
-	select {
-	case got := <-done:
-		if want := []model.ProviderID{1}; !equalIDs(ids(got), want) {
-			t.Errorf("candidates = %v, want %v", ids(got), want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Candidates deadlocked on a re-entrant CanPerform")
-	}
-	if d.Consumer(42) == nil {
-		t.Error("write from CanPerform was lost")
 	}
 }
 

@@ -15,11 +15,9 @@
 // process scale to large provider populations.
 //
 // The bound covers the whole mediation, not only the intention round: stage 1
-// draws *positions* out of the candidate source (SelectFrom) and only the k
-// drawn providers are asked CanPerform and snapshotted, so a mediation costs
-// O(k) however large P_q is. The draw is alloc.Sampler's: optimistic over the
-// class bucket, falling back to a fresh draw over the filtered P_q when a
-// drawn provider refuses — K is a uniform k-subset of P_q either way.
+// draws *positions* out of the candidate source (SelectFrom, through
+// alloc.Sampler) and only the k drawn providers are snapshotted, so a
+// mediation costs O(k) however large P_q is.
 package knbest
 
 import (
@@ -159,10 +157,9 @@ func (s *Selector) Select(candidates []model.ProviderSnapshot) []model.ProviderS
 // SelectFrom applies both stages to a candidate source under the given
 // parameters: stage 1 draws K's positions and snapshots only those, stage 2
 // keeps the kn least utilized. It returns Kn ordered by increasing
-// utilization, and the size of the population K was drawn from (the source's
-// bucket, or the filtered P_q when a drawn provider refused; 0 with a nil Kn
-// when P_q is empty). The selector (its RNG and scratch buffers) belongs to a
-// single goroutine.
+// utilization, and |P_q|, the size of the population K was drawn from (0
+// with a nil Kn when P_q is empty). The selector (its RNG and scratch
+// buffers) belongs to a single goroutine.
 //
 // The returned slice is selector-owned scratch: it is valid until the next
 // Select/SelectFrom call, which overwrites it. Callers that need

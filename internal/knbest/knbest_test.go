@@ -192,36 +192,28 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// refusing is a candidate source whose odd-ID providers cannot perform the
-// query; pulls counts the positions stage 1 looked at.
-type refusing struct {
+// pulling is a candidate source that counts the positions stage 1 looked
+// at.
+type pulling struct {
 	bucket []model.ProviderSnapshot
 	pulls  int
 }
 
-func (r *refusing) Len() int { return len(r.bucket) }
-func (r *refusing) At(i int) (model.ProviderSnapshot, bool) {
+func (r *pulling) Len() int { return len(r.bucket) }
+func (r *pulling) At(i int) model.ProviderSnapshot {
 	r.pulls++
-	return r.bucket[i], r.bucket[i].ID%2 == 0
+	return r.bucket[i]
 }
-func (r *refusing) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
-	for _, s := range r.bucket {
-		if s.ID%2 == 0 {
-			buf = append(buf, s)
-		}
-	}
-	return buf
+func (r *pulling) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
+	return append(buf, r.bucket...)
 }
 
 // TestSelectFromPullsOnlyK: over a source, stage 1 looks at its k drawn
 // positions only, and Select over a slice is the same draw.
 func TestSelectFromPullsOnlyK(t *testing.T) {
 	cands := snapshots(make([]float64, 500)...)
-	for i := range cands {
-		cands[i].ID *= 2 // nobody refuses
-	}
 	pull, slice := NewSelector(Params{K: 9, Kn: 4}, stats.NewRNG(8)), NewSelector(Params{K: 9, Kn: 4}, stats.NewRNG(8))
-	src := &refusing{bucket: cands}
+	src := &pulling{bucket: cands}
 	for i := 0; i < 50; i++ {
 		src.pulls = 0
 		got, population := pull.SelectFrom(pull.params, src)
@@ -240,28 +232,6 @@ func TestSelectFromPullsOnlyK(t *testing.T) {
 	}
 	if pull.RNGState() != slice.RNGState() {
 		t.Error("SelectFrom and Select left different stream positions")
-	}
-}
-
-// TestSelectFromNeverKeepsRefuser: K is drawn from the providers that can
-// perform the query — a refuser in the bucket is never in Kn, and Kn still
-// fills from the accepting ones.
-func TestSelectFromNeverKeepsRefuser(t *testing.T) {
-	s := NewSelector(Params{K: 4, Kn: 3}, stats.NewRNG(9))
-	src := &refusing{bucket: snapshots(make([]float64, 12)...)}
-	for i := 0; i < 2000; i++ {
-		kn, population := s.SelectFrom(s.params, src)
-		if len(kn) != 3 {
-			t.Fatalf("kept %d providers, want 3", len(kn))
-		}
-		if population != 12 && population != 6 {
-			t.Fatalf("population %d, want the bucket (12) or P_q (6)", population)
-		}
-		for _, snap := range kn {
-			if snap.ID%2 != 0 {
-				t.Fatalf("refuser %d kept in Kn %v", snap.ID, kn)
-			}
-		}
 	}
 }
 

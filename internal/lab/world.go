@@ -105,8 +105,6 @@ func (p *labProvider) Snapshot(now float64) model.ProviderSnapshot {
 	return snap
 }
 
-func (p *labProvider) CanPerform(model.Query) bool { return true }
-
 func (p *labProvider) Intention(q model.Query) model.Intention {
 	switch p.behavior {
 	case freeRider:

@@ -31,7 +31,6 @@ func (p *constProvider) ProviderID() model.ProviderID { return p.id }
 func (p *constProvider) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: p.id, Utilization: p.util, Capacity: 1}
 }
-func (p *constProvider) CanPerform(model.Query) bool           { return true }
 func (p *constProvider) Intention(model.Query) model.Intention { return p.pi }
 func (p *constProvider) Bid(q model.Query) float64             { return q.Work }
 

@@ -267,32 +267,18 @@ func (w *Worker) Snapshot(float64) model.ProviderSnapshot {
 	}
 }
 
-// CanPerform implements mediator.Provider; workers accept any class unless
-// restricted with SetClasses.
-func (w *Worker) CanPerform(q model.Query) bool {
-	if w.classes == nil {
-		return true
-	}
-	for _, c := range w.classes {
-		if c == q.Class {
-			return true
-		}
-	}
-	return false
-}
-
-// Capabilities implements directory.CapabilityReporter so class-restricted
-// workers are indexed by class and skipped entirely during candidate
-// discovery for other classes. Nil (unrestricted) workers are universal.
+// Capabilities implements directory.CapabilityReporter: a class-restricted
+// worker is indexed under its classes, and that index is all of P_q — it is
+// never a candidate for another class. Nil (unrestricted) workers are
+// universal.
 func (w *Worker) Capabilities() []int { return w.classes }
 
 // SetClasses restricts the worker to the given query classes; calling it
 // with no arguments removes the restriction. It MUST be called before the
 // worker is registered and never afterwards: the directory indexes
-// capabilities once at registration time, and CanPerform reads the class
-// list without synchronization from mediator shards — reconfiguring a
-// registered worker both races and desyncs the capability index. To change
-// classes, unregister the worker and register a fresh one.
+// capabilities once at registration time, so a registered worker's
+// restriction never changes. To change classes, unregister the worker and
+// register a fresh one.
 func (w *Worker) SetClasses(classes ...int) {
 	if len(classes) == 0 {
 		w.classes = nil

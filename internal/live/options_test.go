@@ -62,7 +62,6 @@ func (p *stallProvider) ProviderID() model.ProviderID { return p.id }
 func (p *stallProvider) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: p.id, Capacity: 1}
 }
-func (p *stallProvider) CanPerform(model.Query) bool           { return true }
 func (p *stallProvider) Intention(model.Query) model.Intention { return 0 }
 func (p *stallProvider) Bid(q model.Query) float64             { return q.Work }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSubmitAllocatesTicketAndAllocation: an awaited submission to
-// dispatching workers allocates the ticket and the Allocation's four
+// dispatching workers allocates the ticket and the Allocation's three
 // objects — no channel, queue item, executor list, result backing or option
 // closure of its own. A second selected worker costs the result backing.
 func TestSubmitAllocatesTicketAndAllocation(t *testing.T) {
@@ -35,9 +35,9 @@ func TestSubmitAllocatesTicketAndAllocation(t *testing.T) {
 		most  float64
 		exact bool
 	}{
-		{"one worker", 1, nil, 5, true},
-		{"one worker, class and deadline", 1, []QueryOption{WithQoSClass(qos.Batch), WithDeadline(time.Minute)}, 5, true},
-		{"two workers", 2, nil, 6, false},
+		{"one worker", 1, nil, 4, true},
+		{"one worker, class and deadline", 1, []QueryOption{WithQoSClass(qos.Batch), WithDeadline(time.Minute)}, 4, true},
+		{"two workers", 2, nil, 5, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := model.Query{Consumer: 0, N: tc.n, Work: 1}

@@ -167,17 +167,21 @@ func (e env) collect(ctx context.Context, q model.Query, kn []model.ProviderSnap
 	if err := ctx.Err(); err != nil {
 		return alloc.IntentionSet{}, err
 	}
-	if e.needsFanout(kn, withPI) {
-		return e.collectFanout(ctx, q, kn, withPI)
+	var provs []Provider // nil without the PI round
+	if withPI {
+		provs = e.m.resolve(kn)
+	}
+	if e.needsFanout(provs) {
+		return e.collectFanout(ctx, q, kn, provs, withPI)
 	}
 	set := alloc.IntentionSet{CI: intentionScratch(&e.m.ciBuf, len(kn))}
 	if withPI {
 		set.PI = intentionScratch(&e.m.piBuf, len(kn))
-		for i, snap := range kn {
+		for i, prov := range provs {
 			// A nil provider unregistered between discovery and collection
 			// (shared directory churn): zero intention; the backfill drops
 			// them from the allocation entirely.
-			if prov := e.m.candidateOf(snap.ID); prov != nil {
+			if prov != nil {
 				set.PI[i] = prov.Intention(q)
 			}
 		}
@@ -194,21 +198,15 @@ func (e env) collect(ctx context.Context, q model.Query, kn []model.ProviderSnap
 }
 
 // needsFanout reports whether any participant of the batch is context-aware
-// (network-backed), requiring the concurrent fan-out path. The scan costs one
-// extra candidateOf lookup per provider on the synchronous path — a binary
-// search over the class view, no allocation.
-func (e env) needsFanout(kn []model.ProviderSnapshot, withPI bool) bool {
+// (network-backed), requiring the concurrent fan-out path. provs is the
+// batch's resolved providers, nil when no provider is asked.
+func (e env) needsFanout(provs []Provider) bool {
 	if _, ok := e.consumer.(ConsumerParticipant); ok {
 		return true
 	}
-	if !withPI {
-		return false
-	}
-	for _, snap := range kn {
-		if prov := e.m.candidateOf(snap.ID); prov != nil {
-			if _, ok := prov.(ProviderParticipant); ok {
-				return true
-			}
+	for _, prov := range provs {
+		if _, ok := prov.(ProviderParticipant); ok {
+			return true
 		}
 	}
 	return false
@@ -218,7 +216,7 @@ func (e env) needsFanout(kn []model.ProviderSnapshot, withPI bool) bool {
 // context-aware, so the batch fans out with per-participant deadlines and
 // imputation. Heap traffic here is acceptable — this path already pays a
 // network round trip per participant.
-func (e env) collectFanout(ctx context.Context, q model.Query, kn []model.ProviderSnapshot, withPI bool) (alloc.IntentionSet, error) {
+func (e env) collectFanout(ctx context.Context, q model.Query, kn []model.ProviderSnapshot, provs []Provider, withPI bool) (alloc.IntentionSet, error) {
 	set := alloc.IntentionSet{CI: intentionScratch(&e.m.ciBuf, len(kn))}
 	deadline := e.m.cfg.ParticipantDeadline
 	var wg sync.WaitGroup
@@ -227,7 +225,7 @@ func (e env) collectFanout(ctx context.Context, q model.Query, kn []model.Provid
 	if withPI {
 		set.PI = intentionScratch(&e.m.piBuf, len(kn))
 		for i, snap := range kn {
-			prov := e.m.candidateOf(snap.ID)
+			prov := provs[i]
 			if prov == nil {
 				// Unregistered between discovery and collection (shared
 				// directory churn): zero intention; the backfill drops them

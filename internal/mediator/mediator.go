@@ -81,9 +81,8 @@ type Config struct {
 
 	// Observer, when set, receives the pipeline's lifecycle events:
 	// OnAllocation for every successful mediation (the completed
-	// allocation, which must not be mutated, and the size of the
-	// population the allocator drew from — the class's index bucket, or
-	// the filtered P_q when the allocator materialised it) and OnRejection
+	// allocation, which must not be mutated, and |P_q|, the size of the
+	// population the allocator drew from) and OnRejection
 	// for every failed one, with the reason (ErrNoCandidates,
 	// ErrStaleSelection, or a validation error). Callbacks run
 	// synchronously on the mediating goroutine — with several shards,
@@ -138,6 +137,7 @@ type Mediator struct {
 	snapBuf []model.ProviderSnapshot // all of P_q, for the AnalyzeBest round only
 	ciBuf   []model.Intention        // batched CI collection
 	piBuf   []model.Intention        // batched PI collection
+	provBuf []Provider               // the batch's providers, resolved once per intention round
 	bidBuf  []float64                // batched bid collection
 	perfBuf []model.Intention        // performed-intentions vector for satisfaction recording
 	bfSnaps []model.ProviderSnapshot // backfill snapshots
@@ -250,72 +250,101 @@ func (e env) DevotedAvailable(q model.Query, p model.ProviderSnapshot) float64 {
 	return p.Capacity * (1 - p.Utilization)
 }
 
-// candidates is the mediator's alloc.Source: the in-flight query's class view,
-// from which allocators pull snapshots by position. Only the providers an
-// allocator reaches for are asked CanPerform and snapshotted.
+// candidates is the mediator's alloc.Source: the in-flight query's class
+// view — P_q — from which allocators pull snapshots by position. Only the
+// providers an allocator reaches for are snapshotted, and the draw keeps
+// each one next to its snapshot, so the rest of the mediation (intention
+// round, bids, backfill) finds a drawn provider by a scan of the draw
+// rather than a search of the view.
 type candidates struct {
 	view *directory.View
-	q    model.Query
 	now  float64
 
-	// population is the size of the set the allocator drew from, reported
-	// to observers: the view's bucket, or |P_q| once All materialised it.
-	population int
+	// The draw, position-aligned: every provider At handed out and its
+	// snapshot, in draw order.
+	provs []Provider
+	snaps []model.ProviderSnapshot
+}
 
-	// drawn keeps the snapshots At handed out, so the backfill's intention
-	// round over an interest-blind technique's proposal reuses them instead
-	// of snapshotting the same providers twice in one mediation.
-	drawn []model.ProviderSnapshot
+// maxDrawScan is the longest draw that is scanned for a provider: past it
+// (k beyond 64, up to k = |P_q|) resolving Kn by scans would be quadratic,
+// so lookups fall back to the view's binary search.
+const maxDrawScan = 64
+
+// reset points the source at a new mediation's view.
+func (c *candidates) reset(view *directory.View, now float64) {
+	clear(c.provs) // drop the last draw's provider references
+	c.view, c.now = view, now
+	c.provs, c.snaps = c.provs[:0], c.snaps[:0]
 }
 
 // Len implements alloc.Source.
 func (c *candidates) Len() int { return c.view.Len() }
 
-// At implements alloc.Source. CanPerform is authoritative per query and runs
-// first, so a refusing provider is never snapshotted.
-func (c *candidates) At(i int) (model.ProviderSnapshot, bool) {
+// At implements alloc.Source.
+func (c *candidates) At(i int) model.ProviderSnapshot {
 	p := c.view.At(i)
-	if !p.CanPerform(c.q) {
-		return model.ProviderSnapshot{}, false
-	}
 	snap := p.Snapshot(c.now)
-	c.drawn = append(c.drawn, snap)
-	return snap, true
+	c.provs = append(c.provs, p)
+	c.snaps = append(c.snaps, snap)
+	return snap
+}
+
+// drawn returns the draw position of provider id, or -1 when At did not
+// hand it out (or the draw is too long to scan).
+func (c *candidates) drawn(id model.ProviderID) int {
+	if len(c.snaps) > maxDrawScan {
+		return -1
+	}
+	for i := range c.snaps {
+		if c.snaps[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // snapshotOf returns the snapshot At already took of provider id in this
 // mediation, or takes one (a technique that went through All re-snapshots
 // only the few it proposed).
 func (c *candidates) snapshotOf(id model.ProviderID, p Provider) model.ProviderSnapshot {
-	for i := range c.drawn {
-		if c.drawn[i].ID == id {
-			return c.drawn[i]
-		}
+	if i := c.drawn(id); i >= 0 {
+		return c.snaps[i]
 	}
 	return p.Snapshot(c.now)
 }
 
 // All implements alloc.Source.
 func (c *candidates) All(buf []model.ProviderSnapshot) []model.ProviderSnapshot {
-	base := len(buf)
 	for i, n := 0, c.view.Len(); i < n; i++ {
-		if p := c.view.At(i); p.CanPerform(c.q) {
-			buf = append(buf, p.Snapshot(c.now))
-		}
+		buf = append(buf, c.view.At(i).Snapshot(c.now))
 	}
-	c.population = len(buf) - base
 	return buf
 }
 
-// candidateOf resolves a provider of the in-flight mediation from its class
-// view (a binary search over inline IDs), sparing the allocator's
-// per-candidate calls a locked directory lookup on the hot path; providers
-// outside the view fall back to the directory.
+// candidateOf resolves a provider of the in-flight mediation: from the draw,
+// else from its class view (a binary search over inline IDs), sparing the
+// allocator's per-candidate calls a locked directory lookup on the hot path;
+// providers outside the view fall back to the directory.
 func (m *Mediator) candidateOf(id model.ProviderID) Provider {
+	if i := m.src.drawn(id); i >= 0 {
+		return m.src.provs[i]
+	}
 	if p := m.src.view.Find(id); p != nil {
 		return p
 	}
 	return m.dir.Provider(id)
+}
+
+// resolve returns the providers of the batch kn, position-aligned, in the
+// mediator's scratch: each member resolved once per intention round.
+func (m *Mediator) resolve(kn []model.ProviderSnapshot) []Provider {
+	provs := m.provBuf[:0]
+	for _, snap := range kn {
+		provs = append(provs, m.candidateOf(snap.ID))
+	}
+	m.provBuf = provs
+	return provs
 }
 
 // ConsumerSatisfaction implements alloc.Env from the satisfaction registry.
@@ -390,11 +419,12 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*mo
 	// the abandoned attempt — the query's outcome is recorded exactly once.
 	const staleRetries = 1
 	for attempt := 0; ; attempt++ {
-		// Load the class's index bucket (ascending ID order). The allocator
-		// pulls P_q out of it: nothing is snapshotted up front.
+		// Load the class's index bucket (ascending ID order): P_q. The
+		// allocator pulls from it: nothing is snapshotted up front.
 		view := m.dir.View(q.Class)
-		m.src = candidates{view: view, q: q, now: now, population: view.Len(), drawn: m.src.drawn[:0]}
-		if view.Len() == 0 {
+		m.src.reset(view, now)
+		population := view.Len()
+		if population == 0 {
 			return nil, m.unserved(q, attempt)
 		}
 
@@ -404,7 +434,6 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*mo
 			scoreStart = trace.Now()
 		}
 		a, err := m.allocator.Allocate(ctx, e, q, &m.src)
-		population := m.src.population // as the allocator left it; AnalyzeBest's All moves it
 		if q.Trace.Sampled {
 			// The score span is the allocator's ranking work net of any
 			// intention fan-out it triggered (which records its own span
@@ -426,8 +455,8 @@ func (m *Mediator) mediate(ctx context.Context, now float64, q model.Query) (*mo
 			return nil, m.reject(q, err)
 		}
 		if a == nil || len(a.Selected) == 0 {
-			// Nobody in the bucket can perform q, or the technique refused
-			// them all: the same verdict as an empty bucket.
+			// The technique turned every candidate down (ShareBased with
+			// exhausted shares): the same verdict as an empty P_q.
 			return nil, m.unserved(q, attempt)
 		}
 

@@ -40,11 +40,12 @@ func (p *fakeProvider) ProviderID() model.ProviderID { return p.id }
 func (p *fakeProvider) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: p.id, Utilization: p.util, Capacity: 1}
 }
-func (p *fakeProvider) CanPerform(q model.Query) bool {
-	if p.classes == nil {
-		return true
+func (p *fakeProvider) Capabilities() []int {
+	var out []int
+	for class := range p.classes {
+		out = append(out, class)
 	}
-	return p.classes[q.Class]
+	return out
 }
 func (p *fakeProvider) Intention(model.Query) model.Intention { return p.intention }
 func (p *fakeProvider) Bid(model.Query) float64               { return p.bid }
@@ -472,54 +473,6 @@ func TestSharedDirectoryAndRegistry(t *testing.T) {
 	}
 	if got := m1.Registry().ConsumerSatisfaction(1); got != 1 {
 		t.Errorf("shard 1 cannot read shard 2's consumer δs: %v", got)
-	}
-}
-
-// vetoProvider rejects individual queries by predicate — the "per-query
-// CanPerform within a declared class" contract of the directory layer.
-type vetoProvider struct {
-	fakeProvider
-	veto func(q model.Query) bool
-}
-
-func (p *vetoProvider) CanPerform(q model.Query) bool { return !p.veto(q) }
-
-// TestMediateRespectsPerQueryCanPerform: CanPerform is asked per query — a
-// provider that vetoes heavy queries must never be proposed one, even right
-// after a light same-class query it accepted at the same instant.
-func TestMediateRespectsPerQueryCanPerform(t *testing.T) {
-	m := newTestMediator(alloc.NewCapacity())
-	m.RegisterConsumer(&fakeConsumer{id: 0})
-	// Provider 1 vetoes Work > 5; provider 2 (heavily loaded, so capacity
-	// ranks it last) accepts anything.
-	m.RegisterProvider(&vetoProvider{
-		fakeProvider: fakeProvider{id: 1, intention: 1},
-		veto:         func(q model.Query) bool { return q.Work > 5 },
-	})
-	m.RegisterProvider(&fakeProvider{id: 2, intention: 1, util: 0.9})
-
-	light := q(1, 0, 1)
-	light.Work = 1
-	heavy := q(2, 0, 1)
-	heavy.Work = 10
-	la, err := m.Mediate(bg, 0, light)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, err := m.Mediate(bg, 0, heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.Selected[0] != 1 {
-		t.Errorf("light query selected %v, want idle provider 1", la.Selected)
-	}
-	for _, id := range ha.Proposed {
-		if id == 1 {
-			t.Errorf("heavy query proposed to vetoing provider: %v", ha.Proposed)
-		}
-	}
-	if ha.Selected[0] != 2 {
-		t.Errorf("heavy query selected %v, want provider 2", ha.Selected)
 	}
 }
 

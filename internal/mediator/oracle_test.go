@@ -30,7 +30,7 @@ import (
 // oracleProvider is one provider as the mediator sees it.
 type oracleProvider struct {
 	id          model.ProviderID
-	classes     map[int]bool // nil: able to perform every class
+	classes     map[int]bool // nil: able to perform every class; empty: none
 	utilization float64
 	queueLen    int
 }
@@ -53,7 +53,6 @@ type oracle struct {
 	providers map[model.ProviderID]*oracleProvider
 	ci        map[model.ConsumerID]map[model.ProviderID]model.Intention // CI_q[p], by q.c
 	pi        map[model.ProviderID]map[model.ConsumerID]model.Intention // PI_q[p], by q.c
-	refuses   map[model.ProviderID]map[int]bool                         // p cannot perform queries of these classes
 
 	// Every interaction ever, oldest first; the definitions read the last
 	// `window` of them.
@@ -129,11 +128,6 @@ func (o *oracle) score(pi, ci model.Intention, omega float64) float64 {
 	return -(math.Pow(1-p+o.epsilon, omega) * math.Pow(1-c+o.epsilon, 1-omega))
 }
 
-// able reports whether p can perform q.
-func (o *oracle) able(p *oracleProvider, q model.Query) bool {
-	return (p.classes == nil || p.classes[q.Class]) && !o.refuses[p.id][q.Class]
-}
-
 // ranked is one provider of Kn after scoring.
 type ranked struct {
 	id          model.ProviderID
@@ -157,53 +151,29 @@ type outcome struct {
 // mediate allocates q: KnBest, then SQLB over Kn, then the min(q.n, kn)
 // best — and afterwards everyone remembers what happened.
 func (o *oracle) mediate(q model.Query) outcome {
-	// P_q, in ascending ID order so that positions mean the same on both
-	// sides of the comparison.
-	var declared, pq []*oracleProvider
+	// P_q — the providers able to perform q's class — in ascending ID order
+	// so that positions mean the same on both sides of the comparison.
+	var pq []*oracleProvider
 	for _, p := range o.providers {
 		if p.classes == nil || p.classes[q.Class] {
-			declared = append(declared, p)
-		}
-	}
-	sort.Slice(declared, func(i, j int) bool { return declared[i].id < declared[j].id })
-	for _, p := range declared {
-		if o.able(p, q) {
 			pq = append(pq, p)
 		}
 	}
+	sort.Slice(pq, func(i, j int) bool { return pq[i].id < pq[j].id })
 
 	// KnBest stage 1: K, k providers of P_q at random.
 	//
 	// paper-vs-code: the paper says only "selects k providers at random".
-	// The code draws its k positions over the providers that *declared* q's
-	// class and asks CanPerform of the drawn ones only; when one of them
-	// refuses, it throws the draw away and draws again over P_q proper.
-	// Either way K is a uniform k-subset of P_q (a uniform k-subset of a
-	// superset, conditioned on landing inside P_q, is one) — but the random
-	// stream advances once or twice, so an oracle on the same stream has to
-	// do the same. k < 1 or k > the population means all of it.
-	draw := func(population []*oracleProvider) []*oracleProvider {
-		k := o.k
-		if k < 1 || k > len(population) {
-			k = len(population)
-		}
-		var K []*oracleProvider
-		for _, i := range o.rng.SampleK(len(population), k, nil) {
-			K = append(K, population[i])
-		}
-		return K
-	}
+	// The code draws k positions of P_q with the mediator's stream, so the
+	// oracle draws on the same stream. k < 1 or k > |P_q| means all of it.
 	var K []*oracleProvider
-	if len(declared) > 0 {
-		K = draw(declared)
-		for _, p := range K {
-			if !o.able(p, q) {
-				K = nil
-				if len(pq) > 0 {
-					K = draw(pq)
-				}
-				break
-			}
+	if len(pq) > 0 {
+		k := o.k
+		if k < 1 || k > len(pq) {
+			k = len(pq)
+		}
+		for _, i := range o.rng.SampleK(len(pq), k, nil) {
+			K = append(K, pq[i])
 		}
 	}
 	if len(K) == 0 {
@@ -311,12 +281,14 @@ func (t tableProvider) ProviderID() model.ProviderID { return t.p.id }
 func (t tableProvider) Snapshot(float64) model.ProviderSnapshot {
 	return model.ProviderSnapshot{ID: t.p.id, Utilization: t.p.utilization, QueueLen: t.p.queueLen, Capacity: 1}
 }
-func (t tableProvider) CanPerform(q model.Query) bool { return !t.o.refuses[t.p.id][q.Class] }
 func (t tableProvider) Intention(q model.Query) model.Intention {
 	return t.o.pi[t.p.id][q.Consumer]
 }
 func (t tableProvider) Bid(q model.Query) float64 { return q.Work }
 func (t tableProvider) Capabilities() []int {
+	if t.p.classes != nil && len(t.p.classes) == 0 {
+		return []int{oracleClasses} // able to perform nothing: a class no query has
+	}
 	var classes []int
 	for c := range t.p.classes {
 		classes = append(classes, c)
@@ -347,14 +319,15 @@ const oracleClasses = 3
 // the other.
 func grid(r *stats.RNG) model.Intention { return model.Intention(float64(r.Intn(65)-32) / 32) }
 
-// FuzzMediateMatchesOracle: a random world — directory, capability classes,
-// refusals, intention tables, utilizations, KnBest parameters, window, ω
-// rule, ε — and a history of at least 50 queries with providers leaving and
-// rejoining, mediated by the oracle and by Mediator.Mediate on the same
-// sampling stream. After every query both must have selected the same
-// providers from the same ranked Kn, with δs(c), every δs(p), every ω and
-// every score within 1e-12, and afterwards every participant's satisfaction
-// must agree again.
+// FuzzMediateMatchesOracle: a random world — directory, capability classes
+// (some providers able to perform none), intention tables, utilizations,
+// KnBest parameters, window, ω rule, ε — and a history of at least 50
+// queries with providers leaving and rejoining, mediated by the oracle and
+// by Mediator.Mediate on the same sampling stream. After every query both must have selected the same
+// providers from the same ranked Kn and, for the sampled half of the queries
+// (whose explain record carries them), with δs(c), every δs(p), every ω and
+// every score within 1e-12; afterwards every participant's satisfaction must
+// agree again.
 func FuzzMediateMatchesOracle(f *testing.F) {
 	// seed, providers, consumers, k, kn, window, omegaRule, maxN (q.n ≤ 2^(maxN%4)), queries
 	f.Add(uint64(1), uint8(12), uint8(3), uint8(6), uint8(3), uint8(10), uint8(0), uint8(1), uint8(60))
@@ -362,7 +335,7 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 	f.Add(uint64(3), uint8(20), uint8(2), uint8(8), uint8(4), uint8(25), uint8(2), uint8(0), uint8(50))     // fixed ω = 1
 	f.Add(uint64(4), uint8(5), uint8(2), uint8(30), uint8(30), uint8(10), uint8(0), uint8(2), uint8(50))    // kn ≥ |P_q|
 	f.Add(uint64(5), uint8(16), uint8(4), uint8(6), uint8(2), uint8(10), uint8(0), uint8(3), uint8(50))     // q.n up to 8 > kn = 2
-	f.Add(uint64(6), uint8(9), uint8(3), uint8(4), uint8(2), uint8(8), uint8(4), uint8(1), uint8(70))       // a class everyone refuses
+	f.Add(uint64(6), uint8(9), uint8(3), uint8(4), uint8(2), uint8(8), uint8(4), uint8(1), uint8(70))       // a class nobody performs
 	f.Add(uint64(7), uint8(10), uint8(2), uint8(5), uint8(3), uint8(0), uint8(0), uint8(1), uint8(80))      // window of 1
 	f.Add(uint64(8), uint8(40), uint8(6), uint8(0), uint8(5), uint8(100), uint8(3), uint8(2), uint8(120))   // no sampling, a fixed ω in between
 	f.Add(uint64(9), uint8(0), uint8(0), uint8(1), uint8(1), uint8(3), uint8(0), uint8(0), uint8(50))       // one provider, one consumer
@@ -386,7 +359,6 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 			providers: map[model.ProviderID]*oracleProvider{},
 			ci:        map[model.ConsumerID]map[model.ProviderID]model.Intention{},
 			pi:        map[model.ProviderID]map[model.ConsumerID]model.Intention{},
-			refuses:   map[model.ProviderID]map[int]bool{},
 			queries:   map[model.ConsumerID][]float64{},
 			proposals: map[model.ProviderID][]proposal{},
 		}
@@ -407,7 +379,7 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 		o.fixedOmega = cfg.Omega
 		refusedClass := -1
 		if omegaRule%5 == 4 {
-			refusedClass = world.Intn(oracleClasses) // every provider refuses this class
+			refusedClass = world.Intn(oracleClasses) // no provider performs this class
 		}
 
 		med := mediator.New(core.MustNew(cfg), mediator.Config{Window: o.window})
@@ -430,9 +402,18 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 				}
 			}
 			o.pi[p.id] = map[model.ConsumerID]model.Intention{}
-			o.refuses[p.id] = map[int]bool{}
 			for class := 0; class < oracleClasses; class++ {
-				o.refuses[p.id][class] = class == refusedClass || world.Intn(6) == 0
+				if class != refusedClass && world.Intn(6) != 0 {
+					continue
+				}
+				// p does not perform this class: it declares the others.
+				if p.classes == nil {
+					p.classes = map[int]bool{}
+					for c := 0; c < oracleClasses; c++ {
+						p.classes[c] = true
+					}
+				}
+				delete(p.classes, class)
 			}
 			for c := model.ConsumerID(0); int(c) < consumers; c++ {
 				o.ci[c][p.id] = grid(world)
@@ -476,7 +457,7 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 				Class:    world.Intn(oracleClasses),
 				N:        1 << world.Intn(int(maxN)%4+1), // 1, 2, 4 or 8: see grid
 				Work:     1,
-				Trace:    model.TraceContext{Decided: true, Sampled: true}, // the explain record carries ω
+				Trace:    model.TraceContext{Decided: true, Sampled: i%2 == 0}, // the explain record carries ω
 			}
 			want := o.mediate(q)
 			got, err := med.Mediate(context.Background(), float64(i), q)
@@ -508,19 +489,30 @@ func FuzzMediateMatchesOracle(f *testing.F) {
 // compareMediation holds one production allocation to the oracle's outcome.
 func compareMediation(t *testing.T, i int, want outcome, got *model.Allocation) {
 	t.Helper()
-	if len(got.Proposed) != len(want.kn) || got.Explain == nil || len(got.Explain.Entries) != len(want.kn) {
+	sampled := got.Query.Trace.Sampled
+	if len(got.Proposed) != len(want.kn) || sampled && (got.Explain == nil || len(got.Explain.Entries) != len(want.kn)) {
 		t.Fatalf("query %d: Kn = %v (explain %v), the oracle ranks %+v", i, got.Proposed, got.Explain, want.kn)
 	}
-	if math.Abs(got.Explain.SatC-want.satC) > oracleTolerance {
+	if !sampled && (got.Explain != nil || got.Scores != nil) {
+		t.Fatalf("query %d: unsampled, but explained %v, scored %v", i, got.Explain, got.Scores)
+	}
+	if sampled && math.Abs(got.Explain.SatC-want.satC) > oracleTolerance {
 		t.Fatalf("query %d: scored with δs(c) = %v, Definition 1 says %v", i, got.Explain.SatC, want.satC)
 	}
 	for r, w := range want.kn {
-		e := got.Explain.Entries[r]
 		switch {
-		case got.Proposed[r] != w.id || e.Provider != w.id:
+		case got.Proposed[r] != w.id:
 			t.Fatalf("query %d: rank %d is provider %d, the oracle ranks %+v\nproduction: %v scores %v", i, r, got.Proposed[r], want.kn, got.Proposed, got.Scores)
 		case got.ConsumerIntentions[r] != w.ci || got.ProviderIntentions[r] != w.pi:
 			t.Fatalf("query %d, provider %d: intentions CI %v PI %v, the tables say %v %v", i, w.id, got.ConsumerIntentions[r], got.ProviderIntentions[r], w.ci, w.pi)
+		}
+		if !sampled {
+			continue
+		}
+		e := got.Explain.Entries[r]
+		switch {
+		case e.Provider != w.id:
+			t.Fatalf("query %d: explain rank %d is provider %d, the oracle ranks %+v", i, r, e.Provider, want.kn)
 		case math.Abs(e.SatP-w.satP) > oracleTolerance:
 			t.Fatalf("query %d, provider %d: scored with δs(p) = %v, Definition 2 says %v", i, w.id, e.SatP, w.satP)
 		case math.Abs(e.Omega-w.omega) > oracleTolerance:

@@ -17,32 +17,25 @@ import (
 	"sbqa/internal/stats"
 )
 
-// countingProvider counts the calls a mediation makes into it. refuse makes
-// CanPerform veto the query.
+// countingProvider counts the snapshots a mediation takes of it.
 type countingProvider struct {
 	fakeProvider
-	calls  *callCounts
-	refuse func(q model.Query) bool
+	calls *callCounts
 }
 
-type callCounts struct{ snapshot, canPerform atomic.Int64 }
+type callCounts struct{ snapshot atomic.Int64 }
 
-func (c *callCounts) reset() { c.snapshot.Store(0); c.canPerform.Store(0) }
+func (c *callCounts) reset() { c.snapshot.Store(0) }
 
 func (p *countingProvider) Snapshot(now float64) model.ProviderSnapshot {
 	p.calls.snapshot.Add(1)
 	return p.fakeProvider.Snapshot(now)
 }
 
-func (p *countingProvider) CanPerform(q model.Query) bool {
-	p.calls.canPerform.Add(1)
-	return p.refuse == nil || !p.refuse(q)
-}
-
 // TestMediationTouchesOnlyWhatItDraws is the machine-independent O(k) gate:
-// however wide P_q is, one mediation asks CanPerform of, and snapshots, only
-// the providers its technique draws — k for SbQA, q.N for Random, the bid
-// sample for Economic — never the bucket.
+// however wide P_q is, one mediation snapshots only the providers its
+// technique draws — k for SbQA, q.N for Random, the bid sample for Economic
+// — never the bucket.
 func TestMediationTouchesOnlyWhatItDraws(t *testing.T) {
 	const k, kn, resultN = 20, 10, 2
 	techniques := []struct {
@@ -75,9 +68,9 @@ func TestMediationTouchesOnlyWhatItDraws(t *testing.T) {
 					if _, err := m.Mediate(bg, 0, q(int64(i+1), 0, resultN)); err != nil {
 						t.Fatal(err)
 					}
-					if s, c := calls.snapshot.Load(), calls.canPerform.Load(); s > tech.bound || c > tech.bound {
-						t.Fatalf("mediation %d over %d providers: %d Snapshot and %d CanPerform calls, want ≤ %d each",
-							i, width, s, c, tech.bound)
+					if s := calls.snapshot.Load(); s > tech.bound {
+						t.Fatalf("mediation %d over %d providers: %d Snapshot calls, want ≤ %d",
+							i, width, s, tech.bound)
 					}
 				}
 			})
@@ -85,8 +78,8 @@ func TestMediationTouchesOnlyWhatItDraws(t *testing.T) {
 	}
 }
 
-// materialising forces the pre-pull behaviour onto an allocator: filter and
-// snapshot all of P_q first, then hand the technique the finished slice — for
+// materialising forces the pre-pull behaviour onto an allocator: snapshot
+// all of P_q first, then hand the technique the finished slice — for
 // SbQA, "materialise all, then Selector.Select". It is the reference the pull
 // path is compared against.
 type materialising struct{ inner alloc.Allocator }
@@ -100,7 +93,7 @@ func (r materialising) Allocate(ctx context.Context, e alloc.Env, q model.Query,
 // universal providers plus specialists of a few classes, with gaps in the ID
 // space — as a pure function of rng, so the pull mediator and the reference
 // get identical worlds from equal seeds.
-func differentialWorld(rng *stats.RNG, refuse func(id model.ProviderID, q model.Query) bool, a alloc.Allocator) (*Mediator, []model.ProviderID) {
+func differentialWorld(rng *stats.RNG, a alloc.Allocator) (*Mediator, []model.ProviderID) {
 	m := New(a, Config{Window: 15})
 	var ids []model.ProviderID
 	n := 1 + rng.Intn(80)
@@ -114,14 +107,10 @@ func differentialWorld(rng *stats.RNG, refuse func(id model.ProviderID, q model.
 			},
 			calls: &callCounts{},
 		}
-		if refuse != nil {
-			id := p.id
-			p.refuse = func(q model.Query) bool { return refuse(id, q) }
-		}
 		if rng.Intn(3) > 0 {
 			p.classes = map[int]bool{rng.Intn(3): true}
 		}
-		m.RegisterProvider(classed{p})
+		m.RegisterProvider(p)
 		ids = append(ids, p.id)
 	}
 	likes := map[model.ProviderID]model.Intention{}
@@ -132,19 +121,8 @@ func differentialWorld(rng *stats.RNG, refuse func(id model.ProviderID, q model.
 	return m, ids
 }
 
-// classed files a countingProvider under its declared classes.
-type classed struct{ *countingProvider }
-
-func (c classed) Capabilities() []int {
-	var out []int
-	for class := range c.classes {
-		out = append(out, class)
-	}
-	return out
-}
-
 // TestPullPathMatchesMaterialisedReference is the differential oracle: over
-// random directories, with nobody refusing, every technique allocates
+// random directories, every technique allocates
 // byte-identically through the pull path and through the materialise-first
 // reference, and their random streams end in the same state.
 func TestPullPathMatchesMaterialisedReference(t *testing.T) {
@@ -161,8 +139,8 @@ func TestPullPathMatchesMaterialisedReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for world := uint64(0); world < 40; world++ {
 				pullAlloc, refAlloc := mk(world+1), mk(world+1)
-				pull, _ := differentialWorld(stats.NewRNG(1000+world), nil, pullAlloc)
-				ref, _ := differentialWorld(stats.NewRNG(1000+world), nil, materialising{refAlloc})
+				pull, _ := differentialWorld(stats.NewRNG(1000+world), pullAlloc)
+				ref, _ := differentialWorld(stats.NewRNG(1000+world), materialising{refAlloc})
 				queries := stats.NewRNG(2000 + world)
 				for i := 0; i < 30; i++ {
 					query := q(int64(i+1), 0, 1+queries.Intn(3))
@@ -189,17 +167,18 @@ func TestPullPathMatchesMaterialisedReference(t *testing.T) {
 	}
 }
 
-// TestPullPathNeverProposesRefuserOrDeparted: when some providers refuse and
-// others depart between queries, every proposal stays inside the accepting,
-// still-registered providers, and a query is rejected only when that set is
-// empty.
+// TestPullPathNeverProposesRefuserOrDeparted: when some providers refuse the
+// query's class (they declared only other classes) and others depart between
+// queries, every proposal stays inside the accepting, still-registered
+// providers, and a query is rejected only when that set is empty.
 func TestPullPathNeverProposesRefuserOrDeparted(t *testing.T) {
-	refuse := func(id model.ProviderID, q model.Query) bool {
-		return (uint64(id)*2654435761+uint64(q.ID))%3 == 0
-	}
 	for world := uint64(0); world < 40; world++ {
 		sb := core.MustNew(core.Config{KnBest: knbest.Params{K: 5, Kn: 3}, Seed: world + 1})
-		m, ids := differentialWorld(stats.NewRNG(3000+world), refuse, sb)
+		m, ids := differentialWorld(stats.NewRNG(3000+world), sb)
+		refuses := func(id model.ProviderID, q model.Query) bool {
+			caps := m.Provider(id).(*countingProvider).classes
+			return caps != nil && !caps[q.Class]
+		}
 		churn := stats.NewRNG(4000 + world)
 		departed := map[model.ProviderID]bool{}
 		for i := 0; i < 40; i++ {
@@ -214,6 +193,9 @@ func TestPullPathNeverProposesRefuserOrDeparted(t *testing.T) {
 				if departed[p.ProviderID()] {
 					t.Fatalf("world %d: departed provider %d still discoverable", world, p.ProviderID())
 				}
+				if refuses(p.ProviderID(), query) {
+					t.Fatalf("world %d: provider %d discoverable for class %d it did not declare", world, p.ProviderID(), query.Class)
+				}
 				accepting++
 			}
 			a, err := m.Mediate(bg, float64(i), query)
@@ -227,8 +209,8 @@ func TestPullPathNeverProposesRefuserOrDeparted(t *testing.T) {
 				t.Fatalf("world %d query %d: selected %d of %d accepting (n=%d)", world, i, len(a.Selected), accepting, query.N)
 			}
 			for _, id := range a.Proposed {
-				if refuse(id, query) || departed[id] {
-					t.Fatalf("world %d query %d: proposed %d (refuses=%v departed=%v)", world, i, id, refuse(id, query), departed[id])
+				if departed[id] || refuses(id, query) {
+					t.Fatalf("world %d query %d: proposed %d (departed=%v)", world, i, id, departed[id])
 				}
 			}
 		}

@@ -190,8 +190,10 @@ type Allocation struct {
 	ProviderIntentions []Intention
 
 	// Scores holds the allocator's score for each proposed provider
-	// (position-aligned with Proposed); informational, may be nil for
-	// allocators that do not score (e.g. random).
+	// (position-aligned with Proposed); informational, nil for allocators
+	// that do not score (e.g. random) and, under SbQA, for unsampled
+	// queries: SbQA ranks without computing the literal scores and fills
+	// them in only where they are read, as Explain is.
 	Scores []float64
 
 	// Explain is the ranked score breakdown behind this allocation,

@@ -185,6 +185,7 @@ func (r *Registry) ImportProvider(p model.ProviderID, st ProviderState) error {
 	sh := r.pshard(p)
 	sh.mu.Lock()
 	sh.m[p] = t
+	sh.read.Store(nil) // the copy may hold the replaced tracker
 	sh.mu.Unlock()
 	return nil
 }

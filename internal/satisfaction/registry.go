@@ -1,7 +1,9 @@
 package satisfaction
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"sbqa/internal/model"
 )
@@ -27,6 +29,40 @@ type consumerShard struct {
 type providerShard struct {
 	mu sync.RWMutex
 	m  map[model.ProviderID]*ProviderTracker
+
+	// read is ProviderSatisfaction's lock-free copy of m: an immutable map
+	// published through an atomic pointer. It may lack trackers created
+	// since it was built, but never holds one that was forgotten or
+	// replaced: ForgetProvider and ImportProvider set it to nil. A lookup it
+	// misses falls back to m under the read lock, and counts a miss when m
+	// has the tracker; once the misses outnumber the stripe's trackers, that
+	// lookup rebuilds the copy, so creating trackers costs O(1) amortized
+	// however large the stripe is. Recording into an existing tracker leaves
+	// the copy standing: the tracker publishes its own δs.
+	read   atomic.Pointer[map[model.ProviderID]*ProviderTracker]
+	misses atomic.Int64
+}
+
+// tracker returns p's tracker, or nil, without locking when the lock-free
+// copy holds it.
+func (sh *providerShard) tracker(p model.ProviderID) *ProviderTracker {
+	read := sh.read.Load()
+	if read != nil {
+		if t, ok := (*read)[p]; ok {
+			return t
+		}
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	t := sh.m[p]
+	if read == nil || t != nil && sh.misses.Add(1) > int64(len(sh.m)) {
+		// Rebuilt under the read lock, the copy is never older than the last
+		// write; readers that rebuild at once publish equal copies.
+		m := maps.Clone(sh.m)
+		sh.read.Store(&m)
+		sh.misses.Store(0)
+	}
+	return t
 }
 
 // Registry holds the satisfaction trackers of every participant known to a
@@ -37,8 +73,10 @@ type providerShard struct {
 // Registry is safe for concurrent use: the tracker maps are lock-striped by
 // participant ID, so the engine's mediator shards record and read in
 // parallel with contention only when two shards touch the same stripe. All
-// mutation done *through the registry* (RecordAllocation, Forget*,
-// SetXWindow) happens under the owning stripe's lock.
+// mutation done *through the registry* (RecordAllocation, Forget*, Import*)
+// happens under the owning stripe's lock. ProviderSatisfaction, read once
+// per Kn member of every mediation, takes no lock at all (see
+// providerShard.read).
 //
 // The trackers returned by Consumer and Provider are NOT themselves
 // synchronized: they hand out direct access for the single-threaded
@@ -117,13 +155,13 @@ func (r *Registry) ConsumerSatisfaction(c model.ConsumerID) float64 {
 	return Neutral
 }
 
-// ProviderSatisfaction returns δs(p), Neutral for unknown providers.
+// ProviderSatisfaction returns δs(p), Neutral for unknown providers. For a
+// provider the stripe's lock-free copy holds it takes no lock: a map lookup
+// and the tracker's published δs, bit-identical to its Satisfaction() after
+// its last record.
 func (r *Registry) ProviderSatisfaction(p model.ProviderID) float64 {
-	sh := r.pshard(p)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if t, ok := sh.m[p]; ok {
-		return t.Satisfaction()
+	if t := r.pshard(p).tracker(p); t != nil {
+		return t.published()
 	}
 	return Neutral
 }
@@ -169,7 +207,10 @@ func (r *Registry) ForgetConsumer(c model.ConsumerID) {
 func (r *Registry) ForgetProvider(p model.ProviderID) {
 	sh := r.pshard(p)
 	sh.mu.Lock()
-	delete(sh.m, p)
+	if _, ok := sh.m[p]; ok {
+		delete(sh.m, p)
+		sh.read.Store(nil)
+	}
 	sh.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package satisfaction
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -156,5 +157,97 @@ func TestRegistryStripingPreservesSemantics(t *testing.T) {
 		if a, b := r1.ProviderSatisfaction(model.ProviderID(p)), r2.ProviderSatisfaction(model.ProviderID(p)); a != b {
 			t.Errorf("provider %d: %v != %v", p, a, b)
 		}
+	}
+}
+
+// TestProviderSatisfactionLockFree runs under -race: readers call
+// ProviderSatisfaction, which takes no lock, while writers record into,
+// forget and import the same providers. Every read is a δs in [0, 1]; once
+// the writers stop, every read equals the tracker's Satisfaction() bit for
+// bit, a forgotten provider reads Neutral, and an import is visible to the
+// next read on the importing goroutine.
+func TestProviderSatisfactionLockFree(t *testing.T) {
+	const providers = 40
+	r := NewRegistry(8)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for p := 0; p < providers; p++ {
+					if s := r.ProviderSatisfaction(model.ProviderID(p)); !(s >= 0 && s <= 1) {
+						t.Errorf("provider %d: δs %v out of range", p, s)
+						return
+					}
+				}
+			}
+		}()
+	}
+	imported := ProviderState{K: 8, Next: 2, Records: []ProviderRecordState{{Intention: 0.9, Performed: true}, {Intention: 0.1}}}
+	var writers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 400; i++ {
+				p := model.ProviderID((i*7 + g) % providers)
+				switch i % 5 {
+				case 3:
+					r.ForgetProvider(p)
+				case 4:
+					if err := r.ImportProvider(p, imported); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					r.RecordAllocation(&model.Allocation{
+						Query:              model.Query{Consumer: model.ConsumerID(g), N: 1, Work: 1},
+						Selected:           []model.ProviderID{p},
+						Proposed:           []model.ProviderID{p, (p + 1) % providers},
+						ConsumerIntentions: []model.Intention{0.5, 0.5},
+						ProviderIntentions: []model.Intention{model.Intention(i%9)/4 - 1, 0.3},
+					}, nil)
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	for p := model.ProviderID(0); p < providers; p++ {
+		got := r.ProviderSatisfaction(p)
+		want := r.Provider(p).Satisfaction()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("provider %d: lock-free δs %v, tracker %v", p, got, want)
+		}
+	}
+	r.ForgetProvider(3)
+	if got := r.ProviderSatisfaction(3); got != Neutral {
+		t.Errorf("forgotten provider reads %v, want Neutral", got)
+	}
+	r.ForgetProvider(4)
+	r.RecordAllocation(&model.Allocation{
+		Query:              model.Query{N: 1, Work: 1},
+		Selected:           []model.ProviderID{4},
+		Proposed:           []model.ProviderID{4},
+		ConsumerIntentions: []model.Intention{1},
+		ProviderIntentions: []model.Intention{-1},
+	}, nil)
+	if got := r.ProviderSatisfaction(4); got != 0 {
+		t.Fatalf("provider 4 reads %v before the import, want 0", got)
+	}
+	if err := r.ImportProvider(4, imported); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.ProviderSatisfaction(4); got != 0.9 {
+		t.Errorf("imported provider reads %v, want 0.9", got)
 	}
 }

@@ -17,6 +17,7 @@ package satisfaction
 
 import (
 	"math"
+	"sync/atomic"
 
 	"sbqa/internal/model"
 )
@@ -259,6 +260,10 @@ func (t *ConsumerTracker) AllocationSatisfaction() float64 {
 // an inline tail would pad it to 24. δs(p) is read in O(1) like δs(c): head
 // and tail sum only the performed slots' intentions, and performed counts
 // them exactly.
+//
+// Every mutation also publishes Satisfaction() as float64 bits in sat, so
+// Registry.ProviderSatisfaction reads δs(p) with one atomic load, without the
+// stripe lock its writers hold.
 type ProviderTracker struct {
 	k         int
 	in        []float64 // unit-mapped expressed intention (PPI+1)/2
@@ -268,6 +273,7 @@ type ProviderTracker struct {
 	performed int
 	next      int
 	n         int
+	sat       atomic.Uint64 // math.Float64bits(Satisfaction()) as of the last mutation
 }
 
 // NewProvider returns a tracker remembering the k last proposed queries.
@@ -276,8 +282,17 @@ func NewProvider(k int) *ProviderTracker {
 	if k < 1 {
 		k = DefaultWindow
 	}
-	return &ProviderTracker{k: k, in: make([]float64, k), done: make([]bool, k), tail: make([]float64, k)}
+	t := &ProviderTracker{k: k, in: make([]float64, k), done: make([]bool, k), tail: make([]float64, k)}
+	t.publish()
+	return t
 }
+
+// publish stores Satisfaction() for lock-free readers.
+func (t *ProviderTracker) publish() { t.sat.Store(math.Float64bits(t.Satisfaction())) }
+
+// published returns δs(p) as of the tracker's last mutation; safe to call
+// concurrently with the mutations of a writer holding the stripe lock.
+func (t *ProviderTracker) published() float64 { return math.Float64frombits(t.sat.Load()) }
 
 // Interactions returns how many proposals are currently remembered (≤ k).
 func (t *ProviderTracker) Interactions() int { return t.n }
@@ -300,12 +315,15 @@ func (t *ProviderTracker) Record(pi model.Intention, performed bool) {
 	}
 	if t.next == t.k {
 		t.next = 0
-		t.freezeTail()
+		t.freezeTail() // publishes
+		return
 	}
+	t.publish()
 }
 
 // freezeTail recomputes tail over the whole window and head over slots
-// 0..next-1; Record calls it at each wrap (next = 0), a restore once.
+// 0..next-1, and publishes the result; Record calls it at each wrap
+// (next = 0), a restore once.
 func (t *ProviderTracker) freezeTail() {
 	var s float64
 	for i := t.n - 1; i >= 0; i-- {
@@ -320,6 +338,7 @@ func (t *ProviderTracker) freezeTail() {
 			t.head += t.in[i]
 		}
 	}
+	t.publish()
 }
 
 // Satisfaction returns δs(p) — Definition 2: the mean unit intention over

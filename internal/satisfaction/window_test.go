@@ -70,10 +70,17 @@ func (w *windowPair) restore(t testing.TB) {
 
 // check holds the invariants the O(1) read rests on: live and restored
 // copies read the same bits, the read stays within 1e-14 of the slot-order
-// mean, and δs stays in [0, 1].
+// mean, and δs stays in [0, 1]. Both provider trackers' published δs — what
+// Registry.ProviderSatisfaction reads without a lock — equals Satisfaction()
+// bit for bit after every record, lap freeze and restore.
 func (w *windowPair) check(t testing.TB, step int) {
 	t.Helper()
 	cs, ps := w.c.Satisfaction(), w.p.Satisfaction()
+	for _, tr := range []*ProviderTracker{w.p, w.pr} {
+		if got, want := tr.published(), tr.Satisfaction(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: provider published δs %v, Satisfaction() %v", step, got, want)
+		}
+	}
 	if crs := w.cr.Satisfaction(); math.Float64bits(cs) != math.Float64bits(crs) {
 		t.Fatalf("step %d: consumer δs live %v restored %v", step, cs, crs)
 	}

@@ -28,7 +28,6 @@ func (p *sweepProvider) ProviderID() ProviderID { return p.id }
 func (p *sweepProvider) Snapshot(float64) ProviderSnapshot {
 	return ProviderSnapshot{ID: p.id, Utilization: 0.3, Capacity: 1}
 }
-func (p *sweepProvider) CanPerform(Query) bool { return true }
 func (p *sweepProvider) Intention(Query) Intention {
 	return Intention(-0.8 + 1.7*float64(p.id)/7).Clamp()
 }

@@ -55,7 +55,6 @@ func (p providerStub) ProviderID() ProviderID { return p.id }
 func (p providerStub) Snapshot(float64) ProviderSnapshot {
 	return ProviderSnapshot{ID: p.id, Capacity: 1}
 }
-func (p providerStub) CanPerform(Query) bool     { return true }
 func (p providerStub) Intention(Query) Intention { return p.pi }
 func (p providerStub) Bid(q Query) float64       { return q.Work }
 
