@@ -19,29 +19,28 @@ import (
 	"testing"
 
 	"sbqa/internal/alloc"
-	"sbqa/internal/boinc"
 	"sbqa/internal/core"
 	"sbqa/internal/directory"
-	"sbqa/internal/experiments"
 	"sbqa/internal/knbest"
+	"sbqa/internal/lab"
 	"sbqa/internal/live"
 	"sbqa/internal/mediator"
 	"sbqa/internal/model"
+	"sbqa/internal/policy"
 	"sbqa/internal/qos"
 	"sbqa/internal/satisfaction"
 	"sbqa/internal/score"
 	"sbqa/internal/stats"
+	"sbqa/internal/workload"
 )
 
 // benchOptions keeps scenario benches fast enough for -bench=. while
 // preserving the dynamics (the full-scale numbers are in EXPERIMENTS.md).
-func benchOptions() experiments.Options {
-	return experiments.Options{Volunteers: 40, Duration: 400, Seed: 7}
-}
+func benchOptions() lab.Scenario { return lab.Volunteering(40, 400, 7) }
 
-func benchScenario(b *testing.B, run func(experiments.Options) (*experiments.ScenarioResult, error), metricsOf func(*experiments.ScenarioResult) map[string]float64) {
+func benchScenario(b *testing.B, run func(lab.Scenario) (*lab.Study, error), metricsOf func(*lab.Study) map[string]float64) {
 	b.Helper()
-	var last *experiments.ScenarioResult
+	var last *lab.Study
 	for i := 0; i < b.N; i++ {
 		r, err := run(benchOptions())
 		if err != nil {
@@ -56,10 +55,10 @@ func benchScenario(b *testing.B, run func(experiments.Options) (*experiments.Sce
 	}
 }
 
-func resultOf(r *experiments.ScenarioResult, technique string) metricsResult {
-	for _, res := range r.Results {
-		if res.Technique == technique {
-			return metricsResult{res.MeanResponseTime, res.ConsumerSat, res.ProviderSat, float64(res.ProvidersLeft)}
+func resultOf(r *lab.Study, technique string) metricsResult {
+	for _, res := range r.Reports {
+		if v := res.Volunteers; res.Scenario.Name == technique {
+			return metricsResult{res.MeanResponse, v.ConsumerSat, v.ProviderSat, float64(v.ProvidersLeft)}
 		}
 	}
 	return metricsResult{}
@@ -69,7 +68,7 @@ type metricsResult struct{ rt, satC, satP, left float64 }
 
 // BenchmarkScenario1 — baselines under the satisfaction model (captive).
 func BenchmarkScenario1(b *testing.B) {
-	benchScenario(b, experiments.Scenario1, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario1, func(r *lab.Study) map[string]float64 {
 		cap := resultOf(r, "Capacity")
 		eco := resultOf(r, "Economic")
 		return map[string]float64{
@@ -81,7 +80,7 @@ func BenchmarkScenario1(b *testing.B) {
 
 // BenchmarkScenario2 — baselines under autonomy; departures.
 func BenchmarkScenario2(b *testing.B) {
-	benchScenario(b, experiments.Scenario2, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario2, func(r *lab.Study) map[string]float64 {
 		cap := resultOf(r, "Capacity")
 		eco := resultOf(r, "Economic")
 		return map[string]float64{"cap_left": cap.left, "eco_left": eco.left}
@@ -90,7 +89,7 @@ func BenchmarkScenario2(b *testing.B) {
 
 // BenchmarkScenario3 — SbQA vs baselines (captive).
 func BenchmarkScenario3(b *testing.B) {
-	benchScenario(b, experiments.Scenario3, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario3, func(r *lab.Study) map[string]float64 {
 		cap := resultOf(r, "Capacity")
 		sb := resultOf(r, "SbQA")
 		return map[string]float64{
@@ -102,7 +101,7 @@ func BenchmarkScenario3(b *testing.B) {
 
 // BenchmarkScenario4 — SbQA vs baselines (autonomous): the headline.
 func BenchmarkScenario4(b *testing.B) {
-	benchScenario(b, experiments.Scenario4, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario4, func(r *lab.Study) map[string]float64 {
 		cap := resultOf(r, "Capacity")
 		eco := resultOf(r, "Economic")
 		sb := resultOf(r, "SbQA")
@@ -115,7 +114,7 @@ func BenchmarkScenario4(b *testing.B) {
 
 // BenchmarkScenario5 — performance-only intentions.
 func BenchmarkScenario5(b *testing.B) {
-	benchScenario(b, experiments.Scenario5, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario5, func(r *lab.Study) map[string]float64 {
 		def := resultOf(r, "SbQA/interests")
 		perf := resultOf(r, "SbQA/perf-only")
 		return map[string]float64{"interests_RT": def.rt, "perfonly_RT": perf.rt}
@@ -124,7 +123,7 @@ func BenchmarkScenario5(b *testing.B) {
 
 // BenchmarkScenario6 — kn and ω sweeps.
 func BenchmarkScenario6(b *testing.B) {
-	benchScenario(b, experiments.Scenario6, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario6, func(r *lab.Study) map[string]float64 {
 		kn1 := resultOf(r, "SbQA(kn=1)")
 		kn20 := resultOf(r, "SbQA(kn=20)")
 		return map[string]float64{
@@ -136,7 +135,7 @@ func BenchmarkScenario6(b *testing.B) {
 
 // BenchmarkScenario7 — probe participants.
 func BenchmarkScenario7(b *testing.B) {
-	benchScenario(b, experiments.Scenario7, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.Scenario7, func(r *lab.Study) map[string]float64 {
 		sb := resultOf(r, "SbQA")
 		cap := resultOf(r, "Capacity")
 		return map[string]float64{"sbqa_satP": sb.satP, "cap_satP": cap.satP}
@@ -334,17 +333,17 @@ func benchmarkMediate(b *testing.B, a alloc.Allocator) {
 }
 
 // BenchmarkWorldThroughput measures end-to-end simulated mediations per
-// wall-clock second (100 volunteers, captive, SbQA).
+// wall-clock second (100 volunteers, captive, SbQA, on the real engine).
 func BenchmarkWorldThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := boinc.DefaultConfig(100, 7)
-		cfg.Duration = 200
-		w, err := boinc.NewWorld(core.MustNew(core.Config{Seed: 1}), cfg)
+		sc := lab.Volunteering(100, 200, 7)
+		sc.SampleEvery = 20
+		sc.Policy.Seed = 1
+		r, err := lab.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w.Run()
-		b.ReportMetric(float64(w.Collector().Issued), "queries/run")
+		b.ReportMetric(float64(r.Issued), "queries/run")
 	}
 }
 
@@ -352,85 +351,65 @@ func BenchmarkWorldThroughput(b *testing.B) {
 // Ablation benches (design choices from DESIGN.md)
 // ---------------------------------------------------------------------------
 
-// runAblation runs an autonomous world and reports satisfaction/departures.
-func runAblation(b *testing.B, mk func(seed uint64) alloc.Allocator, mutate func(*boinc.Config)) {
+// runAblation runs an autonomous volunteer world under spec (seeded 7) and
+// reports satisfaction/departures.
+func runAblation(b *testing.B, spec policy.Spec, mutate func(*lab.VolunteerSpec)) {
 	b.Helper()
+	spec.Seed = 7
 	for i := 0; i < b.N; i++ {
-		cfg := boinc.DefaultConfig(60, 7)
-		cfg.Mode = boinc.Autonomous
-		cfg.Duration = 600
+		sc := lab.Volunteering(60, 600, 7)
+		sc.SampleEvery = 20
+		sc.Policy = spec
+		sc.Workload.Volunteers.Autonomous = true
 		if mutate != nil {
-			mutate(&cfg)
+			mutate(sc.Workload.Volunteers)
 		}
-		w, err := boinc.NewWorld(mk(7), cfg)
+		r, err := lab.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := w.Run()
-		b.ReportMetric(r.ProviderSat, "satP")
-		b.ReportMetric(r.ConsumerSat, "satC")
-		b.ReportMetric(float64(r.ProvidersLeft), "left")
-		b.ReportMetric(r.MeanResponseTime, "RT")
+		b.ReportMetric(r.Volunteers.ProviderSat, "satP")
+		b.ReportMetric(r.Volunteers.ConsumerSat, "satC")
+		b.ReportMetric(float64(r.Volunteers.ProvidersLeft), "left")
+		b.ReportMetric(r.MeanResponse, "RT")
 	}
 }
 
 // BenchmarkAblationAdaptiveOmega: the satisfaction-adaptive ω (the paper's
 // Equation 2) …
 func BenchmarkAblationAdaptiveOmega(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.Seed = seed
-		return core.MustNew(c)
-	}, nil)
+	runAblation(b, policy.Spec{Kind: policy.SbQA}, nil)
 }
 
 // BenchmarkAblationFixedOmega: … versus a fixed 0.5 balance.
 func BenchmarkAblationFixedOmega(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.Omega = core.FixedOmega(0.5)
-		c.Seed = seed
-		return core.MustNew(c)
-	}, nil)
+	runAblation(b, policy.Spec{Kind: policy.SbQA, OmegaMode: policy.OmegaFixed, Omega: 0.5}, nil)
 }
 
 // BenchmarkAblationNoStage2: KnBest without the utilization filter
 // (kn = k): pure interest matching.
 func BenchmarkAblationNoStage2(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.KnBest = knbest.Params{K: 20, Kn: 20}
-		c.Seed = seed
-		return core.MustNew(c)
-	}, nil)
+	runAblation(b, policy.Spec{Kind: policy.SbQA, K: 20, Kn: 20}, nil)
 }
 
 // BenchmarkAblationReplication1: no result replication (q.n = 1).
 func BenchmarkAblationReplication1(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.Seed = seed
-		return core.MustNew(c)
-	}, func(cfg *boinc.Config) {
-		for i := range cfg.Workload.Projects {
-			cfg.Workload.Projects[i].Replication = 1
+	runAblation(b, policy.Spec{Kind: policy.SbQA}, func(v *lab.VolunteerSpec) {
+		v.Projects = workload.DefaultProjects()
+		for i := range v.Projects {
+			v.Projects[i].Replication = 1
 		}
 	})
 }
 
 // BenchmarkAblationEpsilonSmall: ε = 0.01 sharpens the negative branch.
 func BenchmarkAblationEpsilonSmall(b *testing.B) {
-	runAblation(b, func(seed uint64) alloc.Allocator {
-		c := core.Config{Seed: 1}
-		c.Epsilon = 0.01
-		c.Seed = seed
-		return core.MustNew(c)
-	}, nil)
+	runAblation(b, policy.Spec{Kind: policy.SbQA, Epsilon: 0.01}, nil)
 }
 
 // BenchmarkMotivatingExample — the §IV resource-share rigidity story.
 func BenchmarkMotivatingExample(b *testing.B) {
-	benchScenario(b, experiments.MotivatingExample, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.MotivatingExample, func(r *lab.Study) map[string]float64 {
 		share := resultOf(r, "ShareBased(80/20)")
 		sb := resultOf(r, "SbQA")
 		return map[string]float64{"share_RT": share.rt, "sbqa_RT": sb.rt}
@@ -439,7 +418,7 @@ func BenchmarkMotivatingExample(b *testing.B) {
 
 // BenchmarkMaliciousStudy — validation with 20% malicious volunteers.
 func BenchmarkMaliciousStudy(b *testing.B) {
-	benchScenario(b, experiments.MaliciousStudy, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.MaliciousStudy, func(r *lab.Study) map[string]float64 {
 		rep := resultOf(r, "SbQA/reputation")
 		cap := resultOf(r, "Capacity")
 		return map[string]float64{"rep_satC": rep.satC, "cap_satC": cap.satC}
@@ -448,7 +427,7 @@ func BenchmarkMaliciousStudy(b *testing.B) {
 
 // BenchmarkReplicationStudy — fixed vs adaptive replication.
 func BenchmarkReplicationStudy(b *testing.B) {
-	benchScenario(b, experiments.ReplicationStudy, func(r *experiments.ScenarioResult) map[string]float64 {
+	benchScenario(b, lab.ReplicationStudy, func(r *lab.Study) map[string]float64 {
 		ada := resultOf(r, "adaptive")
 		return map[string]float64{"adaptive_RT": ada.rt}
 	})

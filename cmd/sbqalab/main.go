@@ -1,9 +1,9 @@
-// Command sbqalab is the front door to the simulators. It drives the
-// workload laboratory — lists the registered hypothesis catalog, runs
-// individual hypotheses against the real mediation engine under the virtual
-// clock, regenerates hypotheses/FINDINGS.md — and it reproduces the paper:
-// `paper` prints the demo's scenario tables (EXPERIMENTS.md), `play` is the
-// demo's Scenario 7 at the terminal.
+// Command sbqalab is the front door to the simulator, the workload
+// laboratory: it lists the registered hypothesis catalog, runs individual
+// hypotheses against the real mediation engine under the virtual clock,
+// regenerates hypotheses/FINDINGS.md, and reproduces the paper on the same
+// world — `paper` prints the demo's scenario tables (EXPERIMENTS.md),
+// `play` is the demo's Scenario 7 at the terminal.
 //
 // Usage:
 //

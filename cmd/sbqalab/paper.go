@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"sbqa/internal/experiments"
+	"sbqa/internal/lab"
 )
 
 // runPaper regenerates the paper's evaluation: the seven demo scenarios and
@@ -29,19 +29,12 @@ func runPaper(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opt := experiments.Options{
-		Volunteers: *volunteers,
-		Duration:   *duration,
-		Seed:       *seed,
-		Load:       *load,
-	}
-	if !*quiet {
-		opt.Out = os.Stderr
-	}
+	base := lab.Volunteering(*volunteers, *duration, *seed)
+	base.Workload.Volunteers.Load = *load
 
-	order := experiments.Scenarios()
+	order := lab.PaperStudies()
 	if *scenario != "all" {
-		byKey := map[string]experiments.Scenario{}
+		byKey := map[string]lab.PaperStudy{}
 		for _, s := range order {
 			byKey[s.Key] = s
 		}
@@ -57,14 +50,18 @@ func runPaper(args []string, stdout io.Writer) error {
 	}
 
 	for _, s := range order {
-		res, err := s.Run(opt)
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "sbqalab paper: scenario %s\n", s.Key)
+		}
+		res, err := s.Run(base)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Key, err)
 		}
-		if err := res.Render(stdout); err != nil {
+		var out strings.Builder
+		res.Render(&out)
+		if _, err := fmt.Fprintln(stdout, out.String()); err != nil {
 			return fmt.Errorf("render: %w", err)
 		}
-		fmt.Fprintln(stdout)
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, s.Key, res); err != nil {
 				return fmt.Errorf("csv: %w", err)
@@ -74,13 +71,16 @@ func runPaper(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// writeCSVs exports each technique's time series under
+// writeCSVs exports each volunteer run's gauge trajectory under
 // <dir>/scenario<k>_<technique>.csv.
-func writeCSVs(dir, key string, res *experiments.ScenarioResult) error {
+func writeCSVs(dir, key string, res *lab.Study) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, col := range res.Collectors {
+	for _, r := range res.Reports {
+		if r.Volunteers == nil {
+			continue
+		}
 		clean := strings.Map(func(r rune) rune {
 			switch {
 			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
@@ -88,13 +88,18 @@ func writeCSVs(dir, key string, res *experiments.ScenarioResult) error {
 			default:
 				return '_'
 			}
-		}, name)
-		path := filepath.Join(dir, fmt.Sprintf("scenario%s_%s.csv", key, clean))
-		f, err := os.Create(path)
+		}, r.Scenario.Name)
+		var b strings.Builder
+		b.WriteString("t,consumer_sat,provider_sat,provider_sat_gini,utilization,utilization_std,online_providers,online_consumers\n")
+		for _, p := range r.Volunteers.Trajectory {
+			fmt.Fprintf(&b, "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n", p.T, p.ConsumerSat, p.ProviderSat,
+				p.ProviderSatGini, p.Utilization, p.UtilizationSD, p.OnlineProviders, p.OnlineConsumers)
+		}
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("scenario%s_%s.csv", key, clean)))
 		if err != nil {
 			return err
 		}
-		if err := col.WriteSeriesCSV(f); err != nil {
+		if _, err := f.WriteString(b.String()); err != nil {
 			f.Close()
 			return err
 		}

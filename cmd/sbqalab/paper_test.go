@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"sbqa/internal/experiments"
+	"sbqa/internal/lab"
 )
 
 // TestPaperTablesGolden holds `sbqalab paper` to the tables recorded at the
@@ -28,7 +28,7 @@ func TestPaperTablesGolden(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("paper scale takes ~15 s")
 			}
-			want, err := os.ReadFile("../../internal/experiments/testdata/" + tc.golden)
+			want, err := os.ReadFile("../../internal/lab/testdata/" + tc.golden)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestPaperTablesGolden(t *testing.T) {
 // columns it prints to be Scenario 7's probe rows at the demo's scale:
 // the demo calls the scenario, it does not re-implement it.
 func TestPlayRunsScenario7Probe(t *testing.T) {
-	s7, err := experiments.Scenario7(playScale)
+	s7, err := lab.Scenario7(playScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 	"strconv"
 	"strings"
 
-	"sbqa/internal/experiments"
-	"sbqa/internal/metrics"
+	"sbqa/internal/lab"
 )
 
 // playScale is the demo's world: small enough to answer in a few seconds.
-var playScale = experiments.Options{Volunteers: 60, Duration: 900, Seed: 7}
+var playScale = lab.Volunteering(60, 900, 7)
 
 // runPlay is the terminal version of the demo's Scenario 7: play a BOINC
 // volunteer or project, set your own preferences and objective, and watch
@@ -30,7 +29,7 @@ func runPlay(stdin io.Reader, out io.Writer) error {
 		if !ok {
 			return nil
 		}
-		probe := experiments.DefaultProbe()
+		probe := lab.DefaultProbe()
 		asProject := strings.HasPrefix(role, "p")
 		if asProject {
 			ok = askFloat(in, out, "your project's satisfaction objective δs ≥", &probe.ConsumerObjective, 0, 1) &&
@@ -45,14 +44,12 @@ func runPlay(stdin io.Reader, out io.Writer) error {
 		if !ok {
 			return nil
 		}
-		res, err := experiments.Scenario7Probe(playScale, probe)
+		res, err := lab.Scenario7Probe(playScale, probe)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
-		if err := playTable(res, asProject).Render(out); err != nil {
-			return err
-		}
+		playTable(res, asProject).Render(out)
 		fmt.Fprintln(out)
 		if ans, ok := ask(in, out, "another round? [Y/n] "); !ok || ans == "n" || ans == "no" {
 			return nil
@@ -62,8 +59,8 @@ func runPlay(stdin io.Reader, out io.Writer) error {
 
 // playTable keeps the played side's columns of Scenario 7's table and adds
 // the system's mean response time under each technique.
-func playTable(res *experiments.ScenarioResult, asProject bool) *metrics.Table {
-	t := &metrics.Table{
+func playTable(res *lab.Study, asProject bool) *lab.Table {
+	t := &lab.Table{
 		Title:   "how each mediation treated you",
 		Columns: []string{"technique", "your δs", "still online", "objective met", "system RT"},
 	}
@@ -78,7 +75,7 @@ func playTable(res *experiments.ScenarioResult, asProject bool) *metrics.Table {
 		for _, c := range cols {
 			out = append(out, row[c])
 		}
-		t.Rows = append(t.Rows, append(out, fmt.Sprintf("%.2f", res.Results[i].MeanResponseTime)))
+		t.Rows = append(t.Rows, append(out, fmt.Sprintf("%.2f", res.Reports[i].MeanResponse)))
 	}
 	return t
 }

@@ -72,18 +72,16 @@ func ExampleScorer() {
 	// -3.00
 }
 
-// ExampleNewWorld runs a miniature BOINC world under SbQA and prints
-// whether any volunteer left.
-func ExampleNewWorld() {
-	cfg := sbqa.DefaultWorldConfig(30, 1)
-	cfg.Duration = 300
-	cfg.Mode = sbqa.Autonomous
-	w, err := sbqa.NewWorld(sbqa.NewSbQA(sbqa.SbQAConfig{}), cfg)
+// ExampleRunScenario runs a miniature BOINC world under SbQA, on the real
+// engine under a virtual clock, and prints whether any volunteer left.
+func ExampleRunScenario() {
+	sc := sbqa.Volunteering(30, 300, 1)
+	sc.Workload.Volunteers.Autonomous = true
+	r, err := sbqa.RunScenario(sc)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	r := w.Run()
-	fmt.Println("departures:", r.ProvidersLeft)
-	// Output: departures: 2
+	fmt.Println("departures:", r.Volunteers.ProvidersLeft)
+	// Output: departures: 1
 }

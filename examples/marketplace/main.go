@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"text/tabwriter"
 
 	"sbqa"
 )
@@ -32,37 +33,30 @@ func main() {
 		{Name: "niche", Popularity: sbqa.Unpopular, ArrivalShare: 0.15, Replication: 1, DelayTarget: 10},
 	}
 
-	table := &sbqa.ResultTable{
-		Title:   "marketplace, autonomous sellers",
-		Columns: []string{"mediation", "order RT", "sat(buyers)", "sat(sellers)", "sellers delisted"},
-	}
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "== marketplace, autonomous sellers ==")
+	fmt.Fprintln(tw, "mediation\torder RT\tsat(buyers)\tsat(sellers)\tsellers delisted")
 	for _, tech := range []struct {
 		name string
-		mk   func() sbqa.Allocator
+		spec sbqa.PolicySpec
 	}{
-		{"Economic (price only)", func() sbqa.Allocator { return sbqa.NewEconomicAllocator(seed) }},
-		{"Capacity (load only)", func() sbqa.Allocator { return sbqa.NewCapacityAllocator() }},
-		{"SbQA", func() sbqa.Allocator { return sbqa.NewSbQA(sbqa.SbQAConfig{Seed: seed}) }},
+		{"Economic (price only)", sbqa.PolicySpec{Kind: sbqa.PolicyEconomic, Seed: seed}},
+		{"Capacity (load only)", sbqa.PolicySpec{Kind: sbqa.PolicyCapacity}},
+		{"SbQA", sbqa.PolicySpec{Kind: sbqa.PolicySbQA, Seed: seed}},
 	} {
-		cfg := sbqa.DefaultWorldConfig(sellers, seed)
-		cfg.Workload.Projects = specs
-		cfg.Mode = sbqa.Autonomous
-		cfg.Duration = 1500
-		w, err := sbqa.NewWorld(tech.mk(), cfg)
+		sc := sbqa.Volunteering(sellers, 1500, seed)
+		sc.Workload.Volunteers.Projects = specs
+		sc.Workload.Volunteers.Autonomous = true
+		sc.Policy = tech.spec
+		r, err := sbqa.RunScenario(sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "marketplace example:", err)
 			os.Exit(1)
 		}
-		r := w.Run()
-		table.Rows = append(table.Rows, []string{
-			tech.name,
-			fmt.Sprintf("%.2f", r.MeanResponseTime),
-			fmt.Sprintf("%.3f", r.ConsumerSat),
-			fmt.Sprintf("%.3f", r.ProviderSat),
-			fmt.Sprintf("%d/%d", r.ProvidersLeft, sellers),
-		})
+		v := r.Volunteers
+		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.3f\t%d/%d\n", tech.name, r.MeanResponse, v.ConsumerSat, v.ProviderSat, v.ProvidersLeft, sellers)
 	}
-	_ = table.Render(os.Stdout)
+	tw.Flush()
 	fmt.Println("\nprice-only and load-only mediations keep sending sellers orders")
 	fmt.Println("they do not want; dissatisfied sellers delist and the marketplace")
 	fmt.Println("shrinks. SbQA routes by mutual interest and keeps the long tail.")

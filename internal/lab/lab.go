@@ -1,20 +1,24 @@
-// Package lab is the deterministic workload laboratory: it drives the REAL
-// mediation pipeline — live.Engine over mediator, allocators and the
-// satisfaction registry — under the internal/sim virtual clock, at
-// populations up to millions of simulated participants.
+// Package lab is the repository's one simulator: a deterministic workload
+// laboratory that drives the REAL mediation pipeline — live.Engine over
+// mediator, allocators and the satisfaction registry — under the
+// internal/sim virtual clock, at populations up to millions of simulated
+// participants.
 //
-// The lab has three layers:
+// The lab has four layers:
 //
 //  1. a composable workload generator (this file): seeded arrival processes
 //     (Poisson, bursty MMPP) from internal/workload, heavy-tailed
-//     query cost, flash crowds, provider churn storms, and adversarial
-//     populations (free-riders, over-claimers, colluders) promoted from the
-//     seed code in internal/experiments and internal/boinc;
+//     query cost, flash crowds, provider churn storms, adversarial
+//     populations (free-riders, over-claimers, colluders), and two presets
+//     of the paper's own populations — BOINC volunteers (volunteer.go) and
+//     keyword advertisers (ads.go);
 //  2. a scenario runner (run.go, world.go) executing a Scenario —
 //     workload × policy.Spec × duration × seed — and emitting a typed
 //     Report (report.go) with stable serialization;
 //  3. a falsifiable-hypothesis harness (hypothesis.go) consumed by the
-//     top-level hypotheses/ package and the cmd/sbqalab CLI.
+//     top-level hypotheses/ package and the cmd/sbqalab CLI;
+//  4. the paper's evaluation (paper.go, paper_ext.go): the seven demo
+//     scenarios and four extension studies `sbqalab paper` prints.
 //
 // # Determinism contract
 //
@@ -85,6 +89,13 @@ type Scenario struct {
 
 // Workload declares the traffic mix and population for a scenario.
 type Workload struct {
+	// Volunteers, when set, replaces Classes with the BOINC preset, and
+	// Ads with the keyword-advertising preset (see their docs); Churn,
+	// Flash, Adversaries, QueryTimeout and the scenario's QoS station apply
+	// to class populations only.
+	Volunteers *VolunteerSpec `json:"volunteers,omitempty"`
+	Ads        *AdSpec        `json:"ads,omitempty"`
+
 	// Classes partition the population: each class has its own consumers,
 	// specialist providers, arrival process, and cost distribution.
 	// Query class c is served only by class c's providers (plus nothing
@@ -152,9 +163,7 @@ type ClassSpec struct {
 // deterministically per provider from the scenario seed. Fractions must sum
 // to <= 1; the remainder is honest.
 //
-// These promote the seed behaviors from internal/experiments (malicious
-// volunteers) and internal/boinc into first-class, policy-independent
-// generators:
+// These are policy-independent generators:
 //
 //   - free-riders accept everything (maximal intention, idle-looking
 //     snapshots) and never execute — every allocation they win times out;
@@ -275,7 +284,18 @@ func (sc Scenario) normalized() (Scenario, error) {
 	if sc.Window <= 0 {
 		sc.Window = 8
 	}
-	if len(sc.Workload.Classes) == 0 {
+	switch wl := sc.Workload; {
+	case wl.Volunteers != nil || wl.Ads != nil:
+		if len(wl.Classes) > 0 || (wl.Volunteers != nil && wl.Ads != nil) {
+			return sc, fmt.Errorf("lab: scenario %q needs one population: classes, volunteers or ads", sc.Name)
+		}
+		if wl.Adversaries != (AdversarySpec{}) || wl.Churn.LeaveRate > 0 || wl.Churn.Storm != nil || len(wl.Flash) > 0 || sc.QoS != nil {
+			return sc, fmt.Errorf("lab: scenario %q: adversaries, churn, flash and qos apply to class populations only", sc.Name)
+		}
+		if wl.Ads != nil && (wl.Ads.Rate <= 0 || len(wl.Ads.Advertisers) == 0 || len(wl.Ads.Advertisers[0].Interests) == 0) {
+			return sc, fmt.Errorf("lab: scenario %q ads need a rate and advertisers with interests", sc.Name)
+		}
+	case len(wl.Classes) == 0:
 		return sc, fmt.Errorf("lab: scenario %q needs at least one class", sc.Name)
 	}
 	if sc.Workload.QueryTimeout <= 0 {

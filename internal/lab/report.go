@@ -73,6 +73,12 @@ type Report struct {
 	// full fleet when it is small).
 	Trajectory []TrajectoryPoint `json:"trajectory"`
 
+	// Volunteers is a volunteer run's outcome (Workload.Volunteers only).
+	// There Rejected counts unallocated queries, Failed the queries whose
+	// replicas could not reach their quorum, InFlight those still awaiting
+	// it, and P99Response interpolates between ranks.
+	Volunteers *VolunteerReport `json:"volunteers,omitempty"`
+
 	// Classes reports per-class outcomes, in scenario class order.
 	// Per-class δs/δa trajectories are included when the scenario has at
 	// most 32 classes (beyond that they would dominate the report; the

@@ -49,6 +49,10 @@ type world struct {
 	serviceTime float64 // 1 / MediationRate
 	stationBusy bool
 
+	// The presets' state: nil unless the scenario declares one.
+	vol *volunteering
+	ads *adMarket
+
 	report *Report
 }
 
@@ -68,18 +72,31 @@ const stationDepth = 1 << 20
 // Run executes the scenario and returns its report. It is deterministic:
 // the same scenario yields a byte-identical Report.Encode().
 func Run(sc Scenario) (*Report, error) {
+	_, r, err := run(sc, nil)
+	return r, err
+}
+
+// run is Run with a seam: setup, when set, adjusts the built world before
+// the first event (the paper's studies plant probes, swap intention
+// policies and book phase switches through it). It returns the world for
+// the studies' end-state readings.
+func run(sc Scenario, setup func(*world)) (*world, *Report, error) {
 	sc, err := sc.normalized()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w, err := build(sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer w.live.Close()
+	if setup != nil {
+		setup(w)
+	}
 	w.start()
 	w.eng.Run(sc.Duration)
-	return w.finish()
+	r, err := w.finish()
+	return w, r, err
 }
 
 func build(sc Scenario) (_ *world, err error) {
@@ -89,6 +106,9 @@ func build(sc Scenario) (_ *world, err error) {
 		live.WithConcurrency(1), // proven byte-identical to a serialized mediator
 		live.WithPolicy(sc.Policy),
 		live.WithClock(eng.Now),
+		// Volunteer runs measure allocation satisfaction against the
+		// whole candidate set.
+		live.WithAnalyzeBest(sc.Workload.Volunteers != nil),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("lab: building engine: %w", err)
@@ -110,6 +130,13 @@ func build(sc Scenario) (_ *world, err error) {
 		byID:     make(map[model.ProviderID]*labProvider),
 		timeout:  sc.Workload.QueryTimeout,
 		report:   &Report{Scenario: sc},
+	}
+	switch {
+	case sc.Workload.Volunteers != nil:
+		return w, w.buildVolunteers()
+	case sc.Workload.Ads != nil:
+		w.buildAds()
+		return w, nil
 	}
 	w.caps = make([][]int, len(sc.Workload.Classes))
 	for i := range w.caps {
@@ -188,6 +215,15 @@ func build(sc Scenario) (_ *world, err error) {
 func (w *world) start() {
 	for _, cs := range w.classes {
 		w.scheduleArrival(cs)
+	}
+	if w.vol != nil {
+		for _, p := range w.vol.projects {
+			w.scheduleProjectArrival(p)
+		}
+	}
+	if w.ads != nil {
+		w.scheduleAdQuery()
+		return // an ad run reports no trajectory
 	}
 	ch := w.sc.Workload.Churn
 	if ch.LeaveRate > 0 {
@@ -408,6 +444,10 @@ func (w *world) scheduleSample() {
 // sample records one global trajectory point (and per-class points when the
 // scenario is small enough to afford them).
 func (w *world) sample() {
+	if w.vol != nil {
+		w.sampleVolunteers()
+		return
+	}
 	t := w.eng.Now()
 	perClass := len(w.classes) <= 32
 
@@ -460,6 +500,12 @@ func (w *world) sample() {
 
 // finish assembles the report after the horizon closes.
 func (w *world) finish() (*Report, error) {
+	switch {
+	case w.vol != nil:
+		return w.finishVolunteers(), nil
+	case w.ads != nil:
+		return w.report, nil
+	}
 	r := w.report
 	r.Providers = len(w.providers)
 	for _, cs := range w.classes {

@@ -22,6 +22,13 @@ type Option func(*config)
 // WithWindow sets the satisfaction memory length k.
 func WithWindow(k int) Option { return func(c *config) { c.window = k } }
 
+// WithAnalyzeBest(true) makes every mediation also collect the consumer's
+// intentions over the whole candidate set, so the registry measures
+// allocation satisfaction against the true optimum (O(|P_q|) intention
+// calls per query: for simulations of a few hundred providers, not for a
+// production shard).
+func WithAnalyzeBest(on bool) Option { return func(c *config) { c.analyzeBest = on } }
+
 // WithConcurrency sets the number of mediator shards. Values below 1 mean
 // one shard. Queries route to shards by a hash of their ConsumerID, so one
 // consumer's stream stays serialized while distinct consumers mediate in

@@ -24,6 +24,7 @@ import (
 // each field is documented on the With* option that writes it.
 type config struct {
 	window           int
+	analyzeBest      bool
 	concurrency      int
 	policy           *policy.Spec
 	tuner            *policy.TunerConfig
@@ -204,11 +205,12 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		// Allocator, deadline and class table arrive with the policy (adopt).
 		sh := &shard{sched: qos.NewScheduler[engineItem](qos.Spec{}, depth, e.nowFn)}
 		sh.med = mediator.New(nil, mediator.Config{
-			Window:    cfg.window,
-			Observer:  shardObserver{Observer: obs, sh: sh},
-			Registry:  e.reg,
-			Directory: e.dir,
-			Tracer:    e.tracer,
+			Window:      cfg.window,
+			AnalyzeBest: cfg.analyzeBest,
+			Observer:    shardObserver{Observer: obs, sh: sh},
+			Registry:    e.reg,
+			Directory:   e.dir,
+			Tracer:      e.tracer,
 		})
 		e.shards[i] = sh
 	}

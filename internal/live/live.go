@@ -2,8 +2,8 @@
 // runtime: consumers submit queries from any goroutine, workers (providers)
 // execute work on their own goroutines, and a sharded mediation engine
 // allocates queries in parallel. This is the embedding a downstream system
-// would use in production — the deterministic twin for experiments lives in
-// internal/boinc.
+// would use in production; internal/lab drives the same engine under a
+// virtual clock for the experiments.
 //
 // # One engine, one pipeline
 //

@@ -200,13 +200,6 @@ func (m *Mediator) Directory() *directory.Directory { return m.dir }
 // RegisterConsumer adds (or replaces) a consumer.
 func (m *Mediator) RegisterConsumer(c Consumer) { m.dir.RegisterConsumer(c) }
 
-// UnregisterConsumer removes a consumer; its satisfaction memory is dropped
-// (a departed participant that rejoins starts fresh).
-func (m *Mediator) UnregisterConsumer(id model.ConsumerID) {
-	m.dir.UnregisterConsumer(id)
-	m.registry.ForgetConsumer(id)
-}
-
 // RegisterProvider adds (or replaces) a provider.
 func (m *Mediator) RegisterProvider(p Provider) { m.dir.RegisterProvider(p) }
 

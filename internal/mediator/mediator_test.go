@@ -179,10 +179,6 @@ func TestUnregisterForgetsMemory(t *testing.T) {
 	if got := m.Registry().ProviderSatisfaction(1); got != 0.5 {
 		t.Errorf("departed provider memory kept: %v", got)
 	}
-	m.UnregisterConsumer(0)
-	if got := m.Registry().ConsumerSatisfaction(0); got != 0.5 {
-		t.Errorf("departed consumer memory kept: %v", got)
-	}
 }
 
 func TestMediateDeterministicCandidateOrder(t *testing.T) {

@@ -8,8 +8,8 @@
 // self-adaptation loop by issuing bounded Reconfigure steps from the
 // satisfaction event stream.
 //
-// Specs are the one technique vocabulary — the daemon, the lab and the
-// paper harness (internal/experiments) all build allocators from them:
+// Specs are the one technique vocabulary — the daemon and the lab (the
+// paper's studies included) build allocators from them:
 // one JSON document names the technique and carries every tunable the paper
 // exposes — KnBest's k and kn, the balance ω (fixed or adaptive), ε, the
 // sampling seed, and the per-participant intention deadline.

@@ -159,20 +159,6 @@ func MeanOf(values []float64) float64 {
 	return sum / float64(len(values))
 }
 
-// MinOf returns the smallest value (0 for empty input).
-func MinOf(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // StdDevOf returns the population standard deviation of the values.
 func StdDevOf(values []float64) float64 {
 	n := float64(len(values))

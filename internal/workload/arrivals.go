@@ -28,8 +28,7 @@ type Arrivals interface {
 // with the given mean rate (events / simulated second).
 //
 // Next performs exactly one rng.ExpFloat64 draw and returns
-// ExpFloat64()/Rate — the historical inline pattern in internal/boinc and
-// internal/adwords, now shared so every simulation books arrivals the same
+// ExpFloat64()/Rate, so every lab population books arrivals the same
 // way. Golden tests pin this draw sequence; changing it invalidates every
 // recorded finding.
 type Poisson struct {

@@ -22,12 +22,12 @@
 // NewEngine): Submit returns a *Ticket immediately, SubmitWait mediates on
 // the caller's goroutine when the shard is idle (for a caller that waits
 // for the allocation next), and tickets carry the allocation and the
-// per-worker results. For a simulation, build a World
-// (see NewWorld). Two binaries sit beside this package: cmd/sbqad serves
-// the engine over HTTP, and cmd/sbqalab is the front door to the
-// simulators — `sbqalab paper` regenerates the paper's scenario tables,
-// `sbqalab play` is the interactive demo, `sbqalab list|run|report` drive
-// the workload lab.
+// per-worker results. For a simulation, run a lab scenario on the same
+// engine under a virtual clock (see Volunteering and RunScenario). Two
+// binaries sit beside this package: cmd/sbqad serves the engine over HTTP,
+// and cmd/sbqalab is the front door to the simulator — `sbqalab paper`
+// regenerates the paper's scenario tables, `sbqalab play` is the
+// interactive demo, `sbqalab list|run|report` drive the workload lab.
 //
 // # Model vocabulary
 //
@@ -46,19 +46,17 @@ import (
 	"time"
 
 	"sbqa/internal/alloc"
-	"sbqa/internal/boinc"
 	"sbqa/internal/cluster"
 	"sbqa/internal/core"
 	"sbqa/internal/event"
 	"sbqa/internal/knbest"
+	"sbqa/internal/lab"
 	"sbqa/internal/live"
 	"sbqa/internal/mediator"
-	"sbqa/internal/metrics"
 	"sbqa/internal/model"
 	"sbqa/internal/persist"
 	"sbqa/internal/policy"
 	"sbqa/internal/qos"
-	"sbqa/internal/stats"
 	"sbqa/internal/trace"
 	"sbqa/internal/workload"
 )
@@ -117,13 +115,6 @@ func NewStaticEnv() *StaticEnv { return alloc.NewStaticEnv() }
 // It panics only on contradictory KnBest parameters (kn > k).
 func NewSbQA(cfg SbQAConfig) *SbQA { return core.MustNew(cfg) }
 
-// NewCapacityAllocator returns the capacity-based baseline (the BOINC-like
-// load balancer of the paper's comparisons).
-func NewCapacityAllocator() Allocator { return alloc.NewCapacity() }
-
-// NewEconomicAllocator returns the Mariposa-style sealed-bid baseline.
-func NewEconomicAllocator(seed uint64) Allocator { return alloc.NewEconomic(stats.NewRNG(seed)) }
-
 // ---------------------------------------------------------------------------
 // Mediation pipeline
 // ---------------------------------------------------------------------------
@@ -159,22 +150,9 @@ func NewMediator(a Allocator, cfg MediatorConfig) *Mediator { return mediator.Ne
 // Simulation world
 // ---------------------------------------------------------------------------
 
-// Simulation types.
-type (
-	// World is the BOINC-like simulated system.
-	World = boinc.World
-	// WorldConfig assembles a world.
-	WorldConfig = boinc.Config
-	// ProjectSpec declares one consumer project.
-	ProjectSpec = workload.ProjectSpec
-	// ResultTable is an aligned text table of results.
-	ResultTable = metrics.Table
-)
-
-// Autonomous participants leave when chronically dissatisfied (the paper's
-// Scenarios 2, 4, 7); it is a WorldConfig.Mode, whose zero value keeps
-// participants captive.
-const Autonomous = boinc.Autonomous
+// ProjectSpec declares one consumer project of the Volunteering preset
+// (its Workload.Volunteers.Projects).
+type ProjectSpec = workload.ProjectSpec
 
 // Popularity classes for ProjectSpec.
 const (
@@ -186,15 +164,18 @@ const (
 	Unpopular = workload.Unpopular
 )
 
-// NewWorld builds a runnable simulation; see WorldConfig and
-// DefaultWorldConfig.
-func NewWorld(a Allocator, cfg WorldConfig) (*World, error) { return boinc.NewWorld(a, cfg) }
-
-// DefaultWorldConfig returns the demo population (three projects with
-// popular/normal/unpopular skew) at the given scale.
-func DefaultWorldConfig(volunteers int, seed uint64) WorldConfig {
-	return boinc.DefaultConfig(volunteers, seed)
+// Volunteering returns the paper's BOINC world as a lab scenario: the
+// demo's three projects (popular, normal, unpopular) over the given number
+// of volunteers at load ρ = 0.7, captive, under SbQA. Set
+// Workload.Volunteers.Autonomous to let dissatisfied participants leave,
+// and Policy to pit another technique.
+func Volunteering(volunteers int, duration float64, seed uint64) lab.Scenario {
+	return lab.Volunteering(volunteers, duration, seed)
 }
+
+// RunScenario runs a lab scenario on the real engine under a virtual
+// clock; the same scenario always yields the same report.
+func RunScenario(sc lab.Scenario) (*lab.Report, error) { return lab.Run(sc) }
 
 // ---------------------------------------------------------------------------
 // Live (goroutine-based) runtime — the asynchronous Engine API
@@ -387,6 +368,8 @@ const (
 	PolicySbQA = policy.SbQA
 	// PolicyCapacity runs the capacity-based baseline.
 	PolicyCapacity = policy.Capacity
+	// PolicyEconomic runs the Mariposa-style sealed-bid baseline.
+	PolicyEconomic = policy.Economic
 )
 
 // ParsePolicy decodes a JSON policy spec, rejecting unknown fields.

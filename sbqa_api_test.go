@@ -30,8 +30,6 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	// Allocators.
 	var allocators = []Allocator{
 		NewSbQA(SbQAConfig{KnBest: KnBestParams{K: 4, Kn: 2}}),
-		NewCapacityAllocator(),
-		NewEconomicAllocator(1),
 	}
 	for _, a := range allocators {
 		if a.Name() == "" {
@@ -61,7 +59,7 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	)
 
 	// Mediation pipeline.
-	med := NewMediator(NewCapacityAllocator(), MediatorConfig{Window: 10})
+	med := NewMediator(NewSbQA(SbQAConfig{}), MediatorConfig{Window: 10})
 	var _ *Mediator = med
 	var _ Consumer = consumerStub{}
 	var _ Provider = providerStub{}
@@ -70,20 +68,14 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoCandidates", err)
 	}
 
-	// Simulation world (construction only; TestPublicWorldRun runs one).
-	cfg := DefaultWorldConfig(10, 1)
-	if cfg.Mode == Autonomous {
+	// Simulation: the BOINC preset as a lab scenario (construction only;
+	// TestPublicWorldRun runs one).
+	sc := Volunteering(10, 100, 1)
+	sc.Workload.Volunteers.Projects = []ProjectSpec{{Popularity: Popular}, {Popularity: Normal}, {Popularity: Unpopular}}
+	if sc.Workload.Volunteers.Autonomous {
 		t.Error("the default world must be captive")
 	}
-	var w *World
-	if w, err = NewWorld(NewCapacityAllocator(), cfg); err != nil || w == nil {
-		t.Fatal(err)
-	}
-	var _ WorldConfig = cfg
-	var (
-		_ = []ProjectSpec{{Popularity: Popular}, {Popularity: Normal}, {Popularity: Unpopular}}
-		_ ResultTable
-	)
+	var _ = RunScenario
 
 	// Live runtime participants.
 	var (
@@ -96,7 +88,7 @@ func TestFacadeSymbolSmoke(t *testing.T) {
 	_ = WithDeadline(time.Second)
 
 	// Policy control plane.
-	for _, k := range []string{string(PolicySbQA), string(PolicyCapacity)} {
+	for _, k := range []string{string(PolicySbQA), string(PolicyCapacity), string(PolicyEconomic)} {
 		if _, err := ParsePolicy([]byte(`{"kind":"` + k + `"}`)); err != nil {
 			t.Errorf("ParsePolicy(kind %q): %v", k, err)
 		}

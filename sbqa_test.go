@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"sbqa/internal/alloc"
-	"sbqa/internal/boinc"
 	"sbqa/internal/core"
-	"sbqa/internal/experiments"
 	"sbqa/internal/lab"
 	"sbqa/internal/satisfaction"
 	"sbqa/internal/score"
@@ -96,8 +94,8 @@ func TestPublicTrackers(t *testing.T) {
 
 func TestPublicAllocatorConstructors(t *testing.T) {
 	names := map[string]Allocator{
-		"Capacity":   NewCapacityAllocator(),
-		"Economic":   NewEconomicAllocator(1),
+		"Capacity":   alloc.NewCapacity(),
+		"Economic":   alloc.NewEconomic(stats.NewRNG(1)),
 		"Random":     alloc.NewRandom(stats.NewRNG(2)),
 		"RoundRobin": alloc.NewRoundRobin(),
 	}
@@ -119,38 +117,32 @@ func TestPublicAllocatorConstructors(t *testing.T) {
 }
 
 func TestPublicWorldRun(t *testing.T) {
-	cfg := DefaultWorldConfig(30, 3)
-	cfg.Duration = 200
-	cfg.Mode = boinc.Captive
-	w, err := NewWorld(NewSbQA(SbQAConfig{}), cfg)
+	r, err := RunScenario(Volunteering(30, 200, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := w.Run()
 	if r.Completed == 0 {
 		t.Fatal("no completions")
 	}
-	if r.Technique != "SbQA" {
-		t.Errorf("technique = %q", r.Technique)
+	if r.Scenario.Policy.Kind != PolicySbQA {
+		t.Errorf("technique = %q", r.Scenario.Policy.Kind)
 	}
 }
 
 func TestPublicScenarioAndRender(t *testing.T) {
-	res, err := experiments.Scenario1(experiments.Options{Volunteers: 25, Duration: 150, Seed: 5})
+	res, err := lab.Scenario1(lab.Volunteering(25, 150, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
+	res.Render(&sb)
 	if !strings.Contains(sb.String(), "Scenario 1") {
 		t.Error("render missing scenario heading")
 	}
 }
 
 func TestPublicErrNoCandidates(t *testing.T) {
-	med := NewMediator(NewCapacityAllocator(), MediatorConfig{Window: 10})
+	med := NewMediator(alloc.NewCapacity(), MediatorConfig{Window: 10})
 	med.RegisterConsumer(consumerStub{id: 0})
 	if _, err := med.Mediate(context.Background(), 0, Query{Consumer: 0, N: 1, Work: 1}); err == nil {
 		t.Error("want ErrNoCandidates")
