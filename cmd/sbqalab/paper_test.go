@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -114,6 +115,44 @@ func TestPlayExits(t *testing.T) {
 		}
 		if strings.Contains(out.String(), "==") {
 			t.Errorf("input %q ran a round:\n%s", in, out.String())
+		}
+	}
+}
+
+// TestPaperWritesCSV: -csv writes one scenario<k>_<technique>.csv per
+// volunteer run, a header and one row per gauge sample.
+func TestPaperWritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	args := []string{"-scenario", "3", "-volunteers", "20", "-duration", "100", "-quiet", "-csv", dir}
+	if err := runPaper(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base []string
+	for _, n := range names {
+		base = append(base, filepath.Base(n))
+	}
+	if got, want := strings.Join(base, " "), "scenario3_Capacity.csv scenario3_Economic.csv scenario3_SbQA.csv"; got != want {
+		t.Fatalf("files = %q, want %q", got, want)
+	}
+	b, err := os.ReadFile(names[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if want := "t,consumer_sat,provider_sat,provider_sat_gini,utilization,utilization_std,online_providers,online_consumers"; lines[0] != want {
+		t.Errorf("header = %q, want %q", lines[0], want)
+	}
+	if rows := len(lines) - 1; rows != 100 {
+		t.Errorf("%d rows, want one per sample (100)", rows)
+	}
+	for i, l := range lines[1:] {
+		if n := strings.Count(l, ","); n != 7 {
+			t.Fatalf("row %d has %d fields: %q", i+1, n+1, l)
 		}
 	}
 }

@@ -130,7 +130,8 @@ var (
 )
 
 // runTechnique runs base under spec seeded with seed, its volunteer preset
-// copied and adjusted by mod, and setup applied to the built world.
+// copied and adjusted by mod, and setup applied to the built world, with
+// the AnalyzeBest round on.
 func runTechnique(base Scenario, spec policy.Spec, seed uint64, mod func(*VolunteerSpec), setup func(*world)) (*world, *Report, error) {
 	v := *base.Workload.Volunteers
 	if mod != nil {
@@ -138,7 +139,7 @@ func runTechnique(base Scenario, spec policy.Spec, seed uint64, mod func(*Volunt
 	}
 	spec.Seed = seed
 	base.Name, base.Policy, base.Workload.Volunteers = spec.Name, spec, &v
-	w, r, err := run(base, setup)
+	w, r, err := run(base, true, setup)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lab: %s: %w", spec.Name, err)
 	}

@@ -290,7 +290,7 @@ func AdWordsStudy(base Scenario) (*Study, error) {
 		sc := Scenario{Name: tc.Name, Seed: seed, Duration: base.Duration, Window: 100, Policy: tc,
 			Workload: Workload{Ads: adWordsMarket()}}
 		var insect, pharmaWins [2]int
-		w, r, err := run(sc, func(w *world) {
+		w, r, err := run(sc, false, func(w *world) {
 			pharma := w.ads.advertisers[0]
 			pharma.interests.AddCampaign(topics.Campaign{Boost: topics.Vector{0, 0, 5, 0}, Until: switchAt})
 			w.ads.onWin = func(q model.Query, topic topics.Vector, winner *advertiser) {

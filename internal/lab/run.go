@@ -72,20 +72,21 @@ const stationDepth = 1 << 20
 // Run executes the scenario and returns its report. It is deterministic:
 // the same scenario yields a byte-identical Report.Encode().
 func Run(sc Scenario) (*Report, error) {
-	_, r, err := run(sc, nil)
+	_, r, err := run(sc, false, nil)
 	return r, err
 }
 
-// run is Run with a seam: setup, when set, adjusts the built world before
-// the first event (the paper's studies plant probes, swap intention
-// policies and book phase switches through it). It returns the world for
-// the studies' end-state readings.
-func run(sc Scenario, setup func(*world)) (*world, *Report, error) {
+// run is Run with two seams for the paper's studies. analyzeBest turns on
+// the engine's round over all of P_q that their allocation-satisfaction
+// columns read (one more consumer-intention round per query). setup, when
+// set, adjusts the built world before the first event (probes, intention
+// policies, phase switches). It returns the world for end-state readings.
+func run(sc Scenario, analyzeBest bool, setup func(*world)) (*world, *Report, error) {
 	sc, err := sc.normalized()
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := build(sc)
+	w, err := build(sc, analyzeBest)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,16 +100,14 @@ func run(sc Scenario, setup func(*world)) (*world, *Report, error) {
 	return w, r, err
 }
 
-func build(sc Scenario) (_ *world, err error) {
+func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 	eng := sim.NewEngine()
 	lv, err := live.NewEngine(
 		live.WithWindow(sc.Window),
 		live.WithConcurrency(1), // proven byte-identical to a serialized mediator
 		live.WithPolicy(sc.Policy),
 		live.WithClock(eng.Now),
-		// Volunteer runs measure allocation satisfaction against the
-		// whole candidate set.
-		live.WithAnalyzeBest(sc.Workload.Volunteers != nil),
+		live.WithAnalyzeBest(analyzeBest),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("lab: building engine: %w", err)

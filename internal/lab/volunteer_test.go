@@ -42,7 +42,7 @@ func builtWorld(t *testing.T, sc Scenario) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := build(sc)
+	w, err := build(sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func builtWorld(t *testing.T, sc Scenario) *world {
 // runWorld runs sc with setup and returns the world and its report.
 func runWorld(t *testing.T, sc Scenario, setup func(*world)) (*world, *Report) {
 	t.Helper()
-	w, r, err := run(sc, setup)
+	w, r, err := run(sc, false, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +64,16 @@ func onlineVolunteers(w *world) int {
 	n := 0
 	for _, v := range w.vol.vols {
 		if v.online {
+			n++
+		}
+	}
+	return n
+}
+
+func onlineProjects(w *world) int {
+	n := 0
+	for _, p := range w.vol.projects {
+		if p.online {
 			n++
 		}
 	}
@@ -81,7 +91,7 @@ func TestWorldConstruction(t *testing.T) {
 	if w.live.Directory().NumProviders() != 40 || w.live.Directory().NumConsumers() != 3 {
 		t.Error("registration incomplete")
 	}
-	if onlineVolunteers(w) != 40 {
+	if onlineVolunteers(w) != 40 || onlineProjects(w) != 3 {
 		t.Error("everyone should start online")
 	}
 	if w.vol.horizon <= 0 {
@@ -175,6 +185,46 @@ func TestAutonomousDeparturesUnderCapacity(t *testing.T) {
 		if d.Provider != model.NoProvider && d.Satisfaction >= 0.35 {
 			t.Errorf("provider %d left with δs=%v ≥ threshold", d.Provider, d.Satisfaction)
 		}
+	}
+}
+
+func TestProjectDepartureForgetsMemory(t *testing.T) {
+	// A project whose δs stays below 0.5 for the grace period leaves: the
+	// engine stops mediating for it and its satisfaction memory goes, so a
+	// returning project with that id would start fresh.
+	w := builtWorld(t, autonomousScenario(1))
+	p := w.vol.projects[0]
+	reg := w.live.Registry()
+	for i := 0; i < w.vol.minInteractions; i++ {
+		reg.RecordAllocation(&model.Allocation{
+			Query:              model.Query{ID: model.QueryID(i), Consumer: p.id, N: 1},
+			Selected:           []model.ProviderID{0},
+			Proposed:           []model.ProviderID{0},
+			ConsumerIntentions: []model.Intention{-1},
+			ProviderIntentions: []model.Intention{0},
+		}, nil)
+	}
+	if sat := reg.ConsumerSatisfaction(p.id); sat >= ConsumerLeaveThreshold {
+		t.Fatalf("δs = %v after only disliked allocations", sat)
+	}
+	w.checkConsumerDeparture(p)
+	if !p.online {
+		t.Fatal("project left on its first reading below the threshold, before the grace period")
+	}
+	w.eng.Run(w.eng.Now() + w.vol.grace) // the world is not started: only the clock moves
+	w.checkConsumerDeparture(p)
+	if p.online || onlineProjects(w) != 2 {
+		t.Fatal("project below threshold for the grace period stayed online")
+	}
+	if w.live.Directory().Consumer(p.id) != nil || w.live.Directory().NumConsumers() != 2 {
+		t.Error("departed project still registered with the engine")
+	}
+	if tr := reg.Consumer(p.id); tr.Interactions() != 0 || tr.Satisfaction() != 0.5 {
+		t.Errorf("departed project's memory kept: %d interactions, δs = %v", tr.Interactions(), tr.Satisfaction())
+	}
+	v := w.vol.out
+	if v.ConsumersLeft != 1 || len(v.Departures) != 1 || v.Departures[0].Consumer != p.id {
+		t.Errorf("departure not recorded: left %d, records %+v", v.ConsumersLeft, v.Departures)
 	}
 }
 
