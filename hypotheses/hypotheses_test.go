@@ -1,6 +1,7 @@
 package hypotheses
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -68,5 +69,44 @@ func TestRenderFindingsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(d1, "CONFIRMED") && !strings.Contains(d1, "REFUTED") {
 		t.Fatal("findings document contains no definite verdicts")
+	}
+}
+
+// The committed findings are what the code renders: FINDINGS.md at Full
+// scale and testdata/findings_short.golden at Short scale, byte for byte.
+// A diff here is a change in the lab, an allocator or a hypothesis, and
+// the committed document is then out of date.
+func TestFindingsMatchCommitted(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scale  lab.Scale
+		golden string
+	}{
+		{"short", lab.Short, "testdata/findings_short.golden"},
+		{"full", lab.Full, "FINDINGS.md"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.scale == lab.Full && testing.Short() {
+				t.Skip("full scale takes ~3 s")
+			}
+			want, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lab.RenderFindings(tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == string(want) {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", tc.golden, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("render has %d lines, %s has %d", len(gl), tc.golden, len(wl))
+		})
 	}
 }
