@@ -91,9 +91,9 @@ func writeCSVs(dir, key string, res *lab.Study) error {
 		}, r.Scenario.Name)
 		var b strings.Builder
 		b.WriteString("t,consumer_sat,provider_sat,provider_sat_gini,utilization,utilization_std,online_providers,online_consumers\n")
-		for _, p := range r.Volunteers.Trajectory {
-			fmt.Fprintf(&b, "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n", p.T, p.ConsumerSat, p.ProviderSat,
-				p.ProviderSatGini, p.Utilization, p.UtilizationSD, p.OnlineProviders, p.OnlineConsumers)
+		for _, p := range r.Trajectory {
+			fmt.Fprintf(&b, "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n", p.T, p.ConsumerDS, p.ProviderDS,
+				p.ProviderSatGini, p.Utilization, p.UtilizationSD, p.Online, p.OnlineConsumers)
 		}
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("scenario%s_%s.csv", key, clean)))
 		if err != nil {

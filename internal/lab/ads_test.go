@@ -5,7 +5,6 @@ import (
 
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
-	"sbqa/internal/topics"
 )
 
 // adScenario is a 4-topic market [health, sports, insects, electronics]
@@ -31,7 +30,7 @@ func placements(t *testing.T, sc Scenario, setup func(*world), onWin func(q mode
 		if setup != nil {
 			setup(w)
 		}
-		w.ads.onWin = func(q model.Query, topic topics.Vector, winner *advertiser) {
+		w.ads.onWin = func(q model.Query, topic vector, winner *advertiser) {
 			onWin(q, dominantTopic(topic), winner)
 		}
 	})
@@ -81,9 +80,9 @@ func TestCampaignShiftsAllocations(t *testing.T) {
 	var during, after int
 	var insectDuring, insectAfter int
 	placements(t, adScenario(), func(w *world) {
-		w.ads.advertisers[0].interests.AddCampaign(topics.Campaign{
-			Boost: topics.Vector{0, 0, 5, 0},
-			Until: campaignEnd,
+		w.ads.advertisers[0].interests.addCampaign(campaign{
+			boost: vector{0, 0, 5, 0},
+			until: campaignEnd,
 		})
 	}, func(q model.Query, topic int, winner *advertiser) {
 		isInsect := topic == 2

@@ -1,4 +1,4 @@
-package intention
+package lab
 
 import (
 	"math"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestPreferenceProvider(t *testing.T) {
-	p := PreferenceProvider{}
+	p := preferenceProvider
 	tests := []struct {
 		pref float64
 		want model.Intention
@@ -17,7 +17,7 @@ func TestPreferenceProvider(t *testing.T) {
 		{1, 1}, {-1, -1}, {0.5, 0.5}, {3, 1}, {-3, -1},
 	}
 	for _, tt := range tests {
-		got := p.Intention(ProviderInputs{Preference: tt.pref, Utilization: 0.9})
+		got := p(providerInputs{preference: tt.pref, utilization: 0.9})
 		if got != tt.want {
 			t.Errorf("pref=%v: got %v, want %v", tt.pref, got, tt.want)
 		}
@@ -25,7 +25,7 @@ func TestPreferenceProvider(t *testing.T) {
 }
 
 func TestLoadOnlyProvider(t *testing.T) {
-	p := LoadOnlyProvider{}
+	p := loadOnlyProvider
 	tests := []struct {
 		util float64
 		want model.Intention
@@ -33,7 +33,7 @@ func TestLoadOnlyProvider(t *testing.T) {
 		{0, 1}, {0.5, 0}, {1, -1}, {2, -1}, {-1, 1},
 	}
 	for _, tt := range tests {
-		got := p.Intention(ProviderInputs{Preference: -1, Utilization: tt.util})
+		got := p(providerInputs{preference: -1, utilization: tt.util})
 		if math.Abs(float64(got-tt.want)) > 1e-12 {
 			t.Errorf("util=%v: got %v, want %v", tt.util, got, tt.want)
 		}
@@ -41,45 +41,45 @@ func TestLoadOnlyProvider(t *testing.T) {
 }
 
 func TestAdaptiveProviderShiftsWithSatisfaction(t *testing.T) {
-	p := AdaptiveProvider{}
+	p := adaptiveProvider
 	// A dissatisfied idle provider that hates this query must say so.
-	dissatisfied := p.Intention(ProviderInputs{Preference: -1, Utilization: 0, Satisfaction: 0})
+	dissatisfied := p(providerInputs{preference: -1, utilization: 0, satisfaction: 0})
 	if dissatisfied != -1 {
 		t.Errorf("dissatisfied provider should express preference: %v", dissatisfied)
 	}
 	// The same provider fully satisfied becomes load-driven (+1 when idle).
-	satisfied := p.Intention(ProviderInputs{Preference: -1, Utilization: 0, Satisfaction: 1})
+	satisfied := p(providerInputs{preference: -1, utilization: 0, satisfaction: 1})
 	if satisfied != 1 {
 		t.Errorf("satisfied provider should volunteer capacity: %v", satisfied)
 	}
 }
 
 func TestPreferenceConsumer(t *testing.T) {
-	c := PreferenceConsumer{}
-	if got := c.Intention(ConsumerInputs{Preference: 0.7, Reputation: 0}); got != 0.7 {
+	c := preferenceConsumer
+	if got := c(consumerInputs{preference: 0.7, reputation: 0}); got != 0.7 {
 		t.Errorf("got %v", got)
 	}
 }
 
 func TestReputationBlendConsumer(t *testing.T) {
-	in := ConsumerInputs{Preference: 1, Reputation: 0}
+	in := consumerInputs{preference: 1, reputation: 0}
 	// γ=1: pure preference.
-	if got := (ReputationBlendConsumer{Gamma: 1}).Intention(in); got != 1 {
+	if got := reputationBlend(1)(in); got != 1 {
 		t.Errorf("γ=1: %v", got)
 	}
 	// γ=0: pure reputation, rep 0 → -1.
-	if got := (ReputationBlendConsumer{Gamma: 0}).Intention(in); got != -1 {
+	if got := reputationBlend(0)(in); got != -1 {
 		t.Errorf("γ=0: %v", got)
 	}
 	// Unknown provider (rep 0.5) contributes 0.
-	mid := ConsumerInputs{Preference: 0.4, Reputation: 0.5}
-	if got := (ReputationBlendConsumer{Gamma: 0.5}).Intention(mid); math.Abs(float64(got)-0.2) > 1e-12 {
+	mid := consumerInputs{preference: 0.4, reputation: 0.5}
+	if got := reputationBlend(0.5)(mid); math.Abs(float64(got)-0.2) > 1e-12 {
 		t.Errorf("γ=.5 with neutral rep = %v, want 0.2", got)
 	}
 }
 
 func TestResponseTimeConsumer(t *testing.T) {
-	c := ResponseTimeConsumer{}
+	c := responseTimeConsumer
 	tests := []struct {
 		delay, target float64
 		want          float64
@@ -91,7 +91,7 @@ func TestResponseTimeConsumer(t *testing.T) {
 		{-4, 10, 1},      // negative delay treated as 0
 	}
 	for _, tt := range tests {
-		got := c.Intention(ConsumerInputs{ExpectedDelay: tt.delay, DelayTarget: tt.target})
+		got := c(consumerInputs{expectedDelay: tt.delay, delayTarget: tt.target})
 		if math.Abs(float64(got)-tt.want) > 1e-12 {
 			t.Errorf("delay=%v target=%v: got %v, want %v", tt.delay, tt.target, got, tt.want)
 		}
@@ -99,7 +99,7 @@ func TestResponseTimeConsumer(t *testing.T) {
 }
 
 func TestResponseTimeConsumerMonotone(t *testing.T) {
-	c := ResponseTimeConsumer{}
+	c := responseTimeConsumer
 	f := func(a, b float64) bool {
 		x, y := math.Abs(a), math.Abs(b)
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
@@ -108,8 +108,8 @@ func TestResponseTimeConsumerMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		fast := c.Intention(ConsumerInputs{ExpectedDelay: x, DelayTarget: 7})
-		slow := c.Intention(ConsumerInputs{ExpectedDelay: y, DelayTarget: 7})
+		fast := c(consumerInputs{expectedDelay: x, delayTarget: 7})
+		slow := c(consumerInputs{expectedDelay: y, delayTarget: 7})
 		return fast >= slow
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -118,23 +118,23 @@ func TestResponseTimeConsumerMonotone(t *testing.T) {
 }
 
 func TestAllPoliciesStayInRange(t *testing.T) {
-	provPolicies := []ProviderPolicy{
-		PreferenceProvider{}, LoadOnlyProvider{}, AdaptiveProvider{},
+	provPolicies := []providerPolicy{
+		preferenceProvider, loadOnlyProvider, adaptiveProvider,
 	}
-	consPolicies := []ConsumerPolicy{
-		PreferenceConsumer{}, ReputationBlendConsumer{Gamma: 0.6},
-		ResponseTimeConsumer{},
+	consPolicies := []consumerPolicy{
+		preferenceConsumer, reputationBlend(0.6),
+		responseTimeConsumer,
 	}
 	f := func(a, b, c, d float64) bool {
-		pin := ProviderInputs{Preference: a, Utilization: b, Satisfaction: c}
-		cin := ConsumerInputs{Preference: a, Reputation: b, ExpectedDelay: math.Abs(c), DelayTarget: math.Abs(d)}
+		pin := providerInputs{preference: a, utilization: b, satisfaction: c}
+		cin := consumerInputs{preference: a, reputation: b, expectedDelay: math.Abs(c), delayTarget: math.Abs(d)}
 		for _, p := range provPolicies {
-			if got := p.Intention(pin); !(got >= -1 && got <= 1) {
+			if got := p(pin); !(got >= -1 && got <= 1) {
 				return false
 			}
 		}
 		for _, p := range consPolicies {
-			if got := p.Intention(cin); !(got >= -1 && got <= 1) {
+			if got := p(cin); !(got >= -1 && got <= 1) {
 				return false
 			}
 		}
@@ -142,18 +142,5 @@ func TestAllPoliciesStayInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	for _, s := range []string{
-		PreferenceProvider{}.String(), LoadOnlyProvider{}.String(),
-		AdaptiveProvider{}.String(),
-		PreferenceConsumer{}.String(), ReputationBlendConsumer{Gamma: 0.5}.String(),
-		ResponseTimeConsumer{}.String(),
-	} {
-		if s == "" {
-			t.Error("policy with empty String()")
-		}
 	}
 }

@@ -9,9 +9,11 @@
 //  1. a composable workload generator (this file): seeded arrival processes
 //     (Poisson, bursty MMPP) from internal/workload, heavy-tailed
 //     query cost, flash crowds, provider churn storms, adversarial
-//     populations (free-riders, over-claimers, colluders), and two presets
-//     of the paper's own populations — BOINC volunteers (volunteer.go) and
-//     keyword advertisers (ads.go);
+//     populations (free-riders, over-claimers, colluders), and the paper's
+//     own populations — BOINC volunteers (volunteer.go) and keyword
+//     advertisers (ads.go). Every population but the advertisers is built
+//     of the one provider model (world.go); classes and projects are how
+//     it is built, not what it is;
 //  2. a scenario runner (run.go, world.go) executing a Scenario —
 //     workload × policy.Spec × duration × seed — and emitting a typed
 //     Report (report.go) with stable serialization;

@@ -3,9 +3,9 @@ package lab
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
-	"sbqa/internal/intention"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/stats"
@@ -205,7 +205,7 @@ func satisfactionAnalysisTable(title string, worlds []*world) *Table {
 	for _, w := range worlds {
 		reg := w.live.Registry()
 		var sc, ac, alc stats.Welford
-		for _, p := range w.vol.projects {
+		for _, p := range w.projects {
 			tr := reg.Consumer(p.id)
 			sc.Add(tr.Satisfaction())
 			ac.Add(tr.Adequation())
@@ -213,7 +213,7 @@ func satisfactionAnalysisTable(title string, worlds []*world) *Table {
 		}
 		var sp, ap, alp stats.Welford
 		below := 0
-		for _, v := range w.vol.vols {
+		for _, v := range w.providers {
 			if !v.online {
 				below++ // departed by dissatisfaction
 				continue
@@ -234,7 +234,7 @@ func satisfactionAnalysisTable(title string, worlds []*world) *Table {
 			fmt.Sprintf("%.3f", sp.Mean()),
 			fmt.Sprintf("%.3f", ap.Mean()),
 			fmt.Sprintf("%.3f", alp.Mean()),
-			fmt.Sprintf("%d/%d", below, len(w.vol.vols)),
+			fmt.Sprintf("%d/%d", below, len(w.providers)),
 		})
 	}
 	return t
@@ -293,7 +293,7 @@ func Scenario2(base Scenario) (*Study, error) {
 			first = fmt.Sprintf("t=%.0f", v.Departures[0].T)
 		}
 		var lost, total float64
-		for _, vol := range w.vol.vols {
+		for _, vol := range w.providers {
 			total += vol.capacity
 			if !vol.online {
 				lost += vol.capacity
@@ -308,7 +308,7 @@ func Scenario2(base Scenario) (*Study, error) {
 		})
 
 		predicted := map[model.ProviderID]bool{}
-		for _, vol := range captive[i].vol.vols {
+		for _, vol := range captive[i].providers {
 			if captive[i].live.ProviderSatisfaction(vol.id) < ProviderLeaveThreshold {
 				predicted[vol.id] = true
 			}
@@ -413,11 +413,11 @@ func Scenario5(base Scenario) (*Study, error) {
 // performanceOnly gives every project the response-time policy and every
 // volunteer the load-only one.
 func performanceOnly(w *world) {
-	for _, p := range w.vol.projects {
-		p.policy = intention.ResponseTimeConsumer{}
+	for _, p := range w.projects {
+		p.policy = responseTimeConsumer
 	}
-	for _, v := range w.vol.vols {
-		v.policy = intention.LoadOnlyProvider{}
+	for _, v := range w.providers {
+		v.vol.policy = loadOnlyProvider
 	}
 }
 
@@ -517,22 +517,23 @@ func Scenario7(base Scenario) (*Study, error) { return Scenario7Probe(base, Defa
 func Scenario7Probe(base Scenario, probe Probe) (*Study, error) {
 	const probeProject = 2 // Einstein@home, the unpopular one
 	plant := func(w *world) {
-		w.vol.vols[0].setPrefs(probe.VolunteerPrefs)
+		w.providers[0].vol.setPrefs(probe.VolunteerPrefs)
 		// The probe project's preferences split the volunteers at the
 		// fastest quartile of capacity.
-		caps := stats.NewSummary()
-		for _, v := range w.vol.vols {
-			caps.Add(v.capacity)
+		var caps []float64
+		for _, v := range w.providers {
+			caps = append(caps, v.capacity)
 		}
-		cut := caps.Percentile(75)
-		hostPrefs := make([]float64, len(w.vol.vols))
-		for i, v := range w.vol.vols {
+		sort.Float64s(caps)
+		cut := stats.Percentile(caps, 75)
+		hostPrefs := make([]float64, len(w.providers))
+		for i, v := range w.providers {
 			hostPrefs[i] = probe.SlowHostPref
 			if v.capacity >= cut {
 				hostPrefs[i] = probe.FastHostPref
 			}
 		}
-		w.vol.projects[probeProject].prefs = clampPrefs(hostPrefs)
+		w.projects[probeProject].prefs = clampPrefs(hostPrefs)
 	}
 	table := &Table{
 		Title: "Scenario 7 — probe participants' objectives",
@@ -554,7 +555,7 @@ func Scenario7Probe(base Scenario, probe Probe) (*Study, error) {
 			return nil, err
 		}
 		res.Reports = append(res.Reports, r)
-		vol, proj := w.vol.vols[0], w.vol.projects[probeProject]
+		vol, proj := w.providers[0], w.projects[probeProject]
 		pSat := vol.satisfaction()
 		if !vol.online {
 			// Satisfaction memory is wiped on departure; a volunteer that

@@ -3,11 +3,9 @@ package lab
 import (
 	"fmt"
 
-	"sbqa/internal/intention"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/stats"
-	"sbqa/internal/topics"
 	"sbqa/internal/workload"
 )
 
@@ -47,29 +45,29 @@ func MotivatingExample(base Scenario) (*Study, error) {
 	}
 	half := base.Duration / 2
 	for i, tc := range []policy.Spec{{Name: "ShareBased(80/20)", Kind: policy.ShareBased}, sbqaSpec} {
-		phase1, phase2 := stats.NewSummary(), stats.NewSummary()
+		var phase1, phase2 []float64
 		setup := func(w *world) {
 			w.vol.onComplete = func(q model.Query, rt float64) {
 				if q.Consumer != cb {
 					return
 				}
 				if q.IssuedAt < half {
-					phase1.Add(rt)
+					phase1 = append(phase1, rt)
 				} else {
-					phase2.Add(rt)
+					phase2 = append(phase2, rt)
 				}
 			}
-			for _, v := range w.vol.vols {
+			for _, v := range w.providers {
 				// Volunteers trade preference for utilization the SQLB way
 				// (the flexibility the paper says BOINC lacks) and devote
 				// exactly 80/20.
-				v.policy = intention.AdaptiveProvider{}
-				v.setPrefs([]float64{0.75, 0.15})
+				v.vol.policy = adaptiveProvider
+				v.vol.setPrefs([]float64{0.75, 0.15})
 			}
-			cbRate := w.vol.projects[cb].arrivalRate
+			cbRate := w.projects[cb].arrivalRate
 			w.eng.Schedule(half, func() {
-				w.setArrivalRate(w.vol.projects[ca], 0)
-				w.setArrivalRate(w.vol.projects[cb], cbRate*3)
+				w.setArrivalRate(w.projects[ca], 0)
+				w.setArrivalRate(w.projects[cb], cbRate*3)
 			})
 		}
 		_, r, err := runTechnique(base, tc, base.Seed+uint64(i)*7919, mod, setup)
@@ -79,9 +77,9 @@ func MotivatingExample(base Scenario) (*Study, error) {
 		res.Reports = append(res.Reports, r)
 		table.Rows = append(table.Rows, []string{
 			tc.Name,
-			fmt.Sprintf("%.2f", phase1.Mean()),
-			fmt.Sprintf("%.2f", phase2.Mean()),
-			fmt.Sprintf("%.2f", tailMean(r.Volunteers.Trajectory, 0.4, func(p VolunteerPoint) float64 { return p.Utilization })),
+			fmt.Sprintf("%.2f", stats.MeanOf(phase1)),
+			fmt.Sprintf("%.2f", stats.MeanOf(phase2)),
+			fmt.Sprintf("%.2f", tailMean(r.Trajectory, 0.4, func(p TrajectoryPoint) float64 { return p.Utilization })),
 			fmt.Sprintf("%d", r.Rejected),
 			fmt.Sprintf("%.3f", r.Volunteers.ProviderSat),
 		})
@@ -118,11 +116,11 @@ func MaliciousStudy(base Scenario) (*Study, error) {
 	split := base.Duration / 4
 	for i, variant := range []struct {
 		tech   policy.Spec
-		policy intention.ConsumerPolicy // nil keeps the preset's γ = 0.7
+		policy consumerPolicy // nil keeps the preset's γ = 0.7
 	}{
 		{capacitySpec, nil},
-		{policy.Spec{Name: "SbQA/pref-only", Kind: policy.SbQA}, intention.PreferenceConsumer{}},
-		{policy.Spec{Name: "SbQA/reputation", Kind: policy.SbQA}, intention.ReputationBlendConsumer{Gamma: 0.4}},
+		{policy.Spec{Name: "SbQA/pref-only", Kind: policy.SbQA}, preferenceConsumer},
+		{policy.Spec{Name: "SbQA/reputation", Kind: policy.SbQA}, reputationBlend(0.4)},
 	} {
 		var issued, done [2]int
 		phase := func(q model.Query) int {
@@ -135,7 +133,7 @@ func MaliciousStudy(base Scenario) (*Study, error) {
 			w.vol.onIssue = func(q model.Query) { issued[phase(q)]++ }
 			w.vol.onComplete = func(q model.Query, _ float64) { done[phase(q)]++ }
 			if variant.policy != nil {
-				for _, p := range w.vol.projects {
+				for _, p := range w.projects {
 					p.policy = variant.policy
 				}
 			}
@@ -204,8 +202,8 @@ func ReplicationStudy(base Scenario) (*Study, error) {
 		setup := func(w *world) {
 			w.vol.replication = variant.fn
 			w.vol.onIssue = func(q model.Query) { issued, replicas = issued+1, replicas+q.N }
-			for _, p := range w.vol.projects {
-				p.policy = intention.ReputationBlendConsumer{Gamma: 0.2}
+			for _, p := range w.projects {
+				p.policy = reputationBlend(0.2)
 			}
 		}
 		// The base load leaves even n = 3 under capacity (offered load
@@ -292,8 +290,8 @@ func AdWordsStudy(base Scenario) (*Study, error) {
 		var insect, pharmaWins [2]int
 		w, r, err := run(sc, false, func(w *world) {
 			pharma := w.ads.advertisers[0]
-			pharma.interests.AddCampaign(topics.Campaign{Boost: topics.Vector{0, 0, 5, 0}, Until: switchAt})
-			w.ads.onWin = func(q model.Query, topic topics.Vector, winner *advertiser) {
+			pharma.interests.addCampaign(campaign{boost: vector{0, 0, 5, 0}, until: switchAt})
+			w.ads.onWin = func(q model.Query, topic vector, winner *advertiser) {
 				if dominantTopic(topic) != insectTopic {
 					return
 				}

@@ -50,7 +50,8 @@ type Report struct {
 	MeanResponse float64 `json:"mean_response"`
 	P99Response  float64 `json:"p99_response"`
 
-	// End-state satisfaction means over the whole population.
+	// End-state satisfaction means over the whole population (a volunteer
+	// run's online participants).
 	ConsumerSatisfaction float64 `json:"consumer_satisfaction"`
 	ConsumerAdequation   float64 `json:"consumer_adequation"`
 	ProviderSatisfaction float64 `json:"provider_satisfaction"`
@@ -76,7 +77,8 @@ type Report struct {
 	// Volunteers is a volunteer run's outcome (Workload.Volunteers only).
 	// There Rejected counts unallocated queries, Failed the queries whose
 	// replicas could not reach their quorum, InFlight those still awaiting
-	// it, and P99Response interpolates between ranks.
+	// it, and P99Response interpolates between ranks. An ad run counts
+	// each user query as mediated or, when its slot stays empty, rejected.
 	Volunteers *VolunteerReport `json:"volunteers,omitempty"`
 
 	// Classes reports per-class outcomes, in scenario class order.
@@ -99,7 +101,8 @@ type TrajectoryPoint struct {
 	T float64 `json:"t"`
 
 	// Mean consumer δs / δa and provider δs at T (consumers fully
-	// enumerated; providers strided at scale, see Report.Trajectory).
+	// enumerated; providers strided at scale, see Report.Trajectory; a
+	// volunteer run averages its online participants only).
 	ConsumerDS float64 `json:"consumer_ds"`
 	ConsumerDA float64 `json:"consumer_da"`
 	ProviderDS float64 `json:"provider_ds"`
@@ -111,6 +114,14 @@ type TrajectoryPoint struct {
 	// Online providers (the churn signal) and cumulative issued queries.
 	Online int `json:"online"`
 	Issued int `json:"issued"`
+
+	// The volunteer gauges (Workload.Volunteers runs only): the Gini of
+	// provider δs, the mean and spread of provider utilization, and the
+	// online consumers.
+	ProviderSatGini float64 `json:"provider_sat_gini,omitempty"`
+	Utilization     float64 `json:"utilization,omitempty"`
+	UtilizationSD   float64 `json:"utilization_sd,omitempty"`
+	OnlineConsumers int     `json:"online_consumers,omitempty"`
 }
 
 // ClassReport is one class's outcome.

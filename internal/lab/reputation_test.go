@@ -1,4 +1,4 @@
-package reputation
+package lab
 
 import (
 	"math"
@@ -6,21 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestNewBookAlphaRepair(t *testing.T) {
-	for _, bad := range []float64{0, -1, 1.5} {
-		b := NewBook(bad)
-		b.Observe(1, 1)
-		want := (1-DefaultAlpha)*Initial + DefaultAlpha*1
-		if got := b.Reputation(1); math.Abs(got-want) > 1e-12 {
-			t.Errorf("alpha=%v: reputation = %v, want %v", bad, got, want)
-		}
-	}
-}
-
 func TestInitialReputation(t *testing.T) {
-	b := NewBook(0.3)
-	if got := b.Reputation(42); got != Initial {
-		t.Errorf("unknown provider = %v, want %v", got, Initial)
+	b := newBook(0.3)
+	if got := b.reputation(42); got != initialReputation {
+		t.Errorf("unknown provider = %v, want %v", got, initialReputation)
 	}
 	if len(b.scores) != 0 {
 		t.Errorf("known = %d", len(b.scores))
@@ -28,13 +17,13 @@ func TestInitialReputation(t *testing.T) {
 }
 
 func TestObserveEWMA(t *testing.T) {
-	b := NewBook(0.5)
-	b.Observe(1, 1)
-	if got := b.Reputation(1); math.Abs(got-0.75) > 1e-12 {
+	b := newBook(0.5)
+	b.observe(1, 1)
+	if got := b.reputation(1); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("after one good obs = %v, want 0.75", got)
 	}
-	b.Observe(1, 0)
-	if got := b.Reputation(1); math.Abs(got-0.375) > 1e-12 {
+	b.observe(1, 0)
+	if got := b.reputation(1); math.Abs(got-0.375) > 1e-12 {
 		t.Errorf("after one bad obs = %v, want 0.375", got)
 	}
 	if len(b.scores) != 1 {
@@ -43,26 +32,26 @@ func TestObserveEWMA(t *testing.T) {
 }
 
 func TestObserveClamps(t *testing.T) {
-	b := NewBook(1) // reputation = last observation
-	b.Observe(1, 42)
-	if got := b.Reputation(1); got != 1 {
+	b := newBook(1) // reputation = last observation
+	b.observe(1, 42)
+	if got := b.reputation(1); got != 1 {
 		t.Errorf("clamped high = %v", got)
 	}
-	b.Observe(1, -5)
-	if got := b.Reputation(1); got != 0 {
+	b.observe(1, -5)
+	if got := b.reputation(1); got != 0 {
 		t.Errorf("clamped low = %v", got)
 	}
 }
 
 func TestReputationStaysInUnitInterval(t *testing.T) {
 	f := func(obs []float64) bool {
-		b := NewBook(0.3)
+		b := newBook(0.3)
 		for _, o := range obs {
 			if math.IsNaN(o) {
 				continue
 			}
-			b.Observe(7, o)
-			r := b.Reputation(7)
+			b.observe(7, o)
+			r := b.reputation(7)
 			if r < 0 || r > 1 {
 				return false
 			}
@@ -75,29 +64,29 @@ func TestReputationStaysInUnitInterval(t *testing.T) {
 }
 
 func TestConvergesToSteadyQuality(t *testing.T) {
-	b := NewBook(0.2)
+	b := newBook(0.2)
 	for i := 0; i < 200; i++ {
-		b.Observe(3, 0.9)
+		b.observe(3, 0.9)
 	}
-	if got := b.Reputation(3); math.Abs(got-0.9) > 1e-6 {
+	if got := b.reputation(3); math.Abs(got-0.9) > 1e-6 {
 		t.Errorf("steady-state reputation = %v, want ~0.9", got)
 	}
 }
 
 func TestQualityFromLatency(t *testing.T) {
-	if got := QualityFromLatency(0, 10); got != 1 {
+	if got := quality(0, 10); got != 1 {
 		t.Errorf("zero latency = %v, want 1", got)
 	}
-	if got := QualityFromLatency(10, 10); math.Abs(got-0.5) > 1e-12 {
+	if got := quality(10, 10); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("latency at target = %v, want 0.5", got)
 	}
-	if got := QualityFromLatency(90, 10); math.Abs(got-0.1) > 1e-12 {
+	if got := quality(90, 10); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("9x target = %v, want 0.1", got)
 	}
-	if got := QualityFromLatency(5, 0); got != 1 {
+	if got := quality(5, 0); got != 1 {
 		t.Errorf("non-positive target = %v, want 1", got)
 	}
-	if got := QualityFromLatency(-3, 10); got != 1 {
+	if got := quality(-3, 10); got != 1 {
 		t.Errorf("negative latency treated as 0 → %v, want 1", got)
 	}
 }
@@ -111,7 +100,7 @@ func TestQualityFromLatencyMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		return QualityFromLatency(x, 5) >= QualityFromLatency(y, 5)
+		return quality(x, 5) >= quality(y, 5)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

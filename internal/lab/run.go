@@ -19,8 +19,7 @@ import (
 // world only ever calls Engine.Mediate, so the live engine's shard loop
 // stays idle until Run closes it.
 type world struct {
-	sc   Scenario
-	seed uint64
+	sc Scenario
 
 	eng  *sim.Engine
 	live *live.Engine
@@ -32,13 +31,40 @@ type world struct {
 	costRNG  *stats.RNG
 	churnRNG *stats.RNG
 
-	caps      [][]int // shared single-class capability slices
+	// The population, set at build by the scenario's preset: class
+	// consumers, the volunteer preset's projects, and every provider,
+	// indexed by its ID. caps holds one shared capability slice per
+	// provider class.
+	caps      [][]int
 	classes   []*classState
-	providers []*labProvider // all, in registration order
-	byID      map[model.ProviderID]*labProvider
+	projects  []*project
+	providers []*provider
 
-	timeout float64
-	inFlat  int // executions still pending at horizon close
+	// What differs between the presets' providers, as data: their
+	// intention and bid; the backlog seconds that read as utilization 1;
+	// whether a snapshot's pending work is the backlog times the capacity
+	// (classes) or the queued work (volunteers); whether the gauges average
+	// online providers only (volunteers) or every provider (classes); and
+	// the p99 rule over sorted response times.
+	intention   func(*provider, model.Query) model.Intention
+	bid         func(*provider, model.Query) float64
+	horizon     float64
+	backlogWork bool
+	onlineOnly  bool
+	p99         func(sorted []float64) float64
+
+	// The run's ledgers: executions (classes) or queries (volunteers)
+	// still unresolved when the horizon closes, and the response times of
+	// queries outside any class.
+	inFlight  int
+	respTimes []float64
+
+	// Autonomy (the volunteer preset only): from warmup on, dissatisfied
+	// participants leave. gauges, when set, is the report's Volunteers,
+	// and each trajectory point then carries the volunteer gauges.
+	autonomous bool
+	warmup     float64
+	gauges     *VolunteerReport
 
 	// Mediation station (Scenario.QoS runs only): the real class-aware
 	// scheduler fed by issue(), drained at MediationRate by a single
@@ -96,8 +122,7 @@ func run(sc Scenario, analyzeBest bool, setup func(*world)) (*world, *Report, er
 	}
 	w.start()
 	w.eng.Run(sc.Duration)
-	r, err := w.finish()
-	return w, r, err
+	return w, w.finish(), nil
 }
 
 func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
@@ -120,14 +145,11 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 	root := stats.NewRNG(sc.Seed)
 	w := &world{
 		sc:       sc,
-		seed:     sc.Seed,
 		eng:      eng,
 		live:     lv,
 		arrRNG:   root.Split(),
 		costRNG:  root.Split(),
 		churnRNG: root.Split(),
-		byID:     make(map[model.ProviderID]*labProvider),
-		timeout:  sc.Workload.QueryTimeout,
 		report:   &Report{Scenario: sc},
 	}
 	switch {
@@ -137,6 +159,9 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 		w.buildAds()
 		return w, nil
 	}
+	w.intention, w.bid = classIntention, classBid
+	w.horizon, w.backlogWork = utilizationHorizon, true
+	w.p99 = nearestRank99
 	w.caps = make([][]int, len(sc.Workload.Classes))
 	for i := range w.caps {
 		w.caps[i] = []int{i}
@@ -171,10 +196,10 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 			lv.RegisterConsumer(c)
 		}
 		for i := 0; i < spec.Providers; i++ {
-			p := &labProvider{
+			p := &provider{
 				w:        w,
 				id:       nextPID,
-				class:    ci,
+				class:    int32(ci),
 				capacity: capRNG.Range(spec.CapacityLo, spec.CapacityHi),
 				online:   true,
 			}
@@ -193,7 +218,6 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 			}
 			cs.providers = append(cs.providers, p)
 			w.providers = append(w.providers, p)
-			w.byID[p.id] = p
 			lv.RegisterProvider(p)
 		}
 		w.classes = append(w.classes, cs)
@@ -215,10 +239,8 @@ func (w *world) start() {
 	for _, cs := range w.classes {
 		w.scheduleArrival(cs)
 	}
-	if w.vol != nil {
-		for _, p := range w.vol.projects {
-			w.scheduleProjectArrival(p)
-		}
+	for _, p := range w.projects {
+		w.scheduleProjectArrival(p)
 	}
 	if w.ads != nil {
 		w.scheduleAdQuery()
@@ -299,9 +321,7 @@ func (w *world) mediate(cs *classState, c *labConsumer, q model.Query) {
 	cs.mediated++
 	w.report.Mediated++
 	for _, pid := range a.Selected {
-		if p, ok := w.byID[pid]; ok {
-			w.execute(cs, c, p, a.Query)
-		}
+		w.execute(cs, c, w.providers[pid], a.Query)
 	}
 }
 
@@ -345,43 +365,33 @@ func (w *world) recordShed(cs *classState, reason string) {
 }
 
 // execute simulates one selected provider performing the query: honest
-// providers run it FIFO at their true capacity; free-riders sit on it until
-// the workload's timeout. Exactly one completion event is scheduled either
+// providers run it on their lane; free-riders sit on it until the
+// workload's timeout. Exactly one completion event is scheduled either
 // way, keeping the event count linear in allocations.
-func (w *world) execute(cs *classState, c *labConsumer, p *labProvider, q model.Query) {
+func (w *world) execute(cs *classState, c *labConsumer, p *provider, q model.Query) {
 	p.allocs++
 	cs.allocsByBehavior[p.behavior]++
-	p.pending++
-	w.inFlat++
-	now := w.eng.Now()
+	w.inFlight++
 
 	if p.behavior == freeRider {
-		w.eng.Schedule(w.timeout, func() {
-			p.pending--
-			w.inFlat--
+		p.queueLen++
+		w.eng.Schedule(w.sc.Workload.QueryTimeout, func() {
+			p.queueLen--
+			w.inFlight--
 			cs.failed++
 			w.report.Failed++
 			c.observe(p.id, 0)
 		})
 		return
 	}
-
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	service := q.Work / p.capacity
-	done := start + service
-	p.busyUntil = done
-	p.busyTime += service
-	w.eng.ScheduleAt(done, func() {
-		p.pending--
-		w.inFlat--
+	w.eng.ScheduleAt(p.enqueue(q), func() {
+		p.release(q)
+		w.inFlight--
 		rt := w.eng.Now() - q.IssuedAt
 		cs.completed++
 		w.report.Completed++
 		cs.respTimes = append(cs.respTimes, rt)
-		c.observe(p.id, cs.quality(rt))
+		c.observe(p.id, quality(rt, cs.spec.DelayTarget))
 	})
 }
 
@@ -404,7 +414,7 @@ func (w *world) scheduleChurn() {
 // storm toggles a deterministic hash-selected fraction of the fleet.
 func (w *world) storm(st *StormSpec, leave bool) {
 	for _, p := range w.providers {
-		if unit(mix64(w.seed^0xD00D, uint64(p.id), 1)) >= st.Fraction {
+		if unit(mix64(w.sc.Seed^0xD00D, uint64(p.id), 1)) >= st.Fraction {
 			continue
 		}
 		if leave {
@@ -417,12 +427,12 @@ func (w *world) storm(st *StormSpec, leave bool) {
 	}
 }
 
-func (w *world) depart(p *labProvider) {
+func (w *world) depart(p *provider) {
 	p.online = false
 	w.live.UnregisterWorker(p.id)
 }
 
-func (w *world) rejoin(p *labProvider) {
+func (w *world) rejoin(p *provider) {
 	if p.online {
 		return
 	}
@@ -440,24 +450,20 @@ func (w *world) scheduleSample() {
 	})
 }
 
-// sample records one global trajectory point (and per-class points when the
-// scenario is small enough to afford them).
+// sample records one trajectory point (and per-class points when the
+// scenario is small enough to afford them), after judging every online
+// participant where the population is autonomous.
 func (w *world) sample() {
-	if w.vol != nil {
-		w.sampleVolunteers()
-		return
-	}
 	t := w.eng.Now()
+	if w.autonomous && t >= w.warmup {
+		w.judgeAll()
+	}
 	perClass := len(w.classes) <= 32
 
 	var dsSum, daSum float64
 	var consumers int
 	for _, cs := range w.classes {
-		var cds, cda float64
-		for _, c := range cs.consumers {
-			cds += w.live.ConsumerSatisfaction(c.id)
-			cda += w.live.Registry().ConsumerAdequation(c.id)
-		}
+		cds, cda := w.consumerSums(cs)
 		dsSum += cds
 		daSum += cda
 		consumers += len(cs.consumers)
@@ -466,18 +472,31 @@ func (w *world) sample() {
 			cs.trajectory = append(cs.trajectory, ClassPoint{T: t, DS: cds / n, DA: cda / n})
 		}
 	}
+	for _, p := range w.projects {
+		if p.online {
+			dsSum += p.satisfaction()
+			daSum += w.live.Registry().ConsumerAdequation(p.id)
+			consumers++
+		}
+	}
 
 	stride := strideOver(len(w.providers), 4096)
 	var pds, queueSum float64
 	var sampled, queueMax, online int
+	var sats, utils []float64
 	for i := 0; i < len(w.providers); i += stride {
 		p := w.providers[i]
-		pds += w.live.ProviderSatisfaction(p.id)
-		queueSum += float64(p.pending)
-		if p.pending > queueMax {
-			queueMax = p.pending
+		if w.onlineOnly && !p.online {
+			continue
 		}
+		sat := p.satisfaction()
+		pds += sat
+		queueSum += float64(p.queueLen)
+		queueMax = max(queueMax, p.queueLen)
 		sampled++
+		if w.gauges != nil {
+			sats, utils = append(sats, sat), append(utils, p.utilization(t))
+		}
 	}
 	for _, p := range w.providers {
 		if p.online {
@@ -485,38 +504,66 @@ func (w *world) sample() {
 		}
 	}
 
-	w.report.Trajectory = append(w.report.Trajectory, TrajectoryPoint{
+	pt := TrajectoryPoint{
 		T:          t,
-		ConsumerDS: dsSum / float64(consumers),
-		ConsumerDA: daSum / float64(consumers),
-		ProviderDS: pds / float64(sampled),
-		QueueMean:  queueSum / float64(sampled),
+		ConsumerDS: ratio(dsSum, consumers),
+		ConsumerDA: ratio(daSum, consumers),
+		ProviderDS: ratio(pds, sampled),
+		QueueMean:  ratio(queueSum, sampled),
 		QueueMax:   queueMax,
 		Online:     online,
 		Issued:     w.report.Issued,
-	})
+	}
+	if w.gauges != nil {
+		pt.ProviderSatGini = stats.Gini(sats)
+		pt.Utilization, pt.UtilizationSD = stats.MeanOf(utils), stats.StdDevOf(utils)
+		pt.OnlineConsumers = consumers
+	}
+	w.report.Trajectory = append(w.report.Trajectory, pt)
+}
+
+// summarize sorts xs and returns their mean and their 99th percentile by
+// the rule p99; both 0 for no values.
+func summarize(xs []float64, p99 func(sorted []float64) float64) (mean, tail float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	sort.Float64s(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs)), p99(xs)
+}
+
+// consumerSums returns the sums of the class's consumers' δs and δa.
+func (w *world) consumerSums(cs *classState) (ds, da float64) {
+	for _, c := range cs.consumers {
+		ds += w.live.ConsumerSatisfaction(c.id)
+		da += w.live.Registry().ConsumerAdequation(c.id)
+	}
+	return ds, da
+}
+
+// ratio is sum / n, and 0 when n is 0.
+func ratio(sum float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // finish assembles the report after the horizon closes.
-func (w *world) finish() (*Report, error) {
-	switch {
-	case w.vol != nil:
-		return w.finishVolunteers(), nil
-	case w.ads != nil:
-		return w.report, nil
-	}
+func (w *world) finish() *Report {
 	r := w.report
 	r.Providers = len(w.providers)
-	for _, cs := range w.classes {
-		r.Consumers += len(cs.consumers)
-	}
-	r.Participants = r.Providers + r.Consumers
-	r.InFlight = w.inFlat
+	r.InFlight = w.inFlight
 
-	var allRT []float64
-	var totalAllocs [4]int
+	allRT := w.respTimes
+	var totalAllocs [behaviors]int
 	var dsSum, daSum float64
 	for _, cs := range w.classes {
+		r.Consumers += len(cs.consumers)
 		cr := ClassReport{
 			Name:      cs.spec.Name,
 			Issued:    cs.issued,
@@ -535,29 +582,9 @@ func (w *world) finish() (*Report, error) {
 				r.ShedByReason[reason] += n
 			}
 		}
-		if len(cs.queueWaits) > 0 {
-			sort.Float64s(cs.queueWaits)
-			var sum float64
-			for _, qw := range cs.queueWaits {
-				sum += qw
-			}
-			cr.QueueWaitMean = sum / float64(len(cs.queueWaits))
-			cr.QueueWaitP99 = percentile(cs.queueWaits, 0.99)
-		}
-		sort.Float64s(cs.respTimes)
-		if len(cs.respTimes) > 0 {
-			var sum float64
-			for _, rt := range cs.respTimes {
-				sum += rt
-			}
-			cr.MeanResponse = sum / float64(len(cs.respTimes))
-			cr.P99Response = percentile(cs.respTimes, 0.99)
-		}
-		var cds, cda float64
-		for _, c := range cs.consumers {
-			cds += w.live.ConsumerSatisfaction(c.id)
-			cda += w.live.Registry().ConsumerAdequation(c.id)
-		}
+		cr.QueueWaitMean, cr.QueueWaitP99 = summarize(cs.queueWaits, nearestRank99)
+		cr.MeanResponse, cr.P99Response = summarize(cs.respTimes, nearestRank99)
+		cds, cda := w.consumerSums(cs)
 		cr.ConsumerDS = cds / float64(len(cs.consumers))
 		cr.ConsumerDA = cda / float64(len(cs.consumers))
 		dsSum += cds
@@ -581,9 +608,19 @@ func (w *world) finish() (*Report, error) {
 		r.Classes = append(r.Classes, cr)
 		allRT = append(allRT, cs.respTimes...)
 	}
-	r.ConsumerSatisfaction = dsSum / float64(r.Consumers)
-	r.ConsumerAdequation = daSum / float64(r.Consumers)
-	r.StarvedFrac = float64(r.Starved) / float64(r.Providers)
+	consumers := r.Consumers
+	for _, p := range w.projects {
+		if p.online {
+			dsSum += p.satisfaction()
+			daSum += w.live.Registry().ConsumerAdequation(p.id)
+			consumers++
+		}
+	}
+	r.Consumers += len(w.projects)
+	r.Participants = r.Providers + r.Consumers
+	r.ConsumerSatisfaction = ratio(dsSum, consumers)
+	r.ConsumerAdequation = ratio(daSum, consumers)
+	r.StarvedFrac = ratio(float64(r.Starved), r.Providers)
 
 	var total int
 	for _, n := range totalAllocs {
@@ -591,15 +628,7 @@ func (w *world) finish() (*Report, error) {
 	}
 	r.Shares = shares(totalAllocs, total)
 
-	sort.Float64s(allRT)
-	if len(allRT) > 0 {
-		var sum float64
-		for _, rt := range allRT {
-			sum += rt
-		}
-		r.MeanResponse = sum / float64(len(allRT))
-		r.P99Response = percentile(allRT, 0.99)
-	}
+	r.MeanResponse, r.P99Response = summarize(allRT, w.p99)
 
 	// Provider-side end state: mean δs over a stride (full fleet when
 	// small) and the utilization Gini over the whole fleet.
@@ -607,10 +636,12 @@ func (w *world) finish() (*Report, error) {
 	var pds float64
 	var sampled int
 	for i := 0; i < len(w.providers); i += stride {
-		pds += w.live.ProviderSatisfaction(w.providers[i].id)
-		sampled++
+		if p := w.providers[i]; p.online || !w.onlineOnly {
+			pds += p.satisfaction()
+			sampled++
+		}
 	}
-	r.ProviderSatisfaction = pds / float64(sampled)
+	r.ProviderSatisfaction = ratio(pds, sampled)
 
 	utils := make([]float64, len(w.providers))
 	for i, p := range w.providers {
@@ -629,23 +660,28 @@ func (w *world) finish() (*Report, error) {
 		}
 		var allWaits []float64
 		for _, cs := range w.classes {
-			allWaits = append(allWaits, cs.queueWaits...) // already sorted per class
+			allWaits = append(allWaits, cs.queueWaits...)
 		}
-		if len(allWaits) > 0 {
-			sort.Float64s(allWaits)
-			var sum float64
-			for _, qw := range allWaits {
-				sum += qw
-			}
-			r.QueueWaitMean = sum / float64(len(allWaits))
-			r.QueueWaitP99 = percentile(allWaits, 0.99)
-		}
+		r.QueueWaitMean, r.QueueWaitP99 = summarize(allWaits, nearestRank99)
 	}
-	return r, nil
+	if g := w.gauges; g != nil {
+		// The steady state: each gauge's mean over the last quarter.
+		tail := func(v func(TrajectoryPoint) float64) float64 { return tailMean(r.Trajectory, 0.25, v) }
+		g.ConsumerSat = tail(func(p TrajectoryPoint) float64 { return p.ConsumerDS })
+		g.ProviderSat = tail(func(p TrajectoryPoint) float64 { return p.ProviderDS })
+		g.ProviderSatGini = tail(func(p TrajectoryPoint) float64 { return p.ProviderSatGini })
+		g.Utilization = tail(func(p TrajectoryPoint) float64 { return p.Utilization })
+		g.UtilizationSD = tail(func(p TrajectoryPoint) float64 { return p.UtilizationSD })
+		if n := len(r.Trajectory); n > 0 {
+			g.OnlineAtEnd = r.Trajectory[n-1].Online
+		}
+		g.Contacts = ratio(g.Contacts, r.Mediated)
+	}
+	return r
 }
 
 // shares converts behavior counts into fractions.
-func shares(counts [4]int, total int) BehaviorShares {
+func shares(counts [behaviors]int, total int) BehaviorShares {
 	if total == 0 {
 		return BehaviorShares{}
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"sbqa/internal/intention"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
-	"sbqa/internal/reputation"
 	"sbqa/internal/sim"
 	"sbqa/internal/stats"
 	"sbqa/internal/workload"
@@ -55,8 +53,8 @@ const failureEWMA = 0.1
 // VolunteerReport is a volunteer run's outcome beyond the Report's query
 // ledger (Workload.Volunteers runs only).
 type VolunteerReport struct {
-	// Steady-state gauges: means over the last quarter of Trajectory, over
-	// the participants online at each sample.
+	// Steady-state gauges: means over the last quarter of the Report's
+	// Trajectory, over the participants online at each sample.
 	ConsumerSat     float64 `json:"consumer_sat"`
 	ProviderSat     float64 `json:"provider_sat"`
 	ProviderSatGini float64 `json:"provider_sat_gini"`
@@ -75,9 +73,6 @@ type VolunteerReport struct {
 
 	// Departures lists who left, in time order.
 	Departures []Departure `json:"departures,omitempty"`
-
-	// Trajectory samples the gauges every Scenario.SampleEvery.
-	Trajectory []VolunteerPoint `json:"trajectory"`
 }
 
 // Departure records one participant leaving by dissatisfaction: a
@@ -90,43 +85,22 @@ type Departure struct {
 	Satisfaction float64          `json:"satisfaction"`
 }
 
-// VolunteerPoint is one gauge sample over the online population.
-type VolunteerPoint struct {
-	T               float64 `json:"t"`
-	ConsumerSat     float64 `json:"consumer_sat"`
-	ProviderSat     float64 `json:"provider_sat"`
-	ProviderSatGini float64 `json:"provider_sat_gini"`
-	Utilization     float64 `json:"utilization"`
-	UtilizationSD   float64 `json:"utilization_sd"`
-	OnlineProviders int     `json:"online_providers"`
-	OnlineConsumers int     `json:"online_consumers"`
-}
-
-// volunteering is a volunteer run's state: the population, the network,
-// the queries awaiting their quorum, and the ledgers finish reads.
+// volunteering is the volunteer preset's mechanics: the network, the
+// queries awaiting their quorum, and the study seams.
 type volunteering struct {
-	projects []*project
-	vols     []*volunteer
-	net      *sim.Network
-	pending  map[model.QueryID]*quorumState
+	net     *sim.Network
+	pending map[model.QueryID]*quorumState
 
 	meanWork    float64
 	interactive bool // the technique pays a round trip before dispatch
-	// enforceShares runs BOINC's own scheduling under the share-based
-	// technique: each project's work runs at its share of a volunteer's
-	// capacity, so idle shares are wasted (the paper's §IV example).
-	enforceShares bool
 
-	// warmup is the time before departure decisions start (20% of the
-	// run), letting the adaptive ω settle; grace is how long δs must stay
-	// below its threshold before the participant leaves (10%): Definition 2
-	// reads 0 the instant a provider's last win slides out of its window,
-	// so participants leave on chronic dissatisfaction, not on a flicker.
-	// horizon is the backlog drain time read as utilization 1: 4× the
-	// mean service demand.
-	warmup, grace, horizon float64
-	// minInteractions is how much of its window a participant needs before
-	// it judges the system (no cold-start flight).
+	// grace is how long δs must stay below its threshold before the
+	// participant leaves (10% of the run): Definition 2 reads 0 the instant
+	// a provider's last win slides out of its window, so participants leave
+	// on chronic dissatisfaction, not on a flicker. minInteractions is how
+	// much of its window a participant needs before it judges the system
+	// (no cold-start flight).
+	grace           float64
 	minInteractions int
 
 	// Study seams, set before the first event: a per-issue replication
@@ -136,10 +110,6 @@ type volunteering struct {
 	replication func(base int, sat, failRate float64) int
 	onIssue     func(model.Query)
 	onComplete  func(q model.Query, responseTime float64)
-
-	responseTimes *stats.Summary
-	contacts      int
-	out           *VolunteerReport
 }
 
 // quorumState tracks one dispatched query until its quorum of valid results
@@ -147,7 +117,6 @@ type volunteering struct {
 type quorumState struct {
 	project                            *project
 	quorum, expected, valid, responses int
-	issuedAt                           float64
 }
 
 // buildVolunteers generates the preset's population and registers it.
@@ -173,37 +142,54 @@ func (w *world) buildVolunteers() error {
 	// two stay independent under one seed.
 	root := stats.NewRNG(w.sc.Seed ^ 0x5b0a_c0de_0001)
 	d := w.sc.Duration
-	vp := &volunteering{
+	w.vol = &volunteering{
 		net:             sim.NewNetwork(stats.Uniform{Lo: 0.01, Hi: 0.05}, root.Split()),
 		pending:         make(map[model.QueryID]*quorumState),
 		meanWork:        pop.WorkDist.Mean(),
 		interactive:     ok && ia.Interactive(),
-		enforceShares:   w.sc.Policy.Kind == policy.ShareBased,
-		warmup:          0.2 * d,
 		grace:           0.1 * d,
-		horizon:         4 * pop.WorkDist.Mean(),
 		minInteractions: w.sc.Window / 2,
-		responseTimes:   stats.NewSummary(),
-		out:             &VolunteerReport{},
 	}
-	w.vol = vp
+	// Every volunteer serves every project: one capability entry, nil,
+	// files them all as universal. Utilization 1 is a backlog of 4× the
+	// mean service demand; departures start after the first 20% of the
+	// run, letting the adaptive ω settle.
+	w.caps = [][]int{nil}
+	w.intention, w.bid = volunteerIntention, volunteerBid
+	w.horizon, w.onlineOnly = 4*pop.WorkDist.Mean(), true
+	w.p99 = func(sorted []float64) float64 { return stats.Percentile(sorted, 99) }
+	w.autonomous, w.warmup = spec.Autonomous, 0.2*d
+	w.gauges = &VolunteerReport{}
+	w.report.Volunteers = w.gauges
+	enforceShares := w.sc.Policy.Kind == policy.ShareBased
 	for _, gv := range pop.Volunteers {
-		v := &volunteer{
-			w:           w,
-			id:          model.ProviderID(gv.Index),
-			capacity:    gv.Capacity,
-			priceFactor: gv.PriceFactor,
-			malicious:   gv.Malicious,
-			prefs:       gv.ProjectPref,
-			policy:      intention.PreferenceProvider{},
-			online:      true,
-			belowSince:  -1,
-			shares:      sharesFromPrefs(gv.ProjectPref),
-			busyUntilC:  make([]float64, len(pop.Projects)),
-			pendingC:    make([]float64, len(pop.Projects)),
+		behavior := honest
+		if gv.Malicious {
+			behavior = malicious
 		}
-		vp.vols = append(vp.vols, v)
-		w.live.RegisterProvider(v)
+		p := &provider{
+			w:        w,
+			id:       model.ProviderID(gv.Index),
+			behavior: behavior,
+			online:   true,
+			capacity: gv.Capacity,
+			vol: &volunteer{
+				prefs:       gv.ProjectPref,
+				policy:      preferenceProvider,
+				priceFactor: gv.PriceFactor,
+				belowSince:  -1,
+			},
+		}
+		if enforceShares {
+			// BOINC's own scheduling under the share-based technique: each
+			// project's work runs at its share of the volunteer's capacity,
+			// so idle shares are wasted (the paper's §IV example).
+			p.vol.shares = sharesFromPrefs(gv.ProjectPref)
+			p.vol.busyUntilC = make([]float64, len(pop.Projects))
+			p.vol.pendingC = make([]float64, len(pop.Projects))
+		}
+		w.providers = append(w.providers, p)
+		w.live.RegisterProvider(p)
 	}
 	for _, gp := range pop.Projects {
 		p := &project{
@@ -213,16 +199,16 @@ func (w *world) buildVolunteers() error {
 			arrivalRate: gp.ArrivalRate,
 			replication: gp.Replication,
 			delayTarget: gp.DelayTarget,
-			policy:      intention.ReputationBlendConsumer{Gamma: 0.7},
+			policy:      reputationBlend(0.7),
 			prefs:       gp.VolunteerPref,
 			quorum:      gp.Quorum,
-			book:        reputation.NewBook(reputation.DefaultAlpha),
+			book:        newBook(defaultAlpha),
 			online:      true,
 			belowSince:  -1,
 			arrival:     root.Split(),
 			work:        root.Split(),
 		}
-		vp.projects = append(vp.projects, p)
+		w.projects = append(w.projects, p)
 		w.live.RegisterConsumer(p)
 	}
 	return nil
@@ -287,28 +273,33 @@ func (w *world) mediateProject(q model.Query) {
 		return
 	}
 	w.report.Mediated++
-	vp.contacts += len(a.Proposed)
+	w.gauges.Contacts += float64(len(a.Proposed))
 	replica := issuedAt(a.Query, q.IssuedAt)
 
 	extra := 0.0
 	if vp.interactive {
 		extra = vp.net.RoundTrip()
 	}
-	st := &quorumState{project: w.projectByID(q.Consumer), issuedAt: q.IssuedAt, expected: len(a.Selected)}
+	st := &quorumState{project: w.projects[q.Consumer], expected: len(a.Selected)}
 	// The static quorum caps how many matching results are required;
 	// adaptive replication may dispatch more replicas, never need more.
-	st.quorum = q.N
-	if st.project != nil && st.project.quorum < st.quorum {
-		st.quorum = st.project.quorum
-	}
-	st.quorum = max(min(st.quorum, st.expected), 1)
+	st.quorum = max(min(q.N, st.project.quorum, st.expected), 1)
 	vp.pending[replica.ID] = st
+	w.inFlight++
 	for _, pid := range a.Selected {
-		if v := w.volunteerByID(pid); v != nil {
-			w.eng.Schedule(extra+vp.net.Delay(), func() { v.enqueue(replica) })
-		}
+		p := w.providers[pid]
+		w.eng.Schedule(extra+vp.net.Delay(), func() { w.serve(p, replica) })
 	}
 	w.afterMediation(q, a)
+}
+
+// serve runs a dispatched replica on p's lane and ships the result back.
+func (w *world) serve(p *provider, q model.Query) {
+	w.eng.ScheduleAt(p.enqueue(q), func() {
+		p.release(q)
+		valid := p.behavior != malicious
+		w.vol.net.Send(w.eng, func() { w.resultArrived(q, p.id, valid) })
+	})
 }
 
 // issuedAt returns q as issued at t: the engine stamps a query at its
@@ -328,53 +319,49 @@ func (w *world) resultArrived(q model.Query, from model.ProviderID, valid bool) 
 	if !ok {
 		return
 	}
-	latency := w.eng.Now() - st.issuedAt
-	if st.project != nil {
-		quality := 0.0
-		if valid {
-			quality = reputation.QualityFromLatency(latency, st.project.delayTarget)
-		}
-		st.project.book.Observe(from, quality)
+	latency := w.eng.Now() - q.IssuedAt
+	outcome := 0.0
+	if valid {
+		outcome = quality(latency, st.project.delayTarget)
 	}
+	st.project.book.observe(from, outcome)
 	st.responses++
 	if valid {
 		st.valid++
 	}
 	switch {
 	case st.valid >= st.quorum:
-		vp.responseTimes.Add(latency)
+		w.respTimes = append(w.respTimes, latency)
 		w.report.Completed++
+		w.inFlight--
 		delete(vp.pending, q.ID)
-		if st.project != nil {
-			st.project.observeValidation(true)
-		}
+		st.project.observeValidation(true)
 		if vp.onComplete != nil {
 			vp.onComplete(q, latency)
 		}
 	case st.responses >= st.expected:
 		w.report.Failed++
+		w.inFlight--
 		delete(vp.pending, q.ID)
-		if st.project != nil {
-			st.project.observeValidation(false)
-		}
+		st.project.observeValidation(false)
 	}
 }
 
 // afterMediation applies the departure rule to everyone whose satisfaction
 // window the mediation just changed.
 func (w *world) afterMediation(q model.Query, a *model.Allocation) {
-	if !w.sc.Workload.Volunteers.Autonomous || w.eng.Now() < w.vol.warmup {
+	if !w.autonomous || w.eng.Now() < w.warmup {
 		return
 	}
-	if p := w.projectByID(q.Consumer); p != nil && p.online {
+	if p := w.projects[q.Consumer]; p.online {
 		w.checkConsumerDeparture(p)
 	}
 	if a == nil {
 		return
 	}
 	for _, pid := range a.Proposed {
-		if v := w.volunteerByID(pid); v != nil && v.online {
-			w.checkProviderDeparture(v)
+		if p := w.providers[pid]; p.online {
+			w.checkProviderDeparture(p)
 		}
 	}
 }
@@ -395,13 +382,11 @@ func (w *world) chronicallyBelow(n int, sat, threshold float64, since *float64) 
 	return now-*since >= w.vol.grace
 }
 
-func (w *world) checkProviderDeparture(v *volunteer) {
-	tr := w.live.Registry().Provider(v.id)
-	if sat := tr.Satisfaction(); w.chronicallyBelow(tr.Interactions(), sat, ProviderLeaveThreshold, &v.belowSince) {
-		// Its queued tasks still finish; it receives no new queries.
-		v.online = false
-		w.live.UnregisterWorker(v.id)
-		w.vol.depart(Departure{T: w.eng.Now(), Provider: v.id, Consumer: model.NoConsumer, Satisfaction: sat})
+func (w *world) checkProviderDeparture(p *provider) {
+	tr := w.live.Registry().Provider(p.id)
+	if sat := tr.Satisfaction(); w.chronicallyBelow(tr.Interactions(), sat, ProviderLeaveThreshold, &p.vol.belowSince) {
+		w.depart(p) // its queued tasks still finish; it receives no new queries
+		w.logDeparture(Departure{T: w.eng.Now(), Provider: p.id, Consumer: model.NoConsumer, Satisfaction: sat})
 	}
 }
 
@@ -411,85 +396,39 @@ func (w *world) checkConsumerDeparture(p *project) {
 		p.online = false
 		w.live.Directory().UnregisterConsumer(p.id)
 		w.live.Registry().ForgetConsumer(p.id)
-		w.vol.depart(Departure{T: w.eng.Now(), Provider: model.NoProvider, Consumer: p.id, Satisfaction: sat})
+		w.logDeparture(Departure{T: w.eng.Now(), Provider: model.NoProvider, Consumer: p.id, Satisfaction: sat})
 	}
 }
 
-func (vp *volunteering) depart(d Departure) {
-	vp.out.Departures = append(vp.out.Departures, d)
+func (w *world) logDeparture(d Departure) {
+	g := w.gauges
+	g.Departures = append(g.Departures, d)
 	if d.Provider != model.NoProvider {
-		vp.out.ProvidersLeft++
+		g.ProvidersLeft++
 	} else {
-		vp.out.ConsumersLeft++
+		g.ConsumersLeft++
 	}
 }
 
-// sampleVolunteers records one gauge sample over the online population and
-// runs the periodic departure sweep (participants no longer proposed any
-// query would otherwise never be judged again).
-func (w *world) sampleVolunteers() {
-	vp := w.vol
-	now := w.eng.Now()
-	autonomy := w.sc.Workload.Volunteers.Autonomous && now >= vp.warmup
-	var consumerSats, providerSats, utils []float64
-	for _, p := range vp.projects {
-		if autonomy && p.online {
+// judgeAll applies the departure rule to every online participant: the
+// periodic sweep, since participants no longer proposed any query would
+// otherwise never be judged again.
+func (w *world) judgeAll() {
+	for _, p := range w.projects {
+		if p.online {
 			w.checkConsumerDeparture(p)
 		}
+	}
+	for _, p := range w.providers {
 		if p.online {
-			consumerSats = append(consumerSats, p.satisfaction())
+			w.checkProviderDeparture(p)
 		}
 	}
-	for _, v := range vp.vols {
-		if autonomy && v.online {
-			w.checkProviderDeparture(v)
-		}
-		if v.online {
-			providerSats = append(providerSats, v.satisfaction())
-			utils = append(utils, v.utilization(now))
-		}
-	}
-	vp.out.Trajectory = append(vp.out.Trajectory, VolunteerPoint{
-		T:               now,
-		ConsumerSat:     stats.MeanOf(consumerSats),
-		ProviderSat:     stats.MeanOf(providerSats),
-		ProviderSatGini: stats.Gini(providerSats),
-		Utilization:     stats.MeanOf(utils),
-		UtilizationSD:   stats.StdDevOf(utils),
-		OnlineProviders: len(providerSats),
-		OnlineConsumers: len(consumerSats),
-	})
-}
-
-// finishVolunteers condenses the run: the ledger into the Report, the
-// gauges' last quarter into the steady-state means.
-func (w *world) finishVolunteers() *Report {
-	vp, r := w.vol, w.report
-	r.Providers, r.Consumers = len(vp.vols), len(vp.projects)
-	r.Participants = r.Providers + r.Consumers
-	r.InFlight = len(vp.pending)
-	r.MeanResponse = vp.responseTimes.Mean()
-	r.P99Response = vp.responseTimes.Percentile(99)
-	out := vp.out
-	tail := func(v func(VolunteerPoint) float64) float64 { return tailMean(out.Trajectory, 0.25, v) }
-	out.ConsumerSat = tail(func(p VolunteerPoint) float64 { return p.ConsumerSat })
-	out.ProviderSat = tail(func(p VolunteerPoint) float64 { return p.ProviderSat })
-	out.ProviderSatGini = tail(func(p VolunteerPoint) float64 { return p.ProviderSatGini })
-	out.Utilization = tail(func(p VolunteerPoint) float64 { return p.Utilization })
-	out.UtilizationSD = tail(func(p VolunteerPoint) float64 { return p.UtilizationSD })
-	if n := len(out.Trajectory); n > 0 {
-		out.OnlineAtEnd = out.Trajectory[n-1].OnlineProviders
-	}
-	if r.Mediated > 0 {
-		out.Contacts = float64(vp.contacts) / float64(r.Mediated)
-	}
-	r.Volunteers = out
-	return r
 }
 
 // tailMean is the mean of one gauge over the last fraction frac of the
 // samples (at least the last one): the steady-state estimate.
-func tailMean(pts []VolunteerPoint, frac float64, v func(VolunteerPoint) float64) float64 {
+func tailMean(pts []TrajectoryPoint, frac float64, v func(TrajectoryPoint) float64) float64 {
 	n := len(pts)
 	if n == 0 {
 		return 0
@@ -500,20 +439,6 @@ func tailMean(pts []VolunteerPoint, frac float64, v func(VolunteerPoint) float64
 		sum += v(p)
 	}
 	return sum / float64(n-start)
-}
-
-func (w *world) projectByID(id model.ConsumerID) *project {
-	if int(id) < 0 || int(id) >= len(w.vol.projects) {
-		return nil
-	}
-	return w.vol.projects[id]
-}
-
-func (w *world) volunteerByID(id model.ProviderID) *volunteer {
-	if int(id) < 0 || int(id) >= len(w.vol.vols) {
-		return nil
-	}
-	return w.vol.vols[id]
 }
 
 // project is a BOINC project: a consumer issuing computational queries.
@@ -527,9 +452,9 @@ type project struct {
 	quorum      int
 	delayTarget float64
 
-	policy intention.ConsumerPolicy
+	policy consumerPolicy
 	prefs  []float64 // static preference per volunteer
-	book   *reputation.Book
+	book   *book
 
 	online     bool
 	belowSince float64    // first instant δs stayed below threshold; -1 = not below
@@ -560,38 +485,27 @@ func (p *project) Intention(q model.Query, snap model.ProviderSnapshot) model.In
 	if int(snap.ID) < len(p.prefs) {
 		pref = p.prefs[snap.ID]
 	}
-	return p.policy.Intention(intention.ConsumerInputs{
-		Preference:    pref,
-		Reputation:    p.book.Reputation(snap.ID),
-		ExpectedDelay: snap.ExpectedDelay(q.Work),
-		DelayTarget:   p.delayTarget,
+	return p.policy(consumerInputs{
+		preference:    pref,
+		reputation:    p.book.reputation(snap.ID),
+		expectedDelay: snap.ExpectedDelay(q.Work),
+		delayTarget:   p.delayTarget,
 	})
 }
 
-// volunteer is a BOINC host donating compute: it executes its queue
-// serially at its capacity (or, under enforced shares, each project's work
-// on its own lane at that project's share of the capacity).
+// volunteer is what a BOINC host adds to the provider model: its
+// per-project preferences and intention policy, its price, its departure
+// clock and, where the technique enforces shares, its per-project lanes.
 type volunteer struct {
-	w *world
-
-	id          model.ProviderID
-	capacity    float64
-	priceFactor float64
-	malicious   bool      // returns invalid results
 	prefs       []float64 // static preference per project
-
-	policy intention.ProviderPolicy
-
-	online     bool
-	belowSince float64
-
-	queueLen    int
-	pendingWork float64
-	busyUntil   float64
+	policy      providerPolicy
+	priceFactor float64
+	belowSince  float64 // first instant δs stayed below threshold; -1 = not below
 
 	// shares[c] is the fraction of capacity devoted to project c, derived
 	// from the preferences; busyUntilC and pendingC are the per-project
-	// lanes' drain times and pending work.
+	// lanes' drain times and pending work. All nil unless shares are
+	// enforced.
 	shares     []float64
 	busyUntilC []float64
 	pendingC   []float64
@@ -614,107 +528,53 @@ func sharesFromPrefs(prefs []float64) []float64 {
 }
 
 // setPrefs overrides the volunteer's per-project preferences (clamped to
-// [-1, 1]) and re-derives its shares.
+// [-1, 1]) and re-derives its shares where it enforces them.
 func (v *volunteer) setPrefs(prefs []float64) {
 	v.prefs = clampPrefs(prefs)
-	v.shares = sharesFromPrefs(v.prefs)
+	if v.shares != nil {
+		v.shares = sharesFromPrefs(v.prefs)
+	}
 }
 
 func clampPrefs(prefs []float64) []float64 {
 	out := make([]float64, len(prefs))
 	for i, v := range prefs {
-		out[i] = min(max(v, -1), 1)
+		out[i] = clamp(v, -1, 1)
 	}
 	return out
 }
 
 // DevotedAvailable implements mediator.ShareReporter: the work q's project
-// may still queue here under the volunteer's shares.
-func (v *volunteer) DevotedAvailable(q model.Query) float64 {
-	c := int(q.Consumer)
-	if c < 0 || c >= len(v.shares) {
+// may still queue on the provider under its enforced shares. A provider
+// without shares reports the mediator's own estimate, the idle part of its
+// capacity.
+func (p *provider) DevotedAvailable(q model.Query) float64 {
+	if v := p.vol; v != nil && v.shares != nil {
+		if c := int(q.Consumer); c >= 0 && c < len(v.shares) {
+			return v.shares[c]*p.capacity*p.w.horizon - v.pendingC[c]
+		}
 		return 0
 	}
-	return v.shares[c]*v.capacity*v.w.vol.horizon - v.pendingC[c]
+	snap := p.Snapshot(p.w.eng.Now())
+	return snap.Capacity * (1 - snap.Utilization)
 }
 
-func (v *volunteer) ProviderID() model.ProviderID { return v.id }
-
-func (v *volunteer) satisfaction() float64 { return v.w.live.ProviderSatisfaction(v.id) }
-
-// utilization maps the backlog's drain time onto [0, 1] against the
-// horizon.
-func (v *volunteer) utilization(now float64) float64 {
-	backlog := v.busyUntil - now
-	if backlog <= 0 {
-		return 0
-	}
-	return min(backlog/v.w.vol.horizon, 1)
-}
-
-func (v *volunteer) Snapshot(now float64) model.ProviderSnapshot {
-	return model.ProviderSnapshot{
-		ID:          v.id,
-		Utilization: v.utilization(now),
-		QueueLen:    v.queueLen,
-		Capacity:    v.capacity,
-		PendingWork: v.pendingWork,
-	}
-}
-
-func (v *volunteer) Intention(q model.Query) model.Intention {
+// volunteerIntention is a volunteer's intention toward q's project, per
+// its policy.
+func volunteerIntention(p *provider, q model.Query) model.Intention {
 	pref := 0.0
-	if int(q.Consumer) < len(v.prefs) {
-		pref = v.prefs[q.Consumer]
+	if int(q.Consumer) < len(p.vol.prefs) {
+		pref = p.vol.prefs[q.Consumer]
 	}
-	return v.policy.Intention(intention.ProviderInputs{
-		Preference:   pref,
-		Utilization:  v.utilization(v.w.eng.Now()),
-		Satisfaction: v.satisfaction(),
+	return p.vol.policy(providerInputs{
+		preference:   pref,
+		utilization:  p.utilization(p.w.eng.Now()),
+		satisfaction: p.satisfaction(),
 	})
 }
 
-// Bid is the economic baseline's price: the expected completion delay
-// scaled by a private margin — cost-based and interest-blind.
-func (v *volunteer) Bid(q model.Query) float64 {
-	return (v.pendingWork + q.Work) / v.capacity * v.priceFactor
-}
-
-// enqueue accepts a dispatched replica and books its completion.
-func (v *volunteer) enqueue(q model.Query) {
-	w := v.w
-	now := w.eng.Now()
-	c := int(q.Consumer)
-	var completion float64
-	if w.vol.enforceShares && c >= 0 && c < len(v.shares) {
-		rate := v.shares[c] * v.capacity
-		if rate <= 0 {
-			rate = 0.01 * v.capacity // a token share: nothing runs at zero
-		}
-		v.busyUntilC[c] = max(v.busyUntilC[c], now) + q.Work/rate
-		completion = v.busyUntilC[c]
-		v.busyUntil = max(v.busyUntil, completion)
-		v.pendingC[c] += q.Work
-	} else {
-		v.busyUntil = max(v.busyUntil, now) + q.Work/v.capacity
-		completion = v.busyUntil
-		if c >= 0 && c < len(v.pendingC) {
-			v.pendingC[c] += q.Work
-		}
-	}
-	v.pendingWork += q.Work
-	v.queueLen++
-	w.eng.ScheduleAt(completion, func() { v.complete(q) })
-}
-
-// complete finishes a replica and ships the result back.
-func (v *volunteer) complete(q model.Query) {
-	v.pendingWork = max(v.pendingWork-q.Work, 0)
-	if c := int(q.Consumer); c >= 0 && c < len(v.pendingC) {
-		v.pendingC[c] = max(v.pendingC[c]-q.Work, 0)
-	}
-	v.queueLen--
-	w := v.w
-	valid := !v.malicious
-	w.vol.net.Send(w.eng, func() { w.resultArrived(q, v.id, valid) })
+// volunteerBid is the economic baseline's price: the expected completion
+// delay scaled by a private margin — cost-based and interest-blind.
+func volunteerBid(p *provider, q model.Query) float64 {
+	return (p.pendingWork + q.Work) / p.capacity * p.vol.priceFactor
 }

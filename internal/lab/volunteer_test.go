@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"sbqa/internal/intention"
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/stats"
@@ -62,7 +61,7 @@ func runWorld(t *testing.T, sc Scenario, setup func(*world)) (*world, *Report) {
 
 func onlineVolunteers(w *world) int {
 	n := 0
-	for _, v := range w.vol.vols {
+	for _, v := range w.providers {
 		if v.online {
 			n++
 		}
@@ -72,7 +71,7 @@ func onlineVolunteers(w *world) int {
 
 func onlineProjects(w *world) int {
 	n := 0
-	for _, p := range w.vol.projects {
+	for _, p := range w.projects {
 		if p.online {
 			n++
 		}
@@ -82,11 +81,11 @@ func onlineProjects(w *world) int {
 
 func TestWorldConstruction(t *testing.T) {
 	w := builtWorld(t, smallVolunteers(false, 1))
-	if len(w.vol.projects) != 3 {
-		t.Errorf("projects = %d", len(w.vol.projects))
+	if len(w.projects) != 3 {
+		t.Errorf("projects = %d", len(w.projects))
 	}
-	if len(w.vol.vols) != 40 {
-		t.Errorf("volunteers = %d", len(w.vol.vols))
+	if len(w.providers) != 40 {
+		t.Errorf("volunteers = %d", len(w.providers))
 	}
 	if w.live.Directory().NumProviders() != 40 || w.live.Directory().NumConsumers() != 3 {
 		t.Error("registration incomplete")
@@ -94,7 +93,7 @@ func TestWorldConstruction(t *testing.T) {
 	if onlineVolunteers(w) != 40 || onlineProjects(w) != 3 {
 		t.Error("everyone should start online")
 	}
-	if w.vol.horizon <= 0 {
+	if w.horizon <= 0 {
 		t.Error("utilization horizon not defaulted")
 	}
 }
@@ -193,7 +192,7 @@ func TestProjectDepartureForgetsMemory(t *testing.T) {
 	// engine stops mediating for it and its satisfaction memory goes, so a
 	// returning project with that id would start fresh.
 	w := builtWorld(t, autonomousScenario(1))
-	p := w.vol.projects[0]
+	p := w.projects[0]
 	reg := w.live.Registry()
 	for i := 0; i < w.vol.minInteractions; i++ {
 		reg.RecordAllocation(&model.Allocation{
@@ -222,7 +221,7 @@ func TestProjectDepartureForgetsMemory(t *testing.T) {
 	if tr := reg.Consumer(p.id); tr.Interactions() != 0 || tr.Satisfaction() != 0.5 {
 		t.Errorf("departed project's memory kept: %d interactions, δs = %v", tr.Interactions(), tr.Satisfaction())
 	}
-	v := w.vol.out
+	v := w.gauges
 	if v.ConsumersLeft != 1 || len(v.Departures) != 1 || v.Departures[0].Consumer != p.id {
 		t.Errorf("departure not recorded: left %d, records %+v", v.ConsumersLeft, v.Departures)
 	}
@@ -263,7 +262,7 @@ func TestUtilizationBounds(t *testing.T) {
 		done := false
 		var probe func()
 		probe = func() {
-			for _, v := range w.vol.vols {
+			for _, v := range w.providers {
 				if u := v.utilization(w.eng.Now()); u < 0 || u > 1 {
 					t.Errorf("utilization %v out of range", u)
 					done = true
@@ -281,7 +280,7 @@ func TestUnallocatedQueriesCounted(t *testing.T) {
 	w, r := runWorld(t, smallVolunteers(false, 15), func(w *world) {
 		// With every volunteer gone from the engine, no query has an
 		// eligible provider.
-		for _, v := range w.vol.vols {
+		for _, v := range w.providers {
 			v.online = false
 			w.live.UnregisterWorker(v.id)
 		}
@@ -293,7 +292,7 @@ func TestUnallocatedQueriesCounted(t *testing.T) {
 		t.Errorf("unallocated=%d issued=%d", r.Rejected, r.Issued)
 	}
 	// Consumers must be maximally dissatisfied.
-	for _, p := range w.vol.projects {
+	for _, p := range w.projects {
 		if got := p.satisfaction(); got != 0 {
 			t.Errorf("project %s δs = %v, want 0", p.name, got)
 		}
@@ -302,7 +301,7 @@ func TestUnallocatedQueriesCounted(t *testing.T) {
 
 func TestSampleSeriesAligned(t *testing.T) {
 	_, r := runWorld(t, smallVolunteers(false, 16), nil)
-	pts := r.Volunteers.Trajectory
+	pts := r.Trajectory
 	if len(pts) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -360,14 +359,14 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 			}
 			sc.Policy = mkPolicy(rng.Intn(5), seed)
 			w, r := runWorld(t, sc, func(w *world) {
-				for _, vol := range w.vol.vols {
+				for _, vol := range w.providers {
 					if adaptive {
-						vol.policy = intention.AdaptiveProvider{}
+						vol.vol.policy = adaptiveProvider
 					}
 				}
-				for _, p := range w.vol.projects {
+				for _, p := range w.projects {
 					if responseTime {
-						p.policy = intention.ResponseTimeConsumer{}
+						p.policy = responseTimeConsumer
 					}
 				}
 			})
@@ -376,7 +375,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				t.Errorf("accounting: issued=%d completed=%d unalloc=%d failed=%d inflight=%d",
 					r.Issued, r.Completed, r.Rejected, r.Failed, r.InFlight)
 			}
-			for _, vol := range w.vol.vols {
+			for _, vol := range w.providers {
 				if s := vol.satisfaction(); s < 0 || s > 1 {
 					t.Errorf("volunteer %d δs=%v", vol.id, s)
 				}
@@ -384,7 +383,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 					t.Errorf("volunteer %d util=%v", vol.id, u)
 				}
 			}
-			for _, p := range w.vol.projects {
+			for _, p := range w.projects {
 				if s := p.satisfaction(); s < 0 || s > 1 {
 					t.Errorf("project %s δs=%v", p.name, s)
 				}
@@ -396,7 +395,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 				t.Errorf("negative response time %v", r.MeanResponse)
 			}
 			// Online bookkeeping: departures = offline count.
-			if offline := len(w.vol.vols) - onlineVolunteers(w); offline != r.Volunteers.ProvidersLeft {
+			if offline := len(w.providers) - onlineVolunteers(w); offline != r.Volunteers.ProvidersLeft {
 				t.Errorf("offline=%d but departures=%d", offline, r.Volunteers.ProvidersLeft)
 			}
 			// The engine's directory only holds online providers.
@@ -419,7 +418,7 @@ func TestWorldAccountingWithMalicious(t *testing.T) {
 	if r.Failed == 0 {
 		t.Error("no validation failures recorded")
 	}
-	if p := w.vol.projects[0]; p.failureRate < 0.9 {
+	if p := w.projects[0]; p.failureRate < 0.9 {
 		t.Errorf("project failure rate %v, want near 1", p.failureRate)
 	}
 }
@@ -435,7 +434,7 @@ func TestQuorumSemantics(t *testing.T) {
 	w := builtWorld(t, sc)
 	completed := 0
 	w.vol.onComplete = func(model.Query, float64) { completed++ }
-	w.mediateProject(model.Query{Consumer: w.vol.projects[0].id, N: 3, Work: 1})
+	w.mediateProject(model.Query{Consumer: w.projects[0].id, N: 3, Work: 1})
 	var id model.QueryID
 	var st *quorumState
 	for id, st = range w.vol.pending {
@@ -509,8 +508,8 @@ func mm1Scenario(rho, duration float64, seed uint64) Scenario {
 func mm1(rho float64) func(*world) {
 	return func(w *world) {
 		w.vol.net = nil
-		w.vol.vols[0].capacity = 1
-		w.vol.projects[0].arrivalRate = rho / w.vol.meanWork
+		w.providers[0].capacity = 1
+		w.projects[0].arrivalRate = rho / w.vol.meanWork
 	}
 }
 
@@ -542,9 +541,17 @@ func TestSharesFromPrefs(t *testing.T) {
 	}
 }
 
+// shareVolunteers is smallVolunteers under the share-based technique, the
+// one that enforces shares.
+func shareVolunteers(seed uint64) Scenario {
+	sc := smallVolunteers(false, seed)
+	sc.Policy = policy.Spec{Kind: policy.ShareBased}
+	return sc
+}
+
 func TestVolunteerShareAccessors(t *testing.T) {
-	w := builtWorld(t, smallVolunteers(false, 1))
-	v := w.vol.vols[0]
+	w := builtWorld(t, shareVolunteers(1))
+	v := w.providers[0].vol
 	var sum float64
 	for _, share := range v.shares {
 		sum += share
@@ -560,12 +567,12 @@ func TestVolunteerShareAccessors(t *testing.T) {
 }
 
 func TestDevotedAvailableBudget(t *testing.T) {
-	w := builtWorld(t, smallVolunteers(false, 2))
-	v := w.vol.vols[0]
-	v.setPrefs([]float64{0.75, 0.15, -1})
+	w := builtWorld(t, shareVolunteers(2))
+	v := w.providers[0]
+	v.vol.setPrefs([]float64{0.75, 0.15, -1})
 	q := model.Query{ID: 1, Consumer: 0, N: 1, Work: 5}
 	budget := v.DevotedAvailable(q)
-	want := (0.8 / 1.05) * v.capacity * w.vol.horizon
+	want := (0.8 / 1.05) * v.capacity * w.horizon
 	if math.Abs(budget-want) > 1e-9 {
 		t.Errorf("budget = %v, want %v", budget, want)
 	}
@@ -589,11 +596,11 @@ func TestEnforcedSharesSlowServiceDown(t *testing.T) {
 			sc.Policy = policy.Spec{Kind: policy.ShareBased}
 		}
 		w := builtWorld(t, sc)
-		v := w.vol.vols[0]
-		v.setPrefs([]float64{0.75, 0.15, -1})
+		v := w.providers[0]
+		v.vol.setPrefs([]float64{0.75, 0.15, -1})
 		q := model.Query{ID: 1, Consumer: 2, N: 1, Work: 10} // project with token 0.05/1.05 share
 		var done float64
-		v.enqueue(q)
+		w.serve(v, q)
 		// Drain the engine; completion is the only event besides network.
 		w.eng.Schedule(0, func() {})
 		for w.eng.Step() {
@@ -619,7 +626,7 @@ func TestSetArrivalRate(t *testing.T) {
 	// in-flight arrival may still fire right at the switch).
 	var afterStop int
 	runWorld(t, smallVolunteers(false, 4), func(w *world) {
-		p := w.vol.projects[0]
+		p := w.projects[0]
 		rate0 = p.arrivalRate
 		w.vol.onComplete = func(q model.Query, _ float64) {
 			if q.Consumer == 0 && q.IssuedAt > 110 {
@@ -637,7 +644,7 @@ func TestSetArrivalRate(t *testing.T) {
 	// Restarting mid-run works too.
 	var lateCount int
 	runWorld(t, smallVolunteers(false, 4), func(w *world) {
-		p := w.vol.projects[0]
+		p := w.projects[0]
 		w.vol.onComplete = func(q model.Query, _ float64) {
 			if q.Consumer == 0 && q.IssuedAt > 160 {
 				lateCount++
@@ -669,11 +676,11 @@ func TestOnCompleteHook(t *testing.T) {
 }
 
 func TestTailMean(t *testing.T) {
-	var pts []VolunteerPoint
+	var pts []TrajectoryPoint
 	for i := 1; i <= 10; i++ {
-		pts = append(pts, VolunteerPoint{T: float64(i), Utilization: float64(i)})
+		pts = append(pts, TrajectoryPoint{T: float64(i), Utilization: float64(i)})
 	}
-	util := func(p VolunteerPoint) float64 { return p.Utilization }
+	util := func(p TrajectoryPoint) float64 { return p.Utilization }
 	if got := tailMean(pts, 0.5, util); math.Abs(got-8) > 1e-12 { // mean of 6..10
 		t.Errorf("tailMean(0.5) = %v, want 8", got)
 	}

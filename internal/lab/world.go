@@ -8,7 +8,9 @@ import (
 	"sbqa/internal/workload"
 )
 
-// behavior classifies a provider's honesty.
+// behavior classifies a provider's honesty. The class populations draw
+// the first four from AdversarySpec; the volunteer preset's hosts are
+// honest or malicious.
 type behavior uint8
 
 const (
@@ -16,6 +18,8 @@ const (
 	freeRider
 	overClaimer
 	colluder
+	malicious // executes, but returns invalid results
+	behaviors
 )
 
 // Adversary distortion constants: over-claimers advertise claimFactor×
@@ -47,44 +51,60 @@ func mix64(a, b, c uint64) uint64 {
 // unit maps a hash to [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// labProvider is one simulated provider: a FIFO execution lane with a
-// class specialization, a behavior, and lifetime accounting. All methods
-// run on the single simulation goroutine — no locking.
-type labProvider struct {
+// provider is the lab's one provider model: a FIFO execution lane at its
+// capacity, a behavior, and lifetime accounting. Its intention and bid are
+// the population's (world.intention, world.bid), set by the preset's
+// builder; state only volunteers need sits behind vol. All methods run on
+// the single simulation goroutine — no locking.
+type provider struct {
 	w        *world
 	id       model.ProviderID
-	class    int
+	class    int32 // index into world.caps
 	behavior behavior
+	online   bool
 	capacity float64 // true work units / second
 
-	online    bool
-	busyUntil float64
-	pending   int     // queued + executing allocations
-	allocs    int     // lifetime allocations won
-	busyTime  float64 // accumulated executing seconds (utilization numerator)
+	// The lane: when its FIFO queue drains, the allocations it holds
+	// (queued + executing) and their work, and the seconds it has spent
+	// executing (the utilization numerator).
+	busyUntil   float64
+	queueLen    int
+	pendingWork float64
+	busyTime    float64
+	allocs      int // lifetime allocations won
+
+	vol *volunteer // nil outside the volunteer preset
 }
 
-// caps holds one shared single-class capability slice per class, so a
-// million registrations do not allocate a million identical slices.
-func (p *labProvider) Capabilities() []int { return p.w.caps[p.class] }
+// Capabilities returns the population's shared capability slice for the
+// provider's class, so a million registrations do not allocate a million
+// identical slices; a nil entry files the provider as universal.
+func (p *provider) Capabilities() []int { return p.w.caps[p.class] }
 
-func (p *labProvider) ProviderID() model.ProviderID { return p.id }
+func (p *provider) ProviderID() model.ProviderID { return p.id }
 
-func (p *labProvider) Snapshot(now float64) model.ProviderSnapshot {
+func (p *provider) satisfaction() float64 { return p.w.live.ProviderSatisfaction(p.id) }
+
+// utilization maps the backlog's drain time onto [0, 1] against the
+// population's horizon.
+func (p *provider) utilization(now float64) float64 {
 	backlog := p.busyUntil - now
-	if backlog < 0 {
-		backlog = 0
+	if backlog <= 0 {
+		return 0
 	}
-	util := backlog / utilizationHorizon
-	if util > 1 {
-		util = 1
-	}
+	return min(backlog/p.w.horizon, 1)
+}
+
+func (p *provider) Snapshot(now float64) model.ProviderSnapshot {
 	snap := model.ProviderSnapshot{
 		ID:          p.id,
-		Utilization: util,
-		QueueLen:    p.pending,
+		Utilization: p.utilization(now),
+		QueueLen:    p.queueLen,
 		Capacity:    p.capacity,
-		PendingWork: backlog * p.capacity,
+		PendingWork: p.pendingWork,
+	}
+	if p.w.backlogWork {
+		snap.PendingWork = max(p.busyUntil-now, 0) * p.capacity
 	}
 	switch p.behavior {
 	case freeRider:
@@ -105,7 +125,47 @@ func (p *labProvider) Snapshot(now float64) model.ProviderSnapshot {
 	return snap
 }
 
-func (p *labProvider) Intention(q model.Query) model.Intention {
+func (p *provider) Intention(q model.Query) model.Intention { return p.w.intention(p, q) }
+
+func (p *provider) Bid(q model.Query) float64 { return p.w.bid(p, q) }
+
+// enqueue books q on the lane and returns its completion time: FIFO at the
+// provider's capacity or, where the volunteer enforces shares, on q's
+// project's own lane at that project's share of the capacity.
+func (p *provider) enqueue(q model.Query) float64 {
+	now := p.w.eng.Now()
+	service := q.Work / p.capacity
+	var done float64
+	if v, c := p.vol, int(q.Consumer); v != nil && c >= 0 && c < len(v.shares) {
+		rate := v.shares[c] * p.capacity
+		if rate <= 0 {
+			rate = 0.01 * p.capacity // a token share: nothing runs at zero
+		}
+		v.busyUntilC[c] = max(v.busyUntilC[c], now) + q.Work/rate
+		v.pendingC[c] += q.Work
+		done = v.busyUntilC[c]
+		p.busyUntil = max(p.busyUntil, done)
+	} else {
+		done = max(p.busyUntil, now) + service
+		p.busyUntil = done
+	}
+	p.busyTime += service
+	p.pendingWork += q.Work
+	p.queueLen++
+	return done
+}
+
+// release takes a finished q off the lane.
+func (p *provider) release(q model.Query) {
+	p.pendingWork = max(p.pendingWork-q.Work, 0)
+	if v, c := p.vol, int(q.Consumer); v != nil && c >= 0 && c < len(v.pendingC) {
+		v.pendingC[c] = max(v.pendingC[c]-q.Work, 0)
+	}
+	p.queueLen--
+}
+
+// classIntention is a class provider's intention, by behavior.
+func classIntention(p *provider, q model.Query) model.Intention {
 	switch p.behavior {
 	case freeRider:
 		return 1 // grab everything, deliver nothing
@@ -118,29 +178,22 @@ func (p *labProvider) Intention(q model.Query) model.Intention {
 	// Honest providers: a stable per-consumer taste in [-0.2, 0.8), pushed
 	// down by current load. Over-claimers keep the taste but deny the load,
 	// consistent with their snapshot lie.
-	pref := -0.2 + unit(mix64(p.w.seed^0xA5A5, uint64(p.id), uint64(q.Consumer)))
+	pref := -0.2 + unit(mix64(p.w.sc.Seed^0xA5A5, uint64(p.id), uint64(q.Consumer)))
 	if p.behavior == overClaimer {
 		return model.Intention(pref)
 	}
-	load := float64(p.pending) / loadPenaltyQueue
-	if load > 1 {
-		load = 1
-	}
-	v := pref - 0.8*load
-	if v < -1 {
-		v = -1
-	}
-	return model.Intention(v)
+	load := min(float64(p.queueLen)/loadPenaltyQueue, 1)
+	return model.Intention(max(pref-0.8*load, -1))
 }
 
-func (p *labProvider) Bid(q model.Query) float64 {
-	// Mariposa-style cost bid: time-to-serve on the advertised machine,
-	// with a stable per-provider margin.
+// classBid is a Mariposa-style cost bid: time-to-serve on the advertised
+// machine, with a stable per-provider margin.
+func classBid(p *provider, q model.Query) float64 {
 	cap := p.capacity
 	if p.behavior == overClaimer {
 		cap *= claimFactor / overClaimSlowdown
 	}
-	margin := 0.8 + 0.4*unit(mix64(p.w.seed^0x5A5A, uint64(p.id), 0))
+	margin := 0.8 + 0.4*unit(mix64(p.w.sc.Seed^0x5A5A, uint64(p.id), 0))
 	return q.Work / cap * margin
 }
 
@@ -157,19 +210,13 @@ type labConsumer struct {
 func (c *labConsumer) ConsumerID() model.ConsumerID { return c.id }
 
 func (c *labConsumer) Intention(q model.Query, snap model.ProviderSnapshot) model.Intention {
-	pref := -0.2 + unit(mix64(c.w.seed^0x3C3C, uint64(c.id), uint64(snap.ID)))
+	pref := -0.2 + unit(mix64(c.w.sc.Seed^0x3C3C, uint64(c.id), uint64(snap.ID)))
 	v := pref
 	if r, ok := c.rep[snap.ID]; ok {
 		// Experience outweighs taste: map quality [0,1] → [-1,1].
 		v = 0.3*pref + 0.7*(2*r-1)
 	}
-	if v > 1 {
-		v = 1
-	}
-	if v < -1 {
-		v = -1
-	}
-	return model.Intention(v)
+	return model.Intention(v).Clamp()
 }
 
 // observe folds one execution outcome (response time, or failure) into the
@@ -192,12 +239,12 @@ type classState struct {
 	cost    stats.Dist
 
 	consumers []*labConsumer
-	providers []*labProvider
+	providers []*provider
 	cursor    int // round-robin issue cursor over consumers
 
 	issued, mediated, rejected, completed, failed int
 	respTimes                                     []float64
-	allocsByBehavior                              [4]int
+	allocsByBehavior                              [behaviors]int
 
 	// QoS-station accumulators (Scenario.QoS runs only): sheds by reason
 	// and the queue wait of every query the station actually served.
@@ -208,17 +255,23 @@ type classState struct {
 	trajectory []ClassPoint
 }
 
-// quality maps an observed response time to [0, 1] against the class's
-// delay target: 1 at instantaneous, 1/2 at the target, → 0 as rt → ∞.
-func (cs *classState) quality(rt float64) float64 {
-	return cs.spec.DelayTarget / (cs.spec.DelayTarget + rt)
+// quality maps an observed response time to [0, 1] against a delay
+// target: 1 at instantaneous, 1/2 at the target, → 0 as rt → ∞. A
+// non-positive target scores 1, a negative rt counts as 0.
+func quality(rt, target float64) float64 {
+	if target <= 0 {
+		return 1
+	}
+	return target / (target + max(rt, 0))
 }
 
-func percentile(sorted []float64, q float64) float64 {
+// nearestRank99 is the nearest-rank 99th percentile of sorted values (0
+// for none).
+func nearestRank99(sorted []float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	return sorted[int(q*float64(len(sorted)-1))]
+	return sorted[int(0.99*float64(len(sorted)-1))]
 }
 
 // strideOver returns a deterministic stride visiting at most limit of n

@@ -1,103 +1,34 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Summary accumulates scalar observations and reports count, mean, min/max,
-// and exact percentiles. It keeps all samples (experiments here are
-// bounded to a few hundred thousand observations), which keeps percentiles
-// exact and the implementation dependency-free.
-type Summary struct {
-	samples []float64
-	sum     float64
-	min     float64
-	max     float64
-	sorted  bool
-}
-
-// NewSummary returns an empty summary.
-func NewSummary() *Summary {
-	return &Summary{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	s.samples = append(s.samples, v)
-	s.sum += v
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
-	s.sorted = false
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int { return len(s.samples) }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.samples))
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Percentile returns the p-th percentile (p in [0, 100]) using linear
-// interpolation between closest ranks; 0 for an empty summary.
-func (s *Summary) Percentile(p float64) float64 {
-	n := len(s.samples)
+// Percentile returns the p-th percentile (p in [0, 100]) of sorted values,
+// interpolating linearly between closest ranks; 0 for no values.
+func Percentile(sorted []float64, p float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
 	if p <= 0 {
-		return s.samples[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return s.samples[n-1]
+		return sorted[n-1]
 	}
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.samples[lo]
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// String renders a one-line digest for logs.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
-		s.Count(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Percentile(99), s.Max())
-}
-
-// Welford is a constant-memory running mean for hot paths that cannot
-// afford Summary's sample retention.
+// Welford is a constant-memory running mean.
 type Welford struct {
 	n    int64
 	mean float64

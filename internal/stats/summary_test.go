@@ -6,29 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	s := NewSummary()
-	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Error("empty summary should report zeros")
-	}
-	for _, v := range []float64{4, 2, 8, 6} {
-		s.Add(v)
-	}
-	if s.Count() != 4 {
-		t.Errorf("Count = %d", s.Count())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 8 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryPercentiles(t *testing.T) {
-	s := NewSummary()
+func TestPercentile(t *testing.T) {
+	var sorted []float64
 	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
+		sorted = append(sorted, float64(i))
 	}
 	tests := []struct {
 		p, want float64
@@ -36,38 +17,26 @@ func TestSummaryPercentiles(t *testing.T) {
 		{0, 1}, {100, 100}, {50, 50.5}, {95, 95.05}, {25, 25.75},
 	}
 	for _, tt := range tests {
-		if got := s.Percentile(tt.p); math.Abs(got-tt.want) > 1e-9 {
+		if got := Percentile(sorted, tt.p); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("P%v = %v, want %v", tt.p, got, tt.want)
 		}
 	}
-}
-
-func TestSummaryAddAfterPercentile(t *testing.T) {
-	// Percentile sorts in place; subsequent Adds must still work.
-	s := NewSummary()
-	s.Add(3)
-	s.Add(1)
-	_ = s.Percentile(50)
-	s.Add(2)
-	if got := s.Percentile(50); got != 2 {
-		t.Errorf("median after interleaved add = %v, want 2", got)
-	}
-	if s.String() == "" {
-		t.Error("String() empty")
+	if Percentile(nil, 50) != 0 {
+		t.Error("percentile of no values should be 0")
 	}
 }
 
-func TestWelfordMatchesSummary(t *testing.T) {
+func TestWelfordMatchesMeanOf(t *testing.T) {
 	r := NewRNG(20)
-	s := NewSummary()
+	var values []float64
 	var w Welford
 	for i := 0; i < 10000; i++ {
 		v := r.ExpFloat64()*3 + 1
-		s.Add(v)
+		values = append(values, v)
 		w.Add(v)
 	}
-	if math.Abs(s.Mean()-w.Mean()) > 1e-9 {
-		t.Errorf("means differ: %v vs %v", s.Mean(), w.Mean())
+	if math.Abs(MeanOf(values)-w.Mean()) > 1e-9 {
+		t.Errorf("means differ: %v vs %v", MeanOf(values), w.Mean())
 	}
 }
 

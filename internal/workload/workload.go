@@ -231,7 +231,7 @@ func Generate(cfg Config) (*Population, error) {
 	for vi := range pop.Volunteers {
 		if prefRNG.Bool(GeneralistShare) {
 			for pi := range cfg.Projects {
-				pop.Volunteers[vi].ProjectPref[pi] = clampPref(generalistPref.Sample(prefRNG))
+				pop.Volunteers[vi].ProjectPref[pi] = min(max(generalistPref.Sample(prefRNG), -1), 1)
 			}
 			continue
 		}
@@ -247,9 +247,9 @@ func Generate(cfg Config) (*Population, error) {
 		}
 		for pi := range cfg.Projects {
 			if pi == fav {
-				pop.Volunteers[vi].ProjectPref[pi] = clampPref(fanPref.Sample(prefRNG))
+				pop.Volunteers[vi].ProjectPref[pi] = min(max(fanPref.Sample(prefRNG), -1), 1)
 			} else {
-				pop.Volunteers[vi].ProjectPref[pi] = clampPref(nonFanPref.Sample(prefRNG))
+				pop.Volunteers[vi].ProjectPref[pi] = min(max(nonFanPref.Sample(prefRNG), -1), 1)
 			}
 		}
 	}
@@ -313,19 +313,9 @@ func Generate(cfg Config) (*Population, error) {
 			}
 			// Map relative capacity to [0.05, 0.9] and add mild noise.
 			pref := 0.05 + 0.85*rel + consPrefRNG.Range(-0.15, 0.15)
-			p.VolunteerPref[vi] = clampPref(pref)
+			p.VolunteerPref[vi] = min(max(pref, -1), 1)
 		}
 		pop.Projects = append(pop.Projects, p)
 	}
 	return pop, nil
-}
-
-func clampPref(v float64) float64 {
-	if v < -1 {
-		return -1
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
