@@ -24,15 +24,17 @@ func benchLabScenario() lab.Scenario {
 			Classes: []lab.ClassSpec{
 				{
 					Name: "steady", Consumers: 6, Providers: 40,
-					Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 10},
-					Cost:    lab.CostSpec{Kind: "exp", Mean: 2},
+					Rate: 10,
+					Cost: lab.CostSpec{Kind: "exp", Mean: 2},
 				},
 				{
 					Name: "bursty", Consumers: 4, Providers: 30,
-					Arrival: lab.ArrivalSpec{Kind: "mmpp2", Rate: 2, DwellA: 10, RateB: 15, DwellB: 4},
-					Cost:    lab.CostSpec{Kind: "pareto", Xm: 0.5, Alpha: 2.2},
+					Rate: 2,
+					Cost: lab.CostSpec{Kind: "pareto", Xm: 0.5, Alpha: 2.2},
 				},
 			},
+			// The burst: 15 queries/s for 8 of the 30 seconds.
+			Flash:       []lab.FlashSpec{{Class: "bursty", At: 10, Duration: 8, Factor: 7.5}},
 			Adversaries: lab.AdversarySpec{FreeRiders: 0.1},
 		},
 	}

@@ -31,7 +31,6 @@ import (
 	"sbqa/internal/satisfaction"
 	"sbqa/internal/score"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // benchOptions keeps scenario benches fast enough for -bench=. while
@@ -395,7 +394,7 @@ func BenchmarkAblationNoStage2(b *testing.B) {
 // BenchmarkAblationReplication1: no result replication (q.n = 1).
 func BenchmarkAblationReplication1(b *testing.B) {
 	runAblation(b, policy.Spec{Kind: policy.SbQA}, func(v *lab.VolunteerSpec) {
-		v.Projects = workload.DefaultProjects()
+		v.Projects = lab.DefaultProjects()
 		for i := range v.Projects {
 			v.Projects[i].Replication = 1
 		}

@@ -58,16 +58,10 @@ var calledByStd = map[string]string{
 }
 
 // unwrittenFields lists the exported fields live code reads and no live
-// code writes, each with the reason it stays a field. Nothing else belongs
-// in this list either: an unwritten field becomes a constant, or goes with
-// the branch it guards.
-var unwrittenFields = map[string]string{
-	"sbqa/internal/lab.AdversarySpec.Colluders": "deleting it drops the colluder share key from every lab report, which changes every hash in hypotheses/FINDINGS.md; it goes when the seed block re-records FINDINGS.md (ROADMAP item 2(a))",
-	"sbqa/internal/lab.ChurnSpec.LeaveRate":     "background churn is the only reader of rejoin_after, so deleting it drops that key from every lab report and changes every hash in hypotheses/FINDINGS.md; it goes with ROADMAP item 2(a)",
-	"sbqa/internal/lab.ArrivalSpec.RateB":       "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
-	"sbqa/internal/lab.ArrivalSpec.DwellA":      "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
-	"sbqa/internal/lab.ArrivalSpec.DwellB":      "BenchmarkLabMediationThroughput runs on mmpp2 arrivals, and CI gates its ns/op against the BENCH_core.json baseline",
-}
+// code writes, each with the reason it stays a field. It is empty, and
+// nothing belongs in it: an unwritten field is a knob only tests set, so it
+// becomes a constant or goes with the branch it guards.
+var unwrittenFields = map[string]string{}
 
 // TestNoDeadSurface is the ratchet behind the dead-surface deletions: every
 // package-level func, type, var and const and every method of the root

@@ -30,7 +30,7 @@ func init() {
 					4,
 					int(pick(scale, 16, 6)),
 					int(pick(scale, 60, 20)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 21, 7)},
+					pick(scale, 21, 7),
 					lab.CostSpec{Kind: "exp", Mean: 2},
 				),
 				Flash: []lab.FlashSpec{{

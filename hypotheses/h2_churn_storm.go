@@ -29,12 +29,10 @@ func init() {
 					4,
 					int(pick(scale, 12, 5)),
 					int(pick(scale, 60, 20)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 21, 7)},
+					pick(scale, 21, 7),
 					lab.CostSpec{Kind: "exp", Mean: 2},
 				),
-				Churn: lab.ChurnSpec{
-					Storm: &lab.StormSpec{At: duration * 0.3, Duration: duration / 3, Fraction: 0.4},
-				},
+				Storm: &lab.StormSpec{At: duration * 0.3, Duration: duration / 3, Fraction: 0.4},
 			}
 			adaptive := sbqa(8, 3, 1)
 			fixed := sbqa(8, 3, 1)

@@ -28,7 +28,7 @@ func init() {
 					2,
 					int(pick(scale, 10, 4)),
 					int(pick(scale, 100, 25)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 50, 12)},
+					pick(scale, 50, 12),
 					lab.CostSpec{Kind: "pareto", Xm: 0.6, Alpha: 1.7},
 				),
 			}

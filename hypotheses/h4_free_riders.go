@@ -33,7 +33,7 @@ func init() {
 					3,
 					int(pick(scale, 12, 5)),
 					int(pick(scale, 60, 20)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 18, 6)},
+					pick(scale, 18, 6),
 					lab.CostSpec{Kind: "exp", Mean: 2},
 				),
 				Adversaries:  lab.AdversarySpec{FreeRiders: 0.25},

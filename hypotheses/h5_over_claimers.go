@@ -7,9 +7,10 @@ import (
 	"sbqa/internal/policy"
 )
 
-// H5: the flip side of H4 — a self-reported-capacity allocator is the one
-// that adversaries can game. Over-claimers advertise 8x their real capacity
-// and understate their queues; capacity-only mediation takes the numbers at
+// H5: the flip side of H4 — a self-reported-state allocator is the one
+// that adversaries can game. Over-claimers report no backlog at all (and 8x
+// an honest capacity, which the Capacity allocator never reads: it ranks by
+// the reported backlog); capacity-only mediation takes the empty queue at
 // face value, while sbqa's satisfaction feedback discounts the lie.
 func init() {
 	lab.Register(lab.Hypothesis{
@@ -32,7 +33,7 @@ func init() {
 					3,
 					int(pick(scale, 12, 5)),
 					int(pick(scale, 60, 20)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 14, 5)},
+					pick(scale, 14, 5),
 					lab.CostSpec{Kind: "exp", Mean: 2},
 				),
 				Adversaries: lab.AdversarySpec{OverClaimers: 0.2},

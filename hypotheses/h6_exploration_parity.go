@@ -31,7 +31,7 @@ func init() {
 					3,
 					int(pick(scale, 12, 5)),
 					int(pick(scale, 45, 15)),
-					lab.ArrivalSpec{Kind: "poisson", Rate: pick(scale, 14, 5)},
+					pick(scale, 14, 5),
 					lab.CostSpec{Kind: "exp", Mean: 2},
 				),
 				Adversaries:  lab.AdversarySpec{FreeRiders: 0.1},

@@ -82,13 +82,13 @@ func h7Scenarios(scale lab.Scale) []lab.Scenario {
 	classes := func(qosMapped bool) []lab.ClassSpec {
 		interactive := lab.ClassSpec{
 			Name: "interactive", Consumers: 6, Providers: 40,
-			Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 10},
-			Cost:    lab.CostSpec{Kind: "exp", Mean: 2},
+			Rate: 10,
+			Cost: lab.CostSpec{Kind: "exp", Mean: 2},
 		}
 		batch := lab.ClassSpec{
 			Name: "batch", Consumers: 6, Providers: 60,
-			Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 25},
-			Cost:    lab.CostSpec{Kind: "exp", Mean: 2},
+			Rate: 25,
+			Cost: lab.CostSpec{Kind: "exp", Mean: 2},
 		}
 		if qosMapped {
 			interactive.QoS = qos.Interactive
@@ -112,13 +112,14 @@ func h7Scenarios(scale lab.Scale) []lab.Scenario {
 	fifoSpec := &qos.Spec{Classes: []qos.ClassSpec{{Name: "fifo", Weight: 1}}}
 
 	mk := func(suffix string, spec *qos.Spec, qosMapped bool, fl []lab.FlashSpec) lab.Scenario {
+		pol := sbqa(8, 3, 1)
+		pol.QoS = spec
 		return lab.Scenario{
 			Name:          fmt.Sprintf("h7/%s-%s", suffix, scale),
 			Seed:          1041,
 			Duration:      duration,
 			Window:        8,
-			Policy:        sbqa(8, 3, 1),
-			QoS:           spec,
+			Policy:        pol,
 			MediationRate: rate,
 			Workload:      lab.Workload{Classes: classes(qosMapped), Flash: fl},
 		}

@@ -42,14 +42,14 @@ func duel(name string, scale lab.Scale, wl lab.Workload, duration float64, a, b 
 }
 
 // uniformClasses builds n identical classes named c0..cn-1.
-func uniformClasses(n, consumers, providers int, arr lab.ArrivalSpec, cost lab.CostSpec) []lab.ClassSpec {
+func uniformClasses(n, consumers, providers int, rate float64, cost lab.CostSpec) []lab.ClassSpec {
 	out := make([]lab.ClassSpec, n)
 	for i := range out {
 		out[i] = lab.ClassSpec{
 			Name:      fmt.Sprintf("c%d", i),
 			Consumers: consumers,
 			Providers: providers,
-			Arrival:   arr,
+			Rate:      rate,
 			Cost:      cost,
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"sbqa/internal/model"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // AdSpec is the keyword-advertising preset (the paper's §I motivation):
@@ -66,8 +65,7 @@ func (w *world) buildAds() {
 // scheduleAdQuery books the next user query.
 func (w *world) scheduleAdQuery() {
 	m := w.ads
-	gap := workload.Poisson{Rate: w.sc.Workload.Ads.Rate}.Next(w.eng.Now(), m.rng)
-	w.eng.Schedule(gap, func() {
+	w.eng.Schedule(m.rng.ExpFloat64()/w.sc.Workload.Ads.Rate, func() {
 		w.report.Issued++
 		dim := len(w.sc.Workload.Ads.Advertisers[0].Interests)
 		dom := int(m.rng.Float64() * float64(dim))

@@ -25,7 +25,7 @@ func HeadlineScenario(scale Scale) Scenario {
 		specs[i] = ClassSpec{
 			Consumers: perClassConsumers,
 			Providers: perClassProviders,
-			Arrival:   ArrivalSpec{Kind: "poisson", Rate: rate},
+			Rate:      rate,
 			Cost:      CostSpec{Kind: "exp", Mean: 2},
 		}
 	}

@@ -6,14 +6,14 @@
 //
 // The lab has four layers:
 //
-//  1. a composable workload generator (this file): seeded arrival processes
-//     (Poisson, bursty MMPP) from internal/workload, heavy-tailed
-//     query cost, flash crowds, provider churn storms, adversarial
-//     populations (free-riders, over-claimers, colluders), and the paper's
-//     own populations — BOINC volunteers (volunteer.go) and keyword
-//     advertisers (ads.go). Every population but the advertisers is built
-//     of the one provider model (world.go); classes and projects are how
-//     it is built, not what it is;
+//  1. a composable workload generator (this file): Poisson class arrivals
+//     with flash crowds, heavy-tailed query cost, provider churn storms,
+//     adversarial populations (free-riders, over-claimers), and the paper's
+//     own populations — BOINC volunteers (volunteer.go, which also draws
+//     the projects and their volunteers) and keyword advertisers (ads.go).
+//     Every population but the advertisers is built of the one provider
+//     model (world.go); classes and projects are how it is built, not
+//     what it is;
 //  2. a scenario runner (run.go, world.go) executing a Scenario —
 //     workload × policy.Spec × duration × seed — and emitting a typed
 //     Report (report.go) with stable serialization;
@@ -38,9 +38,7 @@ import (
 	"math"
 
 	"sbqa/internal/policy"
-	"sbqa/internal/qos"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // Scenario is one reproducible experiment: a workload pitted against an
@@ -51,7 +49,7 @@ type Scenario struct {
 	// Name labels the scenario in reports and findings tables.
 	Name string `json:"name"`
 
-	// Seed roots every random stream of the run (workload draws, churn
+	// Seed roots every random stream of the run (workload draws, storm
 	// picks, adversary assignment). The policy's sampling streams come
 	// from Policy.Seed, so the same workload can be replayed against
 	// differently-seeded policies and vice versa.
@@ -72,17 +70,14 @@ type Scenario struct {
 	// Policy is the allocation policy under test.
 	Policy policy.Spec `json:"policy"`
 
-	// QoS, when set, interposes the real class-aware admission scheduler
-	// (internal/qos) between arrivals and mediation: queries queue at a
-	// single mediation station, are picked weighted-fair / EDF, and can be
-	// shed (deadline, queue_full, brownout) — every refusal is counted in
-	// the report, never silent. Must be set together with MediationRate.
-	QoS *qos.Spec `json:"qos,omitempty"`
-
-	// MediationRate is the station's throughput in mediations per
-	// simulated second — the capacity the overload is measured against.
-	// 0 keeps the historical direct path: every arrival mediates
-	// synchronously with no queue, byte-identical to pre-QoS reports.
+	// MediationRate, when set, interposes the real class-aware admission
+	// scheduler (internal/qos), built from Policy.QoS, between arrivals and
+	// mediation: queries queue at a single mediation station served at this
+	// many mediations per simulated second, are picked weighted-fair / EDF,
+	// and can be shed (deadline, queue_full, brownout) — every refusal is
+	// counted in the report, never silent. Policy.QoS and MediationRate are
+	// set together. 0 keeps the direct path: every arrival mediates
+	// synchronously with no queue.
 	MediationRate float64 `json:"mediation_rate,omitempty"`
 
 	// Workload describes the traffic and the population.
@@ -92,7 +87,7 @@ type Scenario struct {
 // Workload declares the traffic mix and population for a scenario.
 type Workload struct {
 	// Volunteers, when set, replaces Classes with the BOINC preset, and
-	// Ads with the keyword-advertising preset (see their docs); Churn,
+	// Ads with the keyword-advertising preset (see their docs); Storm,
 	// Flash, Adversaries, QueryTimeout and the scenario's QoS station apply
 	// to class populations only.
 	Volunteers *VolunteerSpec `json:"volunteers,omitempty"`
@@ -109,8 +104,9 @@ type Workload struct {
 	// Adversaries assigns misbehaving provider populations by fraction.
 	Adversaries AdversarySpec `json:"adversaries,omitempty"`
 
-	// Churn takes providers offline and back over the run.
-	Churn ChurnSpec `json:"churn,omitempty"`
+	// Storm, when set, takes a fraction of the providers offline and
+	// brings them back.
+	Storm *StormSpec `json:"storm,omitempty"`
 
 	// Flash superimposes flash crowds on class arrival streams.
 	Flash []FlashSpec `json:"flash,omitempty"`
@@ -131,9 +127,10 @@ type ClassSpec struct {
 	Consumers int `json:"consumers"`
 	Providers int `json:"providers"`
 
-	// Arrival is the class's aggregate arrival process; issued queries
-	// rotate round-robin over the class's consumers.
-	Arrival ArrivalSpec `json:"arrival"`
+	// Rate is the class's aggregate Poisson arrival rate (queries per
+	// simulated second, before flash crowds); issued queries rotate
+	// round-robin over the class's consumers.
+	Rate float64 `json:"rate"`
 
 	// Cost draws per-query service demand (work units).
 	Cost CostSpec `json:"cost"`
@@ -150,9 +147,9 @@ type ClassSpec struct {
 	CapacityLo float64 `json:"capacity_lo,omitempty"`
 	CapacityHi float64 `json:"capacity_hi,omitempty"`
 
-	// QoS names the service class (declared in Scenario.QoS.Classes) this
+	// QoS names the service class (declared in Scenario.Policy.QoS) this
 	// workload class's queries are submitted under. Empty means the spec's
-	// default class. Only meaningful when Scenario.QoS is set.
+	// default class. Only meaningful on a scenario with a QoS station.
 	QoS string `json:"qos,omitempty"`
 
 	// DeadlineS is the per-query relative deadline in simulated seconds
@@ -169,34 +166,19 @@ type ClassSpec struct {
 //
 //   - free-riders accept everything (maximal intention, idle-looking
 //     snapshots) and never execute — every allocation they win times out;
-//   - over-claimers advertise ~8× their true capacity (and correspondingly
-//     understated utilization), the bait for capacity-led allocators, but
-//     execute at a quarter of an honest provider's speed;
-//   - colluders run a cartel: maximal intention for queries from cartel
-//     consumers (every 5th consumer), strong refusal for everyone else —
-//     capturing capacity for the ring while starving outsiders.
+//   - over-claimers execute at a quarter of an honest provider's speed but
+//     report no backlog at all (zero utilization, queue and pending work)
+//     and 8× an honest provider's capacity. The empty backlog is the lie
+//     that bites: the Capacity allocator ranks by the reported backlog and
+//     never reads the claimed capacity, which only Economic's bid and the
+//     share-based technique's free-capacity estimate read.
 type AdversarySpec struct {
 	FreeRiders   float64 `json:"free_riders,omitempty"`
 	OverClaimers float64 `json:"over_claimers,omitempty"`
-	Colluders    float64 `json:"colluders,omitempty"`
 }
 
-// ChurnSpec drives provider availability.
-type ChurnSpec struct {
-	// LeaveRate is the background rate (departures/second) at which
-	// random online providers go offline.
-	LeaveRate float64 `json:"leave_rate,omitempty"`
-
-	// RejoinAfter is the offline dwell before a departed provider
-	// re-registers. 0 means 30.
-	RejoinAfter float64 `json:"rejoin_after,omitempty"`
-
-	// Storm, when set, takes Fraction of all providers offline at At and
-	// brings them back at At+Duration — the churn-storm shape.
-	Storm *StormSpec `json:"storm,omitempty"`
-}
-
-// StormSpec is a mass-departure event.
+// StormSpec is a mass-departure event: Fraction of all providers go
+// offline at At and come back at At+Duration — the churn-storm shape.
 type StormSpec struct {
 	At       float64 `json:"at"`
 	Duration float64 `json:"duration"`
@@ -212,35 +194,8 @@ type FlashSpec struct {
 	Factor   float64 `json:"factor"`
 }
 
-// ArrivalSpec declares an arrival process as data; Build turns it into a
-// workload.Arrivals. Kinds: "poisson" (Rate), "mmpp2" (Rate/DwellA +
-// RateB/DwellB).
-type ArrivalSpec struct {
-	Kind   string  `json:"kind"`
-	Rate   float64 `json:"rate"`
-	RateB  float64 `json:"rate_b,omitempty"`
-	DwellA float64 `json:"dwell_a,omitempty"`
-	DwellB float64 `json:"dwell_b,omitempty"`
-}
-
-// Build materializes the declared process. Each call returns a fresh
-// instance (MMPP2 carries phase state), so every class gets its own.
-func (a ArrivalSpec) Build() (workload.Arrivals, error) {
-	switch a.Kind {
-	case "", "poisson":
-		if a.Rate <= 0 {
-			return nil, fmt.Errorf("lab: poisson arrival needs rate > 0, got %g", a.Rate)
-		}
-		return workload.Poisson{Rate: a.Rate}, nil
-	case "mmpp2":
-		return workload.NewMMPP2(a.Rate, a.DwellA, a.RateB, a.DwellB)
-	default:
-		return nil, fmt.Errorf("lab: unknown arrival kind %q", a.Kind)
-	}
-}
-
 // CostSpec declares a per-query service-demand distribution. Kinds:
-// "exp" (Mean), "pareto" (Xm, Alpha — the heavy tail), "const" (Mean).
+// "exp" (Mean), "pareto" (Xm, Alpha — the heavy tail).
 type CostSpec struct {
 	Kind  string  `json:"kind"`
 	Mean  float64 `json:"mean,omitempty"`
@@ -262,11 +217,6 @@ func (c CostSpec) Build() (stats.Dist, error) {
 			return nil, fmt.Errorf("lab: pareto cost needs xm > 0 and alpha > 1 (finite mean), got xm=%g alpha=%g", c.Xm, c.Alpha)
 		}
 		return stats.Pareto{Xm: c.Xm, Alpha: c.Alpha}, nil
-	case "const":
-		if c.Mean <= 0 {
-			return nil, fmt.Errorf("lab: const cost needs mean > 0, got %g", c.Mean)
-		}
-		return stats.Constant{V: c.Mean}, nil
 	default:
 		return nil, fmt.Errorf("lab: unknown cost kind %q", c.Kind)
 	}
@@ -291,8 +241,11 @@ func (sc Scenario) normalized() (Scenario, error) {
 		if len(wl.Classes) > 0 || (wl.Volunteers != nil && wl.Ads != nil) {
 			return sc, fmt.Errorf("lab: scenario %q needs one population: classes, volunteers or ads", sc.Name)
 		}
-		if wl.Adversaries != (AdversarySpec{}) || wl.Churn.LeaveRate > 0 || wl.Churn.Storm != nil || len(wl.Flash) > 0 || sc.QoS != nil {
-			return sc, fmt.Errorf("lab: scenario %q: adversaries, churn, flash and qos apply to class populations only", sc.Name)
+		if wl.Adversaries != (AdversarySpec{}) || wl.Storm != nil || len(wl.Flash) > 0 || sc.MediationRate > 0 {
+			return sc, fmt.Errorf("lab: scenario %q: adversaries, storms, flash and the qos station apply to class populations only", sc.Name)
+		}
+		if wl.Volunteers != nil && wl.Volunteers.Volunteers < 1 {
+			return sc, fmt.Errorf("lab: scenario %q needs at least 1 volunteer, got %d", sc.Name, wl.Volunteers.Volunteers)
 		}
 		if wl.Ads != nil && (wl.Ads.Rate <= 0 || len(wl.Ads.Advertisers) == 0 || len(wl.Ads.Advertisers[0].Interests) == 0) {
 			return sc, fmt.Errorf("lab: scenario %q ads need a rate and advertisers with interests", sc.Name)
@@ -304,30 +257,19 @@ func (sc Scenario) normalized() (Scenario, error) {
 		sc.Workload.QueryTimeout = 60
 	}
 	adv := sc.Workload.Adversaries
-	if adv.FreeRiders < 0 || adv.OverClaimers < 0 || adv.Colluders < 0 ||
-		adv.FreeRiders+adv.OverClaimers+adv.Colluders > 1 {
+	if adv.FreeRiders < 0 || adv.OverClaimers < 0 || adv.FreeRiders+adv.OverClaimers > 1 {
 		return sc, fmt.Errorf("lab: scenario %q adversary fractions invalid: %+v", sc.Name, adv)
 	}
-	if sc.Workload.Churn.RejoinAfter <= 0 {
-		sc.Workload.Churn.RejoinAfter = 30
-	}
-	if st := sc.Workload.Churn.Storm; st != nil && (st.Fraction <= 0 || st.Fraction > 1 || st.Duration <= 0) {
+	if st := sc.Workload.Storm; st != nil && (st.Fraction <= 0 || st.Fraction > 1 || st.Duration <= 0) {
 		return sc, fmt.Errorf("lab: scenario %q storm invalid: %+v", sc.Name, *st)
 	}
-	if (sc.QoS != nil) != (sc.MediationRate > 0) {
-		return sc, fmt.Errorf("lab: scenario %q: qos and mediation_rate must be set together", sc.Name)
-	}
-	if sc.QoS != nil {
-		if err := sc.QoS.Validate(); err != nil {
-			return sc, fmt.Errorf("lab: scenario %q: %w", sc.Name, err)
-		}
-		norm := sc.QoS.Normalized()
-		sc.QoS = &norm
+	if (sc.Policy.QoS != nil) != (sc.MediationRate > 0) {
+		return sc, fmt.Errorf("lab: scenario %q: policy qos and mediation_rate must be set together", sc.Name)
 	}
 	names := map[string]bool{}
 	qosNames := map[string]bool{}
-	if sc.QoS != nil {
-		for _, c := range sc.QoS.Classes {
+	if sc.Policy.QoS != nil {
+		for _, c := range sc.Policy.QoS.Classes {
 			qosNames[c.Name] = true
 		}
 	}
@@ -355,14 +297,14 @@ func (sc Scenario) normalized() (Scenario, error) {
 		if cl.CapacityLo <= 0 || cl.CapacityHi < cl.CapacityLo {
 			return sc, fmt.Errorf("lab: class %q capacity bounds invalid: [%g, %g)", cl.Name, cl.CapacityLo, cl.CapacityHi)
 		}
-		if _, err := cl.Arrival.Build(); err != nil {
-			return sc, fmt.Errorf("class %q: %w", cl.Name, err)
+		if !(cl.Rate > 0) {
+			return sc, fmt.Errorf("lab: class %q needs rate > 0, got %g", cl.Name, cl.Rate)
 		}
 		if _, err := cl.Cost.Build(); err != nil {
 			return sc, fmt.Errorf("class %q: %w", cl.Name, err)
 		}
-		if (cl.QoS != "" || cl.DeadlineS != 0) && sc.QoS == nil {
-			return sc, fmt.Errorf("lab: class %q sets qos/deadline_s but the scenario has no qos block", cl.Name)
+		if (cl.QoS != "" || cl.DeadlineS != 0) && sc.MediationRate == 0 {
+			return sc, fmt.Errorf("lab: class %q sets qos/deadline_s but the scenario has no qos station", cl.Name)
 		}
 		if cl.QoS != "" && len(qosNames) > 0 && !qosNames[cl.QoS] {
 			return sc, fmt.Errorf("lab: class %q references undeclared qos class %q", cl.Name, cl.QoS)
@@ -372,7 +314,7 @@ func (sc Scenario) normalized() (Scenario, error) {
 		}
 	}
 	for _, f := range sc.Workload.Flash {
-		if f.Factor <= 0 || f.Duration <= 0 {
+		if !(f.Factor > 0) || f.Duration <= 0 {
 			return sc, fmt.Errorf("lab: scenario %q flash invalid: %+v", sc.Name, f)
 		}
 		if f.Class != "" && !names[f.Class] {

@@ -14,8 +14,8 @@ func sbqaPolicy(seed uint64) policy.Spec {
 	return policy.Spec{Kind: policy.SbQA, K: 8, Kn: 3, Seed: seed}
 }
 
-// smallScenario is the shared small-world shape: two classes, mixed
-// arrival processes, light adversaries.
+// smallScenario is the shared small-world shape: two classes, one of them
+// bursty (a flash crowd on its Poisson stream), light adversaries.
 func smallScenario(name string, seed uint64, spec policy.Spec) Scenario {
 	return Scenario{
 		Name:     name,
@@ -27,16 +27,17 @@ func smallScenario(name string, seed uint64, spec policy.Spec) Scenario {
 			Classes: []ClassSpec{
 				{
 					Name: "steady", Consumers: 6, Providers: 40,
-					Arrival: ArrivalSpec{Kind: "poisson", Rate: 4},
-					Cost:    CostSpec{Kind: "exp", Mean: 2},
+					Rate: 4,
+					Cost: CostSpec{Kind: "exp", Mean: 2},
 				},
 				{
 					Name: "bursty", Consumers: 4, Providers: 30,
-					Arrival:     ArrivalSpec{Kind: "mmpp2", Rate: 1, DwellA: 20, RateB: 10, DwellB: 5},
+					Rate:        1,
 					Cost:        CostSpec{Kind: "pareto", Xm: 0.5, Alpha: 2.2},
 					Replication: 2,
 				},
 			},
+			Flash:       []FlashSpec{{Class: "bursty", At: 60, Duration: 20, Factor: 10}},
 			Adversaries: AdversarySpec{FreeRiders: 0.1, OverClaimers: 0.1},
 		},
 	}
@@ -71,7 +72,7 @@ func TestRunSmoke(t *testing.T) {
 	if r.MeanResponse <= 0 || r.P99Response < r.MeanResponse {
 		t.Fatalf("response stats incoherent: mean %v p99 %v", r.MeanResponse, r.P99Response)
 	}
-	sum := r.Shares.Honest + r.Shares.FreeRider + r.Shares.OverClaimer + r.Shares.Colluder
+	sum := r.Shares.Honest + r.Shares.FreeRider + r.Shares.OverClaimer + r.Shares.Malicious
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("behavior shares sum to %v", sum)
 	}
@@ -84,11 +85,12 @@ func TestRunSmoke(t *testing.T) {
 }
 
 // TestReportDeterminism is the lab's core promise: same scenario (same
-// seed) ⇒ byte-identical report.
+// seed) ⇒ byte-identical report, with a storm driving departures and
+// rejoins.
 func TestReportDeterminism(t *testing.T) {
 	sc := smallScenario("determinism", 7, sbqaPolicy(7))
-	sc.Workload.Churn = ChurnSpec{LeaveRate: 0.2, RejoinAfter: 10}
-	sc.Workload.Flash = []FlashSpec{{Class: "steady", At: 40, Duration: 10, Factor: 6}}
+	sc.Workload.Storm = &StormSpec{At: 30, Duration: 30, Fraction: 0.3}
+	sc.Workload.Flash = append(sc.Workload.Flash, FlashSpec{Class: "steady", At: 40, Duration: 10, Factor: 6})
 
 	r1, err := Run(sc)
 	if err != nil {
@@ -159,7 +161,7 @@ func settledGoroutines() int {
 
 func TestChurnStormVisibleInTrajectory(t *testing.T) {
 	sc := smallScenario("storm", 11, sbqaPolicy(11))
-	sc.Workload.Churn = ChurnSpec{Storm: &StormSpec{At: 40, Duration: 40, Fraction: 0.5}}
+	sc.Workload.Storm = &StormSpec{At: 40, Duration: 40, Fraction: 0.5}
 	r, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 // empty.
 func TestLedgersBalance(t *testing.T) {
 	classes := smallScenario("ledger-classes", 3, sbqaPolicy(3))
-	classes.QoS = &qos.Spec{Classes: []qos.ClassSpec{{Name: "fifo", Weight: 1, MaxQueueDepth: 8}}}
+	classes.Policy.QoS = &qos.Spec{Classes: []qos.ClassSpec{{Name: "fifo", Weight: 1, MaxQueueDepth: 8}}}
 	classes.MediationRate = 4 // below the offered rate: the station sheds and queues
-	classes.Workload.Churn.Storm = &StormSpec{At: 40, Duration: 20, Fraction: 1}
+	classes.Workload.Storm = &StormSpec{At: 40, Duration: 20, Fraction: 1}
 
 	volunteers := smallVolunteers(true, 3)
 	volunteers.Workload.Volunteers.Malicious = 0.3

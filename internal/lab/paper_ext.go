@@ -6,7 +6,6 @@ import (
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // MotivatingExample reproduces the paper's §IV example of BOINC's native
@@ -38,9 +37,9 @@ func MotivatingExample(base Scenario) (*Study, error) {
 	}
 	mod := func(v *VolunteerSpec) {
 		v.Load = 0.6
-		v.Projects = []workload.ProjectSpec{
-			{Name: "ca", Popularity: workload.Popular, ArrivalShare: 0.8, Replication: 1, DelayTarget: 30},
-			{Name: "cb", Popularity: workload.Unpopular, ArrivalShare: 0.2, Replication: 1, DelayTarget: 30},
+		v.Projects = []ProjectSpec{
+			{Name: "ca", Popularity: Popular, ArrivalShare: 0.8, Replication: 1, DelayTarget: 30},
+			{Name: "cb", Popularity: Unpopular, ArrivalShare: 0.2, Replication: 1, DelayTarget: 30},
 		}
 	}
 	half := base.Duration / 2

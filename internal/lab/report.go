@@ -33,7 +33,7 @@ type Report struct {
 	Failed    int `json:"failed"`
 	InFlight  int `json:"in_flight"`
 
-	// QoS-station ledger (Scenario.QoS runs only; omitted otherwise).
+	// QoS-station ledger (runs with a MediationRate only; omitted otherwise).
 	// Shed counts admissions the scheduler refused, by total and by reason
 	// ("deadline", "queue_full", "brownout"); Queued is the station backlog
 	// (queued + in service) when the horizon closed. Conservation holds:
@@ -93,7 +93,7 @@ type BehaviorShares struct {
 	Honest      float64 `json:"honest"`
 	FreeRider   float64 `json:"free_rider"`
 	OverClaimer float64 `json:"over_claimer"`
-	Colluder    float64 `json:"colluder"`
+	Malicious   float64 `json:"malicious"`
 }
 
 // TrajectoryPoint is one global sample.
@@ -134,7 +134,7 @@ type ClassReport struct {
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 
-	// QoS-station ledger for this class (Scenario.QoS runs only).
+	// QoS-station ledger for this class (runs with a MediationRate only).
 	Shed          int            `json:"shed,omitempty"`
 	ShedByReason  map[string]int `json:"shed_by_reason,omitempty"`
 	QueueWaitMean float64        `json:"queue_wait_mean,omitempty"`

@@ -3,7 +3,6 @@ package lab
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"sbqa/internal/live"
@@ -11,7 +10,6 @@ import (
 	"sbqa/internal/qos"
 	"sbqa/internal/sim"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // world wires a normalized scenario to a real live.Engine under the sim
@@ -25,11 +23,10 @@ type world struct {
 	live *live.Engine
 
 	// Split RNG streams, one per stochastic concern, so adding draws to
-	// one cannot shift another (the same discipline workload.Generate
-	// uses).
-	arrRNG   *stats.RNG
-	costRNG  *stats.RNG
-	churnRNG *stats.RNG
+	// one cannot shift another (the volunteer generator splits its own the
+	// same way).
+	arrRNG  *stats.RNG
+	costRNG *stats.RNG
 
 	// The population, set at build by the scenario's preset: class
 	// consumers, the volunteer preset's projects, and every provider,
@@ -66,10 +63,11 @@ type world struct {
 	warmup     float64
 	gauges     *VolunteerReport
 
-	// Mediation station (Scenario.QoS runs only): the real class-aware
-	// scheduler fed by issue(), drained at MediationRate by a single
-	// virtual-clock server. qosIdx maps each workload class to its service
-	// class's table index, resolved once at build.
+	// Mediation station (runs with a MediationRate only): the real
+	// class-aware scheduler, built from Policy.QoS, fed by issue(), drained
+	// at MediationRate by a single virtual-clock server. qosIdx maps each
+	// workload class to its service class's table index, resolved once at
+	// build.
 	sched       *qos.Scheduler[stationItem]
 	qosIdx      []int
 	serviceTime float64 // 1 / MediationRate
@@ -144,13 +142,12 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 	}()
 	root := stats.NewRNG(sc.Seed)
 	w := &world{
-		sc:       sc,
-		eng:      eng,
-		live:     lv,
-		arrRNG:   root.Split(),
-		costRNG:  root.Split(),
-		churnRNG: root.Split(),
-		report:   &Report{Scenario: sc},
+		sc:      sc,
+		eng:     eng,
+		live:    lv,
+		arrRNG:  root.Split(),
+		costRNG: root.Split(),
+		report:  &Report{Scenario: sc},
 	}
 	switch {
 	case sc.Workload.Volunteers != nil:
@@ -168,26 +165,26 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 	}
 
 	adv := sc.Workload.Adversaries
+	// The third stream is unused, but splitting it keeps capRNG, and every
+	// capacity drawn from it, on the draws the recorded reports were made
+	// with.
+	root.Split()
 	capRNG := root.Split()
 	var nextPID model.ProviderID
 	var nextCID model.ConsumerID
 	for ci, spec := range sc.Workload.Classes {
-		arr, err := spec.Arrival.Build()
-		if err != nil {
-			return nil, err
-		}
-		// Flash crowds targeting this class (or all classes) stack
-		// multiplicatively on the base process.
-		for _, f := range sc.Workload.Flash {
-			if f.Class == "" || f.Class == spec.Name {
-				arr = workload.Modulated{Base: arr, Factor: workload.FlashFactor(f.At, f.Duration, f.Factor)}
-			}
-		}
 		cost, err := spec.Cost.Build()
 		if err != nil {
 			return nil, err
 		}
-		cs := &classState{idx: ci, spec: spec, arrival: arr, cost: cost}
+		cs := &classState{idx: ci, spec: spec, cost: cost}
+		// Flash crowds targeting this class (or all classes) stack
+		// multiplicatively on its rate.
+		for _, f := range sc.Workload.Flash {
+			if f.Class == "" || f.Class == spec.Name {
+				cs.flashes = append(cs.flashes, f)
+			}
+		}
 
 		for i := 0; i < spec.Consumers; i++ {
 			c := &labConsumer{w: w, id: nextCID, rep: make(map[model.ProviderID]float64)}
@@ -213,8 +210,6 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 			case u < adv.FreeRiders+adv.OverClaimers:
 				p.behavior = overClaimer
 				p.capacity *= overClaimSlowdown // truly slow, advertises fast
-			case u < adv.FreeRiders+adv.OverClaimers+adv.Colluders:
-				p.behavior = colluder
 			}
 			cs.providers = append(cs.providers, p)
 			w.providers = append(w.providers, p)
@@ -222,8 +217,8 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 		}
 		w.classes = append(w.classes, cs)
 	}
-	if sc.QoS != nil {
-		w.sched = qos.NewScheduler[stationItem](*sc.QoS, stationDepth, eng.Now)
+	if sc.MediationRate > 0 {
+		w.sched = qos.NewScheduler[stationItem](*sc.Policy.QoS, stationDepth, eng.Now)
 		w.serviceTime = 1 / sc.MediationRate
 		w.qosIdx = make([]int, len(w.classes))
 		for i, cs := range w.classes {
@@ -233,8 +228,8 @@ func build(sc Scenario, analyzeBest bool) (_ *world, err error) {
 	return w, nil
 }
 
-// start books the initial event population: arrivals per class, churn,
-// storms, and trajectory sampling.
+// start books the initial event population: arrivals per class and
+// project, the storm, and trajectory sampling.
 func (w *world) start() {
 	for _, cs := range w.classes {
 		w.scheduleArrival(cs)
@@ -246,25 +241,17 @@ func (w *world) start() {
 		w.scheduleAdQuery()
 		return // an ad run reports no trajectory
 	}
-	ch := w.sc.Workload.Churn
-	if ch.LeaveRate > 0 {
-		w.scheduleChurn()
-	}
-	if st := ch.Storm; st != nil {
+	if st := w.sc.Workload.Storm; st != nil {
 		w.eng.ScheduleAt(st.At, func() { w.storm(st, true) })
 		w.eng.ScheduleAt(st.At+st.Duration, func() { w.storm(st, false) })
 	}
 	w.scheduleSample()
 }
 
-// scheduleArrival books the class's next query issue from its arrival
-// process; issued queries rotate round-robin over the class's consumers.
+// scheduleArrival books the class's next query issue; issued queries
+// rotate round-robin over the class's consumers.
 func (w *world) scheduleArrival(cs *classState) {
-	gap := cs.arrival.Next(w.eng.Now(), w.arrRNG)
-	if math.IsInf(gap, 1) {
-		return
-	}
-	w.eng.Schedule(gap, func() {
+	w.eng.Schedule(cs.gap(w.eng.Now(), w.arrRNG), func() {
 		w.issue(cs)
 		w.scheduleArrival(cs)
 	})
@@ -370,7 +357,6 @@ func (w *world) recordShed(cs *classState, reason string) {
 // way, keeping the event count linear in allocations.
 func (w *world) execute(cs *classState, c *labConsumer, p *provider, q model.Query) {
 	p.allocs++
-	cs.allocsByBehavior[p.behavior]++
 	w.inFlight++
 
 	if p.behavior == freeRider {
@@ -392,22 +378,6 @@ func (w *world) execute(cs *classState, c *labConsumer, p *provider, q model.Que
 		w.report.Completed++
 		cs.respTimes = append(cs.respTimes, rt)
 		c.observe(p.id, quality(rt, cs.spec.DelayTarget))
-	})
-}
-
-// scheduleChurn books the next background departure: a random online
-// provider leaves and rejoins after the configured dwell.
-func (w *world) scheduleChurn() {
-	gap := workload.Poisson{Rate: w.sc.Workload.Churn.LeaveRate}.Next(w.eng.Now(), w.churnRNG)
-	w.eng.Schedule(gap, func() {
-		// Deterministic victim pick; offline picks are simply skipped
-		// (the draw still advances the stream identically).
-		p := w.providers[w.churnRNG.Intn(len(w.providers))]
-		if p.online {
-			w.depart(p)
-			w.eng.Schedule(w.sc.Workload.Churn.RejoinAfter, func() { w.rejoin(p) })
-		}
-		w.scheduleChurn()
 	})
 }
 
@@ -433,9 +403,6 @@ func (w *world) depart(p *provider) {
 }
 
 func (w *world) rejoin(p *provider) {
-	if p.online {
-		return
-	}
 	p.online = true
 	w.live.RegisterProvider(p)
 }
@@ -560,7 +527,6 @@ func (w *world) finish() *Report {
 	r.InFlight = w.inFlight
 
 	allRT := w.respTimes
-	var totalAllocs [behaviors]int
 	var dsSum, daSum float64
 	for _, cs := range w.classes {
 		r.Consumers += len(cs.consumers)
@@ -590,21 +556,8 @@ func (w *world) finish() *Report {
 		dsSum += cds
 		daSum += cda
 
-		var classAllocs int
-		for _, n := range cs.allocsByBehavior {
-			classAllocs += n
-		}
-		cr.Shares = shares(cs.allocsByBehavior, classAllocs)
-		for b, n := range cs.allocsByBehavior {
-			totalAllocs[b] += n
-		}
-		for _, p := range cs.providers {
-			if p.online && p.allocs == 0 {
-				cr.Starved++
-			}
-		}
+		cr.Shares, cr.Starved = winShares(cs.providers)
 		cr.Trajectory = cs.trajectory
-		r.Starved += cr.Starved
 		r.Classes = append(r.Classes, cr)
 		allRT = append(allRT, cs.respTimes...)
 	}
@@ -620,13 +573,8 @@ func (w *world) finish() *Report {
 	r.Participants = r.Providers + r.Consumers
 	r.ConsumerSatisfaction = ratio(dsSum, consumers)
 	r.ConsumerAdequation = ratio(daSum, consumers)
+	r.Shares, r.Starved = winShares(w.providers)
 	r.StarvedFrac = ratio(float64(r.Starved), r.Providers)
-
-	var total int
-	for _, n := range totalAllocs {
-		total += n
-	}
-	r.Shares = shares(totalAllocs, total)
 
 	r.MeanResponse, r.P99Response = summarize(allRT, w.p99)
 
@@ -680,16 +628,26 @@ func (w *world) finish() *Report {
 	return r
 }
 
-// shares converts behavior counts into fractions.
-func shares(counts [behaviors]int, total int) BehaviorShares {
+// winShares returns the providers' allocation shares by behavior and how
+// many of them finished online without a single win.
+func winShares(providers []*provider) (_ BehaviorShares, starved int) {
+	var counts [behaviors]int
+	var total int
+	for _, p := range providers {
+		counts[p.behavior] += p.allocs
+		total += p.allocs
+		if p.online && p.allocs == 0 {
+			starved++
+		}
+	}
 	if total == 0 {
-		return BehaviorShares{}
+		return BehaviorShares{}, starved
 	}
 	f := func(b behavior) float64 { return float64(counts[b]) / float64(total) }
 	return BehaviorShares{
 		Honest:      f(honest),
 		FreeRider:   f(freeRider),
 		OverClaimer: f(overClaimer),
-		Colluder:    f(colluder),
-	}
+		Malicious:   f(malicious),
+	}, starved
 }

@@ -2,30 +2,30 @@ package lab
 
 import (
 	"context"
-	"fmt"
 
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/sim"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // VolunteerSpec is the BOINC population preset, the world the paper's demo
 // evaluates on: projects (consumers) issue replicated computational queries
 // that volunteers (providers) execute. Each project is its own query class
 // with its own Poisson stream; every volunteer can serve every project.
+// Volunteers draw capacities U[0.5, 1.5) work/s and query work is
+// Exp(mean 10).
 // Messages cross a network with U[0.01, 0.05) s one-way latency (an
 // interactive technique — SbQA, Economic — pays one more round trip to
 // collect intentions or bids), a query completes at the majority quorum of
 // valid results, and an invalid result from a malicious volunteer ruins its
 // reputation with the project.
 type VolunteerSpec struct {
-	// Volunteers sizes the provider population (workload.Generate, seeded
-	// with Scenario.Seed).
+	// Volunteers sizes the provider population.
 	Volunteers int `json:"volunteers"`
 
-	// Load is the offered load factor ρ. 0 means 0.7.
+	// Load is the offered load factor ρ: arrivals are sized so that
+	// Σ rate·E[work]·replication = ρ·Σ capacity. 0 means 0.7.
 	Load float64 `json:"load,omitempty"`
 
 	// Malicious is the fraction of volunteers that return invalid results.
@@ -33,12 +33,78 @@ type VolunteerSpec struct {
 
 	// Projects replaces the demo's three projects (SETI@home, proteins@home,
 	// Einstein@home) when set.
-	Projects []workload.ProjectSpec `json:"projects,omitempty"`
+	Projects []ProjectSpec `json:"projects,omitempty"`
 
 	// Autonomous lets chronically dissatisfied participants leave: a
 	// volunteer below δs(p) = 0.35, a project below δs(c) = 0.5. False
 	// keeps them captive.
 	Autonomous bool `json:"autonomous,omitempty"`
+}
+
+// ProjectSpec declares one project of the volunteer preset.
+type ProjectSpec struct {
+	// Name labels the project in tables ("SETI@home", ...).
+	Name string
+
+	// Popularity drives the volunteers' preference draws.
+	Popularity Popularity
+
+	// ArrivalShare is this project's fraction of the total query arrival
+	// rate; shares are normalized, so they need not sum to 1, and a
+	// non-positive one counts as 1.
+	ArrivalShare float64
+
+	// Replication is q.n — how many results the project requires per
+	// query (BOINC replicates tasks to validate volunteer results); its
+	// majority is the quorum of valid results that validates a query.
+	// Below 1 means 1.
+	Replication int
+
+	// DelayTarget is the response time (seconds) the project considers
+	// good; it feeds response-time-seeking intention policies. 0 means 30.
+	DelayTarget float64
+}
+
+// Popularity classifies how much the volunteers like a project. The demo
+// stages three: SETI@home is popular ("the majority of providers want to
+// collaborate"), proteins@home normal ("great number, but not most") and
+// Einstein@home unpopular ("most providers desire to collaborate ... with
+// a small fraction of computational resources").
+type Popularity int
+
+// Popularity classes, in decreasing affection.
+const (
+	Popular Popularity = iota
+	Normal
+	Unpopular
+)
+
+// affinity is the relative probability that a volunteer joined the system
+// for a project of this class.
+func (p Popularity) affinity() float64 {
+	switch p {
+	case Popular:
+		return 0.6
+	case Normal:
+		return 0.3
+	default:
+		return 0.1
+	}
+}
+
+// generalistShare is the fraction of volunteers with no favourite project.
+const generalistShare = 0.15
+
+// volunteerWork is the mean of the preset's exponential query work.
+const volunteerWork = 10.0
+
+// DefaultProjects returns the demo's three-project cast.
+func DefaultProjects() []ProjectSpec {
+	return []ProjectSpec{
+		{Name: "SETI@home", Popularity: Popular, ArrivalShare: 0.5, Replication: 2, DelayTarget: 30},
+		{Name: "proteins@home", Popularity: Normal, ArrivalShare: 0.3, Replication: 2, DelayTarget: 30},
+		{Name: "Einstein@home", Popularity: Unpopular, ArrivalShare: 0.2, Replication: 2, DelayTarget: 30},
+	}
 }
 
 // The demo's departure rule, applied to autonomous participants only.
@@ -91,7 +157,6 @@ type volunteering struct {
 	net     *sim.Network
 	pending map[model.QueryID]*quorumState
 
-	meanWork    float64
 	interactive bool // the technique pays a round trip before dispatch
 
 	// grace is how long δs must stay below its threshold before the
@@ -119,18 +184,20 @@ type quorumState struct {
 	quorum, expected, valid, responses int
 }
 
-// buildVolunteers generates the preset's population and registers it.
+// buildVolunteers draws the preset's population straight into the world
+// and registers it. Four streams split from Scenario.Seed, in this order,
+// draw the volunteers' capacities, their preferences, the projects'
+// preferences and the volunteers' prices and malice, so a draw added to one
+// concern cannot shift another.
 func (w *world) buildVolunteers() error {
 	spec := w.sc.Workload.Volunteers
-	cfg := workload.DefaultConfig(spec.Volunteers, w.sc.Seed)
-	cfg.LoadFactor = spec.Load
-	cfg.MaliciousFraction = spec.Malicious
-	if spec.Projects != nil {
-		cfg.Projects = spec.Projects
+	projects := spec.Projects
+	if len(projects) == 0 {
+		projects = DefaultProjects()
 	}
-	pop, err := workload.Generate(cfg)
-	if err != nil {
-		return fmt.Errorf("lab: %w", err)
+	load := spec.Load
+	if load <= 0 {
+		load = 0.7
 	}
 	probe, err := w.sc.Policy.Build(0)
 	if err != nil {
@@ -138,14 +205,13 @@ func (w *world) buildVolunteers() error {
 	}
 	ia, ok := probe.(interface{ Interactive() bool })
 
-	// Offset the world's streams from the population generator's so the
-	// two stay independent under one seed.
+	// Offset the world's streams from the population's so the two stay
+	// independent under one seed.
 	root := stats.NewRNG(w.sc.Seed ^ 0x5b0a_c0de_0001)
 	d := w.sc.Duration
 	w.vol = &volunteering{
 		net:             sim.NewNetwork(stats.Uniform{Lo: 0.01, Hi: 0.05}, root.Split()),
 		pending:         make(map[model.QueryID]*quorumState),
-		meanWork:        pop.WorkDist.Mean(),
 		interactive:     ok && ia.Interactive(),
 		grace:           0.1 * d,
 		minInteractions: w.sc.Window / 2,
@@ -156,57 +222,102 @@ func (w *world) buildVolunteers() error {
 	// run, letting the adaptive ω settle.
 	w.caps = [][]int{nil}
 	w.intention, w.bid = volunteerIntention, volunteerBid
-	w.horizon, w.onlineOnly = 4*pop.WorkDist.Mean(), true
+	w.horizon, w.onlineOnly = 4*volunteerWork, true
 	w.p99 = func(sorted []float64) float64 { return stats.Percentile(sorted, 99) }
 	w.autonomous, w.warmup = spec.Autonomous, 0.2*d
 	w.gauges = &VolunteerReport{}
 	w.report.Volunteers = w.gauges
 	enforceShares := w.sc.Policy.Kind == policy.ShareBased
-	for _, gv := range pop.Volunteers {
-		behavior := honest
-		if gv.Malicious {
-			behavior = malicious
-		}
+
+	gen := stats.NewRNG(w.sc.Seed)
+	capRNG, prefRNG, projectPrefRNG, priceRNG := gen.Split(), gen.Split(), gen.Split(), gen.Split()
+	var affinitySum float64
+	for _, ps := range projects {
+		affinitySum += ps.Popularity.affinity()
+	}
+	var totalCap, minCap, maxCap float64
+	for i := range spec.Volunteers {
 		p := &provider{
 			w:        w,
-			id:       model.ProviderID(gv.Index),
-			behavior: behavior,
+			id:       model.ProviderID(i),
 			online:   true,
-			capacity: gv.Capacity,
+			capacity: capRNG.Range(0.5, 1.5),
 			vol: &volunteer{
-				prefs:       gv.ProjectPref,
+				prefs:       volunteerPrefs(projects, affinitySum, prefRNG),
 				policy:      preferenceProvider,
-				priceFactor: gv.PriceFactor,
+				priceFactor: priceRNG.Range(0.8, 1.2),
 				belowSince:  -1,
 			},
+		}
+		if spec.Malicious > 0 && priceRNG.Bool(spec.Malicious) {
+			p.behavior = malicious
 		}
 		if enforceShares {
 			// BOINC's own scheduling under the share-based technique: each
 			// project's work runs at its share of the volunteer's capacity,
 			// so idle shares are wasted (the paper's §IV example).
-			p.vol.shares = sharesFromPrefs(gv.ProjectPref)
-			p.vol.busyUntilC = make([]float64, len(pop.Projects))
-			p.vol.pendingC = make([]float64, len(pop.Projects))
+			p.vol.shares = sharesFromPrefs(p.vol.prefs)
+			p.vol.busyUntilC = make([]float64, len(projects))
+			p.vol.pendingC = make([]float64, len(projects))
 		}
+		totalCap += p.capacity
+		if i == 0 || p.capacity < minCap {
+			minCap = p.capacity
+		}
+		maxCap = max(maxCap, p.capacity)
 		w.providers = append(w.providers, p)
 		w.live.RegisterProvider(p)
 	}
-	for _, gp := range pop.Projects {
+
+	// Arrival rates: normalize the shares (a non-positive one counts as 1),
+	// then size the total so that the offered work, replicas included, is
+	// ρ·Σ capacity.
+	shares := make([]float64, len(projects))
+	var shareSum, demand float64
+	for i, ps := range projects {
+		shares[i] = ps.ArrivalShare
+		if shares[i] <= 0 {
+			shares[i] = 1
+		}
+		shareSum += shares[i]
+	}
+	for i, ps := range projects {
+		shares[i] /= shareSum
+		demand += shares[i] * volunteerWork * float64(max(ps.Replication, 1))
+	}
+	totalRate := load * totalCap / demand
+
+	for i, ps := range projects {
+		repl := max(ps.Replication, 1)
 		p := &project{
 			w:           w,
-			id:          model.ConsumerID(gp.Index),
-			name:        gp.Name,
-			arrivalRate: gp.ArrivalRate,
-			replication: gp.Replication,
-			delayTarget: gp.DelayTarget,
+			id:          model.ConsumerID(i),
+			name:        ps.Name,
+			arrivalRate: totalRate * shares[i],
+			replication: repl,
+			delayTarget: ps.DelayTarget,
 			policy:      reputationBlend(0.7),
-			prefs:       gp.VolunteerPref,
-			quorum:      gp.Quorum,
+			prefs:       make([]float64, len(w.providers)),
+			quorum:      repl/2 + 1,
 			book:        newBook(defaultAlpha),
 			online:      true,
 			belowSince:  -1,
 			arrival:     root.Split(),
 			work:        root.Split(),
+		}
+		if p.delayTarget <= 0 {
+			p.delayTarget = 30
+		}
+		// A project prefers fast hosts (they return results sooner): its
+		// static preference maps the volunteer's relative capacity onto
+		// [0.05, 0.9] plus mild noise, so projects do not all agree and
+		// object to no one — objections are for bad reputations.
+		for vi, v := range w.providers {
+			rel := 0.5
+			if maxCap > minCap {
+				rel = (v.capacity - minCap) / (maxCap - minCap)
+			}
+			p.prefs[vi] = clamp(0.05+0.85*rel+projectPrefRNG.Range(-0.15, 0.15), -1, 1)
 		}
 		w.projects = append(w.projects, p)
 		w.live.RegisterConsumer(p)
@@ -214,13 +325,46 @@ func (w *world) buildVolunteers() error {
 	return nil
 }
 
+// volunteerPrefs draws one volunteer's preference per project. Most
+// volunteers are fans of one project, drawn by popularity affinity: they
+// like it U[0.5, 1) and dislike donating cycles to the others U[-1, -0.4).
+// The generalistShare rest are happy to serve anyone, U[-0.1, 0.6) each.
+// This is what makes interest-blind allocation costly: a load balancer
+// keeps feeding fans the projects they dislike.
+func volunteerPrefs(projects []ProjectSpec, affinitySum float64, rng *stats.RNG) []float64 {
+	prefs := make([]float64, len(projects))
+	if rng.Bool(generalistShare) {
+		for i := range prefs {
+			prefs[i] = rng.Range(-0.1, 0.6)
+		}
+		return prefs
+	}
+	u := rng.Float64() * affinitySum
+	fav := 0
+	for i, ps := range projects {
+		a := ps.Popularity.affinity()
+		if u < a {
+			fav = i
+			break
+		}
+		u -= a
+	}
+	for i := range prefs {
+		if i == fav {
+			prefs[i] = rng.Range(0.5, 1)
+		} else {
+			prefs[i] = rng.Range(-1, -0.4)
+		}
+	}
+	return prefs
+}
+
 // scheduleProjectArrival books the project's next query issue.
 func (w *world) scheduleProjectArrival(p *project) {
 	if !p.online || p.arrivalRate <= 0 {
 		return
 	}
-	gap := workload.Poisson{Rate: p.arrivalRate}.Next(w.eng.Now(), p.arrival)
-	w.eng.Schedule(gap, func() {
+	w.eng.Schedule(p.arrival.ExpFloat64()/p.arrivalRate, func() {
 		if !p.online {
 			return
 		}
@@ -250,11 +394,11 @@ func (w *world) issueProject(p *project) {
 		Consumer: p.id,
 		Class:    int(p.id),
 		N:        n,
-		Work:     p.work.ExpFloat64() * vp.meanWork,
+		Work:     p.work.ExpFloat64() * volunteerWork,
 		IssuedAt: w.eng.Now(),
 	}
 	if q.Work <= 0 {
-		q.Work = vp.meanWork
+		q.Work = volunteerWork
 	}
 	if vp.onIssue != nil {
 		vp.onIssue(q)
@@ -288,6 +432,7 @@ func (w *world) mediateProject(q model.Query) {
 	w.inFlight++
 	for _, pid := range a.Selected {
 		p := w.providers[pid]
+		p.allocs++
 		w.eng.Schedule(extra+vp.net.Delay(), func() { w.serve(p, replica) })
 	}
 	w.afterMediation(q, a)

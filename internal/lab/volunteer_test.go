@@ -8,7 +8,6 @@ import (
 	"sbqa/internal/model"
 	"sbqa/internal/policy"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // The volunteer preset's mechanics: execution, quorum validation, resource
@@ -353,7 +352,7 @@ func TestWorldInvariantsUnderRandomConfigs(t *testing.T) {
 			_ = rng.Bool(0.3) // the former share-enforcement coin, kept so later draws match (shares are enforced under share_based)
 			adaptive := rng.Bool(0.3)
 			responseTime := rng.Bool(0.3)
-			v.Projects = workload.DefaultProjects()
+			v.Projects = DefaultProjects()
 			for i := range v.Projects {
 				v.Projects[i].Replication = 1 + rng.Intn(3)
 			}
@@ -428,8 +427,8 @@ func TestWorldAccountingWithMalicious(t *testing.T) {
 // count, and that an invalid result does not count toward it.
 func TestQuorumSemantics(t *testing.T) {
 	sc := smallVolunteers(false, 22)
-	sc.Workload.Volunteers.Projects = []workload.ProjectSpec{
-		{Name: "p", Popularity: workload.Popular, ArrivalShare: 1, Replication: 3, DelayTarget: 30},
+	sc.Workload.Volunteers.Projects = []ProjectSpec{
+		{Name: "p", Popularity: Popular, ArrivalShare: 1, Replication: 3, DelayTarget: 30},
 	}
 	w := builtWorld(t, sc)
 	completed := 0
@@ -497,8 +496,8 @@ func mm1Scenario(rho, duration float64, seed uint64) Scenario {
 	sc := Volunteering(1, duration, seed)
 	sc.Policy = capacityPolicy
 	sc.Workload.Volunteers.Load = rho
-	sc.Workload.Volunteers.Projects = []workload.ProjectSpec{
-		{Name: "only", Popularity: workload.Popular, ArrivalShare: 1, Replication: 1, DelayTarget: 100},
+	sc.Workload.Volunteers.Projects = []ProjectSpec{
+		{Name: "only", Popularity: Popular, ArrivalShare: 1, Replication: 1, DelayTarget: 100},
 	}
 	return sc
 }
@@ -509,7 +508,7 @@ func mm1(rho float64) func(*world) {
 	return func(w *world) {
 		w.vol.net = nil
 		w.providers[0].capacity = 1
-		w.projects[0].arrivalRate = rho / w.vol.meanWork
+		w.projects[0].arrivalRate = rho / volunteerWork
 	}
 }
 
@@ -701,5 +700,32 @@ func TestPresetsRejectClassKnobs(t *testing.T) {
 	sc.Workload.Flash = []FlashSpec{{At: 1, Duration: 1, Factor: 2}}
 	if _, err := Run(sc); err == nil {
 		t.Error("a flash crowd on a volunteer population was accepted and would be ignored")
+	}
+}
+
+// TestVolunteerWinsCounted: a volunteer run counts a win at every dispatch,
+// as a class run does, so its report carries the allocation shares by
+// behavior and the online volunteers that never won. The run is too short
+// for every volunteer to win.
+func TestVolunteerWinsCounted(t *testing.T) {
+	sc := smallVolunteers(false, 3)
+	sc.Duration = 20
+	sc.Workload.Volunteers.Malicious = 0.3
+	w, r := runWorld(t, sc, nil)
+	s := r.Shares
+	if s.Malicious <= 0 || s.Honest <= 0 || s.FreeRider != 0 || s.OverClaimer != 0 {
+		t.Errorf("shares %+v, want honest and malicious wins only", s)
+	}
+	if sum := s.Honest + s.FreeRider + s.OverClaimer + s.Malicious; math.Abs(sum-1) > 1e-9 {
+		t.Errorf("shares sum to %v", sum)
+	}
+	starved := 0
+	for _, p := range w.providers {
+		if p.online && p.allocs == 0 {
+			starved++
+		}
+	}
+	if starved == 0 || r.Starved != starved || r.StarvedFrac != float64(starved)/float64(len(w.providers)) {
+		t.Errorf("starved %d (%v), want %d > 0 online volunteers without a win", r.Starved, r.StarvedFrac, starved)
 	}
 }

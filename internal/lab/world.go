@@ -5,11 +5,10 @@ import (
 
 	"sbqa/internal/model"
 	"sbqa/internal/stats"
-	"sbqa/internal/workload"
 )
 
 // behavior classifies a provider's honesty. The class populations draw
-// the first four from AdversarySpec; the volunteer preset's hosts are
+// the first three from AdversarySpec; the volunteer preset's hosts are
 // honest or malicious.
 type behavior uint8
 
@@ -17,19 +16,16 @@ const (
 	honest behavior = iota
 	freeRider
 	overClaimer
-	colluder
 	malicious // executes, but returns invalid results
 	behaviors
 )
 
-// Adversary distortion constants: over-claimers advertise claimFactor×
-// their true speed while actually running at overClaimSlowdown of an honest
-// draw; colluders court every cartelStride-th consumer and refuse the rest.
+// Adversary distortion constants: over-claimers advertise claimFactor× an
+// honest draw while actually running at overClaimSlowdown of it.
 const (
 	utilizationHorizon = 30.0 // seconds of backlog that count as "fully busy"
 	claimFactor        = 8.0
 	overClaimSlowdown  = 0.25
-	cartelStride       = 5
 	reputationAlpha    = 0.3 // consumer EWMA step per observed completion
 	loadPenaltyQueue   = 10.0
 )
@@ -71,7 +67,7 @@ type provider struct {
 	queueLen    int
 	pendingWork float64
 	busyTime    float64
-	allocs      int // lifetime allocations won
+	allocs      int // lifetime allocations won: selections dispatched to it
 
 	vol *volunteer // nil outside the volunteer preset
 }
@@ -166,14 +162,8 @@ func (p *provider) release(q model.Query) {
 
 // classIntention is a class provider's intention, by behavior.
 func classIntention(p *provider, q model.Query) model.Intention {
-	switch p.behavior {
-	case freeRider:
+	if p.behavior == freeRider {
 		return 1 // grab everything, deliver nothing
-	case colluder:
-		if uint64(q.Consumer)%cartelStride == 0 {
-			return 1 // the cartel's patrons get maximal service
-		}
-		return -0.9 // and outsiders are refused
 	}
 	// Honest providers: a stable per-consumer taste in [-0.2, 0.8), pushed
 	// down by current load. Over-claimers keep the taste but deny the load,
@@ -229,13 +219,13 @@ func (c *labConsumer) observe(p model.ProviderID, quality float64) {
 	c.rep[p] = quality
 }
 
-// classState is one class's runtime: its arrival stream, cost draw,
+// classState is one class's runtime: its flash crowds, cost draw,
 // populations, and accumulators.
 type classState struct {
 	idx  int
 	spec ClassSpec
 
-	arrival workload.Arrivals
+	flashes []FlashSpec // the scenario's flash crowds on this class, in list order
 	cost    stats.Dist
 
 	consumers []*labConsumer
@@ -244,15 +234,27 @@ type classState struct {
 
 	issued, mediated, rejected, completed, failed int
 	respTimes                                     []float64
-	allocsByBehavior                              [behaviors]int
 
-	// QoS-station accumulators (Scenario.QoS runs only): sheds by reason
-	// and the queue wait of every query the station actually served.
+	// QoS-station accumulators (runs with a MediationRate only): sheds by
+	// reason and the queue wait of every query the station actually served.
 	shed         int
 	shedByReason map[string]int
 	queueWaits   []float64
 
 	trajectory []ClassPoint
+}
+
+// gap is the delay until the class's next arrival: a Poisson gap at its
+// rate (one ExpFloat64 draw), divided in list order by the factor of each
+// flash crowd whose window [At, At+Duration) holds now.
+func (cs *classState) gap(now float64, rng *stats.RNG) float64 {
+	gap := rng.ExpFloat64() / cs.spec.Rate
+	for _, f := range cs.flashes {
+		if now >= f.At && now < f.At+f.Duration {
+			gap /= f.Factor
+		}
+	}
+	return gap
 }
 
 // quality maps an observed response time to [0, 1] against a delay

@@ -157,7 +157,7 @@ func TestNetworkZeroValue(t *testing.T) {
 
 func TestNetworkDelaysMessages(t *testing.T) {
 	e := NewEngine()
-	n := NewNetwork(stats.Constant{V: 0.25}, stats.NewRNG(1))
+	n := NewNetwork(stats.Uniform{Lo: 0.25, Hi: 0.25}, stats.NewRNG(1))
 	var arrived float64
 	n.Send(e, func() { arrived = e.Now() })
 	runAll(e)
@@ -170,7 +170,7 @@ func TestNetworkDelaysMessages(t *testing.T) {
 }
 
 func TestNetworkNegativeSamplesClamped(t *testing.T) {
-	n := NewNetwork(stats.Constant{V: -3}, stats.NewRNG(1))
+	n := NewNetwork(stats.Uniform{Lo: -3, Hi: -3}, stats.NewRNG(1))
 	if d := n.Delay(); d != 0 {
 		t.Errorf("negative latency sample not clamped: %v", d)
 	}

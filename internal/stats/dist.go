@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Dist is a sampleable distribution over float64.
 type Dist interface {
@@ -11,20 +8,7 @@ type Dist interface {
 	Sample(r *RNG) float64
 	// Mean returns the distribution's expected value.
 	Mean() float64
-	// String describes the distribution for experiment logs.
-	String() string
 }
-
-// Constant is a degenerate distribution that always returns V.
-type Constant struct{ V float64 }
-
-// Sample implements Dist.
-func (c Constant) Sample(*RNG) float64 { return c.V }
-
-// Mean implements Dist.
-func (c Constant) Mean() float64 { return c.V }
-
-func (c Constant) String() string { return fmt.Sprintf("const(%g)", c.V) }
 
 // Uniform is the continuous uniform distribution on [Lo, Hi).
 type Uniform struct{ Lo, Hi float64 }
@@ -34,8 +18,6 @@ func (u Uniform) Sample(r *RNG) float64 { return r.Range(u.Lo, u.Hi) }
 
 // Mean implements Dist.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-func (u Uniform) String() string { return fmt.Sprintf("uniform[%g,%g)", u.Lo, u.Hi) }
 
 // Exponential is the exponential distribution with the given Rate (λ);
 // its mean is 1/λ. It models Poisson inter-arrival times and memoryless
@@ -47,8 +29,6 @@ func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Rate }
 
 // Mean implements Dist.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-func (e Exponential) String() string { return fmt.Sprintf("exp(rate=%g)", e.Rate) }
 
 // Pareto is the Pareto distribution with scale Xm > 0 and shape Alpha > 0;
 // heavy-tailed service demands use Alpha in (1, 2].
@@ -67,5 +47,3 @@ func (p Pareto) Mean() float64 {
 	}
 	return p.Alpha * p.Xm / (p.Alpha - 1)
 }
-
-func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }

@@ -13,22 +13,6 @@ func sampleMean(d Dist, r *RNG, n int) float64 {
 	return sum / float64(n)
 }
 
-func TestConstant(t *testing.T) {
-	d := Constant{V: 3.5}
-	r := NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if d.Sample(r) != 3.5 {
-			t.Fatal("constant distribution returned non-constant value")
-		}
-	}
-	if d.Mean() != 3.5 {
-		t.Errorf("Mean = %v", d.Mean())
-	}
-	if d.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
 func TestUniformMoments(t *testing.T) {
 	d := Uniform{Lo: 2, Hi: 6}
 	r := NewRNG(2)
@@ -72,16 +56,5 @@ func TestParetoMeanAndBound(t *testing.T) {
 	}
 	if !math.IsInf(Pareto{Xm: 1, Alpha: 1}.Mean(), 1) {
 		t.Error("pareto alpha=1 mean should be +Inf")
-	}
-}
-
-func TestDistStrings(t *testing.T) {
-	dists := []Dist{
-		Uniform{0, 1}, Exponential{1}, Pareto{1, 2},
-	}
-	for _, d := range dists {
-		if d.String() == "" {
-			t.Errorf("%T has empty String()", d)
-		}
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"sbqa/internal/policy"
 	"sbqa/internal/qos"
 	"sbqa/internal/trace"
-	"sbqa/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -152,16 +151,16 @@ func NewMediator(a Allocator, cfg MediatorConfig) *Mediator { return mediator.Ne
 
 // ProjectSpec declares one consumer project of the Volunteering preset
 // (its Workload.Volunteers.Projects).
-type ProjectSpec = workload.ProjectSpec
+type ProjectSpec = lab.ProjectSpec
 
 // Popularity classes for ProjectSpec.
 const (
 	// Popular projects are most volunteers' favourite.
-	Popular = workload.Popular
+	Popular = lab.Popular
 	// Normal projects are liked by many volunteers, not most.
-	Normal = workload.Normal
+	Normal = lab.Normal
 	// Unpopular projects are favoured by a small fraction.
-	Unpopular = workload.Unpopular
+	Unpopular = lab.Unpopular
 )
 
 // Volunteering returns the paper's BOINC world as a lab scenario: the

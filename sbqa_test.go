@@ -159,8 +159,8 @@ func TestPublicLabScenario(t *testing.T) {
 		Workload: lab.Workload{
 			Classes: []lab.ClassSpec{{
 				Name: "only", Consumers: 3, Providers: 12,
-				Arrival: lab.ArrivalSpec{Kind: "poisson", Rate: 3},
-				Cost:    lab.CostSpec{Kind: "exp", Mean: 1.5},
+				Rate: 3,
+				Cost: lab.CostSpec{Kind: "exp", Mean: 1.5},
 			}},
 		},
 	}
