@@ -30,6 +30,20 @@ func offeredLoad(w *world) float64 {
 	return demand / capacity
 }
 
+// TestGenerateValidation: a volunteer population needs at least one
+// volunteer. The query work mean is the fixed volunteerWork, so there is no
+// work distribution left to validate.
+func TestGenerateValidation(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := Volunteering(n, 100, 1).normalized(); err == nil {
+			t.Errorf("%d volunteers accepted", n)
+		}
+	}
+	if _, err := Volunteering(1, 100, 1).normalized(); err != nil {
+		t.Errorf("one volunteer rejected: %v", err)
+	}
+}
+
 func TestGenerateDefaults(t *testing.T) {
 	w := volunteerWorld(t, 20, 1)
 	if len(w.projects) != 3 {
