@@ -51,7 +51,7 @@ var ambientEffects = map[string]int{
 	"internal/live.NewEngine: go":                         3,
 	"internal/live.NewEngine: time.Now":                   1,
 	"internal/live.NewEngine: time.Since":                 1,
-	"internal/live.NewWorker: go":                         1,
+	"internal/live.Worker.accept: go":                     1,
 	"internal/live.Worker.accept: time.Now":               1,
 	"internal/live.Worker.run: time.NewTimer":             1,
 	"internal/live.Worker.run: time.Since":                1,

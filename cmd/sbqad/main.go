@@ -8,7 +8,7 @@
 //	POST   /v1/consumers      register a consumer {id, intention, prefer_idle,
 //	                          intention_url}; with intention_url the daemon
 //	                          gathers CI_q from the webhook per mediation
-//	POST   /v1/workers        start+register a worker {id, capacity, queue_cap,
+//	POST   /v1/workers        register a worker {id, capacity, queue_cap,
 //	                          intention, classes, intention_url}; with
 //	                          intention_url PI_q comes from the webhook;
 //	                          a queue_cap above 65536 is a 400

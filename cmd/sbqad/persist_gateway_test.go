@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sbqa"
 )
@@ -296,5 +299,79 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableGatewayCloseMidService: closing a durable gateway whose workers
+// are mid-service, with a backlog and wait:"results" callers parked on it,
+// returns promptly, answers every caller and leaves no goroutine behind —
+// the path a SIGTERM takes through a busy node.
+func TestDurableGatewayCloseMidService(t *testing.T) {
+	before := settledGoroutines(func() bool { return true })
+	gw, err := newGateway(
+		sbqa.WithWindow(10),
+		sbqa.WithConcurrency(2),
+		sbqa.WithPolicy(sbqa.PolicySpec{Kind: sbqa.PolicyCapacity}),
+		sbqa.WithPersistence(t.TempDir(), sbqa.PersistSyncEvery(1)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := gw.handler()
+	post := func(path string, v any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Error(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	const workers, callers = 3, 12
+	for id := 0; id < workers; id++ {
+		// A query of work 1e6 needs a million seconds here.
+		if rec := post("/v1/workers", workerRequest{ID: id, Capacity: 1, QueueCap: 64, Intention: 0.5}); rec.Code != http.StatusCreated {
+			t.Fatalf("register worker %d: %d %s", id, rec.Code, rec.Body)
+		}
+	}
+	if rec := post("/v1/consumers", consumerRequest{ID: 0, Intention: 0.6}); rec.Code != http.StatusCreated {
+		t.Fatalf("register consumer: %d %s", rec.Code, rec.Body)
+	}
+	answers := make(chan *httptest.ResponseRecorder, callers)
+	for i := 0; i < callers; i++ {
+		go func() { answers <- post("/v1/queries", queryRequest{Consumer: 0, N: 1, Work: 1e6, Wait: "results"}) }()
+	}
+	waitCondition(t, 10*time.Second, "every caller's query to be parked on a worker", func() bool {
+		parked, busy := 0, 0
+		for _, d := range gw.eng.Stats().WorkerQueueDepths {
+			parked += d
+			if d > 1 {
+				busy++
+			}
+		}
+		return parked == callers && busy == workers
+	})
+
+	closed := make(chan struct{})
+	go func() { gw.close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("gateway.close took over 5 s:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	for i := 0; i < callers; i++ {
+		select {
+		case rec := <-answers:
+			if rec.Code != http.StatusOK {
+				t.Errorf("a caller parked at close got %d %s", rec.Code, rec.Body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d callers never got an answer", callers-i, callers)
+		}
+	}
+	if after := settledGoroutines(func() bool { return runtime.NumGoroutine() <= before }); after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines before the gateway, %d after it closed:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -434,7 +434,7 @@ func (g *gateway) registerConsumer(eng *sbqa.Engine, sc *scratch, body []byte, h
 	sc.answer(http.StatusCreated, map[string]int{"id": req.ID})
 }
 
-// workerRequest starts a goroutine worker with a constant intention,
+// workerRequest registers a worker with a constant intention,
 // optionally class-restricted. With intention_url the worker's
 // mediation-time intention is gathered from the webhook instead (the
 // constant becomes the fallback for non-batched paths); execution still
@@ -449,9 +449,9 @@ type workerRequest struct {
 }
 
 // maxWorkerQueueCap is the largest task backlog a registration may ask for:
-// queue_cap sizes a channel allocated up front (32 bytes a slot, so 2 MiB
-// here), and an unchecked value is an allocation of the client's choosing —
-// two trillion slots ended the process with an unrecoverable out-of-memory.
+// a worker's ring grows with its backlog up to queue_cap (32 bytes a slot,
+// so 2 MiB here), and an unchecked value let one client's backlog grow the
+// heap unbounded — two trillion up-front slots once ended the process.
 const maxWorkerQueueCap = 1 << 16
 
 func (g *gateway) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {

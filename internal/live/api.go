@@ -143,10 +143,10 @@ func mergeOptions(opts []QueryOption) submitOptions {
 }
 
 // WithResults forwards the query's per-worker results to ch, in addition to
-// collecting them on the ticket. Each worker sends its own result from its
-// own goroutine before the ticket counts it, so a full channel stalls the
-// delivering workers — never a mediation shard — and results are on ch by
-// the time Done closes. One channel may serve any number of submissions.
+// collecting them on the ticket. Each worker sends its own result from the
+// goroutine serving its backlog before the ticket counts it, so a full channel
+// stalls the delivering workers — never a mediation shard — and results are on
+// ch by the time Done closes. One channel may serve any number of submissions.
 func WithResults(ch chan<- Result) QueryOption {
 	return QueryOption{sets: setsResults, val: submitOptions{results: ch}}
 }

@@ -519,10 +519,13 @@ func TestTicketCountsDeliveryAheadOfFinish(t *testing.T) {
 
 // TestNothingSpawnedPerQuery: queries that are allocated and parked on slow
 // workers cost no goroutine each — workers deliver to the ticket, so there is
-// no collector to wait for them.
+// no collector to wait for them, and a busy worker serves its whole backlog
+// on one goroutine. The baseline has a query in service on every worker, so
+// the comparison is between busy workers, not between idle and busy ones.
 func TestNothingSpawnedPerQuery(t *testing.T) {
 	eng := mustEngine(t, WithWindow(10), capacityPolicy)
 	// Four workers that need hours per query, with room to queue them all.
+	var workers []*Worker
 	for id := 0; id < 4; id++ {
 		w, err := NewWorker(model.ProviderID(id), 0.001, 512, func(model.Query) model.Intention { return 0.5 })
 		if err != nil {
@@ -530,6 +533,7 @@ func TestNothingSpawnedPerQuery(t *testing.T) {
 		}
 		t.Cleanup(w.Close)
 		eng.RegisterWorker(w)
+		workers = append(workers, w)
 	}
 	eng.RegisterConsumer(FuncConsumer{ID: 0, Fn: func(model.Query, model.ProviderSnapshot) model.Intention { return 0.5 }})
 	park := func(n int) []*Ticket {
@@ -542,11 +546,16 @@ func TestNothingSpawnedPerQuery(t *testing.T) {
 		}
 		return tickets
 	}
-	inFlight := park(1)
+	inFlight := park(len(workers))
+	for _, w := range workers {
+		if w.QueueDepth() != 1 {
+			t.Fatalf("worker %d holds %d queries, want 1 each", w.ProviderID(), w.QueueDepth())
+		}
+	}
 	one := settledGoroutines()
-	inFlight = append(inFlight, park(255)...)
+	inFlight = append(inFlight, park(256-len(workers))...)
 	if many := settledGoroutines(); many != one {
-		t.Fatalf("%d goroutines with 1 query in flight, %d with 256", one, many)
+		t.Fatalf("%d goroutines with 1 query in flight on each worker, %d with 256", one, many)
 	}
 	for _, tk := range inFlight {
 		select {

@@ -100,18 +100,39 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// Leave every worker mid-service with a backlog: a query of a
+			// million seconds in service and at least one queued behind it.
+			var parked []*Ticket
+			for busy := 0; busy < len(workers) && len(parked) < 200; {
+				tk := eng.Submit(ctx, model.Query{Consumer: model.ConsumerID(len(parked) % 4), N: 2, Work: 1e12})
+				if _, err := tk.Allocation(); err != nil {
+					t.Fatal(err)
+				}
+				parked = append(parked, tk)
+				busy = 0
+				for _, w := range workers {
+					if w.QueueDepth() >= 2 {
+						busy++
+					}
+				}
+			}
 			started := 0
 			for id := range goroutineStacks() {
 				if _, ok := before[id]; !ok {
 					started++
 				}
 			}
-			if started < 2+len(workers) { // two shard loops and the workers, at least
+			if started < 2+len(workers) { // two shard loops and the busy workers, at least
 				t.Fatalf("a running engine shows %d goroutines of its own; the check measures nothing", started)
 			}
 			eng.Close()
 			for _, w := range workers {
 				w.Close()
+			}
+			for _, tk := range parked {
+				if _, err := tk.Await(ctx); err != nil {
+					t.Fatalf("a query parked on a closed worker: %v", err)
+				}
 			}
 			assertNoNewGoroutines(t, before)
 		})

@@ -1,26 +1,25 @@
 // Package live embeds the SbQA mediation pipeline in a real concurrent
 // runtime: consumers submit queries from any goroutine, workers (providers)
-// execute work on their own goroutines, and a sharded mediation engine
-// allocates queries in parallel. This is the embedding a downstream system
-// would use in production; internal/lab drives the same engine under a
-// virtual clock for the experiments.
+// execute work on a goroutine of their own while they have any, and a sharded
+// mediation engine allocates queries in parallel. This is the embedding a
+// downstream system would use in production; internal/lab drives the same
+// engine under a virtual clock for the experiments.
 //
 // # One engine, one pipeline
 //
-// Engine (NewEngine, functional options) is the only front. Submit stamps
-// the query and returns a *Ticket immediately; each shard drains a
-// class-aware queue, so one consumer's tickets mediate in submission order
-// while distinct consumers run in parallel. SubmitWait, for a caller that
-// waits for the allocation next, mediates on the caller's goroutine when
-// the shard has nothing queued and nothing in service, and queues like
-// Submit otherwise; order is the same either way. Neither may be waited on
-// from an observer callback. Workers deliver their results
-// to the query's ticket, which retains them and
-// forwards them to a caller-supplied channel (WithResults); an event.Observer
-// (WithObserver) streams allocations, rejections, dispatch failures,
-// registration churn, and satisfaction snapshots; Engine.Stats snapshots
-// per-shard counters. Engine.Mediate is the one synchronous way into a
-// shard: the same per-query mediation a ticket gets, without queueing or
+// Engine (NewEngine, functional options) is the only front. Submit stamps the
+// query and returns a *Ticket immediately; each shard drains a class-aware
+// queue, so one consumer's tickets mediate in submission order while distinct
+// consumers run in parallel. SubmitWait, for a caller that waits for the
+// allocation next, mediates on the caller's goroutine when the shard has
+// nothing queued and nothing in service, and queues like Submit otherwise;
+// order is the same either way. Neither may be waited on from an observer
+// callback. Workers deliver their results to the query's ticket, which retains
+// them and forwards them to a caller-supplied channel (WithResults); an
+// event.Observer (WithObserver) streams allocations, rejections, dispatch
+// failures, registration churn, and satisfaction snapshots; Engine.Stats
+// snapshots per-shard counters. Engine.Mediate is the one synchronous way into
+// a shard: the same per-query mediation a ticket gets, without queueing or
 // dispatch, for harnesses that simulate execution themselves.
 //
 // # Engine architecture
@@ -48,6 +47,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -77,10 +77,13 @@ type Executor interface {
 	accept(ctx context.Context, t *Ticket) bool
 }
 
-// Worker executes queries on its own goroutine at a fixed capacity.
-// It implements mediator.Provider; all mediator-facing reads are
-// mutex-guarded because mediations and executions run on different
-// goroutines (and, in the sharded engine, on different shards at once).
+// Worker executes queries at a fixed capacity, serially and in acceptance
+// order, on a goroutine that exists only while it has work: an idle worker
+// holds no goroutine, and a registered worker that is never allocated costs
+// its struct alone. It implements mediator.Provider; all mediator-facing
+// reads are mutex-guarded because mediations and executions run on
+// different goroutines (and, in the sharded engine, on different shards at
+// once).
 type Worker struct {
 	id       model.ProviderID
 	capacity float64 // work units per second (real time)
@@ -93,12 +96,15 @@ type Worker struct {
 
 	mu          sync.Mutex
 	pendingWork float64
-	queueLen    int
-	shutdown    bool // set under mu before done closes; gates accept
-
-	tasks  chan task
-	done   chan struct{}
-	closed sync.Once
+	queueLen    int  // tasks at the worker, the one in service included
+	shutdown    bool // set under mu by Close; gates accept
+	running     bool // a run goroutine is serving the ring
+	// ring is the FIFO of waiting tasks, queued of them from head. It is nil
+	// until the first accept, then doubles up to queueCap and is reused.
+	ring                   []task
+	head, queued, queueCap int
+	serve                  func()      // w.run, bound once: a go statement on it allocates nothing
+	timer                  *time.Timer // made by the first run and kept; armed under mu
 }
 
 // task is one accepted query: the ticket it is owed to and the hand-off
@@ -108,8 +114,9 @@ type task struct {
 	start  time.Time
 }
 
-// NewWorker starts a worker goroutine. capacity must be > 0; queueCap bounds
-// the task backlog (0 means 1024).
+// NewWorker returns an idle worker; it starts nothing until a task arrives.
+// capacity must be > 0; queueCap bounds the tasks waiting behind the one in
+// service (0 means 1024).
 func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn func(model.Query) model.Intention) (*Worker, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("live: worker %d capacity %v must be positive", id, capacity)
@@ -120,92 +127,71 @@ func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn 
 	if queueCap <= 0 {
 		queueCap = 1024
 	}
-	w := &Worker{
-		id:          id,
-		capacity:    capacity,
-		intentionFn: intentionFn,
-		tasks:       make(chan task, queueCap),
-		done:        make(chan struct{}),
-	}
-	go w.run()
+	w := &Worker{id: id, capacity: capacity, intentionFn: intentionFn, queueCap: queueCap}
+	w.serve = w.run
 	return w, nil
 }
 
-// run executes queued tasks serially, simulating service time by sleeping
-// work/capacity seconds of real time. It exits via the done channel — the
-// tasks channel is never closed, because concurrent dispatchers may be
-// mid-send when the worker shuts down (closing it would race). On exit it
-// abandons the in-service task and everything still queued on their
-// tickets, so no ticket waits on work that will not happen; Close sets the
-// shutdown flag before done closes, so no new task can slip in after the
-// drain. One timer serves every task; it is only ever Reset after its tick
-// was received, so no stale tick can be read.
+// run serves the ring in order until it is empty, simulating each service
+// time by sleeping work/capacity seconds of real time on the worker's one
+// timer, then clears the running flag under mu and exits; the next accept
+// starts a new run. After Close, the in-service task and everything still
+// queued are abandoned on their tickets, so no ticket waits on work that
+// will not happen.
 func (w *Worker) run() {
-	var timer *time.Timer
 	for {
-		var t task
-		select {
-		case t = <-w.tasks:
-		case <-w.done:
-			w.abandonPending(nil)
+		w.mu.Lock()
+		if w.queued == 0 {
+			if w.shutdown {
+				w.pendingWork, w.queueLen = 0, 0
+			}
+			w.running = false
+			w.mu.Unlock()
 			return
+		}
+		t := w.ring[w.head]
+		w.ring[w.head] = task{} // the ring must not keep a finished ticket alive
+		w.head = (w.head + 1) % len(w.ring)
+		w.queued--
+		if w.shutdown {
+			w.mu.Unlock()
+			t.ticket.abandon()
+			continue
 		}
 		q := t.ticket.query
-		service := time.Duration(q.Work / w.capacity * float64(time.Second))
-		if timer == nil {
-			timer = time.NewTimer(service)
+		service := time.Duration(math.MaxInt64) // saturated: a larger float converts implementation-defined
+		if s := q.Work / w.capacity * float64(time.Second); s < math.MaxInt64 {
+			service = time.Duration(s)
+		}
+		// Armed under mu, so a Close from here on fires it at once.
+		if w.timer == nil {
+			w.timer = time.NewTimer(service)
 		} else {
-			timer.Reset(service)
+			w.timer.Reset(service)
 		}
-		select {
-		case <-timer.C:
-		case <-w.done:
-			timer.Stop()
-			w.abandonPending(&t)
-			return
-		}
+		w.mu.Unlock()
+		<-w.timer.C
 		w.mu.Lock()
-		w.pendingWork -= q.Work
-		if w.pendingWork < 0 {
-			w.pendingWork = 0
+		if w.shutdown {
+			w.mu.Unlock()
+			t.ticket.abandon()
+			continue
 		}
+		w.pendingWork = max(w.pendingWork-q.Work, 0)
 		w.queueLen--
 		w.mu.Unlock()
 		t.ticket.deliver(Result{Query: q, Provider: w.id, Latency: time.Since(t.start)})
 	}
 }
 
-// abandonPending abandons the interrupted in-service task (if any) and
-// every task still queued at shutdown, and zeroes the backlog
-// accounting. It runs on the worker goroutine after done closed; accept
-// checks the shutdown flag under the same mutex Close sets it under, so no
-// new task can be enqueued once the drain loop observes an empty channel.
-func (w *Worker) abandonPending(inService *task) {
-	if inService != nil {
-		inService.ticket.abandon()
-	}
-	for {
-		select {
-		case t := <-w.tasks:
-			t.ticket.abandon()
-		default:
-			w.mu.Lock()
-			w.pendingWork = 0
-			w.queueLen = 0
-			w.mu.Unlock()
-			return
-		}
-	}
-}
-
 // accept enqueues a task without blocking: false if the worker is shutting
 // down, the queue is full, or the context is already done. Dispatch must
 // never park a mediation shard behind one saturated worker, so a full
-// queue refuses the hand-off immediately (the engine
-// reports ErrDispatch) rather than waiting for space. The enqueue happens
-// under the worker mutex against the shutdown flag, so a task is either
-// refused or guaranteed to be delivered-or-abandoned by the run loop —
-// never silently lost.
+// queue refuses the hand-off immediately (the engine reports ErrDispatch)
+// rather than waiting for space. The enqueue happens under the worker mutex
+// against the shutdown flag, so a task is either refused or guaranteed to
+// be delivered-or-abandoned by a run — never silently lost; a run is
+// started here when none is serving the ring.
 func (w *Worker) accept(ctx context.Context, t *Ticket) bool {
 	if ctx.Err() != nil {
 		return false
@@ -215,26 +201,35 @@ func (w *Worker) accept(ctx context.Context, t *Ticket) bool {
 	if w.shutdown {
 		return false
 	}
-	select {
-	case w.tasks <- task{ticket: t, start: time.Now()}:
-		w.pendingWork += t.query.Work
-		w.queueLen++
-		return true
-	default:
-		return false
+	if w.queued == len(w.ring) {
+		if w.queued == w.queueCap {
+			return false
+		}
+		grown := make([]task, min(max(2*len(w.ring), 1), w.queueCap))
+		copy(grown[copy(grown, w.ring[w.head:]):], w.ring[:w.head])
+		w.ring, w.head = grown, 0
 	}
+	w.ring[(w.head+w.queued)%len(w.ring)] = task{ticket: t, start: time.Now()}
+	w.queued++
+	w.pendingWork += t.query.Work
+	w.queueLen++
+	if !w.running {
+		w.running = true
+		go w.serve()
+	}
+	return true
 }
 
 // Close stops the worker. Queued tasks are abandoned: their Results never
 // arrive, and their tickets are told so, completing instead of waiting
-// forever.
+// forever. A service in progress is cut short by firing its timer now.
 func (w *Worker) Close() {
-	w.closed.Do(func() {
-		w.mu.Lock()
-		w.shutdown = true
-		close(w.done)
-		w.mu.Unlock()
-	})
+	w.mu.Lock()
+	if !w.shutdown && w.running && w.timer != nil {
+		w.timer.Reset(0)
+	}
+	w.shutdown = true
+	w.mu.Unlock()
 }
 
 // ProviderID implements mediator.Provider.

@@ -21,16 +21,16 @@ import (
 //     Done's channel closes here; Await blocks for it and returns the
 //     collected per-worker results.
 //
-// Workers deliver to the ticket itself: a dispatched task carries its
-// *Ticket, and the worker's goroutine calls deliver when the query has
-// executed (or abandon when the worker shuts down first). deliver forwards
-// the Result to the WithResults channel when there is one, then retains it
-// and counts the delivery; the last one completes the ticket. Nothing is
-// spawned per query for this. A full WithResults channel
-// therefore blocks the delivering worker: size it to the traffic or drain it. Allocations to registered providers that are not
-// dispatchable *Worker instances produce no Results (delivery is out of
-// band), so a ticket completes when its dispatched workers — not its full
-// selection — have reported.
+// Workers deliver to the ticket itself: a dispatched task carries its *Ticket,
+// and the goroutine serving the worker's backlog calls deliver when the query
+// has executed (or abandon when the worker shuts down first). deliver forwards
+// the Result to the WithResults channel when there is one, then retains it and
+// counts the delivery; the last one completes the ticket. Nothing is spawned
+// per query for this. A full WithResults channel therefore blocks the
+// delivering worker: size it to the traffic or drain it. Allocations to
+// registered providers that are not dispatchable *Worker instances produce no
+// Results (delivery is out of band), so a ticket completes when its dispatched
+// workers — not its full selection — have reported.
 //
 // A ticket always completes: mediation failures complete it immediately,
 // partial dispatch failures complete it when the accepting workers finish

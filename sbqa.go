@@ -180,8 +180,8 @@ func RunScenario(sc lab.Scenario) (*lab.Report, error) { return lab.Run(sc) }
 // Live (goroutine-based) runtime — the asynchronous Engine API
 // ---------------------------------------------------------------------------
 
-// Concurrent runtime types for real embeddings (wall-clock time, goroutine
-// workers, sharded mediation engine); see the live package documentation.
+// Concurrent runtime types for real embeddings (wall-clock time, workers on
+// goroutines while busy, sharded mediation engine); see the live package doc.
 type (
 	// Engine is the asynchronous mediation front end: Submit returns a
 	// *Ticket immediately, queries mediate on their consumer's shard loop
@@ -206,7 +206,7 @@ type (
 	// ShardStats is one mediation lane's counters within EngineStats.
 	ShardStats = live.ShardStats
 
-	// LiveWorker executes queries on its own goroutine.
+	// LiveWorker executes queries on a goroutine it holds only while busy.
 	LiveWorker = live.Worker
 	// LiveExecutor is the engine's dispatch contract; *LiveWorker (and
 	// types embedding it) implement it.
@@ -285,8 +285,8 @@ func WithSnapshotInterval(d time.Duration) EngineOption { return live.WithSnapsh
 // workers; one channel may serve every submission.
 func WithResults(ch chan<- LiveResult) QueryOption { return live.WithResults(ch) }
 
-// NewLiveWorker starts a worker goroutine with the given capacity (work
-// units per real second) and intention function.
+// NewLiveWorker returns an idle worker with the given capacity (work units
+// per real second) and intention function; it starts a goroutine on demand.
 func NewLiveWorker(id ProviderID, capacity float64, queueCap int, intentionFn func(Query) Intention) (*LiveWorker, error) {
 	return live.NewWorker(id, capacity, queueCap, intentionFn)
 }
