@@ -94,6 +94,12 @@
 // HTTP requests, drains in-flight tickets via Engine.Close (flushing the
 // state snapshot when -state-dir is set), stops its workers, and exits.
 //
+// The daemon starts on one P (GOMAXPROCS 1) and doubles the count, up to
+// NumCPU, when goroutines wait more than 500 µs for a P (runnable-wait p90)
+// in two consecutive windows; it takes one P away after four windows under
+// 50 µs with the load fitting in one P fewer (procs.go). GOMAXPROCS=n in
+// the environment pins the count at n, unless n is NumCPU.
+//
 // Example session:
 //
 //	sbqad -addr :8080 -shards 4 &
@@ -115,6 +121,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -160,6 +167,7 @@ func main() {
 	)
 	flag.Parse()
 	enablePprof = *debugPprof
+	daemonProcs = startProcs()
 
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
@@ -221,6 +229,9 @@ func main() {
 	}
 	if err != nil {
 		log.Fatalf("sbqad: %v", err)
+	}
+	if daemonProcs != nil {
+		fmt.Printf("sbqad: procs %d at exit after %d changes\n", runtime.GOMAXPROCS(0), daemonProcs.changeCount())
 	}
 }
 

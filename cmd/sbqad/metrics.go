@@ -209,6 +209,8 @@ func writeRuntimeMetrics(m *metricsWriter) {
 		scalar{"sbqa_go_goroutines", "Goroutines currently running.", "gauge", float64(runtime.NumGoroutine())},
 		scalar{"sbqa_go_heap_inuse_bytes", "Heap bytes in in-use spans.", "gauge", float64(ms.HeapInuse)},
 		scalar{"sbqa_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter", float64(ms.PauseTotalNs) / 1e9},
+		scalar{"sbqa_runtime_procs", "Ps (GOMAXPROCS) the runtime schedules goroutines on.", "gauge", float64(runtime.GOMAXPROCS(0))},
+		scalar{"sbqa_runtime_procs_changes_total", "P count changes made by the daemon's controller.", "counter", float64(daemonProcs.changeCount())},
 	)
 }
 

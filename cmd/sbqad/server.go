@@ -574,6 +574,7 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // bytes left in sc for whichever it was to send.
 func (g *gateway) submit(eng *sbqa.Engine, sc *scratch, body []byte, h hop) {
 	admStart := sbqa.TraceNow()
+	daemonProcs.tick(admStart)
 	req := &sc.req
 	if err := unmarshal(body, req); err != nil {
 		sc.answerError(http.StatusBadRequest, err)

@@ -392,8 +392,7 @@ type inLink struct {
 
 	servers  sync.WaitGroup // the link's serving goroutines
 	readSide chan struct{}  // unbuffered: the holder's hand-off; closed by the last holder
-	idle     atomic.Int32   // servers waiting on readSide
-	maxIdle  int32          // GOMAXPROCS when serving began: no more servers wait
+	idle     atomic.Int32   // servers waiting on readSide; no more than NumCPU
 }
 
 // exchange is the storage of one serving goroutine's frames, pooled across
@@ -598,7 +597,6 @@ func (n *Node) trackInbound(l *inLink) bool {
 func (n *Node) serveLink(l *inLink) {
 	l.sem = make(chan struct{}, maxLinkInFlight)
 	l.readSide = make(chan struct{})
-	l.maxIdle = int32(runtime.GOMAXPROCS(0))
 	l.servers.Add(1)
 	n.serveReads(l)
 	l.servers.Wait()
@@ -609,7 +607,7 @@ func (n *Node) serveLink(l *inLink) {
 // of the link that waits for it or else to a new one — and serves the frame
 // itself, so a frame is served where it was read and one parked on a slow
 // worker delays nothing behind it. Having answered, it waits for the read
-// side again, unless l.maxIdle others already wait: then, or once the link
+// side again, unless NumCPU others already wait: then, or once the link
 // has ended, it returns. With maxLinkInFlight frames being served the holder
 // waits for a slot and nothing reads, so TCP pushes back.
 func (n *Node) serveReads(l *inLink) {
@@ -639,11 +637,13 @@ func (n *Node) serveReads(l *inLink) {
 }
 
 // awaitReadSide waits for the read side once a server has answered its
-// frame: false at once when maxIdle servers already wait, or once the last
-// holder has closed readSide.
+// frame: false at once when NumCPU servers already wait, or once the last
+// holder has closed readSide. The bound is the CPU count, not the P count,
+// which the daemon moves with its load: at one P a link would keep one
+// waiting server, and a second concurrent frame would start a goroutine.
 func (l *inLink) awaitReadSide() bool {
 	defer l.idle.Add(-1)
-	if l.idle.Add(1) > l.maxIdle {
+	if l.idle.Add(1) > int32(runtime.NumCPU()) {
 		return false
 	}
 	_, ok := <-l.readSide

@@ -73,9 +73,9 @@ func awaitBurst(t *testing.T, errs <-chan error, n int) {
 }
 
 // TestLinkKeepsBoundedServers: a burst of 64 frames parked at once is served
-// on 64 goroutines; once they answer, the link keeps at most GOMAXPROCS of
-// them waiting for the read side, besides the one holding it, and those
-// serve the frames that come next.
+// on 64 goroutines; once they answer, the link keeps at most NumCPU of them
+// waiting for the read side, besides the one holding it, and those serve
+// the frames that come next.
 func TestLinkKeepsBoundedServers(t *testing.T) {
 	const burst = 64
 	release := make(chan struct{})
@@ -100,7 +100,7 @@ func TestLinkKeepsBoundedServers(t *testing.T) {
 	hold.Store(false)
 	close(release)
 	awaitBurst(t, errs, burst)
-	bound := runtime.GOMAXPROCS(0) + 1
+	bound := runtime.NumCPU() + 1
 	waitFor(t, "the released servers to end", func() bool { return linkServers(before) <= bound })
 	for round := 0; round < 20; round++ {
 		awaitBurst(t, forwardBurst(entry, 4, "next"), 4)
@@ -109,6 +109,40 @@ func TestLinkKeepsBoundedServers(t *testing.T) {
 	if d := pn.dials.Load(); d != 1 {
 		t.Errorf("%d dials, want one link", d)
 	}
+}
+
+// TestLinkIdleServersFollowCPUs: the link's bound on waiting servers is the
+// CPU count, not the P count, which sbqad starts at one: under GOMAXPROCS=1
+// a burst still leaves NumCPU servers waiting for the read side, so a second
+// concurrent frame finds one rather than starting a goroutine.
+func TestLinkIdleServersFollowCPUs(t *testing.T) {
+	cpus := runtime.NumCPU()
+	if cpus < 2 {
+		t.Skip("one CPU: the CPU and P bounds agree")
+	}
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	const burst = 16
+	together := allAtOnce(burst)
+	before := goroutineStacks()
+	entry, owner, _ := linkPair(t, func(_ context.Context, _ string, req, reply *Frame) {
+		together()
+		reply.Status = http.StatusOK
+		reply.Body = append(reply.Body, req.Body...)
+	})
+	awaitBurst(t, forwardBurst(entry, burst, "burst"), burst)
+	idle := func() int32 {
+		owner.links.mu.Lock()
+		defer owner.links.mu.Unlock()
+		var n int32
+		for l := range owner.links.in {
+			n += l.idle.Load()
+		}
+		return n
+	}
+	waitFor(t, "NumCPU servers waiting for the read side", func() bool {
+		return linkServers(before) == cpus+1 && idle() == int32(cpus)
+	})
 }
 
 // TestLinkPingAnsweredWhileFramesParked: query frames parked at the owner
