@@ -24,6 +24,7 @@ var ambientEffects = map[string]int{
 	"cmd/sbqad.gateway.syncLimiter: time.Since":           1,
 	"cmd/sbqad.scratch.await: time.NewTimer":              1,
 	"cmd/sbqad.serve: go":                                 1,
+	"cmd/sbqad.startProcs: os.Getenv":                     1,
 	"cmd/sbqalab.main: os.Exit":                           3,
 	"cmd/sbqalab.runPaper: os.Exit":                       1,
 	"cmd/sbqalab.runReport: os.WriteFile":                 1,

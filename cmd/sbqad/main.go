@@ -95,10 +95,9 @@
 // state snapshot when -state-dir is set), stops its workers, and exits.
 //
 // The daemon starts on one P (GOMAXPROCS 1) and doubles the count, up to
-// NumCPU, when goroutines wait more than 500 µs for a P (runnable-wait p90)
-// in two consecutive windows; it takes one P away after four windows under
-// 50 µs with the load fitting in one P fewer (procs.go). GOMAXPROCS=n in
-// the environment pins the count at n, unless n is NumCPU.
+// the runtime's default, when goroutines wait more than 500 µs for a P
+// (runnable-wait p90) in two consecutive windows; a raise is kept
+// (procs.go). GOMAXPROCS=n in the environment pins the count at n.
 //
 // Example session:
 //

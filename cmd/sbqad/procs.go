@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
+
+	"sbqa"
 )
 
 // The daemon's P count (GOMAXPROCS) is a controlled quantity. A query
@@ -16,164 +19,114 @@ import (
 // hand-off — and with an idle P on another CPU each ready wakes that P's
 // thread, which costs more CPU than the work it takes over. So the daemon
 // starts at one P and adds Ps only when goroutines queue for one, as the
-// runtime's own runnable-wait histogram shows; it gives one back when the
-// load fits in fewer. GOMAXPROCS set in the environment pins the count.
+// runtime's own runnable-wait histogram shows. A raise is never undone:
+// no measured load has yet raised the count, so a rule for giving Ps back
+// would have no traffic to be checked against. GOMAXPROCS set in the
+// environment pins the count.
 //
 // The controller owns no goroutine and no clock: gateway.submit ticks it
 // with the admission timestamp it reads anyway, and an idle daemon, which
 // does not need Ps, never steps.
 
 const (
-	procsEvery      = 1024                   // submits per step attempt; a power of two
 	procsWindow     = 250 * time.Millisecond // shortest window a step decides on
 	procsMinSamples = 256                    // fewest runnable-wait samples a step decides on
 	raiseWait       = 500e-6                 // s: a window whose wait p90 is above it is hot
-	lowerWait       = 50e-6                  // s: a quiet window's wait p90 is below it
-	lowerBusy       = 0.6                    // a quiet window's busy Ps are under lowerBusy·(n−1)
 	raiseAfter      = 2                      // consecutive hot windows double the count
-	lowerAfter      = 4                      // consecutive quiet windows take one P away
 )
 
 // daemonProcs is the controller main starts; nil in every other process
 // (serve, newGateway, tests), whose P count nothing here touches.
 var daemonProcs *procsControl
 
-// window is what one step saw, with the streaks of the windows before it.
-type window struct {
-	p90  float64 // runnable-wait p90, seconds
-	busy float64 // mean busy Ps since the CPU classes last moved; < 0 when no GC moved them in this window
-	hot  int     // consecutive hot windows before this one
-	// quiet counts the quiet windows before this one; a window with no GC
-	// but a quiet p90 neither extends nor breaks it.
-	quiet int
-}
-
-func (w window) isHot() bool { return w.p90 > raiseWait }
-
-func (w window) isQuiet(n int) bool {
-	return w.p90 < lowerWait && w.busy >= 0 && w.busy < lowerBusy*float64(n-1)
-}
-
-// streaks returns the hot and quiet streaks this window leaves at n Ps.
-func (w window) streaks(n int) (hot, quiet int) {
-	if w.isHot() {
-		hot = w.hot + 1
-	}
-	switch {
-	case w.isQuiet(n):
-		quiet = w.quiet + 1
-	case w.busy < 0 && w.p90 < lowerWait:
-		quiet = w.quiet
-	}
-	return hot, quiet
-}
-
-// nextProcs is the rule: double n, up to max, when this window makes
-// raiseAfter hot ones in a row; take one P away when it makes lowerAfter
-// quiet ones; else keep n. A quiet window at one P is impossible (no busy
-// count is under zero), so n never falls below 1.
-func nextProcs(n, max int, w window) int {
-	switch hot, quiet := w.streaks(n); {
-	case hot >= raiseAfter:
+// nextProcs is the rule: double n, up to max, once hot consecutive hot
+// windows reach raiseAfter; else keep n.
+func nextProcs(n, max, hot int) int {
+	if hot >= raiseAfter {
 		return min(2*n, max)
-	case quiet >= lowerAfter:
-		return n - 1
 	}
 	return n
 }
 
-// procsControl steps nextProcs over windows of the runtime's metrics.
+// procsControl steps nextProcs over windows of the runtime's runnable-wait
+// histogram.
 type procsControl struct {
-	max      int // runtime.NumCPU()
-	calls    atomic.Uint64
-	stepping atomic.Bool // held by the one step running
+	max      int          // the runtime's default P count
+	due      atomic.Int64 // trace time before which no step runs
+	stepping atomic.Bool  // held by the one step running
 	changes  atomic.Uint64
 
 	// Owned by the step holding stepping.
-	n           int
-	start       int64 // trace-clock start of the open window
-	samples     [3]metrics.Sample
-	waits       []uint64 // the wait histogram's counts at the window's start
-	idle, total float64  // the CPU classes when they last moved
-	hot, quiet  int
+	n      int
+	sample [1]metrics.Sample
+	waits  []uint64 // the wait histogram's counts when the open window began
+	hot    int      // consecutive windows whose p90 was above raiseWait
 }
 
 // startProcs puts the P count under control at one P, or, when the
-// operator set GOMAXPROCS (it differs from NumCPU), leaves it alone and
-// returns nil. A GOMAXPROCS equal to NumCPU cannot be told from the default.
+// operator set GOMAXPROCS in the environment, leaves it alone and returns
+// nil. Like the runtime, it takes an empty GOMAXPROCS as unset.
 func startProcs() *procsControl {
-	cpus := runtime.NumCPU()
-	if n := runtime.GOMAXPROCS(0); n != cpus {
-		fmt.Printf("sbqad: procs pinned at %d by GOMAXPROCS\n", n)
+	if v := os.Getenv("GOMAXPROCS"); v != "" {
+		fmt.Printf("sbqad: procs pinned at %d by GOMAXPROCS=%s\n", runtime.GOMAXPROCS(0), v)
 		return nil
 	}
-	runtime.GOMAXPROCS(1)
-	fmt.Printf("sbqad: procs 1 of %d CPUs, raised when goroutines wait for a P\n", cpus)
-	c := &procsControl{max: cpus, n: 1}
-	c.samples[0].Name = "/sched/latencies:seconds"
-	c.samples[1].Name = "/cpu/classes/idle:cpu-seconds"
-	c.samples[2].Name = "/cpu/classes/total:cpu-seconds"
-	metrics.Read(c.samples[:])
-	c.waits = append(c.waits, c.samples[0].Value.Float64Histogram().Counts...)
-	c.idle, c.total = c.samples[1].Value.Float64(), c.samples[2].Value.Float64()
+	c := &procsControl{max: runtime.GOMAXPROCS(1), n: 1}
+	fmt.Printf("sbqad: procs 1 of %d, raised when goroutines wait for a P\n", c.max)
+	c.sample[0].Name = "/sched/latencies:seconds"
+	metrics.Read(c.sample[:])
+	c.waits = append(c.waits, c.sample[0].Value.Float64Histogram().Counts...)
+	c.due.Store(sbqa.TraceNow() + int64(procsWindow))
 	return c
 }
 
-// tick counts one submit at trace time now; every procsEvery-th tries a
-// step, unless another is running.
+// tick tries a step at trace time now once one is due, unless another
+// step is running.
 func (c *procsControl) tick(now int64) {
-	if c == nil || c.calls.Add(1)%procsEvery != 0 || !c.stepping.CompareAndSwap(false, true) {
+	if c == nil || now < c.due.Load() || !c.stepping.CompareAndSwap(false, true) {
 		return
 	}
 	c.step(now)
 	c.stepping.Store(false)
 }
 
-// step closes the open window at now once it has lasted procsWindow and
-// gathered procsMinSamples waits, and puts nextProcs into force.
+// step closes the open window at now once it holds procsMinSamples waits,
+// and puts nextProcs into force; a window with fewer stays open. Either
+// way the next step is due a window later.
 func (c *procsControl) step(now int64) {
-	if now-c.start < int64(procsWindow) {
+	if now < c.due.Load() { // another tick stepped since this one looked
 		return
 	}
-	metrics.Read(c.samples[:])
-	h := c.samples[0].Value.Float64Histogram()
+	c.due.Store(now + int64(procsWindow))
+	metrics.Read(c.sample[:])
+	h := c.sample[0].Value.Float64Histogram()
 	p90, count := waitP90(h, c.waits)
 	if count < procsMinSamples {
 		return
 	}
-	c.start = now
 	c.waits = append(c.waits[:0], h.Counts...)
-	w := window{p90: p90, busy: -1}
-	if idle, total := c.samples[1].Value.Float64(), c.samples[2].Value.Float64(); total > c.total {
-		w.busy = float64(c.n) * (1 - (idle-c.idle)/(total-c.total))
-		c.idle, c.total = idle, total
-	}
 	from := c.n
-	if w = c.decide(w); c.n == from {
-		return
+	if hot := c.decide(p90); c.n != from {
+		log.Printf("sbqad: procs %d → %d: runnable wait p90 %.2f ms over %d windows", from, c.n, p90*1e3, hot)
+		runtime.GOMAXPROCS(c.n)
+		c.changes.Add(1)
 	}
-	streak, busy := w.hot+1, "busy not measured (no GC)"
-	if c.n < from {
-		streak = w.quiet + 1
-	}
-	if w.busy >= 0 {
-		busy = fmt.Sprintf("%.2f of %d P busy", w.busy, from)
-	}
-	log.Printf("sbqad: procs %d → %d: runnable wait p90 %.2f ms over %d windows, %s", from, c.n, p90*1e3, streak, busy)
-	runtime.GOMAXPROCS(c.n)
-	c.changes.Add(1)
 }
 
-// decide applies nextProcs to w with the streaks before it filled in, and
-// returns it so filled; a change starts the streaks over.
-func (c *procsControl) decide(w window) window {
-	w.hot, w.quiet = c.hot, c.quiet
-	next := nextProcs(c.n, c.max, w)
-	c.hot, c.quiet = w.streaks(c.n)
-	if next != c.n {
-		c.n, c.hot, c.quiet = next, 0, 0
+// decide counts a closed window whose runnable-wait p90 was p90 into the
+// hot streak and moves n to what nextProcs gives; a change starts the
+// streak over. It returns the streak the window made.
+func (c *procsControl) decide(p90 float64) (hot int) {
+	if p90 > raiseWait {
+		c.hot++
+	} else {
+		c.hot = 0
 	}
-	return w
+	hot = c.hot
+	if next := nextProcs(c.n, c.max, c.hot); next != c.n {
+		c.n, c.hot = next, 0
+	}
+	return hot
 }
 
 // changeCount is how many times the controller changed the P count.

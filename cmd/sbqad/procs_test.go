@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,47 +14,41 @@ import (
 	"sbqa"
 )
 
-// play feeds c the windows in turn and returns the P count after each.
-func play(c *procsControl, ws ...window) []int {
-	ns := make([]int, len(ws))
-	for i, w := range ws {
-		c.decide(w)
+// play feeds c windows with the given runnable-wait p90s in turn and
+// returns the P count after each.
+func play(c *procsControl, p90s ...float64) []int {
+	ns := make([]int, len(p90s))
+	for i, p90 := range p90s {
+		c.decide(p90)
 		ns[i] = c.n
 	}
 	return ns
 }
 
 func TestNextProcs(t *testing.T) {
-	const us = 1e-6
-	logged := window{p90: 115 * us, busy: 1.00} // no lower than any p90 logged at one P on the wire workloads (EXPERIMENTS.md)
-	hot := window{p90: 600 * us, busy: 1.00}
-	quiet := window{p90: 20 * us, busy: 0.1}
-	noGC := window{p90: 20 * us, busy: -1}
+	const (
+		logged = 115e-6 // no lower than any p90 logged at one P on the wire workloads (EXPERIMENTS.md)
+		hot    = 600e-6
+		quiet  = 20e-6
+	)
 	for _, tc := range []struct {
 		name   string
 		n, max int
-		ws     []window
+		p90s   []float64
 		want   []int
 	}{
 		{"a logged one-P window stays at 1", 1, 2,
-			[]window{logged, logged, logged, logged, logged, logged}, []int{1, 1, 1, 1, 1, 1}},
-		{"two hot windows go to 2", 1, 2, []window{hot, hot}, []int{1, 2}},
-		{"a hot window alone changes nothing", 1, 2, []window{hot, logged, hot, logged}, []int{1, 1, 1, 1}},
-		{"doubling is capped at NumCPU", 2, 3, []window{hot, hot, hot, hot}, []int{2, 3, 3, 3}},
-		{"at NumCPU a hot load stays", 2, 2, []window{hot, hot, hot}, []int{2, 2, 2}},
-		{"no lowering before four quiet windows", 2, 2,
-			[]window{quiet, quiet, quiet, quiet, quiet}, []int{2, 2, 2, 1, 1}},
-		{"a logged window breaks the quiet streak", 3, 4,
-			[]window{quiet, quiet, quiet, logged, quiet, quiet, quiet, quiet}, []int{3, 3, 3, 3, 3, 3, 3, 2}},
-		{"a window with no GC holds the quiet streak", 2, 2,
-			[]window{quiet, noGC, quiet, noGC, quiet, quiet}, []int{2, 2, 2, 2, 2, 1}},
-		{"busy Ps at 0.6·(n−1) are not quiet", 3, 4,
-			[]window{{p90: 20 * us, busy: 1.2}, {p90: 20 * us, busy: 1.2}, {p90: 20 * us, busy: 1.2}, {p90: 20 * us, busy: 1.2}},
-			[]int{3, 3, 3, 3}},
-		{"never below one P", 1, 2,
-			[]window{{busy: 0}, {busy: 0}, {busy: 0}, {busy: 0}, {busy: 0}}, []int{1, 1, 1, 1, 1}},
+			[]float64{logged, logged, logged, logged, logged, logged}, []int{1, 1, 1, 1, 1, 1}},
+		{"two hot windows go to 2", 1, 2, []float64{hot, hot}, []int{1, 2}},
+		{"a hot window alone changes nothing", 1, 2, []float64{hot, logged, hot, logged}, []int{1, 1, 1, 1}},
+		{"a raise starts the streak over", 1, 8, []float64{hot, hot, hot, hot, hot}, []int{1, 2, 2, 4, 4}},
+		{"doubling is capped at NumCPU", 2, 3, []float64{hot, hot, hot, hot}, []int{2, 3, 3, 3}},
+		{"at NumCPU a hot load stays", 2, 2, []float64{hot, hot, hot}, []int{2, 2, 2}},
+		{"quiet windows never lower the count", 1, 2,
+			[]float64{hot, hot, quiet, quiet, quiet, quiet, 0, 0}, []int{1, 2, 2, 2, 2, 2, 2, 2}},
+		{"never below one P", 1, 2, []float64{0, 0, 0, 0, 0}, []int{1, 1, 1, 1, 1}},
 	} {
-		got := play(&procsControl{n: tc.n, max: tc.max}, tc.ws...)
+		got := play(&procsControl{n: tc.n, max: tc.max}, tc.p90s...)
 		for i := range got {
 			if got[i] != tc.want[i] {
 				t.Errorf("%s: P counts %v, want %v", tc.name, got, tc.want)
@@ -61,10 +56,7 @@ func TestNextProcs(t *testing.T) {
 			}
 		}
 	}
-	if n := nextProcs(1, 8, window{busy: 0, quiet: 100}); n != 1 {
-		t.Errorf("nextProcs at one P after 100 quiet windows = %d, want 1", n)
-	}
-	if n := nextProcs(4, 8, window{p90: 600 * us, hot: 1}); n != 8 {
+	if n := nextProcs(4, 8, raiseAfter); n != 8 {
 		t.Errorf("nextProcs at 4 Ps on the second hot window = %d, want 8", n)
 	}
 }
@@ -91,8 +83,10 @@ func saturate(t *testing.T, spinners int, c *procsControl) {
 }
 
 // defaultProcs gives the test the runtime's default P count (go test -cpu
-// may have set another) and restores the count it found when it ends.
+// or GOMAXPROCS may have set another) with GOMAXPROCS unset, and restores
+// both when it ends.
 func defaultProcs(t *testing.T) {
+	t.Setenv("GOMAXPROCS", "")
 	procs := runtime.GOMAXPROCS(runtime.NumCPU())
 	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 }
@@ -118,26 +112,31 @@ func TestProcsRaiseUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestProcsLeaveOperatorChoice: a P count other than NumCPU at start is the
-// operator's, and nothing the controller does changes it.
+// TestProcsLeaveOperatorChoice: a GOMAXPROCS in the environment is the
+// operator's, whether or not it equals NumCPU, and nothing the controller
+// does changes the count.
 func TestProcsLeaveOperatorChoice(t *testing.T) {
-	defaultProcs(t)
-	pinned := runtime.NumCPU() + 1
-	runtime.GOMAXPROCS(pinned)
-	c := startProcs()
-	if c != nil {
-		t.Fatal("startProcs under an operator's GOMAXPROCS returned a controller")
-	}
-	saturate(t, 4*runtime.NumCPU(), c)
-	time.Sleep(time.Second)
-	if n := runtime.GOMAXPROCS(0); n != pinned || c.changeCount() != 0 {
-		t.Errorf("%d Ps after %d changes, want the operator's %d and none", n, c.changeCount(), pinned)
+	for _, pinned := range []int{runtime.NumCPU(), runtime.NumCPU() + 1} {
+		t.Run(strconv.Itoa(pinned), func(t *testing.T) {
+			defaultProcs(t)
+			t.Setenv("GOMAXPROCS", strconv.Itoa(pinned))
+			runtime.GOMAXPROCS(pinned)
+			c := startProcs()
+			if c != nil {
+				t.Fatalf("startProcs under GOMAXPROCS=%d returned a controller", pinned)
+			}
+			saturate(t, 4*runtime.NumCPU(), c)
+			time.Sleep(time.Second)
+			if n := runtime.GOMAXPROCS(0); n != pinned || c.changeCount() != 0 {
+				t.Errorf("%d Ps after %d changes, want the operator's %d and none", n, c.changeCount(), pinned)
+			}
+		})
 	}
 }
 
 // TestServeLeavesProcs: only main starts the controller; serve — the daemon
-// as tests and embedders run it — keeps the runtime's P count through more
-// submits than a step waits for.
+// as tests and embedders run it — keeps the runtime's P count through
+// submits for longer than a step waits for.
 func TestServeLeavesProcs(t *testing.T) {
 	defaultProcs(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -165,7 +164,7 @@ func TestServeLeavesProcs(t *testing.T) {
 	}
 	postJSON(t, base+"/v1/workers", workerRequest{ID: 1, Capacity: 1e6, QueueCap: 64, Intention: 0.5}, nil)
 	postJSON(t, base+"/v1/consumers", consumerRequest{ID: 0, Intention: 0.5}, nil)
-	for i := 0; i < 2*procsEvery; i++ {
+	for i, end := 0, time.Now().Add(2*procsWindow); time.Now().Before(end); i++ {
 		if resp := postJSON(t, base+"/v1/queries", queryRequest{Consumer: 0, N: 1, Work: 0.001}, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
